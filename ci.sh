@@ -11,28 +11,6 @@ cargo build --release
 FGDSM_PAR=0 cargo test -q
 FGDSM_PAR=4 cargo test -q
 cargo test -q --workspace
-# Host-perf harness smoke: one timed run of the suite at tiny scale must
-# produce a parseable, full-matrix host_perf.json (written to a scratch
-# path so the committed bench-scale artifact is untouched), then the
-# smoke suite validates the committed artifact too.
-FGDSM_TEST=1 FGDSM_SCALE=1,8 FGDSM_BENCH_RUNS=1 FGDSM_BENCH_OUT=target/host_perf_smoke.json \
-    cargo run --release -q -p fgdsm-bench --bin host_perf
-cargo test -q -p fgdsm-bench --test host_perf_smoke
-# Perf gate, two halves. `smoke`: jacobi + pde at bench scale stretched
-# by factor 8 — the regime where per-superstep volume amortizes every
-# fixed threading cost, so threading wins on multi-core hosts and must
-# at least break even on single-core ones — fail if the threaded
-# median exceeds 1.2x the serial median. `trend`: the working
-# tree's committed host_perf.json must not regress its threads/serial
-# ratios by more than 1.25x against the artifact committed at HEAD
-# (missing or old-format previous artifacts are tolerated).
-cargo run --release -q -p fgdsm-bench --bin perf_gate -- smoke
-git show HEAD:bench_results/host_perf.json > target/host_perf_prev.json 2>/dev/null || true
-cargo run --release -q -p fgdsm-bench --bin perf_gate -- trend target/host_perf_prev.json
-# Wire-seam gate: the chan backend (every transfer enveloped, carried
-# over channels and decoded back — no shared-memory shortcut) must stay
-# within 2x of sm_opt's serial median on the same stretched problems.
-cargo run --release -q -p fgdsm-bench --bin perf_gate -- chan
 # Profile-report smoke: the jacobi run self-asserts a well-formed
 # Chrome-trace export, a per-loop table that sums exactly to the
 # whole-run report, and the co-residency (false-sharing) demo; the
@@ -99,16 +77,13 @@ if [ -n "$FGDSM_NET" ]; then
     grep -q "calibration" target/profile_tcp_smoke.txt
     unset FGDSM_NET
 fi
-# Perf-trend tracker: one tiny-scale metered sweep appended to a scratch
-# JSONL (the committed bench-scale trend.jsonl is append-only and only
-# grows at landing time), then schema-validate both the scratch file and
-# the committed history. Runs on chan when the sandbox forbids sockets.
-rm -f target/trend_smoke.jsonl
-FGDSM_TEST=1 FGDSM_TREND_RUNS=1 FGDSM_TREND_OUT=target/trend_smoke.jsonl \
-    cargo run --release -q -p fgdsm-bench --bin perf_trend
-FGDSM_TREND_OUT=target/trend_smoke.jsonl \
-    cargo run --release -q -p fgdsm-bench --bin perf_trend -- check
-cargo run --release -q -p fgdsm-bench --bin perf_trend -- check
+# Host-time smoke: fgbench (benchmark/, a package of its own — invoked
+# here, never edited) must build against this tree's public API, pass
+# its unit tests, and complete its ~30 s --quick set with every execute
+# checked bitwise against the reference. Host-time *numbers* are gated
+# by the pipeline's parent-vs-change fgbench run, not asserted here.
+cargo test -q --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --quick
 # Bounded model checker: exhaustive small-model closure of the abstract
 # coherence protocol + §4.2 contract (both protocol variants), the
 # must-catch mutation sweep (each seeded bug yields a minimal printed

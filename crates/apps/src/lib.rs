@@ -57,16 +57,14 @@ pub enum Scale {
 }
 
 /// Work-growth factor for the scaled suite, read from `FGDSM_SCALE`
-/// (default 1 = the unscaled sizes of [`suite`]). Values below 1 clamp
-/// to 1.
+/// (default 1 = the unscaled sizes of [`suite`]). `0` clamps to 1;
+/// anything that is not a whole number is an error.
 pub fn scale_factor() -> usize {
-    parse_scale(std::env::var("FGDSM_SCALE").ok().as_deref())
+    fgdsm_tempest::knob::env_knob("FGDSM_SCALE", "a work-growth factor", parse_scale).unwrap_or(1)
 }
 
-fn parse_scale(raw: Option<&str>) -> usize {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
+fn parse_scale(v: &str) -> Option<usize> {
+    v.parse::<usize>().ok().map(|f| f.max(1))
 }
 
 /// Per-dimension multiplier that grows total work ~linearly with
@@ -164,12 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_scale_clamps_and_defaults() {
-        assert_eq!(parse_scale(None), 1);
-        assert_eq!(parse_scale(Some("")), 1);
-        assert_eq!(parse_scale(Some("junk")), 1);
-        assert_eq!(parse_scale(Some("0")), 1);
-        assert_eq!(parse_scale(Some(" 8 ")), 8);
+    fn parse_scale_clamps_and_rejects_garbage() {
+        assert_eq!(parse_scale("0"), Some(1));
+        assert_eq!(parse_scale("8"), Some(8));
+        for junk in ["", "junk", "1,8", "-3"] {
+            assert_eq!(parse_scale(junk), None, "FGDSM_SCALE={junk:?}");
+        }
     }
 
     #[test]

@@ -141,21 +141,6 @@ fn assert_deterministic(spec: &AppSpec, cfg: &ExecConfig, backend: &str) {
     );
 }
 
-/// The worker-strategy matrix: the persistent pool and the per-phase
-/// `thread::scope` fallback must both reproduce the serial baseline —
-/// so switching `FGDSM_POOL` can never be observable.
-fn assert_pool_invariant(spec: &AppSpec, cfg: &ExecConfig, backend: &str) {
-    assert_modes_match(
-        spec,
-        cfg,
-        backend,
-        vec![
-            ("threads-pooled", cfg.clone().threads(4).pooled()),
-            ("threads-scoped", cfg.clone().threads(4).scoped()),
-        ],
-    );
-}
-
 /// Every Table 2 application, every executor configuration, tiny sizes.
 #[test]
 fn whole_suite_is_schedule_independent_at_test_scale() {
@@ -267,10 +252,10 @@ fn jacobi_and_grav_are_schedule_independent_at_bench_scale() {
 /// Three representative applications with the problem stretched by the
 /// `FGDSM_SCALE`-axis factor 4 — large enough that both the compute
 /// volume gate and the parallel-apply threshold are cleared, so the
-/// persistent pool genuinely runs — pinned byte-identical across
-/// serial/rthreads/threads AND across pool-vs-scoped worker strategies.
+/// worker pool genuinely runs — pinned byte-identical across
+/// serial/rthreads/threads.
 #[test]
-fn scaled_suite_is_schedule_and_pool_independent() {
+fn scaled_suite_is_schedule_independent() {
     for spec in fgdsm_apps::suite_scaled(Scale::Test, 4)
         .into_iter()
         .filter(|s| matches!(s.name, "jacobi" | "pde" | "grav"))
@@ -282,7 +267,6 @@ fn scaled_suite_is_schedule_and_pool_independent() {
             ("chan", ExecConfig::chan(NPROCS)),
         ] {
             assert_deterministic(&spec, &cfg, backend);
-            assert_pool_invariant(&spec, &cfg, backend);
         }
     }
 }

@@ -148,3 +148,59 @@ fn remote_bye_stats_reconcile_with_coordinator_counts() {
         "workers' served totals must reconcile with the coordinator's routed totals"
     );
 }
+
+/// The worker mirror does not trust the peer's addresses: a well-formed
+/// one-word `Copy` frame at word `1 << 40` (an 8 TiB mirror, had the
+/// worker grown to fit it) must come back as the worker's typed
+/// rejection — a loud failure at the coordinator within the recv
+/// deadline, not a hang, a dead peer, or an allocation past the
+/// handshake's segment.
+#[test]
+fn hostile_addresses_fail_loudly_at_the_coordinator() {
+    if !tcp_available() {
+        eprintln!(
+            "notice: sandbox forbids sockets; skipping hostile_addresses_fail_loudly_at_the_coordinator"
+        );
+        return;
+    }
+    let geom = NetGeometry {
+        nprocs: 2,
+        wpb: 4,
+        seg_words: 64,
+    };
+    let opts = SocketOpts {
+        timeout: std::time::Duration::from_secs(5),
+        ..SocketOpts::default()
+    };
+    let mut t = SocketTransport::spawn(geom, opts).expect("tcp_available said sockets work");
+    let hostile = WireMsg::Copy {
+        hdr: WireHeader::for_blocks(0, 1, (0, 0), u32::MAX, 0, 1),
+        start_word: 1 << 40,
+        words: vec![42],
+    };
+    let t0 = std::time::Instant::now();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        t.route(1, vec![hostile.to_bytes()])
+    }));
+    assert!(
+        t0.elapsed() < std::time::Duration::from_secs(5),
+        "the rejection must arrive before the recv deadline"
+    );
+    let panic = outcome.expect_err("a frame outside the segment must fail the route loudly");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("the coordinator panics with the worker's Err detail");
+    assert!(
+        msg.contains("node 1: out of segment"),
+        "want the worker's typed rejection, got: {msg}"
+    );
+    // The other worker is untouched and still serves.
+    let fine = WireMsg::Copy {
+        hdr: WireHeader::for_blocks(1, 0, (0, 0), u32::MAX, 15, 1),
+        start_word: 63,
+        words: vec![42],
+    };
+    let frames = vec![fine.to_bytes()];
+    assert_eq!(t.route(0, frames.clone()).expect("clean route"), frames);
+    t.shutdown();
+}

@@ -16,7 +16,7 @@
 //!   changes a report or trace byte.
 //! * **Compute phase** ([`compute_phase`]): each node's kernel runs
 //!   against its own [`NodeShard`] with zero cross-node access, so the
-//!   driver may dispatch the shards across [`std::thread::scope`]
+//!   driver may dispatch the shards across the run's [`WorkerPool`]
 //!   workers. Every charge, event and memory write in this phase is
 //!   shard-local and its cost is a pure function of the loop analysis,
 //!   so the schedule cannot perturb the virtual-time results: serial and
@@ -27,11 +27,11 @@
 //! trace. Nothing in this module inspects which backend is running.
 
 use super::backend::CommBackend;
-use super::{ExecConfig, HomeAssign, RunResult};
+use super::{Backend, ExecConfig, HomeAssign, RunResult};
 use crate::analysis::{self, LoopAccess};
 use crate::ir::{ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt};
 use crate::plan::{covering_blocks_into, ArrayMeta};
-use fgdsm_protocol::Dsm;
+use fgdsm_protocol::{ChanTransport, Dsm, Loopback, WireTransport};
 use fgdsm_section::{Env, Range, Section};
 use fgdsm_tempest::{
     CacheAligned, ChargeKind, Cluster, HomePolicy, Job, NodeShard, SegmentLayout, WorkerPool,
@@ -122,6 +122,41 @@ pub(crate) fn layout_arrays(
     (layout, metas, handles)
 }
 
+/// The carrier for strict wire mode, `None` for the zero-copy fast path:
+/// the `chan` backend always routes envelopes through per-node channel
+/// workers and the `tcp` backend through spawned node processes (whose
+/// mirrors are sized to `seg_words`, the length the coordinator's shards
+/// really have); the other backends get an in-process loopback — same
+/// encode/decode round-trip, no threads — when `WireMode` asks.
+fn make_transport(cfg: &ExecConfig, seg_words: usize) -> Option<Box<dyn WireTransport>> {
+    match cfg.backend {
+        Backend::Chan => Some(Box::new(ChanTransport::new(cfg.nprocs))),
+        Backend::Tcp => {
+            let geom = fgdsm_net::NetGeometry {
+                nprocs: cfg.nprocs,
+                wpb: cfg.cost.words_per_block() as u32,
+                seg_words: seg_words as u64,
+            };
+            let opts = fgdsm_net::SocketOpts {
+                corrupt_frame_len: cfg.inject.corrupt_frame_len,
+                node_fault: cfg.inject.tcp_node_fault,
+                metrics: cfg.metrics.enabled(),
+                ..fgdsm_net::SocketOpts::default()
+            };
+            match fgdsm_net::SocketTransport::spawn(geom, opts) {
+                Ok(t) => Some(Box::new(t)),
+                Err(e) => panic!(
+                    "tcp backend: cannot start node processes: {e} \
+                     (check fgdsm_hpf::exec::tcp_available() before \
+                     selecting Backend::Tcp)"
+                ),
+            }
+        }
+        _ if cfg.wire.is_strict() => Some(Box::new(Loopback)),
+        _ => None,
+    }
+}
+
 impl<'p> EngineCore<'p> {
     pub fn new(prog: &'p Program, cfg: &'p ExecConfig) -> Self {
         let (layout, metas, handles) = layout_arrays(prog, cfg);
@@ -171,40 +206,8 @@ impl<'p> EngineCore<'p> {
                 && !cfg.inject.undercount_metrics,
             "protocol-level fault injection requires the `fault-inject` feature"
         );
-        // Strict wire mode: the chan backend always routes envelopes
-        // (through real channel workers) and the tcp backend through
-        // spawned node processes; the other backends do so when
-        // `WireMode` asks (loopback transport — same encode/decode
-        // round-trip, no threads).
-        match cfg.backend {
-            super::Backend::Chan => {
-                dsm.set_wire(Box::new(fgdsm_protocol::ChanTransport::new(cfg.nprocs)));
-            }
-            super::Backend::Tcp => {
-                let geom = fgdsm_net::NetGeometry {
-                    nprocs: cfg.nprocs,
-                    wpb: cfg.cost.words_per_block() as u32,
-                    seg_words: layout.total_words() as u64,
-                };
-                let opts = fgdsm_net::SocketOpts {
-                    corrupt_frame_len: cfg.inject.corrupt_frame_len,
-                    node_fault: cfg.inject.tcp_node_fault,
-                    metrics: cfg.metrics.enabled(),
-                    ..fgdsm_net::SocketOpts::default()
-                };
-                match fgdsm_net::SocketTransport::spawn(geom, opts) {
-                    Ok(t) => dsm.set_wire(Box::new(t)),
-                    Err(e) => panic!(
-                        "tcp backend: cannot start node processes: {e} \
-                         (check fgdsm_hpf::exec::tcp_available() before \
-                         selecting Backend::Tcp)"
-                    ),
-                }
-            }
-            _ if cfg.wire.is_strict() => {
-                dsm.set_wire(Box::new(fgdsm_protocol::Loopback));
-            }
-            _ => {}
+        if let Some(transport) = make_transport(cfg, dsm.cluster.seg_words()) {
+            dsm.set_wire(transport);
         }
         // Wall-clock telemetry: a side channel over the wire seam only —
         // virtual-time state never sees it, so canonical artifacts stay
@@ -472,10 +475,9 @@ pub(super) fn run(
     let mut core = EngineCore::new(prog, cfg);
     // Persistent worker pool: spawned once here, reused by every
     // superstep's compute phase and resolve-apply waves. Skipped when
-    // both phases are pinned serial, or when `PoolMode` asks for the
-    // legacy scoped-thread spawns.
+    // both phases are pinned serial.
     let pool_workers = core.workers.max(core.resolve_workers);
-    if pool_workers > 1 && cfg.pool.persistent() {
+    if pool_workers > 1 {
         core.dsm
             .cluster
             .set_worker_pool(Some(Arc::new(WorkerPool::new(pool_workers))));
@@ -661,9 +663,8 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
 /// The compute phase of one superstep: run each node's kernel against
 /// that node's shard, charging the (analysis-determined) compute cost to
 /// the shard's clock. Per-node work touches only `&mut NodeShard` plus
-/// shared immutable state, so the shards can be split across workers —
-/// the installed persistent [`WorkerPool`] when one exists, scoped
-/// threads otherwise. Contiguous chunking keeps each shard on exactly
+/// shared immutable state, so the shards can be split across the
+/// installed [`WorkerPool`]'s workers. Contiguous chunking keeps each shard on exactly
 /// one worker and per-shard state makes the outcome independent of the
 /// schedule — the serial path below produces byte-identical traces.
 /// Loops below [`PAR_COMPUTE_MIN_POINTS`] total iterations run serially
@@ -727,14 +728,11 @@ fn compute_phase(
         .sum();
     let pool = dsm.cluster.worker_pool().cloned();
     let shards = dsm.cluster.shards_mut();
-    let mut workers = (*workers).min(nprocs).max(1);
-    if total_points < PAR_COMPUTE_MIN_POINTS {
-        workers = 1;
-    }
-    if workers > 1 {
-        let chunk = nprocs.div_ceil(workers);
-        let run_node = &run_node;
-        if let Some(pool) = &pool {
+    let workers = (*workers).min(nprocs);
+    match pool {
+        Some(pool) if workers > 1 && total_points >= PAR_COMPUTE_MIN_POINTS => {
+            let chunk = nprocs.div_ceil(workers);
+            let run_node = &run_node;
             let jobs: Vec<Job> = shards
                 .chunks_mut(chunk)
                 .zip(partials.chunks_mut(chunk))
@@ -747,22 +745,11 @@ fn compute_phase(
                 })
                 .collect();
             pool.run(jobs);
-        } else {
-            std::thread::scope(|s| {
-                for (shard_chunk, partial_chunk) in
-                    shards.chunks_mut(chunk).zip(partials.chunks_mut(chunk))
-                {
-                    s.spawn(move || {
-                        for (sh, partial) in shard_chunk.iter_mut().zip(partial_chunk.iter_mut()) {
-                            run_node(sh, partial);
-                        }
-                    });
-                }
-            });
         }
-    } else {
-        for (sh, partial) in shards.iter_mut().zip(partials.iter_mut()) {
-            run_node(sh, partial);
+        _ => {
+            for (sh, partial) in shards.iter_mut().zip(partials.iter_mut()) {
+                run_node(sh, partial);
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Executors: run a mini-HPF program over the simulated DSM.
 //!
 //! The executor is split into a backend-agnostic BSP **superstep driver**
-//! ([`engine`]) and four pluggable **communication backends** behind the
+//! ([`engine`]) and three pluggable **communication backends** behind the
 //! [`backend::CommBackend`] trait:
 //!
 //! * [`sm_unopt::SmUnopt`] — every remote access goes through the default
@@ -20,14 +20,17 @@
 //! * [`mp::Mp`] — the message-passing backend: owner-computes with direct
 //!   marshalled messages, no coherence machinery at all, paying the PGI
 //!   runtime's per-message overhead.
-//! * [`chan::Chan`] — `sm_opt`'s full contract over a channel transport:
-//!   every inter-node transfer is encoded into a
-//!   [`fgdsm_protocol::WireMsg`] envelope, carried between per-node
-//!   worker threads that share no shard memory, decoded, and applied
-//!   from the payload — the seam a real distributed port would use.
-//!   Byte-identical to `sm_opt` (determinism suite + fuzz oracle).
-//!   [`WireMode`] / `FGDSM_WIRE=strict` force the same envelope
-//!   round-trip under the sm_* and mp backends for differential testing.
+//!
+//! A *carrier* is a transport, not a backend: [`Backend::Chan`] and
+//! [`Backend::Tcp`] run `sm_opt` at the full optimization level with
+//! every inter-node transfer encoded into a [`fgdsm_protocol::WireMsg`]
+//! envelope and carried by per-node channel worker threads or spawned
+//! `fgdsm-node` processes (`engine::make_transport` picks the
+//! [`fgdsm_protocol::WireTransport`]) — the seam a real distributed port
+//! would use, byte-identical to `sm_opt` (determinism suite + fuzz
+//! oracle). [`WireMode`] / `FGDSM_WIRE=strict` force the same envelope
+//! round-trip, over an in-process loopback, under the sm_* and mp
+//! backends for differential testing.
 //!
 //! Execution is BSP, and every superstep is split into two explicit
 //! phases. The **resolve phase** discovers every cross-node transfer the
@@ -38,7 +41,7 @@
 //! over disjoint shard pairs, folding shared state in plan index order.
 //! The **compute phase** then runs each node's kernel against that
 //! node's own [`fgdsm_tempest::NodeShard`] only — zero cross-node access
-//! — dispatched across real threads ([`std::thread::scope`]). Neither
+//! — dispatched across the run's [`fgdsm_tempest::WorkerPool`]. Neither
 //! phase's threading changes a single virtual-time charge: serial and
 //! parallel runs produce byte-identical reports and traces.
 //! [`ParallelMode`] / the `FGDSM_PAR` env var select the worker count
@@ -50,7 +53,6 @@
 //! to get the same document back directly.
 
 pub mod backend;
-pub mod chan;
 pub mod engine;
 pub mod mp;
 pub mod reference;
@@ -66,6 +68,7 @@ use crate::plan::{ArrayMeta, OptLevel};
 use backend::CommBackend;
 use fgdsm_protocol::{CtlStats, ProtocolKind};
 use fgdsm_section::Env;
+use fgdsm_tempest::knob::env_knob;
 use fgdsm_tempest::{CacheModel, ClusterReport, CostModel, MetricsRegistry, WireSpan};
 use std::collections::BTreeMap;
 
@@ -78,22 +81,22 @@ pub enum Backend {
     SmOpt(OptLevel),
     /// Message-passing backend.
     Mp,
-    /// Channel-backed distributed backend: `sm_opt`'s full contract, but
+    /// `sm_opt` at the full optimization level over the channel carrier:
     /// every inter-node transfer round-trips through encoded
     /// [`fgdsm_protocol::WireMsg`] bytes carried by per-node channel
-    /// worker threads that share no shard memory. Byte-identical to
-    /// `sm_opt` at the full optimization level (pinned by the determinism
-    /// suite and the fuzz oracle).
+    /// worker threads that share no shard memory
+    /// ([`fgdsm_protocol::ChanTransport`]). Byte-identical to `sm_opt`
+    /// (pinned by the determinism suite and the fuzz oracle).
     Chan,
-    /// Socket-backed multi-process distributed backend: `sm_opt`'s full
-    /// contract, but every inter-node transfer is framed over a real
-    /// socket (TCP loopback, or Unix-domain where TCP is forbidden) to a
-    /// spawned `fgdsm-node` worker *process* that owns a mirror of the
-    /// shard words, decodes each envelope with the paranoid wire
-    /// decoder, applies it, and re-encodes the reply from its own
-    /// memory. Byte-identical to `sm_opt` at the full optimization
-    /// level. Peer death and recv deadlines surface as typed
-    /// [`fgdsm_protocol::WireError`]s through [`try_execute`].
+    /// `sm_opt` at the full optimization level over the socket carrier
+    /// ([`fgdsm_net::SocketTransport`]): every inter-node transfer is
+    /// framed over a real socket (TCP loopback, or Unix-domain where TCP
+    /// is forbidden) to a spawned `fgdsm-node` worker *process* that
+    /// owns a mirror of the shard words, decodes each envelope with the
+    /// paranoid wire decoder, scatters it, and re-gathers the reply from
+    /// its own memory. Byte-identical to `sm_opt`. Peer death and recv
+    /// deadlines surface as typed [`fgdsm_protocol::WireError`]s through
+    /// [`try_execute`].
     Tcp,
 }
 
@@ -104,8 +107,8 @@ pub enum Backend {
 /// determinism suite holds it to that.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum WireMode {
-    /// Honor the `FGDSM_WIRE` env var (`strict` → strict); fast
-    /// otherwise.
+    /// Honor the `FGDSM_WIRE` env var (`strict` or `fast`; anything else
+    /// is an error); fast when unset.
     #[default]
     Auto,
     /// Zero-copy fast path (shard-to-shard copies).
@@ -120,10 +123,22 @@ impl WireMode {
         match self {
             WireMode::Strict => true,
             WireMode::Fast => false,
-            WireMode::Auto => std::env::var("FGDSM_WIRE")
-                .map(|v| v.trim().eq_ignore_ascii_case("strict"))
-                .unwrap_or(false),
+            WireMode::Auto => {
+                env_knob("FGDSM_WIRE", "`strict` or `fast`", parse_wire).unwrap_or(false)
+            }
         }
+    }
+}
+
+/// `FGDSM_WIRE` values (case-insensitive): `strict` → true, `fast` →
+/// false.
+fn parse_wire(v: &str) -> Option<bool> {
+    if v.eq_ignore_ascii_case("strict") {
+        Some(true)
+    } else if v.eq_ignore_ascii_case("fast") {
+        Some(false)
+    } else {
+        None
     }
 }
 
@@ -135,8 +150,9 @@ impl WireMode {
 /// guard suite holds it to that. Zero-cost when off: no clocks are read.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MetricsMode {
-    /// Honor the `FGDSM_METRICS` env var (`1`/`true`/`on` → on); off
-    /// otherwise.
+    /// Honor the `FGDSM_METRICS` env var (`1`/`true`/`on` → on,
+    /// `0`/`false`/`off` → off; anything else is an error); off when
+    /// unset.
     #[default]
     Auto,
     /// Record wall-clock telemetry.
@@ -179,12 +195,13 @@ pub enum HomeAssign {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ParallelMode {
     /// Honor the `FGDSM_PAR` env var (`0` or `1` → serial, `n` → `n`
-    /// workers); if unset, use the host's available cores.
+    /// workers; anything else is an error); if unset, use the host's
+    /// available cores.
     #[default]
     Auto,
     /// Run everything on the driver thread, one node at a time.
     Serial,
-    /// Spawn up to `n` scoped worker threads per phase.
+    /// Run each phase on up to `n` pool workers.
     Threads(usize),
 }
 
@@ -194,47 +211,32 @@ impl ParallelMode {
         match self {
             ParallelMode::Serial => 1,
             ParallelMode::Threads(n) => n.max(1),
-            ParallelMode::Auto => match std::env::var("FGDSM_PAR") {
-                Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-                Err(_) => std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            },
+            ParallelMode::Auto => env_knob("FGDSM_PAR", "a worker count", parse_par)
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                }),
         }
     }
 }
 
-/// How worker threads are provisioned when a phase runs parallel.
-/// Wall-clock only — the pool and scoped paths dispatch and fold the
-/// identical deterministic work items.
+/// `FGDSM_PAR` values: a worker count (`0` means serial, like `1`).
+fn parse_par(v: &str) -> Option<usize> {
+    v.parse::<usize>().ok().map(|n| n.max(1))
+}
+
+/// How worker threads are provisioned when a phase runs parallel: one
+/// long-lived [`fgdsm_tempest::WorkerPool`] per `execute`, shared by the
+/// compute phase and the resolve phase's apply waves. There is no other
+/// strategy — the scoped-thread fallback is gone — and both variants mean
+/// "the pool"; the enum and the [`ExecConfig::pool`] field survive only
+/// because `benchmark/src/workloads.rs` names them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PoolMode {
-    /// Honor the `FGDSM_POOL` env var (`0` or `scoped` → scoped threads);
-    /// defaults to the persistent pool.
     #[default]
     Auto,
-    /// One long-lived [`fgdsm_tempest::WorkerPool`] per `execute`, shared
-    /// by the compute phase and the resolve phase's apply waves.
     Persistent,
-    /// Legacy behavior: fresh [`std::thread::scope`] spawns per phase.
-    Scoped,
-}
-
-impl PoolMode {
-    /// Whether a persistent pool should be created for this run.
-    pub fn persistent(self) -> bool {
-        match self {
-            PoolMode::Persistent => true,
-            PoolMode::Scoped => false,
-            PoolMode::Auto => match std::env::var("FGDSM_POOL") {
-                Ok(v) => {
-                    let v = v.trim();
-                    !(v == "0" || v.eq_ignore_ascii_case("scoped"))
-                }
-                Err(_) => true,
-            },
-        }
-    }
 }
 
 /// A full execution configuration.
@@ -257,12 +259,13 @@ pub struct ExecConfig {
     /// `parallel`. Lets tests pin serial resolve against threaded compute
     /// (and vice versa) in one run.
     pub resolve_parallel: Option<ParallelMode>,
-    /// Worker provisioning for parallel phases: persistent pool vs fresh
-    /// scoped threads (wall-clock only; never affects results).
+    /// Vestigial (see [`PoolMode`]): parallel phases always run on the
+    /// run's worker pool.
     pub pool: PoolMode,
     /// Wire discipline for inter-node data movement: zero-copy fast path
     /// or strict envelope round-tripping (`FGDSM_WIRE=strict`). The
-    /// `chan` backend is always strict regardless of this knob.
+    /// `chan` and `tcp` carriers are always strict regardless of this
+    /// knob.
     pub wire: WireMode,
     /// Wall-clock telemetry (`FGDSM_METRICS=1`): per-message-class
     /// latency histograms on both sides of the wire, merged into
@@ -377,9 +380,9 @@ impl ExecConfig {
         }
     }
 
-    /// Channel-backed distributed backend (`FGDSM_BACKEND=chan`): the
-    /// full `sm_opt` contract with every transfer round-tripped through
-    /// encoded envelopes over per-node channel workers.
+    /// `sm_opt` over the channel carrier (`FGDSM_BACKEND=chan`): the
+    /// full contract with every transfer round-tripped through encoded
+    /// envelopes over per-node channel workers.
     pub fn chan(nprocs: usize) -> Self {
         ExecConfig {
             backend: Backend::Chan,
@@ -387,10 +390,10 @@ impl ExecConfig {
         }
     }
 
-    /// Socket-backed multi-process backend (`FGDSM_BACKEND=tcp`): the
-    /// full `sm_opt` contract with every transfer framed over loopback
-    /// TCP (or UDS) to spawned `fgdsm-node` worker processes. Check
-    /// [`tcp_available`] first — sandboxes may forbid sockets.
+    /// `sm_opt` over the socket carrier (`FGDSM_BACKEND=tcp`): the full
+    /// contract with every transfer framed over loopback TCP (or UDS) to
+    /// spawned `fgdsm-node` worker processes. Check [`tcp_available`]
+    /// first — sandboxes may forbid sockets.
     pub fn tcp(nprocs: usize) -> Self {
         ExecConfig {
             backend: Backend::Tcp,
@@ -426,7 +429,7 @@ impl ExecConfig {
         self
     }
 
-    /// Dispatch both superstep phases across up to `n` scoped threads.
+    /// Dispatch both superstep phases across up to `n` pool workers.
     pub fn threads(mut self, n: usize) -> Self {
         self.parallel = ParallelMode::Threads(n);
         self
@@ -439,23 +442,10 @@ impl ExecConfig {
         self
     }
 
-    /// Dispatch the resolve phase's apply stage across up to `n` scoped
-    /// threads, leaving the compute phase on `parallel`.
+    /// Dispatch the resolve phase's apply stage across up to `n` pool
+    /// workers, leaving the compute phase on `parallel`.
     pub fn resolve_threads(mut self, n: usize) -> Self {
         self.resolve_parallel = Some(ParallelMode::Threads(n));
-        self
-    }
-
-    /// Provision parallel phases from one persistent worker pool.
-    pub fn pooled(mut self) -> Self {
-        self.pool = PoolMode::Persistent;
-        self
-    }
-
-    /// Provision parallel phases with fresh scoped threads per phase
-    /// (the pre-pool behavior).
-    pub fn scoped(mut self) -> Self {
-        self.pool = PoolMode::Scoped;
         self
     }
 
@@ -621,15 +611,15 @@ impl RunResult {
     }
 }
 
-/// Instantiate the communication backend for a configuration — the one
-/// and only place the [`Backend`] enum is dispatched on.
+/// Instantiate the communication backend for a configuration. With
+/// `engine::make_transport` (which carrier moves the envelopes) this is
+/// one of the only two places the [`Backend`] enum is dispatched on.
 fn make_backend(cfg: &ExecConfig) -> Box<dyn CommBackend> {
     match cfg.backend {
         Backend::SmUnopt => Box::new(sm_unopt::SmUnopt),
         Backend::SmOpt(opt) => Box::new(sm_opt::SmOpt::new(opt)),
+        Backend::Chan | Backend::Tcp => Box::new(sm_opt::SmOpt::new(OptLevel::full())),
         Backend::Mp => Box::new(mp::Mp::new(cfg.nprocs)),
-        Backend::Chan => Box::new(chan::Chan::new()),
-        Backend::Tcp => Box::new(tcp::Tcp::new()),
     }
 }
 
@@ -792,6 +782,27 @@ mod tests {
             ExecConfig::sm_unopt(4).resolve_serial().resolve_parallel,
             Some(ParallelMode::Serial)
         );
+    }
+
+    #[test]
+    fn par_and_wire_knobs_reject_garbage() {
+        assert_eq!(parse_par("4"), Some(4));
+        assert_eq!(parse_par("0"), Some(1));
+        for junk in ["four", "", "-2", "4x"] {
+            assert_eq!(parse_par(junk), None, "FGDSM_PAR={junk:?}");
+        }
+        assert_eq!(parse_wire("strict"), Some(true));
+        assert_eq!(parse_wire("Strict"), Some(true));
+        assert_eq!(parse_wire("fast"), Some(false));
+        for junk in ["strcit", "", "1"] {
+            assert_eq!(parse_wire(junk), None, "FGDSM_WIRE={junk:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "FGDSM_WIRE=strcit: expected `strict` or `fast`")]
+    fn a_mistyped_wire_mode_is_an_error_not_the_fast_path() {
+        fgdsm_tempest::knob::parse_knob("FGDSM_WIRE", "strcit", "`strict` or `fast`", parse_wire);
     }
 
     #[test]

@@ -1,97 +1,8 @@
-//! The socket-backed multi-process distributed backend: `sm_opt`'s full
-//! §4.2 contract with every inter-node transfer framed over a real
-//! socket to a spawned worker *process*.
-//!
-//! Like [`super::chan::Chan`], the backend delegates the whole superstep
-//! protocol to [`SmOpt`] at the full optimization level — the difference
-//! is the data path the engine installs for it: strict wire mode over a
-//! [`fgdsm_net::SocketTransport`]. Each node is an `fgdsm-node` child
-//! process reached over loopback TCP (or a Unix-domain socket where TCP
-//! is forbidden); every envelope is length-prefix framed, decoded by the
-//! node with the paranoid wire decoder, applied to the node's own mirror
-//! of the shard words, and the reply re-encoded from that memory — so
-//! every word a node learns round-tripped through a real kernel socket
-//! and a separate address space. Charges and counters stay byte-identical
-//! to `sm_opt`, which the determinism suite and the fuzz oracle pin.
-//!
-//! Failure semantics: a dead node (EOF) surfaces as
-//! [`fgdsm_protocol::WireError::PeerGone`], a wedged one as
-//! [`fgdsm_protocol::WireError::Timeout`] once the `FGDSM_NET_TIMEOUT_MS`
-//! recv deadline fires — both typed, both catchable via
-//! [`super::try_execute`].
-
-use super::backend::CommBackend;
-use super::engine::EngineCore;
-use super::sm_opt::SmOpt;
-use crate::analysis::LoopAccess;
-use crate::ir::ParLoop;
-use crate::plan::OptLevel;
-use fgdsm_tempest::ReduceOp;
+//! Availability probe for the socket carrier ([`super::Backend::Tcp`]).
 
 /// Can the `tcp` backend run here? True when the sandbox lets us bind a
 /// loopback TCP or Unix-domain socket (honors `FGDSM_NET`). Callers that
 /// get `false` should skip with a notice rather than fail.
 pub fn tcp_available() -> bool {
     fgdsm_net::available_kind().is_some()
-}
-
-/// `sm_opt(full)` behind the socket transport (see module docs).
-pub struct Tcp {
-    inner: SmOpt,
-}
-
-impl Tcp {
-    pub fn new() -> Self {
-        Tcp {
-            inner: SmOpt::new(OptLevel::full()),
-        }
-    }
-}
-
-impl Default for Tcp {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CommBackend for Tcp {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn validate(&self, core: &EngineCore) {
-        assert!(
-            core.dsm.wire_strict(),
-            "tcp backend requires strict wire mode (engine installs it)"
-        );
-        self.inner.validate(core);
-    }
-
-    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
-        self.inner.resolve(core, l, acc);
-    }
-
-    fn note_kernel_writes(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
-        self.inner.note_kernel_writes(core, l, acc);
-    }
-
-    fn reduce(&mut self, core: &mut EngineCore, partials: &[f64], op: ReduceOp) -> f64 {
-        self.inner.reduce(core, partials, op)
-    }
-
-    fn post_loop(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
-        self.inner.post_loop(core, l, acc);
-    }
-
-    fn finish(&mut self, core: &mut EngineCore) {
-        self.inner.finish(core);
-    }
-
-    fn gather(&mut self, core: &mut EngineCore) -> Vec<f64> {
-        self.inner.gather(core)
-    }
-
-    fn pre_stats(&self) -> (u64, u64) {
-        self.inner.pre_stats()
-    }
 }

@@ -17,15 +17,16 @@
 //! * [`report`] — `-Minfo`-style diagnostics of the per-loop analysis
 //!   and planning decisions;
 //! * [`exec`] — execution: a backend-agnostic BSP superstep driver
-//!   ([`exec::engine`]) plus four pluggable communication backends
+//!   ([`exec::engine`]) plus three pluggable communication backends
 //!   behind the [`exec::backend::CommBackend`] trait — unoptimized
 //!   shared memory ([`exec::sm_unopt`]), optimized shared memory with
-//!   compiler-orchestrated incoherence ([`exec::sm_opt`]), message
-//!   passing ([`exec::mp`]), and a channel-backed distributed backend
-//!   whose every transfer round-trips through encoded wire envelopes
-//!   ([`exec::chan`], `FGDSM_WIRE=strict` forces the same discipline on
-//!   the others) — all over the same program. Set `FGDSM_TRACE=<path>`
-//!   to export a run's structured event trace as JSON.
+//!   compiler-orchestrated incoherence ([`exec::sm_opt`]) and message
+//!   passing ([`exec::mp`]) — all over the same program. The `chan` and
+//!   `tcp` configurations run the optimized backend with every transfer
+//!   round-tripped through encoded wire envelopes over a channel or
+//!   socket transport (`FGDSM_WIRE=strict` forces the same discipline,
+//!   in process, on the others). Set `FGDSM_TRACE=<path>` to export a
+//!   run's structured event trace as JSON.
 
 pub mod analysis;
 pub mod contract;

@@ -4,11 +4,11 @@
 //! [`SocketTransport`] implements the wire seam's
 //! [`WireTransport`] over real OS processes: each node is a spawned
 //! `fgdsm-node` worker that owns a mirror of its shard address space,
-//! decodes every [`WireMsg`] with the paranoid decoder, applies the
-//! payload into its local store, and replies with frames re-encoded
-//! *from that store* — so data genuinely round-trips through another
-//! process's memory, byte-identically (PR 7's decode→re-encode identity,
-//! now across a kernel boundary).
+//! decodes every [`WireMsg`] with the paranoid decoder, scatters the
+//! payload into its local store (`WireMsg::scatter`, bounds-checked
+//! against the handshake's segment), and replies with the same envelope
+//! re-gathered *from that store* — so data genuinely round-trips through
+//! another process's memory, byte-identically.
 //!
 //! Transport choice: TCP over loopback by default, Unix-domain sockets
 //! where available (`FGDSM_NET=tcp|uds` forces one; auto-detection falls
@@ -23,8 +23,9 @@
 //! connection is a typed `WireError::PeerGone`, a silent one a typed
 //! `WireError::Timeout` — the coordinator never hangs on a dead or stuck
 //! node. Transient `EINTR`s are retried a bounded number of times. A
-//! frame the node *rejects* (decode failure, oversized length prefix)
-//! comes back as a `CtrlMsg::Err` and fails the run loudly.
+//! frame the node *rejects* (decode failure, oversized length prefix,
+//! addresses outside the segment) comes back as a `CtrlMsg::Err` and
+//! fails the run loudly.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -691,121 +692,14 @@ fn find_node_bin() -> Option<PathBuf> {
 // Node side: the worker process serve loop
 // ----------------------------------------------------------------------
 
-/// Apply `msg`'s payload into the node's mirror store at the addresses
-/// the envelope describes, growing the store if the geometry undersold
-/// it, and return the word addresses written (in payload order).
-fn apply_msg(mirror: &mut Vec<u64>, msg: &WireMsg, wpb: usize) -> Vec<usize> {
-    let addrs: Vec<usize> = match msg {
-        WireMsg::Push {
-            start_block, words, ..
-        }
-        | WireMsg::Flush {
-            start_block, words, ..
-        } => {
-            let s = *start_block as usize * wpb;
-            (s..s + words.len()).collect()
-        }
-        WireMsg::Copy {
-            start_word, words, ..
-        } => {
-            let s = *start_word as usize;
-            (s..s + words.len()).collect()
-        }
-        WireMsg::Diff { block, mask, .. } => {
-            let s = *block as usize * wpb;
-            (0..64)
-                .filter(|bit| mask & (1u64 << bit) != 0)
-                .map(|bit| s + bit as usize)
-                .collect()
-        }
-        WireMsg::Strided {
-            base,
-            run_len,
-            stride,
-            count,
-            ..
-        } => (0..*count as usize)
-            .flat_map(|i| {
-                let s = *base as usize + i * *stride as usize;
-                s..s + *run_len as usize
-            })
-            .collect(),
-    };
-    if let Some(&max) = addrs.iter().max() {
-        if max >= mirror.len() {
-            mirror.resize(max + 1, 0);
-        }
-    }
-    for (&a, &w) in addrs.iter().zip(msg.words()) {
-        mirror[a] = w;
-    }
-    addrs
-}
-
-/// Rebuild the reply envelope by reading the payload back *from the
-/// mirror* — the shard-ownership property: what the coordinator gets
-/// back is what the node's memory now holds, not an echo of the bytes.
-fn reencode_from_mirror(mirror: &[u64], msg: WireMsg, addrs: &[usize]) -> WireMsg {
-    let words: Vec<u64> = addrs.iter().map(|&a| mirror[a]).collect();
-    match msg {
-        WireMsg::Push {
-            hdr,
-            start_block,
-            n_blocks,
-            ..
-        } => WireMsg::Push {
-            hdr,
-            start_block,
-            n_blocks,
-            words,
-        },
-        WireMsg::Flush {
-            hdr,
-            start_block,
-            n_blocks,
-            ..
-        } => WireMsg::Flush {
-            hdr,
-            start_block,
-            n_blocks,
-            words,
-        },
-        WireMsg::Copy {
-            hdr, start_word, ..
-        } => WireMsg::Copy {
-            hdr,
-            start_word,
-            words,
-        },
-        WireMsg::Diff {
-            hdr, block, mask, ..
-        } => WireMsg::Diff {
-            hdr,
-            block,
-            mask,
-            words,
-        },
-        WireMsg::Strided {
-            hdr,
-            base,
-            run_len,
-            stride,
-            count,
-            ..
-        } => WireMsg::Strided {
-            hdr,
-            base,
-            run_len,
-            stride,
-            count,
-            words,
-        },
-    }
-}
-
 /// The `fgdsm-node` worker loop: connect back to the coordinator,
 /// introduce ourselves, then serve batches until `Bye` (or the
-/// coordinator disappears). Every decode failure is reported as a
+/// coordinator disappears). Each envelope is scattered into the node's
+/// mirror of the segment and its payload re-gathered *from the mirror*
+/// before it is echoed — what the coordinator gets back is what this
+/// process's memory now holds, not the bytes it sent. The mirror is
+/// exactly the `HelloAck` segment and never grows: a frame the decoder
+/// rejects, or one naming memory outside the segment, is reported as a
 /// `CtrlMsg::Err` before exiting — the coordinator turns it into a loud
 /// run failure.
 pub fn serve(node: u32, addr: &str) -> Result<(), String> {
@@ -842,6 +736,7 @@ pub fn serve(node: u32, addr: &str) -> Result<(), String> {
         .ok()
         .and_then(|s| NodeFault::parse(&s));
     let mut mirror = vec![0u64; seg_words];
+    let mut enc = Vec::new();
     let mut frames_served = 0u64;
     let mut payload_bytes = 0u64;
     let mut batches = 0u32;
@@ -900,12 +795,13 @@ pub fn serve(node: u32, addr: &str) -> Result<(), String> {
                         Err(_) => return Ok(()),
                     };
                     let t_recv = reg.as_ref().map(|_| Instant::now());
-                    let msg = match WireMsg::from_bytes(&frame) {
+                    let mut reject = |e: WireError| {
+                        send_err(&mut link, format!("node {node}: {e}"));
+                        Err(e.to_string())
+                    };
+                    let mut msg = match WireMsg::from_bytes(&frame) {
                         Ok(m) => m,
-                        Err(e) => {
-                            send_err(&mut link, format!("node {node}: {e}"));
-                            return Err(e.to_string());
-                        }
+                        Err(e) => return reject(e),
                     };
                     let class = metrics::class_name(msg.kind());
                     if let (Some(reg), Some(t0)) = (reg.as_mut(), t_recv) {
@@ -914,15 +810,20 @@ pub fn serve(node: u32, addr: &str) -> Result<(), String> {
                         reg.counter_add(&format!("payload_bytes.{class}"), msg.payload_bytes());
                     }
                     let t_apply = reg.as_ref().map(|_| Instant::now());
-                    let addrs = apply_msg(&mut mirror, &msg, wpb);
+                    if let Err(e) = msg.scatter(&mut mirror, wpb) {
+                        return reject(e);
+                    }
                     if let (Some(reg), Some(t0)) = (reg.as_mut(), t_apply) {
                         reg.record_ns(&format!("apply.{class}"), t0.elapsed().as_nanos() as u64);
                     }
                     let t_re = reg.as_ref().map(|_| Instant::now());
-                    let out = reencode_from_mirror(&mirror, msg, &addrs);
+                    if let Err(e) = msg.gather(&mirror, wpb) {
+                        return reject(e);
+                    }
                     frames_served += 1;
-                    payload_bytes += out.payload_bytes();
-                    write_frame(&mut reply, &out.to_bytes());
+                    payload_bytes += msg.payload_bytes();
+                    msg.encode(&mut enc);
+                    write_frame(&mut reply, &enc);
                     if let (Some(reg), Some(t0)) = (reg.as_mut(), t_re) {
                         reg.record_ns(&format!("reencode.{class}"), t0.elapsed().as_nanos() as u64);
                     }
@@ -967,7 +868,6 @@ pub fn serve_from_env() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgdsm_protocol::wire::WireHeader;
 
     #[test]
     fn node_fault_env_round_trips() {
@@ -978,46 +878,5 @@ mod tests {
             assert_eq!(NodeFault::parse(&f.env_str()), Some(f));
         }
         assert_eq!(NodeFault::parse("garbage"), None);
-    }
-
-    #[test]
-    fn mirror_apply_reencode_is_the_identity_per_message() {
-        let mut mirror = vec![0u64; 64];
-        let msgs = vec![
-            WireMsg::Push {
-                hdr: WireHeader::for_blocks(0, 1, (0, 0), 7, 2, 2),
-                start_block: 2,
-                n_blocks: 2,
-                words: vec![11, 22, 33, 44],
-            },
-            WireMsg::Copy {
-                hdr: WireHeader::for_blocks(1, 0, (0, 0), u32::MAX, 0, 1),
-                start_word: 60,
-                // Past the declared segment: the mirror must grow.
-                words: vec![1, 2, 3, 4, 5, 6, 7, 8],
-            },
-            WireMsg::Diff {
-                hdr: WireHeader::for_blocks(0, 1, (0, 0), u32::MAX, 3, 1),
-                block: 3,
-                mask: 0b1011,
-                words: vec![9, 8, 7],
-            },
-            WireMsg::Strided {
-                hdr: WireHeader::for_blocks(1, 0, (0, 0), u32::MAX, 0, 1),
-                base: 4,
-                run_len: 2,
-                stride: 8,
-                count: 3,
-                words: vec![1, 2, 3, 4, 5, 6],
-            },
-        ];
-        for msg in msgs {
-            let bytes = msg.to_bytes();
-            let addrs = apply_msg(&mut mirror, &msg, 4);
-            let back = reencode_from_mirror(&mirror, msg, &addrs);
-            assert_eq!(back.to_bytes(), bytes, "kind {}", back.kind());
-        }
-        // The Push actually landed in the store at block*wpb.
-        assert_eq!(&mirror[8..12], &[11, 22, 33, 44]);
     }
 }

@@ -48,7 +48,7 @@
 use crate::dir::DirState;
 use crate::proto::Dsm;
 use crate::trans;
-use crate::wire::{WireHeader, WireMsg};
+use crate::wire::WireMsg;
 use fgdsm_tempest::{Access, ChargeKind, CostModel, CtlPrim, Event, NodeId, NodeShard, NO_ARRAY};
 
 /// Fixed overhead of issuing any compiler-directed protocol call.
@@ -244,11 +244,8 @@ fn apply_plan(
         src.note_msg_at(bytes, p.start_block);
         dst.note_msg_recv(bytes);
         if let Some(msgs) = wire {
-            let words = msgs[i].words();
-            debug_assert_eq!(words.len(), e - s, "wire payload vs plan geometry");
-            let mem = dst.mem_mut();
-            for (k, bits) in words.iter().enumerate() {
-                mem[s + k] = f64::from_bits(*bits);
+            if let Err(err) = msgs[i].scatter(dst.mem_mut(), cfg.words_per_block()) {
+                panic!("wire: envelope rejected at node {}: {err}", plan.dst);
             }
         } else {
             dst.mem_mut()[s..e].copy_from_slice(&src.mem()[s..e]);
@@ -594,117 +591,36 @@ impl Dsm {
     }
 
     /// Strict wire mode's encode half of the plan/apply pipeline: as soon
-    /// as a plan batch is finalized, fill one envelope per payload by
-    /// copying out of the source shard, encode it, and post the frame to
-    /// the destination's mailbox. From this point the plan no longer
-    /// needs the source shard alive — apply reads the decoded payload.
-    /// No-op on the fast path.
+    /// as a plan batch is finalized, post one envelope per payload
+    /// ([`Dsm::wire_post`] copies it out of the source shard). From this
+    /// point the plan no longer needs the source shard alive — apply
+    /// reads the decoded payload. No-op on the fast path.
     fn wire_post_plan_frames(&mut self, plans: &[TransferPlan]) {
-        if self.wire.is_none() {
+        if !self.wire_strict() {
             return;
         }
-        let mut undercount = self.take_undercount_token();
+        let wpb = self.cluster.words_per_block();
         for plan in plans {
-            let ctx = self.cluster.node_trace(plan.src).context();
             for p in &plan.payloads {
-                let (s, _) = self.cluster.block_words(p.start_block);
-                let (_, e) = self.cluster.block_words(p.start_block + p.n_blocks - 1);
-                let mut words = self.wire.as_mut().unwrap().words_pool.take();
-                words.extend(
-                    self.cluster.node_mem(plan.src)[s..e]
-                        .iter()
-                        .map(|x| x.to_bits()),
-                );
-                let hdr = WireHeader::for_blocks(
-                    plan.src,
-                    plan.dst,
-                    ctx,
-                    p.array,
-                    p.start_block,
-                    p.n_blocks,
-                );
-                let msg = match plan.op {
+                let hdr = self.wire_hdr(plan.src, plan.dst, p.array, p.start_block, p.n_blocks);
+                let (start_block, n_blocks) = (p.start_block as u32, p.n_blocks as u32);
+                let words = self.wire_words(p.n_blocks * wpb);
+                self.wire_post(match plan.op {
                     PlanOp::Push => WireMsg::Push {
                         hdr,
-                        start_block: p.start_block as u32,
-                        n_blocks: p.n_blocks as u32,
+                        start_block,
+                        n_blocks,
                         words,
                     },
                     PlanOp::Flush => WireMsg::Flush {
                         hdr,
-                        start_block: p.start_block as u32,
-                        n_blocks: p.n_blocks as u32,
+                        start_block,
+                        n_blocks,
                         words,
                     },
-                };
-                let w = self.wire.as_mut().unwrap();
-                let mut buf = w.mailbox.take_buf();
-                let t_enc = w.stopwatch();
-                msg.encode(&mut buf);
-                let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                w.note_encoded(
-                    msg.kind(),
-                    plan.dst,
-                    msg.payload_bytes(),
-                    encode_ns,
-                    std::mem::take(&mut undercount),
-                );
-                w.words_pool.put(msg.into_words());
-                w.mailbox.post(plan.dst, buf);
+                });
             }
         }
-    }
-
-    /// Strict wire mode's delivery stage: drain each destination's posted
-    /// frames from the mailbox, carry them through the transport, and
-    /// decode them back into envelopes in plan order (per-destination
-    /// FIFO order matches posting order, so frame *i* of a destination's
-    /// batch is payload *i* of its plans in batch order). Returns `None`
-    /// on the fast path. A frame the decoder rejects fails the run loudly.
-    fn wire_deliver(&mut self, plans: &[TransferPlan]) -> Option<Vec<Vec<WireMsg>>> {
-        use std::collections::{BTreeMap, VecDeque};
-        self.wire.as_ref()?;
-        let mut corrupt = self.take_corrupt_token();
-        let w = self.wire.as_mut().unwrap();
-        let mut routed: BTreeMap<NodeId, VecDeque<Vec<u8>>> = BTreeMap::new();
-        for plan in plans {
-            if routed.contains_key(&plan.dst) {
-                continue;
-            }
-            let mut frames = w.mailbox.take_inbox(plan.dst);
-            if corrupt {
-                if let Some(f) = frames.first_mut() {
-                    crate::proto::corrupt_frame(f);
-                    corrupt = false;
-                }
-            }
-            let frames = w.route(plan.dst, frames);
-            routed.insert(plan.dst, frames.into());
-        }
-        let mut decoded = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let q = routed.get_mut(&plan.dst).expect("routed batch per dst");
-            let mut msgs = Vec::with_capacity(plan.payloads.len());
-            for _ in 0..plan.payloads.len() {
-                let frame = q.pop_front().expect("wire: frame for planned payload");
-                let t_dec = w.stopwatch();
-                match WireMsg::from_bytes(&frame) {
-                    Ok(m) => {
-                        w.lap(
-                            &format!("decode.{}", fgdsm_tempest::metrics::class_name(m.kind())),
-                            t_dec,
-                        );
-                        msgs.push(m);
-                    }
-                    Err(e) => panic!("wire: envelope decode failed at node {}: {e}", plan.dst),
-                }
-                w.mailbox.recycle_buf(frame);
-            }
-            decoded.push(msgs);
-        }
-        debug_assert!(routed.values().all(|q| q.is_empty()));
-        debug_assert!(w.mailbox.all_delivered());
-        Some(decoded)
     }
 
     /// Apply stage: execute the plans' pair-local work over disjoint shard
@@ -718,7 +634,7 @@ impl Dsm {
         if plans.is_empty() {
             return;
         }
-        let decoded = self.wire_deliver(plans);
+        let decoded = self.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.payloads.len())));
         let cfg = self.cluster.cfg().clone();
         let mut order: Vec<usize> = (0..plans.len()).collect();
         if workers > 1 && self.inj_reorder_plan_apply() {
@@ -786,12 +702,7 @@ impl Dsm {
             }
         }
         if let Some(d) = decoded {
-            let w = self.wire.as_mut().expect("wire state present when strict");
-            for msgs in d {
-                for m in msgs {
-                    w.words_pool.put(m.into_words());
-                }
-            }
+            self.wire_recycle(d);
         }
     }
 
@@ -1260,6 +1171,10 @@ mod tests {
                 330 * wpb >= PAR_APPLY_MIN_WORDS,
                 "volume must clear the serial-apply threshold"
             );
+            if workers > 1 {
+                let pool = fgdsm_tempest::WorkerPool::new(workers);
+                d.cluster.set_worker_pool(Some(std::sync::Arc::new(pool)));
+            }
             for w in 0..8192 {
                 d.cluster.node_mem_mut(w % 4)[w] = w as f64 * 1.5;
             }

@@ -12,7 +12,7 @@
 //! per-element marshalling cost (`mp_per_element_ns`) on each side.
 
 use crate::proto::Dsm;
-use crate::wire::{WireHeader, WireMsg};
+use crate::wire::WireMsg;
 use fgdsm_tempest::{ChargeKind, Cluster, Event, NodeId, ReduceOp, NO_ARRAY, NO_BLOCK};
 
 /// A planned batch of strided sends from one source to one destination —
@@ -94,71 +94,14 @@ impl MpRuntime {
         self.plan_vecs.put(plans);
     }
 
-    /// Send `len` words starting at word offset `start` from `src`'s copy
-    /// to `dst`'s copy, as one marshalled message.
-    pub fn send(&mut self, cl: &mut Cluster, src: NodeId, dst: NodeId, start: usize, len: usize) {
-        assert_ne!(src, dst);
-        let cfg = cl.cfg().clone();
-        let bytes = len * 8;
-        // Sender: runtime overhead + pack + inject + wire occupancy.
-        let cost = cfg.mp_per_message_ns
-            + len as u64 * cfg.mp_per_element_ns
-            + cfg.msg_send_ns
-            + bytes as u64 * cfg.per_byte_ns;
-        cl.charge(src, cost, ChargeKind::Stall);
-        cl.note_msg_at(src, dst, bytes, start / cfg.words_per_block());
-        cl.copy_words(src, dst, start, len);
-        cl.map_range(dst, start, len);
-        let arrival = cl.clock_ns(src) + cfg.net_latency_ns;
-        self.inbox_arrival[dst] = self.inbox_arrival[dst].max(arrival);
-        self.inbox_msgs[dst] += 1;
-        self.inbox_elems[dst] += len as u64;
-    }
-
-    /// Send a strided region as `count` runs of `run_len` words separated
-    /// by `stride` — marshalled into a single message (the MP runtime
-    /// packs non-contiguous sections).
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_strided(
-        &mut self,
-        cl: &mut Cluster,
-        src: NodeId,
-        dst: NodeId,
-        base: usize,
-        run_len: usize,
-        stride: usize,
-        count: usize,
-    ) {
-        assert_ne!(src, dst);
-        let cfg = cl.cfg().clone();
-        let elems = run_len * count;
-        let bytes = elems * 8;
-        // The ported runtime issues one message per contiguous run of the
-        // section, paying its software overhead each time — cheap for
-        // whole-column ghosts, expensive for the pencil-shaped 3-D
-        // sections of pde.
-        let cost = count as u64 * (cfg.mp_per_message_ns + cfg.msg_send_ns)
-            + elems as u64 * cfg.mp_per_element_ns
-            + bytes as u64 * cfg.per_byte_ns;
-        cl.charge(src, cost, ChargeKind::Stall);
-        for i in 0..count {
-            let s = base + i * stride;
-            cl.note_msg_at(src, dst, run_len * 8, s / cfg.words_per_block());
-            cl.copy_words(src, dst, s, run_len);
-            cl.map_range(dst, s, run_len);
-        }
-        let arrival = cl.clock_ns(src) + cfg.net_latency_ns;
-        self.inbox_arrival[dst] = self.inbox_arrival[dst].max(arrival);
-        self.inbox_msgs[dst] += count as u64;
-        self.inbox_elems[dst] += elems as u64;
-    }
-
     /// Apply a batch of planned strided sends — the message-passing
     /// analogue of [`crate::ctl::TransferPlan`]. Node-disjoint plans run
     /// concurrently over disjoint shard pairs (see
     /// [`Cluster::apply_pairwise`]); inbox state folds in plan index
-    /// order, so the result is byte-identical to calling
-    /// [`MpRuntime::send_strided`] per section in plan order.
+    /// order. Each `(base, run_len, stride, count)` section is sent the
+    /// way the ported runtime does it: one message per contiguous run,
+    /// paying its software overhead each time — cheap for whole-column
+    /// ghosts, expensive for the pencil-shaped 3-D sections of pde.
     ///
     /// In strict wire mode each section is packed into a
     /// [`WireMsg::Strided`] envelope at plan time, carried by the
@@ -181,6 +124,7 @@ impl MpRuntime {
         } else {
             workers
         };
+        let wpb = cfg.words_per_block();
         let pairs: Vec<(NodeId, NodeId)> = plans.iter().map(|p| (p.src, p.dst)).collect();
         let decoded_ref = decoded.as_deref();
         let outcomes = cl.apply_pairwise(&pairs, workers, |k, src, dst| {
@@ -190,8 +134,8 @@ impl MpRuntime {
             for (j, &(base, run_len, stride, count)) in plan.sections.iter().enumerate() {
                 let elems = run_len * count;
                 let bytes = elems * 8;
-                // Same accounting as `send_strided`: one message per
-                // contiguous run, per-element marshalling, wire occupancy.
+                // One message per contiguous run, per-element
+                // marshalling, wire occupancy.
                 let cost = count as u64 * (cfg.mp_per_message_ns + cfg.msg_send_ns)
                     + elems as u64 * cfg.mp_per_element_ns
                     + bytes as u64 * cfg.per_byte_ns;
@@ -200,18 +144,15 @@ impl MpRuntime {
                     let s = base + i * stride;
                     src.note_msg_at(run_len * 8, src.block_of(s));
                     dst.note_msg_recv(run_len * 8);
-                    if let Some(msgs) = wire_msgs {
-                        let WireMsg::Strided { words, .. } = &msgs[j] else {
-                            unreachable!("mp plan section delivered a non-Strided envelope")
-                        };
-                        let mem = dst.mem_mut();
-                        for (t, bits) in words[i * run_len..(i + 1) * run_len].iter().enumerate() {
-                            mem[s + t] = f64::from_bits(*bits);
-                        }
-                    } else {
+                    if wire_msgs.is_none() {
                         dst.mem_mut()[s..s + run_len].copy_from_slice(&src.mem()[s..s + run_len]);
                     }
                     dst.map_range(s, run_len);
+                }
+                if let Some(msgs) = wire_msgs {
+                    if let Err(e) = msgs[j].scatter(dst.mem_mut(), wpb) {
+                        panic!("wire: envelope rejected at node {}: {e}", plan.dst);
+                    }
                 }
                 arrival = arrival.max(src.clock_ns() + cfg.net_latency_ns);
                 msgs += count as u64;
@@ -226,12 +167,7 @@ impl MpRuntime {
             self.inbox_elems[dst] += elems;
         }
         if let Some(dd) = decoded {
-            let w = d.wire.as_mut().expect("wire state present when strict");
-            for msgs in dd {
-                for m in msgs {
-                    w.words_pool.put(m.into_words());
-                }
-            }
+            d.wire_recycle(dd);
         }
     }
 
@@ -275,45 +211,8 @@ impl MpRuntime {
                 // One forwarded image per receiver: the packed section
                 // rides a Strided envelope and lands from the decoded
                 // payload.
-                let ctx = d.cluster.node_trace(src).context();
-                let b0 = d.cluster.block_of(base);
-                let hdr = WireHeader::for_blocks(src, dst, ctx, NO_ARRAY, b0, 1);
-                let mut words = d.wire.as_mut().unwrap().words_pool.take();
-                {
-                    let mem = d.cluster.node_mem(src);
-                    for i in 0..count {
-                        let s = base + i * stride;
-                        words.extend(mem[s..s + run_len].iter().map(|x| x.to_bits()));
-                    }
-                }
-                let msg = WireMsg::Strided {
-                    hdr,
-                    base: base as u64,
-                    run_len: run_len as u32,
-                    stride: stride as u64,
-                    count: count as u32,
-                    words,
-                };
-                match d.wire_route_one(msg) {
-                    WireMsg::Strided { words, .. } => {
-                        let t_apply = d.wire.as_ref().unwrap().stopwatch();
-                        let mem = d.cluster.node_mem_mut(dst);
-                        for i in 0..count {
-                            let s = base + i * stride;
-                            for (t, bits) in
-                                words[i * run_len..(i + 1) * run_len].iter().enumerate()
-                            {
-                                mem[s + t] = f64::from_bits(*bits);
-                            }
-                        }
-                        let w = d.wire.as_mut().unwrap();
-                        w.lap("apply.strided", t_apply);
-                        w.words_pool.put(words);
-                    }
-                    other => {
-                        panic!("wire: expected Strided envelope, got kind {}", other.kind())
-                    }
-                }
+                let msg = strided_msg(d, src, dst, (base, run_len, stride, count));
+                d.wire_route_one(msg);
                 for i in 0..count {
                     d.cluster.map_range(dst, base + i * stride, run_len);
                 }
@@ -395,92 +294,39 @@ impl MpRuntime {
     }
 }
 
-/// Strict wire mode's plan delivery for the message-passing backend: pack
-/// each plan section into a [`WireMsg::Strided`] envelope (payload copied
-/// out of the source shard at plan time), post the frames per
-/// destination, carry them through the transport, and decode them back in
-/// plan order. Returns `None` on the fast path. Mirrors the ctl
-/// pipeline's encode/deliver stages.
+/// An (unfilled) [`WireMsg::Strided`] envelope for one
+/// `(base, run_len, stride, count)` section `src → dst`.
+fn strided_msg(
+    d: &mut Dsm,
+    src: NodeId,
+    dst: NodeId,
+    (base, run_len, stride, count): (usize, usize, usize, usize),
+) -> WireMsg {
+    WireMsg::Strided {
+        hdr: d.wire_hdr(src, dst, NO_ARRAY, d.cluster.block_of(base), 1),
+        base: base as u64,
+        run_len: run_len as u32,
+        stride: stride as u64,
+        count: count as u32,
+        words: d.wire_words(run_len * count),
+    }
+}
+
+/// Strict wire mode's plan delivery for the message-passing backend: post
+/// each plan section as a [`WireMsg::Strided`] envelope (payload copied
+/// out of the source shard), then deliver them back in plan order.
+/// Returns `None` on the fast path.
 fn mp_wire_deliver(d: &mut Dsm, plans: &[MpSendPlan]) -> Option<Vec<Vec<WireMsg>>> {
-    use std::collections::{BTreeMap, VecDeque};
-    d.wire.as_ref()?;
-    let mut undercount = d.take_undercount_token();
+    if !d.wire_strict() {
+        return None;
+    }
     for plan in plans {
-        let ctx = d.cluster.node_trace(plan.src).context();
-        for &(base, run_len, stride, count) in &plan.sections {
-            let mut words = d.wire.as_mut().unwrap().words_pool.take();
-            {
-                let mem = d.cluster.node_mem(plan.src);
-                for i in 0..count {
-                    let s = base + i * stride;
-                    words.extend(mem[s..s + run_len].iter().map(|x| x.to_bits()));
-                }
-            }
-            let b0 = d.cluster.block_of(base);
-            let hdr = WireHeader::for_blocks(plan.src, plan.dst, ctx, NO_ARRAY, b0, 1);
-            let msg = WireMsg::Strided {
-                hdr,
-                base: base as u64,
-                run_len: run_len as u32,
-                stride: stride as u64,
-                count: count as u32,
-                words,
-            };
-            let w = d.wire.as_mut().unwrap();
-            let mut buf = w.mailbox.take_buf();
-            let t_enc = w.stopwatch();
-            msg.encode(&mut buf);
-            let encode_ns = t_enc.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            w.note_encoded(
-                msg.kind(),
-                plan.dst,
-                msg.payload_bytes(),
-                encode_ns,
-                std::mem::take(&mut undercount),
-            );
-            w.words_pool.put(msg.into_words());
-            w.mailbox.post(plan.dst, buf);
+        for &section in &plan.sections {
+            let msg = strided_msg(d, plan.src, plan.dst, section);
+            d.wire_post(msg);
         }
     }
-    let mut corrupt = d.take_corrupt_token();
-    let w = d.wire.as_mut().unwrap();
-    let mut routed: BTreeMap<NodeId, VecDeque<Vec<u8>>> = BTreeMap::new();
-    for plan in plans {
-        if routed.contains_key(&plan.dst) {
-            continue;
-        }
-        let mut frames = w.mailbox.take_inbox(plan.dst);
-        if corrupt {
-            if let Some(f) = frames.first_mut() {
-                crate::proto::corrupt_frame(f);
-                corrupt = false;
-            }
-        }
-        let frames = w.route(plan.dst, frames);
-        routed.insert(plan.dst, frames.into());
-    }
-    let mut decoded = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let q = routed.get_mut(&plan.dst).expect("routed batch per dst");
-        let mut msgs = Vec::with_capacity(plan.sections.len());
-        for _ in 0..plan.sections.len() {
-            let frame = q.pop_front().expect("wire: frame for planned section");
-            let t_dec = w.stopwatch();
-            match WireMsg::from_bytes(&frame) {
-                Ok(m) => {
-                    let class = fgdsm_tempest::metrics::class_name(m.kind());
-                    w.lap(&format!("decode.{class}"), t_dec);
-                    msgs.push(m);
-                }
-                Err(e) => panic!("wire: envelope decode failed at node {}: {e}", plan.dst),
-            }
-            w.mailbox.recycle_buf(frame);
-        }
-        decoded.push(msgs);
-    }
-    debug_assert!(routed.values().all(|q| q.is_empty()));
-    debug_assert!(w.mailbox.all_delivered());
-    Some(decoded)
+    d.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.sections.len())))
 }
 
 #[cfg(test)]
@@ -495,34 +341,41 @@ mod tests {
         Cluster::new(n, cfg, &layout, HomePolicy::RoundRobin)
     }
 
+    /// Send one `(base, run_len, stride, count)` section `0 → 1`.
+    fn send(mp: &mut MpRuntime, d: &mut Dsm, section: (usize, usize, usize, usize)) {
+        let mut plan = mp.take_send_plan(0, 1);
+        plan.sections.push(section);
+        mp.apply_send_plans(d, &[plan], 1);
+    }
+
     #[test]
     fn send_recv_moves_data_and_charges_overhead() {
-        let mut cl = cluster(2);
+        let mut d = Dsm::new(cluster(2));
         let mut mp = MpRuntime::new(2);
-        cl.node_mem_mut(0)[100] = 3.25;
-        mp.send(&mut cl, 0, 1, 96, 16);
-        mp.recv_all(&mut cl, 1);
-        assert_eq!(cl.node_mem(1)[100], 3.25);
+        d.cluster.node_mem_mut(0)[100] = 3.25;
+        send(&mut mp, &mut d, (96, 16, 1, 1));
+        mp.recv_all(&mut d.cluster, 1);
+        assert_eq!(d.cluster.node_mem(1)[100], 3.25);
         // Sender paid at least the per-message software overhead.
-        assert!(cl.stats(0).stall_ns >= cl.cfg().mp_per_message_ns);
-        assert!(cl.stats(1).stall_ns > 0);
-        assert_eq!(cl.stats(0).msgs_sent, 1);
+        assert!(d.cluster.stats(0).stall_ns >= d.cluster.cfg().mp_per_message_ns);
+        assert!(d.cluster.stats(1).stall_ns > 0);
+        assert_eq!(d.cluster.stats(0).msgs_sent, 1);
     }
 
     #[test]
     fn strided_send_one_message_per_run() {
-        let mut cl = cluster(2);
+        let mut d = Dsm::new(cluster(2));
         let mut mp = MpRuntime::new(2);
-        cl.node_mem_mut(0)[10] = 1.0;
-        cl.node_mem_mut(0)[42] = 2.0;
-        mp.send_strided(&mut cl, 0, 1, 10, 1, 32, 2);
-        mp.recv_all(&mut cl, 1);
-        assert_eq!(cl.node_mem(1)[10], 1.0);
-        assert_eq!(cl.node_mem(1)[42], 2.0);
+        d.cluster.node_mem_mut(0)[10] = 1.0;
+        d.cluster.node_mem_mut(0)[42] = 2.0;
+        send(&mut mp, &mut d, (10, 1, 32, 2));
+        mp.recv_all(&mut d.cluster, 1);
+        assert_eq!(d.cluster.node_mem(1)[10], 1.0);
+        assert_eq!(d.cluster.node_mem(1)[42], 2.0);
         // The runtime transmits each contiguous run separately, paying its
         // per-message overhead twice.
-        assert_eq!(cl.stats(0).msgs_sent, 2);
-        assert!(cl.stats(0).stall_ns >= 2 * cl.cfg().mp_per_message_ns);
+        assert_eq!(d.cluster.stats(0).msgs_sent, 2);
+        assert!(d.cluster.stats(0).stall_ns >= 2 * d.cluster.cfg().mp_per_message_ns);
     }
 
     #[test]
@@ -554,13 +407,13 @@ mod tests {
 
     #[test]
     fn recv_resets_inbox() {
-        let mut cl = cluster(2);
+        let mut d = Dsm::new(cluster(2));
         let mut mp = MpRuntime::new(2);
-        mp.send(&mut cl, 0, 1, 0, 8);
-        mp.recv_all(&mut cl, 1);
-        let t = cl.clock_ns(1);
-        mp.recv_all(&mut cl, 1);
+        send(&mut mp, &mut d, (0, 8, 1, 1));
+        mp.recv_all(&mut d.cluster, 1);
+        let t = d.cluster.clock_ns(1);
+        mp.recv_all(&mut d.cluster, 1);
         // Second recv with empty inbox: no stall.
-        assert_eq!(cl.clock_ns(1), t);
+        assert_eq!(d.cluster.clock_ns(1), t);
     }
 }

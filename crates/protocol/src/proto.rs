@@ -16,7 +16,8 @@ use crate::update::WriteUpdate;
 use crate::wire::{reconcile_stats, WireHeader, WireMsg, WireTransport};
 use fgdsm_tempest::metrics::{class_name, MetricsRegistry, WireSpan};
 use fgdsm_tempest::{Access, Cluster, Mailbox, NodeId, VecPool, NO_ARRAY};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Which built-in default coherence protocol the DSM runs.
 ///
@@ -130,10 +131,6 @@ pub(crate) struct WireState {
     /// *measured* transport latency next to the *predicted* virtual
     /// comm clock.
     pub route_ns: u64,
-    /// One-shot marker: the `corrupt_envelope` injection has fired.
-    /// Only consulted when the `fault-inject` feature is compiled in.
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
-    pub corrupted: bool,
     /// Coordinator-side double-entry book, per destination node: frames
     /// and payload bytes staged toward each peer. Always maintained (two
     /// adds per frame), reconciled against each remote's `ByeStats` at
@@ -152,9 +149,6 @@ pub(crate) struct WireMetrics {
     pub reg: MetricsRegistry,
     pub epoch: std::time::Instant,
     pub spans: Vec<WireSpan>,
-    /// One-shot marker: the `undercount_metrics` injection has fired.
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
-    pub undercounted: bool,
 }
 
 impl WireMetrics {
@@ -163,7 +157,6 @@ impl WireMetrics {
             reg: MetricsRegistry::new(),
             epoch: std::time::Instant::now(),
             spans: Vec::new(),
-            undercounted: false,
         }
     }
 }
@@ -177,7 +170,6 @@ impl WireState {
             frames: 0,
             payload_bytes: 0,
             route_ns: 0,
-            corrupted: false,
             dst_frames: vec![0; nprocs],
             dst_payload: vec![0; nprocs],
             metrics: None,
@@ -189,7 +181,7 @@ impl WireState {
     /// telemetry is on. `undercount` is the armed `undercount_metrics`
     /// injection token — it skips the per-class payload counter exactly
     /// once, which the fuzz oracle's conservation invariant must catch.
-    pub(crate) fn note_encoded(
+    fn note_encoded(
         &mut self,
         kind: u8,
         dst: usize,
@@ -212,16 +204,64 @@ impl WireState {
         }
     }
 
+    /// Stage one envelope: fill its payload from the source shard's
+    /// memory, encode it into a pooled frame buffer, book it, post the
+    /// frame to the destination's mailbox and recycle the payload buffer.
+    /// From here on the transfer no longer needs the source shard alive.
+    fn post(&mut self, mut msg: WireMsg, src_mem: &[f64], wpb: usize, undercount: bool) {
+        if let Err(e) = msg.gather(src_mem, wpb) {
+            panic!("wire: cannot fill a kind-{} envelope: {e}", msg.kind());
+        }
+        let dst = msg.hdr().dst as usize;
+        let mut buf = self.mailbox.take_buf();
+        let t_enc = self.stopwatch();
+        msg.encode(&mut buf);
+        let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        self.note_encoded(msg.kind(), dst, msg.payload_bytes(), encode_ns, undercount);
+        self.words_pool.put(msg.into_words());
+        self.mailbox.post(dst, buf);
+    }
+
+    /// Deliver everything posted to `dst`: drain its inbox, carry the
+    /// batch through the transport, and decode the frames back into
+    /// envelopes in posting order. `corrupt` is the armed
+    /// `corrupt_envelope` injection token (damages the first frame). A
+    /// frame the decoder rejects fails the run loudly — dropped traffic
+    /// is never papered over.
+    fn deliver(&mut self, dst: usize, corrupt: bool) -> Vec<WireMsg> {
+        let mut frames = self.mailbox.take_inbox(dst);
+        if corrupt {
+            if let Some(f) = frames.first_mut() {
+                corrupt_frame(f);
+            }
+        }
+        let mut msgs = Vec::with_capacity(frames.len());
+        for frame in self.route(dst, frames) {
+            let t_dec = self.stopwatch();
+            match WireMsg::from_bytes(&frame) {
+                Ok(m) => {
+                    self.lap("decode", m.kind(), t_dec);
+                    msgs.push(m);
+                }
+                Err(e) => panic!("wire: envelope decode failed at node {dst}: {e}"),
+            }
+            self.mailbox.recycle_buf(frame);
+        }
+        msgs
+    }
+
     /// Start an encode/decode stopwatch — `None` (no clock read at all)
     /// when telemetry is off.
-    pub(crate) fn stopwatch(&self) -> Option<std::time::Instant> {
+    fn stopwatch(&self) -> Option<std::time::Instant> {
         self.metrics.as_ref().map(|_| std::time::Instant::now())
     }
 
-    /// Record a histogram sample against a started stopwatch.
-    pub(crate) fn lap(&mut self, name: &str, t0: Option<std::time::Instant>) {
+    /// Record a `<stage>.<class of kind>` histogram sample against a
+    /// started stopwatch (nothing — not even the key — when it is `None`).
+    fn lap(&mut self, stage: &str, kind: u8, t0: Option<std::time::Instant>) {
         if let (Some(m), Some(t0)) = (self.metrics.as_mut(), t0) {
-            m.reg.record_ns(name, t0.elapsed().as_nanos() as u64);
+            let key = format!("{stage}.{}", class_name(kind));
+            m.reg.record_ns(&key, t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -236,7 +276,7 @@ impl WireState {
     /// round-trip duration into `route.<class>` for every frame it
     /// carried — the class read by peeking each frame's kind byte
     /// (offset 4, after magic + version) without decoding.
-    pub(crate) fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let pre = self.metrics.as_ref().map(|m| {
             let kinds: Vec<u8> = frames
                 .iter()
@@ -273,7 +313,7 @@ impl WireState {
 /// Deliberately damage an encoded frame for the `corrupt_envelope`
 /// must-catch injection: flipping a version bit leaves the payload
 /// intact, so only a decoder that actually validates will notice.
-pub(crate) fn corrupt_frame(buf: &mut [u8]) {
+fn corrupt_frame(buf: &mut [u8]) {
     if buf.len() > 2 {
         buf[2] ^= 0x40;
     }
@@ -524,73 +564,135 @@ impl Dsm {
     }
 
     /// Consume the one-shot `corrupt_envelope` token: true exactly once
-    /// per run, for the first routed frame, when the injection is armed
-    /// and strict wire mode is active.
-    pub(crate) fn take_corrupt_token(&mut self) -> bool {
+    /// per run — for the first delivered batch — when the injection is
+    /// armed. Only [`Dsm::wire_deliver`] asks, so strict mode is active.
+    fn take_corrupt_token(&mut self) -> bool {
         #[cfg(feature = "fault-inject")]
         {
-            if self.injection.corrupt_envelope {
-                if let Some(w) = self.wire.as_mut() {
-                    if !w.corrupted {
-                        w.corrupted = true;
-                        return true;
-                    }
-                }
-            }
+            std::mem::take(&mut self.injection.corrupt_envelope)
         }
-        false
+        #[cfg(not(feature = "fault-inject"))]
+        {
+            false
+        }
     }
 
     /// Consume the one-shot `undercount_metrics` token: true exactly
-    /// once per run, for the first staged envelope, when the injection
+    /// once per run — for the first posted envelope — when the injection
     /// is armed and telemetry is recording.
-    pub(crate) fn take_undercount_token(&mut self) -> bool {
+    fn take_undercount_token(&mut self) -> bool {
         #[cfg(feature = "fault-inject")]
         {
-            if self.injection.undercount_metrics {
-                if let Some(m) = self.wire.as_mut().and_then(|w| w.metrics.as_mut()) {
-                    if !m.undercounted {
-                        m.undercounted = true;
-                        return true;
-                    }
-                }
-            }
+            self.wire_metrics_on() && std::mem::take(&mut self.injection.undercount_metrics)
         }
-        false
+        #[cfg(not(feature = "fault-inject"))]
+        {
+            false
+        }
     }
 
     // ------------------------------------------------------------------
     // Strict wire mode: envelope encode / route / decode / apply
     // ------------------------------------------------------------------
 
-    /// Encode `msg`, carry it through the transport as bytes, decode the
-    /// delivered frame. The source payload buffer is recycled; a frame
-    /// the decoder rejects fails the run loudly (dropped traffic is
-    /// never papered over).
-    pub(crate) fn wire_route_one(&mut self, msg: WireMsg) -> WireMsg {
-        let corrupt = self.take_corrupt_token();
+    /// Header for an envelope `src → dst` covering blocks
+    /// `[first, first + n)`, attributed to the source's current
+    /// (superstep, loop) trace context.
+    pub(crate) fn wire_hdr(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        array: u32,
+        first: usize,
+        n: usize,
+    ) -> WireHeader {
+        let ctx = self.cluster.node_trace(src).context();
+        WireHeader::for_blocks(src, dst, ctx, array, first, n)
+    }
+
+    /// A pooled payload buffer of `len` words for an envelope about to be
+    /// posted ([`Dsm::wire_post`] fills it from the source shard).
+    pub(crate) fn wire_words(&mut self, len: usize) -> Vec<u64> {
+        let w = self.wire.as_mut().expect("wire_words: strict mode off");
+        let mut words = w.words_pool.take();
+        words.resize(len, 0);
+        words
+    }
+
+    /// Post `msg` toward its destination: payload copied out of the
+    /// source shard, encoded, staged in the mailbox ([`WireState::post`]).
+    pub(crate) fn wire_post(&mut self, msg: WireMsg) {
         let undercount = self.take_undercount_token();
-        let w = self.wire.as_mut().expect("wire_route_one: strict mode off");
-        let (kind, dst, payload) = (msg.kind(), msg.hdr().dst as usize, msg.payload_bytes());
-        let mut buf = w.mailbox.take_buf();
-        let t_enc = w.stopwatch();
-        msg.encode(&mut buf);
-        let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        w.note_encoded(kind, dst, payload, encode_ns, undercount);
-        w.words_pool.put(msg.into_words());
-        if corrupt {
-            corrupt_frame(&mut buf);
+        let wpb = self.cluster.words_per_block();
+        let src_mem = self.cluster.node_mem(msg.hdr().src as usize);
+        let w = self.wire.as_mut().expect("wire_post: strict mode off");
+        w.post(msg, src_mem, wpb, undercount);
+    }
+
+    /// Route and decode everything posted to `dst`
+    /// ([`WireState::deliver`]), in posting order.
+    fn wire_deliver(&mut self, dst: NodeId) -> Vec<WireMsg> {
+        let corrupt = self.take_corrupt_token();
+        let w = self.wire.as_mut().expect("wire_deliver: strict mode off");
+        w.deliver(dst, corrupt)
+    }
+
+    /// Strict wire mode's delivery stage for a plan batch: one routed
+    /// batch per destination (in first-appearance order), decoded back
+    /// into one envelope list per plan. `plans` yields each plan's
+    /// `(dst, frames posted)` in plan order; per-destination FIFO order
+    /// matches posting order, so the split is positional. Returns `None`
+    /// on the fast path.
+    pub(crate) fn wire_deliver_plans(
+        &mut self,
+        plans: impl Iterator<Item = (NodeId, usize)> + Clone,
+    ) -> Option<Vec<Vec<WireMsg>>> {
+        self.wire.as_ref()?;
+        let mut routed: BTreeMap<NodeId, VecDeque<WireMsg>> = BTreeMap::new();
+        for (dst, _) in plans.clone() {
+            if let Entry::Vacant(slot) = routed.entry(dst) {
+                slot.insert(self.wire_deliver(dst).into());
+            }
         }
-        let mut frames = w.route(dst, vec![buf]);
-        let frame = frames.pop().expect("wire: transport dropped a frame");
-        let t_dec = w.stopwatch();
-        let out = match WireMsg::from_bytes(&frame) {
-            Ok(m) => m,
-            Err(e) => panic!("wire: envelope decode failed at node {dst}: {e}"),
-        };
-        w.lap(&format!("decode.{}", class_name(out.kind())), t_dec);
-        w.mailbox.recycle_buf(frame);
-        out
+        let decoded = plans
+            .map(|(dst, n)| {
+                let q = routed.get_mut(&dst).expect("routed batch per dst");
+                assert!(q.len() >= n, "wire: transport dropped a planned frame");
+                q.drain(..n).collect()
+            })
+            .collect();
+        debug_assert!(routed.values().all(|q| q.is_empty()));
+        debug_assert!(self.wire.as_ref().unwrap().mailbox.all_delivered());
+        Some(decoded)
+    }
+
+    /// Hand the applied envelopes' payload buffers back to the pool.
+    pub(crate) fn wire_recycle(&mut self, decoded: Vec<Vec<WireMsg>>) {
+        let w = self.wire.as_mut().expect("wire_recycle: strict mode off");
+        for m in decoded.into_iter().flatten() {
+            w.words_pool.put(m.into_words());
+        }
+    }
+
+    /// The single-message path: post `msg`, deliver it, and store the
+    /// decoded payload at the destination. A frame the transport drops or
+    /// the decoder rejects fails the run loudly.
+    pub(crate) fn wire_route_one(&mut self, msg: WireMsg) {
+        let (kind, dst) = (msg.kind(), msg.hdr().dst as usize);
+        self.wire_post(msg);
+        let msg = self
+            .wire_deliver(dst)
+            .pop()
+            .expect("wire: transport dropped a frame");
+        assert_eq!(msg.kind(), kind, "wire: delivered a different envelope");
+        let wpb = self.cluster.words_per_block();
+        let w = self.wire.as_mut().expect("wire state present when strict");
+        let t_apply = w.stopwatch();
+        if let Err(e) = msg.scatter(self.cluster.node_mem_mut(dst), wpb) {
+            panic!("wire: envelope rejected at node {dst}: {e}");
+        }
+        w.lap("apply", kind, t_apply);
+        w.words_pool.put(msg.into_words());
     }
 
     /// Move `len` words `src → dst` starting at word `start`. Fast path:
@@ -606,37 +708,14 @@ impl Dsm {
             self.cluster.copy_words(src, dst, start, len);
             return;
         }
-        let ctx = self.cluster.node_trace(src).context();
         let b0 = self.cluster.block_of(start);
         let b1 = self.cluster.block_of(start + len - 1);
-        let hdr = WireHeader::for_blocks(src, dst, ctx, NO_ARRAY, b0, b1 - b0 + 1);
-        let mut words = self.wire.as_mut().unwrap().words_pool.take();
-        words.extend(
-            self.cluster.node_mem(src)[start..start + len]
-                .iter()
-                .map(|x| x.to_bits()),
-        );
         let msg = WireMsg::Copy {
-            hdr,
+            hdr: self.wire_hdr(src, dst, NO_ARRAY, b0, b1 - b0 + 1),
             start_word: start as u64,
-            words,
+            words: self.wire_words(len),
         };
-        match self.wire_route_one(msg) {
-            WireMsg::Copy {
-                start_word, words, ..
-            } => {
-                let t_apply = self.wire.as_ref().unwrap().stopwatch();
-                let s = start_word as usize;
-                let mem = self.cluster.node_mem_mut(dst);
-                for (i, bits) in words.iter().enumerate() {
-                    mem[s + i] = f64::from_bits(*bits);
-                }
-                let w = self.wire.as_mut().unwrap();
-                w.lap("apply.copy", t_apply);
-                w.words_pool.put(words);
-            }
-            other => panic!("wire: expected Copy envelope, got kind {}", other.kind()),
-        }
+        self.wire_route_one(msg);
     }
 
     /// The single home of (array, block) diff attribution: account the
@@ -651,42 +730,13 @@ impl Dsm {
             self.cluster.merge_block_words(src, dst, b, mask);
             return bytes;
         }
-        let ctx = self.cluster.node_trace(src).context();
-        let hdr = WireHeader::for_blocks(src, dst, ctx, NO_ARRAY, b, 1);
-        let (s, _) = self.cluster.block_words(b);
-        let mut words = self.wire.as_mut().unwrap().words_pool.take();
-        let mem = self.cluster.node_mem(src);
-        for bit in 0..64u32 {
-            if mask & (1u64 << bit) != 0 {
-                words.push(mem[s + bit as usize].to_bits());
-            }
-        }
         let msg = WireMsg::Diff {
-            hdr,
+            hdr: self.wire_hdr(src, dst, NO_ARRAY, b, 1),
             block: b as u64,
             mask,
-            words,
+            words: self.wire_words(mask.count_ones() as usize),
         };
-        match self.wire_route_one(msg) {
-            WireMsg::Diff {
-                block, mask, words, ..
-            } => {
-                let t_apply = self.wire.as_ref().unwrap().stopwatch();
-                let (s, _) = self.cluster.block_words(block as usize);
-                let mem = self.cluster.node_mem_mut(dst);
-                let mut i = 0;
-                for bit in 0..64u32 {
-                    if mask & (1u64 << bit) != 0 {
-                        mem[s + bit as usize] = f64::from_bits(words[i]);
-                        i += 1;
-                    }
-                }
-                let w = self.wire.as_mut().unwrap();
-                w.lap("apply.diff", t_apply);
-                w.words_pool.put(words);
-            }
-            other => panic!("wire: expected Diff envelope, got kind {}", other.kind()),
-        }
+        self.wire_route_one(msg);
         bytes
     }
 
@@ -773,14 +823,7 @@ impl Dsm {
     pub fn diff_mask(&self, node: NodeId, b: usize) -> u64 {
         let twin = &self.twins[&(b, node)];
         let (s, e) = self.cluster.block_words(b);
-        let cur = &self.cluster.node_mem(node)[s..e];
-        let mut mask = 0u64;
-        for (i, (c, t)) in cur.iter().zip(twin.iter()).enumerate() {
-            if c.to_bits() != t.to_bits() {
-                mask |= 1 << i;
-            }
-        }
-        mask
+        crate::wire::diff_mask(&self.cluster.node_mem(node)[s..e], twin)
     }
 
     /// Cost and data movement for the home shipping its (current) copy of
@@ -808,11 +851,13 @@ impl Dsm {
     /// supersteps: `implicit_writable(.., memoize=true)` leaves the range
     /// in `iw_memo` and the matching `implicit_invalidate` is skipped, so
     /// the memo is exactly the record of blocks whose tags are under
-    /// compiler control. `check_consistency` excuses those pairs.
+    /// compiler control. `check_consistency` excuses those pairs — once
+    /// per (reader, block) after every run, so only `node`'s own slice of
+    /// the (node-major) memo is scanned.
     pub(crate) fn is_ctl_block(&self, node: NodeId, b: usize) -> bool {
         self.iw_memo
-            .iter()
-            .any(|&(n, first, end)| n == node && (first..end).contains(&b))
+            .range((node, 0, 0)..(node + 1, 0, 0))
+            .any(|&(_, first, end)| (first..end).contains(&b))
     }
 
     /// Drop every memoized `implicit_writable` range, forcing the next

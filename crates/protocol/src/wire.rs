@@ -56,12 +56,15 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 /// stays silent past this long is reported as [`WireError::Timeout`]
 /// instead of hanging the run.
 pub fn net_timeout() -> Duration {
-    let ms = std::env::var("FGDSM_NET_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(5000)
-        .max(1);
+    let ms = fgdsm_tempest::knob::env_knob("FGDSM_NET_TIMEOUT_MS", "milliseconds", parse_millis)
+        .unwrap_or(5000);
     Duration::from_millis(ms)
+}
+
+/// `FGDSM_NET_TIMEOUT_MS` values: a whole number of milliseconds (0
+/// clamps to 1 — a zero deadline would fail every recv).
+fn parse_millis(v: &str) -> Option<u64> {
+    v.parse::<u64>().ok().map(|ms| ms.max(1))
 }
 
 /// On-wire size in bytes of a word-diff message body for `mask`: the
@@ -71,6 +74,19 @@ pub fn net_timeout() -> Duration {
 /// attribution and wire accounting can never drift apart.
 pub fn diff_bytes(mask: u64) -> usize {
     8 + 8 * mask.count_ones() as usize
+}
+
+/// The dirty mask of a block against its twin: bit `i` is set when word
+/// `i` differs bit-for-bit (so a NaN that did not change is clean) — the
+/// words a [`WireMsg::Diff`] of the block carries.
+pub fn diff_mask(cur: &[f64], twin: &[f64]) -> u64 {
+    let mut mask = 0u64;
+    for (i, (c, t)) in cur.iter().zip(twin).enumerate() {
+        if c.to_bits() != t.to_bits() {
+            mask |= 1 << i;
+        }
+    }
+    mask
 }
 
 /// Everything a receiver needs to account a transfer without looking at
@@ -182,6 +198,10 @@ pub enum WireError {
     CountMismatch(&'static str),
     /// Bytes left over after the payload — the frame lies about itself.
     TrailingBytes(usize),
+    /// The envelope's addresses overflow or leave the segment it is being
+    /// applied to ([`WireMsg::runs`]): a well-formed frame naming memory
+    /// the receiver does not have.
+    OutOfSegment(&'static str),
     /// The peer node is gone: its channel hung up, its process exited, or
     /// the connection was closed (EOF) mid-conversation.
     PeerGone(u32),
@@ -213,6 +233,7 @@ impl std::fmt::Display for WireError {
             WireError::BadKind(k) => write!(f, "unknown kind byte {k}"),
             WireError::CountMismatch(what) => write!(f, "count mismatch: {what}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
+            WireError::OutOfSegment(what) => write!(f, "out of segment: {what}"),
             WireError::PeerGone(p) => write!(f, "peer node {p} gone (disconnected or exited)"),
             WireError::Timeout(p) => write!(f, "recv from node {p} timed out"),
             WireError::FrameTooBig(n) => {
@@ -498,6 +519,214 @@ fn decode_words(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
         words.push(c.u64()?);
     }
     Ok(words)
+}
+
+// ----------------------------------------------------------------------
+// Geometry: which memory words an envelope reads and writes
+// ----------------------------------------------------------------------
+
+/// A memory word an envelope payload can be copied to and from: the
+/// shards' `f64` data (bit-exact through `to_bits`/`from_bits`) and the
+/// `fgdsm-node` worker's raw `u64` mirror.
+pub trait Word: Copy {
+    fn to_bits(self) -> u64;
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl Word for f64 {
+    fn to_bits(self) -> u64 {
+        f64::to_bits(self)
+    }
+    fn from_bits(bits: u64) -> Self {
+        f64::from_bits(bits)
+    }
+}
+
+impl Word for u64 {
+    fn to_bits(self) -> u64 {
+        self
+    }
+    fn from_bits(bits: u64) -> Self {
+        bits
+    }
+}
+
+/// The `(start word, length)` runs an envelope covers, in payload order
+/// (see [`WireMsg::runs`]). Every run is non-empty and already checked
+/// to lie inside the segment.
+#[derive(Clone, Debug)]
+pub struct Runs(RunsKind);
+
+#[derive(Clone, Debug)]
+enum RunsKind {
+    /// `left` runs of `run_len` words, the next one at `next`.
+    Strided {
+        next: usize,
+        run_len: usize,
+        stride: usize,
+        left: usize,
+    },
+    /// One run per maximal group of adjacent set bits still in `mask`.
+    Masked { base: usize, mask: u64 },
+}
+
+impl Iterator for Runs {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        match &mut self.0 {
+            RunsKind::Strided {
+                next,
+                run_len,
+                stride,
+                left,
+            } => {
+                if *left == 0 {
+                    return None;
+                }
+                let run = (*next, *run_len);
+                *left -= 1;
+                // `runs` bounded the last run's end, so only the step past
+                // it can wrap — and that value is never yielded.
+                *next = next.wrapping_add(*stride);
+                Some(run)
+            }
+            RunsKind::Masked { base, mask } => {
+                if *mask == 0 {
+                    return None;
+                }
+                let lo = mask.trailing_zeros();
+                let len = (*mask >> lo).trailing_ones();
+                *mask &= !(u64::MAX >> (64 - len) << lo);
+                Some((*base + lo as usize, len as usize))
+            }
+        }
+    }
+}
+
+impl WireMsg {
+    /// The word runs this envelope reads ([`WireMsg::gather`]) and
+    /// writes ([`WireMsg::scatter`]) in a segment of `seg_words` words
+    /// with `wpb` words per block, in payload order. This is the one
+    /// place an envelope's geometry is interpreted; all address
+    /// arithmetic is checked, so a frame naming memory outside the
+    /// segment is a typed error before anything is touched or allocated.
+    /// The runs always cover exactly `words().len()` words: the payload
+    /// sets the length of the contiguous kinds and must match the
+    /// declared shape of the others.
+    pub fn runs(&self, wpb: usize, seg_words: usize) -> Result<Runs, WireError> {
+        use WireError::OutOfSegment;
+        let word = |w: u64, what| usize::try_from(w).map_err(|_| OutOfSegment(what));
+        let block = |b: usize, what| b.checked_mul(wpb).ok_or(OutOfSegment(what));
+        let (base, run_len, stride, count) = match self {
+            // `n_blocks` is attribution; the payload sets the length.
+            WireMsg::Push {
+                start_block, words, ..
+            }
+            | WireMsg::Flush {
+                start_block, words, ..
+            } => (
+                block(*start_block as usize, "start_block")?,
+                words.len(),
+                0,
+                1,
+            ),
+            WireMsg::Copy {
+                start_word, words, ..
+            } => (word(*start_word, "start_word")?, words.len(), 0, 1),
+            WireMsg::Strided {
+                base,
+                run_len,
+                stride,
+                count,
+                ..
+            } => (
+                word(*base, "strided base")?,
+                *run_len as usize,
+                word(*stride, "strided stride")?,
+                *count as usize,
+            ),
+            WireMsg::Diff {
+                block: b,
+                mask,
+                words,
+                ..
+            } => {
+                let base = block(word(*b, "diff block")?, "diff block")?;
+                let span = 64 - mask.leading_zeros() as usize;
+                if span > wpb {
+                    return Err(OutOfSegment("diff mask bit past the block"));
+                }
+                if base.checked_add(span).is_none_or(|end| end > seg_words) {
+                    return Err(OutOfSegment("diff block past the segment"));
+                }
+                if words.len() != mask.count_ones() as usize {
+                    return Err(WireError::CountMismatch("diff mask popcount vs payload"));
+                }
+                return Ok(Runs(RunsKind::Masked { base, mask: *mask }));
+            }
+        };
+        let covered = count
+            .checked_mul(run_len)
+            .ok_or(OutOfSegment("count * run_len"))?;
+        if covered != self.words().len() {
+            return Err(WireError::CountMismatch("payload vs geometry"));
+        }
+        if covered > 0 {
+            (count - 1)
+                .checked_mul(stride)
+                .and_then(|off| off.checked_add(base)?.checked_add(run_len))
+                .filter(|&end| end <= seg_words)
+                .ok_or(OutOfSegment("last run ends past the segment"))?;
+        }
+        Ok(Runs(RunsKind::Strided {
+            next: base,
+            run_len,
+            stride,
+            left: if covered > 0 { count } else { 0 },
+        }))
+    }
+
+    /// Fill the payload, in place, from the words of `mem` the envelope
+    /// names — the encode side's copy-out of the source shard, and the
+    /// worker's read-back from its mirror. `words()` keeps its length.
+    pub fn gather<W: Word>(&mut self, mem: &[W], wpb: usize) -> Result<(), WireError> {
+        let runs = self.runs(wpb, mem.len())?;
+        let mut rest = self.words_mut();
+        for (start, len) in runs {
+            let (run, tail) = rest.split_at_mut(len);
+            for (w, m) in run.iter_mut().zip(&mem[start..start + len]) {
+                *w = m.to_bits();
+            }
+            rest = tail;
+        }
+        Ok(())
+    }
+
+    /// Store the payload into the words of `mem` the envelope names —
+    /// the apply side, for shard memory and the worker mirror alike.
+    /// Nothing is written unless every run lies inside `mem`.
+    pub fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
+        let mut rest = self.words();
+        for (start, len) in self.runs(wpb, mem.len())? {
+            let (run, tail) = rest.split_at(len);
+            for (m, w) in mem[start..start + len].iter_mut().zip(run) {
+                *m = W::from_bits(*w);
+            }
+            rest = tail;
+        }
+        Ok(())
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match self {
+            WireMsg::Push { words, .. }
+            | WireMsg::Flush { words, .. }
+            | WireMsg::Copy { words, .. }
+            | WireMsg::Diff { words, .. }
+            | WireMsg::Strided { words, .. } => words,
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1097,6 +1326,142 @@ mod tests {
             WireMsg::from_bytes(&bytes),
             Err(WireError::CountMismatch("diff mask popcount vs payload"))
         );
+    }
+
+    /// Test envelopes `0 → 1` with consistent headers; `words` payload
+    /// words each (zeros for the blank ones `gather` fills).
+    fn blocks(flush: bool, start_block: u32, n_blocks: u32, words: usize) -> WireMsg {
+        let hdr = WireHeader::for_blocks(0, 1, (9, 2), 4, start_block as usize, n_blocks as usize);
+        let words = vec![0; words];
+        if flush {
+            WireMsg::Flush {
+                hdr,
+                start_block,
+                n_blocks,
+                words,
+            }
+        } else {
+            WireMsg::Push {
+                hdr,
+                start_block,
+                n_blocks,
+                words,
+            }
+        }
+    }
+    fn copy(start_word: u64, words: usize) -> WireMsg {
+        WireMsg::Copy {
+            hdr: WireHeader::for_blocks(0, 1, (9, 2), u32::MAX, 0, 1),
+            start_word,
+            words: vec![0; words],
+        }
+    }
+    fn diff(block: u64, mask: u64) -> WireMsg {
+        WireMsg::Diff {
+            hdr: WireHeader::for_blocks(0, 1, (9, 2), u32::MAX, 0, 1),
+            block,
+            mask,
+            words: vec![0; mask.count_ones() as usize],
+        }
+    }
+    fn strided(base: u64, run_len: u32, stride: u64, count: u32) -> WireMsg {
+        WireMsg::Strided {
+            hdr: WireHeader::for_blocks(0, 1, (9, 2), u32::MAX, 0, 1),
+            base,
+            run_len,
+            stride,
+            count,
+            words: vec![0; (run_len * count) as usize],
+        }
+    }
+
+    /// The one pipeline, end to end, per kind and per memory type, over
+    /// a 16-words-per-block, 256-word segment: `gather` from a seeded
+    /// memory → `to_bytes` → `from_bytes` → `scatter` into a zeroed
+    /// memory reproduces exactly the words `runs` names, in payload
+    /// order, and touches no other word.
+    fn pipeline_round_trip<W: Word + std::fmt::Debug>() {
+        let (wpb, seg) = (16, 256);
+        // Distinct non-zero bit patterns (NaNs included for f64).
+        let src: Vec<W> = (0..seg as u64)
+            .map(|i| W::from_bits((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
+            .collect();
+        for mut msg in [
+            blocks(false, 3, 2, 32),
+            blocks(true, 15, 1, 16),
+            copy(250, 6),
+            diff(15, 0b1000_0000_0110_1101),
+            strided(5, 3, 40, 6),
+            strided(7, 4, 0, 1),
+        ] {
+            let kind = msg.kind();
+            let named: Vec<usize> = msg
+                .runs(wpb, seg)
+                .unwrap()
+                .flat_map(|(s, len)| s..s + len)
+                .collect();
+            assert!(!named.is_empty(), "kind {kind}");
+            msg.gather(&src, wpb).unwrap();
+            let in_order: Vec<u64> = named.iter().map(|&a| src[a].to_bits()).collect();
+            assert_eq!(msg.words(), in_order, "kind {kind}: payload order");
+            let back = WireMsg::from_bytes(&msg.to_bytes()).unwrap();
+            assert_eq!(back, msg, "kind {kind}");
+            let mut dst: Vec<W> = vec![W::from_bits(0); seg];
+            back.scatter(&mut dst, wpb).unwrap();
+            for a in 0..seg {
+                let want = if named.contains(&a) {
+                    src[a].to_bits()
+                } else {
+                    0
+                };
+                assert_eq!(dst[a].to_bits(), want, "kind {kind}: word {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_encode_decode_scatter_is_exact_for_shard_and_mirror_memory() {
+        pipeline_round_trip::<f64>();
+        pipeline_round_trip::<u64>();
+    }
+
+    /// The worker mirror must not trust the peer's addresses: frames that
+    /// decode fine but name memory outside the segment (or overflow on
+    /// the way there) are typed errors, and nothing is written.
+    #[test]
+    fn scatter_rejects_addresses_outside_the_segment() {
+        let (wpb, seg) = (16usize, 256usize);
+        for msg in [
+            copy(1 << 40, 1), // the 8 TiB frame: one well-formed word
+            copy(u64::MAX, 2),
+            blocks(false, u32::MAX, 1, 16), // start_block far past the end
+            blocks(true, 15, 2, 32),        // starts inside, ends a block past
+            strided(0, 2, 100, 4),          // base + count * stride past the end
+            strided(8, 1, u64::MAX, 3),     // ... overflowing on the way
+            diff(16, 1),                    // a Diff block past the end
+            diff(3, 1 << 16),               // a mask bit past its block
+        ] {
+            // Each one survives the codec: the lie is in the addresses.
+            assert_eq!(WireMsg::from_bytes(&msg.to_bytes()).as_ref(), Ok(&msg));
+            let mut mirror = vec![0u64; seg];
+            assert!(
+                matches!(
+                    msg.scatter(&mut mirror, wpb),
+                    Err(WireError::OutOfSegment(_))
+                ),
+                "{msg:?}"
+            );
+            assert_eq!(mirror, vec![0u64; seg], "rejected frame wrote memory");
+        }
+    }
+
+    #[test]
+    fn net_timeout_knob_parses_milliseconds_only() {
+        assert_eq!(parse_millis("250"), Some(250));
+        assert_eq!(parse_millis("0"), Some(1));
+        for junk in ["", "5s", "-1", "2.5"] {
+            assert_eq!(parse_millis(junk), None, "{junk:?}");
+        }
     }
 
     #[test]

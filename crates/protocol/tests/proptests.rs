@@ -242,6 +242,10 @@ fn apply_plans_threaded_matches_serial_random() {
                 let node = r.below(nprocs as u64) as usize;
                 d.cluster.node_mem_mut(node)[w] = r.below(1 << 52) as f64 + 0.5;
             }
+            if workers > 1 {
+                let pool = fgdsm_tempest::WorkerPool::new(workers);
+                d.cluster.set_worker_pool(Some(std::sync::Arc::new(pool)));
+            }
             let plans = d.plan_sends(&entries, bulk);
             d.apply_plans(&plans, workers);
             for n in 0..nprocs {

@@ -107,6 +107,11 @@ impl SegmentLayout {
     }
 }
 
+/// `FGDSM_TRACE_CAP` values: a whole number of trace entries per node.
+fn parse_trace_cap(v: &str) -> Option<usize> {
+    v.parse().ok()
+}
+
 /// The simulated cluster: shared geometry + disjoint per-node shards.
 pub struct Cluster {
     geom: Arc<Geometry>,
@@ -117,7 +122,7 @@ pub struct Cluster {
     profile: ProfileState,
     /// Persistent worker pool for [`Cluster::apply_pairwise`] waves,
     /// installed by the executor once per run ([`Cluster::set_worker_pool`]).
-    /// `None` falls back to per-wave [`std::thread::scope`] spawns.
+    /// `None` applies every pair on the calling thread.
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -162,9 +167,8 @@ impl Cluster {
         // FGDSM_TRACE_CAP overrides the per-node trace-ring capacity at
         // construction (aggregates are exact regardless; the cap only
         // bounds how many raw entries exports retain).
-        if let Some(cap) = std::env::var("FGDSM_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
+        if let Some(cap) =
+            crate::knob::env_knob("FGDSM_TRACE_CAP", "an entry count", parse_trace_cap)
         {
             for sh in &mut shards {
                 sh.trace_mut().set_capacity(cap);
@@ -182,7 +186,7 @@ impl Cluster {
     /// Install (or clear) the persistent worker pool used by
     /// [`Cluster::apply_pairwise`]. The executor creates one pool per
     /// `execute` and installs it here so every superstep's apply waves
-    /// run on the same parked workers instead of fresh scoped threads.
+    /// run on the same parked workers.
     pub fn set_worker_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
         self.pool = pool;
     }
@@ -288,12 +292,13 @@ impl Cluster {
     /// and disjoint `&mut` borrows of the two shards, and must touch
     /// nothing else; outcomes are returned in pair index order.
     ///
-    /// With `workers > 1` the pairs are list-scheduled into *waves*:
-    /// `wave[i]` is one past the last wave of any earlier pair sharing a
-    /// node with pair `i`, so any two pairs that touch a common shard
-    /// always execute in index order with a join between them, while
-    /// node-disjoint pairs within a wave run concurrently on
-    /// [`std::thread::scope`] threads. Because `f` is pair-local, every
+    /// With `workers > 1` and a [`WorkerPool`] installed
+    /// ([`Cluster::set_worker_pool`]; without one the pairs run serially)
+    /// the pairs are list-scheduled into *waves*: `wave[i]` is one past
+    /// the last wave of any earlier pair sharing a node with pair `i`, so
+    /// any two pairs that touch a common shard always execute in index
+    /// order with a join between them, while node-disjoint pairs within a
+    /// wave run concurrently on the pool. Because `f` is pair-local, every
     /// shard observes exactly the effect sequence of a serial index-order
     /// execution — serial and threaded apply produce byte-identical
     /// clocks, counters and trace streams by construction.
@@ -312,7 +317,13 @@ impl Cluster {
             assert_ne!(a, b, "apply_pairwise needs two distinct nodes");
             assert!(a < nprocs && b < nprocs);
         }
-        if workers <= 1 || pairs.len() < 2 {
+        // Clone the pool handle up front so the wave loop's raw shard
+        // borrows don't conflict with a borrow of `self.pool`.
+        let pool = self
+            .pool
+            .clone()
+            .filter(|_| workers > 1 && pairs.len() >= 2);
+        let Some(pool) = pool else {
             return pairs
                 .iter()
                 .enumerate()
@@ -321,7 +332,7 @@ impl Cluster {
                     f(i, sa, sb)
                 })
                 .collect();
-        }
+        };
         // List scheduling: a pair lands one wave after the latest earlier
         // pair it conflicts with, so conflicting pairs keep index order.
         let mut last_wave: Vec<Option<usize>> = vec![None; nprocs];
@@ -340,9 +351,6 @@ impl Cluster {
             last_wave[a] = Some(w);
             last_wave[b] = Some(w);
         }
-        // Clone the pool handle up front so the wave loop's raw shard
-        // borrows don't conflict with a borrow of `self.pool`.
-        let pool = self.pool.clone();
         let mut outcomes: Vec<Option<O>> = (0..pairs.len()).map(|_| None).collect();
         for wave in waves {
             if wave.len() == 1 {
@@ -377,43 +385,23 @@ impl Cluster {
                 chunks[k % nchunks].push(job);
             }
             let f = &f;
-            let done: Vec<Vec<(usize, O)>> = if let Some(pool) = &pool {
-                // Persistent-pool path: one job per chunk, each writing a
-                // private slot; `run` blocks until the wave completes, so
-                // the shard borrows stay contained (scoped-batch
-                // contract, see `crate::pool`).
-                let mut slots: Vec<Vec<(usize, O)>> =
-                    (0..chunks.len()).map(|_| Vec::new()).collect();
-                let batch: Vec<Job> = chunks
-                    .into_iter()
-                    .zip(slots.iter_mut())
-                    .map(|(chunk, slot)| {
-                        Box::new(move || {
-                            *slot = chunk
-                                .into_iter()
-                                .map(|(i, sa, sb)| (i, f(i, sa, sb)))
-                                .collect();
-                        }) as Job
-                    })
-                    .collect();
-                pool.run(batch);
-                slots
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            s.spawn(move || {
-                                chunk
-                                    .into_iter()
-                                    .map(|(i, sa, sb)| (i, f(i, sa, sb)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+            // One job per chunk, each writing a private slot; `run` blocks
+            // until the wave completes, so the shard borrows stay contained
+            // (scoped-batch contract, see `crate::pool`).
+            let mut done: Vec<Vec<(usize, O)>> = (0..chunks.len()).map(|_| Vec::new()).collect();
+            let batch: Vec<Job> = chunks
+                .into_iter()
+                .zip(done.iter_mut())
+                .map(|(chunk, slot)| {
+                    Box::new(move || {
+                        *slot = chunk
+                            .into_iter()
+                            .map(|(i, sa, sb)| (i, f(i, sa, sb)))
+                            .collect();
+                    }) as Job
                 })
-            };
+                .collect();
+            pool.run(batch);
             for (i, o) in done.into_iter().flatten() {
                 outcomes[i] = Some(o);
             }
@@ -1086,50 +1074,26 @@ mod tests {
         assert!(c.trace_json().contains("\"dropped\":6"));
     }
 
-    /// The apply-stage scheduler: a pair list with node conflicts (so the
-    /// wave schedule is non-trivial) run serially and with 4 workers must
-    /// leave every shard byte-identical — clocks, stats, memory, and the
-    /// full trace stream.
     #[test]
-    fn apply_pairwise_serial_and_threaded_agree() {
+    fn trace_cap_knob_rejects_garbage() {
+        assert_eq!(parse_trace_cap("4096"), Some(4096));
+        assert_eq!(parse_trace_cap("0"), Some(0));
+        for junk in ["", "4k", "-1", "unbounded"] {
+            assert_eq!(parse_trace_cap(junk), None, "FGDSM_TRACE_CAP={junk:?}");
+        }
+    }
+
+    /// The apply-stage scheduler: a pair list with node conflicts (so the
+    /// wave schedule is non-trivial) run serially and on a 4-worker pool
+    /// must leave every shard byte-identical — outcomes, clocks, stats,
+    /// memory and the full trace stream — across repeated calls reusing
+    /// the same pool (the per-superstep reuse pattern).
+    #[test]
+    fn apply_pairwise_pool_matches_serial() {
         let pairs = [(0, 1), (2, 3), (1, 2), (4, 5), (0, 4), (3, 5), (2, 3)];
         let run = |workers: usize| {
             let mut c = small_cluster(6);
-            for w in 0..2048 {
-                c.node_mem_mut(w % 6)[w] = w as f64 + 0.25;
-            }
-            let outcomes = c.apply_pairwise(&pairs, workers, |i, sa, sb| {
-                sa.charge(100 * (i as u64 + 1), ChargeKind::CtlCall);
-                sa.note_msg(64);
-                sb.note_msg_recv(64);
-                let lo = i * 8;
-                let (dst, src) = (sb.mem_mut(), sa.mem());
-                dst[lo..lo + 8].copy_from_slice(&src[lo..lo + 8]);
-                sa.clock_ns()
-            });
-            (outcomes, c)
-        };
-        let (o1, c1) = run(1);
-        let (o4, c4) = run(4);
-        assert_eq!(o1, o4, "outcomes must come back in pair index order");
-        for n in 0..6 {
-            assert_eq!(c1.clock_ns(n), c4.clock_ns(n), "clock of node {n}");
-            assert_eq!(c1.stats(n), c4.stats(n), "stats of node {n}");
-            assert_eq!(c1.node_mem(n), c4.node_mem(n), "memory of node {n}");
-        }
-        assert_eq!(c1.trace_json(), c4.trace_json());
-    }
-
-    /// The persistent-pool path must be indistinguishable from both the
-    /// serial path and the scoped-thread path — same outcomes, clocks,
-    /// stats, memory and trace bytes — across repeated calls reusing the
-    /// same pool (the per-superstep reuse pattern).
-    #[test]
-    fn apply_pairwise_pool_matches_scoped_and_serial() {
-        let pairs = [(0, 1), (2, 3), (1, 2), (4, 5), (0, 4), (3, 5), (2, 3)];
-        let run = |workers: usize, pool: bool| {
-            let mut c = small_cluster(6);
-            if pool {
+            if workers > 1 {
                 c.set_worker_pool(Some(Arc::new(WorkerPool::new(workers))));
             }
             for w in 0..2048 {
@@ -1152,15 +1116,21 @@ mod tests {
             c.set_worker_pool(None);
             (all, c)
         };
-        let (o_serial, c_serial) = run(1, false);
-        let (o_scoped, c_scoped) = run(4, false);
-        let (o_pool, c_pool) = run(4, true);
-        assert_eq!(o_serial, o_scoped);
+        let (o_serial, c_serial) = run(1);
+        let (o_pool, c_pool) = run(4);
         assert_eq!(o_serial, o_pool, "pool outcomes in pair index order");
         for n in 0..6 {
-            assert_eq!(c_serial.clock_ns(n), c_pool.clock_ns(n));
-            assert_eq!(c_scoped.stats(n), c_pool.stats(n));
-            assert_eq!(c_serial.node_mem(n), c_pool.node_mem(n));
+            assert_eq!(
+                c_serial.clock_ns(n),
+                c_pool.clock_ns(n),
+                "clock of node {n}"
+            );
+            assert_eq!(c_serial.stats(n), c_pool.stats(n), "stats of node {n}");
+            assert_eq!(
+                c_serial.node_mem(n),
+                c_pool.node_mem(n),
+                "memory of node {n}"
+            );
         }
         assert_eq!(c_serial.trace_json(), c_pool.trace_json());
     }

@@ -4,7 +4,7 @@
 //! The simulator's canonical artifacts (report, trace, profile) are pure
 //! functions of *virtual* time and must stay byte-identical run-over-run;
 //! host nanoseconds may only ever appear in clearly wall-clock side
-//! channels (`wall_ns`, `wire_route_ns`, host_perf). This module is that
+//! channels (`wall_ns`, `wire_route_ns`). This module is that
 //! side channel grown into a real instrument: per-`WireMsg`-class latency
 //! histograms recorded on both sides of a socket, merged under node-tagged
 //! keys, and exported as deterministic JSON (deterministic in *shape* —
@@ -48,10 +48,15 @@ pub fn class_name(kind: u8) -> &'static str {
 }
 
 /// Is wall-clock telemetry requested via the environment?
-/// `FGDSM_METRICS=1|true|on` enables it; anything else (or unset) leaves
-/// it off.
+/// `FGDSM_METRICS=1|true|on` enables it, `0|false|off` (or unset) leaves
+/// it off; anything else is an error.
 pub fn env_enabled() -> bool {
-    std::env::var("FGDSM_METRICS").is_ok_and(|v| v == "1" || v == "true" || v == "on")
+    crate::knob::env_knob(
+        "FGDSM_METRICS",
+        "1|true|on or 0|false|off",
+        crate::knob::parse_switch,
+    )
+    .unwrap_or(false)
 }
 
 /// A log2-bucketed latency histogram over `u64` nanoseconds.

@@ -6,8 +6,8 @@
 //! access tags, its virtual clock, its outstanding eager-write count and
 //! its event trace ring. Nothing in a shard references another shard, so
 //! the executor's compute phase can hand each kernel a `&mut NodeShard`
-//! and run the kernels on real threads ([`std::thread::scope`]) with zero
-//! cross-node access. All cross-node work (block copies, diffs) goes
+//! and run the kernels on real threads (the run's
+//! [`WorkerPool`](crate::pool::WorkerPool)) with zero cross-node access. All cross-node work (block copies, diffs) goes
 //! through the [`Cluster`](crate::cluster::Cluster) coordinator during
 //! the resolve phase, which borrows shard *pairs* disjointly — either
 //! one at a time, or concurrently for node-disjoint pairs via

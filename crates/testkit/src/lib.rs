@@ -140,51 +140,6 @@ impl Rng {
     }
 }
 
-/// A host wall-clock stopwatch for the perf harnesses. All simulation
-/// time in this workspace is *virtual* (charged per shard, deterministic);
-/// this measures real elapsed host nanoseconds, which belong only in
-/// perf reports — never in a `ClusterReport` or trace.
-pub struct Stopwatch {
-    start: std::time::Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Stopwatch {
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Elapsed host nanoseconds since construction (saturating).
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Nearest-rank percentile of a sample set: the smallest sample such that
-/// at least `pct`% of samples are ≤ it. Sorts a copy; `pct` in `(0, 100]`.
-/// Panics on an empty sample set. Nearest-rank is monotone in `pct`, so
-/// p10 ≤ p50 ≤ p90 always holds for the same samples.
-pub fn percentile_ns(samples: &[u64], pct: f64) -> u64 {
-    assert!(!samples.is_empty(), "percentile of no samples");
-    assert!(pct > 0.0 && pct <= 100.0, "percentile {pct} out of range");
-    let mut v = samples.to_vec();
-    v.sort_unstable();
-    let rank = (pct / 100.0 * v.len() as f64).ceil() as usize;
-    v[rank.clamp(1, v.len()) - 1]
-}
-
-/// The (p10, median, p90) summary the perf harnesses report.
-pub fn summarize_ns(samples: &[u64]) -> (u64, u64, u64) {
-    (
-        percentile_ns(samples, 10.0),
-        percentile_ns(samples, 50.0),
-        percentile_ns(samples, 90.0),
-    )
-}
-
 /// Base seed shared by the workspace's suites: any fixed value works; this
 /// one spells "fgdsm" in hex-ish leetspeak so greps find it.
 pub const BASE_SEED: u64 = 0xF6D5_2025_0000_0001;
@@ -272,27 +227,6 @@ mod tests {
         assert_eq!(counts[1], 0, "zero weight never picked");
         assert!(counts[0] > counts[2], "weight 2 beats weight 1: {counts:?}");
         assert!(counts[2] > 0 && counts[3] > 0);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let s = [50, 10, 40, 20, 30];
-        assert_eq!(percentile_ns(&s, 10.0), 10);
-        assert_eq!(percentile_ns(&s, 50.0), 30);
-        assert_eq!(percentile_ns(&s, 90.0), 50);
-        assert_eq!(percentile_ns(&s, 100.0), 50);
-        assert_eq!(summarize_ns(&[7]), (7, 7, 7));
-        let (p10, med, p90) = summarize_ns(&[3, 1]);
-        assert!(p10 <= med && med <= p90);
-        assert_eq!((p10, med, p90), (1, 1, 3));
-    }
-
-    #[test]
-    fn stopwatch_advances() {
-        let sw = Stopwatch::new();
-        let a = sw.elapsed_ns();
-        let b = sw.elapsed_ns();
-        assert!(b >= a);
     }
 
     #[test]
