@@ -56,17 +56,6 @@ pub enum Scale {
     Test,
 }
 
-/// Work-growth factor for the scaled suite, read from `FGDSM_SCALE`
-/// (default 1 = the unscaled sizes of [`suite`]). `0` clamps to 1;
-/// anything that is not a whole number is an error.
-pub fn scale_factor() -> usize {
-    fgdsm_tempest::knob::env_knob("FGDSM_SCALE", "a work-growth factor", parse_scale).unwrap_or(1)
-}
-
-fn parse_scale(v: &str) -> Option<usize> {
-    v.parse::<usize>().ok().map(|f| f.max(1))
-}
-
 /// Per-dimension multiplier that grows total work ~linearly with
 /// `factor` for a kernel whose cost is `dims`-ic in the stretched
 /// extent: the nearest integer to the `dims`-th root of `factor`.
@@ -80,8 +69,8 @@ pub fn suite(scale: Scale) -> Vec<AppSpec> {
 }
 
 /// [`suite`] with each app's problem stretched so per-superstep (or
-/// total) work grows roughly linearly with `factor` — the `FGDSM_SCALE`
-/// axis of the host-perf harness. `factor == 1` is exactly [`suite`].
+/// total) work grows roughly linearly with `factor` — the work axis of
+/// the host-time benchmark. `factor == 1` is exactly [`suite`].
 pub fn suite_scaled(scale: Scale, factor: usize) -> Vec<AppSpec> {
     vec![
         pde::spec(&pde::Params::at(scale).scaled(factor)),
@@ -158,15 +147,6 @@ mod tests {
         for (b, s) in base.iter().zip(&same) {
             assert_eq!(b.problem, s.problem);
             assert_eq!(b.program.memory_bytes(), s.program.memory_bytes());
-        }
-    }
-
-    #[test]
-    fn parse_scale_clamps_and_rejects_garbage() {
-        assert_eq!(parse_scale("0"), Some(1));
-        assert_eq!(parse_scale("8"), Some(8));
-        for junk in ["", "junk", "1,8", "-3"] {
-            assert_eq!(parse_scale(junk), None, "FGDSM_SCALE={junk:?}");
         }
     }
 

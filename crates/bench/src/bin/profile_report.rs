@@ -12,27 +12,34 @@
 //! superstep) are summarized per run, and every run's Chrome-trace
 //! export is validated as well-formed before the table is trusted.
 //!
-//! `FGDSM_BACKEND=chan` appends the channel-backed distributed backend
-//! to the per-app matrix; each chan run additionally self-asserts the
+//! `--backend chan` appends the channel-backed distributed backend to
+//! the per-app matrix; each chan run additionally self-asserts the
 //! strict-wire accounting invariants (every heatmap byte attributed for
 //! reduction-free apps, wire payload reconciling with the cluster's
-//! `bytes_sent`). `FGDSM_BACKEND=tcp` appends the socket-backed
-//! multi-process backend instead: the same invariants apply, and the
-//! report closes with a predicted-vs-measured latency table putting the
-//! Table-1 cost model's virtual communication time next to the host
-//! nanoseconds the real socket round-trips actually took.
+//! `bytes_sent`). `--backend tcp` appends the socket-backed multi-process
+//! backend instead: the same invariants apply, and the report closes
+//! with a predicted-vs-measured latency table putting the Table-1 cost
+//! model's virtual communication time next to the host nanoseconds the
+//! real socket round-trips actually took.
+//!
+//! `--out-dir DIR` writes `profile.json`, `calibration.json` and the
+//! merged coordinator+worker `merged_chrome.json` under `DIR` instead of
+//! updating the committed `bench_results/` artifacts. `FGDSM_TRACE` /
+//! `FGDSM_CHROME` export the last run's trace documents.
 //!
 //!     cargo run --release -p fgdsm-bench --bin profile_report
 //!     cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
-//!     FGDSM_BACKEND=chan cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
-//!     FGDSM_BACKEND=tcp cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
+//!     cargo run --release -p fgdsm-bench --bin profile_report -- --backend chan jacobi
+//!     cargo run --release -p fgdsm-bench --bin profile_report -- --backend tcp --out-dir /tmp/p jacobi
 //!     FGDSM_CHROME=/tmp/j.json cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
 
 use fgdsm_apps::suite;
 use fgdsm_bench::{json, json_row, save_json, scale};
 use fgdsm_hpf::{execute_profiled, ExecConfig, RunResult};
+use fgdsm_tempest::knob::Knobs;
 use fgdsm_tempest::NO_LOOP;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 const NPROCS: usize = 8;
 
@@ -187,28 +194,47 @@ fn validate_chrome(app: &str, backend: &str, chrome: &str) {
     }
 }
 
-/// Extra backends requested through `FGDSM_BACKEND` (`chan` or `tcp`),
-/// appended after the standard two. Requesting `tcp` in a sandbox that
-/// forbids sockets is a loud error — the CI gate probes availability
-/// before setting the variable.
-fn extra_backends() -> Vec<(&'static str, ExecConfig)> {
-    match std::env::var("FGDSM_BACKEND").ok().as_deref() {
-        None | Some("") => Vec::new(),
+/// `profile_report [--backend chan|tcp] [--out-dir DIR] [APP]`.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    backend: Option<String>,
+    out_dir: Option<PathBuf>,
+    app: Option<String>,
+}
+
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
+    let mut args = Args::default();
+    while let Some(a) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| panic!("{a} needs a value (see the module docs)"))
+        };
+        match a.as_str() {
+            "--backend" => args.backend = Some(value()),
+            "--out-dir" => args.out_dir = Some(value().into()),
+            flag if flag.starts_with("--") => panic!("unknown option {flag}"),
+            _ => args.app = Some(a),
+        }
+    }
+    args
+}
+
+/// The extra backend requested with `--backend` (`chan` or `tcp`),
+/// appended after the standard two. `tcp` in a sandbox that forbids
+/// sockets is skipped with a notice, like the socket-backed tests.
+fn extra_backends(backend: Option<&str>) -> Vec<(&'static str, ExecConfig)> {
+    match backend {
+        None => Vec::new(),
         Some("chan") => vec![("chan", ExecConfig::chan(NPROCS))],
-        Some("tcp") => {
-            assert!(
-                fgdsm_hpf::tcp_available(),
-                "FGDSM_BACKEND=tcp but the sandbox forbids sockets \
-                 (probe with `fgdsm-node --probe tcp` first)"
-            );
-            // Metered: the tcp run feeds the calibration table and the
-            // merged Perfetto trace. Telemetry is a side channel, so the
-            // profile rows are byte-identical to an unmetered run.
-            vec![("tcp", ExecConfig::tcp(NPROCS).metered())]
+        Some("tcp") if !fgdsm_hpf::tcp_available() => {
+            println!("notice: sandbox forbids sockets; profile report carries no tcp runs\n");
+            Vec::new()
         }
-        Some(other) => {
-            panic!("FGDSM_BACKEND: unknown backend `{other}` (expected `chan` or `tcp`)")
-        }
+        // Metered: the tcp run feeds the calibration table and the
+        // merged Perfetto trace. Telemetry is a side channel, so the
+        // profile rows are byte-identical to an unmetered run.
+        Some("tcp") => vec![("tcp", ExecConfig::tcp(NPROCS).metered())],
+        Some(other) => panic!("--backend: unknown backend `{other}` (expected `chan` or `tcp`)"),
     }
 }
 
@@ -435,7 +461,19 @@ fn false_sharing_demo() {
 }
 
 fn main() {
-    let filter = std::env::args().nth(1);
+    let knobs = Knobs::from_env();
+    let args = parse_args(std::env::args().skip(1));
+    let filter = args.app;
+    // Rows go to the committed `bench_results/` artifacts unless
+    // `--out-dir` redirects them (the ci smoke runs at test scale and
+    // must not clobber the bench-scale files).
+    if let Some(dir) = &args.out_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("--out-dir {}: {e}", dir.display()));
+    }
+    let save = |name: &str, rows: &dyn json::ToJson| match &args.out_dir {
+        Some(dir) => fgdsm_bench::save_json_in(dir, name, rows),
+        None => save_json(name, rows),
+    };
     println!(
         "profile report — {} — {} procs\n",
         fgdsm_bench::scale_label(scale()),
@@ -445,6 +483,7 @@ fn main() {
     let mut latency = Vec::new();
     let mut calibration = Vec::new();
     let mut ran = 0;
+    let extra = extra_backends(args.backend.as_deref());
     for spec in suite(scale()) {
         if let Some(f) = &filter {
             if spec.name != f.as_str() {
@@ -459,9 +498,11 @@ fn main() {
             ("sm-unopt", ExecConfig::sm_unopt(NPROCS)),
             ("sm-opt", ExecConfig::sm_opt(NPROCS)),
         ];
-        backends.extend(extra_backends());
-        for (backend, cfg) in backends {
-            let (run, _trace, chrome) = execute_profiled(&spec.program, &cfg);
+        backends.extend(extra.iter().cloned());
+        for (backend, mut cfg) in backends {
+            cfg.trace_cap = knobs.trace_cap;
+            let (run, trace, chrome) = execute_profiled(&spec.program, &cfg);
+            knobs.export(&trace, &chrome);
             report_run(spec.name, backend, &loop_names, &run, &chrome, &mut rows);
             if backend == "chan" || backend == "tcp" {
                 check_wire_invariants(spec.name, backend, &run);
@@ -487,11 +528,10 @@ fn main() {
                     .unwrap_or_else(|e| panic!("{}/tcp: {e}", spec.name));
                 let merged = run.merged_chrome(&chrome);
                 validate_chrome(spec.name, "tcp-merged", &merged);
-                if let Ok(path) = std::env::var("FGDSM_MERGED_CHROME") {
-                    if !path.is_empty() {
-                        if let Err(e) = std::fs::write(&path, &merged) {
-                            eprintln!("FGDSM_MERGED_CHROME: cannot write {path}: {e}");
-                        }
+                if let Some(dir) = &args.out_dir {
+                    let path = dir.join("merged_chrome.json");
+                    if let Err(e) = std::fs::write(&path, &merged) {
+                        eprintln!("cannot write {}: {e}", path.display());
                     }
                 }
                 calibration.extend(calibration_rows(spec.name, &run));
@@ -507,31 +547,31 @@ fn main() {
     if !calibration.is_empty() {
         calibration_table(&calibration);
         println!();
-        // FGDSM_CALIB_OUT redirects to a scratch path, like
-        // FGDSM_PROFILE_OUT below.
-        match std::env::var("FGDSM_CALIB_OUT") {
-            Ok(path) => {
-                use fgdsm_bench::json::ToJson;
-                if let Err(e) = std::fs::write(&path, format!("{}\n", calibration.to_json())) {
-                    eprintln!("FGDSM_CALIB_OUT: cannot write {path}: {e}");
-                }
-            }
-            Err(_) => save_json("calibration", &calibration),
-        }
+        save("calibration", &calibration);
     }
     if filter.is_none() || filter.as_deref() == Some("jacobi") {
         false_sharing_demo();
     }
-    // FGDSM_PROFILE_OUT redirects the rows to a scratch path (the ci
-    // smoke runs at test scale and must not clobber the committed
-    // bench-scale artifact).
-    match std::env::var("FGDSM_PROFILE_OUT") {
-        Ok(path) => {
-            use fgdsm_bench::json::ToJson;
-            if let Err(e) = std::fs::write(&path, format!("{}\n", rows.to_json())) {
-                eprintln!("FGDSM_PROFILE_OUT: cannot write {path}: {e}");
+    save("profile", &rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arguments_parse_in_any_order_and_reject_unknown_options() {
+        let argv = |a: &[&str]| parse_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(argv(&[]), Args::default());
+        assert_eq!(
+            argv(&["--backend", "tcp", "jacobi", "--out-dir", "/tmp/p"]),
+            Args {
+                backend: Some("tcp".into()),
+                out_dir: Some("/tmp/p".into()),
+                app: Some("jacobi".into()),
             }
-        }
-        Err(_) => save_json("profile", &rows),
+        );
+        // A mistyped option is an error, not an app filter.
+        assert!(std::panic::catch_unwind(|| argv(&["--bakend", "tcp"])).is_err());
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Besides the virtual (simulated) times, each row records the host
 //! wall-clock spent executing the run, so `bench_results/suite.json`
-//! accumulates a real-speedup trajectory for the threaded compute phase
-//! (`FGDSM_PAR`, see README). Wall-clock is host-dependent and is *not*
-//! part of the canonical report JSON.
+//! accumulates a real-speedup trajectory for the threaded compute phase.
+//! Wall-clock is host-dependent and is *not* part of the canonical report
+//! JSON.
 //!
 //! When the sandbox allows sockets, each row also carries the
 //! socket-backed `tcp` backend's virtual times (`tcp_s`/`tcp_comm_s`
@@ -15,17 +15,14 @@
 //!
 //!     cargo run --release -p fgdsm-bench --bin suite_report
 //!     FGDSM_FULL=1 cargo run --release -p fgdsm-bench --bin suite_report
-//!     FGDSM_PAR=8 cargo run --release -p fgdsm-bench --bin suite_report
 
-use fgdsm_apps::{scale_factor, suite_scaled};
+use fgdsm_apps::suite;
 use fgdsm_bench::{json_row, save_json, scale};
 use fgdsm_hpf::{execute, tcp_available, ExecConfig, ParallelMode, RunResult};
 
 json_row! {
     struct Row {
         app: &'static str,
-        /// `FGDSM_SCALE` work-growth factor of the measured problem.
-        scale: u64,
         uni_s: f64,
         unopt_s: f64,
         unopt_comm_s: f64,
@@ -46,18 +43,17 @@ json_row! {
 }
 
 fn main() {
-    let factor = scale_factor();
     let with_tcp = tcp_available();
     if !with_tcp {
         eprintln!("notice: sandbox forbids sockets; suite report carries no tcp columns");
     }
     println!(
-        "suite report — {} — scale factor {factor} — {} compute worker(s)\n",
+        "suite report — {} — {} compute worker(s)\n",
         fgdsm_bench::scale_label(scale()),
         ParallelMode::Auto.workers(),
     );
     let mut rows = Vec::new();
-    for spec in suite_scaled(scale(), factor) {
+    for spec in suite(scale()) {
         let uni = execute(&spec.program, &ExecConfig::sm_unopt(1));
         let un = execute(&spec.program, &ExecConfig::sm_unopt(8));
         let op = execute(&spec.program, &ExecConfig::sm_opt(8));
@@ -94,7 +90,6 @@ fn main() {
         );
         rows.push(Row {
             app: spec.name,
-            scale: factor as u64,
             uni_s: uni.total_s(),
             unopt_s: un.total_s(),
             unopt_comm_s: un.report.comm_s(),

@@ -1,23 +1,29 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
 //! Scale selection: set `FGDSM_FULL=1` for the paper's problem sizes
-//! (Table 2 — minutes of runtime), `FGDSM_TEST=1` for tiny sizes; the
+//! (Table 2 — minutes of runtime), `FGDSM_TEST=1` for tiny sizes (both
+//! at once is an error); the
 //! default is a reduced benchmark scale that preserves every qualitative
 //! effect and finishes in well under a minute per harness.
 
 use fgdsm_apps::{AppSpec, Scale};
 use fgdsm_hpf::{execute, ExecConfig, OptLevel, RunResult};
+use fgdsm_tempest::knob::Knobs;
 use json::ToJson;
 use std::io::Write;
 
 /// The cluster size the paper evaluates.
 pub const NPROCS: usize = 8;
 
-/// Problem scale from the environment.
+/// Problem scale from the environment (`FGDSM_FULL` / `FGDSM_TEST`).
 pub fn scale() -> Scale {
-    if std::env::var("FGDSM_FULL").is_ok_and(|v| v == "1") {
+    scale_of(&Knobs::from_env())
+}
+
+fn scale_of(knobs: &Knobs) -> Scale {
+    if knobs.full {
         Scale::Paper
-    } else if std::env::var("FGDSM_TEST").is_ok_and(|v| v == "1") {
+    } else if knobs.test {
         Scale::Test
     } else {
         Scale::Bench
@@ -85,7 +91,12 @@ pub fn save_json<T: ToJson + ?Sized>(name: &str, rows: &T) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("bench_results");
-    if std::fs::create_dir_all(&dir).is_err() {
+    save_json_in(&dir, name, rows);
+}
+
+/// Persist a harness's rows as `<dir>/<name>.json`.
+pub fn save_json_in<T: ToJson + ?Sized>(dir: &std::path::Path, name: &str, rows: &T) {
+    if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     if let Ok(mut f) = std::fs::File::create(dir.join(format!("{name}.json"))) {
@@ -502,10 +513,14 @@ mod tests {
     }
 
     #[test]
-    fn scale_defaults_to_bench() {
-        // (Environment-dependent; in the test environment neither var set.)
-        if std::env::var("FGDSM_FULL").is_err() && std::env::var("FGDSM_TEST").is_err() {
-            assert_eq!(scale(), Scale::Bench);
-        }
+    fn scale_follows_the_size_knobs_and_defaults_to_bench() {
+        let knobs = |full, test| Knobs {
+            full,
+            test,
+            ..Knobs::default()
+        };
+        assert_eq!(scale_of(&knobs(false, false)), Scale::Bench);
+        assert_eq!(scale_of(&knobs(true, false)), Scale::Paper);
+        assert_eq!(scale_of(&knobs(false, true)), Scale::Test);
     }
 }

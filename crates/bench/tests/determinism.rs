@@ -2,10 +2,10 @@
 //!
 //! Both superstep phases now run on threads: the compute phase dispatches
 //! kernels over disjoint `NodeShard`s, and the resolve phase's apply
-//! stage executes disjoint transfer plans concurrently (plan/apply,
-//! `FGDSM_PAR`). Every charge, trace event, and memory write is either
-//! shard-local or folded in plan index order, so thread scheduling must
-//! not be observable. These tests pin that down end to end across the
+//! stage executes disjoint transfer plans concurrently (plan/apply).
+//! Every charge, trace event, and memory write is either shard-local or
+//! folded in plan index order, so thread scheduling must not be
+//! observable. These tests pin that down end to end across the
 //! whole 3-way mode matrix — fully serial, threaded resolve only, and
 //! threaded resolve + compute — asserting byte-identical canonical report
 //! JSON, byte-identical per-node trace streams, byte-identical profile
@@ -208,7 +208,7 @@ fn tcp_is_byte_identical_to_sm_opt() {
     }
 }
 
-/// Strict wire mode (`FGDSM_WIRE=strict`) reroutes every inter-node
+/// Strict wire mode (`ExecConfig::strict`) reroutes every inter-node
 /// transfer through encoded envelopes on every backend, but charges and
 /// counters are taken at exactly the same points — so each backend's
 /// strict runs must reproduce its own fast-path serial baseline byte
@@ -250,7 +250,7 @@ fn jacobi_and_grav_are_schedule_independent_at_bench_scale() {
 }
 
 /// Three representative applications with the problem stretched by the
-/// `FGDSM_SCALE`-axis factor 4 — large enough that both the compute
+/// `suite_scaled` work factor 4 — large enough that both the compute
 /// volume gate and the parallel-apply threshold are cleared, so the
 /// worker pool genuinely runs — pinned byte-identical across
 /// serial/rthreads/threads.

@@ -65,6 +65,19 @@ fn metrics_on_vs_off_canonical_artifacts_are_byte_identical() {
                 .metrics()
                 .unwrap_or_else(|| panic!("{name}: metered wire run must carry a registry"));
             assert!(!reg.is_empty(), "{name}: metered registry is empty");
+            // Route time is booked once per batch, not once per frame:
+            // the per-class histograms add up to the measured total.
+            let booked: u64 = reg
+                .iter()
+                .filter(|(k, _)| k.starts_with("coord.route."))
+                .filter_map(|(_, m)| m.as_hist())
+                .map(|h| h.sum())
+                .sum();
+            assert_eq!(
+                booked,
+                on.wire_route_ns(),
+                "{name}: coord.route.* histograms must sum to wire_route_ns"
+            );
             assert!(
                 on.check_metrics_conservation().is_ok(),
                 "{name}: {:?}",

@@ -17,7 +17,7 @@
 use fgdsm_apps::{suite, Scale};
 use fgdsm_bench::NPROCS;
 use fgdsm_hpf::{execute, tcp_available, ExecConfig};
-use fgdsm_net::{NetGeometry, SocketOpts, SocketTransport};
+use fgdsm_net::{NetGeometry, NetKind, SocketOpts, SocketTransport};
 use fgdsm_protocol::wire::WireHeader;
 use fgdsm_protocol::{WireMsg, WireTransport};
 
@@ -92,21 +92,17 @@ fn tcp_wire_accounting_reconciles_and_artifacts_match_sm_opt() {
 /// directly, count what the coordinator routes, and check the workers'
 /// `ByeStats` totals agree frame for frame and byte for byte — while
 /// every reply round-trips as the identity.
-#[test]
-fn remote_bye_stats_reconcile_with_coordinator_counts() {
-    if !tcp_available() {
-        eprintln!(
-            "notice: sandbox forbids sockets; skipping remote_bye_stats_reconcile_with_coordinator_counts"
-        );
-        return;
-    }
+fn assert_bye_stats_reconcile(opts: SocketOpts) {
     let geom = NetGeometry {
         nprocs: 3,
         wpb: 4,
         seg_words: 64,
     };
-    let mut t = SocketTransport::spawn(geom, SocketOpts::default())
-        .expect("tcp_available said sockets work");
+    let want_kind = opts.kind;
+    let mut t = SocketTransport::spawn(geom, opts).expect("the probe said these sockets work");
+    if let Some(kind) = want_kind {
+        assert_eq!(t.net_kind(), kind, "the requested family must be honoured");
+    }
     let msgs_for = |dst: usize| {
         vec![
             WireMsg::Push {
@@ -135,18 +131,48 @@ fn remote_bye_stats_reconcile_with_coordinator_counts() {
             assert_eq!(back, frames, "apply + re-encode must be the identity");
         }
     }
-    t.shutdown();
-    let (remote_frames, remote_payload, reporters) = t.remote_stats();
+    let reports = t.finish();
     assert_eq!(
-        reporters, geom.nprocs,
+        reports.len(),
+        geom.nprocs,
         "every worker must report ByeStats at orderly teardown \
          (node 0 served nothing but still reports)"
     );
     assert_eq!(
-        (remote_frames, remote_payload),
+        reports
+            .iter()
+            .fold((0, 0), |(f, p), r| (f + r.frames, p + r.payload_bytes)),
         (sent_frames, sent_payload),
         "workers' served totals must reconcile with the coordinator's routed totals"
     );
+}
+
+#[test]
+fn remote_bye_stats_reconcile_with_coordinator_counts() {
+    if !tcp_available() {
+        eprintln!(
+            "notice: sandbox forbids sockets; skipping remote_bye_stats_reconcile_with_coordinator_counts"
+        );
+        return;
+    }
+    assert_bye_stats_reconcile(SocketOpts::default());
+}
+
+/// The same conversation over the Unix-domain carrier, named explicitly —
+/// so the UDS path runs on every CI, not only where TCP is forbidden.
+#[cfg(unix)]
+#[test]
+fn unix_domain_carrier_routes_and_reconciles() {
+    if !fgdsm_net::probe(NetKind::Uds) {
+        eprintln!(
+            "notice: sandbox forbids Unix-socket binds; skipping unix_domain_carrier_routes_and_reconciles"
+        );
+        return;
+    }
+    assert_bye_stats_reconcile(SocketOpts {
+        kind: Some(NetKind::Uds),
+        ..SocketOpts::default()
+    });
 }
 
 /// The worker mirror does not trust the peer's addresses: a well-formed

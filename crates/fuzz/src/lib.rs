@@ -34,7 +34,7 @@ pub mod shrink;
 pub mod taxonomy;
 
 pub use gen::{gen_spec, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
-pub use oracle::{check_spec, check_spec_tcp, Divergence};
+pub use oracle::{check_spec, check_spec_strict, check_spec_tcp, Divergence};
 pub use shrink::shrink;
 pub use taxonomy::{Detector, Fault};
 
@@ -66,21 +66,36 @@ pub fn check_case(seed: u64) {
     }
 }
 
-/// Replay one corpus case over the socket-backed `tcp` path: generate
-/// from `seed` and run [`check_spec_tcp`] (serial tcp vs the reference
-/// bitwise, and vs `sm_opt[full]`'s serial artifacts byte for byte).
-/// No shrink pass — the in-process matrix already shrinks this seed if
-/// the divergence is not socket-specific, and spawning process fleets
-/// per shrink candidate would dominate the suite. Callers gate on
-/// [`fgdsm_hpf::tcp_available`].
-pub fn check_case_tcp(seed: u64) {
+/// How many cases, from the start of a corpus, also replay through
+/// [`check_case_strict`].
+pub const STRICT_SLICE: u64 = 50;
+
+/// Replay one corpus case through a secondary `oracle`, without a shrink
+/// pass: the main matrix already shrinks this seed if the divergence is
+/// not specific to the path, and spawning process fleets per shrink
+/// candidate would dominate the suite.
+fn replay(seed: u64, path: &str, oracle: fn(&FuzzSpec) -> Result<(), Divergence>) {
     let mut rng = fgdsm_testkit::Rng::new(seed);
     let spec = gen_spec(&mut rng, seed);
-    if let Err(d) = check_spec_tcp(&spec) {
+    if let Err(d) = oracle(&spec) {
         panic!(
-            "tcp fuzz divergence at seed {seed:#x}: {d}\n\
+            "{path} fuzz divergence at seed {seed:#x}: {d}\n\
              reproducer spec:\n{}",
             spec.to_rust()
         );
     }
+}
+
+/// Replay one corpus case through [`check_spec_strict`]: strict wire
+/// mode at every optimization level the main matrix runs fast-path only.
+pub fn check_case_strict(seed: u64) {
+    replay(seed, "strict-wire", check_spec_strict);
+}
+
+/// Replay one corpus case over the socket-backed `tcp` path
+/// ([`check_spec_tcp`]: serial tcp vs the reference bitwise, and vs
+/// `sm_opt[full]`'s serial artifacts byte for byte). Callers gate on
+/// [`fgdsm_hpf::tcp_available`].
+pub fn check_case_tcp(seed: u64) {
+    replay(seed, "tcp", check_spec_tcp);
 }

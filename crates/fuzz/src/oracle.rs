@@ -91,6 +91,24 @@ pub fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
     v
 }
 
+/// Strict wire mode under every [`OptLevel`] toggle combination that
+/// [`backend_configs`] runs only on the fast path (`full` is already
+/// strict there): the corpus replays its first [`crate::STRICT_SLICE`]
+/// cases through these, so envelope routing is differentially tested at
+/// every optimization level, not just the two corners.
+pub fn strict_sweep_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
+    OptLevel::all_combos()
+        .into_iter()
+        .filter(|&o| o != OptLevel::full())
+        .map(|o| {
+            (
+                format!("sm_opt[{}]/wire-strict", opt_label(&o)),
+                ExecConfig::sm_unopt(spec.nprocs).with_opt(o).strict(),
+            )
+        })
+        .collect()
+}
+
 fn panic_msg(p: &Box<dyn std::any::Any + Send>) -> String {
     p.downcast_ref::<String>()
         .cloned()
@@ -121,25 +139,61 @@ fn first_diff(a: &str, b: &str) -> String {
     format!("first diff at byte {at}: `{}` vs `{}`", snip(a), snip(b))
 }
 
+/// One run's canonical artifacts: report, trace and profile JSON.
+type Artifacts = [String; 3];
+
+/// `Ok` when run `config`'s artifacts equal `want`'s byte for byte, else
+/// the first differing artifact as a divergence "from `baseline`".
+fn same_artifacts(
+    config: String,
+    got: &Artifacts,
+    want: &Artifacts,
+    baseline: &str,
+) -> Result<(), Divergence> {
+    for ((what, g), w) in ["report", "trace", "profile"].iter().zip(got).zip(want) {
+        if g != w {
+            let detail = format!("{what} diverges from {baseline} ({})", first_diff(w, g));
+            return Err(Divergence { config, detail });
+        }
+    }
+    Ok(())
+}
+
 /// Run the full differential matrix for one spec. `Ok(())` means every
 /// run agreed with the reference bit-for-bit, every threaded run (both
 /// phases parallel: resolve apply with 2 and 4 workers, compute likewise)
 /// reproduced the serial run's report and trace byte-for-byte, and no
 /// run panicked.
 pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
+    check_matrix(spec, backend_configs(spec), &MODES)
+}
+
+/// [`check_spec`]'s checks over the [`strict_sweep_configs`] cells.
+pub fn check_spec_strict(spec: &FuzzSpec) -> Result<(), Divergence> {
+    check_matrix(spec, strict_sweep_configs(spec), &MODES)
+}
+
+/// Scheduling modes of one matrix cell, `(label, workers)`: the serial
+/// run first — it is the determinism baseline of the others.
+const MODES: [(&str, usize); 3] = [("serial", 1), ("threads2", 2), ("threads4", 4)];
+
+fn check_matrix(
+    spec: &FuzzSpec,
+    configs: Vec<(String, ExecConfig)>,
+    modes: &[(&str, usize)],
+) -> Result<(), Divergence> {
     let prog = spec.build();
     let reference = execute_reference(&prog, &ExecConfig::sm_unopt(spec.nprocs));
-    // `chan` is `sm_opt[full]` behind a channel transport, so beyond
-    // agreeing with the reference it must reproduce that config's serial
-    // artifacts byte for byte — the cross-backend pin that proves the
-    // wire seam changes nothing observable.
-    let mut smopt_full_serial: Option<(String, String, String)> = None;
-    for (name, cfg) in backend_configs(spec) {
-        // (report JSON, trace JSON, profile JSON) of the serial run — the
-        // determinism baseline for this backend's threaded runs (worker
-        // pools of size 2 and 4).
-        let mut baseline: Option<(String, String, String)> = None;
-        for (mode, workers) in [("serial", 1usize), ("threads2", 2), ("threads4", 4)] {
+    // `chan` and `tcp` are `sm_opt[full]` behind a transport, so beyond
+    // agreeing with the reference they must reproduce that config's
+    // serial artifacts byte for byte — the cross-backend pin that proves
+    // the wire seam changes nothing observable.
+    let mut smopt_full_serial: Option<Artifacts> = None;
+    for (name, cfg) in configs {
+        // The serial run's artifacts — the determinism baseline for this
+        // backend's threaded runs (worker pools of size 2 and 4).
+        let mut baseline: Option<Artifacts> = None;
+        for &(mode, workers) in modes {
             // Telemetry is forced on: canonical artifacts are pinned
             // byte-identical metrics on/off elsewhere, so metering every
             // oracle run costs nothing observable — and it lets the
@@ -206,63 +260,25 @@ pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
                     });
                 }
             }
-            let report = r.report.to_json();
-            let profile = r.report.profile_json();
+            let artifacts = [r.report.to_json(), trace, r.report.profile_json()];
             match &baseline {
-                None => baseline = Some((report, trace, profile)),
-                Some((srep, strace, sprof)) => {
-                    if *srep != report {
-                        return Err(Divergence {
-                            config: label,
-                            detail: format!(
-                                "report diverges from serial run ({})",
-                                first_diff(srep, &report)
-                            ),
-                        });
-                    }
-                    if *strace != trace {
-                        return Err(Divergence {
-                            config: label,
-                            detail: format!(
-                                "trace diverges from serial run ({})",
-                                first_diff(strace, &trace)
-                            ),
-                        });
-                    }
-                    if *sprof != profile {
-                        return Err(Divergence {
-                            config: label,
-                            detail: format!(
-                                "profile artifacts diverge from serial run ({})",
-                                first_diff(sprof, &profile)
-                            ),
-                        });
-                    }
-                }
+                None => baseline = Some(artifacts),
+                Some(serial) => same_artifacts(label, &artifacts, serial, "serial run")?,
             }
         }
         let serial = baseline.expect("serial mode always runs");
         if name == sm_opt_full_label() {
             smopt_full_serial = Some(serial);
-        } else if name == "chan" {
+        } else if name == "chan" || name == "tcp" {
             let want = smopt_full_serial
                 .as_ref()
-                .expect("sm_opt[full] runs before chan in the matrix");
-            for (what, w, g) in [
-                ("report", &want.0, &serial.0),
-                ("trace", &want.1, &serial.1),
-                ("profile artifacts", &want.2, &serial.2),
-            ] {
-                if w != g {
-                    return Err(Divergence {
-                        config: "chan/serial".into(),
-                        detail: format!(
-                            "{what} diverges from sm_opt[full]/serial ({})",
-                            first_diff(w, g)
-                        ),
-                    });
-                }
-            }
+                .expect("sm_opt[full] runs before the carriers in the matrix");
+            same_artifacts(
+                format!("{name}/serial"),
+                &serial,
+                want,
+                "sm_opt[full]/serial",
+            )?;
         }
     }
     Ok(())
@@ -270,95 +286,21 @@ pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
 
 /// Differential check of the socket-backed `tcp` backend for one spec:
 /// a serial tcp run — every inter-node transfer framed over a real
-/// socket to spawned `fgdsm-node` worker processes — must agree with
-/// the sequential reference bitwise AND reproduce `sm_opt[full]`'s
-/// serial report, trace and profile artifacts byte for byte, exactly as
-/// `chan` does inside [`check_spec`].
+/// socket to spawned `fgdsm-node` worker processes — must pass every
+/// check of [`check_spec`] and reproduce `sm_opt[full]`'s serial report,
+/// trace and profile artifacts byte for byte, exactly as `chan` does.
 ///
-/// Kept out of [`backend_configs`]: one tcp run spawns a whole process
-/// fleet, so the corpus replays a separately sized slice through this
-/// oracle (`FGDSM_FUZZ_TCP_CASES`). Callers must gate on
-/// [`fgdsm_hpf::tcp_available`] — sandboxes may forbid sockets.
+/// Kept out of [`backend_configs`], and serial only: one tcp run spawns a
+/// whole process fleet, so the corpus replays a smaller slice through
+/// this oracle. Callers must gate on [`fgdsm_hpf::tcp_available`] —
+/// sandboxes may forbid sockets.
 pub fn check_spec_tcp(spec: &FuzzSpec) -> Result<(), Divergence> {
-    let prog = spec.build();
-    let reference = execute_reference(&prog, &ExecConfig::sm_unopt(spec.nprocs));
-    let smopt_cfg = ExecConfig::sm_unopt(spec.nprocs)
-        .with_opt(OptLevel::full())
-        .serial()
-        .with_inject(spec.inject);
-    let (want, want_trace, _) =
-        match catch_unwind(AssertUnwindSafe(|| execute_profiled(&prog, &smopt_cfg))) {
-            Err(p) => {
-                return Err(Divergence {
-                    config: format!("{}/serial", sm_opt_full_label()),
-                    detail: format!("panic: {}", panic_msg(&p)),
-                })
-            }
-            Ok(rt) => rt,
-        };
-    let tcp_cfg = ExecConfig::tcp(spec.nprocs)
-        .serial()
-        .metered()
-        .with_inject(spec.inject);
-    let (r, trace, _) = match catch_unwind(AssertUnwindSafe(|| execute_profiled(&prog, &tcp_cfg))) {
-        Err(p) => {
-            return Err(Divergence {
-                config: "tcp/serial".into(),
-                detail: format!("panic: {}", panic_msg(&p)),
-            })
-        }
-        Ok(rt) => rt,
-    };
-    for ai in 0..prog.arrays.len() {
-        let wanted = reference.array(&prog, ArrayId(ai));
-        let got = r.array(&prog, ArrayId(ai));
-        if let Some(at) = (0..wanted.len()).find(|&k| wanted[k].to_bits() != got[k].to_bits()) {
-            return Err(Divergence {
-                config: "tcp/serial".into(),
-                detail: format!(
-                    "array `{}` diverges at flat index {at}: reference {} vs {}",
-                    prog.arrays[ai].name, wanted[at], got[at]
-                ),
-            });
-        }
-    }
-    for (k, wanted) in &reference.scalars {
-        let got = r.scalars.get(k).copied();
-        if got.map(f64::to_bits) != Some(wanted.to_bits()) {
-            return Err(Divergence {
-                config: "tcp/serial".into(),
-                detail: format!("scalar `{k}` diverges: reference {wanted} vs {got:?}"),
-            });
-        }
-    }
-    // Same telemetry double-entry as `check_spec`, now spanning the
-    // socket: worker registries shipped home in `ByeStats` must conserve
-    // the payload accounting together with the coordinator's.
-    if let Err(e) = r.check_metrics_conservation() {
-        return Err(Divergence {
-            config: "tcp/serial".into(),
-            detail: format!("metrics conservation violated: {e}"),
-        });
-    }
-    for (what, w, g) in [
-        ("report", want.report.to_json(), r.report.to_json()),
-        ("trace", want_trace, trace),
+    let configs = vec![
         (
-            "profile artifacts",
-            want.report.profile_json(),
-            r.report.profile_json(),
+            sm_opt_full_label(),
+            ExecConfig::sm_unopt(spec.nprocs).with_opt(OptLevel::full()),
         ),
-    ] {
-        if w != g {
-            return Err(Divergence {
-                config: "tcp/serial".into(),
-                detail: format!(
-                    "{what} diverges from {}/serial ({})",
-                    sm_opt_full_label(),
-                    first_diff(&w, &g)
-                ),
-            });
-        }
-    }
-    Ok(())
+        ("tcp".to_string(), ExecConfig::tcp(spec.nprocs)),
+    ];
+    check_matrix(spec, configs, &MODES[..1])
 }

@@ -63,8 +63,7 @@ pub struct EngineCore<'p> {
     /// Words per cache block.
     pub wpb: usize,
     /// Resolved compute-phase worker count (from `cfg.parallel`, capped
-    /// later by `nprocs`). Resolved once per run so `FGDSM_PAR` is read
-    /// a single time.
+    /// later by `nprocs`).
     pub workers: usize,
     /// Resolved worker count for the resolve phase's plan-apply stage
     /// (`cfg.resolve_parallel`, falling back to `cfg.parallel`).
@@ -130,7 +129,10 @@ pub(crate) fn layout_arrays(
 /// encode/decode round-trip, no threads — when `WireMode` asks.
 fn make_transport(cfg: &ExecConfig, seg_words: usize) -> Option<Box<dyn WireTransport>> {
     match cfg.backend {
-        Backend::Chan => Some(Box::new(ChanTransport::new(cfg.nprocs))),
+        Backend::Chan => Some(Box::new(ChanTransport::with_timeout(
+            cfg.nprocs,
+            cfg.recv_timeout,
+        ))),
         Backend::Tcp => {
             let geom = fgdsm_net::NetGeometry {
                 nprocs: cfg.nprocs,
@@ -138,10 +140,11 @@ fn make_transport(cfg: &ExecConfig, seg_words: usize) -> Option<Box<dyn WireTran
                 seg_words: seg_words as u64,
             };
             let opts = fgdsm_net::SocketOpts {
+                kind: None,
+                timeout: cfg.recv_timeout,
                 corrupt_frame_len: cfg.inject.corrupt_frame_len,
                 node_fault: cfg.inject.tcp_node_fault,
                 metrics: cfg.metrics.enabled(),
-                ..fgdsm_net::SocketOpts::default()
             };
             match fgdsm_net::SocketTransport::spawn(geom, opts) {
                 Ok(t) => Some(Box::new(t)),
@@ -182,7 +185,10 @@ impl<'p> EngineCore<'p> {
                 HomePolicy::Explicit(homes)
             }
         };
-        let cluster = Cluster::new(cfg.nprocs, cfg.cost.clone(), &layout, policy);
+        let mut cluster = Cluster::new(cfg.nprocs, cfg.cost.clone(), &layout, policy);
+        if let Some(cap) = cfg.trace_cap {
+            cluster.set_ring_capacity(cap);
+        }
         #[allow(unused_mut)]
         let mut dsm = Dsm::with_protocol(cluster, cfg.protocol);
         #[cfg(feature = "fault-inject")]
@@ -462,8 +468,8 @@ impl<'p> EngineCore<'p> {
 }
 
 /// Run `prog` under `cfg` with the given communication backend. When
-/// `want_trace` is set, the structured event-trace JSON is also rendered
-/// and returned (the same document `FGDSM_TRACE=<path>` writes).
+/// `want_trace` / `want_chrome` are set, the structured event-trace JSON
+/// and the Chrome timeline are also rendered and returned.
 pub(super) fn run(
     prog: &Program,
     cfg: &ExecConfig,
@@ -495,34 +501,8 @@ pub(super) fn run(
     backend.finish(&mut core);
     let data = backend.gather(&mut core);
     let (pre_skipped, pre_performed) = backend.pre_stats();
-    let mut trace = None;
-    if want_trace {
-        trace = Some(core.dsm.cluster.trace_json());
-    }
-    if let Ok(path) = std::env::var("FGDSM_TRACE") {
-        if !path.is_empty() {
-            let json = trace
-                .clone()
-                .unwrap_or_else(|| core.dsm.cluster.trace_json());
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("FGDSM_TRACE: cannot write {path}: {e}");
-            }
-        }
-    }
-    let mut chrome = None;
-    if want_chrome {
-        chrome = Some(core.dsm.cluster.trace_chrome());
-    }
-    if let Ok(path) = std::env::var("FGDSM_CHROME") {
-        if !path.is_empty() {
-            let json = chrome
-                .clone()
-                .unwrap_or_else(|| core.dsm.cluster.trace_chrome());
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("FGDSM_CHROME: cannot write {path}: {e}");
-            }
-        }
-    }
+    let trace = want_trace.then(|| core.dsm.cluster.trace_json());
+    let chrome = want_chrome.then(|| core.dsm.cluster.trace_chrome());
     let mut report = core.dsm.cluster.report();
     // Host time, stamped outside the deterministic virtual-time state
     // (excluded from the canonical report encoding).
@@ -715,7 +695,7 @@ fn compute_phase(
 
     // Volume gate: total kernel iterations this superstep, summed over
     // nodes. Tiny steps (grav's moment loops, scalar-ish updates) run
-    // serially even when `FGDSM_PAR` asks for workers.
+    // serially even when the config asks for workers.
     let total_points: u64 = (0..nprocs)
         .map(|p| {
             let iter = &acc.iters[p];

@@ -28,9 +28,9 @@
 //! `fgdsm-node` processes (`engine::make_transport` picks the
 //! [`fgdsm_protocol::WireTransport`]) — the seam a real distributed port
 //! would use, byte-identical to `sm_opt` (determinism suite + fuzz
-//! oracle). [`WireMode`] / `FGDSM_WIRE=strict` force the same envelope
-//! round-trip, over an in-process loopback, under the sm_* and mp
-//! backends for differential testing.
+//! oracle). [`WireMode::Strict`] ([`ExecConfig::strict`]) forces the same
+//! envelope round-trip, over an in-process loopback, under the sm_* and
+//! mp backends for differential testing.
 //!
 //! Execution is BSP, and every superstep is split into two explicit
 //! phases. The **resolve phase** discovers every cross-node transfer the
@@ -44,13 +44,15 @@
 //! — dispatched across the run's [`fgdsm_tempest::WorkerPool`]. Neither
 //! phase's threading changes a single virtual-time charge: serial and
 //! parallel runs produce byte-identical reports and traces.
-//! [`ParallelMode`] / the `FGDSM_PAR` env var select the worker count
-//! for both phases ([`ExecConfig::resolve_parallel`] can pin the resolve
-//! phase separately).
+//! [`ParallelMode`] selects the worker count for both phases
+//! ([`ExecConfig::resolve_parallel`] can pin the resolve phase
+//! separately).
 //!
-//! Set `FGDSM_TRACE=<path>` to export the structured event trace of a run
-//! as JSON (see [`fgdsm_tempest::NodeTrace`]), or call [`execute_traced`]
-//! to get the same document back directly.
+//! Every mode is a value in [`ExecConfig`]: nothing here reads the process
+//! environment. [`execute_traced`] / [`execute_profiled`] hand back the
+//! structured event trace (see [`fgdsm_tempest::NodeTrace`]) and the
+//! Chrome timeline as strings; writing them to a file is the caller's
+//! business.
 
 pub mod backend;
 pub mod engine;
@@ -58,19 +60,23 @@ pub mod mp;
 pub mod reference;
 pub mod sm_opt;
 pub mod sm_unopt;
-pub mod tcp;
 
 pub use reference::{execute_reference, ReferenceResult};
-pub use tcp::tcp_available;
 
 use crate::ir::Program;
 use crate::plan::{ArrayMeta, OptLevel};
 use backend::CommBackend;
 use fgdsm_protocol::{CtlStats, ProtocolKind};
 use fgdsm_section::Env;
-use fgdsm_tempest::knob::env_knob;
 use fgdsm_tempest::{CacheModel, ClusterReport, CostModel, MetricsRegistry, WireSpan};
 use std::collections::BTreeMap;
+
+/// Can the `tcp` backend run here? True when the sandbox lets us bind a
+/// loopback TCP or Unix-domain socket. Callers that get `false` should
+/// skip with a notice rather than fail.
+pub fn tcp_available() -> bool {
+    fgdsm_net::available_kind().is_some()
+}
 
 /// Which executor to use.
 #[derive(Clone, Copy, Debug)]
@@ -107,8 +113,7 @@ pub enum Backend {
 /// determinism suite holds it to that.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum WireMode {
-    /// Honor the `FGDSM_WIRE` env var (`strict` or `fast`; anything else
-    /// is an error); fast when unset.
+    /// The default: the fast path.
     #[default]
     Auto,
     /// Zero-copy fast path (shard-to-shard copies).
@@ -118,27 +123,9 @@ pub enum WireMode {
 }
 
 impl WireMode {
-    /// Resolve to the concrete strictness (reads `FGDSM_WIRE` on `Auto`).
+    /// Does every transfer round-trip through an encoded envelope?
     pub fn is_strict(self) -> bool {
-        match self {
-            WireMode::Strict => true,
-            WireMode::Fast => false,
-            WireMode::Auto => {
-                env_knob("FGDSM_WIRE", "`strict` or `fast`", parse_wire).unwrap_or(false)
-            }
-        }
-    }
-}
-
-/// `FGDSM_WIRE` values (case-insensitive): `strict` → true, `fast` →
-/// false.
-fn parse_wire(v: &str) -> Option<bool> {
-    if v.eq_ignore_ascii_case("strict") {
-        Some(true)
-    } else if v.eq_ignore_ascii_case("fast") {
-        Some(false)
-    } else {
-        None
+        self == WireMode::Strict
     }
 }
 
@@ -150,9 +137,7 @@ fn parse_wire(v: &str) -> Option<bool> {
 /// guard suite holds it to that. Zero-cost when off: no clocks are read.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MetricsMode {
-    /// Honor the `FGDSM_METRICS` env var (`1`/`true`/`on` → on,
-    /// `0`/`false`/`off` → off; anything else is an error); off when
-    /// unset.
+    /// The default: off.
     #[default]
     Auto,
     /// Record wall-clock telemetry.
@@ -162,13 +147,9 @@ pub enum MetricsMode {
 }
 
 impl MetricsMode {
-    /// Resolve to the concrete setting (reads `FGDSM_METRICS` on `Auto`).
+    /// Is wall-clock telemetry recorded?
     pub fn enabled(self) -> bool {
-        match self {
-            MetricsMode::On => true,
-            MetricsMode::Off => false,
-            MetricsMode::Auto => fgdsm_tempest::metrics::env_enabled(),
-        }
+        self == MetricsMode::On
     }
 }
 
@@ -194,9 +175,7 @@ pub enum HomeAssign {
 /// setting produces byte-identical [`ClusterReport`]s and trace streams.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ParallelMode {
-    /// Honor the `FGDSM_PAR` env var (`0` or `1` → serial, `n` → `n`
-    /// workers; anything else is an error); if unset, use the host's
-    /// available cores.
+    /// The default: one worker per available host core.
     #[default]
     Auto,
     /// Run everything on the driver thread, one node at a time.
@@ -211,19 +190,11 @@ impl ParallelMode {
         match self {
             ParallelMode::Serial => 1,
             ParallelMode::Threads(n) => n.max(1),
-            ParallelMode::Auto => env_knob("FGDSM_PAR", "a worker count", parse_par)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                }),
+            ParallelMode::Auto => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         }
     }
-}
-
-/// `FGDSM_PAR` values: a worker count (`0` means serial, like `1`).
-fn parse_par(v: &str) -> Option<usize> {
-    v.parse::<usize>().ok().map(|n| n.max(1))
 }
 
 /// How worker threads are provisioned when a phase runs parallel: one
@@ -263,15 +234,21 @@ pub struct ExecConfig {
     /// run's worker pool.
     pub pool: PoolMode,
     /// Wire discipline for inter-node data movement: zero-copy fast path
-    /// or strict envelope round-tripping (`FGDSM_WIRE=strict`). The
-    /// `chan` and `tcp` carriers are always strict regardless of this
-    /// knob.
+    /// or strict envelope round-tripping. The `chan` and `tcp` carriers
+    /// are always strict regardless of this setting.
     pub wire: WireMode,
-    /// Wall-clock telemetry (`FGDSM_METRICS=1`): per-message-class
-    /// latency histograms on both sides of the wire, merged into
-    /// [`RunResult::metrics`]. Side-channel only — canonical artifacts
-    /// are byte-identical either way.
+    /// Wall-clock telemetry: per-message-class latency histograms on
+    /// both sides of the wire, merged into [`RunResult::metrics`].
+    /// Side-channel only — canonical artifacts are byte-identical either
+    /// way.
     pub metrics: MetricsMode,
+    /// Per-recv deadline of the `chan` and `tcp` carriers: a peer silent
+    /// for this long fails the run with a typed
+    /// [`fgdsm_protocol::WireError::Timeout`].
+    pub recv_timeout: std::time::Duration,
+    /// Trace entries kept per node (`None`: the trace ring's default).
+    /// Aggregates stay exact; only the raw entry stream is truncated.
+    pub trace_cap: Option<usize>,
     /// Fault-injection knobs for the differential fuzzer (all off by
     /// default; the protocol-level mutations additionally require the
     /// `fault-inject` cargo feature).
@@ -318,7 +295,7 @@ pub struct InjectConfig {
     /// wire mode — `WireMsg::from_bytes` must reject the frame and fail
     /// the run loudly, proving decode validation has teeth (needs
     /// `fault-inject` and an envelope path: the `chan` backend or
-    /// `FGDSM_WIRE=strict`).
+    /// [`WireMode::Strict`]).
     pub corrupt_envelope: bool,
     /// Must-catch: overwrite the length prefix of the first data frame
     /// the coordinator sends with an oversized value — the node's
@@ -360,6 +337,8 @@ impl ExecConfig {
             pool: PoolMode::Auto,
             wire: WireMode::Auto,
             metrics: MetricsMode::Auto,
+            recv_timeout: fgdsm_protocol::DEFAULT_RECV_TIMEOUT,
+            trace_cap: None,
             inject: InjectConfig::default(),
         }
     }
@@ -380,9 +359,9 @@ impl ExecConfig {
         }
     }
 
-    /// `sm_opt` over the channel carrier (`FGDSM_BACKEND=chan`): the
-    /// full contract with every transfer round-tripped through encoded
-    /// envelopes over per-node channel workers.
+    /// `sm_opt` over the channel carrier: the full contract with every
+    /// transfer round-tripped through encoded envelopes over per-node
+    /// channel workers.
     pub fn chan(nprocs: usize) -> Self {
         ExecConfig {
             backend: Backend::Chan,
@@ -390,10 +369,10 @@ impl ExecConfig {
         }
     }
 
-    /// `sm_opt` over the socket carrier (`FGDSM_BACKEND=tcp`): the full
-    /// contract with every transfer framed over loopback TCP (or UDS) to
-    /// spawned `fgdsm-node` worker processes. Check [`tcp_available`]
-    /// first — sandboxes may forbid sockets.
+    /// `sm_opt` over the socket carrier: the full contract with every
+    /// transfer framed over loopback TCP (or UDS) to spawned `fgdsm-node`
+    /// worker processes. Check [`tcp_available`] first — sandboxes may
+    /// forbid sockets.
     pub fn tcp(nprocs: usize) -> Self {
         ExecConfig {
             backend: Backend::Tcp,
@@ -435,13 +414,6 @@ impl ExecConfig {
         self
     }
 
-    /// Pin the resolve phase's apply stage to the driver thread, leaving
-    /// the compute phase on `parallel`.
-    pub fn resolve_serial(mut self) -> Self {
-        self.resolve_parallel = Some(ParallelMode::Serial);
-        self
-    }
-
     /// Dispatch the resolve phase's apply stage across up to `n` pool
     /// workers, leaving the compute phase on `parallel`.
     pub fn resolve_threads(mut self, n: usize) -> Self {
@@ -450,21 +422,19 @@ impl ExecConfig {
     }
 
     /// Force every inter-node transfer through an encoded wire envelope
-    /// (the `FGDSM_WIRE=strict` differential-testing path).
+    /// (the differential-testing path).
     pub fn strict(mut self) -> Self {
         self.wire = WireMode::Strict;
         self
     }
 
-    /// Record wall-clock telemetry for this run regardless of
-    /// `FGDSM_METRICS`.
+    /// Record wall-clock telemetry for this run.
     pub fn metered(mut self) -> Self {
         self.metrics = MetricsMode::On;
         self
     }
 
-    /// Disable wall-clock telemetry for this run regardless of
-    /// `FGDSM_METRICS`.
+    /// Record no wall-clock telemetry for this run (the default).
     pub fn unmetered(mut self) -> Self {
         self.metrics = MetricsMode::Off;
         self
@@ -682,18 +652,14 @@ pub fn try_execute(prog: &Program, cfg: &ExecConfig) -> Result<RunResult, ExecEr
 }
 
 /// Execute `prog` under `cfg` and also return the structured event-trace
-/// JSON (the same document `FGDSM_TRACE=<path>` would write), without
-/// touching the process environment — tests that compare trace streams
-/// across configurations use this to stay race-free under a parallel
-/// test harness.
+/// JSON.
 pub fn execute_traced(prog: &Program, cfg: &ExecConfig) -> (RunResult, String) {
     let (result, trace, _) = engine::run(prog, cfg, make_backend(cfg), true, false);
     (result, trace.expect("trace requested"))
 }
 
 /// Execute `prog` under `cfg` and also return both profiler exports: the
-/// structured event-trace JSON and the Chrome trace-event timeline (the
-/// documents `FGDSM_TRACE=<path>` / `FGDSM_CHROME=<path>` would write).
+/// structured event-trace JSON and the Chrome trace-event timeline.
 /// Both are pure functions of virtual-time state — byte-identical across
 /// serial and threaded runs.
 pub fn execute_profiled(prog: &Program, cfg: &ExecConfig) -> (RunResult, String, String) {
@@ -778,31 +744,6 @@ mod tests {
                 .resolve_parallel,
             Some(ParallelMode::Threads(3))
         );
-        assert_eq!(
-            ExecConfig::sm_unopt(4).resolve_serial().resolve_parallel,
-            Some(ParallelMode::Serial)
-        );
-    }
-
-    #[test]
-    fn par_and_wire_knobs_reject_garbage() {
-        assert_eq!(parse_par("4"), Some(4));
-        assert_eq!(parse_par("0"), Some(1));
-        for junk in ["four", "", "-2", "4x"] {
-            assert_eq!(parse_par(junk), None, "FGDSM_PAR={junk:?}");
-        }
-        assert_eq!(parse_wire("strict"), Some(true));
-        assert_eq!(parse_wire("Strict"), Some(true));
-        assert_eq!(parse_wire("fast"), Some(false));
-        for junk in ["strcit", "", "1"] {
-            assert_eq!(parse_wire(junk), None, "FGDSM_WIRE={junk:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "FGDSM_WIRE=strcit: expected `strict` or `fast`")]
-    fn a_mistyped_wire_mode_is_an_error_not_the_fast_path() {
-        fgdsm_tempest::knob::parse_knob("FGDSM_WIRE", "strcit", "`strict` or `fast`", parse_wire);
     }
 
     #[test]

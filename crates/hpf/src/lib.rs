@@ -24,9 +24,9 @@
 //!   passing ([`exec::mp`]) — all over the same program. The `chan` and
 //!   `tcp` configurations run the optimized backend with every transfer
 //!   round-tripped through encoded wire envelopes over a channel or
-//!   socket transport (`FGDSM_WIRE=strict` forces the same discipline,
-//!   in process, on the others). Set `FGDSM_TRACE=<path>` to export a
-//!   run's structured event trace as JSON.
+//!   socket transport ([`ExecConfig::strict`] forces the same discipline,
+//!   in process, on the others). Every mode is an [`ExecConfig`] value;
+//!   nothing in this crate reads the process environment.
 
 pub mod analysis;
 pub mod contract;

@@ -8,10 +8,6 @@
 //! exercise the multiple-writer/reader false-sharing paths, CYCLIC
 //! distributions exercise strided sections, and random sizes exercise
 //! `shmem_limits` boundary handling at every alignment.
-//!
-//! Gated behind the `proptest` feature so the default tier-1 test run stays
-//! fast: `cargo test -p fgdsm-hpf --features proptest`.
-#![cfg(feature = "proptest")]
 
 use fgdsm_hpf::{
     execute, ARef, ArrayId, CompDist, Dist, ExecConfig, Kernel, KernelCtx, OptLevel, ParLoop,

@@ -1,13 +1,9 @@
 //! Property tests for the owner relation: BLOCK and CYCLIC owner ranges
 //! must exactly partition the distributed dimension and agree with
 //! `owner_of`, for every processor count.
-//!
-//! Gated behind the `proptest` feature so the default tier-1 test run stays
-//! fast: `cargo test -p fgdsm-hpf --features proptest`.
-#![cfg(feature = "proptest")]
 
 use fgdsm_hpf::{ArrayDecl, Dist};
-use fgdsm_testkit::{check_cases, Rng};
+use fgdsm_testkit::check_cases;
 
 fn decl(dist: Dist, n: usize) -> ArrayDecl {
     ArrayDecl {

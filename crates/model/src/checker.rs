@@ -21,14 +21,13 @@ pub struct ModelConfig {
 }
 
 impl ModelConfig {
-    /// The tier-1 default: 2 nodes, 1 block, eager protocol, depth from
-    /// `FGDSM_MODEL_DEPTH`.
+    /// The tier-1 default: 2 nodes, 1 block, [`DEFAULT_DEPTH`].
     pub fn small(proto: Proto) -> Self {
         ModelConfig {
             nodes: 2,
             blocks: 1,
             proto,
-            depth: default_depth(),
+            depth: DEFAULT_DEPTH,
             mutation: Mutation::None,
         }
     }
@@ -54,14 +53,8 @@ impl ModelConfig {
     }
 }
 
-/// Exploration depth for the tier-1 closure: `FGDSM_MODEL_DEPTH`,
-/// default 6.
-pub fn default_depth() -> usize {
-    std::env::var("FGDSM_MODEL_DEPTH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6)
-}
+/// Default exploration depth of the tier-1 closure.
+pub const DEFAULT_DEPTH: usize = 6;
 
 /// A safety violation, with the minimal op interleaving that reaches it.
 #[derive(Clone, Debug)]

@@ -32,8 +32,8 @@
 //! checker must catch — the model-level half of the fault taxonomy in
 //! `fgdsm-fuzz`.
 //!
-//! Depth is tunable: `FGDSM_MODEL_DEPTH` (default 6) bounds the op
-//! sequences tier-1 closes over.
+//! Depth is a [`ModelConfig`] value ([`DEFAULT_DEPTH`] by default); the
+//! closure test main reads `FGDSM_MODEL_DEPTH` into it.
 
 pub mod absmodel;
 pub mod checker;
@@ -41,20 +41,14 @@ pub mod conformance;
 
 pub use absmodel::{AbsState, Mutation, Op, Proto, WORDS};
 pub use checker::{
-    check, contract_invisibility, default_depth, enumerate_sequences, replay, CheckOutcome,
-    ModelConfig, Violation,
+    check, contract_invisibility, enumerate_sequences, replay, CheckOutcome, ModelConfig,
+    Violation, DEFAULT_DEPTH,
 };
 pub use conformance::{replay_on_dsm, ConformanceReport};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn depth_env_knob_parses() {
-        // Not set in the test environment → default.
-        assert!(default_depth() >= 1);
-    }
 
     #[test]
     fn op_display_parse_roundtrip() {

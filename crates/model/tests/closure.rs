@@ -2,7 +2,13 @@
 //! space with zero violations, for both protocols, and the
 //! contract-bypass invisibility theorem must verify on real witnesses.
 
-use fgdsm_model::{check, contract_invisibility, default_depth, ModelConfig, Proto};
+use fgdsm_model::{check, contract_invisibility, ModelConfig, Proto, DEFAULT_DEPTH};
+use fgdsm_tempest::knob::Knobs;
+
+/// Exploration depth: `FGDSM_MODEL_DEPTH`, else the model's default.
+fn depth() -> usize {
+    Knobs::from_env().model_depth.unwrap_or(DEFAULT_DEPTH)
+}
 
 fn assert_closed(cfg: &ModelConfig) -> usize {
     let out = check(cfg);
@@ -24,7 +30,7 @@ fn assert_closed(cfg: &ModelConfig) -> usize {
 /// full §4.2 ctl vocabulary — to the configured depth.
 #[test]
 fn eager_two_nodes_one_block_closes() {
-    let cfg = ModelConfig::small(Proto::Eager);
+    let cfg = ModelConfig::small(Proto::Eager).with_depth(depth());
     let states = assert_closed(&cfg);
     // The space must be non-trivial: the ctl ops alone give hundreds of
     // reachable states at the default depth.
@@ -35,7 +41,7 @@ fn eager_two_nodes_one_block_closes() {
 /// real protocol reports `supports_ctl = false`).
 #[test]
 fn update_two_nodes_one_block_closes() {
-    assert_closed(&ModelConfig::small(Proto::Update));
+    assert_closed(&ModelConfig::small(Proto::Update).with_depth(depth()));
 }
 
 /// Three nodes bring in the states two cannot reach: 4-hop reads with a
@@ -45,7 +51,7 @@ fn update_two_nodes_one_block_closes() {
 fn eager_three_nodes_smoke() {
     let cfg = ModelConfig::small(Proto::Eager)
         .with_nodes(3)
-        .with_depth(default_depth().min(4));
+        .with_depth(depth().min(4));
     assert_closed(&cfg);
 }
 
@@ -55,7 +61,7 @@ fn eager_three_nodes_smoke() {
 fn eager_two_blocks_smoke() {
     let cfg = ModelConfig::small(Proto::Eager)
         .with_blocks(2)
-        .with_depth(default_depth().min(4));
+        .with_depth(depth().min(4));
     assert_closed(&cfg);
 }
 
@@ -63,7 +69,7 @@ fn eager_two_blocks_smoke() {
 fn update_three_nodes_smoke() {
     let cfg = ModelConfig::small(Proto::Update)
         .with_nodes(3)
-        .with_depth(default_depth().min(5));
+        .with_depth(depth().min(5));
     assert_closed(&cfg);
 }
 
@@ -72,7 +78,7 @@ fn update_three_nodes_smoke() {
 /// default protocol reaches the same sequential outcome.
 #[test]
 fn contract_bypass_is_invisible() {
-    let cfg = ModelConfig::small(Proto::Eager);
+    let cfg = ModelConfig::small(Proto::Eager).with_depth(depth());
     let verified = contract_invisibility(&cfg, 5, 50);
     assert!(
         verified >= 10,

@@ -10,16 +10,16 @@
 //! re-gathered *from that store* — so data genuinely round-trips through
 //! another process's memory, byte-identically.
 //!
-//! Transport choice: TCP over loopback by default, Unix-domain sockets
-//! where available (`FGDSM_NET=tcp|uds` forces one; auto-detection falls
-//! back to UDS when TCP binds are forbidden). All conversation runs over
+//! Transport choice: [`SocketOpts::kind`] names a family; unset means TCP
+//! over loopback, falling back to Unix-domain sockets when TCP binds are
+//! forbidden. All conversation runs over
 //! the length-prefixed framing layer (`write_frame`/[`FrameDecoder`])
 //! with [`CtrlMsg`] control frames for handshake
 //! (`Hello`/`HelloAck` with shard geometry), batch markers, and orderly
 //! teardown (`Bye`/`ByeStats`).
 //!
 //! Failure semantics: every recv carries a deadline
-//! (`FGDSM_NET_TIMEOUT_MS`, [`fgdsm_protocol::net_timeout`]); a closed
+//! ([`SocketOpts::timeout`]); a closed
 //! connection is a typed `WireError::PeerGone`, a silent one a typed
 //! `WireError::Timeout` — the coordinator never hangs on a dead or stuck
 //! node. Transient `EINTR`s are retried a bounded number of times. A
@@ -36,8 +36,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fgdsm_protocol::wire::{
-    net_timeout, write_frame, CtrlMsg, FrameDecoder, RemoteReport, WireError, WireMsg,
-    WireTransport, WIRE_VERSION,
+    write_frame, CtrlMsg, FrameDecoder, RemoteReport, WireError, WireMsg, WireTransport,
+    DEFAULT_RECV_TIMEOUT, WIRE_VERSION,
 };
 use fgdsm_tempest::metrics::{self, MetricsRegistry};
 
@@ -60,15 +60,6 @@ pub enum NetKind {
     Uds,
 }
 
-impl NetKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            NetKind::Tcp => "tcp",
-            NetKind::Uds => "uds",
-        }
-    }
-}
-
 /// Can this process bind a socket of `kind`? (Sandboxes may forbid one
 /// or both families.)
 pub fn probe(kind: NetKind) -> bool {
@@ -86,24 +77,10 @@ pub fn probe(kind: NetKind) -> bool {
     }
 }
 
-/// The socket family the environment allows, honoring `FGDSM_NET`
-/// (`tcp`/`uds`); unset means "TCP, falling back to UDS". `None` when
-/// the sandbox forbids sockets entirely — callers skip with a notice.
+/// The socket family the sandbox allows: TCP, falling back to UDS.
+/// `None` when it forbids sockets entirely — callers skip with a notice.
 pub fn available_kind() -> Option<NetKind> {
-    match std::env::var("FGDSM_NET").ok().as_deref() {
-        Some("tcp") => probe(NetKind::Tcp).then_some(NetKind::Tcp),
-        Some("uds") => probe(NetKind::Uds).then_some(NetKind::Uds),
-        Some(other) => panic!("FGDSM_NET={other}: expected `tcp` or `uds`"),
-        None => {
-            if probe(NetKind::Tcp) {
-                Some(NetKind::Tcp)
-            } else if probe(NetKind::Uds) {
-                Some(NetKind::Uds)
-            } else {
-                None
-            }
-        }
-    }
+    [NetKind::Tcp, NetKind::Uds].into_iter().find(|&k| probe(k))
 }
 
 fn fresh_uds_path() -> PathBuf {
@@ -193,7 +170,7 @@ impl Listener {
         }
     }
 
-    /// The address string handed to children via `FGDSM_NODE_ADDR`.
+    /// The address string handed to children on their command line.
     fn addr_string(&self) -> io::Result<String> {
         match self {
             Listener::Tcp(l) => Ok(format!("tcp:{}", l.local_addr()?)),
@@ -244,7 +221,7 @@ fn connect(addr: &str) -> io::Result<Stream> {
     }
     Err(io::Error::new(
         io::ErrorKind::InvalidInput,
-        format!("bad FGDSM_NODE_ADDR {addr:?} (want tcp:<addr> or uds:<path>)"),
+        format!("bad coordinator address {addr:?} (want tcp:<addr> or uds:<path>)"),
     ))
 }
 
@@ -321,8 +298,8 @@ pub struct NetGeometry {
     pub seg_words: u64,
 }
 
-/// A deliberate node-process misbehavior, armed on one child via
-/// `FGDSM_NODE_FAULT` — the fault-tolerance tests' way of killing or
+/// A deliberate node-process misbehavior, armed on one child through
+/// its command line — the fault-tolerance tests' way of killing or
 /// wedging a node mid-superstep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeFault {
@@ -335,7 +312,7 @@ pub enum NodeFault {
 }
 
 impl NodeFault {
-    fn env_str(&self) -> String {
+    fn arg_str(&self) -> String {
         match self {
             NodeFault::ExitAfterBatches(n) => format!("exit:{n}"),
             NodeFault::WedgeAfterBatches(n) => format!("wedge:{n}"),
@@ -353,10 +330,13 @@ impl NodeFault {
     }
 }
 
-/// Knobs for [`SocketTransport::spawn`].
+/// Options for [`SocketTransport::spawn`].
 #[derive(Clone, Debug)]
 pub struct SocketOpts {
-    /// Per-recv deadline (default `FGDSM_NET_TIMEOUT_MS`, 5000 ms).
+    /// Socket family; `None` means TCP, falling back to UDS where TCP
+    /// binds are forbidden ([`available_kind`]).
+    pub kind: Option<NetKind>,
+    /// Per-recv deadline (default [`DEFAULT_RECV_TIMEOUT`]).
     pub timeout: Duration,
     /// Fault injection: corrupt the length prefix of the first routed
     /// data frame to an oversized value — the node must reject it via
@@ -364,16 +344,16 @@ pub struct SocketOpts {
     pub corrupt_frame_len: bool,
     /// Fault injection: arm one node with a [`NodeFault`].
     pub node_fault: Option<(u32, NodeFault)>,
-    /// Enable wall-clock telemetry in the workers: each child is spawned
-    /// with `FGDSM_METRICS` set explicitly (1/0, never inherited), and a
-    /// metrics-enabled node ships its registry home inside `ByeStats`.
+    /// Enable wall-clock telemetry in the workers: a metrics-enabled
+    /// node ships its registry home inside `ByeStats`.
     pub metrics: bool,
 }
 
 impl Default for SocketOpts {
     fn default() -> Self {
         SocketOpts {
-            timeout: net_timeout(),
+            kind: None,
+            timeout: DEFAULT_RECV_TIMEOUT,
             corrupt_frame_len: false,
             node_fault: None,
             metrics: false,
@@ -388,10 +368,6 @@ pub struct SocketTransport {
     links: Vec<Option<Link>>,
     children: Vec<Option<Child>>,
     corrupt_len_pending: bool,
-    /// Sum of the nodes' `ByeStats` collected at orderly teardown.
-    remote_frames: u64,
-    remote_payload_bytes: u64,
-    got_bye_stats: usize,
     /// Per-node teardown reports (counters + optional metrics blob),
     /// drained by [`WireTransport::finish`].
     reports: Vec<RemoteReport>,
@@ -403,7 +379,7 @@ impl SocketTransport {
     /// `io::Error`) when the sandbox forbids sockets, the node binary
     /// cannot be found or started, or a child dies before connecting.
     pub fn spawn(geom: NetGeometry, opts: SocketOpts) -> io::Result<SocketTransport> {
-        let kind = available_kind().ok_or_else(|| {
+        let kind = opts.kind.or_else(available_kind).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::Unsupported,
                 "sandbox forbids sockets (TCP and UDS binds both failed)",
@@ -415,19 +391,19 @@ impl SocketTransport {
 
         let mut children: Vec<Option<Child>> = Vec::with_capacity(geom.nprocs);
         for node in 0..geom.nprocs {
+            let args = NodeArgs {
+                node: node as u32,
+                addr: addr.clone(),
+                timeout: opts.timeout,
+                metrics: opts.metrics,
+                fault: opts
+                    .node_fault
+                    .and_then(|(n, fault)| (n == node as u32).then_some(fault)),
+            };
             let mut cmd = node_command();
-            cmd.env("FGDSM_NODE_ID", node.to_string())
-                .env("FGDSM_NODE_ADDR", &addr)
-                .env("FGDSM_NET_TIMEOUT_MS", opts.timeout.as_millis().to_string())
-                .env("FGDSM_METRICS", if opts.metrics { "1" } else { "0" })
-                .env_remove("FGDSM_NODE_FAULT")
+            cmd.args(args.to_argv())
                 .stdin(Stdio::null())
                 .stdout(Stdio::null());
-            if let Some((fault_node, fault)) = opts.node_fault {
-                if fault_node == node as u32 {
-                    cmd.env("FGDSM_NODE_FAULT", fault.env_str());
-                }
-            }
             children.push(Some(cmd.spawn()?));
         }
 
@@ -499,9 +475,6 @@ impl SocketTransport {
             links,
             children,
             corrupt_len_pending: opts.corrupt_frame_len,
-            remote_frames: 0,
-            remote_payload_bytes: 0,
-            got_bye_stats: 0,
             reports: Vec::new(),
         })
     }
@@ -509,16 +482,6 @@ impl SocketTransport {
     /// Which socket family the transport settled on.
     pub fn net_kind(&self) -> NetKind {
         self.kind
-    }
-
-    /// `(frames, payload bytes)` summed over the nodes' `ByeStats`, and
-    /// how many nodes reported. Populated by [`SocketTransport::shutdown`].
-    pub fn remote_stats(&self) -> (u64, u64, usize) {
-        (
-            self.remote_frames,
-            self.remote_payload_bytes,
-            self.got_bye_stats,
-        )
     }
 
     /// Orderly teardown: `Bye` to every live node, collect `ByeStats`,
@@ -542,9 +505,6 @@ impl SocketTransport {
                         metrics,
                     }) = CtrlMsg::from_bytes(&frame)
                     {
-                        self.remote_frames += frames;
-                        self.remote_payload_bytes += payload_bytes;
-                        self.got_bye_stats += 1;
                         self.reports.push(RemoteReport {
                             node: i as u32,
                             frames,
@@ -673,7 +633,7 @@ pub fn node_command() -> Command {
     }
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let mut cmd = Command::new(cargo);
-    cmd.args(["run", "--quiet", "-p", "fgdsm", "--bin", "fgdsm-node"]);
+    cmd.args(["run", "--quiet", "-p", "fgdsm", "--bin", "fgdsm-node", "--"]);
     cmd
 }
 
@@ -702,12 +662,13 @@ fn find_node_bin() -> Option<PathBuf> {
 /// rejects, or one naming memory outside the segment, is reported as a
 /// `CtrlMsg::Err` before exiting — the coordinator turns it into a loud
 /// run failure.
-pub fn serve(node: u32, addr: &str) -> Result<(), String> {
+fn serve(args: &NodeArgs) -> Result<(), String> {
+    let (node, addr, fault) = (args.node, args.addr.as_str(), args.fault);
     let stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     // Idle deadline: generous (the coordinator computes between
     // supersteps), but bounded so an orphaned node never outlives a
     // coordinator killed without cleanup.
-    let idle = net_timeout().max(Duration::from_secs(6)) * 10;
+    let idle = args.timeout.max(Duration::from_secs(6)) * 10;
     stream
         .set_timeouts(Some(idle))
         .map_err(|e| format!("set timeouts: {e}"))?;
@@ -732,19 +693,16 @@ pub fn serve(node: u32, addr: &str) -> Result<(), String> {
         Err(e) => return Err(format!("hello ack decode: {e}")),
     };
 
-    let fault = std::env::var("FGDSM_NODE_FAULT")
-        .ok()
-        .and_then(|s| NodeFault::parse(&s));
     let mut mirror = vec![0u64; seg_words];
     let mut enc = Vec::new();
     let mut frames_served = 0u64;
     let mut payload_bytes = 0u64;
     let mut batches = 0u32;
-    // Wall-clock telemetry, on only when the coordinator armed
-    // `FGDSM_METRICS` for this child: per-class recv (frame in hand →
+    // Wall-clock telemetry, on only when the coordinator asked this
+    // child for it: per-class recv (frame in hand →
     // decoded), apply (payload → mirror), and re-encode histograms plus
     // the double-entry frame/payload counters, shipped home in ByeStats.
-    let mut reg: Option<MetricsRegistry> = metrics::env_enabled().then(MetricsRegistry::new);
+    let mut reg: Option<MetricsRegistry> = args.metrics.then(MetricsRegistry::new);
 
     let send_err = |link: &mut Link, detail: String| {
         let mut out = Vec::new();
@@ -854,15 +812,60 @@ pub fn serve(node: u32, addr: &str) -> Result<(), String> {
     }
 }
 
-/// Entry point for the `fgdsm-node` binary: node id and coordinator
-/// address from the environment.
-pub fn serve_from_env() -> Result<(), String> {
-    let node = std::env::var("FGDSM_NODE_ID")
-        .map_err(|_| "FGDSM_NODE_ID not set".to_string())?
-        .parse::<u32>()
-        .map_err(|e| format!("FGDSM_NODE_ID: {e}"))?;
-    let addr = std::env::var("FGDSM_NODE_ADDR").map_err(|_| "FGDSM_NODE_ADDR not set")?;
-    serve(node, &addr)
+/// What the coordinator tells a worker, as the `fgdsm-node` command
+/// line: `<node> <addr> <recv-timeout-ms> <metrics 0|1> [<fault>]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct NodeArgs {
+    node: u32,
+    addr: String,
+    timeout: Duration,
+    metrics: bool,
+    fault: Option<NodeFault>,
+}
+
+impl NodeArgs {
+    fn to_argv(&self) -> Vec<String> {
+        let mut argv = vec![
+            self.node.to_string(),
+            self.addr.clone(),
+            self.timeout.as_millis().to_string(),
+            u8::from(self.metrics).to_string(),
+        ];
+        argv.extend(self.fault.map(|f| f.arg_str()));
+        argv
+    }
+
+    fn parse(argv: &[String]) -> Result<NodeArgs, String> {
+        let usage = "usage: fgdsm-node <node> <addr> <recv-timeout-ms> <metrics 0|1> [<fault>]";
+        let (node, addr, ms, metrics, fault) = match argv {
+            [node, addr, ms, metrics] => (node, addr, ms, metrics, None),
+            [node, addr, ms, metrics, fault] => (node, addr, ms, metrics, Some(fault)),
+            _ => return Err(usage.into()),
+        };
+        Ok(NodeArgs {
+            node: node.parse().map_err(|e| format!("node id {node:?}: {e}"))?,
+            addr: addr.clone(),
+            timeout: Duration::from_millis(
+                ms.parse()
+                    .map_err(|e| format!("recv timeout {ms:?}: {e}"))?,
+            ),
+            metrics: match metrics.as_str() {
+                "0" => false,
+                "1" => true,
+                other => return Err(format!("metrics flag {other:?}: want 0 or 1")),
+            },
+            fault: fault
+                .map(|f| NodeFault::parse(f).ok_or_else(|| format!("bad fault {f:?}")))
+                .transpose()?,
+        })
+    }
+}
+
+/// Entry point for the `fgdsm-node` binary: parse the coordinator's
+/// command line (the binary's arguments, program name excluded) and
+/// serve until `Bye`.
+pub fn serve_from_args(argv: &[String]) -> Result<(), String> {
+    serve(&NodeArgs::parse(argv)?)
 }
 
 #[cfg(test)]
@@ -870,13 +873,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn node_fault_env_round_trips() {
-        for f in [
-            NodeFault::ExitAfterBatches(3),
-            NodeFault::WedgeAfterBatches(0),
+    fn node_command_line_round_trips_and_rejects_garbage() {
+        for fault in [
+            None,
+            Some(NodeFault::ExitAfterBatches(3)),
+            Some(NodeFault::WedgeAfterBatches(0)),
         ] {
-            assert_eq!(NodeFault::parse(&f.env_str()), Some(f));
+            let args = NodeArgs {
+                node: 5,
+                addr: "tcp:127.0.0.1:4000".into(),
+                timeout: Duration::from_millis(500),
+                metrics: fault.is_some(),
+                fault,
+            };
+            assert_eq!(NodeArgs::parse(&args.to_argv()), Ok(args));
         }
-        assert_eq!(NodeFault::parse("garbage"), None);
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for bad in [
+            &["1", "tcp:x"][..],
+            &["one", "tcp:x", "500", "0"],
+            &["1", "tcp:x", "soon", "0"],
+            &["1", "tcp:x", "500", "yes"],
+            &["1", "tcp:x", "500", "0", "garbage"],
+        ] {
+            assert!(NodeArgs::parse(&argv(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -45,7 +45,7 @@ pub use proto::{Dsm, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{
-    diff_bytes, net_timeout, reconcile_stats, write_frame, ChanTransport, CtrlMsg, FrameDecoder,
-    Loopback, RemoteReport, WireError, WireHeader, WireMsg, WireTransport, CTRL_MAGIC,
+    diff_bytes, reconcile_stats, write_frame, ChanTransport, CtrlMsg, FrameDecoder, Loopback,
+    RemoteReport, WireError, WireHeader, WireMsg, WireTransport, CTRL_MAGIC, DEFAULT_RECV_TIMEOUT,
     MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };

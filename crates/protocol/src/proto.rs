@@ -271,12 +271,16 @@ impl WireState {
     /// so executors can `catch_unwind` + downcast it back into a typed
     /// result instead of scraping a message string.
     ///
-    /// With telemetry on, each non-empty batch additionally records a
-    /// [`WireSpan`] (for the merged Chrome trace) and the batch's
-    /// round-trip duration into `route.<class>` for every frame it
-    /// carried — the class read by peeking each frame's kind byte
+    /// With telemetry on, each batch additionally records a [`WireSpan`]
+    /// (for the merged Chrome trace) and books its round-trip time into
+    /// `route.<class>` exactly once: an equal share per frame, the
+    /// remainder to the first — so the `route.*` sums add up to
+    /// `route_ns`. The class is read by peeking each frame's kind byte
     /// (offset 4, after magic + version) without decoding.
     fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+        if frames.is_empty() {
+            return frames;
+        }
         let pre = self.metrics.as_ref().map(|m| {
             let kinds: Vec<u8> = frames
                 .iter()
@@ -290,17 +294,18 @@ impl WireState {
         let dur_ns = t0.elapsed().as_nanos() as u64;
         self.route_ns += dur_ns;
         if let (Some(m), Some((kinds, bytes, start_ns))) = (self.metrics.as_mut(), pre) {
-            if !kinds.is_empty() {
-                m.spans.push(WireSpan {
-                    dst: dst as u32,
-                    start_ns,
-                    dur_ns,
-                    frames: kinds.len() as u32,
-                    bytes,
-                });
-                for k in kinds {
-                    m.reg.record_ns(&format!("route.{}", class_name(k)), dur_ns);
-                }
+            let n = kinds.len() as u64;
+            m.spans.push(WireSpan {
+                dst: dst as u32,
+                start_ns,
+                dur_ns,
+                frames: n as u32,
+                bytes,
+            });
+            let mut share = dur_ns / n + dur_ns % n;
+            for k in kinds {
+                m.reg.record_ns(&format!("route.{}", class_name(k)), share);
+                share = dur_ns / n;
             }
         }
         match routed {

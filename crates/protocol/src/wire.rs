@@ -34,6 +34,7 @@
 //! were not built for (no silent best-effort parsing). The golden-bytes
 //! test below pins the v1 layout against accidental breaks.
 
+use fgdsm_tempest::cursor::{Cursor, Truncated};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -51,21 +52,11 @@ pub const CTRL_MAGIC: u16 = 0xFD58;
 /// lying-length guard.
 pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 
-/// Per-recv deadline for the blocking transports (`chan` worker replies,
-/// socket reads): `FGDSM_NET_TIMEOUT_MS`, default 5000 ms. A peer that
-/// stays silent past this long is reported as [`WireError::Timeout`]
-/// instead of hanging the run.
-pub fn net_timeout() -> Duration {
-    let ms = fgdsm_tempest::knob::env_knob("FGDSM_NET_TIMEOUT_MS", "milliseconds", parse_millis)
-        .unwrap_or(5000);
-    Duration::from_millis(ms)
-}
-
-/// `FGDSM_NET_TIMEOUT_MS` values: a whole number of milliseconds (0
-/// clamps to 1 — a zero deadline would fail every recv).
-fn parse_millis(v: &str) -> Option<u64> {
-    v.parse::<u64>().ok().map(|ms| ms.max(1))
-}
+/// Default per-recv deadline of the blocking transports (`chan` worker
+/// replies, socket reads). A peer that stays silent past the configured
+/// deadline is reported as [`WireError::Timeout`] instead of hanging the
+/// run.
+pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_millis(5000);
 
 /// On-wire size in bytes of a word-diff message body for `mask`: the
 /// 8-byte dirty mask plus one 8-byte word per set bit. This is the one
@@ -205,8 +196,7 @@ pub enum WireError {
     /// The peer node is gone: its channel hung up, its process exited, or
     /// the connection was closed (EOF) mid-conversation.
     PeerGone(u32),
-    /// The peer stayed silent past the configured recv deadline
-    /// ([`net_timeout`]).
+    /// The peer stayed silent past the configured recv deadline.
     Timeout(u32),
     /// A length prefix above [`MAX_FRAME_BYTES`] — rejected before any
     /// allocation or read.
@@ -254,31 +244,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let s = self
-            .b
-            .get(self.pos..self.pos + n)
-            .ok_or(WireError::Truncated)?;
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Truncated
     }
 }
 
@@ -407,7 +375,7 @@ impl WireMsg {
     /// trailing bytes — a frame either reconstructs the exact envelope
     /// that was encoded or it is an error, never a partial apply.
     pub fn from_bytes(bytes: &[u8]) -> Result<WireMsg, WireError> {
-        let mut c = Cursor { b: bytes, pos: 0 };
+        let mut c = Cursor::new(bytes);
         let magic = c.u16()?;
         if magic != WIRE_MAGIC {
             return Err(WireError::BadMagic(magic));
@@ -499,8 +467,8 @@ impl WireMsg {
             }
             k => return Err(WireError::BadKind(k)),
         };
-        if c.pos != bytes.len() {
-            return Err(WireError::TrailingBytes(bytes.len() - c.pos));
+        if c.remaining() != 0 {
+            return Err(WireError::TrailingBytes(c.remaining()));
         }
         Ok(msg)
     }
@@ -511,7 +479,7 @@ fn decode_words(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
     // Guard the allocation against lying length prefixes before
     // touching the heap: the remaining frame must actually hold n words.
     match n.checked_mul(8) {
-        Some(need) if c.b.len() - c.pos >= need => {}
+        Some(need) if c.remaining() >= need => {}
         _ => return Err(WireError::Truncated),
     }
     let mut words = Vec::with_capacity(n);
@@ -931,7 +899,7 @@ impl CtrlMsg {
     /// Decode and validate a control frame — same paranoia as
     /// [`WireMsg::from_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
-        let mut c = Cursor { b: bytes, pos: 0 };
+        let mut c = Cursor::new(bytes);
         let magic = c.u16()?;
         if magic != CTRL_MAGIC {
             return Err(WireError::BadMagic(magic));
@@ -979,8 +947,8 @@ impl CtrlMsg {
             }
             k => return Err(WireError::BadKind(k)),
         };
-        if c.pos != bytes.len() {
-            return Err(WireError::TrailingBytes(bytes.len() - c.pos));
+        if c.remaining() != 0 {
+            return Err(WireError::TrailingBytes(c.remaining()));
         }
         Ok(msg)
     }
@@ -1084,8 +1052,9 @@ enum Cmd {
 }
 
 impl ChanTransport {
+    /// One worker per node, with the [`DEFAULT_RECV_TIMEOUT`].
     pub fn new(nprocs: usize) -> Self {
-        Self::with_timeout(nprocs, net_timeout())
+        Self::with_timeout(nprocs, DEFAULT_RECV_TIMEOUT)
     }
 
     /// Like [`ChanTransport::new`] with an explicit per-recv deadline.
@@ -1452,15 +1421,6 @@ mod tests {
                 "{msg:?}"
             );
             assert_eq!(mirror, vec![0u64; seg], "rejected frame wrote memory");
-        }
-    }
-
-    #[test]
-    fn net_timeout_knob_parses_milliseconds_only() {
-        assert_eq!(parse_millis("250"), Some(250));
-        assert_eq!(parse_millis("0"), Some(1));
-        for junk in ["", "5s", "-1", "2.5"] {
-            assert_eq!(parse_millis(junk), None, "{junk:?}");
         }
     }
 

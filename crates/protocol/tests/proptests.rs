@@ -3,10 +3,6 @@
 //! writer unless explicitly multi-written, plus any number of readers)
 //! must keep the directory consistent at every barrier and propagate
 //! values exactly like an idealized shared memory.
-//!
-//! Gated behind the `proptest` feature so the default tier-1 test run stays
-//! fast: `cargo test -p fgdsm-protocol --features proptest`.
-#![cfg(feature = "proptest")]
 #![allow(clippy::needless_range_loop)] // word loops index the model vec in parallel
 
 use fgdsm_protocol::{Dsm, SendEntry, TransferPlan, WireHeader, WireMsg};

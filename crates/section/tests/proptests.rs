@@ -4,10 +4,6 @@
 //! integer universes: intersection and difference must agree point-for-point
 //! with naive set semantics, results must be disjoint, and block subsetting
 //! must partition the byte range exactly.
-//!
-//! Gated behind the `proptest` feature so the default tier-1 test run stays
-//! fast: `cargo test -p fgdsm-section --features proptest`.
-#![cfg(feature = "proptest")]
 
 use fgdsm_section::{block_subset, ColumnMajor, Range, Section};
 use fgdsm_testkit::{check_cases, Rng};

@@ -107,11 +107,6 @@ impl SegmentLayout {
     }
 }
 
-/// `FGDSM_TRACE_CAP` values: a whole number of trace entries per node.
-fn parse_trace_cap(v: &str) -> Option<usize> {
-    v.parse().ok()
-}
-
 /// The simulated cluster: shared geometry + disjoint per-node shards.
 pub struct Cluster {
     geom: Arc<Geometry>,
@@ -161,19 +156,9 @@ impl Cluster {
             n_pages,
             home,
         });
-        let mut shards: Vec<NodeShard> = (0..nprocs)
+        let shards: Vec<NodeShard> = (0..nprocs)
             .map(|n| NodeShard::new(n, Arc::clone(&geom)))
             .collect();
-        // FGDSM_TRACE_CAP overrides the per-node trace-ring capacity at
-        // construction (aggregates are exact regardless; the cap only
-        // bounds how many raw entries exports retain).
-        if let Some(cap) =
-            crate::knob::env_knob("FGDSM_TRACE_CAP", "an entry count", parse_trace_cap)
-        {
-            for sh in &mut shards {
-                sh.trace_mut().set_capacity(cap);
-            }
-        }
         Cluster {
             geom,
             shards,
@@ -1072,15 +1057,6 @@ mod tests {
         assert_eq!(t.entries().next().unwrap().t_ns, 700, "tail starts at 7th");
         // The JSON export reports the drop count.
         assert!(c.trace_json().contains("\"dropped\":6"));
-    }
-
-    #[test]
-    fn trace_cap_knob_rejects_garbage() {
-        assert_eq!(parse_trace_cap("4096"), Some(4096));
-        assert_eq!(parse_trace_cap("0"), Some(0));
-        for junk in ["", "4k", "-1", "unbounded"] {
-            assert_eq!(parse_trace_cap(junk), None, "FGDSM_TRACE_CAP={junk:?}");
-        }
     }
 
     /// The apply-stage scheduler: a pair list with node conflicts (so the

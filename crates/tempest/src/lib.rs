@@ -38,6 +38,7 @@
 pub mod cache;
 pub mod cluster;
 pub mod costs;
+pub mod cursor;
 pub mod knob;
 pub mod mailbox;
 pub mod metrics;

@@ -18,6 +18,7 @@
 //! length-checked binary blob so `fgdsm-node` workers can ship their
 //! metrics home inside the `ByeStats` control frame.
 
+use crate::cursor::{Cursor, Truncated};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,18 +46,6 @@ pub fn class_name(kind: u8) -> &'static str {
         4 => "strided",
         _ => "unknown",
     }
-}
-
-/// Is wall-clock telemetry requested via the environment?
-/// `FGDSM_METRICS=1|true|on` enables it, `0|false|off` (or unset) leaves
-/// it off; anything else is an error.
-pub fn env_enabled() -> bool {
-    crate::knob::env_knob(
-        "FGDSM_METRICS",
-        "1|true|on or 0|false|off",
-        crate::knob::parse_switch,
-    )
-    .unwrap_or(false)
 }
 
 /// A log2-bucketed latency histogram over `u64` nanoseconds.
@@ -427,60 +416,55 @@ impl MetricsRegistry {
         out
     }
 
-    /// Paranoid decode of [`to_bytes`](Self::to_bytes): every length is
-    /// checked, caps are enforced, trailing bytes are rejected.
+    /// Paranoid decode of [`to_bytes`](Self::to_bytes) — the blob arrives
+    /// from a worker socket: every length is checked, caps are enforced,
+    /// histogram buckets must be strictly ascending and sum (without
+    /// wrapping) to the header count, trailing bytes are rejected.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], String> {
-            let s = buf
-                .get(*at..*at + n)
-                .ok_or_else(|| format!("metrics blob truncated at offset {at}"))?;
-            *at += n;
-            Ok(s)
-        };
-        let u16le = |at: &mut usize| -> Result<u16, String> {
-            Ok(u16::from_le_bytes(take(at, 2)?.try_into().unwrap()))
-        };
-        let u64le = |at: &mut usize| -> Result<u64, String> {
-            Ok(u64::from_le_bytes(take(at, 8)?.try_into().unwrap()))
-        };
-        let version = u16le(&mut at)?;
+        let cut = |Truncated(at)| format!("metrics blob truncated at offset {at}");
+        let mut c = Cursor::new(buf);
+        let version = c.u16().map_err(cut)?;
         if version != METRICS_BLOB_VERSION {
             return Err(format!("metrics blob version {version} unsupported"));
         }
-        let entries = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap()) as usize;
+        let entries = c.u32().map_err(cut)? as usize;
         if entries > MAX_BLOB_ENTRIES {
             return Err(format!("metrics blob claims {entries} entries"));
         }
         let mut map = BTreeMap::new();
         for _ in 0..entries {
-            let name_len = u16le(&mut at)? as usize;
+            let name_len = c.u16().map_err(cut)? as usize;
             if name_len > MAX_BLOB_NAME {
                 return Err(format!("metric name of {name_len} bytes"));
             }
-            let name = std::str::from_utf8(take(&mut at, name_len)?)
+            let name = std::str::from_utf8(c.take(name_len).map_err(cut)?)
                 .map_err(|_| "metric name is not utf-8".to_string())?
                 .to_string();
-            let tag = take(&mut at, 1)?[0];
-            let metric = match tag {
-                0 => Metric::Counter(u64le(&mut at)?),
-                1 => Metric::Gauge(u64le(&mut at)? as i64),
+            let metric = match c.u8().map_err(cut)? {
+                0 => Metric::Counter(c.u64().map_err(cut)?),
+                1 => Metric::Gauge(c.u64().map_err(cut)? as i64),
                 2 => {
                     let mut h = Histogram::new();
-                    h.count = u64le(&mut at)?;
-                    h.sum = u64le(&mut at)?;
-                    h.min = u64le(&mut at)?;
-                    h.max = u64le(&mut at)?;
-                    let nonzero = take(&mut at, 1)?[0] as usize;
+                    h.count = c.u64().map_err(cut)?;
+                    h.sum = c.u64().map_err(cut)?;
+                    h.min = c.u64().map_err(cut)?;
+                    h.max = c.u64().map_err(cut)?;
+                    let nonzero = c.u8().map_err(cut)?;
                     let mut total = 0u64;
+                    let mut next_bucket = 0usize;
                     for _ in 0..nonzero {
-                        let k = take(&mut at, 1)?[0] as usize;
+                        let k = c.u8().map_err(cut)? as usize;
                         if k >= HIST_BUCKETS {
                             return Err(format!("histogram bucket {k} out of range"));
                         }
-                        let c = u64le(&mut at)?;
-                        h.counts[k] += c;
-                        total += c;
+                        if k < next_bucket {
+                            return Err(format!("histogram bucket {k} repeated or out of order"));
+                        }
+                        next_bucket = k + 1;
+                        h.counts[k] = c.u64().map_err(cut)?;
+                        total = total
+                            .checked_add(h.counts[k])
+                            .ok_or("histogram bucket counts overflow")?;
                     }
                     if total != h.count {
                         return Err(format!(
@@ -496,8 +480,11 @@ impl MetricsRegistry {
                 return Err(format!("duplicate metric `{name}`"));
             }
         }
-        if at != buf.len() {
-            return Err(format!("trailing bytes after metrics blob at {at}"));
+        if c.remaining() != 0 {
+            return Err(format!(
+                "{} trailing bytes after metrics blob",
+                c.remaining()
+            ));
         }
         Ok(MetricsRegistry { map })
     }
@@ -727,6 +714,34 @@ mod tests {
             MetricsRegistry::from_bytes(&empty.to_bytes()).unwrap(),
             empty
         );
+    }
+
+    /// A histogram whose buckets arrive wrapped, repeated or out of order
+    /// is hostile: it must fail typed, never panic or be accepted.
+    #[test]
+    fn blob_rejects_wrapping_and_repeated_histogram_buckets() {
+        let mut r = MetricsRegistry::new();
+        for v in [0, 0, 1, 1, 1] {
+            r.record_ns("h", v); // buckets (0, 2), (1, 3): count 5
+        }
+        let blob = r.to_bytes();
+        // The blob ends with the two `(bucket: u8, count: u64)` pairs.
+        let tail = |pairs: [(u8, u64); 2]| {
+            let mut b = blob[..blob.len() - 18].to_vec();
+            for (k, c) in pairs {
+                b.push(k);
+                b.extend_from_slice(&c.to_le_bytes());
+            }
+            MetricsRegistry::from_bytes(&b)
+        };
+        assert_eq!(tail([(0, 2), (1, 3)]), Ok(r));
+        // u64::MAX + 6 wraps to the header's 5.
+        assert!(tail([(0, u64::MAX), (1, 6)])
+            .unwrap_err()
+            .contains("bucket counts overflow"));
+        for bad in [[(3, 2), (3, 3)], [(4, 2), (1, 3)]] {
+            assert!(tail(bad).unwrap_err().contains("repeated or out of order"));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! PR-2/PR-4 dispatched the compute phase and the resolve phase's apply
 //! waves onto fresh [`std::thread::scope`] threads — a spawn/join cycle
 //! per superstep (and per wave), whose ~10–50 µs cost dwarfed the work on
-//! all but the largest grids and made `FGDSM_PAR` a net loss. The
+//! all but the largest grids and made threading a net loss. The
 //! [`WorkerPool`] here is the DART-style fix: spawn the workers **once
 //! per execution**, park them on a `Condvar`, and hand every subsequent
 //! batch of phase jobs to the already-running threads.

@@ -177,7 +177,7 @@ pub struct ClusterReport {
     pub makespan_ns: u64,
     /// Host wall-clock the run took, in ns. Unlike every other field this
     /// is *real* time, stamped by the executor: it varies run to run and
-    /// with `FGDSM_PAR`, so it is deliberately excluded from the
+    /// with the worker count, so it is deliberately excluded from the
     /// canonical [`ClusterReport::to_json`] encoding (which must be
     /// byte-identical between serial and parallel execution).
     pub wall_ns: u64,

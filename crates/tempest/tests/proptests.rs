@@ -1,12 +1,8 @@
 //! Property tests for the cluster substrate: clock/charge accounting,
 //! barrier alignment, page-mapping idempotence and segment layout.
-//!
-//! Gated behind the `proptest` feature so the default tier-1 test run stays
-//! fast: `cargo test -p fgdsm-tempest --features proptest`.
-#![cfg(feature = "proptest")]
 
 use fgdsm_tempest::{ChargeKind, Cluster, CostModel, HomePolicy, SegmentLayout};
-use fgdsm_testkit::{check_cases, Rng};
+use fgdsm_testkit::check_cases;
 
 fn cluster(nprocs: usize, words: usize) -> Cluster {
     let cfg = CostModel::paper_dual_cpu();

@@ -11,10 +11,8 @@
 //!   independently seeded cases, reporting the failing case's seed so a
 //!   failure reproduces with `Rng::new(seed)`.
 //!
-//! The randomized suites that use this crate are feature-gated behind
-//! each crate's `proptest` feature (the name kept from the library they
-//! replace) and run in CI via
-//! `cargo test --workspace --features <crate>/proptest`.
+//! The randomized suites that use this crate (`tests/proptest*.rs` in
+//! each crate) run under plain `cargo test --workspace`.
 
 /// SplitMix64: a 64-bit splittable PRNG with strong mixing and a one-word
 /// state. Every generator method is a thin shaping of [`Rng::next_u64`].

@@ -3,9 +3,14 @@
 //! quantities (execution time, communication time, per-node miss count).
 //!
 //!     cargo run --release --example quickstart
+//!     FGDSM_CHROME=/tmp/chrome.json FGDSM_TRACE_CAP=65536 cargo run --release --example quickstart
+//!
+//! `FGDSM_TRACE` / `FGDSM_CHROME` export the optimized run's event trace
+//! and Chrome timeline; `FGDSM_TRACE_CAP` sizes its per-node trace ring.
 
 use fgdsm::apps::{jacobi, Scale};
-use fgdsm::hpf::{execute, ExecConfig};
+use fgdsm::hpf::{execute, execute_profiled, ExecConfig};
+use fgdsm::tempest::knob::Knobs;
 
 fn main() {
     let params = jacobi::Params::at(Scale::Bench);
@@ -15,8 +20,12 @@ fn main() {
         params.n, params.m, params.iters
     );
 
+    let knobs = Knobs::from_env();
     let unopt = execute(&program, &ExecConfig::sm_unopt(8));
-    let opt = execute(&program, &ExecConfig::sm_opt(8));
+    let mut opt_cfg = ExecConfig::sm_opt(8);
+    opt_cfg.trace_cap = knobs.trace_cap;
+    let (opt, trace, chrome) = execute_profiled(&program, &opt_cfg);
+    knobs.export(&trace, &chrome);
 
     // Identical numerics, very different communication behaviour.
     assert_eq!(

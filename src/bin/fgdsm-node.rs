@@ -1,31 +1,14 @@
 //! The `tcp` backend's worker process: one per node, spawned by
-//! `SocketTransport`. Connects back to the coordinator
-//! (`FGDSM_NODE_ADDR`), introduces itself (`FGDSM_NODE_ID`), and serves
-//! wire batches against its shard mirror until `Bye`. See
-//! `fgdsm_net::serve` for the protocol.
-//!
-//! Also doubles as the CI socket probe:
-//!
-//!     fgdsm-node --probe tcp   # exit 0 iff a TCP loopback bind works
-//!     fgdsm-node --probe uds   # exit 0 iff a Unix-socket bind works
-
-use fgdsm_net::{probe, serve_from_env, NetKind};
+//! `SocketTransport` with everything it needs on its command line
+//! (`<node> <addr> <recv-timeout-ms> <metrics 0|1> [<fault>]`). Connects
+//! back to the coordinator, introduces itself, and serves wire batches
+//! against its shard mirror until `Bye`. See `fgdsm_net::serve_from_args`
+//! for the protocol.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--probe") {
-        let kind = match args.get(2).map(String::as_str) {
-            Some("tcp") | None => NetKind::Tcp,
-            Some("uds") => NetKind::Uds,
-            Some(other) => {
-                eprintln!("fgdsm-node --probe: unknown kind {other:?} (want tcp or uds)");
-                std::process::exit(2);
-            }
-        };
-        std::process::exit(if probe(kind) { 0 } else { 1 });
-    }
-    if let Err(e) = serve_from_env() {
-        let id = std::env::var("FGDSM_NODE_ID").unwrap_or_else(|_| "?".into());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = fgdsm_net::serve_from_args(&argv) {
+        let id = argv.first().map_or("?", String::as_str);
         eprintln!("fgdsm-node {id}: {e}");
         std::process::exit(1);
     }

@@ -14,48 +14,43 @@
 //! On divergence the harness shrinks the case and panics with the seed
 //! and a standalone Rust reproducer.
 
-use fgdsm_fuzz::{case_seed, check_case, check_case_tcp};
+use fgdsm::tempest::knob::Knobs;
+use fgdsm_fuzz::{case_seed, check_case, check_case_strict, check_case_tcp, STRICT_SLICE};
 use fgdsm_testkit::BASE_SEED;
 
 fn corpus_cases() -> u64 {
-    std::env::var("FGDSM_FUZZ_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200)
+    Knobs::from_env().fuzz_cases.unwrap_or(200)
 }
 
-fn tcp_corpus_cases() -> u64 {
-    std::env::var("FGDSM_FUZZ_TCP_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25)
-}
-
+/// The whole corpus through the main matrix; its first [`STRICT_SLICE`]
+/// cases additionally through strict wire mode at every optimization
+/// level.
 #[test]
 fn differential_corpus() {
-    let n = corpus_cases();
-    for case in 0..n {
-        check_case(case_seed(BASE_SEED, case));
+    for case in 0..corpus_cases() {
+        let seed = case_seed(BASE_SEED, case);
+        check_case(seed);
+        if case < STRICT_SLICE {
+            check_case_strict(seed);
+        }
     }
 }
 
-/// A separately sized slice of the same seeded corpus replayed over the
+/// The first eighth of the same seeded corpus replayed over the
 /// socket-backed `tcp` backend: every transfer framed over loopback to
 /// spawned `fgdsm-node` processes, results bitwise against the
 /// reference and artifacts byte-identical to `sm_opt[full]` serial.
-/// Smaller by default (`FGDSM_FUZZ_TCP_CASES`, 25) because each case
-/// spawns a process fleet; seeds match `differential_corpus` case for
-/// case, so a tcp-only failure is immediately comparable with its
-/// in-process twin. Skips with a notice when the sandbox forbids
-/// sockets.
+/// Smaller because each case spawns a process fleet; seeds match
+/// `differential_corpus` case for case, so a tcp-only failure is
+/// immediately comparable with its in-process twin. Skips with a notice
+/// when the sandbox forbids sockets.
 #[test]
 fn differential_corpus_tcp() {
     if !fgdsm::hpf::tcp_available() {
         eprintln!("notice: sandbox forbids sockets; skipping differential_corpus_tcp");
         return;
     }
-    let n = tcp_corpus_cases();
-    for case in 0..n {
+    for case in 0..corpus_cases() / 8 {
         check_case_tcp(case_seed(BASE_SEED, case));
     }
 }

@@ -2,18 +2,14 @@
 //! wedging an `fgdsm-node` worker process mid-superstep must surface a
 //! clean *typed* error at the coordinator — [`WireError::PeerGone`] on
 //! EOF, [`WireError::Timeout`] once the recv deadline fires — within a
-//! bounded wall time, with no hang and no partial trace artifact.
-//!
-//! The tests mutate process-global environment (`FGDSM_NET_TIMEOUT_MS`,
-//! `FGDSM_TRACE`), so they serialize on one mutex.
+//! bounded wall time, with no hang. (A failed `try_execute` returns no
+//! `RunResult` and no trace document, so there is no partial artifact
+//! for anyone to write.)
 
 use fgdsm::hpf::{try_execute, ExecConfig, ExecError, InjectConfig};
 use fgdsm::net::NodeFault;
 use fgdsm::protocol::WireError;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const NPROCS: usize = 2;
 
@@ -32,28 +28,15 @@ fn tcp_cfg(fault: NodeFault, node: u32) -> ExecConfig {
 }
 
 /// Run one faulted execution under a watchdog: returns the error and
-/// checks the run neither hung past `deadline` nor left a partial
-/// `FGDSM_TRACE` artifact behind.
-fn run_faulted(fault: NodeFault, node: u32, deadline: Duration) -> ExecError {
-    let trace_path = std::env::temp_dir().join(format!(
-        "fgdsm-tcp-fault-{}-{node}.trace.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&trace_path);
-    std::env::set_var("FGDSM_TRACE", &trace_path);
+/// checks the run did not hang past `deadline`.
+fn run_faulted(cfg: &ExecConfig, deadline: Duration) -> ExecError {
     let prog = comm_heavy_program();
     let t0 = Instant::now();
-    let r = try_execute(&prog, &tcp_cfg(fault, node));
+    let r = try_execute(&prog, cfg);
     let elapsed = t0.elapsed();
-    std::env::remove_var("FGDSM_TRACE");
     assert!(
         elapsed < deadline,
         "faulted run must fail within {deadline:?}, took {elapsed:?}"
-    );
-    assert!(
-        !trace_path.exists(),
-        "a failed run must not leave a partial trace artifact at {}",
-        trace_path.display()
     );
     r.expect_err("a killed/wedged node must fail the run")
 }
@@ -62,12 +45,12 @@ fn run_faulted(fault: NodeFault, node: u32, deadline: Duration) -> ExecError {
 /// surfaces as a typed `PeerGone` naming that node.
 #[test]
 fn killed_node_yields_typed_peer_gone() {
-    let _g = ENV_LOCK.lock().unwrap();
     if !fgdsm::hpf::tcp_available() {
         eprintln!("notice: sandbox forbids sockets; skipping killed_node_yields_typed_peer_gone");
         return;
     }
-    let e = run_faulted(NodeFault::ExitAfterBatches(0), 1, Duration::from_secs(60));
+    let cfg = tcp_cfg(NodeFault::ExitAfterBatches(0), 1);
+    let e = run_faulted(&cfg, Duration::from_secs(60));
     match e {
         ExecError::Wire(WireError::PeerGone(p)) => {
             assert_eq!(p, 1, "error must name the dead node")
@@ -81,7 +64,6 @@ fn killed_node_yields_typed_peer_gone() {
 /// that node — the explicit non-EOF half of the failure semantics.
 #[test]
 fn wedged_node_yields_typed_timeout_within_deadline() {
-    let _g = ENV_LOCK.lock().unwrap();
     if !fgdsm::hpf::tcp_available() {
         eprintln!(
             "notice: sandbox forbids sockets; skipping wedged_node_yields_typed_timeout_within_deadline"
@@ -90,9 +72,9 @@ fn wedged_node_yields_typed_timeout_within_deadline() {
     }
     // Short recv deadline so the wedge converts to a typed error fast;
     // the watchdog bound proves the deadline (not a hang) ended the run.
-    std::env::set_var("FGDSM_NET_TIMEOUT_MS", "500");
-    let e = run_faulted(NodeFault::WedgeAfterBatches(0), 1, Duration::from_secs(30));
-    std::env::remove_var("FGDSM_NET_TIMEOUT_MS");
+    let mut cfg = tcp_cfg(NodeFault::WedgeAfterBatches(0), 1);
+    cfg.recv_timeout = Duration::from_millis(500);
+    let e = run_faulted(&cfg, Duration::from_secs(30));
     match e {
         ExecError::Wire(WireError::Timeout(p)) => {
             assert_eq!(p, 1, "error must name the wedged node")
@@ -106,7 +88,6 @@ fn wedged_node_yields_typed_timeout_within_deadline() {
 /// control for the two failure tests above.
 #[test]
 fn unfaulted_tcp_run_matches_sm_opt() {
-    let _g = ENV_LOCK.lock().unwrap();
     if !fgdsm::hpf::tcp_available() {
         eprintln!("notice: sandbox forbids sockets; skipping unfaulted_tcp_run_matches_sm_opt");
         return;
