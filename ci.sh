@@ -4,10 +4,14 @@
 set -eux
 
 cargo build --release
+# The frozen surface first: fgbench (benchmark/, never edited) compiles
+# against this tree's public API, so an accidental break fails here in
+# seconds instead of after the workspace test run.
+cargo check -q --all-targets --manifest-path benchmark/Cargo.toml
 # Every suite, once. Modes (serial/threaded, fast/strict wire, metered,
 # chan/tcp/uds carriers) are ExecConfig values the tests name themselves:
 # the determinism matrices, the fuzz corpus with its strict and tcp
-# slices, tcp fault tolerance, wire accounting, telemetry, the model
+# slices, node fault tolerance, wire accounting, telemetry, the model
 # checker and the property suites all run here. Socket-backed tests
 # self-skip with a notice where the sandbox forbids sockets.
 cargo test -q --workspace

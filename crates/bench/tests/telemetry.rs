@@ -7,11 +7,12 @@
 //!   trace, gathered data, scalars — must be byte-identical with metrics
 //!   on vs off, across the serial, threaded, `chan`, and (when the
 //!   sandbox allows sockets) `tcp` configurations.
-//! * **Liveness + conservation**: a metered `tcp` run must actually
-//!   populate per-class histograms on both sides of the socket, merge
-//!   the workers' registries under node-tagged keys, conserve the wire's
-//!   payload accounting, and splice into a merged Perfetto trace that
-//!   the bench JSON parser accepts.
+//! * **Liveness + conservation**: a metered carrier run (`chan` always,
+//!   `tcp` where sockets are allowed) must actually populate per-class
+//!   histograms on both sides of the link, merge the workers' registries
+//!   under node-tagged keys, conserve the wire's payload accounting on
+//!   both sides, and splice into a merged Perfetto trace that the bench
+//!   JSON parser accepts.
 
 use fgdsm_apps::{jacobi, suite, Scale};
 use fgdsm_bench::{json, NPROCS};
@@ -87,22 +88,24 @@ fn metrics_on_vs_off_canonical_artifacts_are_byte_identical() {
     }
 }
 
-/// A metered `tcp` run of the whole suite: per-class histograms on both
-/// sides, node-tagged worker keys, conservation, and a valid merged
+/// A metered carrier run of the whole suite: per-class histograms on
+/// both sides, node-tagged worker keys, conservation, and a valid merged
 /// Perfetto document.
 #[test]
-fn tcp_telemetry_populates_both_sides_and_merges_cleanly() {
-    if !tcp_available() {
-        eprintln!(
-            "notice: sandbox forbids sockets; \
-             skipping tcp_telemetry_populates_both_sides_and_merges_cleanly"
-        );
-        return;
+fn carrier_telemetry_populates_both_sides_and_merges_cleanly() {
+    carrier_telemetry("chan", ExecConfig::chan(NPROCS));
+    if tcp_available() {
+        carrier_telemetry("tcp", ExecConfig::tcp(NPROCS));
+    } else {
+        eprintln!("notice: sandbox forbids sockets; carrier telemetry checked on chan only");
     }
+}
+
+fn carrier_telemetry(carrier: &str, cfg: ExecConfig) {
     for spec in suite(Scale::Test) {
-        let (run, _trace, chrome) =
-            execute_profiled(&spec.program, &ExecConfig::tcp(NPROCS).metered());
-        let reg = run.metrics().expect("metered tcp run has a registry");
+        let name = format!("{carrier}/{}", spec.name);
+        let (run, _trace, chrome) = execute_profiled(&spec.program, &cfg.clone().metered());
+        let reg = run.metrics().expect("metered carrier run has a registry");
 
         // Coordinator side: for every exercised class the full pipeline
         // is histogrammed, one route sample per frame.
@@ -117,71 +120,81 @@ fn tcp_telemetry_populates_both_sides_and_merges_cleanly() {
             for stage in ["encode", "route", "decode"] {
                 let h = reg
                     .hist(&format!("coord.{stage}.{class}"))
-                    .unwrap_or_else(|| panic!("{}: no coord.{stage}.{class} histogram", spec.name));
+                    .unwrap_or_else(|| panic!("{}: no coord.{stage}.{class} histogram", name));
                 assert_eq!(
                     h.count(),
                     frames,
                     "{}: coord.{stage}.{class} must sample every frame",
-                    spec.name
+                    name
                 );
             }
         }
         assert_eq!(
             exercised, run.wire_frames,
             "{}: per-class frame counters must cover every routed frame",
-            spec.name
+            name
         );
 
-        // Worker side: at least one node shipped a registry home, with
-        // recv histograms under its node-tagged prefix.
-        let worker_keys: Vec<&str> = reg
-            .iter()
-            .map(|(k, _)| k)
-            .filter(|k| k.starts_with("node"))
-            .collect();
-        assert!(
-            !worker_keys.is_empty(),
-            "{}: no node-tagged worker metrics were merged",
-            spec.name
-        );
-        assert!(
-            worker_keys.iter().any(|k| k.contains(".recv.")),
-            "{}: workers recorded no recv histograms: {worker_keys:?}",
-            spec.name
+        // Worker side: the nodes shipped their registries home, and
+        // under each node-tagged prefix every stage of the worker loop
+        // sampled every frame that node served — which together are
+        // every frame the coordinator routed.
+        let mut served = 0u64;
+        for node in 0..NPROCS {
+            for kind in 0u8..=4 {
+                let class = fgdsm_tempest::metrics::class_name(kind);
+                let frames = reg.counter(&format!("node{node}.frames.{class}"));
+                served += frames;
+                for stage in ["recv", "apply", "reencode"] {
+                    let sampled = reg
+                        .hist(&format!("node{node}.{stage}.{class}"))
+                        .map_or(0, |h| h.count());
+                    assert_eq!(
+                        sampled, frames,
+                        "{}: node{node}.{stage}.{class} must sample every served frame",
+                        name
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            served, run.wire_frames,
+            "{}: the workers' per-class frame counters must cover every routed frame",
+            name
         );
 
         run.check_metrics_conservation()
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            .unwrap_or_else(|e| panic!("{}: {e}", name));
 
         // Merged Perfetto document: parses, keeps the virtual-clock
         // coordinator events on pid 0, adds worker pid tracks with
         // wall-clock socket-batch spans and process_name metadata.
         assert!(
             !run.wire_spans.is_empty(),
-            "{}: metered tcp run recorded no socket-batch spans",
-            spec.name
+            "{}: metered carrier run recorded no batch spans",
+            name
         );
         let merged = run.merged_chrome(&chrome);
         let v = json::parse(&merged)
-            .unwrap_or_else(|e| panic!("{}: merged chrome is not JSON: {e}", spec.name));
+            .unwrap_or_else(|e| panic!("{}: merged chrome is not JSON: {e}", name));
         let events = v.as_arr().expect("merged chrome is an array");
         let pid = |ev: &json::Value| ev.get("pid").and_then(|p| p.as_u64()).unwrap();
         let ph = |ev: &json::Value| ev.get("ph").and_then(|p| p.as_str()).unwrap().to_string();
         assert!(
             events.iter().any(|e| pid(e) == 0),
             "{}: merged trace lost the coordinator track",
-            spec.name
+            name
         );
         assert!(
             events.iter().any(|e| pid(e) >= 1 && ph(e) == "X"),
             "{}: merged trace has no worker wall-clock spans",
-            spec.name
+            name
         );
         let labels = events.iter().filter(|e| ph(e) == "M").count();
         assert!(
             labels >= 2,
             "{}: merged trace must label the coordinator and at least one worker, got {labels}",
-            spec.name
+            name
         );
     }
 }

@@ -1,10 +1,12 @@
-//! Wire-layer accounting invariants for the channel-backed backend.
+//! Wire-layer accounting invariants for the carriers: `chan` on every
+//! host, and `tcp` — the same node runtime over sockets — wherever the
+//! sandbox allows them.
 //!
 //! The `chan` backend is the proof of the wire seam: every inter-node
 //! transfer is encoded into an owned `WireMsg` byte frame, carried over
-//! an mpsc channel, and decoded on the far side — no shared-memory
-//! shortcut exists. These tests pin down what that buys us across the
-//! whole Table 2 suite:
+//! a memory link to a worker thread running the node runtime, and
+//! decoded on the far side — no shared-memory shortcut exists. These
+//! tests pin down what that buys us across the whole Table 2 suite:
 //!
 //! * the frame and payload counters are live (`wire_frames > 0` whenever
 //!   the cluster moved any bytes at all) and reconcile against the
@@ -14,14 +16,21 @@
 //!   enveloped);
 //! * the zero-copy fast path routes *nothing* through the wire layer, so
 //!   the counters prove which path ran;
+//! * the workers keep books: each node's served frame and payload
+//!   totals come home at teardown and reconcile with the coordinator's
+//!   per-destination book — a skewed book is a typed `StatsMismatch`;
 //! * wire accounting stays out of the canonical artifacts: `chan`
 //!   reports, profiles, and gathered data are byte-identical to
 //!   `sm_opt`'s (full opt level), the backend it mirrors.
 
 use fgdsm_apps::{suite, Scale};
 use fgdsm_bench::NPROCS;
-use fgdsm_hpf::{execute, ExecConfig};
-use fgdsm_tempest::NodeStats;
+use fgdsm_hpf::{execute, tcp_available, ExecConfig};
+use fgdsm_protocol::{
+    ChanTransport, Dsm, Geometry, RemoteReport, SendEntry, WireError, WireTransport,
+    DEFAULT_RECV_TIMEOUT,
+};
+use fgdsm_tempest::{Cluster, CostModel, HomePolicy, NodeStats, SegmentLayout, NO_ARRAY};
 
 /// Sum the per-node stats of one run into a whole-cluster view.
 fn cluster_totals(run: &fgdsm_hpf::RunResult) -> NodeStats {
@@ -32,45 +41,56 @@ fn cluster_totals(run: &fgdsm_hpf::RunResult) -> NodeStats {
     whole
 }
 
-/// The chan backend must route every transfer through envelopes, and the
-/// envelope accounting must reconcile with the simulator's byte charges.
+/// Every carrier this host can run, with the label its failures carry.
+fn carriers() -> Vec<(&'static str, ExecConfig)> {
+    let mut v = vec![("chan", ExecConfig::chan(NPROCS))];
+    if tcp_available() {
+        v.push(("tcp", ExecConfig::tcp(NPROCS)));
+    } else {
+        eprintln!("notice: sandbox forbids sockets; wire accounting checked on chan only");
+    }
+    v
+}
+
+/// A carrier must route every transfer through envelopes, the envelope
+/// accounting must reconcile with the simulator's byte charges, and the
+/// link round-trips cost measured host time the virtual clock never sees.
 #[test]
-fn chan_wire_accounting_reconciles() {
-    for spec in suite(Scale::Test) {
-        let run = execute(&spec.program, &ExecConfig::chan(NPROCS));
-        let whole = cluster_totals(&run);
-        assert!(
-            whole.bytes_sent > 0,
-            "{}: suite app moved no bytes — not a useful wire check",
-            spec.name
-        );
-        assert!(
-            run.wire_frames > 0,
-            "{}: chan run moved {} bytes but routed no wire frames",
-            spec.name,
-            whole.bytes_sent
-        );
-        assert!(
-            run.wire_payload_bytes > 0,
-            "{}: chan run routed {} frames with no payload",
-            spec.name,
-            run.wire_frames
-        );
-        assert!(
-            run.wire_payload_bytes <= whole.bytes_sent,
-            "{}: wire payload {} exceeds cluster bytes_sent {} — envelopes \
-             carry data the simulator never charged for",
-            spec.name,
-            run.wire_payload_bytes,
-            whole.bytes_sent
-        );
-        if whole.reductions == 0 {
-            for (n, hm) in run.report.heatmaps.iter().enumerate() {
-                assert_eq!(
-                    hm.unattributed_bytes, 0,
-                    "{}: node {n} has unattributed bytes without reductions",
-                    spec.name
-                );
+fn carrier_wire_accounting_reconciles() {
+    for (carrier, cfg) in carriers() {
+        for spec in suite(Scale::Test) {
+            let name = format!("{carrier}/{}", spec.name);
+            let run = execute(&spec.program, &cfg);
+            let whole = cluster_totals(&run);
+            assert!(
+                whole.bytes_sent > 0,
+                "{name}: suite app moved no bytes — not a useful wire check"
+            );
+            assert!(
+                run.wire_frames > 0 && run.wire_payload_bytes > 0,
+                "{name}: moved {} bytes but routed {} frames carrying {} payload bytes",
+                whole.bytes_sent,
+                run.wire_frames,
+                run.wire_payload_bytes
+            );
+            assert!(
+                run.wire_payload_bytes <= whole.bytes_sent,
+                "{name}: wire payload {} exceeds cluster bytes_sent {} — envelopes \
+                 carry data the simulator never charged for",
+                run.wire_payload_bytes,
+                whole.bytes_sent
+            );
+            assert!(
+                run.wire_route_ns() > 0,
+                "{name}: link round-trips must accrue measured route time"
+            );
+            if whole.reductions == 0 {
+                for (n, hm) in run.report.heatmaps.iter().enumerate() {
+                    assert_eq!(
+                        hm.unattributed_bytes, 0,
+                        "{name}: node {n} has unattributed bytes without reductions"
+                    );
+                }
             }
         }
     }
@@ -104,37 +124,98 @@ fn fast_path_routes_no_frames() {
     }
 }
 
-/// Wire accounting is deliberately outside the canonical report: `chan`
-/// must be byte-identical to `sm_opt` at the full opt level in every
-/// artifact the suite emits.
+/// Wire accounting is deliberately outside the canonical report: a
+/// carrier must be byte-identical to `sm_opt` at the full opt level in
+/// every artifact the suite emits.
 #[test]
-fn chan_artifacts_match_sm_opt() {
+fn carrier_artifacts_match_sm_opt() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for spec in suite(Scale::Test) {
-        let chan = execute(&spec.program, &ExecConfig::chan(NPROCS));
         let smopt = execute(&spec.program, &ExecConfig::sm_opt(NPROCS));
-        assert_eq!(
-            chan.report.to_json(),
-            smopt.report.to_json(),
-            "{}: chan report diverged from sm_opt",
-            spec.name
-        );
-        assert_eq!(
-            chan.report.profile_json(),
-            smopt.report.profile_json(),
-            "{}: chan profile artifact diverged from sm_opt",
-            spec.name
-        );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&chan.data),
-            bits(&smopt.data),
-            "{}: chan gathered data diverged from sm_opt",
-            spec.name
-        );
-        assert_eq!(
-            chan.scalars, smopt.scalars,
-            "{}: chan scalars diverged from sm_opt",
-            spec.name
-        );
+        assert_eq!(smopt.wire_route_ns(), 0, "the fast path never routes");
+        for (carrier, cfg) in carriers() {
+            let name = format!("{carrier}/{}", spec.name);
+            let run = execute(&spec.program, &cfg);
+            assert_eq!(
+                run.report.to_json(),
+                smopt.report.to_json(),
+                "{name}: report diverged from sm_opt"
+            );
+            assert_eq!(
+                run.report.profile_json(),
+                smopt.report.profile_json(),
+                "{name}: profile artifact diverged from sm_opt"
+            );
+            assert_eq!(
+                bits(&run.data),
+                bits(&smopt.data),
+                "{name}: gathered data diverged from sm_opt"
+            );
+            assert_eq!(run.scalars, smopt.scalars, "{name}: scalars diverged");
+        }
+    }
+}
+
+/// A chan carrier whose first routed batch is served twice — a frame
+/// the coordinator's book never saw, as a retransmitting link would add.
+struct Retransmit(ChanTransport, bool);
+
+impl WireTransport for Retransmit {
+    fn name(&self) -> &'static str {
+        "chan+retransmit"
+    }
+    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
+        if std::mem::take(&mut self.1) {
+            self.0.route(dst, frames.clone())?;
+        }
+        self.0.route(dst, frames)
+    }
+    fn finish(&mut self) -> Vec<RemoteReport> {
+        self.0.finish()
+    }
+}
+
+/// Double-entry bookkeeping over a memory link: after real ctl traffic
+/// the workers' `ByeStats` reconcile with the coordinator's book at
+/// `wire_finish`; with one batch served twice behind the coordinator's
+/// back, teardown fails with a typed `StatsMismatch` naming the node
+/// and the counter that diverged.
+#[test]
+fn chan_books_reconcile_and_a_skewed_book_is_a_typed_mismatch() {
+    let push_over_chan = |retransmit: bool| {
+        let cost = CostModel::paper_dual_cpu();
+        let mut layout = SegmentLayout::new(cost.words_per_page());
+        layout.alloc(8192);
+        let mut d = Dsm::new(Cluster::new(2, cost, &layout, HomePolicy::RoundRobin));
+        let geom = Geometry::of(&d.cluster);
+        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None);
+        d.set_wire(Box::new(Retransmit(chan, retransmit)));
+        d.mk_writable(1, 0, 2);
+        let sends = [SendEntry {
+            owner: 1,
+            readers: vec![0],
+            first: 0,
+            end: 2,
+            array: NO_ARRAY,
+        }];
+        let plans = d.plan_sends(&sends, true);
+        d.apply_plans(&plans, 1);
+        d.recycle_plans(plans);
+        assert!(d.wire_stats().0 > 0, "the push must have been enveloped");
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.wire_finish())).map(|_| ())
+    };
+    assert!(push_over_chan(false).is_ok(), "honest books must reconcile");
+    let err = push_over_chan(true).expect_err("a twice-served batch must not reconcile");
+    match err.downcast_ref::<WireError>() {
+        Some(&WireError::StatsMismatch {
+            node,
+            counter: "frames",
+            local,
+            remote,
+        }) => assert!(
+            node < 2 && remote > local,
+            "node {node}: {local} vs {remote}"
+        ),
+        other => panic!("want a typed frames StatsMismatch, got {other:?}"),
     }
 }

@@ -1,92 +1,19 @@
-//! Wire-layer accounting invariants for the socket-backed `tcp` backend.
+//! What only the socket-backed `tcp` carrier can prove (the accounting
+//! and byte-identity invariants it shares with `chan` are checked for
+//! both carriers in `wire_chan.rs`):
 //!
-//! The `tcp` backend carries the same envelope discipline as `chan` over
-//! real sockets to spawned `fgdsm-node` worker processes, so the same
-//! accounting invariants hold — plus two it alone can prove:
-//!
-//! * the measured route time (`wire_route_ns`) is live: socket
-//!   round-trips cost real host nanoseconds, which the virtual clock
-//!   never sees (canonical artifacts stay byte-identical to `sm_opt`);
-//! * the *nodes'* own counters reconcile with the coordinator's: each
-//!   worker reports its served frame and payload totals in `ByeStats`
-//!   at orderly teardown, and the sums must match what the coordinator
-//!   routed — double-entry bookkeeping across address spaces.
+//! * the *nodes'* own counters reconcile with the coordinator's across
+//!   address spaces: each worker process reports its served frame and
+//!   payload totals in `ByeStats` at orderly teardown, over TCP and over
+//!   Unix-domain sockets, and the sums match what the coordinator routed;
+//! * a worker process does not trust the peer's addresses.
 //!
 //! Every test skips with a notice when the sandbox forbids sockets.
 
-use fgdsm_apps::{suite, Scale};
-use fgdsm_bench::NPROCS;
-use fgdsm_hpf::{execute, tcp_available, ExecConfig};
+use fgdsm_hpf::tcp_available;
 use fgdsm_net::{NetGeometry, NetKind, SocketOpts, SocketTransport};
 use fgdsm_protocol::wire::WireHeader;
-use fgdsm_protocol::{WireMsg, WireTransport};
-
-/// The tcp backend must route every transfer through the sockets, the
-/// envelope accounting must reconcile with the simulator's byte charges,
-/// and — unlike every in-process backend — the measured route time must
-/// be nonzero while the canonical artifacts stay byte-identical to
-/// `sm_opt`.
-#[test]
-fn tcp_wire_accounting_reconciles_and_artifacts_match_sm_opt() {
-    if !tcp_available() {
-        eprintln!(
-            "notice: sandbox forbids sockets; skipping tcp_wire_accounting_reconciles_and_artifacts_match_sm_opt"
-        );
-        return;
-    }
-    for spec in suite(Scale::Test) {
-        let tcp = execute(&spec.program, &ExecConfig::tcp(NPROCS));
-        let smopt = execute(&spec.program, &ExecConfig::sm_opt(NPROCS));
-        let bytes_sent: u64 = tcp.report.nodes.iter().map(|n| n.bytes_sent).sum();
-        assert!(
-            tcp.wire_frames > 0,
-            "{}: tcp run moved {bytes_sent} bytes but routed no wire frames",
-            spec.name
-        );
-        assert!(
-            tcp.wire_payload_bytes > 0 && tcp.wire_payload_bytes <= bytes_sent,
-            "{}: wire payload {} must be positive and ≤ cluster bytes_sent {}",
-            spec.name,
-            tcp.wire_payload_bytes,
-            bytes_sent
-        );
-        assert!(
-            tcp.wire_route_ns() > 0,
-            "{}: socket round-trips must accrue measured route time",
-            spec.name
-        );
-        assert_eq!(
-            smopt.wire_route_ns(),
-            0,
-            "{}: the in-process fast path never routes",
-            spec.name
-        );
-        assert_eq!(
-            tcp.report.to_json(),
-            smopt.report.to_json(),
-            "{}: tcp report diverged from sm_opt",
-            spec.name
-        );
-        assert_eq!(
-            tcp.report.profile_json(),
-            smopt.report.profile_json(),
-            "{}: tcp profile artifact diverged from sm_opt",
-            spec.name
-        );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&tcp.data),
-            bits(&smopt.data),
-            "{}: tcp gathered data diverged from sm_opt",
-            spec.name
-        );
-        assert_eq!(
-            tcp.scalars, smopt.scalars,
-            "{}: tcp scalars diverged from sm_opt",
-            spec.name
-        );
-    }
-}
+use fgdsm_protocol::{WireError, WireMsg, WireTransport};
 
 /// Double-entry bookkeeping across address spaces: drive a transport
 /// directly, count what the coordinator routes, and check the workers'
@@ -178,8 +105,8 @@ fn unix_domain_carrier_routes_and_reconciles() {
 /// The worker mirror does not trust the peer's addresses: a well-formed
 /// one-word `Copy` frame at word `1 << 40` (an 8 TiB mirror, had the
 /// worker grown to fit it) must come back as the worker's typed
-/// rejection — a loud failure at the coordinator within the recv
-/// deadline, not a hang, a dead peer, or an allocation past the
+/// rejection — a typed `WireError::Rejected` at the coordinator within
+/// the recv deadline, not a hang, a dead peer, or an allocation past the
 /// handshake's segment.
 #[test]
 fn hostile_addresses_fail_loudly_at_the_coordinator() {
@@ -205,21 +132,18 @@ fn hostile_addresses_fail_loudly_at_the_coordinator() {
         words: vec![42],
     };
     let t0 = std::time::Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        t.route(1, vec![hostile.to_bytes()])
-    }));
+    let outcome = t.route(1, vec![hostile.to_bytes()]);
     assert!(
         t0.elapsed() < std::time::Duration::from_secs(5),
         "the rejection must arrive before the recv deadline"
     );
-    let panic = outcome.expect_err("a frame outside the segment must fail the route loudly");
-    let msg = panic
-        .downcast_ref::<String>()
-        .expect("the coordinator panics with the worker's Err detail");
-    assert!(
-        msg.contains("node 1: out of segment"),
-        "want the worker's typed rejection, got: {msg}"
-    );
+    match outcome {
+        Err(WireError::Rejected { node: 1, detail }) => assert!(
+            detail.contains("out of segment"),
+            "want the worker's own account of the rejection, got: {detail}"
+        ),
+        other => panic!("want node 1's typed rejection, got {other:?}"),
+    }
     // The other worker is untouched and still serves.
     let fine = WireMsg::Copy {
         hdr: WireHeader::for_blocks(1, 0, (0, 0), u32::MAX, 15, 1),
@@ -228,5 +152,4 @@ fn hostile_addresses_fail_loudly_at_the_coordinator() {
     };
     let frames = vec![fine.to_bytes()];
     assert_eq!(t.route(0, frames.clone()).expect("clean route"), frames);
-    t.shutdown();
 }

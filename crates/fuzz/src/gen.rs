@@ -2,7 +2,7 @@
 //!
 //! A [`FuzzSpec`] is the *entire* description of a fuzz case: the
 //! program structure (arrays, loops, reads, reductions, time nesting)
-//! plus the fault-injection knobs. Programs are rebuilt from the spec on
+//! plus the injection knobs. Programs are rebuilt from the spec on
 //! demand ([`FuzzSpec::build`]), which is what makes shrinking and
 //! replay exact: the shrinker mutates the spec, never the program, and
 //! [`FuzzSpec::to_rust`] renders the spec as a standalone reproducer.
@@ -449,7 +449,7 @@ impl FuzzSpec {
             "            undercount_metrics: {},",
             i.undercount_metrics
         );
-        let _ = writeln!(s, "            tcp_node_fault: {:?},", i.tcp_node_fault);
+        let _ = writeln!(s, "            node_fault: {:?},", i.node_fault);
         let _ = writeln!(s, "        }},");
         let _ = writeln!(s, "    }};");
         let _ = writeln!(s, "    check_spec(&spec).unwrap();");

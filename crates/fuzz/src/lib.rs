@@ -24,8 +24,7 @@
 //! perturbations (randomized resolve order, cleared `implicit_writable`
 //! memo, boundary blocks forced onto the default path) must produce
 //! identical results; *must-catch* protocol mutations (off-by-one
-//! `send_range`, skipped `flush_range`; behind the `fault-inject`
-//! feature this crate always enables) must make the oracle report a
+//! `send_range`, skipped `flush_range`) must make the oracle report a
 //! divergence.
 
 pub mod gen;

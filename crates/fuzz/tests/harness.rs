@@ -7,7 +7,8 @@ use fgdsm_fuzz::{
     case_seed, check_spec, check_spec_tcp, gen_spec, shrink, ArraySpec, Detector, FStmt, Fault,
     FuzzSpec, LoopSpec, ReadSpec,
 };
-use fgdsm_hpf::InjectConfig;
+use fgdsm_hpf::{try_execute, ExecConfig, ExecError, InjectConfig};
+use fgdsm_protocol::WireError;
 use fgdsm_testkit::Rng;
 
 const TOLERATED_SEEDS: u64 = 25;
@@ -33,7 +34,7 @@ fn tolerated_perturbations_are_invisible() {
             corrupt_envelope: false,
             corrupt_frame_len: false,
             undercount_metrics: false,
-            tcp_node_fault: None,
+            node_fault: None,
         };
         if let Err(d) = check_spec(&spec) {
             panic!("tolerated perturbation diverged at seed {seed:#x}: {d}");
@@ -175,6 +176,7 @@ fn must_catch_misfolded_pool_results() {
 /// fast-path configs never see an envelope, so the divergence must land
 /// on a `wire-strict` config or the `chan` backend — proving the
 /// injection (and thus the validation) lives on the wire seam itself.
+/// Over a carrier the failure is the *node's* typed rejection.
 #[test]
 fn must_catch_corrupt_envelope() {
     let mut spec = skew_victim();
@@ -191,10 +193,14 @@ fn must_catch_corrupt_envelope() {
         d.detail.contains("panic"),
         "a corrupt frame must fail the run loudly, not diverge quietly: {d}"
     );
-    assert!(
-        d.detail.contains("envelope decode failed"),
-        "failure must come from wire decode validation: {d}"
-    );
+    let chan = ExecConfig::chan(spec.nprocs).with_inject(spec.inject);
+    match try_execute(&spec.build(), &chan) {
+        Err(ExecError::Wire(WireError::Rejected { detail, .. })) => assert!(
+            detail.contains("unsupported version"),
+            "the node's decoder must be what refused the frame: {detail}"
+        ),
+        other => panic!("want the worker's typed rejection, got {other:?}"),
+    }
 }
 
 /// The same traffic-heavy program as [`skew_victim`], but the `tcp`

@@ -31,7 +31,7 @@ use super::{Backend, ExecConfig, HomeAssign, RunResult};
 use crate::analysis::{self, LoopAccess};
 use crate::ir::{ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt};
 use crate::plan::{covering_blocks_into, ArrayMeta};
-use fgdsm_protocol::{ChanTransport, Dsm, Loopback, WireTransport};
+use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
 use fgdsm_section::{Env, Range, Section};
 use fgdsm_tempest::{
     CacheAligned, ChargeKind, Cluster, HomePolicy, Job, NodeShard, SegmentLayout, WorkerPool,
@@ -122,29 +122,27 @@ pub(crate) fn layout_arrays(
 }
 
 /// The carrier for strict wire mode, `None` for the zero-copy fast path:
-/// the `chan` backend always routes envelopes through per-node channel
-/// workers and the `tcp` backend through spawned node processes (whose
-/// mirrors are sized to `seg_words`, the length the coordinator's shards
-/// really have); the other backends get an in-process loopback — same
-/// encode/decode round-trip, no threads — when `WireMode` asks.
-fn make_transport(cfg: &ExecConfig, seg_words: usize) -> Option<Box<dyn WireTransport>> {
+/// the `chan` backend always routes envelopes through per-node worker
+/// threads and the `tcp` backend through spawned node processes — the
+/// same node runtime built from the same values, its mirrors sized to
+/// the segment `cluster`'s shards really have; the other backends get an
+/// in-process loopback — same encode/decode round-trip, no workers —
+/// when `WireMode` asks.
+fn make_transport(cfg: &ExecConfig, cluster: &Cluster) -> Option<Box<dyn WireTransport>> {
+    let geom = Geometry::of(cluster);
+    let (timeout, metrics) = (cfg.recv_timeout, cfg.metrics.enabled());
+    let node_fault = cfg.inject.node_fault;
     match cfg.backend {
-        Backend::Chan => Some(Box::new(ChanTransport::with_timeout(
-            cfg.nprocs,
-            cfg.recv_timeout,
+        Backend::Chan => Some(Box::new(ChanTransport::spawn(
+            geom, timeout, metrics, node_fault,
         ))),
         Backend::Tcp => {
-            let geom = fgdsm_net::NetGeometry {
-                nprocs: cfg.nprocs,
-                wpb: cfg.cost.words_per_block() as u32,
-                seg_words: seg_words as u64,
-            };
             let opts = fgdsm_net::SocketOpts {
                 kind: None,
-                timeout: cfg.recv_timeout,
+                timeout,
                 corrupt_frame_len: cfg.inject.corrupt_frame_len,
-                node_fault: cfg.inject.tcp_node_fault,
-                metrics: cfg.metrics.enabled(),
+                node_fault,
+                metrics,
             };
             match fgdsm_net::SocketTransport::spawn(geom, opts) {
                 Ok(t) => Some(Box::new(t)),
@@ -189,9 +187,7 @@ impl<'p> EngineCore<'p> {
         if let Some(cap) = cfg.trace_cap {
             cluster.set_ring_capacity(cap);
         }
-        #[allow(unused_mut)]
         let mut dsm = Dsm::with_protocol(cluster, cfg.protocol);
-        #[cfg(feature = "fault-inject")]
         dsm.set_injection(fgdsm_protocol::Injection {
             skew_send_range: cfg.inject.skew_send_range,
             skip_flush_range: cfg.inject.skip_flush_range,
@@ -201,18 +197,7 @@ impl<'p> EngineCore<'p> {
             corrupt_envelope: cfg.inject.corrupt_envelope,
             undercount_metrics: cfg.inject.undercount_metrics,
         });
-        #[cfg(not(feature = "fault-inject"))]
-        assert!(
-            !cfg.inject.skew_send_range
-                && !cfg.inject.skip_flush_range
-                && !cfg.inject.stale_owner_push
-                && !cfg.inject.reorder_plan_apply
-                && !cfg.inject.misfold_pool
-                && !cfg.inject.corrupt_envelope
-                && !cfg.inject.undercount_metrics,
-            "protocol-level fault injection requires the `fault-inject` feature"
-        );
-        if let Some(transport) = make_transport(cfg, dsm.cluster.seg_words()) {
+        if let Some(transport) = make_transport(cfg, &dsm.cluster) {
             dsm.set_wire(transport);
         }
         // Wall-clock telemetry: a side channel over the wire seam only —

@@ -24,10 +24,11 @@
 //! A *carrier* is a transport, not a backend: [`Backend::Chan`] and
 //! [`Backend::Tcp`] run `sm_opt` at the full optimization level with
 //! every inter-node transfer encoded into a [`fgdsm_protocol::WireMsg`]
-//! envelope and carried by per-node channel worker threads or spawned
-//! `fgdsm-node` processes (`engine::make_transport` picks the
-//! [`fgdsm_protocol::WireTransport`]) — the seam a real distributed port
-//! would use, byte-identical to `sm_opt` (determinism suite + fuzz
+//! envelope and carried to one node runtime
+//! ([`fgdsm_protocol::node::serve`]) hosted on per-node worker threads
+//! or in spawned `fgdsm-node` processes (`engine::make_transport` picks
+//! the [`fgdsm_protocol::WireTransport`]) — the seam a real distributed
+//! port would use, byte-identical to `sm_opt` (determinism suite + fuzz
 //! oracle). [`WireMode::Strict`] ([`ExecConfig::strict`]) forces the same
 //! envelope round-trip, over an in-process loopback, under the sm_* and
 //! mp backends for differential testing.
@@ -87,22 +88,21 @@ pub enum Backend {
     SmOpt(OptLevel),
     /// Message-passing backend.
     Mp,
-    /// `sm_opt` at the full optimization level over the channel carrier:
-    /// every inter-node transfer round-trips through encoded
-    /// [`fgdsm_protocol::WireMsg`] bytes carried by per-node channel
-    /// worker threads that share no shard memory
-    /// ([`fgdsm_protocol::ChanTransport`]). Byte-identical to `sm_opt`
-    /// (pinned by the determinism suite and the fuzz oracle).
+    /// `sm_opt` at the full optimization level over the channel carrier
+    /// ([`fgdsm_protocol::ChanTransport`]): every inter-node transfer
+    /// round-trips through encoded [`fgdsm_protocol::WireMsg`] bytes to a
+    /// per-node worker *thread* that shares no shard memory: it owns a
+    /// mirror of the shard words, decodes each envelope with the paranoid
+    /// wire decoder, scatters it, and re-gathers the reply from its own
+    /// memory. Byte-identical to `sm_opt` (pinned by the determinism
+    /// suite and the fuzz oracle). Peer death, recv deadlines and
+    /// rejected frames surface as typed [`fgdsm_protocol::WireError`]s
+    /// through [`try_execute`].
     Chan,
-    /// `sm_opt` at the full optimization level over the socket carrier
-    /// ([`fgdsm_net::SocketTransport`]): every inter-node transfer is
-    /// framed over a real socket (TCP loopback, or Unix-domain where TCP
-    /// is forbidden) to a spawned `fgdsm-node` worker *process* that
-    /// owns a mirror of the shard words, decodes each envelope with the
-    /// paranoid wire decoder, scatters it, and re-gathers the reply from
-    /// its own memory. Byte-identical to `sm_opt`. Peer death and recv
-    /// deadlines surface as typed [`fgdsm_protocol::WireError`]s through
-    /// [`try_execute`].
+    /// The same node runtime over the socket carrier
+    /// ([`fgdsm_net::SocketTransport`]): each worker is a spawned
+    /// `fgdsm-node` *process* reached over a real socket (TCP loopback,
+    /// or Unix-domain where TCP is forbidden).
     Tcp,
 }
 
@@ -249,13 +249,11 @@ pub struct ExecConfig {
     /// Trace entries kept per node (`None`: the trace ring's default).
     /// Aggregates stay exact; only the raw entry stream is truncated.
     pub trace_cap: Option<usize>,
-    /// Fault-injection knobs for the differential fuzzer (all off by
-    /// default; the protocol-level mutations additionally require the
-    /// `fault-inject` cargo feature).
+    /// Injection knobs for the differential fuzzer (all off by default).
     pub inject: InjectConfig,
 }
 
-/// Fault-injection configuration: *tolerated* perturbations the §4.2
+/// Injection configuration: *tolerated* perturbations the §4.2
 /// contract must survive without changing results, plus *must-catch*
 /// protocol mutations (forwarded to
 /// [`fgdsm_protocol::Dsm::set_injection`]) whose incoherence the
@@ -275,49 +273,46 @@ pub struct InjectConfig {
     /// Shrink every compiler-controlled block range by one block at each
     /// end, forcing those boundary blocks onto the default-protocol path.
     pub force_boundary: bool,
-    /// Must-catch: off-by-one `send_range` bounds (needs `fault-inject`).
+    /// Must-catch: off-by-one `send_range` bounds.
     pub skew_send_range: bool,
-    /// Must-catch: skip `flush_range` entirely (needs `fault-inject`).
+    /// Must-catch: skip `flush_range` entirely.
     pub skip_flush_range: bool,
     /// Must-catch: redirect `send_range` pushes to the (possibly stale)
     /// home copy whenever the home is a third party — the §4.3 stale
-    /// owner-memo hazard (needs `fault-inject`).
+    /// owner-memo hazard.
     pub stale_owner_push: bool,
     /// Must-catch: reverse the plan order of the resolve phase's apply
     /// stage under a parallel resolve — a nondeterministic merge the
-    /// differential oracle must detect (needs `fault-inject`).
+    /// differential oracle must detect.
     pub reorder_plan_apply: bool,
     /// Must-catch: fold the parallel apply stage's outcomes rotated out
     /// of plan-index order — the merge mistake a worker-pool integration
-    /// could make (needs `fault-inject`).
+    /// could make.
     pub misfold_pool: bool,
     /// Must-catch: flip a byte inside the first envelope routed in strict
     /// wire mode — `WireMsg::from_bytes` must reject the frame and fail
-    /// the run loudly, proving decode validation has teeth (needs
-    /// `fault-inject` and an envelope path: the `chan` backend or
-    /// [`WireMode::Strict`]).
+    /// the run loudly, proving decode validation has teeth (needs an
+    /// envelope path: a carrier or [`WireMode::Strict`]).
     pub corrupt_envelope: bool,
     /// Must-catch: overwrite the length prefix of the first data frame
     /// the coordinator sends with an oversized value — the node's
     /// framing layer must reject it against [`fgdsm_protocol::MAX_FRAME_BYTES`]
-    /// before allocating, and the run must fail loudly. Transport-level
-    /// (lives in `fgdsm-net`, not the protocol), so it does **not**
-    /// require the `fault-inject` feature — but it only has an effect on
-    /// the `tcp` backend.
+    /// before allocating, and the run must fail loudly. Only the socket
+    /// link has length prefixes, so it only has an effect on the `tcp`
+    /// backend.
     pub corrupt_frame_len: bool,
-    /// Fault-tolerance harness knob: arm node `n` of the `tcp` backend
-    /// with a [`fgdsm_net::NodeFault`] (exit or wedge after a batch
-    /// count). The coordinator must surface a typed
+    /// Fault-tolerance harness knob: arm node `n` of a carrier (`chan`
+    /// or `tcp`) with a [`fgdsm_protocol::NodeFault`] (exit or wedge
+    /// after a batch count). The coordinator must surface a typed
     /// [`fgdsm_protocol::WireError`] within the configured deadline —
-    /// no hang, no partial artifact. Transport-level; no effect on
-    /// in-process backends.
-    pub tcp_node_fault: Option<(u32, fgdsm_net::NodeFault)>,
+    /// no hang, no partial artifact. No effect without a carrier.
+    pub node_fault: Option<(u32, fgdsm_protocol::NodeFault)>,
     /// Must-catch: skip the coordinator's per-class `payload_bytes.*`
     /// metrics counter for the first envelope encoded — the run itself
     /// and the double-entry books stay correct, so only the telemetry
     /// conservation invariant ([`RunResult::check_metrics_conservation`])
-    /// can catch the undercount (needs `fault-inject`, metrics on, and
-    /// an envelope path).
+    /// can catch the undercount (needs metrics on and an envelope
+    /// path).
     pub undercount_metrics: bool,
 }
 
@@ -440,7 +435,7 @@ impl ExecConfig {
         self
     }
 
-    /// Replace the fault-injection configuration.
+    /// Replace the injection configuration.
     pub fn with_inject(mut self, inject: InjectConfig) -> Self {
         self.inject = inject;
         self
@@ -484,7 +479,7 @@ pub struct RunResult {
     pub wire_payload_bytes: u64,
     /// Merged wall-clock telemetry (`None` when metrics are off):
     /// coordinator keys under `coord.`, per-worker keys under `node<i>.`
-    /// for the `tcp` backend. Side-channel only — never feeds the
+    /// for the carriers. Side-channel only — never feeds the
     /// canonical report.
     pub metrics: Option<MetricsRegistry>,
     /// Wall-clock spans of the wire transport's batch round-trips
@@ -539,7 +534,7 @@ impl RunResult {
                 self.wire_payload_bytes
             ));
         }
-        // Worker registries (tcp backend only): every node that shipped
+        // Worker registries (carriers only): every node that shipped
         // metrics home must account for the full payload volume it saw.
         let mut nodes: Vec<&str> = reg
             .iter()
@@ -599,17 +594,18 @@ pub fn execute(prog: &Program, cfg: &ExecConfig) -> RunResult {
 }
 
 /// How an execution failed. The engine reports failures by panicking —
-/// typed [`fgdsm_protocol::WireError`] payloads for transport-level
-/// failures (peer death, recv deadline, framing cap), strings for
-/// everything else (decode rejections, invariant violations).
-/// [`try_execute`] catches both and hands them back as values.
+/// typed [`fgdsm_protocol::WireError`] payloads for everything the
+/// transport reports (peer death, recv deadline, a frame the peer
+/// rejected, a broken conversation, diverging books), strings for
+/// everything else (invariant violations). [`try_execute`] catches both
+/// and hands them back as values.
 #[derive(Clone, Debug)]
 pub enum ExecError {
-    /// The wire transport failed: a peer process died, a recv deadline
-    /// fired, or a frame length exceeded the cap.
+    /// The wire transport failed: a peer died
+    /// ([`fgdsm_protocol::WireError::PeerGone`]), a recv deadline fired
+    /// (`Timeout`), or the peer refused a frame (`Rejected`).
     Wire(fgdsm_protocol::WireError),
-    /// Any other engine panic, stringified (decode failures keep their
-    /// pinned `wire: envelope decode failed in transit: …` message).
+    /// Any other engine panic, stringified.
     Panic(String),
 }
 
@@ -626,7 +622,7 @@ impl std::error::Error for ExecError {}
 
 /// Execute `prog` under `cfg`, catching engine failures as typed values
 /// instead of unwinding. This is the fault-tolerant entry point for the
-/// distributed backends: a killed `fgdsm-node` process surfaces as
+/// carriers: a killed node (thread or `fgdsm-node` process) surfaces as
 /// `Err(ExecError::Wire(WireError::PeerGone(n)))`, a wedged one as
 /// `Err(ExecError::Wire(WireError::Timeout(n)))` — within the configured
 /// recv deadline, with no partial artifacts. Successful runs are

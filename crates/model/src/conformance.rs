@@ -13,7 +13,7 @@
 
 use crate::absmodel::{AbsState, Mutation, Op, Proto, WORDS};
 use crate::checker::ModelConfig;
-use fgdsm_protocol::{ChanTransport, Dsm, Injection, ProtocolKind};
+use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Injection, ProtocolKind, DEFAULT_RECV_TIMEOUT};
 use fgdsm_tempest::{Access, Cluster, CostModel, HomePolicy, SegmentLayout};
 
 /// Outcome of a conformance sweep (see [`replay_on_dsm`] for one run).
@@ -39,7 +39,9 @@ fn build_dsm(cfg: &ModelConfig, wire: bool, inject: Option<Injection>) -> Dsm {
         kind,
     );
     if wire {
-        d.set_wire(Box::new(ChanTransport::new(cfg.nodes)));
+        let geom = Geometry::of(&d.cluster);
+        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None);
+        d.set_wire(Box::new(chan));
     }
     if let Some(inj) = inject {
         d.set_injection(inj);

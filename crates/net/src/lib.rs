@@ -1,31 +1,24 @@
 //! Socket-backed multi-process transport: the first time the repro
 //! leaves one address space.
 //!
-//! [`SocketTransport`] implements the wire seam's
-//! [`WireTransport`] over real OS processes: each node is a spawned
-//! `fgdsm-node` worker that owns a mirror of its shard address space,
-//! decodes every [`WireMsg`] with the paranoid decoder, scatters the
-//! payload into its local store (`WireMsg::scatter`, bounds-checked
-//! against the handshake's segment), and replies with the same envelope
-//! re-gathered *from that store* — so data genuinely round-trips through
-//! another process's memory, byte-identically.
+//! [`SocketTransport`] carries the wire seam's [`WireTransport`] to real
+//! OS processes: each node is a spawned `fgdsm-node` worker running the
+//! one node runtime (`fgdsm_protocol::node`: worker loop, coordinator
+//! conversation, fault model) over a socket [`Link`] — so data genuinely
+//! round-trips through another process's memory, byte-identically. This
+//! crate holds only what is socket- or process-specific: the link,
+//! spawn/reap, the worker's command line and [`node_command`].
 //!
 //! Transport choice: [`SocketOpts::kind`] names a family; unset means TCP
 //! over loopback, falling back to Unix-domain sockets when TCP binds are
-//! forbidden. All conversation runs over
-//! the length-prefixed framing layer (`write_frame`/[`FrameDecoder`])
-//! with [`CtrlMsg`] control frames for handshake
-//! (`Hello`/`HelloAck` with shard geometry), batch markers, and orderly
-//! teardown (`Bye`/`ByeStats`).
+//! forbidden. Frames travel length-prefixed
+//! (`write_frame`/[`FrameDecoder`]), one `write` per batch.
 //!
 //! Failure semantics: every recv carries a deadline
-//! ([`SocketOpts::timeout`]); a closed
-//! connection is a typed `WireError::PeerGone`, a silent one a typed
-//! `WireError::Timeout` — the coordinator never hangs on a dead or stuck
-//! node. Transient `EINTR`s are retried a bounded number of times. A
-//! frame the node *rejects* (decode failure, oversized length prefix,
-//! addresses outside the segment) comes back as a `CtrlMsg::Err` and
-//! fails the run loudly.
+//! ([`SocketOpts::timeout`]); a closed connection is a typed
+//! `WireError::PeerGone`, a silent one a typed `WireError::Timeout` — the
+//! coordinator never hangs on a dead or stuck node. Transient `EINTR`s
+//! are retried a bounded number of times.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -35,15 +28,15 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use fgdsm_protocol::node::{serve, Coordinator, Link, WireTransport};
+pub use fgdsm_protocol::node::{Geometry as NetGeometry, NodeFault};
 use fgdsm_protocol::wire::{
-    write_frame, CtrlMsg, FrameDecoder, RemoteReport, WireError, WireMsg, WireTransport,
-    DEFAULT_RECV_TIMEOUT, WIRE_VERSION,
+    write_frame, FrameDecoder, RemoteReport, WireError, DEFAULT_RECV_TIMEOUT,
 };
-use fgdsm_tempest::metrics::{self, MetricsRegistry};
 
 /// Bounded retry budget for transient (`EINTR`) I/O errors.
 const MAX_TRANSIENT_RETRIES: u32 = 100;
-/// How long `shutdown` waits for a child to exit after `Bye` before
+/// How long `finish` waits for a child to exit after `Bye` before
 /// killing it.
 const CHILD_EXIT_DEADLINE: Duration = Duration::from_secs(3);
 
@@ -63,18 +56,7 @@ pub enum NetKind {
 /// Can this process bind a socket of `kind`? (Sandboxes may forbid one
 /// or both families.)
 pub fn probe(kind: NetKind) -> bool {
-    match kind {
-        NetKind::Tcp => TcpListener::bind(("127.0.0.1", 0)).is_ok(),
-        #[cfg(unix)]
-        NetKind::Uds => {
-            let path = fresh_uds_path();
-            let ok = UnixListener::bind(&path).is_ok();
-            let _ = std::fs::remove_file(&path);
-            ok
-        }
-        #[cfg(not(unix))]
-        NetKind::Uds => false,
-    }
+    Listener::bind(kind).is_ok()
 }
 
 /// The socket family the sandbox allows: TCP, falling back to UDS.
@@ -97,55 +79,27 @@ fn fresh_uds_path() -> PathBuf {
 // Streams and listeners (TCP / UDS unified)
 // ----------------------------------------------------------------------
 
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
+/// What the link needs of a connected socket, whichever the family.
+trait Sock: Read + Write {
+    fn set_timeouts(&self, t: Option<Duration>) -> io::Result<()>;
 }
 
-impl Stream {
+impl Sock for TcpStream {
     fn set_timeouts(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(t)?;
-                s.set_write_timeout(t)
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                s.set_read_timeout(t)?;
-                s.set_write_timeout(t)
-            }
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-
-    fn read_some(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write_all_bytes(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.write_all(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write_all(buf),
-        }
+        self.set_read_timeout(t)?;
+        self.set_write_timeout(t)
     }
 }
+
+#[cfg(unix)]
+impl Sock for UnixStream {
+    fn set_timeouts(&self, t: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(t)?;
+        self.set_write_timeout(t)
+    }
+}
+
+type Stream = Box<dyn Sock>;
 
 enum Listener {
     Tcp(TcpListener),
@@ -189,9 +143,9 @@ impl Listener {
 
     fn try_accept(&self) -> io::Result<Option<Stream>> {
         let r = match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Box::new(s) as Stream),
             #[cfg(unix)]
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Unix(l, _) => l.accept().map(|(s, _)| Box::new(s) as Stream),
         };
         match r {
             Ok(s) => Ok(Some(s)),
@@ -213,11 +167,11 @@ impl Drop for Listener {
 
 fn connect(addr: &str) -> io::Result<Stream> {
     if let Some(a) = addr.strip_prefix("tcp:") {
-        return Ok(Stream::Tcp(TcpStream::connect(a)?));
+        return Ok(Box::new(TcpStream::connect(a)?));
     }
     #[cfg(unix)]
     if let Some(p) = addr.strip_prefix("uds:") {
-        return Ok(Stream::Unix(UnixStream::connect(p)?));
+        return Ok(Box::new(UnixStream::connect(p)?));
     }
     Err(io::Error::new(
         io::ErrorKind::InvalidInput,
@@ -226,7 +180,7 @@ fn connect(addr: &str) -> io::Result<Stream> {
 }
 
 // ----------------------------------------------------------------------
-// Framed I/O with typed failure mapping
+// The socket link: length-prefixed frames with typed failure mapping
 // ----------------------------------------------------------------------
 
 fn map_io(peer: u32, e: &io::Error) -> WireError {
@@ -236,39 +190,55 @@ fn map_io(peer: u32, e: &io::Error) -> WireError {
     }
 }
 
-/// One framed connection: the stream plus its incremental reassembly
-/// state.
-struct Link {
+/// One framed connection: the stream (whose read/write timeouts are the
+/// link's deadline) plus its incremental reassembly state. Dropping it
+/// closes the socket.
+struct SocketLink {
     stream: Stream,
     dec: FrameDecoder,
+    /// Fault injection ([`SocketOpts::corrupt_frame_len`]), one shot:
+    /// overwrite the length prefix of the first data frame sent with an
+    /// oversized value. The node's framing cap must reject it before
+    /// allocating; the run fails loudly via the node's `Err` reply.
+    corrupt_next_len: bool,
 }
 
-impl Link {
-    fn new(stream: Stream) -> Self {
-        Link {
+impl SocketLink {
+    fn new(stream: Stream, corrupt_next_len: bool) -> Self {
+        SocketLink {
             stream,
             dec: FrameDecoder::new(),
+            corrupt_next_len,
         }
     }
+}
 
-    fn send(&mut self, bytes: &[u8], peer: u32) -> Result<(), WireError> {
-        self.stream
-            .write_all_bytes(bytes)
-            .map_err(|e| map_io(peer, &e))
+impl Link for SocketLink {
+    /// One buffer, one `write`: every frame behind its length prefix.
+    fn send(&mut self, frames: Vec<Vec<u8>>, peer: u32) -> Result<(), WireError> {
+        let mut out = Vec::with_capacity(frames.iter().map(|f| 4 + f.len()).sum());
+        for f in &frames {
+            write_frame(&mut out, f);
+        }
+        if frames.len() > 1 && std::mem::take(&mut self.corrupt_next_len) {
+            let at = 4 + frames[0].len();
+            out[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        self.stream.write_all(&out).map_err(|e| map_io(peer, &e))
     }
 
     /// Read the next complete frame. A 0-byte read (EOF) is
     /// [`WireError::PeerGone`]; a recv deadline hit is
     /// [`WireError::Timeout`]; an oversized length prefix surfaces as
     /// [`WireError::FrameTooBig`] before any allocation.
-    fn recv_frame(&mut self, peer: u32) -> Result<Vec<u8>, WireError> {
+    fn recv(&mut self, peer: u32) -> Result<Vec<u8>, WireError> {
         let mut retries = 0u32;
         let mut buf = [0u8; 64 * 1024];
         loop {
             if let Some(f) = self.dec.next_frame()? {
                 return Ok(f);
             }
-            match self.stream.read_some(&mut buf) {
+            match self.stream.read(&mut buf) {
                 Ok(0) => return Err(WireError::PeerGone(peer)),
                 Ok(n) => self.dec.push(&buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
@@ -286,49 +256,6 @@ impl Link {
 // ----------------------------------------------------------------------
 // Coordinator side: SocketTransport
 // ----------------------------------------------------------------------
-
-/// Shard geometry shipped to every node in `HelloAck`, sizing its
-/// mirror store.
-#[derive(Clone, Copy, Debug)]
-pub struct NetGeometry {
-    pub nprocs: usize,
-    /// Words per coherence block.
-    pub wpb: u32,
-    /// Segment size in words (every node's window spans the segment).
-    pub seg_words: u64,
-}
-
-/// A deliberate node-process misbehavior, armed on one child through
-/// its command line — the fault-tolerance tests' way of killing or
-/// wedging a node mid-superstep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeFault {
-    /// Exit cleanly (EOF on the coordinator's next read) after serving
-    /// this many batches.
-    ExitAfterBatches(u32),
-    /// Stop replying (coordinator recv deadline fires) after serving
-    /// this many batches.
-    WedgeAfterBatches(u32),
-}
-
-impl NodeFault {
-    fn arg_str(&self) -> String {
-        match self {
-            NodeFault::ExitAfterBatches(n) => format!("exit:{n}"),
-            NodeFault::WedgeAfterBatches(n) => format!("wedge:{n}"),
-        }
-    }
-
-    fn parse(s: &str) -> Option<NodeFault> {
-        let (kind, n) = s.split_once(':')?;
-        let n = n.parse().ok()?;
-        match kind {
-            "exit" => Some(NodeFault::ExitAfterBatches(n)),
-            "wedge" => Some(NodeFault::WedgeAfterBatches(n)),
-            _ => None,
-        }
-    }
-}
 
 /// Options for [`SocketTransport::spawn`].
 #[derive(Clone, Debug)]
@@ -361,23 +288,42 @@ impl Default for SocketOpts {
     }
 }
 
+/// The spawned node processes. `std::process::Child` has no `Drop`, so
+/// this one reaps: whichever way its owner goes away — a failed
+/// [`SocketTransport::spawn`], teardown, a panic unwind — every child is
+/// killed and waited for.
+struct Children(Vec<Child>);
+
+impl Children {
+    fn reap(&mut self) {
+        for mut child in self.0.drain(..) {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        self.reap();
+    }
+}
+
 /// The `tcp` backend's transport: one spawned `fgdsm-node` process per
-/// node, linked over TCP loopback or Unix-domain sockets.
+/// node, each running `fgdsm_protocol::node::serve` over a TCP-loopback
+/// or Unix-domain socket link.
 pub struct SocketTransport {
     kind: NetKind,
-    links: Vec<Option<Link>>,
-    children: Vec<Option<Child>>,
-    corrupt_len_pending: bool,
-    /// Per-node teardown reports (counters + optional metrics blob),
-    /// drained by [`WireTransport::finish`].
-    reports: Vec<RemoteReport>,
+    nodes: Coordinator<SocketLink>,
+    children: Children,
 }
 
 impl SocketTransport {
     /// Spawn `geom.nprocs` node processes, accept their connections and
     /// complete the `Hello`/`HelloAck` handshake. Fails (typed
-    /// `io::Error`) when the sandbox forbids sockets, the node binary
-    /// cannot be found or started, or a child dies before connecting.
+    /// `io::Error`, every child already reaped) when the sandbox forbids
+    /// sockets, the node binary cannot be found or started, a child dies
+    /// before connecting, or a handshake goes wrong.
     pub fn spawn(geom: NetGeometry, opts: SocketOpts) -> io::Result<SocketTransport> {
         let kind = opts.kind.or_else(available_kind).ok_or_else(|| {
             io::Error::new(
@@ -389,32 +335,31 @@ impl SocketTransport {
         let addr = listener.addr_string()?;
         listener.set_nonblocking(true)?;
 
-        let mut children: Vec<Option<Child>> = Vec::with_capacity(geom.nprocs);
-        for node in 0..geom.nprocs {
+        // Owned from before the first child starts: any early return
+        // below drops these, reaping every child and closing every link.
+        let mut children = Children(Vec::with_capacity(geom.nprocs));
+        let mut nodes = Coordinator::new(geom);
+        for node in 0..geom.nprocs as u32 {
             let args = NodeArgs {
-                node: node as u32,
+                node,
                 addr: addr.clone(),
                 timeout: opts.timeout,
                 metrics: opts.metrics,
-                fault: opts
-                    .node_fault
-                    .and_then(|(n, fault)| (n == node as u32).then_some(fault)),
+                fault: opts.node_fault.and_then(|(n, f)| (n == node).then_some(f)),
             };
             let mut cmd = node_command();
             cmd.args(args.to_argv())
                 .stdin(Stdio::null())
                 .stdout(Stdio::null());
-            children.push(Some(cmd.spawn()?));
+            children.0.push(cmd.spawn()?);
         }
 
         // Accept + handshake with a startup deadline. Generous: the
         // cargo-run fallback may have to build the node binary first.
         let deadline = Instant::now() + opts.timeout.max(Duration::from_secs(5)) * 12;
-        let mut links: Vec<Option<Link>> = (0..geom.nprocs).map(|_| None).collect();
         let mut connected = 0usize;
         while connected < geom.nprocs {
             if Instant::now() > deadline {
-                kill_children(&mut children);
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
@@ -424,15 +369,12 @@ impl SocketTransport {
                 ));
             }
             // A child that died before connecting fails startup early.
-            for (i, c) in children.iter_mut().enumerate() {
-                if let Some(child) = c.as_mut() {
-                    if links[i].is_none() {
-                        if let Ok(Some(status)) = child.try_wait() {
-                            kill_children(&mut children);
-                            return Err(io::Error::other(format!(
-                                "node {i} exited before connecting: {status}"
-                            )));
-                        }
+            for (i, child) in children.0.iter_mut().enumerate() {
+                if !nodes.is_connected(i) {
+                    if let Ok(Some(status)) = child.try_wait() {
+                        return Err(io::Error::other(format!(
+                            "node {i} exited before connecting: {status}"
+                        )));
                     }
                 }
             }
@@ -441,109 +383,21 @@ impl SocketTransport {
                 continue;
             };
             stream.set_timeouts(Some(opts.timeout))?;
-            let mut link = Link::new(stream);
-            let hello = link
-                .recv_frame(u32::MAX)
-                .map_err(|e| io::Error::other(format!("handshake recv: {e}")))?;
-            let node = match CtrlMsg::from_bytes(&hello) {
-                Ok(CtrlMsg::Hello { node, version }) if version == WIRE_VERSION => node as usize,
-                Ok(other) => {
-                    return Err(io::Error::other(format!(
-                        "handshake: expected Hello, got {other:?}"
-                    )))
-                }
-                Err(e) => return Err(io::Error::other(format!("handshake decode: {e}"))),
-            };
-            if node >= geom.nprocs || links[node].is_some() {
-                return Err(io::Error::other(format!("handshake: bad node id {node}")));
-            }
-            let ack = CtrlMsg::HelloAck {
-                nprocs: geom.nprocs as u32,
-                wpb: geom.wpb,
-                seg_words: geom.seg_words,
-            };
-            let mut out = Vec::new();
-            write_frame(&mut out, &ack.to_bytes());
-            link.send(&out, node as u32)
-                .map_err(|e| io::Error::other(format!("handshake ack: {e}")))?;
-            links[node] = Some(link);
+            nodes
+                .admit(SocketLink::new(stream, opts.corrupt_frame_len))
+                .map_err(|e| io::Error::other(format!("handshake: {e}")))?;
             connected += 1;
         }
-
         Ok(SocketTransport {
             kind,
-            links,
+            nodes,
             children,
-            corrupt_len_pending: opts.corrupt_frame_len,
-            reports: Vec::new(),
         })
     }
 
     /// Which socket family the transport settled on.
     pub fn net_kind(&self) -> NetKind {
         self.kind
-    }
-
-    /// Orderly teardown: `Bye` to every live node, collect `ByeStats`,
-    /// close the links, then wait for the children (killing any that
-    /// outlive [`CHILD_EXIT_DEADLINE`] — a wedged node must not leak).
-    /// Idempotent; also runs on `Drop`, including during a panic unwind,
-    /// where errors are swallowed so teardown never masks the original
-    /// failure.
-    pub fn shutdown(&mut self) {
-        let mut bye = Vec::new();
-        write_frame(&mut bye, &CtrlMsg::Bye.to_bytes());
-        for (i, slot) in self.links.iter_mut().enumerate() {
-            let Some(mut link) = slot.take() else {
-                continue;
-            };
-            if link.send(&bye, i as u32).is_ok() {
-                if let Ok(frame) = link.recv_frame(i as u32) {
-                    if let Ok(CtrlMsg::ByeStats {
-                        frames,
-                        payload_bytes,
-                        metrics,
-                    }) = CtrlMsg::from_bytes(&frame)
-                    {
-                        self.reports.push(RemoteReport {
-                            node: i as u32,
-                            frames,
-                            payload_bytes,
-                            metrics,
-                        });
-                    }
-                }
-            }
-            link.stream.shutdown();
-        }
-        let deadline = Instant::now() + CHILD_EXIT_DEADLINE;
-        loop {
-            let mut alive = false;
-            for c in self.children.iter_mut() {
-                if let Some(child) = c.as_mut() {
-                    match child.try_wait() {
-                        Ok(Some(_)) => *c = None,
-                        Ok(None) => alive = true,
-                        Err(_) => *c = None,
-                    }
-                }
-            }
-            if !alive || Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        kill_children(&mut self.children);
-    }
-}
-
-fn kill_children(children: &mut [Option<Child>]) {
-    for c in children.iter_mut() {
-        if let Some(child) = c.as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        *c = None;
     }
 }
 
@@ -553,66 +407,29 @@ impl WireTransport for SocketTransport {
     }
 
     fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        if frames.is_empty() {
-            return Ok(frames);
-        }
-        let peer = dst as u32;
-        let link = self
-            .links
-            .get_mut(dst)
-            .and_then(Option::as_mut)
-            .ok_or(WireError::PeerGone(peer))?;
-        let n = frames.len() as u32;
-        let mut out = Vec::new();
-        write_frame(&mut out, &CtrlMsg::Batch { n }.to_bytes());
-        let first_data_prefix = out.len();
-        for f in &frames {
-            write_frame(&mut out, f);
-        }
-        if self.corrupt_len_pending {
-            // One-shot injection: an oversized length prefix on the first
-            // data frame. The node's framing cap must reject it before
-            // allocating; the run fails loudly via the Err reply below.
-            self.corrupt_len_pending = false;
-            out[first_data_prefix..first_data_prefix + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        }
-        link.send(&out, peer)?;
-
-        let ctrl_frame = link.recv_frame(peer)?;
-        let reply = match CtrlMsg::from_bytes(&ctrl_frame) {
-            Ok(m) => m,
-            Err(e) => panic!("wire: bad control frame from node {dst}: {e}"),
-        };
-        match reply {
-            CtrlMsg::Batch { n: rn } => {
-                if rn != n {
-                    panic!("wire: node {dst} returned {rn} frames for a batch of {n}");
-                }
-                let mut back = Vec::with_capacity(rn as usize);
-                for _ in 0..rn {
-                    back.push(link.recv_frame(peer)?);
-                }
-                Ok(back)
-            }
-            CtrlMsg::Err { detail } => {
-                self.links[dst] = None;
-                panic!("wire: envelope decode failed in transit: {detail}");
-            }
-            other => panic!("wire: node {dst}: unexpected control reply {other:?}"),
-        }
+        self.nodes.route(dst, frames)
     }
 
-    /// Orderly teardown, then hand the per-node `ByeStats` reports to
-    /// the wire seam for double-entry reconciliation and metric merging.
+    /// Orderly teardown: `Bye` to every live node, collect `ByeStats`,
+    /// close the links, then give the children [`CHILD_EXIT_DEADLINE`] to
+    /// exit on their own before killing the rest — a wedged node must
+    /// not leak. Idempotent; also runs on `Drop`, including during a
+    /// panic unwind.
     fn finish(&mut self) -> Vec<RemoteReport> {
-        self.shutdown();
-        std::mem::take(&mut self.reports)
+        let reports = self.nodes.finish();
+        let deadline = Instant::now() + CHILD_EXIT_DEADLINE;
+        let running = |c: &mut Child| matches!(c.try_wait(), Ok(None));
+        while self.children.0.iter_mut().any(running) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        self.children.reap();
+        reports
     }
 }
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        self.shutdown();
+        self.finish();
     }
 }
 
@@ -649,166 +466,23 @@ fn find_node_bin() -> Option<PathBuf> {
 }
 
 // ----------------------------------------------------------------------
-// Node side: the worker process serve loop
+// Node side: the worker process entry point
 // ----------------------------------------------------------------------
 
-/// The `fgdsm-node` worker loop: connect back to the coordinator,
-/// introduce ourselves, then serve batches until `Bye` (or the
-/// coordinator disappears). Each envelope is scattered into the node's
-/// mirror of the segment and its payload re-gathered *from the mirror*
-/// before it is echoed — what the coordinator gets back is what this
-/// process's memory now holds, not the bytes it sent. The mirror is
-/// exactly the `HelloAck` segment and never grows: a frame the decoder
-/// rejects, or one naming memory outside the segment, is reported as a
-/// `CtrlMsg::Err` before exiting — the coordinator turns it into a loud
-/// run failure.
-fn serve(args: &NodeArgs) -> Result<(), String> {
-    let (node, addr, fault) = (args.node, args.addr.as_str(), args.fault);
-    let stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    // Idle deadline: generous (the coordinator computes between
-    // supersteps), but bounded so an orphaned node never outlives a
-    // coordinator killed without cleanup.
-    let idle = args.timeout.max(Duration::from_secs(6)) * 10;
-    stream
-        .set_timeouts(Some(idle))
-        .map_err(|e| format!("set timeouts: {e}"))?;
-    let mut link = Link::new(stream);
+fn fault_arg(fault: &NodeFault) -> String {
+    match fault {
+        NodeFault::ExitAfterBatches(n) => format!("exit:{n}"),
+        NodeFault::WedgeAfterBatches(n) => format!("wedge:{n}"),
+    }
+}
 
-    let mut hello = Vec::new();
-    write_frame(
-        &mut hello,
-        &CtrlMsg::Hello {
-            node,
-            version: WIRE_VERSION,
-        }
-        .to_bytes(),
-    );
-    link.send(&hello, node).map_err(|e| format!("hello: {e}"))?;
-    let ack = link
-        .recv_frame(node)
-        .map_err(|e| format!("hello ack: {e}"))?;
-    let (wpb, seg_words) = match CtrlMsg::from_bytes(&ack) {
-        Ok(CtrlMsg::HelloAck { wpb, seg_words, .. }) => (wpb as usize, seg_words as usize),
-        Ok(other) => return Err(format!("expected HelloAck, got {other:?}")),
-        Err(e) => return Err(format!("hello ack decode: {e}")),
-    };
-
-    let mut mirror = vec![0u64; seg_words];
-    let mut enc = Vec::new();
-    let mut frames_served = 0u64;
-    let mut payload_bytes = 0u64;
-    let mut batches = 0u32;
-    // Wall-clock telemetry, on only when the coordinator asked this
-    // child for it: per-class recv (frame in hand →
-    // decoded), apply (payload → mirror), and re-encode histograms plus
-    // the double-entry frame/payload counters, shipped home in ByeStats.
-    let mut reg: Option<MetricsRegistry> = args.metrics.then(MetricsRegistry::new);
-
-    let send_err = |link: &mut Link, detail: String| {
-        let mut out = Vec::new();
-        write_frame(&mut out, &CtrlMsg::Err { detail }.to_bytes());
-        let _ = link.send(&out, node);
-    };
-
-    loop {
-        let ctrl_frame = match link.recv_frame(node) {
-            Ok(f) => f,
-            // Coordinator gone or idle too long: exit quietly, we are
-            // the orphan-prevention backstop, not the error reporter.
-            Err(_) => return Ok(()),
-        };
-        let ctrl = match CtrlMsg::from_bytes(&ctrl_frame) {
-            Ok(c) => c,
-            Err(e) => {
-                send_err(&mut link, format!("node {node}: bad control frame: {e}"));
-                return Err(format!("bad control frame: {e}"));
-            }
-        };
-        match ctrl {
-            CtrlMsg::Batch { n } => {
-                batches += 1;
-                match fault {
-                    Some(NodeFault::ExitAfterBatches(k)) if batches > k => {
-                        // Simulated crash: vanish mid-superstep (EOF).
-                        std::process::exit(0);
-                    }
-                    Some(NodeFault::WedgeAfterBatches(k)) if batches > k => {
-                        // Simulated hang: stop replying; the coordinator's
-                        // recv deadline must fire. Bounded so the process
-                        // cannot leak past the run.
-                        std::thread::sleep(Duration::from_secs(600));
-                        std::process::exit(0);
-                    }
-                    _ => {}
-                }
-                let mut reply = Vec::new();
-                write_frame(&mut reply, &CtrlMsg::Batch { n }.to_bytes());
-                for _ in 0..n {
-                    let frame = match link.recv_frame(node) {
-                        Ok(f) => f,
-                        Err(e @ WireError::FrameTooBig(_)) => {
-                            send_err(&mut link, format!("node {node}: {e}"));
-                            return Err(e.to_string());
-                        }
-                        Err(_) => return Ok(()),
-                    };
-                    let t_recv = reg.as_ref().map(|_| Instant::now());
-                    let mut reject = |e: WireError| {
-                        send_err(&mut link, format!("node {node}: {e}"));
-                        Err(e.to_string())
-                    };
-                    let mut msg = match WireMsg::from_bytes(&frame) {
-                        Ok(m) => m,
-                        Err(e) => return reject(e),
-                    };
-                    let class = metrics::class_name(msg.kind());
-                    if let (Some(reg), Some(t0)) = (reg.as_mut(), t_recv) {
-                        reg.record_ns(&format!("recv.{class}"), t0.elapsed().as_nanos() as u64);
-                        reg.counter_add(&format!("frames.{class}"), 1);
-                        reg.counter_add(&format!("payload_bytes.{class}"), msg.payload_bytes());
-                    }
-                    let t_apply = reg.as_ref().map(|_| Instant::now());
-                    if let Err(e) = msg.scatter(&mut mirror, wpb) {
-                        return reject(e);
-                    }
-                    if let (Some(reg), Some(t0)) = (reg.as_mut(), t_apply) {
-                        reg.record_ns(&format!("apply.{class}"), t0.elapsed().as_nanos() as u64);
-                    }
-                    let t_re = reg.as_ref().map(|_| Instant::now());
-                    if let Err(e) = msg.gather(&mirror, wpb) {
-                        return reject(e);
-                    }
-                    frames_served += 1;
-                    payload_bytes += msg.payload_bytes();
-                    msg.encode(&mut enc);
-                    write_frame(&mut reply, &enc);
-                    if let (Some(reg), Some(t0)) = (reg.as_mut(), t_re) {
-                        reg.record_ns(&format!("reencode.{class}"), t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                if link.send(&reply, node).is_err() {
-                    return Ok(());
-                }
-            }
-            CtrlMsg::Bye => {
-                let mut out = Vec::new();
-                write_frame(
-                    &mut out,
-                    &CtrlMsg::ByeStats {
-                        frames: frames_served,
-                        payload_bytes,
-                        metrics: reg.take().map(|r| r.to_bytes()).unwrap_or_default(),
-                    }
-                    .to_bytes(),
-                );
-                let _ = link.send(&out, node);
-                return Ok(());
-            }
-            other => {
-                send_err(&mut link, format!("node {node}: unexpected {other:?}"));
-                return Err(format!("unexpected control frame {other:?}"));
-            }
-        }
+fn parse_fault(s: &str) -> Option<NodeFault> {
+    let (kind, n) = s.split_once(':')?;
+    let n = n.parse().ok()?;
+    match kind {
+        "exit" => Some(NodeFault::ExitAfterBatches(n)),
+        "wedge" => Some(NodeFault::WedgeAfterBatches(n)),
+        _ => None,
     }
 }
 
@@ -831,7 +505,7 @@ impl NodeArgs {
             self.timeout.as_millis().to_string(),
             u8::from(self.metrics).to_string(),
         ];
-        argv.extend(self.fault.map(|f| f.arg_str()));
+        argv.extend(self.fault.as_ref().map(fault_arg));
         argv
     }
 
@@ -855,17 +529,29 @@ impl NodeArgs {
                 other => return Err(format!("metrics flag {other:?}: want 0 or 1")),
             },
             fault: fault
-                .map(|f| NodeFault::parse(f).ok_or_else(|| format!("bad fault {f:?}")))
+                .map(|f| parse_fault(f).ok_or_else(|| format!("bad fault {f:?}")))
                 .transpose()?,
         })
     }
 }
 
 /// Entry point for the `fgdsm-node` binary: parse the coordinator's
-/// command line (the binary's arguments, program name excluded) and
-/// serve until `Bye`.
+/// command line (the binary's arguments, program name excluded), connect
+/// back to the coordinator and run `fgdsm_protocol::node::serve` over
+/// the socket until `Bye` (or until the coordinator disappears).
 pub fn serve_from_args(argv: &[String]) -> Result<(), String> {
-    serve(&NodeArgs::parse(argv)?)
+    let args = NodeArgs::parse(argv)?;
+    let addr = args.addr.as_str();
+    let stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    // Idle deadline: generous (the coordinator computes between
+    // supersteps), but bounded so an orphaned node never outlives a
+    // coordinator killed without cleanup.
+    let idle = args.timeout.max(Duration::from_secs(6)) * 10;
+    stream
+        .set_timeouts(Some(idle))
+        .map_err(|e| format!("set timeouts: {e}"))?;
+    let link = SocketLink::new(stream, false);
+    serve(link, args.node, args.metrics, args.fault).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -496,7 +496,7 @@ impl Dsm {
             // the send delivers one block fewer than `implicit_writable`
             // promised, so the readers' last block is writable over stale
             // data.
-            let end = if self.inj_skew_send_range() && en.end > en.first {
+            let end = if self.injection().skew_send_range && en.end > en.first {
                 en.end - 1
             } else {
                 en.end
@@ -518,7 +518,7 @@ impl Dsm {
                     en.owner,
                     r,
                     self.cluster.home_of_block(en.first),
-                    self.inj_stale_owner_push(),
+                    self.injection().stale_owner_push,
                 );
                 let plan = plans
                     .entry((src, r))
@@ -541,7 +541,7 @@ impl Dsm {
         // Fault injection (must-catch): drop the flushes on the floor. The
         // writers' modifications never reach the owners, whose copies go
         // stale — later owner-side sends then push wrong values.
-        if self.inj_skip_flush_range() {
+        if self.injection().skip_flush_range {
             return vec![];
         }
         let cfg = self.cluster.cfg().clone();
@@ -637,7 +637,7 @@ impl Dsm {
         let decoded = self.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.payloads.len())));
         let cfg = self.cluster.cfg().clone();
         let mut order: Vec<usize> = (0..plans.len()).collect();
-        if workers > 1 && self.inj_reorder_plan_apply() {
+        if workers > 1 && self.injection().reorder_plan_apply {
             // Fault injection (must-catch): a nondeterministic merge —
             // apply the plans in reversed order under a parallel resolve.
             // Computed before the volume threshold so the reversal is not
@@ -648,7 +648,7 @@ impl Dsm {
         // out of plan-index order — the bug a worker-pool merge could
         // introduce. Decided before the volume threshold, like the
         // reorder injection, so small transfers don't mask it.
-        let misfold = workers > 1 && self.inj_misfold_pool();
+        let misfold = workers > 1 && self.injection().misfold_pool;
         let total_words: usize = plans
             .iter()
             .flat_map(|p| p.payloads.iter())

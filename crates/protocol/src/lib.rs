@@ -28,6 +28,7 @@ pub mod ctl;
 pub mod dir;
 pub mod eager;
 pub mod mp;
+pub mod node;
 pub mod proto;
 pub mod trans;
 pub mod update;
@@ -39,13 +40,12 @@ pub use ctl::{
 pub use dir::DirState;
 pub use eager::EagerInvalidate;
 pub use mp::{MpRuntime, MpSendPlan};
-#[cfg(feature = "fault-inject")]
-pub use proto::Injection;
-pub use proto::{Dsm, Protocol, ProtocolKind};
+pub use node::{ChanTransport, Geometry, Loopback, NodeFault, WireTransport};
+pub use proto::{Dsm, Injection, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{
-    diff_bytes, reconcile_stats, write_frame, ChanTransport, CtrlMsg, FrameDecoder, Loopback,
-    RemoteReport, WireError, WireHeader, WireMsg, WireTransport, CTRL_MAGIC, DEFAULT_RECV_TIMEOUT,
-    MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_VERSION,
+    diff_bytes, reconcile_stats, write_frame, CtrlMsg, FrameDecoder, RemoteReport, WireError,
+    WireHeader, WireMsg, CTRL_MAGIC, DEFAULT_RECV_TIMEOUT, MAX_FRAME_BYTES, WIRE_MAGIC,
+    WIRE_VERSION,
 };

@@ -12,8 +12,9 @@
 
 use crate::dir::DirState;
 use crate::eager::EagerInvalidate;
+use crate::node::WireTransport;
 use crate::update::WriteUpdate;
-use crate::wire::{reconcile_stats, WireHeader, WireMsg, WireTransport};
+use crate::wire::{reconcile_stats, WireHeader, WireMsg};
 use fgdsm_tempest::metrics::{class_name, MetricsRegistry, WireSpan};
 use fgdsm_tempest::{Access, Cluster, Mailbox, NodeId, VecPool, NO_ARRAY};
 use std::collections::btree_map::Entry;
@@ -104,7 +105,6 @@ pub struct Dsm {
     /// applied from the decoded payload (`None` = zero-copy fast path).
     pub(crate) wire: Option<WireState>,
     /// Active contract mutations (fuzzer teeth; all off by default).
-    #[cfg(feature = "fault-inject")]
     injection: Injection,
     /// The active protocol; taken out during dispatch to avoid a double
     /// borrow, always put back (`None` only mid-call).
@@ -327,9 +327,7 @@ fn corrupt_frame(buf: &mut [u8]) {
 /// Deliberate contract violations for the differential fuzzer's
 /// *must-catch* suite: each knob silently corrupts one §4.2 primitive so
 /// the harness can assert the cross-backend oracle actually detects the
-/// resulting incoherence. Only compiled under the `fault-inject` feature;
-/// production builds carry no injection state.
-#[cfg(feature = "fault-inject")]
+/// resulting incoherence. All off unless [`Dsm::set_injection`] arms one.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct Injection {
     /// Off-by-one section bound: `send_range` delivers one block fewer
@@ -405,7 +403,6 @@ impl Dsm {
             iw_memo: std::collections::BTreeSet::new(),
             plan_scratch: crate::ctl::PlanScratch::default(),
             wire: None,
-            #[cfg(feature = "fault-inject")]
             injection: Injection::default(),
             proto: Some(proto),
         }
@@ -494,106 +491,14 @@ impl Dsm {
         self.wire.as_ref().map_or(0, |w| w.route_ns)
     }
 
-    /// Arm (or disarm) the must-catch contract mutations. Compiled only
-    /// under the `fault-inject` feature.
-    #[cfg(feature = "fault-inject")]
+    /// Arm (or disarm) the must-catch contract mutations.
     pub fn set_injection(&mut self, injection: Injection) {
         self.injection = injection;
     }
 
-    /// Whether `send_range` should drop its last block (always false
-    /// without the `fault-inject` feature).
-    pub(crate) fn inj_skew_send_range(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.injection.skew_send_range
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
-    }
-
-    /// Whether `flush_range` should be skipped entirely (always false
-    /// without the `fault-inject` feature).
-    pub(crate) fn inj_skip_flush_range(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.injection.skip_flush_range
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
-    }
-
-    /// Whether `send_range` should push the home's (possibly stale) copy
-    /// instead of the owner's (always false without the `fault-inject`
-    /// feature).
-    pub(crate) fn inj_stale_owner_push(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.injection.stale_owner_push
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
-    }
-
-    /// Whether `apply_plans` should reverse its plan order under a
-    /// parallel resolve (always false without the `fault-inject` feature).
-    pub(crate) fn inj_reorder_plan_apply(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.injection.reorder_plan_apply
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
-    }
-
-    /// Whether parallel `apply_plans` should fold its outcomes rotated
-    /// out of plan-index order (always false without the `fault-inject`
-    /// feature).
-    pub(crate) fn inj_misfold_pool(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.injection.misfold_pool
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
-    }
-
-    /// Consume the one-shot `corrupt_envelope` token: true exactly once
-    /// per run — for the first delivered batch — when the injection is
-    /// armed. Only [`Dsm::wire_deliver`] asks, so strict mode is active.
-    fn take_corrupt_token(&mut self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            std::mem::take(&mut self.injection.corrupt_envelope)
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
-    }
-
-    /// Consume the one-shot `undercount_metrics` token: true exactly
-    /// once per run — for the first posted envelope — when the injection
-    /// is armed and telemetry is recording.
-    fn take_undercount_token(&mut self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.wire_metrics_on() && std::mem::take(&mut self.injection.undercount_metrics)
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            false
-        }
+    /// The armed contract mutations.
+    pub(crate) fn injection(&self) -> Injection {
+        self.injection
     }
 
     // ------------------------------------------------------------------
@@ -627,7 +532,9 @@ impl Dsm {
     /// Post `msg` toward its destination: payload copied out of the
     /// source shard, encoded, staged in the mailbox ([`WireState::post`]).
     pub(crate) fn wire_post(&mut self, msg: WireMsg) {
-        let undercount = self.take_undercount_token();
+        // One-shot: the first posted envelope, when telemetry is recording.
+        let undercount =
+            self.wire_metrics_on() && std::mem::take(&mut self.injection.undercount_metrics);
         let wpb = self.cluster.words_per_block();
         let src_mem = self.cluster.node_mem(msg.hdr().src as usize);
         let w = self.wire.as_mut().expect("wire_post: strict mode off");
@@ -637,7 +544,8 @@ impl Dsm {
     /// Route and decode everything posted to `dst`
     /// ([`WireState::deliver`]), in posting order.
     fn wire_deliver(&mut self, dst: NodeId) -> Vec<WireMsg> {
-        let corrupt = self.take_corrupt_token();
+        // One-shot: the first delivered batch of the run.
+        let corrupt = std::mem::take(&mut self.injection.corrupt_envelope);
         let w = self.wire.as_mut().expect("wire_deliver: strict mode off");
         w.deliver(dst, corrupt)
     }
@@ -871,7 +779,7 @@ impl Dsm {
     /// the tags it covers (a free `implicit_invalidate`) — afterwards the
     /// state is exactly "as if run-time-overhead elimination had not
     /// kicked in yet". The contract must survive this at any superstep
-    /// boundary, which is what the fault-injection harness checks.
+    /// boundary, which is what the fuzz harness checks.
     pub fn clear_iw_memo(&mut self) {
         let memo = std::mem::take(&mut self.iw_memo);
         for (n, first, end) in memo {

@@ -167,7 +167,7 @@ pub fn flush_fold(writer: NodeId, owner: NodeId, h: NodeId) -> (bool, DirState) 
 
 /// Which node a `send_range` push reads its payload from. The contract
 /// answer is always the recorded `owner`; with `stale_owner` armed (the
-/// fault-injection mutation) the push is redirected to the block's home
+/// must-catch mutation) the push is redirected to the block's home
 /// whenever the home is a third party — the §4.3 RTOE hazard of trusting
 /// a memoized owner whose data was never flushed home.
 pub fn push_source(owner: NodeId, reader: NodeId, home: NodeId, stale_owner: bool) -> NodeId {

@@ -35,8 +35,6 @@
 //! test below pins the v1 layout against accidental breaks.
 
 use fgdsm_tempest::cursor::{Cursor, Truncated};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// First two bytes of every frame.
@@ -44,7 +42,7 @@ pub const WIRE_MAGIC: u16 = 0xFD57;
 /// Current format version; decoders accept exactly this.
 pub const WIRE_VERSION: u16 = 1;
 /// First two bytes of every control (non-data) frame: handshake,
-/// batch markers and teardown between a coordinator and a node process.
+/// batch markers and teardown between a coordinator and a node.
 pub const CTRL_MAGIC: u16 = 0xFD58;
 /// Upper bound on a single length-prefixed frame. A prefix above this is
 /// a protocol violation ([`WireError::FrameTooBig`]), rejected *before*
@@ -52,10 +50,9 @@ pub const CTRL_MAGIC: u16 = 0xFD58;
 /// lying-length guard.
 pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 
-/// Default per-recv deadline of the blocking transports (`chan` worker
-/// replies, socket reads). A peer that stays silent past the configured
-/// deadline is reported as [`WireError::Timeout`] instead of hanging the
-/// run.
+/// Default per-recv deadline of the coordinator's links (`chan` and
+/// `tcp` alike). A peer that stays silent past the configured deadline
+/// is reported as [`WireError::Timeout`] instead of hanging the run.
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_millis(5000);
 
 /// On-wire size in bytes of a word-diff message body for `mask`: the
@@ -212,6 +209,13 @@ pub enum WireError {
         local: u64,
         remote: u64,
     },
+    /// The peer answered a batch with [`CtrlMsg::Err`]: it refused a frame
+    /// (decode failure, oversized length prefix, addresses outside its
+    /// segment). `detail` is the peer's own account.
+    Rejected { node: u32, detail: String },
+    /// The peer broke the control conversation: an undecodable or
+    /// unexpected control frame, a wrong reply count, a bad node id.
+    BadReply { node: u32, what: String },
 }
 
 impl std::fmt::Display for WireError {
@@ -238,6 +242,10 @@ impl std::fmt::Display for WireError {
                 f,
                 "node {node} {counter} counter diverged: coordinator {local} vs node {remote}"
             ),
+            WireError::Rejected { detail, .. } => {
+                write!(f, "envelope decode failed in transit: {detail}")
+            }
+            WireError::BadReply { node, what } => write!(f, "node {node}: {what}"),
         }
     }
 }
@@ -495,7 +503,7 @@ fn decode_words(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
 
 /// A memory word an envelope payload can be copied to and from: the
 /// shards' `f64` data (bit-exact through `to_bits`/`from_bits`) and the
-/// `fgdsm-node` worker's raw `u64` mirror.
+/// node worker's raw `u64` mirror ([`crate::node::serve`]).
 pub trait Word: Copy {
     fn to_bits(self) -> u64;
     fn from_bits(bits: u64) -> Self;
@@ -787,8 +795,8 @@ const CTRL_MAX_DETAIL: usize = 64 * 1024;
 /// few dozen histograms (kilobytes), so anything near this is corrupt.
 const CTRL_MAX_METRICS: usize = 1 << 20;
 
-/// Control frames framing the socket conversation between the
-/// coordinator and a node process. Same encoding discipline as
+/// Control frames framing the conversation between the coordinator and
+/// a node ([`crate::node`]), over either link. Same encoding discipline as
 /// [`WireMsg`] — [`CTRL_MAGIC`] + version + kind + fields, total decode,
 /// trailing bytes rejected — under a distinct magic so a data frame can
 /// never be mistaken for control traffic.
@@ -805,9 +813,9 @@ const CTRL_MAX_METRICS: usize = 1 << 20;
 /// ```
 ///
 /// Control frames reuse [`WIRE_VERSION`] and are only ever exchanged
-/// between a coordinator and the `fgdsm-node` binary it spawned from the
-/// same build — there is no cross-version control peer, so extending
-/// `ByeStats` (the metrics blob) rides the existing version.
+/// between a coordinator and the workers (threads, or the `fgdsm-node`
+/// binary) of the same build — there is no cross-version control peer,
+/// so extending `ByeStats` (the metrics blob) rides the existing version.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CtrlMsg {
     /// Node introduces itself after connecting.
@@ -993,182 +1001,6 @@ pub fn reconcile_stats(
         });
     }
     Ok(())
-}
-
-/// Carries encoded frames to their destination node. Implementations
-/// must deliver each batch in order and return exactly the frames that
-/// arrived; they never interpret payloads (the apply stage decodes).
-pub trait WireTransport {
-    fn name(&self) -> &'static str;
-    /// Route a batch of encoded frames to `dst`, returning the frames
-    /// as delivered (same order). `Err` is a transport-level failure —
-    /// the peer died ([`WireError::PeerGone`]) or went silent past the
-    /// deadline ([`WireError::Timeout`]); a frame the peer *rejected*
-    /// (decode failure) still fails loudly via panic, because dropped
-    /// traffic is a protocol bug, not a transport condition.
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError>;
-    /// Orderly end-of-run: tear down remote peers and collect their
-    /// final per-process accounting ([`RemoteReport`]). In-process
-    /// transports have no remote book, so the default returns nothing.
-    fn finish(&mut self) -> Vec<RemoteReport> {
-        Vec::new()
-    }
-}
-
-/// In-process delivery: frames arrive exactly as posted. This is the
-/// strict-mode transport for the sm_* backends — the bytes still pass
-/// through `to_bytes`/`from_bytes`, only the carry is a no-op.
-pub struct Loopback;
-
-impl WireTransport for Loopback {
-    fn name(&self) -> &'static str {
-        "loopback"
-    }
-    fn route(&mut self, _dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        Ok(frames)
-    }
-}
-
-/// The `chan` backend's transport: one worker thread per node, linked
-/// by `std::sync::mpsc` channels. Workers share *no* shard memory —
-/// each receives owned byte buffers, reconstructs every envelope from
-/// bytes alone (`from_bytes`), re-encodes it into a fresh buffer and
-/// sends the bytes back. Every transfer therefore round-trips through
-/// the wire format across a real thread boundary twice; a frame the
-/// decoder rejects is reported back and fails the run loudly.
-pub struct ChanTransport {
-    to_node: Vec<Option<Sender<Cmd>>>,
-    from_node: Vec<Receiver<Result<Vec<Vec<u8>>, String>>>,
-    workers: Vec<JoinHandle<()>>,
-    timeout: Duration,
-}
-
-/// What a chan worker can be asked to do. `Wedge` is a test hook: the
-/// worker sleeps through its next turn, so the coordinator's deadline
-/// logic can be exercised without a real stuck peer.
-enum Cmd {
-    Batch(Vec<Vec<u8>>),
-    Wedge(Duration),
-}
-
-impl ChanTransport {
-    /// One worker per node, with the [`DEFAULT_RECV_TIMEOUT`].
-    pub fn new(nprocs: usize) -> Self {
-        Self::with_timeout(nprocs, DEFAULT_RECV_TIMEOUT)
-    }
-
-    /// Like [`ChanTransport::new`] with an explicit per-recv deadline.
-    pub fn with_timeout(nprocs: usize, timeout: Duration) -> Self {
-        let mut to_node = Vec::with_capacity(nprocs);
-        let mut from_node = Vec::with_capacity(nprocs);
-        let mut workers = Vec::with_capacity(nprocs);
-        for node in 0..nprocs {
-            let (tx_in, rx_in) = channel::<Cmd>();
-            let (tx_out, rx_out) = channel::<Result<Vec<Vec<u8>>, String>>();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("fgdsm-chan-{node}"))
-                    .spawn(move || {
-                        while let Ok(cmd) = rx_in.recv() {
-                            let frames = match cmd {
-                                Cmd::Wedge(d) => {
-                                    std::thread::sleep(d);
-                                    continue;
-                                }
-                                Cmd::Batch(frames) => frames,
-                            };
-                            let mut out = Vec::with_capacity(frames.len());
-                            let mut err = None;
-                            for f in &frames {
-                                match WireMsg::from_bytes(f) {
-                                    Ok(msg) => out.push(msg.to_bytes()),
-                                    Err(e) => {
-                                        err = Some(format!("node {node}: {e}"));
-                                        break;
-                                    }
-                                }
-                            }
-                            let reply = match err {
-                                None => Ok(out),
-                                Some(e) => Err(e),
-                            };
-                            if tx_out.send(reply).is_err() {
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn chan worker"),
-            );
-            to_node.push(Some(tx_in));
-            from_node.push(rx_out);
-        }
-        ChanTransport {
-            to_node,
-            from_node,
-            workers,
-            timeout,
-        }
-    }
-
-    /// Test hook: hang up on `node`'s worker, as if the peer process
-    /// died. The next route to it reports [`WireError::PeerGone`].
-    pub fn kill_worker(&mut self, node: usize) {
-        self.to_node[node] = None;
-    }
-
-    /// Test hook: make `node`'s worker sleep through its next turn, so
-    /// a route against a short deadline reports [`WireError::Timeout`].
-    pub fn wedge_worker(&mut self, node: usize, dur: Duration) {
-        if let Some(tx) = self.to_node[node].as_ref() {
-            let _ = tx.send(Cmd::Wedge(dur));
-        }
-    }
-
-    /// Tear down the worker threads. The drop-order contract that keeps
-    /// this deadlock-free: the senders are cleared *before* any join, so
-    /// every worker's `rx_in.recv()` returns `Err` (all senders gone)
-    /// and the thread exits its loop — even when this runs during a
-    /// panic unwind with requests still undrained. Joining first would
-    /// deadlock: a worker parked in `recv()` never wakes while a sender
-    /// is still alive in `self.to_node`.
-    ///
-    /// Idempotent (both vectors are drained), so an explicit call
-    /// followed by `Drop` is fine.
-    pub fn shutdown(&mut self) {
-        self.to_node.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl WireTransport for ChanTransport {
-    fn name(&self) -> &'static str {
-        "chan"
-    }
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        if frames.is_empty() {
-            return Ok(frames);
-        }
-        let Some(tx) = self.to_node.get(dst).and_then(Option::as_ref) else {
-            return Err(WireError::PeerGone(dst as u32));
-        };
-        if tx.send(Cmd::Batch(frames)).is_err() {
-            return Err(WireError::PeerGone(dst as u32));
-        }
-        match self.from_node[dst].recv_timeout(self.timeout) {
-            Ok(Ok(frames)) => Ok(frames),
-            Ok(Err(e)) => panic!("wire: envelope decode failed in transit: {e}"),
-            Err(RecvTimeoutError::Timeout) => Err(WireError::Timeout(dst as u32)),
-            Err(RecvTimeoutError::Disconnected) => Err(WireError::PeerGone(dst as u32)),
-        }
-    }
-}
-
-impl Drop for ChanTransport {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 #[cfg(test)]
@@ -1437,50 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn chan_transport_round_trips_and_rejects() {
-        let mut t = ChanTransport::new(2);
-        let frames = vec![push_msg().to_bytes()];
-        let back = t.route(1, frames.clone()).unwrap();
-        assert_eq!(back, frames, "decode + re-encode is the identity");
-        assert!(t.route(0, Vec::new()).unwrap().is_empty());
-        let corrupt = vec![vec![0u8; 4]];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.route(0, corrupt)));
-        assert!(r.is_err(), "corrupt frame must fail the route loudly");
-    }
-
-    /// The satellite fix: a disconnected peer is a typed `PeerGone`
-    /// (with the peer id), a silent one a typed `Timeout` — never a
-    /// forever-blocking recv.
-    #[test]
-    fn dead_or_silent_peers_yield_typed_errors_within_the_deadline() {
-        let mut t = ChanTransport::with_timeout(3, Duration::from_millis(200));
-        let frames = vec![push_msg().to_bytes()];
-
-        t.kill_worker(1);
-        let start = std::time::Instant::now();
-        assert_eq!(
-            t.route(1, frames.clone()),
-            Err(WireError::PeerGone(1)),
-            "route to a dead peer must fail typed, not hang"
-        );
-        assert!(start.elapsed() < Duration::from_secs(5));
-
-        t.wedge_worker(2, Duration::from_secs(2));
-        let start = std::time::Instant::now();
-        assert_eq!(
-            t.route(2, frames),
-            Err(WireError::Timeout(2)),
-            "route to a wedged peer must time out typed"
-        );
-        let waited = start.elapsed();
-        assert!(
-            waited >= Duration::from_millis(200) && waited < Duration::from_secs(5),
-            "timeout must honor the configured deadline, waited {waited:?}"
-        );
-        t.shutdown();
-    }
-
-    #[test]
     fn frame_decoder_reassembles_across_arbitrary_splits() {
         let frames: Vec<Vec<u8>> = vec![vec![], vec![0xAB], (0u8..=255).collect()];
         let mut stream = Vec::new();
@@ -1630,13 +1418,5 @@ mod tests {
                 remote: 800,
             })
         );
-    }
-
-    #[test]
-    fn transport_finish_defaults_to_no_remote_reports() {
-        assert!(Loopback.finish().is_empty());
-        let mut t = ChanTransport::new(2);
-        assert!(t.finish().is_empty());
-        t.shutdown();
     }
 }

@@ -1,7 +1,7 @@
 //! `ChanTransport` teardown must never deadlock: the drop-order contract
-//! (clear the senders *before* joining the workers) has to hold on the
-//! clean path, after a route panic, and during the unwind of a
-//! panicking strict-mode run. Each test runs the teardown on a separate
+//! (hang up every link *before* joining the workers) has to hold on the
+//! clean path, after a rejected route, with a dead or wedged worker, and
+//! during the unwind of a panicking strict-mode run. Each test runs the teardown on a separate
 //! thread under a watchdog so a regression fails loudly instead of
 //! hanging the suite.
 
@@ -9,7 +9,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
-use fgdsm_protocol::{ChanTransport, Dsm, WireTransport};
+use fgdsm_protocol::{
+    ChanTransport, Dsm, Geometry, NodeFault, WireError, WireTransport, DEFAULT_RECV_TIMEOUT,
+};
 use fgdsm_tempest::{Cluster, CostModel, HomePolicy, SegmentLayout};
 
 const WATCHDOG: Duration = Duration::from_secs(20);
@@ -62,40 +64,62 @@ fn shutdown_is_idempotent() {
     });
 }
 
-/// A garbage frame makes `route` panic ("decode failed in transit") —
-/// and dropping the transport afterwards, mid-recovery, must still join
-/// every worker thread.
+/// A garbage frame comes back as the worker's typed rejection — and
+/// dropping the transport afterwards must still join every worker.
 #[test]
-fn drop_after_route_panic_joins_workers() {
-    must_finish("drop after route panic", || {
+fn drop_after_rejected_route_joins_workers() {
+    must_finish("drop after rejected route", || {
         let mut t = ChanTransport::new(2);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _ = t.route(1, vec![vec![0xde, 0xad, 0xbe, 0xef]]);
-        }));
-        let msg = *r
-            .expect_err("garbage frames must not decode")
-            .downcast::<String>()
-            .unwrap();
+        let r = t.route(1, vec![vec![0xde, 0xad, 0xbe, 0xef]]);
         assert!(
-            msg.contains("envelope decode failed in transit"),
-            "wrong panic: {msg}"
+            matches!(r, Err(WireError::Rejected { node: 1, .. })),
+            "garbage frames must be rejected by node 1, got {r:?}"
         );
         drop(t);
     });
 }
 
-/// A peer whose worker hung up yields a typed `PeerGone` (never a hung
-/// recv), and tearing the transport down afterwards still joins every
-/// remaining worker.
+/// A worker that exited yields a typed `PeerGone`, a wedged one a typed
+/// `Timeout` that honours the deadline (never a hung recv) — and tearing
+/// the transport down afterwards still joins every worker, the wedged
+/// one included: it only wakes because the links die before the joins.
 #[test]
-fn killed_worker_is_typed_peer_gone_and_drop_still_joins() {
-    must_finish("drop after kill_worker", || {
-        let mut t = ChanTransport::new(3);
-        t.kill_worker(2);
-        let r = t.route(2, vec![vec![0u8; 8]]);
-        assert_eq!(r, Err(fgdsm_protocol::WireError::PeerGone(2)));
-        drop(t);
-    });
+fn dead_or_wedged_workers_are_typed_errors_and_drop_still_joins() {
+    let frame = || {
+        let hdr = fgdsm_protocol::WireHeader::for_blocks(0, 1, (0, 0), 0, 0, 1);
+        vec![fgdsm_protocol::WireMsg::Copy {
+            hdr,
+            start_word: 0,
+            words: vec![7],
+        }
+        .to_bytes()]
+    };
+    for (fault, want) in [
+        (NodeFault::ExitAfterBatches(1), WireError::PeerGone(2)),
+        (NodeFault::WedgeAfterBatches(1), WireError::Timeout(2)),
+    ] {
+        must_finish("drop after a node fault", move || {
+            let geom = Geometry {
+                nprocs: 3,
+                wpb: 16,
+                seg_words: 64,
+            };
+            let timeout = Duration::from_millis(200);
+            let mut t = ChanTransport::spawn(geom, timeout, false, Some((2, fault)));
+            assert_eq!(t.route(2, frame()), Ok(frame()), "served before the fault");
+            let start = std::time::Instant::now();
+            assert_eq!(t.route(2, frame()), Err(want.clone()));
+            let waited = start.elapsed();
+            assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+            if want == WireError::Timeout(2) {
+                assert!(waited >= timeout, "deadline not honoured: {waited:?}");
+            }
+            // The coordinator hung up on the failed node; the others serve.
+            assert_eq!(t.route(2, frame()), Err(WireError::PeerGone(2)));
+            assert_eq!(t.route(1, frame()), Ok(frame()));
+            drop(t);
+        });
+    }
 }
 
 /// The real seam: a strict-mode `Dsm` wired over `ChanTransport` whose
@@ -107,7 +131,9 @@ fn panicking_strict_run_does_not_deadlock_workers() {
     must_finish("panicking strict-mode run", || {
         let r = catch_unwind(AssertUnwindSafe(|| {
             let mut d = dsm(2);
-            d.set_wire(Box::new(ChanTransport::new(2)));
+            let geom = Geometry::of(&d.cluster);
+            let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None);
+            d.set_wire(Box::new(chan));
             // Real traffic through the workers first, so they are warm.
             d.mk_writable(1, 0, 2);
             let plans = d.plan_sends(
