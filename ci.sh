@@ -26,6 +26,7 @@ FGDSM_TEST=1 cargo run --release -q -p fgdsm-bench --bin profile_report -- \
     --backend chan --out-dir target/profile_smoke_chan jacobi > target/profile_smoke_chan.txt
 grep -q "sweep" target/profile_smoke_chan.txt
 grep -q "wire:" target/profile_smoke_chan.txt
+grep -q "batches" target/profile_smoke_chan.txt
 FGDSM_TEST=1 cargo run --release -q -p fgdsm-bench --bin profile_report -- \
     --backend tcp --out-dir target/profile_smoke_tcp jacobi > target/profile_smoke_tcp.txt
 grep -q "predicted vs measured wire latency\|sandbox forbids sockets" target/profile_smoke_tcp.txt

@@ -20,7 +20,7 @@
 //! backend instead: the same invariants apply, and the report closes
 //! with a predicted-vs-measured latency table putting the Table-1 cost
 //! model's virtual communication time next to the host nanoseconds the
-//! real socket round-trips actually took.
+//! coordinator actually spent blocked on its sockets.
 //!
 //! `--out-dir DIR` writes `profile.json`, `calibration.json` and the
 //! merged coordinator+worker `merged_chrome.json` under `DIR` instead of
@@ -75,8 +75,11 @@ json_row! {
 /// against the measured wall-clock `route.<class>` histograms of a
 /// metered `tcp` run, one row per exercised `WireMsg` class. Predicted
 /// is the simulated network's round-trip for this class's *mean* frame
-/// payload; measured is loopback-socket host time — the table makes the
-/// constant factor between the two worlds explicit per message class.
+/// payload; measured is the *amortised streaming cost* per frame — each
+/// link-level batch's blocked time (its write plus the wait for its
+/// echo) split equally over its frames — not a blocking round trip,
+/// which is fgbench's `net.rtt_us_*`. The table makes the constant
+/// factor between the two worlds explicit per message class.
 fn calibration_rows(app: &'static str, run: &RunResult) -> Vec<CalRow> {
     let reg = run
         .metrics()
@@ -119,7 +122,9 @@ fn calibration_rows(app: &'static str, run: &RunResult) -> Vec<CalRow> {
 
 /// Render the per-class calibration table.
 fn calibration_table(rows: &[CalRow]) {
-    println!("calibration — Table 1 predicted round-trip vs measured route histograms (tcp)");
+    println!(
+        "calibration — Table 1 predicted round-trip vs measured streaming cost per frame (tcp)"
+    );
     println!(
         "{:<10} {:<8} {:>8} {:>11} {:>13} {:>11} {:>11} {:>11} {:>11}",
         "app",
@@ -246,7 +251,7 @@ fn extra_backends(backend: Option<&str>) -> Vec<(&'static str, ExecConfig)> {
 /// block-attributed — reductions are the only traffic with no home
 /// block, so nothing else may leak into `unattributed_bytes`. A `tcp`
 /// run must additionally accrue *measured* route time: real socket
-/// round-trips cost host nanoseconds the in-process backends never see.
+/// batches cost host nanoseconds the in-process backends never see.
 fn check_wire_invariants(app: &str, backend: &str, run: &RunResult) {
     let mut whole = fgdsm_tempest::NodeStats::default();
     for n in &run.report.nodes {
@@ -278,18 +283,18 @@ fn check_wire_invariants(app: &str, backend: &str, run: &RunResult) {
     if backend == "tcp" {
         assert!(
             run.wire_route_ns() > 0 || run.wire_frames == 0,
-            "{app}/tcp: socket round-trips must accrue measured route time"
+            "{app}/tcp: socket batches must accrue measured route time"
         );
     }
     println!(
-        "    wire: {} frames, {} payload bytes ({} cluster bytes_sent)",
-        run.wire_frames, run.wire_payload_bytes, whole.bytes_sent
+        "    wire: {} frames in {} batches flushed, {} syncs, {} payload bytes ({} cluster bytes_sent)",
+        run.wire_frames, run.wire_batches, run.wire_syncs, run.wire_payload_bytes, whole.bytes_sent
     );
 }
 
 /// One app's predicted-vs-measured latency comparison: the Table-1 cost
-/// model's virtual communication time against the host time the real
-/// socket round-trips took.
+/// model's virtual communication time against the host time the
+/// coordinator spent blocked on its sockets.
 struct LatencyRow {
     app: &'static str,
     predicted_comm_ns: u64,

@@ -30,7 +30,7 @@ use fgdsm_protocol::{
     ChanTransport, Dsm, Geometry, RemoteReport, SendEntry, WireError, WireTransport,
     DEFAULT_RECV_TIMEOUT,
 };
-use fgdsm_tempest::{Cluster, CostModel, HomePolicy, NodeStats, SegmentLayout, NO_ARRAY};
+use fgdsm_tempest::{Cluster, CostModel, HomePolicy, NodeStats, SegmentLayout, WireSpan, NO_ARRAY};
 
 /// Sum the per-node stats of one run into a whole-cluster view.
 fn cluster_totals(run: &fgdsm_hpf::RunResult) -> NodeStats {
@@ -96,6 +96,32 @@ fn carrier_wire_accounting_reconciles() {
     }
 }
 
+/// Delivery streams: frames travel many to a link-level batch, and the
+/// coordinator waits on a link only when a batch is flushed or a barrier
+/// syncs — not once per frame. The counts are exact (virtual-time
+/// traffic, a constant flush window), so a change that quietly goes back
+/// to one blocking round trip per frame, or batches differently, fails
+/// here by name rather than in a wall-clock number.
+#[test]
+fn pde_on_chan_travels_in_few_batches() {
+    let pde = suite(Scale::Test)
+        .into_iter()
+        .find(|spec| spec.name == "pde")
+        .expect("pde is a suite app");
+    let run = execute(&pde.program, &ExecConfig::chan(NPROCS));
+    assert_eq!(
+        (run.wire_frames, run.wire_batches, run.wire_syncs),
+        (2775, 28, 13),
+        "pde/chan at test scale: frames, batches flushed, syncs"
+    );
+    let strict = execute(&pde.program, &ExecConfig::sm_opt(NPROCS).strict());
+    assert_eq!(
+        (strict.wire_frames, strict.wire_batches),
+        (run.wire_frames, 0),
+        "the loopback carries the same frames over no link"
+    );
+}
+
 /// The zero-copy fast path must not touch the wire layer: its counters
 /// stay at zero, which is how we know `chan`/strict actually exercised
 /// the envelopes.
@@ -156,7 +182,7 @@ fn carrier_artifacts_match_sm_opt() {
     }
 }
 
-/// A chan carrier whose first routed batch is served twice — a frame
+/// A chan carrier whose first sent batch is served twice — a frame
 /// the coordinator's book never saw, as a retransmitting link would add.
 struct Retransmit(ChanTransport, bool);
 
@@ -164,10 +190,16 @@ impl WireTransport for Retransmit {
     fn name(&self) -> &'static str {
         "chan+retransmit"
     }
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
+    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
         if std::mem::take(&mut self.1) {
-            self.0.route(dst, frames.clone())?;
+            self.0.send(dst, frames.clone())?;
         }
+        self.0.send(dst, frames)
+    }
+    fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+        self.0.sync()
+    }
+    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
         self.0.route(dst, frames)
     }
     fn finish(&mut self) -> Vec<RemoteReport> {

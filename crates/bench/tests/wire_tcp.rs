@@ -6,7 +6,9 @@
 //!   address spaces: each worker process reports its served frame and
 //!   payload totals in `ByeStats` at orderly teardown, over TCP and over
 //!   Unix-domain sockets, and the sums match what the coordinator routed;
-//! * a worker process does not trust the peer's addresses.
+//! * a worker process does not trust the peer's addresses;
+//! * streaming far more than a socket buffer toward one node, with no
+//!   `sync` in between, cannot deadlock.
 //!
 //! Every test skips with a notice when the sandbox forbids sockets.
 
@@ -152,4 +154,74 @@ fn hostile_addresses_fail_loudly_at_the_coordinator() {
     };
     let frames = vec![fine.to_bytes()];
     assert_eq!(t.route(0, frames.clone()).expect("clean route"), frames);
+}
+
+/// Split-phase delivery keeps one batch in flight per node, so only one
+/// side of a link writes at a time whatever the volume: 16 MiB sent
+/// toward one node in half-MiB calls (each far past the flush window and
+/// any socket buffer) with no `sync` in between, then one `sync` — done
+/// well inside the recv deadline, every frame echoed and verified, the
+/// node's book equal to what was sent. Over TCP and over Unix sockets.
+#[test]
+fn streaming_past_every_socket_buffer_does_not_deadlock() {
+    let kinds: Vec<NetKind> = [NetKind::Tcp, NetKind::Uds]
+        .into_iter()
+        .filter(|&k| fgdsm_net::probe(k))
+        .collect();
+    if kinds.is_empty() {
+        eprintln!("notice: sandbox forbids sockets; skipping the no-deadlock streaming test");
+    }
+    const WORDS: usize = 1024; // 8 KiB of payload per frame
+    const FRAMES: usize = 2048;
+    const PER_SEND: usize = 64;
+    for kind in kinds {
+        let geom = NetGeometry {
+            nprocs: 2,
+            wpb: 4,
+            seg_words: WORDS as u64,
+        };
+        let opts = SocketOpts {
+            kind: Some(kind),
+            ..SocketOpts::default()
+        };
+        let deadline = opts.timeout;
+        let mut t = SocketTransport::spawn(geom, opts).expect("the probe said these sockets work");
+        let frame = WireMsg::Push {
+            hdr: WireHeader::for_blocks(0, 1, (0, 0), 7, 0, WORDS / 4),
+            start_block: 0,
+            n_blocks: (WORDS / 4) as u32,
+            words: (0..WORDS as u64).collect(),
+        }
+        .to_bytes();
+        assert!(FRAMES * frame.len() >= 16 << 20);
+        let t0 = std::time::Instant::now();
+        for _ in 0..FRAMES / PER_SEND {
+            t.send(1, vec![frame.clone(); PER_SEND])
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        }
+        let spans = t.sync().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        assert!(
+            t0.elapsed() < deadline,
+            "{kind:?}: took {:?}, past the recv deadline",
+            t0.elapsed()
+        );
+        assert_eq!(
+            spans.len(),
+            FRAMES / PER_SEND,
+            "{kind:?}: one batch per send"
+        );
+        assert!(spans
+            .iter()
+            .all(|s| s.dst == 1 && s.frames as usize == PER_SEND));
+        let reports = t.finish();
+        let node1 = reports
+            .iter()
+            .find(|r| r.node == 1)
+            .expect("node 1 reports");
+        assert_eq!(
+            (node1.frames, node1.payload_bytes),
+            (FRAMES as u64, (FRAMES * WORDS * 8) as u64),
+            "{kind:?}: the node's book must equal what was streamed"
+        );
+    }
 }

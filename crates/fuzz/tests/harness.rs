@@ -176,7 +176,10 @@ fn must_catch_misfolded_pool_results() {
 /// fast-path configs never see an envelope, so the divergence must land
 /// on a `wire-strict` config or the `chan` backend — proving the
 /// injection (and thus the validation) lives on the wire seam itself.
-/// Over a carrier the failure is the *node's* typed rejection.
+/// The sender applies from its own decode of the bytes that travel, so
+/// the failure is the same typed decode error on every envelope path —
+/// the in-process loopback and the carriers alike — raised before the
+/// damaged frame is handed to a link.
 #[test]
 fn must_catch_corrupt_envelope() {
     let mut spec = skew_victim();
@@ -193,13 +196,20 @@ fn must_catch_corrupt_envelope() {
         d.detail.contains("panic"),
         "a corrupt frame must fail the run loudly, not diverge quietly: {d}"
     );
-    let chan = ExecConfig::chan(spec.nprocs).with_inject(spec.inject);
-    match try_execute(&spec.build(), &chan) {
-        Err(ExecError::Wire(WireError::Rejected { detail, .. })) => assert!(
-            detail.contains("unsupported version"),
-            "the node's decoder must be what refused the frame: {detail}"
-        ),
-        other => panic!("want the worker's typed rejection, got {other:?}"),
+    let mut paths = vec![
+        ("strict", ExecConfig::sm_opt(spec.nprocs).strict()),
+        ("chan", ExecConfig::chan(spec.nprocs)),
+    ];
+    if fgdsm_hpf::tcp_available() {
+        paths.push(("tcp", ExecConfig::tcp(spec.nprocs)));
+    }
+    for (path, cfg) in paths {
+        // The flipped bit sits in the version field; a vacuous decoder
+        // would let the run complete and land here as `Ok`.
+        match try_execute(&spec.build(), &cfg.with_inject(spec.inject)) {
+            Err(ExecError::Wire(WireError::BadVersion(_))) => {}
+            other => panic!("{path}: want the decoder's typed BadVersion, got {other:?}"),
+        }
     }
 }
 

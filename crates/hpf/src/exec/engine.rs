@@ -492,7 +492,6 @@ pub(super) fn run(
     // Host time, stamped outside the deterministic virtual-time state
     // (excluded from the canonical report encoding).
     report.wall_ns = wall_start.elapsed().as_nanos() as u64;
-    report.wire_route_ns = core.dsm.wire_route_ns();
     // Post-run invariants: the protocol left a consistent directory and
     // the trace is sane. These hold for every backend on every program;
     // the fuzz oracle (and every test) gets them for free.
@@ -519,12 +518,16 @@ pub(super) fn run(
         panic!("post-run profile invariant violated: {e}");
     }
     let (wire_frames, wire_payload_bytes) = core.dsm.wire_stats();
-    // Orderly wire teardown: collect the peers' `ByeStats`, reconcile
-    // their double-entry books against ours (divergence is a loud, typed
-    // panic), and merge every process's metric registry under node-tagged
-    // keys. Runs with metrics on or off — reconciliation is free and
-    // should always happen on an orderly shutdown.
+    // Orderly wire teardown: settle the last frames in flight (their
+    // wait is part of the route time read right after), collect the
+    // peers' `ByeStats`, reconcile their double-entry books against ours
+    // (divergence is a loud, typed panic), and merge every process's
+    // metric registry under node-tagged keys. Runs with metrics on or
+    // off — reconciliation is free and should always happen on an
+    // orderly shutdown.
     let (metrics, wire_spans) = core.dsm.wire_finish();
+    report.wire_route_ns = core.dsm.wire_route_ns();
+    let (wire_batches, wire_syncs) = core.dsm.wire_batches();
     let result = RunResult {
         report,
         scalars: core.scalars,
@@ -536,6 +539,8 @@ pub(super) fn run(
         planned: core.planned,
         wire_frames,
         wire_payload_bytes,
+        wire_batches,
+        wire_syncs,
         metrics,
         wire_spans,
     };

@@ -477,13 +477,20 @@ pub struct RunResult {
     pub wire_frames: u64,
     /// Total on-wire payload bytes carried by those frames.
     pub wire_payload_bytes: u64,
+    /// Link-level batches those frames travelled in, and the barrier-time
+    /// syncs that settled them: together, how often the coordinator had
+    /// to wait on a link (both 0 on the fast path; 0 batches over the
+    /// in-process loopback, which has no link).
+    pub wire_batches: u64,
+    pub wire_syncs: u64,
     /// Merged wall-clock telemetry (`None` when metrics are off):
     /// coordinator keys under `coord.`, per-worker keys under `node<i>.`
     /// for the carriers. Side-channel only — never feeds the
     /// canonical report.
     pub metrics: Option<MetricsRegistry>,
-    /// Wall-clock spans of the wire transport's batch round-trips
-    /// (empty when metrics are off), feeding the merged Chrome trace.
+    /// Wall-clock spans of the wire transport's link-level batches, one
+    /// per flush (empty when metrics are off), feeding the merged Chrome
+    /// trace.
     pub wire_spans: Vec<WireSpan>,
 }
 
@@ -500,8 +507,9 @@ impl RunResult {
         self.report.total_s()
     }
 
-    /// Measured host time spent inside the wire transport's `route`
-    /// calls (0 on the zero-copy fast path). Real time, like
+    /// Measured host time the wire transport spent blocked on its links:
+    /// writing each batch, then waiting for and verifying its echo (0 on
+    /// the zero-copy fast path and over the loopback). Real time, like
     /// [`fgdsm_tempest::ClusterReport::wall_ns`] — outside the canonical
     /// report so strict/fast/socket runs stay byte-identical.
     pub fn wire_route_ns(&self) -> u64 {
@@ -594,16 +602,20 @@ pub fn execute(prog: &Program, cfg: &ExecConfig) -> RunResult {
 }
 
 /// How an execution failed. The engine reports failures by panicking —
-/// typed [`fgdsm_protocol::WireError`] payloads for everything the
-/// transport reports (peer death, recv deadline, a frame the peer
-/// rejected, a broken conversation, diverging books), strings for
-/// everything else (invariant violations). [`try_execute`] catches both
+/// typed [`fgdsm_protocol::WireError`] payloads for everything the wire
+/// layer reports (an envelope its own decoder refuses, peer death, recv
+/// deadline, a frame the peer rejected, a wrong echo or otherwise broken
+/// conversation, diverging books), strings for everything else
+/// (invariant violations). Delivery is split-phase, so a transport
+/// failure surfaces no later than the next barrier. [`try_execute`] catches both
 /// and hands them back as values.
 #[derive(Clone, Debug)]
 pub enum ExecError {
-    /// The wire transport failed: a peer died
+    /// The wire layer failed: an envelope did not decode (`BadVersion`,
+    /// `Truncated`, …), a peer died
     /// ([`fgdsm_protocol::WireError::PeerGone`]), a recv deadline fired
-    /// (`Timeout`), or the peer refused a frame (`Rejected`).
+    /// (`Timeout`), the peer refused a frame (`Rejected`) or echoed a
+    /// different one (`BadReply`).
     Wire(fgdsm_protocol::WireError),
     /// Any other engine panic, stringified.
     Panic(String),

@@ -12,7 +12,9 @@
 //! Transport choice: [`SocketOpts::kind`] names a family; unset means TCP
 //! over loopback, falling back to Unix-domain sockets when TCP binds are
 //! forbidden. Frames travel length-prefixed
-//! (`write_frame`/[`FrameDecoder`]), one `write` per batch.
+//! (`write_frame`/[`FrameDecoder`]), one `write` per flushed batch; a TCP
+//! link runs with `TCP_NODELAY`, so the tail segment of a flush never
+//! waits out Nagle against the peer's delayed ACK.
 //!
 //! Failure semantics: every recv carries a deadline
 //! ([`SocketOpts::timeout`]); a closed connection is a typed
@@ -33,6 +35,7 @@ pub use fgdsm_protocol::node::{Geometry as NetGeometry, NodeFault};
 use fgdsm_protocol::wire::{
     write_frame, FrameDecoder, RemoteReport, WireError, DEFAULT_RECV_TIMEOUT,
 };
+use fgdsm_tempest::metrics::WireSpan;
 
 /// Bounded retry budget for transient (`EINTR`) I/O errors.
 const MAX_TRANSIENT_RETRIES: u32 = 100;
@@ -81,21 +84,24 @@ fn fresh_uds_path() -> PathBuf {
 
 /// What the link needs of a connected socket, whichever the family.
 trait Sock: Read + Write {
-    fn set_timeouts(&self, t: Option<Duration>) -> io::Result<()>;
+    /// Make the socket a link: `deadline` on every read and write, and —
+    /// where the family has Nagle's algorithm — no Nagle.
+    fn configure(&self, deadline: Option<Duration>) -> io::Result<()>;
 }
 
 impl Sock for TcpStream {
-    fn set_timeouts(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)?;
-        self.set_write_timeout(t)
+    fn configure(&self, deadline: Option<Duration>) -> io::Result<()> {
+        self.set_nodelay(true)?;
+        self.set_read_timeout(deadline)?;
+        self.set_write_timeout(deadline)
     }
 }
 
 #[cfg(unix)]
 impl Sock for UnixStream {
-    fn set_timeouts(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)?;
-        self.set_write_timeout(t)
+    fn configure(&self, deadline: Option<Duration>) -> io::Result<()> {
+        self.set_read_timeout(deadline)?;
+        self.set_write_timeout(deadline)
     }
 }
 
@@ -190,12 +196,23 @@ fn map_io(peer: u32, e: &io::Error) -> WireError {
     }
 }
 
+/// Bytes asked of the socket per `read`.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+/// The send scratch keeps its capacity from one flush to the next up to
+/// this size; a rarer, larger batch gives its buffer back.
+const SCRATCH_KEEP_BYTES: usize = 4 * READ_CHUNK_BYTES;
+
 /// One framed connection: the stream (whose read/write timeouts are the
-/// link's deadline) plus its incremental reassembly state. Dropping it
-/// closes the socket.
+/// link's deadline), its incremental reassembly state and the two
+/// buffers every transfer reuses. Dropping it closes the socket.
 struct SocketLink {
     stream: Stream,
     dec: FrameDecoder,
+    /// Where `read` lands before the decoder takes it: allocated once per
+    /// link, not zeroed once per `recv`.
+    chunk: Vec<u8>,
+    /// The length-prefixed bytes of the batch being sent.
+    scratch: Vec<u8>,
     /// Fault injection ([`SocketOpts::corrupt_frame_len`]), one shot:
     /// overwrite the length prefix of the first data frame sent with an
     /// oversized value. The node's framing cap must reject it before
@@ -208,6 +225,8 @@ impl SocketLink {
         SocketLink {
             stream,
             dec: FrameDecoder::new(),
+            chunk: vec![0; READ_CHUNK_BYTES],
+            scratch: Vec::new(),
             corrupt_next_len,
         }
     }
@@ -216,15 +235,21 @@ impl SocketLink {
 impl Link for SocketLink {
     /// One buffer, one `write`: every frame behind its length prefix.
     fn send(&mut self, frames: Vec<Vec<u8>>, peer: u32) -> Result<(), WireError> {
-        let mut out = Vec::with_capacity(frames.iter().map(|f| 4 + f.len()).sum());
+        let out = &mut self.scratch;
+        out.clear();
+        out.reserve(frames.iter().map(|f| 4 + f.len()).sum());
         for f in &frames {
-            write_frame(&mut out, f);
+            write_frame(out, f);
         }
         if frames.len() > 1 && std::mem::take(&mut self.corrupt_next_len) {
             let at = 4 + frames[0].len();
             out[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         }
-        self.stream.write_all(&out).map_err(|e| map_io(peer, &e))
+        let sent = self.stream.write_all(out).map_err(|e| map_io(peer, &e));
+        if out.capacity() > SCRATCH_KEEP_BYTES {
+            *out = Vec::new();
+        }
+        sent
     }
 
     /// Read the next complete frame. A 0-byte read (EOF) is
@@ -233,14 +258,13 @@ impl Link for SocketLink {
     /// [`WireError::FrameTooBig`] before any allocation.
     fn recv(&mut self, peer: u32) -> Result<Vec<u8>, WireError> {
         let mut retries = 0u32;
-        let mut buf = [0u8; 64 * 1024];
         loop {
             if let Some(f) = self.dec.next_frame()? {
                 return Ok(f);
             }
-            match self.stream.read(&mut buf) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(WireError::PeerGone(peer)),
-                Ok(n) => self.dec.push(&buf[..n]),
+                Ok(n) => self.dec.push(&self.chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
                     retries += 1;
                     if retries > MAX_TRANSIENT_RETRIES {
@@ -382,7 +406,7 @@ impl SocketTransport {
                 std::thread::sleep(Duration::from_millis(2));
                 continue;
             };
-            stream.set_timeouts(Some(opts.timeout))?;
+            stream.configure(Some(opts.timeout))?;
             nodes
                 .admit(SocketLink::new(stream, opts.corrupt_frame_len))
                 .map_err(|e| io::Error::other(format!("handshake: {e}")))?;
@@ -404,6 +428,14 @@ impl SocketTransport {
 impl WireTransport for SocketTransport {
     fn name(&self) -> &'static str {
         "tcp"
+    }
+
+    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+        self.nodes.post(dst, frames)
+    }
+
+    fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+        self.nodes.sync()
     }
 
     fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
@@ -548,8 +580,8 @@ pub fn serve_from_args(argv: &[String]) -> Result<(), String> {
     // coordinator killed without cleanup.
     let idle = args.timeout.max(Duration::from_secs(6)) * 10;
     stream
-        .set_timeouts(Some(idle))
-        .map_err(|e| format!("set timeouts: {e}"))?;
+        .configure(Some(idle))
+        .map_err(|e| format!("configure socket: {e}"))?;
     let link = SocketLink::new(stream, false);
     serve(link, args.node, args.metrics, args.fault).map_err(|e| e.to_string())
 }

@@ -878,6 +878,23 @@ mod tests {
         assert!(d.implicit_writable(0, 8, 16, true));
     }
 
+    /// The post-run check's view of the memo: a block is under compiler
+    /// control exactly when one of the node's memoized ranges holds it —
+    /// also behind a shorter range nested in a longer one.
+    #[test]
+    fn ctl_blocks_cover_exactly_the_memoized_ranges() {
+        let mut d = dsm(2);
+        for (node, first, end) in [(0, 2, 12), (0, 4, 6), (0, 20, 22), (1, 8, 9)] {
+            assert!(d.implicit_writable(node, first, end, true));
+        }
+        let ctl = d.ctl_blocks();
+        for b in 0..24 {
+            let on_0 = (2..12).contains(&b) || (20..22).contains(&b);
+            assert_eq!(ctl.contains(0, b), on_0, "node 0, block {b}");
+            assert_eq!(ctl.contains(1, b), b == 8, "node 1, block {b}");
+        }
+    }
+
     #[test]
     fn implicit_invalidate_clears_memo() {
         let mut d = dsm(2);

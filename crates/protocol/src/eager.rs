@@ -314,6 +314,7 @@ impl Protocol for EagerInvalidate {
         // Untouched blocks are still in the initial state (home holds the
         // exclusive writable copy, everyone else Invalid), which satisfies
         // every arm below — so only traffic-touched blocks need scanning.
+        let ctl = d.ctl_blocks();
         for b in d.touched_blocks() {
             match d.dir_state(b) {
                 DirState::Excl { owner } => {
@@ -328,7 +329,7 @@ impl Protocol for EagerInvalidate {
                     }
                     for n in 0..d.cluster.nprocs() {
                         let t = d.cluster.tag(n, b);
-                        if n != owner && t == Access::ReadWrite && !d.is_ctl_block(n, b) {
+                        if n != owner && t == Access::ReadWrite && !ctl.contains(n, b) {
                             return Err(format!(
                                 "block {b}: node {n} is ReadWrite but directory says Excl({owner})"
                             ));
@@ -342,7 +343,7 @@ impl Protocol for EagerInvalidate {
                         // compiler-controlled reader keeps its ReadWrite
                         // tag between supersteps (§4.3) even after a
                         // third party's default read shares the block.
-                        if t == Access::ReadWrite && !d.is_ctl_block(n, b) {
+                        if t == Access::ReadWrite && !ctl.contains(n, b) {
                             return Err(format!(
                                 "block {b}: node {n} is ReadWrite but directory says Shared"
                             ));

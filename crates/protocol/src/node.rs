@@ -8,9 +8,31 @@
 //! same [`serve`] over socket links. Handshake, batches, rejection,
 //! double-entry books, worker telemetry, faults and teardown therefore
 //! behave identically on both (conversation shape: [`CtrlMsg`]).
+//!
+//! Delivery is **split-phase**. [`Coordinator::post`] queues frames for a
+//! node and keeps them; [`Coordinator::flush`] writes a node's queue as
+//! one `Batch{n}` (one `write` per flush on a socket);
+//! [`Coordinator::collect`] reads that batch's echo and compares it byte
+//! for byte with the frames kept; [`Coordinator::sync`] flushes and
+//! collects every node. The sender applies from its own decode of the
+//! bytes it encoded and goes on — the echo is the worker's proof of what
+//! its memory now holds, checked no later than the next barrier. One
+//! rule keeps this deadlock-free for any batch size: **at most one batch
+//! is in flight per node** (`flush` collects the previous echo before it
+//! writes), so on every link only one side writes at a time, exactly as
+//! in a blocking round trip.
+//!
+//! What the layers above assume of a link — and what the echo check
+//! turns from an assumption into a verified fact — is **reliable,
+//! in-order, exactly-once delivery**: the bounded model checker
+//! (`crates/model`) explores the protocol under that assumption only. A
+//! link that flips a bit, drops, duplicates or reorders a frame is a
+//! typed error out of `collect`/`sync` ([`WireError::BadReply`], or
+//! [`WireError::Timeout`] for a frame that never comes), and the
+//! coordinator hangs up on that node (`tests` below).
 
 use crate::wire::{CtrlMsg, RemoteReport, WireError, WireMsg, DEFAULT_RECV_TIMEOUT, WIRE_VERSION};
-use fgdsm_tempest::metrics::{class_name, MetricsRegistry};
+use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
 use fgdsm_tempest::{Cluster, CostModel};
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -18,19 +40,29 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Carries encoded frames to their destination node. Implementations
-/// must deliver each batch in order and return exactly the frames that
-/// arrived; they never interpret payloads (the apply stage decodes).
+/// must deliver each node's frames in order, exactly once; they never
+/// interpret payloads (the sender decodes its own bytes to apply).
+/// Every failure is a typed `Err`: the peer died
+/// ([`WireError::PeerGone`]), went silent past the deadline
+/// ([`WireError::Timeout`]), refused a frame ([`WireError::Rejected`])
+/// or broke the conversation ([`WireError::BadReply`]).
 pub trait WireTransport {
     fn name(&self) -> &'static str;
-    /// Route a batch of encoded frames to `dst`, returning the frames
-    /// as delivered (same order). Every failure is a typed `Err`: the
-    /// peer died ([`WireError::PeerGone`]), went silent past the deadline
-    /// ([`WireError::Timeout`]), refused a frame ([`WireError::Rejected`])
-    /// or broke the conversation ([`WireError::BadReply`]).
+    /// Hand `frames` to `dst` without waiting for them to arrive: the
+    /// transport keeps them until it has verified their delivery. An
+    /// error may belong to frames sent earlier to the same node.
+    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError>;
+    /// Wait until every frame sent so far has been delivered and
+    /// verified. Returns one [`WireSpan`] per link-level batch verified
+    /// since the previous `sync` (none for a transport without links).
+    fn sync(&mut self) -> Result<Vec<WireSpan>, WireError>;
+    /// The blocking round trip: send `frames` to `dst`, wait, and return
+    /// them as delivered (same order).
     fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError>;
     /// Orderly end-of-run: tear down remote peers and collect their
-    /// final accounting ([`RemoteReport`]). A transport with no peers
-    /// has no remote book, so the default returns nothing.
+    /// final accounting ([`RemoteReport`]). `sync` first — teardown does
+    /// not wait for echoes. A transport with no peers has no remote
+    /// book, so the default returns nothing.
     fn finish(&mut self) -> Vec<RemoteReport> {
         Vec::new()
     }
@@ -44,6 +76,12 @@ pub struct Loopback;
 impl WireTransport for Loopback {
     fn name(&self) -> &'static str {
         "loopback"
+    }
+    fn send(&mut self, _dst: usize, _frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+        Ok(())
+    }
+    fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+        Ok(Vec::new())
     }
     fn route(&mut self, _dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
         Ok(frames)
@@ -240,23 +278,23 @@ fn apply_frame(
     mut reg: Option<&mut MetricsRegistry>,
 ) -> Result<u64, WireError> {
     let mut t0 = reg.as_ref().map(|_| Instant::now());
-    let mut lap = |stage: &str, class: &str| {
+    let mut lap = |stage: &ClassKeys, kind: u8| {
         if let (Some(reg), Some(t0)) = (reg.as_deref_mut(), t0.as_mut()) {
-            reg.record_ns(&format!("{stage}.{class}"), t0.elapsed().as_nanos() as u64);
+            reg.record_ns(stage.of(kind), t0.elapsed().as_nanos() as u64);
             *t0 = Instant::now();
         }
     };
     let mut msg = WireMsg::from_bytes(frame)?;
-    let class = class_name(msg.kind());
-    lap("recv", class);
+    let kind = msg.kind();
+    lap(&ClassKeys::RECV, kind);
     msg.scatter(mirror, wpb)?;
-    lap("apply", class);
+    lap(&ClassKeys::APPLY, kind);
     msg.gather(mirror, wpb)?;
     msg.encode(frame);
-    lap("reencode", class);
+    lap(&ClassKeys::REENCODE, kind);
     if let Some(reg) = reg {
-        reg.counter_add(&format!("frames.{class}"), 1);
-        reg.counter_add(&format!("payload_bytes.{class}"), msg.payload_bytes());
+        reg.counter_add(ClassKeys::FRAMES.of(kind), 1);
+        reg.counter_add(ClassKeys::PAYLOAD_BYTES.of(kind), msg.payload_bytes());
     }
     Ok(msg.payload_bytes())
 }
@@ -276,13 +314,92 @@ fn reject(link: &mut impl Link, node: u32, e: WireError) -> Result<(), WireError
 }
 
 // ----------------------------------------------------------------------
-// Coordinator side: handshake, batches, teardown
+// Coordinator side: handshake, split-phase batches, teardown
 // ----------------------------------------------------------------------
+
+/// A node's queue is written out once it holds this many bytes: a few
+/// hundred block-sized frames per write, yet far below a socket buffer.
+/// A constant, not a knob — no caller has ever wanted another value.
+const FLUSH_WINDOW_BYTES: usize = 64 * 1024;
+
+/// One admitted node: its link and the two stages its frames pass
+/// through on the way to being verified.
+struct Peer<L> {
+    link: L,
+    /// Posted, not yet written.
+    queue: Vec<Vec<u8>>,
+    queue_bytes: usize,
+    /// The one batch in flight: the frames its echo must equal, and its
+    /// span — until the echo is in, `dur_ns` is the time the write took.
+    in_flight: Option<(Vec<Vec<u8>>, WireSpan)>,
+}
+
+/// When the coordinator started, and the batches verified since the
+/// last [`Coordinator::sync`].
+struct BatchLog {
+    epoch: Instant,
+    verified: Vec<WireSpan>,
+}
+
+impl<L: Link> Peer<L> {
+    /// Write the queue as one `Batch{n}` — after collecting the previous
+    /// batch's echo, so only one side of the link writes at a time.
+    fn flush(&mut self, node: u32, log: &mut BatchLog) -> Result<(), WireError> {
+        if self.queue.is_empty() {
+            return Ok(());
+        }
+        self.collect(node, log)?;
+        let t0 = Instant::now();
+        let frames = std::mem::take(&mut self.queue);
+        let n = frames.len() as u32;
+        let mut batch = Vec::with_capacity(frames.len() + 1);
+        batch.push(CtrlMsg::Batch { n }.to_bytes());
+        batch.extend(frames.iter().cloned());
+        self.link.send(batch, node)?;
+        let span = WireSpan {
+            dst: node,
+            start_ns: t0.duration_since(log.epoch).as_nanos() as u64,
+            dur_ns: t0.elapsed().as_nanos() as u64,
+            frames: n,
+            bytes: std::mem::take(&mut self.queue_bytes) as u64,
+        };
+        self.in_flight = Some((frames, span));
+        Ok(())
+    }
+
+    /// Read the echo of the batch in flight and compare it byte for byte
+    /// with what was sent. Returns the frames, now verified (none when
+    /// nothing was in flight).
+    fn collect(&mut self, node: u32, log: &mut BatchLog) -> Result<Vec<Vec<u8>>, WireError> {
+        let Some((sent, mut span)) = self.in_flight.take() else {
+            return Ok(Vec::new());
+        };
+        let t0 = Instant::now();
+        let what = match recv_ctrl(&mut self.link, node)? {
+            CtrlMsg::Batch { n } if n as usize == sent.len() => {
+                for (i, frame) in sent.iter().enumerate() {
+                    if self.link.recv(node)? != *frame {
+                        let what = format!("echo of frame {i} of {n} is not the frame sent");
+                        return Err(WireError::BadReply { node, what });
+                    }
+                }
+                span.dur_ns += t0.elapsed().as_nanos() as u64;
+                log.verified.push(span);
+                return Ok(sent);
+            }
+            CtrlMsg::Err { detail } => return Err(WireError::Rejected { node, detail }),
+            CtrlMsg::Batch { n } => format!("returned {n} frames for a batch of {}", sent.len()),
+            other => format!("unexpected control reply {other:?}"),
+        };
+        Err(WireError::BadReply { node, what })
+    }
+}
 
 /// The coordinator's end of every node's conversation, over links `L`.
 pub struct Coordinator<L> {
     geom: Geometry,
-    links: Vec<Option<L>>,
+    peers: Vec<Option<Peer<L>>>,
+    log: BatchLog,
 }
 
 impl<L: Link> Coordinator<L> {
@@ -290,7 +407,11 @@ impl<L: Link> Coordinator<L> {
     pub fn new(geom: Geometry) -> Self {
         Coordinator {
             geom,
-            links: (0..geom.nprocs).map(|_| None).collect(),
+            peers: (0..geom.nprocs).map(|_| None).collect(),
+            log: BatchLog {
+                epoch: Instant::now(),
+                verified: Vec::new(),
+            },
         }
     }
 
@@ -303,7 +424,7 @@ impl<L: Link> Coordinator<L> {
             CtrlMsg::Hello { version, .. } => return Err(WireError::BadVersion(version)),
             other => return Err(unexpected(u32::MAX, "Hello", &other)),
         };
-        let Some(slot @ None) = self.links.get_mut(node as usize) else {
+        let Some(slot @ None) = self.peers.get_mut(node as usize) else {
             return Err(WireError::BadReply {
                 node,
                 what: "node id out of range or already connected".into(),
@@ -315,38 +436,101 @@ impl<L: Link> Coordinator<L> {
             seg_words: self.geom.seg_words,
         };
         link.send(vec![ack.to_bytes()], node)?;
-        *slot = Some(link);
+        *slot = Some(Peer {
+            link,
+            queue: Vec::new(),
+            queue_bytes: 0,
+            in_flight: None,
+        });
         Ok(node)
     }
 
     /// Has `node` completed its handshake (and not failed since)?
     pub fn is_connected(&self, node: usize) -> bool {
-        self.links.get(node).is_some_and(Option::is_some)
+        self.peers.get(node).is_some_and(Option::is_some)
     }
 
-    /// The batch conversation: `Batch{n}` + frames out, `Batch{n}` +
-    /// frames back. Any failure hangs up on the node — the conversation
-    /// is out of step — so later routes to it report `PeerGone`.
-    pub fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        if frames.is_empty() {
-            return Ok(frames);
-        }
+    /// Run one step of `dst`'s conversation. Any failure hangs up on the
+    /// node — the conversation is out of step — so whatever is asked of
+    /// it later reports `PeerGone`.
+    fn with_peer<T>(
+        &mut self,
+        dst: usize,
+        step: impl FnOnce(&mut Peer<L>, u32, &mut BatchLog) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
         let node = dst as u32;
-        let slot = self.links.get_mut(dst).ok_or(WireError::PeerGone(node))?;
-        let link = slot.as_mut().ok_or(WireError::PeerGone(node))?;
-        let routed = batch(link, node, frames);
-        if routed.is_err() {
+        let slot = self.peers.get_mut(dst).ok_or(WireError::PeerGone(node))?;
+        let peer = slot.as_mut().ok_or(WireError::PeerGone(node))?;
+        let done = step(peer, node, &mut self.log);
+        if done.is_err() {
             *slot = None;
         }
-        routed
+        done
+    }
+
+    /// Queue `frames` for `dst`, keeping them until their echo has been
+    /// verified. A queue past [`FLUSH_WINDOW_BYTES`] flushes itself.
+    pub fn post(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+        self.with_peer(dst, |peer, node, log| {
+            peer.queue_bytes += frames.iter().map(Vec::len).sum::<usize>();
+            peer.queue.extend(frames);
+            if peer.queue_bytes < FLUSH_WINDOW_BYTES {
+                return Ok(());
+            }
+            peer.flush(node, log)
+        })
+    }
+
+    /// Write `dst`'s queue as one `Batch{n}`, once the echo of its
+    /// previous batch has been collected.
+    pub fn flush(&mut self, dst: usize) -> Result<(), WireError> {
+        self.with_peer(dst, Peer::flush)
+    }
+
+    /// Read and verify the echo of `dst`'s batch in flight; returns its
+    /// frames (none when nothing was in flight).
+    pub fn collect(&mut self, dst: usize) -> Result<Vec<Vec<u8>>, WireError> {
+        self.with_peer(dst, Peer::collect)
+    }
+
+    /// Flush every node, then collect every node: on return each frame
+    /// posted so far has been echoed back byte for byte. Returns the
+    /// batches verified since the previous `sync`.
+    pub fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+        // A node that failed earlier has reported its error and is skipped.
+        for dst in 0..self.peers.len() {
+            if self.is_connected(dst) {
+                self.flush(dst)?;
+            }
+        }
+        for dst in 0..self.peers.len() {
+            if self.is_connected(dst) {
+                self.collect(dst)?;
+            }
+        }
+        Ok(std::mem::take(&mut self.log.verified))
+    }
+
+    /// The blocking round trip, built from the split-phase steps: post,
+    /// flush, collect — returning `frames` once their echo is verified.
+    pub fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
+        let n = frames.len();
+        if n == 0 {
+            return Ok(frames);
+        }
+        self.post(dst, frames)?;
+        self.flush(dst)?;
+        // The batch may open with frames posted earlier.
+        let mut batch = self.collect(dst)?;
+        Ok(batch.split_off(batch.len() - n))
     }
 
     /// Orderly teardown: `Bye` to every live node, collect its `ByeStats`,
     /// hang up. A node that does not answer is skipped. Idempotent.
     pub fn finish(&mut self) -> Vec<RemoteReport> {
         let mut reports = Vec::new();
-        for (node, slot) in self.links.iter_mut().enumerate() {
-            let Some(mut link) = slot.take() else {
+        for (node, slot) in self.peers.iter_mut().enumerate() {
+            let Some(Peer { mut link, .. }) = slot.take() else {
                 continue;
             };
             let node = node as u32;
@@ -369,25 +553,6 @@ impl<L: Link> Coordinator<L> {
         }
         reports
     }
-}
-
-fn batch(
-    link: &mut impl Link,
-    node: u32,
-    mut frames: Vec<Vec<u8>>,
-) -> Result<Vec<Vec<u8>>, WireError> {
-    let n = frames.len() as u32;
-    frames.insert(0, CtrlMsg::Batch { n }.to_bytes());
-    link.send(frames, node)?;
-    let what = match recv_ctrl(link, node)? {
-        CtrlMsg::Batch { n: got } if got == n => {
-            return (0..n).map(|_| link.recv(node)).collect();
-        }
-        CtrlMsg::Err { detail } => return Err(WireError::Rejected { node, detail }),
-        CtrlMsg::Batch { n: got } => format!("returned {got} frames for a batch of {n}"),
-        other => format!("unexpected control reply {other:?}"),
-    };
-    Err(WireError::BadReply { node, what })
 }
 
 // ----------------------------------------------------------------------
@@ -458,6 +623,12 @@ impl WireTransport for ChanTransport {
     fn name(&self) -> &'static str {
         "chan"
     }
+    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+        self.nodes.post(dst, frames)
+    }
+    fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+        self.nodes.sync()
+    }
     fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
         self.nodes.route(dst, frames)
     }
@@ -513,6 +684,128 @@ mod tests {
         assert!(r.metrics.is_empty(), "telemetry was off");
         assert!(t.finish().is_empty(), "finish is idempotent");
         assert!(Loopback.finish().is_empty());
+    }
+
+    /// A coordinator and the raw far end of node 0's admitted link, for a
+    /// hand-written peer; the coordinator's recvs give up after 100 ms.
+    fn admitted_pair() -> (Coordinator<MemLink>, MemLink) {
+        let geom = Geometry {
+            nprocs: 1,
+            wpb: 4,
+            seg_words: 64,
+        };
+        let (ours, mut peer) = mem_pair(Duration::from_millis(100));
+        let hello = CtrlMsg::Hello {
+            node: 0,
+            version: WIRE_VERSION,
+        };
+        peer.send(vec![hello.to_bytes()], 0).unwrap();
+        let mut coord = Coordinator::new(geom);
+        assert_eq!(coord.admit(ours), Ok(0));
+        assert!(matches!(
+            recv_ctrl(&mut peer, 0),
+            Ok(CtrlMsg::HelloAck { .. })
+        ));
+        (coord, peer)
+    }
+
+    /// What the model checker assumes of a link — reliable, in-order,
+    /// exactly-once — checked at the transport: a peer whose echo has one
+    /// bit flipped, one frame dropped, one duplicated or two swapped is a
+    /// typed error out of `sync`, the coordinator hangs up on it, and
+    /// whatever is sent to it later is `PeerGone`.
+    #[test]
+    fn a_lying_echo_is_a_typed_error_and_hangs_up_on_the_peer() {
+        let frames: Vec<Vec<u8>> = (0..4u64).map(|i| copy_frame(8 * i, vec![i; 3])).collect();
+        type Lie = fn(&mut Vec<Vec<u8>>);
+        // Index 0 of the echo is the `Batch{n}` marker.
+        // `None`: a `BadReply` naming node 0.
+        let cases: [(&str, Lie, Option<WireError>); 6] = [
+            ("honest", |_| {}, None),
+            (
+                "bit flipped",
+                |echo| *echo[2].last_mut().unwrap() ^= 1,
+                None,
+            ),
+            // The frames behind a gap arrive one place early...
+            ("dropped", |echo| drop(echo.remove(2)), None),
+            // ... and behind the last frame there is only silence.
+            (
+                "last dropped",
+                |echo| drop(echo.pop()),
+                Some(WireError::Timeout(0)),
+            ),
+            ("duplicated", |echo| echo.insert(2, echo[1].clone()), None),
+            ("swapped", |echo| echo.swap(2, 3), None),
+        ];
+        for (what, lie, want) in cases {
+            let (mut coord, mut peer) = admitted_pair();
+            coord.post(0, frames.clone()).unwrap();
+            coord.flush(0).unwrap();
+            let mut echo: Vec<Vec<u8>> = (0..=frames.len())
+                .map(|_| peer.recv(0).expect("the batch as written"))
+                .collect();
+            assert_eq!(
+                echo[1..],
+                frames[..],
+                "{what}: sent in order, after the marker"
+            );
+            lie(&mut echo);
+            peer.send(echo, 0).unwrap();
+            let synced = coord.sync();
+            if what == "honest" {
+                let spans = synced.expect("an honest echo verifies");
+                assert_eq!(spans.len(), 1, "one batch, one span");
+                assert_eq!((spans[0].dst, spans[0].frames), (0, 4));
+                assert!(coord.is_connected(0));
+                continue;
+            }
+            match (synced, want) {
+                (Err(WireError::BadReply { node: 0, .. }), None) => {}
+                (Err(got), Some(want)) if got == want => {}
+                (other, _) => panic!("{what}: got {other:?}"),
+            }
+            assert!(!coord.is_connected(0), "{what}: must hang up");
+            assert_eq!(coord.post(0, frames.clone()), Err(WireError::PeerGone(0)));
+            assert_eq!(peer.recv(0), Err(WireError::PeerGone(0)), "{what}");
+        }
+    }
+
+    /// The one-in-flight rule and the self-flushing window, seen from the
+    /// far end: nothing is written below the window, a queue past it goes
+    /// out as one batch, and the next batch is not written before the
+    /// previous echo has been read.
+    #[test]
+    fn queues_flush_past_the_window_with_one_batch_in_flight() {
+        let (mut coord, peer) = admitted_pair();
+        let frame = copy_frame(0, vec![7; 16]);
+        let per_window = FLUSH_WINDOW_BYTES.div_ceil(frame.len());
+        for _ in 0..per_window - 1 {
+            coord.post(0, vec![frame.clone()]).unwrap();
+        }
+        assert!(
+            matches!(
+                peer.rx.try_recv(),
+                Err(std::sync::mpsc::TryRecvError::Empty)
+            ),
+            "below the window nothing is written"
+        );
+        coord.post(0, vec![frame.clone()]).unwrap();
+        let batch = peer
+            .rx
+            .try_recv()
+            .expect("the window's worth, as one batch");
+        assert_eq!(batch.len(), 1 + per_window);
+        // A second window's worth must wait for the first echo: with none
+        // coming, the flush gives up at the deadline instead of writing.
+        for _ in 0..per_window - 1 {
+            coord.post(0, vec![frame.clone()]).unwrap();
+        }
+        assert_eq!(
+            coord.post(0, vec![frame.clone()]),
+            Err(WireError::Timeout(0))
+        );
+        assert!(peer.rx.try_recv().is_err(), "no second batch was written");
     }
 
     /// The handshake every carrier shares, against misbehaving peers over

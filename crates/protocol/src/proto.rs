@@ -15,7 +15,7 @@ use crate::eager::EagerInvalidate;
 use crate::node::WireTransport;
 use crate::update::WriteUpdate;
 use crate::wire::{reconcile_stats, WireHeader, WireMsg};
-use fgdsm_tempest::metrics::{class_name, MetricsRegistry, WireSpan};
+use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
 use fgdsm_tempest::{Access, Cluster, Mailbox, NodeId, VecPool, NO_ARRAY};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -111,6 +111,19 @@ pub struct Dsm {
     proto: Option<Box<dyn Protocol>>,
 }
 
+/// The blocks whose tags are under compiler control, per node
+/// ([`Dsm::ctl_blocks`]): `(first, reach)` in ascending `first`.
+pub(crate) struct CtlBlocks(Vec<Vec<(usize, usize)>>);
+
+impl CtlBlocks {
+    /// Is block `b` inside one of `node`'s memoized ranges?
+    pub(crate) fn contains(&self, node: NodeId, b: usize) -> bool {
+        let ranges = &self.0[node];
+        let started = ranges.partition_point(|&(first, _)| first <= b);
+        started > 0 && ranges[started - 1].1 > b
+    }
+}
+
 /// Everything strict wire mode needs: the per-node [`Mailbox`] staging
 /// encoded frames, the transport that carries them, payload-buffer
 /// recycling, and frame/byte counters for reconciliation against
@@ -125,12 +138,16 @@ pub(crate) struct WireState {
     pub frames: u64,
     /// Total on-wire payload bytes ([`WireMsg::payload_bytes`]).
     pub payload_bytes: u64,
-    /// Host wall-clock spent inside `transport.route`, in ns. Real time
-    /// (like `ClusterReport::wall_ns`), so it is kept out of every
-    /// canonical artifact — it exists so the bench layer can put
-    /// *measured* transport latency next to the *predicted* virtual
-    /// comm clock.
+    /// Host wall-clock the transport spent blocked on its links — writing
+    /// each batch, then waiting for and verifying its echo — in ns: the
+    /// sum of the [`WireSpan`]s its `sync` has reported. Real time (like
+    /// `ClusterReport::wall_ns`), so it is kept out of every canonical
+    /// artifact — it exists so the bench layer can put *measured*
+    /// transport latency next to the *predicted* virtual comm clock.
     pub route_ns: u64,
+    /// Link-level batches verified, and `sync` calls made, so far.
+    pub batches: u64,
+    pub syncs: u64,
     /// Coordinator-side double-entry book, per destination node: frames
     /// and payload bytes staged toward each peer. Always maintained (two
     /// adds per frame), reconciled against each remote's `ByeStats` at
@@ -143,22 +160,13 @@ pub(crate) struct WireState {
 }
 
 /// The coordinator's wall-clock telemetry state: per-class histograms
-/// and counters, the epoch every span timestamp is relative to, and the
-/// socket-batch spans for the merged Chrome trace.
+/// and counters, the kind of every frame sent but not yet reported
+/// verified (per destination, in send order — how a batch's time finds
+/// its classes), and the batch spans for the merged Chrome trace.
 pub(crate) struct WireMetrics {
     pub reg: MetricsRegistry,
-    pub epoch: std::time::Instant,
+    pub unverified: Vec<VecDeque<u8>>,
     pub spans: Vec<WireSpan>,
-}
-
-impl WireMetrics {
-    fn new() -> Self {
-        WireMetrics {
-            reg: MetricsRegistry::new(),
-            epoch: std::time::Instant::now(),
-            spans: Vec::new(),
-        }
-    }
 }
 
 impl WireState {
@@ -170,6 +178,8 @@ impl WireState {
             frames: 0,
             payload_bytes: 0,
             route_ns: 0,
+            batches: 0,
+            syncs: 0,
             dst_frames: vec![0; nprocs],
             dst_payload: vec![0; nprocs],
             metrics: None,
@@ -194,40 +204,44 @@ impl WireState {
         self.dst_frames[dst] += 1;
         self.dst_payload[dst] += payload;
         if let Some(m) = self.metrics.as_mut() {
-            let class = class_name(kind);
-            m.reg.counter_add(&format!("frames.{class}"), 1);
+            m.reg.counter_add(ClassKeys::FRAMES.of(kind), 1);
             if !undercount {
                 m.reg
-                    .counter_add(&format!("payload_bytes.{class}"), payload);
+                    .counter_add(ClassKeys::PAYLOAD_BYTES.of(kind), payload);
             }
-            m.reg.record_ns(&format!("encode.{class}"), encode_ns);
+            m.reg.record_ns(ClassKeys::ENCODE.of(kind), encode_ns);
         }
     }
 
     /// Stage one envelope: fill its payload from the source shard's
-    /// memory, encode it into a pooled frame buffer, book it, post the
-    /// frame to the destination's mailbox and recycle the payload buffer.
-    /// From here on the transfer no longer needs the source shard alive.
+    /// memory, encode it into a frame of its own (the transport keeps it
+    /// until its echo is verified), book it, post the frame to the
+    /// destination's mailbox and recycle the payload buffer. From here on
+    /// the transfer no longer needs the source shard alive.
     fn post(&mut self, mut msg: WireMsg, src_mem: &[f64], wpb: usize, undercount: bool) {
         if let Err(e) = msg.gather(src_mem, wpb) {
             panic!("wire: cannot fill a kind-{} envelope: {e}", msg.kind());
         }
         let dst = msg.hdr().dst as usize;
-        let mut buf = self.mailbox.take_buf();
         let t_enc = self.stopwatch();
-        msg.encode(&mut buf);
+        let buf = msg.to_bytes();
         let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
         self.note_encoded(msg.kind(), dst, msg.payload_bytes(), encode_ns, undercount);
         self.words_pool.put(msg.into_words());
         self.mailbox.post(dst, buf);
     }
 
-    /// Deliver everything posted to `dst`: drain its inbox, carry the
-    /// batch through the transport, and decode the frames back into
-    /// envelopes in posting order. `corrupt` is the armed
+    /// Deliver everything posted to `dst`: drain its inbox, decode the
+    /// frames back into envelopes in posting order — the apply stage works
+    /// from this decode of the very bytes that travel, on every transport
+    /// — and hand the frames to the transport, which verifies their
+    /// arrival by the next [`WireState::sync`]. `corrupt` is the armed
     /// `corrupt_envelope` injection token (damages the first frame). A
-    /// frame the decoder rejects fails the run loudly — dropped traffic
-    /// is never papered over.
+    /// frame the decoder rejects, or a transport failure (peer gone,
+    /// timeout, rejection, bad echo), unwinds with the typed
+    /// [`crate::wire::WireError`] itself as the panic payload, so
+    /// executors can `catch_unwind` + downcast it back into a typed
+    /// result instead of scraping a message string.
     fn deliver(&mut self, dst: usize, corrupt: bool) -> Vec<WireMsg> {
         let mut frames = self.mailbox.take_inbox(dst);
         if corrupt {
@@ -236,16 +250,21 @@ impl WireState {
             }
         }
         let mut msgs = Vec::with_capacity(frames.len());
-        for frame in self.route(dst, frames) {
+        for frame in &frames {
             let t_dec = self.stopwatch();
-            match WireMsg::from_bytes(&frame) {
+            match WireMsg::from_bytes(frame) {
                 Ok(m) => {
-                    self.lap("decode", m.kind(), t_dec);
+                    self.lap(&ClassKeys::DECODE, m.kind(), t_dec);
                     msgs.push(m);
                 }
-                Err(e) => panic!("wire: envelope decode failed at node {dst}: {e}"),
+                Err(e) => std::panic::panic_any(e),
             }
-            self.mailbox.recycle_buf(frame);
+        }
+        if let Some(m) = self.metrics.as_mut() {
+            m.unverified[dst].extend(msgs.iter().map(WireMsg::kind));
+        }
+        if let Err(e) = self.transport.send(dst, frames) {
+            std::panic::panic_any(e);
         }
         msgs
     }
@@ -257,61 +276,41 @@ impl WireState {
     }
 
     /// Record a `<stage>.<class of kind>` histogram sample against a
-    /// started stopwatch (nothing — not even the key — when it is `None`).
-    fn lap(&mut self, stage: &str, kind: u8, t0: Option<std::time::Instant>) {
+    /// started stopwatch (nothing when it is `None`).
+    fn lap(&mut self, stage: &ClassKeys, kind: u8, t0: Option<std::time::Instant>) {
         if let (Some(m), Some(t0)) = (self.metrics.as_mut(), t0) {
-            let key = format!("{stage}.{}", class_name(kind));
-            m.reg.record_ns(&key, t0.elapsed().as_nanos() as u64);
+            m.reg
+                .record_ns(stage.of(kind), t0.elapsed().as_nanos() as u64);
         }
     }
 
-    /// Carry one batch through the transport, accumulating measured wall
-    /// time. A transport-level failure (peer gone, timeout) unwinds with
-    /// the typed [`crate::wire::WireError`] itself as the panic payload,
-    /// so executors can `catch_unwind` + downcast it back into a typed
-    /// result instead of scraping a message string.
-    ///
-    /// With telemetry on, each batch additionally records a [`WireSpan`]
-    /// (for the merged Chrome trace) and books its round-trip time into
-    /// `route.<class>` exactly once: an equal share per frame, the
-    /// remainder to the first — so the `route.*` sums add up to
-    /// `route_ns`. The class is read by peeking each frame's kind byte
-    /// (offset 4, after magic + version) without decoding.
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        if frames.is_empty() {
-            return frames;
-        }
-        let pre = self.metrics.as_ref().map(|m| {
-            let kinds: Vec<u8> = frames
-                .iter()
-                .map(|f| f.get(4).copied().unwrap_or(u8::MAX))
-                .collect();
-            let bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
-            (kinds, bytes, m.epoch.elapsed().as_nanos() as u64)
-        });
-        let t0 = std::time::Instant::now();
-        let routed = self.transport.route(dst, frames);
-        let dur_ns = t0.elapsed().as_nanos() as u64;
-        self.route_ns += dur_ns;
-        if let (Some(m), Some((kinds, bytes, start_ns))) = (self.metrics.as_mut(), pre) {
-            let n = kinds.len() as u64;
-            m.spans.push(WireSpan {
-                dst: dst as u32,
-                start_ns,
-                dur_ns,
-                frames: n as u32,
-                bytes,
-            });
-            let mut share = dur_ns / n + dur_ns % n;
-            for k in kinds {
-                m.reg.record_ns(&format!("route.{}", class_name(k)), share);
-                share = dur_ns / n;
+    /// Wait until the transport has verified everything delivered so far
+    /// (a typed unwind, like [`WireState::deliver`]'s, if it cannot), and
+    /// book the batches it reports: their blocked time into `route_ns`,
+    /// and with telemetry on into `route.<class>` exactly once — an equal
+    /// share per frame of the batch, the remainder to the first — so the
+    /// `route.*` sums add up to `route_ns` with one sample per frame.
+    fn sync(&mut self) {
+        self.syncs += 1;
+        let spans = match self.transport.sync() {
+            Ok(spans) => spans,
+            Err(e) => std::panic::panic_any(e),
+        };
+        self.batches += spans.len() as u64;
+        self.route_ns += spans.iter().map(|s| s.dur_ns).sum::<u64>();
+        let Some(m) = self.metrics.as_mut() else {
+            return;
+        };
+        for s in &spans {
+            let kinds = &mut m.unverified[s.dst as usize];
+            let n = u64::from(s.frames).max(1);
+            let mut share = s.dur_ns / n + s.dur_ns % n;
+            for kind in kinds.drain(..kinds.len().min(s.frames as usize)) {
+                m.reg.record_ns(ClassKeys::ROUTE.of(kind), share);
+                share = s.dur_ns / n;
             }
         }
-        match routed {
-            Ok(frames) => frames,
-            Err(e) => std::panic::panic_any(e),
-        }
+        m.spans.extend(spans);
     }
 }
 
@@ -428,7 +427,11 @@ impl Dsm {
     /// nothing when never called.
     pub fn enable_wire_metrics(&mut self) {
         if let Some(w) = self.wire.as_mut() {
-            w.metrics = Some(WireMetrics::new());
+            w.metrics = Some(WireMetrics {
+                reg: MetricsRegistry::new(),
+                unverified: vec![VecDeque::new(); w.dst_frames.len()],
+                spans: Vec::new(),
+            });
         }
     }
 
@@ -437,7 +440,8 @@ impl Dsm {
         self.wire.as_ref().is_some_and(|w| w.metrics.is_some())
     }
 
-    /// End-of-run telemetry harvest: tear down the transport's remote
+    /// End-of-run telemetry harvest: settle the last frames in flight,
+    /// tear down the transport's remote
     /// peers, reconcile each node's `ByeStats` book against the
     /// coordinator's per-destination counters (panicking with a typed
     /// [`crate::wire::WireError::StatsMismatch`] naming the diverging
@@ -448,6 +452,7 @@ impl Dsm {
         let Some(w) = self.wire.as_mut() else {
             return (None, Vec::new());
         };
+        w.sync();
         let reports = w.transport.finish();
         for r in &reports {
             let node = r.node as usize;
@@ -483,12 +488,21 @@ impl Dsm {
             .map_or((0, 0), |w| (w.frames, w.payload_bytes))
     }
 
-    /// Measured host wall-clock spent inside the transport's `route`, in
-    /// ns (`0` on the fast path). Real time, never part of canonical
-    /// artifacts — the bench layer reads it to compare measured transport
-    /// latency against the virtual cost model.
+    /// Measured host wall-clock the transport spent blocked on its links
+    /// (writing batches, waiting for and verifying their echoes), in ns,
+    /// as of the last barrier — `0` on the fast path and over the
+    /// in-process loopback, which has no link. Real time, never part of
+    /// canonical artifacts — the bench layer reads it to compare measured
+    /// transport latency against the virtual cost model.
     pub fn wire_route_ns(&self) -> u64 {
         self.wire.as_ref().map_or(0, |w| w.route_ns)
+    }
+
+    /// `(link-level batches verified, syncs)` as of the last barrier: how
+    /// often the coordinator had to wait on a link, against
+    /// [`Dsm::wire_stats`]' frames. `(0, 0)` on the fast path.
+    pub fn wire_batches(&self) -> (u64, u64) {
+        self.wire.as_ref().map_or((0, 0), |w| (w.batches, w.syncs))
     }
 
     /// Arm (or disarm) the must-catch contract mutations.
@@ -541,7 +555,7 @@ impl Dsm {
         w.post(msg, src_mem, wpb, undercount);
     }
 
-    /// Route and decode everything posted to `dst`
+    /// Decode and send off everything posted to `dst`
     /// ([`WireState::deliver`]), in posting order.
     fn wire_deliver(&mut self, dst: NodeId) -> Vec<WireMsg> {
         // One-shot: the first delivered batch of the run.
@@ -550,7 +564,7 @@ impl Dsm {
         w.deliver(dst, corrupt)
     }
 
-    /// Strict wire mode's delivery stage for a plan batch: one routed
+    /// Strict wire mode's delivery stage for a plan batch: one delivered
     /// batch per destination (in first-appearance order), decoded back
     /// into one envelope list per plan. `plans` yields each plan's
     /// `(dst, frames posted)` in plan order; per-destination FIFO order
@@ -570,7 +584,7 @@ impl Dsm {
         let decoded = plans
             .map(|(dst, n)| {
                 let q = routed.get_mut(&dst).expect("routed batch per dst");
-                assert!(q.len() >= n, "wire: transport dropped a planned frame");
+                assert!(q.len() >= n, "wire: fewer frames posted than planned");
                 q.drain(..n).collect()
             })
             .collect();
@@ -588,23 +602,22 @@ impl Dsm {
     }
 
     /// The single-message path: post `msg`, deliver it, and store the
-    /// decoded payload at the destination. A frame the transport drops or
-    /// the decoder rejects fails the run loudly.
+    /// decoded payload at the destination. A frame the decoder or the
+    /// destination's geometry rejects unwinds with the typed error.
     pub(crate) fn wire_route_one(&mut self, msg: WireMsg) {
-        let (kind, dst) = (msg.kind(), msg.hdr().dst as usize);
+        let dst = msg.hdr().dst as usize;
         self.wire_post(msg);
         let msg = self
             .wire_deliver(dst)
             .pop()
-            .expect("wire: transport dropped a frame");
-        assert_eq!(msg.kind(), kind, "wire: delivered a different envelope");
+            .expect("the inbox holds the frame just posted");
         let wpb = self.cluster.words_per_block();
         let w = self.wire.as_mut().expect("wire state present when strict");
         let t_apply = w.stopwatch();
         if let Err(e) = msg.scatter(self.cluster.node_mem_mut(dst), wpb) {
-            panic!("wire: envelope rejected at node {dst}: {e}");
+            std::panic::panic_any(e);
         }
-        w.lap("apply", kind, t_apply);
+        w.lap(&ClassKeys::APPLY, msg.kind(), t_apply);
         w.words_pool.put(msg.into_words());
     }
 
@@ -765,12 +778,19 @@ impl Dsm {
     /// in `iw_memo` and the matching `implicit_invalidate` is skipped, so
     /// the memo is exactly the record of blocks whose tags are under
     /// compiler control. `check_consistency` excuses those pairs — once
-    /// per (reader, block) after every run, so only `node`'s own slice of
-    /// the (node-major) memo is scanned.
-    pub(crate) fn is_ctl_block(&self, node: NodeId, b: usize) -> bool {
-        self.iw_memo
-            .range((node, 0, 0)..(node + 1, 0, 0))
-            .any(|&(_, first, end)| (first..end).contains(&b))
+    /// per (reader, block) after every run, so the memo is flattened once
+    /// into [`CtlBlocks`], whose query is a binary search: the check's
+    /// cost must not hang on how a set walk happens to be inlined.
+    pub(crate) fn ctl_blocks(&self) -> CtlBlocks {
+        let mut per_node = vec![Vec::new(); self.cluster.nprocs()];
+        // Node-major, then ascending `first`: each entry's reach is the
+        // furthest end of any of the node's ranges starting at or before.
+        for &(node, first, end) in &self.iw_memo {
+            let ranges: &mut Vec<(usize, usize)> = &mut per_node[node];
+            let reach = ranges.last().map_or(end, |&(_, reach)| reach.max(end));
+            ranges.push((first, reach));
+        }
+        CtlBlocks(per_node)
     }
 
     /// Drop every memoized `implicit_writable` range, forcing the next
@@ -824,10 +844,17 @@ impl Dsm {
         self.with_proto(|proto, d| proto.write_access_multi(d, p, b));
     }
 
-    /// Release point: let the protocol propagate interval writes, then
-    /// execute the global barrier.
+    /// Release point: let the protocol propagate interval writes, settle
+    /// strict wire mode, then execute the global barrier. Settling means
+    /// every frame delivered since the last barrier has reached its node
+    /// and come back byte for byte, or the run unwinds with the
+    /// transport's typed error — a dead, wedged or lying node is caught
+    /// here at the latest.
     pub fn release_barrier(&mut self) {
         self.with_proto(|proto, d| proto.release(d));
+        if let Some(w) = self.wire.as_mut() {
+            w.sync();
+        }
         self.cluster.barrier();
     }
 

@@ -371,9 +371,12 @@ impl WireMsg {
         }
     }
 
-    /// The v1 encoding as a fresh buffer.
+    /// The v1 encoding as a fresh buffer, allocated once: 61 bytes bound
+    /// the fixed header, the widest variant's fields and the payload
+    /// length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 8 * self.words().len());
+        let (blocks, words) = (self.hdr().blocks.len(), self.words().len());
+        let mut out = Vec::with_capacity(61 + 4 * blocks + 8 * words);
         self.encode(&mut out);
         out
     }
@@ -1081,6 +1084,8 @@ mod tests {
         for m in msgs {
             let bytes = m.to_bytes();
             assert_eq!(WireMsg::from_bytes(&bytes).unwrap(), m, "kind {}", m.kind());
+            let bound = 61 + 4 * m.hdr().blocks.len() + 8 * m.words().len();
+            assert!(bytes.len() <= bound, "kind {}: to_bytes regrew", m.kind());
         }
     }
 

@@ -6,20 +6,16 @@
 //! destination's inbox (in-process loopback, channel-backed worker
 //! threads, or — next — a real socket), and apply *consumes* the routed
 //! frames in posting order. The mailbox itself never interprets frame
-//! contents; it only guarantees per-destination FIFO order and recycles
-//! frame buffers through a [`VecPool`] so steady-state supersteps
-//! allocate nothing (the PR-6 scratch discipline).
+//! contents; it only guarantees per-destination FIFO order. A delivered
+//! frame belongs to the transport, which keeps it until its arrival is
+//! verified — so frames leave here for good and are not recycled.
 
 use std::collections::VecDeque;
 
-use crate::scratch::VecPool;
-
-/// Per-node FIFO queues of encoded byte frames plus a recycling pool
-/// for the frame buffers themselves.
+/// Per-node FIFO queues of encoded byte frames.
 #[derive(Debug)]
 pub struct Mailbox {
     inboxes: Vec<VecDeque<Vec<u8>>>,
-    bufs: VecPool<u8>,
 }
 
 impl Mailbox {
@@ -27,19 +23,7 @@ impl Mailbox {
     pub fn new(nprocs: usize) -> Self {
         Mailbox {
             inboxes: (0..nprocs).map(|_| VecDeque::new()).collect(),
-            bufs: VecPool::default(),
         }
-    }
-
-    /// An empty frame buffer — recycled with its previous capacity if
-    /// one is shelved, freshly allocated otherwise.
-    pub fn take_buf(&mut self) -> Vec<u8> {
-        self.bufs.take()
-    }
-
-    /// Shelve a consumed frame buffer for reuse.
-    pub fn recycle_buf(&mut self, buf: Vec<u8>) {
-        self.bufs.put(buf);
     }
 
     /// Queue an encoded frame for delivery to `dst`.
@@ -70,14 +54,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn per_destination_fifo_and_recycling() {
+    fn per_destination_fifo() {
         let mut m = Mailbox::new(2);
-        let mut a = m.take_buf();
-        a.extend_from_slice(b"first");
-        let mut b = m.take_buf();
-        b.extend_from_slice(b"second");
-        m.post(1, a);
-        m.post(1, b);
+        m.post(1, b"first".to_vec());
+        m.post(1, b"second".to_vec());
         m.post(0, vec![9]);
         assert_eq!(m.pending(1), 2);
         assert!(!m.all_delivered());
@@ -85,10 +65,5 @@ mod tests {
         assert_eq!(got, vec![b"first".to_vec(), b"second".to_vec()]);
         assert_eq!(m.take_inbox(0), vec![vec![9]]);
         assert!(m.all_delivered());
-        let cap = got[0].capacity();
-        for f in got {
-            m.recycle_buf(f);
-        }
-        assert_eq!(m.take_buf().capacity(), cap, "frame buffer recycled");
     }
 }

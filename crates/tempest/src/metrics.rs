@@ -48,6 +48,40 @@ pub fn class_name(kind: u8) -> &'static str {
     }
 }
 
+/// The `<stage>.<class>` metric keys of one pipeline stage, one per
+/// [`class_name`], spelled out at compile time: the metered path looks a
+/// key up by kind byte and never formats one.
+pub struct ClassKeys([&'static str; 6]);
+
+macro_rules! class_keys {
+    ($stage:literal) => {
+        ClassKeys([
+            concat!($stage, ".push"),
+            concat!($stage, ".flush"),
+            concat!($stage, ".copy"),
+            concat!($stage, ".diff"),
+            concat!($stage, ".strided"),
+            concat!($stage, ".unknown"),
+        ])
+    };
+}
+
+impl ClassKeys {
+    pub const FRAMES: ClassKeys = class_keys!("frames");
+    pub const PAYLOAD_BYTES: ClassKeys = class_keys!("payload_bytes");
+    pub const ENCODE: ClassKeys = class_keys!("encode");
+    pub const ROUTE: ClassKeys = class_keys!("route");
+    pub const DECODE: ClassKeys = class_keys!("decode");
+    pub const APPLY: ClassKeys = class_keys!("apply");
+    pub const RECV: ClassKeys = class_keys!("recv");
+    pub const REENCODE: ClassKeys = class_keys!("reencode");
+
+    /// This stage's key for the class of `kind`.
+    pub fn of(&self, kind: u8) -> &'static str {
+        self.0[usize::from(kind).min(5)]
+    }
+}
+
 /// A log2-bucketed latency histogram over `u64` nanoseconds.
 ///
 /// Percentiles are reported as the *upper bound* of the smallest bucket
@@ -248,19 +282,24 @@ impl MetricsRegistry {
 
     /// Add to a counter (created at 0 on first touch).
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        match self
-            .map
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        match self.slot(name, || Metric::Counter(0)) {
             Metric::Counter(c) => *c += v,
             other => panic!("metric `{name}` is not a counter: {other:?}"),
         }
     }
 
+    /// The metric under `name`, created by `init` on first touch — the
+    /// only time the key is copied.
+    fn slot(&mut self, name: &str, init: impl FnOnce() -> Metric) -> &mut Metric {
+        if !self.map.contains_key(name) {
+            self.map.insert(name.to_string(), init());
+        }
+        self.map.get_mut(name).expect("present or just inserted")
+    }
+
     /// Set a gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, v: i64) {
-        match self.map.entry(name.to_string()).or_insert(Metric::Gauge(0)) {
+        match self.slot(name, || Metric::Gauge(0)) {
             Metric::Gauge(g) => *g = v,
             other => panic!("metric `{name}` is not a gauge: {other:?}"),
         }
@@ -268,11 +307,7 @@ impl MetricsRegistry {
 
     /// Record one sample into a histogram (created empty on first touch).
     pub fn record_ns(&mut self, name: &str, ns: u64) {
-        match self
-            .map
-            .entry(name.to_string())
-            .or_insert_with(Metric::new_hist)
-        {
+        match self.slot(name, Metric::new_hist) {
             Metric::Hist(h) => h.record(ns),
             other => panic!("metric `{name}` is not a histogram: {other:?}"),
         }
@@ -490,13 +525,17 @@ impl MetricsRegistry {
     }
 }
 
-/// One wall-clock socket-batch span recorded by the coordinator's
-/// transport: the route of one frame batch to worker `dst`, timed from
-/// the telemetry epoch.
+/// One link-level batch as the coordinator's transport saw it: `frames`
+/// frames (`bytes` in all) flushed to worker `dst` in one write and
+/// echoed back verified.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireSpan {
     pub dst: u32,
+    /// When the write began, in ns since the transport was built.
     pub start_ns: u64,
+    /// Wall time the coordinator spent blocked on this batch: writing
+    /// it, then waiting for and checking its echo — not the (longer)
+    /// time it was in flight while the coordinator went on working.
     pub dur_ns: u64,
     pub frames: u32,
     pub bytes: u64,
@@ -752,6 +791,15 @@ mod tests {
         assert_eq!(class_name(3), "diff");
         assert_eq!(class_name(4), "strided");
         assert_eq!(class_name(99), "unknown");
+        // The precomputed key table spells exactly `<stage>.<class>`.
+        for (keys, stage) in [
+            (ClassKeys::ROUTE, "route"),
+            (ClassKeys::REENCODE, "reencode"),
+        ] {
+            for kind in [0u8, 1, 2, 3, 4, 5, 99] {
+                assert_eq!(keys.of(kind), format!("{stage}.{}", class_name(kind)));
+            }
+        }
     }
 
     #[test]

@@ -181,10 +181,11 @@ pub struct ClusterReport {
     /// canonical [`ClusterReport::to_json`] encoding (which must be
     /// byte-identical between serial and parallel execution).
     pub wall_ns: u64,
-    /// Host time spent inside the wire transport's `route` calls, in ns
-    /// (0 on the zero-copy fast path). Like [`ClusterReport::wall_ns`]
+    /// Host time the wire transport spent blocked on its links — writing
+    /// batches, waiting for and verifying their echoes — in ns (0 on the
+    /// zero-copy fast path). Like [`ClusterReport::wall_ns`]
     /// this is *real* time — it measures the installed transport (channel
-    /// hop, socket round-trip), varies run to run, and is deliberately
+    /// hop, socket write and read), varies run to run, and is deliberately
     /// excluded from the canonical [`ClusterReport::to_json`] encoding so
     /// socket-backed and in-process runs stay byte-identical.
     pub wire_route_ns: u64,
