@@ -18,6 +18,8 @@
 //! single-precision; ours are `f64`, so in-memory footprints are roughly
 //! 2× Table 2's — recorded per-app in EXPERIMENTS.md.)
 
+#![forbid(unsafe_code)]
+
 pub mod cg;
 pub mod grav;
 pub mod irreg;

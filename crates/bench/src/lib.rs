@@ -6,6 +6,8 @@
 //! default is a reduced benchmark scale that preserves every qualitative
 //! effect and finishes in well under a minute per harness.
 
+#![forbid(unsafe_code)]
+
 use fgdsm_apps::{AppSpec, Scale};
 use fgdsm_hpf::{execute, ExecConfig, OptLevel, RunResult};
 use fgdsm_tempest::knob::Knobs;

@@ -1,13 +1,10 @@
 //! Serial vs. threaded determinism (the sharded-executor invariant).
 //!
-//! Both superstep phases now run on threads: the compute phase dispatches
-//! kernels over disjoint `NodeShard`s, and the resolve phase's apply
-//! stage executes disjoint transfer plans concurrently (plan/apply).
-//! Every charge, trace event, and memory write is either shard-local or
-//! folded in plan index order, so thread scheduling must not be
-//! observable. These tests pin that down end to end across the
-//! whole 3-way mode matrix — fully serial, threaded resolve only, and
-//! threaded resolve + compute — asserting byte-identical canonical report
+//! The compute phase runs on threads: it dispatches kernels over
+//! disjoint `NodeShard`s, and every charge, trace event, and memory
+//! write in it is shard-local, so thread scheduling must not be
+//! observable. These tests pin that down end to end — serial against a
+//! 4-worker pool — asserting byte-identical canonical report
 //! JSON, byte-identical per-node trace streams, byte-identical profile
 //! artifacts (per-superstep intervals, heatmaps, false-sharing flags and
 //! the Chrome-trace export), and bit-identical gathered segment data.
@@ -127,17 +124,13 @@ fn assert_modes_match(
     }
 }
 
-/// The original three-way matrix: fully serial, threaded resolve only,
-/// threaded resolve + compute.
+/// Serial against a 4-worker compute phase.
 fn assert_deterministic(spec: &AppSpec, cfg: &ExecConfig, backend: &str) {
     assert_modes_match(
         spec,
         cfg,
         backend,
-        vec![
-            ("rthreads", cfg.clone().serial().resolve_threads(4)),
-            ("threads", cfg.clone().threads(4)),
-        ],
+        vec![("threads", cfg.clone().threads(4))],
     );
 }
 
@@ -168,10 +161,6 @@ fn chan_is_byte_identical_to_sm_opt() {
             "chan-vs-sm_opt",
             vec![
                 ("chan-serial", ExecConfig::chan(NPROCS).serial()),
-                (
-                    "chan-rthreads",
-                    ExecConfig::chan(NPROCS).serial().resolve_threads(4),
-                ),
                 ("chan-threads", ExecConfig::chan(NPROCS).threads(4)),
             ],
         );
@@ -198,10 +187,6 @@ fn tcp_is_byte_identical_to_sm_opt() {
             "tcp-vs-sm_opt",
             vec![
                 ("tcp-serial", ExecConfig::tcp(NPROCS).serial()),
-                (
-                    "tcp-rthreads",
-                    ExecConfig::tcp(NPROCS).serial().resolve_threads(4),
-                ),
                 ("tcp-threads", ExecConfig::tcp(NPROCS).threads(4)),
             ],
         );
@@ -236,8 +221,7 @@ fn strict_wire_matches_fast_path() {
 
 /// Two representative applications at the reduced benchmark scale, so
 /// the invariant is exercised on runs long enough for threads to
-/// genuinely interleave (jacobi: regular stencil; grav: reductions) and
-/// on transfer volumes that clear the parallel-apply threshold.
+/// genuinely interleave (jacobi: regular stencil; grav: reductions).
 #[test]
 fn jacobi_and_grav_are_schedule_independent_at_bench_scale() {
     for spec in suite(Scale::Bench)
@@ -250,10 +234,9 @@ fn jacobi_and_grav_are_schedule_independent_at_bench_scale() {
 }
 
 /// Three representative applications with the problem stretched by the
-/// `suite_scaled` work factor 4 — large enough that both the compute
-/// volume gate and the parallel-apply threshold are cleared, so the
-/// worker pool genuinely runs — pinned byte-identical across
-/// serial/rthreads/threads.
+/// `suite_scaled` work factor 4 — large enough that the compute volume
+/// gate is cleared, so the worker pool genuinely runs — pinned
+/// byte-identical across serial/threads.
 #[test]
 fn scaled_suite_is_schedule_independent() {
     for spec in fgdsm_apps::suite_scaled(Scale::Test, 4)

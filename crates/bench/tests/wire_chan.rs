@@ -231,7 +231,7 @@ fn chan_books_reconcile_and_a_skewed_book_is_a_typed_mismatch() {
             array: NO_ARRAY,
         }];
         let plans = d.plan_sends(&sends, true);
-        d.apply_plans(&plans, 1);
+        d.apply_plans(&plans);
         d.recycle_plans(plans);
         assert!(d.wire_stats().0 > 0, "the push must have been enveloped");
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.wire_finish())).map(|_| ())

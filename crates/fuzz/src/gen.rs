@@ -436,12 +436,6 @@ impl FuzzSpec {
         let _ = writeln!(s, "            skew_send_range: {},", i.skew_send_range);
         let _ = writeln!(s, "            skip_flush_range: {},", i.skip_flush_range);
         let _ = writeln!(s, "            stale_owner_push: {},", i.stale_owner_push);
-        let _ = writeln!(
-            s,
-            "            reorder_plan_apply: {},",
-            i.reorder_plan_apply
-        );
-        let _ = writeln!(s, "            misfold_pool: {},", i.misfold_pool);
         let _ = writeln!(s, "            corrupt_envelope: {},", i.corrupt_envelope);
         let _ = writeln!(s, "            corrupt_frame_len: {},", i.corrupt_frame_len);
         let _ = writeln!(

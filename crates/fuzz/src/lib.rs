@@ -27,6 +27,8 @@
 //! `send_range`, skipped `flush_range`) must make the oracle report a
 //! divergence.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod oracle;
 pub mod shrink;

@@ -4,10 +4,9 @@
 //! sequential reference interpreter and then through every backend ×
 //! optimization-toggle × parallelism combination, comparing final array
 //! contents and scalars **bitwise** against the reference. Within each
-//! backend the fully serial run is additionally the determinism
-//! baseline: every threaded run — which now parallelizes both the
-//! resolve phase's plan-apply stage and the compute phase — must
-//! reproduce its report JSON and canonical trace JSON byte-for-byte.
+//! backend the serial run is additionally the determinism baseline:
+//! every threaded run — the compute phase on a worker pool — must
+//! reproduce its report, trace and profile JSON byte-for-byte.
 //! The engine itself asserts the protocol consistency check and the
 //! trace invariants (balanced message/byte counters, monotone per-node
 //! clocks) after every run, so a violated invariant surfaces here as a
@@ -160,10 +159,9 @@ fn same_artifacts(
 }
 
 /// Run the full differential matrix for one spec. `Ok(())` means every
-/// run agreed with the reference bit-for-bit, every threaded run (both
-/// phases parallel: resolve apply with 2 and 4 workers, compute likewise)
-/// reproduced the serial run's report and trace byte-for-byte, and no
-/// run panicked.
+/// run agreed with the reference bit-for-bit, every threaded run (the
+/// compute phase on 2 and 4 workers) reproduced the serial run's report,
+/// trace and profile byte-for-byte, and no run panicked.
 pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
     check_matrix(spec, backend_configs(spec), &MODES)
 }
@@ -303,4 +301,32 @@ pub fn check_spec_tcp(spec: &FuzzSpec) -> Result<(), Divergence> {
         ("tcp".to_string(), ExecConfig::tcp(spec.nprocs)),
     ];
     check_matrix(spec, configs, &MODES[..1])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The serial-vs-threaded comparison has teeth: one flipped byte in
+    /// any of the three artifacts is a divergence naming that artifact
+    /// and the baseline it was compared against.
+    #[test]
+    fn one_flipped_byte_in_any_artifact_is_a_divergence() {
+        let serial: Artifacts = ["{\"r\":1}".into(), "{\"t\":1}".into(), "{\"p\":1}".into()];
+        let label = || "sm_opt/threads2".to_string();
+        assert!(same_artifacts(label(), &serial, &serial, "serial run").is_ok());
+        for (i, what) in ["report", "trace", "profile"].into_iter().enumerate() {
+            let mut threaded = serial.clone();
+            threaded[i] = threaded[i].replace('1', "2");
+            let d = same_artifacts(label(), &threaded, &serial, "serial run")
+                .expect_err("a flipped byte must diverge");
+            assert_eq!(d.config, "sm_opt/threads2");
+            assert!(
+                d.detail
+                    .starts_with(&format!("{what} diverges from serial run")),
+                "{d}"
+            );
+            assert!(d.detail.contains("first diff at byte 5"), "{d}");
+        }
+    }
 }

@@ -33,10 +33,6 @@ pub enum Fault {
     SkewSendRange,
     /// `flush_range` skipped entirely: non-owner writes never go home.
     SkipFlushRange,
-    /// Plans applied in reverse order under a parallel resolve.
-    ReorderPlanApply,
-    /// Parallel-apply outcomes folded out of plan-index order.
-    MisfoldPool,
     /// A byte flipped in the first strict-mode wire envelope.
     CorruptEnvelope,
     /// The length prefix of the first framed data message on the `tcp`
@@ -57,11 +53,9 @@ pub enum Fault {
 
 impl Fault {
     /// Every fault, in declaration order.
-    pub const ALL: [Fault; 8] = [
+    pub const ALL: [Fault; 6] = [
         Fault::SkewSendRange,
         Fault::SkipFlushRange,
-        Fault::ReorderPlanApply,
-        Fault::MisfoldPool,
         Fault::CorruptEnvelope,
         Fault::CorruptFrameLen,
         Fault::StaleOwnerPush,
@@ -73,8 +67,6 @@ impl Fault {
         match self {
             Fault::SkewSendRange => "skew_send_range",
             Fault::SkipFlushRange => "skip_flush_range",
-            Fault::ReorderPlanApply => "reorder_plan_apply",
-            Fault::MisfoldPool => "misfold_pool",
             Fault::CorruptEnvelope => "corrupt_envelope",
             Fault::CorruptFrameLen => "corrupt_frame_len",
             Fault::StaleOwnerPush => "stale_owner_push",
@@ -87,8 +79,6 @@ impl Fault {
         match self {
             Fault::SkewSendRange => inject.skew_send_range = true,
             Fault::SkipFlushRange => inject.skip_flush_range = true,
-            Fault::ReorderPlanApply => inject.reorder_plan_apply = true,
-            Fault::MisfoldPool => inject.misfold_pool = true,
             Fault::CorruptEnvelope => inject.corrupt_envelope = true,
             Fault::CorruptFrameLen => inject.corrupt_frame_len = true,
             Fault::StaleOwnerPush => inject.stale_owner_push = true,
@@ -96,21 +86,18 @@ impl Fault {
         }
     }
 
-    /// Where the fault is provably caught. Threading/wire faults only
-    /// exist below the model's level of abstraction, so the model sweep
-    /// covers the data-movement mutations and the engine suite covers
-    /// the rest.
+    /// Where the fault is provably caught. Wire faults only exist below
+    /// the model's level of abstraction, so the model sweep covers the
+    /// data-movement mutations and the engine suite covers the rest.
     pub fn detected_by(self) -> Detector {
         match self {
             Fault::SkewSendRange | Fault::SkipFlushRange => Detector::Both,
             // `UndercountMetrics` never changes data movement, so the
             // model has nothing to observe; the engine oracle's
             // metrics-conservation invariant is its only detector.
-            Fault::ReorderPlanApply
-            | Fault::MisfoldPool
-            | Fault::CorruptEnvelope
-            | Fault::CorruptFrameLen
-            | Fault::UndercountMetrics => Detector::Engine,
+            Fault::CorruptEnvelope | Fault::CorruptFrameLen | Fault::UndercountMetrics => {
+                Detector::Engine
+            }
             // Engine layouts keep owner == home for pushed ranges, so the
             // symptom needs the model's 3-node third-party-home states.
             Fault::StaleOwnerPush => Detector::Model,

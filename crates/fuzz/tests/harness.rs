@@ -29,8 +29,6 @@ fn tolerated_perturbations_are_invisible() {
             skew_send_range: false,
             skip_flush_range: false,
             stale_owner_push: false,
-            reorder_plan_apply: false,
-            misfold_pool: false,
             corrupt_envelope: false,
             corrupt_frame_len: false,
             undercount_metrics: false,
@@ -92,81 +90,6 @@ fn must_catch_skewed_send_range() {
     assert!(
         d.config.starts_with("sm_opt"),
         "skew only exists on the ctl path, diverged at {d}"
-    );
-}
-
-/// Three nodes all read the same 1-D range, so each owner pushes to two
-/// readers — at least two conflicting `TransferPlan`s per owner. The
-/// injection reverses the plan order whenever the resolve phase runs
-/// with more than one worker, so payload arrival times (and therefore
-/// the readers' `ready_to_recv` stalls) differ between the serial
-/// baseline and the threaded runs: a nondeterministic merge the oracle's
-/// report/trace comparison must detect. Data stays bitwise correct (the
-/// copies are disjoint), so only the determinism check can catch this.
-fn reorder_victim() -> FuzzSpec {
-    FuzzSpec {
-        nprocs: 3,
-        // 12 distributed columns over 3 nodes: every node owns columns
-        // inside the loop bounds [2, 9], so every node reads the shared
-        // 1-D array and each owner pushes to two readers.
-        n2: [40, 12],
-        inject: InjectConfig {
-            reorder_plan_apply: true,
-            ..InjectConfig::default()
-        },
-        ..skew_victim()
-    }
-}
-
-#[test]
-fn must_catch_reordered_plan_apply() {
-    let spec = reorder_victim();
-    let d = check_spec(&spec).expect_err("reordered plan apply must be detected");
-    assert!(
-        d.config.starts_with("sm_opt"),
-        "plans only exist on the ctl path, diverged at {d}"
-    );
-    assert!(
-        d.config.ends_with("threads2") || d.config.ends_with("threads4"),
-        "the serial baseline is unaffected; divergence must be in a threaded run, got {d}"
-    );
-    assert!(
-        d.detail.contains("diverges from serial run"),
-        "must be caught by the determinism comparison, not the reference: {d}"
-    );
-}
-
-/// Same sharing pattern as [`reorder_victim`] — at least two conflicting
-/// `TransferPlan`s per owner — but the injection rotates the parallel
-/// apply stage's outcome vector out of plan-index order before the fold:
-/// the merge mistake a worker-pool integration could make. Serial runs
-/// fold a single outcome stream and are unaffected, so only the
-/// threaded-vs-serial determinism comparison can catch it.
-fn misfold_victim() -> FuzzSpec {
-    FuzzSpec {
-        inject: InjectConfig {
-            misfold_pool: true,
-            ..InjectConfig::default()
-        },
-        ..reorder_victim()
-    }
-}
-
-#[test]
-fn must_catch_misfolded_pool_results() {
-    let spec = misfold_victim();
-    let d = check_spec(&spec).expect_err("out-of-order pool fold must be detected");
-    assert!(
-        d.config.starts_with("sm_opt"),
-        "plans only exist on the ctl path, diverged at {d}"
-    );
-    assert!(
-        !d.config.ends_with("serial"),
-        "the serial baseline is unaffected; divergence must be in a threaded run, got {d}"
-    );
-    assert!(
-        d.detail.contains("diverges from serial run"),
-        "must be caught by the determinism comparison, not the reference: {d}"
     );
 }
 
@@ -335,7 +258,6 @@ fn must_catch_every_engine_fault_in_taxonomy() {
                     | Fault::CorruptFrameLen
                     | Fault::UndercountMetrics => skew_victim(),
                     Fault::SkipFlushRange => flush_victim(),
-                    Fault::ReorderPlanApply | Fault::MisfoldPool => reorder_victim(),
                     Fault::StaleOwnerPush => unreachable!("model-level fault"),
                 };
                 spec.inject = Default::default();

@@ -20,14 +20,12 @@ use fgdsm_tempest::ReduceOp;
 /// [`post_loop`](CommBackend::post_loop). After the whole program:
 /// [`finish`](CommBackend::finish) then [`gather`](CommBackend::gather).
 ///
-/// `resolve` *is* the superstep's resolve phase: it is driven from the
-/// driver thread with the whole cluster in scope (bulk data movement may
-/// fan out over `EngineCore::resolve_workers` threads through the
-/// plan/apply pipeline) and must leave every access the loop declares
-/// serviceable from the accessing node's own shard — after it returns,
-/// the driver assumes kernels perform zero cross-node access. Everything
-/// after the kernels (`note_kernel_writes`, `reduce`, `post_loop`) runs
-/// on the driver thread again.
+/// `resolve` *is* the superstep's resolve phase: it runs on the driver
+/// thread with the whole cluster in scope and must leave every access
+/// the loop declares serviceable from the accessing node's own shard —
+/// after it returns, the driver assumes kernels perform zero cross-node
+/// access. Everything after the kernels (`note_kernel_writes`, `reduce`,
+/// `post_loop`) runs on the driver thread again.
 pub trait CommBackend {
     /// Check configuration invariants before the run starts (e.g. the
     /// §4.2 contract requires a protocol that supports it).

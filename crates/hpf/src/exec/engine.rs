@@ -8,12 +8,10 @@
 //! * **Resolve phase**: the backend's [`CommBackend::resolve`] discovers
 //!   and services every cross-node fault / ctl transfer / message the
 //!   loop needs, against the state the previous superstep left behind.
-//!   Default-protocol faults and the ctl tag transitions run sequentially
-//!   in deterministic node order; the bulk data movement is planned
-//!   sequentially and applied over disjoint shard pairs, concurrently
-//!   when `resolve_workers > 1` (see [`fgdsm_protocol::TransferPlan`]) —
-//!   with shared state folded in plan index order, so the threading never
-//!   changes a report or trace byte.
+//!   Everything in it runs on the driver thread in a fixed order:
+//!   default-protocol faults and the ctl tag transitions in node order,
+//!   the bulk data movement as one plan per (source, destination) pair
+//!   applied in plan order (see [`fgdsm_protocol::TransferPlan`]).
 //! * **Compute phase** ([`compute_phase`]): each node's kernel runs
 //!   against its own [`NodeShard`] with zero cross-node access, so the
 //!   driver may dispatch the shards across the run's [`WorkerPool`]
@@ -39,14 +37,11 @@ use fgdsm_tempest::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Minimum total kernel iteration count (summed over nodes) before the
 /// compute phase dispatches onto worker threads: below this, even parked
 /// pool workers cost more to wake than the kernels cost to run, and a
-/// serial compute is faster. The compute analogue of
-/// [`fgdsm_protocol::PAR_APPLY_MIN_WORDS`]; determinism is unaffected
-/// either way.
+/// serial compute is faster. Determinism is unaffected either way.
 pub const PAR_COMPUTE_MIN_POINTS: u64 = 2048;
 
 /// Shared execution state: the program binding, the DSM, and the helpers
@@ -62,12 +57,10 @@ pub struct EngineCore<'p> {
     pub scalars: BTreeMap<&'static str, f64>,
     /// Words per cache block.
     pub wpb: usize,
-    /// Resolved compute-phase worker count (from `cfg.parallel`, capped
-    /// later by `nprocs`).
-    pub workers: usize,
-    /// Resolved worker count for the resolve phase's plan-apply stage
-    /// (`cfg.resolve_parallel`, falling back to `cfg.parallel`).
-    pub resolve_workers: usize,
+    /// The run's worker pool, used by the compute phase only:
+    /// `cfg.parallel` workers capped by `nprocs` (a shard runs on exactly
+    /// one worker), and `None` — nothing spawned — when that is 1.
+    pool: Option<WorkerPool>,
     /// Supersteps executed so far; salts the `shuffle_resolve`
     /// perturbation so each loop instance gets a distinct node order.
     pub supersteps: u64,
@@ -192,8 +185,6 @@ impl<'p> EngineCore<'p> {
             skew_send_range: cfg.inject.skew_send_range,
             skip_flush_range: cfg.inject.skip_flush_range,
             stale_owner_push: cfg.inject.stale_owner_push,
-            reorder_plan_apply: cfg.inject.reorder_plan_apply,
-            misfold_pool: cfg.inject.misfold_pool,
             corrupt_envelope: cfg.inject.corrupt_envelope,
             undercount_metrics: cfg.inject.undercount_metrics,
         });
@@ -206,6 +197,7 @@ impl<'p> EngineCore<'p> {
         if cfg.metrics.enabled() {
             dsm.enable_wire_metrics();
         }
+        let workers = cfg.parallel.workers().min(cfg.nprocs);
         EngineCore {
             prog,
             cfg,
@@ -215,8 +207,7 @@ impl<'p> EngineCore<'p> {
             env: cfg.base_env.clone(),
             scalars: prog.scalars.iter().copied().collect(),
             wpb: cfg.cost.words_per_block(),
-            workers: cfg.parallel.workers(),
-            resolve_workers: cfg.resolve_parallel.unwrap_or(cfg.parallel).workers(),
+            pool: (workers > 1).then(|| WorkerPool::new(workers)),
             supersteps: 0,
             analysis_cache: BTreeMap::new(),
             loop_ids: BTreeMap::new(),
@@ -464,15 +455,6 @@ pub(super) fn run(
 ) -> (RunResult, Option<String>, Option<String>) {
     let wall_start = std::time::Instant::now();
     let mut core = EngineCore::new(prog, cfg);
-    // Persistent worker pool: spawned once here, reused by every
-    // superstep's compute phase and resolve-apply waves. Skipped when
-    // both phases are pinned serial.
-    let pool_workers = core.workers.max(core.resolve_workers);
-    if pool_workers > 1 {
-        core.dsm
-            .cluster
-            .set_worker_pool(Some(Arc::new(WorkerPool::new(pool_workers))));
-    }
     backend.validate(&core);
     let body = prog.body.clone();
     // Register profiler loop ids over the body actually executed (the
@@ -573,11 +555,10 @@ fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stm
 }
 
 /// One superstep, in two explicit phases: the **resolve phase** (backend
-/// communication against the previous superstep's state — planned
-/// sequentially, applied over disjoint shard pairs with up to
-/// `resolve_workers` threads), then the **compute phase** (kernels on
-/// their own shards, possibly threaded), then write observation,
-/// reduction, backend cleanup and the superstep boundary.
+/// communication against the previous superstep's state, on the driver
+/// thread), then the **compute phase** (kernels on their own shards,
+/// possibly threaded), then write observation, reduction, backend
+/// cleanup and the superstep boundary.
 fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
     let nprocs = core.cfg.nprocs;
     let acc = core.analyze(l);
@@ -633,9 +614,9 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
 /// The compute phase of one superstep: run each node's kernel against
 /// that node's shard, charging the (analysis-determined) compute cost to
 /// the shard's clock. Per-node work touches only `&mut NodeShard` plus
-/// shared immutable state, so the shards can be split across the
-/// installed [`WorkerPool`]'s workers. Contiguous chunking keeps each shard on exactly
-/// one worker and per-shard state makes the outcome independent of the
+/// shared immutable state, so the shards can be split across the run's
+/// [`WorkerPool`]. Contiguous chunking keeps each shard on exactly one
+/// worker and per-shard state makes the outcome independent of the
 /// schedule — the serial path below produces byte-identical traces.
 /// Loops below [`PAR_COMPUTE_MIN_POINTS`] total iterations run serially
 /// regardless: waking workers would cost more than the kernels.
@@ -651,7 +632,7 @@ fn compute_phase(
         dsm,
         env,
         scalars,
-        workers,
+        pool,
         ..
     } = core;
     let nprocs = cfg.nprocs;
@@ -696,12 +677,10 @@ fn compute_phase(
             }
         })
         .sum();
-    let pool = dsm.cluster.worker_pool().cloned();
     let shards = dsm.cluster.shards_mut();
-    let workers = (*workers).min(nprocs);
     match pool {
-        Some(pool) if workers > 1 && total_points >= PAR_COMPUTE_MIN_POINTS => {
-            let chunk = nprocs.div_ceil(workers);
+        Some(pool) if total_points >= PAR_COMPUTE_MIN_POINTS => {
+            let chunk = nprocs.div_ceil(pool.workers());
             let run_node = &run_node;
             let jobs: Vec<Job> = shards
                 .chunks_mut(chunk)
@@ -721,5 +700,29 @@ fn compute_phase(
                 run_node(sh, partial);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::Dist;
+
+    /// The pool serves the compute phase, which puts a shard on exactly
+    /// one worker: it never holds more threads than there are nodes, and
+    /// a run that cannot use two spawns none.
+    #[test]
+    fn pool_is_sized_by_workers_and_nodes() {
+        let mut b = Program::builder();
+        b.array("a", &[8, 8], Dist::Block);
+        let prog = b.build();
+        let pool_of = |cfg: ExecConfig| {
+            let core = EngineCore::new(&prog, &cfg);
+            core.pool.as_ref().map(WorkerPool::workers)
+        };
+        assert_eq!(pool_of(ExecConfig::sm_opt(1).threads(2)), None);
+        assert_eq!(pool_of(ExecConfig::sm_opt(2).threads(8)), Some(2));
+        assert_eq!(pool_of(ExecConfig::sm_opt(8).threads(2)), Some(2));
+        assert_eq!(pool_of(ExecConfig::sm_opt(8).serial()), None);
     }
 }

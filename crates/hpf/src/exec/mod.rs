@@ -35,19 +35,17 @@
 //!
 //! Execution is BSP, and every superstep is split into two explicit
 //! phases. The **resolve phase** discovers every cross-node transfer the
-//! loop needs against the state the previous superstep left behind; its
-//! data movement is split into a sequential *plan* pass (call-site
-//! bookkeeping, payload grouping — see [`fgdsm_protocol::TransferPlan`])
-//! and an *apply* stage that executes node-disjoint plans concurrently
-//! over disjoint shard pairs, folding shared state in plan index order.
-//! The **compute phase** then runs each node's kernel against that
-//! node's own [`fgdsm_tempest::NodeShard`] only — zero cross-node access
-//! — dispatched across the run's [`fgdsm_tempest::WorkerPool`]. Neither
-//! phase's threading changes a single virtual-time charge: serial and
-//! parallel runs produce byte-identical reports and traces.
-//! [`ParallelMode`] selects the worker count for both phases
-//! ([`ExecConfig::resolve_parallel`] can pin the resolve phase
-//! separately).
+//! loop needs against the state the previous superstep left behind and
+//! services it on the driver thread in a fixed order; its bulk data
+//! movement is a *plan* pass (call-site bookkeeping, payload grouping —
+//! see [`fgdsm_protocol::TransferPlan`]) followed by an *apply* of the
+//! plans in plan order. The **compute phase** then runs each node's
+//! kernel against that node's own [`fgdsm_tempest::NodeShard`] only —
+//! zero cross-node access — dispatched across the run's
+//! [`fgdsm_tempest::WorkerPool`]. The threading never changes a
+//! virtual-time charge: serial and parallel runs produce byte-identical
+//! reports and traces. [`ParallelMode`] selects the compute phase's
+//! worker count.
 //!
 //! Every mode is a value in [`ExecConfig`]: nothing here reads the process
 //! environment. [`execute_traced`] / [`execute_profiled`] hand back the
@@ -169,10 +167,10 @@ pub enum HomeAssign {
     Blocked,
 }
 
-/// How the compute phase and the resolve phase's apply stage are
-/// scheduled onto host threads. Purely a wall-clock knob: virtual-time
-/// charges are per-shard and plan merges are index-ordered, so every
-/// setting produces byte-identical [`ClusterReport`]s and trace streams.
+/// How the compute phase is scheduled onto host threads (the resolve
+/// phase always runs on the driver thread). Purely a wall-clock knob:
+/// virtual-time charges are per-shard, so every setting produces
+/// byte-identical [`ClusterReport`]s and trace streams.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ParallelMode {
     /// The default: one worker per available host core.
@@ -180,7 +178,8 @@ pub enum ParallelMode {
     Auto,
     /// Run everything on the driver thread, one node at a time.
     Serial,
-    /// Run each phase on up to `n` pool workers.
+    /// Run the compute phase on up to `n` pool workers (never more than
+    /// there are nodes).
     Threads(usize),
 }
 
@@ -197,11 +196,10 @@ impl ParallelMode {
     }
 }
 
-/// How worker threads are provisioned when a phase runs parallel: one
-/// long-lived [`fgdsm_tempest::WorkerPool`] per `execute`, shared by the
-/// compute phase and the resolve phase's apply waves. There is no other
-/// strategy — the scoped-thread fallback is gone — and both variants mean
-/// "the pool"; the enum and the [`ExecConfig::pool`] field survive only
+/// How worker threads are provisioned for a parallel compute phase: one
+/// long-lived [`fgdsm_tempest::WorkerPool`] per `execute`. There is no
+/// other strategy and both variants mean "the pool"; the enum and the
+/// [`ExecConfig::pool`] field are read by nothing and survive only
 /// because `benchmark/src/workloads.rs` names them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PoolMode {
@@ -223,15 +221,15 @@ pub struct ExecConfig {
     pub protocol: ProtocolKind,
     /// Bindings for problem-level symbolics referenced by the program.
     pub base_env: Env,
-    /// Host-thread scheduling for both superstep phases (wall-clock only;
+    /// Host-thread scheduling of the compute phase (wall-clock only;
     /// never affects results).
     pub parallel: ParallelMode,
-    /// Override the resolve phase's apply-stage scheduling; `None` follows
-    /// `parallel`. Lets tests pin serial resolve against threaded compute
-    /// (and vice versa) in one run.
+    /// Vestigial, read by nothing: the resolve phase runs on the driver
+    /// thread. Survives only because `benchmark/src/workloads.rs` names
+    /// it.
     pub resolve_parallel: Option<ParallelMode>,
-    /// Vestigial (see [`PoolMode`]): parallel phases always run on the
-    /// run's worker pool.
+    /// Vestigial (see [`PoolMode`]): a parallel compute phase always runs
+    /// on the run's worker pool.
     pub pool: PoolMode,
     /// Wire discipline for inter-node data movement: zero-copy fast path
     /// or strict envelope round-tripping. The `chan` and `tcp` carriers
@@ -281,14 +279,6 @@ pub struct InjectConfig {
     /// home copy whenever the home is a third party — the §4.3 stale
     /// owner-memo hazard.
     pub stale_owner_push: bool,
-    /// Must-catch: reverse the plan order of the resolve phase's apply
-    /// stage under a parallel resolve — a nondeterministic merge the
-    /// differential oracle must detect.
-    pub reorder_plan_apply: bool,
-    /// Must-catch: fold the parallel apply stage's outcomes rotated out
-    /// of plan-index order — the merge mistake a worker-pool integration
-    /// could make.
-    pub misfold_pool: bool,
     /// Must-catch: flip a byte inside the first envelope routed in strict
     /// wire mode — `WireMsg::from_bytes` must reject the frame and fail
     /// the run loudly, proving decode validation has teeth (needs an
@@ -397,22 +387,15 @@ impl ExecConfig {
         self
     }
 
-    /// Pin both superstep phases to the driver thread.
+    /// Pin the compute phase to the driver thread.
     pub fn serial(mut self) -> Self {
         self.parallel = ParallelMode::Serial;
         self
     }
 
-    /// Dispatch both superstep phases across up to `n` pool workers.
+    /// Dispatch the compute phase across up to `n` pool workers.
     pub fn threads(mut self, n: usize) -> Self {
         self.parallel = ParallelMode::Threads(n);
-        self
-    }
-
-    /// Dispatch the resolve phase's apply stage across up to `n` pool
-    /// workers, leaving the compute phase on `parallel`.
-    pub fn resolve_threads(mut self, n: usize) -> Self {
-        self.resolve_parallel = Some(ParallelMode::Threads(n));
         self
     }
 
@@ -741,16 +724,6 @@ mod tests {
         assert_eq!(
             ExecConfig::sm_unopt(4).serial().parallel,
             ParallelMode::Serial
-        );
-        // resolve_parallel defaults to following `parallel`, and the
-        // builders pin it independently.
-        assert_eq!(ExecConfig::sm_unopt(4).resolve_parallel, None);
-        assert_eq!(
-            ExecConfig::sm_unopt(4)
-                .serial()
-                .resolve_threads(3)
-                .resolve_parallel,
-            Some(ParallelMode::Threads(3))
         );
     }
 

@@ -67,8 +67,8 @@ impl CommBackend for Mp {
                 }
             } else {
                 // Plan → apply: accumulate the strided sections per
-                // (owner, user) pair; disjoint pairs apply concurrently
-                // after the broadcasts, with inboxes folded in plan order.
+                // (owner, user) pair; the pairs apply in plan order after
+                // the broadcasts.
                 let plan = plans
                     .entry((t.owner, t.user))
                     .or_insert_with(|| self.mp.take_send_plan(t.owner, t.user));
@@ -82,8 +82,7 @@ impl CommBackend for Mp {
         let mut plan_vec = self.mp.take_send_plan_vec();
         plan_vec.extend(plans.into_values());
         let plans = plan_vec;
-        self.mp
-            .apply_send_plans(&mut core.dsm, &plans, core.resolve_workers);
+        self.mp.apply_send_plans(&mut core.dsm, &plans);
         self.mp.recycle_send_plans(plans);
         for &u in &users {
             self.mp.recv_all(&mut core.dsm.cluster, u);

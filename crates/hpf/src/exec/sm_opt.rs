@@ -176,9 +176,8 @@ impl SmOpt {
         core.dsm.release_barrier();
 
         // Phase C: owners push, receivers wait on the counting semaphore.
-        // Plan → apply: the sequential plan pass does all call-site
-        // bookkeeping, then disjoint (owner, reader) plans apply on up to
-        // `resolve_workers` threads with a deterministic merge.
+        // Plan → apply: the plan pass does all call-site bookkeeping,
+        // then the (owner, reader) plans apply in plan order.
         let mut entries: Vec<fgdsm_protocol::SendEntry> = Vec::with_capacity(sends.len());
         for (&(o, a, f, e), readers) in &sends {
             let mut rs = readers.clone();
@@ -200,7 +199,7 @@ impl SmOpt {
             });
         }
         let plans = core.dsm.plan_sends(&entries, self.opt.bulk);
-        core.dsm.apply_plans(&plans, core.resolve_workers);
+        core.dsm.apply_plans(&plans);
         core.dsm.recycle_plans(plans);
         for &n in incoming.keys() {
             core.dsm.ready_to_recv(n);
@@ -209,8 +208,7 @@ impl SmOpt {
 
     /// The post-loop half of the contract: readers discard compiler-
     /// controlled copies (skipped under RTOE), non-owner writers flush —
-    /// through the same plan/apply pipeline as the pushes, so disjoint
-    /// (writer, owner) flushes also apply concurrently.
+    /// through the same plan/apply pipeline as the pushes.
     fn cleanup_ctl(&mut self, core: &mut EngineCore) {
         let entries: Vec<fgdsm_protocol::FlushEntry> = std::mem::take(&mut self.pending_flushes)
             .into_iter()
@@ -223,7 +221,7 @@ impl SmOpt {
             })
             .collect();
         let plans = core.dsm.plan_flushes(&entries, self.opt.bulk);
-        core.dsm.apply_plans(&plans, core.resolve_workers);
+        core.dsm.apply_plans(&plans);
         core.dsm.recycle_plans(plans);
         let inval = std::mem::take(&mut self.pending_invalidate);
         if !self.opt.rtoe {

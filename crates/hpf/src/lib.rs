@@ -28,6 +28,8 @@
 //!   in process, on the others). Every mode is an [`ExecConfig`] value;
 //!   nothing in this crate reads the process environment.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod contract;
 pub mod dist;

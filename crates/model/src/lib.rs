@@ -35,6 +35,8 @@
 //! Depth is a [`ModelConfig`] value ([`DEFAULT_DEPTH`] by default); the
 //! closure test main reads `FGDSM_MODEL_DEPTH` into it.
 
+#![forbid(unsafe_code)]
+
 pub mod absmodel;
 pub mod checker;
 pub mod conformance;

@@ -22,6 +22,8 @@
 //! coordinator never hangs on a dead or stuck node. Transient `EINTR`s
 //! are retried a bounded number of times.
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]

@@ -31,19 +31,17 @@
 //! ## Plan → apply
 //!
 //! The data-movement primitives (`send_range`, `flush_range`) are split
-//! into two stages so an executor can run the apply stage on threads:
+//! into two stages:
 //!
-//! * **plan** ([`Dsm::plan_sends`] / [`Dsm::plan_flushes`]) — a cheap
-//!   sequential pass that does all call-site bookkeeping (ctl events, base
-//!   charges, fault injection, payload grouping) and emits one
-//!   [`TransferPlan`] per (source, destination) node pair;
-//! * **apply** ([`Dsm::apply_plans`]) — executes the plans' pair-local
-//!   work (charges, copies, message counters) over disjoint `&mut` shard
-//!   pairs, concurrently where plans share no node, then folds the
-//!   cross-pair state (ctl inboxes, directory, third-party home tags) in
-//!   plan index order. Plans that share a node are applied in strict plan
-//!   order, so every node's event stream — and therefore every report and
-//!   trace — is byte-identical to a serial apply.
+//! * **plan** ([`Dsm::plan_sends`] / [`Dsm::plan_flushes`]) — does all
+//!   call-site bookkeeping (ctl events, base charges, fault injection,
+//!   payload grouping), emits one [`TransferPlan`] per (source,
+//!   destination) node pair in a stable `(src, dst)` order, and in strict
+//!   wire mode posts one envelope per payload;
+//! * **apply** ([`Dsm::apply_plans`]) — executes the plans one after the
+//!   other in that order: the pair-local work (charges, copies, message
+//!   counters) against the plan's two shards, then its effects beyond the
+//!   pair (ctl inboxes, directory, third-party home tags).
 
 use crate::dir::DirState;
 use crate::proto::Dsm;
@@ -99,11 +97,6 @@ pub fn group_payloads(
     out
 }
 
-/// Minimum total transfer volume (in words) before [`Dsm::apply_plans`]
-/// spawns threads: below this, thread startup dwarfs the payload copies
-/// and a serial apply is faster. Determinism is unaffected either way.
-pub const PAR_APPLY_MIN_WORDS: usize = 2048;
-
 /// What an apply-stage [`TransferPlan`] does to its shard pair.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlanOp {
@@ -117,9 +110,8 @@ pub enum PlanOp {
 }
 
 /// One unit of resolve-phase apply work: everything one (src, dst) node
-/// pair exchanges this superstep. Plans for distinct pairs sharing no
-/// node touch disjoint shards and may be applied concurrently; the
-/// planner emits them in a stable (src, dst) order.
+/// pair exchanges this superstep. The planner emits plans in a stable
+/// (src, dst) order, which is the order they are applied in.
 #[derive(Clone, Debug)]
 pub struct TransferPlan {
     pub src: NodeId,
@@ -199,8 +191,7 @@ pub struct FlushEntry {
     pub array: u32,
 }
 
-/// Cross-pair state staged by one plan's apply, folded in plan index
-/// order after all pair-local work completes.
+/// What one push plan's apply adds to its destination's ctl inbox.
 struct PlanOutcome {
     arrival: u64,
     payloads: u64,
@@ -208,8 +199,9 @@ struct PlanOutcome {
 }
 
 /// Pair-local apply of one plan: charges, message counters, and data
-/// copies against exactly the two shards the plan names. Everything that
-/// reaches beyond the pair is staged in the returned [`PlanOutcome`].
+/// copies against exactly the two shards the plan names. What reaches
+/// beyond the pair is left to [`Dsm::apply_plans`]: a push's inbox
+/// contribution comes back as the [`PlanOutcome`].
 ///
 /// In strict wire mode `wire` carries the plan's decoded envelopes (one
 /// per payload, filled by copying out of the source shard at *plan*
@@ -471,7 +463,7 @@ impl Dsm {
             }],
             bulk,
         );
-        self.apply_plans(&plans, 1);
+        self.apply_plans(&plans);
         self.recycle_plans(plans);
     }
 
@@ -623,64 +615,20 @@ impl Dsm {
         }
     }
 
-    /// Apply stage: execute the plans' pair-local work over disjoint shard
-    /// pairs — concurrently with up to `workers` threads where plans share
-    /// no node — then fold the staged cross-pair state (ctl inboxes,
-    /// directory, third-party home tags) in plan index order. Plans that
-    /// share a node are applied in strict plan order (wave scheduling in
-    /// [`fgdsm_tempest::Cluster::apply_pairwise`]), so reports and traces
-    /// are byte-identical to a serial apply.
-    pub fn apply_plans(&mut self, plans: &[TransferPlan], workers: usize) {
+    /// Apply stage: execute the plans in index order — each plan's
+    /// pair-local work against its two shards ([`apply_plan`]), then its
+    /// effects beyond the pair: the destination's ctl inbox for a push;
+    /// the directory and third-party home tags for a flush.
+    pub fn apply_plans(&mut self, plans: &[TransferPlan]) {
         if plans.is_empty() {
             return;
         }
         let decoded = self.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.payloads.len())));
         let cfg = self.cluster.cfg().clone();
-        let mut order: Vec<usize> = (0..plans.len()).collect();
-        if workers > 1 && self.injection().reorder_plan_apply {
-            // Fault injection (must-catch): a nondeterministic merge —
-            // apply the plans in reversed order under a parallel resolve.
-            // Computed before the volume threshold so the reversal is not
-            // masked by a small transfer falling back to a serial apply.
-            order.reverse();
-        }
-        // Fault injection (must-catch): fold the parallel outcomes rotated
-        // out of plan-index order — the bug a worker-pool merge could
-        // introduce. Decided before the volume threshold, like the
-        // reorder injection, so small transfers don't mask it.
-        let misfold = workers > 1 && self.injection().misfold_pool;
-        let total_words: usize = plans
-            .iter()
-            .flat_map(|p| p.payloads.iter())
-            .map(|q| q.n_blocks)
-            .sum::<usize>()
-            * self.cluster.cfg().words_per_block();
-        let workers = if total_words < PAR_APPLY_MIN_WORDS {
-            1
-        } else {
-            workers
-        };
-        let pairs: Vec<(NodeId, NodeId)> = order
-            .iter()
-            .map(|&i| (plans[i].src, plans[i].dst))
-            .collect();
-        let order_ref = &order;
-        let decoded_ref = decoded.as_deref();
-        let mut outcomes = self.cluster.apply_pairwise(&pairs, workers, |k, sa, sb| {
-            let j = order_ref[k];
-            apply_plan(
-                &plans[j],
-                decoded_ref.map(|d| d[j].as_slice()),
-                &cfg,
-                sa,
-                sb,
-            )
-        });
-        if misfold && outcomes.len() > 1 {
-            outcomes.rotate_left(1);
-        }
-        for (k, o) in outcomes.into_iter().enumerate() {
-            let plan = &plans[order[k]];
+        for (k, plan) in plans.iter().enumerate() {
+            let wire = decoded.as_ref().map(|d| d[k].as_slice());
+            let (src, dst) = self.cluster.shard_pair_mut(plan.src, plan.dst);
+            let o = apply_plan(plan, wire, &cfg, src, dst);
             match plan.op {
                 PlanOp::Push => {
                     self.inbox_arrival[plan.dst] = self.inbox_arrival[plan.dst].max(o.arrival);
@@ -763,7 +711,7 @@ impl Dsm {
     /// to the owner and invalidates itself (§4.2, non-owner writes). The
     /// owner ends with the only, current, writable copy and the directory
     /// reflects it. Thin wrapper over the plan/apply pipeline with one
-    /// entry and a serial apply.
+    /// entry.
     pub fn flush_range(
         &mut self,
         writer: NodeId,
@@ -782,7 +730,7 @@ impl Dsm {
             }],
             bulk,
         );
-        self.apply_plans(&plans, 1);
+        self.apply_plans(&plans);
         self.recycle_plans(plans);
     }
 }
@@ -986,7 +934,7 @@ mod tests {
         assert!(plans.is_empty(), "empty range must plan nothing");
         assert_eq!(d.cluster.stats(1).send_range_calls, 1);
         assert_eq!(d.cluster.clock_ns(1) - t0, CTL_CALL_BASE_NS);
-        d.apply_plans(&plans, 4); // no-op, must not panic or charge
+        d.apply_plans(&plans); // no-op, must not panic or charge
         assert_eq!(d.cluster.clock_ns(1) - t0, CTL_CALL_BASE_NS);
     }
 
@@ -1130,7 +1078,7 @@ mod tests {
             direct.send_range(en.owner, &en.readers, en.first, en.end, true);
         }
         let plans = batched.plan_sends(&entries, true);
-        batched.apply_plans(&plans, 1);
+        batched.apply_plans(&plans);
         for n in [0, 2] {
             direct.ready_to_recv(n);
             batched.ready_to_recv(n);
@@ -1154,10 +1102,10 @@ mod tests {
         }
     }
 
-    /// Above the volume threshold, a threaded apply must stay byte-
-    /// identical to the serial apply — clocks, stats, memory, and trace.
+    /// Two call sites of one (owner, reader) pair merge into one plan
+    /// with two ranges, and applying it delivers both.
     #[test]
-    fn apply_plans_threaded_matches_serial() {
+    fn merged_call_sites_apply_as_one_plan() {
         let entries = [
             SendEntry {
                 owner: 0,
@@ -1181,48 +1129,26 @@ mod tests {
                 array: NO_ARRAY,
             },
         ];
-        let run = |workers: usize| {
-            let mut d = dsm(4);
-            let wpb = d.cluster.words_per_block();
-            assert!(
-                330 * wpb >= PAR_APPLY_MIN_WORDS,
-                "volume must clear the serial-apply threshold"
-            );
-            if workers > 1 {
-                let pool = fgdsm_tempest::WorkerPool::new(workers);
-                d.cluster.set_worker_pool(Some(std::sync::Arc::new(pool)));
-            }
-            for w in 0..8192 {
-                d.cluster.node_mem_mut(w % 4)[w] = w as f64 * 1.5;
-            }
-            let plans = d.plan_sends(&entries, true);
-            assert_eq!(plans.len(), 2, "the (0, 1) entries must merge");
-            assert_eq!(plans[0].ranges.len(), 2);
-            d.apply_plans(&plans, workers);
-            d.ready_to_recv(1);
-            d.ready_to_recv(3);
-            d
-        };
-        let serial = run(1);
-        let threaded = run(4);
-        for n in 0..4 {
+        let mut d = dsm(4);
+        for w in 0..8192 {
+            d.cluster.node_mem_mut(w % 4)[w] = w as f64 * 1.5;
+        }
+        let plans = d.plan_sends(&entries, true);
+        assert_eq!(plans.len(), 2, "the (0, 1) entries must merge");
+        assert_eq!(plans[0].ranges.len(), 2);
+        d.apply_plans(&plans);
+        d.ready_to_recv(1);
+        d.ready_to_recv(3);
+        let wpb = d.cluster.words_per_block();
+        for (owner, reader, blocks) in [(0, 1, 0..160), (2, 3, 200..360), (0, 1, 400..410)] {
+            let words = blocks.start * wpb..blocks.end * wpb;
             assert_eq!(
-                serial.cluster.clock_ns(n),
-                threaded.cluster.clock_ns(n),
-                "clock of node {n}"
-            );
-            assert_eq!(
-                serial.cluster.stats(n),
-                threaded.cluster.stats(n),
-                "stats of node {n}"
-            );
-            assert_eq!(
-                serial.cluster.node_mem(n),
-                threaded.cluster.node_mem(n),
-                "memory of node {n}"
+                d.cluster.node_mem(reader)[words.clone()],
+                d.cluster.node_mem(owner)[words],
+                "blocks {blocks:?} of node {owner} at node {reader}"
             );
         }
-        assert_eq!(serial.cluster.trace_json(), threaded.cluster.trace_json());
+        assert_eq!(d.ctl_stats().blocks_pushed, 330);
     }
 
     /// Flush plans partition the flushed blocks the same way, and an empty

@@ -24,6 +24,8 @@
 //!   with the per-message software overhead of the PGI runtime the paper
 //!   measured against.
 
+#![forbid(unsafe_code)]
+
 pub mod ctl;
 pub mod dir;
 pub mod eager;
@@ -34,9 +36,7 @@ pub mod trans;
 pub mod update;
 pub mod wire;
 
-pub use ctl::{
-    CtlStats, FlushEntry, Payload, PlanOp, SendEntry, TransferPlan, PAR_APPLY_MIN_WORDS,
-};
+pub use ctl::{CtlStats, FlushEntry, Payload, PlanOp, SendEntry, TransferPlan};
 pub use dir::DirState;
 pub use eager::EagerInvalidate;
 pub use mp::{MpRuntime, MpSendPlan};

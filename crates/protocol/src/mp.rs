@@ -94,43 +94,27 @@ impl MpRuntime {
         self.plan_vecs.put(plans);
     }
 
-    /// Apply a batch of planned strided sends — the message-passing
-    /// analogue of [`crate::ctl::TransferPlan`]. Node-disjoint plans run
-    /// concurrently over disjoint shard pairs (see
-    /// [`Cluster::apply_pairwise`]); inbox state folds in plan index
-    /// order. Each `(base, run_len, stride, count)` section is sent the
-    /// way the ported runtime does it: one message per contiguous run,
-    /// paying its software overhead each time — cheap for whole-column
-    /// ghosts, expensive for the pencil-shaped 3-D sections of pde.
+    /// Apply a batch of planned strided sends in plan order — the
+    /// message-passing analogue of [`crate::ctl::TransferPlan`]. Each
+    /// `(base, run_len, stride, count)` section is sent the way the
+    /// ported runtime does it: one message per contiguous run, paying its
+    /// software overhead each time — cheap for whole-column ghosts,
+    /// expensive for the pencil-shaped 3-D sections of pde.
     ///
     /// In strict wire mode each section is packed into a
     /// [`WireMsg::Strided`] envelope at plan time, carried by the
     /// transport, and unpacked from the decoded payload — same charges,
     /// same counters, bit-identical data.
-    pub fn apply_send_plans(&mut self, d: &mut Dsm, plans: &[MpSendPlan], workers: usize) {
+    pub fn apply_send_plans(&mut self, d: &mut Dsm, plans: &[MpSendPlan]) {
         if plans.is_empty() {
             return;
         }
         let decoded = mp_wire_deliver(d, plans);
-        let cl = &mut d.cluster;
-        let cfg = cl.cfg().clone();
-        let total_elems: usize = plans
-            .iter()
-            .flat_map(|p| p.sections.iter())
-            .map(|&(_, run_len, _, count)| run_len * count)
-            .sum();
-        let workers = if total_elems < crate::ctl::PAR_APPLY_MIN_WORDS {
-            1
-        } else {
-            workers
-        };
+        let cfg = d.cluster.cfg().clone();
         let wpb = cfg.words_per_block();
-        let pairs: Vec<(NodeId, NodeId)> = plans.iter().map(|p| (p.src, p.dst)).collect();
-        let decoded_ref = decoded.as_deref();
-        let outcomes = cl.apply_pairwise(&pairs, workers, |k, src, dst| {
-            let plan = &plans[k];
-            let wire_msgs = decoded_ref.map(|dd| dd[k].as_slice());
-            let (mut arrival, mut msgs, mut elems_total) = (0u64, 0u64, 0u64);
+        for (k, plan) in plans.iter().enumerate() {
+            let wire_msgs = decoded.as_ref().map(|dd| dd[k].as_slice());
+            let (src, dst) = d.cluster.shard_pair_mut(plan.src, plan.dst);
             for (j, &(base, run_len, stride, count)) in plan.sections.iter().enumerate() {
                 let elems = run_len * count;
                 let bytes = elems * 8;
@@ -154,17 +138,11 @@ impl MpRuntime {
                         panic!("wire: envelope rejected at node {}: {e}", plan.dst);
                     }
                 }
-                arrival = arrival.max(src.clock_ns() + cfg.net_latency_ns);
-                msgs += count as u64;
-                elems_total += elems as u64;
+                let arrival = src.clock_ns() + cfg.net_latency_ns;
+                self.inbox_arrival[plan.dst] = self.inbox_arrival[plan.dst].max(arrival);
+                self.inbox_msgs[plan.dst] += count as u64;
+                self.inbox_elems[plan.dst] += elems as u64;
             }
-            (arrival, msgs, elems_total)
-        });
-        for (k, (arrival, msgs, elems)) in outcomes.into_iter().enumerate() {
-            let dst = plans[k].dst;
-            self.inbox_arrival[dst] = self.inbox_arrival[dst].max(arrival);
-            self.inbox_msgs[dst] += msgs;
-            self.inbox_elems[dst] += elems;
         }
         if let Some(dd) = decoded {
             d.wire_recycle(dd);
@@ -345,7 +323,7 @@ mod tests {
     fn send(mp: &mut MpRuntime, d: &mut Dsm, section: (usize, usize, usize, usize)) {
         let mut plan = mp.take_send_plan(0, 1);
         plan.sections.push(section);
-        mp.apply_send_plans(d, &[plan], 1);
+        mp.apply_send_plans(d, &[plan]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::node::WireTransport;
 use crate::update::WriteUpdate;
 use crate::wire::{reconcile_stats, WireHeader, WireMsg};
 use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
-use fgdsm_tempest::{Access, Cluster, Mailbox, NodeId, VecPool, NO_ARRAY};
+use fgdsm_tempest::{Access, Cluster, NodeId, VecPool, NO_ARRAY};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -124,12 +124,16 @@ impl CtlBlocks {
     }
 }
 
-/// Everything strict wire mode needs: the per-node [`Mailbox`] staging
+/// Everything strict wire mode needs: the per-node inboxes staging
 /// encoded frames, the transport that carries them, payload-buffer
 /// recycling, and frame/byte counters for reconciliation against
 /// `NodeStats`.
 pub(crate) struct WireState {
-    pub mailbox: Mailbox,
+    /// Encoded frames posted to each destination node and not yet
+    /// delivered, in posting order. The frames are opaque here; a
+    /// delivered frame belongs to the transport, which keeps it until its
+    /// arrival is verified.
+    pub inboxes: Vec<Vec<Vec<u8>>>,
     pub transport: Box<dyn WireTransport>,
     /// Recycled payload buffers (PR-6 scratch discipline): encode takes
     /// one, apply hands the decoded payload back.
@@ -172,7 +176,7 @@ pub(crate) struct WireMetrics {
 impl WireState {
     fn new(nprocs: usize, transport: Box<dyn WireTransport>) -> Self {
         WireState {
-            mailbox: Mailbox::new(nprocs),
+            inboxes: vec![Vec::new(); nprocs],
             transport,
             words_pool: VecPool::default(),
             frames: 0,
@@ -216,7 +220,7 @@ impl WireState {
     /// Stage one envelope: fill its payload from the source shard's
     /// memory, encode it into a frame of its own (the transport keeps it
     /// until its echo is verified), book it, post the frame to the
-    /// destination's mailbox and recycle the payload buffer. From here on
+    /// destination's inbox and recycle the payload buffer. From here on
     /// the transfer no longer needs the source shard alive.
     fn post(&mut self, mut msg: WireMsg, src_mem: &[f64], wpb: usize, undercount: bool) {
         if let Err(e) = msg.gather(src_mem, wpb) {
@@ -228,7 +232,7 @@ impl WireState {
         let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
         self.note_encoded(msg.kind(), dst, msg.payload_bytes(), encode_ns, undercount);
         self.words_pool.put(msg.into_words());
-        self.mailbox.post(dst, buf);
+        self.inboxes[dst].push(buf);
     }
 
     /// Deliver everything posted to `dst`: drain its inbox, decode the
@@ -243,7 +247,7 @@ impl WireState {
     /// executors can `catch_unwind` + downcast it back into a typed
     /// result instead of scraping a message string.
     fn deliver(&mut self, dst: usize, corrupt: bool) -> Vec<WireMsg> {
-        let mut frames = self.mailbox.take_inbox(dst);
+        let mut frames = std::mem::take(&mut self.inboxes[dst]);
         if corrupt {
             if let Some(f) = frames.first_mut() {
                 corrupt_frame(f);
@@ -341,17 +345,6 @@ pub struct Injection {
     /// a third party: the §4.3 RTOE hazard — a stale owner memo pushing
     /// a copy that was never flushed home.
     pub stale_owner_push: bool,
-    /// Reverse the plan order inside `apply_plans` when the resolve phase
-    /// runs parallel (`workers > 1`): a deliberately nondeterministic
-    /// merge, making threaded-resolve reports and traces diverge from the
-    /// serial plan order the contract guarantees.
-    pub reorder_plan_apply: bool,
-    /// Rotate the parallel-apply outcome vector before folding it, so
-    /// pool/thread results are merged out of plan-index order — the
-    /// exact mistake a worker-pool integration could make, which the
-    /// determinism oracle must catch (arrival times and inbox counters
-    /// land on the wrong receivers).
-    pub misfold_pool: bool,
     /// Flip a byte inside the first envelope routed in strict wire mode:
     /// `WireMsg::from_bytes` must reject the frame and fail the run
     /// loudly, proving decode validation has teeth (a vacuous decoder
@@ -544,7 +537,7 @@ impl Dsm {
     }
 
     /// Post `msg` toward its destination: payload copied out of the
-    /// source shard, encoded, staged in the mailbox ([`WireState::post`]).
+    /// source shard, encoded, staged in its inbox ([`WireState::post`]).
     pub(crate) fn wire_post(&mut self, msg: WireMsg) {
         // One-shot: the first posted envelope, when telemetry is recording.
         let undercount =
@@ -589,7 +582,12 @@ impl Dsm {
             })
             .collect();
         debug_assert!(routed.values().all(|q| q.is_empty()));
-        debug_assert!(self.wire.as_ref().unwrap().mailbox.all_delivered());
+        debug_assert!(
+            self.wire
+                .as_ref()
+                .is_some_and(|w| w.inboxes.iter().all(Vec::is_empty)),
+            "an undelivered frame is a lost transfer"
+        );
         Some(decoded)
     }
 

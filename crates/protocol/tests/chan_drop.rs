@@ -146,7 +146,7 @@ fn panicking_strict_run_does_not_deadlock_workers() {
                 }],
                 true,
             );
-            d.apply_plans(&plans, 1);
+            d.apply_plans(&plans);
             d.recycle_plans(plans);
             panic!("superstep failed mid-run");
         }));

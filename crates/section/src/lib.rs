@@ -29,6 +29,8 @@
 //!   (`shmem_limits`): shrink a byte range to whole blocks strictly inside
 //!   it, leaving boundary blocks to the default coherence protocol.
 
+#![forbid(unsafe_code)]
+
 pub mod affine;
 pub mod blocks;
 pub mod layout;

@@ -11,16 +11,14 @@
 //!
 //! The split exists so the executor can run supersteps in two phases:
 //! a **resolve phase** that services all cross-node traffic through the
-//! coordinator — sequentially planned, with node-disjoint bulk transfers
-//! optionally applied concurrently in deterministic waves
-//! ([`Cluster::apply_pairwise`]) — and a **compute phase** where each
+//! coordinator, one shard pair at a time in a fixed order
+//! ([`Cluster::shard_pair_mut`]), and a **compute phase** where each
 //! kernel gets `&mut` access to its own shard only
 //! ([`Cluster::shards_mut`]) and may run on a real thread. All times are
 //! nanoseconds of *virtual* time, charged per-shard, so serial and
 //! parallel execution produce bit-identical reports.
 
 use crate::costs::CostModel;
-use crate::pool::{Job, WorkerPool};
 use crate::profile::{FalseSharingFlag, NodeHeatmap, ProfileState, StepInterval};
 use crate::scratch::CACHE_LINE_BYTES;
 use crate::shard::{Geometry, NodeShard};
@@ -115,10 +113,6 @@ pub struct Cluster {
     /// Accumulating profile artifacts: superstep interval snapshots and
     /// false-sharing flags (see [`crate::profile`]).
     profile: ProfileState,
-    /// Persistent worker pool for [`Cluster::apply_pairwise`] waves,
-    /// installed by the executor once per run ([`Cluster::set_worker_pool`]).
-    /// `None` applies every pair on the calling thread.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl Cluster {
@@ -164,22 +158,7 @@ impl Cluster {
             shards,
             makespan_ns: 0,
             profile: ProfileState::new(nprocs),
-            pool: None,
         }
-    }
-
-    /// Install (or clear) the persistent worker pool used by
-    /// [`Cluster::apply_pairwise`]. The executor creates one pool per
-    /// `execute` and installs it here so every superstep's apply waves
-    /// run on the same parked workers.
-    pub fn set_worker_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.pool = pool;
-    }
-
-    /// The installed worker pool, if any (shared with the engine's
-    /// compute phase).
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
     }
 
     // ------------------------------------------------------------------
@@ -270,131 +249,6 @@ impl Cluster {
             let (lo, hi) = self.shards.split_at_mut(a);
             (&mut hi[0], &mut lo[b])
         }
-    }
-
-    /// Execute one pairwise operation per `(src, dst)` pair — the resolve
-    /// phase's **apply** stage. Each call of `f` receives the pair index
-    /// and disjoint `&mut` borrows of the two shards, and must touch
-    /// nothing else; outcomes are returned in pair index order.
-    ///
-    /// With `workers > 1` and a [`WorkerPool`] installed
-    /// ([`Cluster::set_worker_pool`]; without one the pairs run serially)
-    /// the pairs are list-scheduled into *waves*: `wave[i]` is one past
-    /// the last wave of any earlier pair sharing a node with pair `i`, so
-    /// any two pairs that touch a common shard always execute in index
-    /// order with a join between them, while node-disjoint pairs within a
-    /// wave run concurrently on the pool. Because `f` is pair-local, every
-    /// shard observes exactly the effect sequence of a serial index-order
-    /// execution — serial and threaded apply produce byte-identical
-    /// clocks, counters and trace streams by construction.
-    pub fn apply_pairwise<O, F>(
-        &mut self,
-        pairs: &[(NodeId, NodeId)],
-        workers: usize,
-        f: F,
-    ) -> Vec<O>
-    where
-        O: Send,
-        F: Fn(usize, &mut NodeShard, &mut NodeShard) -> O + Sync,
-    {
-        let nprocs = self.geom.nprocs;
-        for &(a, b) in pairs {
-            assert_ne!(a, b, "apply_pairwise needs two distinct nodes");
-            assert!(a < nprocs && b < nprocs);
-        }
-        // Clone the pool handle up front so the wave loop's raw shard
-        // borrows don't conflict with a borrow of `self.pool`.
-        let pool = self
-            .pool
-            .clone()
-            .filter(|_| workers > 1 && pairs.len() >= 2);
-        let Some(pool) = pool else {
-            return pairs
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (sa, sb) = self.shard_pair_mut(a, b);
-                    f(i, sa, sb)
-                })
-                .collect();
-        };
-        // List scheduling: a pair lands one wave after the latest earlier
-        // pair it conflicts with, so conflicting pairs keep index order.
-        let mut last_wave: Vec<Option<usize>> = vec![None; nprocs];
-        let mut waves: Vec<Vec<usize>> = Vec::new();
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            let w = [last_wave[a], last_wave[b]]
-                .into_iter()
-                .flatten()
-                .map(|w| w + 1)
-                .max()
-                .unwrap_or(0);
-            if w == waves.len() {
-                waves.push(Vec::new());
-            }
-            waves[w].push(i);
-            last_wave[a] = Some(w);
-            last_wave[b] = Some(w);
-        }
-        let mut outcomes: Vec<Option<O>> = (0..pairs.len()).map(|_| None).collect();
-        for wave in waves {
-            if wave.len() == 1 {
-                let i = wave[0];
-                let (a, b) = pairs[i];
-                let (sa, sb) = self.shard_pair_mut(a, b);
-                outcomes[i] = Some(f(i, sa, sb));
-                continue;
-            }
-            // Build the disjoint `&mut` borrows for the whole wave up
-            // front. SAFETY: within a wave no node appears twice (the
-            // schedule above separates any two pairs sharing a node into
-            // different waves; asserted defensively here), and a != b for
-            // every pair, so all 2·wave.len() references are disjoint.
-            let mut seen = BTreeSet::new();
-            for &i in &wave {
-                let (a, b) = pairs[i];
-                assert!(seen.insert(a) && seen.insert(b), "wave shares a node");
-            }
-            let ptr = self.shards.as_mut_ptr();
-            let mut jobs: Vec<(usize, &mut NodeShard, &mut NodeShard)> = wave
-                .iter()
-                .map(|&i| {
-                    let (a, b) = pairs[i];
-                    unsafe { (i, &mut *ptr.add(a), &mut *ptr.add(b)) }
-                })
-                .collect();
-            let nchunks = workers.min(jobs.len());
-            let mut chunks: Vec<Vec<(usize, &mut NodeShard, &mut NodeShard)>> =
-                (0..nchunks).map(|_| Vec::new()).collect();
-            for (k, job) in jobs.drain(..).enumerate() {
-                chunks[k % nchunks].push(job);
-            }
-            let f = &f;
-            // One job per chunk, each writing a private slot; `run` blocks
-            // until the wave completes, so the shard borrows stay contained
-            // (scoped-batch contract, see `crate::pool`).
-            let mut done: Vec<Vec<(usize, O)>> = (0..chunks.len()).map(|_| Vec::new()).collect();
-            let batch: Vec<Job> = chunks
-                .into_iter()
-                .zip(done.iter_mut())
-                .map(|(chunk, slot)| {
-                    Box::new(move || {
-                        *slot = chunk
-                            .into_iter()
-                            .map(|(i, sa, sb)| (i, f(i, sa, sb)))
-                            .collect();
-                    }) as Job
-                })
-                .collect();
-            pool.run(batch);
-            for (i, o) in done.into_iter().flatten() {
-                outcomes[i] = Some(o);
-            }
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every pair produced an outcome"))
-            .collect()
     }
 
     /// Union of every shard's dirty-block set: blocks whose tag differs
@@ -1057,58 +911,6 @@ mod tests {
         assert_eq!(t.entries().next().unwrap().t_ns, 700, "tail starts at 7th");
         // The JSON export reports the drop count.
         assert!(c.trace_json().contains("\"dropped\":6"));
-    }
-
-    /// The apply-stage scheduler: a pair list with node conflicts (so the
-    /// wave schedule is non-trivial) run serially and on a 4-worker pool
-    /// must leave every shard byte-identical — outcomes, clocks, stats,
-    /// memory and the full trace stream — across repeated calls reusing
-    /// the same pool (the per-superstep reuse pattern).
-    #[test]
-    fn apply_pairwise_pool_matches_serial() {
-        let pairs = [(0, 1), (2, 3), (1, 2), (4, 5), (0, 4), (3, 5), (2, 3)];
-        let run = |workers: usize| {
-            let mut c = small_cluster(6);
-            if workers > 1 {
-                c.set_worker_pool(Some(Arc::new(WorkerPool::new(workers))));
-            }
-            for w in 0..2048 {
-                c.node_mem_mut(w % 6)[w] = w as f64 + 0.25;
-            }
-            // Several rounds over the same pool, like supersteps do.
-            let mut all = Vec::new();
-            for _round in 0..3 {
-                let outcomes = c.apply_pairwise(&pairs, workers, |i, sa, sb| {
-                    sa.charge(100 * (i as u64 + 1), ChargeKind::CtlCall);
-                    sa.note_msg(64);
-                    sb.note_msg_recv(64);
-                    let lo = i * 8;
-                    let (dst, src) = (sb.mem_mut(), sa.mem());
-                    dst[lo..lo + 8].copy_from_slice(&src[lo..lo + 8]);
-                    sa.clock_ns()
-                });
-                all.push(outcomes);
-            }
-            c.set_worker_pool(None);
-            (all, c)
-        };
-        let (o_serial, c_serial) = run(1);
-        let (o_pool, c_pool) = run(4);
-        assert_eq!(o_serial, o_pool, "pool outcomes in pair index order");
-        for n in 0..6 {
-            assert_eq!(
-                c_serial.clock_ns(n),
-                c_pool.clock_ns(n),
-                "clock of node {n}"
-            );
-            assert_eq!(c_serial.stats(n), c_pool.stats(n), "stats of node {n}");
-            assert_eq!(
-                c_serial.node_mem(n),
-                c_pool.node_mem(n),
-                "memory of node {n}"
-            );
-        }
-        assert_eq!(c_serial.trace_json(), c_pool.trace_json());
     }
 
     /// The runtime's own layout must pass the false-sharing rule we

@@ -28,19 +28,19 @@
 //!
 //! The simulator is deterministic regardless of how it is scheduled:
 //! cluster state is sharded per node ([`NodeShard`]), cross-node traffic
-//! is serviced in a resolve phase that is sequentially *planned* (its
-//! bulk data movement may then apply concurrently over node-disjoint
-//! shard pairs, [`Cluster::apply_pairwise`]), and kernels touch only
-//! their own shard — so both phases may run on real threads while
-//! identical runs still produce bit-identical data, miss counts and
-//! virtual times, which the test suite relies on.
+//! is serviced in a resolve phase that runs on one thread in a fixed
+//! order, and kernels touch only their own shard — so the compute phase
+//! may run on real threads while identical runs still produce
+//! bit-identical data, miss counts and virtual times, which the test
+//! suite relies on.
+
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod cluster;
 pub mod costs;
 pub mod cursor;
 pub mod knob;
-pub mod mailbox;
 pub mod metrics;
 pub mod pool;
 pub mod profile;
@@ -52,7 +52,6 @@ pub mod trace;
 pub use cache::CacheModel;
 pub use cluster::{Access, ChargeKind, Cluster, HomePolicy, NodeId, ReduceOp, SegmentLayout};
 pub use costs::{CostModel, CpuMode};
-pub use mailbox::Mailbox;
 pub use metrics::{Histogram, Metric, MetricsRegistry, WireSpan};
 pub use pool::{Job, WorkerPool};
 pub use profile::{FalseSharingFlag, LoopRow, NodeHeatmap, StepInterval};

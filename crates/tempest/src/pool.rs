@@ -1,12 +1,12 @@
-//! A persistent worker pool for the executor's two threaded phases.
+//! A persistent worker pool for the executor's one threaded phase, the
+//! compute phase.
 //!
-//! PR-2/PR-4 dispatched the compute phase and the resolve phase's apply
-//! waves onto fresh [`std::thread::scope`] threads — a spawn/join cycle
-//! per superstep (and per wave), whose ~10–50 µs cost dwarfed the work on
-//! all but the largest grids and made threading a net loss. The
+//! Dispatching each superstep's kernels onto fresh
+//! [`std::thread::scope`] threads costs a spawn/join cycle per superstep,
+//! whose ~10–50 µs dwarfs the work on all but the largest grids. The
 //! [`WorkerPool`] here is the DART-style fix: spawn the workers **once
 //! per execution**, park them on a `Condvar`, and hand every subsequent
-//! batch of phase jobs to the already-running threads.
+//! batch of kernel jobs to the already-running threads.
 //!
 //! Std-only by design (`Mutex` + `Condvar` job queue, no crossbeam): the
 //! repo bakes in no extra dependencies.
@@ -27,9 +27,8 @@
 //!
 //! The pool adds no ordering of its own beyond the queue: callers are
 //! responsible for only batching jobs that touch disjoint state, and for
-//! folding results in a deterministic (plan/shard index) order — exactly
-//! the contract [`crate::cluster::Cluster::apply_pairwise`] and the
-//! engine's compute phase already obey. Worker count, batch shape and
+//! folding results in a deterministic (shard index) order — the contract
+//! the engine's compute phase obeys. Worker count, batch shape and
 //! scheduling never influence virtual-time results.
 
 use std::any::Any;
@@ -60,8 +59,8 @@ struct Shared {
 }
 
 /// A fixed-size pool of parked worker threads, created once per
-/// execution and reused for every superstep's compute and resolve-apply
-/// batches. Dropping the pool shuts the workers down and joins them.
+/// execution and reused for every superstep's compute batch. Dropping
+/// the pool shuts the workers down and joins them.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: usize,
@@ -116,6 +115,7 @@ impl WorkerPool {
     /// barrier below is what makes that sound. If any job panicked, the
     /// first panic is resumed here after the whole batch has drained
     /// (so no job is left running with dangling borrows).
+    #[allow(unsafe_code)] // the workspace's one unsafe site, argued below
     pub fn run(&self, jobs: Vec<Job<'_>>) {
         if jobs.is_empty() {
             return;

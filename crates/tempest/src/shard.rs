@@ -7,11 +7,11 @@
 //! its event trace ring. Nothing in a shard references another shard, so
 //! the executor's compute phase can hand each kernel a `&mut NodeShard`
 //! and run the kernels on real threads (the run's
-//! [`WorkerPool`](crate::pool::WorkerPool)) with zero cross-node access. All cross-node work (block copies, diffs) goes
-//! through the [`Cluster`](crate::cluster::Cluster) coordinator during
-//! the resolve phase, which borrows shard *pairs* disjointly — either
-//! one at a time, or concurrently for node-disjoint pairs via
-//! [`Cluster::apply_pairwise`](crate::cluster::Cluster::apply_pairwise).
+//! [`WorkerPool`](crate::pool::WorkerPool)) with zero cross-node access.
+//! All cross-node work (block copies, diffs) goes through the
+//! [`Cluster`](crate::cluster::Cluster) coordinator during the resolve
+//! phase, which borrows one shard *pair* at a time
+//! ([`Cluster::shard_pair_mut`](crate::cluster::Cluster::shard_pair_mut)).
 //!
 //! Shards share one immutable [`Geometry`] (via `Arc`): segment shape,
 //! block/page sizes, the home map and the cost model. Sharing it keeps a

@@ -14,6 +14,8 @@
 //! The randomized suites that use this crate (`tests/proptest*.rs` in
 //! each crate) run under plain `cargo test --workspace`.
 
+#![forbid(unsafe_code)]
+
 /// SplitMix64: a 64-bit splittable PRNG with strong mixing and a one-word
 /// state. Every generator method is a thin shaping of [`Rng::next_u64`].
 #[derive(Clone, Debug)]

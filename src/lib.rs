@@ -36,6 +36,8 @@
 //! assert_eq!(opt.array(&program, jacobi::A), unopt.array(&program, jacobi::A));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fgdsm_apps as apps;
 pub use fgdsm_hpf as hpf;
 pub use fgdsm_net as net;
