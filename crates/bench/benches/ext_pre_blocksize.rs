@@ -87,7 +87,7 @@ fn main() {
                 ..CostModel::paper_dual_cpu()
             };
             let mut un = ExecConfig::sm_unopt(NPROCS);
-            un.cost = cost.clone();
+            un.cost = cost;
             let mut op = ExecConfig::sm_opt(NPROCS);
             op.cost = cost;
             let u = execute(&prog, &un);

@@ -419,6 +419,26 @@ fn report_run(
             fs[0].nodes
         );
     }
+
+    // Where the host time of this run went (real time, not part of any
+    // canonical artifact), plus what the inspector memo saved.
+    let host = &run.report.host;
+    let phases: Vec<String> = host
+        .rows()
+        .iter()
+        .map(|&(name, ns)| format!("{name} {:.2}", ns as f64 / 1e6))
+        .collect();
+    let (inspections, hits) = run
+        .inspector
+        .iter()
+        .fold((0, 0), |(i, h), r| (i + r.inspections, h + r.hits));
+    println!(
+        "    host ms: {} | sum {:.2} of wall {:.2} | inspector: {inspections} built, {hits} reused, {} memoized",
+        phases.join(" "),
+        host.total_ns() as f64 / 1e6,
+        run.report.wall_ns as f64 / 1e6,
+        run.schedules_cached
+    );
 }
 
 /// Co-residency demo: jacobi's Test geometry is block-aligned at 8

@@ -30,7 +30,7 @@ use fgdsm_hpf::{
     ARef, ArrayId, CompDist, Dist, InjectConfig, Kernel, KernelCtx, ParLoop, Program, ReduceSpec,
     Stmt, Subscript,
 };
-use fgdsm_section::{SymRange, Var};
+use fgdsm_section::{Affine, SymRange, Var};
 use fgdsm_tempest::ReduceOp;
 use fgdsm_testkit::Rng;
 use std::collections::BTreeMap;
@@ -93,6 +93,13 @@ pub struct LoopSpec {
     pub use_t: bool,
     /// Mix the current value of the scalar `acc` into written values.
     pub use_acc: bool,
+    /// Sweep: iterate the last dimension over the single index `2 + t`
+    /// instead of the whole interior — a *symbolic* loop whose sections
+    /// move every time step, like `lu`'s in `k`. Honoured inside the time
+    /// span only, whose count must keep `2 + t` in the interior. The
+    /// generator never draws it (the corpus is all static loops); the
+    /// `stale_resolve_schedule` must-catch victim is hand-built with it.
+    pub sweep_t: bool,
 }
 
 /// One statement of the generated body (the per-array init loops are
@@ -248,10 +255,23 @@ impl FuzzSpec {
     fn build_loop(&self, si: usize, l: &LoopSpec) -> Stmt {
         let rank2 = self.arrays[l.write].rank2;
         let exts = self.ext(l.write);
-        let iter: Vec<SymRange> = exts
+        let mut iter: Vec<SymRange> = exts
             .iter()
             .map(|&e| SymRange::new(2, e as i64 - 3))
             .collect();
+        let steps = match self.time {
+            Some((lo, hi, count)) if (lo..hi).contains(&si) => count,
+            _ => 0,
+        };
+        if l.sweep_t && steps > 0 {
+            let last = exts.len() - 1;
+            assert!(
+                steps < exts[last] as i64 - 3,
+                "sweep_t: 2 + t leaves the interior within {steps} time steps"
+            );
+            let at = Affine::var(TVAR).plus_const(2);
+            iter[last] = SymRange::new(at.clone(), at);
+        }
         let identity: Vec<Subscript> = (0..exts.len()).map(Subscript::loop_var).collect();
         let mut refs = vec![ARef::write(ArrayId(l.write), identity.clone())];
         if l.self_read {
@@ -422,6 +442,7 @@ impl FuzzSpec {
                     let _ = writeln!(s, "                reduce: {:?},", l.reduce);
                     let _ = writeln!(s, "                use_t: {},", l.use_t);
                     let _ = writeln!(s, "                use_acc: {},", l.use_acc);
+                    let _ = writeln!(s, "                sweep_t: {},", l.sweep_t);
                     let _ = writeln!(s, "            }}),");
                 }
             }
@@ -438,6 +459,11 @@ impl FuzzSpec {
         let _ = writeln!(s, "            stale_owner_push: {},", i.stale_owner_push);
         let _ = writeln!(s, "            corrupt_envelope: {},", i.corrupt_envelope);
         let _ = writeln!(s, "            corrupt_frame_len: {},", i.corrupt_frame_len);
+        let _ = writeln!(
+            s,
+            "            stale_resolve_schedule: {},",
+            i.stale_resolve_schedule
+        );
         let _ = writeln!(
             s,
             "            undercount_metrics: {},",
@@ -554,6 +580,7 @@ pub fn gen_spec(rng: &mut Rng, seed: u64) -> FuzzSpec {
             reduce: (rng.below(10) < 4).then(|| rng.below(3) as u8),
             use_t: false, // assigned below for loops inside the time span
             use_acc: rng.below(10) < 2,
+            sweep_t: false,
         }));
     }
     if rng.below(10) < 3 {

@@ -65,6 +65,7 @@ fn candidates(spec: &FuzzSpec) -> Vec<FuzzSpec> {
             (l.use_acc, 2),
             (l.use_t, 3),
             (l.dist_by.is_some(), 4),
+            (l.sweep_t, 5),
         ] {
             if !on {
                 continue;
@@ -76,7 +77,8 @@ fn candidates(spec: &FuzzSpec) -> Vec<FuzzSpec> {
                     1 => sl.reduce = None,
                     2 => sl.use_acc = false,
                     3 => sl.use_t = false,
-                    _ => sl.dist_by = None,
+                    4 => sl.dist_by = None,
+                    _ => sl.sweep_t = false,
                 }
             }
             out.push(s);

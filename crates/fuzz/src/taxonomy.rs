@@ -49,17 +49,22 @@ pub enum Fault {
     /// coordinator and worker registries == the wire's payload total)
     /// can catch it.
     UndercountMetrics,
+    /// The default-protocol inspector's schedule memoized by loop alone
+    /// for a *symbolic* loop: instance `k + 1` walks instance `k`'s
+    /// covers, so blocks only the new sections reach are never fetched.
+    StaleResolveSchedule,
 }
 
 impl Fault {
     /// Every fault, in declaration order.
-    pub const ALL: [Fault; 6] = [
+    pub const ALL: [Fault; 7] = [
         Fault::SkewSendRange,
         Fault::SkipFlushRange,
         Fault::CorruptEnvelope,
         Fault::CorruptFrameLen,
         Fault::StaleOwnerPush,
         Fault::UndercountMetrics,
+        Fault::StaleResolveSchedule,
     ];
 
     /// Stable display name (matches the `InjectConfig` field).
@@ -71,6 +76,7 @@ impl Fault {
             Fault::CorruptFrameLen => "corrupt_frame_len",
             Fault::StaleOwnerPush => "stale_owner_push",
             Fault::UndercountMetrics => "undercount_metrics",
+            Fault::StaleResolveSchedule => "stale_resolve_schedule",
         }
     }
 
@@ -83,6 +89,7 @@ impl Fault {
             Fault::CorruptFrameLen => inject.corrupt_frame_len = true,
             Fault::StaleOwnerPush => inject.stale_owner_push = true,
             Fault::UndercountMetrics => inject.undercount_metrics = true,
+            Fault::StaleResolveSchedule => inject.stale_resolve_schedule = true,
         }
     }
 
@@ -94,10 +101,13 @@ impl Fault {
             Fault::SkewSendRange | Fault::SkipFlushRange => Detector::Both,
             // `UndercountMetrics` never changes data movement, so the
             // model has nothing to observe; the engine oracle's
-            // metrics-conservation invariant is its only detector.
-            Fault::CorruptEnvelope | Fault::CorruptFrameLen | Fault::UndercountMetrics => {
-                Detector::Engine
-            }
+            // metrics-conservation invariant is its only detector. The
+            // inspector memo of `StaleResolveSchedule` is engine state
+            // the model has no counterpart of.
+            Fault::CorruptEnvelope
+            | Fault::CorruptFrameLen
+            | Fault::UndercountMetrics
+            | Fault::StaleResolveSchedule => Detector::Engine,
             // Engine layouts keep owner == home for pushed ranges, so the
             // symptom needs the model's 3-node third-party-home states.
             Fault::StaleOwnerPush => Detector::Model,

@@ -31,6 +31,7 @@ fn tolerated_perturbations_are_invisible() {
             stale_owner_push: false,
             corrupt_envelope: false,
             corrupt_frame_len: false,
+            stale_resolve_schedule: false,
             undercount_metrics: false,
             node_fault: None,
         };
@@ -74,6 +75,7 @@ fn skew_victim() -> FuzzSpec {
             reduce: None,
             use_t: false,
             use_acc: false,
+            sweep_t: false,
         })],
         time: None,
         inject: InjectConfig {
@@ -222,6 +224,7 @@ fn flush_victim() -> FuzzSpec {
             reduce: None,
             use_t: false,
             use_acc: false,
+            sweep_t: false,
         })],
         time: None,
         inject: InjectConfig {
@@ -241,6 +244,62 @@ fn must_catch_skipped_flush_range() {
     );
 }
 
+/// Two block-distributed 2-D arrays and one *symbolic* loop inside a time
+/// loop: step `t` writes column `2 + t` of `a0` from column `3 + t` of
+/// `a1`. Node 0 owns columns 0–3, so at `t = 0` everything it reads is
+/// its own, and at `t = 1` it needs node 1's column 4 — which a schedule
+/// memoized at `t = 0` never makes accessible.
+fn sweep_victim() -> FuzzSpec {
+    let a2 = ArraySpec {
+        rank2: true,
+        cyclic: false,
+        index_for: None,
+    };
+    FuzzSpec {
+        seed: 0,
+        nprocs: 2,
+        n1: 96,
+        n2: [40, 8],
+        arrays: vec![a2.clone(), a2],
+        body: vec![FStmt::Loop(LoopSpec {
+            write: 0,
+            dist_by: None,
+            self_read: false,
+            reads: vec![ReadSpec {
+                array: 1,
+                off: [0, 1],
+                via: None,
+            }],
+            reduce: None,
+            use_t: false,
+            use_acc: false,
+            sweep_t: true,
+        })],
+        time: Some((0, 1, 3)),
+        inject: InjectConfig {
+            stale_resolve_schedule: true,
+            ..InjectConfig::default()
+        },
+    }
+}
+
+/// The inspector memo must be keyed by what the schedule depends on: for
+/// a symbolic loop that includes the environment, so it is not memoized
+/// at all. Keyed by loop alone, step `t = 1` walks step 0's covers, node
+/// 0 computes from its never-fetched (zero) copy of column 4, and the
+/// very first backend in the matrix — the default protocol alone —
+/// disagrees with the reference. Unarmed, the same program passes: the
+/// divergence is the injection's, not the victim's.
+#[test]
+fn must_catch_stale_resolve_schedule() {
+    let mut spec = sweep_victim();
+    let d = check_spec(&spec).expect_err("a stale inspector schedule must be detected");
+    assert_eq!(d.config, "sm_unopt/serial", "diverged at {d}");
+    assert!(d.detail.contains("array `a0` diverges"), "{d}");
+    spec.inject = InjectConfig::default();
+    check_spec(&spec).expect("the symbolic victim itself must pass the oracle");
+}
+
 /// The taxonomy sweep: every engine-detectable fault in the shared
 /// [`Fault`] taxonomy, armed through [`Fault::arm`] on its canonical
 /// victim program, must make the oracle report a divergence. Faults the
@@ -258,6 +317,7 @@ fn must_catch_every_engine_fault_in_taxonomy() {
                     | Fault::CorruptFrameLen
                     | Fault::UndercountMetrics => skew_victim(),
                     Fault::SkipFlushRange => flush_victim(),
+                    Fault::StaleResolveSchedule => sweep_victim(),
                     Fault::StaleOwnerPush => unreachable!("model-level fault"),
                 };
                 spec.inject = Default::default();
@@ -313,6 +373,7 @@ fn shrinker_minimizes_divergent_cases() {
         reduce: Some(0),
         use_t: true,
         use_acc: true,
+        sweep_t: false,
     }));
     spec.body.push(FStmt::Scalar(0));
     spec.time = Some((0, 3, 2));

@@ -23,20 +23,27 @@
 //! Afterwards the backend observes writes, performs the reduction, runs
 //! `post_loop`, and the driver stamps a superstep boundary into the event
 //! trace. Nothing in this module inspects which backend is running.
+//!
+//! The default-protocol part of a resolve ([`EngineCore::resolve_default`])
+//! is an inspector/executor pair: [`EngineCore::inspect`] turns the loop's
+//! sections into a [`ResolveSchedule`] — memoized for loops whose access
+//! structure cannot change — and the executor walks it range by range
+//! through [`Dsm::write_access_range`] / [`Dsm::read_access_range`].
 
 use super::backend::CommBackend;
-use super::{Backend, ExecConfig, HomeAssign, RunResult};
+use super::{Backend, ExecConfig, HomeAssign, InspectorRow, RunResult};
 use crate::analysis::{self, LoopAccess};
-use crate::ir::{ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt};
-use crate::plan::{covering_blocks_into, ArrayMeta};
+use crate::ir::{ARef, ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt};
+use crate::plan::{covering_range, merge_block_ranges, ArrayMeta};
 use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
 use fgdsm_section::{Env, Range, Section};
 use fgdsm_tempest::{
-    CacheAligned, ChargeKind, Cluster, HomePolicy, Job, NodeShard, SegmentLayout, WorkerPool,
-    NO_LOOP, NO_STEP,
+    CacheAligned, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job, NodeShard,
+    SegmentLayout, WorkerPool, NO_LOOP, NO_STEP,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::time::Instant;
 
 /// Minimum total kernel iteration count (summed over nodes) before the
 /// compute phase dispatches onto worker threads: below this, even parked
@@ -83,14 +90,69 @@ pub struct EngineCore<'p> {
     /// Recycled compute-phase reduction slots, one padded cache line per
     /// node so concurrent workers' stores never share a line.
     partials_scratch: Vec<CacheAligned<f64>>,
-    /// Recycled per-node covering-block buffers for `resolve_default`
-    /// (write covers, read covers) — reused across supersteps with their
-    /// capacity intact.
-    cover_scratch: (CoverScratch, CoverScratch),
+    /// Inspector memo, keyed by loop address like `analysis_cache` and
+    /// filled under the same condition (a static loop) when no reference
+    /// is indirect: what such a loop's sections lower to cannot change,
+    /// so it is bounded by the number of loops, never by supersteps.
+    schedule_cache: BTreeMap<usize, Rc<ResolveSchedule>>,
+    /// The inspector's recycled buffers, for the loops it re-inspects
+    /// every superstep.
+    inspect_scratch: InspectScratch,
+    /// Per-loop inspector bookkeeping, indexed by profiler loop id.
+    inspector: Vec<InspectorRow>,
+    /// The always-on host phase clock (see [`HostPhases`]).
+    phases: HostPhases,
 }
 
-/// Per-node `(first, end)` covering-block buffers, one vector per node.
-type CoverScratch = Vec<Vec<(usize, usize)>>;
+/// What the default-protocol inspector derives from one loop instance:
+/// which blocks each node must be able to write and to read before its
+/// kernel runs, and which of them two nodes need at once.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ResolveSchedule {
+    /// Per node: the merged block ranges `[first, end)` covering its
+    /// written sections, ascending.
+    pub wcover: Vec<Vec<(usize, usize)>>,
+    /// Per node: the same for its read sections (indirect references
+    /// contribute the blocks the index array names right now).
+    pub rcover: Vec<Vec<(usize, usize)>>,
+    /// False-shared blocks, ascending: written by two nodes, or written
+    /// by one and read by another, in this loop instance. They take the
+    /// multiple-writer (twin/diff) path.
+    pub multi: Vec<usize>,
+}
+
+/// Buffers the inspector reuses from one superstep to the next.
+#[derive(Default)]
+struct InspectScratch {
+    sched: ResolveSchedule,
+    /// One node's raw (unmerged) covering ranges, writes and reads.
+    wraw: Vec<(usize, usize)>,
+    rraw: Vec<(usize, usize)>,
+    /// Boundary candidates, and per candidate the bitmask of nodes whose
+    /// write / read cover contains it.
+    candidates: Vec<usize>,
+    wmask: Vec<u64>,
+    rmask: Vec<u64>,
+}
+
+/// OR `bit` into `mask[i]` for every candidate `i` inside one of the
+/// `cover` ranges (both ascending).
+fn mark_covered(candidates: &[usize], cover: &[(usize, usize)], mask: &mut [u64], bit: u64) {
+    let mut ci = 0;
+    for &(f, e) in cover {
+        ci += candidates[ci..].partition_point(|&c| c < f);
+        while ci < candidates.len() && candidates[ci] < e {
+            mask[ci] |= bit;
+            ci += 1;
+        }
+    }
+}
+
+/// What the per-loop caches are keyed by: the loop's address, stable for
+/// the duration of a run (the driver executes one clone of the body).
+fn loop_key(l: &ParLoop) -> usize {
+    l as *const ParLoop as usize
+}
 
 /// Allocate every program array into a fresh page-aligned segment layout.
 /// Shared by the engine and the sequential reference interpreter so both
@@ -176,7 +238,7 @@ impl<'p> EngineCore<'p> {
                 HomePolicy::Explicit(homes)
             }
         };
-        let mut cluster = Cluster::new(cfg.nprocs, cfg.cost.clone(), &layout, policy);
+        let mut cluster = Cluster::new(cfg.nprocs, cfg.cost, &layout, policy);
         if let Some(cap) = cfg.trace_cap {
             cluster.set_ring_capacity(cap);
         }
@@ -215,17 +277,17 @@ impl<'p> EngineCore<'p> {
             cur_loop: NO_LOOP,
             planned: Vec::new(),
             partials_scratch: Vec::new(),
-            cover_scratch: (Vec::new(), Vec::new()),
+            schedule_cache: BTreeMap::new(),
+            inspect_scratch: InspectScratch::default(),
+            inspector: Vec::new(),
+            phases: HostPhases::default(),
         }
     }
 
     /// Profiler id of a loop: its position in program order, assigned by
     /// `run` before execution starts ([`NO_LOOP`] if unregistered).
     pub fn loop_id(&self, l: &ParLoop) -> u32 {
-        self.loop_ids
-            .get(&(l as *const ParLoop as usize))
-            .copied()
-            .unwrap_or(NO_LOOP)
+        self.loop_ids.get(&loop_key(l)).copied().unwrap_or(NO_LOOP)
     }
 
     /// Record a contract-planned transfer of `blocks` whole cache blocks
@@ -245,7 +307,7 @@ impl<'p> EngineCore<'p> {
     /// symbolic loops re-evaluate their descriptors under the current
     /// environment.
     fn analyze(&mut self, l: &ParLoop) -> Rc<LoopAccess> {
-        let key = l as *const ParLoop as usize;
+        let key = loop_key(l);
         if let Some(hit) = self.analysis_cache.get(&key) {
             return hit.clone();
         }
@@ -256,137 +318,205 @@ impl<'p> EngineCore<'p> {
         fresh
     }
 
-    /// Word runs (absolute) of a section, with a fallback for shapes the
-    /// linearizer declines (enumerate points; only small sections occur).
-    pub fn section_runs(&self, array: usize, sec: &Section) -> Vec<(usize, usize)> {
+    /// Visit the word runs `(start, len)` (absolute) of a section, with a
+    /// fallback for shapes the linearizer declines (enumerate points;
+    /// only small sections occur).
+    fn for_each_run(&self, array: usize, sec: &Section, mut f: impl FnMut(usize, usize)) {
         let meta = &self.metas[array];
         if let Some(lr) = meta.runs(sec) {
-            return lr.iter_runs().collect();
+            return lr.iter_runs().for_each(|(s, len)| f(s, len));
         }
         assert!(
             sec.count() <= 1 << 20,
             "unoptimizable section too large to enumerate"
         );
-        sec.points().iter().map(|pt| (meta.offset(pt), 1)).collect()
+        sec.points().iter().for_each(|pt| f(meta.offset(pt), 1));
+    }
+
+    /// The word runs of a section ([`EngineCore::for_each_run`]), collected.
+    pub fn section_runs(&self, array: usize, sec: &Section) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        self.for_each_run(array, sec, |s, len| runs.push((s, len)));
+        runs
     }
 
     /// Default-protocol access resolution: make every declared section
-    /// accessible before kernels run, counting faults. Sub-phases: all
-    /// nodes' writes (with multi-writer detection for false-shared
-    /// boundary blocks), then all nodes' reads.
-    #[allow(clippy::needless_range_loop)] // per-node loops index several parallel vecs
+    /// accessible before kernels run, counting faults. The inspector's
+    /// schedule comes from the memo when the loop's access structure is
+    /// fixed (a static loop, no indirect reference) and is rebuilt
+    /// otherwise; the executor then walks it.
     pub fn resolve_default(&mut self, l: &ParLoop, acc: &LoopAccess) {
+        let t0 = Instant::now();
+        let key = loop_key(l);
+        let mut memo = self.schedule_cache.get(&key).cloned();
+        if let Some(row) = self.inspector.get_mut(self.cur_loop as usize) {
+            row.hits += u64::from(memo.is_some());
+            row.inspections += u64::from(memo.is_none());
+        }
+        if memo.is_none() {
+            let mut scratch = std::mem::take(&mut self.inspect_scratch);
+            self.inspect_into(l, acc, &mut scratch);
+            // `analyze` memoizes exactly the static loops. The must-catch
+            // `stale_resolve_schedule` injection drops that condition, so
+            // a symbolic loop's next instance walks this one's covers.
+            let fixed =
+                self.analysis_cache.contains_key(&key) || self.cfg.inject.stale_resolve_schedule;
+            if fixed && !l.refs.iter().any(ARef::is_indirect) {
+                let sched = Rc::new(std::mem::take(&mut scratch.sched));
+                self.schedule_cache.insert(key, sched.clone());
+                memo = Some(sched);
+            }
+            self.inspect_scratch = scratch;
+        }
+        let t1 = Instant::now();
+        match memo {
+            Some(sched) => self.walk(&sched),
+            None => {
+                let sched = std::mem::take(&mut self.inspect_scratch.sched);
+                self.walk(&sched);
+                self.inspect_scratch.sched = sched;
+            }
+        }
+        self.phases.inspect_ns += (t1 - t0).as_nanos() as u64;
+        self.phases.walk_ns += t1.elapsed().as_nanos() as u64;
+    }
+
+    /// Does the memo hold a schedule for `l`?
+    pub fn schedule_memoized(&self, l: &ParLoop) -> bool {
+        self.schedule_cache.contains_key(&loop_key(l))
+    }
+
+    /// The inspector: lower one loop instance's sections to a
+    /// [`ResolveSchedule`] (a fresh one; [`EngineCore::resolve_default`]
+    /// is what consults the memo).
+    pub fn inspect(&mut self, l: &ParLoop, acc: &LoopAccess) -> ResolveSchedule {
+        let mut scratch = std::mem::take(&mut self.inspect_scratch);
+        self.inspect_into(l, acc, &mut scratch);
+        let sched = scratch.sched.clone();
+        self.inspect_scratch = scratch;
+        sched
+    }
+
+    /// Fill `scratch.sched` for one loop instance. Per node, every
+    /// reference's strided runs become raw covering block ranges (merged
+    /// into the node's covers) and every raw *write* run contributes its
+    /// first and last block as boundary candidates: a block written by
+    /// two nodes necessarily contains a section boundary of each, so it is
+    /// an extremal block of at least one raw run of every writer.
+    fn inspect_into(&self, l: &ParLoop, acc: &LoopAccess, scratch: &mut InspectScratch) {
         let nprocs = self.cfg.nprocs;
         let wpb = self.wpb;
-        // Per node: merged covering block ranges for writes and reads.
-        // Recycled across supersteps (taken out of `self` so the borrow
-        // checker allows the `&self` helper calls below; restored at the
-        // end of the function, which has no early returns).
-        let (mut wcover, mut rcover) = std::mem::take(&mut self.cover_scratch);
-        wcover.resize_with(nprocs, Vec::new);
-        rcover.resize_with(nprocs, Vec::new);
-        // Boundary candidates: the first and last block of every raw write
-        // run (before merging). A block written by two nodes necessarily
-        // contains a section boundary of each, so it is an extremal block
-        // of at least one raw run of every writer.
-        let mut candidates: BTreeSet<usize> = BTreeSet::new();
+        let InspectScratch {
+            sched,
+            wraw,
+            rraw,
+            candidates,
+            wmask,
+            rmask,
+        } = scratch;
+        sched.wcover.resize_with(nprocs, Vec::new);
+        sched.rcover.resize_with(nprocs, Vec::new);
+        candidates.clear();
         for p in 0..nprocs {
-            let mut wruns = fgdsm_section::LinearRanges::empty();
-            let mut rruns = fgdsm_section::LinearRanges::empty();
+            wraw.clear();
+            rraw.clear();
             for (ri, r) in l.refs.iter().enumerate() {
                 let sec = &acc.sections[p][ri];
                 if sec.is_empty() {
                     continue;
                 }
                 if r.is_indirect() {
-                    // Inspector: resolve the blocks this node actually
-                    // touches by reading the index array (a real DSM
-                    // faults on demand; the conservative section would
-                    // grossly over-fault).
-                    for off in self.inspect_indirect(p, r, &acc.iters[p]) {
-                        rruns.runs.push(fgdsm_section::StridedRange {
-                            base: off,
-                            run_len: 1,
-                            stride: 0,
-                            count: 1,
-                        });
-                    }
+                    // Resolve the blocks this node actually touches by
+                    // reading the index array (a real DSM faults on
+                    // demand; the conservative section would grossly
+                    // over-fault).
+                    let offs = self.inspect_indirect(p, r, &acc.iters[p]);
+                    rraw.extend(offs.into_iter().map(|off| covering_range(off, 1, wpb)));
                     continue;
                 }
-                let runs = self.section_runs(r.array.0, sec);
-                if r.mode == RefMode::Write {
-                    for &(s, len) in &runs {
-                        if len > 0 {
-                            candidates.insert(s / wpb);
-                            candidates.insert((s + len - 1) / wpb);
-                        }
+                let is_write = r.mode == RefMode::Write;
+                let raw = if is_write { &mut *wraw } else { &mut *rraw };
+                self.for_each_run(r.array.0, sec, |start, len| {
+                    if len == 0 {
+                        return;
                     }
-                }
-                let target = match r.mode {
-                    RefMode::Write => &mut wruns,
-                    RefMode::Read => &mut rruns,
-                };
-                for (s, len) in runs {
-                    target.runs.push(fgdsm_section::StridedRange {
-                        base: s,
-                        run_len: len,
-                        stride: 0,
-                        count: 1,
-                    });
-                }
+                    let (f, e) = covering_range(start, len, wpb);
+                    raw.push((f, e));
+                    if is_write {
+                        candidates.push(f);
+                        candidates.push(e - 1);
+                    }
+                });
             }
-            covering_blocks_into(&wruns, wpb, &mut wcover[p]);
-            covering_blocks_into(&rruns, wpb, &mut rcover[p]);
+            merge_block_ranges(wraw, &mut sched.wcover[p]);
+            merge_block_ranges(rraw, &mut sched.rcover[p]);
         }
         // A candidate block needs the multiple-writer (twin/diff) path if
         // two or more nodes write it, or if one node writes it while
         // another reads it in the same interval — in the real system the
         // writer would simply re-fault after the reader's downgrade; in
         // the BSP engine the writer must keep its writable copy through
-        // the read sub-phase.
-        let contains = |ranges: &[(usize, usize)], b: usize| -> bool {
-            let idx = ranges.partition_point(|&(_, e)| e <= b);
-            idx < ranges.len() && ranges[idx].0 <= b
-        };
-        let multi: BTreeSet<usize> = candidates
-            .into_iter()
-            .filter(|&b| {
-                let writers: Vec<usize> =
-                    (0..nprocs).filter(|&p| contains(&wcover[p], b)).collect();
-                writers.len() >= 2
-                    || (writers.len() == 1
-                        && (0..nprocs).any(|p| p != writers[0] && contains(&rcover[p], b)))
-            })
-            .collect();
-        // Node visiting order for the sub-phases. Under the tolerated
-        // `shuffle_resolve` perturbation the order is randomized per
-        // superstep: the protocol contract must be insensitive to which
-        // node faults first.
-        let mut order: Vec<usize> = (0..nprocs).collect();
+        // the read sub-phase. One pass of the sorted candidates against
+        // each node's sorted covers collects who writes and who reads
+        // each.
+        candidates.sort_unstable();
+        candidates.dedup();
+        wmask.clear();
+        wmask.resize(candidates.len(), 0);
+        rmask.clear();
+        rmask.resize(candidates.len(), 0);
+        for p in 0..nprocs {
+            mark_covered(candidates, &sched.wcover[p], wmask, 1 << p);
+            mark_covered(candidates, &sched.rcover[p], rmask, 1 << p);
+        }
+        sched.multi.clear();
+        sched.multi.extend(
+            candidates
+                .iter()
+                .zip(wmask.iter().zip(rmask.iter()))
+                .filter(|&(_, (&w, &r))| w.count_ones() >= 2 || (w != 0 && r & !w != 0))
+                .map(|(&b, _)| b),
+        );
+    }
+
+    /// Node visiting order of the executor's sub-phases. Under the
+    /// tolerated `shuffle_resolve` perturbation it is randomized per
+    /// superstep — on a memo hit like on a miss: the protocol contract
+    /// must be insensitive to which node faults first.
+    pub fn resolve_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.cfg.nprocs).collect();
         if let Some(seed) = self.cfg.inject.shuffle_resolve {
             fgdsm_testkit::Rng::new(seed ^ self.supersteps).shuffle(&mut order);
         }
-        // Sub-phase: writes.
+        order
+    }
+
+    /// The executor: all nodes' writes — false-shared blocks through the
+    /// multiple-writer path, the stretches between them a range at a time
+    /// — then all nodes' reads.
+    fn walk(&mut self, sched: &ResolveSchedule) {
+        let order = self.resolve_order();
         for &p in &order {
-            for &(f, e) in &wcover[p] {
-                for b in f..e {
-                    if multi.contains(&b) {
-                        self.dsm.write_access_multi(p, b);
-                    } else {
-                        self.dsm.write_access_excl(p, b);
+            for &(f, e) in &sched.wcover[p] {
+                let mut from = f;
+                let first_multi = sched.multi.partition_point(|&m| m < f);
+                for &m in sched.multi[first_multi..].iter().take_while(|&&m| m < e) {
+                    if from < m {
+                        self.dsm.write_access_range(p, from, m);
                     }
+                    self.dsm.write_access_multi(p, m);
+                    from = m + 1;
+                }
+                if from < e {
+                    self.dsm.write_access_range(p, from, e);
                 }
             }
         }
-        // Sub-phase: reads.
         for &p in &order {
-            for &(f, e) in &rcover[p] {
-                for b in f..e {
-                    self.dsm.read_access(p, b);
-                }
+            for &(f, e) in &sched.rcover[p] {
+                self.dsm.read_access_range(p, f, e);
             }
         }
-        self.cover_scratch = (wcover, rcover);
     }
 
     /// Inspector for indirect references (`x(idx(i))`): enumerate the
@@ -461,9 +591,12 @@ pub(super) fn run(
     // clone), in program order — the same order `Program::par_loops`
     // yields, so report consumers can map ids back to loop names.
     for (i, l) in crate::ir::par_loops_of(&body).into_iter().enumerate() {
-        core.loop_ids.insert(l as *const ParLoop as usize, i as u32);
+        core.loop_ids.insert(loop_key(l), i as u32);
     }
+    core.inspector = vec![InspectorRow::default(); core.loop_ids.len()];
+    core.phases.setup_ns = wall_start.elapsed().as_nanos() as u64;
     exec_stmts(&mut core, backend.as_mut(), &body);
+    let t_finish = Instant::now();
     // Final synchronization so the report reflects a completed program.
     backend.finish(&mut core);
     let data = backend.gather(&mut core);
@@ -471,34 +604,15 @@ pub(super) fn run(
     let trace = want_trace.then(|| core.dsm.cluster.trace_json());
     let chrome = want_chrome.then(|| core.dsm.cluster.trace_chrome());
     let mut report = core.dsm.cluster.report();
+    let t_verify = Instant::now();
+    core.phases.finish_ns = (t_verify - t_finish).as_nanos() as u64;
+    verify_post_run(&core.dsm, &report);
+    core.phases.post_run_ns = t_verify.elapsed().as_nanos() as u64;
     // Host time, stamped outside the deterministic virtual-time state
-    // (excluded from the canonical report encoding).
+    // (excluded from the canonical report encoding). The post-run checks
+    // are part of what an `execute` costs, so they are inside it.
+    report.host = core.phases;
     report.wall_ns = wall_start.elapsed().as_nanos() as u64;
-    // Post-run invariants: the protocol left a consistent directory and
-    // the trace is sane. These hold for every backend on every program;
-    // the fuzz oracle (and every test) gets them for free.
-    if let Err(e) = core.dsm.check_consistency() {
-        panic!("post-run protocol consistency check failed: {e}");
-    }
-    assert!(
-        report.traffic_balanced(),
-        "post-run trace invariant violated: sent {} msgs / {} bytes but received {} msgs / {} bytes",
-        report.total_msgs(),
-        report.total_bytes(),
-        report.total_msgs_recv(),
-        report.total_bytes_recv()
-    );
-    assert!(
-        core.dsm.cluster.clocks_monotone(),
-        "post-run trace invariant violated: a node clock moved backwards"
-    );
-    // Profiler invariants: per-superstep interval deltas sum exactly to
-    // the whole-run per-node stats, and the block heatmaps account for
-    // every miss and byte. Pure functions of virtual-time state, so they
-    // hold on every backend / scheduling combination.
-    if let Err(e) = report.check_profile_invariants() {
-        panic!("post-run profile invariant violated: {e}");
-    }
     let (wire_frames, wire_payload_bytes) = core.dsm.wire_stats();
     // Orderly wire teardown: settle the last frames in flight (their
     // wait is part of the route time read right after), collect the
@@ -519,6 +633,8 @@ pub(super) fn run(
         pre_skipped,
         pre_performed,
         planned: core.planned,
+        inspector: core.inspector,
+        schedules_cached: core.schedule_cache.len(),
         wire_frames,
         wire_payload_bytes,
         wire_batches,
@@ -527,6 +643,38 @@ pub(super) fn run(
         wire_spans,
     };
     (result, trace, chrome)
+}
+
+/// Post-run invariants: the protocol left a consistent directory and the
+/// trace is sane. These hold for every backend on every program; the fuzz
+/// oracle (and every test) gets them for free. One function, never
+/// inlined: what they cost is part of every timed `execute`
+/// ([`HostPhases::post_run_ns`]), and a seam codegen cannot dissolve keeps
+/// that cost from moving when unrelated code does.
+#[inline(never)]
+fn verify_post_run(dsm: &Dsm, report: &ClusterReport) {
+    if let Err(e) = dsm.check_consistency() {
+        panic!("post-run protocol consistency check failed: {e}");
+    }
+    assert!(
+        report.traffic_balanced(),
+        "post-run trace invariant violated: sent {} msgs / {} bytes but received {} msgs / {} bytes",
+        report.total_msgs(),
+        report.total_bytes(),
+        report.total_msgs_recv(),
+        report.total_bytes_recv()
+    );
+    assert!(
+        dsm.cluster.clocks_monotone(),
+        "post-run trace invariant violated: a node clock moved backwards"
+    );
+    // Profiler invariants: per-superstep interval deltas sum exactly to
+    // the whole-run per-node stats, and the block heatmaps account for
+    // every miss and byte. Pure functions of virtual-time state, so they
+    // hold on every backend / scheduling combination.
+    if let Err(e) = report.check_profile_invariants() {
+        panic!("post-run profile invariant violated: {e}");
+    }
 }
 
 fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stmt]) {
@@ -561,6 +709,7 @@ fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stm
 /// cleanup and the superstep boundary.
 fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
     let nprocs = core.cfg.nprocs;
+    let t_start = Instant::now();
     let acc = core.analyze(l);
     let acc = &*acc;
     core.supersteps += 1;
@@ -581,7 +730,15 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
         // RTOE excuse is not needed for copies that no longer exist.
         core.dsm.clear_iw_memo();
     }
+    // Phase clock: `resolve_default` books its own inspect and walk time;
+    // whatever else the backend's resolve took is its own communication.
+    let t_resolve = Instant::now();
+    core.phases.analyze_ns += (t_resolve - t_start).as_nanos() as u64;
+    let default_before = core.phases.inspect_ns + core.phases.walk_ns;
     backend.resolve(core, l, acc);
+    let t_compute = Instant::now();
+    let default_ns = core.phases.inspect_ns + core.phases.walk_ns - default_before;
+    core.phases.ctl_ns += ((t_compute - t_resolve).as_nanos() as u64).saturating_sub(default_ns);
 
     // --- Compute phase: zero cross-node access from here to the join. --
     // One padded cache line per node (recycled across supersteps):
@@ -591,6 +748,8 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
     partials.clear();
     partials.resize(nprocs, CacheAligned(0.0));
     compute_phase(core, l, acc, &mut partials);
+    let t_post = Instant::now();
+    core.phases.compute_ns += (t_post - t_compute).as_nanos() as u64;
 
     backend.note_kernel_writes(core, l, acc);
 
@@ -609,6 +768,7 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
     core.dsm.cluster.end_superstep(step, loop_id);
     core.cur_step = NO_STEP;
     core.cur_loop = NO_LOOP;
+    core.phases.post_loop_ns += t_post.elapsed().as_nanos() as u64;
 }
 
 /// The compute phase of one superstep: run each node's kernel against

@@ -297,6 +297,12 @@ pub struct InjectConfig {
     /// [`fgdsm_protocol::WireError`] within the configured deadline —
     /// no hang, no partial artifact. No effect without a carrier.
     pub node_fault: Option<(u32, fgdsm_protocol::NodeFault)>,
+    /// Must-catch: memoize the default-protocol inspector's schedule by
+    /// loop alone even when the loop is *symbolic*, so the next instance
+    /// walks the previous one's covers and blocks the new sections reach
+    /// are never made accessible. (No effect on loops with an indirect
+    /// reference, which are never memoized.)
+    pub stale_resolve_schedule: bool,
     /// Must-catch: skip the coordinator's per-class `payload_bytes.*`
     /// metrics counter for the first envelope encoded — the run itself
     /// and the double-entry books stay correct, so only the telemetry
@@ -439,6 +445,16 @@ pub struct PlannedXfer {
     pub bytes: u64,
 }
 
+/// The default-protocol inspector's bookkeeping for one parallel loop:
+/// how many of its instances built a schedule and how many reused the
+/// memoized one. A loop whose access structure is fixed inspects once
+/// per run; a symbolic or indirect one inspects every instance.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct InspectorRow {
+    pub inspections: u64,
+    pub hits: u64,
+}
+
 /// The result of executing a program.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -454,6 +470,13 @@ pub struct RunResult {
     /// Contract-planned transfer volumes, in planning order (empty for
     /// backends that plan nothing: `sm_unopt`, `mp`).
     pub planned: Vec<PlannedXfer>,
+    /// Inspector bookkeeping per parallel loop, indexed by loop id
+    /// (program order; all zero for `mp`, which never runs the default
+    /// protocol). Host-side bookkeeping, in no canonical artifact.
+    pub inspector: Vec<InspectorRow>,
+    /// Schedules the inspector memo held at the end of the run — never
+    /// more than the program has loops.
+    pub schedules_cached: usize,
     /// Envelope frames routed through the wire layer (0 on the zero-copy
     /// fast path). Wire accounting only — deliberately outside the
     /// canonical report so strict and fast runs stay byte-identical.
@@ -582,6 +605,15 @@ fn make_backend(cfg: &ExecConfig) -> Box<dyn CommBackend> {
 /// Execute `prog` under `cfg`.
 pub fn execute(prog: &Program, cfg: &ExecConfig) -> RunResult {
     engine::run(prog, cfg, make_backend(cfg), false, false).0
+}
+
+/// Execute `prog` under `cfg` with a caller-supplied communication
+/// backend in place of the one `cfg.backend` names (the wire carrier, if
+/// any, still follows `cfg`) — the entry point for third-party
+/// [`CommBackend`]s and for test backends that wrap a built-in one to
+/// observe the engine between its hooks.
+pub fn execute_with(prog: &Program, cfg: &ExecConfig, backend: Box<dyn CommBackend>) -> RunResult {
+    engine::run(prog, cfg, backend, false, false).0
 }
 
 /// How an execution failed. The engine reports failures by panicking —

@@ -43,9 +43,9 @@ pub use analysis::{analyze, LoopAccess, Transfer};
 pub use contract::{ContractTracker, CtlOp};
 pub use dist::{ArrayDecl, ArrayId, Dist};
 pub use exec::{
-    execute, execute_profiled, execute_reference, execute_traced, tcp_available, try_execute,
-    Backend, ExecConfig, ExecError, InjectConfig, MetricsMode, ParallelMode, PlannedXfer, PoolMode,
-    ReferenceResult, RunResult, WireMode,
+    execute, execute_profiled, execute_reference, execute_traced, execute_with, tcp_available,
+    try_execute, Backend, ExecConfig, ExecError, InjectConfig, InspectorRow, MetricsMode,
+    ParallelMode, PlannedXfer, PoolMode, ReferenceResult, RunResult, WireMode,
 };
 pub use ir::{
     ARef, ArrayHandle, CompDist, Kernel, KernelCtx, KernelFn, ParLoop, Program, ProgramBuilder,

@@ -186,31 +186,31 @@ pub fn shmem_limits(runs: &LinearRanges, words_per_block: usize) -> CtlRanges {
 /// Blocks covered (fully or partially) by a set of word runs — the blocks
 /// the *default* protocol must make accessible for the section.
 pub fn covering_blocks(runs: &LinearRanges, words_per_block: usize) -> Vec<(usize, usize)> {
+    let mut raw: Vec<(usize, usize)> = runs
+        .iter_runs()
+        .filter(|&(_, len)| len > 0)
+        .map(|(start, len)| covering_range(start, len, words_per_block))
+        .collect();
     let mut merged = Vec::new();
-    covering_blocks_into(runs, words_per_block, &mut merged);
+    merge_block_ranges(&mut raw, &mut merged);
     merged
 }
 
-/// [`covering_blocks`] writing into a caller-supplied buffer (cleared
-/// first) so the engine's per-superstep resolve scratch can recycle its
-/// capacity instead of reallocating.
-pub fn covering_blocks_into(
-    runs: &LinearRanges,
-    words_per_block: usize,
-    merged: &mut Vec<(usize, usize)>,
-) {
+/// The block range `[first, end)` covering the `len > 0` words at `start`.
+pub(crate) fn covering_range(start: usize, len: usize, words_per_block: usize) -> (usize, usize) {
+    (
+        start / words_per_block,
+        (start + len).div_ceil(words_per_block),
+    )
+}
+
+/// Sort `raw` block ranges and coalesce the overlapping and the adjacent
+/// into `merged` (cleared first): both buffers are the caller's, so the
+/// engine's per-superstep inspector recycles their capacity.
+pub(crate) fn merge_block_ranges(raw: &mut [(usize, usize)], merged: &mut Vec<(usize, usize)>) {
     merged.clear();
-    let mut out: Vec<(usize, usize)> = Vec::new();
-    for (start, len) in runs.iter_runs() {
-        if len == 0 {
-            continue;
-        }
-        let f = start / words_per_block;
-        let e = (start + len).div_ceil(words_per_block);
-        out.push((f, e));
-    }
-    out.sort_unstable();
-    for (f, e) in out {
+    raw.sort_unstable();
+    for &(f, e) in raw.iter() {
         match merged.last_mut() {
             Some(last) if f <= last.1 => last.1 = last.1.max(e),
             _ => merged.push((f, e)),

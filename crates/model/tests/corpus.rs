@@ -82,6 +82,7 @@ fn spec_from(seq: &[Op], idx: usize) -> FuzzSpec {
             reduce: (f.releases > 1).then_some(0),
             use_t: false,
             use_acc: f.word1_writes > 0,
+            sweep_t: false,
         })],
         arrays,
         time: (f.releases > 0).then_some((0, 1, 1 + (f.releases as i64).min(2))),

@@ -310,7 +310,7 @@ impl Dsm {
     /// at readers safe (the ordering is enforced by the barrier *between*
     /// the two calls).
     pub fn mk_writable(&mut self, owner: NodeId, first: usize, end: usize) {
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         self.cluster.record(
             owner,
             Event::Ctl {
@@ -357,7 +357,7 @@ impl Dsm {
     /// State manipulation shared by `mk_writable`: make `node` the
     /// exclusive writer of `b`, fetching data if `need_data`.
     fn ctl_acquire_excl(&mut self, node: NodeId, b: usize, need_data: bool, cost: &mut u64) {
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         let h = self.cluster.home_of_block(b);
         let (s, e) = self.cluster.block_words(b);
         let cur = self.dir_state(b);
@@ -409,7 +409,7 @@ impl Dsm {
         end: usize,
         memoize: bool,
     ) -> bool {
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         self.cluster.record(
             node,
             Event::Ctl {
@@ -473,7 +473,7 @@ impl Dsm {
     /// per (owner, reader) pair, in stable (owner, reader) order.
     pub fn plan_sends(&mut self, entries: &[SendEntry], bulk: bool) -> Vec<TransferPlan> {
         use std::collections::BTreeMap;
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         let mut plans: BTreeMap<(NodeId, NodeId), TransferPlan> = BTreeMap::new();
         for en in entries {
             self.cluster.record(
@@ -536,7 +536,7 @@ impl Dsm {
         if self.injection().skip_flush_range {
             return vec![];
         }
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         let mut plans: BTreeMap<(NodeId, NodeId), TransferPlan> = BTreeMap::new();
         for en in entries {
             self.cluster.record(
@@ -624,7 +624,7 @@ impl Dsm {
             return;
         }
         let decoded = self.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.payloads.len())));
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         for (k, plan) in plans.iter().enumerate() {
             let wire = decoded.as_ref().map(|d| d[k].as_slice());
             let (src, dst) = self.cluster.shard_pair_mut(plan.src, plan.dst);
@@ -657,7 +657,7 @@ impl Dsm {
     /// Block on the counting semaphore until every pushed payload has
     /// arrived and been stored (Figure 2D).
     pub fn ready_to_recv(&mut self, node: NodeId) {
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         self.cluster.record(
             node,
             Event::Ctl {
@@ -686,7 +686,7 @@ impl Dsm {
     /// directory's record — exclusive at the owner — is true again
     /// (Figure 2F).
     pub fn implicit_invalidate(&mut self, node: NodeId, first: usize, end: usize) {
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         self.cluster.record(
             node,
             Event::Ctl {

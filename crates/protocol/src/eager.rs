@@ -36,7 +36,7 @@ impl Protocol for EagerInvalidate {
     }
 
     fn read_access(&mut self, d: &mut Dsm, p: NodeId, b: usize) {
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let h = d.cluster.home_of_block(b);
         let (s, e) = d.cluster.block_words(b);
         d.cluster.map_range(p, s, e - s);
@@ -133,7 +133,7 @@ impl Protocol for EagerInvalidate {
         if d.cluster.tag(p, b) == Access::ReadWrite && d.dir_state(b).is_excl_by(p) {
             return;
         }
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let h = d.cluster.home_of_block(b);
         let (s, e) = d.cluster.block_words(b);
         d.cluster.map_range(p, s, e - s);
@@ -210,7 +210,7 @@ impl Protocol for EagerInvalidate {
     /// footnote): `p` joins the writer set, keeping a twin for the
     /// word-granularity diff merged at the next release.
     fn write_access_multi(&mut self, d: &mut Dsm, p: NodeId, b: usize) {
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let h = d.cluster.home_of_block(b);
         let (s, e) = d.cluster.block_words(b);
         // Already a writer in Multi state?
@@ -279,11 +279,31 @@ impl Protocol for EagerInvalidate {
         d.cluster.charge(p, stall, ChargeKind::Stall);
     }
 
+    /// Only the blocks `p` does not already hold writable and exclusive
+    /// fault; the scan finds each in turn without entering the fault path
+    /// for the rest (servicing block `b` changes no later block's state
+    /// at `p`, so the scan resumes at `b + 1`).
+    fn write_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
+        let mut from = first;
+        while let Some(b) = d.first_not_exclusive(p, from, end) {
+            self.write_access_excl(d, p, b);
+            from = b + 1;
+        }
+    }
+
+    fn read_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
+        let mut from = first;
+        while let Some(b) = d.first_invalid(p, from, end) {
+            self.read_access(d, p, b);
+            from = b + 1;
+        }
+    }
+
     /// Release point: merge all `Multi` blocks home via word diffs.
     /// Exclusive blocks stay with their owner — the property run-time
     /// overhead elimination relies on (§4.3).
     fn release(&mut self, d: &mut Dsm) {
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let blocks = std::mem::take(&mut self.multi_blocks);
         for b in blocks {
             let DirState::Multi { writers, readers } = d.dir_state(b) else {
@@ -315,7 +335,7 @@ impl Protocol for EagerInvalidate {
         // exclusive writable copy, everyone else Invalid), which satisfies
         // every arm below — so only traffic-touched blocks need scanning.
         let ctl = d.ctl_blocks();
-        for b in d.touched_blocks() {
+        for b in d.touched_blocks().iter() {
             match d.dir_state(b) {
                 DirState::Excl { owner } => {
                     // The directory's record of the sole current copy must

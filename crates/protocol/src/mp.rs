@@ -110,7 +110,7 @@ impl MpRuntime {
             return;
         }
         let decoded = mp_wire_deliver(d, plans);
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let wpb = cfg.words_per_block();
         for (k, plan) in plans.iter().enumerate() {
             let wire_msgs = decoded.as_ref().map(|dd| dd[k].as_slice());
@@ -165,7 +165,7 @@ impl MpRuntime {
         stride: usize,
         count: usize,
     ) {
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let elems = run_len * count;
         let bytes = elems * 8;
         // Sender: one runtime call, one *contiguous* pack (the collective
@@ -210,7 +210,7 @@ impl MpRuntime {
     /// Block until all messages addressed to `node` have arrived, then pay
     /// the unpack cost.
     pub fn recv_all(&mut self, cl: &mut Cluster, node: NodeId) {
-        let cfg = cl.cfg().clone();
+        let cfg = *cl.cfg();
         let now = cl.clock_ns(node);
         if self.inbox_arrival[node] > now {
             cl.charge(node, self.inbox_arrival[node] - now, ChargeKind::Stall);
@@ -230,7 +230,7 @@ impl MpRuntime {
     /// overhead — the cost that makes `cg` "particularly" slower under
     /// message passing in the paper (§6).
     pub fn allreduce(&mut self, cl: &mut Cluster, partials: &[f64], op: ReduceOp) -> f64 {
-        let cfg = cl.cfg().clone();
+        let cfg = *cl.cfg();
         let nprocs = cl.nprocs();
         assert_eq!(partials.len(), nprocs);
         let rounds = nprocs as u64 - 1;

@@ -16,9 +16,9 @@ use crate::node::WireTransport;
 use crate::update::WriteUpdate;
 use crate::wire::{reconcile_stats, WireHeader, WireMsg};
 use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
-use fgdsm_tempest::{Access, Cluster, NodeId, VecPool, NO_ARRAY};
+use fgdsm_tempest::{Access, BlockSet, Cluster, NodeId, VecPool, NO_ARRAY};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Which built-in default coherence protocol the DSM runs.
 ///
@@ -64,6 +64,27 @@ pub trait Protocol {
     /// the same interval (false sharing at column boundaries, §4.1).
     fn write_access_multi(&mut self, d: &mut Dsm, p: NodeId, b: usize);
 
+    /// [`Protocol::write_access_excl`] for every block of
+    /// `[first, end)`, ascending. A protocol that can tell cheaply which
+    /// blocks of a range fault overrides this to skip the rest; the
+    /// events it records must be exactly this loop's.
+    fn write_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
+        for b in first..end {
+            self.write_access_excl(d, p, b);
+        }
+    }
+
+    /// [`Protocol::read_access`] for every block of `[first, end)` that
+    /// `p` holds no valid copy of, ascending. Overridable like
+    /// [`Protocol::write_access_range`].
+    fn read_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
+        for b in first..end {
+            if d.cluster.tag(p, b) == Access::Invalid {
+                self.read_access(d, p, b);
+            }
+        }
+    }
+
     /// Release point: propagate/merge interval writes. The facade runs
     /// the global barrier afterwards.
     fn release(&mut self, d: &mut Dsm);
@@ -85,7 +106,7 @@ pub struct Dsm {
     /// home-owns-everything assignment (`Excl{owner: home}`). Together
     /// with the per-shard dirty tag sets this bounds every consistency
     /// scan by the traffic footprint instead of the segment size.
-    dirty_dirs: BTreeSet<usize>,
+    dirty_dirs: BlockSet,
     /// Twins for multiple-writer blocks: (block, writer) → snapshot.
     twins: BTreeMap<(usize, NodeId), Box<[f64]>>,
     /// Per-receiver compiler-directed transfer inbox: latest arrival time
@@ -387,7 +408,7 @@ impl Dsm {
         Dsm {
             cluster,
             dir,
-            dirty_dirs: BTreeSet::new(),
+            dirty_dirs: BlockSet::new(n_blocks),
             twins: BTreeMap::new(),
             inbox_arrival: vec![0; nprocs],
             inbox_payloads: vec![0; nprocs],
@@ -689,30 +710,46 @@ impl Dsm {
     /// `Excl{owner: home}`.
     pub fn set_dir(&mut self, b: usize, s: DirState) {
         self.dir[b] = s;
-        if s.is_excl_by(self.cluster.home_of_block(b)) {
-            self.dirty_dirs.remove(&b);
-        } else {
-            self.dirty_dirs.insert(b);
-        }
+        self.dirty_dirs
+            .set(b, !s.is_excl_by(self.cluster.home_of_block(b)));
     }
 
     /// Blocks whose directory state deviates from the initial
     /// home-exclusive assignment (ascending order).
     pub fn dirty_dir_blocks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dirty_dirs.iter().copied()
+        self.dirty_dirs.iter()
     }
 
     /// Every block that any protocol state — the directory or any node's
     /// access tag — has moved off the initial assignment. Untouched
     /// blocks provably satisfy the protocol invariants (home holds the
     /// only, writable, zero-initialized copy), so consistency checks and
-    /// gathers iterate this set instead of the whole segment.
-    pub fn touched_blocks(&self) -> BTreeSet<usize> {
-        let mut out = self.dirty_dirs.clone();
-        for n in 0..self.cluster.nprocs() {
-            out.extend(self.cluster.shard(n).dirty_blocks().iter().copied());
-        }
+    /// gathers iterate this set (ascending) instead of the whole segment.
+    pub fn touched_blocks(&self) -> BlockSet {
+        let mut out = self.cluster.dirty_blocks();
+        out.union_with(&self.dirty_dirs);
         out
+    }
+
+    /// The first block of `[first, end)` that `p` does not hold writable
+    /// and directory-exclusive — the first a single-writer access to the
+    /// range faults on — scanning `p`'s tag slice against the directory
+    /// slice.
+    pub fn first_not_exclusive(&self, p: NodeId, first: usize, end: usize) -> Option<usize> {
+        let tags = &self.cluster.shard(p).tags()[first..end];
+        tags.iter()
+            .zip(&self.dir[first..end])
+            .position(|(&t, s)| t != Access::ReadWrite || !s.is_excl_by(p))
+            .map(|i| first + i)
+    }
+
+    /// The first block of `[first, end)` that `p` holds no valid copy of
+    /// — the first a read of the range faults on.
+    pub fn first_invalid(&self, p: NodeId, first: usize, end: usize) -> Option<usize> {
+        let tags = &self.cluster.shard(p).tags()[first..end];
+        tags.iter()
+            .position(|&t| t == Access::Invalid)
+            .map(|i| first + i)
     }
 
     /// Handler-occupancy cost scaled for the cpu configuration.
@@ -753,7 +790,7 @@ impl Dsm {
     /// Cost and data movement for the home shipping its (current) copy of
     /// block `b` to `p`. Returns the stall to charge at `p`.
     pub fn data_home_to(&mut self, p: NodeId, h: NodeId, b: usize) -> u64 {
-        let cfg = self.cluster.cfg().clone();
+        let cfg = *self.cluster.cfg();
         let (s, e) = self.cluster.block_words(b);
         if p == h {
             // Local: the data is already in the home's copy.
@@ -840,6 +877,18 @@ impl Dsm {
     /// the same interval.
     pub fn write_access_multi(&mut self, p: NodeId, b: usize) {
         self.with_proto(|proto, d| proto.write_access_multi(d, p, b));
+    }
+
+    /// [`Dsm::write_access_excl`] over the block range `[first, end)`
+    /// in one dispatch.
+    pub fn write_access_range(&mut self, p: NodeId, first: usize, end: usize) {
+        self.with_proto(|proto, d| proto.write_access_range(d, p, first, end));
+    }
+
+    /// [`Dsm::read_access`] over the block range `[first, end)` in one
+    /// dispatch.
+    pub fn read_access_range(&mut self, p: NodeId, first: usize, end: usize) {
+        self.with_proto(|proto, d| proto.read_access_range(d, p, first, end));
     }
 
     /// Release point: let the protocol propagate interval writes, settle

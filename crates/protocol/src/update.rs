@@ -32,7 +32,7 @@ impl WriteUpdate {
     /// Sharers are *not* invalidated — they receive the dirty words at
     /// the next release.
     fn write_access(&mut self, d: &mut Dsm, p: NodeId, b: usize) {
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         if d.cluster.tag(p, b) == Access::ReadWrite {
             if !d.has_twin(p, b) {
                 // Standing writer, new interval: local bookkeeping only.
@@ -88,7 +88,7 @@ impl Protocol for WriteUpdate {
     /// interval boundaries, so every miss is a clean 2-hop fetch — and
     /// the copy then stays valid forever (writers update it in place).
     fn read_access(&mut self, d: &mut Dsm, p: NodeId, b: usize) {
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let h = d.cluster.home_of_block(b);
         let (s, e) = d.cluster.block_words(b);
         d.cluster.map_range(p, s, e - s);
@@ -126,7 +126,7 @@ impl Protocol for WriteUpdate {
     /// sharer set and makes update protocols expensive for migratory or
     /// single-consumer data.
     fn release(&mut self, d: &mut Dsm) {
-        let cfg = d.cluster.cfg().clone();
+        let cfg = *d.cluster.cfg();
         let mut set = std::mem::take(&mut self.update_set);
         set.sort_unstable();
         set.dedup();
@@ -155,7 +155,7 @@ impl Protocol for WriteUpdate {
         // After a release, every valid copy must equal the home copy.
         // A block no traffic ever touched has exactly one valid copy (the
         // home's), so only traffic-touched blocks can diverge.
-        for b in d.touched_blocks() {
+        for b in d.touched_blocks().iter() {
             let h = d.cluster.home_of_block(b);
             let (s, e) = d.cluster.block_words(b);
             for n in 0..d.cluster.nprocs() {

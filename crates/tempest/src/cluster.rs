@@ -20,11 +20,11 @@
 
 use crate::costs::CostModel;
 use crate::profile::{FalseSharingFlag, NodeHeatmap, ProfileState, StepInterval};
-use crate::scratch::CACHE_LINE_BYTES;
+use crate::scratch::{BlockSet, CACHE_LINE_BYTES};
 use crate::shard::{Geometry, NodeShard};
 use crate::stats::{ClusterReport, NodeStats};
 use crate::trace::{Event, NodeTrace, NO_ARRAY, NO_BLOCK, NO_LOOP, NO_STEP};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Index of a node in the cluster.
@@ -255,10 +255,10 @@ impl Cluster {
     /// anywhere from the initial home-owns-everything assignment.
     /// Invariant checks and gathers iterate this instead of the whole
     /// segment.
-    pub fn dirty_blocks(&self) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
+    pub fn dirty_blocks(&self) -> BlockSet {
+        let mut out = BlockSet::new(self.geom.n_blocks);
         for sh in &self.shards {
-            out.extend(sh.dirty_blocks().iter().copied());
+            out.union_with(sh.dirty_blocks());
         }
         out
     }
@@ -380,23 +380,35 @@ impl Cluster {
         }
         // False sharing: a multi-word block faulted by ≥2 distinct nodes
         // within this superstep. Single-word blocks cannot be falsely
-        // shared — there is no co-resident word to collide with.
-        let mut faulters: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-        for (n, sh) in self.shards.iter_mut().enumerate() {
-            for b in sh.trace_mut().take_step_faults() {
-                faulters.entry(b).or_default().push(n);
+        // shared — there is no co-resident word to collide with — and
+        // neither can anything when fewer than two nodes faulted at all
+        // (the common superstep). Otherwise sort every shard's faults as
+        // `(block, node)` pairs: equal blocks become adjacent, nodes
+        // ascending within each.
+        let faulted = |sh: &&NodeShard| !sh.trace().step_faults().is_empty();
+        if self.shards.iter().filter(faulted).count() >= 2 {
+            let pairs = &mut self.profile.fault_scratch;
+            pairs.clear();
+            for (n, sh) in self.shards.iter().enumerate() {
+                pairs.extend(sh.trace().step_faults().iter().map(|&b| (b, n)));
+            }
+            pairs.sort_unstable();
+            pairs.dedup();
+            for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+                let block = group[0].0;
+                let (s, e) = self.geom.block_words(block as usize);
+                if group.len() >= 2 && e - s > 1 {
+                    self.profile.false_sharing.push(FalseSharingFlag {
+                        step,
+                        loop_id,
+                        block,
+                        nodes: group.iter().map(|&(_, n)| n).collect(),
+                    });
+                }
             }
         }
-        for (b, nodes) in faulters {
-            let (s, e) = self.geom.block_words(b as usize);
-            if nodes.len() >= 2 && e - s > 1 {
-                self.profile.false_sharing.push(FalseSharingFlag {
-                    step,
-                    loop_id,
-                    block: b,
-                    nodes,
-                });
-            }
+        for sh in &mut self.shards {
+            sh.trace_mut().clear_step_faults();
         }
         let nodes: Vec<NodeStats> = self
             .shards
@@ -559,6 +571,7 @@ impl Cluster {
             handler_in_comm: self.geom.cfg.cpu == crate::costs::CpuMode::Single,
             makespan_ns: makespan,
             wall_ns: 0,
+            host: Default::default(),
             wire_route_ns: 0,
             intervals,
             false_sharing: self.profile.false_sharing.clone(),
@@ -817,7 +830,7 @@ mod tests {
         c.set_tag(1, 0, Access::ReadOnly);
         // Node 0 loses write access to its own block 3.
         c.set_tag(0, 3, Access::ReadOnly);
-        assert_eq!(c.dirty_blocks().into_iter().collect::<Vec<_>>(), [0, 3]);
+        assert_eq!(c.dirty_blocks().iter().collect::<Vec<_>>(), [0, 3]);
         // Restoring the defaults empties the set.
         c.set_tag(1, 0, Access::Invalid);
         c.set_tag(0, 3, Access::ReadWrite);

@@ -26,7 +26,7 @@ pub enum CpuMode {
 /// All virtual-time constants, in nanoseconds.
 ///
 /// Defaults are calibrated so the derived quantities reproduce Table 1.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Single or dual cpu protocol processing (§5).
     pub cpu: CpuMode,

@@ -55,9 +55,9 @@ pub use costs::{CostModel, CpuMode};
 pub use metrics::{Histogram, Metric, MetricsRegistry, WireSpan};
 pub use pool::{Job, WorkerPool};
 pub use profile::{FalseSharingFlag, LoopRow, NodeHeatmap, StepInterval};
-pub use scratch::{CacheAligned, VecPool, CACHE_LINE_BYTES};
+pub use scratch::{BlockSet, CacheAligned, VecPool, CACHE_LINE_BYTES};
 pub use shard::NodeShard;
-pub use stats::{ClusterReport, NodeStats};
+pub use stats::{ClusterReport, HostPhases, NodeStats};
 pub use trace::{
     BlockHeat, CtlPrim, Event, FaultKind, NodeTrace, TraceEntry, NO_ARRAY, NO_BLOCK, NO_LOOP,
     NO_STEP,

@@ -70,6 +70,8 @@ pub struct ProfileState {
     pub(crate) intervals: Vec<StepInterval>,
     pub(crate) false_sharing: Vec<FalseSharingFlag>,
     pub(crate) prev: Vec<NodeStats>,
+    /// Recycled `(block, node)` buffer of the false-sharing scan.
+    pub(crate) fault_scratch: Vec<(u32, usize)>,
 }
 
 impl ProfileState {
@@ -78,6 +80,7 @@ impl ProfileState {
             intervals: Vec::new(),
             false_sharing: Vec::new(),
             prev: vec![NodeStats::default(); nprocs],
+            fault_scratch: Vec::new(),
         }
     }
 }

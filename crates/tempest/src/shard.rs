@@ -21,9 +21,9 @@
 
 use crate::cluster::{Access, ChargeKind, NodeId};
 use crate::costs::{CostModel, CpuMode};
+use crate::scratch::BlockSet;
 use crate::stats::NodeStats;
 use crate::trace::{Event, NodeTrace};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Immutable cluster-wide shape shared by every shard: sizes, the
@@ -103,7 +103,7 @@ pub struct NodeShard {
     /// (home → ReadWrite, everyone else → Invalid). Resolve-phase scans
     /// iterate this instead of every block in the segment, so their cost
     /// follows traffic, not segment size.
-    dirty: BTreeSet<usize>,
+    dirty: BlockSet,
     trace: NodeTrace,
 }
 
@@ -115,7 +115,7 @@ impl NodeShard {
             mem: vec![0.0; geom.seg_words],
             mapped: vec![0u64; geom.n_pages.div_ceil(64)],
             tags: vec![Access::Invalid; geom.n_blocks],
-            dirty: BTreeSet::new(),
+            dirty: BlockSet::new(geom.n_blocks),
             trace: NodeTrace::new(),
             geom,
         };
@@ -193,15 +193,18 @@ impl NodeShard {
     /// initial assignment.
     pub fn set_tag(&mut self, b: usize, a: Access) {
         self.tags[b] = a;
-        if a == self.default_tag(b) {
-            self.dirty.remove(&b);
-        } else {
-            self.dirty.insert(b);
-        }
+        self.dirty.set(b, a != self.default_tag(b));
     }
 
-    /// Blocks whose tag currently differs from the initial assignment.
-    pub fn dirty_blocks(&self) -> &BTreeSet<usize> {
+    /// Every block's tag, indexed by block — range-granular protocol
+    /// scans read the slice directly instead of asking block by block.
+    pub fn tags(&self) -> &[Access] {
+        &self.tags
+    }
+
+    /// Blocks whose tag currently differs from the initial assignment
+    /// (iterates ascending).
+    pub fn dirty_blocks(&self) -> &BlockSet {
         &self.dirty
     }
 

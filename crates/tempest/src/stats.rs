@@ -162,6 +162,62 @@ impl NodeStats {
     }
 }
 
+/// Where the host wall-clock of one run went, by engine phase, in ns —
+/// the executor's always-on phase clock: one `Instant` pair per phase per
+/// superstep (per run for the first and the last two), summed. Real time
+/// like [`ClusterReport::wall_ns`] and kept out of every canonical
+/// encoding like it. Only the statement walk between supersteps is
+/// outside every phase, so the phases sum to just under `wall_ns`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostPhases {
+    /// Before the first statement: segment allocation, the cluster, the
+    /// wire carrier's workers.
+    pub setup_ns: u64,
+    /// Per-loop access analysis (cached for static loops).
+    pub analyze_ns: u64,
+    /// The default-protocol inspector: sections → covers and the
+    /// false-shared block list (cached for static, direct loops).
+    pub inspect_ns: u64,
+    /// The default-protocol executor: walking the covers, servicing
+    /// faults.
+    pub walk_ns: u64,
+    /// The rest of the backend's resolve: the §4.2 contract on `sm_opt`,
+    /// the message exchange on `mp`.
+    pub ctl_ns: u64,
+    /// The compute phase (kernels).
+    pub compute_ns: u64,
+    /// After the kernels: write observation, reduction, the backend's
+    /// loop-end cleanup and barrier, the superstep boundary.
+    pub post_loop_ns: u64,
+    /// After the last statement: the final barrier, the gather, the
+    /// report and whichever trace documents were asked for.
+    pub finish_ns: u64,
+    /// The post-run invariant checks.
+    pub post_run_ns: u64,
+}
+
+impl HostPhases {
+    /// Every phase as a `(name, ns)` pair, in execution order.
+    pub fn rows(&self) -> [(&'static str, u64); 9] {
+        [
+            ("setup", self.setup_ns),
+            ("analyze", self.analyze_ns),
+            ("inspect", self.inspect_ns),
+            ("walk", self.walk_ns),
+            ("ctl", self.ctl_ns),
+            ("compute", self.compute_ns),
+            ("post_loop", self.post_loop_ns),
+            ("finish", self.finish_ns),
+            ("post_run", self.post_run_ns),
+        ]
+    }
+
+    /// Sum of all phases.
+    pub fn total_ns(&self) -> u64 {
+        self.rows().iter().map(|&(_, ns)| ns).sum()
+    }
+}
+
 /// Aggregated view over all nodes of a run.
 ///
 /// Derived from the structured event traces ([`crate::trace::NodeTrace`],
@@ -181,6 +237,10 @@ pub struct ClusterReport {
     /// canonical [`ClusterReport::to_json`] encoding (which must be
     /// byte-identical between serial and parallel execution).
     pub wall_ns: u64,
+    /// Where that wall-clock went, by engine phase (see [`HostPhases`]);
+    /// host time like `wall_ns`, and excluded from the canonical
+    /// encodings with it.
+    pub host: HostPhases,
     /// Host time the wire transport spent blocked on its links — writing
     /// batches, waiting for and verifying their echoes — in ns (0 on the
     /// zero-copy fast path). Like [`ClusterReport::wall_ns`]
@@ -411,8 +471,11 @@ mod tests {
         let a = r.to_json();
         r.wall_ns = 55_555; // host time must not perturb the encoding
         r.wire_route_ns = 7_777; // measured transport time is host time too
+        r.host.walk_ns = 3_333; // and so is the phase clock
+        assert_eq!(r.host.total_ns(), 3_333);
         let b = r.to_json();
         assert_eq!(a, b);
+        assert!(!r.profile_json().contains("3333"));
         assert!(a.starts_with("{\"makespan_ns\":999,\"handler_in_comm\":true,"));
         assert!(a.contains("\"compute_ns\":123"));
         assert!(a.contains("\"read_misses\":4"));

@@ -23,7 +23,7 @@
 
 use crate::cluster::ChargeKind;
 use crate::stats::NodeStats;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Default per-node ring capacity (entries kept for export).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -165,9 +165,10 @@ pub struct NodeTrace {
     heat: BTreeMap<u32, BlockHeat>,
     /// Payload bytes sent that no call site attributed to a block.
     unattributed_bytes: u64,
-    /// Blocks this node faulted on since the last superstep boundary —
-    /// drained by the cluster's false-sharing detector.
-    step_faults: BTreeSet<u32>,
+    /// Blocks this node faulted on since the last superstep boundary, in
+    /// fault order (a block faulted twice appears twice) — read and
+    /// cleared by the cluster's false-sharing detector.
+    step_faults: Vec<u32>,
 }
 
 impl Default for NodeTrace {
@@ -195,7 +196,7 @@ impl NodeTrace {
             cur_loop: NO_LOOP,
             heat: BTreeMap::new(),
             unattributed_bytes: 0,
-            step_faults: BTreeSet::new(),
+            step_faults: Vec::new(),
         }
     }
 
@@ -250,7 +251,7 @@ impl NodeTrace {
                         h.upgrades += 1;
                     }
                 }
-                self.step_faults.insert(block as u32);
+                self.step_faults.push(block as u32);
             }
             Event::Ctl { prim } => match prim {
                 CtlPrim::MkWritable => s.mk_writable_calls += 1,
@@ -333,11 +334,16 @@ impl NodeTrace {
         self.unattributed_bytes
     }
 
-    /// Drain the set of blocks this node faulted on since the previous
-    /// drain — the cluster's false-sharing detector calls this at every
-    /// superstep boundary.
-    pub fn take_step_faults(&mut self) -> BTreeSet<u32> {
-        std::mem::take(&mut self.step_faults)
+    /// The blocks this node faulted on since the last
+    /// [`NodeTrace::clear_step_faults`], in fault order, repeats included.
+    pub fn step_faults(&self) -> &[u32] {
+        &self.step_faults
+    }
+
+    /// Forget the faults recorded so far (capacity kept) — the cluster's
+    /// false-sharing detector calls this at every superstep boundary.
+    pub fn clear_step_faults(&mut self) {
+        self.step_faults.clear();
     }
 
     /// Timestamp of the most recently recorded event.
@@ -541,8 +547,9 @@ mod tests {
         let entries: Vec<_> = t.entries().copied().collect();
         assert_eq!((entries[0].step, entries[0].loop_id), (2, 1));
         assert_eq!((entries[1].step, entries[1].loop_id), (NO_STEP, NO_LOOP));
-        assert_eq!(t.take_step_faults().into_iter().collect::<Vec<_>>(), [9]);
-        assert!(t.take_step_faults().is_empty(), "drained");
+        assert_eq!(t.step_faults(), [9]);
+        t.clear_step_faults();
+        assert!(t.step_faults().is_empty(), "drained");
         let mut j = String::new();
         t.write_json(0, &mut j);
         assert!(j.contains("\"step\":2,\"loop\":1,"), "got: {j}");

@@ -27,7 +27,7 @@ fn main() {
                 ..CostModel::paper_dual_cpu()
             };
             let mut unopt_cfg = ExecConfig::sm_unopt(8);
-            unopt_cfg.cost = cost.clone();
+            unopt_cfg.cost = cost;
             let mut opt_cfg = ExecConfig::sm_opt(8);
             opt_cfg.cost = cost;
             let unopt = execute(&prog, &unopt_cfg);
