@@ -437,7 +437,7 @@ fn report_run(
         phases.join(" "),
         host.total_ns() as f64 / 1e6,
         run.report.wall_ns as f64 / 1e6,
-        run.schedules_cached
+        run.plans_cached
     );
 }
 

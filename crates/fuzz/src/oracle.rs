@@ -32,9 +32,6 @@ impl std::fmt::Display for Divergence {
 }
 
 fn opt_label(o: &OptLevel) -> String {
-    if !o.ctl {
-        return "ctl-off".into();
-    }
     let mut s = String::from("ctl");
     if o.bulk {
         s.push_str("+bulk");
@@ -66,7 +63,8 @@ fn sm_opt_full_label() -> String {
 pub fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
     let n = spec.nprocs;
     let mut v = vec![("sm_unopt".to_string(), ExecConfig::sm_unopt(n))];
-    for o in OptLevel::all_combos() {
+    // (`sm_unopt` *is* the ctl-off level: one backend, `OptLevel::unopt`.)
+    for o in OptLevel::all_combos().into_iter().filter(|o| o.ctl) {
         v.push((
             format!("sm_opt[{}]", opt_label(&o)),
             ExecConfig::sm_unopt(n).with_opt(o),
@@ -91,14 +89,14 @@ pub fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
 }
 
 /// Strict wire mode under every [`OptLevel`] toggle combination that
-/// [`backend_configs`] runs only on the fast path (`full` is already
-/// strict there): the corpus replays its first [`crate::STRICT_SLICE`]
+/// [`backend_configs`] runs only on the fast path (`sm_unopt` and `full`
+/// are already strict there): the corpus replays its first [`crate::STRICT_SLICE`]
 /// cases through these, so envelope routing is differentially tested at
 /// every optimization level, not just the two corners.
 pub fn strict_sweep_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
     OptLevel::all_combos()
         .into_iter()
-        .filter(|&o| o != OptLevel::full())
+        .filter(|&o| o.ctl && o != OptLevel::full())
         .map(|o| {
             (
                 format!("sm_opt[{}]/wire-strict", opt_label(&o)),

@@ -1,14 +1,16 @@
 //! The pluggable communication-backend interface.
 //!
 //! The BSP superstep driver ([`super::engine`]) is backend-agnostic: for
-//! each parallel loop it calls the hooks below in a fixed order, and a
-//! backend decides how declared accesses become data movement — default
+//! each parallel loop it calls the hooks below in a fixed order with the
+//! loop instance's [`LoopPlan`] (analysis plus lowering — backends read
+//! it, they never lower a section themselves), and a backend decides how
+//! declared accesses become data movement — default
 //! protocol faults, the §4.2 compiler-directed contract, or marshalled
 //! messages. The driver never matches on [`super::Backend`].
 
 use super::engine::EngineCore;
-use crate::analysis::LoopAccess;
 use crate::ir::ParLoop;
+use crate::plan::LoopPlan;
 use fgdsm_tempest::ReduceOp;
 
 /// One communication strategy for the superstep driver.
@@ -34,11 +36,11 @@ pub trait CommBackend {
     /// The resolve phase: discover and service every cross-node transfer
     /// the loop needs — resolve faults, execute the ctl contract, or ship
     /// messages — against the state the previous superstep left behind.
-    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess);
+    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan);
 
     /// Observe the writes the kernels just performed (e.g. PRE's
     /// redundancy cache invalidation).
-    fn note_kernel_writes(&mut self, _core: &mut EngineCore, _l: &ParLoop, _acc: &LoopAccess) {}
+    fn note_kernel_writes(&mut self, _core: &mut EngineCore, _l: &ParLoop, _plan: &LoopPlan) {}
 
     /// Combine per-node partial reduction values into the replicated
     /// scalar result, charging the reduction's communication.
@@ -49,7 +51,7 @@ pub trait CommBackend {
     /// End-of-loop cleanup and synchronization (release/barrier for the
     /// shared-memory backends; nothing for message passing, which
     /// synchronizes point-to-point).
-    fn post_loop(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess);
+    fn post_loop(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan);
 
     /// Final synchronization after the whole program.
     fn finish(&mut self, core: &mut EngineCore);

@@ -2,8 +2,10 @@
 //! state ([`EngineCore`]) every backend works against.
 //!
 //! The driver walks the program statement list; for each parallel loop it
-//! analyzes accesses (with a compile-time cache for static loops) and
-//! runs one superstep in two explicit phases:
+//! takes the loop's [`LoopPlan`] — analysis and lowering, built once for
+//! a static loop and kept in a table indexed by loop id, rebuilt every
+//! instance for a symbolic one — and runs one superstep in two explicit
+//! phases:
 //!
 //! * **Resolve phase**: the backend's [`CommBackend::resolve`] discovers
 //!   and services every cross-node fault / ctl transfer / message the
@@ -25,22 +27,21 @@
 //! trace. Nothing in this module inspects which backend is running.
 //!
 //! The default-protocol part of a resolve ([`EngineCore::resolve_default`])
-//! is an inspector/executor pair: [`EngineCore::inspect`] turns the loop's
-//! sections into a [`ResolveSchedule`] — memoized for loops whose access
-//! structure cannot change — and the executor walks it range by range
-//! through [`Dsm::write_access_range`] / [`Dsm::read_access_range`].
+//! walks the plan's [`ResolveSchedule`] range by range through
+//! [`Dsm::write_access_range`] / [`Dsm::read_access_range`].
 
 use super::backend::CommBackend;
 use super::{Backend, ExecConfig, HomeAssign, InspectorRow, RunResult};
 use crate::analysis::{self, LoopAccess};
-use crate::ir::{ARef, ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt};
-use crate::plan::{covering_range, merge_block_ranges, ArrayMeta};
+use crate::ir::{par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, Stmt};
+use crate::plan::{self, ArrayMeta, LoopPlan, ResolveSchedule};
 use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
-use fgdsm_section::{Env, Range, Section};
+use fgdsm_section::{Env, Range};
 use fgdsm_tempest::{
     CacheAligned, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job, NodeShard,
     SegmentLayout, WorkerPool, NO_LOOP, NO_STEP,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -52,8 +53,8 @@ use std::time::Instant;
 pub const PAR_COMPUTE_MIN_POINTS: u64 = 2048;
 
 /// Shared execution state: the program binding, the DSM, and the helpers
-/// every backend composes (section linearization, default-protocol
-/// resolution, the indirect-access inspector, directory-based gather).
+/// every backend composes (default-protocol resolution, the
+/// indirect-access inspector, directory-based gather).
 pub struct EngineCore<'p> {
     pub prog: &'p Program,
     pub cfg: &'p ExecConfig,
@@ -71,13 +72,12 @@ pub struct EngineCore<'p> {
     /// Supersteps executed so far; salts the `shuffle_resolve`
     /// perturbation so each loop instance gets a distinct node order.
     pub supersteps: u64,
-    /// Compile-time analysis cache: loops whose access structure mentions
-    /// no symbolic variables are analyzed once (keyed by loop address,
-    /// stable for the duration of a run).
-    analysis_cache: BTreeMap<usize, Rc<LoopAccess>>,
-    /// Profiler loop ids in program order, keyed by loop address like
-    /// `analysis_cache` (assigned by `run` over the body it executes).
-    loop_ids: BTreeMap<usize, u32>,
+    /// The per-loop table, indexed by profiler loop id (program order):
+    /// the plan of every static loop, built at its first instance — what
+    /// such a loop's sections lower to cannot change, so the table is
+    /// bounded by the number of loops, never by supersteps. A symbolic
+    /// loop's slot stays empty: its plan is rebuilt every instance.
+    plans: Vec<Option<Rc<LoopPlan>>>,
     /// Superstep index of the in-flight superstep ([`NO_STEP`] between
     /// loops); stamps [`PlannedXfer`](super::PlannedXfer) records.
     pub cur_step: u32,
@@ -90,68 +90,10 @@ pub struct EngineCore<'p> {
     /// Recycled compute-phase reduction slots, one padded cache line per
     /// node so concurrent workers' stores never share a line.
     partials_scratch: Vec<CacheAligned<f64>>,
-    /// Inspector memo, keyed by loop address like `analysis_cache` and
-    /// filled under the same condition (a static loop) when no reference
-    /// is indirect: what such a loop's sections lower to cannot change,
-    /// so it is bounded by the number of loops, never by supersteps.
-    schedule_cache: BTreeMap<usize, Rc<ResolveSchedule>>,
-    /// The inspector's recycled buffers, for the loops it re-inspects
-    /// every superstep.
-    inspect_scratch: InspectScratch,
     /// Per-loop inspector bookkeeping, indexed by profiler loop id.
     inspector: Vec<InspectorRow>,
     /// The always-on host phase clock (see [`HostPhases`]).
     phases: HostPhases,
-}
-
-/// What the default-protocol inspector derives from one loop instance:
-/// which blocks each node must be able to write and to read before its
-/// kernel runs, and which of them two nodes need at once.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ResolveSchedule {
-    /// Per node: the merged block ranges `[first, end)` covering its
-    /// written sections, ascending.
-    pub wcover: Vec<Vec<(usize, usize)>>,
-    /// Per node: the same for its read sections (indirect references
-    /// contribute the blocks the index array names right now).
-    pub rcover: Vec<Vec<(usize, usize)>>,
-    /// False-shared blocks, ascending: written by two nodes, or written
-    /// by one and read by another, in this loop instance. They take the
-    /// multiple-writer (twin/diff) path.
-    pub multi: Vec<usize>,
-}
-
-/// Buffers the inspector reuses from one superstep to the next.
-#[derive(Default)]
-struct InspectScratch {
-    sched: ResolveSchedule,
-    /// One node's raw (unmerged) covering ranges, writes and reads.
-    wraw: Vec<(usize, usize)>,
-    rraw: Vec<(usize, usize)>,
-    /// Boundary candidates, and per candidate the bitmask of nodes whose
-    /// write / read cover contains it.
-    candidates: Vec<usize>,
-    wmask: Vec<u64>,
-    rmask: Vec<u64>,
-}
-
-/// OR `bit` into `mask[i]` for every candidate `i` inside one of the
-/// `cover` ranges (both ascending).
-fn mark_covered(candidates: &[usize], cover: &[(usize, usize)], mask: &mut [u64], bit: u64) {
-    let mut ci = 0;
-    for &(f, e) in cover {
-        ci += candidates[ci..].partition_point(|&c| c < f);
-        while ci < candidates.len() && candidates[ci] < e {
-            mask[ci] |= bit;
-            ci += 1;
-        }
-    }
-}
-
-/// What the per-loop caches are keyed by: the loop's address, stable for
-/// the duration of a run (the driver executes one clone of the body).
-fn loop_key(l: &ParLoop) -> usize {
-    l as *const ParLoop as usize
 }
 
 /// Allocate every program array into a fresh page-aligned segment layout.
@@ -159,9 +101,9 @@ fn loop_key(l: &ParLoop) -> usize {
 /// agree on absolute word addresses (and therefore on `ArrayMeta` bases).
 pub(crate) fn layout_arrays(
     prog: &Program,
-    cfg: &ExecConfig,
+    words_per_page: usize,
 ) -> (SegmentLayout, Vec<ArrayMeta>, Vec<ArrayHandle>) {
-    let mut layout = SegmentLayout::new(cfg.cost.words_per_page());
+    let mut layout = SegmentLayout::new(words_per_page);
     let mut metas = Vec::with_capacity(prog.arrays.len());
     let mut handles = Vec::with_capacity(prog.arrays.len());
     for (i, a) in prog.arrays.iter().enumerate() {
@@ -215,7 +157,7 @@ fn make_transport(cfg: &ExecConfig, cluster: &Cluster) -> Option<Box<dyn WireTra
 
 impl<'p> EngineCore<'p> {
     pub fn new(prog: &'p Program, cfg: &'p ExecConfig) -> Self {
-        let (layout, metas, handles) = layout_arrays(prog, cfg);
+        let (layout, metas, handles) = layout_arrays(prog, cfg.cost.words_per_page());
         let policy = match cfg.home {
             HomeAssign::RoundRobin => HomePolicy::RoundRobin,
             HomeAssign::Blocked => HomePolicy::Blocked,
@@ -260,6 +202,7 @@ impl<'p> EngineCore<'p> {
             dsm.enable_wire_metrics();
         }
         let workers = cfg.parallel.workers().min(cfg.nprocs);
+        let n_loops = prog.par_loops().len();
         EngineCore {
             prog,
             cfg,
@@ -271,23 +214,14 @@ impl<'p> EngineCore<'p> {
             wpb: cfg.cost.words_per_block(),
             pool: (workers > 1).then(|| WorkerPool::new(workers)),
             supersteps: 0,
-            analysis_cache: BTreeMap::new(),
-            loop_ids: BTreeMap::new(),
+            plans: vec![None; n_loops],
             cur_step: NO_STEP,
             cur_loop: NO_LOOP,
             planned: Vec::new(),
             partials_scratch: Vec::new(),
-            schedule_cache: BTreeMap::new(),
-            inspect_scratch: InspectScratch::default(),
-            inspector: Vec::new(),
+            inspector: vec![InspectorRow::default(); n_loops],
             phases: HostPhases::default(),
         }
-    }
-
-    /// Profiler id of a loop: its position in program order, assigned by
-    /// `run` before execution starts ([`NO_LOOP`] if unregistered).
-    pub fn loop_id(&self, l: &ParLoop) -> u32 {
-        self.loop_ids.get(&loop_key(l)).copied().unwrap_or(NO_LOOP)
     }
 
     /// Record a contract-planned transfer of `blocks` whole cache blocks
@@ -302,187 +236,70 @@ impl<'p> EngineCore<'p> {
         });
     }
 
-    /// Per-loop access analysis with the compile-time/run-time split of
-    /// §4.1: loops with a fixed access structure are analyzed once;
-    /// symbolic loops re-evaluate their descriptors under the current
-    /// environment.
-    fn analyze(&mut self, l: &ParLoop) -> Rc<LoopAccess> {
-        let key = loop_key(l);
-        if let Some(hit) = self.analysis_cache.get(&key) {
-            return hit.clone();
+    /// The plan of this instance of loop `id`, with the compile-time /
+    /// run-time split of §4.1: a loop with a fixed access structure is
+    /// analyzed and lowered once, at its first instance; a symbolic loop
+    /// re-evaluates its descriptors under the current environment.
+    fn plan(&mut self, l: &ParLoop, id: usize) -> Rc<LoopPlan> {
+        if let Some(hit) = self.plans[id].as_ref().filter(|_| l.is_static()).cloned() {
+            self.inspector[id].hits += 1;
+            return hit;
         }
-        let fresh = Rc::new(analysis::analyze(self.prog, l, &self.env, self.cfg.nprocs));
-        if l.is_static() {
-            self.analysis_cache.insert(key, fresh.clone());
+        self.inspector[id].inspections += 1;
+        let acc = analysis::analyze(self.prog, l, &self.env, self.cfg.nprocs);
+        let t_lower = Instant::now();
+        let mut fresh = plan::lower(l, acc, &self.metas, self.wpb);
+        self.phases.inspect_ns += t_lower.elapsed().as_nanos() as u64;
+        // Must-catch `stale_resolve_schedule`: keep a symbolic loop's
+        // first plan too, and let every later instance walk its covers
+        // (nothing else of it is reused).
+        let stale = self.cfg.inject.stale_resolve_schedule;
+        if let (true, Some(first)) = (stale, &self.plans[id]) {
+            fresh.sched = first.sched.clone();
+        }
+        let fresh = Rc::new(fresh);
+        if self.plans[id].is_none() && (l.is_static() || stale) {
+            self.plans[id] = Some(fresh.clone());
         }
         fresh
     }
 
-    /// Visit the word runs `(start, len)` (absolute) of a section, with a
-    /// fallback for shapes the linearizer declines (enumerate points;
-    /// only small sections occur).
-    fn for_each_run(&self, array: usize, sec: &Section, mut f: impl FnMut(usize, usize)) {
-        let meta = &self.metas[array];
-        if let Some(lr) = meta.runs(sec) {
-            return lr.iter_runs().for_each(|(s, len)| f(s, len));
+    /// The schedule [`EngineCore::resolve_default`] walks for this
+    /// instance: the plan's (built at its first walk), unless the loop
+    /// has an indirect reference — then the blocks its index arrays name
+    /// right now join the read covers (and the false-sharing test), so it
+    /// is rebuilt from the plan's runs every instance.
+    pub fn schedule<'a>(&self, l: &ParLoop, plan: &'a LoopPlan) -> Cow<'a, ResolveSchedule> {
+        if !l.refs.iter().any(ARef::is_indirect) {
+            let direct = || plan::schedule(l, &plan.runs, &[], self.wpb);
+            return Cow::Borrowed(plan.sched.get_or_init(direct));
         }
-        assert!(
-            sec.count() <= 1 << 20,
-            "unoptimizable section too large to enumerate"
-        );
-        sec.points().iter().for_each(|pt| f(meta.offset(pt), 1));
-    }
-
-    /// The word runs of a section ([`EngineCore::for_each_run`]), collected.
-    pub fn section_runs(&self, array: usize, sec: &Section) -> Vec<(usize, usize)> {
-        let mut runs = Vec::new();
-        self.for_each_run(array, sec, |s, len| runs.push((s, len)));
-        runs
+        let gathered = |p: usize| {
+            let refs = l.refs.iter().zip(&plan.acc.sections[p]);
+            refs.filter(|(r, sec)| r.is_indirect() && !sec.is_empty())
+                .flat_map(|(r, _)| self.inspect_indirect(p, r, &plan.acc.iters[p]))
+                .collect()
+        };
+        let indirect: Vec<Vec<usize>> = (0..self.cfg.nprocs).map(gathered).collect();
+        Cow::Owned(plan::schedule(l, &plan.runs, &indirect, self.wpb))
     }
 
     /// Default-protocol access resolution: make every declared section
-    /// accessible before kernels run, counting faults. The inspector's
-    /// schedule comes from the memo when the loop's access structure is
-    /// fixed (a static loop, no indirect reference) and is rebuilt
-    /// otherwise; the executor then walks it.
-    pub fn resolve_default(&mut self, l: &ParLoop, acc: &LoopAccess) {
+    /// accessible before kernels run, counting faults, by walking the
+    /// plan's schedule.
+    pub fn resolve_default(&mut self, l: &ParLoop, plan: &LoopPlan) {
         let t0 = Instant::now();
-        let key = loop_key(l);
-        let mut memo = self.schedule_cache.get(&key).cloned();
-        if let Some(row) = self.inspector.get_mut(self.cur_loop as usize) {
-            row.hits += u64::from(memo.is_some());
-            row.inspections += u64::from(memo.is_none());
-        }
-        if memo.is_none() {
-            let mut scratch = std::mem::take(&mut self.inspect_scratch);
-            self.inspect_into(l, acc, &mut scratch);
-            // `analyze` memoizes exactly the static loops. The must-catch
-            // `stale_resolve_schedule` injection drops that condition, so
-            // a symbolic loop's next instance walks this one's covers.
-            let fixed =
-                self.analysis_cache.contains_key(&key) || self.cfg.inject.stale_resolve_schedule;
-            if fixed && !l.refs.iter().any(ARef::is_indirect) {
-                let sched = Rc::new(std::mem::take(&mut scratch.sched));
-                self.schedule_cache.insert(key, sched.clone());
-                memo = Some(sched);
-            }
-            self.inspect_scratch = scratch;
-        }
+        let sched = self.schedule(l, plan);
         let t1 = Instant::now();
-        match memo {
-            Some(sched) => self.walk(&sched),
-            None => {
-                let sched = std::mem::take(&mut self.inspect_scratch.sched);
-                self.walk(&sched);
-                self.inspect_scratch.sched = sched;
-            }
-        }
+        self.walk(&sched);
         self.phases.inspect_ns += (t1 - t0).as_nanos() as u64;
         self.phases.walk_ns += t1.elapsed().as_nanos() as u64;
     }
 
-    /// Does the memo hold a schedule for `l`?
-    pub fn schedule_memoized(&self, l: &ParLoop) -> bool {
-        self.schedule_cache.contains_key(&loop_key(l))
-    }
-
-    /// The inspector: lower one loop instance's sections to a
-    /// [`ResolveSchedule`] (a fresh one; [`EngineCore::resolve_default`]
-    /// is what consults the memo).
-    pub fn inspect(&mut self, l: &ParLoop, acc: &LoopAccess) -> ResolveSchedule {
-        let mut scratch = std::mem::take(&mut self.inspect_scratch);
-        self.inspect_into(l, acc, &mut scratch);
-        let sched = scratch.sched.clone();
-        self.inspect_scratch = scratch;
-        sched
-    }
-
-    /// Fill `scratch.sched` for one loop instance. Per node, every
-    /// reference's strided runs become raw covering block ranges (merged
-    /// into the node's covers) and every raw *write* run contributes its
-    /// first and last block as boundary candidates: a block written by
-    /// two nodes necessarily contains a section boundary of each, so it is
-    /// an extremal block of at least one raw run of every writer.
-    fn inspect_into(&self, l: &ParLoop, acc: &LoopAccess, scratch: &mut InspectScratch) {
-        let nprocs = self.cfg.nprocs;
-        let wpb = self.wpb;
-        let InspectScratch {
-            sched,
-            wraw,
-            rraw,
-            candidates,
-            wmask,
-            rmask,
-        } = scratch;
-        sched.wcover.resize_with(nprocs, Vec::new);
-        sched.rcover.resize_with(nprocs, Vec::new);
-        candidates.clear();
-        for p in 0..nprocs {
-            wraw.clear();
-            rraw.clear();
-            for (ri, r) in l.refs.iter().enumerate() {
-                let sec = &acc.sections[p][ri];
-                if sec.is_empty() {
-                    continue;
-                }
-                if r.is_indirect() {
-                    // Resolve the blocks this node actually touches by
-                    // reading the index array (a real DSM faults on
-                    // demand; the conservative section would grossly
-                    // over-fault).
-                    let offs = self.inspect_indirect(p, r, &acc.iters[p]);
-                    rraw.extend(offs.into_iter().map(|off| covering_range(off, 1, wpb)));
-                    continue;
-                }
-                let is_write = r.mode == RefMode::Write;
-                let raw = if is_write { &mut *wraw } else { &mut *rraw };
-                self.for_each_run(r.array.0, sec, |start, len| {
-                    if len == 0 {
-                        return;
-                    }
-                    let (f, e) = covering_range(start, len, wpb);
-                    raw.push((f, e));
-                    if is_write {
-                        candidates.push(f);
-                        candidates.push(e - 1);
-                    }
-                });
-            }
-            merge_block_ranges(wraw, &mut sched.wcover[p]);
-            merge_block_ranges(rraw, &mut sched.rcover[p]);
-        }
-        // A candidate block needs the multiple-writer (twin/diff) path if
-        // two or more nodes write it, or if one node writes it while
-        // another reads it in the same interval — in the real system the
-        // writer would simply re-fault after the reader's downgrade; in
-        // the BSP engine the writer must keep its writable copy through
-        // the read sub-phase. One pass of the sorted candidates against
-        // each node's sorted covers collects who writes and who reads
-        // each.
-        candidates.sort_unstable();
-        candidates.dedup();
-        wmask.clear();
-        wmask.resize(candidates.len(), 0);
-        rmask.clear();
-        rmask.resize(candidates.len(), 0);
-        for p in 0..nprocs {
-            mark_covered(candidates, &sched.wcover[p], wmask, 1 << p);
-            mark_covered(candidates, &sched.rcover[p], rmask, 1 << p);
-        }
-        sched.multi.clear();
-        sched.multi.extend(
-            candidates
-                .iter()
-                .zip(wmask.iter().zip(rmask.iter()))
-                .filter(|&(_, (&w, &r))| w.count_ones() >= 2 || (w != 0 && r & !w != 0))
-                .map(|(&b, _)| b),
-        );
-    }
-
-    /// Node visiting order of the executor's sub-phases. Under the
-    /// tolerated `shuffle_resolve` perturbation it is randomized per
-    /// superstep — on a memo hit like on a miss: the protocol contract
-    /// must be insensitive to which node faults first.
+    /// Node visiting order of the walk's sub-phases. Under the tolerated
+    /// `shuffle_resolve` perturbation it is randomized per superstep — on
+    /// a cached plan like on a fresh one: the protocol contract must be
+    /// insensitive to which node faults first.
     pub fn resolve_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.cfg.nprocs).collect();
         if let Some(seed) = self.cfg.inject.shuffle_resolve {
@@ -491,7 +308,7 @@ impl<'p> EngineCore<'p> {
         order
     }
 
-    /// The executor: all nodes' writes — false-shared blocks through the
+    /// The walk: all nodes' writes — false-shared blocks through the
     /// multiple-writer path, the stretches between them a range at a time
     /// — then all nodes' reads.
     fn walk(&mut self, sched: &ResolveSchedule) {
@@ -586,16 +403,8 @@ pub(super) fn run(
     let wall_start = std::time::Instant::now();
     let mut core = EngineCore::new(prog, cfg);
     backend.validate(&core);
-    let body = prog.body.clone();
-    // Register profiler loop ids over the body actually executed (the
-    // clone), in program order — the same order `Program::par_loops`
-    // yields, so report consumers can map ids back to loop names.
-    for (i, l) in crate::ir::par_loops_of(&body).into_iter().enumerate() {
-        core.loop_ids.insert(loop_key(l), i as u32);
-    }
-    core.inspector = vec![InspectorRow::default(); core.loop_ids.len()];
     core.phases.setup_ns = wall_start.elapsed().as_nanos() as u64;
-    exec_stmts(&mut core, backend.as_mut(), &body);
+    exec_stmts(&mut core, backend.as_mut(), &prog.body, 0);
     let t_finish = Instant::now();
     // Final synchronization so the report reflects a completed program.
     backend.finish(&mut core);
@@ -634,7 +443,7 @@ pub(super) fn run(
         pre_performed,
         planned: core.planned,
         inspector: core.inspector,
-        schedules_cached: core.schedule_cache.len(),
+        plans_cached: core.plans.iter().flatten().count(),
         wire_frames,
         wire_payload_bytes,
         wire_batches,
@@ -677,19 +486,27 @@ fn verify_post_run(dsm: &Dsm, report: &ClusterReport) {
     }
 }
 
-fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stmt]) {
+/// Execute `stmts`, whose first parallel loop has profiler id `id`: ids
+/// count loops in program order (the order `Program::par_loops` yields,
+/// so report consumers can map them back to names), and a loop inside a
+/// `Stmt::Time` keeps its id on every iteration.
+fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stmt], mut id: u32) {
     for s in stmts {
         match s {
-            Stmt::Par(l) => exec_par(core, backend, l),
+            Stmt::Par(l) => {
+                exec_par(core, backend, l, id);
+                id += 1;
+            }
             Stmt::Time { var, count, body } => {
                 let saved = core.env.get(*var);
                 for t in 0..*count {
                     core.env.set(*var, t);
-                    exec_stmts(core, backend, body);
+                    exec_stmts(core, backend, body, id);
                 }
                 if let Some(v) = saved {
                     core.env.set(*var, v);
                 }
+                id += par_loops_of(body).len() as u32;
             }
             Stmt::Scalar { name, f } => {
                 let v = f(&core.scalars);
@@ -707,17 +524,17 @@ fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stm
 /// thread), then the **compute phase** (kernels on their own shards,
 /// possibly threaded), then write observation, reduction, backend
 /// cleanup and the superstep boundary.
-fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
+fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, loop_id: u32) {
     let nprocs = core.cfg.nprocs;
     let t_start = Instant::now();
-    let acc = core.analyze(l);
-    let acc = &*acc;
+    let lower_before = core.phases.inspect_ns;
+    let plan_rc = core.plan(l, loop_id as usize);
+    let plan = &*plan_rc;
     core.supersteps += 1;
 
     // Open the profiler interval: every event from here to the closing
     // `end_superstep` is stamped with (superstep index, loop id).
     let step = (core.supersteps - 1) as u32;
-    let loop_id = core.loop_id(l);
     core.cur_step = step;
     core.cur_loop = loop_id;
     core.dsm.cluster.begin_superstep(step, loop_id);
@@ -730,12 +547,14 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
         // RTOE excuse is not needed for copies that no longer exist.
         core.dsm.clear_iw_memo();
     }
-    // Phase clock: `resolve_default` books its own inspect and walk time;
-    // whatever else the backend's resolve took is its own communication.
+    // Phase clock: `plan` booked the lowering and `resolve_default` books
+    // its own inspect and walk time; whatever else the backend's resolve
+    // takes is its own communication.
     let t_resolve = Instant::now();
-    core.phases.analyze_ns += (t_resolve - t_start).as_nanos() as u64;
+    let lower_ns = core.phases.inspect_ns - lower_before;
+    core.phases.analyze_ns += ((t_resolve - t_start).as_nanos() as u64).saturating_sub(lower_ns);
     let default_before = core.phases.inspect_ns + core.phases.walk_ns;
-    backend.resolve(core, l, acc);
+    backend.resolve(core, l, plan);
     let t_compute = Instant::now();
     let default_ns = core.phases.inspect_ns + core.phases.walk_ns - default_before;
     core.phases.ctl_ns += ((t_compute - t_resolve).as_nanos() as u64).saturating_sub(default_ns);
@@ -747,11 +566,11 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
     let mut partials = std::mem::take(&mut core.partials_scratch);
     partials.clear();
     partials.resize(nprocs, CacheAligned(0.0));
-    compute_phase(core, l, acc, &mut partials);
+    compute_phase(core, l, &plan.acc, &mut partials);
     let t_post = Instant::now();
     core.phases.compute_ns += (t_post - t_compute).as_nanos() as u64;
 
-    backend.note_kernel_writes(core, l, acc);
+    backend.note_kernel_writes(core, l, plan);
 
     // Reduction.
     if let Some(rs) = l.reduction {
@@ -764,10 +583,11 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
     // End of loop: backend cleanup + synchronization, then close the
     // profiler interval (stamps the superstep boundary into the event
     // trace, snapshots per-node stats, and runs the false-sharing scan).
-    backend.post_loop(core, l, acc);
+    backend.post_loop(core, l, plan);
     core.dsm.cluster.end_superstep(step, loop_id);
     core.cur_step = NO_STEP;
     core.cur_loop = NO_LOOP;
+    drop(plan_rc); // a symbolic loop's plan dies here, inside the clock
     core.phases.post_loop_ns += t_post.elapsed().as_nanos() as u64;
 }
 

@@ -1,14 +1,14 @@
 //! Executors: run a mini-HPF program over the simulated DSM.
 //!
 //! The executor is split into a backend-agnostic BSP **superstep driver**
-//! ([`engine`]) and three pluggable **communication backends** behind the
+//! ([`engine`]) and two pluggable **communication backends** behind the
 //! [`backend::CommBackend`] trait:
 //!
-//! * [`sm_unopt::SmUnopt`] — every remote access goes through the default
-//!   protocol: before a loop's kernels run, each node's declared
-//!   read/write sections are resolved block-by-block (faults,
-//!   invalidations, 4-hop forwards), exactly what the authors'
-//!   unoptimized shared-memory compiler emits.
+//! * [`sm_opt::SmOpt`] at [`OptLevel::unopt`] ([`Backend::SmUnopt`]) —
+//!   every remote access goes through the default protocol: before a
+//!   loop's kernels run, each node's declared read/write sections are
+//!   resolved (faults, invalidations, 4-hop forwards), exactly what the
+//!   authors' unoptimized shared-memory compiler emits.
 //! * [`sm_opt::SmOpt`] — the compiler-orchestrated incoherence of §4.2:
 //!   per-loop access analysis finds the producer→consumer transfers,
 //!   `shmem_limits` shrinks them to whole blocks, and the §4.2 call
@@ -58,7 +58,6 @@ pub mod engine;
 pub mod mp;
 pub mod reference;
 pub mod sm_opt;
-pub mod sm_unopt;
 
 pub use reference::{execute_reference, ReferenceResult};
 
@@ -297,11 +296,10 @@ pub struct InjectConfig {
     /// [`fgdsm_protocol::WireError`] within the configured deadline —
     /// no hang, no partial artifact. No effect without a carrier.
     pub node_fault: Option<(u32, fgdsm_protocol::NodeFault)>,
-    /// Must-catch: memoize the default-protocol inspector's schedule by
-    /// loop alone even when the loop is *symbolic*, so the next instance
-    /// walks the previous one's covers and blocks the new sections reach
-    /// are never made accessible. (No effect on loops with an indirect
-    /// reference, which are never memoized.)
+    /// Must-catch: keep a *symbolic* loop's first default-protocol
+    /// schedule and walk it on every later instance, so blocks the new
+    /// sections reach are never made accessible. (No effect on loops with
+    /// an indirect reference, whose schedule is rebuilt at walk time.)
     pub stale_resolve_schedule: bool,
     /// Must-catch: skip the coordinator's per-class `payload_bytes.*`
     /// metrics counter for the first envelope encoded — the run itself
@@ -445,10 +443,10 @@ pub struct PlannedXfer {
     pub bytes: u64,
 }
 
-/// The default-protocol inspector's bookkeeping for one parallel loop:
-/// how many of its instances built a schedule and how many reused the
-/// memoized one. A loop whose access structure is fixed inspects once
-/// per run; a symbolic or indirect one inspects every instance.
+/// Plan bookkeeping for one parallel loop: how many of its instances
+/// built a plan (`inspections`) and how many reused the one in the
+/// per-loop table (`hits`). A loop whose access structure is fixed builds
+/// once per run; a symbolic one every instance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InspectorRow {
     pub inspections: u64,
@@ -470,13 +468,12 @@ pub struct RunResult {
     /// Contract-planned transfer volumes, in planning order (empty for
     /// backends that plan nothing: `sm_unopt`, `mp`).
     pub planned: Vec<PlannedXfer>,
-    /// Inspector bookkeeping per parallel loop, indexed by loop id
-    /// (program order; all zero for `mp`, which never runs the default
-    /// protocol). Host-side bookkeeping, in no canonical artifact.
+    /// Plan bookkeeping per parallel loop, indexed by loop id (program
+    /// order). Host-side bookkeeping, in no canonical artifact.
     pub inspector: Vec<InspectorRow>,
-    /// Schedules the inspector memo held at the end of the run — never
-    /// more than the program has loops.
-    pub schedules_cached: usize,
+    /// Plans the per-loop table held at the end of the run — never more
+    /// than the program has loops.
+    pub plans_cached: usize,
     /// Envelope frames routed through the wire layer (0 on the zero-copy
     /// fast path). Wire accounting only — deliberately outside the
     /// canonical report so strict and fast runs stay byte-identical.
@@ -594,12 +591,13 @@ impl RunResult {
 /// `engine::make_transport` (which carrier moves the envelopes) this is
 /// one of the only two places the [`Backend`] enum is dispatched on.
 fn make_backend(cfg: &ExecConfig) -> Box<dyn CommBackend> {
-    match cfg.backend {
-        Backend::SmUnopt => Box::new(sm_unopt::SmUnopt),
-        Backend::SmOpt(opt) => Box::new(sm_opt::SmOpt::new(opt)),
-        Backend::Chan | Backend::Tcp => Box::new(sm_opt::SmOpt::new(OptLevel::full())),
-        Backend::Mp => Box::new(mp::Mp::new(cfg.nprocs)),
-    }
+    let opt = match cfg.backend {
+        Backend::Mp => return Box::new(mp::Mp::new(cfg.nprocs)),
+        Backend::SmUnopt => OptLevel::unopt(),
+        Backend::SmOpt(opt) => opt,
+        Backend::Chan | Backend::Tcp => OptLevel::full(),
+    };
+    Box::new(sm_opt::SmOpt::new(opt))
 }
 
 /// Execute `prog` under `cfg`.

@@ -3,9 +3,10 @@
 
 use super::backend::CommBackend;
 use super::engine::EngineCore;
-use crate::analysis::LoopAccess;
 use crate::ir::{ParLoop, RefMode};
+use crate::plan::LoopPlan;
 use fgdsm_protocol::{MpRuntime, MpSendPlan};
+use fgdsm_section::{Section, StridedRange};
 use fgdsm_tempest::ReduceOp;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,56 +27,39 @@ impl Mp {
 }
 
 impl CommBackend for Mp {
-    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
+    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         let mut users: BTreeSet<usize> = BTreeSet::new();
         // Planned strided sends, merged per (owner, user) pair.
         let mut plans: BTreeMap<(usize, usize), MpSendPlan> = BTreeMap::new();
-        // Group identical sections by (owner, array, section).
-        let mut groups: BTreeMap<(usize, usize, String), Vec<usize>> = BTreeMap::new();
-        for t in acc.read_transfers.iter().chain(&acc.write_transfers) {
-            groups
-                .entry((t.owner, t.array, format!("{}", t.section)))
-                .or_default()
-                .push(t.user);
+        // The users of each distinct (owner, array, section).
+        let mut groups: BTreeMap<(usize, usize, &Section), Vec<usize>> = BTreeMap::new();
+        for (t, _) in plan.transfers() {
+            let key = (t.owner, t.array, &t.section);
+            groups.entry(key).or_default().push(t.user);
         }
-        for t in acc.read_transfers.iter().chain(&acc.write_transfers) {
-            let meta = &core.metas[t.array];
-            let Some(runs) = meta.runs(&t.section) else {
-                // Fall back to per-point packing in one message.
-                let pts = t.section.points();
-                for pt in &pts {
-                    let off = meta.offset(pt);
-                    core.dsm.wire_copy(t.owner, t.user, off, 1);
-                }
-                continue;
-            };
-            let group = &groups[&(t.owner, t.array, format!("{}", t.section))];
+        for ((t, _), runs) in plan.transfers().zip(&plan.xfer_runs) {
+            // The runtime's stride of a single run is 1, not 0.
+            let sections = runs.runs.iter().map(|sr| StridedRange {
+                stride: sr.stride.max(1),
+                ..*sr
+            });
+            let group = &groups[&(t.owner, t.array, &t.section)];
             if group.len() >= 3 {
                 // Broadcast once, on behalf of the whole group.
                 if group[0] == t.user {
-                    for sr in &runs.runs {
-                        self.mp.broadcast(
-                            &mut core.dsm,
-                            t.owner,
-                            group,
-                            sr.base,
-                            sr.run_len,
-                            sr.stride.max(1),
-                            sr.count,
-                        );
+                    for sr in sections {
+                        self.mp.broadcast(&mut core.dsm, t.owner, group, sr);
                     }
                 }
             } else {
                 // Plan → apply: accumulate the strided sections per
                 // (owner, user) pair; the pairs apply in plan order after
                 // the broadcasts.
-                let plan = plans
+                plans
                     .entry((t.owner, t.user))
-                    .or_insert_with(|| self.mp.take_send_plan(t.owner, t.user));
-                for sr in &runs.runs {
-                    plan.sections
-                        .push((sr.base, sr.run_len, sr.stride.max(1), sr.count));
-                }
+                    .or_insert_with(|| self.mp.take_send_plan(t.owner, t.user))
+                    .sections
+                    .extend(sections);
             }
             users.insert(t.user);
         }
@@ -88,10 +72,10 @@ impl CommBackend for Mp {
             self.mp.recv_all(&mut core.dsm.cluster, u);
         }
         // Map each node's own written pages (first touch).
-        for p in 0..core.cfg.nprocs {
-            for (ri, r) in l.refs.iter().enumerate() {
-                if r.mode == RefMode::Write && !acc.sections[p][ri].is_empty() {
-                    for (s, len) in core.section_runs(r.array.0, &acc.sections[p][ri]) {
+        for (p, per_ref) in plan.runs.iter().enumerate() {
+            for (r, lr) in l.refs.iter().zip(per_ref) {
+                if r.mode == RefMode::Write {
+                    for (s, len) in lr.iter_runs() {
                         core.dsm.cluster.map_range(p, s, len);
                     }
                 }
@@ -103,7 +87,7 @@ impl CommBackend for Mp {
         self.mp.allreduce(&mut core.dsm.cluster, partials, op)
     }
 
-    fn post_loop(&mut self, _core: &mut EngineCore, _l: &ParLoop, _acc: &LoopAccess) {
+    fn post_loop(&mut self, _core: &mut EngineCore, _l: &ParLoop, _plan: &LoopPlan) {
         // Point-to-point synchronization only: no loop-end barrier.
     }
 
@@ -121,7 +105,7 @@ impl CommBackend for Mp {
                 if sec.is_empty() {
                     continue;
                 }
-                for (s, len) in core.section_runs(i, &sec) {
+                for (s, len) in core.metas[i].runs(&sec).iter_runs() {
                     out[s..s + len].copy_from_slice(&core.dsm.cluster.node_mem(p)[s..s + len]);
                 }
             }

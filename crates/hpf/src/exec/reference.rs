@@ -55,7 +55,7 @@ impl ReferenceResult {
 /// cost model's page size (for array placement) are read; the backend,
 /// protocol, parallelism and injection knobs are ignored.
 pub fn execute_reference(prog: &Program, cfg: &ExecConfig) -> ReferenceResult {
-    let (layout, metas, handles) = layout_arrays(prog, cfg);
+    let (layout, metas, handles) = layout_arrays(prog, cfg.cost.words_per_page());
     let mut data = vec![0.0f64; layout.total_words()];
     let mut env = cfg.base_env.clone();
     let mut scalars: BTreeMap<&'static str, f64> = prog.scalars.iter().copied().collect();

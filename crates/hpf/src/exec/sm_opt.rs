@@ -1,13 +1,14 @@
-//! The optimized shared-memory backend: compiler-orchestrated incoherence
-//! (§4.2) with optional bulk transfer, run-time overhead elimination
-//! (§4.3) and partial-redundancy elimination of transfers.
+//! The shared-memory backend: the default protocol, plus — from
+//! [`OptLevel::ctl`] up — compiler-orchestrated incoherence (§4.2) with
+//! optional bulk transfer, run-time overhead elimination (§4.3) and
+//! partial-redundancy elimination of transfers.
 
 use super::backend::CommBackend;
 use super::engine::EngineCore;
-use crate::analysis::LoopAccess;
 use crate::ir::{ParLoop, RefMode};
-use crate::plan::{shmem_limits, OptLevel};
+use crate::plan::{merge_block_ranges, LoopPlan, OptLevel};
 use crate::redundancy::PreCache;
+use fgdsm_protocol::FlushEntry;
 use std::collections::BTreeMap;
 
 /// Per-loop access analysis finds the producer→consumer transfers,
@@ -15,13 +16,15 @@ use std::collections::BTreeMap;
 /// contract (`mk_writable` / barrier / `implicit_writable` / barrier /
 /// `send` + `ready_to_recv` / loop / `implicit_invalidate` / barrier)
 /// moves the data. Boundary blocks and cold misses still take the default
-/// path ([`EngineCore::resolve_default`] runs after the contract).
+/// path ([`EngineCore::resolve_default`] runs after the contract). With
+/// [`OptLevel::unopt`] there is no contract and every remote access goes
+/// through the default protocol — faults, invalidations, 4-hop forwards —
+/// exactly what the authors' unoptimized shared-memory compiler emits.
 pub struct SmOpt {
     opt: OptLevel,
     pre: PreCache,
-    /// Non-owner-write flushes pending for the current loop's cleanup:
-    /// (writer, owner, first, end, array).
-    pending_flushes: Vec<(usize, usize, usize, usize, usize)>,
+    /// Non-owner-write flushes pending for the current loop's cleanup.
+    pending_flushes: Vec<FlushEntry>,
     /// Reader invalidations pending for the current loop's cleanup.
     pending_invalidate: Vec<(usize, usize, usize)>,
 }
@@ -38,14 +41,13 @@ impl SmOpt {
 
     /// Build the per-loop compiler-control schedule and execute the §4.2
     /// contract up to (and including) the data push.
-    fn comm_ctl(&mut self, core: &mut EngineCore, acc: &LoopAccess) {
+    fn comm_ctl(&mut self, core: &mut EngineCore, plan: &LoopPlan) {
         let wpb = core.wpb;
         // Merged send entries: (owner, array, first, end) → readers.
         let mut sends: BTreeMap<(usize, usize, usize, usize), Vec<usize>> = BTreeMap::new();
         // Incoming ranges per node (for implicit_writable / invalidate).
         let mut incoming: BTreeMap<usize, Vec<(usize, usize, usize)>> = BTreeMap::new();
-        // Non-owner-write flushes: (writer, owner, first, end, array).
-        let mut flushes: Vec<(usize, usize, usize, usize, usize)> = Vec::new();
+        let mut flushes: Vec<FlushEntry> = Vec::new();
 
         let opt = self.opt;
         // Collect per (owner, array, user): the ctl ranges of every
@@ -55,19 +57,9 @@ impl SmOpt {
         // sections that would otherwise be pushed twice.
         type UserKey = (usize, usize, usize, bool); // (owner, array, user, is_write)
         let mut per_user: BTreeMap<UserKey, Vec<(usize, usize)>> = BTreeMap::new();
-        for (t, is_write) in acc
-            .read_transfers
-            .iter()
-            .map(|t| (t, false))
-            .chain(acc.write_transfers.iter().map(|t| (t, true)))
-        {
-            if t.indirect {
-                continue; // statically unanalyzable: default protocol only
-            }
-            let Some(runs) = core.metas[t.array].runs(&t.section) else {
-                continue; // unsupported shape: left entirely to the default protocol
-            };
-            let cr = shmem_limits(&runs, wpb);
+        // (An indirect transfer is statically unanalyzable: its ctl ranges
+        // are empty and it is left to the default protocol.)
+        for ((t, is_write), cr) in plan.transfers().zip(&plan.xfer_ctl) {
             if !cr.ctl.is_empty() {
                 per_user
                     .entry((t.owner, t.array, t.user, is_write))
@@ -76,15 +68,7 @@ impl SmOpt {
             }
         }
         for ((owner, array, user, is_write), mut ranges) in per_user {
-            ranges.sort_unstable();
-            let mut merged: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
-            for (f, e) in ranges {
-                match merged.last_mut() {
-                    Some(last) if f <= last.1 => last.1 = last.1.max(e),
-                    _ => merged.push((f, e)),
-                }
-            }
-            for (f, e) in merged {
+            for (f, e) in merge_block_ranges(&mut ranges) {
                 let (f, e) = if core.cfg.inject.force_boundary {
                     // Tolerated perturbation: retreat each ctl range by one
                     // block per end, forcing the dropped boundary blocks
@@ -107,7 +91,13 @@ impl SmOpt {
                 sends.entry((owner, array, f, e)).or_default().push(user);
                 incoming.entry(user).or_default().push((array, f, e));
                 if is_write {
-                    flushes.push((user, owner, f, e, array));
+                    flushes.push(FlushEntry {
+                        writer: user,
+                        owner,
+                        first: f,
+                        end: e,
+                        array: array as u32,
+                    });
                     // The write-back is part of the planned section volume.
                     core.note_planned(array, (e - f) as u64);
                 }
@@ -210,16 +200,7 @@ impl SmOpt {
     /// controlled copies (skipped under RTOE), non-owner writers flush —
     /// through the same plan/apply pipeline as the pushes.
     fn cleanup_ctl(&mut self, core: &mut EngineCore) {
-        let entries: Vec<fgdsm_protocol::FlushEntry> = std::mem::take(&mut self.pending_flushes)
-            .into_iter()
-            .map(|(w, o, f, e, a)| fgdsm_protocol::FlushEntry {
-                writer: w,
-                owner: o,
-                first: f,
-                end: e,
-                array: a as u32,
-            })
-            .collect();
+        let entries = std::mem::take(&mut self.pending_flushes);
         let plans = core.dsm.plan_flushes(&entries, self.opt.bulk);
         core.dsm.apply_plans(&plans);
         core.dsm.recycle_plans(plans);
@@ -244,22 +225,22 @@ impl CommBackend for SmOpt {
         );
     }
 
-    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
+    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         self.pre.tick();
         if self.opt.ctl {
-            self.comm_ctl(core, acc);
+            self.comm_ctl(core, plan);
         }
-        core.resolve_default(l, acc);
+        core.resolve_default(l, plan);
     }
 
-    fn note_kernel_writes(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
+    fn note_kernel_writes(&mut self, _core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         if !self.opt.pre {
             return;
         }
-        for p in 0..core.cfg.nprocs {
-            for (ri, r) in l.refs.iter().enumerate() {
-                if r.mode == RefMode::Write && !acc.sections[p][ri].is_empty() {
-                    for (s, len) in core.section_runs(r.array.0, &acc.sections[p][ri]) {
+        for per_ref in &plan.runs {
+            for (r, lr) in l.refs.iter().zip(per_ref) {
+                if r.mode == RefMode::Write {
+                    for (s, len) in lr.iter_runs() {
                         self.pre.record_write(r.array.0, s, len);
                     }
                 }
@@ -267,7 +248,7 @@ impl CommBackend for SmOpt {
         }
     }
 
-    fn post_loop(&mut self, core: &mut EngineCore, _l: &ParLoop, _acc: &LoopAccess) {
+    fn post_loop(&mut self, core: &mut EngineCore, _l: &ParLoop, _plan: &LoopPlan) {
         if self.opt.ctl {
             self.cleanup_ctl(core);
         }

@@ -9,19 +9,21 @@
 //!   time loops, reductions, and native kernels;
 //! * [`analysis`] — access-set analysis: non-owner-read / non-owner-write
 //!   sets per processor, split into point-to-point transfers (§4.1);
-//! * [`plan`] — `shmem_limits` block subsetting and the optimization
-//!   levels of Figure 4 (base / +bulk / +run-time-overhead-elimination),
-//!   plus the PRE extension;
+//! * [`plan`] — lowering: one pass per loop instance from sections to
+//!   word runs and block ranges ([`LoopPlan`]: the default-protocol
+//!   schedule and the `shmem_limits` block subsetting), and the
+//!   optimization levels of Figure 4 (base / +bulk /
+//!   +run-time-overhead-elimination), plus the PRE extension;
 //! * [`redundancy`] — the transfer cache behind redundant-communication
 //!   elimination (§4.3);
 //! * [`report`] — `-Minfo`-style diagnostics of the per-loop analysis
 //!   and planning decisions;
 //! * [`exec`] — execution: a backend-agnostic BSP superstep driver
-//!   ([`exec::engine`]) plus three pluggable communication backends
-//!   behind the [`exec::backend::CommBackend`] trait — unoptimized
-//!   shared memory ([`exec::sm_unopt`]), optimized shared memory with
-//!   compiler-orchestrated incoherence ([`exec::sm_opt`]) and message
-//!   passing ([`exec::mp`]) — all over the same program. The `chan` and
+//!   ([`exec::engine`]) plus two pluggable communication backends
+//!   behind the [`exec::backend::CommBackend`] trait — shared memory
+//!   ([`exec::sm_opt`]: the default protocol alone, or with
+//!   compiler-orchestrated incoherence) and message passing
+//!   ([`exec::mp`]) — all over the same program. The `chan` and
 //!   `tcp` configurations run the optimized backend with every transfer
 //!   round-tripped through encoded wire envelopes over a channel or
 //!   socket transport ([`ExecConfig::strict`] forces the same discipline,
@@ -51,6 +53,6 @@ pub use ir::{
     ARef, ArrayHandle, CompDist, Kernel, KernelCtx, KernelFn, ParLoop, Program, ProgramBuilder,
     ReduceSpec, RefMode, Stmt, Subscript,
 };
-pub use plan::{covering_blocks, shmem_limits, ArrayMeta, CtlRanges, OptLevel};
+pub use plan::{covering_blocks, shmem_limits, ArrayMeta, CtlRanges, LoopPlan, OptLevel};
 pub use redundancy::PreCache;
 pub use report::{analyze_program, render, LoopReport, TransferReport};

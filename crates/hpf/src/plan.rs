@@ -1,5 +1,10 @@
 //! Lowering access sets to cache-block ranges and optimization levels.
 //!
+//! [`lower`] is the one place a loop instance's sections become word
+//! runs and block ranges: it returns a [`LoopPlan`], plain data that the
+//! engine's default-protocol walk, the §4.2 contract, the message-passing
+//! backend and the `-Minfo` report only read.
+//!
 //! `shmem_limits` (§4.2, Figure 2A): a transfer section is linearized to
 //! contiguous (or 2-D strided) virtual-address runs, and each run is
 //! shrunk to the whole blocks strictly inside it. The whole blocks go
@@ -7,8 +12,11 @@
 //! default protocol — this is what limits `grav` (small extents, edge
 //! effects "pronounced at 128-byte blocksize") and late `lu` iterations.
 
+use crate::analysis::{LoopAccess, Transfer};
 use crate::dist::ArrayId;
+use crate::ir::{ARef, ParLoop, RefMode};
 use fgdsm_section::{block_subset, ColumnMajor, LinearRanges, Section};
+use std::cell::OnceCell;
 
 /// Which of the paper's optimizations are enabled (Figure 4's ablation).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,14 +117,13 @@ pub struct ArrayMeta {
 
 impl ArrayMeta {
     /// Linearize a section of this array to absolute word runs in the
-    /// global segment. Returns `None` for shapes the compiler declines to
-    /// optimize (never happens for the shapes our distributions produce).
-    pub fn runs(&self, sec: &Section) -> Option<LinearRanges> {
-        let mut lr = self.layout.linearize(sec)?;
+    /// global segment (total, like [`ColumnMajor::linearize`]).
+    pub fn runs(&self, sec: &Section) -> LinearRanges {
+        let mut lr = self.layout.linearize(sec);
         for r in &mut lr.runs {
             r.base += self.base;
         }
-        Some(lr)
+        lr
     }
 
     /// Absolute word offset of an element.
@@ -171,15 +178,7 @@ pub fn shmem_limits(runs: &LinearRanges, words_per_block: usize) -> CtlRanges {
     }
     // Coalesce adjacent ctl ranges (several exactly-adjacent runs, e.g.
     // whole columns, merge into one range → one bulk train).
-    out.ctl.sort_unstable();
-    let mut merged: Vec<(usize, usize)> = Vec::with_capacity(out.ctl.len());
-    for (f, e) in out.ctl.drain(..) {
-        match merged.last_mut() {
-            Some(last) if last.1 == f => last.1 = e,
-            _ => merged.push((f, e)),
-        }
-    }
-    out.ctl = merged;
+    out.ctl = merge_block_ranges(&mut out.ctl);
     out
 }
 
@@ -191,13 +190,11 @@ pub fn covering_blocks(runs: &LinearRanges, words_per_block: usize) -> Vec<(usiz
         .filter(|&(_, len)| len > 0)
         .map(|(start, len)| covering_range(start, len, words_per_block))
         .collect();
-    let mut merged = Vec::new();
-    merge_block_ranges(&mut raw, &mut merged);
-    merged
+    merge_block_ranges(&mut raw)
 }
 
 /// The block range `[first, end)` covering the `len > 0` words at `start`.
-pub(crate) fn covering_range(start: usize, len: usize, words_per_block: usize) -> (usize, usize) {
+fn covering_range(start: usize, len: usize, words_per_block: usize) -> (usize, usize) {
     (
         start / words_per_block,
         (start + len).div_ceil(words_per_block),
@@ -205,17 +202,177 @@ pub(crate) fn covering_range(start: usize, len: usize, words_per_block: usize) -
 }
 
 /// Sort `raw` block ranges and coalesce the overlapping and the adjacent
-/// into `merged` (cleared first): both buffers are the caller's, so the
-/// engine's per-superstep inspector recycles their capacity.
-pub(crate) fn merge_block_ranges(raw: &mut [(usize, usize)], merged: &mut Vec<(usize, usize)>) {
-    merged.clear();
+/// (in place, then copied out at their exact size: covers live as long
+/// as a cached plan does).
+pub(crate) fn merge_block_ranges(raw: &mut [(usize, usize)]) -> Vec<(usize, usize)> {
     raw.sort_unstable();
-    for &(f, e) in raw.iter() {
-        match merged.last_mut() {
-            Some(last) if f <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((f, e)),
+    let mut n = 0; // raw[..n] is merged
+    for i in 0..raw.len() {
+        let (f, e) = raw[i];
+        if n > 0 && f <= raw[n - 1].1 {
+            raw[n - 1].1 = raw[n - 1].1.max(e);
+        } else {
+            raw[n] = (f, e);
+            n += 1;
         }
     }
+    raw[..n].to_vec()
+}
+
+/// What the default protocol must do before one loop instance's kernels
+/// run: which blocks each node must be able to write and to read, and
+/// which of them two nodes need at once.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ResolveSchedule {
+    /// Per node: the merged block ranges `[first, end)` covering its
+    /// written sections, ascending.
+    pub wcover: Vec<Vec<(usize, usize)>>,
+    /// Per node: the same for its read sections.
+    pub rcover: Vec<Vec<(usize, usize)>>,
+    /// False-shared blocks, ascending: written by two nodes, or written
+    /// by one and read by another, in this loop instance. They take the
+    /// multiple-writer (twin/diff) path.
+    pub multi: Vec<usize>,
+}
+
+/// Everything one loop instance's sections lower to, as plain data
+/// ([`lower`]). The engine keeps one per static loop; nothing in it
+/// refers to the program, the cluster or the instance that built it.
+#[derive(Clone, Debug, Default)]
+pub struct LoopPlan {
+    /// The §4.1 access analysis the rest was lowered from.
+    pub acc: LoopAccess,
+    /// Per node, per reference: the absolute word runs of the section it
+    /// touches. Empty for an indirect reference, whose section is only a
+    /// conservative bound.
+    pub runs: Vec<Vec<LinearRanges>>,
+    /// The default-protocol schedule of the non-indirect references —
+    /// [`schedule`] of `runs`, filled in by the first walk (`mp` never
+    /// walks, and a loop with an indirect reference rebuilds its own).
+    pub sched: OnceCell<ResolveSchedule>,
+    /// Per transfer, in [`LoopPlan::transfers`] order: its word runs…
+    pub xfer_runs: Vec<LinearRanges>,
+    /// …and their `shmem_limits` split (empty for an indirect transfer,
+    /// which must not be taken under compiler control).
+    pub xfer_ctl: Vec<CtlRanges>,
+}
+
+impl LoopPlan {
+    /// The loop's transfers, non-owner reads then non-owner writes, each
+    /// with whether it is a write.
+    pub fn transfers(&self) -> impl Iterator<Item = (&Transfer, bool)> {
+        let reads = self.acc.read_transfers.iter().map(|t| (t, false));
+        reads.chain(self.acc.write_transfers.iter().map(|t| (t, true)))
+    }
+}
+
+/// Lower one analyzed loop instance. Never inlined: it is the seam
+/// between analysis and every consumer of its result, and its cost is
+/// paid once per static loop but every instance of a symbolic one.
+#[inline(never)]
+pub fn lower(l: &ParLoop, acc: LoopAccess, metas: &[ArrayMeta], wpb: usize) -> LoopPlan {
+    let lower_ref = |(r, sec): (&ARef, &Section)| match r.is_indirect() {
+        true => LinearRanges::empty(),
+        false => metas[r.array.0].runs(sec),
+    };
+    let per_node = |secs: &Vec<Section>| l.refs.iter().zip(secs).map(lower_ref).collect();
+    let runs: Vec<Vec<LinearRanges>> = acc.sections.iter().map(per_node).collect();
+    let transfers = acc.read_transfers.iter().chain(&acc.write_transfers);
+    let xfer_runs: Vec<LinearRanges> = transfers
+        .clone()
+        .map(|t| metas[t.array].runs(&t.section))
+        .collect();
+    let xfer_ctl = transfers
+        .zip(&xfer_runs)
+        .map(|(t, lr)| match t.indirect {
+            true => CtlRanges::default(),
+            false => shmem_limits(lr, wpb),
+        })
+        .collect();
+    LoopPlan {
+        sched: OnceCell::new(),
+        runs,
+        xfer_runs,
+        xfer_ctl,
+        acc,
+    }
+}
+
+/// OR `bit` into `mask[i]` for every candidate `i` inside one of the
+/// `cover` ranges (both ascending).
+fn mark_covered(candidates: &[usize], cover: &[(usize, usize)], mask: &mut [u64], bit: u64) {
+    let mut ci = 0;
+    for &(f, e) in cover {
+        ci += candidates[ci..].partition_point(|&c| c < f);
+        while ci < candidates.len() && candidates[ci] < e {
+            mask[ci] |= bit;
+            ci += 1;
+        }
+    }
+}
+
+/// The default-protocol schedule of lowered per-(node, reference) `runs`
+/// plus, per node, the word offsets its indirect references gather right
+/// now (`indirect`, empty when the loop has none: a real DSM faults on
+/// demand, and the conservative section would grossly over-fault).
+///
+/// Per node, every run becomes a raw covering block range (merged into
+/// the node's covers) and every raw *write* range contributes its first
+/// and last block as boundary candidates: a block written by two nodes
+/// necessarily contains a section boundary of each, so it is an extremal
+/// block of at least one raw run of every writer.
+pub(crate) fn schedule(
+    l: &ParLoop,
+    runs: &[Vec<LinearRanges>],
+    indirect: &[Vec<usize>],
+    wpb: usize,
+) -> ResolveSchedule {
+    assert!(runs.len() <= 64, "node masks support ≤64 nodes");
+    let mut sched = ResolveSchedule::default();
+    let mut candidates: Vec<usize> = Vec::new();
+    let (mut wraw, mut rraw) = (Vec::new(), Vec::new());
+    for (p, per_ref) in runs.iter().enumerate() {
+        wraw.clear();
+        rraw.clear();
+        for (r, lr) in l.refs.iter().zip(per_ref) {
+            let raw = match r.mode {
+                RefMode::Write => &mut wraw,
+                RefMode::Read => &mut rraw,
+            };
+            let nonempty = lr.iter_runs().filter(|&(_, len)| len > 0);
+            raw.extend(nonempty.map(|(start, len)| covering_range(start, len, wpb)));
+        }
+        candidates.reserve(2 * wraw.len());
+        candidates.extend(wraw.iter().flat_map(|&(f, e)| [f, e - 1]));
+        let gathered = indirect.get(p).into_iter().flatten();
+        rraw.extend(gathered.map(|&off| covering_range(off, 1, wpb)));
+        sched.wcover.push(merge_block_ranges(&mut wraw));
+        sched.rcover.push(merge_block_ranges(&mut rraw));
+    }
+    // A candidate block needs the multiple-writer (twin/diff) path if
+    // two or more nodes write it, or if one node writes it while
+    // another reads it in the same interval — in the real system the
+    // writer would simply re-fault after the reader's downgrade; in
+    // the BSP engine the writer must keep its writable copy through
+    // the read sub-phase. One pass of the sorted candidates against
+    // each node's sorted covers collects who writes and who reads
+    // each.
+    candidates.sort_unstable();
+    candidates.dedup();
+    let mut wmask = vec![0u64; candidates.len()];
+    let mut rmask = vec![0u64; candidates.len()];
+    for p in 0..runs.len() {
+        mark_covered(&candidates, &sched.wcover[p], &mut wmask, 1 << p);
+        mark_covered(&candidates, &sched.rcover[p], &mut rmask, 1 << p);
+    }
+    let masks = wmask.iter().zip(&rmask);
+    sched.multi = candidates
+        .iter()
+        .zip(masks)
+        .filter(|&(_, (&w, &r))| w.count_ones() >= 2 || (w != 0 && r & !w != 0))
+        .map(|(&b, _)| b)
+        .collect();
+    sched
 }
 
 #[cfg(test)]
@@ -287,7 +444,7 @@ mod tests {
             layout: ColumnMajor::new(&[8, 8]),
         };
         let sec = Section::new(vec![Range::new(0, 7), Range::new(2, 3)]);
-        let lr = meta.runs(&sec).unwrap();
+        let lr = meta.runs(&sec);
         let runs: Vec<_> = lr.iter_runs().collect();
         assert_eq!(runs[0].0, 1024 + 16);
     }

@@ -3,11 +3,13 @@
 //! of `pghpf -Minfo` output, and the fastest way to understand why a
 //! given loop did or did not get compiler-orchestrated communication.
 
-use crate::analysis::{self};
+use crate::analysis;
 use crate::dist::Dist;
+use crate::exec::engine::layout_arrays;
 use crate::ir::{CompDist, ParLoop, Program, RefMode};
-use crate::plan::{shmem_limits, ArrayMeta, CtlRanges};
+use crate::plan::{self, ArrayMeta};
 use fgdsm_section::Env;
+use fgdsm_tempest::CostModel;
 use std::fmt::Write;
 
 /// Per-loop analysis summary.
@@ -49,17 +51,8 @@ pub fn analyze_program(
     nprocs: usize,
     words_per_block: usize,
 ) -> Vec<LoopReport> {
-    // Reconstruct array placements the same way the executor does.
-    let mut metas = Vec::with_capacity(prog.arrays.len());
-    let mut layout = fgdsm_tempest::SegmentLayout::new(512);
-    for (i, a) in prog.arrays.iter().enumerate() {
-        let base = layout.alloc(a.len());
-        metas.push(ArrayMeta {
-            id: crate::dist::ArrayId(i),
-            base,
-            layout: a.layout(),
-        });
-    }
+    // Array placements as the executor lays them out.
+    let (_, metas, _) = layout_arrays(prog, CostModel::paper_dual_cpu().words_per_page());
     prog.par_loops()
         .into_iter()
         .map(|l| analyze_loop(prog, l, env, nprocs, words_per_block, &metas))
@@ -74,21 +67,14 @@ fn analyze_loop(
     wpb: usize,
     metas: &[ArrayMeta],
 ) -> LoopReport {
-    let acc = analysis::analyze(prog, l, env, nprocs);
+    let plan = plan::lower(l, analysis::analyze(prog, l, env, nprocs), metas, wpb);
     let mut transfers = Vec::new();
     let mut total_elements = 0;
     let mut ctl_blocks = 0;
     let mut boundary_words = 0;
     let mut indirect_transfers = 0;
-    for t in &acc.read_transfers {
-        let cr: CtlRanges = if t.indirect {
-            indirect_transfers += 1;
-            CtlRanges::default()
-        } else if let Some(runs) = metas[t.array].runs(&t.section) {
-            shmem_limits(&runs, wpb)
-        } else {
-            CtlRanges::default()
-        };
+    for (t, cr) in plan.acc.read_transfers.iter().zip(&plan.xfer_ctl) {
+        indirect_transfers += usize::from(t.indirect);
         total_elements += t.section.count();
         ctl_blocks += cr.ctl_blocks();
         boundary_words += cr.boundary_words();

@@ -349,3 +349,77 @@ fn speedup_over_uniprocessor() {
         par.report.nodes[0].ctl_call_ns as f64 / 1e9,
     );
 }
+
+fn every_other_row_kernel(ctx: &mut KernelCtx) {
+    let a = ctx.h(A);
+    let b = ctx.h(B);
+    for j in ctx.iter[1].iter() {
+        for i in ctx.iter[0].iter() {
+            ctx.mem[b.at2(i, j)] = ctx.mem[a.at2(2 * i, j - 1)];
+        }
+    }
+}
+
+/// A ghost read whose section strides dim 0 — `b(i, j) = a(2i, j-1)`,
+/// rows `0:510:2` of the neighbour's last column — is a strided send like
+/// any other on `mp`: one message per (single-element) run, marshalling
+/// and wire charged, the reader waits for it and maps the page it lands
+/// in. (It used to be copied point by point outside every account.)
+#[test]
+fn mp_charges_a_dim0_strided_ghost_like_any_strided_send() {
+    const ROWS: usize = 512; // one page per column
+    const COLS: usize = 8;
+    let mut b = Program::builder();
+    let a = b.array("a", &[ROWS, COLS], Dist::Block);
+    let bb = b.array("b", &[ROWS, COLS], Dist::Block);
+    b.stmt(Stmt::Par(ParLoop {
+        name: "init",
+        iter: vec![
+            SymRange::new(0, ROWS as i64 - 1),
+            SymRange::new(0, COLS as i64 - 1),
+        ],
+        dist: CompDist::Owner(a),
+        refs: vec![ARef::write(
+            a,
+            vec![Subscript::loop_var(0), Subscript::loop_var(1)],
+        )],
+        kernel: Kernel::new(init_kernel),
+        cost_per_iter_ns: 50,
+        reduction: None,
+    }));
+    b.stmt(Stmt::Par(ParLoop {
+        name: "every_other_row",
+        iter: vec![
+            SymRange::new(0, ROWS as i64 / 2 - 1),
+            SymRange::new(1, COLS as i64 - 1),
+        ],
+        dist: CompDist::Owner(bb),
+        refs: vec![
+            ARef::read(
+                a,
+                vec![
+                    Subscript::Span(SymRange::strided(0, ROWS as i64 - 2, 2)),
+                    Subscript::Loop(1, -1),
+                ],
+            ),
+            ARef::write(bb, vec![Subscript::loop_var(0), Subscript::loop_var(1)]),
+        ],
+        kernel: Kernel::new(every_other_row_kernel),
+        cost_per_iter_ns: 50,
+        reduction: None,
+    }));
+    let prog = b.build();
+    let ghost = (ROWS / 2) as u64; // elements of column 3 node 1 reads
+    let r = execute(&prog, &ExecConfig::mp(2));
+    assert_eq!(r.data, execute(&prog, &ExecConfig::sm_unopt(2)).data);
+    let (owner, reader) = (&r.report.nodes[0], &r.report.nodes[1]);
+    assert_eq!(owner.msgs_sent, ghost, "one message per contiguous run");
+    assert_eq!(owner.bytes_sent, ghost * 8);
+    assert_eq!((reader.msgs_recv, reader.bytes_recv), (ghost, ghost * 8));
+    let cost = ExecConfig::mp(2).cost;
+    assert!(owner.stall_ns >= ghost * (cost.mp_per_message_ns + cost.mp_per_element_ns));
+    assert!(reader.stall_ns > 0, "the reader must wait for the column");
+    // Each node is home to its own columns' pages; the one page node 1
+    // has to map is the ghost column's, on arrival.
+    assert_eq!((owner.pages_mapped, reader.pages_mapped), (0, 1));
+}

@@ -13,6 +13,7 @@
 
 use crate::proto::Dsm;
 use crate::wire::WireMsg;
+use fgdsm_section::StridedRange;
 use fgdsm_tempest::{ChargeKind, Cluster, Event, NodeId, ReduceOp, NO_ARRAY, NO_BLOCK};
 
 /// A planned batch of strided sends from one source to one destination —
@@ -22,8 +23,8 @@ use fgdsm_tempest::{ChargeKind, Cluster, Event, NodeId, ReduceOp, NO_ARRAY, NO_B
 pub struct MpSendPlan {
     pub src: NodeId,
     pub dst: NodeId,
-    /// `(base, run_len, stride, count)` sections in call-site order.
-    pub sections: Vec<(usize, usize, usize, usize)>,
+    /// The strided sections, in call-site order.
+    pub sections: Vec<StridedRange>,
 }
 
 /// Runtime state of the message-passing backend: per-node inbox arrival
@@ -96,8 +97,7 @@ impl MpRuntime {
 
     /// Apply a batch of planned strided sends in plan order — the
     /// message-passing analogue of [`crate::ctl::TransferPlan`]. Each
-    /// `(base, run_len, stride, count)` section is sent the way the
-    /// ported runtime does it: one message per contiguous run, paying its
+    /// strided section is sent the way the ported runtime does it: one message per contiguous run, paying its
     /// software overhead each time — cheap for whole-column ghosts,
     /// expensive for the pencil-shaped 3-D sections of pde.
     ///
@@ -115,8 +115,9 @@ impl MpRuntime {
         for (k, plan) in plans.iter().enumerate() {
             let wire_msgs = decoded.as_ref().map(|dd| dd[k].as_slice());
             let (src, dst) = d.cluster.shard_pair_mut(plan.src, plan.dst);
-            for (j, &(base, run_len, stride, count)) in plan.sections.iter().enumerate() {
-                let elems = run_len * count;
+            for (j, sr) in plan.sections.iter().enumerate() {
+                let (run_len, count) = (sr.run_len, sr.count);
+                let elems = sr.total_elements();
                 let bytes = elems * 8;
                 // One message per contiguous run, per-element
                 // marshalling, wire occupancy.
@@ -124,8 +125,7 @@ impl MpRuntime {
                     + elems as u64 * cfg.mp_per_element_ns
                     + bytes as u64 * cfg.per_byte_ns;
                 src.charge(cost, ChargeKind::Stall);
-                for i in 0..count {
-                    let s = base + i * stride;
+                for (s, _) in sr.runs() {
                     src.note_msg_at(run_len * 8, src.block_of(s));
                     dst.note_msg_recv(run_len * 8);
                     if wire_msgs.is_none() {
@@ -154,20 +154,9 @@ impl MpRuntime {
     /// pivot-column broadcast): the section is packed once and forwarded
     /// along a log₂-depth tree, so the sender's occupancy does not grow
     /// with the receiver count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn broadcast(
-        &mut self,
-        d: &mut Dsm,
-        src: NodeId,
-        dsts: &[NodeId],
-        base: usize,
-        run_len: usize,
-        stride: usize,
-        count: usize,
-    ) {
+    pub fn broadcast(&mut self, d: &mut Dsm, src: NodeId, dsts: &[NodeId], sr: StridedRange) {
         let cfg = *d.cluster.cfg();
-        let elems = run_len * count;
-        let bytes = elems * 8;
+        let bytes = sr.total_elements() * 8;
         // Sender: one runtime call, one *contiguous* pack (the collective
         // primitives are hand-optimized low-level code, unlike the generic
         // per-element section marshalling), one injection.
@@ -189,16 +178,15 @@ impl MpRuntime {
                 // One forwarded image per receiver: the packed section
                 // rides a Strided envelope and lands from the decoded
                 // payload.
-                let msg = strided_msg(d, src, dst, (base, run_len, stride, count));
+                let msg = strided_msg(d, src, dst, sr);
                 d.wire_route_one(msg);
-                for i in 0..count {
-                    d.cluster.map_range(dst, base + i * stride, run_len);
+                for (s, len) in sr.runs() {
+                    d.cluster.map_range(dst, s, len);
                 }
             } else {
-                for i in 0..count {
-                    let s = base + i * stride;
-                    d.cluster.copy_words(src, dst, s, run_len);
-                    d.cluster.map_range(dst, s, run_len);
+                for (s, len) in sr.runs() {
+                    d.cluster.copy_words(src, dst, s, len);
+                    d.cluster.map_range(dst, s, len);
                 }
             }
             self.inbox_arrival[dst] = self.inbox_arrival[dst].max(arrival);
@@ -272,21 +260,16 @@ impl MpRuntime {
     }
 }
 
-/// An (unfilled) [`WireMsg::Strided`] envelope for one
-/// `(base, run_len, stride, count)` section `src → dst`.
-fn strided_msg(
-    d: &mut Dsm,
-    src: NodeId,
-    dst: NodeId,
-    (base, run_len, stride, count): (usize, usize, usize, usize),
-) -> WireMsg {
+/// An (unfilled) [`WireMsg::Strided`] envelope for one strided section
+/// `src → dst`.
+fn strided_msg(d: &mut Dsm, src: NodeId, dst: NodeId, sr: StridedRange) -> WireMsg {
     WireMsg::Strided {
-        hdr: d.wire_hdr(src, dst, NO_ARRAY, d.cluster.block_of(base), 1),
-        base: base as u64,
-        run_len: run_len as u32,
-        stride: stride as u64,
-        count: count as u32,
-        words: d.wire_words(run_len * count),
+        hdr: d.wire_hdr(src, dst, NO_ARRAY, d.cluster.block_of(sr.base), 1),
+        base: sr.base as u64,
+        run_len: sr.run_len as u32,
+        stride: sr.stride as u64,
+        count: sr.count as u32,
+        words: d.wire_words(sr.total_elements()),
     }
 }
 
@@ -319,10 +302,19 @@ mod tests {
         Cluster::new(n, cfg, &layout, HomePolicy::RoundRobin)
     }
 
+    fn sr(base: usize, run_len: usize, stride: usize, count: usize) -> StridedRange {
+        StridedRange {
+            base,
+            run_len,
+            stride,
+            count,
+        }
+    }
+
     /// Send one `(base, run_len, stride, count)` section `0 → 1`.
-    fn send(mp: &mut MpRuntime, d: &mut Dsm, section: (usize, usize, usize, usize)) {
+    fn send(mp: &mut MpRuntime, d: &mut Dsm, (b, l, s, c): (usize, usize, usize, usize)) {
         let mut plan = mp.take_send_plan(0, 1);
-        plan.sections.push(section);
+        plan.sections.push(sr(b, l, s, c));
         mp.apply_send_plans(d, &[plan]);
     }
 
@@ -361,7 +353,7 @@ mod tests {
         let mut d = Dsm::new(cluster(4));
         let mut mp = MpRuntime::new(4);
         d.cluster.node_mem_mut(0)[5] = 9.0;
-        mp.broadcast(&mut d, 0, &[1, 2, 3], 0, 16, 1, 1);
+        mp.broadcast(&mut d, 0, &[1, 2, 3], sr(0, 16, 1, 1));
         for n in 1..4 {
             mp.recv_all(&mut d.cluster, n);
             assert_eq!(d.cluster.node_mem(n)[5], 9.0);

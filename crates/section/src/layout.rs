@@ -4,10 +4,11 @@
 //! The paper restricts compiler-controlled optimization to "array sections
 //! that can be shown, at compile-time, to form contiguous virtual
 //! addresses", plus "two-dimensional sections, represented as contiguous
-//! ranges separated by a fixed stride" (§4.1). This module classifies a
-//! concrete [`Section`] over a given array layout into exactly those shapes
-//! and produces element-offset ranges that the planner then converts into
-//! block lists.
+//! ranges separated by a fixed stride" (§4.1). This module lowers a
+//! concrete [`Section`] over a given array layout to groups of those
+//! shapes — one group for the sections the paper optimizes, several short
+//! ones for everything else, never a refusal — as element-offset ranges
+//! that the planner then converts into block lists.
 
 use crate::section::Section;
 
@@ -76,109 +77,65 @@ impl ColumnMajor {
         off
     }
 
-    /// Linearize a section to element-offset ranges.
-    ///
-    /// Returns `None` if the section is not one of the supported shapes
-    /// (dense in dim 0, at most one partially-indexed higher dim with
-    /// stride 1 over that dim) — the compiler then declines to optimize the
-    /// reference, exactly as the paper's compiler does.
-    pub fn linearize(&self, sec: &Section) -> Option<LinearRanges> {
-        if sec.ndims() != self.ndims() {
-            return None;
-        }
+    /// Linearize a section to element-offset ranges. Total: every section
+    /// inside the array has a lowering, so no caller needs a fallback. A
+    /// dense dim 0 is one contiguous run, lengthened by any leading full
+    /// dimensions, and the next dimension supplies stride and count (the
+    /// paper's contiguous and 2-D strided shapes, §4.1); a strided dim 0
+    /// is a group of single-element runs; every remaining dimension
+    /// repeats the group once per point, so groups ascend by address.
+    /// A section reaching outside the array is a caller bug.
+    pub fn linearize(&self, sec: &Section) -> LinearRanges {
+        assert_eq!(sec.ndims(), self.ndims(), "section/layout rank mismatch");
         if sec.is_empty() {
-            return Some(LinearRanges::empty());
+            return LinearRanges::empty();
         }
-        // Dim 0 must be dense to form contiguous runs.
+        for (r, &e) in sec.dims.iter().zip(&self.extents) {
+            assert!(
+                r.lo >= 0 && r.last().is_some_and(|x| (x as usize) < e),
+                "section {sec} reaches outside extents {:?}",
+                self.extents
+            );
+        }
         let d0 = &sec.dims[0];
-        if d0.stride != 1 {
-            return None;
-        }
-        if d0.lo < 0 || d0.hi as usize >= self.extents[0] {
-            return None;
-        }
-        let run_base = d0.lo as usize;
-        let mut run_len = d0.count() as usize;
-
-        // Collapse leading full dimensions into longer contiguous runs.
+        let dense = d0.stride == 1 || d0.count() == 1;
+        let mut group = StridedRange {
+            base: d0.lo as usize,
+            run_len: if dense { d0.count() as usize } else { 1 },
+            stride: if dense { 0 } else { d0.stride as usize },
+            count: if dense { 1 } else { d0.count() as usize },
+        };
         let mut d = 1;
-        let full_prefix = run_len == self.extents[0] && run_base == 0;
-        while d < self.ndims() && full_prefix {
-            let r = &sec.dims[d];
-            if r.stride == 1 && r.lo == 0 && r.hi as usize == self.extents[d] - 1 {
-                run_len *= self.extents[d];
+        if dense {
+            while d < self.ndims() && group.base == 0 && group.run_len == self.strides[d] {
+                let r = &sec.dims[d];
+                if r.stride != 1 || r.lo != 0 || r.hi as usize != self.extents[d] - 1 {
+                    break;
+                }
+                group.run_len *= self.extents[d];
                 d += 1;
-            } else {
-                break;
+            }
+            if let Some(part) = sec.dims.get(d) {
+                group.base += part.lo as usize * self.strides[d];
+                group.stride = part.stride as usize * self.strides[d];
+                group.count = part.count() as usize;
+                d += 1;
             }
         }
-        if d == self.ndims() {
-            return Some(LinearRanges {
-                runs: vec![StridedRange {
-                    base: run_base,
-                    run_len,
-                    stride: 0,
-                    count: 1,
-                }],
-            });
+        let mut runs = vec![group];
+        for (r, &s) in sec.dims.iter().zip(&self.strides).skip(d) {
+            runs = r
+                .iter()
+                .flat_map(|x| {
+                    let off = x as usize * s;
+                    runs.iter().map(move |g| StridedRange {
+                        base: g.base + off,
+                        ..*g
+                    })
+                })
+                .collect();
         }
-
-        // Remaining dims: exactly one may be a partial dense/strided range;
-        // any further dims must be single points.
-        let part = &sec.dims[d];
-        if part.lo < 0 || part.hi as usize >= self.extents[d] {
-            return None;
-        }
-        let part_base = part.lo as usize * self.strides[d];
-        let part_stride = part.stride as usize * self.strides[d];
-        let part_count = part.count() as usize;
-
-        let mut fixed_off = 0usize;
-        for dd in d + 1..self.ndims() {
-            let r = &sec.dims[dd];
-            if r.count() != 1 {
-                // 3-D sections with two partial dims: represent as multiple
-                // strided groups only if the outermost is small; otherwise
-                // unsupported.
-                return self.linearize_multi(sec, d);
-            }
-            if r.lo < 0 || r.lo as usize >= self.extents[dd] {
-                return None;
-            }
-            fixed_off += r.lo as usize * self.strides[dd];
-        }
-
-        Some(LinearRanges {
-            runs: vec![StridedRange {
-                base: run_base + part_base + fixed_off,
-                run_len,
-                stride: part_stride,
-                count: part_count,
-            }],
-        })
-    }
-
-    /// Fallback for sections with two or more partial higher dimensions:
-    /// enumerate the outer dims into separate strided groups.
-    fn linearize_multi(&self, sec: &Section, d: usize) -> Option<LinearRanges> {
-        // Only handle one extra level (3-D arrays) with a modest outer count.
-        let outer_dim = self.ndims() - 1;
-        if outer_dim <= d {
-            return None;
-        }
-        let outer = &sec.dims[outer_dim];
-        if outer.count() > 4096 {
-            return None;
-        }
-        let mut runs = Vec::new();
-        for x in outer.iter() {
-            let mut dims = sec.dims.clone();
-            dims[outer_dim] = crate::range::Range::new(x, x);
-            let sub = Section::new(dims);
-            let lr = self.linearize(&sub)?;
-            runs.extend(lr.runs);
-        }
-        Some(LinearRanges { runs })
+        LinearRanges { runs }
     }
 }
 
@@ -258,7 +215,7 @@ mod tests {
     fn full_column_is_contiguous() {
         let l = ColumnMajor::new(&[8, 6]);
         let s = Section::new(vec![Range::new(0, 7), Range::new(2, 2)]);
-        let lr = l.linearize(&s).unwrap();
+        let lr = l.linearize(&s);
         assert_eq!(lr.runs.len(), 1);
         assert_eq!(lr.runs[0].base, 16);
         assert_eq!(lr.runs[0].run_len, 8);
@@ -271,7 +228,7 @@ mod tests {
         // because dim 0 is full.
         let l = ColumnMajor::new(&[8, 6]);
         let s = Section::new(vec![Range::new(0, 7), Range::new(1, 3)]);
-        let lr = l.linearize(&s).unwrap();
+        let lr = l.linearize(&s);
         assert_eq!(lr.runs.len(), 1);
         let r = lr.runs[0];
         assert_eq!((r.base, r.run_len, r.count), (8, 8, 3));
@@ -285,17 +242,71 @@ mod tests {
         // Rows 2..5 of each column j=0..5: strided with run 4, stride 8.
         let l = ColumnMajor::new(&[8, 6]);
         let s = Section::new(vec![Range::new(2, 5), Range::new(0, 5)]);
-        let lr = l.linearize(&s).unwrap();
+        let lr = l.linearize(&s);
         assert_eq!(lr.runs.len(), 1);
         let r = lr.runs[0];
         assert_eq!((r.base, r.run_len, r.stride, r.count), (2, 4, 8, 6));
     }
 
+    /// Every point of `sec`, once, as the runs say — against the
+    /// point-by-point enumeration.
+    fn assert_exact(l: &ColumnMajor, sec: &Section) -> LinearRanges {
+        let lr = l.linearize(sec);
+        let mut got: Vec<usize> = lr.iter_runs().flat_map(|(s, n)| s..s + n).collect();
+        let mut want: Vec<usize> = sec.points().iter().map(|pt| l.offset(pt)).collect();
+        assert!(got.is_sorted(), "groups must ascend by address: {lr:?}");
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "{sec}");
+        lr
+    }
+
     #[test]
-    fn strided_dim0_unsupported() {
+    fn strided_dim0_is_single_element_runs() {
+        // A CYCLIC 1-D array's owner section: one group of unit runs.
+        let l = ColumnMajor::new(&[16]);
+        let lr = assert_exact(&l, &Section::new(vec![Range::strided(1, 13, 4)]));
+        assert_eq!(
+            lr.runs,
+            vec![StridedRange {
+                base: 1,
+                run_len: 1,
+                stride: 4,
+                count: 4
+            }]
+        );
+        // In 2-D the group repeats once per column.
         let l = ColumnMajor::new(&[8, 6]);
         let s = Section::new(vec![Range::strided(0, 6, 2), Range::new(0, 5)]);
-        assert!(l.linearize(&s).is_none());
+        assert_eq!(assert_exact(&l, &s).runs.len(), 6);
+    }
+
+    #[test]
+    fn any_number_of_partial_dims_enumerates() {
+        let l = ColumnMajor::new(&[4, 5, 3, 6]);
+        let s = Section::new(vec![
+            Range::new(1, 2),
+            Range::strided(0, 4, 2),
+            Range::new(1, 2),
+            Range::strided(0, 5, 5),
+        ]);
+        let lr = assert_exact(&l, &s);
+        assert_eq!(lr.runs.len(), 2 * 2, "one group per outer point");
+        // The old cliff: more than 4096 outer points is still a lowering.
+        let l = ColumnMajor::new(&[2, 2, 5000]);
+        let s = Section::new(vec![
+            Range::new(0, 0),
+            Range::new(0, 1),
+            Range::new(0, 4999),
+        ]);
+        assert_eq!(l.linearize(&s).runs.len(), 5000);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches outside")]
+    fn out_of_bounds_section_is_a_caller_bug() {
+        let l = ColumnMajor::new(&[8, 6]);
+        l.linearize(&Section::new(vec![Range::new(0, 8), Range::new(0, 5)]));
     }
 
     #[test]
@@ -303,7 +314,7 @@ mod tests {
         // Plane k=3 of a 4x4x4 array: contiguous 16 elements at offset 48.
         let l = ColumnMajor::new(&[4, 4, 4]);
         let s = Section::new(vec![Range::new(0, 3), Range::new(0, 3), Range::new(3, 3)]);
-        let lr = l.linearize(&s).unwrap();
+        let lr = l.linearize(&s);
         assert_eq!(lr.runs.len(), 1);
         assert_eq!(
             (lr.runs[0].base, lr.runs[0].run_len, lr.runs[0].count),
@@ -316,7 +327,7 @@ mod tests {
         // Sub-box rows 0..3, cols 1..2, planes 0..2 of a 4x4x4 array.
         let l = ColumnMajor::new(&[4, 4, 4]);
         let s = Section::new(vec![Range::new(0, 3), Range::new(1, 2), Range::new(0, 2)]);
-        let lr = l.linearize(&s).unwrap();
+        let lr = l.linearize(&s);
         assert_eq!(lr.total_elements(), 4 * 2 * 3);
         // All runs must land inside the array.
         for (start, len) in lr.iter_runs() {
@@ -328,7 +339,7 @@ mod tests {
     fn empty_section_linearizes_empty() {
         let l = ColumnMajor::new(&[8, 6]);
         let s = Section::new(vec![Range::empty(), Range::new(0, 5)]);
-        let lr = l.linearize(&s).unwrap();
+        let lr = l.linearize(&s);
         assert!(lr.is_empty());
     }
 }

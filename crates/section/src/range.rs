@@ -7,7 +7,8 @@ use std::fmt;
 /// bounds, Fortran-style).
 ///
 /// An empty range is represented by `lo > hi`. Stride must be ≥ 1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// (`Ord` is structural, for use as a map key, not set inclusion.)
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Range {
     pub lo: i64,
     pub hi: i64,

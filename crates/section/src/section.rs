@@ -12,7 +12,7 @@ use crate::range::{Range, SymRange};
 use std::fmt;
 
 /// A concrete rectangular strided section (product of per-dim ranges).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Section {
     pub dims: Vec<Range>,
 }

@@ -143,23 +143,23 @@ fn linearize_covers_section_exactly() {
         let r0 = random_range(rng);
         let r1 = random_range(rng);
         let l = ColumnMajor::new(&[rows, cols]);
-        // Clamp ranges into bounds and force dim0 dense so linearize accepts.
-        let d0 = Range::new(r0.lo.rem_euclid(rows as i64), r0.hi.rem_euclid(rows as i64));
-        let d1 = Range::strided(
-            r1.lo.rem_euclid(cols as i64),
-            r1.hi.rem_euclid(cols as i64),
-            r1.stride,
-        );
-        let sec = Section::new(vec![d0, d1]);
-        if let Some(lr) = l.linearize(&sec) {
-            let mut offsets: HashSet<usize> = HashSet::new();
-            for (start, len) in lr.iter_runs() {
-                for o in start..start + len {
-                    assert!(offsets.insert(o), "linearized runs overlap at {o}");
-                }
+        // Clamp ranges into bounds; any stride in either dimension.
+        let clamp = |r: Range, e: usize| {
+            Range::strided(
+                r.lo.rem_euclid(e as i64),
+                r.hi.rem_euclid(e as i64),
+                r.stride,
+            )
+        };
+        let sec = Section::new(vec![clamp(r0, rows), clamp(r1, cols)]);
+        let lr = l.linearize(&sec);
+        let mut offsets: HashSet<usize> = HashSet::new();
+        for (start, len) in lr.iter_runs() {
+            for o in start..start + len {
+                assert!(offsets.insert(o), "linearized runs overlap at {o}");
             }
-            let expected: HashSet<usize> = sec.points().iter().map(|pt| l.offset(pt)).collect();
-            assert_eq!(offsets, expected);
         }
+        let expected: HashSet<usize> = sec.points().iter().map(|pt| l.offset(pt)).collect();
+        assert_eq!(offsets, expected);
     });
 }

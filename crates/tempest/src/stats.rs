@@ -173,13 +173,13 @@ pub struct HostPhases {
     /// Before the first statement: segment allocation, the cluster, the
     /// wire carrier's workers.
     pub setup_ns: u64,
-    /// Per-loop access analysis (cached for static loops).
+    /// Per-loop access analysis (once for a static loop).
     pub analyze_ns: u64,
-    /// The default-protocol inspector: sections → covers and the
-    /// false-shared block list (cached for static, direct loops).
+    /// Lowering: sections → word runs, covers, the false-shared block
+    /// list and ctl ranges (once for a static loop), plus the walk-time
+    /// schedule of loops with an indirect reference.
     pub inspect_ns: u64,
-    /// The default-protocol executor: walking the covers, servicing
-    /// faults.
+    /// The default-protocol walk over the covers, servicing faults.
     pub walk_ns: u64,
     /// The rest of the backend's resolve: the §4.2 contract on `sm_opt`,
     /// the message exchange on `mp`.

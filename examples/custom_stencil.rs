@@ -5,7 +5,7 @@
 //!
 //! Demonstrates: declaring distributed arrays, INDEPENDENT loops with
 //! affine references, reductions into replicated scalars, and how the
-//! three backends (unoptimized DSM, compiler-optimized DSM, message
+//! three executors (unoptimized DSM, compiler-optimized DSM, message
 //! passing) compare on a workload the paper never measured.
 
 use fgdsm::hpf::{

@@ -1,6 +1,7 @@
-//! The default-protocol resolve as an inspector/executor pair: the new
-//! inspector against the one it replaced, the memo's discipline, the
-//! `shuffle_resolve` perturbation on a memo hit, and the host phase clock.
+//! The default-protocol resolve as lower → plan → walk: the plan's
+//! schedule against the per-block inspector it replaced, the per-loop
+//! table's discipline, the `shuffle_resolve` perturbation on a cached
+//! plan, and the host phase clock.
 //!
 //! The old inspector survives here only — as the oracle of
 //! [`new_inspector_equals_the_old_one`], written against the engine's
@@ -10,8 +11,9 @@
 
 use fgdsm::apps::{extended_suite, suite, Scale};
 use fgdsm::hpf::exec::backend::CommBackend;
-use fgdsm::hpf::exec::engine::{EngineCore, ResolveSchedule};
-use fgdsm::hpf::exec::{sm_opt::SmOpt, sm_unopt::SmUnopt};
+use fgdsm::hpf::exec::engine::EngineCore;
+use fgdsm::hpf::exec::sm_opt::SmOpt;
+use fgdsm::hpf::plan::{LoopPlan, ResolveSchedule};
 use fgdsm::hpf::{
     covering_blocks, execute, execute_with, ARef, ExecConfig, InjectConfig, LoopAccess, OptLevel,
     ParLoop, Program, RefMode, RunResult,
@@ -20,6 +22,7 @@ use fgdsm::section::{LinearRanges, StridedRange};
 use fgdsm::tempest::ReduceOp;
 use fgdsm_fuzz::{case_seed, gen_spec};
 use fgdsm_testkit::{Rng, BASE_SEED};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -55,7 +58,7 @@ fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> ResolveSch
                 }
                 continue;
             }
-            let runs = core.section_runs(r.array.0, sec);
+            let runs: Vec<_> = core.metas[r.array.0].runs(sec).iter_runs().collect();
             if r.mode == RefMode::Write {
                 for &(s, len) in &runs {
                     if len > 0 {
@@ -96,49 +99,54 @@ fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> ResolveSch
 /// What a [`Probe`] saw at one superstep's resolve.
 struct Seen {
     loop_id: u32,
-    /// Was the loop's schedule already memoized?
-    hit: bool,
+    /// Was the walked schedule rebuilt for this instance (not the plan's)?
+    rebuilt: bool,
     order: Vec<usize>,
     multi_blocks: usize,
+    /// Did a section stride dim 0 (the shape `linearize` used to decline,
+    /// now a group of single-element runs)?
+    unit_runs: bool,
 }
 
 /// A built-in backend with a window on the engine: before every resolve
-/// it runs both inspectors on the state the resolve is about to see and
-/// notes the executor's visiting order.
-struct Probe<B> {
-    inner: B,
+/// it compares the schedule the resolve is about to walk with the old
+/// inspector's on the same state and notes the walk's visiting order.
+struct Probe {
+    inner: SmOpt,
     seen: Rc<RefCell<Vec<Seen>>>,
 }
 
-impl<B: CommBackend> CommBackend for Probe<B> {
+impl CommBackend for Probe {
     fn validate(&self, core: &EngineCore) {
         self.inner.validate(core);
     }
-    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
-        let new = core.inspect(l, acc);
+    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
+        let new = core.schedule(l, plan);
         assert_eq!(
-            new,
-            old_inspector(core, l, acc),
+            *new,
+            old_inspector(core, l, &plan.acc),
             "loop `{}` at superstep {}: inspectors disagree",
             l.name,
             core.supersteps
         );
+        let d0s = plan.acc.sections.iter().flatten().map(|sec| sec.dims[0]);
         self.seen.borrow_mut().push(Seen {
             loop_id: core.cur_loop,
-            hit: core.schedule_memoized(l),
+            rebuilt: matches!(new, Cow::Owned(_)),
             order: core.resolve_order(),
             multi_blocks: new.multi.len(),
+            unit_runs: { d0s }.any(|d0| d0.stride > 1 && d0.count() > 1),
         });
-        self.inner.resolve(core, l, acc);
+        self.inner.resolve(core, l, plan);
     }
-    fn note_kernel_writes(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
-        self.inner.note_kernel_writes(core, l, acc);
+    fn note_kernel_writes(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
+        self.inner.note_kernel_writes(core, l, plan);
     }
     fn reduce(&mut self, core: &mut EngineCore, partials: &[f64], op: ReduceOp) -> f64 {
         self.inner.reduce(core, partials, op)
     }
-    fn post_loop(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
-        self.inner.post_loop(core, l, acc);
+    fn post_loop(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
+        self.inner.post_loop(core, l, plan);
     }
     fn finish(&mut self, core: &mut EngineCore) {
         self.inner.finish(core);
@@ -155,113 +163,121 @@ impl<B: CommBackend> CommBackend for Probe<B> {
 /// behind a [`Probe`].
 fn probed(prog: &Program, cfg: &ExecConfig) -> (RunResult, Vec<Seen>) {
     let seen = Rc::new(RefCell::new(Vec::new()));
-    let backend: Box<dyn CommBackend> = match cfg.backend {
-        fgdsm::hpf::Backend::SmUnopt => Box::new(Probe {
-            inner: SmUnopt,
-            seen: seen.clone(),
-        }),
-        fgdsm::hpf::Backend::SmOpt(opt) => Box::new(Probe {
-            inner: SmOpt::new(opt),
-            seen: seen.clone(),
-        }),
+    let opt = match cfg.backend {
+        fgdsm::hpf::Backend::SmUnopt => OptLevel::unopt(),
+        fgdsm::hpf::Backend::SmOpt(opt) => opt,
         other => panic!("probe: {other:?} never runs the default protocol"),
     };
+    let backend = Box::new(Probe {
+        inner: SmOpt::new(opt),
+        seen: seen.clone(),
+    });
     let run = execute_with(prog, cfg, backend);
     let seen = seen.take();
     (run, seen)
 }
 
 /// Differential: on every superstep of the six suite apps (plus `irreg`)
-/// and of the first 200 corpus specs, under the default protocol alone
-/// and after the full contract, both inspectors return the same covers
-/// and the same false-shared blocks — and the probe changes nothing.
+/// and of the first 200 corpus specs — dim-0-strided sections, which
+/// `linearize` used to decline, included — under the default protocol
+/// alone and after the full contract, the schedule the engine walks has
+/// the old inspector's covers and false-shared blocks — and the probe
+/// changes nothing.
 #[test]
 fn new_inspector_equals_the_old_one() {
     let mut supersteps = 0;
     let mut multi_blocks = 0;
-    let mut check = |name: &str, prog: &Program, nprocs: usize| {
+    // Returns how many supersteps lowered a dim-0-strided section.
+    let mut check = |name: &str, prog: &Program, nprocs: usize| -> usize {
+        let mut unit_runs = 0;
         for cfg in [ExecConfig::sm_unopt(nprocs), ExecConfig::sm_opt(nprocs)] {
             let cfg = cfg.serial();
             let (run, seen) = probed(prog, &cfg);
             supersteps += seen.len();
             multi_blocks += seen.iter().map(|s| s.multi_blocks).sum::<usize>();
+            unit_runs += seen.iter().filter(|s| s.unit_runs).count();
             let plain = execute(prog, &cfg);
             assert_eq!(run.report.to_json(), plain.report.to_json(), "{name}");
             assert_eq!(run.data, plain.data, "{name}");
         }
+        unit_runs
     };
     for spec in extended_suite(Scale::Test) {
-        check(spec.name, &spec.program, NP);
+        let unit_runs = check(spec.name, &spec.program, NP);
+        assert_eq!(unit_runs, 0, "{}: the suite never strides dim 0", spec.name);
     }
+    let mut unit_runs = 0;
     for case in 0..200 {
         let seed = case_seed(BASE_SEED, case);
         let spec = gen_spec(&mut Rng::new(seed), seed);
-        check(&format!("fuzz seed {seed:#x}"), &spec.build(), spec.nprocs);
+        unit_runs += check(&format!("fuzz seed {seed:#x}"), &spec.build(), spec.nprocs);
     }
     assert!(supersteps > 3000, "only {supersteps} supersteps compared");
     assert!(multi_blocks > 0, "no false-shared block was ever compared");
+    assert!(unit_runs > 0, "no dim-0-strided section was ever compared");
 }
 
-/// Cache discipline. A loop's schedule is memoized exactly when nothing
-/// it depends on can change: `jacobi` (all static) inspects each loop
-/// once per run; `lu`'s loops in `k` inspect every superstep and memoize
-/// nothing; a loop with an indirect reference (`irreg`'s gather — the
-/// suite's only one) never memoizes; and the memo never outgrows the
-/// program's loop count.
+/// Table discipline, on every backend. A loop's plan is kept exactly
+/// when nothing it depends on can change: `jacobi` (all static) builds
+/// one plan per loop per run; `lu`'s loops in `k` build one per instance
+/// and cache nothing; the table never outgrows the program's loop count.
+/// A loop with an indirect reference (`irreg`'s gather — the suite's
+/// only one) keeps its plan but never a schedule: every instance walks
+/// one rebuilt from what the index array names right now.
 #[test]
 fn inspector_memo_discipline() {
     for spec in extended_suite(Scale::Test) {
         let loops = spec.program.par_loops();
-        for cfg in [ExecConfig::sm_unopt(NP), ExecConfig::sm_opt(NP)] {
+        for cfg in [
+            ExecConfig::sm_unopt(NP),
+            ExecConfig::sm_opt(NP),
+            ExecConfig::mp(NP),
+        ] {
             let run = execute(&spec.program, &cfg);
             assert_eq!(run.inspector.len(), loops.len());
-            assert!(run.schedules_cached <= loops.len(), "{}", spec.name);
-            let mut memoizable = 0;
+            let mut cacheable = 0;
             for (l, row) in loops.iter().zip(&run.inspector) {
                 let instances = row.inspections + row.hits;
-                let fixed = l.is_static() && !l.refs.iter().any(ARef::is_indirect);
-                memoizable += usize::from(fixed && instances > 0);
-                let want = if fixed { instances.min(1) } else { instances };
+                cacheable += usize::from(l.is_static() && instances > 0);
+                let want = if l.is_static() {
+                    instances.min(1)
+                } else {
+                    instances
+                };
                 assert_eq!(
-                    row.inspections, want,
+                    row.inspections,
+                    want,
                     "{}/{}: {instances} instances, static {}",
-                    spec.name, l.name, fixed
+                    spec.name,
+                    l.name,
+                    l.is_static()
                 );
             }
-            assert_eq!(run.schedules_cached, memoizable, "{}", spec.name);
+            assert_eq!(run.plans_cached, cacheable, "{}", spec.name);
             match spec.name {
-                "jacobi" => assert_eq!(run.schedules_cached, loops.len()),
+                "jacobi" => assert_eq!(run.plans_cached, loops.len()),
                 "lu" => {
-                    let k_loops: Vec<_> = loops.iter().filter(|l| !l.is_static()).collect();
-                    assert_eq!(k_loops.len(), 2, "scale and update");
-                    assert_eq!(run.schedules_cached, loops.len() - 2, "only init");
-                }
-                "irreg" => {
-                    let indirect = loops
-                        .iter()
-                        .zip(&run.inspector)
-                        .filter(|(l, _)| l.refs.iter().any(ARef::is_indirect));
-                    let mut n = 0;
-                    for (l, row) in indirect {
-                        assert_eq!(row.hits, 0, "{}/{}", spec.name, l.name);
-                        assert!(row.inspections > 1, "{}/{}", spec.name, l.name);
-                        n += 1;
-                    }
-                    assert!(n > 0, "{} has an indirect loop", spec.name);
+                    let k_loops = loops.iter().filter(|l| !l.is_static()).count();
+                    assert_eq!(k_loops, 2, "scale and update");
+                    assert_eq!(run.plans_cached, loops.len() - 2, "only init");
                 }
                 _ => {}
             }
         }
-        // `mp` never runs the default protocol: nothing to inspect.
-        let run = execute(&spec.program, &ExecConfig::mp(NP));
-        assert!(run.inspector.iter().all(|r| r.inspections + r.hits == 0));
-        assert_eq!(run.schedules_cached, 0);
+        let (_, seen) = probed(&spec.program, &ExecConfig::sm_opt(NP));
+        for s in &seen {
+            let l = loops[s.loop_id as usize];
+            let indirect = l.refs.iter().any(ARef::is_indirect);
+            assert_eq!(s.rebuilt, indirect, "{}/{}", spec.name, l.name);
+        }
+        let rebuilt = seen.iter().filter(|s| s.rebuilt).count();
+        assert_eq!(rebuilt > 1, spec.name == "irreg", "{}", spec.name);
     }
 }
 
-/// Tolerated: `shuffle_resolve` permutes the executor's visiting order
-/// per superstep on a memo hit exactly as on a miss — the memoized
-/// schedule holds covers, never an order — and results do not move.
+/// Tolerated: `shuffle_resolve` permutes the walk's visiting order per
+/// superstep on a cached plan exactly as on a fresh one — the plan holds
+/// covers, never an order — and results do not move.
 #[test]
 fn shuffle_resolve_still_permutes_on_a_memo_hit() {
     let spec = &suite(Scale::Test)[5];
@@ -275,19 +291,18 @@ fn shuffle_resolve_still_permutes_on_a_memo_hit() {
     assert_eq!(run.data, plain.data, "the shuffle must stay invisible");
     let identity: Vec<usize> = (0..NP).collect();
     let loops = spec.program.par_loops();
-    let sweep = loops.iter().position(|l| l.name == "sweep").unwrap() as u32;
-    let on_hits: BTreeSet<&Vec<usize>> = seen
-        .iter()
-        .filter(|s| s.loop_id == sweep && s.hit)
-        .map(|s| &s.order)
-        .collect();
+    let sweep = loops.iter().position(|l| l.name == "sweep").unwrap();
+    // Every instance of `sweep` but the first walks the cached plan.
+    let instances: Vec<&Seen> = seen.iter().filter(|s| s.loop_id == sweep as u32).collect();
+    let row = run.inspector[sweep];
+    assert_eq!((row.inspections, row.hits), (1, instances.len() as u64 - 1));
+    let on_hits: BTreeSet<&Vec<usize>> = instances[1..].iter().map(|s| &s.order).collect();
     assert!(
         on_hits.len() >= 3 && !on_hits.contains(&identity),
-        "memo hits of one loop must each get their own order: {on_hits:?}"
+        "instances on one cached plan must each get their own order: {on_hits:?}"
     );
     let (_, unshuffled) = probed(&spec.program, &ExecConfig::sm_opt(NP));
     assert!(unshuffled.iter().all(|s| s.order == identity));
-    assert!(unshuffled.iter().any(|s| s.hit));
 }
 
 /// The host phase clock accounts for the run: on every suite app and
@@ -318,7 +333,7 @@ fn host_phases_sum_to_the_wall_clock() {
             assert!(host.setup_ns > 0 && host.compute_ns > 0 && host.post_run_ns > 0);
             let default_protocol = !matches!(cfg.backend, fgdsm::hpf::Backend::Mp);
             assert_eq!(host.walk_ns > 0, default_protocol, "{}", spec.name);
-            assert_eq!(host.inspect_ns > 0, default_protocol, "{}", spec.name);
+            assert!(host.inspect_ns > 0, "{}: every backend lowers", spec.name);
         }
     }
 }
