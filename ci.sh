@@ -42,8 +42,11 @@ cargo fmt --check
 # Tree size, measured here so ROADMAP and CHANGES quote the gate's
 # numbers instead of hand counts: non-test .rs lines (each file up to its
 # `#[cfg(test)]`) under crates/*/src and src/, `#[test]` functions,
-# FGDSM_* knobs, `unsafe` sites, and caches keyed by an address under
-# crates/hpf/src/exec/. Only the last one can fail the gate: the per-loop
+# FGDSM_* knobs, `unsafe` sites, caches keyed by an address under
+# crates/hpf/src/exec/, and suite-kernel lines that still index the
+# segment point by point (`ctx.mem[` under crates/apps/src/; the kernels
+# walk runs — DESIGN 5c — so what is left should be gathers and boundary
+# rows). Only the address-keyed cache can fail the gate: the per-loop
 # table is indexed by loop id, and a loop's address must not come back.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
@@ -51,7 +54,8 @@ tests=$(cat $(find crates src tests -name '*.rs') | grep -c '#\[test\]')
 knobs=$(grep -ohE 'FGDSM_[A-Z_]+' crates/tempest/src/knob.rs | sort -u | wc -l)
 unsafes=$(cat $(find crates src -name '*.rs') | grep -cE 'unsafe +(\{|fn|impl)')
 addrs=$(cat crates/hpf/src/exec/*.rs | grep -c 'as \*const' || true)
-echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/"
+points=$(cat crates/apps/src/*.rs | grep -c 'ctx\.mem\[' || true)
+echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1

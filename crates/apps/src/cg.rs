@@ -66,29 +66,28 @@ impl Params {
 }
 
 fn init_kernel(ctx: &mut KernelCtx) {
-    let b = ctx.h(BV);
-    let x = ctx.h(X);
-    let r = ctx.h(R);
-    let p = ctx.h(P);
-    let q = ctx.h(Q);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [mut x, mut r, mut p, mut q, mut b] = ctx.views([X, R, P, Q, BV]);
+    for j in cols.iter() {
+        let at = [i0, j];
+        let (bs, rs, ps) = (b.run_mut(at, n), r.run_mut(at, n), p.run_mut(at, n));
+        for (k, i) in (i0..).take(n).enumerate() {
             let v = ((i * 7 + j * 3) % 23) as f64 * 0.04;
-            ctx.mem[b.at2(i, j)] = v;
-            ctx.mem[x.at2(i, j)] = 0.0;
-            ctx.mem[r.at2(i, j)] = v; // r = b − A·0 = b
-            ctx.mem[p.at2(i, j)] = v;
-            ctx.mem[q.at2(i, j)] = 0.0;
+            bs[k] = v;
+            rs[k] = v; // r = b − A·0 = b
+            ps[k] = v;
         }
+        x.run_mut(at, n).fill(0.0);
+        q.run_mut(at, n).fill(0.0);
     }
 }
 
 fn rr_kernel(ctx: &mut KernelCtx) {
-    let r = ctx.h(R);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [r] = ctx.views([R]);
     let mut acc = 0.0;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            let v = ctx.mem[r.at2(i, j)];
+    for j in cols.iter() {
+        for v in r.run([i0, j], n) {
             acc += v * v;
         }
     }
@@ -96,52 +95,61 @@ fn rr_kernel(ctx: &mut KernelCtx) {
 }
 
 fn matvec_kernel(ctx: &mut KernelCtx) {
-    let p = ctx.h(P);
-    let q = ctx.h(Q);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[q.at2(i, j)] = 4.0 * ctx.mem[p.at2(i, j)]
-                - ctx.mem[p.at2(i - 1, j)]
-                - ctx.mem[p.at2(i + 1, j)]
-                - ctx.mem[p.at2(i, j - 1)]
-                - ctx.mem[p.at2(i, j + 1)];
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [p, mut q] = ctx.views([P, Q]);
+    for j in cols.iter() {
+        let (c, up, down) = (
+            p.run([i0, j], n),
+            p.run([i0 - 1, j], n),
+            p.run([i0 + 1, j], n),
+        );
+        let (left, right) = (p.run([i0, j - 1], n), p.run([i0, j + 1], n));
+        let out = q.run_mut([i0, j], n);
+        for k in 0..n {
+            out[k] = 4.0 * c[k] - up[k] - down[k] - left[k] - right[k];
         }
     }
 }
 
 fn pq_kernel(ctx: &mut KernelCtx) {
-    let p = ctx.h(P);
-    let q = ctx.h(Q);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [p, q] = ctx.views([P, Q]);
     let mut acc = 0.0;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            acc += ctx.mem[p.at2(i, j)] * ctx.mem[q.at2(i, j)];
+    for j in cols.iter() {
+        for (pv, qv) in p.run([i0, j], n).iter().zip(q.run([i0, j], n)) {
+            acc += pv * qv;
         }
     }
     ctx.partial = acc;
 }
 
 fn xr_kernel(ctx: &mut KernelCtx) {
-    let x = ctx.h(X);
-    let r = ctx.h(R);
-    let p = ctx.h(P);
-    let q = ctx.h(Q);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
     let alpha = ctx.scalar("alpha");
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[x.at2(i, j)] += alpha * ctx.mem[p.at2(i, j)];
-            ctx.mem[r.at2(i, j)] -= alpha * ctx.mem[q.at2(i, j)];
+    let [mut x, mut r, p, q] = ctx.views([X, R, P, Q]);
+    for j in cols.iter() {
+        let at = [i0, j];
+        let (xs, rs, ps, qs) = (
+            x.run_mut(at, n),
+            r.run_mut(at, n),
+            p.run(at, n),
+            q.run(at, n),
+        );
+        for k in 0..n {
+            xs[k] += alpha * ps[k];
+            rs[k] -= alpha * qs[k];
         }
     }
 }
 
 fn pupd_kernel(ctx: &mut KernelCtx) {
-    let r = ctx.h(R);
-    let p = ctx.h(P);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
     let beta = ctx.scalar("beta");
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[p.at2(i, j)] = ctx.mem[r.at2(i, j)] + beta * ctx.mem[p.at2(i, j)];
+    let [r, mut p] = ctx.views([R, P]);
+    for j in cols.iter() {
+        let (rs, ps) = (r.run([i0, j], n), p.run_mut([i0, j], n));
+        for k in 0..n {
+            ps[k] = rs[k] + beta * ps[k];
         }
     }
 }

@@ -89,64 +89,62 @@ impl Params {
 }
 
 fn init_kernel(ctx: &mut KernelCtx) {
-    let rho = ctx.h(RHO);
-    for k in ctx.iter[2].iter() {
-        for j in ctx.iter[1].iter() {
-            for i in ctx.iter[0].iter() {
-                ctx.mem[rho.at3(i, j, k)] = ((i + j * 2 + k * 3) % 19) as f64 * 0.03;
+    let ((i0, n), rows, planes) = (ctx.dense(0), ctx.iter[1], ctx.iter[2]);
+    let [mut rho] = ctx.views([RHO]);
+    for k in planes.iter() {
+        for j in rows.iter() {
+            for (i, out) in (i0..).zip(rho.run_mut([i0, j, k], n)) {
+                *out = ((i + j * 2 + k * 3) % 19) as f64 * 0.03;
             }
         }
     }
 }
 
 fn init_phi_kernel(ctx: &mut KernelCtx) {
-    let phi = ctx.h(PHI);
-    let phn = ctx.h(PHN);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[phi.at2(i, j)] = ((i * 5 + j) % 11) as f64 * 0.07;
-            ctx.mem[phn.at2(i, j)] = 0.0;
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [mut phi, mut phn] = ctx.views([PHI, PHN]);
+    for j in cols.iter() {
+        for (i, out) in (i0..).zip(phi.run_mut([i0, j], n)) {
+            *out = ((i * 5 + j) % 11) as f64 * 0.07;
         }
+        phn.run_mut([i0, j], n).fill(0.0);
     }
 }
 
 fn smooth_kernel(ctx: &mut KernelCtx) {
-    let phi = ctx.h(PHI);
-    let phn = ctx.h(PHN);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[phn.at2(i, j)] = 0.25
-                * (ctx.mem[phi.at2(i - 1, j)]
-                    + ctx.mem[phi.at2(i + 1, j)]
-                    + ctx.mem[phi.at2(i, j - 1)]
-                    + ctx.mem[phi.at2(i, j + 1)]);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [phi, mut phn] = ctx.views([PHI, PHN]);
+    for j in cols.iter() {
+        let (up, down) = (phi.run([i0 - 1, j], n), phi.run([i0 + 1, j], n));
+        let (left, right) = (phi.run([i0, j - 1], n), phi.run([i0, j + 1], n));
+        let out = phn.run_mut([i0, j], n);
+        for x in 0..n {
+            out[x] = 0.25 * (up[x] + down[x] + left[x] + right[x]);
         }
     }
 }
 
 fn smooth_copy_kernel(ctx: &mut KernelCtx) {
-    let phi = ctx.h(PHI);
-    let phn = ctx.h(PHN);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [mut phi, phn] = ctx.views([PHI, PHN]);
     let mut err = 0.0;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            let old = ctx.mem[phi.at2(i, j)];
-            let new = ctx.mem[phn.at2(i, j)];
-            err += (new - old).abs();
-            ctx.mem[phi.at2(i, j)] = new;
+    for j in cols.iter() {
+        for (old, &new) in phi.run_mut([i0, j], n).iter_mut().zip(phn.run([i0, j], n)) {
+            err += (new - *old).abs();
+            *old = new;
         }
     }
     ctx.partial = err;
 }
 
 fn apply_kernel(ctx: &mut KernelCtx) {
-    let rho = ctx.h(RHO);
-    for k in ctx.iter[2].iter() {
-        for j in ctx.iter[1].iter() {
-            for i in ctx.iter[0].iter() {
-                let r = ctx.mem[rho.at3(i, j, k)];
+    let ((i0, n), rows, planes) = (ctx.dense(0), ctx.iter[1], ctx.iter[2]);
+    let [mut rho] = ctx.views([RHO]);
+    for k in planes.iter() {
+        for j in rows.iter() {
+            for (i, r) in (i0..).zip(rho.run_mut([i0, j, k], n)) {
                 let src = ((i ^ j) + k) as f64 * 1e-4;
-                ctx.mem[rho.at3(i, j, k)] = r * 0.999 + 0.001 * src;
+                *r = *r * 0.999 + 0.001 * src;
             }
         }
     }
@@ -156,13 +154,14 @@ fn apply_kernel(ctx: &mut KernelCtx) {
 /// moment index `m` bound by the surrounding time loop. Small local
 /// compute followed by a global SUM — grav's signature pattern.
 fn moment_kernel(ctx: &mut KernelCtx) {
-    let phi = ctx.h(PHI);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
     let m = ctx.sym(fgdsm_section::Var("m"));
+    let [phi] = ctx.views([PHI]);
     let mut acc = 0.0;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
+    for j in cols.iter() {
+        for (i, v) in (i0..).zip(phi.run([i0, j], n)) {
             let w = (((i + 1) * (m + 1) + j) % 7) as f64 * 0.2;
-            acc += ctx.mem[phi.at2(i, j)] * w;
+            acc += v * w;
         }
     }
     ctx.partial = acc;
@@ -173,27 +172,35 @@ fn moment_kernel(ctx: &mut KernelCtx) {
 /// communication that §4.3's PRE eliminates (the default protocol also
 /// exploits it: the blocks simply stay cached).
 fn gmoment_kernel(ctx: &mut KernelCtx) {
-    let phi = ctx.h(PHI);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
     let m = ctx.sym(fgdsm_section::Var("m"));
+    let [phi] = ctx.views([PHI]);
     let mut acc = 0.0;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
+    for j in cols.iter() {
+        let (c, up, down) = (
+            phi.run([i0, j], n),
+            phi.run([i0 - 1, j], n),
+            phi.run([i0 + 1, j], n),
+        );
+        let (left, right) = (phi.run([i0, j - 1], n), phi.run([i0, j + 1], n));
+        for (x, i) in (i0..).take(n).enumerate() {
             let w = (((i + 1) * (m + 1) + j) % 7) as f64 * 0.2;
-            let gx = ctx.mem[phi.at2(i + 1, j)] - ctx.mem[phi.at2(i - 1, j)];
-            let gy = ctx.mem[phi.at2(i, j + 1)] - ctx.mem[phi.at2(i, j - 1)];
-            acc += (ctx.mem[phi.at2(i, j)] + 0.5 * (gx + gy)) * w;
+            let gx = down[x] - up[x];
+            let gy = right[x] - left[x];
+            acc += (c[x] + 0.5 * (gx + gy)) * w;
         }
     }
     ctx.partial = acc;
 }
 
 fn mass_kernel(ctx: &mut KernelCtx) {
-    let rho = ctx.h(RHO);
+    let ((i0, n), rows, planes) = (ctx.dense(0), ctx.iter[1], ctx.iter[2]);
+    let [rho] = ctx.views([RHO]);
     let mut acc = 0.0;
-    for k in ctx.iter[2].iter() {
-        for j in ctx.iter[1].iter() {
-            for i in ctx.iter[0].iter() {
-                acc += ctx.mem[rho.at3(i, j, k)];
+    for k in planes.iter() {
+        for j in rows.iter() {
+            for v in rho.run([i0, j, k], n) {
+                acc += v;
             }
         }
     }

@@ -83,27 +83,29 @@ fn gather_target(i: usize, n: usize, span: usize) -> usize {
 }
 
 fn init_kernel(ctx: &mut KernelCtx) {
-    let x = ctx.h(X);
-    let y = ctx.h(Y);
-    let idx = ctx.h(IDX);
+    let (i0, len) = ctx.dense(0);
     let n = ctx.scalar("n") as usize;
     let span = ctx.scalar("span") as usize;
-    for i in ctx.iter[0].iter() {
-        ctx.mem[x.at1(i)] = ((i * 29) % 97) as f64 * 0.125;
-        ctx.mem[y.at1(i)] = 0.0;
-        ctx.mem[idx.at1(i)] = gather_target(i as usize, n, span) as f64;
+    let [mut x, mut y, mut idx] = ctx.views([X, Y, IDX]);
+    let (xs, ids) = (x.run_mut([i0], len), idx.run_mut([i0], len));
+    for (k, i) in (i0..).take(len).enumerate() {
+        xs[k] = ((i * 29) % 97) as f64 * 0.125;
+        ids[k] = gather_target(i as usize, n, span) as f64;
     }
+    y.run_mut([i0], len).fill(0.0);
 }
 
 fn stencil_kernel(ctx: &mut KernelCtx) {
-    let x = ctx.h(X);
-    let y = ctx.h(Y);
-    for i in ctx.iter[0].iter() {
-        ctx.mem[y.at1(i)] =
-            0.5 * ctx.mem[x.at1(i)] + 0.25 * (ctx.mem[x.at1(i - 1)] + ctx.mem[x.at1(i + 1)]);
+    let (i0, n) = ctx.dense(0);
+    let [x, mut y] = ctx.views([X, Y]);
+    let (c, left, right) = (x.run([i0], n), x.run([i0 - 1], n), x.run([i0 + 1], n));
+    let out = y.run_mut([i0], n);
+    for k in 0..n {
+        out[k] = 0.5 * c[k] + 0.25 * (left[k] + right[k]);
     }
 }
 
+/// The gather itself stays per point: `x(idx(i))` has no dense run.
 fn gather_kernel(ctx: &mut KernelCtx) {
     let x = ctx.h(X);
     let y = ctx.h(Y);
@@ -115,18 +117,17 @@ fn gather_kernel(ctx: &mut KernelCtx) {
 }
 
 fn copy_kernel(ctx: &mut KernelCtx) {
-    let x = ctx.h(X);
-    let y = ctx.h(Y);
-    for i in ctx.iter[0].iter() {
-        ctx.mem[x.at1(i)] = ctx.mem[y.at1(i)];
-    }
+    let (i0, n) = ctx.dense(0);
+    let [mut x, y] = ctx.views([X, Y]);
+    x.run_mut([i0], n).copy_from_slice(y.run([i0], n));
 }
 
 fn norm_kernel(ctx: &mut KernelCtx) {
-    let x = ctx.h(X);
+    let (i0, n) = ctx.dense(0);
+    let [x] = ctx.views([X]);
     let mut acc = 0.0;
-    for i in ctx.iter[0].iter() {
-        acc += ctx.mem[x.at1(i)];
+    for v in x.run([i0], n) {
+        acc += v;
     }
     ctx.partial = acc;
 }

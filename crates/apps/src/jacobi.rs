@@ -61,44 +61,43 @@ impl Params {
 }
 
 fn init_kernel(ctx: &mut KernelCtx) {
-    let a = ctx.h(A);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[a.at2(i, j)] = ((i * 13 + j * 17) % 101) as f64 * 0.01;
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [mut a] = ctx.views([A]);
+    for j in cols.iter() {
+        for (i, out) in (i0..).zip(a.run_mut([i0, j], n)) {
+            *out = ((i * 13 + j * 17) % 101) as f64 * 0.01;
         }
     }
 }
 
 fn sweep_kernel(ctx: &mut KernelCtx) {
-    let a = ctx.h(A);
-    let b = ctx.h(B);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[b.at2(i, j)] = 0.25
-                * (ctx.mem[a.at2(i - 1, j)]
-                    + ctx.mem[a.at2(i + 1, j)]
-                    + ctx.mem[a.at2(i, j - 1)]
-                    + ctx.mem[a.at2(i, j + 1)]);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [a, mut b] = ctx.views([A, B]);
+    for j in cols.iter() {
+        let (up, down) = (a.run([i0 - 1, j], n), a.run([i0 + 1, j], n));
+        let (left, right) = (a.run([i0, j - 1], n), a.run([i0, j + 1], n));
+        let out = b.run_mut([i0, j], n);
+        for x in 0..n {
+            out[x] = 0.25 * (up[x] + down[x] + left[x] + right[x]);
         }
     }
 }
 
 fn copy_kernel(ctx: &mut KernelCtx) {
-    let a = ctx.h(A);
-    let b = ctx.h(B);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[a.at2(i, j)] = ctx.mem[b.at2(i, j)];
-        }
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [mut a, b] = ctx.views([A, B]);
+    for j in cols.iter() {
+        a.run_mut([i0, j], n).copy_from_slice(b.run([i0, j], n));
     }
 }
 
 fn checksum_kernel(ctx: &mut KernelCtx) {
-    let a = ctx.h(A);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [a] = ctx.views([A]);
     let mut acc = 0.0;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            acc += ctx.mem[a.at2(i, j)];
+    for j in cols.iter() {
+        for v in a.run([i0, j], n) {
+            acc += v;
         }
     }
     ctx.partial = acc;

@@ -60,33 +60,37 @@ fn entry(i: i64, j: i64, n: usize) -> f64 {
 }
 
 fn init_kernel(ctx: &mut KernelCtx) {
-    let a = ctx.h(A);
-    let n = ctx.iter[0].count() as usize;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[a.at2(i, j)] = entry(i, j, n);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [mut a] = ctx.views([A]);
+    for j in cols.iter() {
+        for (i, out) in (i0..).zip(a.run_mut([i0, j], n)) {
+            *out = entry(i, j, n);
         }
     }
 }
 
 fn scale_kernel(ctx: &mut KernelCtx) {
-    let a = ctx.h(A);
-    let k = ctx.sym(K);
-    let pivot = ctx.mem[a.at2(k, k)];
+    let ((i0, n), k) = (ctx.dense(0), ctx.sym(K));
+    let [mut a] = ctx.views([A]);
+    let pivot = a.run([k, k], 1)[0];
     let inv = 1.0 / pivot;
-    for i in ctx.iter[0].iter() {
-        ctx.mem[a.at2(i, k)] *= inv;
+    for v in a.run_mut([i0, k], n) {
+        *v *= inv;
     }
 }
 
 fn update_kernel(ctx: &mut KernelCtx) {
-    let a = ctx.h(A);
-    let k = ctx.sym(K);
-    for j in ctx.iter[1].iter() {
-        let akj = ctx.mem[a.at2(k, j)];
-        for i in ctx.iter[0].iter() {
-            let aik = ctx.mem[a.at2(i, k)];
-            ctx.mem[a.at2(i, j)] -= aik * akj;
+    let ((i0, n), cols, k) = (ctx.dense(0), ctx.iter[1], ctx.sym(K));
+    let [mut a] = ctx.views([A]);
+    // Column k (read) and the columns right of it (written) are disjoint
+    // halves of the one array.
+    let (left, mut right) = a.split_last(k + 1);
+    let pivot_col = left.run([i0, k], n);
+    for j in cols.iter() {
+        let akj = right.run([k, j], 1)[0];
+        let col = right.run_mut([i0, j], n);
+        for x in 0..n {
+            col[x] -= pivot_col[x] * akj;
         }
     }
 }

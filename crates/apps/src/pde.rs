@@ -51,13 +51,14 @@ impl Params {
 }
 
 fn init_kernel(ctx: &mut KernelCtx) {
-    let u = ctx.h(U);
-    let f = ctx.h(F);
-    for k in ctx.iter[2].iter() {
-        for j in ctx.iter[1].iter() {
-            for i in ctx.iter[0].iter() {
-                ctx.mem[u.at3(i, j, k)] = ((i + 2 * j + 3 * k) % 17) as f64 * 0.05;
-                ctx.mem[f.at3(i, j, k)] = ((i * j + k) % 13) as f64 * 0.02;
+    let ((i0, n), rows, planes) = (ctx.dense(0), ctx.iter[1], ctx.iter[2]);
+    let [mut u, mut f] = ctx.views([U, F]);
+    for k in planes.iter() {
+        for j in rows.iter() {
+            let (us, fs) = (u.run_mut([i0, j, k], n), f.run_mut([i0, j, k], n));
+            for (x, i) in (i0..).take(n).enumerate() {
+                us[x] = ((i + 2 * j + 3 * k) % 17) as f64 * 0.05;
+                fs[x] = ((i * j + k) % 13) as f64 * 0.02;
             }
         }
     }
@@ -66,44 +67,41 @@ fn init_kernel(ctx: &mut KernelCtx) {
 const H2: f64 = 0.015625; // h² for a unit cube at grid 128 (shape only)
 
 fn relax_kernel(ctx: &mut KernelCtx) {
-    let u = ctx.h(U);
-    let v = ctx.h(V);
-    let f = ctx.h(F);
+    let ((i0, n), rows, planes) = (ctx.dense(0), ctx.iter[1], ctx.iter[2]);
+    let [u, mut v, f] = ctx.views([U, V, F]);
     let inv6 = 1.0 / 6.0;
-    for k in ctx.iter[2].iter() {
-        for j in ctx.iter[1].iter() {
-            for i in ctx.iter[0].iter() {
-                let s = ctx.mem[u.at3(i - 1, j, k)]
-                    + ctx.mem[u.at3(i + 1, j, k)]
-                    + ctx.mem[u.at3(i, j - 1, k)]
-                    + ctx.mem[u.at3(i, j + 1, k)]
-                    + ctx.mem[u.at3(i, j, k - 1)]
-                    + ctx.mem[u.at3(i, j, k + 1)];
-                ctx.mem[v.at3(i, j, k)] = (s - H2 * ctx.mem[f.at3(i, j, k)]) * inv6;
+    for k in planes.iter() {
+        for j in rows.iter() {
+            let (w, e) = (u.run([i0 - 1, j, k], n), u.run([i0 + 1, j, k], n));
+            let (s, nn) = (u.run([i0, j - 1, k], n), u.run([i0, j + 1, k], n));
+            let (dn, up) = (u.run([i0, j, k - 1], n), u.run([i0, j, k + 1], n));
+            let (fs, out) = (f.run([i0, j, k], n), v.run_mut([i0, j, k], n));
+            for x in 0..n {
+                let sum = w[x] + e[x] + s[x] + nn[x] + dn[x] + up[x];
+                out[x] = (sum - H2 * fs[x]) * inv6;
             }
         }
     }
 }
 
 fn copy_kernel(ctx: &mut KernelCtx) {
-    let u = ctx.h(U);
-    let v = ctx.h(V);
-    for k in ctx.iter[2].iter() {
-        for j in ctx.iter[1].iter() {
-            for i in ctx.iter[0].iter() {
-                ctx.mem[u.at3(i, j, k)] = ctx.mem[v.at3(i, j, k)];
-            }
+    let ((i0, n), rows, planes) = (ctx.dense(0), ctx.iter[1], ctx.iter[2]);
+    let [mut u, v] = ctx.views([U, V]);
+    for k in planes.iter() {
+        for j in rows.iter() {
+            u.run_mut([i0, j, k], n)
+                .copy_from_slice(v.run([i0, j, k], n));
         }
     }
 }
 
 fn norm_kernel(ctx: &mut KernelCtx) {
-    let u = ctx.h(U);
+    let ((i0, n), rows, planes) = (ctx.dense(0), ctx.iter[1], ctx.iter[2]);
+    let [u] = ctx.views([U]);
     let mut acc = 0.0;
-    for k in ctx.iter[2].iter() {
-        for j in ctx.iter[1].iter() {
-            for i in ctx.iter[0].iter() {
-                let x = ctx.mem[u.at3(i, j, k)];
+    for k in planes.iter() {
+        for j in rows.iter() {
+            for x in u.run([i0, j, k], n) {
                 acc += x * x;
             }
         }

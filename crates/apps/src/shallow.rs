@@ -12,7 +12,7 @@
 
 use crate::{AppSpec, Scale};
 use fgdsm_hpf::{
-    ARef, ArrayId, CompDist, Dist, Kernel, KernelCtx, ParLoop, Program, Stmt, Subscript,
+    ARef, ArrayId, ArrayView, CompDist, Dist, Kernel, KernelCtx, ParLoop, Program, Stmt, Subscript,
 };
 use fgdsm_section::{Affine, SymRange, Var};
 
@@ -84,81 +84,107 @@ const AA: f64 = 1_000_000.0;
 const ALPHA: f64 = 0.001;
 
 fn init_psi_kernel(ctx: &mut KernelCtx) {
-    let psi = ctx.h(PSI);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
     let di = ctx.scalar("di");
     let dj = ctx.scalar("dj");
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[psi.at2(i, j)] =
-                AA * ((i as f64 + 0.5) * di).sin() * ((j as f64 + 0.5) * dj).sin();
+    let [mut psi] = ctx.views([PSI]);
+    for j in cols.iter() {
+        for (i, out) in (i0..).zip(psi.run_mut([i0, j], n)) {
+            *out = AA * ((i as f64 + 0.5) * di).sin() * ((j as f64 + 0.5) * dj).sin();
         }
     }
 }
 
 fn init_uvp_kernel(ctx: &mut KernelCtx) {
-    let u = ctx.h(U);
-    let v = ctx.h(V);
-    let p = ctx.h(P);
-    let psi = ctx.h(PSI);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
     let di = ctx.scalar("di");
     let dj = ctx.scalar("dj");
     let pcf = ctx.scalar("pcf");
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[u.at2(i, j)] = -(ctx.mem[psi.at2(i, j)] - ctx.mem[psi.at2(i - 1, j)]) / DY;
-            ctx.mem[v.at2(i, j)] = (ctx.mem[psi.at2(i, j)] - ctx.mem[psi.at2(i, j - 1)]) / DX;
-            ctx.mem[p.at2(i, j)] =
-                pcf * ((2.0 * i as f64 * di).cos() + (2.0 * j as f64 * dj).cos()) + 50_000.0;
+    let [mut u, mut v, mut p, psi] = ctx.views([U, V, P, PSI]);
+    for j in cols.iter() {
+        let (psi_c, psi_w) = (psi.run([i0, j], n), psi.run([i0 - 1, j], n));
+        let psi_s = psi.run([i0, j - 1], n);
+        let (us, vs, ps) = (
+            u.run_mut([i0, j], n),
+            v.run_mut([i0, j], n),
+            p.run_mut([i0, j], n),
+        );
+        for (x, i) in (i0..).take(n).enumerate() {
+            us[x] = -(psi_c[x] - psi_w[x]) / DY;
+            vs[x] = (psi_c[x] - psi_s[x]) / DX;
+            ps[x] = pcf * ((2.0 * i as f64 * di).cos() + (2.0 * j as f64 * dj).cos()) + 50_000.0;
         }
     }
 }
 
 fn init_old_kernel(ctx: &mut KernelCtx) {
-    let (u, v, p) = (ctx.h(U), ctx.h(V), ctx.h(P));
-    let (uo, vo, po) = (ctx.h(UOLD), ctx.h(VOLD), ctx.h(POLD));
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            ctx.mem[uo.at2(i, j)] = ctx.mem[u.at2(i, j)];
-            ctx.mem[vo.at2(i, j)] = ctx.mem[v.at2(i, j)];
-            ctx.mem[po.at2(i, j)] = ctx.mem[p.at2(i, j)];
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [u, v, p, mut uo, mut vo, mut po] = ctx.views([U, V, P, UOLD, VOLD, POLD]);
+    for j in cols.iter() {
+        uo.run_mut([i0, j], n).copy_from_slice(u.run([i0, j], n));
+        vo.run_mut([i0, j], n).copy_from_slice(v.run([i0, j], n));
+        po.run_mut([i0, j], n).copy_from_slice(p.run([i0, j], n));
+    }
+}
+
+/// The three runs of one array a first-order stencil reads in column
+/// `j`: at `(i, j)`, `(i+d, j)` and `(i, j+d)`.
+fn stencil<'a>(
+    a: &'a ArrayView,
+    (i0, n): (i64, usize),
+    j: i64,
+    d: i64,
+) -> (&'a [f64], &'a [f64], &'a [f64]) {
+    (
+        a.run([i0, j], n),
+        a.run([i0 + d, j], n),
+        a.run([i0, j + d], n),
+    )
+}
+
+/// Backward stencils: suffix `_w` is `i-1`, `_s` is `j-1`.
+fn loop100_kernel(ctx: &mut KernelCtx) {
+    let (rows, cols) = (ctx.dense(0), ctx.iter[1]);
+    let (i0, n) = rows;
+    let fsdx = ctx.scalar("fsdx");
+    let fsdy = ctx.scalar("fsdy");
+    let [u, v, p, mut cu, mut cv, mut z, mut h] = ctx.views([U, V, P, CU, CV, Z, H]);
+    for j in cols.iter() {
+        let (p_c, p_w, p_s) = stencil(&p, rows, j, -1);
+        let p_sw = p.run([i0 - 1, j - 1], n);
+        let (u_c, u_w, u_s) = stencil(&u, rows, j, -1);
+        let (v_c, v_w, v_s) = stencil(&v, rows, j, -1);
+        let (cus, cvs) = (cu.run_mut([i0, j], n), cv.run_mut([i0, j], n));
+        let (zs, hs) = (z.run_mut([i0, j], n), h.run_mut([i0, j], n));
+        for x in 0..n {
+            let (pij, uij, vij) = (p_c[x], u_c[x], v_c[x]);
+            cus[x] = 0.5 * (pij + p_w[x]) * uij;
+            cvs[x] = 0.5 * (pij + p_s[x]) * vij;
+            zs[x] =
+                (fsdx * (vij - v_w[x]) - fsdy * (uij - u_s[x])) / (p_sw[x] + p_s[x] + pij + p_w[x]);
+            let (um, vm) = (u_w[x], v_s[x]);
+            hs[x] = pij + 0.25 * (uij * uij + um * um + vij * vij + vm * vm);
         }
     }
 }
 
-fn loop100_kernel(ctx: &mut KernelCtx) {
-    let (u, v, p) = (ctx.h(U), ctx.h(V), ctx.h(P));
-    let (cu, cv, z, h) = (ctx.h(CU), ctx.h(CV), ctx.h(Z), ctx.h(H));
-    let fsdx = ctx.scalar("fsdx");
-    let fsdy = ctx.scalar("fsdy");
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            let pij = ctx.mem[p.at2(i, j)];
-            let uij = ctx.mem[u.at2(i, j)];
-            let vij = ctx.mem[v.at2(i, j)];
-            ctx.mem[cu.at2(i, j)] = 0.5 * (pij + ctx.mem[p.at2(i - 1, j)]) * uij;
-            ctx.mem[cv.at2(i, j)] = 0.5 * (pij + ctx.mem[p.at2(i, j - 1)]) * vij;
-            ctx.mem[z.at2(i, j)] = (fsdx * (vij - ctx.mem[v.at2(i - 1, j)])
-                - fsdy * (uij - ctx.mem[u.at2(i, j - 1)]))
-                / (ctx.mem[p.at2(i - 1, j - 1)]
-                    + ctx.mem[p.at2(i, j - 1)]
-                    + pij
-                    + ctx.mem[p.at2(i - 1, j)]);
-            let um = ctx.mem[u.at2(i - 1, j)];
-            let vm = ctx.mem[v.at2(i, j - 1)];
-            ctx.mem[h.at2(i, j)] = pij + 0.25 * (uij * uij + um * um + vij * vij + vm * vm);
-        }
+/// Copy column `from` of each array onto column `to`, rows of the loop.
+fn copy_column<const N: usize>(ctx: &mut KernelCtx, ids: [ArrayId; N], from: i64, to: i64) {
+    let (i0, n) = ctx.dense(0);
+    for mut a in ctx.views(ids) {
+        let (mut below, mut above) = a.split_last(from.max(to));
+        let (src, dst) = if from < to {
+            (below.run([i0, from], n), above.run_mut([i0, to], n))
+        } else {
+            (above.run([i0, from], n), below.run_mut([i0, to], n))
+        };
+        dst.copy_from_slice(src);
     }
 }
 
 fn bc1_cols_kernel(ctx: &mut KernelCtx) {
-    let (cu, cv, z, h) = (ctx.h(CU), ctx.h(CV), ctx.h(Z), ctx.h(H));
     let n = ctx.scalar("jmax") as i64;
-    for i in ctx.iter[0].iter() {
-        ctx.mem[cu.at2(i, 0)] = ctx.mem[cu.at2(i, n)];
-        ctx.mem[cv.at2(i, 0)] = ctx.mem[cv.at2(i, n)];
-        ctx.mem[z.at2(i, 0)] = ctx.mem[z.at2(i, n)];
-        ctx.mem[h.at2(i, 0)] = ctx.mem[h.at2(i, n)];
-    }
+    copy_column(ctx, [CU, CV, Z, H], n, 0);
 }
 
 fn bc1_rows_kernel(ctx: &mut KernelCtx) {
@@ -172,41 +198,40 @@ fn bc1_rows_kernel(ctx: &mut KernelCtx) {
     }
 }
 
+/// Forward stencils: suffix `_e` is `i+1`, `_n` is `j+1`.
 fn loop200_kernel(ctx: &mut KernelCtx) {
-    let (cu, cv, z, h) = (ctx.h(CU), ctx.h(CV), ctx.h(Z), ctx.h(H));
-    let (un, vn, pn) = (ctx.h(UNEW), ctx.h(VNEW), ctx.h(PNEW));
-    let (uo, vo, po) = (ctx.h(UOLD), ctx.h(VOLD), ctx.h(POLD));
+    let (rows, cols) = (ctx.dense(0), ctx.iter[1]);
+    let (i0, n) = rows;
     let tdts8 = ctx.scalar("tdts8");
     let tdtsdx = ctx.scalar("tdtsdx");
     let tdtsdy = ctx.scalar("tdtsdy");
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            let zc = ctx.mem[z.at2(i, j)];
-            ctx.mem[un.at2(i, j)] = ctx.mem[uo.at2(i, j)]
-                + tdts8
-                    * (ctx.mem[z.at2(i + 1, j)] + zc)
-                    * (ctx.mem[cv.at2(i + 1, j)] + ctx.mem[cv.at2(i, j)])
-                - tdtsdx * (ctx.mem[h.at2(i + 1, j)] - ctx.mem[h.at2(i, j)]);
-            ctx.mem[vn.at2(i, j)] = ctx.mem[vo.at2(i, j)]
-                - tdts8
-                    * (ctx.mem[z.at2(i, j + 1)] + zc)
-                    * (ctx.mem[cu.at2(i, j + 1)] + ctx.mem[cu.at2(i, j)])
-                - tdtsdy * (ctx.mem[h.at2(i, j + 1)] - ctx.mem[h.at2(i, j)]);
-            ctx.mem[pn.at2(i, j)] = ctx.mem[po.at2(i, j)]
-                - tdtsdx * (ctx.mem[cu.at2(i + 1, j)] - ctx.mem[cu.at2(i, j)])
-                - tdtsdy * (ctx.mem[cv.at2(i, j + 1)] - ctx.mem[cv.at2(i, j)]);
+    let [cu, cv, z, h, mut un, mut vn, mut pn, uo, vo, po] =
+        ctx.views([CU, CV, Z, H, UNEW, VNEW, PNEW, UOLD, VOLD, POLD]);
+    for j in cols.iter() {
+        let (z_c, z_e, z_n) = stencil(&z, rows, j, 1);
+        let (cu_c, cu_e, cu_n) = stencil(&cu, rows, j, 1);
+        let (cv_c, cv_e, cv_n) = stencil(&cv, rows, j, 1);
+        let (h_c, h_e, h_n) = stencil(&h, rows, j, 1);
+        let (uos, vos, pos) = (uo.run([i0, j], n), vo.run([i0, j], n), po.run([i0, j], n));
+        let (uns, vns, pns) = (
+            un.run_mut([i0, j], n),
+            vn.run_mut([i0, j], n),
+            pn.run_mut([i0, j], n),
+        );
+        for x in 0..n {
+            let zc = z_c[x];
+            uns[x] =
+                uos[x] + tdts8 * (z_e[x] + zc) * (cv_e[x] + cv_c[x]) - tdtsdx * (h_e[x] - h_c[x]);
+            vns[x] =
+                vos[x] - tdts8 * (z_n[x] + zc) * (cu_n[x] + cu_c[x]) - tdtsdy * (h_n[x] - h_c[x]);
+            pns[x] = pos[x] - tdtsdx * (cu_e[x] - cu_c[x]) - tdtsdy * (cv_n[x] - cv_c[x]);
         }
     }
 }
 
 fn bc2_cols_kernel(ctx: &mut KernelCtx) {
-    let (un, vn, pn) = (ctx.h(UNEW), ctx.h(VNEW), ctx.h(PNEW));
     let n = ctx.scalar("jmax") as i64;
-    for i in ctx.iter[0].iter() {
-        ctx.mem[un.at2(i, n)] = ctx.mem[un.at2(i, 0)];
-        ctx.mem[vn.at2(i, n)] = ctx.mem[vn.at2(i, 0)];
-        ctx.mem[pn.at2(i, n)] = ctx.mem[pn.at2(i, 0)];
-    }
+    copy_column(ctx, [UNEW, VNEW, PNEW], 0, n);
 }
 
 fn bc2_rows_kernel(ctx: &mut KernelCtx) {
@@ -220,26 +245,23 @@ fn bc2_rows_kernel(ctx: &mut KernelCtx) {
 }
 
 fn loop300_kernel(ctx: &mut KernelCtx) {
-    let (u, v, p) = (ctx.h(U), ctx.h(V), ctx.h(P));
-    let (un, vn, pn) = (ctx.h(UNEW), ctx.h(VNEW), ctx.h(PNEW));
-    let (uo, vo, po) = (ctx.h(UOLD), ctx.h(VOLD), ctx.h(POLD));
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            let (uc, vc, pc) = (
-                ctx.mem[u.at2(i, j)],
-                ctx.mem[v.at2(i, j)],
-                ctx.mem[p.at2(i, j)],
-            );
-            ctx.mem[uo.at2(i, j)] =
-                uc + ALPHA * (ctx.mem[un.at2(i, j)] - 2.0 * uc + ctx.mem[uo.at2(i, j)]);
-            ctx.mem[vo.at2(i, j)] =
-                vc + ALPHA * (ctx.mem[vn.at2(i, j)] - 2.0 * vc + ctx.mem[vo.at2(i, j)]);
-            ctx.mem[po.at2(i, j)] =
-                pc + ALPHA * (ctx.mem[pn.at2(i, j)] - 2.0 * pc + ctx.mem[po.at2(i, j)]);
-            ctx.mem[u.at2(i, j)] = ctx.mem[un.at2(i, j)];
-            ctx.mem[v.at2(i, j)] = ctx.mem[vn.at2(i, j)];
-            ctx.mem[p.at2(i, j)] = ctx.mem[pn.at2(i, j)];
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let views = ctx.views([U, V, P, UNEW, VNEW, PNEW, UOLD, VOLD, POLD]);
+    let [mut u, mut v, mut p, un, vn, pn, mut uo, mut vo, mut po] = views;
+    // Robert filter on one field: `old` absorbs the smoothed current
+    // value, `cur` takes the new one.
+    let smooth = |cur: &mut [f64], new: &[f64], old: &mut [f64]| {
+        for x in 0..n {
+            let c = cur[x];
+            old[x] = c + ALPHA * (new[x] - 2.0 * c + old[x]);
+            cur[x] = new[x];
         }
+    };
+    for j in cols.iter() {
+        let at = [i0, j];
+        smooth(u.run_mut(at, n), un.run(at, n), uo.run_mut(at, n));
+        smooth(v.run_mut(at, n), vn.run(at, n), vo.run_mut(at, n));
+        smooth(p.run_mut(at, n), pn.run(at, n), po.run_mut(at, n));
     }
 }
 

@@ -439,6 +439,15 @@ fn report_run(
         run.report.wall_ns as f64 / 1e6,
         run.plans_cached
     );
+    // What each loop's kernels cost on this host: a kernel that lost its
+    // vectorized inner loop shows here as a number.
+    let kernels: Vec<String> = loop_names
+        .iter()
+        .zip(&run.inspector)
+        .filter(|(_, r)| r.points > 0)
+        .map(|(name, r)| format!("{name} {:.2}", r.compute_ns as f64 / r.points as f64))
+        .collect();
+    println!("    kernel ns/point: {}", kernels.join(" | "));
 }
 
 /// Co-residency demo: jacobi's Test geometry is block-aligned at 8

@@ -6,9 +6,16 @@
 //! to reproduce. The simulator is deterministic, so a mismatch is a
 //! behavioural change, never noise.
 //!
-//! Regenerate (only for an *intended* virtual-time change, and say so in
-//! CHANGES.md): `cargo test -p fgdsm-bench --test golden_digests` prints
-//! the measured table on failure — paste it over `GOLDEN`.
+//! `GOLDEN_DATA` pins the numerics the same way: the bit patterns of
+//! `RunResult::data` and of every scalar (name, then value, in the
+//! table's order) for the same 21 runs. It was generated at the last
+//! commit whose suite kernels addressed memory point by point, so a
+//! kernel rewrite that says "bit-identical data" has to reproduce it.
+//!
+//! Regenerate (only for an *intended* virtual-time or numeric change,
+//! and say so in CHANGES.md): `cargo test -p fgdsm-bench --test
+//! golden_digests` prints the measured table on failure — paste it over
+//! `GOLDEN` / `GOLDEN_DATA`.
 
 use fgdsm_apps::{extended_suite, Scale};
 use fgdsm_bench::NPROCS;
@@ -49,9 +56,38 @@ const GOLDEN: &[Row] = &[
     ("irreg", "mp", 0x94c0e6931793cd12, 0xe41185006f3a23ef, 0xc58ec3effe8efa93),
 ];
 
+/// `(app, backend, data, scalars)`.
+type DataRow = (&'static str, &'static str, u64, u64);
+
+#[rustfmt::skip]
+const GOLDEN_DATA: &[DataRow] = &[
+    ("pde", "sm_unopt", 0x8dfea21a2de3d192, 0x21fbc37a1d08647c),
+    ("pde", "sm_opt", 0x8dfea21a2de3d192, 0x21fbc37a1d08647c),
+    ("pde", "mp", 0x8dfea21a2de3d192, 0x21fbc37a1d08647c),
+    ("shallow", "sm_unopt", 0x7153f6dbace20bea, 0x1971e78e0a543f65),
+    ("shallow", "sm_opt", 0x7153f6dbace20bea, 0x1971e78e0a543f65),
+    ("shallow", "mp", 0x7153f6dbace20bea, 0x1971e78e0a543f65),
+    ("grav", "sm_unopt", 0x512c4e0b8eeea26b, 0xd65ee49495418bc8),
+    ("grav", "sm_opt", 0x512c4e0b8eeea26b, 0xd65ee49495418bc8),
+    ("grav", "mp", 0x512c4e0b8eeea26b, 0xd65ee49495418bc8),
+    ("lu", "sm_unopt", 0x69dff83a5d3e28bf, 0xcbf29ce484222325),
+    ("lu", "sm_opt", 0x69dff83a5d3e28bf, 0xcbf29ce484222325),
+    ("lu", "mp", 0x69dff83a5d3e28bf, 0xcbf29ce484222325),
+    ("cg", "sm_unopt", 0x8f3fdfe3deb29e45, 0x304694c642936ecb),
+    ("cg", "sm_opt", 0x8f3fdfe3deb29e45, 0x304694c642936ecb),
+    ("cg", "mp", 0x8f3fdfe3deb29e45, 0x304694c642936ecb),
+    ("jacobi", "sm_unopt", 0xf4df091810ad3092, 0xe7c1b2428ea05fb6),
+    ("jacobi", "sm_opt", 0xf4df091810ad3092, 0xe7c1b2428ea05fb6),
+    ("jacobi", "mp", 0xf4df091810ad3092, 0xe7c1b2428ea05fb6),
+    ("irreg", "sm_unopt", 0xa7fc300a347ac661, 0x077efbf6f7353a04),
+    ("irreg", "sm_opt", 0xa7fc300a347ac661, 0x077efbf6f7353a04),
+    ("irreg", "mp", 0xa7fc300a347ac661, 0x077efbf6f7353a04),
+];
+
 #[test]
 fn canonical_artifacts_match_the_golden_table() {
     let mut measured: Vec<Row> = Vec::new();
+    let mut measured_data: Vec<DataRow> = Vec::new();
     for spec in extended_suite(Scale::Test) {
         for (backend, cfg) in [
             ("sm_unopt", ExecConfig::sm_unopt(NPROCS)),
@@ -66,22 +102,47 @@ fn canonical_artifacts_match_the_golden_table() {
                 fnv1a(trace.as_bytes()),
                 fnv1a(run.report.profile_json().as_bytes()),
             ));
+            let data: Vec<u8> = run
+                .data
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            let scalars: Vec<u8> = run
+                .scalars
+                .iter()
+                .flat_map(|(name, v)| [name.as_bytes(), &v.to_bits().to_le_bytes()].concat())
+                .collect();
+            measured_data.push((spec.name, backend, fnv1a(&data), fnv1a(&scalars)));
         }
     }
     assert_eq!(measured.len() * 3, 63);
-    if measured != GOLDEN {
+    check(
+        "canonical artifacts",
+        &measured,
+        GOLDEN,
+        |(a, b, r, t, p)| format!("({a:?}, {b:?}, {r:#018x}, {t:#018x}, {p:#018x})"),
+    );
+    check(
+        "data or scalars",
+        &measured_data,
+        GOLDEN_DATA,
+        |(a, b, d, s)| format!("({a:?}, {b:?}, {d:#018x}, {s:#018x})"),
+    );
+}
+
+/// Fail with the measured table, ready to paste, if it is not `golden`.
+fn check<R: PartialEq>(what: &str, measured: &[R], golden: &[R], row: impl Fn(&R) -> String) {
+    if measured != golden {
         let table: String = measured
             .iter()
-            .map(|(a, b, r, t, p)| {
-                format!("    ({a:?}, {b:?}, {r:#018x}, {t:#018x}, {p:#018x}),\n")
-            })
+            .map(|r| format!("    {},\n", row(r)))
             .collect();
         let moved: Vec<String> = measured
             .iter()
-            .zip(GOLDEN)
+            .zip(golden)
             .filter(|(m, g)| m != g)
-            .map(|(m, _)| format!("{}/{}", m.0, m.1))
+            .map(|(m, _)| row(m))
             .collect();
-        panic!("canonical artifacts moved ({moved:?}); measured table:\n{table}");
+        panic!("{what} moved ({moved:?}); measured table:\n{table}");
     }
 }

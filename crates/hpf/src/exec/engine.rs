@@ -566,9 +566,13 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, l
     let mut partials = std::mem::take(&mut core.partials_scratch);
     partials.clear();
     partials.resize(nprocs, CacheAligned(0.0));
-    compute_phase(core, l, &plan.acc, &mut partials);
+    let points = compute_phase(core, l, &plan.acc, &mut partials);
     let t_post = Instant::now();
-    core.phases.compute_ns += (t_post - t_compute).as_nanos() as u64;
+    let compute_ns = (t_post - t_compute).as_nanos() as u64;
+    core.phases.compute_ns += compute_ns;
+    let row = &mut core.inspector[loop_id as usize];
+    row.compute_ns += compute_ns;
+    row.points += points;
 
     backend.note_kernel_writes(core, l, plan);
 
@@ -599,13 +603,14 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, l
 /// worker and per-shard state makes the outcome independent of the
 /// schedule — the serial path below produces byte-identical traces.
 /// Loops below [`PAR_COMPUTE_MIN_POINTS`] total iterations run serially
-/// regardless: waking workers would cost more than the kernels.
+/// regardless: waking workers would cost more than the kernels. Returns
+/// that total.
 fn compute_phase(
     core: &mut EngineCore,
     l: &ParLoop,
     acc: &LoopAccess,
     partials: &mut [CacheAligned<f64>],
-) {
+) -> u64 {
     let EngineCore {
         cfg,
         handles,
@@ -681,6 +686,7 @@ fn compute_phase(
             }
         }
     }
+    total_points
 }
 
 #[cfg(test)]

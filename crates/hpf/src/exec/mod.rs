@@ -443,14 +443,20 @@ pub struct PlannedXfer {
     pub bytes: u64,
 }
 
-/// Plan bookkeeping for one parallel loop: how many of its instances
-/// built a plan (`inspections`) and how many reused the one in the
-/// per-loop table (`hits`). A loop whose access structure is fixed builds
-/// once per run; a symbolic one every instance.
+/// Host-side bookkeeping for one parallel loop. Plans: how many of its
+/// instances built a plan (`inspections`) and how many reused the one in
+/// the per-loop table (`hits`) — a loop whose access structure is fixed
+/// builds once per run, a symbolic one every instance. Kernels: the host
+/// time its compute phases took over the run (`compute_ns`, the same
+/// clock reads as [`HostPhases::compute_ns`](fgdsm_tempest::HostPhases))
+/// and the iteration points they covered on all nodes (`points`), so a
+/// kernel that stops vectorizing shows as ns/point.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InspectorRow {
     pub inspections: u64,
     pub hits: u64,
+    pub compute_ns: u64,
+    pub points: u64,
 }
 
 /// The result of executing a program.
@@ -468,8 +474,8 @@ pub struct RunResult {
     /// Contract-planned transfer volumes, in planning order (empty for
     /// backends that plan nothing: `sm_unopt`, `mp`).
     pub planned: Vec<PlannedXfer>,
-    /// Plan bookkeeping per parallel loop, indexed by loop id (program
-    /// order). Host-side bookkeeping, in no canonical artifact.
+    /// Plan and kernel-time bookkeeping per parallel loop, indexed by
+    /// loop id (program order). Host-side, in no canonical artifact.
     pub inspector: Vec<InspectorRow>,
     /// Plans the per-loop table held at the end of the run — never more
     /// than the program has loops.

@@ -155,6 +155,7 @@ pub struct ReduceSpec {
 pub struct ArrayHandle {
     /// Word offset of the array base in the node's segment copy.
     pub base: usize,
+    extents: [usize; 3],
     strides: [usize; 3],
     ndims: usize,
 }
@@ -163,44 +164,190 @@ impl ArrayHandle {
     /// Build a handle from a base offset and the array's extents.
     pub fn new(base: usize, extents: &[usize]) -> Self {
         assert!((1..=3).contains(&extents.len()), "1-3 dimensional arrays");
+        let mut ext = [1usize; 3];
         let mut strides = [0usize; 3];
         let mut s = 1;
         for (d, &e) in extents.iter().enumerate() {
+            ext[d] = e;
             strides[d] = s;
             s *= e;
         }
         ArrayHandle {
             base,
+            extents: ext,
             strides,
             ndims: extents.len(),
+        }
+    }
+
+    /// Number of words the array occupies from `base`.
+    fn len(&self) -> usize {
+        self.extents.iter().product()
+    }
+
+    /// Debug builds only: a negative or out-of-extent index would wrap
+    /// (`-1 as usize`) and silently name a neighbouring column.
+    #[inline(always)]
+    fn debug_check(&self, at: &[i64]) {
+        debug_assert_eq!(self.ndims, at.len());
+        for (d, &x) in at.iter().enumerate() {
+            debug_assert!(
+                x >= 0 && (x as usize) < self.extents[d],
+                "index {x} outside dim-{d} extent {}",
+                self.extents[d]
+            );
         }
     }
 
     /// Word offset of `a(i)`.
     #[inline(always)]
     pub fn at1(&self, i: i64) -> usize {
-        debug_assert_eq!(self.ndims, 1);
+        self.debug_check(&[i]);
         self.base + i as usize
     }
 
     /// Word offset of `a(i, j)`.
     #[inline(always)]
     pub fn at2(&self, i: i64, j: i64) -> usize {
-        debug_assert_eq!(self.ndims, 2);
+        self.debug_check(&[i, j]);
         self.base + i as usize + j as usize * self.strides[1]
     }
 
     /// Word offset of `a(i, j, k)`.
     #[inline(always)]
     pub fn at3(&self, i: i64, j: i64, k: i64) -> usize {
-        debug_assert_eq!(self.ndims, 3);
+        self.debug_check(&[i, j, k]);
         self.base + i as usize + j as usize * self.strides[1] + k as usize * self.strides[2]
+    }
+}
+
+/// One array's words in a node's segment, borrowed disjointly from every
+/// other array's by [`KernelCtx::views`]. A kernel reads and writes it a
+/// dense dim-0 **run** at a time: [`run`](Self::run) /
+/// [`run_mut`](Self::run_mut) check the run against the array's extents
+/// once and hand back a slice, so the loop over the run carries no
+/// per-point bounds check and — the written slice being a `&mut` the
+/// read slices cannot alias — vectorizes. Any number of read runs of one
+/// view may overlap (a stencil's `i-1` / `i+1`); a kernel that reads and
+/// writes *different* parts of one array splits the view first
+/// ([`split_last`](Self::split_last)).
+pub struct ArrayView<'a> {
+    id: ArrayId,
+    words: &'a mut [f64],
+    extents: [usize; 3],
+    ndims: usize,
+    /// The indices of the last dimension `words` covers (`lo..hi`): the
+    /// whole extent until the view is split.
+    last: (usize, usize),
+}
+
+impl ArrayView<'_> {
+    /// Offset into `words` of the run of `len` elements along dim 0
+    /// starting at `at`, after checking the run against the extents (and
+    /// the part of the last dimension this view covers).
+    #[inline]
+    fn offset<const D: usize>(&self, at: [i64; D], len: usize) -> usize {
+        assert_eq!(D, self.ndims, "array #{}: {D} subscripts", self.id.0);
+        let mut off = 0;
+        let mut stride = 1;
+        for (d, &x) in at.iter().enumerate() {
+            // The run occupies `x..x+len` of dim 0, one index elsewhere.
+            let n = if d == 0 { len } else { 1 };
+            let (from, to) = if d + 1 == D {
+                self.last
+            } else {
+                (0, self.extents[d])
+            };
+            let inside = x >= from as i64 && (x as usize).checked_add(n).is_some_and(|e| e <= to);
+            if !inside {
+                self.outside(d, x, n);
+            }
+            off += (x as usize - from) * stride;
+            stride *= self.extents[d];
+        }
+        off
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn outside(&self, d: usize, x: i64, n: usize) -> ! {
+        let (lo, hi) = self.last;
+        let split = if d + 1 == self.ndims && (lo, hi) != (0, self.extents[d]) {
+            format!(" (this half of the split view covers {lo}..{hi})")
+        } else {
+            String::new()
+        };
+        panic!(
+            "array #{}: run of {n} from index {x} leaves dim-{d} extent {}{split}",
+            self.id.0, self.extents[d]
+        );
+    }
+
+    /// The `len` elements `a(i0.., j[, k])` as a shared slice.
+    #[inline]
+    pub fn run<const D: usize>(&self, at: [i64; D], len: usize) -> &[f64] {
+        let off = self.offset(at, len);
+        &self.words[off..off + len]
+    }
+
+    /// The `len` elements `a(i0.., j[, k])` as an exclusive slice.
+    #[inline]
+    pub fn run_mut<const D: usize>(&mut self, at: [i64; D], len: usize) -> &mut [f64] {
+        let off = self.offset(at, len);
+        &mut self.words[off..off + len]
+    }
+
+    /// Split along the last dimension (columns of a 2-D array, planes of
+    /// a 3-D one) into the parts before and from index `at` — for the
+    /// in-place kernel that reads one column while writing another
+    /// (`lu`: pivot column `k` read, columns `j > k` written). Both halves
+    /// keep the array's own indices; a run outside its half panics.
+    pub fn split_last(&mut self, at: i64) -> (ArrayView<'_>, ArrayView<'_>) {
+        let (lo, hi) = self.last;
+        assert!(
+            at >= lo as i64 && at as usize <= hi,
+            "array #{}: split at {at} outside {lo}..{hi}",
+            self.id.0
+        );
+        let at = at as usize;
+        let per_index: usize = self.extents[..self.ndims - 1].iter().product();
+        let (below, above) = self.words.split_at_mut((at - lo) * per_index);
+        let half = |words, last| ArrayView {
+            id: self.id,
+            words,
+            extents: self.extents,
+            ndims: self.ndims,
+            last,
+        };
+        (half(below, (lo, at)), half(above, (at, hi)))
     }
 }
 
 /// Execution context passed to kernels: the node's segment memory, its
 /// iteration sub-ranges, the symbolic environment, replicated scalars and
 /// the reduction accumulator.
+///
+/// A kernel whose innermost loop is dense in dim 0 walks **runs**: it
+/// takes its iteration ranges, borrows one [`ArrayView`] per array it
+/// names, and loops over slices —
+///
+/// ```ignore
+/// let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+/// let [a, mut b] = ctx.views([A, B]);
+/// for j in cols.iter() {
+///     let (w, e) = (a.run([i0 - 1, j], n), a.run([i0 + 1, j], n));
+///     let (s, nn) = (a.run([i0, j - 1], n), a.run([i0, j + 1], n));
+///     let out = b.run_mut([i0, j], n);
+///     for x in 0..n {
+///         out[x] = 0.25 * (w[x] + e[x] + s[x] + nn[x]);
+///     }
+/// }
+/// ```
+///
+/// — with the same element order and the same accumulation order as the
+/// per-point form, so results stay bit-identical. Per-point access
+/// (`ctx.mem[ctx.h(A).at2(i, j)]`) remains for what has no dense run:
+/// indirect gathers, a strided dim 0, data-driven subscripts.
 pub struct KernelCtx<'a> {
     /// This node's copy of the whole shared segment.
     pub mem: &'a mut [f64],
@@ -224,6 +371,35 @@ impl KernelCtx<'_> {
     #[inline(always)]
     pub fn h(&self, id: ArrayId) -> ArrayHandle {
         self.handles[id.0]
+    }
+
+    /// Iteration range `d` as `(first index, count)`; it must be dense.
+    pub fn dense(&self, d: usize) -> (i64, usize) {
+        let r = self.iter[d];
+        assert_eq!(r.stride, 1, "loop dimension {d} is strided: {r}");
+        (r.lo, r.count() as usize)
+    }
+
+    /// Borrow the named arrays as disjoint views of this node's segment.
+    /// Arrays never share a word (each is allocated on its own pages), so
+    /// the split is by array extent alone; naming one array twice panics.
+    pub fn views<const N: usize>(&mut self, ids: [ArrayId; N]) -> [ArrayView<'_>; N] {
+        let handles = ids.map(|id| (id, self.handles[id.0]));
+        let words = self
+            .mem
+            .get_disjoint_mut(handles.map(|(_, h)| h.base..h.base + h.len()))
+            .unwrap_or_else(|e| panic!("views of {ids:?}: {e}"));
+        let mut handles = handles.into_iter();
+        words.map(|words| {
+            let (id, h) = handles.next().expect("one handle per slice");
+            ArrayView {
+                id,
+                words,
+                extents: h.extents,
+                ndims: h.ndims,
+                last: (0, h.extents[h.ndims - 1]),
+            }
+        })
     }
 
     /// Value of a replicated scalar.
@@ -577,6 +753,248 @@ mod tests {
         assert_eq!(h.at2(0, 1), 108);
         let h3 = ArrayHandle::new(0, &[4, 4, 4]);
         assert_eq!(h3.at3(1, 2, 3), 1 + 8 + 48);
+    }
+
+    /// In debug builds a stencil offset that leaves the array fails at
+    /// the access; it used to wrap and name `a(n-1, j-1)`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "index -1 outside dim-0 extent 8")]
+    fn negative_point_index_is_caught_in_debug() {
+        ArrayHandle::new(100, &[8, 6]).at2(-1, 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "index 6 outside dim-1 extent 6")]
+    fn point_index_past_the_extent_is_caught_in_debug() {
+        ArrayHandle::new(100, &[8, 6]).at2(0, 6);
+    }
+
+    const PAGE: usize = 64;
+
+    /// A context over a fresh segment holding arrays of the given
+    /// extents, each on its own pages as `layout_arrays` places them,
+    /// every word holding its own address.
+    fn with_ctx<R>(extents: &[&[usize]], iter: &[Range], f: impl FnOnce(&mut KernelCtx) -> R) -> R {
+        let mut base = 0;
+        let handles: Vec<ArrayHandle> = extents
+            .iter()
+            .map(|e| {
+                let h = ArrayHandle::new(base, e);
+                base = (base + h.len()).next_multiple_of(PAGE);
+                h
+            })
+            .collect();
+        let mut mem: Vec<f64> = (0..base).map(|w| w as f64).collect();
+        let mut ctx = KernelCtx {
+            mem: &mut mem,
+            iter,
+            env: &Env::new(),
+            scalars: &BTreeMap::new(),
+            partial: 0.0,
+            node: 0,
+            nprocs: 1,
+            handles: &handles,
+        };
+        f(&mut ctx)
+    }
+
+    const IDS: [ArrayId; 3] = [ArrayId(0), ArrayId(1), ArrayId(2)];
+
+    #[test]
+    fn views_are_disjoint_and_tile_the_array_extents() {
+        // 40, 8×6 and 4×3×5 words: none fills its last page.
+        with_ctx(&[&[40], &[8, 6], &[4, 3, 5]], &[], |ctx| {
+            let [mut a, mut b, mut c] = ctx.views(IDS);
+            a.run_mut([0], 40).fill(-1.0);
+            for j in 0..6 {
+                b.run_mut([0, j], 8).fill(-2.0);
+            }
+            for k in 0..5 {
+                for j in 0..3 {
+                    c.run_mut([0, j, k], 4).fill(-3.0);
+                }
+            }
+            // Every word of every array was reachable through exactly its
+            // own view, and the padding between arrays through none.
+            let handles = ctx.handles;
+            for (w, &v) in ctx.mem.iter().enumerate() {
+                let owner = handles
+                    .iter()
+                    .position(|h| (h.base..h.base + h.len()).contains(&w));
+                match owner {
+                    Some(k) => assert_eq!(v, -(k as f64 + 1.0), "word {w}"),
+                    None => assert_eq!(v, w as f64, "padding word {w}"),
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "views of [ArrayId(1), ArrayId(1)]")]
+    fn one_array_cannot_be_viewed_twice() {
+        with_ctx(&[&[40], &[8, 6]], &[], |ctx| {
+            ctx.views([ArrayId(1), ArrayId(1)]);
+        });
+    }
+
+    #[test]
+    fn read_runs_of_one_view_may_overlap() {
+        with_ctx(&[&[8, 6]], &[], |ctx| {
+            let [a] = ctx.views([ArrayId(0)]);
+            // A stencil's `i-1` and `i+1` runs share all but two words.
+            let (up, down) = (a.run([0, 2], 6), a.run([2, 2], 6));
+            assert_eq!(up[2..], down[..4]);
+            assert_eq!((up[0], down[5]), (16.0, 23.0));
+        });
+    }
+
+    #[test]
+    fn a_run_3d_matches_at3_word_for_word() {
+        with_ctx(&[&[40], &[4, 3, 5]], &[], |ctx| {
+            let h = ctx.h(ArrayId(1));
+            let [c] = ctx.views([ArrayId(1)]);
+            for k in 0..5 {
+                for j in 0..3 {
+                    for (i0, len) in [(0, 4), (1, 3), (3, 1), (2, 0)] {
+                        let want: Vec<f64> = (i0..i0 + len as i64)
+                            .map(|i| h.at3(i, j, k) as f64)
+                            .collect();
+                        assert_eq!(c.run([i0, j, k], len), want);
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn split_halves_keep_the_arrays_own_indices() {
+        with_ctx(&[&[8, 6]], &[], |ctx| {
+            let [mut a] = ctx.views([ArrayId(0)]);
+            let (left, mut right) = a.split_last(3);
+            // lu's shape: read column 2 while writing column 4.
+            let (src, dst) = (left.run([1, 2], 7), right.run_mut([1, 4], 7));
+            dst.copy_from_slice(src);
+            assert_eq!(a.run([0, 4], 8), [32.0, 17., 18., 19., 20., 21., 22., 23.]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array #0: run of 1 from index 3 leaves dim-1 extent 6 \
+                               (this half of the split view covers 0..3)")]
+    fn a_column_on_the_other_side_of_the_split_panics() {
+        with_ctx(&[&[8, 6]], &[], |ctx| {
+            let [mut a] = ctx.views([ArrayId(0)]);
+            let (left, _right) = a.split_last(3);
+            left.run([0, 3], 8);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "this half of the split view covers 0..20")]
+    fn a_run_straddling_the_split_panics() {
+        with_ctx(&[&[40]], &[], |ctx| {
+            let [mut a] = ctx.views([ArrayId(0)]);
+            let (left, _right) = a.split_last(20);
+            left.run([18], 4);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array #1: run of 4 from index -1 leaves dim-0 extent 8")]
+    fn a_run_starting_before_the_array_panics() {
+        with_ctx(&[&[40], &[8, 6]], &[], |ctx| {
+            let [b] = ctx.views([ArrayId(1)]);
+            b.run([-1, 2], 4);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array #1: run of 4 from index 5 leaves dim-0 extent 8")]
+    fn a_run_past_the_end_of_dim_0_panics() {
+        // In bounds of the segment, and of the array: it would read on
+        // into the next column.
+        with_ctx(&[&[40], &[8, 6]], &[], |ctx| {
+            let [b] = ctx.views([ArrayId(1)]);
+            b.run([5, 2], 4);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array #1: run of 1 from index 6 leaves dim-1 extent 6")]
+    fn an_outer_index_past_its_extent_panics() {
+        with_ctx(&[&[40], &[8, 6]], &[], |ctx| {
+            let [mut b] = ctx.views([ArrayId(1)]);
+            b.run_mut([0, 6], 8);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array #0: run of 1 from index -1 leaves dim-2 extent 5")]
+    fn a_negative_outer_index_panics() {
+        with_ctx(&[&[4, 3, 5]], &[], |ctx| {
+            let [c] = ctx.views([ArrayId(0)]);
+            c.run([0, 1, -1], 4);
+        });
+    }
+
+    /// One stencil-plus-reduction kernel written per point and by runs
+    /// leaves bit-equal memory and a bit-equal sum.
+    #[test]
+    fn a_kernel_by_runs_equals_the_same_kernel_per_point() {
+        const A: ArrayId = ArrayId(0);
+        const B: ArrayId = ArrayId(1);
+        let (n, m) = (37, 11);
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let noise: Vec<f64> = (0..n * m).map(|_| random() * 1e3).collect();
+        let run_with = |kernel: fn(&mut KernelCtx)| {
+            let iter = [Range::new(1, n as i64 - 2), Range::new(1, m as i64 - 2)];
+            with_ctx(&[&[n, m], &[n, m]], &iter, |ctx| {
+                ctx.mem[..n * m].copy_from_slice(&noise);
+                kernel(ctx);
+                let bits: Vec<u64> = ctx.mem.iter().map(|v| v.to_bits()).collect();
+                (bits, ctx.partial.to_bits())
+            })
+        };
+        fn per_point(ctx: &mut KernelCtx) {
+            let (a, b) = (ctx.h(A), ctx.h(B));
+            let mut acc = 0.0;
+            for j in ctx.iter[1].iter() {
+                for i in ctx.iter[0].iter() {
+                    let v = 0.3 * ctx.mem[a.at2(i, j)]
+                        + 0.1 * (ctx.mem[a.at2(i - 1, j)] + ctx.mem[a.at2(i, j + 1)]);
+                    ctx.mem[b.at2(i, j)] = v;
+                    acc += v * v;
+                }
+            }
+            ctx.partial = acc;
+        }
+        fn by_runs(ctx: &mut KernelCtx) {
+            let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+            let [a, mut b] = ctx.views([A, B]);
+            let mut acc = 0.0;
+            for j in cols.iter() {
+                let (c, up, right) = (
+                    a.run([i0, j], n),
+                    a.run([i0 - 1, j], n),
+                    a.run([i0, j + 1], n),
+                );
+                let out = b.run_mut([i0, j], n);
+                for x in 0..n {
+                    out[x] = 0.3 * c[x] + 0.1 * (up[x] + right[x]);
+                    acc += out[x] * out[x];
+                }
+            }
+            ctx.partial = acc;
+        }
+        assert_eq!(run_with(per_point), run_with(by_runs));
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub use exec::{
     ParallelMode, PlannedXfer, PoolMode, ReferenceResult, RunResult, WireMode,
 };
 pub use ir::{
-    ARef, ArrayHandle, CompDist, Kernel, KernelCtx, KernelFn, ParLoop, Program, ProgramBuilder,
-    ReduceSpec, RefMode, Stmt, Subscript,
+    ARef, ArrayHandle, ArrayView, CompDist, Kernel, KernelCtx, KernelFn, ParLoop, Program,
+    ProgramBuilder, ReduceSpec, RefMode, Stmt, Subscript,
 };
 pub use plan::{covering_blocks, shmem_limits, ArrayMeta, CtlRanges, LoopPlan, OptLevel};
 pub use redundancy::PreCache;

@@ -20,6 +20,9 @@ const NEXT: ArrayId = ArrayId(1);
 const N: usize = 256;
 const ITERS: i64 = 12;
 
+/// Per-point access — `ctx.mem[handle.at2(i, j)]` — is the fallback for
+/// what has no dense run (an indirect gather, a strided first dimension)
+/// and is fine for a once-per-run initialisation like this one.
 fn init(ctx: &mut KernelCtx) {
     let g = ctx.h(GRID);
     for j in ctx.iter[1].iter() {
@@ -29,32 +32,44 @@ fn init(ctx: &mut KernelCtx) {
     }
 }
 
+/// The idiom for a hot loop: borrow one view per array, then walk the
+/// dense dim-0 *runs* of each column as slices. A run is checked against
+/// the array's extents once; the loop over it has no bounds check left
+/// and, `out` being the only `&mut`, vectorizes.
 fn sweep(ctx: &mut KernelCtx) {
-    let g = ctx.h(GRID);
-    let n = ctx.h(NEXT);
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            // 9-point box blur.
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [grid, mut next] = ctx.views([GRID, NEXT]);
+    for j in cols.iter() {
+        // 9-point box blur: the nine neighbour runs, in summation order
+        // (overlapping read runs of one view are fine).
+        let nine: [&[f64]; 9] =
+            std::array::from_fn(|k| grid.run([i0 + k as i64 % 3 - 1, j + k as i64 / 3 - 1], n));
+        let out = next.run_mut([i0, j], n);
+        for x in 0..n {
             let mut s = 0.0;
-            for dj in -1..=1 {
-                for di in -1..=1 {
-                    s += ctx.mem[g.at2(i + di, j + dj)];
-                }
+            for neighbour in nine {
+                s += neighbour[x];
             }
-            ctx.mem[n.at2(i, j)] = s / 9.0;
+            out[x] = s / 9.0;
         }
     }
 }
 
+/// Reductions accumulate in element order — the same order as the
+/// per-point loop, so every backend and the sequential reference agree
+/// to the bit.
 fn copy_back(ctx: &mut KernelCtx) {
-    let g = ctx.h(GRID);
-    let n = ctx.h(NEXT);
+    let ((i0, n), cols) = (ctx.dense(0), ctx.iter[1]);
+    let [mut grid, next] = ctx.views([GRID, NEXT]);
     let mut delta = 0.0;
-    for j in ctx.iter[1].iter() {
-        for i in ctx.iter[0].iter() {
-            let d = ctx.mem[n.at2(i, j)] - ctx.mem[g.at2(i, j)];
-            delta += d.abs();
-            ctx.mem[g.at2(i, j)] = ctx.mem[n.at2(i, j)];
+    for j in cols.iter() {
+        for (g, &new) in grid
+            .run_mut([i0, j], n)
+            .iter_mut()
+            .zip(next.run([i0, j], n))
+        {
+            delta += (new - *g).abs();
+            *g = new;
         }
     }
     ctx.partial = delta;

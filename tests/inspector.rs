@@ -9,7 +9,7 @@
 //! that crate's unit tests cannot see the suite's or the fuzzer's
 //! programs.)
 
-use fgdsm::apps::{extended_suite, suite, Scale};
+use fgdsm::apps::{extended_suite, jacobi, suite, Scale};
 use fgdsm::hpf::exec::backend::CommBackend;
 use fgdsm::hpf::exec::engine::EngineCore;
 use fgdsm::hpf::exec::sm_opt::SmOpt;
@@ -334,6 +334,22 @@ fn host_phases_sum_to_the_wall_clock() {
             let default_protocol = !matches!(cfg.backend, fgdsm::hpf::Backend::Mp);
             assert_eq!(host.walk_ns > 0, default_protocol, "{}", spec.name);
             assert!(host.inspect_ns > 0, "{}: every backend lowers", spec.name);
+            // The per-loop kernel rows are the compute phase split by
+            // loop id — the same clock reads, so they sum exactly — and
+            // count every iteration point of every instance.
+            let by_loop: u64 = run.inspector.iter().map(|r| r.compute_ns).sum();
+            assert_eq!(by_loop, host.compute_ns, "{}", spec.name);
+            assert!(run
+                .inspector
+                .iter()
+                .all(|r| r.points > 0 && r.compute_ns > 0));
+            if spec.name == "jacobi" {
+                let p = jacobi::Params::at(Scale::Test);
+                let interior = ((p.n - 2) * (p.m - 2)) as u64;
+                let loops = spec.program.par_loops();
+                let sweep = loops.iter().position(|l| l.name == "sweep").unwrap();
+                assert_eq!(run.inspector[sweep].points, p.iters as u64 * interior);
+            }
         }
     }
 }
