@@ -43,11 +43,15 @@ cargo fmt --check
 # numbers instead of hand counts: non-test .rs lines (each file up to its
 # `#[cfg(test)]`) under crates/*/src and src/, `#[test]` functions,
 # FGDSM_* knobs, `unsafe` sites, caches keyed by an address under
-# crates/hpf/src/exec/, and suite-kernel lines that still index the
+# crates/hpf/src/exec/, suite-kernel lines that still index the
 # segment point by point (`ctx.mem[` under crates/apps/src/; the kernels
 # walk runs — DESIGN 5c — so what is left should be gathers and boundary
-# rows). Only the address-keyed cache can fail the gate: the per-loop
-# table is indexed by loop id, and a loop's address must not come back.
+# rows), free lists (`VecPool`/`carcass` under crates/*/src) and ordered
+# containers constructed in the contract and message-passing executors.
+# Two of them can fail the gate: the per-loop table is indexed by loop
+# id, and a loop's address must not come back; resolve executes a
+# schedule kept in the plan (DESIGN 5c), so neither may a free list for
+# per-superstep plans, nor a map built in an executor.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
 tests=$(cat $(find crates src tests -name '*.rs') | grep -c '#\[test\]')
@@ -55,8 +59,14 @@ knobs=$(grep -ohE 'FGDSM_[A-Z_]+' crates/tempest/src/knob.rs | sort -u | wc -l)
 unsafes=$(cat $(find crates src -name '*.rs') | grep -cE 'unsafe +(\{|fn|impl)')
 addrs=$(cat crates/hpf/src/exec/*.rs | grep -c 'as \*const' || true)
 points=$(cat crates/apps/src/*.rs | grep -c 'ctx\.mem\[' || true)
-echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites"
+pools=$(cat $(find crates/*/src -name '*.rs') | grep -c 'VecPool\|carcass' || true)
+maps=$(cat crates/hpf/src/exec/sm_opt.rs crates/hpf/src/exec/mp.rs | grep -c 'BTreeMap\|BTreeSet' || true)
+echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $maps ordered containers in exec/{sm_opt,mp}.rs"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
+    exit 1
+fi
+if [ "$pools" -ne 0 ] || [ "$maps" -ne 0 ]; then
+    echo "ci.sh: a plan free list ($pools) or an executor-side ordered container ($maps) is back" >&2
     exit 1
 fi

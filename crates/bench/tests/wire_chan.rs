@@ -27,7 +27,7 @@ use fgdsm_apps::{suite, Scale};
 use fgdsm_bench::NPROCS;
 use fgdsm_hpf::{execute, tcp_available, ExecConfig};
 use fgdsm_protocol::{
-    ChanTransport, Dsm, Geometry, RemoteReport, SendEntry, WireError, WireTransport,
+    plan_sends, ChanTransport, Dsm, Geometry, RemoteReport, SendEntry, WireError, WireTransport,
     DEFAULT_RECV_TIMEOUT,
 };
 use fgdsm_tempest::{Cluster, CostModel, HomePolicy, NodeStats, SegmentLayout, WireSpan, NO_ARRAY};
@@ -230,9 +230,8 @@ fn chan_books_reconcile_and_a_skewed_book_is_a_typed_mismatch() {
             end: 2,
             array: NO_ARRAY,
         }];
-        let plans = d.plan_sends(&sends, true);
-        d.apply_plans(&plans);
-        d.recycle_plans(plans);
+        let plans = plan_sends(&d.cluster, d.injection(), &sends, true);
+        d.exec_sends(&sends, &plans);
         assert!(d.wire_stats().0 > 0, "the push must have been enveloped");
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.wire_finish())).map(|_| ())
     };

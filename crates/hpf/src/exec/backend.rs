@@ -4,9 +4,10 @@
 //! each parallel loop it calls the hooks below in a fixed order with the
 //! loop instance's [`LoopPlan`] (analysis plus lowering — backends read
 //! it, they never lower a section themselves), and a backend decides how
-//! declared accesses become data movement — default
-//! protocol faults, the §4.2 compiler-directed contract, or marshalled
-//! messages. The driver never matches on [`super::Backend`].
+//! declared accesses become data movement — default protocol faults, the
+//! §4.2 compiler-directed contract, or marshalled messages — by
+//! executing a schedule it builds from the plan at most once and leaves
+//! there. The driver never matches on [`super::Backend`].
 
 use super::engine::EngineCore;
 use crate::ir::ParLoop;

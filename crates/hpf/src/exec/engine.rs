@@ -7,13 +7,13 @@
 //! instance for a symbolic one — and runs one superstep in two explicit
 //! phases:
 //!
-//! * **Resolve phase**: the backend's [`CommBackend::resolve`] discovers
-//!   and services every cross-node fault / ctl transfer / message the
-//!   loop needs, against the state the previous superstep left behind.
-//!   Everything in it runs on the driver thread in a fixed order:
-//!   default-protocol faults and the ctl tag transitions in node order,
-//!   the bulk data movement as one plan per (source, destination) pair
-//!   applied in plan order (see [`fgdsm_protocol::TransferPlan`]).
+//! * **Resolve phase**: the backend's [`CommBackend::resolve`] services
+//!   every cross-node fault / ctl transfer / message the loop needs,
+//!   against the state the previous superstep left behind. Everything in
+//!   it runs on the driver thread in the order of a schedule the plan
+//!   holds ([`crate::plan`]): default-protocol faults and the ctl tag
+//!   transitions in node order, the bulk data movement one
+//!   [`fgdsm_protocol::TransferPlan`] per (source, destination) pair.
 //! * **Compute phase** ([`compute_phase`]): each node's kernel runs
 //!   against its own [`NodeShard`] with zero cross-node access, so the
 //!   driver may dispatch the shards across the run's [`WorkerPool`]
@@ -92,8 +92,10 @@ pub struct EngineCore<'p> {
     partials_scratch: Vec<CacheAligned<f64>>,
     /// Per-loop inspector bookkeeping, indexed by profiler loop id.
     inspector: Vec<InspectorRow>,
-    /// The always-on host phase clock (see [`HostPhases`]).
-    phases: HostPhases,
+    /// The always-on host phase clock (see [`HostPhases`]). A backend
+    /// books its schedule build as `inspect_ns`, so that what `exec_par`
+    /// books as its communication is the executing alone.
+    pub(super) phases: HostPhases,
 }
 
 /// Allocate every program array into a fresh page-aligned segment layout.

@@ -34,12 +34,13 @@
 //! mp backends for differential testing.
 //!
 //! Execution is BSP, and every superstep is split into two explicit
-//! phases. The **resolve phase** discovers every cross-node transfer the
-//! loop needs against the state the previous superstep left behind and
-//! services it on the driver thread in a fixed order; its bulk data
-//! movement is a *plan* pass (call-site bookkeeping, payload grouping —
-//! see [`fgdsm_protocol::TransferPlan`]) followed by an *apply* of the
-//! plans in plan order. The **compute phase** then runs each node's
+//! phases. The **resolve phase** services every cross-node transfer the
+//! loop needs against the state the previous superstep left behind, on
+//! the driver thread: each backend *executes a schedule* — plain data
+//! built once per static loop and kept in its [`crate::plan::LoopPlan`]
+//! (the default protocol's covers, the §4.2 contract's call sites and
+//! [`fgdsm_protocol::TransferPlan`]s, message passing's sends) — in
+//! schedule order. The **compute phase** then runs each node's
 //! kernel against that node's own [`fgdsm_tempest::NodeShard`] only —
 //! zero cross-node access — dispatched across the run's
 //! [`fgdsm_tempest::WorkerPool`]. The threading never changes a

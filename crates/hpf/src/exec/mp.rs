@@ -3,17 +3,17 @@
 
 use super::backend::CommBackend;
 use super::engine::EngineCore;
-use crate::ir::{ParLoop, RefMode};
-use crate::plan::LoopPlan;
-use fgdsm_protocol::{MpRuntime, MpSendPlan};
-use fgdsm_section::{Section, StridedRange};
+use crate::ir::ParLoop;
+use crate::plan::{self, LoopPlan};
+use fgdsm_protocol::MpRuntime;
 use fgdsm_tempest::ReduceOp;
-use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 /// One marshalled message per (owner → user, section) pair — except that
 /// a section shipped from one owner to three or more readers (e.g. `lu`'s
 /// pivot column) goes through the runtime's broadcast tree, as `pghpf`'s
-/// runtime does. Pays the PGI runtime's per-message overhead.
+/// runtime does. Pays the PGI runtime's per-message overhead. Who sends
+/// what to whom is the plan's [`plan::MpSchedule`]; this only executes it.
 pub struct Mp {
     mp: MpRuntime,
 }
@@ -28,57 +28,23 @@ impl Mp {
 
 impl CommBackend for Mp {
     fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
-        let mut users: BTreeSet<usize> = BTreeSet::new();
-        // Planned strided sends, merged per (owner, user) pair.
-        let mut plans: BTreeMap<(usize, usize), MpSendPlan> = BTreeMap::new();
-        // The users of each distinct (owner, array, section).
-        let mut groups: BTreeMap<(usize, usize, &Section), Vec<usize>> = BTreeMap::new();
-        for (t, _) in plan.transfers() {
-            let key = (t.owner, t.array, &t.section);
-            groups.entry(key).or_default().push(t.user);
-        }
-        for ((t, _), runs) in plan.transfers().zip(&plan.xfer_runs) {
-            // The runtime's stride of a single run is 1, not 0.
-            let sections = runs.runs.iter().map(|sr| StridedRange {
-                stride: sr.stride.max(1),
-                ..*sr
-            });
-            let group = &groups[&(t.owner, t.array, &t.section)];
-            if group.len() >= 3 {
-                // Broadcast once, on behalf of the whole group.
-                if group[0] == t.user {
-                    for sr in sections {
-                        self.mp.broadcast(&mut core.dsm, t.owner, group, sr);
-                    }
-                }
-            } else {
-                // Plan → apply: accumulate the strided sections per
-                // (owner, user) pair; the pairs apply in plan order after
-                // the broadcasts.
-                plans
-                    .entry((t.owner, t.user))
-                    .or_insert_with(|| self.mp.take_send_plan(t.owner, t.user))
-                    .sections
-                    .extend(sections);
+        let t0 = Instant::now();
+        let sched = plan.mp.get_or_init(|| plan::mp_schedule(l, plan));
+        core.phases.inspect_ns += t0.elapsed().as_nanos() as u64;
+        for b in &sched.broadcasts {
+            for &sr in &b.sections {
+                self.mp.broadcast(&mut core.dsm, b.owner, &b.users, sr);
             }
-            users.insert(t.user);
         }
-        let mut plan_vec = self.mp.take_send_plan_vec();
-        plan_vec.extend(plans.into_values());
-        let plans = plan_vec;
-        self.mp.apply_send_plans(&mut core.dsm, &plans);
-        self.mp.recycle_send_plans(plans);
-        for &u in &users {
+        // The pairs apply in schedule order, after the broadcasts.
+        self.mp.apply_send_plans(&mut core.dsm, &sched.sends);
+        for &u in &sched.receivers {
             self.mp.recv_all(&mut core.dsm.cluster, u);
         }
         // Map each node's own written pages (first touch).
-        for (p, per_ref) in plan.runs.iter().enumerate() {
-            for (r, lr) in l.refs.iter().zip(per_ref) {
-                if r.mode == RefMode::Write {
-                    for (s, len) in lr.iter_runs() {
-                        core.dsm.cluster.map_range(p, s, len);
-                    }
-                }
+        for &(p, sr) in &sched.first_touch {
+            for (s, len) in sr.runs() {
+                core.dsm.cluster.map_range(p, s, len);
             }
         }
     }

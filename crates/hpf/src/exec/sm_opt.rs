@@ -6,10 +6,11 @@
 use super::backend::CommBackend;
 use super::engine::EngineCore;
 use crate::ir::{ParLoop, RefMode};
-use crate::plan::{merge_block_ranges, LoopPlan, OptLevel};
+use crate::plan::{self, CtlSchedule, LoopPlan, OptLevel};
 use crate::redundancy::PreCache;
-use fgdsm_protocol::FlushEntry;
-use std::collections::BTreeMap;
+use fgdsm_protocol::Dsm;
+use std::borrow::Cow;
+use std::time::Instant;
 
 /// Per-loop access analysis finds the producer→consumer transfers,
 /// `shmem_limits` shrinks them to whole blocks, and the §4.2 call
@@ -20,13 +21,16 @@ use std::collections::BTreeMap;
 /// [`OptLevel::unopt`] there is no contract and every remote access goes
 /// through the default protocol — faults, invalidations, 4-hop forwards —
 /// exactly what the authors' unoptimized shared-memory compiler emits.
+///
+/// The contract of a loop instance is the plan's [`CtlSchedule`]; this
+/// only executes it.
 pub struct SmOpt {
     opt: OptLevel,
     pre: PreCache,
-    /// Non-owner-write flushes pending for the current loop's cleanup.
-    pending_flushes: Vec<FlushEntry>,
-    /// Reader invalidations pending for the current loop's cleanup.
-    pending_invalidate: Vec<(usize, usize, usize)>,
+    /// The in-flight instance's schedule at a `pre` level, which cannot
+    /// live in the plan ([`SmOpt::schedule`]): kept from `resolve` for
+    /// `post_loop`.
+    rebuilt: Option<CtlSchedule>,
 }
 
 impl SmOpt {
@@ -34,81 +38,37 @@ impl SmOpt {
         SmOpt {
             opt,
             pre: PreCache::new(),
-            pending_flushes: Vec::new(),
-            pending_invalidate: Vec::new(),
+            rebuilt: None,
         }
     }
 
-    /// Build the per-loop compiler-control schedule and execute the §4.2
-    /// contract up to (and including) the data push.
-    fn comm_ctl(&mut self, core: &mut EngineCore, plan: &LoopPlan) {
-        let wpb = core.wpb;
-        // Merged send entries: (owner, array, first, end) → readers.
-        let mut sends: BTreeMap<(usize, usize, usize, usize), Vec<usize>> = BTreeMap::new();
-        // Incoming ranges per node (for implicit_writable / invalidate).
-        let mut incoming: BTreeMap<usize, Vec<(usize, usize, usize)>> = BTreeMap::new();
-        let mut flushes: Vec<FlushEntry> = Vec::new();
+    /// The contract schedule of this loop instance: the plan's, built at
+    /// its first resolve and kept as long as the plan is — unless the
+    /// level is `pre`, whose filter (what is still valid right now)
+    /// changes with every delivery and write, so each instance builds its
+    /// own.
+    pub fn schedule<'a>(&self, core: &EngineCore, plan: &'a LoopPlan) -> Cow<'a, CtlSchedule> {
+        let build = || {
+            let (dsm, bulk, edge) = (&core.dsm, self.opt.bulk, core.cfg.inject.force_boundary);
+            let still_valid = |user, array, first, end| {
+                self.opt.pre && self.pre.is_valid(user, array, first, end, core.wpb)
+            };
+            plan::ctl_schedule(plan, &dsm.cluster, dsm.injection(), bulk, edge, still_valid)
+        };
+        match self.opt.pre {
+            true => Cow::Owned(build()),
+            false => Cow::Borrowed(plan.ctl.get_or_init(build)),
+        }
+    }
 
-        let opt = self.opt;
-        // Collect per (owner, array, user): the ctl ranges of every
-        // transfer, then merge overlapping/adjacent ranges — two stencil
-        // references to the same ghost column (e.g. `p(i,j-1)` and
-        // `p(i-1,j-1)` in shallow's loop 100) produce almost-identical
-        // sections that would otherwise be pushed twice.
-        type UserKey = (usize, usize, usize, bool); // (owner, array, user, is_write)
-        let mut per_user: BTreeMap<UserKey, Vec<(usize, usize)>> = BTreeMap::new();
-        // (An indirect transfer is statically unanalyzable: its ctl ranges
-        // are empty and it is left to the default protocol.)
-        for ((t, is_write), cr) in plan.transfers().zip(&plan.xfer_ctl) {
-            if !cr.ctl.is_empty() {
-                per_user
-                    .entry((t.owner, t.array, t.user, is_write))
-                    .or_default()
-                    .extend(cr.ctl.iter().copied());
-            }
+    /// Execute the §4.2 contract up to (and including) the data push.
+    fn comm_ctl(&mut self, core: &mut EngineCore, sched: &CtlSchedule) {
+        self.pre.skipped += sched.reads_skipped;
+        self.pre.performed += sched.reads_performed;
+        for &(array, blocks) in &sched.planned {
+            core.note_planned(array, blocks);
         }
-        for ((owner, array, user, is_write), mut ranges) in per_user {
-            for (f, e) in merge_block_ranges(&mut ranges) {
-                let (f, e) = if core.cfg.inject.force_boundary {
-                    // Tolerated perturbation: retreat each ctl range by one
-                    // block per end, forcing the dropped boundary blocks
-                    // onto the default-protocol path (resolve_default runs
-                    // after the contract and covers every section).
-                    (f + 1, e.saturating_sub(1))
-                } else {
-                    (f, e)
-                };
-                if f >= e {
-                    continue;
-                }
-                if opt.pre && !is_write && self.pre.is_valid(user, array, f, e, wpb) {
-                    self.pre.skipped += 1;
-                    continue;
-                }
-                if !is_write {
-                    self.pre.performed += 1;
-                }
-                sends.entry((owner, array, f, e)).or_default().push(user);
-                incoming.entry(user).or_default().push((array, f, e));
-                if is_write {
-                    flushes.push(FlushEntry {
-                        writer: user,
-                        owner,
-                        first: f,
-                        end: e,
-                        array: array as u32,
-                    });
-                    // The write-back is part of the planned section volume.
-                    core.note_planned(array, (e - f) as u64);
-                }
-            }
-        }
-        self.pending_flushes = flushes;
-        self.pending_invalidate = incoming
-            .iter()
-            .flat_map(|(&n, v)| v.iter().map(move |&(_, f, e)| (n, f, e)))
-            .collect();
-        if sends.is_empty() {
+        if sched.sends.is_empty() {
             return;
         }
 
@@ -121,32 +81,21 @@ impl SmOpt {
         // the blocks whose directory state contradicts the assumption;
         // in the steady state (owners exclusive) no call is issued and
         // no overhead is paid.
-        let mut by_owner: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-        for &(o, _, f, e) in sends.keys() {
-            by_owner.entry(o).or_default().push((f, e));
-        }
+        let rtoe = self.opt.rtoe;
+        let stale = |dsm: &Dsm, o, b| !rtoe || !dsm.dir_state(b).is_excl_by(o);
         let mut acquired = false;
-        for (o, mut ranges) in by_owner {
-            ranges.sort_unstable();
-            ranges.dedup();
-            for (f, e) in ranges {
-                if !self.opt.rtoe {
-                    core.dsm.mk_writable(o, f, e);
-                    acquired = true;
-                    continue;
+        for &(o, f, e) in &sched.acquire {
+            let mut b = f;
+            while b < e {
+                let s = b;
+                while b < e && stale(&core.dsm, o, b) {
+                    b += 1;
                 }
-                let mut b = f;
-                while b < e {
-                    if core.dsm.dir_state(b).is_excl_by(o) {
-                        b += 1;
-                        continue;
-                    }
-                    let s = b;
-                    while b < e && !core.dsm.dir_state(b).is_excl_by(o) {
-                        b += 1;
-                    }
+                if s < b {
                     core.dsm.mk_writable(o, s, b);
                     acquired = true;
+                } else {
+                    b += 1;
                 }
             }
         }
@@ -155,58 +104,32 @@ impl SmOpt {
         }
 
         // Phase B: receivers tag the landing blocks writable.
-        for (&n, ranges) in &incoming {
-            let mut rs: Vec<(usize, usize)> = ranges.iter().map(|&(_, f, e)| (f, e)).collect();
-            rs.sort_unstable();
-            rs.dedup();
-            for (f, e) in rs {
-                core.dsm.implicit_writable(n, f, e, self.opt.rtoe);
-            }
+        for &(n, f, e) in &sched.landing {
+            core.dsm.implicit_writable(n, f, e, self.opt.rtoe);
         }
         core.dsm.release_barrier();
 
         // Phase C: owners push, receivers wait on the counting semaphore.
-        // Plan → apply: the plan pass does all call-site bookkeeping,
-        // then the (owner, reader) plans apply in plan order.
-        let mut entries: Vec<fgdsm_protocol::SendEntry> = Vec::with_capacity(sends.len());
-        for (&(o, a, f, e), readers) in &sends {
-            let mut rs = readers.clone();
-            rs.sort_unstable();
-            rs.dedup();
-            if self.opt.pre {
-                for &r in &rs {
-                    self.pre.record_delivery(r, a, f, e);
+        if self.opt.pre {
+            for en in &sched.sends {
+                for &r in &en.readers {
+                    self.pre
+                        .record_delivery(r, en.array as usize, en.first, en.end);
                 }
             }
-            // One copy of the section reaches every reader.
-            core.note_planned(a, ((e - f) * rs.len()) as u64);
-            entries.push(fgdsm_protocol::SendEntry {
-                owner: o,
-                readers: rs,
-                first: f,
-                end: e,
-                array: a as u32,
-            });
         }
-        let plans = core.dsm.plan_sends(&entries, self.opt.bulk);
-        core.dsm.apply_plans(&plans);
-        core.dsm.recycle_plans(plans);
-        for &n in incoming.keys() {
+        core.dsm.exec_sends(&sched.sends, &sched.send_plans);
+        for &n in &sched.receivers {
             core.dsm.ready_to_recv(n);
         }
     }
 
-    /// The post-loop half of the contract: readers discard compiler-
-    /// controlled copies (skipped under RTOE), non-owner writers flush —
-    /// through the same plan/apply pipeline as the pushes.
-    fn cleanup_ctl(&mut self, core: &mut EngineCore) {
-        let entries = std::mem::take(&mut self.pending_flushes);
-        let plans = core.dsm.plan_flushes(&entries, self.opt.bulk);
-        core.dsm.apply_plans(&plans);
-        core.dsm.recycle_plans(plans);
-        let inval = std::mem::take(&mut self.pending_invalidate);
+    /// The post-loop half of the contract: non-owner writers flush, and
+    /// readers discard compiler-controlled copies (skipped under RTOE).
+    fn cleanup_ctl(&mut self, core: &mut EngineCore, sched: &CtlSchedule) {
+        core.dsm.exec_flushes(&sched.flushes, &sched.flush_plans);
         if !self.opt.rtoe {
-            for (n, f, e) in inval {
+            for &(n, f, e) in &sched.invalidate {
                 core.dsm.implicit_invalidate(n, f, e);
             }
             // The closing barrier of the contract doubles as the loop-end
@@ -228,7 +151,13 @@ impl CommBackend for SmOpt {
     fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         self.pre.tick();
         if self.opt.ctl {
-            self.comm_ctl(core, plan);
+            let t0 = Instant::now();
+            let sched = self.schedule(core, plan);
+            core.phases.inspect_ns += t0.elapsed().as_nanos() as u64;
+            self.comm_ctl(core, &sched);
+            if let Cow::Owned(sched) = sched {
+                self.rebuilt = Some(sched);
+            }
         }
         core.resolve_default(l, plan);
     }
@@ -248,9 +177,11 @@ impl CommBackend for SmOpt {
         }
     }
 
-    fn post_loop(&mut self, core: &mut EngineCore, _l: &ParLoop, _plan: &LoopPlan) {
+    fn post_loop(&mut self, core: &mut EngineCore, _l: &ParLoop, plan: &LoopPlan) {
         if self.opt.ctl {
-            self.cleanup_ctl(core);
+            let rebuilt = self.rebuilt.take();
+            let sched = rebuilt.as_ref().or(plan.ctl.get());
+            self.cleanup_ctl(core, sched.expect("resolve scheduled this instance"));
         }
         core.dsm.release_barrier();
     }

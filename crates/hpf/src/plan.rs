@@ -4,6 +4,9 @@
 //! runs and block ranges: it returns a [`LoopPlan`], plain data that the
 //! engine's default-protocol walk, the §4.2 contract, the message-passing
 //! backend and the `-Minfo` report only read.
+//! Each protocol's *schedule* — the default walk's covers,
+//! [`ctl_schedule`], [`mp_schedule`]: who does what to whom, in order —
+//! is a pure function of it kept beside it; backends only execute.
 //!
 //! `shmem_limits` (§4.2, Figure 2A): a transfer section is linearized to
 //! contiguous (or 2-D strided) virtual-address runs, and each run is
@@ -15,7 +18,11 @@
 use crate::analysis::{LoopAccess, Transfer};
 use crate::dist::ArrayId;
 use crate::ir::{ARef, ParLoop, RefMode};
-use fgdsm_section::{block_subset, ColumnMajor, LinearRanges, Section};
+use fgdsm_protocol::{
+    plan_flushes, plan_sends, FlushEntry, Injection, MpSendPlan, SendEntry, TransferPlan,
+};
+use fgdsm_section::{block_subset, ColumnMajor, LinearRanges, Section, StridedRange};
+use fgdsm_tempest::{Cluster, NodeId};
 use std::cell::OnceCell;
 
 /// Which of the paper's optimizations are enabled (Figure 4's ablation).
@@ -204,7 +211,7 @@ fn covering_range(start: usize, len: usize, words_per_block: usize) -> (usize, u
 /// Sort `raw` block ranges and coalesce the overlapping and the adjacent
 /// (in place, then copied out at their exact size: covers live as long
 /// as a cached plan does).
-pub(crate) fn merge_block_ranges(raw: &mut [(usize, usize)]) -> Vec<(usize, usize)> {
+fn merge_block_ranges(raw: &mut [(usize, usize)]) -> Vec<(usize, usize)> {
     raw.sort_unstable();
     let mut n = 0; // raw[..n] is merged
     for i in 0..raw.len() {
@@ -235,6 +242,65 @@ pub struct ResolveSchedule {
     pub multi: Vec<usize>,
 }
 
+/// The §4.2 contract of one loop instance as plain data
+/// ([`ctl_schedule`]): every call of the conversation with its
+/// arguments, in the order [`SmOpt`](crate::exec::sm_opt::SmOpt) makes
+/// them. What depends on the run's state — which blocks an owner must
+/// still acquire under run-time overhead elimination, whether a landing
+/// range is memoized — the executor decides, call by call.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CtlSchedule {
+    /// Phase A (`mk_writable`): `(owner, first, end)`, ascending.
+    pub acquire: Vec<(NodeId, usize, usize)>,
+    /// Phase B (`implicit_writable`): `(receiver, first, end)`, ascending.
+    pub landing: Vec<(NodeId, usize, usize)>,
+    /// Phase C: the merged `send_range` call sites, their per-pair plans…
+    pub sends: Vec<SendEntry>,
+    pub send_plans: Vec<TransferPlan>,
+    /// …and who then waits on the counting semaphore, ascending.
+    pub receivers: Vec<NodeId>,
+    /// After the loop: the non-owner-write `flush_range` call sites, their
+    /// plans…
+    pub flushes: Vec<FlushEntry>,
+    pub flush_plans: Vec<TransferPlan>,
+    /// …and the `(receiver, first, end)` copies `implicit_invalidate`
+    /// discards (skipped under run-time overhead elimination).
+    pub invalidate: Vec<(NodeId, usize, usize)>,
+    /// The `(array, blocks)` volumes behind the run's
+    /// [`PlannedXfer`](crate::exec::PlannedXfer) records: the write-backs,
+    /// then one copy of each pushed section per reader.
+    pub planned: Vec<(usize, u64)>,
+    /// Non-owner-read sections pushed, and skipped as still valid at
+    /// their reader (the PRE counters' increments).
+    pub reads_performed: u64,
+    pub reads_skipped: u64,
+}
+
+/// One section the message-passing runtime ships through its broadcast
+/// tree: `owner` to all of `users`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MpBroadcast {
+    pub owner: NodeId,
+    pub users: Vec<NodeId>,
+    pub sections: Vec<StridedRange>,
+}
+
+/// The message-passing resolve of one loop instance as plain data
+/// ([`mp_schedule`]), in execution order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MpSchedule {
+    /// Sections with three or more readers (e.g. `lu`'s pivot column), in
+    /// transfer order.
+    pub broadcasts: Vec<MpBroadcast>,
+    /// Everything else, merged per (owner, user) pair, ascending.
+    pub sends: Vec<MpSendPlan>,
+    /// Every node a transfer reaches, ascending: each receives once.
+    pub receivers: Vec<NodeId>,
+    /// `(node, runs)` of every written section: pages a node maps by
+    /// first touch.
+    pub first_touch: Vec<(NodeId, StridedRange)>,
+}
+
 /// Everything one loop instance's sections lower to, as plain data
 /// ([`lower`]). The engine keeps one per static loop; nothing in it
 /// refers to the program, the cluster or the instance that built it.
@@ -255,6 +321,13 @@ pub struct LoopPlan {
     /// …and their `shmem_limits` split (empty for an indirect transfer,
     /// which must not be taken under compiler control).
     pub xfer_ctl: Vec<CtlRanges>,
+    /// The §4.2 contract's schedule — [`ctl_schedule`] of `xfer_ctl`,
+    /// filled in by `sm_opt`'s first resolve (a `pre` level, whose filter
+    /// is the run's state, rebuilds its own every instance).
+    pub ctl: OnceCell<CtlSchedule>,
+    /// The message-passing schedule — [`mp_schedule`] of `xfer_runs` and
+    /// `runs`, filled in by `mp`'s first resolve.
+    pub mp: OnceCell<MpSchedule>,
 }
 
 impl LoopPlan {
@@ -295,6 +368,8 @@ pub fn lower(l: &ParLoop, acc: LoopAccess, metas: &[ArrayMeta], wpb: usize) -> L
         xfer_runs,
         xfer_ctl,
         acc,
+        ctl: OnceCell::new(),
+        mp: OnceCell::new(),
     }
 }
 
@@ -372,6 +447,161 @@ pub(crate) fn schedule(
         .filter(|&(_, (&w, &r))| w.count_ones() >= 2 || (w != 0 && r & !w != 0))
         .map(|(&b, _)| b)
         .collect();
+    sched
+}
+
+/// Schedule the §4.2 contract of one lowered loop instance under the
+/// run's constants: `cluster`'s geometry (block and bulk sizes, homes),
+/// the armed contract mutations ([`plan_sends`] applies them),
+/// [`OptLevel::bulk`], and the tolerated `force_boundary` perturbation —
+/// retreat each ctl range by one block per end, forcing the dropped
+/// boundary blocks onto the default-protocol path (which runs after the
+/// contract and covers every section). `still_valid` is the PRE filter —
+/// is `(reader, array, first, end)` current at its reader from an earlier
+/// delivery? — and the only input that is the run's state: without it
+/// (always `false`) the schedule of a static loop never changes.
+///
+/// The ctl ranges of every transfer are collected per (owner, array,
+/// user, read/write) and the overlapping and adjacent ones merged — two
+/// stencil references to the same ghost column (e.g. `p(i,j-1)` and
+/// `p(i-1,j-1)` in shallow's loop 100) produce almost-identical sections
+/// that would otherwise be pushed twice. (An indirect transfer is
+/// statically unanalyzable: its ctl ranges are empty and it is left to
+/// the default protocol.) A non-owner write is pushed like a read and
+/// flushed back after the loop.
+pub fn ctl_schedule(
+    plan: &LoopPlan,
+    cluster: &Cluster,
+    injection: Injection,
+    bulk: bool,
+    force_boundary: bool,
+    mut still_valid: impl FnMut(NodeId, usize, usize, usize) -> bool,
+) -> CtlSchedule {
+    let mut sched = CtlSchedule::default();
+    type UserKey = (NodeId, usize, NodeId, bool); // (owner, array, user, is_write)
+    let mut raw: Vec<(UserKey, (usize, usize))> = Vec::new();
+    for ((t, is_write), cr) in plan.transfers().zip(&plan.xfer_ctl) {
+        let key = (t.owner, t.array, t.user, is_write);
+        raw.extend(cr.ctl.iter().map(|&range| (key, range)));
+    }
+    raw.sort_unstable();
+    // ((owner, array, first, end), user): who is pushed what.
+    let mut pushes: Vec<((NodeId, usize, usize, usize), NodeId)> = Vec::new();
+    for of_key in raw.chunk_by(|a, b| a.0 == b.0) {
+        let (owner, array, user, is_write) = of_key[0].0;
+        let mut ranges: Vec<(usize, usize)> = of_key.iter().map(|r| r.1).collect();
+        for (f, e) in merge_block_ranges(&mut ranges) {
+            let (f, e) = match force_boundary {
+                true => (f + 1, e.saturating_sub(1)),
+                false => (f, e),
+            };
+            if f >= e {
+                continue;
+            }
+            if !is_write && still_valid(user, array, f, e) {
+                sched.reads_skipped += 1;
+                continue;
+            }
+            pushes.push(((owner, array, f, e), user));
+            sched.invalidate.push((user, f, e));
+            if is_write {
+                sched.flushes.push(FlushEntry {
+                    writer: user,
+                    owner,
+                    first: f,
+                    end: e,
+                    array: array as u32,
+                });
+                // The write-back is part of the planned section volume.
+                sched.planned.push((array, (e - f) as u64));
+            } else {
+                sched.reads_performed += 1;
+            }
+        }
+    }
+    // Per receiver, in the order above.
+    sched.invalidate.sort_by_key(|&(user, ..)| user);
+    sched.landing = sched.invalidate.clone();
+    sched.landing.sort_unstable();
+    sched.landing.dedup();
+    sched.receivers = sched.landing.iter().map(|&(user, ..)| user).collect();
+    sched.receivers.dedup();
+    // One call site per (owner, array, range), pushing to all its users.
+    pushes.sort_unstable();
+    pushes.dedup();
+    for site in pushes.chunk_by(|a, b| a.0 == b.0) {
+        let (owner, array, first, end) = site[0].0;
+        // One copy of the section reaches every reader.
+        let volume = ((end - first) * site.len()) as u64;
+        sched.planned.push((array, volume));
+        sched.acquire.push((owner, first, end));
+        sched.sends.push(SendEntry {
+            owner,
+            readers: site.iter().map(|s| s.1).collect(),
+            first,
+            end,
+            array: array as u32,
+        });
+    }
+    sched.acquire.sort_unstable();
+    sched.acquire.dedup();
+    sched.send_plans = plan_sends(cluster, injection, &sched.sends, bulk);
+    sched.flush_plans = plan_flushes(cluster, &sched.flushes, bulk);
+    sched
+}
+
+/// Schedule the message-passing resolve of one lowered loop instance:
+/// one marshalled message per (owner → user, section) pair — except that
+/// a section shipped from one owner to three or more readers goes
+/// through the runtime's broadcast tree, once, on behalf of the whole
+/// group, as `pghpf`'s runtime does.
+pub fn mp_schedule(l: &ParLoop, plan: &LoopPlan) -> MpSchedule {
+    let mut sched = MpSchedule::default();
+    let transfers: Vec<&Transfer> = plan.transfers().map(|(t, _)| t).collect();
+    // The users of each distinct (owner, array, section), in transfer
+    // order: a stable sort brings a group together.
+    fn key(t: &Transfer) -> (NodeId, usize, &Section) {
+        (t.owner, t.array, &t.section)
+    }
+    let mut grouped = transfers.clone();
+    grouped.sort_by(|a, b| key(a).cmp(&key(b)));
+    let mut pairwise: Vec<((NodeId, NodeId), StridedRange)> = Vec::new();
+    for (t, runs) in transfers.iter().zip(&plan.xfer_runs) {
+        // The runtime's stride of a single run is 1, not 0.
+        let sections = runs.runs.iter().map(|sr| StridedRange {
+            stride: sr.stride.max(1),
+            ..*sr
+        });
+        let start = grouped.partition_point(|g| key(g) < key(t));
+        let len = grouped[start..].partition_point(|g| key(g) == key(t));
+        let group = &grouped[start..start + len];
+        if len < 3 {
+            pairwise.extend(sections.map(|sr| ((t.owner, t.user), sr)));
+        } else if group[0].user == t.user {
+            sched.broadcasts.push(MpBroadcast {
+                owner: t.owner,
+                users: group.iter().map(|g| g.user).collect(),
+                sections: sections.collect(),
+            });
+        }
+        sched.receivers.push(t.user);
+    }
+    sched.receivers.sort_unstable();
+    sched.receivers.dedup();
+    // Stable: a pair's sections stay in transfer order.
+    pairwise.sort_by_key(|&(pair, _)| pair);
+    for of_pair in pairwise.chunk_by(|a, b| a.0 == b.0) {
+        let ((src, dst), _) = of_pair[0];
+        let sections = of_pair.iter().map(|s| s.1).collect();
+        sched.sends.push(MpSendPlan { src, dst, sections });
+    }
+    for (p, per_ref) in plan.runs.iter().enumerate() {
+        for (r, lr) in l.refs.iter().zip(per_ref) {
+            if r.mode == RefMode::Write {
+                sched.first_touch.extend(lr.runs.iter().map(|&sr| (p, sr)));
+            }
+        }
+    }
     sched
 }
 

@@ -28,26 +28,30 @@
 //! the first execution pays the tag changes; the memo test is
 //! [`MEMO_TEST_NS`].
 //!
-//! ## Plan → apply
+//! ## Schedule → execute
 //!
-//! The data-movement primitives (`send_range`, `flush_range`) are split
-//! into two stages:
+//! The data-movement primitives (`send_range`, `flush_range`) are an
+//! inspector/executor pair:
 //!
-//! * **plan** ([`Dsm::plan_sends`] / [`Dsm::plan_flushes`]) — does all
-//!   call-site bookkeeping (ctl events, base charges, fault injection,
-//!   payload grouping), emits one [`TransferPlan`] per (source,
-//!   destination) node pair in a stable `(src, dst)` order, and in strict
-//!   wire mode posts one envelope per payload;
-//! * **apply** ([`Dsm::apply_plans`]) — executes the plans one after the
-//!   other in that order: the pair-local work (charges, copies, message
-//!   counters) against the plan's two shards, then its effects beyond the
-//!   pair (ctl inboxes, directory, third-party home tags).
+//! * **schedule** ([`plan_sends`] / [`plan_flushes`]) — pure functions
+//!   of the call sites, the cluster's geometry (block and bulk sizes,
+//!   homes) and the armed [`Injection`]: payload grouping, and one
+//!   [`TransferPlan`] per (source, destination) pair in `(src, dst)`
+//!   order. A caller whose call sites repeat keeps the result;
+//! * **execute** ([`Dsm::exec_sends`] / [`Dsm::exec_flushes`]) — borrows
+//!   call sites and plans: the call-site ctl events and base charges, in
+//!   strict wire mode one envelope per payload, then plan by plan the
+//!   pair-local work (charges, copies, message counters) against the
+//!   plan's two shards and its effects beyond the pair (ctl inboxes,
+//!   directory, third-party home tags).
 
 use crate::dir::DirState;
-use crate::proto::Dsm;
+use crate::proto::{Dsm, Injection};
 use crate::trans;
 use crate::wire::WireMsg;
-use fgdsm_tempest::{Access, ChargeKind, CostModel, CtlPrim, Event, NodeId, NodeShard, NO_ARRAY};
+use fgdsm_tempest::{
+    Access, ChargeKind, Cluster, CostModel, CtlPrim, Event, NodeId, NodeShard, NO_ARRAY,
+};
 
 /// Fixed overhead of issuing any compiler-directed protocol call.
 pub const CTL_CALL_BASE_NS: u64 = 2_000;
@@ -66,35 +70,94 @@ pub struct Payload {
     pub array: u32,
 }
 
-/// Group the block range `[first, end)` into payloads of at most
-/// `max_payload_bytes` (bulk transfer) or one block each (`bulk = false`).
+/// Group the block range `[first, end)` of `array` into payloads of at
+/// most `max_payload_bytes` (bulk transfer) or one block each
+/// (`bulk = false`).
 pub fn group_payloads(
     first: usize,
     end: usize,
+    array: u32,
     block_bytes: usize,
     bulk: bool,
     max_payload_bytes: usize,
-) -> Vec<Payload> {
-    if end <= first {
-        return vec![];
-    }
+) -> impl Iterator<Item = Payload> {
     let per = if bulk {
         (max_payload_bytes / block_bytes).max(1)
     } else {
         1
     };
-    let mut out = Vec::with_capacity((end - first).div_ceil(per));
-    let mut b = first;
-    while b < end {
-        let n = per.min(end - b);
-        out.push(Payload {
-            start_block: b,
-            n_blocks: n,
-            array: NO_ARRAY,
-        });
-        b += n;
+    (first..end).step_by(per).map(move |b| Payload {
+        start_block: b,
+        n_blocks: per.min(end - b),
+        array,
+    })
+}
+
+/// One plan per (source, destination) pair of the call sites
+/// `(src, dst, first, end, array)`, in (src, dst) order, a pair's call
+/// sites in the order given.
+fn merge_sites(
+    cluster: &Cluster,
+    op: PlanOp,
+    bulk: bool,
+    mut sites: Vec<(NodeId, NodeId, usize, usize, u32)>,
+) -> Vec<TransferPlan> {
+    let (bytes, max) = (cluster.cfg().block_bytes, cluster.cfg().bulk_max_bytes);
+    sites.sort_by_key(|&(src, dst, ..)| (src, dst));
+    let pairs = sites.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1));
+    let plan = |pair: &[(NodeId, NodeId, usize, usize, u32)]| TransferPlan {
+        src: pair[0].0,
+        dst: pair[0].1,
+        op,
+        ranges: pair.iter().map(|s| (s.2, s.3)).collect(),
+        payloads: { pair.iter() }
+            .flat_map(|&(_, _, f, e, array)| group_payloads(f, e, array, bytes, bulk, max))
+            .collect(),
+    };
+    pairs.map(plan).collect()
+}
+
+/// Schedule a batch of compiler-directed pushes: payload grouping, and
+/// the entries merged into one [`TransferPlan`] per (source, reader) pair
+/// in stable (source, reader) order. Pure: `cluster` is read for its
+/// geometry only (block and bulk sizes, homes), and the armed `injection`
+/// is part of the schedule, so the direct [`Dsm::send_range`] and a kept
+/// schedule misbehave alike.
+pub fn plan_sends(
+    cluster: &Cluster,
+    injection: Injection,
+    entries: &[SendEntry],
+    bulk: bool,
+) -> Vec<TransferPlan> {
+    let mut sites = Vec::new();
+    for en in entries {
+        // Fault injection (must-catch): an off-by-one section bound —
+        // the send delivers one block fewer than `implicit_writable`
+        // promised, so the readers' last block is writable over stale
+        // data.
+        let end = en.end - usize::from(injection.skew_send_range && en.end > en.first);
+        if end <= en.first {
+            continue;
+        }
+        for &r in &en.readers {
+            debug_assert_ne!(r, en.owner);
+            // Fault injection (must-catch): a stale owner memo pushes
+            // the *home's* copy — which the real owner never flushed —
+            // whenever the home is a third party (§4.3 RTOE hazard).
+            let home = cluster.home_of_block(en.first);
+            let src = trans::push_source(en.owner, r, home, injection.stale_owner_push);
+            sites.push((src, r, en.first, end, en.array));
+        }
     }
-    out
+    merge_sites(cluster, PlanOp::Push, bulk, sites)
+}
+
+/// Schedule a batch of non-owner-write flushes: one [`TransferPlan`] per
+/// (writer, owner) pair, like [`plan_sends`].
+pub fn plan_flushes(cluster: &Cluster, entries: &[FlushEntry], bulk: bool) -> Vec<TransferPlan> {
+    let nonempty = entries.iter().filter(|en| en.end > en.first);
+    let sites = nonempty.map(|en| (en.writer, en.owner, en.first, en.end, en.array));
+    merge_sites(cluster, PlanOp::Flush, bulk, sites.collect())
 }
 
 /// What an apply-stage [`TransferPlan`] does to its shard pair.
@@ -109,10 +172,10 @@ pub enum PlanOp {
     Flush,
 }
 
-/// One unit of resolve-phase apply work: everything one (src, dst) node
-/// pair exchanges this superstep. The planner emits plans in a stable
-/// (src, dst) order, which is the order they are applied in.
-#[derive(Clone, Debug)]
+/// One unit of resolve-phase work: everything one (src, dst) node pair
+/// exchanges in one superstep. The planners emit plans in a stable
+/// (src, dst) order, which is the order they are executed in.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TransferPlan {
     pub src: NodeId,
     pub dst: NodeId,
@@ -126,47 +189,9 @@ pub struct TransferPlan {
     pub payloads: Vec<Payload>,
 }
 
-/// Capacity-retaining free lists for the plan/apply hot path: plan
-/// *carcasses* (a [`TransferPlan`] whose `ranges`/`payloads` vectors are
-/// emptied but keep their capacity) and outer plan vectors, recycled
-/// across supersteps by [`Dsm::recycle_plans`] so steady-state planning
-/// allocates nothing. Bounded so a pathological superstep cannot pin
-/// unbounded memory.
-#[derive(Default, Debug)]
-pub(crate) struct PlanScratch {
-    carcasses: Vec<TransferPlan>,
-    vecs: fgdsm_tempest::VecPool<TransferPlan>,
-}
-
-/// Most carcasses a [`PlanScratch`] retains: enough for every (src, dst)
-/// pair of an 8-node superstep with room to spare.
-const PLAN_CARCASS_CAP: usize = 128;
-
-impl PlanScratch {
-    /// An empty plan for `(src, dst, op)` — recycled with warm
-    /// `ranges`/`payloads` capacity when a carcass is available.
-    fn take(&mut self, src: NodeId, dst: NodeId, op: PlanOp) -> TransferPlan {
-        match self.carcasses.pop() {
-            Some(mut p) => {
-                p.src = src;
-                p.dst = dst;
-                p.op = op;
-                p
-            }
-            None => TransferPlan {
-                src,
-                dst,
-                op,
-                ranges: vec![],
-                payloads: vec![],
-            },
-        }
-    }
-}
-
 /// One merged `send_range` call site: `owner` pushes blocks
 /// `[first, end)` to every node in `readers`.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SendEntry {
     pub owner: NodeId,
     pub readers: Vec<NodeId>,
@@ -180,7 +205,7 @@ pub struct SendEntry {
 
 /// One pending non-owner-write flush call site: `writer` returns blocks
 /// `[first, end)` to `owner`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FlushEntry {
     pub writer: NodeId,
     pub owner: NodeId,
@@ -443,8 +468,8 @@ impl Dsm {
     /// Owner pushes blocks `[first, end)` to each reader in a specially
     /// tagged data message (Figure 2D). With `bulk`, contiguous blocks are
     /// grouped into payloads of up to `bulk_max_bytes` — the paper's
-    /// "benefit of using larger block sizes". Thin wrapper over the
-    /// plan/apply pipeline with one entry and a serial apply.
+    /// "benefit of using larger block sizes". One call site scheduled
+    /// ([`plan_sends`]) and executed on the spot.
     pub fn send_range(
         &mut self,
         owner: NodeId,
@@ -453,140 +478,57 @@ impl Dsm {
         end: usize,
         bulk: bool,
     ) {
-        let plans = self.plan_sends(
-            &[SendEntry {
-                owner,
-                readers: readers.to_vec(),
-                first,
-                end,
-                array: NO_ARRAY,
-            }],
-            bulk,
-        );
-        self.apply_plans(&plans);
-        self.recycle_plans(plans);
+        let entries = [SendEntry {
+            owner,
+            readers: readers.to_vec(),
+            first,
+            end,
+            array: NO_ARRAY,
+        }];
+        let plans = plan_sends(&self.cluster, self.injection(), &entries, bulk);
+        self.exec_sends(&entries, &plans);
     }
 
-    /// Plan stage for a batch of compiler-directed pushes: records the ctl
-    /// events and base charges at each owner, applies fault injection,
-    /// groups payloads, and merges the entries into one [`TransferPlan`]
-    /// per (owner, reader) pair, in stable (owner, reader) order.
-    pub fn plan_sends(&mut self, entries: &[SendEntry], bulk: bool) -> Vec<TransferPlan> {
-        use std::collections::BTreeMap;
-        let cfg = *self.cluster.cfg();
-        let mut plans: BTreeMap<(NodeId, NodeId), TransferPlan> = BTreeMap::new();
+    /// Execute a batch of compiler-directed pushes: the ctl event and
+    /// base charge of every call site at its owner, then the
+    /// [`plan_sends`] plans of those call sites. Both are borrowed — a
+    /// kept schedule executes again as it is.
+    pub fn exec_sends(&mut self, entries: &[SendEntry], plans: &[TransferPlan]) {
         for en in entries {
-            self.cluster.record(
-                en.owner,
-                Event::Ctl {
-                    prim: CtlPrim::SendRange,
-                },
-            );
-            self.cluster
-                .charge(en.owner, CTL_CALL_BASE_NS, ChargeKind::CtlCall);
-            // Fault injection (must-catch): an off-by-one section bound —
-            // the send delivers one block fewer than `implicit_writable`
-            // promised, so the readers' last block is writable over stale
-            // data.
-            let end = if self.injection().skew_send_range && en.end > en.first {
-                en.end - 1
-            } else {
-                en.end
-            };
-            if end <= en.first {
-                continue;
-            }
-            let mut payloads =
-                group_payloads(en.first, end, cfg.block_bytes, bulk, cfg.bulk_max_bytes);
-            for p in &mut payloads {
-                p.array = en.array;
-            }
-            for &r in &en.readers {
-                debug_assert_ne!(r, en.owner);
-                // Fault injection (must-catch): a stale owner memo pushes
-                // the *home's* copy — which the real owner never flushed —
-                // whenever the home is a third party (§4.3 RTOE hazard).
-                let src = trans::push_source(
-                    en.owner,
-                    r,
-                    self.cluster.home_of_block(en.first),
-                    self.injection().stale_owner_push,
-                );
-                let plan = plans
-                    .entry((src, r))
-                    .or_insert_with(|| self.plan_scratch.take(src, r, PlanOp::Push));
-                plan.ranges.push((en.first, end));
-                plan.payloads.extend(payloads.iter().copied());
-            }
+            self.ctl_call_site(en.owner, CtlPrim::SendRange);
         }
-        let mut out = self.plan_scratch.vecs.take();
-        out.extend(plans.into_values());
-        self.wire_post_plan_frames(&out);
-        out
+        self.exec_plans(plans);
     }
 
-    /// Plan stage for the pending non-owner-write flushes: records the ctl
-    /// events and base charges at each writer and merges the entries into
-    /// one [`TransferPlan`] per (writer, owner) pair.
-    pub fn plan_flushes(&mut self, entries: &[FlushEntry], bulk: bool) -> Vec<TransferPlan> {
-        use std::collections::BTreeMap;
+    /// Execute the pending non-owner-write flushes: the ctl event and
+    /// base charge of every call site at its writer, then the
+    /// [`plan_flushes`] plans.
+    pub fn exec_flushes(&mut self, entries: &[FlushEntry], plans: &[TransferPlan]) {
         // Fault injection (must-catch): drop the flushes on the floor. The
         // writers' modifications never reach the owners, whose copies go
         // stale — later owner-side sends then push wrong values.
         if self.injection().skip_flush_range {
-            return vec![];
+            return;
         }
-        let cfg = *self.cluster.cfg();
-        let mut plans: BTreeMap<(NodeId, NodeId), TransferPlan> = BTreeMap::new();
         for en in entries {
-            self.cluster.record(
-                en.writer,
-                Event::Ctl {
-                    prim: CtlPrim::FlushRange,
-                },
-            );
-            self.cluster
-                .charge(en.writer, CTL_CALL_BASE_NS, ChargeKind::CtlCall);
-            if en.end <= en.first {
-                continue;
-            }
-            let mut payloads =
-                group_payloads(en.first, en.end, cfg.block_bytes, bulk, cfg.bulk_max_bytes);
-            for p in &mut payloads {
-                p.array = en.array;
-            }
-            let plan = plans
-                .entry((en.writer, en.owner))
-                .or_insert_with(|| self.plan_scratch.take(en.writer, en.owner, PlanOp::Flush));
-            plan.ranges.push((en.first, en.end));
-            plan.payloads.extend(payloads);
+            self.ctl_call_site(en.writer, CtlPrim::FlushRange);
         }
-        let mut out = self.plan_scratch.vecs.take();
-        out.extend(plans.into_values());
-        self.wire_post_plan_frames(&out);
-        out
+        self.exec_plans(plans);
     }
 
-    /// Return a spent plan batch to the scratch pool: the outer vector
-    /// and each plan's `ranges`/`payloads` capacity are retained for the
-    /// next superstep's planning pass. Purely an allocation optimization
-    /// — dropping the batch instead is always correct.
-    pub fn recycle_plans(&mut self, mut plans: Vec<TransferPlan>) {
-        for mut p in plans.drain(..) {
-            if self.plan_scratch.carcasses.len() < PLAN_CARCASS_CAP {
-                p.ranges.clear();
-                p.payloads.clear();
-                self.plan_scratch.carcasses.push(p);
-            }
-        }
-        self.plan_scratch.vecs.put(plans);
+    /// What every data-movement call site costs its caller whatever it
+    /// moves: the ctl event and the fixed call overhead.
+    fn ctl_call_site(&mut self, node: NodeId, prim: CtlPrim) {
+        self.cluster.record(node, Event::Ctl { prim });
+        self.cluster
+            .charge(node, CTL_CALL_BASE_NS, ChargeKind::CtlCall);
     }
 
-    /// Strict wire mode's encode half of the plan/apply pipeline: as soon
-    /// as a plan batch is finalized, post one envelope per payload
-    /// ([`Dsm::wire_post`] copies it out of the source shard). From this
-    /// point the plan no longer needs the source shard alive — apply
-    /// reads the decoded payload. No-op on the fast path.
+    /// Strict wire mode's encode half of a plan batch: post one envelope
+    /// per payload ([`Dsm::wire_post`] copies it out of the source
+    /// shard). From this point the plan no longer needs the source shard
+    /// alive — the apply reads the decoded payload. No-op on the fast
+    /// path.
     fn wire_post_plan_frames(&mut self, plans: &[TransferPlan]) {
         if !self.wire_strict() {
             return;
@@ -615,14 +557,16 @@ impl Dsm {
         }
     }
 
-    /// Apply stage: execute the plans in index order — each plan's
-    /// pair-local work against its two shards ([`apply_plan`]), then its
-    /// effects beyond the pair: the destination's ctl inbox for a push;
-    /// the directory and third-party home tags for a flush.
-    pub fn apply_plans(&mut self, plans: &[TransferPlan]) {
+    /// Execute the plans in index order — in strict wire mode posted
+    /// first, one envelope per payload — each plan's pair-local work
+    /// against its two shards ([`apply_plan`]), then its effects beyond
+    /// the pair: the destination's ctl inbox for a push; the directory and
+    /// third-party home tags for a flush.
+    fn exec_plans(&mut self, plans: &[TransferPlan]) {
         if plans.is_empty() {
             return;
         }
+        self.wire_post_plan_frames(plans);
         let decoded = self.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.payloads.len())));
         let cfg = *self.cluster.cfg();
         for (k, plan) in plans.iter().enumerate() {
@@ -648,9 +592,6 @@ impl Dsm {
                     }
                 }
             }
-        }
-        if let Some(d) = decoded {
-            self.wire_recycle(d);
         }
     }
 
@@ -710,8 +651,8 @@ impl Dsm {
     /// A non-owner writer flushes its modifications of `[first, end)` back
     /// to the owner and invalidates itself (§4.2, non-owner writes). The
     /// owner ends with the only, current, writable copy and the directory
-    /// reflects it. Thin wrapper over the plan/apply pipeline with one
-    /// entry.
+    /// reflects it. One call site scheduled ([`plan_flushes`]) and
+    /// executed on the spot.
     pub fn flush_range(
         &mut self,
         writer: NodeId,
@@ -720,18 +661,15 @@ impl Dsm {
         end: usize,
         bulk: bool,
     ) {
-        let plans = self.plan_flushes(
-            &[FlushEntry {
-                writer,
-                owner,
-                first,
-                end,
-                array: NO_ARRAY,
-            }],
-            bulk,
-        );
-        self.apply_plans(&plans);
-        self.recycle_plans(plans);
+        let entries = [FlushEntry {
+            writer,
+            owner,
+            first,
+            end,
+            array: NO_ARRAY,
+        }];
+        let plans = plan_flushes(&self.cluster, &entries, bulk);
+        self.exec_flushes(&entries, &plans);
     }
 }
 
@@ -749,16 +687,19 @@ mod tests {
 
     #[test]
     fn payload_grouping_bulk_vs_single() {
-        let single = group_payloads(0, 10, 128, false, 4096);
+        let group = |first, end, bulk| -> Vec<Payload> {
+            group_payloads(first, end, NO_ARRAY, 128, bulk, 4096).collect()
+        };
+        let single = group(0, 10, false);
         assert_eq!(single.len(), 10);
         assert!(single.iter().all(|p| p.n_blocks == 1));
-        let bulk = group_payloads(0, 10, 128, true, 4096); // 32 blocks per payload
+        let bulk = group(0, 10, true); // 32 blocks per payload
         assert_eq!(bulk.len(), 1);
         assert_eq!(bulk[0].n_blocks, 10);
-        let bulk2 = group_payloads(0, 70, 128, true, 4096);
+        let bulk2 = group(0, 70, true);
         assert_eq!(bulk2.len(), 3);
         assert_eq!(bulk2.iter().map(|p| p.n_blocks).sum::<usize>(), 70);
-        assert!(group_payloads(5, 5, 128, true, 4096).is_empty());
+        assert!(group(5, 5, true).is_empty() && group(7, 5, true).is_empty());
     }
 
     #[test]
@@ -906,6 +847,11 @@ mod tests {
         assert!(d.cluster.stats(0).stall_ns > 0);
     }
 
+    /// [`plan_sends`] under `d`'s geometry and armed injection.
+    fn sends(d: &Dsm, entries: &[SendEntry], bulk: bool) -> Vec<TransferPlan> {
+        plan_sends(&d.cluster, d.injection(), entries, bulk)
+    }
+
     /// Expand a plan's payloads into the flat block list they deliver.
     fn payload_blocks(p: &TransferPlan) -> Vec<usize> {
         p.payloads
@@ -914,45 +860,43 @@ mod tests {
             .collect()
     }
 
-    /// An empty range is pure bookkeeping: the call-site event and base
-    /// charge land at the owner, but no plan (and no data movement) is
-    /// emitted — exactly what the direct path did.
+    /// An empty range is pure bookkeeping: no plan (and no data
+    /// movement) is scheduled, and executing the call site lands its
+    /// event and base charge at the owner — exactly what the direct path
+    /// did.
     #[test]
     fn plan_sends_empty_range_is_bookkeeping_only() {
         let mut d = dsm(2);
         let t0 = d.cluster.clock_ns(1);
-        let plans = d.plan_sends(
-            &[SendEntry {
-                owner: 1,
-                readers: vec![0],
-                first: 4,
-                end: 4,
-                array: NO_ARRAY,
-            }],
-            true,
-        );
+        let entries = [SendEntry {
+            owner: 1,
+            readers: vec![0],
+            first: 4,
+            end: 4,
+            array: NO_ARRAY,
+        }];
+        let plans = sends(&d, &entries, true);
         assert!(plans.is_empty(), "empty range must plan nothing");
+        assert_eq!(d.cluster.clock_ns(1), t0, "scheduling charges nothing");
+        d.exec_sends(&entries, &plans);
         assert_eq!(d.cluster.stats(1).send_range_calls, 1);
         assert_eq!(d.cluster.clock_ns(1) - t0, CTL_CALL_BASE_NS);
-        d.apply_plans(&plans); // no-op, must not panic or charge
-        assert_eq!(d.cluster.clock_ns(1) - t0, CTL_CALL_BASE_NS);
+        assert_eq!(d.cluster.stats(1).msgs_sent, 0);
     }
 
     /// A one-block range becomes one plan per reader carrying exactly that
     /// block.
     #[test]
     fn plan_sends_one_block() {
-        let mut d = dsm(3);
-        let plans = d.plan_sends(
-            &[SendEntry {
-                owner: 0,
-                readers: vec![2, 1],
-                first: 7,
-                end: 8,
-                array: NO_ARRAY,
-            }],
-            false,
-        );
+        let d = dsm(3);
+        let entries = [SendEntry {
+            owner: 0,
+            readers: vec![2, 1],
+            first: 7,
+            end: 8,
+            array: NO_ARRAY,
+        }];
+        let plans = sends(&d, &entries, false);
         assert_eq!(plans.len(), 2);
         // Stable (src, dst) order regardless of the readers' order.
         assert_eq!((plans[0].src, plans[0].dst), (0, 1));
@@ -969,7 +913,7 @@ mod tests {
     /// page edges.
     #[test]
     fn plan_sends_cross_page_range() {
-        let mut d = dsm(2);
+        let d = dsm(2);
         let blocks_per_page = d.cluster.words_per_page() / d.cluster.words_per_block();
         let (f, e) = (blocks_per_page - 2, blocks_per_page + 3);
         assert_ne!(
@@ -978,16 +922,14 @@ mod tests {
             "range must actually span two differently-homed pages"
         );
         for bulk in [false, true] {
-            let plans = d.plan_sends(
-                &[SendEntry {
-                    owner: 1,
-                    readers: vec![0],
-                    first: f,
-                    end: e,
-                    array: NO_ARRAY,
-                }],
-                bulk,
-            );
+            let entries = [SendEntry {
+                owner: 1,
+                readers: vec![0],
+                first: f,
+                end: e,
+                array: NO_ARRAY,
+            }];
+            let plans = sends(&d, &entries, bulk);
             assert_eq!(plans.len(), 1);
             assert_eq!(payload_blocks(&plans[0]), (f..e).collect::<Vec<_>>());
         }
@@ -1000,7 +942,7 @@ mod tests {
     #[test]
     fn plans_partition_direct_path_blocks() {
         use std::collections::BTreeMap;
-        let mut d = dsm(4);
+        let d = dsm(4);
         let entries = [
             SendEntry {
                 owner: 1,
@@ -1024,7 +966,7 @@ mod tests {
                 array: NO_ARRAY,
             },
         ];
-        let plans = d.plan_sends(&entries, true);
+        let plans = sends(&d, &entries, true);
         let mut expect: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
         for en in &entries {
             for &r in &en.readers {
@@ -1046,9 +988,9 @@ mod tests {
         }
     }
 
-    /// Batched plan/apply is observably identical to the direct per-entry
-    /// `send_range` path: same clocks, same stats, same memory, and the
-    /// same `ready_to_recv` stall at every reader.
+    /// One batched schedule, executed, is observably identical to the
+    /// direct per-entry `send_range` path: same clocks, same stats, same
+    /// memory, and the same `ready_to_recv` stall at every reader.
     #[test]
     fn batched_plan_apply_matches_direct_send_range() {
         let entries = [
@@ -1077,8 +1019,8 @@ mod tests {
         for en in &entries {
             direct.send_range(en.owner, &en.readers, en.first, en.end, true);
         }
-        let plans = batched.plan_sends(&entries, true);
-        batched.apply_plans(&plans);
+        let plans = sends(&batched, &entries, true);
+        batched.exec_sends(&entries, &plans);
         for n in [0, 2] {
             direct.ready_to_recv(n);
             batched.ready_to_recv(n);
@@ -1103,7 +1045,7 @@ mod tests {
     }
 
     /// Two call sites of one (owner, reader) pair merge into one plan
-    /// with two ranges, and applying it delivers both.
+    /// with two ranges, and executing it delivers both.
     #[test]
     fn merged_call_sites_apply_as_one_plan() {
         let entries = [
@@ -1133,10 +1075,10 @@ mod tests {
         for w in 0..8192 {
             d.cluster.node_mem_mut(w % 4)[w] = w as f64 * 1.5;
         }
-        let plans = d.plan_sends(&entries, true);
+        let plans = sends(&d, &entries, true);
         assert_eq!(plans.len(), 2, "the (0, 1) entries must merge");
         assert_eq!(plans[0].ranges.len(), 2);
-        d.apply_plans(&plans);
+        d.exec_sends(&entries, &plans);
         d.ready_to_recv(1);
         d.ready_to_recv(3);
         let wpb = d.cluster.words_per_block();
@@ -1149,6 +1091,85 @@ mod tests {
             );
         }
         assert_eq!(d.ctl_stats().blocks_pushed, 330);
+    }
+
+    /// What a kept schedule is for: the same borrowed call sites and
+    /// plans, executed on two consecutive supersteps, leave the clocks,
+    /// stats and memory that scheduling afresh every superstep does — on
+    /// the fast path and through strict-mode envelopes.
+    #[test]
+    fn a_kept_schedule_executes_like_two_fresh_ones() {
+        let pushes = [
+            SendEntry {
+                owner: 1,
+                readers: vec![0, 2],
+                first: 0,
+                end: 40,
+                array: 3,
+            },
+            SendEntry {
+                owner: 3,
+                readers: vec![2],
+                first: 64,
+                end: 70,
+                array: NO_ARRAY,
+            },
+        ];
+        let returns = [FlushEntry {
+            writer: 2,
+            owner: 3,
+            first: 64,
+            end: 70,
+            array: NO_ARRAY,
+        }];
+        for strict in [false, true] {
+            let mut kept = dsm(4);
+            let mut fresh = dsm(4);
+            if strict {
+                kept.set_wire(Box::new(crate::Loopback));
+                fresh.set_wire(Box::new(crate::Loopback));
+            }
+            let push_plans = sends(&kept, &pushes, true);
+            let return_plans = plan_flushes(&kept.cluster, &returns, true);
+            for step in 0..2 {
+                for d in [&mut kept, &mut fresh] {
+                    for w in 0..2048 {
+                        d.cluster.node_mem_mut(1 + 2 * (w % 2))[w] = (w + 7 * step) as f64;
+                    }
+                }
+                kept.exec_sends(&pushes, &push_plans);
+                let again = sends(&fresh, &pushes, true);
+                assert_eq!(
+                    again, push_plans,
+                    "the schedule is a function of its inputs"
+                );
+                fresh.exec_sends(&pushes, &again);
+                for d in [&mut kept, &mut fresh] {
+                    d.ready_to_recv(0);
+                    d.ready_to_recv(2);
+                    d.cluster.node_mem_mut(2)[64 * 16 + step] = -1.5; // the non-owner write
+                }
+                kept.exec_flushes(&returns, &return_plans);
+                fresh.exec_flushes(&returns, &plan_flushes(&fresh.cluster, &returns, true));
+                for d in [&mut kept, &mut fresh] {
+                    d.release_barrier();
+                }
+            }
+            for n in 0..4 {
+                let (k, f) = (&kept.cluster, &fresh.cluster);
+                assert_eq!(k.clock_ns(n), f.clock_ns(n), "clock of node {n}");
+                assert_eq!(k.stats(n), f.stats(n), "stats of node {n}");
+                assert_eq!(k.node_mem(n), f.node_mem(n), "memory of node {n}");
+            }
+            assert_eq!(kept.cluster.node_mem(0)[4], 11.0, "step 1's push landed");
+            assert_eq!(
+                kept.cluster.node_mem(3)[64 * 16 + 1],
+                -1.5,
+                "step 1's flush landed"
+            );
+            assert_eq!(kept.wire_stats(), fresh.wire_stats());
+            assert_eq!(kept.wire_stats().0 > 0, strict);
+        }
     }
 
     /// Flush plans partition the flushed blocks the same way, and an empty
@@ -1179,15 +1200,20 @@ mod tests {
                 array: NO_ARRAY,
             },
         ];
-        let plans = d.plan_flushes(&entries, true);
+        let plans = plan_flushes(&d.cluster, &entries, true);
         assert_eq!(plans.len(), 2);
         assert_eq!((plans[0].src, plans[0].dst), (1, 0));
         assert_eq!(plans[0].op, PlanOp::Flush);
         assert_eq!(payload_blocks(&plans[0]), vec![0, 1, 2, 3]);
         assert_eq!((plans[1].src, plans[1].dst), (2, 0));
         assert_eq!(payload_blocks(&plans[1]), vec![8]);
-        // The empty entry still paid its call-site bookkeeping.
+        // Executed, the empty entry still pays its call-site bookkeeping.
+        for (writer, first, end) in [(1, 0, 4), (2, 8, 9)] {
+            d.implicit_writable(writer, first, end, false);
+        }
+        d.exec_flushes(&entries, &plans);
         assert_eq!(d.cluster.stats(1).flush_range_calls, 2);
+        assert_eq!(d.cluster.stats(2).flush_range_calls, 1);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   `implicit_writable`, `send_range` / `ready_to_recv`,
 //!   `implicit_invalidate`, `flush_range`, plus bulk-transfer payload
 //!   grouping and the first-time memoization used by run-time overhead
-//!   elimination (§4.3).
+//!   elimination (§4.3). Data movement is an inspector/executor pair:
+//!   the pure [`plan_sends`] / [`plan_flushes`] schedule call sites into
+//!   [`TransferPlan`]s, [`Dsm::exec_sends`] / [`Dsm::exec_flushes`]
+//!   execute them borrowed.
 //! * [`MpRuntime`] — the message-passing backend: raw Tempest messages
 //!   with the per-message software overhead of the PGI runtime the paper
 //!   measured against.
@@ -36,7 +39,9 @@ pub mod trans;
 pub mod update;
 pub mod wire;
 
-pub use ctl::{CtlStats, FlushEntry, Payload, PlanOp, SendEntry, TransferPlan};
+pub use ctl::{
+    plan_flushes, plan_sends, CtlStats, FlushEntry, Payload, PlanOp, SendEntry, TransferPlan,
+};
 pub use dir::DirState;
 pub use eager::EagerInvalidate;
 pub use mp::{MpRuntime, MpSendPlan};

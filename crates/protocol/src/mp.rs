@@ -16,10 +16,10 @@ use crate::wire::WireMsg;
 use fgdsm_section::StridedRange;
 use fgdsm_tempest::{ChargeKind, Cluster, Event, NodeId, ReduceOp, NO_ARRAY, NO_BLOCK};
 
-/// A planned batch of strided sends from one source to one destination —
-/// the message-passing analogue of [`crate::ctl::TransferPlan`], applied
-/// by [`MpRuntime::apply_send_plans`].
-#[derive(Clone, Debug)]
+/// A scheduled batch of strided sends from one source to one destination
+/// — the message-passing analogue of [`crate::ctl::TransferPlan`],
+/// executed (borrowed) by [`MpRuntime::apply_send_plans`].
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MpSendPlan {
     pub src: NodeId,
     pub dst: NodeId,
@@ -36,16 +36,7 @@ pub struct MpRuntime {
     /// Bytes delivered pre-packed (broadcast images): receivers only pay
     /// a contiguous copy, not per-element unmarshalling.
     inbox_bulk_bytes: Vec<u64>,
-    /// Free lists for [`MpSendPlan`] batches, recycled across supersteps
-    /// by [`MpRuntime::recycle_send_plans`] (capacity-retaining, like the
-    /// ctl backend's plan scratch).
-    plan_carcasses: Vec<MpSendPlan>,
-    plan_vecs: fgdsm_tempest::VecPool<MpSendPlan>,
 }
-
-/// Most plan carcasses the runtime retains (see `PLAN_CARCASS_CAP` in
-/// `ctl`): bounds scratch memory under pathological plan counts.
-const MP_PLAN_CARCASS_CAP: usize = 128;
 
 impl MpRuntime {
     /// Create the runtime for an `nprocs`-node cluster.
@@ -55,44 +46,7 @@ impl MpRuntime {
             inbox_msgs: vec![0; nprocs],
             inbox_elems: vec![0; nprocs],
             inbox_bulk_bytes: vec![0; nprocs],
-            plan_carcasses: Vec::new(),
-            plan_vecs: fgdsm_tempest::VecPool::default(),
         }
-    }
-
-    /// An empty [`MpSendPlan`] for `(src, dst)` — recycled with warm
-    /// `sections` capacity when a carcass is available.
-    pub fn take_send_plan(&mut self, src: NodeId, dst: NodeId) -> MpSendPlan {
-        match self.plan_carcasses.pop() {
-            Some(mut p) => {
-                p.src = src;
-                p.dst = dst;
-                p
-            }
-            None => MpSendPlan {
-                src,
-                dst,
-                sections: vec![],
-            },
-        }
-    }
-
-    /// An empty plan vector recycled from the scratch pool.
-    pub fn take_send_plan_vec(&mut self) -> Vec<MpSendPlan> {
-        self.plan_vecs.take()
-    }
-
-    /// Return a spent plan batch to the scratch pool (outer vector and
-    /// each plan's `sections` capacity retained). Purely an allocation
-    /// optimization — dropping the batch is always correct.
-    pub fn recycle_send_plans(&mut self, mut plans: Vec<MpSendPlan>) {
-        for mut p in plans.drain(..) {
-            if self.plan_carcasses.len() < MP_PLAN_CARCASS_CAP {
-                p.sections.clear();
-                self.plan_carcasses.push(p);
-            }
-        }
-        self.plan_vecs.put(plans);
     }
 
     /// Apply a batch of planned strided sends in plan order — the
@@ -102,7 +56,7 @@ impl MpRuntime {
     /// expensive for the pencil-shaped 3-D sections of pde.
     ///
     /// In strict wire mode each section is packed into a
-    /// [`WireMsg::Strided`] envelope at plan time, carried by the
+    /// [`WireMsg::Strided`] envelope first, carried by the
     /// transport, and unpacked from the decoded payload — same charges,
     /// same counters, bit-identical data.
     pub fn apply_send_plans(&mut self, d: &mut Dsm, plans: &[MpSendPlan]) {
@@ -143,9 +97,6 @@ impl MpRuntime {
                 self.inbox_msgs[plan.dst] += count as u64;
                 self.inbox_elems[plan.dst] += elems as u64;
             }
-        }
-        if let Some(dd) = decoded {
-            d.wire_recycle(dd);
         }
     }
 
@@ -313,8 +264,11 @@ mod tests {
 
     /// Send one `(base, run_len, stride, count)` section `0 → 1`.
     fn send(mp: &mut MpRuntime, d: &mut Dsm, (b, l, s, c): (usize, usize, usize, usize)) {
-        let mut plan = mp.take_send_plan(0, 1);
-        plan.sections.push(sr(b, l, s, c));
+        let plan = MpSendPlan {
+            src: 0,
+            dst: 1,
+            sections: vec![sr(b, l, s, c)],
+        };
         mp.apply_send_plans(d, &[plan]);
     }
 

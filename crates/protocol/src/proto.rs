@@ -16,7 +16,7 @@ use crate::node::WireTransport;
 use crate::update::WriteUpdate;
 use crate::wire::{reconcile_stats, WireHeader, WireMsg};
 use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
-use fgdsm_tempest::{Access, BlockSet, Cluster, NodeId, VecPool, NO_ARRAY};
+use fgdsm_tempest::{Access, BlockSet, Cluster, NodeId, NO_ARRAY};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -117,10 +117,6 @@ pub struct Dsm {
     /// Memo for run-time overhead elimination: ranges already made
     /// implicitly writable at a node (§4.3's "first time around" test).
     pub(crate) iw_memo: std::collections::BTreeSet<(NodeId, usize, usize)>,
-    /// Capacity-retaining free lists for transfer plans, recycled across
-    /// supersteps by [`Dsm::recycle_plans`] so steady-state planning
-    /// allocates nothing.
-    pub(crate) plan_scratch: crate::ctl::PlanScratch,
     /// Strict wire mode: when present, every inter-node data movement is
     /// encoded into a [`WireMsg`] envelope, carried by the transport, and
     /// applied from the decoded payload (`None` = zero-copy fast path).
@@ -146,8 +142,8 @@ impl CtlBlocks {
 }
 
 /// Everything strict wire mode needs: the per-node inboxes staging
-/// encoded frames, the transport that carries them, payload-buffer
-/// recycling, and frame/byte counters for reconciliation against
+/// encoded frames, the transport that carries them, the encode side's
+/// payload buffer, and frame/byte counters for reconciliation against
 /// `NodeStats`.
 pub(crate) struct WireState {
     /// Encoded frames posted to each destination node and not yet
@@ -156,9 +152,11 @@ pub(crate) struct WireState {
     /// arrival is verified.
     pub inboxes: Vec<Vec<Vec<u8>>>,
     pub transport: Box<dyn WireTransport>,
-    /// Recycled payload buffers (PR-6 scratch discipline): encode takes
-    /// one, apply hands the decoded payload back.
-    pub words_pool: VecPool<u64>,
+    /// The encode side's one payload buffer: [`Dsm::wire_words`] lends it
+    /// to the envelope being built and [`WireState::post`] takes it back
+    /// once the frame is encoded. (A decoded payload is dropped after its
+    /// apply.)
+    pub payload_buf: Vec<u64>,
     /// Envelopes routed so far.
     pub frames: u64,
     /// Total on-wire payload bytes ([`WireMsg::payload_bytes`]).
@@ -199,7 +197,7 @@ impl WireState {
         WireState {
             inboxes: vec![Vec::new(); nprocs],
             transport,
-            words_pool: VecPool::default(),
+            payload_buf: Vec::new(),
             frames: 0,
             payload_bytes: 0,
             route_ns: 0,
@@ -241,8 +239,9 @@ impl WireState {
     /// Stage one envelope: fill its payload from the source shard's
     /// memory, encode it into a frame of its own (the transport keeps it
     /// until its echo is verified), book it, post the frame to the
-    /// destination's inbox and recycle the payload buffer. From here on
-    /// the transfer no longer needs the source shard alive.
+    /// destination's inbox and keep the payload buffer for the next
+    /// envelope. From here on the transfer no longer needs the source
+    /// shard alive.
     fn post(&mut self, mut msg: WireMsg, src_mem: &[f64], wpb: usize, undercount: bool) {
         if let Err(e) = msg.gather(src_mem, wpb) {
             panic!("wire: cannot fill a kind-{} envelope: {e}", msg.kind());
@@ -252,7 +251,7 @@ impl WireState {
         let buf = msg.to_bytes();
         let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
         self.note_encoded(msg.kind(), dst, msg.payload_bytes(), encode_ns, undercount);
-        self.words_pool.put(msg.into_words());
+        self.payload_buf = msg.into_words();
         self.inboxes[dst].push(buf);
     }
 
@@ -414,7 +413,6 @@ impl Dsm {
             inbox_payloads: vec![0; nprocs],
             inbox_blocks: vec![0; nprocs],
             iw_memo: std::collections::BTreeSet::new(),
-            plan_scratch: crate::ctl::PlanScratch::default(),
             wire: None,
             injection: Injection::default(),
             proto: Some(proto),
@@ -525,7 +523,7 @@ impl Dsm {
     }
 
     /// The armed contract mutations.
-    pub(crate) fn injection(&self) -> Injection {
+    pub fn injection(&self) -> Injection {
         self.injection
     }
 
@@ -548,11 +546,12 @@ impl Dsm {
         WireHeader::for_blocks(src, dst, ctx, array, first, n)
     }
 
-    /// A pooled payload buffer of `len` words for an envelope about to be
-    /// posted ([`Dsm::wire_post`] fills it from the source shard).
+    /// The payload buffer, `len` words long, for an envelope about to be
+    /// posted ([`Dsm::wire_post`] fills it from the source shard and
+    /// takes it back).
     pub(crate) fn wire_words(&mut self, len: usize) -> Vec<u64> {
         let w = self.wire.as_mut().expect("wire_words: strict mode off");
-        let mut words = w.words_pool.take();
+        let mut words = std::mem::take(&mut w.payload_buf);
         words.resize(len, 0);
         words
     }
@@ -612,14 +611,6 @@ impl Dsm {
         Some(decoded)
     }
 
-    /// Hand the applied envelopes' payload buffers back to the pool.
-    pub(crate) fn wire_recycle(&mut self, decoded: Vec<Vec<WireMsg>>) {
-        let w = self.wire.as_mut().expect("wire_recycle: strict mode off");
-        for m in decoded.into_iter().flatten() {
-            w.words_pool.put(m.into_words());
-        }
-    }
-
     /// The single-message path: post `msg`, deliver it, and store the
     /// decoded payload at the destination. A frame the decoder or the
     /// destination's geometry rejects unwinds with the typed error.
@@ -637,7 +628,6 @@ impl Dsm {
             std::panic::panic_any(e);
         }
         w.lap(&ClassKeys::APPLY, msg.kind(), t_apply);
-        w.words_pool.put(msg.into_words());
     }
 
     /// Move `len` words `src → dst` starting at word `start`. Fast path:
@@ -1246,5 +1236,32 @@ mod tests {
         assert_eq!(d.cluster.node_mem(0)[2], 9.0);
         assert!(d.dir_state(0).is_excl_by(0));
         assert_eq!(d.cluster.tag(1, 0), Access::Invalid);
+    }
+
+    /// Strict wire mode retains one payload buffer however many
+    /// envelopes travel: after 200 strict `wire_copy`s and a bulk plan
+    /// batch nothing is shelved per frame — the encode buffer is as large
+    /// as the largest payload it carried, and the decoded payloads died
+    /// with their apply.
+    #[test]
+    fn strict_mode_retains_one_payload_buffer() {
+        let mut d = dsm(2, CostModel::paper_dual_cpu());
+        d.set_wire(Box::new(crate::Loopback));
+        let wpb = d.cluster.words_per_block();
+        for i in 0..200 {
+            d.cluster.node_mem_mut(0)[wpb * (i % 64)] = i as f64;
+            d.wire_copy(0, 1, wpb * (i % 64), wpb);
+        }
+        assert_eq!(d.cluster.node_mem(1)[wpb * 7], 199.0);
+        let largest = d.cluster.cfg().bulk_max_bytes / 8;
+        d.send_range(0, &[1], 0, 2 * largest / wpb, true);
+        let w = d.wire.as_ref().expect("strict mode on");
+        assert_eq!(w.frames, 200 + 2, "every transfer was enveloped");
+        assert!(w.inboxes.iter().all(Vec::is_empty));
+        let kept = w.payload_buf.capacity();
+        assert!(
+            (largest..=2 * largest).contains(&kept),
+            "{kept} words retained for payloads of at most {largest}"
+        );
     }
 }

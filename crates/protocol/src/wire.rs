@@ -290,8 +290,7 @@ impl WireMsg {
         }
     }
 
-    /// Consume the envelope, handing back its payload buffer for pool
-    /// recycling.
+    /// Consume the envelope, handing back its payload buffer.
     pub fn into_words(self) -> Vec<u64> {
         match self {
             WireMsg::Push { words, .. }

@@ -136,18 +136,15 @@ fn panicking_strict_run_does_not_deadlock_workers() {
             d.set_wire(Box::new(chan));
             // Real traffic through the workers first, so they are warm.
             d.mk_writable(1, 0, 2);
-            let plans = d.plan_sends(
-                &[fgdsm_protocol::SendEntry {
-                    owner: 1,
-                    readers: vec![0],
-                    first: 0,
-                    end: 2,
-                    array: fgdsm_tempest::NO_ARRAY,
-                }],
-                true,
-            );
-            d.apply_plans(&plans);
-            d.recycle_plans(plans);
+            let sends = [fgdsm_protocol::SendEntry {
+                owner: 1,
+                readers: vec![0],
+                first: 0,
+                end: 2,
+                array: fgdsm_tempest::NO_ARRAY,
+            }];
+            let plans = fgdsm_protocol::plan_sends(&d.cluster, d.injection(), &sends, true);
+            d.exec_sends(&sends, &plans);
             panic!("superstep failed mid-run");
         }));
         let msg = *r.expect_err("run must panic").downcast::<&str>().unwrap();

@@ -5,7 +5,7 @@
 //! values exactly like an idealized shared memory.
 #![allow(clippy::needless_range_loop)] // word loops index the model vec in parallel
 
-use fgdsm_protocol::{Dsm, SendEntry, TransferPlan, WireHeader, WireMsg};
+use fgdsm_protocol::{plan_sends, Dsm, SendEntry, TransferPlan, WireHeader, WireMsg};
 use fgdsm_tempest::{Cluster, CostModel, HomePolicy, SegmentLayout};
 use fgdsm_testkit::{check_cases, Rng};
 
@@ -187,8 +187,8 @@ fn plans_partition_direct_path_blocks_random() {
         let nprocs = rng.range(2, 6);
         let entries = random_entries(rng, nprocs, BIG);
         let bulk = rng.flag();
-        let mut d = fresh_big(nprocs, BIG);
-        let plans = d.plan_sends(&entries, bulk);
+        let d = fresh_big(nprocs, BIG);
+        let plans = plan_sends(&d.cluster, d.injection(), &entries, bulk);
         let mut expect: std::collections::BTreeMap<(usize, usize), Vec<usize>> = Default::default();
         for en in &entries {
             for &r in &en.readers {

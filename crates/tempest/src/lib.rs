@@ -55,7 +55,7 @@ pub use costs::{CostModel, CpuMode};
 pub use metrics::{Histogram, Metric, MetricsRegistry, WireSpan};
 pub use pool::{Job, WorkerPool};
 pub use profile::{FalseSharingFlag, LoopRow, NodeHeatmap, StepInterval};
-pub use scratch::{BlockSet, CacheAligned, VecPool, CACHE_LINE_BYTES};
+pub use scratch::{BlockSet, CacheAligned, CACHE_LINE_BYTES};
 pub use shard::NodeShard;
 pub use stats::{ClusterReport, HostPhases, NodeStats};
 pub use trace::{

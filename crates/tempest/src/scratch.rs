@@ -1,26 +1,15 @@
-//! Capacity-retaining scratch buffers and cache-line alignment helpers
-//! for the executor's hot path.
+//! Layout helpers for the executor's hot path.
 //!
-//! Every superstep used to reallocate its transfer plans, payload
-//! staging vectors and per-phase scratch from a cold heap; across a
-//! 100-iteration app that is thousands of allocator round-trips that
-//! serve no purpose — the next superstep needs buffers of the same
-//! shape. [`VecPool`] is the recycling layer: `take` hands back an
-//! emptied buffer with its old capacity intact, `put` returns it. The
-//! protocol's plan builders and the engine's per-phase scratch all draw
-//! from pools like this, so steady-state supersteps allocate nothing.
+//! [`CacheAligned`] is a `#[repr(align(64))]` wrapper that pads its
+//! contents to a full cache line, used for per-node slots that distinct
+//! worker threads write concurrently (the compute phase's reduction
+//! partials). Without it, eight adjacent 8-byte partials share one line
+//! and every worker's store invalidates every other worker's cache — the
+//! exact false-sharing ping-pong the PR-5 detector flags in simulated
+//! apps, happening for real inside the simulator's own host loop.
 //!
-//! [`CacheAligned`] is the companion layout tool: a `#[repr(align(64))]`
-//! wrapper that pads its contents to a full cache line, used for
-//! per-node slots that distinct worker threads write concurrently
-//! (compute-phase reduction partials, wave outcome slots). Without it,
-//! eight adjacent 8-byte partials share one line and every worker's
-//! store invalidates every other worker's cache — the exact
-//! false-sharing ping-pong the PR-5 detector flags in simulated apps,
-//! happening for real inside the simulator's own host loop.
-//!
-//! [`BlockSet`] is the third member: a word bitset over block indices for
-//! state that flips on every tag or directory transition.
+//! [`BlockSet`] is a word bitset over block indices for state that flips
+//! on every tag or directory transition.
 
 /// Size in bytes of the cache lines we pad for. Every x86-64 and most
 /// aarch64 parts use 64-byte lines; padding to 64 on a 128-byte-line
@@ -88,57 +77,9 @@ impl BlockSet {
     }
 }
 
-/// A free list of `Vec<T>` buffers that keeps capacity across uses.
-/// `take` pops a recycled (empty, warm) buffer or creates a fresh one;
-/// `put` clears a buffer and shelves it for the next superstep.
-#[derive(Debug)]
-pub struct VecPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        VecPool { free: Vec::new() }
-    }
-}
-
-impl<T> VecPool<T> {
-    /// An empty buffer — recycled with its previous capacity if one is
-    /// shelved, freshly allocated otherwise.
-    pub fn take(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Shelve `v` for reuse: contents dropped, capacity retained.
-    pub fn put(&mut self, mut v: Vec<T>) {
-        v.clear();
-        self.free.push(v);
-    }
-
-    /// Number of buffers currently shelved (diagnostics/tests).
-    pub fn shelved(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vec_pool_retains_capacity() {
-        let mut pool: VecPool<u64> = VecPool::default();
-        let mut v = pool.take();
-        assert_eq!(v.capacity(), 0);
-        v.extend(0..1000);
-        let cap = v.capacity();
-        pool.put(v);
-        assert_eq!(pool.shelved(), 1);
-        let v2 = pool.take();
-        assert!(v2.is_empty());
-        assert_eq!(v2.capacity(), cap, "recycled buffer keeps its capacity");
-        assert_eq!(pool.shelved(), 0);
-    }
 
     #[test]
     fn cache_aligned_pads_to_a_line() {
