@@ -48,14 +48,17 @@ cargo fmt --check
 # walk runs — DESIGN 5c — so what is left should be gathers and boundary
 # rows), free lists (`VecPool`/`carcass` under crates/*/src), ordered
 # containers constructed in the contract and message-passing executors,
-# `Section`s that keep their dims in a heap `Vec`, and point-enumerating
-# fallbacks left in `Range`'s set operations (range.rs up to its tests).
-# Three of them can fail the gate: the per-loop table is indexed by loop
+# `Section`s that keep their dims in a heap `Vec`, point-enumerating
+# fallbacks left in `Range`'s set operations (range.rs up to its tests),
+# and tag arrays (`Vec<Access>` under crates/tempest/src).
+# Four of them can fail the gate: the per-loop table is indexed by loop
 # id, and a loop's address must not come back; resolve executes a
 # schedule kept in the plan (DESIGN 5c), so neither may a free list for
-# per-superstep plans, nor a map built in an executor; and the run-time
+# per-superstep plans, nor a map built in an executor; the run-time
 # analysis is allocation-free (DESIGN 5c), so `Section` keeps its dims
-# inline.
+# inline; and access tags are word bitsets the range walk scans 64
+# blocks at a time (DESIGN 5c), so a per-block tag array must not come
+# back beside them.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
 tests=$(cat $(find crates src tests -name '*.rs') | grep -c '#\[test\]')
@@ -67,7 +70,8 @@ pools=$(cat $(find crates/*/src -name '*.rs') | grep -c 'VecPool\|carcass' || tr
 maps=$(cat crates/hpf/src/exec/sm_opt.rs crates/hpf/src/exec/mp.rs | grep -c 'BTreeMap\|BTreeSet' || true)
 heapdims=$(awk '/^pub struct Section /,/^}/' crates/section/src/section.rs | grep -c 'Vec<' || true)
 enums=$(awk '/^#\[cfg\(test\)\]/{exit} /refusing to enumerate/' crates/section/src/range.rs | wc -l)
-echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs"
+tagarrays=$(cat crates/tempest/src/*.rs | grep -c 'Vec<Access>' || true)
+echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1
@@ -78,5 +82,9 @@ if [ "$pools" -ne 0 ] || [ "$maps" -ne 0 ]; then
 fi
 if [ "$heapdims" -ne 0 ]; then
     echo "ci.sh: Section keeps its dims in a heap Vec again ($heapdims)" >&2
+    exit 1
+fi
+if [ "$tagarrays" -ne 0 ]; then
+    echo "ci.sh: a per-block tag array is back under crates/tempest/src ($tagarrays)" >&2
     exit 1
 fi

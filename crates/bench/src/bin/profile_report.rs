@@ -433,7 +433,7 @@ fn report_run(
         .iter()
         .fold((0, 0), |(i, h), r| (i + r.inspections, h + r.hits));
     println!(
-        "    host ms: {} | sum {:.2} of wall {:.2} | inspector: {inspections} built, {hits} reused, {} memoized",
+        "    host ms: {} | sum {:.2} of wall {:.2} | inspector: {inspections} inspected, {hits} reused, {} plans",
         phases.join(" "),
         host.total_ns() as f64 / 1e6,
         run.report.wall_ns as f64 / 1e6,

@@ -49,9 +49,10 @@ pub enum Fault {
     /// coordinator and worker registries == the wire's payload total)
     /// can catch it.
     UndercountMetrics,
-    /// The default-protocol inspector's schedule memoized by loop alone
-    /// for a *symbolic* loop: instance `k + 1` walks instance `k`'s
-    /// covers, so blocks only the new sections reach are never fetched.
+    /// The default-protocol inspector's schedule left as it is when a
+    /// *symbolic* loop's plan is re-evaluated: every later instance walks
+    /// the first one's covers, so blocks only the new sections reach are
+    /// never fetched.
     StaleResolveSchedule,
 }
 

@@ -13,7 +13,8 @@
 //! per loop execution — every superstep for a loop symbolic in a
 //! time-loop variable, like `lu`'s in `k` — so it keeps sections inline,
 //! computes owner ranges once per (array, node), splits non-owner sets on
-//! the distributed dimension alone, and allocates little but its result.
+//! the distributed dimension alone, and (`analyze_into`) refills the
+//! previous instance's result in place instead of allocating a new one.
 
 use crate::dist::Dist;
 use crate::ir::{ARef, CompDist, ParLoop, Program, RefMode};
@@ -34,7 +35,7 @@ pub struct Transfer {
 }
 
 /// The resolved access structure of one parallel loop execution.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoopAccess {
     /// Per node: concrete iteration ranges (empty range ⇒ node idle).
     pub iters: Vec<Vec<Range>>,
@@ -45,11 +46,29 @@ pub struct LoopAccess {
     pub read_transfers: Vec<Transfer>,
     /// Non-owner writes, split by owner (flushed back after the loop).
     pub write_transfers: Vec<Transfer>,
+    /// Per (array, node): the owner range the split used, kept with the
+    /// result so that evaluating it again allocates nothing.
+    owned: Vec<Range>,
 }
 
 /// Resolve the iteration partition of `l` for node `p`.
 pub fn partition(prog: &Program, l: &ParLoop, env: &Env, p: usize, nprocs: usize) -> Vec<Range> {
-    let full: Vec<Range> = l.iter.iter().map(|sr| sr.eval(env)).collect();
+    let mut out = Vec::new();
+    partition_into(prog, l, env, p, nprocs, &mut out);
+    out
+}
+
+/// [`partition`] into `out`, refilled in place.
+fn partition_into(
+    prog: &Program,
+    l: &ParLoop,
+    env: &Env,
+    p: usize,
+    nprocs: usize,
+    out: &mut Vec<Range>,
+) {
+    out.clear();
+    out.extend(l.iter.iter().map(|sr| sr.eval(env)));
     match &l.dist {
         CompDist::Owner(aid) => {
             let (d, c) = prog
@@ -63,33 +82,27 @@ pub fn partition(prog: &Program, l: &ParLoop, env: &Env, p: usize, nprocs: usize
             } else {
                 Range::strided(own.lo - c, own.hi - c, own.stride)
             };
-            let mut out = full;
             out[d] = out[d].intersect(&shifted).unwrap_or(Range::empty());
-            out
         }
         CompDist::BlockDim(d) => {
             let d = *d;
-            let r = full[d];
+            let r = out[d];
             let n = r.count() as i64;
             let chunk = (n + nprocs as i64 - 1) / nprocs.max(1) as i64;
             let lo = r.lo + p as i64 * chunk;
             let hi = (r.lo + (p as i64 + 1) * chunk - 1).min(r.hi);
-            let mut out = full;
             out[d] = if lo > hi || n == 0 {
                 Range::empty()
             } else {
                 Range::new(lo, hi)
             };
-            out
         }
         CompDist::OwnerOfIndex(aid, expr) => {
             let j = expr.eval(env);
             let decl = prog.array(*aid);
             let mine = j >= 0 && (j as usize) < decl.dist_extent() && decl.owner_of(j, nprocs) == p;
-            if mine {
-                full
-            } else {
-                full.iter().map(|_| Range::empty()).collect()
+            if !mine {
+                out.fill(Range::empty());
             }
         }
     }
@@ -119,13 +132,33 @@ fn push_distinct(list: &mut Vec<Transfer>, from: usize, t: Transfer) {
 
 /// Analyze one execution of a parallel loop under `env`.
 pub fn analyze(prog: &Program, l: &ParLoop, env: &Env, nprocs: usize) -> LoopAccess {
-    let mut acc = LoopAccess {
-        iters: Vec::with_capacity(nprocs),
-        sections: Vec::with_capacity(nprocs),
-        ..Default::default()
-    };
-    for p in 0..nprocs {
-        let iter = partition(prog, l, env, p, nprocs);
+    let mut acc = LoopAccess::default();
+    analyze_into(prog, l, env, nprocs, &mut acc);
+    acc
+}
+
+/// [`analyze`] into `acc`, refilled in place: a symbolic loop evaluates
+/// its one `LoopAccess` again at every instance — §4.1's generated code
+/// run with the new symbolic values — and every vector in it keeps its
+/// storage, so once warm an instance allocates nothing here.
+pub(crate) fn analyze_into(
+    prog: &Program,
+    l: &ParLoop,
+    env: &Env,
+    nprocs: usize,
+    acc: &mut LoopAccess,
+) {
+    let LoopAccess {
+        iters,
+        sections,
+        read_transfers,
+        write_transfers,
+        owned,
+    } = acc;
+    iters.resize_with(nprocs, Vec::new);
+    sections.resize_with(nprocs, Vec::new);
+    for (p, (iter, secs)) in iters.iter_mut().zip(sections.iter_mut()).enumerate() {
+        partition_into(prog, l, env, p, nprocs, iter);
         let idle = iter.iter().any(Range::is_empty);
         let section = |r: &ARef| -> Section {
             let extents = &prog.array(r.array).extents;
@@ -133,12 +166,12 @@ pub fn analyze(prog: &Program, l: &ParLoop, env: &Env, nprocs: usize) -> LoopAcc
             match idle {
                 true => subs.map(|_| Range::empty()).collect(),
                 false => subs
-                    .map(|(s, &e)| clip_to_extent(s.resolve(&iter, env, e), e))
+                    .map(|(s, &e)| clip_to_extent(s.resolve(iter, env, e), e))
                     .collect(),
             }
         };
-        acc.sections.push(l.refs.iter().map(section).collect());
-        acc.iters.push(iter);
+        secs.clear();
+        secs.extend(l.refs.iter().map(section));
     }
     // Non-owner sets, split by owner. An owner section spans every
     // dimension but the distributed last one whole, and a resolved
@@ -147,14 +180,15 @@ pub fn analyze(prog: &Program, l: &ParLoop, env: &Env, nprocs: usize) -> LoopAcc
     // `Section::{subtract, intersect}` would return, piece for piece
     // (`tests/inspector.rs::analysis_matches_the_section_algebra`), at
     // about half their cost on `lu`. Owner ranges: once per (array, node).
-    let owned: Vec<Range> = prog
-        .arrays
-        .iter()
-        .flat_map(|a| (0..nprocs).map(move |q| a.owner_range(q, nprocs)))
-        .collect();
-    for p in 0..nprocs {
-        let (reads_from, writes_from) = (acc.read_transfers.len(), acc.write_transfers.len());
-        for (r, sec) in l.refs.iter().zip(&acc.sections[p]) {
+    owned.clear();
+    for a in &prog.arrays {
+        owned.extend((0..nprocs).map(|q| a.owner_range(q, nprocs)));
+    }
+    read_transfers.clear();
+    write_transfers.clear();
+    for (p, secs) in sections.iter().enumerate() {
+        let (reads_from, writes_from) = (read_transfers.len(), write_transfers.len());
+        for (r, sec) in l.refs.iter().zip(secs) {
             if prog.array(r.array).dist == Dist::Replicated || sec.is_empty() {
                 continue;
             }
@@ -175,14 +209,13 @@ pub fn analyze(prog: &Program, l: &ParLoop, env: &Env, nprocs: usize) -> LoopAcc
                         indirect: r.is_indirect(),
                     };
                     match r.mode {
-                        RefMode::Read => push_distinct(&mut acc.read_transfers, reads_from, t),
-                        RefMode::Write => push_distinct(&mut acc.write_transfers, writes_from, t),
+                        RefMode::Read => push_distinct(read_transfers, reads_from, t),
+                        RefMode::Write => push_distinct(write_transfers, writes_from, t),
                     }
                 }
             }
         }
     }
-    acc
 }
 
 #[cfg(test)]

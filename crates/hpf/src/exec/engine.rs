@@ -2,10 +2,10 @@
 //! state ([`EngineCore`]) every backend works against.
 //!
 //! The driver walks the program statement list; for each parallel loop it
-//! takes the loop's [`LoopPlan`] — analysis and lowering, built once for
-//! a static loop and kept in a table indexed by loop id, rebuilt every
-//! instance for a symbolic one — and runs one superstep in two explicit
-//! phases:
+//! takes the loop's [`LoopPlan`] — analysis and lowering, built at its
+//! first instance and kept in a table indexed by loop id, re-evaluated in
+//! place by every instance of a symbolic loop — and runs one superstep
+//! in two explicit phases:
 //!
 //! * **Resolve phase**: the backend's [`CommBackend::resolve`] services
 //!   every cross-node fault / ctl transfer / message the loop needs,
@@ -34,14 +34,13 @@ use super::backend::CommBackend;
 use super::{Backend, ExecConfig, HomeAssign, InspectorRow, RunResult};
 use crate::analysis::{self, LoopAccess};
 use crate::ir::{par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, Stmt};
-use crate::plan::{self, ArrayMeta, LoopPlan, ResolveSchedule};
+use crate::plan::{self, ArrayMeta, LoopPlan, ResolveSchedule, Scheduled};
 use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
 use fgdsm_section::{Env, Range};
 use fgdsm_tempest::{
     CacheAligned, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job, NodeShard,
     SegmentLayout, WorkerPool, NO_LOOP, NO_STEP,
 };
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -73,10 +72,10 @@ pub struct EngineCore<'p> {
     /// perturbation so each loop instance gets a distinct node order.
     pub supersteps: u64,
     /// The per-loop table, indexed by profiler loop id (program order):
-    /// the plan of every static loop, built at its first instance — what
-    /// such a loop's sections lower to cannot change, so the table is
-    /// bounded by the number of loops, never by supersteps. A symbolic
-    /// loop's slot stays empty: its plan is rebuilt every instance.
+    /// one plan per loop, built at its first instance and kept for the
+    /// run — a static loop reuses it, a symbolic one re-evaluates it in
+    /// place ([`EngineCore::plan`]) — so the table is bounded by the
+    /// number of loops, never by supersteps.
     plans: Vec<Option<Rc<LoopPlan>>>,
     /// Superstep index of the in-flight superstep ([`NO_STEP`] between
     /// loops); stamps [`PlannedXfer`](super::PlannedXfer) records.
@@ -240,42 +239,59 @@ impl<'p> EngineCore<'p> {
     }
 
     /// The plan of this instance of loop `id`, with the compile-time /
-    /// run-time split of §4.1: a loop with a fixed access structure is
-    /// analyzed and lowered once, at its first instance; a symbolic loop
-    /// re-evaluates its descriptors under the current environment.
-    fn plan(&mut self, l: &ParLoop, id: usize) -> Rc<LoopPlan> {
-        if let Some(hit) = self.plans[id].as_ref().filter(|_| l.is_static()).cloned() {
-            self.inspector[id].hits += 1;
-            return hit;
+    /// run-time split of §4.1. Every loop has one plan for the whole run,
+    /// built at its first instance. A loop with a fixed access structure
+    /// reuses it as it is; a symbolic loop re-evaluates it in place under
+    /// the current environment — analysis, lowering, and (retired here,
+    /// refilled by the backend that uses them) its schedules — so an
+    /// instance allocates nothing once the plan is warm.
+    ///
+    /// # Panics
+    ///
+    /// If a symbolic loop's plan is still shared when its next instance
+    /// starts: some schedule outlived its instance.
+    pub fn plan(&mut self, l: &ParLoop, id: usize) -> Rc<LoopPlan> {
+        let row = &mut self.inspector[id];
+        let built = self.plans[id].is_some();
+        let kept = self.plans[id].get_or_insert_with(Rc::default);
+        if built && l.is_static() {
+            row.hits += 1;
+            return Rc::clone(kept);
         }
-        self.inspector[id].inspections += 1;
-        let acc = analysis::analyze(self.prog, l, &self.env, self.cfg.nprocs);
+        row.inspections += 1;
+        let plan = Rc::get_mut(kept).unwrap_or_else(|| {
+            panic!(
+                "loop `{}`: its plan is re-evaluated in place, but a schedule of \
+                 the previous instance still holds it",
+                l.name
+            )
+        });
+        analysis::analyze_into(self.prog, l, &self.env, self.cfg.nprocs, &mut plan.acc);
         let t_lower = Instant::now();
-        let mut fresh = plan::lower(l, acc, &self.metas, self.wpb);
+        plan::lower_into(l, plan, &self.metas, self.wpb);
         self.phases.inspect_ns += t_lower.elapsed().as_nanos() as u64;
-        // Must-catch `stale_resolve_schedule`: keep a symbolic loop's
-        // first plan too, and let every later instance walk its covers
-        // (nothing else of it is reused).
-        let stale = self.cfg.inject.stale_resolve_schedule;
-        if let (true, Some(first)) = (stale, &self.plans[id]) {
-            fresh.sched = first.sched.clone();
+        // A re-evaluated plan's schedules no longer describe it (a new
+        // plan has none yet). Must-catch `stale_resolve_schedule`: skip
+        // refilling the default schedule, so every later instance walks
+        // the first one's covers.
+        if !self.cfg.inject.stale_resolve_schedule {
+            plan.sched.retire();
         }
-        let fresh = Rc::new(fresh);
-        if self.plans[id].is_none() && (l.is_static() || stale) {
-            self.plans[id] = Some(fresh.clone());
-        }
-        fresh
+        plan.ctl.retire();
+        plan.mp.retire();
+        Rc::clone(kept)
     }
 
     /// The schedule [`EngineCore::resolve_default`] walks for this
-    /// instance: the plan's (built at its first walk), unless the loop
-    /// has an indirect reference — then the blocks its index arrays name
-    /// right now join the read covers (and the false-sharing test), so it
-    /// is rebuilt from the plan's runs every instance.
-    pub fn schedule<'a>(&self, l: &ParLoop, plan: &'a LoopPlan) -> Cow<'a, ResolveSchedule> {
+    /// instance: the plan's (built at its first walk, refilled after a
+    /// re-evaluation), unless the loop has an indirect reference — then
+    /// the blocks its index arrays name right now join the read covers
+    /// (and the false-sharing test), so it is rebuilt from the plan's
+    /// runs every instance.
+    pub fn schedule<'a>(&self, l: &ParLoop, plan: &'a LoopPlan) -> Scheduled<'a, ResolveSchedule> {
         if !l.refs.iter().any(ARef::is_indirect) {
-            let direct = || plan::schedule(l, plan, &[], &self.metas, self.wpb);
-            return Cow::Borrowed(plan.sched.get_or_init(direct));
+            let fill = |s: &mut _| plan::schedule_into(l, plan, &[], &self.metas, self.wpb, s);
+            return Scheduled::Kept(plan.sched.get_or_fill(fill));
         }
         let gathered = |p: usize| {
             let refs = l.refs.iter().zip(&plan.acc.sections[p]);
@@ -284,7 +300,9 @@ impl<'p> EngineCore<'p> {
                 .collect()
         };
         let indirect: Vec<Vec<usize>> = (0..self.cfg.nprocs).map(gathered).collect();
-        Cow::Owned(plan::schedule(l, plan, &indirect, &self.metas, self.wpb))
+        let mut own = ResolveSchedule::default();
+        plan::schedule_into(l, plan, &indirect, &self.metas, self.wpb, &mut own);
+        Scheduled::Own(own)
     }
 
     /// Default-protocol access resolution: make every declared section
@@ -594,7 +612,8 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, l
     core.dsm.cluster.end_superstep(step, loop_id);
     core.cur_step = NO_STEP;
     core.cur_loop = NO_LOOP;
-    drop(plan_rc); // a symbolic loop's plan dies here, inside the clock
+    // The instance lets go of its plan: the next one may re-evaluate it.
+    drop(plan_rc);
     core.phases.post_loop_ns += t_post.elapsed().as_nanos() as u64;
 }
 

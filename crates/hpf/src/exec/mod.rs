@@ -37,7 +37,8 @@
 //! phases. The **resolve phase** services every cross-node transfer the
 //! loop needs against the state the previous superstep left behind, on
 //! the driver thread: each backend *executes a schedule* — plain data
-//! built once per static loop and kept in its [`crate::plan::LoopPlan`]
+//! kept in the loop's one [`crate::plan::LoopPlan`], built once for a
+//! static loop and refilled in place by each instance of a symbolic one
 //! (the default protocol's covers, the §4.2 contract's call sites and
 //! [`fgdsm_protocol::TransferPlan`]s, message passing's sends) — in
 //! schedule order. The **compute phase** then runs each node's
@@ -297,10 +298,11 @@ pub struct InjectConfig {
     /// [`fgdsm_protocol::WireError`] within the configured deadline —
     /// no hang, no partial artifact. No effect without a carrier.
     pub node_fault: Option<(u32, fgdsm_protocol::NodeFault)>,
-    /// Must-catch: keep a *symbolic* loop's first default-protocol
-    /// schedule and walk it on every later instance, so blocks the new
-    /// sections reach are never made accessible. (No effect on loops with
-    /// an indirect reference, whose schedule is rebuilt at walk time.)
+    /// Must-catch: skip refilling a *symbolic* loop's default-protocol
+    /// schedule when its plan is re-evaluated, so every later instance
+    /// walks the first one's covers and blocks the new sections reach are
+    /// never made accessible. (No effect on loops with an indirect
+    /// reference, whose schedule is rebuilt at walk time.)
     pub stale_resolve_schedule: bool,
     /// Must-catch: skip the coordinator's per-class `payload_bytes.*`
     /// metrics counter for the first envelope encoded — the run itself
@@ -445,9 +447,10 @@ pub struct PlannedXfer {
 }
 
 /// Host-side bookkeeping for one parallel loop. Plans: how many of its
-/// instances built a plan (`inspections`) and how many reused the one in
-/// the per-loop table (`hits`) — a loop whose access structure is fixed
-/// builds once per run, a symbolic one every instance. Kernels: the host
+/// instances ran the inspector — built the loop's plan, or re-evaluated
+/// it in place (`inspections`) — and how many reused it as it was
+/// (`hits`): a loop whose access structure is fixed inspects once per
+/// run, a symbolic one every instance. Kernels: the host
 /// time its compute phases took over the run (`compute_ns`, the same
 /// clock reads as [`HostPhases::compute_ns`](fgdsm_tempest::HostPhases))
 /// and the iteration points they covered on all nodes (`points`), so a
@@ -478,8 +481,8 @@ pub struct RunResult {
     /// Plan and kernel-time bookkeeping per parallel loop, indexed by
     /// loop id (program order). Host-side, in no canonical artifact.
     pub inspector: Vec<InspectorRow>,
-    /// Plans the per-loop table held at the end of the run — never more
-    /// than the program has loops.
+    /// Plans the per-loop table held at the end of the run: one per loop
+    /// that ran, never more than the program has loops.
     pub plans_cached: usize,
     /// Envelope frames routed through the wire layer (0 on the zero-copy
     /// fast path). Wire accounting only — deliberately outside the

@@ -29,7 +29,7 @@ impl Mp {
 impl CommBackend for Mp {
     fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         let t0 = Instant::now();
-        let sched = plan.mp.get_or_init(|| plan::mp_schedule(l, plan));
+        let sched = plan.mp.get_or_fill(|s| plan::mp_schedule_into(l, plan, s));
         core.phases.inspect_ns += t0.elapsed().as_nanos() as u64;
         for b in &sched.broadcasts {
             for &sr in &b.sections {

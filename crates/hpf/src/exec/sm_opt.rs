@@ -6,10 +6,8 @@
 use super::backend::CommBackend;
 use super::engine::EngineCore;
 use crate::ir::{ParLoop, RefMode};
-use crate::plan::{self, CtlSchedule, LoopPlan, OptLevel};
+use crate::plan::{self, CtlSchedule, LoopPlan, OptLevel, Scheduled};
 use crate::redundancy::PreCache;
-use fgdsm_protocol::Dsm;
-use std::borrow::Cow;
 use std::time::Instant;
 
 /// Per-loop access analysis finds the producer→consumer transfers,
@@ -43,21 +41,31 @@ impl SmOpt {
     }
 
     /// The contract schedule of this loop instance: the plan's, built at
-    /// its first resolve and kept as long as the plan is — unless the
-    /// level is `pre`, whose filter (what is still valid right now)
+    /// its first resolve and kept as long as the plan's lowering is
+    /// (refilled in place after a symbolic loop's re-evaluation) — unless
+    /// the level is `pre`, whose filter (what is still valid right now)
     /// changes with every delivery and write, so each instance builds its
     /// own.
-    pub fn schedule<'a>(&self, core: &EngineCore, plan: &'a LoopPlan) -> Cow<'a, CtlSchedule> {
-        let build = || {
+    pub fn schedule<'a>(
+        &self,
+        core: &EngineCore,
+        plan: &'a LoopPlan,
+    ) -> Scheduled<'a, CtlSchedule> {
+        let fill = |sched: &mut CtlSchedule| {
             let (dsm, bulk, edge) = (&core.dsm, self.opt.bulk, core.cfg.inject.force_boundary);
             let still_valid = |user, array, first, end| {
                 self.opt.pre && self.pre.is_valid(user, array, first, end, core.wpb)
             };
-            plan::ctl_schedule(plan, &dsm.cluster, dsm.injection(), bulk, edge, still_valid)
+            let (cluster, inject) = (&dsm.cluster, dsm.injection());
+            plan::ctl_schedule_into(plan, cluster, inject, bulk, edge, still_valid, sched)
         };
         match self.opt.pre {
-            true => Cow::Owned(build()),
-            false => Cow::Borrowed(plan.ctl.get_or_init(build)),
+            true => {
+                let mut own = CtlSchedule::default();
+                fill(&mut own);
+                Scheduled::Own(own)
+            }
+            false => Scheduled::Kept(plan.ctl.get_or_fill(fill)),
         }
     }
 
@@ -80,23 +88,22 @@ impl SmOpt {
         // stale copy over current data. So under RTOE, acquire exactly
         // the blocks whose directory state contradicts the assumption;
         // in the steady state (owners exclusive) no call is issued and
-        // no overhead is paid.
-        let rtoe = self.opt.rtoe;
-        let stale = |dsm: &Dsm, o, b| !rtoe || !dsm.dir_state(b).is_excl_by(o);
+        // no overhead is paid. The stale runs are the gaps in the owner's
+        // exclusive set, found a word at a time.
         let mut acquired = false;
         for &(o, f, e) in &sched.acquire {
-            let mut b = f;
-            while b < e {
-                let s = b;
-                while b < e && stale(&core.dsm, o, b) {
-                    b += 1;
-                }
-                if s < b {
-                    core.dsm.mk_writable(o, s, b);
+            if !self.opt.rtoe {
+                if f < e {
+                    core.dsm.mk_writable(o, f, e);
                     acquired = true;
-                } else {
-                    b += 1;
                 }
+                continue;
+            }
+            let mut from = f;
+            while let Some((s, t)) = core.dsm.excl_blocks(o).first_absent_run(from, e) {
+                core.dsm.mk_writable(o, s, t);
+                acquired = true;
+                from = t;
             }
         }
         if acquired {
@@ -155,7 +162,7 @@ impl CommBackend for SmOpt {
             let sched = self.schedule(core, plan);
             core.phases.inspect_ns += t0.elapsed().as_nanos() as u64;
             self.comm_ctl(core, &sched);
-            if let Cow::Owned(sched) = sched {
+            if let Scheduled::Own(sched) = sched {
                 self.rebuilt = Some(sched);
             }
         }
@@ -179,9 +186,13 @@ impl CommBackend for SmOpt {
 
     fn post_loop(&mut self, core: &mut EngineCore, _l: &ParLoop, plan: &LoopPlan) {
         if self.opt.ctl {
-            let rebuilt = self.rebuilt.take();
-            let sched = rebuilt.as_ref().or(plan.ctl.get());
-            self.cleanup_ctl(core, sched.expect("resolve scheduled this instance"));
+            match self.rebuilt.take() {
+                Some(own) => self.cleanup_ctl(core, &own),
+                None => {
+                    let kept = plan.ctl.get().expect("resolve scheduled this instance");
+                    self.cleanup_ctl(core, &kept);
+                }
+            }
         }
         core.dsm.release_barrier();
     }

@@ -8,6 +8,12 @@
 //! [`ctl_schedule`], [`mp_schedule`]: who does what to whom, in order —
 //! is a pure function of it kept beside it; backends only execute.
 //!
+//! A loop has one plan for the whole run. A symbolic loop's next instance
+//! evaluates it again in place — `analysis::analyze_into`, `lower_into`,
+//! and each schedule its backend built before refilled by the same
+//! builder's `_into` form — so every vector keeps its storage and an
+//! instance allocates nothing once the plan is warm.
+//!
 //! `shmem_limits` (§4.2, Figure 2A): a transfer section is linearized to
 //! contiguous (or 2-D strided) virtual-address runs, and each run is
 //! shrunk to the whole blocks strictly inside it. The whole blocks go
@@ -17,13 +23,15 @@
 
 use crate::analysis::{LoopAccess, Transfer};
 use crate::dist::{ArrayId, Dist};
-use crate::ir::{ARef, ParLoop, RefMode};
+use crate::ir::{ParLoop, RefMode};
 use fgdsm_protocol::{
-    plan_flushes, plan_sends, FlushEntry, Injection, MpSendPlan, SendEntry, TransferPlan,
+    plan_flushes_into, plan_sends_into, FlushEntry, Injection, MpSendPlan, SendEntry, TransferPlan,
 };
 use fgdsm_section::{block_subset, ColumnMajor, LinearRanges, Section, StridedRange};
 use fgdsm_tempest::{Cluster, NodeId};
-use std::cell::OnceCell;
+use std::cell::{Cell, Ref, RefCell};
+use std::fmt;
+use std::ops::Deref;
 
 /// Which of the paper's optimizations are enabled (Figure 4's ablation).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,11 +136,17 @@ impl ArrayMeta {
     /// Linearize a section of this array to absolute word runs in the
     /// global segment (total, like [`ColumnMajor::linearize`]).
     pub fn runs(&self, sec: &Section) -> LinearRanges {
-        let mut lr = self.layout.linearize(sec);
-        for r in &mut lr.runs {
+        let mut lr = LinearRanges::empty();
+        self.runs_into(sec, &mut lr);
+        lr
+    }
+
+    /// [`ArrayMeta::runs`] into `out`, refilled in place.
+    pub(crate) fn runs_into(&self, sec: &Section, out: &mut LinearRanges) {
+        self.layout.linearize_into(sec, out);
+        for r in &mut out.runs {
             r.base += self.base;
         }
-        lr
     }
 
     /// Absolute word offset of an element.
@@ -204,8 +218,16 @@ impl CtlRanges {
 
 /// Apply `shmem_limits` to every run of a linearized section.
 pub fn shmem_limits(runs: &LinearRanges, words_per_block: usize) -> CtlRanges {
-    let bs = words_per_block * 8;
     let mut out = CtlRanges::default();
+    shmem_limits_into(runs, words_per_block, &mut out);
+    out
+}
+
+/// [`shmem_limits`] into `out`, refilled in place.
+fn shmem_limits_into(runs: &LinearRanges, words_per_block: usize, out: &mut CtlRanges) {
+    let bs = words_per_block * 8;
+    out.ctl.clear();
+    out.boundary.clear();
     for (start, len) in runs.iter_runs() {
         if len == 0 {
             continue;
@@ -226,8 +248,7 @@ pub fn shmem_limits(runs: &LinearRanges, words_per_block: usize) -> CtlRanges {
     }
     // Coalesce adjacent ctl ranges (several exactly-adjacent runs, e.g.
     // whole columns, merge into one range → one bulk train).
-    out.ctl = merge_block_ranges(&mut out.ctl);
-    out
+    merge_block_ranges(&mut out.ctl);
 }
 
 /// Blocks covered (fully or partially) by a set of word runs — the blocks
@@ -235,7 +256,8 @@ pub fn shmem_limits(runs: &LinearRanges, words_per_block: usize) -> CtlRanges {
 pub fn covering_blocks(runs: &LinearRanges, words_per_block: usize) -> Vec<(usize, usize)> {
     let mut raw = Vec::new();
     push_cover(runs, words_per_block, &mut raw);
-    merge_block_ranges(&mut raw)
+    merge_block_ranges(&mut raw);
+    raw
 }
 
 /// Append the covering block ranges of `lr`'s runs to `out`, ascending
@@ -278,10 +300,9 @@ fn covering_range(start: usize, len: usize, words_per_block: usize) -> (usize, u
     )
 }
 
-/// Sort `raw` block ranges and coalesce the overlapping and the adjacent
-/// (in place, then copied out at their exact size: covers live as long
-/// as a cached plan does).
-fn merge_block_ranges(raw: &mut [(usize, usize)]) -> Vec<(usize, usize)> {
+/// Sort `raw` block ranges and coalesce the overlapping and the adjacent,
+/// in place.
+fn merge_block_ranges(raw: &mut Vec<(usize, usize)>) {
     raw.sort_unstable();
     let mut n = 0; // raw[..n] is merged
     for i in 0..raw.len() {
@@ -293,7 +314,7 @@ fn merge_block_ranges(raw: &mut [(usize, usize)]) -> Vec<(usize, usize)> {
             n += 1;
         }
     }
-    raw[..n].to_vec()
+    raw.truncate(n);
 }
 
 /// Merge two block-range lists, each ascending by first block, into
@@ -320,10 +341,108 @@ fn merge_into(a: &[(usize, usize)], b: &[(usize, usize)], out: &mut Vec<(usize, 
     }
 }
 
+/// Entry `n` of `list`, to be refilled in place: the one an earlier build
+/// left there, or a new one. (The caller truncates `list` to what it
+/// refilled.)
+fn refill<T: Default>(list: &mut Vec<T>, n: usize) -> &mut T {
+    if n == list.len() {
+        list.push(T::default());
+    }
+    &mut list[n]
+}
+
 /// Does the ascending, coalesced `cover` hold block `b`?
 fn covers(cover: &[(usize, usize)], b: usize) -> bool {
     let i = cover.partition_point(|&(_, e)| e <= b);
     i < cover.len() && cover[i].0 <= b
+}
+
+/// Storage a schedule builder clears and refills on every build and
+/// reads nothing from between builds. It belongs to the schedule, so a
+/// symbolic loop's next instance finds it warm, but it is no part of the
+/// schedule's value: any two are equal, and it prints as `..`.
+#[derive(Clone, Default)]
+struct Scratch<T>(T);
+
+impl<T> PartialEq for Scratch<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> Eq for Scratch<T> {}
+
+impl<T> fmt::Debug for Scratch<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
+}
+
+/// One protocol's schedule in a [`LoopPlan`]. Empty until the backend
+/// that executes it first builds it; current from then on, for as long
+/// as the plan's lowering is. When a symbolic loop's next instance
+/// re-evaluates the plan, the engine retires every schedule — it keeps
+/// its storage — and the backend's next use refills it in place with the
+/// same builder. A slot nobody built stays empty (`mp` never pays for
+/// covers).
+#[derive(Clone, Debug, Default)]
+pub struct ScheduleSlot<T> {
+    sched: RefCell<Option<T>>,
+    current: Cell<bool>,
+}
+
+impl<T: Default> ScheduleSlot<T> {
+    /// The schedule, if it is current.
+    pub fn get(&self) -> Option<Ref<'_, T>> {
+        self.current.get().then(|| self.held())
+    }
+
+    /// The current schedule — unless there is none, in which case `fill`
+    /// first builds it, into the retired schedule's storage if there is
+    /// one.
+    pub(crate) fn get_or_fill(&self, fill: impl FnOnce(&mut T)) -> Ref<'_, T> {
+        if !self.current.get() {
+            fill(self.sched.borrow_mut().get_or_insert_with(T::default));
+            self.current.set(true);
+        }
+        self.held()
+    }
+
+    /// Whether the slot holds a retired schedule that its next use
+    /// refills.
+    pub fn is_retired(&self) -> bool {
+        !self.current.get() && self.sched.borrow().is_some()
+    }
+
+    /// The plan was re-evaluated: the schedule no longer describes it.
+    pub(crate) fn retire(&mut self) {
+        self.current.set(false);
+    }
+
+    fn held(&self) -> Ref<'_, T> {
+        Ref::map(self.sched.borrow(), |s| {
+            s.as_ref().expect("a current slot holds its schedule")
+        })
+    }
+}
+
+/// The schedule a backend is about to execute: the one kept in the
+/// plan's [`ScheduleSlot`], or one built for this instance alone (an
+/// indirect loop's default schedule, a `pre` level's contract).
+pub enum Scheduled<'a, T> {
+    Kept(Ref<'a, T>),
+    Own(T),
+}
+
+impl<T> Deref for Scheduled<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Scheduled::Kept(kept) => kept,
+            Scheduled::Own(own) => own,
+        }
+    }
 }
 
 /// What the default protocol must do before one loop instance's kernels
@@ -340,6 +459,42 @@ pub struct ResolveSchedule {
     /// by one and read by another, in this loop instance. They take the
     /// multiple-writer (twin/diff) path.
     pub multi: Vec<usize>,
+    scratch: Scratch<CoverScratch>,
+}
+
+/// [`schedule_into`]'s working lists.
+#[derive(Clone, Default)]
+struct CoverScratch {
+    /// The transfers' merged covers.
+    xfer: Vec<(usize, usize)>,
+    /// One reference's covers.
+    items: Vec<(usize, usize)>,
+    /// A node's covers merged so far, and the merge's output.
+    merged: Vec<(usize, usize)>,
+    spare: Vec<(usize, usize)>,
+}
+
+/// `(owner, array, user, is_write)`: whose ctl ranges merge together.
+type UserKey = (NodeId, usize, NodeId, bool);
+
+/// [`ctl_schedule_into`]'s working lists.
+#[derive(Clone, Default)]
+struct CtlScratch {
+    /// Every ctl range, by key.
+    raw: Vec<(UserKey, (usize, usize))>,
+    /// One key's ranges, merged.
+    ranges: Vec<(usize, usize)>,
+    /// `((owner, array, first, end), user)`: who is pushed what.
+    pushes: Vec<((NodeId, usize, usize, usize), NodeId)>,
+}
+
+/// [`mp_schedule_into`]'s working lists.
+#[derive(Clone, Default)]
+struct MpScratch {
+    /// Transfer indices, grouped by `(owner, array, section)`.
+    grouped: Vec<usize>,
+    /// `((owner, user), sequence, section)` of every pairwise send.
+    pairwise: Vec<((NodeId, NodeId), usize, StridedRange)>,
 }
 
 /// The §4.2 contract of one loop instance as plain data
@@ -374,11 +529,12 @@ pub struct CtlSchedule {
     /// their reader (the PRE counters' increments).
     pub reads_performed: u64,
     pub reads_skipped: u64,
+    scratch: Scratch<CtlScratch>,
 }
 
 /// One section the message-passing runtime ships through its broadcast
 /// tree: `owner` to all of `users`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MpBroadcast {
     pub owner: NodeId,
     pub users: Vec<NodeId>,
@@ -399,11 +555,14 @@ pub struct MpSchedule {
     /// `(node, runs)` of every written section: pages a node maps by
     /// first touch.
     pub first_touch: Vec<(NodeId, StridedRange)>,
+    scratch: Scratch<MpScratch>,
 }
 
 /// Everything one loop instance's sections lower to, as plain data
-/// ([`lower`]). The engine keeps one per static loop; nothing in it
-/// refers to the program, the cluster or the instance that built it.
+/// ([`lower`]). The engine keeps one per loop for the whole run — a
+/// symbolic loop's instances re-evaluate it in place (`lower_into`) —
+/// and nothing in it refers to the program, the cluster or the instance
+/// that built it.
 #[derive(Clone, Debug, Default)]
 pub struct LoopPlan {
     /// The §4.1 access analysis the rest was lowered from.
@@ -413,9 +572,9 @@ pub struct LoopPlan {
     /// conservative bound.
     pub runs: Vec<Vec<LinearRanges>>,
     /// The default-protocol schedule of the non-indirect references —
-    /// [`schedule`] of `runs`, filled in by the first walk (`mp` never
+    /// `schedule_into` of `runs`, filled in by the first walk (`mp` never
     /// walks, and a loop with an indirect reference rebuilds its own).
-    pub sched: OnceCell<ResolveSchedule>,
+    pub sched: ScheduleSlot<ResolveSchedule>,
     /// Per transfer, in [`LoopPlan::transfers`] order: its word runs…
     pub xfer_runs: Vec<LinearRanges>,
     /// …and their `shmem_limits` split (empty for an indirect transfer,
@@ -423,11 +582,11 @@ pub struct LoopPlan {
     pub xfer_ctl: Vec<CtlRanges>,
     /// The §4.2 contract's schedule — [`ctl_schedule`] of `xfer_ctl`,
     /// filled in by `sm_opt`'s first resolve (a `pre` level, whose filter
-    /// is the run's state, rebuilds its own every instance).
-    pub ctl: OnceCell<CtlSchedule>,
+    /// is the run's state, builds its own every instance).
+    pub ctl: ScheduleSlot<CtlSchedule>,
     /// The message-passing schedule — [`mp_schedule`] of `xfer_runs` and
     /// `runs`, filled in by `mp`'s first resolve.
-    pub mp: OnceCell<MpSchedule>,
+    pub mp: ScheduleSlot<MpSchedule>,
 }
 
 impl LoopPlan {
@@ -439,37 +598,51 @@ impl LoopPlan {
     }
 }
 
-/// Lower one analyzed loop instance. Never inlined: it is the seam
-/// between analysis and every consumer of its result, and its cost is
-/// paid once per static loop but every instance of a symbolic one.
-#[inline(never)]
+/// Lower one analyzed loop instance.
 pub fn lower(l: &ParLoop, acc: LoopAccess, metas: &[ArrayMeta], wpb: usize) -> LoopPlan {
-    let lower_ref = |(r, sec): (&ARef, &Section)| match r.is_indirect() {
-        true => LinearRanges::empty(),
-        false => metas[r.array.0].runs(sec),
+    let mut plan = LoopPlan {
+        acc,
+        ..LoopPlan::default()
     };
-    let per_node = |secs: &Vec<Section>| l.refs.iter().zip(secs).map(lower_ref).collect();
-    let runs: Vec<Vec<LinearRanges>> = acc.sections.iter().map(per_node).collect();
-    let transfers = acc.read_transfers.iter().chain(&acc.write_transfers);
-    let xfer_runs: Vec<LinearRanges> = transfers
-        .clone()
-        .map(|t| metas[t.array].runs(&t.section))
-        .collect();
-    let xfer_ctl = transfers
-        .zip(&xfer_runs)
-        .map(|(t, lr)| match t.indirect {
-            true => CtlRanges::default(),
-            false => shmem_limits(lr, wpb),
-        })
-        .collect();
-    LoopPlan {
-        sched: OnceCell::new(),
+    lower_into(l, &mut plan, metas, wpb);
+    plan
+}
+
+/// Lower `plan.acc` into the rest of `plan` — its runs, transfer runs and
+/// `shmem_limits` splits — refilled in place. The schedules are left as
+/// they are: a caller that re-evaluated the plan retires them. Never
+/// inlined: it is the seam between analysis and every consumer of its
+/// result, and its cost is paid once per static loop but every instance
+/// of a symbolic one.
+#[inline(never)]
+pub(crate) fn lower_into(l: &ParLoop, plan: &mut LoopPlan, metas: &[ArrayMeta], wpb: usize) {
+    let LoopPlan {
+        acc,
         runs,
         xfer_runs,
         xfer_ctl,
-        acc,
-        ctl: OnceCell::new(),
-        mp: OnceCell::new(),
+        ..
+    } = plan;
+    runs.resize_with(acc.sections.len(), Vec::new);
+    for (per_ref, secs) in runs.iter_mut().zip(&acc.sections) {
+        per_ref.resize_with(l.refs.len(), LinearRanges::default);
+        for ((lr, r), sec) in per_ref.iter_mut().zip(&l.refs).zip(secs) {
+            match r.is_indirect() {
+                true => lr.runs.clear(),
+                false => metas[r.array.0].runs_into(sec, lr),
+            }
+        }
+    }
+    let n = acc.read_transfers.len() + acc.write_transfers.len();
+    xfer_runs.resize_with(n, LinearRanges::default);
+    xfer_ctl.resize_with(n, CtlRanges::default);
+    let transfers = acc.read_transfers.iter().chain(&acc.write_transfers);
+    for ((t, lr), cr) in transfers.zip(xfer_runs.iter_mut()).zip(xfer_ctl.iter_mut()) {
+        metas[t.array].runs_into(&t.section, lr);
+        match t.indirect {
+            true => *cr = CtlRanges::default(),
+            false => shmem_limits_into(lr, wpb, cr),
+        }
     }
 }
 
@@ -499,23 +672,38 @@ pub fn lower(l: &ParLoop, acc: LoopAccess, metas: &[ArrayMeta], wpb: usize) -> L
 /// into a transfer's blocks are looked at, found in closed form per
 /// group; so the test runs over a short list, usually empty, and costs
 /// the instance its groups and transfers, not its runs.
-pub(crate) fn schedule(
+///
+/// Written into `sched`, refilled in place.
+pub(crate) fn schedule_into(
     l: &ParLoop,
     plan: &LoopPlan,
     indirect: &[Vec<usize>],
     metas: &[ArrayMeta],
     wpb: usize,
-) -> ResolveSchedule {
+    sched: &mut ResolveSchedule,
+) {
     let nprocs = plan.runs.len();
     assert!(nprocs <= 64, "node masks support ≤64 nodes");
-    let mut items: Vec<(usize, usize)> = Vec::new();
+    let ResolveSchedule {
+        wcover,
+        rcover,
+        multi: candidates,
+        scratch:
+            Scratch(CoverScratch {
+                xfer,
+                items,
+                merged,
+                spare,
+            }),
+    } = sched;
+    xfer.clear();
     plan.xfer_runs
         .iter()
-        .for_each(|lr| push_cover(lr, wpb, &mut items));
-    let xfer = merge_block_ranges(&mut items);
-    let mut sched = ResolveSchedule::default();
-    let mut candidates: Vec<usize> = Vec::new();
-    let (mut merged, mut spare) = (Vec::new(), Vec::new());
+        .for_each(|lr| push_cover(lr, wpb, xfer));
+    merge_block_ranges(xfer);
+    wcover.resize_with(nprocs, Vec::new);
+    rcover.resize_with(nprocs, Vec::new);
+    candidates.clear();
     for (p, per_ref) in plan.runs.iter().enumerate() {
         let refs = || l.refs.iter().zip(per_ref);
         // The extremal blocks of its write runs where two nodes can meet —
@@ -525,7 +713,7 @@ pub(crate) fn schedule(
             let meta = &metas[r.array.0];
             let one_owner = meta.blocks_have_one_owner(wpb, nprocs);
             let meet = |&b: &usize| {
-                covers(&xfer, b) || !one_owner && meta.owners_meet(b * wpb, (b + 1) * wpb, nprocs)
+                covers(xfer, b) || !one_owner && meta.owners_meet(b * wpb, (b + 1) * wpb, nprocs)
             };
             let mut candidate = |start: usize, len: usize| {
                 if len > 0 {
@@ -535,7 +723,7 @@ pub(crate) fn schedule(
             };
             if one_owner {
                 for g in &lr.runs {
-                    for &(f, e) in &xfer {
+                    for &(f, e) in xfer.iter() {
                         for i in runs_touching(g, f * wpb, e * wpb) {
                             candidate(g.base + i * g.stride, g.run_len);
                         }
@@ -546,23 +734,24 @@ pub(crate) fn schedule(
                     .for_each(|(start, len)| candidate(start, len));
             }
         }
-        let mut cover = |mode: RefMode| {
+        let mut cover = |mode: RefMode, out: &mut Vec<(usize, usize)>| {
             merged.clear();
             for (_, lr) in refs().filter(|(r, _)| r.mode == mode) {
                 items.clear();
-                push_cover(lr, wpb, &mut items);
+                push_cover(lr, wpb, items);
                 spare.clear();
-                merge_into(&merged, &items, &mut spare);
-                std::mem::swap(&mut merged, &mut spare);
+                merge_into(merged, items, spare);
+                std::mem::swap(merged, spare);
             }
-            merged.to_vec()
+            out.clear();
+            out.extend_from_slice(merged);
         };
-        sched.wcover.push(cover(RefMode::Write));
-        sched.rcover.push(cover(RefMode::Read));
+        cover(RefMode::Write, &mut wcover[p]);
+        cover(RefMode::Read, &mut rcover[p]);
         if let Some(gathered) = indirect.get(p).filter(|g| !g.is_empty()) {
-            let rcover = &mut sched.rcover[p];
+            let rcover = &mut rcover[p];
             rcover.extend(gathered.iter().map(|&off| covering_range(off, 1, wpb)));
-            *rcover = merge_block_ranges(rcover);
+            merge_block_ranges(rcover);
         }
     }
     // A candidate needs the multiple-writer (twin/diff) path if two or
@@ -577,11 +766,9 @@ pub(crate) fn schedule(
         holders.fold(0, |m, (p, _)| m | 1 << p)
     };
     candidates.retain(|&b| {
-        let (w, r) = (mask(&sched.wcover, b), mask(&sched.rcover, b));
+        let (w, r) = (mask(wcover, b), mask(rcover, b));
         w.count_ones() >= 2 || (w != 0 && r & !w != 0)
     });
-    sched.multi = candidates;
-    sched
 }
 
 /// Schedule the §4.2 contract of one lowered loop instance under the
@@ -609,22 +796,68 @@ pub fn ctl_schedule(
     injection: Injection,
     bulk: bool,
     force_boundary: bool,
-    mut still_valid: impl FnMut(NodeId, usize, usize, usize) -> bool,
+    still_valid: impl FnMut(NodeId, usize, usize, usize) -> bool,
 ) -> CtlSchedule {
     let mut sched = CtlSchedule::default();
-    type UserKey = (NodeId, usize, NodeId, bool); // (owner, array, user, is_write)
-    let mut raw: Vec<(UserKey, (usize, usize))> = Vec::new();
+    ctl_schedule_into(
+        plan,
+        cluster,
+        injection,
+        bulk,
+        force_boundary,
+        still_valid,
+        &mut sched,
+    );
+    sched
+}
+
+/// [`ctl_schedule`] into `sched`, refilled in place: call sites and
+/// transfer plans in the storage of the ones at their index.
+pub(crate) fn ctl_schedule_into(
+    plan: &LoopPlan,
+    cluster: &Cluster,
+    injection: Injection,
+    bulk: bool,
+    force_boundary: bool,
+    mut still_valid: impl FnMut(NodeId, usize, usize, usize) -> bool,
+    sched: &mut CtlSchedule,
+) {
+    let CtlSchedule {
+        acquire,
+        landing,
+        sends,
+        send_plans,
+        receivers,
+        flushes,
+        flush_plans,
+        invalidate,
+        planned,
+        reads_performed,
+        reads_skipped,
+        scratch:
+            Scratch(CtlScratch {
+                raw,
+                ranges,
+                pushes,
+            }),
+    } = sched;
+    (*reads_performed, *reads_skipped) = (0, 0);
+    flushes.clear();
+    invalidate.clear();
+    planned.clear();
+    raw.clear();
     for ((t, is_write), cr) in plan.transfers().zip(&plan.xfer_ctl) {
         let key = (t.owner, t.array, t.user, is_write);
         raw.extend(cr.ctl.iter().map(|&range| (key, range)));
     }
     raw.sort_unstable();
-    // ((owner, array, first, end), user): who is pushed what.
-    let mut pushes: Vec<((NodeId, usize, usize, usize), NodeId)> = Vec::new();
+    pushes.clear();
     for of_key in raw.chunk_by(|a, b| a.0 == b.0) {
         let (owner, array, user, is_write) = of_key[0].0;
-        let mut ranges: Vec<(usize, usize)> = of_key.iter().map(|r| r.1).collect();
-        for (f, e) in merge_block_ranges(&mut ranges) {
+        ranges.clear();
+        ranges.extend(of_key.iter().map(|r| r.1));
+        merge_block_ranges(ranges);
+        for &(f, e) in ranges.iter() {
             let (f, e) = match force_boundary {
                 true => (f + 1, e.saturating_sub(1)),
                 false => (f, e),
@@ -633,13 +866,13 @@ pub fn ctl_schedule(
                 continue;
             }
             if !is_write && still_valid(user, array, f, e) {
-                sched.reads_skipped += 1;
+                *reads_skipped += 1;
                 continue;
             }
             pushes.push(((owner, array, f, e), user));
-            sched.invalidate.push((user, f, e));
+            invalidate.push((user, f, e));
             if is_write {
-                sched.flushes.push(FlushEntry {
+                flushes.push(FlushEntry {
                     writer: user,
                     owner,
                     first: f,
@@ -647,41 +880,43 @@ pub fn ctl_schedule(
                     array: array as u32,
                 });
                 // The write-back is part of the planned section volume.
-                sched.planned.push((array, (e - f) as u64));
+                planned.push((array, (e - f) as u64));
             } else {
-                sched.reads_performed += 1;
+                *reads_performed += 1;
             }
         }
     }
     // Per receiver, in the order above.
-    sched.invalidate.sort_by_key(|&(user, ..)| user);
-    sched.landing = sched.invalidate.clone();
-    sched.landing.sort_unstable();
-    sched.landing.dedup();
-    sched.receivers = sched.landing.iter().map(|&(user, ..)| user).collect();
-    sched.receivers.dedup();
+    invalidate.sort_by_key(|&(user, ..)| user);
+    landing.clear();
+    landing.extend_from_slice(invalidate);
+    landing.sort_unstable();
+    landing.dedup();
+    receivers.clear();
+    receivers.extend(landing.iter().map(|&(user, ..)| user));
+    receivers.dedup();
     // One call site per (owner, array, range), pushing to all its users.
     pushes.sort_unstable();
     pushes.dedup();
+    acquire.clear();
+    let mut n = 0;
     for site in pushes.chunk_by(|a, b| a.0 == b.0) {
         let (owner, array, first, end) = site[0].0;
         // One copy of the section reaches every reader.
         let volume = ((end - first) * site.len()) as u64;
-        sched.planned.push((array, volume));
-        sched.acquire.push((owner, first, end));
-        sched.sends.push(SendEntry {
-            owner,
-            readers: site.iter().map(|s| s.1).collect(),
-            first,
-            end,
-            array: array as u32,
-        });
+        planned.push((array, volume));
+        acquire.push((owner, first, end));
+        let en = refill(sends, n);
+        (en.owner, en.first, en.end, en.array) = (owner, first, end, array as u32);
+        en.readers.clear();
+        en.readers.extend(site.iter().map(|s| s.1));
+        n += 1;
     }
-    sched.acquire.sort_unstable();
-    sched.acquire.dedup();
-    sched.send_plans = plan_sends(cluster, injection, &sched.sends, bulk);
-    sched.flush_plans = plan_flushes(cluster, &sched.flushes, bulk);
-    sched
+    sends.truncate(n);
+    acquire.sort_unstable();
+    acquire.dedup();
+    plan_sends_into(cluster, injection, sends, bulk, send_plans);
+    plan_flushes_into(cluster, flushes, bulk, flush_plans);
 }
 
 /// Schedule the message-passing resolve of one lowered loop instance:
@@ -691,52 +926,87 @@ pub fn ctl_schedule(
 /// group, as `pghpf`'s runtime does.
 pub fn mp_schedule(l: &ParLoop, plan: &LoopPlan) -> MpSchedule {
     let mut sched = MpSchedule::default();
-    let transfers: Vec<&Transfer> = plan.transfers().map(|(t, _)| t).collect();
+    mp_schedule_into(l, plan, &mut sched);
+    sched
+}
+
+/// [`mp_schedule`] into `sched`, refilled in place: broadcast groups and
+/// send plans in the storage of the ones at their index.
+pub(crate) fn mp_schedule_into(l: &ParLoop, plan: &LoopPlan, sched: &mut MpSchedule) {
+    let MpSchedule {
+        broadcasts,
+        sends,
+        receivers,
+        first_touch,
+        scratch: Scratch(MpScratch { grouped, pairwise }),
+    } = sched;
+    let reads = &plan.acc.read_transfers;
+    let nth = |i: usize| -> &Transfer {
+        reads
+            .get(i)
+            .unwrap_or_else(|| &plan.acc.write_transfers[i - reads.len()])
+    };
     // The users of each distinct (owner, array, section), in transfer
-    // order: a stable sort brings a group together.
-    fn key(t: &Transfer) -> (NodeId, usize, &Section) {
+    // order: sorting the transfer indices by key, ties by index, brings a
+    // group together.
+    let key = |i: usize| {
+        let t = nth(i);
         (t.owner, t.array, &t.section)
-    }
-    let mut grouped = transfers.clone();
-    grouped.sort_by(|a, b| key(a).cmp(&key(b)));
-    let mut pairwise: Vec<((NodeId, NodeId), StridedRange)> = Vec::new();
-    for (t, runs) in transfers.iter().zip(&plan.xfer_runs) {
+    };
+    grouped.clear();
+    grouped.extend(0..plan.xfer_runs.len());
+    grouped.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)).then(a.cmp(&b)));
+    pairwise.clear();
+    receivers.clear();
+    let mut n = 0;
+    for (i, runs) in plan.xfer_runs.iter().enumerate() {
+        let t = nth(i);
         // The runtime's stride of a single run is 1, not 0.
         let sections = runs.runs.iter().map(|sr| StridedRange {
             stride: sr.stride.max(1),
             ..*sr
         });
-        let start = grouped.partition_point(|g| key(g) < key(t));
-        let len = grouped[start..].partition_point(|g| key(g) == key(t));
+        let start = grouped.partition_point(|&g| key(g) < key(i));
+        let len = grouped[start..].partition_point(|&g| key(g) == key(i));
         let group = &grouped[start..start + len];
         if len < 3 {
-            pairwise.extend(sections.map(|sr| ((t.owner, t.user), sr)));
-        } else if group[0].user == t.user {
-            sched.broadcasts.push(MpBroadcast {
-                owner: t.owner,
-                users: group.iter().map(|g| g.user).collect(),
-                sections: sections.collect(),
-            });
+            let seq = pairwise.len();
+            let pair = (t.owner, t.user);
+            pairwise.extend(sections.enumerate().map(|(k, sr)| (pair, seq + k, sr)));
+        } else if nth(group[0]).user == t.user {
+            let b = refill(broadcasts, n);
+            b.owner = t.owner;
+            b.users.clear();
+            b.users.extend(group.iter().map(|&g| nth(g).user));
+            b.sections.clear();
+            b.sections.extend(sections);
+            n += 1;
         }
-        sched.receivers.push(t.user);
+        receivers.push(t.user);
     }
-    sched.receivers.sort_unstable();
-    sched.receivers.dedup();
-    // Stable: a pair's sections stay in transfer order.
-    pairwise.sort_by_key(|&(pair, _)| pair);
+    broadcasts.truncate(n);
+    receivers.sort_unstable();
+    receivers.dedup();
+    // Ties by sequence: a pair's sections stay in transfer order.
+    pairwise.sort_unstable_by_key(|&(pair, seq, _)| (pair, seq));
+    let mut n = 0;
     for of_pair in pairwise.chunk_by(|a, b| a.0 == b.0) {
-        let ((src, dst), _) = of_pair[0];
-        let sections = of_pair.iter().map(|s| s.1).collect();
-        sched.sends.push(MpSendPlan { src, dst, sections });
+        let ((src, dst), ..) = of_pair[0];
+        let s = refill(sends, n);
+        (s.src, s.dst) = (src, dst);
+        s.sections.clear();
+        s.sections.extend(of_pair.iter().map(|&(.., sr)| sr));
+        n += 1;
     }
+    sends.truncate(n);
+    first_touch.clear();
     for (p, per_ref) in plan.runs.iter().enumerate() {
         for (r, lr) in l.refs.iter().zip(per_ref) {
             if r.mode == RefMode::Write {
-                sched.first_touch.extend(lr.runs.iter().map(|&sr| (p, sr)));
+                first_touch.extend(lr.runs.iter().map(|&sr| (p, sr)));
             }
         }
     }
-    sched
 }
 
 #[cfg(test)]
@@ -821,7 +1091,7 @@ mod tests {
     #[test]
     fn mp_schedule_ships_a_duplicated_ghost_read_once() {
         use crate::analysis::analyze;
-        use crate::ir::{CompDist, Kernel, KernelCtx, Program, Stmt, Subscript};
+        use crate::ir::{ARef, CompDist, Kernel, KernelCtx, Program, Stmt, Subscript};
         use fgdsm_section::{Affine, Env, SymRange};
         let mut b = Program::builder();
         // 12 columns over 3 nodes: node 0 owns 0..4, node 2 owns 8..12.

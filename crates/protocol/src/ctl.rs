@@ -93,28 +93,45 @@ pub fn group_payloads(
     })
 }
 
-/// One plan per (source, destination) pair of the call sites
-/// `(src, dst, first, end, array)`, in (src, dst) order, a pair's call
-/// sites in the order given.
+/// Refill `plans` with one plan per (source, destination) pair of the
+/// call sites `(src, dst, first, end, array)`, in (src, dst) order, a
+/// pair's call sites in the order given. Each plan is refilled in the
+/// storage of the one `plans` held at its index, so a schedule re-built
+/// in place allocates nothing once it has been this large.
 fn merge_sites(
     cluster: &Cluster,
     op: PlanOp,
     bulk: bool,
-    mut sites: Vec<(NodeId, NodeId, usize, usize, u32)>,
-) -> Vec<TransferPlan> {
+    sites: impl Iterator<Item = (NodeId, NodeId, usize, usize, u32)>,
+    plans: &mut Vec<TransferPlan>,
+) {
     let (bytes, max) = (cluster.cfg().block_bytes, cluster.cfg().bulk_max_bytes);
-    sites.sort_by_key(|&(src, dst, ..)| (src, dst));
-    let pairs = sites.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1));
-    let plan = |pair: &[(NodeId, NodeId, usize, usize, u32)]| TransferPlan {
-        src: pair[0].0,
-        dst: pair[0].1,
-        op,
-        ranges: pair.iter().map(|s| (s.2, s.3)).collect(),
-        payloads: { pair.iter() }
-            .flat_map(|&(_, _, f, e, array)| group_payloads(f, e, array, bytes, bulk, max))
-            .collect(),
-    };
-    pairs.map(plan).collect()
+    let mut n = 0; // plans[..n] are this batch's, ascending by pair
+    for (src, dst, f, e, array) in sites {
+        let i = plans[..n].partition_point(|p| (p.src, p.dst) < (src, dst));
+        if i == n || (plans[i].src, plans[i].dst) != (src, dst) {
+            if n == plans.len() {
+                plans.push(TransferPlan {
+                    src,
+                    dst,
+                    op,
+                    ranges: Vec::new(),
+                    payloads: Vec::new(),
+                });
+            }
+            plans[i..=n].rotate_right(1);
+            let p = &mut plans[i];
+            (p.src, p.dst, p.op) = (src, dst, op);
+            p.ranges.clear();
+            p.payloads.clear();
+            n += 1;
+        }
+        let p = &mut plans[i];
+        p.ranges.push((f, e));
+        p.payloads
+            .extend(group_payloads(f, e, array, bytes, bulk, max));
+    }
+    plans.truncate(n);
 }
 
 /// Schedule a batch of compiler-directed pushes: payload grouping, and
@@ -129,35 +146,60 @@ pub fn plan_sends(
     entries: &[SendEntry],
     bulk: bool,
 ) -> Vec<TransferPlan> {
-    let mut sites = Vec::new();
-    for en in entries {
-        // Fault injection (must-catch): an off-by-one section bound —
-        // the send delivers one block fewer than `implicit_writable`
-        // promised, so the readers' last block is writable over stale
-        // data.
-        let end = en.end - usize::from(injection.skew_send_range && en.end > en.first);
-        if end <= en.first {
-            continue;
-        }
-        for &r in &en.readers {
+    let mut plans = Vec::new();
+    plan_sends_into(cluster, injection, entries, bulk, &mut plans);
+    plans
+}
+
+/// [`plan_sends`] into the plans of an earlier schedule, refilled in
+/// place.
+pub fn plan_sends_into(
+    cluster: &Cluster,
+    injection: Injection,
+    entries: &[SendEntry],
+    bulk: bool,
+    plans: &mut Vec<TransferPlan>,
+) {
+    // Fault injection (must-catch): an off-by-one section bound — the
+    // send delivers one block fewer than `implicit_writable` promised, so
+    // the readers' last block is writable over stale data.
+    let skew = |en: &SendEntry| usize::from(injection.skew_send_range && en.end > en.first);
+    let nonempty = { entries.iter() }
+        .map(|en| (en, en.end - skew(en)))
+        .filter(|&(en, end)| end > en.first);
+    let sites = nonempty.flat_map(|(en, end)| {
+        let home = cluster.home_of_block(en.first);
+        en.readers.iter().map(move |&r| {
             debug_assert_ne!(r, en.owner);
-            // Fault injection (must-catch): a stale owner memo pushes
-            // the *home's* copy — which the real owner never flushed —
+            // Fault injection (must-catch): a stale owner memo pushes the
+            // *home's* copy — which the real owner never flushed —
             // whenever the home is a third party (§4.3 RTOE hazard).
-            let home = cluster.home_of_block(en.first);
             let src = trans::push_source(en.owner, r, home, injection.stale_owner_push);
-            sites.push((src, r, en.first, end, en.array));
-        }
-    }
-    merge_sites(cluster, PlanOp::Push, bulk, sites)
+            (src, r, en.first, end, en.array)
+        })
+    });
+    merge_sites(cluster, PlanOp::Push, bulk, sites, plans);
 }
 
 /// Schedule a batch of non-owner-write flushes: one [`TransferPlan`] per
 /// (writer, owner) pair, like [`plan_sends`].
 pub fn plan_flushes(cluster: &Cluster, entries: &[FlushEntry], bulk: bool) -> Vec<TransferPlan> {
+    let mut plans = Vec::new();
+    plan_flushes_into(cluster, entries, bulk, &mut plans);
+    plans
+}
+
+/// [`plan_flushes`] into the plans of an earlier schedule, refilled in
+/// place.
+pub fn plan_flushes_into(
+    cluster: &Cluster,
+    entries: &[FlushEntry],
+    bulk: bool,
+    plans: &mut Vec<TransferPlan>,
+) {
     let nonempty = entries.iter().filter(|en| en.end > en.first);
     let sites = nonempty.map(|en| (en.writer, en.owner, en.first, en.end, en.array));
-    merge_sites(cluster, PlanOp::Flush, bulk, sites.collect())
+    merge_sites(cluster, PlanOp::Flush, bulk, sites, plans);
 }
 
 /// What an apply-stage [`TransferPlan`] does to its shard pair.
@@ -191,7 +233,7 @@ pub struct TransferPlan {
 
 /// One merged `send_range` call site: `owner` pushes blocks
 /// `[first, end)` to every node in `readers`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SendEntry {
     pub owner: NodeId,
     pub readers: Vec<NodeId>,
@@ -286,11 +328,9 @@ fn apply_plan(
     if plan.op == PlanOp::Flush {
         let mut cost = 0;
         for &(f, e) in &plan.ranges {
-            for b in f..e {
-                src.set_tag(b, Access::Invalid);
-                dst.set_tag(b, Access::ReadWrite);
-                cost += cfg.tag_change_ns;
-            }
+            src.set_tag_range(f, e, Access::Invalid);
+            dst.set_tag_range(f, e, Access::ReadWrite);
+            cost += (e - f) as u64 * cfg.tag_change_ns;
         }
         src.charge(cost, ChargeKind::CtlCall);
     }
@@ -351,13 +391,12 @@ impl Dsm {
         let (_, e1) = self.cluster.block_words(end - 1);
         self.cluster.map_range(owner, s0, e1 - s0);
 
+        // Blocks the owner already holds writable and exclusive are
+        // skipped by the scan; acquiring `b` changes no other block.
         let mut latency_paid = false;
-        for b in first..end {
-            if self.cluster.tag(owner, b) == Access::ReadWrite
-                && self.dir_state(b).is_excl_by(owner)
-            {
-                continue;
-            }
+        let mut from = first;
+        while let Some(b) = self.first_not_exclusive(owner, from, end) {
+            from = b + 1;
             let h = self.cluster.home_of_block(b);
             let need_data = self.cluster.tag(owner, b) == Access::Invalid;
             // Pipelined: one wire latency for the whole train, per-block
@@ -453,11 +492,9 @@ impl Dsm {
         let (s0, _) = self.cluster.block_words(first);
         let (_, e1) = self.cluster.block_words(end - 1);
         self.cluster.map_range(node, s0, e1 - s0);
-        let mut cost = 0;
-        for b in first..end {
-            self.cluster.set_tag(node, b, Access::ReadWrite);
-            cost += cfg.tag_change_ns;
-        }
+        self.cluster
+            .set_tag_range(node, first, end, Access::ReadWrite);
+        let cost = (end - first) as u64 * cfg.tag_change_ns;
         self.cluster.charge(node, cost, ChargeKind::CtlCall);
         if memoize {
             self.iw_memo.insert((node, first, end));
@@ -580,14 +617,20 @@ impl Dsm {
                     self.inbox_blocks[plan.dst] += o.blocks;
                 }
                 PlanOp::Flush => {
+                    // `flush_fold` depends on the block's home alone, so
+                    // it is decided once per home-page run.
                     for &(f, e) in &plan.ranges {
-                        for b in f..e {
-                            let h = self.cluster.home_of_block(b);
+                        let mut b = f;
+                        while b < e {
+                            let (run_end, h) = self.cluster.home_run(b, e);
                             let (invalidate_home, next) = trans::flush_fold(plan.src, plan.dst, h);
                             if invalidate_home {
-                                self.cluster.set_tag(h, b, Access::Invalid);
+                                self.cluster.set_tag_range(h, b, run_end, Access::Invalid);
                             }
-                            self.set_dir(b, next);
+                            for b in b..run_end {
+                                self.set_dir(b, next);
+                            }
+                            b = run_end;
                         }
                     }
                 }
@@ -636,11 +679,9 @@ impl Dsm {
         );
         self.cluster
             .charge(node, CTL_CALL_BASE_NS, ChargeKind::CtlCall);
-        let mut cost = 0;
-        for b in first..end {
-            self.cluster.set_tag(node, b, Access::Invalid);
-            cost += cfg.tag_change_ns;
-        }
+        self.cluster
+            .set_tag_range(node, first, end, Access::Invalid);
+        let cost = end.saturating_sub(first) as u64 * cfg.tag_change_ns;
         self.cluster.charge(node, cost, ChargeKind::CtlCall);
         // Invalidate conflicts with memoized implicit_writable on the same
         // range (the memo would skip re-tagging): drop any overlapping memo.

@@ -280,9 +280,9 @@ impl Protocol for EagerInvalidate {
     }
 
     /// Only the blocks `p` does not already hold writable and exclusive
-    /// fault; the scan finds each in turn without entering the fault path
-    /// for the rest (servicing block `b` changes no later block's state
-    /// at `p`, so the scan resumes at `b + 1`).
+    /// fault; the scan finds each in turn, 64 blocks a word, without
+    /// entering the fault path for the rest (servicing block `b` changes
+    /// no later block's state at `p`, so the scan resumes at `b + 1`).
     fn write_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
         let mut from = first;
         while let Some(b) = d.first_not_exclusive(p, from, end) {
@@ -335,9 +335,27 @@ impl Protocol for EagerInvalidate {
         // exclusive writable copy, everyone else Invalid), which satisfies
         // every arm below — so only traffic-touched blocks need scanning.
         let ctl = d.ctl_blocks();
-        for b in d.touched_blocks().iter() {
+        let touched = d.touched_blocks();
+        // The scans' copy of the directory's owners must be its own: a
+        // member of a node's exclusive set is `Excl` there (here), and an
+        // `Excl` block is a member of its owner's (below).
+        for n in 0..d.cluster.nprocs() {
+            let members = d.excl_blocks(n).intersection(&touched);
+            if let Some(b) = { members }.find(|&b| !d.dir_state(b).is_excl_by(n)) {
+                return Err(format!(
+                    "block {b}: in node {n}'s exclusive set, but the directory says {:?}",
+                    d.dir_state(b)
+                ));
+            }
+        }
+        for b in touched.iter() {
             match d.dir_state(b) {
                 DirState::Excl { owner } => {
+                    if !d.excl_blocks(owner).contains(b) {
+                        return Err(format!(
+                            "block {b}: directory says Excl({owner}) but the owner's exclusive set misses it"
+                        ));
+                    }
                     // The directory's record of the sole current copy must
                     // actually be a valid copy at that node — a skipped
                     // non-owner-write flush leaves the writer dir-exclusive

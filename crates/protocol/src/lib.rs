@@ -40,7 +40,8 @@ pub mod update;
 pub mod wire;
 
 pub use ctl::{
-    plan_flushes, plan_sends, CtlStats, FlushEntry, Payload, PlanOp, SendEntry, TransferPlan,
+    plan_flushes, plan_flushes_into, plan_sends, plan_sends_into, CtlStats, FlushEntry, Payload,
+    PlanOp, SendEntry, TransferPlan,
 };
 pub use dir::DirState;
 pub use eager::EagerInvalidate;

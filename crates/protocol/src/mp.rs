@@ -19,7 +19,7 @@ use fgdsm_tempest::{ChargeKind, Cluster, Event, NodeId, ReduceOp, NO_ARRAY, NO_B
 /// A scheduled batch of strided sends from one source to one destination
 /// — the message-passing analogue of [`crate::ctl::TransferPlan`],
 /// executed (borrowed) by [`MpRuntime::apply_send_plans`].
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MpSendPlan {
     pub src: NodeId,
     pub dst: NodeId,

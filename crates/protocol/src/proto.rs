@@ -102,6 +102,11 @@ pub struct Dsm {
     /// directly against node memory).
     pub cluster: Cluster,
     dir: Vec<DirState>,
+    /// Per node: the blocks `dir` records as `Excl` at that node. Written
+    /// only by [`Dsm::set_dir`], the only writer of `dir`, so it never
+    /// disagrees with it (`EagerInvalidate::check` cross-checks); the
+    /// range scans read ownership from it a word at a time.
+    excl: Vec<BlockSet>,
     /// Blocks whose directory state differs from the initial
     /// home-owns-everything assignment (`Excl{owner: home}`). Together
     /// with the per-shard dirty tag sets this bounds every consistency
@@ -404,9 +409,15 @@ impl Dsm {
                 owner: cluster.home_of_block(b),
             })
             .collect();
+        // Every block starts `Excl` at its home, and a home starts with
+        // exactly its blocks writable.
+        let excl = (0..nprocs)
+            .map(|n| cluster.shard(n).writable().clone())
+            .collect();
         Dsm {
             cluster,
             dir,
+            excl,
             dirty_dirs: BlockSet::new(n_blocks),
             twins: BTreeMap::new(),
             inbox_arrival: vec![0; nprocs],
@@ -695,13 +706,26 @@ impl Dsm {
     }
 
     /// Overwrite a block's directory state (protocol transitions and
-    /// compiler-control state changes). Maintains the dirty-directory
-    /// set: a block is dirty while its state differs from the initial
-    /// `Excl{owner: home}`.
+    /// compiler-control state changes). Maintains the per-node exclusive
+    /// sets and the dirty-directory set: a block is dirty while its state
+    /// differs from the initial `Excl{owner: home}`.
     pub fn set_dir(&mut self, b: usize, s: DirState) {
+        if let DirState::Excl { owner } = self.dir[b] {
+            self.excl[owner].set(b, false);
+        }
+        if let DirState::Excl { owner } = s {
+            self.excl[owner].set(b, true);
+        }
         self.dir[b] = s;
         self.dirty_dirs
             .set(b, !s.is_excl_by(self.cluster.home_of_block(b)));
+    }
+
+    /// The blocks the directory records as `Excl` at `node`, as a bitset
+    /// a scan reads a word at a time (`dir_state(b).is_excl_by(node)`
+    /// for every block).
+    pub fn excl_blocks(&self, node: NodeId) -> &BlockSet {
+        &self.excl[node]
     }
 
     /// Blocks whose directory state deviates from the initial
@@ -723,23 +747,18 @@ impl Dsm {
 
     /// The first block of `[first, end)` that `p` does not hold writable
     /// and directory-exclusive — the first a single-writer access to the
-    /// range faults on — scanning `p`'s tag slice against the directory
-    /// slice.
+    /// range faults on: the first zero of `p`'s writable tags ∧ its
+    /// exclusive set, 64 blocks a word.
     pub fn first_not_exclusive(&self, p: NodeId, first: usize, end: usize) -> Option<usize> {
-        let tags = &self.cluster.shard(p).tags()[first..end];
-        tags.iter()
-            .zip(&self.dir[first..end])
-            .position(|(&t, s)| t != Access::ReadWrite || !s.is_excl_by(p))
-            .map(|i| first + i)
+        let writable = self.cluster.shard(p).writable();
+        writable.first_not_in_both(&self.excl[p], first, end)
     }
 
     /// The first block of `[first, end)` that `p` holds no valid copy of
-    /// — the first a read of the range faults on.
+    /// — the first a read of the range faults on: the first zero of its
+    /// valid tags.
     pub fn first_invalid(&self, p: NodeId, first: usize, end: usize) -> Option<usize> {
-        let tags = &self.cluster.shard(p).tags()[first..end];
-        tags.iter()
-            .position(|&t| t == Access::Invalid)
-            .map(|i| first + i)
+        self.cluster.shard(p).valid().first_absent(first, end)
     }
 
     /// Handler-occupancy cost scaled for the cpu configuration.
@@ -828,9 +847,7 @@ impl Dsm {
     pub fn clear_iw_memo(&mut self) {
         let memo = std::mem::take(&mut self.iw_memo);
         for (n, first, end) in memo {
-            for b in first..end {
-                self.cluster.set_tag(n, b, Access::Invalid);
-            }
+            self.cluster.set_tag_range(n, first, end, Access::Invalid);
         }
     }
 

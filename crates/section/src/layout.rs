@@ -86,9 +86,20 @@ impl ColumnMajor {
     /// repeats the group once per point, so groups ascend by address.
     /// A section reaching outside the array is a caller bug.
     pub fn linearize(&self, sec: &Section) -> LinearRanges {
+        let mut out = LinearRanges::empty();
+        self.linearize_into(sec, &mut out);
+        out
+    }
+
+    /// [`ColumnMajor::linearize`] into `out`, refilled in place: a
+    /// symbolic loop re-linearizes its sections every instance, and its
+    /// groups keep their storage.
+    pub fn linearize_into(&self, sec: &Section, out: &mut LinearRanges) {
         assert_eq!(sec.ndims(), self.ndims(), "section/layout rank mismatch");
+        let runs = &mut out.runs;
+        runs.clear();
         if sec.is_empty() {
-            return LinearRanges::empty();
+            return;
         }
         for (r, &e) in sec.dims().iter().zip(&self.extents) {
             assert!(
@@ -122,20 +133,23 @@ impl ColumnMajor {
                 d += 1;
             }
         }
-        let mut runs = vec![group];
+        runs.push(group);
         for (r, &s) in sec.dims().iter().zip(&self.strides).skip(d) {
-            runs = r
-                .iter()
-                .flat_map(|x| {
-                    let off = x as usize * s;
-                    runs.iter().map(move |g| StridedRange {
+            // The groups so far, once per point of `r`, ascending: appended
+            // behind the originals, which then go.
+            let n = runs.len();
+            for x in r.iter() {
+                let off = x as usize * s;
+                for i in 0..n {
+                    let g = runs[i];
+                    runs.push(StridedRange {
                         base: g.base + off,
-                        ..*g
-                    })
-                })
-                .collect();
+                        ..g
+                    });
+                }
+            }
+            runs.drain(..n);
         }
-        LinearRanges { runs }
     }
 }
 
@@ -328,6 +342,44 @@ mod tests {
         // All runs must land inside the array.
         for (start, len) in lr.iter_runs() {
             assert!(start + len <= l.len());
+        }
+    }
+
+    /// One buffer refilled section after section holds what a fresh
+    /// linearization returns, whatever it held before.
+    #[test]
+    fn linearize_into_refills_in_place() {
+        let l = ColumnMajor::new(&[4, 5, 3, 6]);
+        let sections = [
+            Section::new(&[
+                Range::new(1, 2),
+                Range::new(0, 4),
+                Range::new(1, 2),
+                Range::new(0, 5),
+            ]),
+            Section::new(&[
+                Range::new(0, 3),
+                Range::new(0, 4),
+                Range::new(0, 2),
+                Range::new(2, 2),
+            ]),
+            Section::new(&[
+                Range::empty(),
+                Range::new(0, 4),
+                Range::new(0, 2),
+                Range::new(0, 5),
+            ]),
+            Section::new(&[
+                Range::strided(0, 2, 2),
+                Range::new(3, 4),
+                Range::new(2, 2),
+                Range::strided(1, 5, 2),
+            ]),
+        ];
+        let mut out = LinearRanges::empty();
+        for sec in sections.iter().chain(sections.iter().rev()) {
+            l.linearize_into(sec, &mut out);
+            assert_eq!(out, l.linearize(sec), "{sec}");
         }
     }
 

@@ -278,6 +278,19 @@ impl Cluster {
         self.shards[node].set_tag(b, a);
     }
 
+    /// [`Cluster::set_tag`] for every block of `[first, end)` at `node`,
+    /// a word at a time ([`NodeShard::set_tag_range`]).
+    pub fn set_tag_range(&mut self, node: NodeId, first: usize, end: usize, a: Access) {
+        self.shards[node].set_tag_range(first, end, a);
+    }
+
+    /// The run of blocks from `b` up to `end` whose pages share `b`'s
+    /// home: where it ends, and that home. Lets a caller apply a
+    /// per-home decision to a whole range a page run at a time.
+    pub fn home_run(&self, b: usize, end: usize) -> (usize, NodeId) {
+        self.geom.home_run(b, end)
+    }
+
     // ------------------------------------------------------------------
     // Memory (per-node copies of the global segment)
     // ------------------------------------------------------------------
@@ -835,6 +848,31 @@ mod tests {
         c.set_tag(1, 0, Access::Invalid);
         c.set_tag(0, 3, Access::ReadWrite);
         assert!(c.dirty_blocks().is_empty());
+    }
+
+    /// A range write leaves the tags and the dirty set block by block
+    /// writes would, across pages of different homes and word edges.
+    #[test]
+    fn set_tag_range_matches_per_block_writes() {
+        let (mut ranged, mut single) = (small_cluster(3), small_cluster(3));
+        let n = ranged.n_blocks();
+        let writes = [
+            (1, 20, 100, Access::ReadWrite),
+            (0, 0, n, Access::ReadOnly),
+            (2, 31, 97, Access::Invalid),
+            (0, 60, 70, Access::ReadWrite),
+            (1, 64, 64, Access::ReadOnly),
+        ];
+        for (node, first, end, a) in writes {
+            ranged.set_tag_range(node, first, end, a);
+            (first..end).for_each(|b| single.set_tag(node, b, a));
+            for node in 0..3 {
+                assert!((0..n).all(|b| ranged.tag(node, b) == single.tag(node, b)));
+            }
+            assert_eq!(ranged.dirty_blocks(), single.dirty_blocks());
+        }
+        assert_eq!(ranged.home_run(0, n), (32, 0), "a page of 32 blocks");
+        assert_eq!(ranged.home_run(40, 50), (50, 1), "cut at the range's end");
     }
 
     #[test]

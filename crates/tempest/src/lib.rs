@@ -13,8 +13,9 @@
 //!    charging a mapping cost on first touch (this is what makes `lu`'s
 //!    first iteration expensive in the paper);
 //! 2. **Fine-grain access control** — a per-node, per-block tag
-//!    (`Invalid` / `ReadOnly` / `ReadWrite`); protocols read and write the
-//!    tags through [`Cluster`];
+//!    (`Invalid` / `ReadOnly` / `ReadWrite`), held as two word bitsets per
+//!    node (valid, writable) as a board's tag memory holds bits; protocols
+//!    read and write the tags through [`Cluster`];
 //! 3. **Fine-grain messaging** — active messages with an optional block of
 //!    data, modeled by a calibrated cost function (Table 1: 40 µs minimum
 //!    roundtrip for a 4-byte message, 20 MB/s bandwidth).

@@ -9,7 +9,8 @@
 //! apps, happening for real inside the simulator's own host loop.
 //!
 //! [`BlockSet`] is a word bitset over block indices for state that flips
-//! on every tag or directory transition.
+//! on every tag or directory transition, and that range scans read 64
+//! blocks at a time.
 
 /// Size in bytes of the cache lines we pad for. Every x86-64 and most
 /// aarch64 parts use 64-byte lines; padding to 64 on a 128-byte-line
@@ -27,10 +28,41 @@ pub struct CacheAligned<T>(pub T);
 /// allocates, and [`BlockSet::iter`] yields members in ascending order —
 /// the dirty-tag and dirty-directory trackers flip a bit on every tag or
 /// directory transition, where a tree set paid a node allocation every
-/// few flips.
+/// few flips. Ranges are written and scanned a word at a time: a shard's
+/// access tags and the directory's exclusive owners are such sets, and
+/// the default protocol's range walk looks for the first block a run
+/// faults on with [`BlockSet::first_absent`] /
+/// [`BlockSet::first_not_in_both`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockSet {
     words: Vec<u64>,
+}
+
+/// Bits `lo..hi` of a word (`lo < hi <= 64`).
+#[inline]
+fn span(lo: usize, hi: usize) -> u64 {
+    (u64::MAX >> (64 - (hi - lo))) << lo
+}
+
+/// The first `b` of `[first, end)` whose bit is set in `word(b / 64)`.
+#[inline]
+fn first_one(first: usize, end: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
+    if first >= end {
+        return None;
+    }
+    let mut w = first / 64;
+    let mut bits = word(w) & (u64::MAX << (first % 64));
+    loop {
+        if bits != 0 {
+            let b = w * 64 + bits.trailing_zeros() as usize;
+            return (b < end).then_some(b);
+        }
+        w += 1;
+        if w * 64 >= end {
+            return None;
+        }
+        bits = word(w);
+    }
 }
 
 impl BlockSet {
@@ -52,6 +84,49 @@ impl BlockSet {
         }
     }
 
+    /// [`BlockSet::set`] for every block of `[first, end)`, a word at a
+    /// time (nothing when the range is empty).
+    pub(crate) fn set_range(&mut self, first: usize, end: usize, present: bool) {
+        if first >= end {
+            return;
+        }
+        let (w0, w1) = (first / 64, (end - 1) / 64);
+        for w in w0..=w1 {
+            let lo = if w == w0 { first % 64 } else { 0 };
+            let hi = if w == w1 { (end - 1) % 64 + 1 } else { 64 };
+            if present {
+                self.words[w] |= span(lo, hi);
+            } else {
+                self.words[w] &= !span(lo, hi);
+            }
+        }
+    }
+
+    /// Whether `b` is a member.
+    #[inline]
+    pub fn contains(&self, b: usize) -> bool {
+        self.words[b / 64] >> (b % 64) & 1 != 0
+    }
+
+    /// The first block of `[first, end)` that is not a member.
+    pub fn first_absent(&self, first: usize, end: usize) -> Option<usize> {
+        first_one(first, end, |w| !self.words[w])
+    }
+
+    /// The first block of `[first, end)` missing from `self` or from
+    /// `other` — the first zero of their intersection.
+    pub fn first_not_in_both(&self, other: &BlockSet, first: usize, end: usize) -> Option<usize> {
+        first_one(first, end, |w| !(self.words[w] & other.words[w]))
+    }
+
+    /// The first maximal run `[s, t)` of non-members inside
+    /// `[first, end)`.
+    pub fn first_absent_run(&self, first: usize, end: usize) -> Option<(usize, usize)> {
+        let s = self.first_absent(first, end)?;
+        let t = first_one(s, end, |w| self.words[w]).unwrap_or(end);
+        Some((s, t))
+    }
+
     /// True if the set has no members.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -67,14 +142,26 @@ impl BlockSet {
 
     /// The members, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            std::iter::successors((word != 0).then_some(word), |&w| {
-                let rest = w & (w - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |w| i * 64 + w.trailing_zeros() as usize)
-        })
+        members(self.words.iter().copied())
     }
+
+    /// The members of both `self` and `other` (a set over the same block
+    /// range), ascending, found a word at a time.
+    pub fn intersection<'a>(&'a self, other: &'a BlockSet) -> impl Iterator<Item = usize> + 'a {
+        assert_eq!(self.words.len(), other.words.len(), "block ranges differ");
+        members(self.words.iter().zip(&other.words).map(|(a, b)| a & b))
+    }
+}
+
+/// The set bits of a word sequence, as block indices, ascending.
+fn members(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(i, word)| {
+        std::iter::successors((word != 0).then_some(word), |&w| {
+            let rest = w & (w - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |w| i * 64 + w.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -108,5 +195,42 @@ mod tests {
         assert_eq!(t.iter().collect::<Vec<_>>(), [0, 63, 64, 65, 130, 199]);
         s.set(0, false);
         assert!(!s.is_empty());
+        assert_eq!(t.intersection(&s).collect::<Vec<_>>(), [63, 65, 130, 199]);
+    }
+
+    /// The word-at-a-time range writes and scans against their per-block
+    /// definitions, on ranges that start, end and straddle word edges.
+    #[test]
+    fn block_set_ranges_match_the_per_block_definitions() {
+        const N: usize = 200;
+        let mut rng = fgdsm_testkit::Rng::new(fgdsm_testkit::BASE_SEED);
+        let (mut a, mut b) = (BlockSet::new(N), BlockSet::new(N));
+        let (mut ma, mut mb) = ([false; N], [false; N]);
+        let edges = [0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 199, 200];
+        for step in 0..400 {
+            let pick = |rng: &mut fgdsm_testkit::Rng| match rng.flag() {
+                true => *rng.pick(&edges),
+                false => rng.range(0, N + 1),
+            };
+            let (f, e) = (pick(&mut rng), pick(&mut rng));
+            let present = rng.flag();
+            let (set, model) = match step % 2 {
+                0 => (&mut a, &mut ma),
+                _ => (&mut b, &mut mb),
+            };
+            set.set_range(f, e, present);
+            (f..e).for_each(|x| model[x] = present);
+            assert!((0..N).all(|x| a.contains(x) == ma[x] && b.contains(x) == mb[x]));
+            assert_eq!(a.first_absent(f, e), (f..e).find(|&x| !ma[x]));
+            assert_eq!(
+                a.first_not_in_both(&b, f, e),
+                (f..e).find(|&x| !(ma[x] && mb[x]))
+            );
+            let run = a.first_absent(f, e).map(|s| {
+                let t = (s..e).find(|&x| ma[x]).unwrap_or(e);
+                (s, t)
+            });
+            assert_eq!(a.first_absent_run(f, e), run);
+        }
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! A [`NodeShard`] holds everything that belongs to exactly one node —
 //! its full-size copy of the global segment, its page map, its per-block
-//! access tags, its virtual clock, its outstanding eager-write count and
-//! its event trace ring. Nothing in a shard references another shard, so
+//! access tags (as valid/writable bitsets), its virtual clock, its
+//! outstanding eager-write count and its event trace ring. Nothing in a
+//! shard references another shard, so
 //! the executor's compute phase can hand each kernel a `&mut NodeShard`
 //! and run the kernels on real threads (the run's
 //! [`WorkerPool`](crate::pool::WorkerPool)) with zero cross-node access.
@@ -61,6 +62,19 @@ impl Geometry {
     pub fn home_of_word(&self, w: usize) -> NodeId {
         self.home[w / self.words_per_page]
     }
+
+    /// The run of blocks from `b` up to `end` whose pages share `b`'s
+    /// home: where it ends, and that home. Blocks never span pages (both
+    /// are powers of two and block ≤ page), so runs end at page edges.
+    pub(crate) fn home_run(&self, b: usize, end: usize) -> (usize, NodeId) {
+        let bpp = self.words_per_page / self.words_per_block;
+        let h = self.home[b / bpp];
+        let mut page = b / bpp + 1;
+        while page * bpp < end && self.home[page] == h {
+            page += 1;
+        }
+        ((page * bpp).min(end), h)
+    }
 }
 
 /// The write-hot scalar state of one shard, padded to its own cache
@@ -98,7 +112,12 @@ pub struct NodeShard {
     geom: Arc<Geometry>,
     mem: Vec<f64>,
     mapped: Vec<u64>, // page bitset
-    tags: Vec<Access>,
+    /// The access tags, as the two bits a tag is: `valid` holds the
+    /// blocks whose tag is not Invalid, `writable` those whose tag is
+    /// ReadWrite (a subset). The range walk scans them 64 blocks at a
+    /// time.
+    valid: BlockSet,
+    writable: BlockSet,
     /// Blocks whose tag currently differs from the initial assignment
     /// (home → ReadWrite, everyone else → Invalid). Resolve-phase scans
     /// iterate this instead of every block in the segment, so their cost
@@ -109,36 +128,36 @@ pub struct NodeShard {
 
 impl NodeShard {
     pub(crate) fn new(id: NodeId, geom: Arc<Geometry>) -> Self {
-        let mut sh = NodeShard {
-            hot: HotState::default(),
-            id,
-            mem: vec![0.0; geom.seg_words],
-            mapped: vec![0u64; geom.n_pages.div_ceil(64)],
-            tags: vec![Access::Invalid; geom.n_blocks],
-            dirty: BlockSet::new(geom.n_blocks),
-            trace: NodeTrace::new(),
-            geom,
-        };
         // The home node of each page starts with a mapped page and
         // ReadWrite tags for its blocks: homes always hold the initial
         // (zero-initialized) data. These are the *default* tags, so they
-        // do not enter the dirty set.
-        let g = Arc::clone(&sh.geom);
-        for page in 0..g.n_pages {
-            if g.home[page] != id {
-                continue;
+        // do not enter the dirty set. Set by home-page run, so building
+        // costs the segment's pages, not its blocks.
+        let mut mapped = vec![0u64; geom.n_pages.div_ceil(64)];
+        let mut valid = BlockSet::new(geom.n_blocks);
+        let bpp = geom.words_per_page / geom.words_per_block;
+        let mut b = 0;
+        while b < geom.n_blocks {
+            let (end, h) = geom.home_run(b, geom.n_blocks);
+            if h == id {
+                valid.set_range(b, end, true);
+                for page in b / bpp..end.div_ceil(bpp) {
+                    mapped[page / 64] |= 1 << (page % 64);
+                }
             }
-            sh.mapped[page / 64] |= 1 << (page % 64);
-            let first_block = page * g.words_per_page / g.words_per_block;
-            let end_block =
-                (((page + 1) * g.words_per_page).min(g.seg_words)).div_ceil(g.words_per_block);
-            for b in first_block..end_block.min(g.n_blocks) {
-                // Blocks never span pages (both are powers of two and
-                // block ≤ page), so home-of-page is home-of-block.
-                sh.tags[b] = Access::ReadWrite;
-            }
+            b = end;
         }
-        sh
+        NodeShard {
+            hot: HotState::default(),
+            id,
+            mem: vec![0.0; geom.seg_words],
+            mapped,
+            writable: valid.clone(),
+            valid,
+            dirty: BlockSet::new(geom.n_blocks),
+            trace: NodeTrace::new(),
+            geom,
+        }
     }
 
     /// This shard's node index.
@@ -184,7 +203,13 @@ impl NodeShard {
 
     /// Current tag of block `b`.
     pub fn tag(&self, b: usize) -> Access {
-        self.tags[b]
+        if self.writable.contains(b) {
+            Access::ReadWrite
+        } else if self.valid.contains(b) {
+            Access::ReadOnly
+        } else {
+            Access::Invalid
+        }
     }
 
     /// Set the tag of block `b` (no cost charged; protocols charge
@@ -192,14 +217,38 @@ impl NodeShard {
     /// dirty-block set: a block is dirty while its tag differs from the
     /// initial assignment.
     pub fn set_tag(&mut self, b: usize, a: Access) {
-        self.tags[b] = a;
+        self.valid.set(b, a != Access::Invalid);
+        self.writable.set(b, a == Access::ReadWrite);
         self.dirty.set(b, a != self.default_tag(b));
     }
 
-    /// Every block's tag, indexed by block — range-granular protocol
-    /// scans read the slice directly instead of asking block by block.
-    pub fn tags(&self) -> &[Access] {
-        &self.tags
+    /// [`NodeShard::set_tag`] for every block of `[first, end)`, a word
+    /// at a time: the dirty bits by home-page run, over which the initial
+    /// tag is constant.
+    pub fn set_tag_range(&mut self, first: usize, end: usize, a: Access) {
+        self.valid.set_range(first, end, a != Access::Invalid);
+        self.writable.set_range(first, end, a == Access::ReadWrite);
+        let mut b = first;
+        while b < end {
+            let (run_end, h) = self.geom.home_run(b, end);
+            let default = match h == self.id {
+                true => Access::ReadWrite,
+                false => Access::Invalid,
+            };
+            self.dirty.set_range(b, run_end, a != default);
+            b = run_end;
+        }
+    }
+
+    /// Blocks this node holds a valid copy of (tag not Invalid) — range
+    /// scans read it a word at a time.
+    pub fn valid(&self) -> &BlockSet {
+        &self.valid
+    }
+
+    /// Blocks this node holds writable (tag ReadWrite).
+    pub fn writable(&self) -> &BlockSet {
+        &self.writable
     }
 
     /// Blocks whose tag currently differs from the initial assignment

@@ -1,8 +1,8 @@
 //! Resolve as lower → schedule → execute: the default protocol's
-//! schedule against the per-block inspector it replaced, the contract's
-//! and message passing's kept schedules against a fresh build, the
-//! per-loop table's discipline, the tolerated perturbations on a cached
-//! plan, and the host phase clock.
+//! schedule against the per-block inspector it replaced, every
+//! re-evaluated plan and every kept or refilled schedule against a fresh
+//! build, the per-loop table's discipline, the tolerated perturbations on
+//! a cached plan, and the host phase clock.
 //!
 //! The old inspector survives here only — as the oracle of
 //! [`new_inspector_equals_the_old_one`], written against the engine's
@@ -15,17 +15,16 @@ use fgdsm::hpf::exec::backend::CommBackend;
 use fgdsm::hpf::exec::engine::EngineCore;
 use fgdsm::hpf::exec::mp::Mp;
 use fgdsm::hpf::exec::sm_opt::SmOpt;
-use fgdsm::hpf::plan::{ctl_schedule, mp_schedule, LoopPlan, ResolveSchedule};
+use fgdsm::hpf::plan::{ctl_schedule, lower, mp_schedule, LoopPlan, ResolveSchedule, Scheduled};
 use fgdsm::hpf::{
-    covering_blocks, execute, execute_with, ARef, Backend, CompDist, Dist, ExecConfig,
+    analyze, covering_blocks, execute, execute_with, ARef, Backend, CompDist, Dist, ExecConfig,
     InjectConfig, Kernel, KernelCtx, LoopAccess, OptLevel, ParLoop, Program, RefMode, RunResult,
     Stmt, Subscript, Transfer,
 };
-use fgdsm::section::{LinearRanges, StridedRange, SymRange};
+use fgdsm::section::{LinearRanges, StridedRange, SymRange, Var};
 use fgdsm::tempest::ReduceOp;
 use fgdsm_fuzz::{case_seed, gen_spec, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
 use fgdsm_testkit::{Rng, BASE_SEED};
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -109,12 +108,15 @@ struct Seen {
     /// Did a section stride dim 0 (the shape `linearize` used to decline,
     /// now a group of single-element runs)?
     unit_runs: bool,
-    /// Which plan the instance ran on (its address: a kept plan is one
+    /// Which plan the instance ran on (its address: a loop's plan is one
     /// `Rc` for the whole run).
     plan: usize,
     /// Did the instance find its backend's schedule (the contract's, or
     /// message passing's) already in the plan?
     kept: bool,
+    /// Did it find the schedules an earlier instance built retired — the
+    /// default protocol's, and its backend's — to refill them in place?
+    refilled: (bool, bool),
     /// Did the backend build a schedule of this instance's own instead?
     own: bool,
     /// The contract's call sites (pushes and flushes) this instance.
@@ -266,7 +268,19 @@ impl CommBackend for Probe {
     }
     fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         let at = format!("loop `{}` at superstep {}", l.name, core.supersteps);
+        // Built at this instance or re-evaluated in place, the plan holds
+        // what a fresh analysis and lowering make of it.
+        let acc = analyze(core.prog, l, &core.env, core.cfg.nprocs);
+        let fresh = lower(l, acc, &core.metas, core.wpb);
+        assert_eq!(plan.acc, fresh.acc, "{at}: stale access analysis");
+        assert_eq!(plan.runs, fresh.runs, "{at}: stale runs");
+        assert_eq!(plan.xfer_runs, fresh.xfer_runs, "{at}: stale transfer runs");
+        assert_eq!(plan.xfer_ctl, fresh.xfer_ctl, "{at}: stale ctl ranges");
         let d0s = plan.acc.sections.iter().flatten().map(|sec| sec.dims()[0]);
+        let backend_slot = match self.inner {
+            Inner::Sm(..) => plan.ctl.is_retired(),
+            Inner::Mp(_) => plan.mp.is_retired(),
+        };
         let mut seen = Seen {
             loop_id: core.cur_loop,
             rebuilt: false,
@@ -275,6 +289,7 @@ impl CommBackend for Probe {
             unit_runs: { d0s }.any(|d0| d0.stride > 1 && d0.count() > 1),
             plan: plan as *const LoopPlan as usize,
             kept: false,
+            refilled: (plan.sched.is_retired(), backend_slot),
             own: false,
             ctl_sites: 0,
             terms: Terms::default(),
@@ -291,22 +306,22 @@ impl CommBackend for Probe {
                 let new = core.schedule(l, plan);
                 let old = old_inspector(core, l, &plan.acc);
                 assert_eq!(*new, old, "{at}: inspectors disagree");
-                seen.rebuilt = matches!(new, Cow::Owned(_));
+                seen.rebuilt = matches!(new, Scheduled::Own(_));
                 seen.multi_blocks = new.multi.len();
                 seen.terms = Terms::of(core, l, plan, &new);
                 if opt.ctl {
                     seen.kept = plan.ctl.get().is_some();
                     let about = sm.schedule(core, plan);
-                    seen.own = matches!(about, Cow::Owned(_));
+                    seen.own = matches!(about, Scheduled::Own(_));
                     // (An instance's own schedule is a fresh build, under
                     // a filter only the backend knows.)
                     if !seen.own {
                         let (cluster, inject) = (&core.dsm.cluster, &core.cfg.inject);
                         let armed = core.dsm.injection();
                         let edge = inject.force_boundary;
-                        let fresh =
-                            ctl_schedule(plan, cluster, armed, opt.bulk, edge, |_, _, _, _| false);
-                        assert_eq!(*about, fresh, "{at}: stale contract schedule");
+                        let never = |_, _, _, _| false;
+                        let built = ctl_schedule(&fresh, cluster, armed, opt.bulk, edge, never);
+                        assert_eq!(*about, built, "{at}: stale contract schedule");
                     }
                     seen.ctl_sites = about.sends.len() + about.flushes.len();
                 }
@@ -317,7 +332,9 @@ impl CommBackend for Probe {
         self.backend().resolve(core, l, plan);
         if let Inner::Mp(_) = self.inner {
             let ran = plan.mp.get().expect("mp's resolve schedules");
-            assert_eq!(*ran, mp_schedule(l, plan), "{at}: stale mp schedule");
+            assert_eq!(*ran, mp_schedule(l, &fresh), "{at}: stale mp schedule");
+            let walked = plan.sched.get().is_some() || plan.sched.is_retired();
+            assert!(!walked, "{at}: mp built default-protocol covers");
         }
     }
     fn note_kernel_writes(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
@@ -570,16 +587,18 @@ fn analysis_matches_the_section_algebra() {
     assert!(off.is_empty(), "analysis ≠ section algebra: {off:?}");
 }
 
-/// Schedule once. On every superstep of the extended suite and of the
-/// first 200 corpus specs, at four contract levels and on `mp`, the
-/// schedule the backend is about to execute equals one built on the spot
-/// from the plan's lowering (the probe asserts it), and it comes from
-/// where the plan's lifetime rule says: a static loop's is built at its
-/// first instance and found in the same plan by every later one; a
-/// symbolic loop's (`lu`'s loops in `k`, the corpus's `sweep_t`) dies
-/// with its instance's plan; a `pre` level — its filter is the run's
-/// state — builds one per instance and leaves the plan's cell empty. The
-/// probe changes nothing.
+/// Schedule once, plan once. On every superstep of the extended suite
+/// and of the first 200 corpus specs, at four contract levels and on
+/// `mp`, the plan — re-evaluated in place for a symbolic loop — equals a
+/// fresh analysis and lowering, and the schedule the backend is about to
+/// execute equals one built on the spot from it (the probe asserts both).
+/// Each comes from where the rule says: every loop runs on one plan for
+/// the whole run; a static loop's schedule is built at its first instance
+/// and found current by every later one; a symbolic loop's (`lu`'s loops
+/// in `k`, the corpus's `sweep_t`) is found retired by every later
+/// instance and refilled in place, the default walk's included; a `pre`
+/// level — its filter is the run's state — builds one per instance and
+/// leaves the plan's slot empty. The probe changes nothing.
 #[test]
 fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
     let levels = [
@@ -589,6 +608,7 @@ fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
         OptLevel::full_pre(),
     ];
     let (mut kept, mut symbolic, mut own, mut ctl_sites) = (0, 0, 0, 0);
+    let mut refilled = 0;
     let mut check = |name: &str, prog: &Program, nprocs: usize| {
         let loops = prog.par_loops();
         let sm = levels.map(|opt| ExecConfig::sm_opt(nprocs).with_opt(opt));
@@ -606,20 +626,25 @@ fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
                 "{at}"
             );
             let pre = matches!(cfg.backend, Backend::SmOpt(opt) if opt.pre);
+            let walks = !matches!(cfg.backend, Backend::Mp);
             ctl_sites += seen.iter().map(|s| s.ctl_sites).sum::<usize>();
             for (id, l) in loops.iter().enumerate() {
                 let of_loop = seen.iter().filter(|s| s.loop_id == id as u32);
                 let instances: Vec<&Seen> = of_loop.collect();
                 let at = format!("{at}, loop `{}`", l.name);
+                let indirect = l.refs.iter().any(ARef::is_indirect);
                 for (i, s) in instances.iter().enumerate() {
                     assert_eq!(s.own, pre, "{at}");
-                    // Filled exactly once: by the first instance.
-                    let want = l.is_static() && !pre && i > 0;
-                    assert_eq!(s.kept, want, "{at}, instance {i}");
-                    if l.is_static() {
-                        assert_eq!(s.plan, instances[0].plan, "{at}: one plan per run");
-                    }
+                    assert_eq!(s.plan, instances[0].plan, "{at}: one plan per run");
+                    // Filled exactly once, by the first instance: kept by
+                    // a static loop, refilled by a symbolic one's others.
+                    let later = !pre && i > 0;
+                    assert_eq!(s.kept, l.is_static() && later, "{at}, instance {i}");
+                    let again = !l.is_static() && i > 0;
+                    let want = (again && walks && !indirect, again && !pre);
+                    assert_eq!(s.refilled, want, "{at}, instance {i}");
                 }
+                refilled += instances.iter().filter(|s| s.refilled.1).count();
                 kept += instances.iter().filter(|s| s.kept).count();
                 own += instances.iter().filter(|s| s.own).count();
                 symbolic += usize::from(!l.is_static()) * instances.len();
@@ -676,6 +701,10 @@ fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
     assert_eq!(check("sweep_t", &sweep.build(), sweep.nprocs), 1);
     assert!(kept > 1000, "only {kept} instances ran a kept schedule");
     assert!(symbolic > 300, "only {symbolic} symbolic instances");
+    assert!(
+        refilled > 200,
+        "only {refilled} schedules refilled in place"
+    );
     assert!(own > 1000, "only {own} pre instances");
     assert!(
         ctl_sites > 3000,
@@ -727,10 +756,11 @@ fn tolerated_perturbations_on_a_kept_schedule() {
     }
 }
 
-/// Table discipline, on every backend. A loop's plan is kept exactly
-/// when nothing it depends on can change: `jacobi` (all static) builds
-/// one plan per loop per run; `lu`'s loops in `k` build one per instance
-/// and cache nothing; the table never outgrows the program's loop count.
+/// Table discipline, on every backend. Every loop that runs keeps one
+/// plan for the run, and the table never outgrows the program's loop
+/// count. A loop's instances inspect exactly when something the plan
+/// depends on can change: `jacobi` (all static) inspects once per loop
+/// per run; `lu`'s loops in `k` re-evaluate their plan every instance.
 /// A loop with an indirect reference (`irreg`'s gather — the suite's
 /// only one) keeps its plan but never a schedule: every instance walks
 /// one rebuilt from what the index array names right now.
@@ -745,10 +775,10 @@ fn inspector_memo_discipline() {
         ] {
             let run = execute(&spec.program, &cfg);
             assert_eq!(run.inspector.len(), loops.len());
-            let mut cacheable = 0;
+            let mut ran = 0;
             for (l, row) in loops.iter().zip(&run.inspector) {
                 let instances = row.inspections + row.hits;
-                cacheable += usize::from(l.is_static() && instances > 0);
+                ran += usize::from(instances > 0);
                 let want = if l.is_static() {
                     instances.min(1)
                 } else {
@@ -763,13 +793,13 @@ fn inspector_memo_discipline() {
                     l.is_static()
                 );
             }
-            assert_eq!(run.plans_cached, cacheable, "{}", spec.name);
+            assert_eq!(run.plans_cached, ran, "{}", spec.name);
             match spec.name {
                 "jacobi" => assert_eq!(run.plans_cached, loops.len()),
                 "lu" => {
                     let k_loops = loops.iter().filter(|l| !l.is_static()).count();
                     assert_eq!(k_loops, 2, "scale and update");
-                    assert_eq!(run.plans_cached, loops.len() - 2, "only init");
+                    assert_eq!(run.plans_cached, loops.len(), "init and the loops in k");
                 }
                 _ => {}
             }
@@ -783,6 +813,42 @@ fn inspector_memo_discipline() {
         let rebuilt = seen.iter().filter(|s| s.rebuilt).count();
         assert_eq!(rebuilt > 1, spec.name == "irreg", "{}", spec.name);
     }
+}
+
+/// A loop's plan is one `Rc` the next instance re-evaluates in place:
+/// an instance that let go of it finds the same plan again, and one that
+/// holds it across the next instance — a schedule outliving its instance
+/// — trips the re-evaluation instead of racing it.
+#[test]
+#[should_panic(expected = "a schedule of the previous instance still holds it")]
+fn a_plan_held_across_instances_trips_its_reevaluation() {
+    fn time_vars(stmts: &[Stmt], out: &mut Vec<Var>) {
+        for s in stmts {
+            if let Stmt::Time { var, body, .. } = s {
+                out.push(*var);
+                time_vars(body, out);
+            }
+        }
+    }
+    let spec = suite(Scale::Test).into_iter().find(|s| s.name == "lu");
+    let prog = spec.expect("lu is in the suite").program;
+    let mut vars = Vec::new();
+    time_vars(&prog.body, &mut vars);
+    let loops = prog.par_loops();
+    let id = loops
+        .iter()
+        .position(|l| !l.is_static())
+        .expect("a loop in k");
+    let cfg = ExecConfig::sm_opt(NP).serial();
+    let mut core = EngineCore::new(&prog, &cfg);
+    let instance = |core: &mut EngineCore, step: i64| {
+        vars.iter().for_each(|&v| core.env.set(v, step));
+        core.plan(loops[id], id)
+    };
+    let first = Rc::as_ptr(&instance(&mut core, 0));
+    let held = instance(&mut core, 1);
+    assert_eq!(Rc::as_ptr(&held), first, "one plan, re-evaluated in place");
+    instance(&mut core, 2);
 }
 
 /// Tolerated: `shuffle_resolve` permutes the walk's visiting order per
