@@ -46,7 +46,9 @@ cargo fmt --check
 # crates/hpf/src/exec/, suite-kernel lines that still index the
 # segment point by point (`ctx.mem[` under crates/apps/src/; the kernels
 # walk runs — DESIGN 5c — so what is left should be gathers and boundary
-# rows), free lists (`VecPool`/`carcass` under crates/*/src), ordered
+# rows), free lists (`VecPool`/`carcass` under crates/*/src), schedules
+# an executor builds for one instance instead of taking from its plan's
+# slot (`*Schedule::default()` under crates/hpf/src/exec/), ordered
 # containers constructed in the contract and message-passing executors,
 # `Section`s that keep their dims in a heap `Vec`, point-enumerating
 # fallbacks left in `Range`'s set operations (range.rs up to its tests),
@@ -54,7 +56,8 @@ cargo fmt --check
 # Four of them can fail the gate: the per-loop table is indexed by loop
 # id, and a loop's address must not come back; resolve executes a
 # schedule kept in the plan (DESIGN 5c), so neither may a free list for
-# per-superstep plans, nor a map built in an executor; the run-time
+# per-superstep plans, an instance-owned schedule, nor a map built in an
+# executor; the run-time
 # analysis is allocation-free (DESIGN 5c), so `Section` keeps its dims
 # inline; and access tags are word bitsets the range walk scans 64
 # blocks at a time (DESIGN 5c), so a per-block tag array must not come
@@ -67,17 +70,18 @@ unsafes=$(cat $(find crates src -name '*.rs') | grep -cE 'unsafe +(\{|fn|impl)')
 addrs=$(cat crates/hpf/src/exec/*.rs | grep -c 'as \*const' || true)
 points=$(cat crates/apps/src/*.rs | grep -c 'ctx\.mem\[' || true)
 pools=$(cat $(find crates/*/src -name '*.rs') | grep -c 'VecPool\|carcass' || true)
+owned=$(cat crates/hpf/src/exec/*.rs | grep -cE '(Resolve|Ctl|Mp)Schedule::default\(\)' || true)
 maps=$(cat crates/hpf/src/exec/sm_opt.rs crates/hpf/src/exec/mp.rs | grep -c 'BTreeMap\|BTreeSet' || true)
 heapdims=$(awk '/^pub struct Section /,/^}/' crates/section/src/section.rs | grep -c 'Vec<' || true)
 enums=$(awk '/^#\[cfg\(test\)\]/{exit} /refusing to enumerate/' crates/section/src/range.rs | wc -l)
 tagarrays=$(cat crates/tempest/src/*.rs | grep -c 'Vec<Access>' || true)
-echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays"
+echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1
 fi
-if [ "$pools" -ne 0 ] || [ "$maps" -ne 0 ]; then
-    echo "ci.sh: a plan free list ($pools) or an executor-side ordered container ($maps) is back" >&2
+if [ "$pools" -ne 0 ] || [ "$owned" -ne 0 ] || [ "$maps" -ne 0 ]; then
+    echo "ci.sh: a plan free list ($pools), an instance-owned schedule ($owned) or an executor-side ordered container ($maps) is back" >&2
     exit 1
 fi
 if [ "$heapdims" -ne 0 ]; then

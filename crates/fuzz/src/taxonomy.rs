@@ -49,10 +49,10 @@ pub enum Fault {
     /// coordinator and worker registries == the wire's payload total)
     /// can catch it.
     UndercountMetrics,
-    /// The default-protocol inspector's schedule left as it is when a
-    /// *symbolic* loop's plan is re-evaluated: every later instance walks
-    /// the first one's covers, so blocks only the new sections reach are
-    /// never fetched.
+    /// The default-protocol schedule's slot ignores its key after its
+    /// first build: every later instance walks the first one's covers, so
+    /// blocks only a symbolic loop's new sections, or a rewritten index
+    /// array's new targets, reach are never fetched.
     StaleResolveSchedule,
 }
 

@@ -283,13 +283,15 @@ fn sweep_victim() -> FuzzSpec {
     }
 }
 
-/// A kept schedule must be rebuilt when what it depends on changes: for
-/// a symbolic loop that is the environment, so every instance refills
-/// it. Left as the first instance built it, step `t = 1` walks step 0's
-/// covers, node 0 computes from its never-fetched (zero) copy of column
-/// 4, and the very first backend in the matrix — the default protocol
-/// alone — disagrees with the reference. Unarmed, the same program
-/// passes: the divergence is the injection's, not the victim's.
+/// A kept schedule must be rebuilt when its key moves: for a symbolic
+/// loop that is the variables its analysis reads, so every instance
+/// refills it. Left as the first instance built it, step `t = 1` walks
+/// step 0's covers, node 0 computes from its never-fetched (zero) copy of
+/// column 4, and the very first backend in the matrix — the default
+/// protocol alone — disagrees with the reference. Unarmed, the same
+/// program passes: the divergence is the injection's, not the victim's.
+/// (The indirect case, a rewritten index array, is pinned by
+/// `tests/inspector.rs::must_catch_a_stale_indirect_schedule`.)
 #[test]
 fn must_catch_stale_resolve_schedule() {
     let mut spec = sweep_victim();

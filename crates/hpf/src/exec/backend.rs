@@ -6,8 +6,8 @@
 //! it, they never lower a section themselves), and a backend decides how
 //! declared accesses become data movement — default protocol faults, the
 //! §4.2 compiler-directed contract, or marshalled messages — by
-//! executing a schedule it builds from the plan and leaves there (built
-//! once, and refilled in place after a symbolic loop's re-evaluation).
+//! executing a schedule it builds from the plan and leaves there,
+//! refilled in place exactly when the key of its inputs moves.
 //! The driver never matches on [`super::Backend`].
 
 use super::engine::EngineCore;

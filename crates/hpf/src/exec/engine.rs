@@ -2,10 +2,10 @@
 //! state ([`EngineCore`]) every backend works against.
 //!
 //! The driver walks the program statement list; for each parallel loop it
-//! takes the loop's [`LoopPlan`] — analysis and lowering, built at its
-//! first instance and kept in a table indexed by loop id, re-evaluated in
-//! place by every instance of a symbolic loop — and runs one superstep
-//! in two explicit phases:
+//! takes the loop's [`LoopPlan`] — analysis and lowering, kept in a table
+//! indexed by loop id and, like each schedule in it, rebuilt in place
+//! exactly when the key of its inputs moves ([`EngineCore::plan`],
+//! [`plan::ScheduleSlot`]) — and runs one superstep in two explicit phases:
 //!
 //! * **Resolve phase**: the backend's [`CommBackend::resolve`] services
 //!   every cross-node fault / ctl transfer / message the loop needs,
@@ -33,14 +33,17 @@
 use super::backend::CommBackend;
 use super::{Backend, ExecConfig, HomeAssign, InspectorRow, RunResult};
 use crate::analysis::{self, LoopAccess};
-use crate::ir::{par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, Stmt};
-use crate::plan::{self, ArrayMeta, LoopPlan, ResolveSchedule, Scheduled};
+use crate::ir::{
+    par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt, Subscript,
+};
+use crate::plan::{self, ArrayMeta, LoopPlan, ResolveSchedule};
 use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
 use fgdsm_section::{Env, Range};
 use fgdsm_tempest::{
     CacheAligned, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job, NodeShard,
     SegmentLayout, WorkerPool, NO_LOOP, NO_STEP,
 };
+use std::cell::Ref;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -73,10 +76,13 @@ pub struct EngineCore<'p> {
     pub supersteps: u64,
     /// The per-loop table, indexed by profiler loop id (program order):
     /// one plan per loop, built at its first instance and kept for the
-    /// run — a static loop reuses it, a symbolic one re-evaluates it in
-    /// place ([`EngineCore::plan`]) — so the table is bounded by the
-    /// number of loops, never by supersteps.
+    /// run, re-evaluated in place when its key moves
+    /// ([`EngineCore::plan`]) — so the table is bounded by the number of
+    /// loops, never by supersteps.
     plans: Vec<Option<Rc<LoopPlan>>>,
+    /// Per array, how many loop instances named it in a write reference:
+    /// the input version of an indirect loop's default schedule.
+    writes: Vec<u64>,
     /// Superstep index of the in-flight superstep ([`NO_STEP`] between
     /// loops); stamps [`PlannedXfer`](super::PlannedXfer) records.
     pub cur_step: u32,
@@ -217,6 +223,7 @@ impl<'p> EngineCore<'p> {
             pool: (workers > 1).then(|| WorkerPool::new(workers)),
             supersteps: 0,
             plans: vec![None; n_loops],
+            writes: vec![0; prog.arrays.len()],
             cur_step: NO_STEP,
             cur_loop: NO_LOOP,
             planned: Vec::new(),
@@ -240,21 +247,22 @@ impl<'p> EngineCore<'p> {
 
     /// The plan of this instance of loop `id`, with the compile-time /
     /// run-time split of §4.1. Every loop has one plan for the whole run,
-    /// built at its first instance. A loop with a fixed access structure
-    /// reuses it as it is; a symbolic loop re-evaluates it in place under
-    /// the current environment — analysis, lowering, and (retired here,
-    /// refilled by the backend that uses them) its schedules — so an
+    /// built at its first instance and keyed by the variables its
+    /// analysis reads (none for a static loop). An instance under the
+    /// values of its last evaluation reuses it as it is; any other
+    /// re-evaluates it in place — analysis and lowering — and bumps its
+    /// version, so each schedule in it is refilled at its next use. An
     /// instance allocates nothing once the plan is warm.
     ///
     /// # Panics
     ///
-    /// If a symbolic loop's plan is still shared when its next instance
-    /// starts: some schedule outlived its instance.
+    /// If the plan is still shared when an instance re-evaluates it: some
+    /// schedule outlived its instance.
     pub fn plan(&mut self, l: &ParLoop, id: usize) -> Rc<LoopPlan> {
         let row = &mut self.inspector[id];
-        let built = self.plans[id].is_some();
+        let env = &self.env;
         let kept = self.plans[id].get_or_insert_with(Rc::default);
-        if built && l.is_static() {
+        if kept.version > 0 && kept.inputs.iter().all(|&(v, x)| env.get(v) == x) {
             row.hits += 1;
             return Rc::clone(kept);
         }
@@ -266,43 +274,47 @@ impl<'p> EngineCore<'p> {
                 l.name
             )
         });
-        analysis::analyze_into(self.prog, l, &self.env, self.cfg.nprocs, &mut plan.acc);
+        if plan.version == 0 {
+            plan.inputs = l.analysis_vars().into_iter().map(|v| (v, None)).collect();
+        }
+        plan.inputs.iter_mut().for_each(|(v, x)| *x = env.get(*v));
+        plan.version += 1;
+        analysis::analyze_into(self.prog, l, env, self.cfg.nprocs, &mut plan.acc);
         let t_lower = Instant::now();
         plan::lower_into(l, plan, &self.metas, self.wpb);
         self.phases.inspect_ns += t_lower.elapsed().as_nanos() as u64;
-        // A re-evaluated plan's schedules no longer describe it (a new
-        // plan has none yet). Must-catch `stale_resolve_schedule`: skip
-        // refilling the default schedule, so every later instance walks
-        // the first one's covers.
-        if !self.cfg.inject.stale_resolve_schedule {
-            plan.sched.retire();
-        }
-        plan.ctl.retire();
-        plan.mp.retire();
         Rc::clone(kept)
     }
 
     /// The schedule [`EngineCore::resolve_default`] walks for this
-    /// instance: the plan's (built at its first walk, refilled after a
-    /// re-evaluation), unless the loop has an indirect reference — then
-    /// the blocks its index arrays name right now join the read covers
-    /// (and the false-sharing test), so it is rebuilt from the plan's
-    /// runs every instance.
-    pub fn schedule<'a>(&self, l: &ParLoop, plan: &'a LoopPlan) -> Scheduled<'a, ResolveSchedule> {
-        if !l.refs.iter().any(ARef::is_indirect) {
-            let fill = |s: &mut _| plan::schedule_into(l, plan, &[], &self.metas, self.wpb, s);
-            return Scheduled::Kept(plan.sched.get_or_fill(fill));
-        }
-        let gathered = |p: usize| {
-            let refs = l.refs.iter().zip(&plan.acc.sections[p]);
-            refs.filter(|(r, sec)| r.is_indirect() && !sec.is_empty())
-                .flat_map(|(r, _)| self.inspect_indirect(p, r, &plan.acc.iters[p]))
-                .collect()
+    /// instance, from the plan's slot. The blocks an indirect reference
+    /// gathers join the read covers (and the false-sharing test) as the
+    /// index arrays name them at the build, so the slot's input version
+    /// is the write count of the loop's index arrays.
+    pub fn schedule<'a>(&self, l: &ParLoop, plan: &'a LoopPlan) -> Ref<'a, ResolveSchedule> {
+        let index_writes = l.refs.iter().flat_map(|r| &r.subs).map(|s| match s {
+            Subscript::Indirect(idx, _) => self.writes[idx.0],
+            _ => 0,
+        });
+        // Must-catch `stale_resolve_schedule`: one key for the whole run,
+        // so the slot keeps its first build.
+        let key = match self.cfg.inject.stale_resolve_schedule {
+            true => (0, 0),
+            false => (plan.version, index_writes.sum()),
         };
-        let indirect: Vec<Vec<usize>> = (0..self.cfg.nprocs).map(gathered).collect();
-        let mut own = ResolveSchedule::default();
-        plan::schedule_into(l, plan, &indirect, &self.metas, self.wpb, &mut own);
-        Scheduled::Own(own)
+        plan.sched.get_or_fill(key, |sched| {
+            let gathered = |p: usize| {
+                let refs = l.refs.iter().zip(&plan.acc.sections[p]);
+                refs.filter(|(r, sec)| r.is_indirect() && !sec.is_empty())
+                    .flat_map(|(r, _)| self.inspect_indirect(p, r, &plan.acc.iters[p]))
+                    .collect()
+            };
+            let indirect: Vec<Vec<usize>> = match l.refs.iter().any(ARef::is_indirect) {
+                true => (0..self.cfg.nprocs).map(gathered).collect(),
+                false => Vec::new(),
+            };
+            plan::schedule_into(l, plan, &indirect, &self.metas, self.wpb, sched)
+        })
     }
 
     /// Default-protocol access resolution: make every declared section
@@ -360,8 +372,13 @@ impl<'p> EngineCore<'p> {
     /// Inspector for indirect references (`x(idx(i))`): enumerate the
     /// element offsets node `p` will gather, by reading its (owned,
     /// current) copy of the index array. Supports the common 1-D gather.
-    pub fn inspect_indirect(&self, p: usize, r: &crate::ir::ARef, iter: &[Range]) -> Vec<usize> {
-        use crate::ir::Subscript;
+    ///
+    /// Precondition of the default schedule's key: the elements read are
+    /// ones node `p` owns and writes itself (the loop is distributed like
+    /// the index array, as every gather of the suite and of the fuzz
+    /// corpus is), so its copy changes only when some loop instance
+    /// writes the array — which bumps the array's write count.
+    pub fn inspect_indirect(&self, p: usize, r: &ARef, iter: &[Range]) -> Vec<usize> {
         let [Subscript::Indirect(idx_aid, c)] = r.subs.as_slice() else {
             panic!("indirect references must be 1-D gathers x(idx(i))");
         };
@@ -594,6 +611,9 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, l
     let row = &mut core.inspector[loop_id as usize];
     row.compute_ns += compute_ns;
     row.points += points;
+    for r in l.refs.iter().filter(|r| r.mode == RefMode::Write) {
+        core.writes[r.array.0] += 1;
+    }
 
     backend.note_kernel_writes(core, l, plan);
 

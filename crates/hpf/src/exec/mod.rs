@@ -37,8 +37,8 @@
 //! phases. The **resolve phase** services every cross-node transfer the
 //! loop needs against the state the previous superstep left behind, on
 //! the driver thread: each backend *executes a schedule* — plain data
-//! kept in the loop's one [`crate::plan::LoopPlan`], built once for a
-//! static loop and refilled in place by each instance of a symbolic one
+//! kept in the loop's one [`crate::plan::LoopPlan`], refilled in place
+//! exactly when the key of its inputs moves
 //! (the default protocol's covers, the §4.2 contract's call sites and
 //! [`fgdsm_protocol::TransferPlan`]s, message passing's sends) — in
 //! schedule order. The **compute phase** then runs each node's
@@ -298,11 +298,11 @@ pub struct InjectConfig {
     /// [`fgdsm_protocol::WireError`] within the configured deadline —
     /// no hang, no partial artifact. No effect without a carrier.
     pub node_fault: Option<(u32, fgdsm_protocol::NodeFault)>,
-    /// Must-catch: skip refilling a *symbolic* loop's default-protocol
-    /// schedule when its plan is re-evaluated, so every later instance
-    /// walks the first one's covers and blocks the new sections reach are
-    /// never made accessible. (No effect on loops with an indirect
-    /// reference, whose schedule is rebuilt at walk time.)
+    /// Must-catch: the default-protocol schedule's slot ignores its key
+    /// after its first build, so every later instance walks the first
+    /// one's covers — of a symbolic loop whose sections moved, of an
+    /// indirect loop whose index array was rewritten — and blocks only
+    /// the new ones reach are never made accessible.
     pub stale_resolve_schedule: bool,
     /// Must-catch: skip the coordinator's per-class `payload_bytes.*`
     /// metrics counter for the first envelope encoded — the run itself
@@ -450,11 +450,12 @@ pub struct PlannedXfer {
 /// instances ran the inspector — built the loop's plan, or re-evaluated
 /// it in place (`inspections`) — and how many reused it as it was
 /// (`hits`): a loop whose access structure is fixed inspects once per
-/// run, a symbolic one every instance. Kernels: the host
-/// time its compute phases took over the run (`compute_ns`, the same
-/// clock reads as [`HostPhases::compute_ns`](fgdsm_tempest::HostPhases))
-/// and the iteration points they covered on all nodes (`points`), so a
-/// kernel that stops vectorizing shows as ns/point.
+/// run, a symbolic one whenever a variable its analysis reads has moved.
+/// Kernels: the host time its compute phases took over the run
+/// (`compute_ns`, the same clock reads as
+/// [`HostPhases::compute_ns`](fgdsm_tempest::HostPhases)) and the
+/// iteration points they covered on all nodes (`points`), so a kernel
+/// that stops vectorizing shows as ns/point.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InspectorRow {
     pub inspections: u64,

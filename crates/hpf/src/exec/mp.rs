@@ -29,7 +29,9 @@ impl Mp {
 impl CommBackend for Mp {
     fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         let t0 = Instant::now();
-        let sched = plan.mp.get_or_fill(|s| plan::mp_schedule_into(l, plan, s));
+        let sched = plan
+            .mp
+            .get_or_fill((plan.version, 0), |s| plan::mp_schedule_into(l, plan, s));
         core.phases.inspect_ns += t0.elapsed().as_nanos() as u64;
         for b in &sched.broadcasts {
             for &sr in &b.sections {

@@ -6,8 +6,9 @@
 use super::backend::CommBackend;
 use super::engine::EngineCore;
 use crate::ir::{ParLoop, RefMode};
-use crate::plan::{self, CtlSchedule, LoopPlan, OptLevel, Scheduled};
+use crate::plan::{self, CtlSchedule, LoopPlan, OptLevel};
 use crate::redundancy::PreCache;
+use std::cell::Ref;
 use std::time::Instant;
 
 /// Per-loop access analysis finds the producer→consumer transfers,
@@ -25,10 +26,6 @@ use std::time::Instant;
 pub struct SmOpt {
     opt: OptLevel,
     pre: PreCache,
-    /// The in-flight instance's schedule at a `pre` level, which cannot
-    /// live in the plan ([`SmOpt::schedule`]): kept from `resolve` for
-    /// `post_loop`.
-    rebuilt: Option<CtlSchedule>,
 }
 
 impl SmOpt {
@@ -36,37 +33,24 @@ impl SmOpt {
         SmOpt {
             opt,
             pre: PreCache::new(),
-            rebuilt: None,
         }
     }
 
-    /// The contract schedule of this loop instance: the plan's, built at
-    /// its first resolve and kept as long as the plan's lowering is
-    /// (refilled in place after a symbolic loop's re-evaluation) — unless
-    /// the level is `pre`, whose filter (what is still valid right now)
-    /// changes with every delivery and write, so each instance builds its
-    /// own.
-    pub fn schedule<'a>(
-        &self,
-        core: &EngineCore,
-        plan: &'a LoopPlan,
-    ) -> Scheduled<'a, CtlSchedule> {
-        let fill = |sched: &mut CtlSchedule| {
+    /// The contract schedule of this loop instance, from the plan's slot.
+    /// At a `pre` level its filter (what is still valid right now) is the
+    /// run's state, which moves with every delivery and write: the input
+    /// version is then the transfer cache's tick, so every instance
+    /// refills the slot.
+    pub fn schedule<'a>(&self, core: &EngineCore, plan: &'a LoopPlan) -> Ref<'a, CtlSchedule> {
+        let input = if self.opt.pre { self.pre.epoch() } else { 0 };
+        plan.ctl.get_or_fill((plan.version, input), |sched| {
             let (dsm, bulk, edge) = (&core.dsm, self.opt.bulk, core.cfg.inject.force_boundary);
             let still_valid = |user, array, first, end| {
                 self.opt.pre && self.pre.is_valid(user, array, first, end, core.wpb)
             };
             let (cluster, inject) = (&dsm.cluster, dsm.injection());
             plan::ctl_schedule_into(plan, cluster, inject, bulk, edge, still_valid, sched)
-        };
-        match self.opt.pre {
-            true => {
-                let mut own = CtlSchedule::default();
-                fill(&mut own);
-                Scheduled::Own(own)
-            }
-            false => Scheduled::Kept(plan.ctl.get_or_fill(fill)),
-        }
+        })
     }
 
     /// Execute the §4.2 contract up to (and including) the data push.
@@ -162,9 +146,6 @@ impl CommBackend for SmOpt {
             let sched = self.schedule(core, plan);
             core.phases.inspect_ns += t0.elapsed().as_nanos() as u64;
             self.comm_ctl(core, &sched);
-            if let Scheduled::Own(sched) = sched {
-                self.rebuilt = Some(sched);
-            }
         }
         core.resolve_default(l, plan);
     }
@@ -186,13 +167,8 @@ impl CommBackend for SmOpt {
 
     fn post_loop(&mut self, core: &mut EngineCore, _l: &ParLoop, plan: &LoopPlan) {
         if self.opt.ctl {
-            match self.rebuilt.take() {
-                Some(own) => self.cleanup_ctl(core, &own),
-                None => {
-                    let kept = plan.ctl.get().expect("resolve scheduled this instance");
-                    self.cleanup_ctl(core, &kept);
-                }
-            }
+            let sched = plan.ctl.get().expect("resolve scheduled this instance");
+            self.cleanup_ctl(core, &sched);
         }
         core.dsm.release_barrier();
     }

@@ -8,11 +8,12 @@
 //! [`ctl_schedule`], [`mp_schedule`]: who does what to whom, in order —
 //! is a pure function of it kept beside it; backends only execute.
 //!
-//! A loop has one plan for the whole run. A symbolic loop's next instance
-//! evaluates it again in place — `analysis::analyze_into`, `lower_into`,
-//! and each schedule its backend built before refilled by the same
-//! builder's `_into` form — so every vector keeps its storage and an
-//! instance allocates nothing once the plan is warm.
+//! A loop has one plan for the whole run, and one rule keeps it and its
+//! schedules: each remembers the key of the inputs it was built from and
+//! is rebuilt in place — `analysis::analyze_into`, `lower_into`, a
+//! schedule by the same builder's `_into` form — exactly when that key
+//! moves, so every vector keeps its storage and an instance allocates
+//! nothing once the plan is warm.
 //!
 //! `shmem_limits` (§4.2, Figure 2A): a transfer section is linearized to
 //! contiguous (or 2-D strided) virtual-address runs, and each run is
@@ -27,11 +28,10 @@ use crate::ir::{ParLoop, RefMode};
 use fgdsm_protocol::{
     plan_flushes_into, plan_sends_into, FlushEntry, Injection, MpSendPlan, SendEntry, TransferPlan,
 };
-use fgdsm_section::{block_subset, ColumnMajor, LinearRanges, Section, StridedRange};
+use fgdsm_section::{block_subset, ColumnMajor, LinearRanges, Section, StridedRange, Var};
 use fgdsm_tempest::{Cluster, NodeId};
 use std::cell::{Cell, Ref, RefCell};
 use std::fmt;
-use std::ops::Deref;
 
 /// Which of the paper's optimizations are enabled (Figure 4's ablation).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -378,70 +378,41 @@ impl<T> fmt::Debug for Scratch<T> {
     }
 }
 
-/// One protocol's schedule in a [`LoopPlan`]. Empty until the backend
-/// that executes it first builds it; current from then on, for as long
-/// as the plan's lowering is. When a symbolic loop's next instance
-/// re-evaluates the plan, the engine retires every schedule — it keeps
-/// its storage — and the backend's next use refills it in place with the
-/// same builder. A slot nobody built stays empty (`mp` never pays for
+/// One protocol's schedule in a [`LoopPlan`], kept under the key of the
+/// inputs it was built from: `(plan version, input version)` — how often
+/// the plan was evaluated, and a count that moves whenever an input
+/// beyond the plan does (0 if there is none). Empty until the
+/// backend that executes it first asks for it; refilled in place, by the
+/// same builder, exactly when asked under a key other than the last
+/// build's. A slot nobody asks for stays empty (`mp` never pays for
 /// covers).
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleSlot<T> {
-    sched: RefCell<Option<T>>,
-    current: Cell<bool>,
+    sched: RefCell<T>,
+    key: Cell<(u64, u64)>,
+    builds: Cell<u64>,
 }
 
-impl<T: Default> ScheduleSlot<T> {
-    /// The schedule, if it is current.
+impl<T> ScheduleSlot<T> {
+    /// The schedule as last built, if it ever was.
     pub fn get(&self) -> Option<Ref<'_, T>> {
-        self.current.get().then(|| self.held())
+        (self.builds() > 0).then(|| self.sched.borrow())
     }
 
-    /// The current schedule — unless there is none, in which case `fill`
-    /// first builds it, into the retired schedule's storage if there is
-    /// one.
-    pub(crate) fn get_or_fill(&self, fill: impl FnOnce(&mut T)) -> Ref<'_, T> {
-        if !self.current.get() {
-            fill(self.sched.borrow_mut().get_or_insert_with(T::default));
-            self.current.set(true);
+    /// How often the slot was built or refilled.
+    pub fn builds(&self) -> u64 {
+        self.builds.get()
+    }
+
+    /// The schedule for `key`: the kept one if it was built under `key`,
+    /// else first refilled in place by `fill`.
+    pub(crate) fn get_or_fill(&self, key: (u64, u64), fill: impl FnOnce(&mut T)) -> Ref<'_, T> {
+        if self.builds() == 0 || self.key.get() != key {
+            fill(&mut self.sched.borrow_mut());
+            self.key.set(key);
+            self.builds.set(self.builds() + 1);
         }
-        self.held()
-    }
-
-    /// Whether the slot holds a retired schedule that its next use
-    /// refills.
-    pub fn is_retired(&self) -> bool {
-        !self.current.get() && self.sched.borrow().is_some()
-    }
-
-    /// The plan was re-evaluated: the schedule no longer describes it.
-    pub(crate) fn retire(&mut self) {
-        self.current.set(false);
-    }
-
-    fn held(&self) -> Ref<'_, T> {
-        Ref::map(self.sched.borrow(), |s| {
-            s.as_ref().expect("a current slot holds its schedule")
-        })
-    }
-}
-
-/// The schedule a backend is about to execute: the one kept in the
-/// plan's [`ScheduleSlot`], or one built for this instance alone (an
-/// indirect loop's default schedule, a `pre` level's contract).
-pub enum Scheduled<'a, T> {
-    Kept(Ref<'a, T>),
-    Own(T),
-}
-
-impl<T> Deref for Scheduled<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        match self {
-            Scheduled::Kept(kept) => kept,
-            Scheduled::Own(own) => own,
-        }
+        self.sched.borrow()
     }
 }
 
@@ -559,33 +530,39 @@ pub struct MpSchedule {
 }
 
 /// Everything one loop instance's sections lower to, as plain data
-/// ([`lower`]). The engine keeps one per loop for the whole run — a
-/// symbolic loop's instances re-evaluate it in place (`lower_into`) —
-/// and nothing in it refers to the program, the cluster or the instance
-/// that built it.
+/// ([`lower`]). The engine keeps one per loop for the whole run,
+/// re-evaluated in place (`lower_into`) when a variable its analysis
+/// reads has moved, and nothing in it refers to the program, the cluster
+/// or the instance that built it.
 #[derive(Clone, Debug, Default)]
 pub struct LoopPlan {
+    /// The variables the loop's analysis reads (none for a static loop)
+    /// and their values at the last evaluation: the plan's key.
+    pub(crate) inputs: Vec<(Var, Option<i64>)>,
+    /// Evaluations so far; the first half of every schedule's key.
+    pub(crate) version: u64,
     /// The §4.1 access analysis the rest was lowered from.
     pub acc: LoopAccess,
     /// Per node, per reference: the absolute word runs of the section it
     /// touches. Empty for an indirect reference, whose section is only a
     /// conservative bound.
     pub runs: Vec<Vec<LinearRanges>>,
-    /// The default-protocol schedule of the non-indirect references —
-    /// `schedule_into` of `runs`, filled in by the first walk (`mp` never
-    /// walks, and a loop with an indirect reference rebuilds its own).
+    /// The default-protocol schedule — `schedule_into` of `runs` plus the
+    /// blocks indirect references gather — built by the first walk (`mp`
+    /// never walks). Its input version is the write count of the loop's
+    /// index arrays.
     pub sched: ScheduleSlot<ResolveSchedule>,
     /// Per transfer, in [`LoopPlan::transfers`] order: its word runs…
     pub xfer_runs: Vec<LinearRanges>,
     /// …and their `shmem_limits` split (empty for an indirect transfer,
     /// which must not be taken under compiler control).
     pub xfer_ctl: Vec<CtlRanges>,
-    /// The §4.2 contract's schedule — [`ctl_schedule`] of `xfer_ctl`,
-    /// filled in by `sm_opt`'s first resolve (a `pre` level, whose filter
-    /// is the run's state, builds its own every instance).
+    /// The §4.2 contract's schedule — [`ctl_schedule`] of `xfer_ctl` —
+    /// built by `sm_opt`'s first resolve. Its input version is 0, or at a
+    /// `pre` level the transfer cache's tick, which moves every instance.
     pub ctl: ScheduleSlot<CtlSchedule>,
     /// The message-passing schedule — [`mp_schedule`] of `xfer_runs` and
-    /// `runs`, filled in by `mp`'s first resolve.
+    /// `runs` — built by `mp`'s first resolve, with input version 0.
     pub mp: ScheduleSlot<MpSchedule>,
 }
 
@@ -610,7 +587,7 @@ pub fn lower(l: &ParLoop, acc: LoopAccess, metas: &[ArrayMeta], wpb: usize) -> L
 
 /// Lower `plan.acc` into the rest of `plan` — its runs, transfer runs and
 /// `shmem_limits` splits — refilled in place. The schedules are left as
-/// they are: a caller that re-evaluated the plan retires them. Never
+/// they are: a caller that re-evaluated the plan bumps its version. Never
 /// inlined: it is the seam between analysis and every consumer of its
 /// result, and its cost is paid once per static loop but every instance
 /// of a symbolic one.

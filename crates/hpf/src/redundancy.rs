@@ -54,6 +54,11 @@ impl PreCache {
         self.epoch
     }
 
+    /// The current epoch: the last tick.
+    pub(crate) fn epoch(&self) -> Epoch {
+        self.epoch
+    }
+
     /// Record that `array`'s word run `(start, len)` was written this
     /// epoch (from the loop's declared write sections).
     pub fn record_write(&mut self, array: usize, start: usize, len: usize) {
@@ -135,12 +140,6 @@ impl PreCache {
         if entries.len() > DELIVERY_CAP {
             entries.drain(..entries.len() - DELIVERY_CAP);
         }
-    }
-
-    /// Drop everything (e.g. when switching programs).
-    pub fn clear(&mut self) {
-        self.logs.clear();
-        self.delivered.clear();
     }
 }
 

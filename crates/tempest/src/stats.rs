@@ -173,11 +173,12 @@ pub struct HostPhases {
     /// Before the first statement: segment allocation, the cluster, the
     /// wire carrier's workers.
     pub setup_ns: u64,
-    /// Per-loop access analysis (once for a static loop).
+    /// Per-loop access analysis (when a variable it reads has moved:
+    /// once for a static loop).
     pub analyze_ns: u64,
-    /// Lowering: sections → word runs, covers, the false-shared block
-    /// list and ctl ranges (once for a static loop), plus the walk-time
-    /// schedule of loops with an indirect reference.
+    /// Lowering (sections → word runs and ctl ranges) and every schedule
+    /// build or refill — covers and false-shared blocks, the contract's,
+    /// `mp`'s — each only when its key has moved.
     pub inspect_ns: u64,
     /// The default-protocol walk over the covers, servicing faults.
     pub walk_ns: u64,

@@ -15,13 +15,13 @@ use fgdsm::hpf::exec::backend::CommBackend;
 use fgdsm::hpf::exec::engine::EngineCore;
 use fgdsm::hpf::exec::mp::Mp;
 use fgdsm::hpf::exec::sm_opt::SmOpt;
-use fgdsm::hpf::plan::{ctl_schedule, lower, mp_schedule, LoopPlan, ResolveSchedule, Scheduled};
+use fgdsm::hpf::plan::{ctl_schedule, lower, mp_schedule, LoopPlan, ResolveSchedule};
 use fgdsm::hpf::{
-    analyze, covering_blocks, execute, execute_with, ARef, Backend, CompDist, Dist, ExecConfig,
-    InjectConfig, Kernel, KernelCtx, LoopAccess, OptLevel, ParLoop, Program, RefMode, RunResult,
-    Stmt, Subscript, Transfer,
+    analyze, covering_blocks, execute, execute_reference, execute_with, ARef, Backend, CompDist,
+    Dist, ExecConfig, InjectConfig, Kernel, KernelCtx, LoopAccess, OptLevel, ParLoop, Program,
+    RefMode, RunResult, Stmt, Subscript, Transfer,
 };
-use fgdsm::section::{LinearRanges, StridedRange, SymRange, Var};
+use fgdsm::section::{Affine, LinearRanges, StridedRange, SymRange, Var};
 use fgdsm::tempest::ReduceOp;
 use fgdsm_fuzz::{case_seed, gen_spec, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
 use fgdsm_testkit::{Rng, BASE_SEED};
@@ -101,8 +101,10 @@ fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> ResolveSch
 /// What a [`Probe`] saw at one superstep's resolve.
 struct Seen {
     loop_id: u32,
-    /// Was the walked schedule rebuilt for this instance (not the plan's)?
-    rebuilt: bool,
+    /// Did the instance build or refill the default protocol's schedule,
+    /// and its backend's (the contract's, or message passing's)? (At
+    /// most once each: the probe asks under the keys the backend does.)
+    built: (bool, bool),
     order: Vec<usize>,
     multi_blocks: usize,
     /// Did a section stride dim 0 (the shape `linearize` used to decline,
@@ -111,14 +113,6 @@ struct Seen {
     /// Which plan the instance ran on (its address: a loop's plan is one
     /// `Rc` for the whole run).
     plan: usize,
-    /// Did the instance find its backend's schedule (the contract's, or
-    /// message passing's) already in the plan?
-    kept: bool,
-    /// Did it find the schedules an earlier instance built retired — the
-    /// default protocol's, and its backend's — to refill them in place?
-    refilled: (bool, bool),
-    /// Did the backend build a schedule of this instance's own instead?
-    own: bool,
     /// The contract's call sites (pushes and flushes) this instance.
     ctl_sites: usize,
     /// Which terms of the schedule's candidate filter its false-shared
@@ -258,6 +252,15 @@ impl Probe {
             Inner::Mp(mp) => mp,
         }
     }
+
+    /// How often the plan's default schedule and its backend's were built.
+    fn builds(&self, plan: &LoopPlan) -> (u64, u64) {
+        let backend = match self.inner {
+            Inner::Sm(..) => plan.ctl.builds(),
+            Inner::Mp(_) => plan.mp.builds(),
+        };
+        (plan.sched.builds(), backend)
+    }
 }
 
 impl CommBackend for Probe {
@@ -277,20 +280,14 @@ impl CommBackend for Probe {
         assert_eq!(plan.xfer_runs, fresh.xfer_runs, "{at}: stale transfer runs");
         assert_eq!(plan.xfer_ctl, fresh.xfer_ctl, "{at}: stale ctl ranges");
         let d0s = plan.acc.sections.iter().flatten().map(|sec| sec.dims()[0]);
-        let backend_slot = match self.inner {
-            Inner::Sm(..) => plan.ctl.is_retired(),
-            Inner::Mp(_) => plan.mp.is_retired(),
-        };
+        let before = self.builds(plan);
         let mut seen = Seen {
             loop_id: core.cur_loop,
-            rebuilt: false,
+            built: (false, false),
             order: core.resolve_order(),
             multi_blocks: 0,
             unit_runs: { d0s }.any(|d0| d0.stride > 1 && d0.count() > 1),
             plan: plan as *const LoopPlan as usize,
-            kept: false,
-            refilled: (plan.sched.is_retired(), backend_slot),
-            own: false,
             ctl_sites: 0,
             terms: Terms::default(),
             transfers: plan.transfers().count(),
@@ -301,41 +298,41 @@ impl CommBackend for Probe {
             algebraic: algebra_transfers(core.prog, l, &plan.acc)
                 == [&plan.acc.read_transfers, &plan.acc.write_transfers].map(Vec::clone),
         };
-        match &self.inner {
-            Inner::Sm(sm, opt) => {
-                let new = core.schedule(l, plan);
-                let old = old_inspector(core, l, &plan.acc);
-                assert_eq!(*new, old, "{at}: inspectors disagree");
-                seen.rebuilt = matches!(new, Scheduled::Own(_));
-                seen.multi_blocks = new.multi.len();
-                seen.terms = Terms::of(core, l, plan, &new);
-                if opt.ctl {
-                    seen.kept = plan.ctl.get().is_some();
-                    let about = sm.schedule(core, plan);
-                    seen.own = matches!(about, Scheduled::Own(_));
-                    // (An instance's own schedule is a fresh build, under
-                    // a filter only the backend knows.)
-                    if !seen.own {
-                        let (cluster, inject) = (&core.dsm.cluster, &core.cfg.inject);
-                        let armed = core.dsm.injection();
-                        let edge = inject.force_boundary;
-                        let never = |_, _, _, _| false;
-                        let built = ctl_schedule(&fresh, cluster, armed, opt.bulk, edge, never);
-                        assert_eq!(*about, built, "{at}: stale contract schedule");
-                    }
-                    seen.ctl_sites = about.sends.len() + about.flushes.len();
-                }
+        if let Inner::Sm(sm, opt) = &self.inner {
+            let new = core.schedule(l, plan);
+            let old = old_inspector(core, l, &plan.acc);
+            assert_eq!(*new, old, "{at}: inspectors disagree");
+            seen.multi_blocks = new.multi.len();
+            seen.terms = Terms::of(core, l, plan, &new);
+            // (A `pre` level's schedule is built at the resolve, under a
+            // filter only the backend knows.)
+            if opt.ctl && !opt.pre {
+                let about = sm.schedule(core, plan);
+                let (cluster, inject) = (&core.dsm.cluster, &core.cfg.inject);
+                let armed = core.dsm.injection();
+                let edge = inject.force_boundary;
+                let never = |_, _, _, _| false;
+                let built = ctl_schedule(&fresh, cluster, armed, opt.bulk, edge, never);
+                assert_eq!(*about, built, "{at}: stale contract schedule");
             }
-            Inner::Mp(_) => seen.kept = plan.mp.get().is_some(),
+        }
+        self.backend().resolve(core, l, plan);
+        let after = self.builds(plan);
+        assert!(after.0 - before.0 <= 1 && after.1 - before.1 <= 1, "{at}");
+        seen.built = (after.0 > before.0, after.1 > before.1);
+        match self.inner {
+            Inner::Sm(_, opt) if opt.ctl => {
+                let ran = plan.ctl.get().expect("the contract's resolve schedules");
+                seen.ctl_sites = ran.sends.len() + ran.flushes.len();
+            }
+            Inner::Sm(..) => {}
+            Inner::Mp(_) => {
+                let ran = plan.mp.get().expect("mp's resolve schedules");
+                assert_eq!(*ran, mp_schedule(l, &fresh), "{at}: stale mp schedule");
+                assert_eq!(after.0, 0, "{at}: mp built default-protocol covers");
+            }
         }
         self.seen.borrow_mut().push(seen);
-        self.backend().resolve(core, l, plan);
-        if let Inner::Mp(_) = self.inner {
-            let ran = plan.mp.get().expect("mp's resolve schedules");
-            assert_eq!(*ran, mp_schedule(l, &fresh), "{at}: stale mp schedule");
-            let walked = plan.sched.get().is_some() || plan.sched.is_retired();
-            assert!(!walked, "{at}: mp built default-protocol covers");
-        }
     }
     fn note_kernel_writes(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
         self.backend().note_kernel_writes(core, l, plan);
@@ -453,13 +450,87 @@ fn written_replicated() -> Program {
     b.build()
 }
 
+/// Time steps of [`rewritten_index`].
+const REWRITES: i64 = 8;
+
+/// A time loop whose first loop rewrites an index array every step,
+/// `idx(i) = (i + 3 + t) mod n`, and whose second gathers `y(i) =
+/// x(idx(i))` from an `x` written once before it. Over four nodes (16
+/// words to a block), node 0 gathers from `x`'s first block, and from
+/// step 6 on also from its second, which nodes 2 and 3 wrote and a
+/// schedule built at step 0 never fetches: the victim of
+/// `stale_resolve_schedule` on an indirect loop.
+fn rewritten_index() -> Program {
+    let (n, t) = (32, Var("t"));
+    let mut b = Program::builder();
+    let x = b.array("x", &[n], Dist::Block);
+    let y = b.array("y", &[n], Dist::Block);
+    let idx = b.array("idx", &[n], Dist::Block);
+    let all = || vec![SymRange::new(0, n as i64 - 1)];
+    let at_i = || vec![Subscript::loop_var(0)];
+    b.stmt(Stmt::Par(ParLoop {
+        name: "init",
+        iter: all(),
+        dist: CompDist::Owner(x),
+        refs: vec![ARef::write(x, at_i())],
+        kernel: Kernel::new(move |ctx: &mut KernelCtx| {
+            let h = ctx.h(x);
+            for i in ctx.iter[0].iter() {
+                ctx.mem[h.at1(i)] = (i + 1) as f64;
+            }
+        }),
+        cost_per_iter_ns: 10,
+        reduction: None,
+    }));
+    let index = ParLoop {
+        name: "index",
+        iter: all(),
+        dist: CompDist::Owner(idx),
+        refs: vec![ARef::write(idx, at_i())],
+        kernel: Kernel::new(move |ctx: &mut KernelCtx| {
+            let (h, step) = (ctx.h(idx), ctx.sym(t));
+            for i in ctx.iter[0].iter() {
+                ctx.mem[h.at1(i)] = ((i + 3 + step) % n as i64) as f64;
+            }
+        }),
+        cost_per_iter_ns: 10,
+        reduction: None,
+    };
+    let gather = ParLoop {
+        name: "gather",
+        iter: all(),
+        dist: CompDist::Owner(y),
+        refs: vec![
+            ARef::read(idx, at_i()),
+            ARef::read(x, vec![Subscript::Indirect(idx, 0)]),
+            ARef::write(y, at_i()),
+        ],
+        kernel: Kernel::new(move |ctx: &mut KernelCtx| {
+            let (hx, hy, hi) = (ctx.h(x), ctx.h(y), ctx.h(idx));
+            for i in ctx.iter[0].iter() {
+                let j = ctx.mem[hi.at1(i)] as i64;
+                ctx.mem[hy.at1(i)] = ctx.mem[hx.at1(j)];
+            }
+        }),
+        cost_per_iter_ns: 10,
+        reduction: None,
+    };
+    b.stmt(Stmt::Time {
+        var: t,
+        count: REWRITES,
+        body: vec![Stmt::Par(index), Stmt::Par(gather)],
+    });
+    b.build()
+}
+
 /// Differential: on every superstep of the six suite apps (plus `irreg`)
 /// at 1, 2, 3 and 8 nodes and at 64-, 128- and 256-byte blocks, of the
 /// first 200 corpus specs — dim-0-strided sections, which `linearize`
-/// used to decline, included — and of the two hand-built shapes above,
+/// used to decline, included — and of the three hand-built shapes above,
 /// under the default protocol alone and after the full contract, the
-/// schedule the engine walks has the old inspector's covers and
-/// false-shared blocks — and the probe changes nothing. Every term of
+/// schedule the engine walks — kept or refilled — has the covers and
+/// false-shared blocks the old inspector finds in the memory of the
+/// moment, and the probe changes nothing. Every term of
 /// the schedule's candidate filter lets through at least one of them.
 #[test]
 fn new_inspector_equals_the_old_one() {
@@ -506,6 +577,7 @@ fn new_inspector_equals_the_old_one() {
     }
     check("gather_of_written", &gather_of_written(), 4, 128);
     check("written_replicated", &written_replicated(), 4, 128);
+    check("rewritten_index", &rewritten_index(), 4, 128);
     assert!(supersteps > 3000, "only {supersteps} supersteps compared");
     assert!(multi_blocks > 0, "no false-shared block was ever compared");
     assert!(unit_runs > 0, "no dim-0-strided section was ever compared");
@@ -592,13 +664,13 @@ fn analysis_matches_the_section_algebra() {
 /// `mp`, the plan — re-evaluated in place for a symbolic loop — equals a
 /// fresh analysis and lowering, and the schedule the backend is about to
 /// execute equals one built on the spot from it (the probe asserts both).
-/// Each comes from where the rule says: every loop runs on one plan for
-/// the whole run; a static loop's schedule is built at its first instance
-/// and found current by every later one; a symbolic loop's (`lu`'s loops
-/// in `k`, the corpus's `sweep_t`) is found retired by every later
-/// instance and refilled in place, the default walk's included; a `pre`
-/// level — its filter is the run's state — builds one per instance and
-/// leaves the plan's slot empty. The probe changes nothing.
+/// Each is built where the rule says — at the first instance, then
+/// exactly when its key moves: every loop runs on one plan for the whole
+/// run; a static loop's schedules are kept by every later instance; a
+/// symbolic loop's (`lu`'s loops in `k`, the corpus's `sweep_t`) are
+/// refilled in place by every later one, the default walk's included;
+/// at a `pre` level — its filter is the run's state — every instance
+/// refills the plan's contract slot. The probe changes nothing.
 #[test]
 fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
     let levels = [
@@ -607,7 +679,7 @@ fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
         OptLevel::full(),
         OptLevel::full_pre(),
     ];
-    let (mut kept, mut symbolic, mut own, mut ctl_sites) = (0, 0, 0, 0);
+    let (mut kept, mut symbolic, mut pre_builds, mut ctl_sites) = (0, 0, 0, 0);
     let mut refilled = 0;
     let mut check = |name: &str, prog: &Program, nprocs: usize| {
         let loops = prog.par_loops();
@@ -632,21 +704,22 @@ fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
                 let of_loop = seen.iter().filter(|s| s.loop_id == id as u32);
                 let instances: Vec<&Seen> = of_loop.collect();
                 let at = format!("{at}, loop `{}`", l.name);
-                let indirect = l.refs.iter().any(ARef::is_indirect);
                 for (i, s) in instances.iter().enumerate() {
-                    assert_eq!(s.own, pre, "{at}");
                     assert_eq!(s.plan, instances[0].plan, "{at}: one plan per run");
-                    // Filled exactly once, by the first instance: kept by
-                    // a static loop, refilled by a symbolic one's others.
-                    let later = !pre && i > 0;
-                    assert_eq!(s.kept, l.is_static() && later, "{at}, instance {i}");
-                    let again = !l.is_static() && i > 0;
-                    let want = (again && walks && !indirect, again && !pre);
-                    assert_eq!(s.refilled, want, "{at}, instance {i}");
+                    // No index array is written after its init loop.
+                    let moved = i == 0 || !l.is_static();
+                    assert_eq!(
+                        s.built,
+                        (walks && moved, moved || pre),
+                        "{at}, instance {i}"
+                    );
                 }
-                refilled += instances.iter().filter(|s| s.refilled.1).count();
-                kept += instances.iter().filter(|s| s.kept).count();
-                own += instances.iter().filter(|s| s.own).count();
+                let builds = instances.iter().filter(|s| s.built.1).count();
+                match pre {
+                    true => pre_builds += builds,
+                    false => refilled += builds.saturating_sub(1),
+                }
+                kept += instances.iter().filter(|s| !s.built.1).count();
                 symbolic += usize::from(!l.is_static()) * instances.len();
             }
         }
@@ -705,7 +778,7 @@ fn backend_schedules_are_kept_or_rebuilt_by_the_plans_rule() {
         refilled > 200,
         "only {refilled} schedules refilled in place"
     );
-    assert!(own > 1000, "only {own} pre instances");
+    assert!(pre_builds > 1000, "only {pre_builds} pre instances");
     assert!(
         ctl_sites > 3000,
         "only {ctl_sites} contract call sites compared"
@@ -725,7 +798,7 @@ fn tolerated_perturbations_on_a_kept_schedule() {
     assert_eq!(spec.name, "jacobi");
     let cfg = ExecConfig::sm_opt(NP).serial();
     let (plain, unperturbed) = probed(&spec.program, &cfg);
-    assert!(unperturbed.iter().any(|s| s.kept && s.ctl_sites > 0));
+    assert!(unperturbed.iter().any(|s| !s.built.1 && s.ctl_sites > 0));
     let perturbations = [
         InjectConfig {
             shuffle_resolve: Some(0x5EED),
@@ -745,7 +818,7 @@ fn tolerated_perturbations_on_a_kept_schedule() {
         assert_eq!(run.data, plain.data, "{inject:?} must stay invisible");
         assert_eq!(seen.len(), unperturbed.len());
         for (s, u) in seen.iter().zip(&unperturbed) {
-            assert_eq!((s.kept, s.own), (u.kept, u.own), "{inject:?}");
+            assert_eq!(s.built, u.built, "{inject:?}");
             if !inject.force_boundary {
                 assert_eq!(s.ctl_sites, u.ctl_sites, "{inject:?}");
             }
@@ -761,11 +834,20 @@ fn tolerated_perturbations_on_a_kept_schedule() {
 /// count. A loop's instances inspect exactly when something the plan
 /// depends on can change: `jacobi` (all static) inspects once per loop
 /// per run; `lu`'s loops in `k` re-evaluate their plan every instance.
-/// A loop with an indirect reference (`irreg`'s gather — the suite's
-/// only one) keeps its plan but never a schedule: every instance walks
-/// one rebuilt from what the index array names right now.
+/// A loop with an indirect reference keeps its default schedule until a
+/// loop writes its index array: `irreg` writes `idx` once, before its
+/// time loop, so its gather builds one for the run, while
+/// [`rewritten_index`]'s gather rebuilds it every step.
 #[test]
 fn inspector_memo_discipline() {
+    // Default-schedule builds per loop id over a run.
+    let builds = |seen: &[Seen], id: usize| {
+        let of_loop = seen.iter().filter(|s| s.loop_id == id as u32);
+        (
+            of_loop.clone().count(),
+            of_loop.filter(|s| s.built.0).count(),
+        )
+    };
     for spec in extended_suite(Scale::Test) {
         let loops = spec.program.par_loops();
         for cfg in [
@@ -805,13 +887,104 @@ fn inspector_memo_discipline() {
             }
         }
         let (_, seen) = probed(&spec.program, &ExecConfig::sm_opt(NP));
-        for s in &seen {
-            let l = loops[s.loop_id as usize];
+        for (id, l) in loops.iter().enumerate() {
+            let (instances, built) = builds(&seen, id);
+            let want = if l.is_static() {
+                instances.min(1)
+            } else {
+                instances
+            };
+            assert_eq!(built, want, "{}/{}", spec.name, l.name);
             let indirect = l.refs.iter().any(ARef::is_indirect);
-            assert_eq!(s.rebuilt, indirect, "{}/{}", spec.name, l.name);
+            assert_eq!(indirect, spec.name == "irreg" && l.name == "gather");
+            assert!(!indirect || instances > 1, "{}", spec.name);
         }
-        let rebuilt = seen.iter().filter(|s| s.rebuilt).count();
-        assert_eq!(rebuilt > 1, spec.name == "irreg", "{}", spec.name);
+    }
+    let (_, seen) = probed(&rewritten_index(), &ExecConfig::sm_unopt(4));
+    assert_eq!(builds(&seen, 2), (REWRITES as usize, REWRITES as usize));
+}
+
+/// Must-catch `stale_resolve_schedule` on an indirect loop: a default
+/// schedule kept past a write of its index array gathers blocks the walk
+/// never fetched, and the data leaves the reference's. Unarmed, the same
+/// program matches it: the divergence is the injection's.
+#[test]
+fn must_catch_a_stale_indirect_schedule() {
+    let prog = rewritten_index();
+    let cfg = ExecConfig::sm_unopt(4).serial();
+    let want = execute_reference(&prog, &cfg).data;
+    assert_eq!(execute(&prog, &cfg).data, want, "the victim itself");
+    let armed = cfg.with_inject(InjectConfig {
+        stale_resolve_schedule: true,
+        ..InjectConfig::default()
+    });
+    assert_ne!(execute(&prog, &armed).data, want, "a stale gather schedule");
+}
+
+/// A plan's key is the variables its analysis reads, nothing else: a loop
+/// whose bounds read the outer of two time variables is evaluated once
+/// per outer step and reused by the inner steps, on every backend, and
+/// computes what the reference does.
+#[test]
+fn a_plan_moves_only_with_the_variables_it_reads() {
+    let (n, outer, inner) = (32, 3, 4);
+    let (t, s) = (Var("t"), Var("s"));
+    let mut b = Program::builder();
+    let a = b.array("a", &[n], Dist::Block);
+    let c = b.array("c", &[n], Dist::Block);
+    let at = |d| vec![Subscript::Loop(0, d)];
+    b.stmt(Stmt::Par(ParLoop {
+        name: "init",
+        iter: vec![SymRange::new(0, n as i64 - 1)],
+        dist: CompDist::Owner(c),
+        refs: vec![ARef::write(c, at(0))],
+        kernel: Kernel::new(move |ctx: &mut KernelCtx| {
+            let h = ctx.h(c);
+            for i in ctx.iter[0].iter() {
+                ctx.mem[h.at1(i)] = i as f64;
+            }
+        }),
+        cost_per_iter_ns: 10,
+        reduction: None,
+    }));
+    // Step `t` reaches `c(9 + 8t)`: one node further each outer step.
+    let grow = ParLoop {
+        name: "grow",
+        iter: vec![SymRange::new(0, Affine::var(t).scale(8).plus_const(8))],
+        dist: CompDist::Owner(a),
+        refs: vec![ARef::read(c, at(1)), ARef::write(a, at(0))],
+        kernel: Kernel::new(move |ctx: &mut KernelCtx| {
+            let (ha, hc) = (ctx.h(a), ctx.h(c));
+            for i in ctx.iter[0].iter() {
+                ctx.mem[ha.at1(i)] += ctx.mem[hc.at1(i + 1)] + 1.0;
+            }
+        }),
+        cost_per_iter_ns: 10,
+        reduction: None,
+    };
+    let body = vec![Stmt::Par(grow)];
+    let body = vec![Stmt::Time {
+        var: s,
+        count: inner,
+        body,
+    }];
+    b.stmt(Stmt::Time {
+        var: t,
+        count: outer,
+        body,
+    });
+    let prog = b.build();
+    for cfg in [
+        ExecConfig::sm_unopt(4),
+        ExecConfig::sm_opt(4),
+        ExecConfig::mp(4),
+    ] {
+        let run = execute(&prog, &cfg);
+        let row = run.inspector[1];
+        let at = format!("{:?}", cfg.backend);
+        assert_eq!(row.inspections, outer as u64, "{at}");
+        assert_eq!(row.hits, (outer * (inner - 1)) as u64, "{at}");
+        assert_eq!(run.data, execute_reference(&prog, &cfg).data, "{at}");
     }
 }
 
