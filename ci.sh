@@ -41,8 +41,9 @@ cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 # Tree size, measured here so ROADMAP and CHANGES quote the gate's
 # numbers instead of hand counts: non-test .rs lines (each file up to its
-# `#[cfg(test)]`) under crates/*/src and src/, `#[test]` functions,
-# FGDSM_* knobs, `unsafe` sites, caches keyed by an address under
+# `#[cfg(test)]`) under crates/*/src and src/, `pub` item declarations
+# in that same non-test code, `#[test]` functions, FGDSM_* knobs,
+# `unsafe` sites, caches keyed by an address under
 # crates/hpf/src/exec/, suite-kernel lines that still index the
 # segment point by point (`ctx.mem[` under crates/apps/src/; the kernels
 # walk runs — DESIGN 5c — so what is left should be gathers and boundary
@@ -53,6 +54,10 @@ cargo fmt --check
 # `Section`s that keep their dims in a heap `Vec`, point-enumerating
 # fallbacks left in `Range`'s set operations (range.rs up to its tests),
 # and tag arrays (`Vec<Access>` under crates/tempest/src).
+# The `pub` count has no threshold: an item no other crate, example,
+# bench, integration test or benchmark/ names is `pub(crate)`, and the
+# clippy step above (`-D warnings`, so rustc's dead_code lint fails it)
+# is the gate that keeps unused crate-private code from coming back.
 # Four of them can fail the gate: the per-loop table is indexed by loop
 # id, and a loop's address must not come back; resolve executes a
 # schedule kept in the plan (DESIGN 5c), so neither may a free list for
@@ -64,6 +69,7 @@ cargo fmt --check
 # back beside them.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
+pubs=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /^[ \t]*pub ((unsafe|const) )*(fn|struct|enum|const|static|trait|type) /{n++} END{print n}' {} +)
 tests=$(cat $(find crates src tests -name '*.rs') | grep -c '#\[test\]')
 knobs=$(grep -ohE 'FGDSM_[A-Z_]+' crates/tempest/src/knob.rs | sort -u | wc -l)
 unsafes=$(cat $(find crates src -name '*.rs') | grep -cE 'unsafe +(\{|fn|impl)')
@@ -75,7 +81,7 @@ maps=$(cat crates/hpf/src/exec/sm_opt.rs crates/hpf/src/exec/mp.rs | grep -c 'BT
 heapdims=$(awk '/^pub struct Section /,/^}/' crates/section/src/section.rs | grep -c 'Vec<' || true)
 enums=$(awk '/^#\[cfg\(test\)\]/{exit} /refusing to enumerate/' crates/section/src/range.rs | wc -l)
 tagarrays=$(cat crates/tempest/src/*.rs | grep -c 'Vec<Access>' || true)
-echo "tree-size: $lines non-test .rs lines, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays"
+echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1

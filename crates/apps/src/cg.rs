@@ -17,10 +17,10 @@ use fgdsm_tempest::ReduceOp;
 
 /// Array ids by declaration order.
 pub const X: ArrayId = ArrayId(0);
-pub const R: ArrayId = ArrayId(1);
-pub const P: ArrayId = ArrayId(2);
-pub const Q: ArrayId = ArrayId(3);
-pub const BV: ArrayId = ArrayId(4);
+pub(crate) const R: ArrayId = ArrayId(1);
+pub(crate) const P: ArrayId = ArrayId(2);
+pub(crate) const Q: ArrayId = ArrayId(3);
+pub(crate) const BV: ArrayId = ArrayId(4);
 
 /// Problem-size parameters.
 #[derive(Clone, Copy, Debug)]
@@ -32,7 +32,7 @@ pub struct Params {
 
 impl Params {
     /// Table 2: 180×360 matrix, converges in 630 iterations.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Params {
             n: 180,
             m: 360,
@@ -59,7 +59,7 @@ impl Params {
 
     /// Grow per-superstep work ~linearly with `factor` by stretching the
     /// row extent (each CG step is linear in `n`).
-    pub fn scaled(mut self, factor: usize) -> Self {
+    pub(crate) fn scaled(mut self, factor: usize) -> Self {
         self.n *= factor.max(1);
         self
     }
@@ -307,7 +307,7 @@ pub fn build(p: &Params) -> Program {
 }
 
 /// Table 2 metadata.
-pub fn spec(p: &Params) -> AppSpec {
+pub(crate) fn spec(p: &Params) -> AppSpec {
     AppSpec {
         name: "cg",
         source: "HPF by MIT",

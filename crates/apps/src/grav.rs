@@ -24,8 +24,8 @@ use fgdsm_tempest::ReduceOp;
 
 /// Array ids by declaration order.
 pub const RHO: ArrayId = ArrayId(0);
-pub const PHI: ArrayId = ArrayId(1);
-pub const PHN: ArrayId = ArrayId(2);
+pub(crate) const PHI: ArrayId = ArrayId(1);
+pub(crate) const PHN: ArrayId = ArrayId(2);
 
 /// Problem-size parameters.
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +45,7 @@ pub struct Params {
 
 impl Params {
     /// Table 2: grid size 128 (129-extent arrays), 5 iterations.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Params {
             g: 128,
             iters: 5,
@@ -78,7 +78,7 @@ impl Params {
 
     /// Grow total work ~linearly with `factor`: the dominant arrays are
     /// cubic in the grid size, so the edge stretches by the cube root.
-    pub fn scaled(mut self, factor: usize) -> Self {
+    pub(crate) fn scaled(mut self, factor: usize) -> Self {
         self.g *= crate::dim_scale(factor, 3);
         self
     }
@@ -359,7 +359,7 @@ pub fn build(p: &Params) -> Program {
 }
 
 /// Table 2 metadata.
-pub fn spec(p: &Params) -> AppSpec {
+pub(crate) fn spec(p: &Params) -> AppSpec {
     AppSpec {
         name: "grav",
         source: "HPF by Syracuse",

@@ -22,8 +22,8 @@ use fgdsm_tempest::ReduceOp;
 
 /// Array ids by declaration order.
 pub const X: ArrayId = ArrayId(0);
-pub const Y: ArrayId = ArrayId(1);
-pub const IDX: ArrayId = ArrayId(2);
+pub(crate) const Y: ArrayId = ArrayId(1);
+pub(crate) const IDX: ArrayId = ArrayId(2);
 
 /// Problem-size parameters.
 #[derive(Clone, Copy, Debug)]
@@ -64,7 +64,7 @@ impl Params {
 
     /// Grow per-superstep work ~linearly with `factor`; the gather span
     /// stretches with `n` so the locality profile is scale-invariant.
-    pub fn scaled(mut self, factor: usize) -> Self {
+    pub(crate) fn scaled(mut self, factor: usize) -> Self {
         let factor = factor.max(1);
         self.n *= factor;
         self.span *= factor;
@@ -222,7 +222,7 @@ pub fn build(p: &Params) -> Program {
 }
 
 /// Extension-suite metadata (not part of Table 2).
-pub fn spec(p: &Params) -> AppSpec {
+pub(crate) fn spec(p: &Params) -> AppSpec {
     AppSpec {
         name: "irreg",
         source: "extension (paper §7 future work)",

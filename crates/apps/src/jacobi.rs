@@ -15,7 +15,7 @@ use fgdsm_tempest::ReduceOp;
 
 /// Array ids by declaration order.
 pub const A: ArrayId = ArrayId(0);
-pub const B: ArrayId = ArrayId(1);
+pub(crate) const B: ArrayId = ArrayId(1);
 
 /// Problem-size parameters.
 #[derive(Clone, Copy, Debug)]
@@ -27,7 +27,7 @@ pub struct Params {
 
 impl Params {
     /// Table 2: 2048×2048, 100 iterations.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Params {
             n: 2048,
             m: 2048,

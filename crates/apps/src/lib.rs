@@ -61,7 +61,7 @@ pub enum Scale {
 /// Per-dimension multiplier that grows total work ~linearly with
 /// `factor` for a kernel whose cost is `dims`-ic in the stretched
 /// extent: the nearest integer to the `dims`-th root of `factor`.
-pub fn dim_scale(factor: usize, dims: u32) -> usize {
+pub(crate) fn dim_scale(factor: usize, dims: u32) -> usize {
     (factor as f64).powf(1.0 / f64::from(dims)).round().max(1.0) as usize
 }
 
@@ -91,7 +91,7 @@ pub fn extended_suite(scale: Scale) -> Vec<AppSpec> {
 }
 
 /// [`extended_suite`] under the [`suite_scaled`] work-growth factor.
-pub fn extended_suite_scaled(scale: Scale, factor: usize) -> Vec<AppSpec> {
+pub(crate) fn extended_suite_scaled(scale: Scale, factor: usize) -> Vec<AppSpec> {
     let mut apps = suite_scaled(scale, factor);
     apps.push(irreg::spec(&irreg::Params::at(scale).scaled(factor)));
     apps

@@ -28,7 +28,7 @@ pub struct Params {
 
 impl Params {
     /// Table 2: 1024×1024 matrix, 5 runs.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Params { n: 1024, runs: 5 }
     }
 

@@ -17,8 +17,8 @@ use fgdsm_tempest::ReduceOp;
 
 /// Array ids by declaration order.
 pub const U: ArrayId = ArrayId(0);
-pub const V: ArrayId = ArrayId(1);
-pub const F: ArrayId = ArrayId(2);
+pub(crate) const V: ArrayId = ArrayId(1);
+pub(crate) const F: ArrayId = ArrayId(2);
 
 /// Problem-size parameters.
 #[derive(Clone, Copy, Debug)]
@@ -29,7 +29,7 @@ pub struct Params {
 
 impl Params {
     /// Table 2: grid size 128, 40 iterations (RELAX routine only).
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Params { g: 128, iters: 40 }
     }
 

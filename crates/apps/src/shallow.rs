@@ -17,20 +17,20 @@ use fgdsm_hpf::{
 use fgdsm_section::{Affine, SymRange, Var};
 
 /// Array ids by declaration order.
-pub const U: ArrayId = ArrayId(0);
-pub const V: ArrayId = ArrayId(1);
+pub(crate) const U: ArrayId = ArrayId(0);
+pub(crate) const V: ArrayId = ArrayId(1);
 pub const P: ArrayId = ArrayId(2);
-pub const UNEW: ArrayId = ArrayId(3);
-pub const VNEW: ArrayId = ArrayId(4);
-pub const PNEW: ArrayId = ArrayId(5);
-pub const UOLD: ArrayId = ArrayId(6);
-pub const VOLD: ArrayId = ArrayId(7);
-pub const POLD: ArrayId = ArrayId(8);
-pub const CU: ArrayId = ArrayId(9);
-pub const CV: ArrayId = ArrayId(10);
-pub const Z: ArrayId = ArrayId(11);
-pub const H: ArrayId = ArrayId(12);
-pub const PSI: ArrayId = ArrayId(13);
+pub(crate) const UNEW: ArrayId = ArrayId(3);
+pub(crate) const VNEW: ArrayId = ArrayId(4);
+pub(crate) const PNEW: ArrayId = ArrayId(5);
+pub(crate) const UOLD: ArrayId = ArrayId(6);
+pub(crate) const VOLD: ArrayId = ArrayId(7);
+pub(crate) const POLD: ArrayId = ArrayId(8);
+pub(crate) const CU: ArrayId = ArrayId(9);
+pub(crate) const CV: ArrayId = ArrayId(10);
+pub(crate) const Z: ArrayId = ArrayId(11);
+pub(crate) const H: ArrayId = ArrayId(12);
+pub(crate) const PSI: ArrayId = ArrayId(13);
 
 /// Problem-size parameters: arrays are `(m+1) × (n+1)`.
 #[derive(Clone, Copy, Debug)]
@@ -42,7 +42,7 @@ pub struct Params {
 
 impl Params {
     /// Table 2: 1025×513 grid, 100 iterations.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Params {
             m: 1024,
             n: 512,

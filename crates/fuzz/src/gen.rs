@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The sequential time-loop variable every generated program uses.
-pub const TVAR: Var = Var("t");
+pub(crate) const TVAR: Var = Var("t");
 
 /// Static name pools (IR names are `&'static str`).
 const ANAMES: [&str; 8] = ["a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7"];

@@ -35,13 +35,14 @@ pub mod shrink;
 pub mod taxonomy;
 
 pub use gen::{gen_spec, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
-pub use oracle::{check_spec, check_spec_strict, check_spec_tcp, Divergence};
+use oracle::check_spec_strict;
+pub use oracle::{check_spec, check_spec_tcp, Divergence};
 pub use shrink::shrink;
 pub use taxonomy::{Detector, Fault};
 
 /// Golden stride between corpus seeds (the SplitMix64 increment, so
 /// corpus seeds match `fgdsm_testkit::check_cases` numbering).
-pub const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Derive the seed of corpus case `case` from a base seed.
 pub fn case_seed(base: u64, case: u64) -> u64 {

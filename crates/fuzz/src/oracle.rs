@@ -60,7 +60,7 @@ fn sm_opt_full_label() -> String {
 /// envelopes over a loopback transport), and the `chan` backend closes
 /// the matrix: channel workers carrying owned bytes, whose serial run
 /// must additionally be byte-identical to `sm_opt[full]`'s.
-pub fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
+pub(crate) fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
     let n = spec.nprocs;
     let mut v = vec![("sm_unopt".to_string(), ExecConfig::sm_unopt(n))];
     // (`sm_unopt` *is* the ctl-off level: one backend, `OptLevel::unopt`.)
@@ -93,7 +93,7 @@ pub fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
 /// are already strict there): the corpus replays its first [`crate::STRICT_SLICE`]
 /// cases through these, so envelope routing is differentially tested at
 /// every optimization level, not just the two corners.
-pub fn strict_sweep_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
+pub(crate) fn strict_sweep_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
     OptLevel::all_combos()
         .into_iter()
         .filter(|&o| o.ctl && o != OptLevel::full())
@@ -165,7 +165,7 @@ pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
 }
 
 /// [`check_spec`]'s checks over the [`strict_sweep_configs`] cells.
-pub fn check_spec_strict(spec: &FuzzSpec) -> Result<(), Divergence> {
+pub(crate) fn check_spec_strict(spec: &FuzzSpec) -> Result<(), Divergence> {
     check_matrix(spec, strict_sweep_configs(spec), &MODES)
 }
 

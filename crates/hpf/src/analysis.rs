@@ -51,14 +51,8 @@ pub struct LoopAccess {
     owned: Vec<Range>,
 }
 
-/// Resolve the iteration partition of `l` for node `p`.
-pub fn partition(prog: &Program, l: &ParLoop, env: &Env, p: usize, nprocs: usize) -> Vec<Range> {
-    let mut out = Vec::new();
-    partition_into(prog, l, env, p, nprocs, &mut out);
-    out
-}
-
-/// [`partition`] into `out`, refilled in place.
+/// Resolve the iteration partition of `l` for node `p` into `out`,
+/// refilled in place.
 fn partition_into(
     prog: &Program,
     l: &ParLoop,
@@ -226,6 +220,12 @@ mod tests {
     use fgdsm_section::{Affine, SymRange, Var};
 
     fn nk(_: &mut KernelCtx) {}
+
+    fn partition(prog: &Program, l: &ParLoop, env: &Env, p: usize, nprocs: usize) -> Vec<Range> {
+        let mut out = Vec::new();
+        partition_into(prog, l, env, p, nprocs, &mut out);
+        out
+    }
 
     /// A jacobi-like program: b(i,j) = stencil of a(i,j±1), a,b 16x64 BLOCK.
     fn stencil_prog() -> Program {

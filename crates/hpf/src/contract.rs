@@ -127,28 +127,6 @@ impl ContractTracker {
         self.pending[node].insert(b);
     }
 
-    // ---- read-side accessors ----
-
-    /// The recorded exclusive owner of `b`, if any.
-    pub fn owner(&self, b: usize) -> Option<NodeId> {
-        self.blocks[b].owner
-    }
-
-    /// Whether `node` holds an open window over `b`.
-    pub fn window_open(&self, b: usize, node: NodeId) -> bool {
-        self.blocks[b].windows & bit(node) != 0
-    }
-
-    /// Whether `node` has unflushed window writes to `b`.
-    pub fn is_dirty(&self, b: usize, node: NodeId) -> bool {
-        self.blocks[b].dirty & bit(node) != 0
-    }
-
-    /// Whether any push toward `node` is still pending.
-    pub fn has_pending(&self, node: NodeId) -> bool {
-        !self.pending[node].is_empty()
-    }
-
     /// Advance by one op, or report the first contract rule it violates.
     pub fn step(&mut self, op: CtlOp) -> Result<(), String> {
         match op {
@@ -454,7 +432,7 @@ mod tests {
         .unwrap();
         c.step(CtlOp::Release).unwrap();
         // §4.3: the window survived the flush.
-        assert!(c.window_open(0, 1));
+        assert_ne!(c.blocks[0].windows & bit(1), 0);
     }
 
     #[test]
@@ -487,6 +465,6 @@ mod tests {
     fn free_write_claims_ownership() {
         let mut c = t();
         c.step(CtlOp::Write { node: 2, block: 3 }).unwrap();
-        assert_eq!(c.owner(3), Some(2));
+        assert_eq!(c.blocks[3].owner, Some(2));
     }
 }

@@ -48,7 +48,7 @@ pub struct ArrayDecl {
 
 impl ArrayDecl {
     /// Column-major layout of the array.
-    pub fn layout(&self) -> ColumnMajor {
+    pub(crate) fn layout(&self) -> ColumnMajor {
         ColumnMajor::new(&self.extents)
     }
 
@@ -63,7 +63,7 @@ impl ArrayDecl {
     }
 
     /// Extent of the distributed (last) dimension.
-    pub fn dist_extent(&self) -> usize {
+    pub(crate) fn dist_extent(&self) -> usize {
         *self.extents.last().expect("arrays have ≥1 dimension")
     }
 
@@ -111,7 +111,7 @@ impl ArrayDecl {
     }
 
     /// Bytes of memory the array occupies (for Table 2).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.len() * 8
     }
 }

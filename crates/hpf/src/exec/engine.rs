@@ -31,7 +31,7 @@
 //! [`Dsm::write_access_range`] / [`Dsm::read_access_range`].
 
 use super::backend::CommBackend;
-use super::{Backend, ExecConfig, HomeAssign, InspectorRow, RunResult};
+use super::{Backend, ExecConfig, InspectorRow, RunResult};
 use crate::analysis::{self, LoopAccess};
 use crate::ir::{
     par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt, Subscript,
@@ -40,8 +40,8 @@ use crate::plan::{self, ArrayMeta, LoopPlan, ResolveSchedule};
 use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
 use fgdsm_section::{Env, Range};
 use fgdsm_tempest::{
-    CacheAligned, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job, NodeShard,
-    SegmentLayout, WorkerPool, NO_LOOP, NO_STEP,
+    CacheAligned, CacheModel, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job,
+    NodeShard, SegmentLayout, WorkerPool, NO_LOOP, NO_STEP,
 };
 use std::cell::Ref;
 use std::collections::BTreeMap;
@@ -52,7 +52,7 @@ use std::time::Instant;
 /// compute phase dispatches onto worker threads: below this, even parked
 /// pool workers cost more to wake than the kernels cost to run, and a
 /// serial compute is faster. Determinism is unaffected either way.
-pub const PAR_COMPUTE_MIN_POINTS: u64 = 2048;
+pub(crate) const PAR_COMPUTE_MIN_POINTS: u64 = 2048;
 
 /// Shared execution state: the program binding, the DSM, and the helpers
 /// every backend composes (default-protocol resolution, the
@@ -166,28 +166,28 @@ fn make_transport(cfg: &ExecConfig, cluster: &Cluster) -> Option<Box<dyn WireTra
 impl<'p> EngineCore<'p> {
     pub fn new(prog: &'p Program, cfg: &'p ExecConfig) -> Self {
         let (layout, metas, handles) = layout_arrays(prog, cfg.cost.words_per_page());
-        let policy = match cfg.home {
-            HomeAssign::RoundRobin => HomePolicy::RoundRobin,
-            HomeAssign::Blocked => HomePolicy::Blocked,
-            HomeAssign::DataAligned => {
-                let wpp = cfg.cost.words_per_page();
-                let n_pages = layout.total_words().max(wpp).div_ceil(wpp);
-                let mut homes: Vec<usize> = (0..n_pages).map(|p| p % cfg.nprocs).collect(); // padding pages interleave
-                for (i, a) in prog.arrays.iter().enumerate() {
-                    let meta = &metas[i];
-                    let last_stride = meta.layout.stride(a.extents.len() - 1);
-                    let first_page = meta.base / wpp;
-                    let end_page = (meta.base + a.len()).div_ceil(wpp);
-                    #[allow(clippy::needless_range_loop)]
-                    for page in first_page..end_page {
-                        let off = (page * wpp).saturating_sub(meta.base);
-                        let j = ((off / last_stride) as i64).min(a.dist_extent() as i64 - 1);
-                        homes[page] = a.owner_of(j, cfg.nprocs);
-                    }
-                }
-                HomePolicy::Explicit(homes)
+        // The HPF runtime places pages to match each array's
+        // distribution, so owners of BLOCK-distributed data are home to
+        // their own pages (CYCLIC arrays still interleave owners within a
+        // page). This is how the paper's system behaves: first writes by
+        // owners do not fault; `lu` pays page *mapping* cost, not
+        // ownership misses.
+        let wpp = cfg.cost.words_per_page();
+        let n_pages = layout.total_words().max(wpp).div_ceil(wpp);
+        let mut homes: Vec<usize> = (0..n_pages).map(|p| p % cfg.nprocs).collect(); // padding pages interleave
+        for (i, a) in prog.arrays.iter().enumerate() {
+            let meta = &metas[i];
+            let last_stride = meta.layout.stride(a.extents.len() - 1);
+            let first_page = meta.base / wpp;
+            let end_page = (meta.base + a.len()).div_ceil(wpp);
+            #[allow(clippy::needless_range_loop)]
+            for page in first_page..end_page {
+                let off = (page * wpp).saturating_sub(meta.base);
+                let j = ((off / last_stride) as i64).min(a.dist_extent() as i64 - 1);
+                homes[page] = a.owner_of(j, cfg.nprocs);
             }
-        };
+        }
+        let policy = HomePolicy::Explicit(homes);
         let mut cluster = Cluster::new(cfg.nprocs, cfg.cost, &layout, policy);
         if let Some(cap) = cfg.trace_cap {
             cluster.set_ring_capacity(cap);
@@ -235,7 +235,7 @@ impl<'p> EngineCore<'p> {
 
     /// Record a contract-planned transfer of `blocks` whole cache blocks
     /// of `array`, attributed to the in-flight superstep.
-    pub fn note_planned(&mut self, array: usize, blocks: u64) {
+    pub(crate) fn note_planned(&mut self, array: usize, blocks: u64) {
         self.planned.push(super::PlannedXfer {
             step: self.cur_step,
             loop_id: self.cur_loop,
@@ -320,7 +320,7 @@ impl<'p> EngineCore<'p> {
     /// Default-protocol access resolution: make every declared section
     /// accessible before kernels run, counting faults, by walking the
     /// plan's schedule.
-    pub fn resolve_default(&mut self, l: &ParLoop, plan: &LoopPlan) {
+    pub(crate) fn resolve_default(&mut self, l: &ParLoop, plan: &LoopPlan) {
         let t0 = Instant::now();
         let sched = self.schedule(l, plan);
         let t1 = Instant::now();
@@ -408,7 +408,7 @@ impl<'p> EngineCore<'p> {
     /// and for every block traffic never moved — then patches the blocks
     /// the directory records as exclusively owned away from home, so the
     /// per-block work scales with traffic instead of segment size.
-    pub fn gather_by_directory(&self) -> Vec<f64> {
+    pub(crate) fn gather_by_directory(&self) -> Vec<f64> {
         let cl = &self.dsm.cluster;
         let words = cl.seg_words();
         let wpp = cl.words_per_page();
@@ -664,7 +664,7 @@ fn compute_phase(
     } = core;
     let nprocs = cfg.nprocs;
     let (env, scalars, handles) = (&*env, &*scalars, &handles[..]);
-    let cache = &cfg.cache;
+    let cache = CacheModel::paper();
 
     let run_node = |sh: &mut NodeShard, partial: &mut CacheAligned<f64>| {
         let p = sh.id();

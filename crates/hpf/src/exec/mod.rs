@@ -68,7 +68,7 @@ use crate::plan::{ArrayMeta, OptLevel};
 use backend::CommBackend;
 use fgdsm_protocol::{CtlStats, ProtocolKind};
 use fgdsm_section::Env;
-use fgdsm_tempest::{CacheModel, ClusterReport, CostModel, MetricsRegistry, WireSpan};
+use fgdsm_tempest::{ClusterReport, CostModel, MetricsRegistry, WireSpan};
 use std::collections::BTreeMap;
 
 /// Can the `tcp` backend run here? True when the sandbox lets us bind a
@@ -123,7 +123,7 @@ pub enum WireMode {
 
 impl WireMode {
     /// Does every transfer round-trip through an encoded envelope?
-    pub fn is_strict(self) -> bool {
+    pub(crate) fn is_strict(self) -> bool {
         self == WireMode::Strict
     }
 }
@@ -147,25 +147,9 @@ pub enum MetricsMode {
 
 impl MetricsMode {
     /// Is wall-clock telemetry recorded?
-    pub fn enabled(self) -> bool {
+    pub(crate) fn enabled(self) -> bool {
         self == MetricsMode::On
     }
-}
-
-/// How page homes are assigned relative to the data distribution.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum HomeAssign {
-    /// The HPF runtime places pages to match each array's distribution,
-    /// so owners of BLOCK-distributed data are home to their own pages
-    /// (CYCLIC arrays still interleave owners within a page). This is how
-    /// the paper's system behaves: first writes by owners do not fault;
-    /// `lu` pays page *mapping* cost, not ownership misses.
-    #[default]
-    DataAligned,
-    /// Pages round-robin across nodes regardless of the distribution.
-    RoundRobin,
-    /// Contiguous page chunks per node.
-    Blocked,
 }
 
 /// How the compute phase is scheduled onto host threads (the resolve
@@ -214,8 +198,6 @@ pub enum PoolMode {
 pub struct ExecConfig {
     pub nprocs: usize,
     pub cost: CostModel,
-    pub cache: CacheModel,
-    pub home: HomeAssign,
     pub backend: Backend,
     /// Default coherence protocol (compiler-orchestrated incoherence is
     /// only supported over the eager-invalidate protocol).
@@ -319,8 +301,6 @@ impl ExecConfig {
         ExecConfig {
             nprocs,
             cost: CostModel::paper_dual_cpu(),
-            cache: CacheModel::paper(),
-            home: HomeAssign::DataAligned,
             backend: Backend::SmUnopt,
             protocol: ProtocolKind::EagerInvalidate,
             base_env: Env::new(),
@@ -783,36 +763,10 @@ mod tests {
     #[test]
     fn data_aligned_homes_eliminate_owner_cold_write_faults() {
         let prog = tiny_program(64, 64, Dist::Block);
-        let mut aligned = ExecConfig::sm_unopt(4);
-        aligned.home = HomeAssign::DataAligned;
-        let mut rr = ExecConfig::sm_unopt(4);
-        rr.home = HomeAssign::RoundRobin;
-        let ra = execute(&prog, &aligned);
-        let rb = execute(&prog, &rr);
+        let r = execute(&prog, &ExecConfig::sm_unopt(4));
         // Owners are home to their data: the init writes never fault.
-        let misses_aligned: u64 = ra.report.nodes.iter().map(|n| n.misses()).sum();
-        let misses_rr: u64 = rb.report.nodes.iter().map(|n| n.misses()).sum();
-        assert_eq!(misses_aligned, 0, "aligned homes: no cold write faults");
-        assert!(misses_rr > 0, "round-robin homes: owners must fault");
-        // Same data either way.
-        assert_eq!(ra.data, rb.data);
-    }
-
-    #[test]
-    fn all_home_policies_agree_on_data() {
-        let prog = tiny_program(40, 24, Dist::Cyclic);
-        let mut results = Vec::new();
-        for home in [
-            HomeAssign::DataAligned,
-            HomeAssign::RoundRobin,
-            HomeAssign::Blocked,
-        ] {
-            let mut cfg = ExecConfig::sm_opt(4);
-            cfg.home = home;
-            results.push(execute(&prog, &cfg).data);
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
+        let misses: u64 = r.report.nodes.iter().map(|n| n.misses()).sum();
+        assert_eq!(misses, 0, "aligned homes: no cold write faults");
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Subscript {
 
     /// Resolve to a concrete range given this node's iteration ranges, the
     /// environment, and the dimension extent.
-    pub fn resolve(&self, iter: &[Range], env: &Env, extent: usize) -> Range {
+    pub(crate) fn resolve(&self, iter: &[Range], env: &Env, extent: usize) -> Range {
         match self {
             Subscript::Loop(d, c) => {
                 let r = iter[*d];
@@ -77,7 +77,7 @@ impl Subscript {
     }
 
     /// True for indirect (statically unanalyzable) subscripts.
-    pub fn is_indirect(&self) -> bool {
+    pub(crate) fn is_indirect(&self) -> bool {
         matches!(self, Subscript::Indirect(..))
     }
 }
@@ -162,7 +162,7 @@ pub struct ArrayHandle {
 
 impl ArrayHandle {
     /// Build a handle from a base offset and the array's extents.
-    pub fn new(base: usize, extents: &[usize]) -> Self {
+    pub(crate) fn new(base: usize, extents: &[usize]) -> Self {
         assert!((1..=3).contains(&extents.len()), "1-3 dimensional arrays");
         let mut ext = [1usize; 3];
         let mut strides = [0usize; 3];
@@ -434,7 +434,7 @@ impl Kernel {
     }
 
     /// Run the kernel over one node's resolved context.
-    pub fn call(&self, ctx: &mut KernelCtx) {
+    pub(crate) fn call(&self, ctx: &mut KernelCtx) {
         (self.0)(ctx)
     }
 }
@@ -451,13 +451,9 @@ impl<F: Fn(&mut KernelCtx) + Send + Sync + 'static> From<F> for Kernel {
     }
 }
 
-/// Kernel function type: the plain-`fn` form of a kernel body, still
-/// convertible into [`Kernel`] via `Kernel::new` / `.into()`.
-pub type KernelFn = fn(&mut KernelCtx);
-
 /// Scalar update function: computes a new replicated scalar from the
 /// current scalar table.
-pub type ScalarFn = fn(&BTreeMap<&'static str, f64>) -> f64;
+pub(crate) type ScalarFn = fn(&BTreeMap<&'static str, f64>) -> f64;
 
 /// An INDEPENDENT parallel loop.
 #[derive(Clone)]
@@ -551,7 +547,7 @@ pub struct Program {
 /// into `Time` bodies). The position of a loop in this list is its
 /// profiler loop id — the engine and report consumers must agree on it,
 /// so they both walk through here.
-pub fn par_loops_of(stmts: &[Stmt]) -> Vec<&ParLoop> {
+pub(crate) fn par_loops_of(stmts: &[Stmt]) -> Vec<&ParLoop> {
     fn walk<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a ParLoop>) {
         for s in stmts {
             match s {
@@ -650,7 +646,11 @@ impl Program {
 
     /// For owner-computes loops: which loop variable indexes the
     /// distributed dimension of the partition array, and with what offset.
-    pub fn find_partition_var(&self, l: &ParLoop, a: ArrayId) -> Result<(usize, i64), String> {
+    pub(crate) fn find_partition_var(
+        &self,
+        l: &ParLoop,
+        a: ArrayId,
+    ) -> Result<(usize, i64), String> {
         let decl = &self.arrays[a.0];
         let last = decl.extents.len() - 1;
         for r in &l.refs {

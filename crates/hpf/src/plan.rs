@@ -5,7 +5,7 @@
 //! engine's default-protocol walk, the §4.2 contract, the message-passing
 //! backend and the `-Minfo` report only read.
 //! Each protocol's *schedule* — the default walk's covers,
-//! [`ctl_schedule`], [`mp_schedule`]: who does what to whom, in order —
+//! [`ctl_schedule_into`], [`mp_schedule_into`]: who does what to whom, in order —
 //! is a pure function of it kept beside it; backends only execute.
 //!
 //! A loop has one plan for the whole run, and one rule keeps it and its
@@ -149,11 +149,6 @@ impl ArrayMeta {
         }
     }
 
-    /// Absolute word offset of an element.
-    pub fn offset(&self, index: &[i64]) -> usize {
-        self.base + self.layout.offset(index)
-    }
-
     /// Does every `wpb`-word block of this array lie inside it and hold
     /// words of one owner — is the unit of ownership (a column under
     /// CYCLIC, a chunk of columns under BLOCK) a whole number of blocks?
@@ -206,12 +201,12 @@ pub struct CtlRanges {
 
 impl CtlRanges {
     /// Total blocks under compiler control.
-    pub fn ctl_blocks(&self) -> usize {
+    pub(crate) fn ctl_blocks(&self) -> usize {
         self.ctl.iter().map(|(f, e)| e - f).sum()
     }
 
     /// Total boundary words.
-    pub fn boundary_words(&self) -> usize {
+    pub(crate) fn boundary_words(&self) -> usize {
         self.boundary.iter().map(|(_, l)| l).sum()
     }
 }
@@ -469,7 +464,7 @@ struct MpScratch {
 }
 
 /// The §4.2 contract of one loop instance as plain data
-/// ([`ctl_schedule`]): every call of the conversation with its
+/// ([`ctl_schedule_into`]): every call of the conversation with its
 /// arguments, in the order [`SmOpt`](crate::exec::sm_opt::SmOpt) makes
 /// them. What depends on the run's state — which blocks an owner must
 /// still acquire under run-time overhead elimination, whether a landing
@@ -513,7 +508,7 @@ pub struct MpBroadcast {
 }
 
 /// The message-passing resolve of one loop instance as plain data
-/// ([`mp_schedule`]), in execution order.
+/// ([`mp_schedule_into`]), in execution order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MpSchedule {
     /// Sections with three or more readers (e.g. `lu`'s pivot column), in
@@ -557,11 +552,11 @@ pub struct LoopPlan {
     /// …and their `shmem_limits` split (empty for an indirect transfer,
     /// which must not be taken under compiler control).
     pub xfer_ctl: Vec<CtlRanges>,
-    /// The §4.2 contract's schedule — [`ctl_schedule`] of `xfer_ctl` —
+    /// The §4.2 contract's schedule — [`ctl_schedule_into`] of `xfer_ctl` —
     /// built by `sm_opt`'s first resolve. Its input version is 0, or at a
     /// `pre` level the transfer cache's tick, which moves every instance.
     pub ctl: ScheduleSlot<CtlSchedule>,
-    /// The message-passing schedule — [`mp_schedule`] of `xfer_runs` and
+    /// The message-passing schedule — [`mp_schedule_into`] of `xfer_runs` and
     /// `runs` — built by `mp`'s first resolve, with input version 0.
     pub mp: ScheduleSlot<MpSchedule>,
 }
@@ -767,30 +762,10 @@ pub(crate) fn schedule_into(
 /// statically unanalyzable: its ctl ranges are empty and it is left to
 /// the default protocol.) A non-owner write is pushed like a read and
 /// flushed back after the loop.
-pub fn ctl_schedule(
-    plan: &LoopPlan,
-    cluster: &Cluster,
-    injection: Injection,
-    bulk: bool,
-    force_boundary: bool,
-    still_valid: impl FnMut(NodeId, usize, usize, usize) -> bool,
-) -> CtlSchedule {
-    let mut sched = CtlSchedule::default();
-    ctl_schedule_into(
-        plan,
-        cluster,
-        injection,
-        bulk,
-        force_boundary,
-        still_valid,
-        &mut sched,
-    );
-    sched
-}
-
-/// [`ctl_schedule`] into `sched`, refilled in place: call sites and
-/// transfer plans in the storage of the ones at their index.
-pub(crate) fn ctl_schedule_into(
+///
+/// `sched` is refilled in place: call sites and transfer plans in the
+/// storage of the ones at their index.
+pub fn ctl_schedule_into(
     plan: &LoopPlan,
     cluster: &Cluster,
     injection: Injection,
@@ -901,15 +876,10 @@ pub(crate) fn ctl_schedule_into(
 /// a section shipped from one owner to three or more readers goes
 /// through the runtime's broadcast tree, once, on behalf of the whole
 /// group, as `pghpf`'s runtime does.
-pub fn mp_schedule(l: &ParLoop, plan: &LoopPlan) -> MpSchedule {
-    let mut sched = MpSchedule::default();
-    mp_schedule_into(l, plan, &mut sched);
-    sched
-}
-
-/// [`mp_schedule`] into `sched`, refilled in place: broadcast groups and
-/// send plans in the storage of the ones at their index.
-pub(crate) fn mp_schedule_into(l: &ParLoop, plan: &LoopPlan, sched: &mut MpSchedule) {
+///
+/// `sched` is refilled in place: broadcast groups and send plans in the
+/// storage of the ones at their index.
+pub fn mp_schedule_into(l: &ParLoop, plan: &LoopPlan, sched: &mut MpSchedule) {
     let MpSchedule {
         broadcasts,
         sends,
@@ -1100,7 +1070,8 @@ mod tests {
             .collect();
         assert_eq!(pairs, [(2, 0), (0, 1), (2, 1), (0, 2)]);
         let (_, metas, _) = crate::exec::engine::layout_arrays(&prog, 512);
-        let sched = mp_schedule(l, &lower(l, acc, &metas, 16));
+        let mut sched = MpSchedule::default();
+        mp_schedule_into(l, &lower(l, acc, &metas, 16), &mut sched);
         assert!(sched.broadcasts.is_empty(), "{:?}", sched.broadcasts);
         let sends: Vec<_> = sched
             .sends

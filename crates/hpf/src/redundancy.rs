@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 /// Epoch counter: one tick per parallel-loop execution.
-pub type Epoch = u64;
+pub(crate) type Epoch = u64;
 
 /// Delivered block intervals `(first, end, epoch)` for one (reader, array).
 type DeliveryList = Vec<(usize, usize, Epoch)>;
@@ -31,7 +31,7 @@ const WRITE_LOG_CAP: usize = 16_384;
 
 /// The transfer cache plus write logs.
 #[derive(Default, Debug)]
-pub struct PreCache {
+pub(crate) struct PreCache {
     epoch: Epoch,
     logs: BTreeMap<usize, WriteLog>,
     /// (reader, array) → delivered block intervals with their epochs.
@@ -44,12 +44,12 @@ pub struct PreCache {
 
 impl PreCache {
     /// Create an empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Advance to the next parallel loop.
-    pub fn tick(&mut self) -> Epoch {
+    pub(crate) fn tick(&mut self) -> Epoch {
         self.epoch += 1;
         self.epoch
     }
@@ -61,7 +61,7 @@ impl PreCache {
 
     /// Record that `array`'s word run `(start, len)` was written this
     /// epoch (from the loop's declared write sections).
-    pub fn record_write(&mut self, array: usize, start: usize, len: usize) {
+    pub(crate) fn record_write(&mut self, array: usize, start: usize, len: usize) {
         if len == 0 {
             return;
         }
@@ -94,7 +94,7 @@ impl PreCache {
     /// Is the block range `[first, end)` of `array` still valid at
     /// `reader` from previous deliveries — i.e. covered by the union of
     /// delivered intervals that have seen no overlapping write since?
-    pub fn is_valid(
+    pub(crate) fn is_valid(
         &self,
         reader: usize,
         array: usize,
@@ -131,7 +131,13 @@ impl PreCache {
     }
 
     /// Record delivery of `[first, end)` of `array` to `reader` now.
-    pub fn record_delivery(&mut self, reader: usize, array: usize, first: usize, end: usize) {
+    pub(crate) fn record_delivery(
+        &mut self,
+        reader: usize,
+        array: usize,
+        first: usize,
+        end: usize,
+    ) {
         let entries = self.delivered.entry((reader, array)).or_default();
         entries.push((first, end, self.epoch));
         // Bound per-key state: drop the oldest deliveries beyond a small

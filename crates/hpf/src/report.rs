@@ -6,7 +6,7 @@
 use crate::analysis;
 use crate::dist::Dist;
 use crate::exec::engine::layout_arrays;
-use crate::ir::{CompDist, ParLoop, Program, RefMode};
+use crate::ir::{ParLoop, Program};
 use crate::plan::{self, ArrayMeta};
 use fgdsm_section::Env;
 use fgdsm_tempest::CostModel;
@@ -148,22 +148,11 @@ pub fn render(prog: &Program, reports: &[LoopReport], nprocs: usize) -> String {
     out
 }
 
-/// Does a loop's distribution pin it to one processor (ON HOME style)?
-pub fn is_single_owner(l: &ParLoop) -> bool {
-    matches!(l.dist, CompDist::OwnerOfIndex(..))
-}
-
-/// Count of loop references by mode (quick structural summary).
-pub fn ref_counts(l: &ParLoop) -> (usize, usize) {
-    let reads = l.refs.iter().filter(|r| r.mode == RefMode::Read).count();
-    (reads, l.refs.len() - reads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::Dist;
-    use crate::ir::{ARef, Kernel, KernelCtx, ParLoop, Stmt, Subscript};
+    use crate::ir::{ARef, CompDist, Kernel, KernelCtx, ParLoop, Stmt, Subscript};
     use fgdsm_section::SymRange;
 
     fn nk(_: &mut KernelCtx) {}
@@ -211,13 +200,5 @@ mod tests {
         assert!(text.contains("loop `sweep`"));
         assert!(text.contains("BLOCK distributed"));
         assert!(text.contains("blocks under compiler control"));
-    }
-
-    #[test]
-    fn ref_counts_and_single_owner() {
-        let p = prog();
-        let l = p.par_loops()[0];
-        assert_eq!(ref_counts(l), (2, 1));
-        assert!(!is_single_owner(l));
     }
 }

@@ -141,7 +141,7 @@ pub enum Op {
 impl Op {
     /// True for the §4.2 compiler-directed primitives (erased when
     /// replaying a witness under the pure default protocol).
-    pub fn is_ctl(&self) -> bool {
+    pub(crate) fn is_ctl(&self) -> bool {
         matches!(
             self,
             Op::MkWritable { .. }
@@ -274,7 +274,7 @@ pub struct AbsState {
 impl AbsState {
     /// The initial state: every block exclusively owned by its home,
     /// which holds the only (writable) copy; all memory at version 0.
-    pub fn initial(nodes: usize, blocks: usize) -> Self {
+    pub(crate) fn initial(nodes: usize, blocks: usize) -> Self {
         let mut st = AbsState {
             nodes,
             dir: Vec::new(),
@@ -297,13 +297,13 @@ impl AbsState {
         st
     }
 
-    pub fn blocks(&self) -> usize {
+    pub(crate) fn blocks(&self) -> usize {
         self.dir.len()
     }
 
     /// Block homes follow the RoundRobin page policy (one model block
     /// per page under the conformance mapping).
-    pub fn home(&self, b: usize) -> NodeId {
+    pub(crate) fn home(&self, b: usize) -> NodeId {
         b % self.nodes
     }
 
@@ -319,7 +319,7 @@ impl AbsState {
 
     /// Derive the [`ContractTracker`] view of this state — the §4.2
     /// legality rules then gate every candidate ctl op.
-    pub fn tracker(&self) -> ContractTracker {
+    pub(crate) fn tracker(&self) -> ContractTracker {
         let mut t = ContractTracker::new(self.nodes, self.blocks());
         for b in 0..self.blocks() {
             if let DirState::Excl { owner } = self.dir[b] {
@@ -346,7 +346,12 @@ impl AbsState {
     /// safety violation (a stale read or a broken delivery promise).
     /// Structural/freshness invariants of the successor are checked
     /// separately via [`AbsState::check_invariants`].
-    pub fn apply(&self, proto: Proto, op: Op, m: Mutation) -> Result<Option<AbsState>, String> {
+    pub(crate) fn apply(
+        &self,
+        proto: Proto,
+        op: Op,
+        m: Mutation,
+    ) -> Result<Option<AbsState>, String> {
         match proto {
             Proto::Eager => self.apply_eager(op, m),
             Proto::Update => self.apply_update(op, m),
@@ -880,7 +885,7 @@ impl AbsState {
     /// state. Deliberately *stricter* than the implementation's
     /// `check_consistency` (which only runs at barriers): these must
     /// hold at every interleaving point.
-    pub fn check_invariants(&self, proto: Proto) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, proto: Proto) -> Result<(), String> {
         for b in 0..self.blocks() {
             // Bookkeeping sanity.
             if self.dirty[b] & !self.windows[b] != 0 {
@@ -1021,7 +1026,7 @@ impl AbsState {
     /// Canonical byte key for the visited set. Version numbers are
     /// renumbered densely (order-preserving), so states differing only
     /// in version labels collapse into one.
-    pub fn canonical(&self) -> Vec<u8> {
+    pub(crate) fn canonical(&self) -> Vec<u8> {
         let mut vers: Vec<u8> = Vec::new();
         let mut note = |v: u8| {
             if v != 0 {

@@ -16,15 +16,6 @@ use crate::checker::ModelConfig;
 use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Injection, ProtocolKind, DEFAULT_RECV_TIMEOUT};
 use fgdsm_tempest::{Access, Cluster, CostModel, HomePolicy, SegmentLayout};
 
-/// Outcome of a conformance sweep (see [`replay_on_dsm`] for one run).
-#[derive(Debug, Default)]
-pub struct ConformanceReport {
-    /// Sequences replayed and compared.
-    pub sequences: usize,
-    /// Block-level state comparisons performed.
-    pub compared: usize,
-}
-
 fn build_dsm(cfg: &ModelConfig, wire: bool, inject: Option<Injection>) -> Dsm {
     let cost = CostModel::paper_dual_cpu();
     let mut layout = SegmentLayout::new(cost.words_per_page());

@@ -46,7 +46,7 @@ pub use checker::{
     check, contract_invisibility, enumerate_sequences, replay, CheckOutcome, ModelConfig,
     Violation, DEFAULT_DEPTH,
 };
-pub use conformance::{replay_on_dsm, ConformanceReport};
+pub use conformance::replay_on_dsm;
 
 #[cfg(test)]
 mod tests {

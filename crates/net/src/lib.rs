@@ -475,7 +475,7 @@ impl Drop for SocketTransport {
 /// override, else the binary next to the running test/bench executable
 /// (`target/<profile>/fgdsm-node`), else `cargo run -p fgdsm --bin
 /// fgdsm-node` as a last resort.
-pub fn node_command() -> Command {
+pub(crate) fn node_command() -> Command {
     if let Ok(p) = std::env::var("FGDSM_NODE_BIN") {
         return Command::new(p);
     }

@@ -54,11 +54,11 @@ use fgdsm_tempest::{
 };
 
 /// Fixed overhead of issuing any compiler-directed protocol call.
-pub const CTL_CALL_BASE_NS: u64 = 2_000;
+pub(crate) const CTL_CALL_BASE_NS: u64 = 2_000;
 
 /// Cost of the memoized `implicit_writable` fast path ("at subsequent
 /// times the call need only do the test and nothing more").
-pub const MEMO_TEST_NS: u64 = 300;
+pub(crate) const MEMO_TEST_NS: u64 = 300;
 
 /// One grouped transfer payload: `n_blocks` contiguous blocks starting at
 /// `start_block`, on behalf of `array` (a compiler-assigned id carried
@@ -73,7 +73,7 @@ pub struct Payload {
 /// Group the block range `[first, end)` of `array` into payloads of at
 /// most `max_payload_bytes` (bulk transfer) or one block each
 /// (`bulk = false`).
-pub fn group_payloads(
+pub(crate) fn group_payloads(
     first: usize,
     end: usize,
     array: u32,
@@ -183,7 +183,11 @@ pub fn plan_sends_into(
 
 /// Schedule a batch of non-owner-write flushes: one [`TransferPlan`] per
 /// (writer, owner) pair, like [`plan_sends`].
-pub fn plan_flushes(cluster: &Cluster, entries: &[FlushEntry], bulk: bool) -> Vec<TransferPlan> {
+pub(crate) fn plan_flushes(
+    cluster: &Cluster,
+    entries: &[FlushEntry],
+    bulk: bool,
+) -> Vec<TransferPlan> {
     let mut plans = Vec::new();
     plan_flushes_into(cluster, entries, bulk, &mut plans);
     plans

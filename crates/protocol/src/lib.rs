@@ -40,8 +40,8 @@ pub mod update;
 pub mod wire;
 
 pub use ctl::{
-    plan_flushes, plan_flushes_into, plan_sends, plan_sends_into, CtlStats, FlushEntry, Payload,
-    PlanOp, SendEntry, TransferPlan,
+    plan_flushes_into, plan_sends, plan_sends_into, CtlStats, FlushEntry, Payload, PlanOp,
+    SendEntry, TransferPlan,
 };
 pub use dir::DirState;
 pub use eager::EagerInvalidate;
@@ -51,7 +51,6 @@ pub use proto::{Dsm, Injection, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{
-    diff_bytes, reconcile_stats, write_frame, CtrlMsg, FrameDecoder, RemoteReport, WireError,
-    WireHeader, WireMsg, CTRL_MAGIC, DEFAULT_RECV_TIMEOUT, MAX_FRAME_BYTES, WIRE_MAGIC,
-    WIRE_VERSION,
+    write_frame, FrameDecoder, RemoteReport, WireError, WireHeader, WireMsg, DEFAULT_RECV_TIMEOUT,
+    MAX_FRAME_BYTES,
 };

@@ -103,7 +103,7 @@ pub trait Link {
 }
 
 /// The in-memory link: an `mpsc` pair moving owned frame buffers.
-pub struct MemLink {
+pub(crate) struct MemLink {
     tx: Sender<Vec<Vec<u8>>>,
     rx: Receiver<Vec<Vec<u8>>>,
     pending: VecDeque<Vec<u8>>,
@@ -113,7 +113,7 @@ pub struct MemLink {
 /// A connected pair of [`MemLink`]s: the coordinator's end, whose recvs
 /// give up after `timeout`, and the node's end, which waits until the
 /// coordinator hangs up.
-pub fn mem_pair(timeout: Duration) -> (MemLink, MemLink) {
+pub(crate) fn mem_pair(timeout: Duration) -> (MemLink, MemLink) {
     let ((tx_a, rx_b), (tx_b, rx_a)) = (channel(), channel());
     let end = |tx, rx, deadline| MemLink {
         tx,
@@ -483,13 +483,13 @@ impl<L: Link> Coordinator<L> {
 
     /// Write `dst`'s queue as one `Batch{n}`, once the echo of its
     /// previous batch has been collected.
-    pub fn flush(&mut self, dst: usize) -> Result<(), WireError> {
+    pub(crate) fn flush(&mut self, dst: usize) -> Result<(), WireError> {
         self.with_peer(dst, Peer::flush)
     }
 
     /// Read and verify the echo of `dst`'s batch in flight; returns its
     /// frames (none when nothing was in flight).
-    pub fn collect(&mut self, dst: usize) -> Result<Vec<Vec<u8>>, WireError> {
+    pub(crate) fn collect(&mut self, dst: usize) -> Result<Vec<Vec<u8>>, WireError> {
         self.with_peer(dst, Peer::collect)
     }
 

@@ -440,7 +440,7 @@ impl Dsm {
     }
 
     /// Whether strict wire mode is active.
-    pub fn wire_strict(&self) -> bool {
+    pub(crate) fn wire_strict(&self) -> bool {
         self.wire.is_some()
     }
 
@@ -459,7 +459,7 @@ impl Dsm {
     }
 
     /// Whether wall-clock telemetry is recording.
-    pub fn wire_metrics_on(&self) -> bool {
+    pub(crate) fn wire_metrics_on(&self) -> bool {
         self.wire.as_ref().is_some_and(|w| w.metrics.is_some())
     }
 
@@ -646,7 +646,7 @@ impl Dsm {
     /// as an encoded [`WireMsg::Copy`] through the transport and land
     /// from the decoded payload — behaviorally identical, bit for bit.
     /// Charges and message accounting stay at the call sites.
-    pub fn wire_copy(&mut self, src: NodeId, dst: NodeId, start: usize, len: usize) {
+    pub(crate) fn wire_copy(&mut self, src: NodeId, dst: NodeId, start: usize, len: usize) {
         if src == dst || len == 0 {
             return;
         }
@@ -669,7 +669,7 @@ impl Dsm {
     /// one word per dirty bit, [`crate::wire::diff_bytes`]) and move the
     /// masked words — enveloped as [`WireMsg::Diff`] in strict wire
     /// mode. Returns the on-wire bytes for the caller's latency charge.
-    pub fn wire_diff(&mut self, src: NodeId, dst: NodeId, b: usize, mask: u64) -> usize {
+    pub(crate) fn wire_diff(&mut self, src: NodeId, dst: NodeId, b: usize, mask: u64) -> usize {
         let bytes = crate::wire::diff_bytes(mask);
         self.cluster.note_msg_at(src, dst, bytes, b);
         if self.wire.is_none() {
@@ -739,7 +739,7 @@ impl Dsm {
     /// blocks provably satisfy the protocol invariants (home holds the
     /// only, writable, zero-initialized copy), so consistency checks and
     /// gathers iterate this set (ascending) instead of the whole segment.
-    pub fn touched_blocks(&self) -> BlockSet {
+    pub(crate) fn touched_blocks(&self) -> BlockSet {
         let mut out = self.cluster.dirty_blocks();
         out.union_with(&self.dirty_dirs);
         out
@@ -763,7 +763,7 @@ impl Dsm {
 
     /// Handler-occupancy cost scaled for the cpu configuration.
     #[inline]
-    pub fn hc(&self, ns: u64) -> u64 {
+    pub(crate) fn hc(&self, ns: u64) -> u64 {
         self.cluster.cfg().handler_cost(ns)
     }
 
@@ -773,24 +773,24 @@ impl Dsm {
     // ------------------------------------------------------------------
 
     /// Snapshot a block's current contents at `node` into a twin buffer.
-    pub fn make_twin(&mut self, node: NodeId, b: usize) {
+    pub(crate) fn make_twin(&mut self, node: NodeId, b: usize) {
         let (s, e) = self.cluster.block_words(b);
         let data: Box<[f64]> = self.cluster.node_mem(node)[s..e].into();
         self.twins.insert((b, node), data);
     }
 
     /// Whether `node` currently holds a twin of block `b`.
-    pub fn has_twin(&self, node: NodeId, b: usize) -> bool {
+    pub(crate) fn has_twin(&self, node: NodeId, b: usize) -> bool {
         self.twins.contains_key(&(b, node))
     }
 
     /// Drop `node`'s twin of block `b` (end of a write interval).
-    pub fn remove_twin(&mut self, node: NodeId, b: usize) {
+    pub(crate) fn remove_twin(&mut self, node: NodeId, b: usize) {
         self.twins.remove(&(b, node));
     }
 
     /// Word-diff a writer's block against its twin; returns the dirty mask.
-    pub fn diff_mask(&self, node: NodeId, b: usize) -> u64 {
+    pub(crate) fn diff_mask(&self, node: NodeId, b: usize) -> u64 {
         let twin = &self.twins[&(b, node)];
         let (s, e) = self.cluster.block_words(b);
         crate::wire::diff_mask(&self.cluster.node_mem(node)[s..e], twin)
@@ -798,7 +798,7 @@ impl Dsm {
 
     /// Cost and data movement for the home shipping its (current) copy of
     /// block `b` to `p`. Returns the stall to charge at `p`.
-    pub fn data_home_to(&mut self, p: NodeId, h: NodeId, b: usize) -> u64 {
+    pub(crate) fn data_home_to(&mut self, p: NodeId, h: NodeId, b: usize) -> u64 {
         let cfg = *self.cluster.cfg();
         let (s, e) = self.cluster.block_words(b);
         if p == h {

@@ -42,7 +42,7 @@ pub fn read_next(cur: DirState, p: NodeId, h: NodeId) -> DirState {
 /// a remote exclusive owner. `None` when the home copy is already
 /// current (Shared, home-owned Excl) or when the per-writer diffs handle
 /// it (Multi).
-pub fn read_flush_owner(cur: DirState, h: NodeId) -> Option<NodeId> {
+pub(crate) fn read_flush_owner(cur: DirState, h: NodeId) -> Option<NodeId> {
     match cur {
         DirState::Excl { owner } if owner != h => Some(owner),
         _ => None,

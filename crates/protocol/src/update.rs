@@ -21,7 +21,7 @@ pub struct WriteUpdate {
 }
 
 impl WriteUpdate {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

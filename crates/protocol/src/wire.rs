@@ -38,12 +38,12 @@ use fgdsm_tempest::cursor::{Cursor, Truncated};
 use std::time::Duration;
 
 /// First two bytes of every frame.
-pub const WIRE_MAGIC: u16 = 0xFD57;
+pub(crate) const WIRE_MAGIC: u16 = 0xFD57;
 /// Current format version; decoders accept exactly this.
-pub const WIRE_VERSION: u16 = 1;
+pub(crate) const WIRE_VERSION: u16 = 1;
 /// First two bytes of every control (non-data) frame: handshake,
 /// batch markers and teardown between a coordinator and a node.
-pub const CTRL_MAGIC: u16 = 0xFD58;
+pub(crate) const CTRL_MAGIC: u16 = 0xFD58;
 /// Upper bound on a single length-prefixed frame. A prefix above this is
 /// a protocol violation ([`WireError::FrameTooBig`]), rejected *before*
 /// any allocation — the framing layer's analogue of `decode_words`'
@@ -60,14 +60,14 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_millis(5000);
 /// place the diff-size arithmetic lives — the eager/update release
 /// paths and the envelope encoder all charge through it, so profiler
 /// attribution and wire accounting can never drift apart.
-pub fn diff_bytes(mask: u64) -> usize {
+pub(crate) fn diff_bytes(mask: u64) -> usize {
     8 + 8 * mask.count_ones() as usize
 }
 
 /// The dirty mask of a block against its twin: bit `i` is set when word
 /// `i` differs bit-for-bit (so a NaN that did not change is clean) — the
 /// words a [`WireMsg::Diff`] of the block carries.
-pub fn diff_mask(cur: &[f64], twin: &[f64]) -> u64 {
+pub(crate) fn diff_mask(cur: &[f64], twin: &[f64]) -> u64 {
     let mut mask = 0u64;
     for (i, (c, t)) in cur.iter().zip(twin).enumerate() {
         if c.to_bits() != t.to_bits() {
@@ -269,7 +269,7 @@ impl WireMsg {
         }
     }
 
-    pub fn hdr(&self) -> &WireHeader {
+    pub(crate) fn hdr(&self) -> &WireHeader {
         match self {
             WireMsg::Push { hdr, .. }
             | WireMsg::Flush { hdr, .. }
@@ -291,7 +291,7 @@ impl WireMsg {
     }
 
     /// Consume the envelope, handing back its payload buffer.
-    pub fn into_words(self) -> Vec<u64> {
+    pub(crate) fn into_words(self) -> Vec<u64> {
         match self {
             WireMsg::Push { words, .. }
             | WireMsg::Flush { words, .. }
@@ -506,7 +506,7 @@ fn decode_words(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
 /// A memory word an envelope payload can be copied to and from: the
 /// shards' `f64` data (bit-exact through `to_bits`/`from_bits`) and the
 /// node worker's raw `u64` mirror ([`crate::node::serve`]).
-pub trait Word: Copy {
+pub(crate) trait Word: Copy {
     fn to_bits(self) -> u64;
     fn from_bits(bits: u64) -> Self;
 }
@@ -533,7 +533,7 @@ impl Word for u64 {
 /// (see [`WireMsg::runs`]). Every run is non-empty and already checked
 /// to lie inside the segment.
 #[derive(Clone, Debug)]
-pub struct Runs(RunsKind);
+pub(crate) struct Runs(RunsKind);
 
 #[derive(Clone, Debug)]
 enum RunsKind {
@@ -592,7 +592,7 @@ impl WireMsg {
     /// The runs always cover exactly `words().len()` words: the payload
     /// sets the length of the contiguous kinds and must match the
     /// declared shape of the others.
-    pub fn runs(&self, wpb: usize, seg_words: usize) -> Result<Runs, WireError> {
+    pub(crate) fn runs(&self, wpb: usize, seg_words: usize) -> Result<Runs, WireError> {
         use WireError::OutOfSegment;
         let word = |w: u64, what| usize::try_from(w).map_err(|_| OutOfSegment(what));
         let block = |b: usize, what| b.checked_mul(wpb).ok_or(OutOfSegment(what));
@@ -668,7 +668,7 @@ impl WireMsg {
     /// Fill the payload, in place, from the words of `mem` the envelope
     /// names — the encode side's copy-out of the source shard, and the
     /// worker's read-back from its mirror. `words()` keeps its length.
-    pub fn gather<W: Word>(&mut self, mem: &[W], wpb: usize) -> Result<(), WireError> {
+    pub(crate) fn gather<W: Word>(&mut self, mem: &[W], wpb: usize) -> Result<(), WireError> {
         let runs = self.runs(wpb, mem.len())?;
         let mut rest = self.words_mut();
         for (start, len) in runs {
@@ -684,7 +684,7 @@ impl WireMsg {
     /// Store the payload into the words of `mem` the envelope names —
     /// the apply side, for shard memory and the worker mirror alike.
     /// Nothing is written unless every run lies inside `mem`.
-    pub fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
+    pub(crate) fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
         let mut rest = self.words();
         for (start, len) in self.runs(wpb, mem.len())? {
             let (run, tail) = rest.split_at(len);
@@ -773,12 +773,6 @@ impl FrameDecoder {
         self.pos += 4 + len;
         Ok(Some(frame))
     }
-
-    /// True when buffered bytes remain that do not (yet) form a complete
-    /// frame — at EOF this means a truncated trailing frame.
-    pub fn has_partial(&self) -> bool {
-        self.pos < self.buf.len()
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -819,7 +813,7 @@ const CTRL_MAX_METRICS: usize = 1 << 20;
 /// binary) of the same build — there is no cross-version control peer,
 /// so extending `ByeStats` (the metrics blob) rides the existing version.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CtrlMsg {
+pub(crate) enum CtrlMsg {
     /// Node introduces itself after connecting.
     Hello { node: u32, version: u16 },
     /// Coordinator accepts and ships the shard geometry the node's
@@ -860,7 +854,7 @@ impl CtrlMsg {
     }
 
     /// The encoding as a fresh buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         out.extend_from_slice(&CTRL_MAGIC.to_le_bytes());
         out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
@@ -908,7 +902,7 @@ impl CtrlMsg {
 
     /// Decode and validate a control frame — same paranoia as
     /// [`WireMsg::from_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
         let mut c = Cursor::new(bytes);
         let magic = c.u16()?;
         if magic != CTRL_MAGIC {
@@ -980,7 +974,7 @@ pub struct RemoteReport {
 /// coordinator's per-node book. Reports the *first* diverging counter as
 /// a typed [`WireError::StatsMismatch`] naming the node, the counter and
 /// both values — never a bare "mismatch" panic.
-pub fn reconcile_stats(
+pub(crate) fn reconcile_stats(
     node: u32,
     local_frames: u64,
     local_payload: u64,
@@ -1289,7 +1283,7 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
-        assert!(!dec.has_partial());
+        assert_eq!(dec.pos, dec.buf.len(), "no bytes left over");
     }
 
     #[test]
@@ -1309,8 +1303,8 @@ mod tests {
         dec.push(&stream[..stream.len() - 1]);
         assert_eq!(dec.next_frame(), Ok(None));
         assert!(
-            dec.has_partial(),
-            "truncated trailing frame must be flagged"
+            dec.pos < dec.buf.len(),
+            "truncated trailing frame must stay buffered"
         );
     }
 

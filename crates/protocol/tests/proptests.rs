@@ -423,11 +423,17 @@ fn framing_round_trips_over_arbitrary_stream_splits() {
             }
         }
         assert_eq!(got, frames, "reassembly must be split-invariant");
-        assert!(!dec.has_partial(), "clean stream leaves no partial bytes");
+        // A clean stream leaves no partial bytes: the next frame decodes
+        // on its own.
+        let mut next = Vec::new();
+        write_frame(&mut next, &[7, 7]);
+        dec.push(&next);
+        assert_eq!(dec.next_frame(), Ok(Some(vec![7, 7])));
+        assert_eq!(dec.next_frame(), Ok(None));
 
         // Truncate the stream inside the last record: every earlier
-        // frame still decodes, the last is lost, and the fragment is
-        // flagged as partial at EOF.
+        // frame still decodes, the last is lost, and the fragment stays
+        // buffered until the rest arrives.
         let last_rec = 4 + frames.last().unwrap().len();
         let start_last = stream.len() - last_rec;
         let cut = start_last + 1 + rng.below(last_rec as u64 - 1) as usize;
@@ -439,9 +445,11 @@ fn framing_round_trips_over_arbitrary_stream_splits() {
             whole += 1;
         }
         assert_eq!(whole, frames.len() - 1, "exactly the last frame is lost");
-        assert!(
-            dec.has_partial(),
-            "truncated trailing frame must be visible at EOF"
+        dec.push(&stream[cut..]);
+        assert_eq!(
+            dec.next_frame(),
+            Ok(frames.last().cloned()),
+            "the truncated trailing frame must stay buffered"
         );
     });
 }

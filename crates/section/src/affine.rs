@@ -16,13 +16,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Var(pub &'static str);
 
-impl Var {
-    /// Conventional variable for the executing processor's id.
-    pub const P: Var = Var("p");
-    /// Conventional variable for the number of processors.
-    pub const NPROCS: Var = Var("P");
-}
-
 impl fmt::Display for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.0)
@@ -56,17 +49,12 @@ impl Env {
     pub fn get(&self, var: Var) -> Option<i64> {
         self.bindings.get(&var).copied()
     }
-
-    /// Iterate over all bindings.
-    pub fn iter(&self) -> impl Iterator<Item = (Var, i64)> + '_ {
-        self.bindings.iter().map(|(v, x)| (*v, *x))
-    }
 }
 
 /// An affine expression `constant + Σ coef_i · var_i`.
 ///
-/// Supports the arithmetic the section algebra needs (addition, subtraction,
-/// scaling) and evaluation under an [`Env`]. Terms with zero coefficients
+/// Supports the arithmetic the section algebra needs (adding a term or a
+/// constant, scaling) and evaluation under an [`Env`]. Terms with zero coefficients
 /// are kept normalized away so that structural equality is semantic
 /// equality.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
@@ -89,13 +77,8 @@ impl Affine {
         Affine::constant(0).plus_term(v, 1)
     }
 
-    /// The zero expression.
-    pub fn zero() -> Self {
-        Affine::constant(0)
-    }
-
     /// Returns `self + coef·v`.
-    pub fn plus_term(mut self, v: Var, coef: i64) -> Self {
+    pub(crate) fn plus_term(mut self, v: Var, coef: i64) -> Self {
         let entry = self.terms.entry(v).or_insert(0);
         *entry += coef;
         if *entry == 0 {
@@ -110,21 +93,6 @@ impl Affine {
         self
     }
 
-    /// Returns `self + other`.
-    pub fn add(&self, other: &Affine) -> Affine {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (v, c) in &other.terms {
-            out = out.plus_term(*v, *c);
-        }
-        out
-    }
-
-    /// Returns `self - other`.
-    pub fn sub(&self, other: &Affine) -> Affine {
-        self.add(&other.scale(-1))
-    }
-
     /// Returns `k · self`.
     pub fn scale(&self, k: i64) -> Affine {
         let mut out = Affine::constant(self.constant * k);
@@ -132,16 +100,6 @@ impl Affine {
             out = out.plus_term(*v, c * k);
         }
         out
-    }
-
-    /// True if the expression contains no variables.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// The constant value, if the expression is constant.
-    pub fn as_constant(&self) -> Option<i64> {
-        self.is_constant().then_some(self.constant)
     }
 
     /// Evaluate under `env`.
@@ -221,28 +179,27 @@ mod tests {
 
     #[test]
     fn var_eval() {
-        let env = Env::new().bind(Var::P, 3);
-        assert_eq!(Affine::var(Var::P).eval(&env), 3);
+        let p = Var("p");
+        let env = Env::new().bind(p, 3);
+        assert_eq!(Affine::var(p).eval(&env), 3);
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn plus_const_and_scale() {
         let k = Var("k");
         let e = Affine::var(k).scale(2).plus_const(5); // 2k + 5
-        let f = Affine::var(k).plus_const(1); // k + 1
-        let g = e.sub(&f); // k + 4
+        let f = e.scale(-1).plus_term(k, 3); // k - 5
         let env = Env::new().bind(k, 10);
-        assert_eq!(g.eval(&env), 14);
-        assert_eq!(e.add(&f).eval(&env), 25 + 11);
+        assert_eq!(e.eval(&env), 25);
+        assert_eq!(f.eval(&env), 5);
     }
 
     #[test]
     fn zero_coefficients_normalize() {
         let k = Var("k");
         let e = Affine::var(k).plus_term(k, -1);
-        assert!(e.is_constant());
-        assert_eq!(e.as_constant(), Some(0));
-        assert_eq!(e, Affine::zero());
+        assert_eq!(e.vars().count(), 0);
+        assert_eq!(e, Affine::constant(0));
     }
 
     #[test]
@@ -262,8 +219,9 @@ mod tests {
     #[test]
     fn from_impls() {
         let a: Affine = 4.into();
-        assert_eq!(a.as_constant(), Some(4));
-        let b: Affine = Var::P.into();
-        assert_eq!(b.eval(&Env::new().bind(Var::P, 2)), 2);
+        assert_eq!(a, Affine::constant(4));
+        let p = Var("p");
+        let b: Affine = p.into();
+        assert_eq!(b.eval(&Env::new().bind(p, 2)), 2);
     }
 }

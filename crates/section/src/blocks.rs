@@ -32,11 +32,6 @@ impl BlockSubset {
     pub fn is_empty(&self) -> bool {
         self.block_count() == 0
     }
-
-    /// Byte range covered by the whole blocks.
-    pub fn byte_range(&self, block_size: usize) -> (usize, usize) {
-        (self.first_block * block_size, self.end_block * block_size)
-    }
 }
 
 /// Shrink the byte range `[lo, hi)` to whole blocks of `block_size` bytes.
@@ -98,7 +93,6 @@ mod tests {
         assert_eq!(s.end_block, 7);
         assert_eq!(s.head_bytes, 128 - 100);
         assert_eq!(s.tail_bytes, 1000 - 7 * 128);
-        assert_eq!(s.byte_range(128), (128, 896));
     }
 
     #[test]

@@ -194,16 +194,6 @@ impl LinearRanges {
         LinearRanges { runs: vec![] }
     }
 
-    /// True if no elements are covered.
-    pub fn is_empty(&self) -> bool {
-        self.runs.iter().all(|r| r.total_elements() == 0)
-    }
-
-    /// Total elements covered.
-    pub fn total_elements(&self) -> usize {
-        self.runs.iter().map(StridedRange::total_elements).sum()
-    }
-
     /// Iterate over all `(start, len)` contiguous element runs.
     pub fn iter_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.runs.iter().flat_map(StridedRange::runs)
@@ -248,7 +238,7 @@ mod tests {
         assert_eq!((r.base, r.run_len, r.count), (8, 8, 3));
         assert_eq!(r.stride, 8);
         // Runs are adjacent, so callers may coalesce.
-        assert_eq!(lr.total_elements(), 24);
+        assert_eq!(lr.iter_runs().map(|(_, n)| n).sum::<usize>(), 24);
     }
 
     #[test]
@@ -338,7 +328,7 @@ mod tests {
         let l = ColumnMajor::new(&[4, 4, 4]);
         let s = Section::new(&[Range::new(0, 3), Range::new(1, 2), Range::new(0, 2)]);
         let lr = l.linearize(&s);
-        assert_eq!(lr.total_elements(), 4 * 2 * 3);
+        assert_eq!(lr.iter_runs().map(|(_, n)| n).sum::<usize>(), 4 * 2 * 3);
         // All runs must land inside the array.
         for (start, len) in lr.iter_runs() {
             assert!(start + len <= l.len());
@@ -388,6 +378,6 @@ mod tests {
         let l = ColumnMajor::new(&[8, 6]);
         let s = Section::new(&[Range::empty(), Range::new(0, 5)]);
         let lr = l.linearize(&s);
-        assert!(lr.is_empty());
+        assert_eq!(lr.iter_runs().map(|(_, n)| n).sum::<usize>(), 0);
     }
 }

@@ -13,9 +13,8 @@
 //! * [`Affine`] — affine expressions over named symbolic variables
 //!   (processor id, problem sizes, time-loop indices such as `lu`'s pivot
 //!   column `k`);
-//! * [`SymRange`] / [`SymSection`] — strided rectangular sections with
-//!   symbolic bounds, the compile-time artifact the planner builds once per
-//!   loop;
+//! * [`SymRange`] — strided ranges with symbolic bounds, the compile-time
+//!   artifact the planner builds once per loop dimension;
 //! * [`Range`] / [`Section`] — concrete integer sections obtained by
 //!   evaluating the symbolic form under an [`Env`], supporting
 //!   intersection, difference, and cardinality (the run-time half of
@@ -43,4 +42,4 @@ pub use blocks::{block_subset, BlockSubset};
 pub use layout::{ColumnMajor, LinearRanges, StridedRange};
 pub use pieces::Pieces;
 pub use range::{Range, SymRange};
-pub use section::{Section, SymSection, MAX_RANK};
+pub use section::{Section, MAX_RANK};

@@ -29,7 +29,7 @@ impl<T: Copy + Default, const N: usize> Default for Pieces<T, N> {
 
 impl<T: Copy + Default, const N: usize> Pieces<T, N> {
     /// Append a piece.
-    pub fn push(&mut self, x: T) {
+    pub(crate) fn push(&mut self, x: T) {
         if self.spill.is_empty() && self.len < N {
             self.inline[self.len] = x;
             self.len += 1;

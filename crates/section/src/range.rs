@@ -270,16 +270,6 @@ impl SymRange {
             stride: self.stride,
         }
     }
-
-    /// Shift both bounds by the constant `c` (used to apply stencil
-    /// offsets like `a(i, j-1)`).
-    pub fn shift(&self, c: i64) -> SymRange {
-        SymRange {
-            lo: self.lo.clone().plus_const(c),
-            hi: self.hi.clone().plus_const(c),
-            stride: self.stride,
-        }
-    }
 }
 
 impl fmt::Display for SymRange {
@@ -415,11 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn symrange_eval_and_shift() {
+    fn symrange_eval() {
         let k = Var("k");
         let sr = SymRange::new(Affine::var(k).plus_const(1), 100);
         let env = Env::new().bind(k, 9);
         assert_eq!(sr.eval(&env), Range::new(10, 100));
-        assert_eq!(sr.shift(-1).eval(&env), Range::new(9, 99));
     }
 }

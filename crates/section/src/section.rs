@@ -7,8 +7,7 @@
 //! rectangular case: the difference of two rectangles is a disjoint union
 //! of at most `2·ndims` rectangles.
 
-use crate::affine::Env;
-use crate::range::{Range, SymRange};
+use crate::range::Range;
 use std::fmt;
 
 /// The largest rank a [`Section`] holds. Its dims are stored inline, so
@@ -155,42 +154,6 @@ impl fmt::Display for Section {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
         for (i, d) in self.dims().iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{d}")?;
-        }
-        write!(f, ")")
-    }
-}
-
-/// A symbolic section: product of symbolic per-dimension ranges.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct SymSection {
-    pub dims: Vec<SymRange>,
-}
-
-impl SymSection {
-    /// Build a symbolic section.
-    pub fn new(dims: Vec<SymRange>) -> Self {
-        SymSection { dims }
-    }
-
-    /// Number of dimensions.
-    pub fn ndims(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Evaluate to a concrete [`Section`] under `env`.
-    pub fn eval(&self, env: &Env) -> Section {
-        self.dims.iter().map(|d| d.eval(env)).collect()
-    }
-}
-
-impl fmt::Display for SymSection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, d) in self.dims.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -200,7 +200,7 @@ fn block_subset_partitions_range() {
         assert_eq!(s.head_bytes + s.block_count() * bs + s.tail_bytes, hi - lo);
         // whole blocks lie inside [lo, hi) and are aligned
         if !s.is_empty() {
-            let (blo, bhi) = s.byte_range(bs);
+            let (blo, bhi) = (s.first_block * bs, s.end_block * bs);
             assert!(blo >= lo && bhi <= hi);
             assert_eq!(blo % bs, 0);
             assert_eq!(bhi % bs, 0);

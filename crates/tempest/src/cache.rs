@@ -27,14 +27,6 @@ impl CacheModel {
         }
     }
 
-    /// A model with no cache effect (factor always 1).
-    pub fn flat() -> Self {
-        CacheModel {
-            capacity_bytes: u64::MAX,
-            max_penalty: 0.0,
-        }
-    }
-
     /// Multiplicative factor applied to per-element compute cost for a
     /// working set of `ws_bytes`.
     pub fn factor(&self, ws_bytes: u64) -> f64 {
@@ -76,11 +68,5 @@ mod tests {
         let uni = m.factor(8 << 20);
         let node = m.factor(1 << 20);
         assert!(uni / node > 1.0);
-    }
-
-    #[test]
-    fn flat_model_is_one() {
-        let m = CacheModel::flat();
-        assert_eq!(m.factor(u64::MAX / 2), 1.0);
     }
 }

@@ -60,7 +60,7 @@ impl Knobs {
     }
 
     /// Parse the knobs out of `var` (name → raw value when set).
-    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Knobs {
+    pub(crate) fn parse(var: impl Fn(&str) -> Option<String>) -> Knobs {
         let path = |name| var(name).filter(|p| !p.is_empty()).map(PathBuf::from);
         let switch =
             |name| var(name).is_some_and(|raw| parse_knob(name, &raw, SWITCH, parse_switch));

@@ -1,20 +1,19 @@
-//! Wall-clock telemetry: counters, gauges, and log2-bucketed latency
-//! histograms with a deterministic export format.
+//! Wall-clock telemetry: counters and log2-bucketed latency histograms
+//! with a deterministic binary export.
 //!
 //! The simulator's canonical artifacts (report, trace, profile) are pure
 //! functions of *virtual* time and must stay byte-identical run-over-run;
 //! host nanoseconds may only ever appear in clearly wall-clock side
 //! channels (`wall_ns`, `wire_route_ns`). This module is that
 //! side channel grown into a real instrument: per-`WireMsg`-class latency
-//! histograms recorded on both sides of a socket, merged under node-tagged
-//! keys, and exported as deterministic JSON (deterministic in *shape* —
-//! key order, field order — while the recorded nanoseconds are of course
-//! wall-clock measurements).
+//! histograms recorded on both sides of a socket and merged under
+//! node-tagged keys (deterministic in *shape* — key order, field order —
+//! while the recorded nanoseconds are of course wall-clock measurements).
 //!
 //! Everything here is std-only and allocation-light: a [`Histogram`] is a
 //! fixed 65-slot array (one slot per power-of-two bucket), a
-//! [`MetricsRegistry`] is a `BTreeMap` so iteration and JSON export are
-//! deterministic, and the whole registry round-trips through a compact
+//! [`MetricsRegistry`] is a `BTreeMap` so iteration is deterministic, and
+//! the whole registry round-trips through a compact
 //! length-checked binary blob so `fgdsm-node` workers can ship their
 //! metrics home inside the `ByeStats` control frame.
 
@@ -25,10 +24,10 @@ use std::fmt::Write as _;
 /// Number of histogram buckets: slot 0 holds exact zeros, slot `k`
 /// (1..=64) holds values in `[2^(k-1), 2^k)` — slot 64 therefore
 /// saturates at `u64::MAX`.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// Version tag of the registry's binary wire blob.
-pub const METRICS_BLOB_VERSION: u16 = 1;
+pub(crate) const METRICS_BLOB_VERSION: u16 = 1;
 
 /// Caps for the paranoid blob decoder: a worker registry holds a few
 /// dozen entries; anything bigger than this is a corrupt frame.
@@ -197,43 +196,14 @@ impl Histogram {
         }
         Self::bucket_upper(HIST_BUCKETS - 1)
     }
-
-    /// Append this histogram's JSON object (fixed field order; only
-    /// non-empty buckets listed, as `[bucket_index, count]` pairs).
-    fn write_json(&self, out: &mut String) {
-        write!(
-            out,
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            self.percentile(0.50),
-            self.percentile(0.90),
-            self.percentile(0.99),
-        )
-        .unwrap();
-        let mut first = true;
-        for (k, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            write!(out, "[{k},{c}]").unwrap();
-        }
-        out.push_str("]}");
-    }
 }
 
 /// One named metric.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Metric {
     Counter(u64),
-    Gauge(i64),
-    /// Boxed: a histogram is a 65-slot array, far larger than the other
-    /// variants, and registries hold mostly counters.
+    /// Boxed: a histogram is a 65-slot array, far larger than a counter,
+    /// and registries hold mostly counters.
     Hist(Box<Histogram>),
 }
 
@@ -260,8 +230,8 @@ impl Metric {
 }
 
 /// A deterministic named-metric registry. Keys are dotted paths
-/// (`route.push`, `frames.diff`, `node1.apply.copy`); iteration, JSON
-/// export and the binary blob are all in key order.
+/// (`route.push`, `frames.diff`, `node1.apply.copy`); iteration and the
+/// binary blob are both in key order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
     map: BTreeMap<String, Metric>,
@@ -274,10 +244,6 @@ impl MetricsRegistry {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
     }
 
     /// Add to a counter (created at 0 on first touch).
@@ -295,14 +261,6 @@ impl MetricsRegistry {
             self.map.insert(name.to_string(), init());
         }
         self.map.get_mut(name).expect("present or just inserted")
-    }
-
-    /// Set a gauge to its latest value.
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        match self.slot(name, || Metric::Gauge(0)) {
-            Metric::Gauge(g) => *g = v,
-            other => panic!("metric `{name}` is not a gauge: {other:?}"),
-        }
     }
 
     /// Record one sample into a histogram (created empty on first touch).
@@ -334,25 +292,10 @@ impl MetricsRegistry {
         self.map.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Sum of every counter whose key ends with `.{suffix}` or equals
-    /// `suffix` — e.g. `sum_counters("payload_bytes.diff")` across all
-    /// node prefixes.
-    pub fn sum_counters_matching(&self, suffix: &str) -> u64 {
-        let dotted = format!(".{suffix}");
-        self.map
-            .iter()
-            .filter(|(k, _)| k.as_str() == suffix || k.ends_with(&dotted))
-            .map(|(_, m)| match m {
-                Metric::Counter(c) => *c,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Fold `other` into this registry with every key prefixed by
     /// `{tag}.` — how the coordinator files each process's metric set
     /// under its own namespace (`coord.`, `node0.`, `node1.` …).
-    /// Counters add, gauges take the incoming value, histograms merge.
+    /// Counters add, histograms merge.
     pub fn merge_tagged(&mut self, tag: &str, other: &MetricsRegistry) {
         for (k, m) in &other.map {
             let key = format!("{tag}.{k}");
@@ -360,10 +303,6 @@ impl MetricsRegistry {
                 (e, Metric::Counter(v)) => match e.or_insert(Metric::Counter(0)) {
                     Metric::Counter(c) => *c += v,
                     other => panic!("merge type clash on counter: {other:?}"),
-                },
-                (e, Metric::Gauge(v)) => match e.or_insert(Metric::Gauge(0)) {
-                    Metric::Gauge(g) => *g = *v,
-                    other => panic!("merge type clash on gauge: {other:?}"),
                 },
                 (e, Metric::Hist(h)) => match e.or_insert_with(Metric::new_hist) {
                     Metric::Hist(mine) => mine.merge(h),
@@ -373,47 +312,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Deterministic JSON export: one object keyed by metric name (in
-    /// key order), each value a `{"type":…}` object with a fixed field
-    /// order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (k, m) in &self.map {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            // Keys are ASCII dotted paths; escape conservatively anyway.
-            out.push('"');
-            for c in k.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c => out.push(c),
-                }
-            }
-            out.push_str("\":");
-            match m {
-                Metric::Counter(v) => {
-                    write!(out, "{{\"type\":\"counter\",\"value\":{v}}}").unwrap()
-                }
-                Metric::Gauge(v) => write!(out, "{{\"type\":\"gauge\",\"value\":{v}}}").unwrap(),
-                Metric::Hist(h) => {
-                    out.push_str("{\"type\":\"hist\",\"hist\":");
-                    h.write_json(&mut out);
-                    out.push('}');
-                }
-            }
-        }
-        out.push('}');
-        out
-    }
-
     /// Compact binary blob for shipping a registry inside a control
     /// frame. Layout (all little-endian):
     /// `version:u16, entries:u32, then per entry: name_len:u16, name,
-    /// tag:u8, payload` — counter/gauge payloads are one u64/i64; a
-    /// histogram is `count,sum,min,max : u64` plus `nonzero:u8` sparse
+    /// tag:u8, payload` — a counter (tag 0) is one u64; a histogram (tag
+    /// 2) is `count,sum,min,max : u64` plus `nonzero:u8` sparse
     /// `(bucket:u8, count:u64)` pairs.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -425,10 +328,6 @@ impl MetricsRegistry {
             match m {
                 Metric::Counter(v) => {
                     out.push(0);
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                Metric::Gauge(v) => {
-                    out.push(1);
                     out.extend_from_slice(&v.to_le_bytes());
                 }
                 Metric::Hist(h) => {
@@ -477,7 +376,6 @@ impl MetricsRegistry {
                 .to_string();
             let metric = match c.u8().map_err(cut)? {
                 0 => Metric::Counter(c.u64().map_err(cut)?),
-                1 => Metric::Gauge(c.u64().map_err(cut)? as i64),
                 2 => {
                     let mut h = Histogram::new();
                     h.count = c.u64().map_err(cut)?;
@@ -691,7 +589,6 @@ mod tests {
         let mut w = MetricsRegistry::new();
         w.counter_add("frames.push", 3);
         w.record_ns("apply.push", 900);
-        w.gauge_set("mirror_words", 128);
         let mut merged = MetricsRegistry::new();
         merged.merge_tagged("coord", &coord);
         merged.merge_tagged("node0", &w);
@@ -700,35 +597,12 @@ mod tests {
         assert_eq!(merged.counter("node0.frames.push"), 6);
         assert_eq!(merged.hist("node0.apply.push").unwrap().count(), 2);
         assert_eq!(merged.hist("coord.route.push").unwrap().count(), 1);
-        assert_eq!(
-            merged.sum_counters_matching("frames.push"),
-            9,
-            "suffix sum spans all process tags"
-        );
-    }
-
-    #[test]
-    fn json_export_is_deterministic_and_parseable_shape() {
-        let mut r = MetricsRegistry::new();
-        r.record_ns("route.diff", 42);
-        r.counter_add("frames.diff", 1);
-        let j1 = r.to_json();
-        let j2 = r.clone().to_json();
-        assert_eq!(j1, j2);
-        // BTreeMap ordering: counters key sorts before route key.
-        let fpos = j1.find("frames.diff").unwrap();
-        let rpos = j1.find("route.diff").unwrap();
-        assert!(fpos < rpos, "keys must export in sorted order: {j1}");
-        assert!(j1.contains("\"type\":\"counter\",\"value\":1"));
-        // 42 has 6 bits → bucket 6, upper bound 63.
-        assert!(j1.contains("\"p50\":63"));
     }
 
     #[test]
     fn blob_round_trips_and_rejects_corruption() {
         let mut r = MetricsRegistry::new();
         r.counter_add("frames.copy", 7);
-        r.gauge_set("inflight", -3);
         for v in [0, 1, 17, 100_000, u64::MAX] {
             r.record_ns("recv.copy", v);
         }
@@ -747,6 +621,18 @@ mod tests {
         let mut bad = blob.clone();
         bad[0] ^= 0xff;
         assert!(MetricsRegistry::from_bytes(&bad).is_err());
+        // No encoder writes tag 1: a hand-built entry carrying it is
+        // rejected, not read as some other metric.
+        let mut tag1 = METRICS_BLOB_VERSION.to_le_bytes().to_vec();
+        tag1.extend_from_slice(&1u32.to_le_bytes());
+        tag1.extend_from_slice(&1u16.to_le_bytes());
+        tag1.push(b'g');
+        tag1.push(1);
+        tag1.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            MetricsRegistry::from_bytes(&tag1),
+            Err("unknown metric tag 1".to_string())
+        );
         // The empty registry round-trips too.
         let empty = MetricsRegistry::new();
         assert_eq!(

@@ -66,7 +66,7 @@ pub struct NodeHeatmap {
 /// false-sharing flags so far, plus the per-node stats snapshot taken at
 /// the most recent superstep boundary.
 #[derive(Clone, Debug, Default)]
-pub struct ProfileState {
+pub(crate) struct ProfileState {
     pub(crate) intervals: Vec<StepInterval>,
     pub(crate) false_sharing: Vec<FalseSharingFlag>,
     pub(crate) prev: Vec<NodeStats>,

@@ -12,14 +12,11 @@
 //! on every tag or directory transition, and that range scans read 64
 //! blocks at a time.
 
-/// Size in bytes of the cache lines we pad for. Every x86-64 and most
-/// aarch64 parts use 64-byte lines; padding to 64 on a 128-byte-line
-/// part still halves the collision rate and never hurts correctness.
-pub const CACHE_LINE_BYTES: usize = 64;
-
 /// Pads `T` to a full cache line so adjacent slots in a `Vec` or array
 /// never share a line — writes from distinct threads stay on distinct
-/// lines and cannot ping-pong.
+/// lines and cannot ping-pong. Every x86-64 and most aarch64 parts use
+/// 64-byte lines; padding to 64 on a 128-byte-line part still halves the
+/// collision rate and never hurts correctness.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(align(64))]
 pub struct CacheAligned<T>(pub T);
@@ -127,11 +124,6 @@ impl BlockSet {
         Some((s, t))
     }
 
-    /// True if the set has no members.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Add every member of `other` (a set over the same block range).
     pub fn union_with(&mut self, other: &BlockSet) {
         assert_eq!(self.words.len(), other.words.len(), "block ranges differ");
@@ -168,6 +160,8 @@ fn members(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
 mod tests {
     use super::*;
 
+    const CACHE_LINE_BYTES: usize = 64;
+
     #[test]
     fn cache_aligned_pads_to_a_line() {
         assert_eq!(std::mem::align_of::<CacheAligned<f64>>(), CACHE_LINE_BYTES);
@@ -183,7 +177,7 @@ mod tests {
     #[test]
     fn block_set_iterates_members_ascending() {
         let mut s = BlockSet::new(200);
-        assert!(s.is_empty());
+        assert_eq!(s.iter().next(), None);
         for b in [199, 0, 64, 63, 65, 130] {
             s.set(b, true);
         }
@@ -194,7 +188,7 @@ mod tests {
         t.union_with(&s);
         assert_eq!(t.iter().collect::<Vec<_>>(), [0, 63, 64, 65, 130, 199]);
         s.set(0, false);
-        assert!(!s.is_empty());
+        assert_eq!(s.iter().next(), Some(63));
         assert_eq!(t.intersection(&s).collect::<Vec<_>>(), [63, 65, 130, 199]);
     }
 

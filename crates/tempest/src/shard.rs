@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// Immutable cluster-wide shape shared by every shard: sizes, the
 /// page-home map and the cost model. Never mutated after construction.
 #[derive(Debug)]
-pub struct Geometry {
+pub(crate) struct Geometry {
     pub(crate) nprocs: usize,
     pub(crate) cfg: CostModel,
     pub(crate) seg_words: usize,
@@ -43,23 +43,23 @@ pub struct Geometry {
 
 impl Geometry {
     /// Block containing word offset `w`.
-    pub fn block_of(&self, w: usize) -> usize {
+    pub(crate) fn block_of(&self, w: usize) -> usize {
         w / self.words_per_block
     }
 
     /// Word range `[start, end)` of block `b`.
-    pub fn block_words(&self, b: usize) -> (usize, usize) {
+    pub(crate) fn block_words(&self, b: usize) -> (usize, usize) {
         let s = b * self.words_per_block;
         (s, (s + self.words_per_block).min(self.seg_words))
     }
 
     /// Home node of block `b` (the home of its page).
-    pub fn home_of_block(&self, b: usize) -> NodeId {
+    pub(crate) fn home_of_block(&self, b: usize) -> NodeId {
         self.home[b * self.words_per_block / self.words_per_page]
     }
 
     /// Home node of the page containing word `w`.
-    pub fn home_of_word(&self, w: usize) -> NodeId {
+    pub(crate) fn home_of_word(&self, w: usize) -> NodeId {
         self.home[w / self.words_per_page]
     }
 
@@ -101,8 +101,8 @@ struct HotState {
 /// [`HotState`], which carries `#[repr(align(64))]`), so adjacent
 /// shards in the cluster's `Vec<NodeShard>` never share a line. The
 /// write-hot scalars lead the struct on their own line; the read-mostly
-/// geometry handle and the buffer headers follow. See
-/// [`crate::cluster::Cluster::layout_report`] for the self-check.
+/// geometry handle and the buffer headers follow. `cluster.rs`'s
+/// `shard_hot_state_does_not_false_share` test checks it.
 #[derive(Debug)]
 pub struct NodeShard {
     /// Write-hot scalars on their own leading cache line.
@@ -165,13 +165,6 @@ impl NodeShard {
         self.id
     }
 
-    /// The cluster-wide cost model (shared immutable geometry). Plan-apply
-    /// closures run against shard pairs with no coordinator in scope, so
-    /// shards expose the geometry they already carry.
-    pub fn cfg(&self) -> &CostModel {
-        &self.geom.cfg
-    }
-
     /// Word range `[start, end)` of block `b`.
     pub fn block_words(&self, b: usize) -> (usize, usize) {
         self.geom.block_words(b)
@@ -180,11 +173,6 @@ impl NodeShard {
     /// Block containing word offset `w`.
     pub fn block_of(&self, w: usize) -> usize {
         self.geom.block_of(w)
-    }
-
-    /// Home node of block `b`.
-    pub fn home_of_block(&self, b: usize) -> NodeId {
-        self.geom.home_of_block(b)
     }
 
     // ------------------------------------------------------------------
@@ -202,7 +190,7 @@ impl NodeShard {
     }
 
     /// Current tag of block `b`.
-    pub fn tag(&self, b: usize) -> Access {
+    pub(crate) fn tag(&self, b: usize) -> Access {
         if self.writable.contains(b) {
             Access::ReadWrite
         } else if self.valid.contains(b) {
@@ -216,7 +204,7 @@ impl NodeShard {
     /// `tag_change_ns` themselves where appropriate). Maintains the
     /// dirty-block set: a block is dirty while its tag differs from the
     /// initial assignment.
-    pub fn set_tag(&mut self, b: usize, a: Access) {
+    pub(crate) fn set_tag(&mut self, b: usize, a: Access) {
         self.valid.set(b, a != Access::Invalid);
         self.writable.set(b, a == Access::ReadWrite);
         self.dirty.set(b, a != self.default_tag(b));
@@ -253,7 +241,7 @@ impl NodeShard {
 
     /// Blocks whose tag currently differs from the initial assignment
     /// (iterates ascending).
-    pub fn dirty_blocks(&self) -> &BlockSet {
+    pub(crate) fn dirty_blocks(&self) -> &BlockSet {
         &self.dirty
     }
 
@@ -296,12 +284,6 @@ impl NodeShard {
         newly
     }
 
-    /// True if this node has mapped the page containing word `w`.
-    pub fn is_mapped(&self, w: usize) -> bool {
-        let page = w / self.geom.words_per_page;
-        self.mapped[page / 64] & (1 << (page % 64)) != 0
-    }
-
     // ------------------------------------------------------------------
     // Virtual time and events
     // ------------------------------------------------------------------
@@ -309,13 +291,6 @@ impl NodeShard {
     /// Current virtual clock in ns.
     pub fn clock_ns(&self) -> u64 {
         self.hot.clock_ns
-    }
-
-    /// Cache-line index of this shard's write-hot state — used by
-    /// [`crate::cluster::Cluster::layout_report`] to prove adjacent
-    /// shards never share a hot line.
-    pub fn hot_line(&self) -> usize {
-        (&self.hot as *const HotState as usize) / crate::scratch::CACHE_LINE_BYTES
     }
 
     /// Record a typed trace event, stamped with the current virtual
@@ -349,7 +324,7 @@ impl NodeShard {
     /// The bytes stay unattributed in the block heatmap; call sites that
     /// know which block the transfer services use
     /// [`NodeShard::note_msg_at`].
-    pub fn note_msg(&mut self, payload_bytes: usize) {
+    pub(crate) fn note_msg(&mut self, payload_bytes: usize) {
         self.record(Event::Msg {
             bytes: payload_bytes as u64,
             block: crate::trace::NO_BLOCK,
@@ -379,7 +354,7 @@ impl NodeShard {
     /// Record an outstanding eager-write transaction (release
     /// consistency: the node does not stall for the ownership grant, but
     /// must drain at the next release point).
-    pub fn note_pending_write(&mut self) {
+    pub(crate) fn note_pending_write(&mut self) {
         self.hot.pending_writes += 1;
     }
 
@@ -405,12 +380,12 @@ impl NodeShard {
     }
 
     /// Folded aggregates (exact, even after the trace ring wraps).
-    pub fn stats(&self) -> &NodeStats {
+    pub(crate) fn stats(&self) -> &NodeStats {
         self.trace.stats()
     }
 
     /// This node's event trace.
-    pub fn trace(&self) -> &NodeTrace {
+    pub(crate) fn trace(&self) -> &NodeTrace {
         &self.trace
     }
 

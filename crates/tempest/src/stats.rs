@@ -104,7 +104,7 @@ impl NodeStats {
     /// Field-wise difference `self − prev`. Counters are monotone, so a
     /// later snapshot dominates an earlier one field by field; panics on
     /// underflow (which would mean a counter ran backwards).
-    pub fn delta(&self, prev: &NodeStats) -> NodeStats {
+    pub(crate) fn delta(&self, prev: &NodeStats) -> NodeStats {
         let mut out = NodeStats::default();
         macro_rules! sub {
             ($($f:ident),* $(,)?) => { $(out.$f = self.$f - prev.$f;)* };
@@ -124,7 +124,7 @@ impl NodeStats {
     }
 
     /// True if every counter is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         *self == NodeStats::default()
     }
 
@@ -132,7 +132,7 @@ impl NodeStats {
     /// `out` — the per-node encoding shared by
     /// [`ClusterReport::to_json`] and the profile artifacts. Fields
     /// appear in declaration order.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         use std::fmt::Write;
         out.push('{');
         let mut first = true;
@@ -322,11 +322,6 @@ impl ClusterReport {
         self.total_msgs() == self.total_msgs_recv() && self.total_bytes() == self.total_bytes_recv()
     }
 
-    /// Host wall-clock in seconds (0 when the executor did not stamp it).
-    pub fn wall_s(&self) -> f64 {
-        self.wall_ns as f64 / 1e9
-    }
-
     /// Canonical JSON encoding of the *deterministic* run state: makespan,
     /// handler accounting mode and every per-node counter — but **not**
     /// `wall_ns`, which is host time. The determinism suite compares these
@@ -481,6 +476,5 @@ mod tests {
         assert!(a.contains("\"compute_ns\":123"));
         assert!(a.contains("\"read_misses\":4"));
         assert!(!a.contains("wall"));
-        assert_eq!(r.wall_s(), 55_555.0 / 1e9);
     }
 }

@@ -26,7 +26,7 @@ use crate::stats::NodeStats;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Default per-node ring capacity (entries kept for export).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Sentinel superstep index: the event happened outside any superstep
 /// (initialization, final gather, the run-ending barrier).
@@ -179,12 +179,12 @@ impl Default for NodeTrace {
 
 impl NodeTrace {
     /// An empty trace with the default ring capacity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
     /// An empty trace with an explicit ring capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         NodeTrace {
             capacity,
             ring: VecDeque::new(),
@@ -204,7 +204,7 @@ impl NodeTrace {
     /// entries. The executor calls this at superstep boundaries; pass the
     /// sentinels ([`NO_STEP`], [`NO_LOOP`]) to mark events as outside any
     /// superstep.
-    pub fn set_context(&mut self, step: u32, loop_id: u32) {
+    pub(crate) fn set_context(&mut self, step: u32, loop_id: u32) {
         self.cur_step = step;
         self.cur_loop = loop_id;
     }
@@ -217,7 +217,7 @@ impl NodeTrace {
     /// Change the ring capacity, evicting the oldest retained entries if
     /// the ring is already larger (they count as dropped, like any other
     /// eviction). Aggregates are unaffected.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         while self.ring.len() > capacity {
             self.ring.pop_front();
@@ -227,7 +227,7 @@ impl NodeTrace {
 
     /// Record `event` at virtual time `t_ns`: fold it into the aggregates
     /// and append it to the (bounded) ring.
-    pub fn record(&mut self, t_ns: u64, event: Event) {
+    pub(crate) fn record(&mut self, t_ns: u64, event: Event) {
         if t_ns < self.last_t_ns {
             self.monotone = false;
         }
@@ -297,6 +297,10 @@ impl NodeTrace {
             Event::Barrier | Event::Superstep { .. } => {}
             Event::Reduction => s.reductions += 1,
         }
+        if self.capacity == 0 {
+            self.dropped += 1;
+            return;
+        }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -310,7 +314,7 @@ impl NodeTrace {
     }
 
     /// Folded aggregates (exact, even after ring wrap).
-    pub fn stats(&self) -> &NodeStats {
+    pub(crate) fn stats(&self) -> &NodeStats {
         &self.stats
     }
 
@@ -319,42 +323,32 @@ impl NodeTrace {
         self.ring.iter()
     }
 
-    /// How many entries have fallen off the ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Per-block heat accumulators (exact, even after ring wrap).
     pub fn heat(&self) -> &BTreeMap<u32, BlockHeat> {
         &self.heat
     }
 
     /// Payload bytes sent that no call site attributed to a block.
-    pub fn unattributed_bytes(&self) -> u64 {
+    pub(crate) fn unattributed_bytes(&self) -> u64 {
         self.unattributed_bytes
     }
 
     /// The blocks this node faulted on since the last
     /// [`NodeTrace::clear_step_faults`], in fault order, repeats included.
-    pub fn step_faults(&self) -> &[u32] {
+    pub(crate) fn step_faults(&self) -> &[u32] {
         &self.step_faults
     }
 
     /// Forget the faults recorded so far (capacity kept) — the cluster's
     /// false-sharing detector calls this at every superstep boundary.
-    pub fn clear_step_faults(&mut self) {
+    pub(crate) fn clear_step_faults(&mut self) {
         self.step_faults.clear();
-    }
-
-    /// Timestamp of the most recently recorded event.
-    pub fn last_t_ns(&self) -> u64 {
-        self.last_t_ns
     }
 
     /// Trace invariant: the node's virtual clock never ran backwards —
     /// every recorded event's timestamp was >= its predecessor's. Exact
     /// over the whole run, even after ring eviction.
-    pub fn clock_monotone(&self) -> bool {
+    pub(crate) fn clock_monotone(&self) -> bool {
         self.monotone
     }
 
@@ -362,7 +356,7 @@ impl NodeTrace {
     /// to `out`. Hand-rolled — the trace must stay exportable in the
     /// dependency-free build. [`Cluster::trace_json`](crate::cluster::Cluster::trace_json)
     /// wraps the per-node objects into the full document.
-    pub fn write_json(&self, node: usize, out: &mut String) {
+    pub(crate) fn write_json(&self, node: usize, out: &mut String) {
         use std::fmt::Write;
         write!(
             out,
@@ -557,20 +551,27 @@ mod tests {
 
     #[test]
     fn ring_bounds_entries_but_not_aggregates() {
-        let mut t = NodeTrace::with_capacity(4);
-        for i in 0..10 {
-            t.record(
-                i,
-                Event::Fault {
-                    block: i as usize,
-                    kind: FaultKind::Read,
-                },
+        // (capacity, entries kept, drops, oldest kept t_ns) after 10 events.
+        for (cap, kept, dropped, oldest) in [(4, 4, 6, Some(6)), (0, 0, 10, None)] {
+            let mut t = NodeTrace::with_capacity(cap);
+            for i in 0..10 {
+                t.record(
+                    i,
+                    Event::Fault {
+                        block: i as usize,
+                        kind: FaultKind::Read,
+                    },
+                );
+            }
+            assert_eq!(t.stats().read_misses, 10, "aggregates stay exact");
+            assert_eq!(
+                t.entries().count(),
+                kept,
+                "ring holds the most recent {cap}"
             );
+            assert_eq!(t.dropped, dropped);
+            assert_eq!(t.entries().next().map(|e| e.t_ns), oldest);
         }
-        assert_eq!(t.stats().read_misses, 10, "aggregates stay exact");
-        assert_eq!(t.entries().count(), 4, "ring holds the most recent 4");
-        assert_eq!(t.dropped(), 6);
-        assert_eq!(t.entries().next().unwrap().t_ns, 6);
     }
 
     #[test]
@@ -581,7 +582,7 @@ mod tests {
         }
         t.set_capacity(2);
         assert_eq!(t.entries().count(), 2);
-        assert_eq!(t.dropped(), 4);
+        assert_eq!(t.dropped, 4);
         assert_eq!(t.entries().next().unwrap().t_ns, 4);
     }
 
@@ -615,7 +616,7 @@ mod tests {
             t.record(i, Event::Barrier);
         }
         assert!(t.clock_monotone(), "equal timestamps are fine");
-        assert_eq!(t.last_t_ns(), 9);
+        assert_eq!(t.last_t_ns, 9);
         t.record(8, Event::Barrier); // clock ran backwards
         assert!(!t.clock_monotone());
         t.record(100, Event::Barrier);

@@ -61,11 +61,6 @@ impl Rng {
         self.next_u64() & 1 == 1
     }
 
-    /// Uniform f64 in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Pick one element of a non-empty slice.
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.range(0, xs.len())]
@@ -102,41 +97,6 @@ impl Rng {
             let j = self.range(0, i + 1);
             xs.swap(i, j);
         }
-    }
-
-    /// Weighted pick: returns index `i` with probability
-    /// `weights[i] / Σ weights`. Zero-weight entries are never picked.
-    /// Panics if the weights are empty or all zero.
-    ///
-    /// ```
-    /// let mut r = fgdsm_testkit::Rng::new(5);
-    /// for _ in 0..100 {
-    ///     assert_eq!(r.weighted(&[0, 7, 0]), 1);
-    /// }
-    /// ```
-    pub fn weighted(&mut self, weights: &[u64]) -> usize {
-        let total: u64 = weights.iter().sum();
-        assert!(total > 0, "weighted: empty or all-zero weights");
-        let mut x = self.below(total);
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        unreachable!()
-    }
-
-    /// Weighted pick over `(weight, value)` pairs, by value.
-    ///
-    /// ```
-    /// let mut r = fgdsm_testkit::Rng::new(11);
-    /// let v = r.weighted_choice(&[(1, "a"), (3, "b")]);
-    /// assert!(v == "a" || v == "b");
-    /// ```
-    pub fn weighted_choice<T: Clone>(&mut self, pairs: &[(u64, T)]) -> T {
-        let weights: Vec<u64> = pairs.iter().map(|(w, _)| *w).collect();
-        pairs[self.weighted(&weights)].1.clone()
     }
 }
 
@@ -186,8 +146,6 @@ mod tests {
             assert!((3..17).contains(&v));
             let w = r.range_i64(-5, 5);
             assert!((-5..5).contains(&w));
-            let u = r.unit_f64();
-            assert!((0.0..1.0).contains(&u));
         }
     }
 
@@ -215,18 +173,6 @@ mod tests {
         assert_eq!(sorted, (0..32).collect::<Vec<_>>());
         // 32! >> 2^64 states, but any fixed seed must actually move things.
         assert_ne!(xs, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn weighted_respects_zero_weights() {
-        let mut r = Rng::new(123);
-        let mut counts = [0u32; 4];
-        for _ in 0..4000 {
-            counts[r.weighted(&[2, 0, 1, 1])] += 1;
-        }
-        assert_eq!(counts[1], 0, "zero weight never picked");
-        assert!(counts[0] > counts[2], "weight 2 beats weight 1: {counts:?}");
-        assert!(counts[2] > 0 && counts[3] > 0);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use fgdsm::hpf::exec::backend::CommBackend;
 use fgdsm::hpf::exec::engine::EngineCore;
 use fgdsm::hpf::exec::mp::Mp;
 use fgdsm::hpf::exec::sm_opt::SmOpt;
-use fgdsm::hpf::plan::{ctl_schedule, lower, mp_schedule, LoopPlan, ResolveSchedule};
+use fgdsm::hpf::plan::{
+    ctl_schedule_into, lower, mp_schedule_into, CtlSchedule, LoopPlan, MpSchedule, ResolveSchedule,
+};
 use fgdsm::hpf::{
     analyze, covering_blocks, execute, execute_reference, execute_with, ARef, Backend, CompDist,
     Dist, ExecConfig, InjectConfig, Kernel, KernelCtx, LoopAccess, OptLevel, ParLoop, Program,
@@ -312,7 +314,8 @@ impl CommBackend for Probe {
                 let armed = core.dsm.injection();
                 let edge = inject.force_boundary;
                 let never = |_, _, _, _| false;
-                let built = ctl_schedule(&fresh, cluster, armed, opt.bulk, edge, never);
+                let mut built = CtlSchedule::default();
+                ctl_schedule_into(&fresh, cluster, armed, opt.bulk, edge, never, &mut built);
                 assert_eq!(*about, built, "{at}: stale contract schedule");
             }
         }
@@ -328,7 +331,9 @@ impl CommBackend for Probe {
             Inner::Sm(..) => {}
             Inner::Mp(_) => {
                 let ran = plan.mp.get().expect("mp's resolve schedules");
-                assert_eq!(*ran, mp_schedule(l, &fresh), "{at}: stale mp schedule");
+                let mut built = MpSchedule::default();
+                mp_schedule_into(l, &fresh, &mut built);
+                assert_eq!(*ran, built, "{at}: stale mp schedule");
                 assert_eq!(after.0, 0, "{at}: mp built default-protocol covers");
             }
         }
