@@ -47,7 +47,11 @@ cargo fmt --check
 # crates/hpf/src/exec/, suite-kernel lines that still index the
 # segment point by point (`ctx.mem[` under crates/apps/src/; the kernels
 # walk runs — DESIGN 5c — so what is left should be gathers and boundary
-# rows), free lists (`VecPool`/`carcass` under crates/*/src), schedules
+# rows), plan free lists (`VecPool`/`carcass` under crates/*/src), fresh
+# segment allocations (`vec![0.0` in the non-test part of
+# crates/tempest/src/shard.rs and crates/hpf/src/exec/{engine,mp}.rs:
+# segment-sized buffers come from the one cross-execute segment arena,
+# crates/tempest/src/arena.rs, DESIGN 5), schedules
 # an executor builds for one instance instead of taking from its plan's
 # slot (`*Schedule::default()` under crates/hpf/src/exec/), ordered
 # containers constructed in the contract and message-passing executors,
@@ -58,11 +62,12 @@ cargo fmt --check
 # bench, integration test or benchmark/ names is `pub(crate)`, and the
 # clippy step above (`-D warnings`, so rustc's dead_code lint fails it)
 # is the gate that keeps unused crate-private code from coming back.
-# Four of them can fail the gate: the per-loop table is indexed by loop
+# Five of them can fail the gate: the per-loop table is indexed by loop
 # id, and a loop's address must not come back; resolve executes a
 # schedule kept in the plan (DESIGN 5c), so neither may a free list for
 # per-superstep plans, an instance-owned schedule, nor a map built in an
-# executor; the run-time
+# executor — the one reuse across executes is the segment arena, so a
+# segment or gather output allocated beside it fails too; the run-time
 # analysis is allocation-free (DESIGN 5c), so `Section` keeps its dims
 # inline; and access tags are word bitsets the range walk scans 64
 # blocks at a time (DESIGN 5c), so a per-block tag array must not come
@@ -81,7 +86,8 @@ maps=$(cat crates/hpf/src/exec/sm_opt.rs crates/hpf/src/exec/mp.rs | grep -c 'BT
 heapdims=$(awk '/^pub struct Section /,/^}/' crates/section/src/section.rs | grep -c 'Vec<' || true)
 enums=$(awk '/^#\[cfg\(test\)\]/{exit} /refusing to enumerate/' crates/section/src/range.rs | wc -l)
 tagarrays=$(cat crates/tempest/src/*.rs | grep -c 'Vec<Access>' || true)
-echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays"
+fresh=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /vec!\[0\.0/{n++} END{print n+0}' crates/tempest/src/shard.rs crates/hpf/src/exec/engine.rs crates/hpf/src/exec/mp.rs)
+echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1
@@ -96,5 +102,9 @@ if [ "$heapdims" -ne 0 ]; then
 fi
 if [ "$tagarrays" -ne 0 ]; then
     echo "ci.sh: a per-block tag array is back under crates/tempest/src ($tagarrays)" >&2
+    exit 1
+fi
+if [ "$fresh" -ne 0 ]; then
+    echo "ci.sh: a segment-sized buffer is allocated outside the segment arena ($fresh)" >&2
     exit 1
 fi

@@ -21,7 +21,7 @@ fn report_json_roundtrips_every_counter() {
         ("sm-opt", ExecConfig::sm_opt(NPROCS)),
         ("mp", ExecConfig::mp(NPROCS)),
     ] {
-        let report = execute(&prog, &cfg).report;
+        let report = &execute(&prog, &cfg).report;
         let v = json::parse(&report.to_json())
             .unwrap_or_else(|e| panic!("{name}: report JSON does not parse: {e}"));
         assert_eq!(
@@ -53,7 +53,7 @@ fn report_json_roundtrips_every_counter() {
 #[test]
 fn profile_json_parses_and_intervals_carry_node_stats() {
     let prog = jacobi::build(&jacobi::Params::at(Scale::Test));
-    let report = execute(&prog, &ExecConfig::sm_opt(NPROCS)).report;
+    let report = &execute(&prog, &ExecConfig::sm_opt(NPROCS)).report;
     let v = json::parse(&report.profile_json()).expect("profile JSON parses");
     let intervals = v
         .get("intervals")

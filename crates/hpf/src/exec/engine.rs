@@ -408,11 +408,15 @@ impl<'p> EngineCore<'p> {
     /// and for every block traffic never moved — then patches the blocks
     /// the directory records as exclusively owned away from home, so the
     /// per-block work scales with traffic instead of segment size.
+    ///
+    /// The output comes from the segment arena
+    /// ([`fgdsm_tempest::arena::output`]) with whatever an earlier gather
+    /// left in it: the page copies overwrite every word.
     pub(crate) fn gather_by_directory(&self) -> Vec<f64> {
         let cl = &self.dsm.cluster;
         let words = cl.seg_words();
         let wpp = cl.words_per_page();
-        let mut out = vec![0.0f64; words];
+        let mut out = fgdsm_tempest::arena::output(words);
         for page_start in (0..words).step_by(wpp) {
             let end = (page_start + wpp).min(words);
             let h = cl.home_of_word(page_start);
@@ -454,7 +458,12 @@ pub(super) fn run(
     let t_verify = Instant::now();
     core.phases.finish_ns = (t_verify - t_finish).as_nanos() as u64;
     verify_post_run(&core.dsm, &report);
-    core.phases.post_run_ns = t_verify.elapsed().as_nanos() as u64;
+    let t_recycle = Instant::now();
+    core.phases.post_run_ns = (t_recycle - t_verify).as_nanos() as u64;
+    // A run that got this far hands its segments to the arena for the
+    // next execute of its shape; one that panicked before drops them.
+    core.dsm.cluster.recycle();
+    core.phases.finish_ns += t_recycle.elapsed().as_nanos() as u64;
     // Host time, stamped outside the deterministic virtual-time state
     // (excluded from the canonical report encoding). The post-run checks
     // are part of what an `execute` costs, so they are inside it.

@@ -488,6 +488,14 @@ pub struct RunResult {
     pub wire_spans: Vec<WireSpan>,
 }
 
+/// The gathered segment goes back to the arena
+/// ([`fgdsm_tempest::arena::put_output`]) for the next execute's gather.
+impl Drop for RunResult {
+    fn drop(&mut self) {
+        fgdsm_tempest::arena::put_output(std::mem::take(&mut self.data));
+    }
+}
+
 impl RunResult {
     /// Extract the gathered contents of one array.
     pub fn array(&self, prog: &Program, id: crate::dist::ArrayId) -> Vec<f64> {

@@ -63,11 +63,18 @@ impl CommBackend for Mp {
         core.dsm.cluster.barrier();
     }
 
-    /// Gather from the distribution owners (there is no directory).
+    /// Gather from the distribution owners (there is no directory). The
+    /// output comes from the segment arena with whatever an earlier
+    /// gather left in it: the owner sections tile each array, and the
+    /// padding between and after the arrays is zeroed.
     fn gather(&mut self, core: &mut EngineCore) -> Vec<f64> {
         let words = core.dsm.cluster.seg_words();
-        let mut out = vec![0.0f64; words];
+        let mut out = fgdsm_tempest::arena::output(words);
+        let mut end = 0;
         for (i, a) in core.prog.arrays.iter().enumerate() {
+            let base = core.metas[i].base;
+            out[end..base].fill(0.0);
+            end = base + a.len();
             for p in 0..core.cfg.nprocs {
                 let sec = a.owner_section(p, core.cfg.nprocs);
                 if sec.is_empty() {
@@ -78,6 +85,7 @@ impl CommBackend for Mp {
                 }
             }
         }
+        out[end..].fill(0.0);
         out
     }
 }

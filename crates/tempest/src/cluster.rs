@@ -299,6 +299,19 @@ impl Cluster {
         self.shards[node].mem_mut()
     }
 
+    /// Hand every node's segment copy back to the
+    /// [arena](crate::arena) for the next cluster of this shape, each
+    /// zeroed exactly where its node mapped a page
+    /// ([`NodeShard::take_zeroed_mem`]). Only a finished run recycles:
+    /// the cluster keeps empty segments. A cluster whose nodes wrote a
+    /// page they never mapped (as a test may, through
+    /// [`Cluster::node_mem_mut`]) must not be recycled; debug builds
+    /// panic naming the node.
+    pub fn recycle(&mut self) {
+        let segments = self.shards.iter_mut().map(NodeShard::take_zeroed_mem);
+        crate::arena::put_segments(self.geom.seg_words, segments.collect());
+    }
+
     /// Copy `len` words starting at `start` from `src` node's copy to
     /// `dst` node's copy. No cost charged (protocols charge transfer
     /// costs); data movement is exact.
@@ -847,6 +860,33 @@ mod tests {
         assert!(c.stats(1).stall_ns > 0);
         // Home already has its page mapped.
         assert_eq!(c.map_range(0, 0, 512), 0);
+    }
+
+    /// Recycling clears every page a node mapped, so the next cluster of
+    /// the shape starts all-zero whichever buffers it is handed.
+    #[test]
+    fn recycled_segments_come_back_zero() {
+        let mut c = small_cluster(2);
+        c.map_range(0, 512, 1);
+        for w in [0, 511, 512, 1024, 1535] {
+            c.node_mem_mut(0)[w] = -1.5;
+        }
+        c.node_mem_mut(1)[1536] = f64::NAN;
+        c.recycle();
+        assert!(c.node_mem(0).is_empty() && c.node_mem(1).is_empty());
+        let c = small_cluster(2);
+        assert!((0..2).all(|n| c.node_mem(n).iter().all(|x| x.to_bits() == 0)));
+    }
+
+    /// The rule the arena relies on is checked: a word written in a page
+    /// its node never mapped panics at the recycle.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside every page it mapped")]
+    fn recycling_a_write_outside_the_mapped_pages_panics() {
+        let mut c = small_cluster(2);
+        c.node_mem_mut(0)[512] = 1.0; // page 1: node 1's home, unmapped at node 0
+        c.recycle();
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod arena;
 pub mod cache;
 pub mod cluster;
 pub mod costs;

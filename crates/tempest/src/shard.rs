@@ -150,7 +150,7 @@ impl NodeShard {
         NodeShard {
             hot: HotState::default(),
             id,
-            mem: vec![0.0; geom.seg_words],
+            mem: crate::arena::segment(geom.nprocs, id, geom.seg_words),
             mapped,
             writable: valid.clone(),
             valid,
@@ -257,6 +257,37 @@ impl NodeShard {
     /// Mutable view of this node's segment copy.
     pub fn mem_mut(&mut self) -> &mut [f64] {
         &mut self.mem
+    }
+
+    /// Take this node's segment copy, all-zero again: every page this
+    /// node mapped is cleared, the page bitset scanned a word at a time
+    /// and each run of mapped pages filled at once. No execute writes
+    /// outside a page its node has mapped, so nothing else needs it;
+    /// debug builds check the whole segment. The shard keeps an empty
+    /// segment.
+    pub(crate) fn take_zeroed_mem(&mut self) -> Vec<f64> {
+        let wpp = self.geom.words_per_page;
+        let mut mem = std::mem::take(&mut self.mem);
+        for (w, &word) in self.mapped.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let first = bits.trailing_zeros() as usize;
+                let run = (bits >> first).trailing_ones() as usize;
+                let page = w * 64 + first;
+                let end = ((page + run) * wpp).min(mem.len());
+                mem[page * wpp..end].fill(0.0);
+                // Clear the lowest run of ones: adding its lowest bit
+                // carries through it (and out of the word if it ends
+                // there).
+                bits &= bits.wrapping_add(bits & bits.wrapping_neg());
+            }
+        }
+        debug_assert!(
+            mem.iter().all(|x| x.to_bits() == 0),
+            "node {}: a word outside every page it mapped was written",
+            self.id
+        );
+        mem
     }
 
     /// Ensure all pages covering `[start, start+len)` words are mapped,

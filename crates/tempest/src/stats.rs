@@ -170,8 +170,9 @@ impl NodeStats {
 /// outside every phase, so the phases sum to just under `wall_ns`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostPhases {
-    /// Before the first statement: segment allocation, the cluster, the
-    /// wire carrier's workers.
+    /// Before the first statement: the cluster, its segments drawn from
+    /// the [arena](crate::arena) (fresh only when it holds none of the
+    /// run's shape), the wire carrier's workers.
     pub setup_ns: u64,
     /// Per-loop access analysis (when a variable it reads has moved:
     /// once for a static loop).
@@ -191,7 +192,9 @@ pub struct HostPhases {
     /// loop-end cleanup and barrier, the superstep boundary.
     pub post_loop_ns: u64,
     /// After the last statement: the final barrier, the gather, the
-    /// report and whichever trace documents were asked for.
+    /// report and whichever trace documents were asked for; and, after
+    /// the post-run checks, the segments' recycle into the arena
+    /// ([`Cluster::recycle`](crate::Cluster::recycle)).
     pub finish_ns: u64,
     /// The post-run invariant checks.
     pub post_run_ns: u64,

@@ -8,7 +8,7 @@
 //! memory links) unconditionally and over `tcp` (worker processes,
 //! socket links) where the sandbox allows sockets.
 
-use fgdsm::hpf::{try_execute, ExecConfig, ExecError, InjectConfig};
+use fgdsm::hpf::{execute, try_execute, ExecConfig, ExecError, InjectConfig};
 use fgdsm::protocol::{NodeFault, WireError};
 use std::time::{Duration, Instant};
 
@@ -90,7 +90,7 @@ fn wedged_node_yields_typed_timeout_within_deadline() {
 #[test]
 fn unfaulted_run_matches_sm_opt() {
     let prog = comm_heavy_program();
-    let smopt = fgdsm::hpf::execute(&prog, &ExecConfig::sm_opt(NPROCS).serial());
+    let smopt = execute(&prog, &ExecConfig::sm_opt(NPROCS).serial());
     assert_eq!(
         smopt.wire_route_ns(),
         0,
@@ -109,4 +109,20 @@ fn unfaulted_run_matches_sm_opt() {
             "{carrier}: link round-trips must accrue measured route time"
         );
     }
+}
+
+/// A failed execute drops its buffers instead of handing them to the
+/// segment arena: the next unfaulted execute in the process, drawing
+/// whatever the arena holds, still matches `sm_opt` bit for bit.
+#[test]
+fn execute_after_a_killed_node_matches_sm_opt() {
+    let prog = comm_heavy_program();
+    let cfg = ExecConfig::chan(NPROCS).serial();
+    let fault = NodeFault::ExitAfterBatches(0);
+    run_faulted("chan", cfg.clone(), fault, Duration::from_secs(60));
+    let run = try_execute(&prog, &cfg).unwrap_or_else(|e| panic!("chan after a fault: {e}"));
+    let smopt = execute(&prog, &ExecConfig::sm_opt(NPROCS).serial());
+    assert_eq!(run.report.to_json(), smopt.report.to_json());
+    let bits = |r: &fgdsm::hpf::RunResult| r.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&run), bits(&smopt));
 }
