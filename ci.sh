@@ -57,12 +57,14 @@ cargo fmt --check
 # containers constructed in the contract and message-passing executors,
 # `Section`s that keep their dims in a heap `Vec`, point-enumerating
 # fallbacks left in `Range`'s set operations (range.rs up to its tests),
-# and tag arrays (`Vec<Access>` under crates/tempest/src).
+# tag arrays (`Vec<Access>` under crates/tempest/src), and block-keyed
+# ordered maps and per-twin boxes (`BTreeMap<u32, BlockHeat>` or
+# `Box<[f64]>` in the non-test part of crates/{tempest,protocol}/src).
 # The `pub` count has no threshold: an item no other crate, example,
 # bench, integration test or benchmark/ names is `pub(crate)`, and the
 # clippy step above (`-D warnings`, so rustc's dead_code lint fails it)
 # is the gate that keeps unused crate-private code from coming back.
-# Five of them can fail the gate: the per-loop table is indexed by loop
+# Six of them can fail the gate: the per-loop table is indexed by loop
 # id, and a loop's address must not come back; resolve executes a
 # schedule kept in the plan (DESIGN 5c), so neither may a free list for
 # per-superstep plans, an instance-owned schedule, nor a map built in an
@@ -71,7 +73,11 @@ cargo fmt --check
 # analysis is allocation-free (DESIGN 5c), so `Section` keeps its dims
 # inline; and access tags are word bitsets the range walk scans 64
 # blocks at a time (DESIGN 5c), so a per-block tag array must not come
-# back beside them.
+# back beside them. A fault, attributed message or pushed block folds
+# into block heat with one probe of a block-keyed table, and a twin is a
+# slice of one store reused across intervals (DESIGN 5d), so neither a
+# tree walk per fold nor a heap box per twin may come back on the fault
+# path.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
 pubs=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /^[ \t]*pub ((unsafe|const) )*(fn|struct|enum|const|static|trait|type) /{n++} END{print n}' {} +)
@@ -86,8 +92,9 @@ maps=$(cat crates/hpf/src/exec/sm_opt.rs crates/hpf/src/exec/mp.rs | grep -c 'BT
 heapdims=$(awk '/^pub struct Section /,/^}/' crates/section/src/section.rs | grep -c 'Vec<' || true)
 enums=$(awk '/^#\[cfg\(test\)\]/{exit} /refusing to enumerate/' crates/section/src/range.rs | wc -l)
 tagarrays=$(cat crates/tempest/src/*.rs | grep -c 'Vec<Access>' || true)
+blockmaps=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /BTreeMap<u32, BlockHeat>|Box<\[f64\]>/{n++} END{print n+0}' $(find crates/tempest/src crates/protocol/src -name '*.rs'))
 fresh=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /vec!\[0\.0/{n++} END{print n+0}' crates/tempest/src/shard.rs crates/hpf/src/exec/engine.rs crates/hpf/src/exec/mp.rs)
-echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations"
+echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations, $blockmaps block-keyed ordered maps and per-twin boxes"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1
@@ -106,5 +113,9 @@ if [ "$tagarrays" -ne 0 ]; then
 fi
 if [ "$fresh" -ne 0 ]; then
     echo "ci.sh: a segment-sized buffer is allocated outside the segment arena ($fresh)" >&2
+    exit 1
+fi
+if [ "$blockmaps" -ne 0 ]; then
+    echo "ci.sh: a block-keyed ordered map or a per-twin box is back on the fault path ($blockmaps)" >&2
     exit 1
 fi

@@ -16,9 +16,9 @@ use crate::node::WireTransport;
 use crate::update::WriteUpdate;
 use crate::wire::{reconcile_stats, WireHeader, WireMsg};
 use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
-use fgdsm_tempest::{Access, BlockSet, Cluster, NodeId, NO_ARRAY};
+use fgdsm_tempest::{Access, BlockMap, BlockSet, Cluster, NodeId, NO_ARRAY};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{hash_map, BTreeMap, VecDeque};
 
 /// Which built-in default coherence protocol the DSM runs.
 ///
@@ -112,8 +112,12 @@ pub struct Dsm {
     /// with the per-shard dirty tag sets this bounds every consistency
     /// scan by the traffic footprint instead of the segment size.
     dirty_dirs: BlockSet,
-    /// Twins for multiple-writer blocks: (block, writer) → snapshot.
-    twins: BTreeMap<(usize, NodeId), Box<[f64]>>,
+    /// Twins for multiple-writer blocks: (block, writer) → offset of its
+    /// snapshot in `twin_words`. Every twin dies at the release that
+    /// ends its interval, so the words are cleared, capacity kept, when
+    /// the last one goes — no per-twin allocation, no free list.
+    twin_at: BlockMap<(u32, u32), usize>,
+    twin_words: Vec<f64>,
     /// Per-receiver compiler-directed transfer inbox: latest arrival time
     /// and pending payload/block counts (reset by `ready_to_recv`).
     pub(crate) inbox_arrival: Vec<u64>,
@@ -419,7 +423,8 @@ impl Dsm {
             dir,
             excl,
             dirty_dirs: BlockSet::new(n_blocks),
-            twins: BTreeMap::new(),
+            twin_at: BlockMap::default(),
+            twin_words: Vec::new(),
             inbox_arrival: vec![0; nprocs],
             inbox_payloads: vec![0; nprocs],
             inbox_blocks: vec![0; nprocs],
@@ -772,27 +777,41 @@ impl Dsm {
     // external ones — compose these)
     // ------------------------------------------------------------------
 
-    /// Snapshot a block's current contents at `node` into a twin buffer.
+    /// Snapshot a block's current contents at `node` into a twin buffer
+    /// (overwriting `node`'s existing twin of `b` in place).
     pub(crate) fn make_twin(&mut self, node: NodeId, b: usize) {
         let (s, e) = self.cluster.block_words(b);
-        let data: Box<[f64]> = self.cluster.node_mem(node)[s..e].into();
-        self.twins.insert((b, node), data);
+        let words = &self.cluster.node_mem(node)[s..e];
+        match self.twin_at.entry((b as u32, node as u32)) {
+            hash_map::Entry::Occupied(at) => {
+                let at = *at.get();
+                self.twin_words[at..at + words.len()].copy_from_slice(words);
+            }
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(self.twin_words.len());
+                self.twin_words.extend_from_slice(words);
+            }
+        }
     }
 
     /// Whether `node` currently holds a twin of block `b`.
     pub(crate) fn has_twin(&self, node: NodeId, b: usize) -> bool {
-        self.twins.contains_key(&(b, node))
+        self.twin_at.contains_key(&(b as u32, node as u32))
     }
 
     /// Drop `node`'s twin of block `b` (end of a write interval).
     pub(crate) fn remove_twin(&mut self, node: NodeId, b: usize) {
-        self.twins.remove(&(b, node));
+        self.twin_at.remove(&(b as u32, node as u32));
+        if self.twin_at.is_empty() {
+            self.twin_words.clear();
+        }
     }
 
     /// Word-diff a writer's block against its twin; returns the dirty mask.
     pub(crate) fn diff_mask(&self, node: NodeId, b: usize) -> u64 {
-        let twin = &self.twins[&(b, node)];
+        let at = self.twin_at[&(b as u32, node as u32)];
         let (s, e) = self.cluster.block_words(b);
+        let twin = &self.twin_words[at..at + (e - s)];
         crate::wire::diff_mask(&self.cluster.node_mem(node)[s..e], twin)
     }
 
@@ -906,6 +925,11 @@ impl Dsm {
     /// here at the latest.
     pub fn release_barrier(&mut self) {
         self.with_proto(|proto, d| proto.release(d));
+        debug_assert!(
+            self.twin_at.is_empty(),
+            "a twin outlived its interval: {} left after release",
+            self.twin_at.len()
+        );
         if let Some(w) = self.wire.as_mut() {
             w.sync();
         }
@@ -1240,6 +1264,59 @@ mod tests {
             assert_eq!(d.cluster.node_mem(n)[0], 1.0, "node {n} word 0");
             assert_eq!(d.cluster.node_mem(n)[1], 2.0, "node {n} word 1");
         }
+    }
+
+    /// Three writers of one block, a mid-interval reader that refreshes
+    /// their twins in place, then the release: the home merges every
+    /// word, and the twin store is empty with its capacity kept.
+    #[test]
+    fn eager_twins_refresh_in_place_and_die_at_release() {
+        let mut d = dsm(5, CostModel::paper_dual_cpu());
+        let (s, e) = d.cluster.block_words(0);
+        let words = e - s;
+        for w in 1..=3 {
+            d.write_access_multi(w, 0);
+            d.cluster.node_mem_mut(w)[w] = w as f64;
+        }
+        // The home owned the block when it entered Multi, so it is twinned
+        // as a writer too.
+        assert_eq!(d.twin_words.len(), 4 * words, "one twin per writer");
+        // Node 4 reads mid-interval: each writer flushes its diff home and
+        // refreshes its twin against the new merge base.
+        d.read_access(4, 0);
+        assert_eq!(&d.cluster.node_mem(4)[1..4], [1.0, 2.0, 3.0]);
+        assert_eq!(d.twin_words.len(), 4 * words, "refreshed in place");
+        for w in 1..=3 {
+            assert!(d.has_twin(w, 0));
+            d.cluster.node_mem_mut(w)[3 + w] = 10.0 * w as f64;
+        }
+        d.release_barrier();
+        assert_eq!(
+            &d.cluster.node_mem(0)[1..7],
+            [1.0, 2.0, 3.0, 10.0, 20.0, 30.0]
+        );
+        assert!(d.twin_at.is_empty() && d.twin_words.is_empty());
+        assert!(d.twin_words.capacity() >= 4 * words, "capacity kept");
+        d.check_consistency().unwrap();
+    }
+
+    /// Under write-update a standing writer re-twins in each new
+    /// interval, and every release empties the twin store.
+    #[test]
+    fn update_standing_writer_twins_each_interval() {
+        let mut d = dsm_update(3);
+        d.read_access(2, 0);
+        for step in 0..3 {
+            d.write_access_excl(1, 0);
+            assert!(d.has_twin(1, 0), "interval {step} twins the writer");
+            d.cluster.node_mem_mut(1)[2] = step as f64 + 0.5;
+            d.release_barrier();
+            assert!(d.twin_at.is_empty() && d.twin_words.is_empty());
+            for n in [0, 2] {
+                assert_eq!(d.cluster.node_mem(n)[2], step as f64 + 0.5, "node {n}");
+            }
+        }
+        d.check_consistency().unwrap();
     }
 
     #[test]

@@ -98,7 +98,8 @@ fn range_walk_matches_the_per_block_path() {
 
     // The state really had every case in it.
     let stats = by_block.cluster.stats(1).clone();
-    let heat = by_block.cluster.node_trace(1).heat();
+    let heat: std::collections::BTreeMap<_, _> =
+        by_block.cluster.node_trace(1).heat().into_iter().collect();
     assert_eq!(heat[&2].upgrades + heat[&3].upgrades, 2, "two upgrades");
     assert_eq!(stats.write_misses, 2 + 10, "5 and 6 hit, the rest fault");
     assert_eq!(stats.read_misses, 4 + 10, "18 and 19 hit, the rest fault");

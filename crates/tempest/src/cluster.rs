@@ -594,7 +594,7 @@ impl Cluster {
                 .shards
                 .iter()
                 .map(|sh| NodeHeatmap {
-                    blocks: sh.trace().heat().iter().map(|(&b, &h)| (b, h)).collect(),
+                    blocks: sh.trace().heat(),
                     unattributed_bytes: sh.trace().unattributed_bytes(),
                 })
                 .collect(),

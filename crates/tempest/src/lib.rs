@@ -61,6 +61,6 @@ pub use scratch::{BlockSet, CacheAligned};
 pub use shard::NodeShard;
 pub use stats::{ClusterReport, HostPhases, NodeStats};
 pub use trace::{
-    BlockHeat, CtlPrim, Event, FaultKind, NodeTrace, TraceEntry, NO_ARRAY, NO_BLOCK, NO_LOOP,
-    NO_STEP,
+    BlockHasher, BlockHeat, BlockMap, CtlPrim, Event, FaultKind, NodeTrace, TraceEntry, NO_ARRAY,
+    NO_BLOCK, NO_LOOP, NO_STEP,
 };

@@ -23,7 +23,8 @@
 
 use crate::cluster::ChargeKind;
 use crate::stats::NodeStats;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default per-node ring capacity (entries kept for export).
 pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -143,6 +144,69 @@ pub struct BlockHeat {
     pub bytes_sent: u64,
 }
 
+/// A fixed multiplicative (Fibonacci) hasher for block-keyed tables: one
+/// multiply per `u32` key word and no per-process seed, so a table keyed
+/// by blocks costs the same on every run. Tables using it are probed,
+/// never iterated, so their order cannot reach an artifact.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(26) ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by blocks (or `(block, node)` pairs) under [`BlockHasher`].
+pub type BlockMap<K, V> = HashMap<K, V, BuildHasherDefault<BlockHasher>>;
+
+/// Per-block heat in first-touch order, plus an index from block to
+/// cell: a fold is one probe and one index, and [`HeatTable::sorted`]
+/// orders the cells by block once, when a report asks. Blocks and their
+/// accumulators are parallel vectors, so a cell carries no padding and
+/// the sort reads only the 4-byte blocks.
+#[derive(Clone, Debug, Default)]
+struct HeatTable {
+    blocks: Vec<u32>,
+    cells: Vec<BlockHeat>,
+    index: BlockMap<u32, u32>,
+}
+
+impl HeatTable {
+    /// The accumulator of `block`, created zeroed on first touch.
+    fn cell(&mut self, block: u32) -> &mut BlockHeat {
+        let next = self.cells.len() as u32;
+        let i = *self.index.entry(block).or_insert(next) as usize;
+        if i == self.cells.len() {
+            self.blocks.push(block);
+            self.cells.push(BlockHeat::default());
+        }
+        &mut self.cells[i]
+    }
+
+    /// The cells ascending by block: sorts 8-byte `block << 32 | cell`
+    /// keys, then gathers.
+    fn sorted(&self) -> Vec<(u32, BlockHeat)> {
+        let mut keys: Vec<u64> = (self.blocks.iter().enumerate())
+            .map(|(i, &b)| (b as u64) << 32 | i as u64)
+            .collect();
+        keys.sort_unstable();
+        keys.iter()
+            .map(|&k| ((k >> 32) as u32, self.cells[k as u32 as usize]))
+            .collect()
+    }
+}
+
 /// One node's event ring plus exact folded aggregates. Owned by that
 /// node's [`NodeShard`](crate::shard::NodeShard); purely node-local.
 #[derive(Clone, Debug)]
@@ -162,7 +226,7 @@ pub struct NodeTrace {
     cur_step: u32,
     cur_loop: u32,
     /// Per-block heat accumulators (exact, unaffected by ring eviction).
-    heat: BTreeMap<u32, BlockHeat>,
+    heat: HeatTable,
     /// Payload bytes sent that no call site attributed to a block.
     unattributed_bytes: u64,
     /// Blocks this node faulted on since the last superstep boundary, in
@@ -194,7 +258,7 @@ impl NodeTrace {
             monotone: true,
             cur_step: NO_STEP,
             cur_loop: NO_LOOP,
-            heat: BTreeMap::new(),
+            heat: HeatTable::default(),
             unattributed_bytes: 0,
             step_faults: Vec::new(),
         }
@@ -235,7 +299,7 @@ impl NodeTrace {
         let s = &mut self.stats;
         match event {
             Event::Fault { block, kind } => {
-                let h = self.heat.entry(block as u32).or_default();
+                let h = self.heat.cell(block as u32);
                 match kind {
                     FaultKind::Read => {
                         s.read_misses += 1;
@@ -269,7 +333,7 @@ impl NodeTrace {
                 s.blocks_pushed += blocks;
                 if first_block != NO_BLOCK {
                     for b in first_block as u64..first_block as u64 + blocks {
-                        self.heat.entry(b as u32).or_default().pushed += 1;
+                        self.heat.cell(b as u32).pushed += 1;
                     }
                 }
             }
@@ -279,7 +343,7 @@ impl NodeTrace {
                 if block == NO_BLOCK {
                     self.unattributed_bytes += bytes;
                 } else {
-                    self.heat.entry(block).or_default().bytes_sent += bytes;
+                    self.heat.cell(block).bytes_sent += bytes;
                 }
             }
             Event::MsgRecv { bytes } => {
@@ -323,9 +387,10 @@ impl NodeTrace {
         self.ring.iter()
     }
 
-    /// Per-block heat accumulators (exact, even after ring wrap).
-    pub fn heat(&self) -> &BTreeMap<u32, BlockHeat> {
-        &self.heat
+    /// Per-block heat accumulators as `(block, heat)` pairs ascending by
+    /// block (exact, even after ring wrap).
+    pub fn heat(&self) -> Vec<(u32, BlockHeat)> {
+        self.heat.sorted()
     }
 
     /// Payload bytes sent that no call site attributed to a block.
@@ -429,6 +494,11 @@ impl NodeTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    fn heat_map(t: &NodeTrace) -> BTreeMap<u32, BlockHeat> {
+        t.heat().into_iter().collect()
+    }
 
     #[test]
     fn events_fold_into_stats() {
@@ -491,13 +561,13 @@ mod tests {
         assert_eq!(s1.reductions, 1);
         // Heat follows the same events: faults and attributed bytes on a,
         // pushed blocks on b.
-        let ha = a.heat();
+        let ha = heat_map(&a);
         assert_eq!(ha[&3].read_misses, 1);
         assert_eq!(ha[&3].bytes_sent, 128);
         assert_eq!(ha[&4].write_misses, 1);
         assert_eq!(ha[&4].upgrades, 1);
         assert_eq!(a.unattributed_bytes(), 0);
-        let hb = b.heat();
+        let hb = heat_map(&b);
         assert_eq!((10..17).map(|i| hb[&i].pushed).sum::<u64>(), 7);
     }
 
@@ -520,8 +590,8 @@ mod tests {
         );
         assert_eq!(t.stats().bytes_sent, 72);
         assert_eq!(t.unattributed_bytes(), 8);
-        assert_eq!(t.heat()[&5].bytes_sent, 64);
-        let total: u64 = t.heat().values().map(|h| h.bytes_sent).sum();
+        assert_eq!(heat_map(&t)[&5].bytes_sent, 64);
+        let total: u64 = heat_map(&t).values().map(|h| h.bytes_sent).sum();
         assert_eq!(total + t.unattributed_bytes(), t.stats().bytes_sent);
     }
 

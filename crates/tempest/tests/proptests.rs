@@ -1,8 +1,12 @@
 //! Property tests for the cluster substrate: clock/charge accounting,
 //! barrier alignment, page-mapping idempotence and segment layout.
 
-use fgdsm_tempest::{ChargeKind, Cluster, CostModel, HomePolicy, SegmentLayout};
+use fgdsm_tempest::{
+    BlockHeat, ChargeKind, Cluster, CostModel, Event, FaultKind, HomePolicy, SegmentLayout,
+    NO_BLOCK,
+};
 use fgdsm_testkit::check_cases;
+use std::collections::BTreeMap;
 
 fn cluster(nprocs: usize, words: usize) -> Cluster {
     let cfg = CostModel::paper_dual_cpu();
@@ -167,6 +171,96 @@ fn merged_percentiles_bound_the_per_part_percentiles() {
                 pa.min(pb),
                 pa.max(pb)
             );
+        }
+    });
+}
+
+/// The block-keyed heat table folds exactly what an ordered map folds:
+/// random faults of every kind, attributed and unattributed messages
+/// (repeated blocks, zero-byte payloads) and pushed ranges, with
+/// superstep context changes between them. The sorted heat, the report's
+/// heatmaps and the profile invariants must all agree with the reference.
+#[test]
+fn heat_table_folds_like_an_ordered_map() {
+    const KINDS: [FaultKind; 4] = [
+        FaultKind::Read,
+        FaultKind::Write,
+        FaultKind::Upgrade,
+        FaultKind::MultiWrite,
+    ];
+    check_cases(64, |rng| {
+        let nprocs = 3;
+        let mut c = cluster(nprocs, 4096);
+        let nb = c.n_blocks();
+        // A small pool of hot blocks makes repeats common; the rest of the
+        // segment keeps first touches spread out.
+        let hot: Vec<usize> = rng.vec(6, |r| r.range(0, nb));
+        let mut want: Vec<BTreeMap<u32, BlockHeat>> = vec![BTreeMap::new(); nprocs];
+        let mut step = None;
+        for _ in 0..rng.range(0, 400) {
+            let node = rng.range(0, nprocs);
+            let block = if rng.flag() {
+                *rng.pick(&hot)
+            } else {
+                rng.range(0, nb)
+            };
+            let h = &mut want[node];
+            let event = match rng.below(5) {
+                0 | 1 => {
+                    let kind = *rng.pick(&KINDS);
+                    let e = h.entry(block as u32).or_default();
+                    match kind {
+                        FaultKind::Read => e.read_misses += 1,
+                        FaultKind::Write | FaultKind::MultiWrite => e.write_misses += 1,
+                        FaultKind::Upgrade => {
+                            e.write_misses += 1;
+                            e.upgrades += 1;
+                        }
+                    }
+                    Event::Fault { block, kind }
+                }
+                2 => {
+                    let bytes = 64 * rng.below(3);
+                    let block = if rng.flag() { block as u32 } else { NO_BLOCK };
+                    if block != NO_BLOCK {
+                        h.entry(block).or_default().bytes_sent += bytes;
+                    }
+                    Event::Msg { bytes, block }
+                }
+                3 => {
+                    let blocks = rng.range(0, 5.min(nb - block + 1)) as u64;
+                    for b in block as u64..block as u64 + blocks {
+                        h.entry(b as u32).or_default().pushed += 1;
+                    }
+                    Event::CtlSend {
+                        blocks,
+                        first_block: block as u32,
+                        array: 0,
+                    }
+                }
+                _ => {
+                    match step.take() {
+                        Some(s) => c.end_superstep(s, 0),
+                        None => {
+                            let s = rng.below(8) as u32;
+                            c.begin_superstep(s, 0);
+                            step = Some(s);
+                        }
+                    }
+                    continue;
+                }
+            };
+            c.record(node, event);
+        }
+        if let Some(s) = step {
+            c.end_superstep(s, 0);
+        }
+        let report = c.report();
+        report.check_profile_invariants().unwrap();
+        for (n, want) in want.iter().enumerate() {
+            let want: Vec<(u32, BlockHeat)> = want.iter().map(|(&b, &h)| (b, h)).collect();
+            assert_eq!(c.node_trace(n).heat(), want, "node {n}");
+            assert_eq!(report.heatmaps[n].blocks, want, "node {n}");
         }
     });
 }
