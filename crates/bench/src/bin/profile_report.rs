@@ -37,7 +37,7 @@ use fgdsm_apps::suite;
 use fgdsm_bench::{json, json_row, save_json, scale};
 use fgdsm_hpf::{execute_profiled, ExecConfig, RunResult};
 use fgdsm_tempest::knob::Knobs;
-use fgdsm_tempest::NO_LOOP;
+use fgdsm_tempest::{Stage, NO_LOOP};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -72,7 +72,7 @@ json_row! {
 }
 
 /// Calibration: join the Table-1 cost model's predicted round-trip time
-/// against the measured wall-clock `route.<class>` histograms of a
+/// against the coordinator's measured wall-clock route histograms of a
 /// metered `tcp` run, one row per exercised `WireMsg` class. Predicted
 /// is the simulated network's round-trip for this class's *mean* frame
 /// payload; measured is the *amortised streaming cost* per frame — each
@@ -86,16 +86,15 @@ fn calibration_rows(app: &'static str, run: &RunResult) -> Vec<CalRow> {
         .unwrap_or_else(|| panic!("{app}/tcp: calibration needs a metered run"));
     let cost = fgdsm_tempest::CostModel::paper_dual_cpu();
     let mut rows = Vec::new();
+    let coord = reg.coord();
     for kind in 0u8..=4 {
         let class = fgdsm_tempest::metrics::class_name(kind);
-        let frames = reg.counter(&format!("coord.frames.{class}"));
+        let frames = coord.frames(kind);
         if frames == 0 {
             continue;
         }
-        let payload = reg.counter(&format!("coord.payload_bytes.{class}"));
-        let h = reg
-            .hist(&format!("coord.route.{class}"))
-            .unwrap_or_else(|| panic!("{app}/tcp: {frames} {class} frames but no route histogram"));
+        let payload = coord.payload_bytes(kind);
+        let h = coord.hist(Stage::Route, kind);
         assert_eq!(
             h.count(),
             frames,

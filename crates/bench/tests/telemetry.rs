@@ -9,14 +9,16 @@
 //!   sandbox allows sockets) `tcp` configurations.
 //! * **Liveness + conservation**: a metered carrier run (`chan` always,
 //!   `tcp` where sockets are allowed) must actually populate per-class
-//!   histograms on both sides of the link, merge the workers' registries
-//!   under node-tagged keys, conserve the wire's payload accounting on
+//!   histograms on both sides of the link, bring the workers' tables
+//!   home under node-tagged keys, conserve the wire's payload accounting on
 //!   both sides, and splice into a merged Perfetto trace that the bench
 //!   JSON parser accepts.
 
 use fgdsm_apps::{jacobi, suite, Scale};
 use fgdsm_bench::{json, NPROCS};
 use fgdsm_hpf::{execute_profiled, tcp_available, ExecConfig};
+use fgdsm_tempest::metrics::class_name;
+use fgdsm_tempest::{Metric, MetricsRegistry, Stage};
 
 /// Canonical artifacts are byte-identical with telemetry on vs off.
 #[test]
@@ -65,19 +67,19 @@ fn metrics_on_vs_off_canonical_artifacts_are_byte_identical() {
             let reg = on
                 .metrics()
                 .unwrap_or_else(|| panic!("{name}: metered wire run must carry a registry"));
-            assert!(!reg.is_empty(), "{name}: metered registry is empty");
+            assert!(
+                reg.iter().next().is_some(),
+                "{name}: metered registry is empty"
+            );
             // Route time is booked once per batch, not once per frame:
             // the per-class histograms add up to the measured total.
-            let booked: u64 = reg
-                .iter()
-                .filter(|(k, _)| k.starts_with("coord.route."))
-                .filter_map(|(_, m)| m.as_hist())
-                .map(|h| h.sum())
+            let booked: u64 = (0u8..=5)
+                .map(|kind| reg.coord().hist(Stage::Route, kind).sum())
                 .sum();
             assert_eq!(
                 booked,
                 on.wire_route_ns(),
-                "{name}: coord.route.* histograms must sum to wire_route_ns"
+                "{name}: the coordinator's route histograms must sum to wire_route_ns"
             );
             assert!(
                 on.check_metrics_conservation().is_ok(),
@@ -101,6 +103,75 @@ fn carrier_telemetry_populates_both_sides_and_merges_cleanly() {
     }
 }
 
+/// What fgbench reads: `iter()` yields `(key, metric)` strictly
+/// ascending by key, one key per non-zero counter and non-empty
+/// histogram on either side and nothing else, so its `wire.*` /
+/// `node.*` sums over `<who>.<stage>.<class>` keys are the typed sums.
+fn iterated_keys_are_the_recorded_ones(name: &str, reg: &MetricsRegistry) {
+    let got: Vec<_> = reg.iter().collect();
+    assert!(
+        got.windows(2).all(|w| w[0].0 < w[1].0),
+        "{name}: keys must be strictly ascending"
+    );
+    let tables = std::iter::once(("coord".to_string(), reg.coord()))
+        .chain(reg.nodes().map(|(n, t)| (format!("node{n}"), t)));
+    let mut want: Vec<(String, u64)> = Vec::new();
+    for (tag, t) in tables {
+        for kind in 0u8..=5 {
+            let class = class_name(kind);
+            want.push((format!("{tag}.frames.{class}"), t.frames(kind)));
+            want.push((
+                format!("{tag}.payload_bytes.{class}"),
+                t.payload_bytes(kind),
+            ));
+            for stage in Stage::ALL {
+                let key = format!("{tag}.{}.{class}", stage.name());
+                want.push((key, t.hist(stage, kind).count()));
+            }
+        }
+    }
+    want.retain(|&(_, v)| v != 0);
+    want.sort();
+    let seen: Vec<(String, u64)> = got
+        .iter()
+        .map(|(k, m)| match m {
+            Metric::Counter(v) => (k.clone(), *v),
+            Metric::Hist(h) => (k.clone(), h.count()),
+        })
+        .collect();
+    assert_eq!(
+        seen, want,
+        "{name}: iter() must yield exactly the recorded keys"
+    );
+    for prefix in ["coord.", "node"] {
+        assert!(
+            got.iter().any(|(k, _)| k.starts_with(prefix)),
+            "{name}: no {prefix}* keys"
+        );
+    }
+    for (on_node, stage) in [(false, Stage::Route), (true, Stage::Apply)] {
+        let by_key: u64 = got
+            .iter()
+            .filter_map(|(key, metric)| {
+                let mut parts = key.splitn(3, '.');
+                let (who, st) = (parts.next()?, parts.next()?);
+                if who.starts_with("node") != on_node || st != stage.name() {
+                    return None;
+                }
+                metric.as_hist().map(|h| h.sum())
+            })
+            .sum();
+        let typed: u64 = if on_node {
+            reg.nodes()
+                .flat_map(|(_, t)| (0u8..=5).map(move |k| t.hist(stage, k).sum()))
+                .sum()
+        } else {
+            (0u8..=5).map(|k| reg.coord().hist(stage, k).sum()).sum()
+        };
+        assert_eq!(by_key, typed, "{name}: {} summed by key", stage.name());
+    }
+}
+
 fn carrier_telemetry(carrier: &str, cfg: ExecConfig) {
     for spec in suite(Scale::Test) {
         let name = format!("{carrier}/{}", spec.name);
@@ -109,23 +180,22 @@ fn carrier_telemetry(carrier: &str, cfg: ExecConfig) {
 
         // Coordinator side: for every exercised class the full pipeline
         // is histogrammed, one route sample per frame.
+        let coord = reg.coord();
         let mut exercised = 0u64;
         for kind in 0u8..=4 {
-            let class = fgdsm_tempest::metrics::class_name(kind);
-            let frames = reg.counter(&format!("coord.frames.{class}"));
+            let class = class_name(kind);
+            let frames = coord.frames(kind);
             if frames == 0 {
                 continue;
             }
             exercised += frames;
-            for stage in ["encode", "route", "decode"] {
-                let h = reg
-                    .hist(&format!("coord.{stage}.{class}"))
-                    .unwrap_or_else(|| panic!("{}: no coord.{stage}.{class} histogram", name));
+            for stage in [Stage::Encode, Stage::Route, Stage::Decode] {
                 assert_eq!(
-                    h.count(),
+                    coord.hist(stage, kind).count(),
                     frames,
-                    "{}: coord.{stage}.{class} must sample every frame",
-                    name
+                    "{}: coord.{}.{class} must sample every frame",
+                    name,
+                    stage.name()
                 );
             }
         }
@@ -135,24 +205,23 @@ fn carrier_telemetry(carrier: &str, cfg: ExecConfig) {
             name
         );
 
-        // Worker side: the nodes shipped their registries home, and
-        // under each node-tagged prefix every stage of the worker loop
-        // sampled every frame that node served — which together are
-        // every frame the coordinator routed.
+        // Worker side: the nodes shipped their tables home, and in each
+        // node's table every stage of the worker loop sampled every frame
+        // that node served — which together are every frame the
+        // coordinator routed.
         let mut served = 0u64;
-        for node in 0..NPROCS {
+        for (node, table) in reg.nodes() {
             for kind in 0u8..=4 {
-                let class = fgdsm_tempest::metrics::class_name(kind);
-                let frames = reg.counter(&format!("node{node}.frames.{class}"));
+                let frames = table.frames(kind);
                 served += frames;
-                for stage in ["recv", "apply", "reencode"] {
-                    let sampled = reg
-                        .hist(&format!("node{node}.{stage}.{class}"))
-                        .map_or(0, |h| h.count());
+                for stage in [Stage::Recv, Stage::Apply, Stage::Reencode] {
                     assert_eq!(
-                        sampled, frames,
-                        "{}: node{node}.{stage}.{class} must sample every served frame",
-                        name
+                        table.hist(stage, kind).count(),
+                        frames,
+                        "{}: node{node}.{}.{} must sample every served frame",
+                        name,
+                        stage.name(),
+                        class_name(kind)
                     );
                 }
             }
@@ -165,6 +234,7 @@ fn carrier_telemetry(carrier: &str, cfg: ExecConfig) {
 
         run.check_metrics_conservation()
             .unwrap_or_else(|e| panic!("{}: {e}", name));
+        iterated_keys_are_the_recorded_ones(&name, reg);
 
         // Merged Perfetto document: parses, keeps the virtual-clock
         // coordinator events on pid 0, adds worker pid tracks with

@@ -224,8 +224,8 @@ fn check_matrix(
                 });
             }
             // Telemetry double-entry: on a metered wire run, the
-            // per-class `payload_bytes.*` counters across the coordinator
-            // and worker registries must sum exactly to the wire's own
+            // per-class payload counters of the coordinator's and of the
+            // workers' telemetry tables must sum exactly to the wire's own
             // payload total. The only detector for a silently
             // undercounting telemetry path.
             if let Err(e) = r.check_metrics_conservation() {

@@ -46,7 +46,7 @@ pub enum Fault {
     /// skipped for the first staged envelope. Run results and every
     /// canonical artifact stay bitwise correct — only the oracle's
     /// metrics-conservation invariant (Σ payload counters across the
-    /// coordinator and worker registries == the wire's payload total)
+    /// coordinator and worker tables == the wire's payload total)
     /// can catch it.
     UndercountMetrics,
     /// The default-protocol schedule's slot ignores its key after its

@@ -473,8 +473,8 @@ pub(super) fn run(
     // Orderly wire teardown: settle the last frames in flight (their
     // wait is part of the route time read right after), collect the
     // peers' `ByeStats`, reconcile their double-entry books against ours
-    // (divergence is a loud, typed panic), and merge every process's
-    // metric registry under node-tagged keys. Runs with metrics on or
+    // (divergence is a loud, typed panic), and bring every worker's
+    // telemetry table home beside ours. Runs with metrics on or
     // off — reconciliation is free and should always happen on an
     // orderly shutdown.
     let (metrics, wire_spans) = core.dsm.wire_finish();

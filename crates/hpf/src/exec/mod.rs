@@ -129,7 +129,7 @@ impl WireMode {
 }
 
 /// Whether wall-clock telemetry (the [`fgdsm_tempest::metrics`]
-/// registry: per-`WireMsg`-class encode/route/decode/apply histograms on
+/// tables: per-`WireMsg`-class encode/route/decode/apply histograms on
 /// the coordinator, recv/apply/re-encode histograms in the workers) is
 /// recorded for a run. Purely a side-channel knob: canonical reports,
 /// traces, and profiles are byte-identical with metrics on or off — the
@@ -477,10 +477,10 @@ pub struct RunResult {
     /// in-process loopback, which has no link).
     pub wire_batches: u64,
     pub wire_syncs: u64,
-    /// Merged wall-clock telemetry (`None` when metrics are off):
-    /// coordinator keys under `coord.`, per-worker keys under `node<i>.`
-    /// for the carriers. Side-channel only — never feeds the
-    /// canonical report.
+    /// Wall-clock telemetry (`None` when metrics are off): the
+    /// coordinator's table, and on the carriers one per worker, keyed
+    /// `coord.` / `node<i>.` when iterated. Side-channel only — never
+    /// feeds the canonical report.
     pub metrics: Option<MetricsRegistry>,
     /// Wall-clock spans of the wire transport's link-level batches, one
     /// per flush (empty when metrics are off), feeding the merged Chrome
@@ -518,13 +518,13 @@ impl RunResult {
         self.report.wire_route_ns
     }
 
-    /// The merged wall-clock metrics registry, if telemetry was on.
+    /// The wall-clock metrics registry, if telemetry was on.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_ref()
     }
 
     /// Double-entry conservation over the telemetry side channel: the
-    /// per-class `payload_bytes.*` counters — coordinator's, and each
+    /// per-class payload counters — the coordinator's table, and each
     /// worker's when present — must each sum to exactly
     /// [`RunResult::wire_payload_bytes`]. `Ok(())` when metrics are off
     /// (nothing to check) or no frames were routed.
@@ -532,11 +532,7 @@ impl RunResult {
         let Some(reg) = self.metrics.as_ref() else {
             return Ok(());
         };
-        let coord: u64 = reg
-            .iter()
-            .filter(|(k, _)| k.starts_with("coord.payload_bytes."))
-            .filter_map(|(_, m)| m.as_counter())
-            .sum();
+        let coord = reg.coord().payload_total();
         if coord != self.wire_payload_bytes {
             return Err(format!(
                 "metrics conservation: coordinator per-class payload counters sum to {coord}, \
@@ -544,32 +540,18 @@ impl RunResult {
                 self.wire_payload_bytes
             ));
         }
-        // Worker registries (carriers only): every node that shipped
-        // metrics home must account for the full payload volume it saw.
-        let mut nodes: Vec<&str> = reg
-            .iter()
-            .filter_map(|(k, _)| k.split_once('.').map(|(tag, _)| tag))
-            .filter(|tag| tag.starts_with("node"))
-            .collect();
-        nodes.dedup();
-        let per_node_total: u64 = nodes
-            .iter()
-            .map(|tag| {
-                reg.iter()
-                    .filter(|(k, _)| {
-                        k.strip_prefix(tag)
-                            .and_then(|r| r.strip_prefix('.'))
-                            .is_some_and(|r| r.starts_with("payload_bytes."))
-                    })
-                    .filter_map(|(_, m)| m.as_counter())
-                    .sum::<u64>()
-            })
-            .sum();
-        if !nodes.is_empty() && per_node_total != self.wire_payload_bytes {
+        // Worker tables (carriers only): the nodes that shipped metrics
+        // home must together account for the full payload volume.
+        let (nodes, per_node_total) = reg
+            .nodes()
+            .filter(|(_, t)| !t.is_empty())
+            .fold((0, 0u64), |(n, sum), (_, t)| {
+                (n + 1, sum.saturating_add(t.payload_total()))
+            });
+        if nodes != 0 && per_node_total != self.wire_payload_bytes {
             return Err(format!(
                 "metrics conservation: worker per-class payload counters sum to {per_node_total} \
-                 across {} nodes, but the run routed {} payload bytes",
-                nodes.len(),
+                 across {nodes} nodes, but the run routed {} payload bytes",
                 self.wire_payload_bytes
             ));
         }

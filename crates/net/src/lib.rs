@@ -298,7 +298,7 @@ pub struct SocketOpts {
     /// Fault injection: arm one node with a [`NodeFault`].
     pub node_fault: Option<(u32, NodeFault)>,
     /// Enable wall-clock telemetry in the workers: a metrics-enabled
-    /// node ships its registry home inside `ByeStats`.
+    /// node ships its telemetry table home inside `ByeStats`.
     pub metrics: bool,
 }
 

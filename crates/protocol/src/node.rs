@@ -32,7 +32,7 @@
 //! coordinator hangs up on that node (`tests` below).
 
 use crate::wire::{CtrlMsg, RemoteReport, WireError, WireMsg, DEFAULT_RECV_TIMEOUT, WIRE_VERSION};
-use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
+use fgdsm_tempest::metrics::{Stage, Telemetry, WireSpan};
 use fgdsm_tempest::{Cluster, CostModel};
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -219,7 +219,7 @@ pub fn serve(
     };
     let mut mirror = vec![0u64; seg_words];
     let (mut frames, mut payload_bytes, mut batches) = (0u64, 0u64, 0u32);
-    let mut reg = metrics.then(MetricsRegistry::new);
+    let mut table = metrics.then(Box::<Telemetry>::default);
     // A link error below means the coordinator is gone (or idle past the
     // link's deadline): we are the orphan backstop, not the reporter.
     while let Ok(ctrl) = link.recv(node) {
@@ -229,7 +229,7 @@ pub fn serve(
                 let stats = CtrlMsg::ByeStats {
                     frames,
                     payload_bytes,
-                    metrics: reg.map(|r| r.to_bytes()).unwrap_or_default(),
+                    metrics: table.map(|t| t.to_bytes()).unwrap_or_default(),
                 };
                 let _ = link.send(vec![stats.to_bytes()], node);
                 return Ok(());
@@ -254,7 +254,7 @@ pub fn serve(
                 Err(e @ WireError::FrameTooBig(_)) => return reject(&mut link, node, e),
                 Err(_) => return Ok(()),
             };
-            match apply_frame(&mut frame, &mut mirror, wpb, reg.as_mut()) {
+            match apply_frame(&mut frame, &mut mirror, wpb, table.as_deref_mut()) {
                 Ok(payload) => payload_bytes += payload,
                 Err(e) => return reject(&mut link, node, e),
             }
@@ -275,26 +275,25 @@ fn apply_frame(
     frame: &mut Vec<u8>,
     mirror: &mut [u64],
     wpb: usize,
-    mut reg: Option<&mut MetricsRegistry>,
+    mut table: Option<&mut Telemetry>,
 ) -> Result<u64, WireError> {
-    let mut t0 = reg.as_ref().map(|_| Instant::now());
-    let mut lap = |stage: &ClassKeys, kind: u8| {
-        if let (Some(reg), Some(t0)) = (reg.as_deref_mut(), t0.as_mut()) {
-            reg.record_ns(stage.of(kind), t0.elapsed().as_nanos() as u64);
+    let mut t0 = table.as_ref().map(|_| Instant::now());
+    let mut lap = |stage: Stage, kind: u8| {
+        if let (Some(table), Some(t0)) = (table.as_deref_mut(), t0.as_mut()) {
+            table.record(stage, kind, t0.elapsed().as_nanos() as u64);
             *t0 = Instant::now();
         }
     };
     let mut msg = WireMsg::from_bytes(frame)?;
     let kind = msg.kind();
-    lap(&ClassKeys::RECV, kind);
+    lap(Stage::Recv, kind);
     msg.scatter(mirror, wpb)?;
-    lap(&ClassKeys::APPLY, kind);
+    lap(Stage::Apply, kind);
     msg.gather(mirror, wpb)?;
     msg.encode(frame);
-    lap(&ClassKeys::REENCODE, kind);
-    if let Some(reg) = reg {
-        reg.counter_add(ClassKeys::FRAMES.of(kind), 1);
-        reg.counter_add(ClassKeys::PAYLOAD_BYTES.of(kind), msg.payload_bytes());
+    lap(Stage::Reencode, kind);
+    if let Some(table) = table {
+        table.count(kind, msg.payload_bytes());
     }
     Ok(msg.payload_bytes())
 }

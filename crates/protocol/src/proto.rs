@@ -14,8 +14,8 @@ use crate::dir::DirState;
 use crate::eager::EagerInvalidate;
 use crate::node::WireTransport;
 use crate::update::WriteUpdate;
-use crate::wire::{reconcile_stats, WireHeader, WireMsg};
-use fgdsm_tempest::metrics::{ClassKeys, MetricsRegistry, WireSpan};
+use crate::wire::{reconcile_stats, WireError, WireHeader, WireMsg};
+use fgdsm_tempest::metrics::{MetricsRegistry, Stage, Telemetry, WireSpan};
 use fgdsm_tempest::{Access, BlockMap, BlockSet, Cluster, NodeId, NO_ARRAY};
 use std::collections::btree_map::Entry;
 use std::collections::{hash_map, BTreeMap, VecDeque};
@@ -191,12 +191,12 @@ pub(crate) struct WireState {
     pub metrics: Option<WireMetrics>,
 }
 
-/// The coordinator's wall-clock telemetry state: per-class histograms
-/// and counters, the kind of every frame sent but not yet reported
-/// verified (per destination, in send order — how a batch's time finds
+/// The coordinator's wall-clock telemetry state: its table of per-class
+/// histograms and counters, the kind of every frame sent but not yet
+/// reported verified (per destination, in send order — how a batch's time finds
 /// its classes), and the batch spans for the merged Chrome trace.
 pub(crate) struct WireMetrics {
-    pub reg: MetricsRegistry,
+    pub table: Box<Telemetry>,
     pub unverified: Vec<VecDeque<u8>>,
     pub spans: Vec<WireSpan>,
 }
@@ -236,12 +236,8 @@ impl WireState {
         self.dst_frames[dst] += 1;
         self.dst_payload[dst] += payload;
         if let Some(m) = self.metrics.as_mut() {
-            m.reg.counter_add(ClassKeys::FRAMES.of(kind), 1);
-            if !undercount {
-                m.reg
-                    .counter_add(ClassKeys::PAYLOAD_BYTES.of(kind), payload);
-            }
-            m.reg.record_ns(ClassKeys::ENCODE.of(kind), encode_ns);
+            m.table.count(kind, if undercount { 0 } else { payload });
+            m.table.record(Stage::Encode, kind, encode_ns);
         }
     }
 
@@ -287,7 +283,7 @@ impl WireState {
             let t_dec = self.stopwatch();
             match WireMsg::from_bytes(frame) {
                 Ok(m) => {
-                    self.lap(&ClassKeys::DECODE, m.kind(), t_dec);
+                    self.lap(Stage::Decode, m.kind(), t_dec);
                     msgs.push(m);
                 }
                 Err(e) => std::panic::panic_any(e),
@@ -308,21 +304,20 @@ impl WireState {
         self.metrics.as_ref().map(|_| std::time::Instant::now())
     }
 
-    /// Record a `<stage>.<class of kind>` histogram sample against a
-    /// started stopwatch (nothing when it is `None`).
-    fn lap(&mut self, stage: &ClassKeys, kind: u8, t0: Option<std::time::Instant>) {
+    /// Record a `stage` sample for a frame of `kind` against a started
+    /// stopwatch (nothing when it is `None`).
+    fn lap(&mut self, stage: Stage, kind: u8, t0: Option<std::time::Instant>) {
         if let (Some(m), Some(t0)) = (self.metrics.as_mut(), t0) {
-            m.reg
-                .record_ns(stage.of(kind), t0.elapsed().as_nanos() as u64);
+            m.table.record(stage, kind, t0.elapsed().as_nanos() as u64);
         }
     }
 
     /// Wait until the transport has verified everything delivered so far
     /// (a typed unwind, like [`WireState::deliver`]'s, if it cannot), and
     /// book the batches it reports: their blocked time into `route_ns`,
-    /// and with telemetry on into `route.<class>` exactly once — an equal
-    /// share per frame of the batch, the remainder to the first — so the
-    /// `route.*` sums add up to `route_ns` with one sample per frame.
+    /// and with telemetry on into the route histograms exactly once — an
+    /// equal share per frame of the batch, the remainder to the first —
+    /// so their sums add up to `route_ns` with one sample per frame.
     fn sync(&mut self) {
         self.syncs += 1;
         let spans = match self.transport.sync() {
@@ -339,7 +334,7 @@ impl WireState {
             let n = u64::from(s.frames).max(1);
             let mut share = s.dur_ns / n + s.dur_ns % n;
             for kind in kinds.drain(..kinds.len().min(s.frames as usize)) {
-                m.reg.record_ns(ClassKeys::ROUTE.of(kind), share);
+                m.table.record(Stage::Route, kind, share);
                 share = s.dur_ns / n;
             }
         }
@@ -379,7 +374,7 @@ pub struct Injection {
     /// loudly, proving decode validation has teeth (a vacuous decoder
     /// would apply the payload anyway and diverge from nothing).
     pub corrupt_envelope: bool,
-    /// Skip the telemetry registry's per-class `payload_bytes` counter
+    /// Skip the telemetry table's per-class `payload_bytes` counter
     /// for the first staged envelope (the double-entry counters and the
     /// run itself stay correct): the fuzz oracle's metrics-conservation
     /// invariant — Σ per-class payload counters == `wire_payload_bytes`
@@ -456,16 +451,11 @@ impl Dsm {
     pub fn enable_wire_metrics(&mut self) {
         if let Some(w) = self.wire.as_mut() {
             w.metrics = Some(WireMetrics {
-                reg: MetricsRegistry::new(),
+                table: Box::default(),
                 unverified: vec![VecDeque::new(); w.dst_frames.len()],
                 spans: Vec::new(),
             });
         }
-    }
-
-    /// Whether wall-clock telemetry is recording.
-    pub(crate) fn wire_metrics_on(&self) -> bool {
-        self.wire.as_ref().is_some_and(|w| w.metrics.is_some())
     }
 
     /// End-of-run telemetry harvest: settle the last frames in flight,
@@ -473,38 +463,35 @@ impl Dsm {
     /// peers, reconcile each node's `ByeStats` book against the
     /// coordinator's per-destination counters (panicking with a typed
     /// [`crate::wire::WireError::StatsMismatch`] naming the diverging
-    /// counter), then merge every process's registry under node-tagged
-    /// keys (`coord.*`, `node<i>.*`). Returns the merged registry (None
+    /// counter), then decode every worker's table beside the
+    /// coordinator's (a blob that does not decode is a typed
+    /// [`crate::wire::WireError::BadReply`]). Returns the registry (None
     /// when telemetry was off) and the recorded socket-batch spans.
     pub fn wire_finish(&mut self) -> (Option<MetricsRegistry>, Vec<WireSpan>) {
         let Some(w) = self.wire.as_mut() else {
             return (None, Vec::new());
         };
         w.sync();
-        let reports = w.transport.finish();
-        for r in &reports {
+        let mut nodes = Vec::new();
+        for r in w.transport.finish() {
             let node = r.node as usize;
             let local_frames = w.dst_frames.get(node).copied().unwrap_or(0);
             let local_payload = w.dst_payload.get(node).copied().unwrap_or(0);
-            if let Err(e) = reconcile_stats(r.node, local_frames, local_payload, r) {
+            if let Err(e) = reconcile_stats(r.node, local_frames, local_payload, &r) {
                 std::panic::panic_any(e);
+            }
+            if !r.metrics.is_empty() {
+                let t = Telemetry::from_bytes(&r.metrics).unwrap_or_else(|what| {
+                    let what = format!("bad metrics blob: {what}");
+                    std::panic::panic_any(WireError::BadReply { node: r.node, what })
+                });
+                nodes.push((r.node, t));
             }
         }
         let Some(m) = w.metrics.take() else {
             return (None, Vec::new());
         };
-        let mut merged = MetricsRegistry::new();
-        merged.merge_tagged("coord", &m.reg);
-        for r in &reports {
-            if r.metrics.is_empty() {
-                continue;
-            }
-            match MetricsRegistry::from_bytes(&r.metrics) {
-                Ok(reg) => merged.merge_tagged(&format!("node{}", r.node), &reg),
-                Err(e) => panic!("wire: node {} shipped a bad metrics blob: {e}", r.node),
-            }
-        }
-        (Some(merged), m.spans)
+        (Some(MetricsRegistry::new(m.table, nodes)), m.spans)
     }
 
     /// `(frames routed, payload bytes)` so far; `(0, 0)` on the fast
@@ -576,8 +563,8 @@ impl Dsm {
     /// source shard, encoded, staged in its inbox ([`WireState::post`]).
     pub(crate) fn wire_post(&mut self, msg: WireMsg) {
         // One-shot: the first posted envelope, when telemetry is recording.
-        let undercount =
-            self.wire_metrics_on() && std::mem::take(&mut self.injection.undercount_metrics);
+        let metered = self.wire.as_ref().is_some_and(|w| w.metrics.is_some());
+        let undercount = metered && std::mem::take(&mut self.injection.undercount_metrics);
         let wpb = self.cluster.words_per_block();
         let src_mem = self.cluster.node_mem(msg.hdr().src as usize);
         let w = self.wire.as_mut().expect("wire_post: strict mode off");
@@ -643,7 +630,7 @@ impl Dsm {
         if let Err(e) = msg.scatter(self.cluster.node_mem_mut(dst), wpb) {
             std::panic::panic_any(e);
         }
-        w.lap(&ClassKeys::APPLY, msg.kind(), t_apply);
+        w.lap(Stage::Apply, msg.kind(), t_apply);
     }
 
     /// Move `len` words `src → dst` starting at word `start`. Fast path:
@@ -953,6 +940,47 @@ mod tests {
         let mut layout = SegmentLayout::new(cfg.words_per_page());
         layout.alloc(4096);
         Dsm::new(Cluster::new(nprocs, cfg, &layout, HomePolicy::RoundRobin))
+    }
+
+    /// A worker's metrics blob came off a socket: one that does not
+    /// decode is a typed wire error naming the node, like every other
+    /// peer fault at teardown, not a stringly panic.
+    #[test]
+    fn a_bad_worker_metrics_blob_is_a_typed_wire_error() {
+        struct GarbageBlob;
+        impl WireTransport for GarbageBlob {
+            fn name(&self) -> &'static str {
+                "garbage-blob"
+            }
+            fn send(&mut self, _dst: usize, _frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+                Ok(())
+            }
+            fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+                Ok(Vec::new())
+            }
+            fn route(&mut self, _dst: usize, f: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
+                Ok(f)
+            }
+            fn finish(&mut self) -> Vec<crate::wire::RemoteReport> {
+                vec![crate::wire::RemoteReport {
+                    node: 1,
+                    frames: 0,
+                    payload_bytes: 0,
+                    metrics: vec![0xAA; 5],
+                }]
+            }
+        }
+        let mut d = dsm(2, CostModel::paper_dual_cpu());
+        d.set_wire(Box::new(GarbageBlob));
+        d.enable_wire_metrics();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.wire_finish()))
+            .expect_err("a blob that does not decode fails the run");
+        match payload.downcast::<WireError>().map(|e| *e) {
+            Ok(WireError::BadReply { node: 1, what }) => {
+                assert!(what.contains("bad metrics blob"), "{what}")
+            }
+            other => panic!("expected BadReply from node 1, got {other:?}"),
+        }
     }
 
     #[test]

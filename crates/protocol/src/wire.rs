@@ -787,9 +787,9 @@ const CTRL_BYE_STATS: u8 = 4;
 const CTRL_ERR: u8 = 5;
 /// Cap on an error detail string — a lying length here must not allocate.
 const CTRL_MAX_DETAIL: usize = 64 * 1024;
-/// Cap on a `ByeStats` metrics blob: a worker's telemetry registry is a
-/// few dozen histograms (kilobytes), so anything near this is corrupt.
-const CTRL_MAX_METRICS: usize = 1 << 20;
+/// Cap on a `ByeStats` metrics blob: a worker's telemetry table has a
+/// fixed shape, so no honest blob is longer than a full one.
+const CTRL_MAX_METRICS: usize = fgdsm_tempest::metrics::METRICS_BLOB_MAX;
 
 /// Control frames framing the conversation between the coordinator and
 /// a node ([`crate::node`]), over either link. Same encoding discipline as
@@ -828,8 +828,8 @@ pub(crate) enum CtrlMsg {
     /// Orderly teardown request.
     Bye,
     /// Node's final accounting, confirming teardown. `metrics` is the
-    /// node's serialized telemetry registry
-    /// (`fgdsm_tempest::metrics::MetricsRegistry::to_bytes`) — empty
+    /// node's serialized telemetry table
+    /// (`fgdsm_tempest::metrics::Telemetry::to_bytes`) — empty
     /// when wall-clock telemetry is disabled.
     ByeStats {
         frames: u64,
@@ -960,7 +960,7 @@ impl CtrlMsg {
 
 /// One remote process's end-of-run accounting, as delivered in its
 /// [`CtrlMsg::ByeStats`]: the counters to reconcile against the
-/// coordinator's book plus the node's serialized telemetry registry
+/// coordinator's book plus the node's serialized telemetry table
 /// (empty when telemetry is off).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RemoteReport {
@@ -1377,6 +1377,33 @@ mod tests {
         bad[len_off..len_off + 4].copy_from_slice(&(CTRL_MAX_METRICS as u32 + 1).to_le_bytes());
         assert_eq!(
             CtrlMsg::from_bytes(&bad),
+            Err(WireError::CountMismatch("bye-stats metrics length"))
+        );
+        // The cap is exact: a table with every bucket of every histogram
+        // occupied encodes to it and travels; one byte more does not.
+        let mut full = fgdsm_tempest::Telemetry::default();
+        for stage in fgdsm_tempest::Stage::ALL {
+            for kind in 0..6 {
+                full.record(stage, kind, 0);
+                for k in 0..64 {
+                    full.record(stage, kind, 1 << k);
+                }
+            }
+        }
+        let metrics = full.to_bytes();
+        assert_eq!(metrics.len(), CTRL_MAX_METRICS);
+        let max = CtrlMsg::ByeStats {
+            frames: 1,
+            payload_bytes: 8,
+            metrics,
+        };
+        let mut over = max.to_bytes();
+        assert_eq!(CtrlMsg::from_bytes(&over).as_ref(), Ok(&max));
+        let len_off = over.len() - CTRL_MAX_METRICS - 4;
+        over[len_off..len_off + 4].copy_from_slice(&(CTRL_MAX_METRICS as u32 + 1).to_le_bytes());
+        over.push(0);
+        assert_eq!(
+            CtrlMsg::from_bytes(&over),
             Err(WireError::CountMismatch("bye-stats metrics length"))
         );
     }

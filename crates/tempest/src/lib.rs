@@ -54,7 +54,7 @@ pub mod trace;
 pub use cache::CacheModel;
 pub use cluster::{Access, ChargeKind, Cluster, HomePolicy, NodeId, ReduceOp, SegmentLayout};
 pub use costs::{CostModel, CpuMode};
-pub use metrics::{Histogram, Metric, MetricsRegistry, WireSpan};
+pub use metrics::{Histogram, Metric, MetricsRegistry, Stage, Telemetry, WireSpan};
 pub use pool::{Job, WorkerPool};
 pub use profile::{FalseSharingFlag, LoopRow, NodeHeatmap, StepInterval};
 pub use scratch::{BlockSet, CacheAligned};

@@ -6,19 +6,19 @@
 //! host nanoseconds may only ever appear in clearly wall-clock side
 //! channels (`wall_ns`, `wire_route_ns`). This module is that
 //! side channel grown into a real instrument: per-`WireMsg`-class latency
-//! histograms recorded on both sides of a socket and merged under
-//! node-tagged keys (deterministic in *shape* — key order, field order —
-//! while the recorded nanoseconds are of course wall-clock measurements).
+//! histograms recorded on both sides of a socket (deterministic in
+//! *shape* — key order, field order — while the recorded nanoseconds are
+//! of course wall-clock measurements).
 //!
-//! Everything here is std-only and allocation-light: a [`Histogram`] is a
-//! fixed 65-slot array (one slot per power-of-two bucket), a
-//! [`MetricsRegistry`] is a `BTreeMap` so iteration is deterministic, and
-//! the whole registry round-trips through a compact
-//! length-checked binary blob so `fgdsm-node` workers can ship their
-//! metrics home inside the `ByeStats` control frame.
+//! Everything here is std-only and allocation-free on the metered path: a
+//! [`Histogram`] is a fixed 65-slot array (one slot per power-of-two
+//! bucket), a process's [`Telemetry`] is a `(stage, class)` table of them
+//! indexed by enum and kind byte, and the table round-trips through a
+//! fixed-shape binary blob so `fgdsm-node` workers can ship it home in
+//! `ByeStats`. Keys are strings only where a report iterates a
+//! [`MetricsRegistry`].
 
 use crate::cursor::{Cursor, Truncated};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Number of histogram buckets: slot 0 holds exact zeros, slot `k`
@@ -26,16 +26,25 @@ use std::fmt::Write as _;
 /// saturates at `u64::MAX`.
 pub(crate) const HIST_BUCKETS: usize = 65;
 
-/// Version tag of the registry's binary wire blob.
-pub(crate) const METRICS_BLOB_VERSION: u16 = 1;
+/// Version tag of a table's binary wire blob. Both ends are always the
+/// same build, so a layout change bumps it and nothing reads the old one.
+pub(crate) const METRICS_BLOB_VERSION: u16 = 2;
 
-/// Caps for the paranoid blob decoder: a worker registry holds a few
-/// dozen entries; anything bigger than this is a corrupt frame.
-const MAX_BLOB_ENTRIES: usize = 4096;
-const MAX_BLOB_NAME: usize = 256;
+/// The `WireMsg` classes a table keeps apart: the five kinds of
+/// [`class_name`] plus `unknown`, where every kind byte above 4 lands.
+const CLASSES: usize = 6;
 
-/// The five `WireMsg` payload classes by `kind()` byte, for metric-key
-/// construction (`route.push`, `node2.apply.diff`, …).
+/// The stages a table times, one histogram row each.
+const STAGES: usize = 6;
+
+/// The exact largest blob [`Telemetry::to_bytes`] writes: version, the
+/// two counter rows, and every histogram's header and bucket count with
+/// all 65 `(bucket, count)` pairs.
+pub const METRICS_BLOB_MAX: usize =
+    2 + 2 * CLASSES * 8 + STAGES * CLASSES * (33 + HIST_BUCKETS * 9);
+
+/// The five `WireMsg` payload classes by `kind()` byte, as they appear in
+/// metric keys (`coord.route.push`, `node2.apply.diff`, …).
 pub fn class_name(kind: u8) -> &'static str {
     match kind {
         0 => "push",
@@ -47,48 +56,46 @@ pub fn class_name(kind: u8) -> &'static str {
     }
 }
 
-/// The `<stage>.<class>` metric keys of one pipeline stage, one per
-/// [`class_name`], spelled out at compile time: the metered path looks a
-/// key up by kind byte and never formats one.
-pub struct ClassKeys([&'static str; 6]);
-
-macro_rules! class_keys {
-    ($stage:literal) => {
-        ClassKeys([
-            concat!($stage, ".push"),
-            concat!($stage, ".flush"),
-            concat!($stage, ".copy"),
-            concat!($stage, ".diff"),
-            concat!($stage, ".strided"),
-            concat!($stage, ".unknown"),
-        ])
-    };
+/// A table column: the kind byte, clamped to `unknown`.
+fn class(kind: u8) -> usize {
+    usize::from(kind).min(CLASSES - 1)
 }
 
-impl ClassKeys {
-    pub const FRAMES: ClassKeys = class_keys!("frames");
-    pub const PAYLOAD_BYTES: ClassKeys = class_keys!("payload_bytes");
-    pub const ENCODE: ClassKeys = class_keys!("encode");
-    pub const ROUTE: ClassKeys = class_keys!("route");
-    pub const DECODE: ClassKeys = class_keys!("decode");
-    pub const APPLY: ClassKeys = class_keys!("apply");
-    pub const RECV: ClassKeys = class_keys!("recv");
-    pub const REENCODE: ClassKeys = class_keys!("reencode");
+/// A stage of a frame's trip that a histogram times. The coordinator
+/// records `Encode`, `Route`, `Decode` and `Apply`; a worker records
+/// `Recv` (frame in hand → decoded), `Apply` and `Reencode`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    Encode,
+    Route,
+    Decode,
+    Apply,
+    Recv,
+    Reencode,
+}
 
-    /// This stage's key for the class of `kind`.
-    pub fn of(&self, kind: u8) -> &'static str {
-        self.0[usize::from(kind).min(5)]
+impl Stage {
+    /// Every stage, in table (and blob) order.
+    pub const ALL: [Stage; STAGES] = [
+        Stage::Encode,
+        Stage::Route,
+        Stage::Decode,
+        Stage::Apply,
+        Stage::Recv,
+        Stage::Reencode,
+    ];
+
+    /// The stage's name in metric keys.
+    pub fn name(self) -> &'static str {
+        ["encode", "route", "decode", "apply", "recv", "reencode"][self as usize]
     }
 }
 
 /// A log2-bucketed latency histogram over `u64` nanoseconds.
 ///
 /// Percentiles are reported as the *upper bound* of the smallest bucket
-/// whose cumulative count reaches the rank `ceil(p × count)`. That
-/// definition is deliberately conservative (never under-reports) and has
-/// a property the cross-process merge relies on: the percentile of a
-/// merged histogram always lies between the smallest and largest
-/// per-part percentile (see the proptest in `tests/proptests.rs`).
+/// whose cumulative count reaches the rank `ceil(p × count)`: a
+/// deliberately conservative definition that never under-reports.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; HIST_BUCKETS],
@@ -141,17 +148,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -177,11 +173,8 @@ impl Histogram {
 
     /// The `p`-th percentile (0.0 < p ≤ 1.0) as the upper bound of the
     /// smallest bucket whose cumulative count reaches `ceil(p × count)`.
-    /// Returns 0 for an empty histogram. The bound is *not* clamped to
-    /// `max()` — keeping it a pure function of bucket occupancy is what
-    /// makes a merged histogram's percentile provably lie between the
-    /// smallest and largest per-part percentile (clamping breaks that:
-    /// a merge can land in a bucket between two parts' maxima).
+    /// Returns 0 for an empty histogram. The bound is a pure function of
+    /// bucket occupancy, *not* clamped to `max()`.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -196,164 +189,172 @@ impl Histogram {
         }
         Self::bucket_upper(HIST_BUCKETS - 1)
     }
-}
 
-/// One named metric.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Metric {
-    Counter(u64),
-    /// Boxed: a histogram is a 65-slot array, far larger than a counter,
-    /// and registries hold mostly counters.
-    Hist(Box<Histogram>),
-}
-
-impl Metric {
-    /// The counter value, if this is a counter.
-    pub fn as_counter(&self) -> Option<u64> {
-        match self {
-            Metric::Counter(c) => Some(*c),
-            _ => None,
+    /// `count,sum,min,max : u64`, then `nonzero:u8` sparse
+    /// `(bucket:u8, count:u64)` pairs in ascending bucket order.
+    fn encode(&self, out: &mut Vec<u8>) {
+        for v in [self.count, self.sum, self.min, self.max] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.push(self.counts.iter().filter(|&&c| c != 0).count() as u8);
+        for (k, &c) in self.counts.iter().enumerate() {
+            if c != 0 {
+                out.push(k as u8);
+                out.extend_from_slice(&c.to_le_bytes());
+            }
         }
     }
 
-    /// The histogram, if this is one.
-    pub fn as_hist(&self) -> Option<&Histogram> {
-        match self {
-            Metric::Hist(h) => Some(h),
-            _ => None,
+    /// Total decode of [`Histogram::encode`]: buckets must be strictly
+    /// ascending and sum (without wrapping) to the header's count, and
+    /// the header must be one [`Histogram::record`] could have left —
+    /// `min`/`max` in the lowest/highest occupied bucket, or the empty
+    /// histogram's exactly.
+    fn decode(c: &mut Cursor) -> Result<Histogram, String> {
+        let cut = |Truncated(at)| format!("metrics blob truncated at offset {at}");
+        let mut h = Histogram::new();
+        h.count = c.u64().map_err(cut)?;
+        h.sum = c.u64().map_err(cut)?;
+        h.min = c.u64().map_err(cut)?;
+        h.max = c.u64().map_err(cut)?;
+        let nonzero = c.u8().map_err(cut)?;
+        let mut total = 0u64;
+        let mut next_bucket = 0usize;
+        for _ in 0..nonzero {
+            let k = c.u8().map_err(cut)? as usize;
+            if k >= HIST_BUCKETS {
+                return Err(format!("histogram bucket {k} out of range"));
+            }
+            if k < next_bucket {
+                return Err(format!("histogram bucket {k} repeated or out of order"));
+            }
+            next_bucket = k + 1;
+            h.counts[k] = c.u64().map_err(cut)?;
+            total = total
+                .checked_add(h.counts[k])
+                .ok_or("histogram bucket counts overflow")?;
         }
-    }
-
-    fn new_hist() -> Metric {
-        Metric::Hist(Box::default())
+        if total != h.count {
+            return Err(format!(
+                "histogram bucket counts sum to {total}, header says {}",
+                h.count
+            ));
+        }
+        let occupied = |k: &usize| h.counts[*k] != 0;
+        let honest = match (
+            (0..HIST_BUCKETS).find(occupied),
+            (0..HIST_BUCKETS).rfind(occupied),
+        ) {
+            (Some(lo), Some(hi)) => {
+                h.min <= h.max && Self::bucket(h.min) == lo && Self::bucket(h.max) == hi
+            }
+            _ => h == Histogram::new(),
+        };
+        if !honest {
+            return Err(format!(
+                "histogram header (count {}, sum {}, min {}, max {}) disagrees with its buckets",
+                h.count, h.sum, h.min, h.max
+            ));
+        }
+        Ok(h)
     }
 }
 
-/// A deterministic named-metric registry. Keys are dotted paths
-/// (`route.push`, `frames.diff`, `node1.apply.copy`); iteration and the
-/// binary blob are both in key order.
+/// One process's wall-clock telemetry: per class a frame counter, a
+/// payload-byte counter and one latency histogram per [`Stage`]. The
+/// metered path indexes arrays by stage and kind byte; no key is a
+/// string until [`MetricsRegistry::iter`] spells one.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsRegistry {
-    map: BTreeMap<String, Metric>,
+pub struct Telemetry {
+    frames: [u64; CLASSES],
+    payload_bytes: [u64; CLASSES],
+    /// Stage-major: `hist[stage][class]`.
+    hist: [[Histogram; CLASSES]; STAGES],
 }
 
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
+impl Telemetry {
+    /// Record one `stage` sample for a frame of `kind`.
+    pub fn record(&mut self, stage: Stage, kind: u8, ns: u64) {
+        self.hist[stage as usize][class(kind)].record(ns);
     }
 
+    /// Count one frame of `kind` carrying `payload` bytes.
+    pub fn count(&mut self, kind: u8, payload: u64) {
+        self.frames[class(kind)] += 1;
+        self.payload_bytes[class(kind)] += payload;
+    }
+
+    /// Frames of `kind` counted.
+    pub fn frames(&self, kind: u8) -> u64 {
+        self.frames[class(kind)]
+    }
+
+    /// Payload bytes of `kind` counted.
+    pub fn payload_bytes(&self, kind: u8) -> u64 {
+        self.payload_bytes[class(kind)]
+    }
+
+    /// Payload bytes counted over every class (saturating: a worker's
+    /// counters arrive from a socket).
+    pub fn payload_total(&self) -> u64 {
+        self.payload_bytes
+            .iter()
+            .fold(0, |a, &b| a.saturating_add(b))
+    }
+
+    /// The `stage` histogram of `kind`'s class.
+    pub fn hist(&self, stage: Stage, kind: u8) -> &Histogram {
+        &self.hist[stage as usize][class(kind)]
+    }
+
+    /// Whether nothing was counted or recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        *self == Telemetry::default()
     }
 
-    /// Add to a counter (created at 0 on first touch).
-    pub fn counter_add(&mut self, name: &str, v: u64) {
-        match self.slot(name, || Metric::Counter(0)) {
-            Metric::Counter(c) => *c += v,
-            other => panic!("metric `{name}` is not a counter: {other:?}"),
-        }
-    }
-
-    /// The metric under `name`, created by `init` on first touch — the
-    /// only time the key is copied.
-    fn slot(&mut self, name: &str, init: impl FnOnce() -> Metric) -> &mut Metric {
-        if !self.map.contains_key(name) {
-            self.map.insert(name.to_string(), init());
-        }
-        self.map.get_mut(name).expect("present or just inserted")
-    }
-
-    /// Record one sample into a histogram (created empty on first touch).
-    pub fn record_ns(&mut self, name: &str, ns: u64) {
-        match self.slot(name, Metric::new_hist) {
-            Metric::Hist(h) => h.record(ns),
-            other => panic!("metric `{name}` is not a histogram: {other:?}"),
-        }
-    }
-
-    /// A counter's value (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        match self.map.get(name) {
-            Some(Metric::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
-    /// A histogram by name.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        match self.map.get(name) {
-            Some(Metric::Hist(h)) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Iterate entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.map.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Fold `other` into this registry with every key prefixed by
-    /// `{tag}.` — how the coordinator files each process's metric set
-    /// under its own namespace (`coord.`, `node0.`, `node1.` …).
-    /// Counters add, histograms merge.
-    pub fn merge_tagged(&mut self, tag: &str, other: &MetricsRegistry) {
-        for (k, m) in &other.map {
-            let key = format!("{tag}.{k}");
-            match (self.map.entry(key), m) {
-                (e, Metric::Counter(v)) => match e.or_insert(Metric::Counter(0)) {
-                    Metric::Counter(c) => *c += v,
-                    other => panic!("merge type clash on counter: {other:?}"),
-                },
-                (e, Metric::Hist(h)) => match e.or_insert_with(Metric::new_hist) {
-                    Metric::Hist(mine) => mine.merge(h),
-                    other => panic!("merge type clash on histogram: {other:?}"),
-                },
+    /// The `<tag>.<stage|counter>.<class>` entries of every non-zero
+    /// counter and non-empty histogram.
+    fn entries<'a>(&'a self, tag: &str, out: &mut Vec<(String, Metric<'a>)>) {
+        for c in 0..CLASSES {
+            let class = class_name(c as u8);
+            for (name, v) in [
+                ("frames", self.frames[c]),
+                ("payload_bytes", self.payload_bytes[c]),
+            ] {
+                if v != 0 {
+                    out.push((format!("{tag}.{name}.{class}"), Metric::Counter(v)));
+                }
+            }
+            for s in Stage::ALL {
+                let h = &self.hist[s as usize][c];
+                if h.count != 0 {
+                    out.push((format!("{tag}.{}.{class}", s.name()), Metric::Hist(h)));
+                }
             }
         }
     }
 
-    /// Compact binary blob for shipping a registry inside a control
-    /// frame. Layout (all little-endian):
-    /// `version:u16, entries:u32, then per entry: name_len:u16, name,
-    /// tag:u8, payload` — a counter (tag 0) is one u64; a histogram (tag
-    /// 2) is `count,sum,min,max : u64` plus `nonzero:u8` sparse
-    /// `(bucket:u8, count:u64)` pairs.
+    /// Fixed-shape binary blob for shipping a table inside a control
+    /// frame. Layout (all little-endian): `version:u16`, the six `frames`
+    /// then the six `payload_bytes` counters as `u64`, then the 36
+    /// histograms stage-major, each `count,sum,min,max : u64` plus
+    /// `nonzero:u8` sparse `(bucket:u8, count:u64)` pairs. Never longer
+    /// than [`METRICS_BLOB_MAX`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&METRICS_BLOB_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.map.len() as u32).to_le_bytes());
-        for (k, m) in &self.map {
-            out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-            out.extend_from_slice(k.as_bytes());
-            match m {
-                Metric::Counter(v) => {
-                    out.push(0);
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                Metric::Hist(h) => {
-                    out.push(2);
-                    out.extend_from_slice(&h.count.to_le_bytes());
-                    out.extend_from_slice(&h.sum.to_le_bytes());
-                    out.extend_from_slice(&h.min.to_le_bytes());
-                    out.extend_from_slice(&h.max.to_le_bytes());
-                    let nonzero = h.counts.iter().filter(|&&c| c != 0).count() as u8;
-                    out.push(nonzero);
-                    for (i, &c) in h.counts.iter().enumerate() {
-                        if c != 0 {
-                            out.push(i as u8);
-                            out.extend_from_slice(&c.to_le_bytes());
-                        }
-                    }
-                }
-            }
+        let mut out = METRICS_BLOB_VERSION.to_le_bytes().to_vec();
+        for v in self.frames.iter().chain(&self.payload_bytes) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for h in self.hist.iter().flatten() {
+            h.encode(&mut out);
         }
         out
     }
 
-    /// Paranoid decode of [`to_bytes`](Self::to_bytes) — the blob arrives
-    /// from a worker socket: every length is checked, caps are enforced,
-    /// histogram buckets must be strictly ascending and sum (without
-    /// wrapping) to the header count, trailing bytes are rejected.
+    /// Total decode of [`to_bytes`](Self::to_bytes) — the blob arrives
+    /// from a worker socket: every histogram is checked
+    /// ([`Histogram::decode`]), truncation and trailing bytes are
+    /// rejected.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
         let cut = |Truncated(at)| format!("metrics blob truncated at offset {at}");
         let mut c = Cursor::new(buf);
@@ -361,65 +362,75 @@ impl MetricsRegistry {
         if version != METRICS_BLOB_VERSION {
             return Err(format!("metrics blob version {version} unsupported"));
         }
-        let entries = c.u32().map_err(cut)? as usize;
-        if entries > MAX_BLOB_ENTRIES {
-            return Err(format!("metrics blob claims {entries} entries"));
+        let mut t = Telemetry::default();
+        for v in t.frames.iter_mut().chain(&mut t.payload_bytes) {
+            *v = c.u64().map_err(cut)?;
         }
-        let mut map = BTreeMap::new();
-        for _ in 0..entries {
-            let name_len = c.u16().map_err(cut)? as usize;
-            if name_len > MAX_BLOB_NAME {
-                return Err(format!("metric name of {name_len} bytes"));
-            }
-            let name = std::str::from_utf8(c.take(name_len).map_err(cut)?)
-                .map_err(|_| "metric name is not utf-8".to_string())?
-                .to_string();
-            let metric = match c.u8().map_err(cut)? {
-                0 => Metric::Counter(c.u64().map_err(cut)?),
-                2 => {
-                    let mut h = Histogram::new();
-                    h.count = c.u64().map_err(cut)?;
-                    h.sum = c.u64().map_err(cut)?;
-                    h.min = c.u64().map_err(cut)?;
-                    h.max = c.u64().map_err(cut)?;
-                    let nonzero = c.u8().map_err(cut)?;
-                    let mut total = 0u64;
-                    let mut next_bucket = 0usize;
-                    for _ in 0..nonzero {
-                        let k = c.u8().map_err(cut)? as usize;
-                        if k >= HIST_BUCKETS {
-                            return Err(format!("histogram bucket {k} out of range"));
-                        }
-                        if k < next_bucket {
-                            return Err(format!("histogram bucket {k} repeated or out of order"));
-                        }
-                        next_bucket = k + 1;
-                        h.counts[k] = c.u64().map_err(cut)?;
-                        total = total
-                            .checked_add(h.counts[k])
-                            .ok_or("histogram bucket counts overflow")?;
-                    }
-                    if total != h.count {
-                        return Err(format!(
-                            "histogram bucket counts sum to {total}, header says {}",
-                            h.count
-                        ));
-                    }
-                    Metric::Hist(Box::new(h))
-                }
-                t => return Err(format!("unknown metric tag {t}")),
-            };
-            if map.insert(name.clone(), metric).is_some() {
-                return Err(format!("duplicate metric `{name}`"));
-            }
+        for h in t.hist.iter_mut().flatten() {
+            *h = Histogram::decode(&mut c)?;
         }
-        if c.remaining() != 0 {
-            return Err(format!(
-                "{} trailing bytes after metrics blob",
-                c.remaining()
-            ));
+        match c.remaining() {
+            0 => Ok(t),
+            n => Err(format!("{n} trailing bytes after metrics blob")),
         }
-        Ok(MetricsRegistry { map })
+    }
+}
+
+/// One entry of [`MetricsRegistry::iter`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Metric<'a> {
+    Counter(u64),
+    Hist(&'a Histogram),
+}
+
+impl<'a> Metric<'a> {
+    /// The histogram, if this is one.
+    pub fn as_hist(&self) -> Option<&'a Histogram> {
+        match self {
+            Metric::Hist(h) => Some(h),
+            _ => None,
+        }
+    }
+}
+
+/// A run's telemetry: the coordinator's table plus one per worker
+/// that reported.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MetricsRegistry {
+    coord: Box<Telemetry>,
+    /// Ascending by node, one table each.
+    nodes: Vec<(u32, Telemetry)>,
+}
+
+impl MetricsRegistry {
+    /// The coordinator's table and one `(node, table)` per reporting
+    /// worker, ascending by node.
+    pub fn new(coord: Box<Telemetry>, nodes: Vec<(u32, Telemetry)>) -> Self {
+        MetricsRegistry { coord, nodes }
+    }
+
+    /// The coordinator's table.
+    pub fn coord(&self) -> &Telemetry {
+        &self.coord
+    }
+
+    /// Every reporting worker's table, ascending by node.
+    pub fn nodes(&self) -> impl Iterator<Item = (u32, &Telemetry)> {
+        self.nodes.iter().map(|(n, t)| (*n, t))
+    }
+
+    /// Every non-zero counter and non-empty histogram under its dotted
+    /// key — `coord.<stage|counter>.<class>` for the coordinator,
+    /// `node<i>.…` per worker — ascending by key. The one place keys are
+    /// spelled: a report's, not the metered path's.
+    pub fn iter(&self) -> impl Iterator<Item = (String, Metric<'_>)> {
+        let mut out = Vec::new();
+        self.coord.entries("coord", &mut out);
+        for (n, t) in &self.nodes {
+            t.entries(&format!("node{n}"), &mut out);
+        }
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out.into_iter()
     }
 }
 
@@ -569,103 +580,128 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(5);
-        a.record(7);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!((a.min(), a.max()), (5, 1_000_000));
-        assert_eq!(a.sum(), 1_000_012);
-    }
-
-    #[test]
-    fn registry_merge_tagged_prefixes_and_folds() {
-        let mut coord = MetricsRegistry::new();
-        coord.counter_add("frames.push", 3);
-        coord.record_ns("route.push", 500);
-        let mut w = MetricsRegistry::new();
-        w.counter_add("frames.push", 3);
-        w.record_ns("apply.push", 900);
-        let mut merged = MetricsRegistry::new();
-        merged.merge_tagged("coord", &coord);
-        merged.merge_tagged("node0", &w);
-        merged.merge_tagged("node0", &w); // folding twice adds counters
-        assert_eq!(merged.counter("coord.frames.push"), 3);
-        assert_eq!(merged.counter("node0.frames.push"), 6);
-        assert_eq!(merged.hist("node0.apply.push").unwrap().count(), 2);
-        assert_eq!(merged.hist("coord.route.push").unwrap().count(), 1);
+    fn registry_iter_spells_ascending_keys_for_what_was_recorded() {
+        let mut coord = Telemetry::default();
+        coord.count(0, 16);
+        coord.count(3, 0); // a frame without payload counts no bytes
+        coord.record(Stage::Route, 0, 500);
+        let mut w = Telemetry::default();
+        w.count(9, 24);
+        w.record(Stage::Apply, 9, 900);
+        let reg = MetricsRegistry::new(
+            Box::new(coord),
+            vec![(1, w.clone()), (2, Telemetry::default()), (10, w)],
+        );
+        let keys: Vec<String> = reg.iter().map(|(k, _)| k).collect();
+        let node =
+            |n: u32| ["apply", "frames", "payload_bytes"].map(|s| format!("node{n}.{s}.unknown"));
+        let mut want = vec![
+            "coord.frames.diff".to_string(),
+            "coord.frames.push".to_string(),
+            "coord.payload_bytes.push".to_string(),
+            "coord.route.push".to_string(),
+        ];
+        want.extend(node(1));
+        want.extend(node(10));
+        assert_eq!(
+            keys, want,
+            "node1. sorts before node10., as a string map would"
+        );
+        let nodes: Vec<_> = reg.nodes().map(|(n, t)| (n, t.is_empty())).collect();
+        assert_eq!(nodes, [(1, false), (2, true), (10, false)]);
+        assert_eq!(reg.coord().payload_total(), 16);
+        let (_, m) = reg.iter().find(|(k, _)| k == "coord.route.push").unwrap();
+        assert_eq!(m.as_hist().map(|h| h.sum()), Some(500));
+        let none = MetricsRegistry::new(Box::default(), vec![(0, Telemetry::default())]);
+        assert!(none.iter().next().is_none());
     }
 
     #[test]
     fn blob_round_trips_and_rejects_corruption() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("frames.copy", 7);
+        let mut t = Telemetry::default();
+        t.count(2, 7);
         for v in [0, 1, 17, 100_000, u64::MAX] {
-            r.record_ns("recv.copy", v);
+            t.record(Stage::Recv, 2, v);
         }
-        let blob = r.to_bytes();
-        let back = MetricsRegistry::from_bytes(&blob).unwrap();
-        assert_eq!(back, r);
+        let blob = t.to_bytes();
+        let back = Telemetry::from_bytes(&blob).unwrap();
+        assert_eq!(back, t);
         // Truncation at every prefix length must error, never panic.
         for cut in 0..blob.len() {
-            assert!(MetricsRegistry::from_bytes(&blob[..cut]).is_err());
+            assert!(Telemetry::from_bytes(&blob[..cut]).is_err());
         }
         // Trailing garbage is rejected.
         let mut long = blob.clone();
         long.push(0);
-        assert!(MetricsRegistry::from_bytes(&long).is_err());
+        assert!(Telemetry::from_bytes(&long).is_err());
         // A wrong version is rejected.
         let mut bad = blob.clone();
         bad[0] ^= 0xff;
-        assert!(MetricsRegistry::from_bytes(&bad).is_err());
-        // No encoder writes tag 1: a hand-built entry carrying it is
-        // rejected, not read as some other metric.
-        let mut tag1 = METRICS_BLOB_VERSION.to_le_bytes().to_vec();
-        tag1.extend_from_slice(&1u32.to_le_bytes());
-        tag1.extend_from_slice(&1u16.to_le_bytes());
-        tag1.push(b'g');
-        tag1.push(1);
-        tag1.extend_from_slice(&0u64.to_le_bytes());
-        assert_eq!(
-            MetricsRegistry::from_bytes(&tag1),
-            Err("unknown metric tag 1".to_string())
-        );
-        // The empty registry round-trips too.
-        let empty = MetricsRegistry::new();
-        assert_eq!(
-            MetricsRegistry::from_bytes(&empty.to_bytes()).unwrap(),
-            empty
-        );
+        assert!(Telemetry::from_bytes(&bad).is_err());
+        // The empty table round-trips too.
+        let empty = Telemetry::default();
+        assert_eq!(Telemetry::from_bytes(&empty.to_bytes()).unwrap(), empty);
+        // Every bucket of every histogram occupied is the largest blob.
+        let mut full = Telemetry::default();
+        for s in Stage::ALL {
+            for kind in 0..6 {
+                full.record(s, kind, 0);
+                for k in 0..64 {
+                    full.record(s, kind, 1 << k);
+                }
+            }
+        }
+        let max = full.to_bytes();
+        assert_eq!(max.len(), METRICS_BLOB_MAX);
+        assert_eq!(Telemetry::from_bytes(&max).unwrap(), full);
     }
 
-    /// A histogram whose buckets arrive wrapped, repeated or out of order
-    /// is hostile: it must fail typed, never panic or be accepted.
+    /// A histogram whose buckets arrive wrapped, repeated or out of
+    /// order, or whose header no sequence of samples could leave, is
+    /// hostile: it must fail typed, never panic or be accepted.
     #[test]
     fn blob_rejects_wrapping_and_repeated_histogram_buckets() {
-        let mut r = MetricsRegistry::new();
+        let mut t = Telemetry::default();
         for v in [0, 0, 1, 1, 1] {
-            r.record_ns("h", v); // buckets (0, 2), (1, 3): count 5
+            t.record(Stage::Reencode, 5, v); // buckets (0, 2), (1, 3): count 5
         }
-        let blob = r.to_bytes();
-        // The blob ends with the two `(bucket: u8, count: u64)` pairs.
+        let blob = t.to_bytes();
+        // The blob ends with the last histogram's two `(bucket: u8,
+        // count: u64)` pairs.
         let tail = |pairs: [(u8, u64); 2]| {
             let mut b = blob[..blob.len() - 18].to_vec();
             for (k, c) in pairs {
                 b.push(k);
                 b.extend_from_slice(&c.to_le_bytes());
             }
-            MetricsRegistry::from_bytes(&b)
+            Telemetry::from_bytes(&b)
         };
-        assert_eq!(tail([(0, 2), (1, 3)]), Ok(r));
+        assert_eq!(tail([(0, 2), (1, 3)]), Ok(t));
         // u64::MAX + 6 wraps to the header's 5.
         assert!(tail([(0, u64::MAX), (1, 6)])
             .unwrap_err()
             .contains("bucket counts overflow"));
         for bad in [[(3, 2), (3, 3)], [(4, 2), (1, 3)]] {
             assert!(tail(bad).unwrap_err().contains("repeated or out of order"));
+        }
+        // Overwrite one header word: `at` is the histogram's offset, the
+        // fields are `count, sum, min, max`.
+        let header = |at: usize, field: usize, v: u64| {
+            let mut b = blob.clone();
+            b[at + 8 * field..at + 8 * field + 8].copy_from_slice(&v.to_le_bytes());
+            Telemetry::from_bytes(&b).unwrap_err()
+        };
+        // The last histogram (min 0, max 1 over buckets 0 and 1).
+        let last = blob.len() - 18 - 1 - 32;
+        let disagrees = "disagrees with its buckets";
+        assert!(header(last, 2, 2).contains(disagrees), "min above max");
+        assert!(header(last, 2, 1).contains(disagrees), "min above bucket 0");
+        assert!(header(last, 3, 2).contains(disagrees), "max above bucket 1");
+        // The first histogram, empty, right after version and counters:
+        // non-zero sum or max, or a min below `u64::MAX`.
+        let first = 2 + 12 * 8;
+        for (field, v) in [(1, 1), (3, 1), (2, 0)] {
+            assert!(header(first, field, v).contains(disagrees));
         }
     }
 
@@ -677,15 +713,17 @@ mod tests {
         assert_eq!(class_name(3), "diff");
         assert_eq!(class_name(4), "strided");
         assert_eq!(class_name(99), "unknown");
-        // The precomputed key table spells exactly `<stage>.<class>`.
-        for (keys, stage) in [
-            (ClassKeys::ROUTE, "route"),
-            (ClassKeys::REENCODE, "reencode"),
-        ] {
-            for kind in [0u8, 1, 2, 3, 4, 5, 99] {
-                assert_eq!(keys.of(kind), format!("{stage}.{}", class_name(kind)));
-            }
-        }
+        // Every kind byte above 4 lands in the `unknown` column.
+        let mut t = Telemetry::default();
+        t.count(99, 8);
+        t.record(Stage::Decode, 200, 1);
+        assert_eq!((t.frames(5), t.payload_bytes(5)), (1, 8));
+        assert_eq!(t.hist(Stage::Decode, 5).count(), 1);
+        let names = Stage::ALL.map(Stage::name);
+        assert_eq!(
+            names,
+            ["encode", "route", "decode", "apply", "recv", "reencode"]
+        );
     }
 
     #[test]

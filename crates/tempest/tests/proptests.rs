@@ -134,47 +134,6 @@ fn copy_words_is_exact() {
     });
 }
 
-#[test]
-fn merged_percentiles_bound_the_per_part_percentiles() {
-    use fgdsm_tempest::Histogram;
-    check_cases(128, |rng| {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let na = rng.range(1, 200);
-        let nb = rng.range(1, 200);
-        for _ in 0..na {
-            // Spread samples across the full bucket range, including the
-            // saturating top bucket.
-            let bits = rng.range(0, 65) as u32;
-            let v = if bits == 0 {
-                0
-            } else {
-                rng.below(u64::MAX >> (64 - bits)) | (1u64 << (bits - 1))
-            };
-            a.record(v);
-        }
-        for _ in 0..nb {
-            let bits = rng.range(1, 40);
-            let v = rng.below(1u64 << bits);
-            b.record(v);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), a.count() + b.count());
-        assert_eq!(merged.min(), a.min().min(b.min()));
-        assert_eq!(merged.max(), a.max().max(b.max()));
-        for p in [0.5, 0.9, 0.99] {
-            let (pa, pb, pm) = (a.percentile(p), b.percentile(p), merged.percentile(p));
-            assert!(
-                pa.min(pb) <= pm && pm <= pa.max(pb),
-                "p{p}: merged {pm} outside [{}, {}]",
-                pa.min(pb),
-                pa.max(pb)
-            );
-        }
-    });
-}
-
 /// The block-keyed heat table folds exactly what an ordered map folds:
 /// random faults of every kind, attributed and unattributed messages
 /// (repeated blocks, zero-byte payloads) and pushed ranges, with
