@@ -17,9 +17,9 @@
 //! golden_digests` prints the measured table on failure — paste it over
 //! `GOLDEN` / `GOLDEN_DATA`.
 
-use fgdsm_apps::{extended_suite, Scale};
+use fgdsm_apps::{extended_suite, suite, Scale};
 use fgdsm_bench::NPROCS;
-use fgdsm_hpf::{execute_traced, ExecConfig};
+use fgdsm_hpf::{execute_traced, ExecConfig, Program};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -84,50 +84,130 @@ const GOLDEN_DATA: &[DataRow] = &[
     ("irreg", "mp", 0xa7fc300a347ac661, 0x077efbf6f7353a04),
 ];
 
+/// The digests of one run: its `Row` and its `DataRow`.
+fn measure(
+    app: &'static str,
+    backend: &'static str,
+    prog: &Program,
+    cfg: &ExecConfig,
+) -> (Row, DataRow) {
+    let (run, trace) = execute_traced(prog, &cfg.clone().serial());
+    let data: Vec<u8> = run
+        .data
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    let scalars: Vec<u8> = run
+        .scalars
+        .iter()
+        .flat_map(|(name, v)| [name.as_bytes(), &v.to_bits().to_le_bytes()].concat())
+        .collect();
+    (
+        (
+            app,
+            backend,
+            fnv1a(run.report.to_json().as_bytes()),
+            fnv1a(trace.as_bytes()),
+            fnv1a(run.report.profile_json().as_bytes()),
+        ),
+        (app, backend, fnv1a(&data), fnv1a(&scalars)),
+    )
+}
+
+/// Check `runs` against both tables.
+fn check_runs(runs: Vec<(Row, DataRow)>, golden: &[Row], golden_data: &[DataRow]) {
+    let (measured, measured_data): (Vec<Row>, Vec<DataRow>) = runs.into_iter().unzip();
+    check(
+        "canonical artifacts",
+        &measured,
+        golden,
+        |(a, b, r, t, p)| format!("({a:?}, {b:?}, {r:#018x}, {t:#018x}, {p:#018x})"),
+    );
+    check(
+        "data or scalars",
+        &measured_data,
+        golden_data,
+        |(a, b, d, s)| format!("({a:?}, {b:?}, {d:#018x}, {s:#018x})"),
+    );
+}
+
 #[test]
 fn canonical_artifacts_match_the_golden_table() {
-    let mut measured: Vec<Row> = Vec::new();
-    let mut measured_data: Vec<DataRow> = Vec::new();
+    let mut runs = Vec::new();
     for spec in extended_suite(Scale::Test) {
         for (backend, cfg) in [
             ("sm_unopt", ExecConfig::sm_unopt(NPROCS)),
             ("sm_opt", ExecConfig::sm_opt(NPROCS)),
             ("mp", ExecConfig::mp(NPROCS)),
         ] {
-            let (run, trace) = execute_traced(&spec.program, &cfg.serial());
-            measured.push((
-                spec.name,
-                backend,
-                fnv1a(run.report.to_json().as_bytes()),
-                fnv1a(trace.as_bytes()),
-                fnv1a(run.report.profile_json().as_bytes()),
-            ));
-            let data: Vec<u8> = run
-                .data
-                .iter()
-                .flat_map(|v| v.to_bits().to_le_bytes())
-                .collect();
-            let scalars: Vec<u8> = run
-                .scalars
-                .iter()
-                .flat_map(|(name, v)| [name.as_bytes(), &v.to_bits().to_le_bytes()].concat())
-                .collect();
-            measured_data.push((spec.name, backend, fnv1a(&data), fnv1a(&scalars)));
+            runs.push(measure(spec.name, backend, &spec.program, &cfg));
         }
     }
-    assert_eq!(measured.len() * 3, 63);
-    check(
-        "canonical artifacts",
-        &measured,
-        GOLDEN,
-        |(a, b, r, t, p)| format!("({a:?}, {b:?}, {r:#018x}, {t:#018x}, {p:#018x})"),
-    );
-    check(
-        "data or scalars",
-        &measured_data,
-        GOLDEN_DATA,
-        |(a, b, d, s)| format!("({a:?}, {b:?}, {d:#018x}, {s:#018x})"),
-    );
+    assert_eq!(runs.len() * 3, 63);
+    check_runs(runs, GOLDEN, GOLDEN_DATA);
+}
+
+/// `(app, backend, report, trace, profile)` of every `extended_suite` app
+/// at `Scale::Test` under the write-update protocol, then of `lu`, `pde`
+/// and `jacobi` at `Scale::Bench` — the only suite arrays whose per-node
+/// chunks are whole pages, so the only runs where a home loses and
+/// re-faults on blocks of pages of its own — on `sm_unopt` and `sm_opt`.
+/// Generated before the default walk stopped visiting the blocks a node
+/// holds: write-update's standing writers take bookkeeping on every
+/// written block, held or not, and no other row runs it.
+#[rustfmt::skip]
+const GOLDEN_WALK: &[Row] = &[
+    ("pde", "sm_unopt_wu", 0xfcc44110a095d897, 0x16d4107d6d1265c4, 0xc16fa2f21987cf78),
+    ("shallow", "sm_unopt_wu", 0x1d84eccbf20d09d9, 0xfb18e593a1d4ac3d, 0x9bf1143ccb997058),
+    ("grav", "sm_unopt_wu", 0x86657f97e6525285, 0xc5d158e08c9a6c28, 0x69aa24a5c0265c30),
+    ("lu", "sm_unopt_wu", 0x9bb41e13b30bfad9, 0xc55eb05ec5fd889b, 0xc7b2a3513874f2c5),
+    ("cg", "sm_unopt_wu", 0x56de5bfb3dfb986c, 0xe01d892184c8d761, 0x5fba5dc4105fdefa),
+    ("jacobi", "sm_unopt_wu", 0x2aec56429c915cdb, 0xfcf81050843292b9, 0xdc800f99492ba223),
+    ("irreg", "sm_unopt_wu", 0x0cae98709e0d65be, 0x0c086b838887f0b1, 0xf9645d9661355a99),
+    ("pde", "sm_unopt", 0x1355ea520d112a36, 0x856f36b544061806, 0xa3d95936862f73d1),
+    ("pde", "sm_opt", 0x0f543edabeffc616, 0x79a139682e3bee32, 0xa9a99ca4ce4fab38),
+    ("lu", "sm_unopt", 0xebaa5c207016c13c, 0x95895e30ed43bbcd, 0xc69ae18d7de0f3c7),
+    ("lu", "sm_opt", 0x39a203baa0ca6143, 0x31095c402d2385b1, 0xab1ddaaf0c56ab74),
+    ("jacobi", "sm_unopt", 0x380c98b0da30c29c, 0x083e4fc48e291cee, 0xa1a05da05321d8ed),
+    ("jacobi", "sm_opt", 0x376ff88288d99b30, 0x529db98bfc8ed75b, 0x8fccfc5d5d2bfa86),
+];
+
+/// `(app, backend, data, scalars)` of the same runs.
+#[rustfmt::skip]
+const GOLDEN_WALK_DATA: &[DataRow] = &[
+    ("pde", "sm_unopt_wu", 0x8dfea21a2de3d192, 0x21fbc37a1d08647c),
+    ("shallow", "sm_unopt_wu", 0x7153f6dbace20bea, 0x1971e78e0a543f65),
+    ("grav", "sm_unopt_wu", 0x512c4e0b8eeea26b, 0xd65ee49495418bc8),
+    ("lu", "sm_unopt_wu", 0x69dff83a5d3e28bf, 0xcbf29ce484222325),
+    ("cg", "sm_unopt_wu", 0x8f3fdfe3deb29e45, 0x304694c642936ecb),
+    ("jacobi", "sm_unopt_wu", 0xf4df091810ad3092, 0xe7c1b2428ea05fb6),
+    ("irreg", "sm_unopt_wu", 0xa7fc300a347ac661, 0x077efbf6f7353a04),
+    ("pde", "sm_unopt", 0x7db0d2071eb5ada5, 0x5b1bea83153b67e3),
+    ("pde", "sm_opt", 0x7db0d2071eb5ada5, 0x5b1bea83153b67e3),
+    ("lu", "sm_unopt", 0x37a1e8e34ff083a2, 0xcbf29ce484222325),
+    ("lu", "sm_opt", 0x37a1e8e34ff083a2, 0xcbf29ce484222325),
+    ("jacobi", "sm_unopt", 0x3a0eeeea6b64334e, 0x53775534e9e9cddf),
+    ("jacobi", "sm_opt", 0x3a0eeeea6b64334e, 0x53775534e9e9cddf),
+];
+
+#[test]
+fn write_update_and_paged_bench_runs_match_the_golden_table() {
+    let mut runs = Vec::new();
+    for spec in extended_suite(Scale::Test) {
+        let cfg = ExecConfig::sm_unopt(NPROCS).write_update();
+        runs.push(measure(spec.name, "sm_unopt_wu", &spec.program, &cfg));
+    }
+    let paged = suite(Scale::Bench).into_iter();
+    for spec in paged.filter(|s| ["lu", "pde", "jacobi"].contains(&s.name)) {
+        for (backend, cfg) in [
+            ("sm_unopt", ExecConfig::sm_unopt(NPROCS)),
+            ("sm_opt", ExecConfig::sm_opt(NPROCS)),
+        ] {
+            runs.push(measure(spec.name, backend, &spec.program, &cfg));
+        }
+    }
+    assert_eq!(runs.len(), 13);
+    check_runs(runs, GOLDEN_WALK, GOLDEN_WALK_DATA);
 }
 
 /// Fail with the measured table, ready to paste, if it is not `golden`.

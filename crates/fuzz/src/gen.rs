@@ -31,7 +31,7 @@ use fgdsm_hpf::{
     Stmt, Subscript,
 };
 use fgdsm_section::{Affine, SymRange, Var};
-use fgdsm_tempest::ReduceOp;
+use fgdsm_tempest::{CostModel, ReduceOp};
 use fgdsm_testkit::Rng;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -469,6 +469,7 @@ impl FuzzSpec {
             "            undercount_metrics: {},",
             i.undercount_metrics
         );
+        let _ = writeln!(s, "            lost_home_skipped: {},", i.lost_home_skipped);
         let _ = writeln!(s, "            node_fault: {:?},", i.node_fault);
         let _ = writeln!(s, "        }},");
         let _ = writeln!(s, "    }};");
@@ -476,6 +477,23 @@ impl FuzzSpec {
         let _ = writeln!(s, "}}");
         s
     }
+}
+
+/// [`gen_spec`]'s spec of `seed` with a page (of the cost model every
+/// oracle configuration uses) per distributed unit: a 2-D
+/// array's column is one page, so a node's BLOCK chunk and its CYCLIC
+/// columns are whole pages it alone owns and is home to, and a 1-D
+/// BLOCK array gives each node one page (a 1-D CYCLIC one interleaves
+/// owners word by word, as everywhere). [`gen_spec`]'s arrays fit in one
+/// page, so its corpus never has a home lose and win back blocks of
+/// pages of its own; this slice does. A separate entry point, so the
+/// corpus's seeds keep their specs.
+pub fn gen_spec_paged(rng: &mut Rng, seed: u64) -> FuzzSpec {
+    let mut spec = gen_spec(rng, seed);
+    let page = CostModel::paper_dual_cpu().words_per_page();
+    spec.n2[0] = page;
+    spec.n1 = page * spec.nprocs;
+    spec
 }
 
 /// Generate a random spec from `rng` (seeded with `seed`, which is also

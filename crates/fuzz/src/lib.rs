@@ -34,7 +34,7 @@ pub mod oracle;
 pub mod shrink;
 pub mod taxonomy;
 
-pub use gen::{gen_spec, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
+pub use gen::{gen_spec, gen_spec_paged, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
 use oracle::check_spec_strict;
 pub use oracle::{check_spec, check_spec_tcp, Divergence};
 pub use shrink::shrink;
@@ -53,8 +53,18 @@ pub fn case_seed(base: u64, case: u64) -> u64 {
 /// oracle, and on divergence shrink and panic with the failing seed and
 /// a standalone reproducer in the message.
 pub fn check_case(seed: u64) {
+    check_generated(seed, gen_spec);
+}
+
+/// [`check_case`] on [`gen_spec_paged`]'s spec of `seed`.
+pub fn check_case_paged(seed: u64) {
+    check_generated(seed, gen_spec_paged);
+}
+
+/// [`check_case`] on the spec `gen` makes of `seed`.
+fn check_generated(seed: u64, gen: fn(&mut fgdsm_testkit::Rng, u64) -> FuzzSpec) {
     let mut rng = fgdsm_testkit::Rng::new(seed);
-    let spec = gen_spec(&mut rng, seed);
+    let spec = gen(&mut rng, seed);
     if let Err(d) = check_spec(&spec) {
         let small = shrink(&spec);
         let small_d = check_spec(&small).expect_err("shrunk spec must still diverge");
@@ -71,6 +81,10 @@ pub fn check_case(seed: u64) {
 /// How many cases, from the start of a corpus, also replay through
 /// [`check_case_strict`].
 pub const STRICT_SLICE: u64 = 50;
+
+/// How many cases, from the start of a corpus, also run paged
+/// ([`check_case_paged`]).
+pub const PAGED_SLICE: u64 = 50;
 
 /// Replay one corpus case through a secondary `oracle`, without a shrink
 /// pass: the main matrix already shrinks this seed if the divergence is

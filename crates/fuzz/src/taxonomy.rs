@@ -54,11 +54,16 @@ pub enum Fault {
     /// blocks only a symbolic loop's new sections, or a rewritten index
     /// array's new targets, reach are never fetched.
     StaleResolveSchedule,
+    /// The default walk visits only a schedule's kept ranges and never
+    /// scans for the blocks a node lost of the pages homed at it: a home
+    /// that a non-owner's write took a block from computes from its stale
+    /// copy.
+    LostHomeSkipped,
 }
 
 impl Fault {
     /// Every fault, in declaration order.
-    pub const ALL: [Fault; 7] = [
+    pub const ALL: [Fault; 8] = [
         Fault::SkewSendRange,
         Fault::SkipFlushRange,
         Fault::CorruptEnvelope,
@@ -66,6 +71,7 @@ impl Fault {
         Fault::StaleOwnerPush,
         Fault::UndercountMetrics,
         Fault::StaleResolveSchedule,
+        Fault::LostHomeSkipped,
     ];
 
     /// Stable display name (matches the `InjectConfig` field).
@@ -78,6 +84,7 @@ impl Fault {
             Fault::StaleOwnerPush => "stale_owner_push",
             Fault::UndercountMetrics => "undercount_metrics",
             Fault::StaleResolveSchedule => "stale_resolve_schedule",
+            Fault::LostHomeSkipped => "lost_home_skipped",
         }
     }
 
@@ -91,6 +98,7 @@ impl Fault {
             Fault::StaleOwnerPush => inject.stale_owner_push = true,
             Fault::UndercountMetrics => inject.undercount_metrics = true,
             Fault::StaleResolveSchedule => inject.stale_resolve_schedule = true,
+            Fault::LostHomeSkipped => inject.lost_home_skipped = true,
         }
     }
 
@@ -103,12 +111,14 @@ impl Fault {
             // `UndercountMetrics` never changes data movement, so the
             // model has nothing to observe; the engine oracle's
             // metrics-conservation invariant is its only detector. The
-            // inspector memo of `StaleResolveSchedule` is engine state
-            // the model has no counterpart of.
+            // inspector memo of `StaleResolveSchedule` and the walk's
+            // scan of lost homed blocks are engine state the model has
+            // no counterpart of.
             Fault::CorruptEnvelope
             | Fault::CorruptFrameLen
             | Fault::UndercountMetrics
-            | Fault::StaleResolveSchedule => Detector::Engine,
+            | Fault::StaleResolveSchedule
+            | Fault::LostHomeSkipped => Detector::Engine,
             // Engine layouts keep owner == home for pushed ranges, so the
             // symptom needs the model's 3-node third-party-home states.
             Fault::StaleOwnerPush => Detector::Model,

@@ -33,6 +33,7 @@ fn tolerated_perturbations_are_invisible() {
             corrupt_frame_len: false,
             stale_resolve_schedule: false,
             undercount_metrics: false,
+            lost_home_skipped: false,
             node_fault: None,
         };
         if let Err(d) = check_spec(&spec) {
@@ -302,6 +303,58 @@ fn must_catch_stale_resolve_schedule() {
     check_spec(&spec).expect("the symbolic victim itself must pass the oracle");
 }
 
+/// A home wins back what a non-owner took: loop `l0` writes `a0`
+/// (BLOCK) partitioned by `a1` (CYCLIC), so node 1 writes columns that
+/// node 0 owns and is home to; loop `l1` then has node 0 read and write
+/// them again. Those blocks are homed at node 0 and lost, so only the
+/// walk's scan of lost homed blocks fetches them back — the kept ranges
+/// never list a home's own pages.
+fn lost_home_victim() -> FuzzSpec {
+    let a2 = |cyclic| ArraySpec {
+        rank2: true,
+        cyclic,
+        index_for: None,
+    };
+    let write_a0 = |dist_by, self_read| {
+        FStmt::Loop(LoopSpec {
+            write: 0,
+            dist_by,
+            self_read,
+            reads: vec![],
+            reduce: None,
+            use_t: false,
+            use_acc: false,
+            sweep_t: false,
+        })
+    };
+    FuzzSpec {
+        seed: 0,
+        nprocs: 2,
+        n1: 96,
+        n2: [40, 8],
+        arrays: vec![a2(false), a2(true)],
+        body: vec![write_a0(Some(1), false), write_a0(None, true)],
+        time: None,
+        inject: InjectConfig {
+            lost_home_skipped: true,
+            ..InjectConfig::default()
+        },
+    }
+}
+
+/// Without the scan of lost homed blocks, node 0 computes `l1` from its
+/// stale copy of the columns node 1 wrote in `l0`, and the directory
+/// still names node 1 their owner: the default protocol alone already
+/// disagrees with the reference. Unarmed, the same program passes.
+#[test]
+fn must_catch_lost_home_skipped() {
+    let mut spec = lost_home_victim();
+    let d = check_spec(&spec).expect_err("a home that never wins back a lost block");
+    assert_eq!(d.config, "sm_unopt/serial", "diverged at {d}");
+    spec.inject = InjectConfig::default();
+    check_spec(&spec).expect("the victim itself must pass the oracle");
+}
+
 /// The taxonomy sweep: every engine-detectable fault in the shared
 /// [`Fault`] taxonomy, armed through [`Fault::arm`] on its canonical
 /// victim program, must make the oracle report a divergence. Faults the
@@ -320,6 +373,7 @@ fn must_catch_every_engine_fault_in_taxonomy() {
                     | Fault::UndercountMetrics => skew_victim(),
                     Fault::SkipFlushRange => flush_victim(),
                     Fault::StaleResolveSchedule => sweep_victim(),
+                    Fault::LostHomeSkipped => lost_home_victim(),
                     Fault::StaleOwnerPush => unreachable!("model-level fault"),
                 };
                 spec.inject = Default::default();

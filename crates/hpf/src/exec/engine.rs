@@ -28,15 +28,18 @@
 //!
 //! The default-protocol part of a resolve ([`EngineCore::resolve_default`])
 //! walks the plan's [`ResolveSchedule`] range by range through
-//! [`Dsm::write_access_range`] / [`Dsm::read_access_range`].
+//! [`Dsm::write_access_range`] / [`Dsm::read_access_range`]: per node,
+//! its kept ranges merged with the blocks homed at it that it has lost
+//! ([`Dsm::lost_homed`]), clipped to its runs.
 
 use super::backend::CommBackend;
 use super::{Backend, ExecConfig, InspectorRow, RunResult};
 use crate::analysis::{self, LoopAccess};
+use crate::dist::Dist;
 use crate::ir::{
     par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt, Subscript,
 };
-use crate::plan::{self, ArrayMeta, LoopPlan, ResolveSchedule};
+use crate::plan::{self, ArrayMeta, LoopPlan, Reach, ResolveSchedule};
 use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
 use fgdsm_section::{Env, Range};
 use fgdsm_tempest::{
@@ -83,6 +86,17 @@ pub struct EngineCore<'p> {
     /// Per array, how many loop instances named it in a write reference:
     /// the input version of an indirect loop's default schedule.
     writes: Vec<u64>,
+    /// Per node, the block ranges of the pages it owns words of but is
+    /// not home to, ascending (fixed by the home map): with its
+    /// transfers and gathers, where its cover leaves its own pages.
+    foreign: Vec<Vec<(usize, usize)>>,
+    /// The walk's node order, refilled per superstep
+    /// ([`EngineCore::resolve_order`]); the ranges of one node's walk in
+    /// one mode, and the lost runs of one of its hulls, refilled per node
+    /// and mode ([`EngineCore::reach_into`]).
+    order: Vec<usize>,
+    ranges: Vec<(usize, usize)>,
+    lost: Vec<(usize, usize)>,
     /// Superstep index of the in-flight superstep ([`NO_STEP`] between
     /// loops); stamps [`PlannedXfer`](super::PlannedXfer) records.
     pub cur_step: u32,
@@ -124,6 +138,48 @@ pub(crate) fn layout_arrays(
         handles.push(ArrayHandle::new(base, &a.extents));
     }
     (layout, metas, handles)
+}
+
+/// Per node, the block ranges of the pages it owns words of but is not
+/// home to under `homes` (per page), ascending and coalesced: pages of a
+/// CYCLIC array that interleave owners, the edge pages of a BLOCK
+/// array's chunks, and every page of a replicated array not homed at the
+/// node.
+fn foreign_pages(
+    prog: &Program,
+    metas: &[ArrayMeta],
+    homes: &[usize],
+    cfg: &ExecConfig,
+) -> Vec<Vec<(usize, usize)>> {
+    let (nprocs, wpp) = (cfg.nprocs, cfg.cost.words_per_page());
+    let bpp = wpp / cfg.cost.words_per_block();
+    let mut foreign = vec![Vec::new(); nprocs];
+    for (a, meta) in prog.arrays.iter().zip(metas) {
+        let col = meta.layout.stride(a.extents.len() - 1);
+        let end = meta.base + a.len();
+        let pages = homes.iter().enumerate().take(end.div_ceil(wpp));
+        for (page, &home) in pages.skip(meta.base / wpp) {
+            let (lo, hi) = ((page * wpp).max(meta.base), ((page + 1) * wpp).min(end));
+            let (j0, j1) = ((lo - meta.base) / col, (hi - 1 - meta.base) / col);
+            let owner = |j: usize| a.owner_of(j as i64, nprocs);
+            let owners: u64 = match a.dist {
+                Dist::Replicated => u64::MAX,
+                Dist::Cyclic if j1 - j0 + 1 >= nprocs => u64::MAX,
+                Dist::Cyclic => (j0..=j1).fold(0, |m, j| m | 1 << owner(j)),
+                Dist::Block => (owner(j0)..=owner(j1)).fold(0, |m, q| m | 1 << q),
+            };
+            for (q, pages) in foreign.iter_mut().enumerate() {
+                if owners >> q & 1 == 0 || home == q {
+                    continue;
+                }
+                match pages.last_mut() {
+                    Some((_, e)) if *e == page * bpp => *e += bpp,
+                    _ => pages.push((page * bpp, (page + 1) * bpp)),
+                }
+            }
+        }
+    }
+    foreign
 }
 
 /// The carrier for strict wire mode, `None` for the zero-copy fast path:
@@ -187,6 +243,7 @@ impl<'p> EngineCore<'p> {
                 homes[page] = a.owner_of(j, cfg.nprocs);
             }
         }
+        let foreign = foreign_pages(prog, &metas, &homes, cfg);
         let policy = HomePolicy::Explicit(homes);
         let mut cluster = Cluster::new(cfg.nprocs, cfg.cost, &layout, policy);
         if let Some(cap) = cfg.trace_cap {
@@ -224,6 +281,10 @@ impl<'p> EngineCore<'p> {
             supersteps: 0,
             plans: vec![None; n_loops],
             writes: vec![0; prog.arrays.len()],
+            foreign,
+            order: Vec::new(),
+            ranges: Vec::new(),
+            lost: Vec::new(),
             cur_step: NO_STEP,
             cur_loop: NO_LOOP,
             planned: Vec::new(),
@@ -288,9 +349,9 @@ impl<'p> EngineCore<'p> {
 
     /// The schedule [`EngineCore::resolve_default`] walks for this
     /// instance, from the plan's slot. The blocks an indirect reference
-    /// gathers join the read covers (and the false-sharing test) as the
-    /// index arrays name them at the build, so the slot's input version
-    /// is the write count of the loop's index arrays.
+    /// gathers join the kept read ranges (and the false-sharing test) as
+    /// the index arrays name them at the build, so the slot's input
+    /// version is the write count of the loop's index arrays.
     pub fn schedule<'a>(&self, l: &ParLoop, plan: &'a LoopPlan) -> Ref<'a, ResolveSchedule> {
         let index_writes = l.refs.iter().flat_map(|r| &r.subs).map(|s| match s {
             Subscript::Indirect(idx, _) => self.writes[idx.0],
@@ -313,7 +374,8 @@ impl<'p> EngineCore<'p> {
                 true => (0..self.cfg.nprocs).map(gathered).collect(),
                 false => Vec::new(),
             };
-            plan::schedule_into(l, plan, &indirect, &self.metas, self.wpb, sched)
+            let (foreign, metas) = (&self.foreign, &self.metas);
+            plan::schedule_into(l, plan, &indirect, foreign, metas, self.wpb, sched)
         })
     }
 
@@ -324,30 +386,38 @@ impl<'p> EngineCore<'p> {
         let t0 = Instant::now();
         let sched = self.schedule(l, plan);
         let t1 = Instant::now();
-        self.walk(&sched);
+        self.walk(l, plan, &sched);
         self.phases.inspect_ns += (t1 - t0).as_nanos() as u64;
         self.phases.walk_ns += t1.elapsed().as_nanos() as u64;
     }
 
-    /// Node visiting order of the walk's sub-phases. Under the tolerated
-    /// `shuffle_resolve` perturbation it is randomized per superstep — on
-    /// a cached plan like on a fresh one: the protocol contract must be
-    /// insensitive to which node faults first.
-    pub fn resolve_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.cfg.nprocs).collect();
+    /// Node visiting order of the walk's sub-phases, refilled in place.
+    /// Under the tolerated `shuffle_resolve` perturbation it is
+    /// randomized per superstep — on a cached plan like on a fresh one:
+    /// the protocol contract must be insensitive to which node faults
+    /// first.
+    pub fn resolve_order(&mut self) -> &[usize] {
+        self.order.clear();
+        self.order.extend(0..self.cfg.nprocs);
         if let Some(seed) = self.cfg.inject.shuffle_resolve {
-            fgdsm_testkit::Rng::new(seed ^ self.supersteps).shuffle(&mut order);
+            fgdsm_testkit::Rng::new(seed ^ self.supersteps).shuffle(&mut self.order);
         }
-        order
+        &self.order
     }
 
     /// The walk: all nodes' writes — false-shared blocks through the
-    /// multiple-writer path, the stretches between them a range at a time
-    /// — then all nodes' reads.
-    fn walk(&mut self, sched: &ResolveSchedule) {
-        let order = self.resolve_order();
+    /// multiple-writer path, the stretches between them a range at a
+    /// time — then all nodes' reads, each node's ranges from
+    /// [`EngineCore::reach_into`].
+    fn walk(&mut self, l: &ParLoop, plan: &LoopPlan, sched: &ResolveSchedule) {
+        self.resolve_order();
+        let (order, mut ranges) = (
+            std::mem::take(&mut self.order),
+            std::mem::take(&mut self.ranges),
+        );
         for &p in &order {
-            for &(f, e) in &sched.wcover[p] {
+            self.reach_into(l, plan, p, RefMode::Write, &sched.writes[p], &mut ranges);
+            for &(f, e) in &ranges {
                 let mut from = f;
                 let first_multi = sched.multi.partition_point(|&m| m < f);
                 for &m in sched.multi[first_multi..].iter().take_while(|&&m| m < e) {
@@ -363,10 +433,62 @@ impl<'p> EngineCore<'p> {
             }
         }
         for &p in &order {
-            for &(f, e) in &sched.rcover[p] {
+            self.reach_into(l, plan, p, RefMode::Read, &sched.reads[p], &mut ranges);
+            for &(f, e) in &ranges {
                 self.dsm.read_access_range(p, f, e);
             }
         }
+        (self.order, self.ranges) = (order, ranges);
+    }
+
+    /// Refill `ranges` with the blocks node `p`'s walk in `mode` visits,
+    /// ascending and merged: `reach`'s kept ranges, and inside its hulls
+    /// the blocks its runs touch that are homed at it but lost
+    /// ([`Dsm::lost_homed`]) — the only blocks of its own pages an access
+    /// can fault on. So it visits, in the same order, every block its
+    /// cover's walk would fault on. A write visits the whole of each hull
+    /// instead, clipped the same way, when the protocol acts on blocks a
+    /// writer holds ([`Dsm::skips_held`]): then the walk is the cover.
+    /// Servicing one block changes no other block's state at `p`, so the
+    /// scan at the start of `p`'s turn is exact.
+    fn reach_into(
+        &mut self,
+        l: &ParLoop,
+        plan: &LoopPlan,
+        p: usize,
+        mode: RefMode,
+        reach: &Reach,
+        ranges: &mut Vec<(usize, usize)>,
+    ) {
+        let write = mode == RefMode::Write;
+        let whole = write && !self.dsm.skips_held();
+        ranges.clear();
+        ranges.extend_from_slice(&reach.kept);
+        let lost = &mut self.lost;
+        for &(array, first, end) in &reach.hulls {
+            lost.clear();
+            match whole {
+                true => lost.push((first, end)),
+                // Must-catch `lost_home_skipped`: homes never win back
+                // what they lost.
+                false if self.cfg.inject.lost_home_skipped => {}
+                false => self
+                    .dsm
+                    .lost_homed(p, first, end, write, |s, t| lost.push((s, t))),
+            }
+            if lost.is_empty() {
+                continue;
+            }
+            // Clipped to its runs of `array` in `mode`: each group to the
+            // lost runs it reaches into, its runs there in closed form.
+            let refs = l.refs.iter().zip(&plan.runs[p]);
+            for (_, lr) in refs.filter(|(r, _)| r.mode == mode && r.array.0 == array) {
+                lr.runs
+                    .iter()
+                    .for_each(|g| g.blocks_within(lost, self.wpb, ranges));
+            }
+        }
+        plan::merge_block_ranges(ranges);
     }
 
     /// Inspector for indirect references (`x(idx(i))`): enumerate the
@@ -743,7 +865,6 @@ fn compute_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::Dist;
 
     /// The pool serves the compute phase, which puts a shard on exactly
     /// one worker: it never holds more threads than there are nodes, and

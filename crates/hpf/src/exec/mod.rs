@@ -293,6 +293,12 @@ pub struct InjectConfig {
     /// can catch the undercount (needs metrics on and an envelope
     /// path).
     pub undercount_metrics: bool,
+    /// Must-catch: the default walk visits only a schedule's kept ranges
+    /// and never scans for the blocks a node lost of the pages homed at
+    /// it — a home that a non-owner's write or a reader's downgrade took
+    /// a block from neither fetches it back nor regains it before its
+    /// kernel writes or reads it.
+    pub lost_home_skipped: bool,
 }
 
 impl ExecConfig {

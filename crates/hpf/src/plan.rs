@@ -256,35 +256,10 @@ pub fn covering_blocks(runs: &LinearRanges, words_per_block: usize) -> Vec<(usiz
 }
 
 /// Append the covering block ranges of `lr`'s runs to `out`, ascending
-/// (a linearization's runs ascend by address): one range for a group
-/// whose gaps are under a block — its runs' covers would coalesce into
-/// it anyway — and one per run otherwise.
+/// (a linearization's runs ascend by address).
 fn push_cover(lr: &LinearRanges, wpb: usize, out: &mut Vec<(usize, usize)>) {
-    for g in lr.runs.iter().filter(|g| g.total_elements() > 0) {
-        if g.count == 1 || g.stride.saturating_sub(g.run_len) < wpb {
-            let end = g.base + (g.count - 1) * g.stride + g.run_len;
-            out.push((g.base / wpb, end.div_ceil(wpb)));
-        } else {
-            out.extend(g.runs().map(|(start, len)| covering_range(start, len, wpb)));
-        }
-    }
-}
-
-/// The indices of `g`'s runs that reach into the words `[lo, hi)`, in
-/// closed form.
-fn runs_touching(g: &StridedRange, lo: usize, hi: usize) -> std::ops::Range<usize> {
-    if g.total_elements() == 0 || hi <= g.base {
-        return 0..0;
-    }
-    if g.count == 1 {
-        return 0..usize::from(g.base + g.run_len > lo);
-    }
-    let first = match lo >= g.base + g.run_len {
-        true => (lo - g.base - g.run_len) / g.stride + 1,
-        false => 0,
-    };
-    let end = ((hi - 1 - g.base) / g.stride + 1).min(g.count);
-    first..end.max(first)
+    let all = [(0, usize::MAX / wpb)];
+    lr.runs.iter().for_each(|g| g.blocks_within(&all, wpb, out));
 }
 
 /// The block range `[first, end)` covering the `len > 0` words at `start`.
@@ -297,7 +272,7 @@ fn covering_range(start: usize, len: usize, words_per_block: usize) -> (usize, u
 
 /// Sort `raw` block ranges and coalesce the overlapping and the adjacent,
 /// in place.
-fn merge_block_ranges(raw: &mut Vec<(usize, usize)>) {
+pub(crate) fn merge_block_ranges(raw: &mut Vec<(usize, usize)>) {
     raw.sort_unstable();
     let mut n = 0; // raw[..n] is merged
     for i in 0..raw.len() {
@@ -310,30 +285,6 @@ fn merge_block_ranges(raw: &mut Vec<(usize, usize)>) {
         }
     }
     raw.truncate(n);
-}
-
-/// Merge two block-range lists, each ascending by first block, into
-/// `out`, coalescing the overlapping and the adjacent — what
-/// [`merge_block_ranges`] makes of their concatenation, without a sort.
-fn merge_into(a: &[(usize, usize)], b: &[(usize, usize)], out: &mut Vec<(usize, usize)>) {
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let (f, e) = if j == b.len() || (i < a.len() && a[i].0 <= b[j].0) {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        match out.last_mut() {
-            Some(last) if f <= last.1 => last.1 = last.1.max(e),
-            last => {
-                debug_assert!(last.is_none_or(|l| l.0 <= f), "a list was not ascending");
-                out.push((f, e));
-            }
-        }
-    }
 }
 
 /// Entry `n` of `list`, to be refilled in place: the one an earlier build
@@ -413,31 +364,40 @@ impl<T> ScheduleSlot<T> {
 
 /// What the default protocol must do before one loop instance's kernels
 /// run: which blocks each node must be able to write and to read, and
-/// which of them two nodes need at once.
+/// which of them two nodes need at once. A node's *cover* in a mode (what
+/// its runs touch, and its gathers) is not listed: the walk visits its
+/// [`Reach::kept`] ranges and, inside its [`Reach::hulls`], the blocks
+/// homed at it that it has lost, clipped to its runs. No access of the
+/// rest of the cover faults: it is homed at the node and held.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResolveSchedule {
-    /// Per node: the merged block ranges `[first, end)` covering its
-    /// written sections, ascending.
-    pub wcover: Vec<Vec<(usize, usize)>>,
-    /// Per node: the same for its read sections.
-    pub rcover: Vec<Vec<(usize, usize)>>,
+    /// Per node: what its written sections reach…
+    pub writes: Vec<Reach>,
+    /// …and its read sections.
+    pub reads: Vec<Reach>,
     /// False-shared blocks, ascending: written by two nodes, or written
     /// by one and read by another, in this loop instance. They take the
     /// multiple-writer (twin/diff) path.
     pub multi: Vec<usize>,
-    scratch: Scratch<CoverScratch>,
+    scratch: Scratch<ResolveScratch>,
 }
 
-/// [`schedule_into`]'s working lists.
-#[derive(Clone, Default)]
-struct CoverScratch {
-    /// The transfers' merged covers.
-    xfer: Vec<(usize, usize)>,
-    /// One reference's covers.
-    items: Vec<(usize, usize)>,
-    /// A node's covers merged so far, and the merge's output.
-    merged: Vec<(usize, usize)>,
-    spare: Vec<(usize, usize)>,
+/// [`schedule_into`]'s working lists: the transfers' merged covers, and
+/// per candidate the nodes that write it (low bits) and read it (high).
+type ResolveScratch = (Vec<(usize, usize)>, Vec<u128>);
+
+/// The blocks of one node's cover in one mode, as the walk takes them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Reach {
+    /// Block ranges `[first, end)` of the cover the walk visits whatever
+    /// the node holds, ascending and coalesced: the blocks of its
+    /// transfers (where it is the user), of pages it owns words of but is
+    /// not home to, of its gathers (reads), and its false-shared blocks
+    /// (writes). Every block of the cover not homed at the node is one.
+    pub kept: Vec<(usize, usize)>,
+    /// `(array, first, end)`: per array its references in this mode
+    /// touch, the block hull of their runs.
+    pub hulls: Vec<(usize, usize, usize)>,
 }
 
 /// `(owner, array, user, is_write)`: whose ctl ranges merge together.
@@ -622,11 +582,15 @@ pub(crate) fn lower_into(l: &ParLoop, plan: &mut LoopPlan, metas: &[ArrayMeta], 
 /// per-(node, reference) `runs` plus, per node, the word offsets its
 /// indirect references gather right now (`indirect`, empty when the loop
 /// has none: a real DSM faults on demand, and the conservative section
-/// would grossly over-fault).
+/// would grossly over-fault), and `foreign`, per node the block ranges of
+/// the pages it owns words of but is not home to, ascending.
 ///
-/// Per node, each reference's covering block ranges — ascending already,
-/// one per group where a group's runs coalesce — are merged into the
-/// node's covers list by list, without a sort.
+/// A node's kept ranges are the covers of its direct transfers, of its
+/// runs inside its foreign pages, and its gathered blocks; every block of
+/// its cover outside them is homed at it (a word it does not own is a
+/// transfer's, one it owns on a page homed elsewhere a foreign page's).
+/// Its hulls are one per array it touches. Neither costs the runs of a
+/// node's own pages, which is nearly all of them.
 ///
 /// The false-shared blocks: a block written by two nodes contains a
 /// section boundary of each, so it is an extremal block of a raw write
@@ -643,13 +607,16 @@ pub(crate) fn lower_into(l: &ParLoop, plan: &mut LoopPlan, metas: &[ArrayMeta], 
 /// owners ([`ArrayMeta::blocks_have_one_owner`]) only the runs reaching
 /// into a transfer's blocks are looked at, found in closed form per
 /// group; so the test runs over a short list, usually empty, and costs
-/// the instance its groups and transfers, not its runs.
+/// the instance its groups and transfers, not its runs. Each node's runs
+/// say whether it touches a candidate. A false-shared block joins the
+/// kept ranges of every node that writes it.
 ///
 /// Written into `sched`, refilled in place.
 pub(crate) fn schedule_into(
     l: &ParLoop,
     plan: &LoopPlan,
     indirect: &[Vec<usize>],
+    foreign: &[Vec<(usize, usize)>],
     metas: &[ArrayMeta],
     wpb: usize,
     sched: &mut ResolveSchedule,
@@ -657,24 +624,29 @@ pub(crate) fn schedule_into(
     let nprocs = plan.runs.len();
     assert!(nprocs <= 64, "node masks support ≤64 nodes");
     let ResolveSchedule {
-        wcover,
-        rcover,
+        writes,
+        reads,
         multi: candidates,
-        scratch:
-            Scratch(CoverScratch {
-                xfer,
-                items,
-                merged,
-                spare,
-            }),
+        scratch: Scratch((xfer, masks)),
     } = sched;
+    // `reach[0]` is the writes', `reach[1]` the reads'.
+    let mut reach = [writes, reads];
+    let side = |mode: RefMode| usize::from(mode == RefMode::Read);
+    for of_mode in &mut reach {
+        of_mode.resize_with(nprocs, Reach::default);
+        for Reach { kept, hulls } in of_mode.iter_mut() {
+            kept.clear();
+            hulls.clear();
+        }
+    }
     xfer.clear();
-    plan.xfer_runs
-        .iter()
-        .for_each(|lr| push_cover(lr, wpb, xfer));
+    for ((t, is_write), lr) in plan.transfers().zip(&plan.xfer_runs) {
+        push_cover(lr, wpb, xfer);
+        if !t.indirect {
+            push_cover(lr, wpb, &mut reach[usize::from(!is_write)][t.user].kept);
+        }
+    }
     merge_block_ranges(xfer);
-    wcover.resize_with(nprocs, Vec::new);
-    rcover.resize_with(nprocs, Vec::new);
     candidates.clear();
     for (p, per_ref) in plan.runs.iter().enumerate() {
         let refs = || l.refs.iter().zip(per_ref);
@@ -696,7 +668,7 @@ pub(crate) fn schedule_into(
             if one_owner {
                 for g in &lr.runs {
                     for &(f, e) in xfer.iter() {
-                        for i in runs_touching(g, f * wpb, e * wpb) {
+                        for i in g.runs_touching(f * wpb, e * wpb) {
                             candidate(g.base + i * g.stride, g.run_len);
                         }
                     }
@@ -706,24 +678,27 @@ pub(crate) fn schedule_into(
                     .for_each(|(start, len)| candidate(start, len));
             }
         }
-        let mut cover = |mode: RefMode, out: &mut Vec<(usize, usize)>| {
-            merged.clear();
-            for (_, lr) in refs().filter(|(r, _)| r.mode == mode) {
-                items.clear();
-                push_cover(lr, wpb, items);
-                spare.clear();
-                merge_into(merged, items, spare);
-                std::mem::swap(merged, spare);
+        // Its hulls, and within them its runs' blocks of foreign pages.
+        for (r, lr) in refs() {
+            let (Some(first), Some(last)) = (lr.runs.first(), lr.runs.last()) else {
+                continue;
+            };
+            let (f, e) = (first.base / wpb, last.end().div_ceil(wpb));
+            let Reach { kept, hulls } = &mut reach[side(r.mode)][p];
+            match hulls.iter_mut().find(|h| h.0 == r.array.0) {
+                Some(h) => (h.1, h.2) = (h.1.min(f), h.2.max(e)),
+                None => hulls.push((r.array.0, f, e)),
             }
-            out.clear();
-            out.extend_from_slice(merged);
-        };
-        cover(RefMode::Write, &mut wcover[p]);
-        cover(RefMode::Read, &mut rcover[p]);
-        if let Some(gathered) = indirect.get(p).filter(|g| !g.is_empty()) {
-            let rcover = &mut rcover[p];
-            rcover.extend(gathered.iter().map(|&off| covering_range(off, 1, wpb)));
-            merge_block_ranges(rcover);
+            let pages = &foreign[p][foreign[p].partition_point(|&(_, end)| end <= f)..];
+            let pages = &pages[..pages.partition_point(|&(first, _)| first < e)];
+            lr.runs
+                .iter()
+                .for_each(|g| g.blocks_within(pages, wpb, kept));
+        }
+        if let Some(gathered) = indirect.get(p) {
+            let kept = &mut reach[1][p].kept;
+            kept.extend(gathered.iter().map(|&off| covering_range(off, 1, wpb)));
+            merge_block_ranges(kept);
         }
     }
     // A candidate needs the multiple-writer (twin/diff) path if two or
@@ -733,14 +708,37 @@ pub(crate) fn schedule_into(
     // writer must keep its writable copy through the read sub-phase.
     candidates.sort_unstable();
     candidates.dedup();
-    let mask = |covers_of: &[Vec<(usize, usize)>], b: usize| -> u64 {
-        let holders = covers_of.iter().enumerate().filter(|(_, c)| covers(c, b));
-        holders.fold(0, |m, (p, _)| m | 1 << p)
-    };
+    masks.clear();
+    masks.resize(candidates.len(), 0);
+    for (q, per_ref) in plan.runs.iter().enumerate() {
+        for (r, lr) in l.refs.iter().zip(per_ref) {
+            for g in &lr.runs {
+                let (f, e) = (g.base / wpb, g.end().div_ceil(wpb));
+                let from = candidates.partition_point(|&b| b < f);
+                let to = from + candidates[from..].partition_point(|&b| b < e);
+                for (b, mask) in candidates[from..to].iter().zip(&mut masks[from..to]) {
+                    if !g.runs_touching(b * wpb, (b + 1) * wpb).is_empty() {
+                        *mask |= 1 << (q + 64 * side(r.mode));
+                    }
+                }
+            }
+        }
+        if !indirect.is_empty() {
+            for (&b, mask) in candidates.iter().zip(masks.iter_mut()) {
+                *mask |= u128::from(covers(&reach[1][q].kept, b)) << (q + 64);
+            }
+        }
+    }
+    let mut masks = masks.iter().map(|&m| (m as u64, (m >> 64) as u64));
     candidates.retain(|&b| {
-        let (w, r) = (mask(wcover, b), mask(rcover, b));
-        w.count_ones() >= 2 || (w != 0 && r & !w != 0)
+        let (w, r) = masks.next().expect("a mask per candidate");
+        let multi = w.count_ones() >= 2 || (w != 0 && r & !w != 0);
+        let writers = (0..nprocs).filter(|q| multi && w >> q & 1 != 0);
+        writers.for_each(|q| reach[0][q].kept.push((b, b + 1)));
+        multi
     });
+    let all = reach.iter_mut().flat_map(|of_mode| of_mode.iter_mut());
+    all.for_each(|r| merge_block_ranges(&mut r.kept));
 }
 
 /// Schedule the §4.2 contract of one lowered loop instance under the

@@ -35,6 +35,10 @@ impl Protocol for EagerInvalidate {
         true
     }
 
+    fn skips_held(&self) -> bool {
+        true
+    }
+
     fn read_access(&mut self, d: &mut Dsm, p: NodeId, b: usize) {
         let cfg = *d.cluster.cfg();
         let h = d.cluster.home_of_block(b);

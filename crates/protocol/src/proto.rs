@@ -16,7 +16,7 @@ use crate::node::WireTransport;
 use crate::update::WriteUpdate;
 use crate::wire::{reconcile_stats, WireError, WireHeader, WireMsg};
 use fgdsm_tempest::metrics::{MetricsRegistry, Stage, Telemetry, WireSpan};
-use fgdsm_tempest::{Access, BlockMap, BlockSet, Cluster, NodeId, NO_ARRAY};
+use fgdsm_tempest::{Access, BlockMap, BlockSet, Cluster, DirtySet, NodeId, NO_ARRAY};
 use std::collections::btree_map::Entry;
 use std::collections::{hash_map, BTreeMap, VecDeque};
 
@@ -51,6 +51,16 @@ pub trait Protocol {
     /// / `implicit_writable` / `send_range` / …) is sound on top of this
     /// protocol. The optimized executor refuses `OptLevel::ctl` otherwise.
     fn supports_ctl(&self) -> bool;
+
+    /// Whether a write access by `p` to a block it already holds writable
+    /// and directory-exclusive does nothing — no event, charge or state
+    /// change. Then a walk may leave out every block homed at `p` that
+    /// `p` has not lost ([`Dsm::lost_homed`]). A capability, like
+    /// [`Protocol::supports_ctl`]: by default a walk visits every block it
+    /// writes.
+    fn skips_held(&self) -> bool {
+        false
+    }
 
     /// Service a read fault: bring block `b` to at least `ReadOnly` at
     /// `p`. Only called when `p` has no valid copy.
@@ -111,7 +121,7 @@ pub struct Dsm {
     /// home-owns-everything assignment (`Excl{owner: home}`). Together
     /// with the per-shard dirty tag sets this bounds every consistency
     /// scan by the traffic footprint instead of the segment size.
-    dirty_dirs: BlockSet,
+    dirty_dirs: DirtySet,
     /// Twins for multiple-writer blocks: (block, writer) → offset of its
     /// snapshot in `twin_words`. Every twin dies at the release that
     /// ends its interval, so the words are cleared, capacity kept, when
@@ -417,7 +427,7 @@ impl Dsm {
             cluster,
             dir,
             excl,
-            dirty_dirs: BlockSet::new(n_blocks),
+            dirty_dirs: DirtySet::new(n_blocks),
             twin_at: BlockMap::default(),
             twin_words: Vec::new(),
             inbox_arrival: vec![0; nprocs],
@@ -723,7 +733,7 @@ impl Dsm {
     /// Blocks whose directory state deviates from the initial
     /// home-exclusive assignment (ascending order).
     pub fn dirty_dir_blocks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dirty_dirs.iter()
+        self.dirty_dirs.blocks().iter()
     }
 
     /// Every block that any protocol state — the directory or any node's
@@ -733,7 +743,7 @@ impl Dsm {
     /// gathers iterate this set (ascending) instead of the whole segment.
     pub(crate) fn touched_blocks(&self) -> BlockSet {
         let mut out = self.cluster.dirty_blocks();
-        out.union_with(&self.dirty_dirs);
+        out.union_with(self.dirty_dirs.blocks());
         out
     }
 
@@ -751,6 +761,39 @@ impl Dsm {
     /// valid tags.
     pub fn first_invalid(&self, p: NodeId, first: usize, end: usize) -> Option<usize> {
         self.cluster.shard(p).valid().first_absent(first, end)
+    }
+
+    /// The blocks of `[first, end)` homed at `p` that a write by `p`
+    /// (`write`) or a read would fault on, as maximal ascending runs
+    /// `[s, t)` handed to `emit`. A block homed at `p` starts writable at
+    /// `p` and `Excl{p}` in the directory, so it is lost for a write —
+    /// not writable ∧ exclusive — only if it is dirty in `p`'s tags or in
+    /// the directory, and for a read — not valid — only if it is dirty in
+    /// `p`'s tags: the scan reads only the words where those dirty sets
+    /// have a member.
+    pub fn lost_homed(
+        &self,
+        p: NodeId,
+        first: usize,
+        end: usize,
+        write: bool,
+        emit: impl FnMut(usize, usize),
+    ) {
+        let shard = self.cluster.shard(p);
+        let (valid, writable, excl) = (shard.valid(), shard.writable(), &self.excl[p]);
+        let homed = |w: usize| self.cluster.homed_word(p, w);
+        let lost = |w: usize| match write {
+            true => homed(w) & !(writable.word(w) & excl.word(w)),
+            false => homed(w) & !valid.word(w),
+        };
+        let dirs = write.then_some(&self.dirty_dirs);
+        shard.dirty().runs_where(dirs, first, end, lost, emit);
+    }
+
+    /// Whether the protocol in force may leave out the blocks a writer
+    /// holds ([`Protocol::skips_held`]).
+    pub fn skips_held(&self) -> bool {
+        self.proto().skips_held()
     }
 
     /// Handler-occupancy cost scaled for the cpu configuration.

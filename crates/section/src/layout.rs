@@ -180,6 +180,60 @@ impl StridedRange {
         let s = *self;
         (0..s.count).map(move |i| (s.base + i * s.stride, s.run_len))
     }
+
+    /// One past the last element of the last run (the group is not
+    /// empty).
+    pub fn end(&self) -> usize {
+        self.base + (self.count - 1) * self.stride + self.run_len
+    }
+
+    /// The indices of the runs that reach into the elements `[lo, hi)`,
+    /// in closed form.
+    pub fn runs_touching(&self, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        if self.total_elements() == 0 || hi <= self.base {
+            return 0..0;
+        }
+        if self.count == 1 {
+            return 0..usize::from(self.base + self.run_len > lo);
+        }
+        let first = match lo >= self.base + self.run_len {
+            true => (lo - self.base - self.run_len) / self.stride + 1,
+            false => 0,
+        };
+        let end = ((hi - 1 - self.base) / self.stride + 1).min(self.count);
+        first..end.max(first)
+    }
+
+    /// Append to `out`, ascending, the blocks of `within` — ascending,
+    /// disjoint block ranges `[first, end)` of `unit` elements a block —
+    /// that the runs touch. Where the gaps between runs are under a block
+    /// every block of the group's hull is touched, and the blocks between
+    /// the first and the last range it reaches into go with them, as one
+    /// range; elsewhere the runs' blocks go range by range.
+    pub fn blocks_within(
+        &self,
+        within: &[(usize, usize)],
+        unit: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let (gf, ge) = (self.base / unit, self.end().div_ceil(unit));
+        let within = &within[within.partition_point(|&(_, t)| t <= gf)..];
+        let within = &within[..within.partition_point(|&(s, _)| s < ge)];
+        let (Some(&(first, _)), Some(&(_, end))) = (within.first(), within.last()) else {
+            return;
+        };
+        if self.count == 1 || self.stride.saturating_sub(self.run_len) < unit {
+            out.push((first.max(gf), end.min(ge)));
+            return;
+        }
+        for &(first, end) in within {
+            for i in self.runs_touching(first * unit, end * unit) {
+                let start = self.base + i * self.stride;
+                let (f, e) = (start / unit, (start + self.run_len).div_ceil(unit));
+                out.push((f.max(first), e.min(end)));
+            }
+        }
+    }
 }
 
 /// The linearization of a section: a small list of [`StridedRange`] groups.
@@ -204,6 +258,56 @@ impl LinearRanges {
 mod tests {
     use super::*;
     use crate::range::Range;
+
+    /// `blocks_within` against the per-block definition, on dense and
+    /// sparse groups: it returns every block of `within` a run touches,
+    /// in order, and nothing a run does not touch or that lies outside
+    /// the span of `within` (a dense group may bridge the gaps).
+    #[test]
+    fn blocks_within_matches_the_per_block_definition() {
+        let mut rng = fgdsm_testkit::Rng::new(fgdsm_testkit::BASE_SEED);
+        for _ in 0..300 {
+            let (unit, count) = (rng.range(1, 9), rng.range(1, 6));
+            let run_len = rng.range(1, 12);
+            let g = StridedRange {
+                base: rng.range(0, 40),
+                run_len,
+                stride: if count == 1 {
+                    0
+                } else {
+                    run_len + rng.range(0, 20)
+                },
+                count,
+            };
+            let touched = |b: usize| {
+                g.runs()
+                    .any(|(s, l)| s < (b + 1) * unit && b * unit < s + l)
+            };
+            let (mut within, mut at) = (Vec::new(), rng.range(0, 6));
+            while within.is_empty() || at < g.end() / unit + 4 {
+                let end = at + rng.range(1, 5);
+                within.push((at, end));
+                at = end + rng.range(1, 4);
+            }
+            let mut out = Vec::new();
+            g.blocks_within(&within, unit, &mut out);
+            let got: Vec<usize> = out.iter().flat_map(|&(f, e)| f..e).collect();
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "{g:?}: {out:?}");
+            let span = within[0].0..within[within.len() - 1].1;
+            assert!(
+                got.iter().all(|&b| touched(b) && span.contains(&b)),
+                "{g:?}: {out:?}"
+            );
+            let inside = within
+                .iter()
+                .flat_map(|&(f, e)| f..e)
+                .filter(|&b| touched(b));
+            assert!(
+                inside.into_iter().all(|b| got.contains(&b)),
+                "{g:?}: {out:?}"
+            );
+        }
+    }
 
     #[test]
     fn offsets_column_major() {

@@ -209,6 +209,12 @@ impl Cluster {
         self.geom.home_of_block(b)
     }
 
+    /// Word `w` of the set of blocks homed at `node`: bit `i` is block
+    /// `64 * w + i`.
+    pub fn homed_word(&self, node: NodeId, w: usize) -> u64 {
+        self.geom.homed_word(node, w)
+    }
+
     /// Home node of the page containing word `w`.
     pub fn home_of_word(&self, w: usize) -> NodeId {
         self.geom.home_of_word(w)
@@ -252,7 +258,7 @@ impl Cluster {
     pub fn dirty_blocks(&self) -> BlockSet {
         let mut out = BlockSet::new(self.geom.n_blocks);
         for sh in &self.shards {
-            out.union_with(sh.dirty_blocks());
+            out.union_with(sh.dirty().blocks());
         }
         out
     }
@@ -268,6 +274,7 @@ impl Cluster {
 
     /// Set the tag of block `b` at `node` (no cost charged; protocols
     /// charge `tag_change_ns` themselves where appropriate).
+    #[inline]
     pub fn set_tag(&mut self, node: NodeId, b: usize, a: Access) {
         self.shards[node].set_tag(b, a);
     }
@@ -802,6 +809,25 @@ mod tests {
             b.mem_mut()[0] = a.mem()[0];
         }
         assert_eq!(c.node_mem(0)[0], 7.0);
+    }
+
+    /// A homed word holds exactly the blocks whose home is the node, on
+    /// pages of 32 blocks (two to a word) and of 128 (half a page).
+    #[test]
+    fn homed_words_hold_the_blocks_homed_at_a_node() {
+        for block_bytes in [128, 32] {
+            let mut cfg = CostModel::paper_dual_cpu();
+            cfg.block_bytes = block_bytes;
+            let mut layout = SegmentLayout::new(cfg.words_per_page());
+            layout.alloc(5000);
+            let c = Cluster::new(3, cfg, &layout, HomePolicy::RoundRobin);
+            for p in 0..3 {
+                for b in 0..c.n_blocks() {
+                    let homed = c.homed_word(p, b / 64) >> (b % 64) & 1 == 1;
+                    assert_eq!(homed, c.home_of_block(b) == p, "node {p}, block {b}");
+                }
+            }
+        }
     }
 
     #[test]

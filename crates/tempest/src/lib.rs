@@ -57,7 +57,7 @@ pub use costs::{CostModel, CpuMode};
 pub use metrics::{Histogram, Metric, MetricsRegistry, Stage, Telemetry, WireSpan};
 pub use pool::{Job, WorkerPool};
 pub use profile::{FalseSharingFlag, LoopRow, NodeHeatmap, StepInterval};
-pub use scratch::{BlockSet, CacheAligned};
+pub use scratch::{BlockSet, CacheAligned, DirtySet};
 pub use shard::NodeShard;
 pub use stats::{ClusterReport, HostPhases, NodeStats};
 pub use trace::{

@@ -10,7 +10,8 @@
 //!
 //! [`BlockSet`] is a word bitset over block indices for state that flips
 //! on every tag or directory transition, and that range scans read 64
-//! blocks at a time.
+//! blocks at a time. [`DirtySet`] adds a summary of which of its words
+//! hold a member, so a scan over a wide range visits only those.
 
 /// Pads `T` to a full cache line so adjacent slots in a `Vec` or array
 /// never share a line — writes from distinct threads stay on distinct
@@ -99,6 +100,12 @@ impl BlockSet {
         }
     }
 
+    /// Word `w` of the set: bit `i` is block `64 * w + i`.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
     /// Whether `b` is a member.
     #[inline]
     pub fn contains(&self, b: usize) -> bool {
@@ -142,6 +149,106 @@ impl BlockSet {
     pub fn intersection<'a>(&'a self, other: &'a BlockSet) -> impl Iterator<Item = usize> + 'a {
         assert_eq!(self.words.len(), other.words.len(), "block ranges differ");
         members(self.words.iter().zip(&other.words).map(|(a, b)| a & b))
+    }
+}
+
+/// A [`BlockSet`] plus its word-occupancy summary: bit `w` of the
+/// summary is set while word `w` of the set has a member. Only the dirty
+/// trackers — a shard's dirty tags, the directory's dirty blocks — keep
+/// one: their members are few and scattered, so a scan over a range
+/// visits the words with members, not the range. The tag and ownership
+/// sets, which every fault writes, go without.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DirtySet {
+    set: BlockSet,
+    occupied: Vec<u64>,
+}
+
+impl DirtySet {
+    /// The empty set over blocks `0..n_blocks`.
+    pub fn new(n_blocks: usize) -> Self {
+        let set = BlockSet::new(n_blocks);
+        let occupied = vec![0; set.words.len().div_ceil(64)];
+        DirtySet { set, occupied }
+    }
+
+    /// Make `b` a member (`present`) or a non-member.
+    #[inline]
+    pub fn set(&mut self, b: usize, present: bool) {
+        self.set.set(b, present);
+        self.note(b / 64);
+    }
+
+    /// [`DirtySet::set`] for every block of `[first, end)`.
+    pub(crate) fn set_range(&mut self, first: usize, end: usize, present: bool) {
+        self.set.set_range(first, end, present);
+        if first < end {
+            (first / 64..=(end - 1) / 64).for_each(|w| self.note(w));
+        }
+    }
+
+    /// Bring word `w`'s summary bit up to date.
+    #[inline]
+    fn note(&mut self, w: usize) {
+        let bit = 1u64 << (w % 64);
+        match self.set.words[w] != 0 {
+            true => self.occupied[w / 64] |= bit,
+            false => self.occupied[w / 64] &= !bit,
+        }
+    }
+
+    /// The members, as a plain set.
+    pub fn blocks(&self) -> &BlockSet {
+        &self.set
+    }
+
+    /// Call `emit(s, t)` for each maximal run `[s, t)` of blocks inside
+    /// `[first, end)` whose bit is set in `word(w)`, ascending, reading
+    /// only the words where `self` or `other` (a set over the same block
+    /// range) has a member — `word` must be empty on every other word.
+    pub fn runs_where(
+        &self,
+        other: Option<&DirtySet>,
+        first: usize,
+        end: usize,
+        word: impl Fn(usize) -> u64,
+        mut emit: impl FnMut(usize, usize),
+    ) {
+        if first >= end {
+            return;
+        }
+        let (w0, w1) = (first / 64, (end - 1) / 64);
+        let mut open: Option<(usize, usize)> = None;
+        for s in w0 / 64..=w1 / 64 {
+            let lo = if s == w0 / 64 { w0 % 64 } else { 0 };
+            let hi = if s == w1 / 64 { w1 % 64 + 1 } else { 64 };
+            let mut occupied =
+                (self.occupied[s] | other.map_or(0, |o| o.occupied[s])) & span(lo, hi);
+            while occupied != 0 {
+                let w = s * 64 + occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                let lo = if w == w0 { first % 64 } else { 0 };
+                let hi = if w == w1 { (end - 1) % 64 + 1 } else { 64 };
+                let mut bits = word(w) & span(lo, hi);
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    let j = i + (bits >> i).trailing_ones() as usize;
+                    bits &= !span(i, j);
+                    let (i, j) = (w * 64 + i, w * 64 + j);
+                    match &mut open {
+                        Some(run) if run.1 == i => run.1 = j,
+                        _ => {
+                            if let Some((a, b)) = open.replace((i, j)) {
+                                emit(a, b);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if let Some((a, b)) = open {
+            emit(a, b);
+        }
     }
 }
 
@@ -225,6 +332,41 @@ mod tests {
                 (s, t)
             });
             assert_eq!(a.first_absent_run(f, e), run);
+        }
+    }
+
+    /// The summary follows the set through single and range writes, and
+    /// the run scan finds exactly the maximal runs of a word predicate
+    /// that is empty wherever both sets are.
+    #[test]
+    fn dirty_set_run_scan_matches_the_per_block_definition() {
+        const N: usize = 64 * 140;
+        let mut rng = fgdsm_testkit::Rng::new(fgdsm_testkit::BASE_SEED);
+        let (mut a, mut b) = (DirtySet::new(N), DirtySet::new(N));
+        for step in 0..300 {
+            let set = if step % 2 == 0 { &mut a } else { &mut b };
+            let f = rng.range(0, N);
+            match rng.flag() {
+                true => set.set(f, rng.flag()),
+                false => set.set_range(f, rng.range(f, (f + 300).min(N) + 1), rng.flag()),
+            }
+            let (first, end) = (rng.range(0, N), rng.range(0, N + 1));
+            let member =
+                |x: usize| a.blocks().contains(x) || b.blocks().contains(x) && !x.is_multiple_of(3);
+            let word = |w: usize| {
+                let bits = (0..64).filter(|i| w * 64 + i < N && member(w * 64 + i));
+                bits.fold(0u64, |m, i| m | 1 << i)
+            };
+            let mut runs = Vec::new();
+            a.runs_where(Some(&b), first, end, word, |s, t| runs.push((s, t)));
+            let mut want: Vec<(usize, usize)> = Vec::new();
+            for m in (first..end).filter(|&x| member(x)) {
+                match want.last_mut() {
+                    Some((_, t)) if *t == m => *t = m + 1,
+                    _ => want.push((m, m + 1)),
+                }
+            }
+            assert_eq!(runs, want);
         }
     }
 }

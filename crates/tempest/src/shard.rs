@@ -22,7 +22,7 @@
 
 use crate::cluster::{Access, ChargeKind, NodeId};
 use crate::costs::{CostModel, CpuMode};
-use crate::scratch::BlockSet;
+use crate::scratch::{BlockSet, DirtySet};
 use crate::stats::NodeStats;
 use crate::trace::{Event, NodeTrace};
 use std::sync::Arc;
@@ -75,6 +75,22 @@ impl Geometry {
         }
         ((page * bpp).min(end), h)
     }
+
+    /// Word `w` of the set of blocks homed at `p`: bit `i` is block
+    /// `64 * w + i`. Built by home-page run, so it costs the word's
+    /// pages.
+    pub(crate) fn homed_word(&self, p: NodeId, w: usize) -> u64 {
+        let (first, end) = (w * 64, ((w + 1) * 64).min(self.n_blocks));
+        let (mut b, mut bits) = (first, 0);
+        while b < end {
+            let (run_end, h) = self.home_run(b, end);
+            if h == p {
+                bits |= (u64::MAX >> (64 - (run_end - b))) << (b - first);
+            }
+            b = run_end;
+        }
+        bits
+    }
 }
 
 /// The write-hot scalar state of one shard, padded to its own cache
@@ -121,8 +137,9 @@ pub struct NodeShard {
     /// Blocks whose tag currently differs from the initial assignment
     /// (home → ReadWrite, everyone else → Invalid). Resolve-phase scans
     /// iterate this instead of every block in the segment, so their cost
-    /// follows traffic, not segment size.
-    dirty: BlockSet,
+    /// follows traffic, not segment size; its word summary lets the walk
+    /// find the blocks a home has lost a word at a time.
+    dirty: DirtySet,
     trace: NodeTrace,
 }
 
@@ -154,7 +171,7 @@ impl NodeShard {
             mapped,
             writable: valid.clone(),
             valid,
-            dirty: BlockSet::new(geom.n_blocks),
+            dirty: DirtySet::new(geom.n_blocks),
             trace: NodeTrace::new(),
             geom,
         }
@@ -204,6 +221,7 @@ impl NodeShard {
     /// `tag_change_ns` themselves where appropriate). Maintains the
     /// dirty-block set: a block is dirty while its tag differs from the
     /// initial assignment.
+    #[inline]
     pub(crate) fn set_tag(&mut self, b: usize, a: Access) {
         self.valid.set(b, a != Access::Invalid);
         self.writable.set(b, a == Access::ReadWrite);
@@ -239,9 +257,8 @@ impl NodeShard {
         &self.writable
     }
 
-    /// Blocks whose tag currently differs from the initial assignment
-    /// (iterates ascending).
-    pub(crate) fn dirty_blocks(&self) -> &BlockSet {
+    /// Blocks whose tag currently differs from the initial assignment.
+    pub fn dirty(&self) -> &DirtySet {
         &self.dirty
     }
 

@@ -15,8 +15,11 @@
 //! and a standalone Rust reproducer.
 
 use fgdsm::tempest::knob::Knobs;
-use fgdsm_fuzz::{case_seed, check_case, check_case_strict, check_case_tcp, STRICT_SLICE};
-use fgdsm_testkit::BASE_SEED;
+use fgdsm_fuzz::{
+    case_seed, check_case, check_case_paged, check_case_strict, check_case_tcp, check_spec,
+    gen_spec_paged, PAGED_SLICE, STRICT_SLICE,
+};
+use fgdsm_testkit::{Rng, BASE_SEED};
 
 fn corpus_cases() -> u64 {
     Knobs::from_env().fuzz_cases.unwrap_or(200)
@@ -33,6 +36,33 @@ fn differential_corpus() {
         if case < STRICT_SLICE {
             check_case_strict(seed);
         }
+    }
+}
+
+/// Paged cases the oracle catches at every run-time-overhead-elimination
+/// level, and only there: a reader's copy of a block that a memoized
+/// `implicit_writable` tagged ReadWrite stays ReadWrite after the block's
+/// owner rewrites it, and a later loop that reads the block as a
+/// boundary block — through the default protocol, which trusts the tag
+/// — computes from the stale copy. A known defect of the §4.3 contract
+/// (ROADMAP), pinned here so that its fix shows.
+const PAGED_STALE_MEMO: [u64; 1] = [24];
+
+/// The first [`PAGED_SLICE`] seeds of the corpus with a page per
+/// distributed unit ([`fgdsm_fuzz::gen_spec_paged`]): nodes home to whole
+/// pages of their own data, whose lost blocks only the default walk's
+/// scan of lost homed runs wins back.
+#[test]
+fn differential_corpus_paged() {
+    for case in 0..PAGED_SLICE {
+        let seed = case_seed(BASE_SEED, case);
+        if !PAGED_STALE_MEMO.contains(&case) {
+            check_case_paged(seed);
+            continue;
+        }
+        let spec = gen_spec_paged(&mut Rng::new(seed), seed);
+        let d = check_spec(&spec).expect_err("the stale-memo case diverges");
+        assert!(d.config.contains("rtoe"), "case {case} diverged at {d}");
     }
 }
 

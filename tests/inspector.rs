@@ -1,14 +1,14 @@
 //! Resolve as lower → schedule → execute: the default protocol's
-//! schedule against the per-block inspector it replaced, every
+//! schedule against the per-block inspector's covers it replaced, every
 //! re-evaluated plan and every kept or refilled schedule against a fresh
 //! build, the per-loop table's discipline, the tolerated perturbations on
 //! a cached plan, and the host phase clock.
 //!
 //! The old inspector survives here only — as the oracle of
-//! [`new_inspector_equals_the_old_one`], written against the engine's
-//! public helpers. (It cannot be a `#[cfg(test)]` item of `fgdsm-hpf`:
-//! that crate's unit tests cannot see the suite's or the fuzzer's
-//! programs.)
+//! [`the_schedule_keeps_what_the_old_covers_leave_off_home`], written
+//! against the engine's public helpers. (It cannot be a `#[cfg(test)]`
+//! item of `fgdsm-hpf`: that crate's unit tests cannot see the suite's or
+//! the fuzzer's programs.)
 
 use fgdsm::apps::{extended_suite, jacobi, suite, Scale};
 use fgdsm::hpf::exec::backend::CommBackend;
@@ -16,7 +16,7 @@ use fgdsm::hpf::exec::engine::EngineCore;
 use fgdsm::hpf::exec::mp::Mp;
 use fgdsm::hpf::exec::sm_opt::SmOpt;
 use fgdsm::hpf::plan::{
-    ctl_schedule_into, lower, mp_schedule_into, CtlSchedule, LoopPlan, MpSchedule, ResolveSchedule,
+    ctl_schedule_into, lower, mp_schedule_into, CtlSchedule, LoopPlan, MpSchedule, Reach,
 };
 use fgdsm::hpf::{
     analyze, covering_blocks, execute, execute_reference, execute_with, ARef, Backend, CompDist,
@@ -27,17 +27,27 @@ use fgdsm::section::{Affine, LinearRanges, StridedRange, SymRange, Var};
 use fgdsm::tempest::ReduceOp;
 use fgdsm_fuzz::{case_seed, gen_spec, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
 use fgdsm_testkit::{Rng, BASE_SEED};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 const NP: usize = 8;
 
+/// What the old inspector made of a loop instance: per node the merged
+/// block ranges covering its written sections, the same for its read
+/// sections and gathers, and the false-shared blocks.
+#[derive(Default)]
+struct Covers {
+    wcover: Vec<Vec<(usize, usize)>>,
+    rcover: Vec<Vec<(usize, usize)>>,
+    multi: Vec<usize>,
+}
+
 /// The inspector as it was before it was split from the executor: one
 /// `Vec` of runs per reference re-wrapped as single-run `StridedRange`s,
 /// a `BTreeSet` of boundary candidates, and per candidate a binary search
 /// of every node's covers.
-fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> ResolveSchedule {
+fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> Covers {
     let nprocs = core.cfg.nprocs;
     let wpb = core.wpb;
     let single = |base, run_len| StridedRange {
@@ -46,7 +56,7 @@ fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> ResolveSch
         stride: 0,
         count: 1,
     };
-    let mut sched = ResolveSchedule::default();
+    let mut sched = Covers::default();
     let mut candidates: BTreeSet<usize> = BTreeSet::new();
     for p in 0..nprocs {
         let mut wruns = LinearRanges::empty();
@@ -82,10 +92,6 @@ fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> ResolveSch
         sched.wcover.push(covering_blocks(&wruns, wpb));
         sched.rcover.push(covering_blocks(&rruns, wpb));
     }
-    let contains = |ranges: &[(usize, usize)], b: usize| -> bool {
-        let idx = ranges.partition_point(|&(_, e)| e <= b);
-        idx < ranges.len() && ranges[idx].0 <= b
-    };
     sched.multi = candidates
         .into_iter()
         .filter(|&b| {
@@ -100,6 +106,48 @@ fn old_inspector(core: &EngineCore, l: &ParLoop, acc: &LoopAccess) -> ResolveSch
     sched
 }
 
+/// Does the ascending, merged `ranges` hold block `b`?
+fn contains(ranges: &[(usize, usize)], b: usize) -> bool {
+    let idx = ranges.partition_point(|&(_, e)| e <= b);
+    idx < ranges.len() && ranges[idx].0 <= b
+}
+
+/// The default schedule's invariant against the old covers, per node and
+/// mode: its kept ranges lie in the node's cover, and every block of the
+/// cover outside them is homed at the node and inside one of its hulls
+/// (so the walk's scan of lost homed blocks sees it). Returns how many
+/// blocks the walk leaves to that scan.
+fn check_reach(
+    core: &EngineCore,
+    p: usize,
+    reach: &Reach,
+    cover: &[(usize, usize)],
+    at: &str,
+) -> usize {
+    let blocks =
+        |ranges: &[(usize, usize)]| ranges.iter().flat_map(|&(f, e)| f..e).collect::<Vec<_>>();
+    for b in blocks(&reach.kept) {
+        assert!(
+            contains(cover, b),
+            "{at}: node {p} keeps block {b} outside its cover"
+        );
+    }
+    let left: Vec<usize> = blocks(cover)
+        .into_iter()
+        .filter(|&b| !contains(&reach.kept, b))
+        .collect();
+    for &b in &left {
+        let home = core.dsm.cluster.home_of_block(b);
+        assert_eq!(
+            home, p,
+            "{at}: node {p} leaves block {b} of node {home}'s to the lost scan"
+        );
+        let in_hull = reach.hulls.iter().any(|&(_, f, e)| (f..e).contains(&b));
+        assert!(in_hull, "{at}: node {p}'s block {b} is in no hull");
+    }
+    left.len()
+}
+
 /// What a [`Probe`] saw at one superstep's resolve.
 struct Seen {
     loop_id: u32,
@@ -109,6 +157,10 @@ struct Seen {
     built: (bool, bool),
     order: Vec<usize>,
     multi_blocks: usize,
+    /// Cover blocks the default schedule left to the lost scan, and kept
+    /// ranges it listed.
+    homed_blocks: usize,
+    kept: usize,
     /// Did a section stride dim 0 (the shape `linearize` used to decline,
     /// now a group of single-element runs)?
     unit_runs: bool,
@@ -188,7 +240,7 @@ impl Terms {
         self.gathered += o.gathered;
     }
 
-    fn of(core: &EngineCore, l: &ParLoop, plan: &LoopPlan, sched: &ResolveSchedule) -> Terms {
+    fn of(core: &EngineCore, l: &ParLoop, plan: &LoopPlan, sched: &Covers) -> Terms {
         let (wpb, nprocs) = (core.wpb, core.cfg.nprocs);
         let holds =
             |cover: &[(usize, usize)], b: usize| cover.iter().any(|&(f, e)| (f..e).contains(&b));
@@ -286,8 +338,10 @@ impl CommBackend for Probe {
         let mut seen = Seen {
             loop_id: core.cur_loop,
             built: (false, false),
-            order: core.resolve_order(),
+            order: core.resolve_order().to_vec(),
             multi_blocks: 0,
+            homed_blocks: 0,
+            kept: 0,
             unit_runs: { d0s }.any(|d0| d0.stride > 1 && d0.count() > 1),
             plan: plan as *const LoopPlan as usize,
             ctl_sites: 0,
@@ -303,9 +357,19 @@ impl CommBackend for Probe {
         if let Inner::Sm(sm, opt) = &self.inner {
             let new = core.schedule(l, plan);
             let old = old_inspector(core, l, &plan.acc);
-            assert_eq!(*new, old, "{at}: inspectors disagree");
+            assert_eq!(new.multi, old.multi, "{at}: false-shared blocks disagree");
+            for p in 0..core.cfg.nprocs {
+                let modes = [
+                    (&new.writes[p], &old.wcover[p]),
+                    (&new.reads[p], &old.rcover[p]),
+                ];
+                for (reach, cover) in modes {
+                    seen.homed_blocks += check_reach(core, p, reach, cover, &at);
+                    seen.kept += reach.kept.len();
+                }
+            }
             seen.multi_blocks = new.multi.len();
-            seen.terms = Terms::of(core, l, plan, &new);
+            seen.terms = Terms::of(core, l, plan, &old);
             // (A `pre` level's schedule is built at the resolve, under a
             // filter only the backend knows.)
             if opt.ctl && !opt.pre {
@@ -533,14 +597,17 @@ fn rewritten_index() -> Program {
 /// first 200 corpus specs — dim-0-strided sections, which `linearize`
 /// used to decline, included — and of the three hand-built shapes above,
 /// under the default protocol alone and after the full contract, the
-/// schedule the engine walks — kept or refilled — has the covers and
-/// false-shared blocks the old inspector finds in the memory of the
-/// moment, and the probe changes nothing. Every term of
-/// the schedule's candidate filter lets through at least one of them.
+/// schedule the engine walks — kept or refilled — has the false-shared
+/// blocks the old inspector finds in the memory of the moment, and per
+/// node and mode kept ranges inside the old cover that leave off only
+/// blocks homed at the node ([`check_reach`]); and the probe changes
+/// nothing. Every term of the schedule's candidate filter lets through
+/// at least one false-shared block, and the lost scan is left blocks.
 #[test]
-fn new_inspector_equals_the_old_one() {
+fn the_schedule_keeps_what_the_old_covers_leave_off_home() {
     let mut supersteps = 0;
     let mut multi_blocks = 0;
+    let mut homed_blocks = 0;
     let mut terms = Terms::default();
     // Returns how many supersteps lowered a dim-0-strided section.
     let mut check = |name: &str, prog: &Program, nprocs: usize, block_bytes: usize| -> usize {
@@ -551,6 +618,7 @@ fn new_inspector_equals_the_old_one() {
             let (run, seen) = probed(prog, &cfg);
             supersteps += seen.len();
             multi_blocks += seen.iter().map(|s| s.multi_blocks).sum::<usize>();
+            homed_blocks += seen.iter().map(|s| s.homed_blocks).sum::<usize>();
             seen.iter().for_each(|s| terms.add(s.terms));
             unit_runs += seen.iter().filter(|s| s.unit_runs).count();
             let plain = execute(prog, &cfg);
@@ -585,6 +653,10 @@ fn new_inspector_equals_the_old_one() {
     check("rewritten_index", &rewritten_index(), 4, 128);
     assert!(supersteps > 3000, "only {supersteps} supersteps compared");
     assert!(multi_blocks > 0, "no false-shared block was ever compared");
+    assert!(
+        homed_blocks > 0,
+        "no cover block was ever left to the lost scan"
+    );
     assert!(unit_runs > 0, "no dim-0-strided section was ever compared");
     assert!(
         nonowner_specs > 0,
@@ -608,6 +680,60 @@ fn new_inspector_equals_the_old_one() {
         .iter()
         .all(|&n| n > 0),
         "a term of the candidate filter was never exercised: {terms:?}"
+    );
+}
+
+/// `sm_opt` counting the kept ranges of every default schedule it walks.
+struct KeptCount(SmOpt, Rc<Cell<usize>>);
+
+impl CommBackend for KeptCount {
+    fn validate(&self, core: &EngineCore) {
+        self.0.validate(core);
+    }
+    fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
+        self.0.resolve(core, l, plan);
+        let sched = plan.sched.get().expect("sm_opt walks");
+        let reaches = sched.writes.iter().chain(&sched.reads);
+        self.1
+            .set(self.1.get() + reaches.map(|r| r.kept.len()).sum::<usize>());
+    }
+    fn note_kernel_writes(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
+        self.0.note_kernel_writes(core, l, plan);
+    }
+    fn reduce(&mut self, core: &mut EngineCore, partials: &[f64], op: ReduceOp) -> f64 {
+        self.0.reduce(core, partials, op)
+    }
+    fn post_loop(&mut self, core: &mut EngineCore, l: &ParLoop, plan: &LoopPlan) {
+        self.0.post_loop(core, l, plan);
+    }
+    fn finish(&mut self, core: &mut EngineCore) {
+        self.0.finish(core);
+    }
+    fn gather(&mut self, core: &mut EngineCore) -> Vec<f64> {
+        self.0.gather(core)
+    }
+    fn pre_stats(&self) -> (u64, u64) {
+        self.0.pre_stats()
+    }
+}
+
+/// The walk visits what a node lacks: on `lu` at bench scale, where the
+/// old covers were 267 210 ranges an execute (one per CYCLIC column per
+/// instance, nearly all of them homed at their walker), the default
+/// schedules keep at most 4 000 ranges, and the run is the plain one.
+#[test]
+fn lu_at_bench_scale_keeps_few_ranges() {
+    let spec = suite(Scale::Bench).into_iter().find(|s| s.name == "lu");
+    let prog = spec.expect("lu is in the suite").program;
+    let cfg = ExecConfig::sm_opt(NP).serial();
+    let kept = Rc::new(Cell::new(0));
+    let backend = KeptCount(SmOpt::new(OptLevel::full()), kept.clone());
+    let run = execute_with(&prog, &cfg, Box::new(backend));
+    assert_eq!(run.data, execute(&prog, &cfg).data);
+    assert!(
+        (1..=4000).contains(&kept.get()),
+        "{} kept ranges",
+        kept.get()
     );
 }
 
