@@ -30,6 +30,10 @@ grep -q "batches" target/profile_smoke_chan.txt
 FGDSM_TEST=1 cargo run --release -q -p fgdsm-bench --bin profile_report -- \
     --backend tcp --out-dir target/profile_smoke_tcp jacobi > target/profile_smoke_tcp.txt
 grep -q "predicted vs measured wire latency\|sandbox forbids sockets" target/profile_smoke_tcp.txt
+# The phase probe: the host ms row as medians of untraced executes.
+FGDSM_TEST=1 cargo run --release -q -p fgdsm-bench --bin profile_report -- \
+    --phases 3 shallow > target/profile_smoke_phases.txt
+grep -q "host ms" target/profile_smoke_phases.txt
 # Host-time smoke: fgbench (benchmark/, a package of its own — invoked
 # here, never edited) must build against this tree's public API, pass
 # its unit tests, and complete its ~30 s --quick set with every execute

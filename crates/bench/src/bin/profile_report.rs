@@ -22,6 +22,10 @@
 //! model's virtual communication time next to the host nanoseconds the
 //! coordinator actually spent blocked on its sockets.
 //!
+//! `--phases N` prints only the `host ms:` row of each app and backend,
+//! each phase the median of `N` untraced executes after 3 warm-ups:
+//! what `execute` costs, without the trace ring a traced run keeps.
+//!
 //! `--out-dir DIR` writes `profile.json`, `calibration.json` and the
 //! merged coordinator+worker `merged_chrome.json` under `DIR` instead of
 //! updating the committed `bench_results/` artifacts. `FGDSM_TRACE` /
@@ -31,13 +35,14 @@
 //!     cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
 //!     cargo run --release -p fgdsm-bench --bin profile_report -- --backend chan jacobi
 //!     cargo run --release -p fgdsm-bench --bin profile_report -- --backend tcp --out-dir /tmp/p jacobi
+//!     taskset -c 0 cargo run --release -p fgdsm-bench --bin profile_report -- --phases 15 shallow
 //!     FGDSM_CHROME=/tmp/j.json cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
 
 use fgdsm_apps::suite;
 use fgdsm_bench::{json, json_row, save_json, scale};
-use fgdsm_hpf::{execute_profiled, ExecConfig, RunResult};
+use fgdsm_hpf::{execute, execute_profiled, ExecConfig, Program, RunResult};
 use fgdsm_tempest::knob::Knobs;
-use fgdsm_tempest::{Stage, NO_LOOP};
+use fgdsm_tempest::{HostPhases, Stage, NO_LOOP};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -198,11 +203,12 @@ fn validate_chrome(app: &str, backend: &str, chrome: &str) {
     }
 }
 
-/// `profile_report [--backend chan|tcp] [--out-dir DIR] [APP]`.
+/// `profile_report [--backend chan|tcp] [--out-dir DIR] [--phases N] [APP]`.
 #[derive(Debug, Default, PartialEq)]
 struct Args {
     backend: Option<String>,
     out_dir: Option<PathBuf>,
+    phases: Option<usize>,
     app: Option<String>,
 }
 
@@ -216,6 +222,11 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
         match a.as_str() {
             "--backend" => args.backend = Some(value()),
             "--out-dir" => args.out_dir = Some(value().into()),
+            "--phases" => {
+                let n = value();
+                let n = n.parse().ok().filter(|&n| n > 0);
+                args.phases = Some(n.unwrap_or_else(|| panic!("--phases needs a count above 0")));
+            }
             flag if flag.starts_with("--") => panic!("unknown option {flag}"),
             _ => args.app = Some(a),
         }
@@ -421,21 +432,13 @@ fn report_run(
 
     // Where the host time of this run went (real time, not part of any
     // canonical artifact), plus what the inspector memo saved.
-    let host = &run.report.host;
-    let phases: Vec<String> = host
-        .rows()
-        .iter()
-        .map(|&(name, ns)| format!("{name} {:.2}", ns as f64 / 1e6))
-        .collect();
     let (inspections, hits) = run
         .inspector
         .iter()
         .fold((0, 0), |(i, h), r| (i + r.inspections, h + r.hits));
     println!(
-        "    host ms: {} | sum {:.2} of wall {:.2} | inspector: {inspections} inspected, {hits} reused, {} plans",
-        phases.join(" "),
-        host.total_ns() as f64 / 1e6,
-        run.report.wall_ns as f64 / 1e6,
+        "{} | inspector: {inspections} inspected, {hits} reused, {} plans",
+        host_row(&run.report.host.rows(), run.report.wall_ns),
         run.plans_cached
     );
     // What each loop's kernels cost on this host: a kernel that lost its
@@ -447,6 +450,48 @@ fn report_run(
         .map(|(name, r)| format!("{name} {:.2}", r.compute_ns as f64 / r.points as f64))
         .collect();
     println!("    kernel ns/point: {}", kernels.join(" | "));
+}
+
+/// The `host ms:` row: each phase, their sum and the wall clock, in ms.
+fn host_row(rows: &[(&str, u64)], wall_ns: u64) -> String {
+    let phases: Vec<String> = rows
+        .iter()
+        .map(|&(name, ns)| format!("{name} {:.2}", ns as f64 / 1e6))
+        .collect();
+    format!(
+        "    host ms: {} | sum {:.2} of wall {:.2}",
+        phases.join(" "),
+        rows.iter().map(|&(_, ns)| ns).sum::<u64>() as f64 / 1e6,
+        wall_ns as f64 / 1e6
+    )
+}
+
+/// The median of `ns` (the upper one of an even count).
+fn median(mut ns: Vec<u64>) -> u64 {
+    ns.sort_unstable();
+    ns[ns.len() / 2]
+}
+
+/// `--phases N`: the `host ms:` row of `app` on each backend, every
+/// phase and the wall the median of `n` untraced executes after 3
+/// warm-ups (the first executes of a shape also pay fresh segments).
+fn phase_rows(app: &str, prog: &Program, backends: &[(&'static str, ExecConfig)], n: usize) {
+    for (backend, cfg) in backends {
+        for _ in 0..3 {
+            execute(prog, cfg);
+        }
+        let runs: Vec<(HostPhases, u64)> = (0..n)
+            .map(|_| execute(prog, cfg))
+            .map(|r| (r.report.host, r.report.wall_ns))
+            .collect();
+        let mut rows = HostPhases::default().rows();
+        for (i, (_, ns)) in rows.iter_mut().enumerate() {
+            *ns = median(runs.iter().map(|r| r.0.rows()[i].1).collect());
+        }
+        let wall = median(runs.iter().map(|r| r.1).collect());
+        println!("  {app}/{backend}, medians of {n} untraced executes");
+        println!("{}", host_row(&rows, wall));
+    }
 }
 
 /// Co-residency demo: jacobi's Test geometry is block-aligned at 8
@@ -516,7 +561,11 @@ fn main() {
     let mut latency = Vec::new();
     let mut calibration = Vec::new();
     let mut ran = 0;
-    let extra = extra_backends(args.backend.as_deref());
+    let mut backends = vec![
+        ("sm-unopt", ExecConfig::sm_unopt(NPROCS)),
+        ("sm-opt", ExecConfig::sm_opt(NPROCS)),
+    ];
+    backends.extend(extra_backends(args.backend.as_deref()));
     for spec in suite(scale()) {
         if let Some(f) = &filter {
             if spec.name != f.as_str() {
@@ -524,15 +573,14 @@ fn main() {
             }
         }
         ran += 1;
+        if let Some(n) = args.phases {
+            phase_rows(spec.name, &spec.program, &backends, n);
+            continue;
+        }
         println!("{}", spec.name);
         let loop_names: Vec<&'static str> =
             spec.program.par_loops().iter().map(|l| l.name).collect();
-        let mut backends = vec![
-            ("sm-unopt", ExecConfig::sm_unopt(NPROCS)),
-            ("sm-opt", ExecConfig::sm_opt(NPROCS)),
-        ];
-        backends.extend(extra.iter().cloned());
-        for (backend, mut cfg) in backends {
+        for (backend, mut cfg) in backends.iter().cloned() {
             cfg.trace_cap = knobs.trace_cap;
             let (run, trace, chrome) = execute_profiled(&spec.program, &cfg);
             knobs.export(&trace, &chrome);
@@ -573,6 +621,9 @@ fn main() {
         println!();
     }
     assert!(ran > 0, "no app matched {filter:?}");
+    if args.phases.is_some() {
+        return;
+    }
     if !latency.is_empty() {
         latency_table(&latency);
         println!();
@@ -601,9 +652,12 @@ mod tests {
             Args {
                 backend: Some("tcp".into()),
                 out_dir: Some("/tmp/p".into()),
+                phases: None,
                 app: Some("jacobi".into()),
             }
         );
+        assert_eq!(argv(&["--phases", "3", "shallow"]).phases, Some(3));
+        assert!(std::panic::catch_unwind(|| argv(&["--phases", "0"])).is_err());
         // A mistyped option is an error, not an app filter.
         assert!(std::panic::catch_unwind(|| argv(&["--bakend", "tcp"])).is_err());
     }

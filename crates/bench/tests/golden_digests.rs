@@ -19,7 +19,8 @@
 
 use fgdsm_apps::{extended_suite, suite, Scale};
 use fgdsm_bench::NPROCS;
-use fgdsm_hpf::{execute_traced, ExecConfig, Program};
+use fgdsm_hpf::{execute, execute_traced, ExecConfig, Program, RunResult};
+use fgdsm_tempest::{CostModel, CpuMode};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -208,6 +209,72 @@ fn write_update_and_paged_bench_runs_match_the_golden_table() {
     }
     assert_eq!(runs.len(), 13);
     check_runs(runs, GOLDEN_WALK, GOLDEN_WALK_DATA);
+}
+
+/// An execute nobody traces keeps no trace ring, so its fault runs are
+/// serviced as one transaction and fold in closed form where a traced
+/// one services every fault block by block: the two must leave the same
+/// report, profile, data and scalars. Every `extended_suite`
+/// app at `Scale::Test` and `Scale::Bench`, on `sm_unopt`, `sm_opt` and
+/// write-update, under `cost`; where a golden row exists (dual-cpu runs),
+/// the untraced report is that row's too. Returns the rows compared.
+fn untraced_matches_traced(cost: CostModel) -> usize {
+    let mut compared = 0;
+    for scale in [Scale::Test, Scale::Bench] {
+        for spec in extended_suite(scale) {
+            for (backend, cfg) in [
+                ("sm_unopt", ExecConfig::sm_unopt(NPROCS)),
+                ("sm_opt", ExecConfig::sm_opt(NPROCS)),
+                ("sm_unopt_wu", ExecConfig::sm_unopt(NPROCS).write_update()),
+            ] {
+                let cfg = ExecConfig { cost, ..cfg }.serial();
+                let (traced, _) = execute_traced(&spec.program, &cfg);
+                let run = execute(&spec.program, &cfg);
+                let what = format!("{} {backend} {scale:?} {:?}-cpu", spec.name, cost.cpu);
+                let report = run.report.to_json();
+                assert_eq!(report, traced.report.to_json(), "{what}: report");
+                assert_eq!(
+                    run.report.profile_json(),
+                    traced.report.profile_json(),
+                    "{what}: profile"
+                );
+                let bits = |v: &f64| v.to_bits();
+                let data = |r: &RunResult| r.data.iter().map(bits).collect::<Vec<_>>();
+                assert_eq!(data(&run), data(&traced), "{what}: data");
+                let scalars = |r: &RunResult| {
+                    r.scalars
+                        .iter()
+                        .map(|(name, v)| (*name, bits(v)))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(scalars(&run), scalars(&traced), "{what}: scalars");
+                let table = match (scale, backend) {
+                    (Scale::Test, "sm_unopt_wu") => GOLDEN_WALK,
+                    (Scale::Test, _) => GOLDEN,
+                    (_, "sm_unopt_wu") => &[],
+                    _ => GOLDEN_WALK,
+                };
+                let row = table.iter().find(|r| (r.0, r.1) == (spec.name, backend));
+                if let (Some(row), CpuMode::Dual) = (row, cost.cpu) {
+                    assert_eq!(fnv1a(report.as_bytes()), row.2, "{what}: golden report");
+                    compared += 1;
+                }
+            }
+        }
+    }
+    compared
+}
+
+#[test]
+fn untraced_executes_match_traced_ones_dual_cpu() {
+    let compared = untraced_matches_traced(CostModel::paper_dual_cpu());
+    assert_eq!(compared, 14 + 7 + 6, "golden rows compared");
+}
+
+/// Single-cpu: handler charges move the clocks a replay advances.
+#[test]
+fn untraced_executes_match_traced_ones_single_cpu() {
+    untraced_matches_traced(CostModel::paper_single_cpu());
 }
 
 /// Fail with the measured table, ready to paste, if it is not `golden`.

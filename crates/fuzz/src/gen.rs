@@ -470,6 +470,7 @@ impl FuzzSpec {
             i.undercount_metrics
         );
         let _ = writeln!(s, "            lost_home_skipped: {},", i.lost_home_skipped);
+        let _ = writeln!(s, "            run_crosses_home: {},", i.run_crosses_home);
         let _ = writeln!(s, "            node_fault: {:?},", i.node_fault);
         let _ = writeln!(s, "        }},");
         let _ = writeln!(s, "    }};");

@@ -6,7 +6,10 @@
 //! contents and scalars **bitwise** against the reference. Within each
 //! backend the serial run is additionally the determinism baseline:
 //! every threaded run — the compute phase on a worker pool — must
-//! reproduce its report, trace and profile JSON byte-for-byte.
+//! reproduce its report, trace and profile JSON byte-for-byte, and so
+//! must an untraced serial run its report and profile (it keeps no trace
+//! ring, so the default protocol services a like-run of faults as one
+//! transaction where a traced run goes block by block).
 //! The engine itself asserts the protocol consistency check and the
 //! trace invariants (balanced message/byte counters, monotone per-node
 //! clocks) after every run, so a violated invariant surfaces here as a
@@ -14,7 +17,10 @@
 //! wrong answer.
 
 use crate::gen::FuzzSpec;
-use fgdsm_hpf::{execute_profiled, execute_reference, ArrayId, ExecConfig, OptLevel};
+use fgdsm_hpf::{
+    execute, execute_profiled, execute_reference, ArrayId, Backend, ExecConfig, OptLevel, Program,
+    ReferenceResult, RunResult, WireMode,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One detected disagreement between a backend run and the reference.
@@ -156,10 +162,69 @@ fn same_artifacts(
     Ok(())
 }
 
+/// Run `go` as run `label`, a panic becoming its divergence.
+fn catch<T>(label: &str, go: impl FnOnce() -> T) -> Result<T, Divergence> {
+    catch_unwind(AssertUnwindSafe(go)).map_err(|p| Divergence {
+        config: label.to_string(),
+        detail: format!("panic: {}", panic_msg(&p)),
+    })
+}
+
+/// Hold run `label`'s result to the reference: its profile invariants,
+/// its metrics conservation, and every array and scalar bitwise.
+fn check_run(
+    prog: &Program,
+    reference: &ReferenceResult,
+    label: &str,
+    r: &RunResult,
+) -> Result<(), Divergence> {
+    let diverged = |detail| {
+        Err(Divergence {
+            config: label.to_string(),
+            detail,
+        })
+    };
+    // Post-run profile invariants: per-superstep interval stats sum
+    // exactly to the whole-run `NodeStats`, and heatmap totals match the
+    // miss / pushed / bytes counters. The engine asserts these too;
+    // checking here keeps a violation attributable to the fuzz case even
+    // if that assert moves.
+    if let Err(e) = r.report.check_profile_invariants() {
+        return diverged(format!("profile invariant violated: {e}"));
+    }
+    // Telemetry double-entry: on a metered wire run, the per-class
+    // payload counters of the coordinator's and of the workers' telemetry
+    // tables must sum exactly to the wire's own payload total. The only
+    // detector for a silently undercounting telemetry path.
+    if let Err(e) = r.check_metrics_conservation() {
+        return diverged(format!("metrics conservation violated: {e}"));
+    }
+    for ai in 0..prog.arrays.len() {
+        let want = reference.array(prog, ArrayId(ai));
+        let got = r.array(prog, ArrayId(ai));
+        if let Some(at) = (0..want.len()).find(|&k| want[k].to_bits() != got[k].to_bits()) {
+            return diverged(format!(
+                "array `{}` diverges at flat index {at}: reference {} vs {}",
+                prog.arrays[ai].name, want[at], got[at]
+            ));
+        }
+    }
+    for (k, want) in &reference.scalars {
+        let got = r.scalars.get(k).copied();
+        if got.map(f64::to_bits) != Some(want.to_bits()) {
+            return diverged(format!(
+                "scalar `{k}` diverges: reference {want} vs {got:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Run the full differential matrix for one spec. `Ok(())` means every
 /// run agreed with the reference bit-for-bit, every threaded run (the
 /// compute phase on 2 and 4 workers) reproduced the serial run's report,
-/// trace and profile byte-for-byte, and no run panicked.
+/// trace and profile byte-for-byte, an untraced serial run reproduced
+/// its report and profile, and no run panicked.
 pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
     check_matrix(spec, backend_configs(spec), &MODES)
 }
@@ -202,61 +267,28 @@ fn check_matrix(
             .metered()
             .with_inject(spec.inject);
             let label = format!("{name}/{mode}");
-            let (r, trace, _chrome) =
-                match catch_unwind(AssertUnwindSafe(|| execute_profiled(&prog, &cfg))) {
-                    Err(p) => {
-                        return Err(Divergence {
-                            config: label,
-                            detail: format!("panic: {}", panic_msg(&p)),
-                        })
-                    }
-                    Ok(rt) => rt,
-                };
-            // Post-run profile invariants: per-superstep interval stats
-            // sum exactly to the whole-run `NodeStats`, and heatmap
-            // totals match the miss / pushed / bytes counters. The engine
-            // asserts these too; checking here keeps a violation
-            // attributable to the fuzz case even if that assert moves.
-            if let Err(e) = r.report.check_profile_invariants() {
-                return Err(Divergence {
-                    config: label,
-                    detail: format!("profile invariant violated: {e}"),
-                });
-            }
-            // Telemetry double-entry: on a metered wire run, the
-            // per-class payload counters of the coordinator's and of the
-            // workers' telemetry tables must sum exactly to the wire's own
-            // payload total. The only detector for a silently
-            // undercounting telemetry path.
-            if let Err(e) = r.check_metrics_conservation() {
-                return Err(Divergence {
-                    config: label,
-                    detail: format!("metrics conservation violated: {e}"),
-                });
-            }
-            for ai in 0..prog.arrays.len() {
-                let want = reference.array(&prog, ArrayId(ai));
-                let got = r.array(&prog, ArrayId(ai));
-                if let Some(at) = (0..want.len()).find(|&k| want[k].to_bits() != got[k].to_bits()) {
-                    return Err(Divergence {
-                        config: label,
-                        detail: format!(
-                            "array `{}` diverges at flat index {at}: reference {} vs {}",
-                            prog.arrays[ai].name, want[at], got[at]
-                        ),
-                    });
-                }
-            }
-            for (k, want) in &reference.scalars {
-                let got = r.scalars.get(k).copied();
-                if got.map(f64::to_bits) != Some(want.to_bits()) {
-                    return Err(Divergence {
-                        config: label,
-                        detail: format!("scalar `{k}` diverges: reference {want} vs {got:?}"),
-                    });
-                }
-            }
+            let (r, trace, _chrome) = catch(&label, || execute_profiled(&prog, &cfg))?;
+            check_run(&prog, &reference, &label, &r)?;
             let artifacts = [r.report.to_json(), trace, r.report.profile_json()];
+            let wire =
+                matches!(cfg.backend, Backend::Chan | Backend::Tcp) || cfg.wire == WireMode::Strict;
+            if workers == 1 && !wire {
+                // An untraced execute keeps no trace ring, so the default
+                // protocol services a like-run of faults as one
+                // transaction where a traced one goes block by block: it
+                // must agree with the reference and leave the traced
+                // run's report and profile. (A wire run services every
+                // fault block by block, its frames being per block.)
+                let label = format!("{name}/untraced");
+                let u = catch(&label, || execute(&prog, &cfg))?;
+                check_run(&prog, &reference, &label, &u)?;
+                let untraced = [
+                    u.report.to_json(),
+                    artifacts[1].clone(),
+                    u.report.profile_json(),
+                ];
+                same_artifacts(label, &untraced, &artifacts, "the traced run")?;
+            }
             match &baseline {
                 None => baseline = Some(artifacts),
                 Some(serial) => same_artifacts(label, &artifacts, serial, "serial run")?,

@@ -146,7 +146,23 @@ fn candidates(spec: &FuzzSpec) -> Vec<FuzzSpec> {
         }
     }
 
+    // A loop the time span no longer covers has no `t` to mix in.
+    for s in &mut out {
+        clear_use_t_outside_span(s);
+    }
     out
+}
+
+/// Turn `use_t` off on every loop outside `spec`'s time span: a candidate
+/// that unwraps, narrows or shifts the span may leave one there, and its
+/// kernel would read an unbound `t`.
+fn clear_use_t_outside_span(spec: &mut FuzzSpec) {
+    let span = spec.time.map_or(0..0, |(lo, hi, _)| lo..hi);
+    for (i, st) in spec.body.iter_mut().enumerate() {
+        if let FStmt::Loop(l) = st {
+            l.use_t &= span.contains(&i);
+        }
+    }
 }
 
 /// Greedily minimize `spec`, which must currently diverge; returns the
@@ -161,5 +177,43 @@ pub fn shrink(spec: &FuzzSpec) -> FuzzSpec {
             }
         }
         return cur;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen::{gen_spec, gen_spec_paged};
+    use fgdsm_testkit::Rng;
+
+    /// The body positions of the loops that mix in `t`.
+    fn loops_with_t(s: &FuzzSpec) -> Vec<usize> {
+        let body = s.body.iter().enumerate();
+        body.filter_map(|(i, st)| matches!(st, FStmt::Loop(l) if l.use_t).then_some(i))
+            .collect()
+    }
+
+    /// No candidate keeps a `use_t` loop outside its time span, over the
+    /// corpus generators' specs (the loops of their time spans mix in
+    /// `t` at random, so many have one to lose).
+    #[test]
+    fn no_candidate_reads_t_outside_its_span() {
+        let mut with_t = 0;
+        for seed in 0..200 {
+            let gen = if seed % 2 == 0 {
+                gen_spec
+            } else {
+                gen_spec_paged
+            };
+            let spec = gen(&mut Rng::new(seed), seed);
+            with_t += loops_with_t(&spec).len();
+            for c in candidates(&spec) {
+                let span = c.time.map_or(0..0, |(lo, hi, _)| lo..hi);
+                if let Some(i) = loops_with_t(&c).into_iter().find(|i| !span.contains(i)) {
+                    panic!("seed {seed}: loop {i} reads `t` outside {span:?}: {c:?}");
+                }
+            }
+        }
+        assert!(with_t > 0, "no generated loop mixed in `t`");
     }
 }

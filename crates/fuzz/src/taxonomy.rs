@@ -59,11 +59,16 @@ pub enum Fault {
     /// that a non-owner's write took a block from computes from its stale
     /// copy.
     LostHomeSkipped,
+    /// The eager protocol's like-run of faults ignores its home bound: a
+    /// reader's run across two homes' pages takes the second home's
+    /// blocks through the first, and the second home never receives the
+    /// owner's flush its directory entry now promises.
+    RunCrossesHome,
 }
 
 impl Fault {
     /// Every fault, in declaration order.
-    pub const ALL: [Fault; 8] = [
+    pub const ALL: [Fault; 9] = [
         Fault::SkewSendRange,
         Fault::SkipFlushRange,
         Fault::CorruptEnvelope,
@@ -72,6 +77,7 @@ impl Fault {
         Fault::UndercountMetrics,
         Fault::StaleResolveSchedule,
         Fault::LostHomeSkipped,
+        Fault::RunCrossesHome,
     ];
 
     /// Stable display name (matches the `InjectConfig` field).
@@ -85,6 +91,7 @@ impl Fault {
             Fault::UndercountMetrics => "undercount_metrics",
             Fault::StaleResolveSchedule => "stale_resolve_schedule",
             Fault::LostHomeSkipped => "lost_home_skipped",
+            Fault::RunCrossesHome => "run_crosses_home",
         }
     }
 
@@ -99,6 +106,7 @@ impl Fault {
             Fault::UndercountMetrics => inject.undercount_metrics = true,
             Fault::StaleResolveSchedule => inject.stale_resolve_schedule = true,
             Fault::LostHomeSkipped => inject.lost_home_skipped = true,
+            Fault::RunCrossesHome => inject.run_crosses_home = true,
         }
     }
 
@@ -111,14 +119,15 @@ impl Fault {
             // `UndercountMetrics` never changes data movement, so the
             // model has nothing to observe; the engine oracle's
             // metrics-conservation invariant is its only detector. The
-            // inspector memo of `StaleResolveSchedule` and the walk's
-            // scan of lost homed blocks are engine state the model has
-            // no counterpart of.
+            // inspector memo of `StaleResolveSchedule`, the walk's scan
+            // of lost homed blocks and its like-runs are engine state the
+            // model has no counterpart of.
             Fault::CorruptEnvelope
             | Fault::CorruptFrameLen
             | Fault::UndercountMetrics
             | Fault::StaleResolveSchedule
-            | Fault::LostHomeSkipped => Detector::Engine,
+            | Fault::LostHomeSkipped
+            | Fault::RunCrossesHome => Detector::Engine,
             // Engine layouts keep owner == home for pushed ranges, so the
             // symptom needs the model's 3-node third-party-home states.
             Fault::StaleOwnerPush => Detector::Model,

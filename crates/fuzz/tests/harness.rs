@@ -34,6 +34,7 @@ fn tolerated_perturbations_are_invisible() {
             stale_resolve_schedule: false,
             undercount_metrics: false,
             lost_home_skipped: false,
+            run_crosses_home: false,
             node_fault: None,
         };
         if let Err(d) = check_spec(&spec) {
@@ -355,6 +356,67 @@ fn must_catch_lost_home_skipped() {
     check_spec(&spec).expect("the victim itself must pass the oracle");
 }
 
+/// A reader's like-run across two homes' adjacent pages: `a0` (BLOCK,
+/// 48 × 32 over 4 nodes) is written in `l0` partitioned by the CYCLIC
+/// `a1`, so node 2 steals column 10 — blocks 30 and 31 on page 0 (home
+/// 0) and block 32 on page 1 (home 1), all `Excl{2}` after it. In `l1`
+/// node 3 computes column 11 of `a1` from column 10 of `a0`: its faults
+/// on blocks 30–32 share a directory state and its tag, and only the
+/// home bound ends their run at the page edge.
+fn run_crosses_home_victim() -> FuzzSpec {
+    let a2 = |cyclic| ArraySpec {
+        rank2: true,
+        cyclic,
+        index_for: None,
+    };
+    let looped = |write, dist_by, reads| {
+        FStmt::Loop(LoopSpec {
+            write,
+            dist_by,
+            self_read: false,
+            reads,
+            reduce: None,
+            use_t: false,
+            use_acc: false,
+            sweep_t: false,
+        })
+    };
+    let read_a0 = ReadSpec {
+        array: 0,
+        off: [0, -1],
+        via: None,
+    };
+    FuzzSpec {
+        seed: 0,
+        nprocs: 4,
+        n1: 50,
+        n2: [48, 32],
+        arrays: vec![a2(false), a2(true)],
+        body: vec![looped(0, Some(1), vec![]), looped(1, None, vec![read_a0])],
+        time: None,
+        inject: InjectConfig {
+            run_crosses_home: true,
+            ..InjectConfig::default()
+        },
+    }
+}
+
+/// A run that ignores its home bound services block 32 through home 0:
+/// node 2's data reaches node 3 by way of node 0, but home 1 never
+/// receives it while the directory now says `Shared`, so the gather
+/// reads home 1's stale copy and the default protocol alone disagrees
+/// with the reference — in the untraced run, the only one that services
+/// a like-run as one transaction. Unarmed, the same program passes.
+#[test]
+fn must_catch_run_crosses_home() {
+    let mut spec = run_crosses_home_victim();
+    let d = check_spec(&spec).expect_err("a like-run across two homes");
+    assert_eq!(d.config, "sm_unopt/untraced", "diverged at {d}");
+    assert!(d.detail.contains("array `a0` diverges"), "{d}");
+    spec.inject = InjectConfig::default();
+    check_spec(&spec).expect("the victim itself must pass the oracle");
+}
+
 /// The taxonomy sweep: every engine-detectable fault in the shared
 /// [`Fault`] taxonomy, armed through [`Fault::arm`] on its canonical
 /// victim program, must make the oracle report a divergence. Faults the
@@ -374,6 +436,7 @@ fn must_catch_every_engine_fault_in_taxonomy() {
                     Fault::SkipFlushRange => flush_victim(),
                     Fault::StaleResolveSchedule => sweep_victim(),
                     Fault::LostHomeSkipped => lost_home_victim(),
+                    Fault::RunCrossesHome => run_crosses_home_victim(),
                     Fault::StaleOwnerPush => unreachable!("model-level fault"),
                 };
                 spec.inject = Default::default();

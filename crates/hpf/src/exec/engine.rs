@@ -256,6 +256,7 @@ impl<'p> EngineCore<'p> {
             stale_owner_push: cfg.inject.stale_owner_push,
             corrupt_envelope: cfg.inject.corrupt_envelope,
             undercount_metrics: cfg.inject.undercount_metrics,
+            run_crosses_home: cfg.inject.run_crosses_home,
         });
         if let Some(transport) = make_transport(cfg, &dsm.cluster) {
             dsm.set_wire(transport);
@@ -566,6 +567,10 @@ pub(super) fn run(
 ) -> (RunResult, Option<String>, Option<String>) {
     let wall_start = std::time::Instant::now();
     let mut core = EngineCore::new(prog, cfg);
+    // Only the trace documents read the ring; the report reads the folds.
+    if !(want_trace || want_chrome) {
+        core.dsm.cluster.set_ring_capacity(0);
+    }
     backend.validate(&core);
     core.phases.setup_ns = wall_start.elapsed().as_nanos() as u64;
     exec_stmts(&mut core, backend.as_mut(), &prog.body, 0);

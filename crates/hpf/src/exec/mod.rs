@@ -227,8 +227,10 @@ pub struct ExecConfig {
     /// for this long fails the run with a typed
     /// [`fgdsm_protocol::WireError::Timeout`].
     pub recv_timeout: std::time::Duration,
-    /// Trace entries kept per node (`None`: the trace ring's default).
-    /// Aggregates stay exact; only the raw entry stream is truncated.
+    /// Trace entries kept per node (`None`: the trace ring's default),
+    /// for traced executes only (`execute_traced`, `execute_profiled`):
+    /// an execute nobody traces keeps no entries. Aggregates stay exact;
+    /// only the raw entry stream is truncated.
     pub trace_cap: Option<usize>,
     /// Injection knobs for the differential fuzzer (all off by default).
     pub inject: InjectConfig,
@@ -299,6 +301,11 @@ pub struct InjectConfig {
     /// a block from neither fetches it back nor regains it before its
     /// kernel writes or reads it.
     pub lost_home_skipped: bool,
+    /// Must-catch: a like-run of faults ignores its home bound — a
+    /// reader's run that spans two homes' adjacent pages services the
+    /// second home's blocks as if the first held them (see
+    /// [`fgdsm_protocol::Injection::run_crosses_home`]).
+    pub run_crosses_home: bool,
 }
 
 impl ExecConfig {

@@ -33,9 +33,15 @@ impl DirState {
         1u64 << node
     }
 
-    /// Iterate the nodes present in a bitmask.
+    /// Iterate the nodes present in a bitmask, ascending: one step per
+    /// node present.
     pub fn nodes(mask: u64) -> impl Iterator<Item = NodeId> {
-        (0..64usize).filter(move |n| mask & (1 << n) != 0)
+        let mut left = mask;
+        std::iter::from_fn(move || {
+            let n = (left != 0).then(|| left.trailing_zeros() as NodeId)?;
+            left &= left - 1;
+            Some(n)
+        })
     }
 
     /// True if this state is `Excl` with the given owner.

@@ -20,10 +20,82 @@ pub struct EagerInvalidate {
     multi_blocks: Vec<usize>,
 }
 
+/// A like-run shorter than this is serviced block by block: the range
+/// calls of a run cost more than they save on one or two blocks.
+const MIN_RUN: usize = 3;
+
 impl EagerInvalidate {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// `p`'s read faults on the like-run `[b, e)`: block `b` is serviced
+    /// as a lone fault while every node's events are captured; the other
+    /// blocks take the events replayed and the transition's changes a
+    /// range at a time — the owner's flush home and the home's copy to
+    /// `p`, the tags of every node the transition sets, the directory.
+    fn read_run(&mut self, d: &mut Dsm, p: NodeId, b: usize, e: usize) {
+        let (cur, h) = (d.dir_state(b), d.cluster.home_of_block(b));
+        let (s, _) = d.cluster.block_words(b);
+        d.cluster.map_range(p, s, 1);
+        d.cluster.capture_begin();
+        self.read_access(d, p, b);
+        if let DirState::Excl { owner } = cur {
+            if owner != h {
+                copy_run(d, owner, h, b, e);
+                spread_tag(d, owner, b, e);
+            }
+            spread_tag(d, h, b, e);
+        }
+        copy_run(d, h, p, b, e);
+        spread_tag(d, p, b, e);
+        d.set_dir_range(b + 1, e, d.dir_state(b));
+        d.cluster.replay_run(e - b - 1);
+    }
+
+    /// `p`'s write faults on the like-run `[b, e)`, as
+    /// [`EagerInvalidate::read_run`] services reads: the steal's flush
+    /// and fetch a range at a time, every node it invalidates and `p`
+    /// itself retagged, one pending write per block.
+    fn write_run(&mut self, d: &mut Dsm, p: NodeId, b: usize, e: usize) {
+        let (cur, h) = (d.dir_state(b), d.cluster.home_of_block(b));
+        let need_data = d.cluster.tag(p, b) == Access::Invalid;
+        let (s, _) = d.cluster.block_words(b);
+        d.cluster.map_range(p, s, 1);
+        d.cluster.capture_begin();
+        self.write_access_excl(d, p, b);
+        let eff = trans::acquire_excl(cur, p, h);
+        if let Some(owner) = eff.flush_owner {
+            copy_run(d, owner, h, b, e);
+        }
+        if need_data {
+            copy_run(d, h, p, b, e);
+        }
+        let retagged = DirState::nodes(eff.invalidate_readers)
+            .chain(eff.invalidate_owner)
+            .chain([h, p]);
+        for n in retagged {
+            spread_tag(d, n, b, e);
+        }
+        if p != h {
+            (b + 1..e).for_each(|_| d.cluster.note_pending_write(p));
+        }
+        d.set_dir_range(b + 1, e, eff.next);
+        d.cluster.replay_run(e - b - 1);
+    }
+}
+
+/// Copy the words of blocks `(b, e)` from `src`'s copy to `dst`'s.
+fn copy_run(d: &mut Dsm, src: NodeId, dst: NodeId, b: usize, e: usize) {
+    let (start, _) = d.cluster.block_words(b + 1);
+    let (_, stop) = d.cluster.block_words(e - 1);
+    d.cluster.copy_words(src, dst, start, stop - start);
+}
+
+/// Give blocks `(b, e)` at `n` the tag block `b` has there.
+fn spread_tag(d: &mut Dsm, n: NodeId, b: usize, e: usize) {
+    let tag = d.cluster.tag(n, b);
+    d.cluster.set_tag_range(n, b + 1, e, tag);
 }
 
 impl Protocol for EagerInvalidate {
@@ -286,20 +358,30 @@ impl Protocol for EagerInvalidate {
     /// Only the blocks `p` does not already hold writable and exclusive
     /// fault; the scan finds each in turn, 64 blocks a word, without
     /// entering the fault path for the rest (servicing block `b` changes
-    /// no later block's state at `p`, so the scan resumes at `b + 1`).
+    /// no later block's state at `p`, so the scan resumes after it). A
+    /// like-run of faults ([`Dsm::like_run`]) is one transaction
+    /// ([`EagerInvalidate::write_run`]).
     fn write_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
         let mut from = first;
         while let Some(b) = d.first_not_exclusive(p, from, end) {
-            self.write_access_excl(d, p, b);
-            from = b + 1;
+            from = d.like_run(p, b, end);
+            if from - b < MIN_RUN {
+                (b..from).for_each(|b| self.write_access_excl(d, p, b));
+            } else {
+                self.write_run(d, p, b, from);
+            }
         }
     }
 
     fn read_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
         let mut from = first;
         while let Some(b) = d.first_invalid(p, from, end) {
-            self.read_access(d, p, b);
-            from = b + 1;
+            from = d.like_run(p, b, end);
+            if from - b < MIN_RUN {
+                (b..from).for_each(|b| self.read_access(d, p, b));
+            } else {
+                self.read_run(d, p, b, from);
+            }
         }
     }
 

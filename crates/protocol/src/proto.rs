@@ -390,6 +390,11 @@ pub struct Injection {
     /// invariant — Σ per-class payload counters == `wire_payload_bytes`
     /// — must catch the shortfall, proving the invariant has teeth.
     pub undercount_metrics: bool,
+    /// A like-run of faults ignores its home bound: the eager protocol
+    /// services blocks homed elsewhere as if the run's first block's
+    /// home held them, so their directory names the wrong home and their
+    /// home never receives the owner's flush.
+    pub run_crosses_home: bool,
 }
 
 impl Dsm {
@@ -721,6 +726,61 @@ impl Dsm {
         self.dir[b] = s;
         self.dirty_dirs
             .set(b, !s.is_excl_by(self.cluster.home_of_block(b)));
+    }
+
+    /// [`Dsm::set_dir`] to state `s` for every block of the non-empty
+    /// `[first, end)`, whose blocks all hold one state (a like-run's): the
+    /// exclusive sets and the dirty-directory set a word at a time, the
+    /// latter by home-page run.
+    pub(crate) fn set_dir_range(&mut self, first: usize, end: usize, s: DirState) {
+        let old = self.dir[first];
+        debug_assert!(self.dir[first..end].iter().all(|&d| d == old));
+        if let DirState::Excl { owner } = old {
+            self.excl[owner].set_range(first, end, false);
+        }
+        if let DirState::Excl { owner } = s {
+            self.excl[owner].set_range(first, end, true);
+        }
+        self.dir[first..end].fill(s);
+        let mut b = first;
+        while b < end {
+            let (run_end, h) = self.cluster.home_run(b, end);
+            self.dirty_dirs.set_range(b, run_end, !s.is_excl_by(h));
+            b = run_end;
+        }
+    }
+
+    /// Where the like-run of faults that starts at block `b`, which `p`
+    /// faults on, ends: the blocks after `b`, up to `end`, that share its
+    /// home, its directory state and `p`'s tag of it, on `b`'s page or a
+    /// page `p` has mapped. `p`'s fault on each of them records the
+    /// events of its fault on `b`, shifted by block, and moves its tags,
+    /// directory entry and data alike. A `Multi` block, every block in
+    /// strict wire mode (whose frames are per block) and every block of a
+    /// traced execute (whose ring keeps each event) is a run of one.
+    pub(crate) fn like_run(&self, p: NodeId, b: usize, end: usize) -> usize {
+        let cur = self.dir[b];
+        if self.wire.is_some()
+            || matches!(cur, DirState::Multi { .. })
+            || self.cluster.node_trace(p).keeps_entries()
+        {
+            return b + 1;
+        }
+        let (shard, tag) = (self.cluster.shard(p), self.cluster.tag(p, b));
+        let h = self.cluster.home_of_block(b);
+        let crosses = self.injection.run_crosses_home;
+        let bpp = self.cluster.words_per_page() / self.cluster.words_per_block();
+        let mut e = b + 1;
+        while e < end && self.dir[e] == cur && self.cluster.tag(p, e) == tag {
+            // A page edge: the run goes on only on a mapped page of `h`.
+            if e.is_multiple_of(bpp)
+                && (!shard.is_mapped(e / bpp) || !crosses && self.cluster.home_of_block(e) != h)
+            {
+                break;
+            }
+            e += 1;
+        }
+        e
     }
 
     /// The blocks the directory records as `Excl` at `node`, as a bitset

@@ -268,6 +268,7 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Current tag of block `b` at `node`.
+    #[inline]
     pub fn tag(&self, node: NodeId, b: usize) -> Access {
         self.shards[node].tag(b)
     }
@@ -365,6 +366,7 @@ impl Cluster {
 
     /// Record a typed trace event for `node`, stamped with the node's
     /// current virtual clock.
+    #[inline]
     pub fn record(&mut self, node: NodeId, event: Event) {
         self.shards[node].record(event);
     }
@@ -372,6 +374,28 @@ impl Cluster {
     /// One node's event trace (ring + folded aggregates).
     pub fn node_trace(&self, node: NodeId) -> &NodeTrace {
         self.shards[node].trace()
+    }
+
+    /// Start capturing, at every node, the events recorded from here on
+    /// as the template of a fault run: the service of a run's first
+    /// block, which [`Cluster::replay_run`] then records for the rest.
+    pub fn capture_begin(&mut self) {
+        for sh in &mut self.shards {
+            sh.capture_begin();
+        }
+    }
+
+    /// End the capture [`Cluster::capture_begin`] started and fold, at
+    /// every node, its template again for each of the next `reps`
+    /// blocks, shifted by block — the events the same fault of each
+    /// would have recorded, with the clocks advanced as they would have
+    /// advanced — in closed form ([`NodeShard::replay_run`]). Only for
+    /// rings of capacity 0: a kept ring takes every fault block by block.
+    /// The caller applies the run's tag, directory and data changes.
+    pub fn replay_run(&mut self, reps: usize) {
+        for sh in &mut self.shards {
+            sh.replay_run(reps);
+        }
     }
 
     /// Change every node's trace-ring capacity (aggregates unaffected;
@@ -455,6 +479,7 @@ impl Cluster {
     }
 
     /// Charge `ns` to `node`'s clock under the given accounting category.
+    #[inline]
     pub fn charge(&mut self, node: NodeId, ns: u64, kind: ChargeKind) {
         self.shards[node].charge(ns, kind);
     }
@@ -463,6 +488,7 @@ impl Cluster {
     /// remote request. In dual-cpu mode the dedicated protocol processor
     /// absorbs it (tracked but not added to the compute clock); in
     /// single-cpu mode it steals time from the compute CPU.
+    #[inline]
     pub fn charge_handler(&mut self, node: NodeId, ns: u64) {
         self.shards[node].charge_handler(ns);
     }
@@ -482,6 +508,7 @@ impl Cluster {
     /// to the cache block whose coherence traffic it is — protocol call
     /// sites that know the block use this so the sender's heatmap can
     /// account the bytes.
+    #[inline]
     pub fn note_msg_at(&mut self, src: NodeId, dst: NodeId, payload_bytes: usize, block: usize) {
         debug_assert_ne!(src, dst, "note_msg_at: self-send is not a message");
         self.shards[src].note_msg_at(payload_bytes, block);

@@ -41,7 +41,8 @@ pub struct Knobs {
     pub trace: Option<PathBuf>,
     /// `FGDSM_CHROME`: where to write a run's Chrome trace-event timeline.
     pub chrome: Option<PathBuf>,
-    /// `FGDSM_TRACE_CAP`: trace entries kept per node.
+    /// `FGDSM_TRACE_CAP`: trace entries kept per node, for traced
+    /// executes only.
     pub trace_cap: Option<usize>,
     /// `FGDSM_FULL`: the paper's problem sizes. Never set with `test`.
     pub full: bool,

@@ -84,7 +84,7 @@ impl BlockSet {
 
     /// [`BlockSet::set`] for every block of `[first, end)`, a word at a
     /// time (nothing when the range is empty).
-    pub(crate) fn set_range(&mut self, first: usize, end: usize, present: bool) {
+    pub fn set_range(&mut self, first: usize, end: usize, present: bool) {
         if first >= end {
             return;
         }
@@ -180,7 +180,7 @@ impl DirtySet {
     }
 
     /// [`DirtySet::set`] for every block of `[first, end)`.
-    pub(crate) fn set_range(&mut self, first: usize, end: usize, present: bool) {
+    pub fn set_range(&mut self, first: usize, end: usize, present: bool) {
         self.set.set_range(first, end, present);
         if first < end {
             (first / 64..=(end - 1) / 64).for_each(|w| self.note(w));

@@ -141,6 +141,13 @@ pub struct NodeShard {
     /// find the blocks a home has lost a word at a time.
     dirty: DirtySet,
     trace: NodeTrace,
+    /// While `capturing`, every recorded event is also kept here: the
+    /// template a fault run replays ([`NodeShard::replay_run`]). Reused
+    /// run after run, so a run allocates nothing.
+    captured: Vec<Event>,
+    capturing: bool,
+    /// The clock when the capture began.
+    capture_clock: u64,
 }
 
 impl NodeShard {
@@ -173,6 +180,9 @@ impl NodeShard {
             valid,
             dirty: DirtySet::new(geom.n_blocks),
             trace: NodeTrace::new(),
+            captured: Vec::new(),
+            capturing: false,
+            capture_clock: 0,
             geom,
         }
     }
@@ -207,6 +217,7 @@ impl NodeShard {
     }
 
     /// Current tag of block `b`.
+    #[inline]
     pub(crate) fn tag(&self, b: usize) -> Access {
         if self.writable.contains(b) {
             Access::ReadWrite
@@ -307,6 +318,11 @@ impl NodeShard {
         mem
     }
 
+    /// Whether this node has mapped page `page`.
+    pub fn is_mapped(&self, page: usize) -> bool {
+        self.mapped[page / 64] >> (page % 64) & 1 == 1
+    }
+
     /// Ensure all pages covering `[start, start+len)` words are mapped,
     /// charging the first-touch mapping cost as stall time. Returns the
     /// number of pages newly mapped.
@@ -345,11 +361,41 @@ impl NodeShard {
     /// clock. All statistics flow through here: the trace folds events
     /// into aggregates online, so the event log and the report can never
     /// disagree.
+    #[inline]
     pub fn record(&mut self, event: Event) {
+        if self.capturing {
+            self.captured.push(event);
+        }
         self.trace.record(self.hot.clock_ns, event);
     }
 
+    /// Start capturing the events recorded here as a fault run's
+    /// template (see [`NodeShard::replay_run`]).
+    pub(crate) fn capture_begin(&mut self) {
+        self.captured.clear();
+        self.capturing = true;
+        self.capture_clock = self.hot.clock_ns;
+    }
+
+    /// End the capture and fold its template again for each of the next
+    /// `reps` blocks, in closed form ([`NodeTrace::record_run`]): the
+    /// events the same fault of each would have recorded here, the clock
+    /// moved by the template's advance times `reps`. Only for a trace
+    /// that keeps no entries: a traced execute services its faults block
+    /// by block.
+    pub(crate) fn replay_run(&mut self, reps: usize) {
+        self.capturing = false;
+        if self.captured.is_empty() {
+            return;
+        }
+        let advance = self.hot.clock_ns - self.capture_clock;
+        self.hot.clock_ns += advance * reps as u64;
+        self.trace
+            .record_run(&self.captured, reps as u64, self.hot.clock_ns);
+    }
+
     /// Charge `ns` to the clock under the given accounting category.
+    #[inline]
     pub fn charge(&mut self, ns: u64, kind: ChargeKind) {
         self.hot.clock_ns += ns;
         self.record(Event::Charge { kind, ns });
@@ -359,6 +405,7 @@ impl NodeShard {
     /// of a remote request. In dual-cpu mode the dedicated protocol
     /// processor absorbs it (tracked but not added to the compute clock);
     /// in single-cpu mode it steals time from the compute CPU.
+    #[inline]
     pub fn charge_handler(&mut self, ns: u64) {
         let scaled = self.geom.cfg.handler_cost(ns);
         if self.geom.cfg.cpu == CpuMode::Single {
@@ -382,6 +429,7 @@ impl NodeShard {
     /// Record a message of `payload_bytes` sent from this node servicing
     /// cache block `block`, attributing the bytes to that block in the
     /// sender's heatmap.
+    #[inline]
     pub fn note_msg_at(&mut self, payload_bytes: usize, block: usize) {
         self.record(Event::Msg {
             bytes: payload_bytes as u64,
@@ -393,6 +441,7 @@ impl NodeShard {
     /// receiver-side twin of [`NodeShard::note_msg`]. Keeping both sides
     /// recorded lets the executors assert that cluster-wide send and
     /// receive counters balance at the end of every run.
+    #[inline]
     pub fn note_msg_recv(&mut self, payload_bytes: usize) {
         self.record(Event::MsgRecv {
             bytes: payload_bytes as u64,

@@ -5,6 +5,9 @@
 //! transfers + protocol occupancy + synchronization) and counts per-node
 //! misses; Figure 3's speedups derive from total virtual time.
 
+use crate::cluster::ChargeKind;
+use crate::trace::{CtlPrim, Event, FaultKind};
+
 /// Apply a callback macro to every counter field of [`NodeStats`], in
 /// declaration order — the single source of truth for field-generic code
 /// (interval deltas, accumulation, the canonical JSON encoding and the
@@ -117,10 +120,58 @@ impl NodeStats {
     /// [`NodeStats::delta`]: summing every interval delta reproduces the
     /// whole-run snapshot exactly.
     pub fn accumulate(&mut self, other: &NodeStats) {
+        self.accumulate_times(other, 1);
+    }
+
+    /// [`NodeStats::accumulate`] `n` times over.
+    pub(crate) fn accumulate_times(&mut self, other: &NodeStats, n: u64) {
         macro_rules! add {
-            ($($f:ident),* $(,)?) => { $(self.$f += other.$f;)* };
+            ($($f:ident),* $(,)?) => { $(self.$f += other.$f * n;)* };
         }
         with_stat_fields!(add);
+    }
+
+    /// Fold one trace event into the counters — the only place an event
+    /// becomes statistics: [`NodeTrace`](crate::trace::NodeTrace) folds
+    /// every recorded event here, and a replayed fault run folds its
+    /// template here once.
+    #[inline]
+    pub(crate) fn fold(&mut self, event: &Event) {
+        match *event {
+            Event::Fault { kind, .. } => match kind {
+                FaultKind::Read => self.read_misses += 1,
+                FaultKind::Write | FaultKind::MultiWrite | FaultKind::Upgrade => {
+                    self.write_misses += 1
+                }
+            },
+            Event::Ctl { prim } => match prim {
+                CtlPrim::MkWritable => self.mk_writable_calls += 1,
+                CtlPrim::ImplicitWritable => self.implicit_writable_calls += 1,
+                CtlPrim::ImplicitInvalidate => self.implicit_invalidate_calls += 1,
+                CtlPrim::SendRange => self.send_range_calls += 1,
+                CtlPrim::ReadyToRecv => self.ready_recv_calls += 1,
+                CtlPrim::FlushRange => self.flush_range_calls += 1,
+            },
+            Event::CtlSend { blocks, .. } => self.blocks_pushed += blocks,
+            Event::Msg { bytes, .. } => {
+                self.msgs_sent += 1;
+                self.bytes_sent += bytes;
+            }
+            Event::MsgRecv { bytes } => {
+                self.msgs_recv += 1;
+                self.bytes_recv += bytes;
+            }
+            Event::Charge { kind, ns } => match kind {
+                ChargeKind::Compute => self.compute_ns += ns,
+                ChargeKind::Stall => self.stall_ns += ns,
+                ChargeKind::CtlCall => self.ctl_call_ns += ns,
+            },
+            Event::Handler { ns } => self.handler_ns += ns,
+            Event::PageMap { pages } => self.pages_mapped += pages,
+            Event::BarrierWait { ns } => self.barrier_ns += ns,
+            Event::Barrier | Event::Superstep { .. } => {}
+            Event::Reduction => self.reductions += 1,
+        }
     }
 
     /// True if every counter is zero.

@@ -144,6 +144,45 @@ pub struct BlockHeat {
     pub bytes_sent: u64,
 }
 
+impl std::ops::AddAssign for BlockHeat {
+    fn add_assign(&mut self, o: BlockHeat) {
+        self.read_misses += o.read_misses;
+        self.write_misses += o.write_misses;
+        self.upgrades += o.upgrades;
+        self.pushed += o.pushed;
+        self.bytes_sent += o.bytes_sent;
+    }
+}
+
+impl Event {
+    /// What this event adds to one block's heat, and the block: a fault's
+    /// miss, an attributed message's bytes. (A compiler-directed send
+    /// heats every block it pushes; it is folded on its own.)
+    #[inline]
+    fn block_heat(&self) -> Option<(u32, BlockHeat)> {
+        match *self {
+            Event::Fault { block, kind } => {
+                let (read, upgrade) = (kind == FaultKind::Read, kind == FaultKind::Upgrade);
+                let heat = BlockHeat {
+                    read_misses: read as u64,
+                    write_misses: !read as u64,
+                    upgrades: upgrade as u64,
+                    ..BlockHeat::default()
+                };
+                Some((block as u32, heat))
+            }
+            Event::Msg { bytes, block } if block != NO_BLOCK => {
+                let heat = BlockHeat {
+                    bytes_sent: bytes,
+                    ..BlockHeat::default()
+                };
+                Some((block, heat))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// A fixed multiplicative (Fibonacci) hasher for block-keyed tables: one
 /// multiply per `u32` key word and no per-process seed, so a table keyed
 /// by blocks costs the same on every run. Tables using it are probed,
@@ -291,75 +330,26 @@ impl NodeTrace {
 
     /// Record `event` at virtual time `t_ns`: fold it into the aggregates
     /// and append it to the (bounded) ring.
+    #[inline]
     pub(crate) fn record(&mut self, t_ns: u64, event: Event) {
-        if t_ns < self.last_t_ns {
-            self.monotone = false;
-        }
-        self.last_t_ns = t_ns;
-        let s = &mut self.stats;
+        self.stamp(t_ns);
+        self.stats.fold(&event);
         match event {
-            Event::Fault { block, kind } => {
-                let h = self.heat.cell(block as u32);
-                match kind {
-                    FaultKind::Read => {
-                        s.read_misses += 1;
-                        h.read_misses += 1;
-                    }
-                    FaultKind::Write | FaultKind::MultiWrite => {
-                        s.write_misses += 1;
-                        h.write_misses += 1;
-                    }
-                    FaultKind::Upgrade => {
-                        s.write_misses += 1;
-                        h.write_misses += 1;
-                        h.upgrades += 1;
-                    }
-                }
-                self.step_faults.push(block as u32);
-            }
-            Event::Ctl { prim } => match prim {
-                CtlPrim::MkWritable => s.mk_writable_calls += 1,
-                CtlPrim::ImplicitWritable => s.implicit_writable_calls += 1,
-                CtlPrim::ImplicitInvalidate => s.implicit_invalidate_calls += 1,
-                CtlPrim::SendRange => s.send_range_calls += 1,
-                CtlPrim::ReadyToRecv => s.ready_recv_calls += 1,
-                CtlPrim::FlushRange => s.flush_range_calls += 1,
-            },
             Event::CtlSend {
                 blocks,
                 first_block,
                 ..
-            } => {
-                s.blocks_pushed += blocks;
-                if first_block != NO_BLOCK {
-                    for b in first_block as u64..first_block as u64 + blocks {
-                        self.heat.cell(b as u32).pushed += 1;
-                    }
+            } if first_block != NO_BLOCK => {
+                for b in first_block as u64..first_block as u64 + blocks {
+                    self.heat.cell(b as u32).pushed += 1;
                 }
             }
-            Event::Msg { bytes, block } => {
-                s.msgs_sent += 1;
-                s.bytes_sent += bytes;
-                if block == NO_BLOCK {
-                    self.unattributed_bytes += bytes;
-                } else {
-                    self.heat.cell(block).bytes_sent += bytes;
-                }
-            }
-            Event::MsgRecv { bytes } => {
-                s.msgs_recv += 1;
-                s.bytes_recv += bytes;
-            }
-            Event::Charge { kind, ns } => match kind {
-                ChargeKind::Compute => s.compute_ns += ns,
-                ChargeKind::Stall => s.stall_ns += ns,
-                ChargeKind::CtlCall => s.ctl_call_ns += ns,
-            },
-            Event::Handler { ns } => s.handler_ns += ns,
-            Event::PageMap { pages } => s.pages_mapped += pages,
-            Event::BarrierWait { ns } => s.barrier_ns += ns,
-            Event::Barrier | Event::Superstep { .. } => {}
-            Event::Reduction => s.reductions += 1,
+            Event::Msg { bytes, block } if block == NO_BLOCK => self.unattributed_bytes += bytes,
+            Event::Fault { block, .. } => self.step_faults.push(block as u32),
+            _ => {}
+        }
+        if let Some((block, heat)) = event.block_heat() {
+            *self.heat.cell(block) += heat;
         }
         if self.capacity == 0 {
             self.dropped += 1;
@@ -375,6 +365,72 @@ impl NodeTrace {
             loop_id: self.cur_loop,
             event,
         });
+    }
+
+    /// Note that an event completed at `t_ns`: the clock check and the
+    /// last timestamp.
+    #[inline]
+    fn stamp(&mut self, t_ns: u64) {
+        if t_ns < self.last_t_ns {
+            self.monotone = false;
+        }
+        self.last_t_ns = t_ns;
+    }
+
+    /// Whether recorded events are kept as entries (capacity above 0).
+    pub fn keeps_entries(&self) -> bool {
+        self.capacity > 0
+    }
+
+    /// Record `template` — the events one block's fault recorded here,
+    /// each attributed event naming that block — again for each of the
+    /// next `reps` blocks, shifted by block, in closed form: the folds
+    /// come out as [`NodeTrace::record`] of every shifted event would
+    /// leave them, and no entry is kept. `t_ns` is the clock after the
+    /// last repetition, the stamp of its last event (every event that
+    /// advances a clock is recorded after the advance). Only for a trace
+    /// that keeps no entries.
+    pub(crate) fn record_run(&mut self, template: &[Event], reps: u64, t_ns: u64) {
+        debug_assert!(!self.keeps_entries(), "a kept ring records every event");
+        let mut stats = NodeStats::default();
+        let mut heat: Option<(u32, BlockHeat)> = None;
+        for e in template {
+            let fault_event = matches!(
+                e,
+                Event::Fault { .. }
+                    | Event::Msg { .. }
+                    | Event::MsgRecv { .. }
+                    | Event::Charge { .. }
+                    | Event::Handler { .. }
+            );
+            debug_assert!(fault_event, "{e:?} is not a fault's event");
+            stats.fold(e);
+            if let Some((block, h)) = e.block_heat() {
+                let (b, sum) = heat.get_or_insert((block, BlockHeat::default()));
+                debug_assert_eq!(*b, block, "a fault template names one block");
+                *sum += h;
+            }
+            if let Event::Msg { bytes, block } = *e {
+                if block == NO_BLOCK {
+                    self.unattributed_bytes += bytes * reps;
+                }
+            }
+        }
+        self.stats.accumulate_times(&stats, reps);
+        if let Some((block, sum)) = heat {
+            for b in block + 1..=block + reps as u32 {
+                *self.heat.cell(b) += sum;
+            }
+        }
+        for i in 1..=reps as usize {
+            for e in template {
+                if let Event::Fault { block, .. } = *e {
+                    self.step_faults.push((block + i) as u32);
+                }
+            }
+        }
+        self.stamp(t_ns);
+        self.dropped += template.len() as u64 * reps;
     }
 
     /// Folded aggregates (exact, even after ring wrap).
