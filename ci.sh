@@ -63,9 +63,11 @@ cargo fmt --check
 # fallbacks left in `Range`'s set operations (range.rs up to its tests),
 # tag arrays (`Vec<Access>` under crates/tempest/src), and block-keyed
 # ordered maps and per-twin boxes (`BTreeMap<u32, BlockHeat>` or
-# `Box<[f64]>` in the non-test part of crates/{tempest,protocol}/src), and
+# `Box<[f64]>` in the non-test part of crates/{tempest,protocol}/src),
 # string-keyed metric sites (`ClassKeys`, `merge_tagged` or
-# `BTreeMap<String` in the non-test part of crates/*/src).
+# `BTreeMap<String` in the non-test part of crates/*/src), and per-frame
+# buffer sites (`Vec<Vec<u8>>` in the non-test part of
+# crates/{protocol,net}/src, the frozen `route` signatures excepted).
 # The `pub` count has no threshold: an item no other crate, example,
 # bench, integration test or benchmark/ names is `pub(crate)`, and the
 # clippy step above (`-D warnings`, so rustc's dead_code lint fails it)
@@ -85,7 +87,11 @@ cargo fmt --check
 # tree walk per fold nor a heap box per twin may come back on the fault
 # path. Telemetry is a `(stage, class)` table indexed by enum and kind
 # byte (DESIGN 5g), so a metric keyed by a string must not come back on
-# the metered path.
+# the metered path. A strict-wire transfer lives in one batch buffer per
+# destination from `post` to the socket and is applied in place at both
+# ends (DESIGN 5e), so a list of per-frame buffers must not come back
+# between the encoder and the link — only the blocking `route` probe,
+# whose signature benchmark/ names, still takes and returns one.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
 pubs=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /^[ \t]*pub ((unsafe|const) )*(fn|struct|enum|const|static|trait|type) /{n++} END{print n}' {} +)
@@ -102,8 +108,9 @@ enums=$(awk '/^#\[cfg\(test\)\]/{exit} /refusing to enumerate/' crates/section/s
 tagarrays=$(cat crates/tempest/src/*.rs | grep -c 'Vec<Access>' || true)
 blockmaps=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /BTreeMap<u32, BlockHeat>|Box<\[f64\]>/{n++} END{print n+0}' $(find crates/tempest/src crates/protocol/src -name '*.rs'))
 strkeys=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /ClassKeys|merge_tagged|BTreeMap<String/{n++} END{print n+0}' $(find crates/*/src -name '*.rs'))
+framebufs=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /Vec<Vec<u8>>/ && !/fn route\(/{n++} END{print n+0}' $(find crates/protocol/src crates/net/src -name '*.rs'))
 fresh=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /vec!\[0\.0/{n++} END{print n+0}' crates/tempest/src/shard.rs crates/hpf/src/exec/engine.rs crates/hpf/src/exec/mp.rs)
-echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations, $blockmaps block-keyed ordered maps and per-twin boxes, $strkeys string-keyed metric sites"
+echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations, $blockmaps block-keyed ordered maps and per-twin boxes, $strkeys string-keyed metric sites, $framebufs per-frame buffer sites"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1
@@ -130,5 +137,9 @@ if [ "$blockmaps" -ne 0 ]; then
 fi
 if [ "$strkeys" -ne 0 ]; then
     echo "ci.sh: a string-keyed metric is back ($strkeys)" >&2
+    exit 1
+fi
+if [ "$framebufs" -ne 0 ]; then
+    echo "ci.sh: a per-frame buffer list is back between the wire encoder and the link ($framebufs)" >&2
     exit 1
 fi

@@ -27,8 +27,8 @@ use fgdsm_apps::{suite, Scale};
 use fgdsm_bench::NPROCS;
 use fgdsm_hpf::{execute, tcp_available, ExecConfig};
 use fgdsm_protocol::{
-    plan_sends, ChanTransport, Dsm, Geometry, RemoteReport, SendEntry, WireError, WireTransport,
-    DEFAULT_RECV_TIMEOUT,
+    plan_sends, ChanTransport, Dsm, FrameBatch, Geometry, RemoteReport, SendEntry, WireError,
+    WireTransport, DEFAULT_RECV_TIMEOUT,
 };
 use fgdsm_tempest::{Cluster, CostModel, HomePolicy, NodeStats, SegmentLayout, WireSpan, NO_ARRAY};
 
@@ -190,11 +190,11 @@ impl WireTransport for Retransmit {
     fn name(&self) -> &'static str {
         "chan+retransmit"
     }
-    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+    fn send(&mut self, dst: usize, batch: &FrameBatch) -> Result<(), WireError> {
         if std::mem::take(&mut self.1) {
-            self.0.send(dst, frames.clone())?;
+            self.0.send(dst, batch)?;
         }
-        self.0.send(dst, frames)
+        self.0.send(dst, batch)
     }
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
         self.0.sync()

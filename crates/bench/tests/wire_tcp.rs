@@ -15,7 +15,7 @@
 use fgdsm_hpf::tcp_available;
 use fgdsm_net::{NetGeometry, NetKind, SocketOpts, SocketTransport};
 use fgdsm_protocol::wire::WireHeader;
-use fgdsm_protocol::{WireError, WireMsg, WireTransport};
+use fgdsm_protocol::{FrameBatch, WireError, WireMsg, WireTransport, FLUSH_WINDOW_BYTES};
 
 /// Double-entry bookkeeping across address spaces: drive a transport
 /// directly, count what the coordinator routes, and check the workers'
@@ -161,7 +161,10 @@ fn hostile_addresses_fail_loudly_at_the_coordinator() {
 /// toward one node in half-MiB calls (each far past the flush window and
 /// any socket buffer) with no `sync` in between, then one `sync` — done
 /// well inside the recv deadline, every frame echoed and verified, the
-/// node's book equal to what was sent. Over TCP and over Unix sockets.
+/// node's book equal to what was sent. The coordinator's two buffers for
+/// the node — one batch filling, one in flight — never hold more than
+/// twice a window plus the frame that crosses it: memory does not grow
+/// with the traffic. Over TCP and over Unix sockets.
 #[test]
 fn streaming_past_every_socket_buffer_does_not_deadlock() {
     let kinds: Vec<NetKind> = [NetKind::Tcp, NetKind::Uds]
@@ -194,10 +197,18 @@ fn streaming_past_every_socket_buffer_does_not_deadlock() {
         }
         .to_bytes();
         assert!(FRAMES * frame.len() >= 16 << 20);
+        let mut batch = FrameBatch::new();
+        (0..PER_SEND).for_each(|_| batch.push(&frame));
+        let bound = 2 * (FLUSH_WINDOW_BYTES + frame.len());
         let t0 = std::time::Instant::now();
         for _ in 0..FRAMES / PER_SEND {
-            t.send(1, vec![frame.clone(); PER_SEND])
+            t.send(1, &batch)
                 .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            let held = t.held_bytes(1);
+            assert!(
+                held <= bound,
+                "{kind:?}: {held} bytes held for node 1, past {bound}"
+            );
         }
         let spans = t.sync().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert!(
@@ -205,14 +216,16 @@ fn streaming_past_every_socket_buffer_does_not_deadlock() {
             "{kind:?}: took {:?}, past the recv deadline",
             t0.elapsed()
         );
+        // A batch goes out as soon as its frames fill the window.
+        let per_batch = FLUSH_WINDOW_BYTES.div_ceil(frame.len());
         assert_eq!(
             spans.len(),
-            FRAMES / PER_SEND,
-            "{kind:?}: one batch per send"
+            FRAMES / per_batch,
+            "{kind:?}: one batch per window"
         );
         assert!(spans
             .iter()
-            .all(|s| s.dst == 1 && s.frames as usize == PER_SEND));
+            .all(|s| s.dst == 1 && s.frames as usize == per_batch));
         let reports = t.finish();
         let node1 = reports
             .iter()

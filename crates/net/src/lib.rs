@@ -12,7 +12,8 @@
 //! Transport choice: [`SocketOpts::kind`] names a family; unset means TCP
 //! over loopback, falling back to Unix-domain sockets when TCP binds are
 //! forbidden. Frames travel length-prefixed
-//! (`write_frame`/[`FrameDecoder`]), one `write` per flushed batch; a TCP
+//! (`write_frame`/[`FrameDecoder`]), one `write` per flushed batch,
+//! straight from the coordinator's batch buffer; a TCP
 //! link runs with `TCP_NODELAY`, so the tail segment of a flush never
 //! waits out Nagle against the peer's delayed ACK.
 //!
@@ -35,7 +36,7 @@ use std::time::{Duration, Instant};
 use fgdsm_protocol::node::{serve, Coordinator, Link, WireTransport};
 pub use fgdsm_protocol::node::{Geometry as NetGeometry, NodeFault};
 use fgdsm_protocol::wire::{
-    write_frame, FrameDecoder, RemoteReport, WireError, DEFAULT_RECV_TIMEOUT,
+    FrameBatch, FrameDecoder, RemoteReport, WireError, DEFAULT_RECV_TIMEOUT,
 };
 use fgdsm_tempest::metrics::WireSpan;
 
@@ -200,21 +201,18 @@ fn map_io(peer: u32, e: &io::Error) -> WireError {
 
 /// Bytes asked of the socket per `read`.
 const READ_CHUNK_BYTES: usize = 64 * 1024;
-/// The send scratch keeps its capacity from one flush to the next up to
-/// this size; a rarer, larger batch gives its buffer back.
-const SCRATCH_KEEP_BYTES: usize = 4 * READ_CHUNK_BYTES;
 
 /// One framed connection: the stream (whose read/write timeouts are the
-/// link's deadline), its incremental reassembly state and the two
-/// buffers every transfer reuses. Dropping it closes the socket.
+/// link's deadline), its incremental reassembly state and the read
+/// buffer every transfer reuses. A batch is written straight from the
+/// coordinator's [`FrameBatch`], never copied. Dropping it closes the
+/// socket.
 struct SocketLink {
     stream: Stream,
     dec: FrameDecoder,
     /// Where `read` lands before the decoder takes it: allocated once per
     /// link, not zeroed once per `recv`.
     chunk: Vec<u8>,
-    /// The length-prefixed bytes of the batch being sent.
-    scratch: Vec<u8>,
     /// Fault injection ([`SocketOpts::corrupt_frame_len`]), one shot:
     /// overwrite the length prefix of the first data frame sent with an
     /// oversized value. The node's framing cap must reject it before
@@ -228,42 +226,41 @@ impl SocketLink {
             stream,
             dec: FrameDecoder::new(),
             chunk: vec![0; READ_CHUNK_BYTES],
-            scratch: Vec::new(),
             corrupt_next_len,
         }
     }
 }
 
+/// Where the second record of a length-prefixed image starts — the
+/// first data frame's prefix, behind a batch's marker — if it has one.
+fn second_record(image: &[u8]) -> Option<usize> {
+    let first = u32::from_le_bytes(image.get(..4)?.try_into().ok()?) as usize;
+    let at = 4 + first;
+    (image.len() > at).then_some(at)
+}
+
 impl Link for SocketLink {
-    /// One buffer, one `write`: every frame behind its length prefix.
-    fn send(&mut self, frames: Vec<Vec<u8>>, peer: u32) -> Result<(), WireError> {
-        let out = &mut self.scratch;
-        out.clear();
-        out.reserve(frames.iter().map(|f| 4 + f.len()).sum());
-        for f in &frames {
-            write_frame(out, f);
+    /// One `write` of the whole image.
+    fn send(&mut self, image: &[u8], peer: u32) -> Result<(), WireError> {
+        if self.corrupt_next_len {
+            if let Some(at) = second_record(image) {
+                self.corrupt_next_len = false;
+                let mut bad = image.to_vec();
+                bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                return self.stream.write_all(&bad).map_err(|e| map_io(peer, &e));
+            }
         }
-        if frames.len() > 1 && std::mem::take(&mut self.corrupt_next_len) {
-            let at = 4 + frames[0].len();
-            out[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        }
-        let sent = self.stream.write_all(out).map_err(|e| map_io(peer, &e));
-        if out.capacity() > SCRATCH_KEEP_BYTES {
-            *out = Vec::new();
-        }
-        sent
+        self.stream.write_all(image).map_err(|e| map_io(peer, &e))
     }
 
-    /// Read the next complete frame. A 0-byte read (EOF) is
-    /// [`WireError::PeerGone`]; a recv deadline hit is
-    /// [`WireError::Timeout`]; an oversized length prefix surfaces as
-    /// [`WireError::FrameTooBig`] before any allocation.
-    fn recv(&mut self, peer: u32) -> Result<Vec<u8>, WireError> {
+    /// Read until the next frame is whole and lend it out of the
+    /// decoder's buffer. A 0-byte read (EOF) is [`WireError::PeerGone`];
+    /// a recv deadline hit is [`WireError::Timeout`]; an oversized length
+    /// prefix surfaces as [`WireError::FrameTooBig`] before any
+    /// allocation.
+    fn recv(&mut self, peer: u32) -> Result<&[u8], WireError> {
         let mut retries = 0u32;
-        loop {
-            if let Some(f) = self.dec.next_frame()? {
-                return Ok(f);
-            }
+        while self.dec.ready()?.is_none() {
             match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(WireError::PeerGone(peer)),
                 Ok(n) => self.dec.push(&self.chunk[..n]),
@@ -276,6 +273,7 @@ impl Link for SocketLink {
                 Err(e) => return Err(map_io(peer, &e)),
             }
         }
+        self.dec.next_frame().map(Option::unwrap_or_default)
     }
 }
 
@@ -425,6 +423,13 @@ impl SocketTransport {
     pub fn net_kind(&self) -> NetKind {
         self.kind
     }
+
+    /// Heap bytes the coordinator holds for `node`'s batches
+    /// (`Coordinator::held_bytes`): bounded by the flush window, not by
+    /// the traffic.
+    pub fn held_bytes(&self, node: usize) -> usize {
+        self.nodes.held_bytes(node)
+    }
 }
 
 impl WireTransport for SocketTransport {
@@ -432,8 +437,8 @@ impl WireTransport for SocketTransport {
         "tcp"
     }
 
-    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
-        self.nodes.post(dst, frames)
+    fn send(&mut self, dst: usize, batch: &FrameBatch) -> Result<(), WireError> {
+        self.nodes.post(dst, batch)
     }
 
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {

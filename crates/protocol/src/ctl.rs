@@ -48,7 +48,7 @@
 use crate::dir::DirState;
 use crate::proto::{Dsm, Injection};
 use crate::trans;
-use crate::wire::WireMsg;
+use crate::wire::Shape;
 use fgdsm_tempest::{
     Access, ChargeKind, Cluster, CostModel, CtlPrim, Event, NodeId, NodeShard, NO_ARRAY,
 };
@@ -274,14 +274,15 @@ struct PlanOutcome {
 /// beyond the pair is left to [`Dsm::apply_plans`]: a push's inbox
 /// contribution comes back as the [`PlanOutcome`].
 ///
-/// In strict wire mode `wire` carries the plan's decoded envelopes (one
-/// per payload, filled by copying out of the source shard at *plan*
-/// time) and the destination stores the envelope payload — the apply no
-/// longer reads the source shard's memory. Accounting is identical
-/// either way, so reports and traces cannot tell the paths apart.
+/// In strict wire mode (`strict`) the plan's data is already in place:
+/// one frame per payload, filled by copying out of the source shard,
+/// was applied at the destination from its bytes
+/// ([`Dsm::wire_send_plan`]) — the apply no longer reads the source
+/// shard's memory. Accounting is identical either way, so reports and
+/// traces cannot tell the paths apart.
 fn apply_plan(
     plan: &TransferPlan,
-    wire: Option<&[WireMsg]>,
+    strict: bool,
     cfg: &CostModel,
     src: &mut NodeShard,
     dst: &mut NodeShard,
@@ -291,7 +292,7 @@ fn apply_plan(
         payloads: 0,
         blocks: 0,
     };
-    for (i, p) in plan.payloads.iter().enumerate() {
+    for p in &plan.payloads {
         let (s, _) = src.block_words(p.start_block);
         let (_, e) = src.block_words(p.start_block + p.n_blocks - 1);
         let bytes = (e - s) * 8;
@@ -306,11 +307,7 @@ fn apply_plan(
         );
         src.note_msg_at(bytes, p.start_block);
         dst.note_msg_recv(bytes);
-        if let Some(msgs) = wire {
-            if let Err(err) = msgs[i].scatter(dst.mem_mut(), cfg.words_per_block()) {
-                panic!("wire: envelope rejected at node {}: {err}", plan.dst);
-            }
-        } else {
+        if !strict {
             dst.mem_mut()[s..e].copy_from_slice(&src.mem()[s..e]);
         }
         match plan.op {
@@ -565,41 +562,33 @@ impl Dsm {
             .charge(node, CTL_CALL_BASE_NS, ChargeKind::CtlCall);
     }
 
-    /// Strict wire mode's encode half of a plan batch: post one envelope
-    /// per payload ([`Dsm::wire_post`] copies it out of the source
-    /// shard). From this point the plan no longer needs the source shard
-    /// alive — the apply reads the decoded payload. No-op on the fast
-    /// path.
-    fn wire_post_plan_frames(&mut self, plans: &[TransferPlan]) {
-        if !self.wire_strict() {
-            return;
-        }
+    /// Strict wire mode's delivery of one plan: one envelope per payload,
+    /// encoded straight out of the source shard ([`Dsm::wire_post`]) and
+    /// applied at the destination from the frames' bytes
+    /// ([`Dsm::wire_deliver`]).
+    fn wire_send_plan(&mut self, plan: &TransferPlan) {
         let wpb = self.cluster.words_per_block();
-        for plan in plans {
-            for p in &plan.payloads {
-                let hdr = self.wire_hdr(plan.src, plan.dst, p.array, p.start_block, p.n_blocks);
-                let (start_block, n_blocks) = (p.start_block as u32, p.n_blocks as u32);
-                let words = self.wire_words(p.n_blocks * wpb);
-                self.wire_post(match plan.op {
-                    PlanOp::Push => WireMsg::Push {
-                        hdr,
-                        start_block,
-                        n_blocks,
-                        words,
-                    },
-                    PlanOp::Flush => WireMsg::Flush {
-                        hdr,
-                        start_block,
-                        n_blocks,
-                        words,
-                    },
-                });
-            }
+        for p in &plan.payloads {
+            let head = self.wire_head(plan.src, plan.dst, p.array, p.start_block, p.n_blocks);
+            let (start_block, n_blocks) = (p.start_block as u32, p.n_blocks as u32);
+            let shape = match plan.op {
+                PlanOp::Push => Shape::Push {
+                    start_block,
+                    n_blocks,
+                },
+                PlanOp::Flush => Shape::Flush {
+                    start_block,
+                    n_blocks,
+                },
+            };
+            self.wire_post(head, shape, p.n_blocks * wpb);
         }
+        self.wire_deliver();
     }
 
-    /// Execute the plans in index order — in strict wire mode posted
-    /// first, one envelope per payload — each plan's pair-local work
+    /// Execute the plans in index order — in strict wire mode each plan's
+    /// data first travels and lands as one envelope per payload
+    /// ([`Dsm::wire_send_plan`]) — each plan's pair-local work
     /// against its two shards ([`apply_plan`]), then its effects beyond
     /// the pair: the destination's ctl inbox for a push; the directory and
     /// third-party home tags for a flush.
@@ -607,13 +596,14 @@ impl Dsm {
         if plans.is_empty() {
             return;
         }
-        self.wire_post_plan_frames(plans);
-        let decoded = self.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.payloads.len())));
+        let strict = self.wire_strict();
         let cfg = *self.cluster.cfg();
-        for (k, plan) in plans.iter().enumerate() {
-            let wire = decoded.as_ref().map(|d| d[k].as_slice());
+        for plan in plans {
+            if strict {
+                self.wire_send_plan(plan);
+            }
             let (src, dst) = self.cluster.shard_pair_mut(plan.src, plan.dst);
-            let o = apply_plan(plan, wire, &cfg, src, dst);
+            let o = apply_plan(plan, strict, &cfg, src, dst);
             match plan.op {
                 PlanOp::Push => {
                     self.inbox_arrival[plan.dst] = self.inbox_arrival[plan.dst].max(o.arrival);

@@ -46,11 +46,11 @@ pub use ctl::{
 pub use dir::DirState;
 pub use eager::EagerInvalidate;
 pub use mp::{MpRuntime, MpSendPlan};
-pub use node::{ChanTransport, Geometry, Loopback, NodeFault, WireTransport};
+pub use node::{ChanTransport, Geometry, Loopback, NodeFault, WireTransport, FLUSH_WINDOW_BYTES};
 pub use proto::{Dsm, Injection, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{
-    write_frame, FrameDecoder, RemoteReport, WireError, WireHeader, WireMsg, DEFAULT_RECV_TIMEOUT,
-    MAX_FRAME_BYTES,
+    write_frame, FrameBatch, FrameDecoder, RemoteReport, WireError, WireHeader, WireMsg, WireView,
+    Word, DEFAULT_RECV_TIMEOUT, MAX_FRAME_BYTES,
 };

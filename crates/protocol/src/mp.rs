@@ -12,7 +12,7 @@
 //! per-element marshalling cost (`mp_per_element_ns`) on each side.
 
 use crate::proto::Dsm;
-use crate::wire::WireMsg;
+use crate::wire::{Head, Shape};
 use fgdsm_section::StridedRange;
 use fgdsm_tempest::{ChargeKind, Cluster, Event, NodeId, ReduceOp, NO_ARRAY, NO_BLOCK};
 
@@ -55,21 +55,26 @@ impl MpRuntime {
     /// software overhead each time — cheap for whole-column ghosts,
     /// expensive for the pencil-shaped 3-D sections of pde.
     ///
-    /// In strict wire mode each section is packed into a
-    /// [`WireMsg::Strided`] envelope first, carried by the
-    /// transport, and unpacked from the decoded payload — same charges,
-    /// same counters, bit-identical data.
+    /// In strict wire mode each section is packed into a `Strided`
+    /// envelope first, carried by the transport, and unpacked from the
+    /// frame's bytes before the accounting below — same charges, same
+    /// counters, bit-identical data.
     pub fn apply_send_plans(&mut self, d: &mut Dsm, plans: &[MpSendPlan]) {
         if plans.is_empty() {
             return;
         }
-        let decoded = mp_wire_deliver(d, plans);
+        let strict = d.wire_strict();
         let cfg = *d.cluster.cfg();
-        let wpb = cfg.words_per_block();
-        for (k, plan) in plans.iter().enumerate() {
-            let wire_msgs = decoded.as_ref().map(|dd| dd[k].as_slice());
+        for plan in plans {
+            if strict {
+                for &section in &plan.sections {
+                    let (head, shape, nwords) = strided_msg(d, plan.src, plan.dst, section);
+                    d.wire_post(head, shape, nwords);
+                }
+                d.wire_deliver();
+            }
             let (src, dst) = d.cluster.shard_pair_mut(plan.src, plan.dst);
-            for (j, sr) in plan.sections.iter().enumerate() {
+            for sr in &plan.sections {
                 let (run_len, count) = (sr.run_len, sr.count);
                 let elems = sr.total_elements();
                 let bytes = elems * 8;
@@ -82,15 +87,10 @@ impl MpRuntime {
                 for (s, _) in sr.runs() {
                     src.note_msg_at(run_len * 8, src.block_of(s));
                     dst.note_msg_recv(run_len * 8);
-                    if wire_msgs.is_none() {
+                    if !strict {
                         dst.mem_mut()[s..s + run_len].copy_from_slice(&src.mem()[s..s + run_len]);
                     }
                     dst.map_range(s, run_len);
-                }
-                if let Some(msgs) = wire_msgs {
-                    if let Err(e) = msgs[j].scatter(dst.mem_mut(), wpb) {
-                        panic!("wire: envelope rejected at node {}: {e}", plan.dst);
-                    }
                 }
                 let arrival = src.clock_ns() + cfg.net_latency_ns;
                 self.inbox_arrival[plan.dst] = self.inbox_arrival[plan.dst].max(arrival);
@@ -127,10 +127,9 @@ impl MpRuntime {
             d.cluster.note_msg(src, dst, bytes);
             if d.wire_strict() {
                 // One forwarded image per receiver: the packed section
-                // rides a Strided envelope and lands from the decoded
-                // payload.
-                let msg = strided_msg(d, src, dst, sr);
-                d.wire_route_one(msg);
+                // rides a Strided envelope and lands from its bytes.
+                let (head, shape, nwords) = strided_msg(d, src, dst, sr);
+                d.wire_route(head, shape, nwords);
                 for (s, len) in sr.runs() {
                     d.cluster.map_range(dst, s, len);
                 }
@@ -211,34 +210,17 @@ impl MpRuntime {
     }
 }
 
-/// An (unfilled) [`WireMsg::Strided`] envelope for one strided section
-/// `src → dst`.
-fn strided_msg(d: &mut Dsm, src: NodeId, dst: NodeId, sr: StridedRange) -> WireMsg {
-    WireMsg::Strided {
-        hdr: d.wire_hdr(src, dst, NO_ARRAY, d.cluster.block_of(sr.base), 1),
+/// The `Strided` envelope for one strided section `src → dst`: its
+/// header, shape and payload length.
+fn strided_msg(d: &Dsm, src: NodeId, dst: NodeId, sr: StridedRange) -> (Head, Shape, usize) {
+    let head = d.wire_head(src, dst, NO_ARRAY, d.cluster.block_of(sr.base), 1);
+    let shape = Shape::Strided {
         base: sr.base as u64,
         run_len: sr.run_len as u32,
         stride: sr.stride as u64,
         count: sr.count as u32,
-        words: d.wire_words(sr.total_elements()),
-    }
-}
-
-/// Strict wire mode's plan delivery for the message-passing backend: post
-/// each plan section as a [`WireMsg::Strided`] envelope (payload copied
-/// out of the source shard), then deliver them back in plan order.
-/// Returns `None` on the fast path.
-fn mp_wire_deliver(d: &mut Dsm, plans: &[MpSendPlan]) -> Option<Vec<Vec<WireMsg>>> {
-    if !d.wire_strict() {
-        return None;
-    }
-    for plan in plans {
-        for &section in &plan.sections {
-            let msg = strided_msg(d, plan.src, plan.dst, section);
-            d.wire_post(msg);
-        }
-    }
-    d.wire_deliver_plans(plans.iter().map(|p| (p.dst, p.sections.len())))
+    };
+    (head, shape, sr.total_elements())
 }
 
 #[cfg(test)]

@@ -9,18 +9,19 @@
 //! double-entry books, worker telemetry, faults and teardown therefore
 //! behave identically on both (conversation shape: [`CtrlMsg`]).
 //!
-//! Delivery is **split-phase**. [`Coordinator::post`] queues frames for a
-//! node and keeps them; [`Coordinator::flush`] writes a node's queue as
-//! one `Batch{n}` (one `write` per flush on a socket);
+//! Delivery is **split-phase**. [`Coordinator::post`] copies frames into
+//! a node's queue, one [`FrameBatch`] buffer; [`Coordinator::flush`]
+//! writes that buffer as it stands — the `Batch{n}` marker and the
+//! frames, one `write` per flush on a socket — and keeps it untouched;
 //! [`Coordinator::collect`] reads that batch's echo and compares it byte
-//! for byte with the frames kept; [`Coordinator::sync`] flushes and
-//! collects every node. The sender applies from its own decode of the
-//! bytes it encoded and goes on — the echo is the worker's proof of what
-//! its memory now holds, checked no later than the next barrier. One
-//! rule keeps this deadlock-free for any batch size: **at most one batch
-//! is in flight per node** (`flush` collects the previous echo before it
-//! writes), so on every link only one side writes at a time, exactly as
-//! in a blocking round trip.
+//! for byte with the kept buffer, then clears it for reuse;
+//! [`Coordinator::sync`] flushes and collects every node. The sender
+//! applies from the very bytes it encoded and goes on — the echo is the
+//! worker's proof of what its memory now holds, checked no later than
+//! the next barrier. One rule keeps this deadlock-free for any batch
+//! size: **at most one batch is in flight per node** (`flush` collects
+//! the previous echo before it writes), so on every link only one side
+//! writes at a time, exactly as in a blocking round trip.
 //!
 //! What the layers above assume of a link — and what the echo check
 //! turns from an assumption into a verified fact — is **reliable,
@@ -31,27 +32,30 @@
 //! [`WireError::Timeout`] for a frame that never comes), and the
 //! coordinator hangs up on that node (`tests` below).
 
-use crate::wire::{CtrlMsg, RemoteReport, WireError, WireMsg, DEFAULT_RECV_TIMEOUT, WIRE_VERSION};
+use crate::wire::{
+    write_frame, CtrlMsg, FrameBatch, FrameDecoder, RemoteReport, WireError, WireView,
+    DEFAULT_RECV_TIMEOUT, WIRE_VERSION,
+};
 use fgdsm_tempest::metrics::{Stage, Telemetry, WireSpan};
 use fgdsm_tempest::{Cluster, CostModel};
-use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Carries encoded frames to their destination node. Implementations
 /// must deliver each node's frames in order, exactly once; they never
-/// interpret payloads (the sender decodes its own bytes to apply).
+/// interpret payloads (the sender applies from its own bytes).
 /// Every failure is a typed `Err`: the peer died
 /// ([`WireError::PeerGone`]), went silent past the deadline
 /// ([`WireError::Timeout`]), refused a frame ([`WireError::Rejected`])
 /// or broke the conversation ([`WireError::BadReply`]).
 pub trait WireTransport {
     fn name(&self) -> &'static str;
-    /// Hand `frames` to `dst` without waiting for them to arrive: the
-    /// transport keeps them until it has verified their delivery. An
-    /// error may belong to frames sent earlier to the same node.
-    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError>;
+    /// Hand the frames of `batch` to `dst` without waiting for them to
+    /// arrive: the transport keeps its own copy until it has verified
+    /// their delivery, so the caller may clear and refill `batch` at
+    /// once. An error may belong to frames sent earlier to the same node.
+    fn send(&mut self, dst: usize, batch: &FrameBatch) -> Result<(), WireError>;
     /// Wait until every frame sent so far has been delivered and
     /// verified. Returns one [`WireSpan`] per link-level batch verified
     /// since the previous `sync` (none for a transport without links).
@@ -69,15 +73,15 @@ pub trait WireTransport {
 }
 
 /// In-process delivery: frames arrive exactly as posted. This is the
-/// strict-mode transport for the sm_* backends — the bytes still pass
-/// through `to_bytes`/`from_bytes`, only the carry is a no-op.
+/// strict-mode transport for the sm_* backends — the bytes are still
+/// encoded, parsed and applied from, only the carry is a no-op.
 pub struct Loopback;
 
 impl WireTransport for Loopback {
     fn name(&self) -> &'static str {
         "loopback"
     }
-    fn send(&mut self, _dst: usize, _frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+    fn send(&mut self, _dst: usize, _batch: &FrameBatch) -> Result<(), WireError> {
         Ok(())
     }
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
@@ -96,17 +100,21 @@ impl WireTransport for Loopback {
 /// the errors: a closed link is [`WireError::PeerGone`], a recv past the
 /// link's deadline [`WireError::Timeout`]. Dropping the link hangs up.
 pub trait Link {
-    /// Send `frames` as one batch, with one flush.
-    fn send(&mut self, frames: Vec<Vec<u8>>, peer: u32) -> Result<(), WireError>;
-    /// The next frame, in order.
-    fn recv(&mut self, peer: u32) -> Result<Vec<u8>, WireError>;
+    /// Write `image` — whole length-prefixed frames ([`write_frame`]),
+    /// such as a [`FrameBatch`]'s marker and frames — with one flush.
+    fn send(&mut self, image: &[u8], peer: u32) -> Result<(), WireError>;
+    /// The next frame, in order, borrowed from the link's receive buffer
+    /// until the next call.
+    fn recv(&mut self, peer: u32) -> Result<&[u8], WireError>;
 }
 
-/// The in-memory link: an `mpsc` pair moving owned frame buffers.
+/// The in-memory link: an `mpsc` pair moving batch images, reassembled
+/// into frames by the same [`FrameDecoder`] a socket link uses — so a
+/// lying length prefix meets the same cap.
 pub(crate) struct MemLink {
-    tx: Sender<Vec<Vec<u8>>>,
-    rx: Receiver<Vec<Vec<u8>>>,
-    pending: VecDeque<Vec<u8>>,
+    tx: Sender<Vec<u8>>,
+    rx: Receiver<Vec<u8>>,
+    dec: FrameDecoder,
     deadline: Option<Duration>,
 }
 
@@ -118,37 +126,44 @@ pub(crate) fn mem_pair(timeout: Duration) -> (MemLink, MemLink) {
     let end = |tx, rx, deadline| MemLink {
         tx,
         rx,
-        pending: VecDeque::new(),
+        dec: FrameDecoder::new(),
         deadline,
     };
     (end(tx_a, rx_a, Some(timeout)), end(tx_b, rx_b, None))
 }
 
 impl Link for MemLink {
-    fn send(&mut self, frames: Vec<Vec<u8>>, peer: u32) -> Result<(), WireError> {
-        self.tx.send(frames).map_err(|_| WireError::PeerGone(peer))
+    fn send(&mut self, image: &[u8], peer: u32) -> Result<(), WireError> {
+        self.tx
+            .send(image.to_vec())
+            .map_err(|_| WireError::PeerGone(peer))
     }
 
-    fn recv(&mut self, peer: u32) -> Result<Vec<u8>, WireError> {
-        loop {
-            if let Some(frame) = self.pending.pop_front() {
-                return Ok(frame);
-            }
-            self.pending = match self.deadline {
+    fn recv(&mut self, peer: u32) -> Result<&[u8], WireError> {
+        while self.dec.ready()?.is_none() {
+            let image = match self.deadline {
                 Some(d) => self.rx.recv_timeout(d).map_err(|e| match e {
                     RecvTimeoutError::Timeout => WireError::Timeout(peer),
                     RecvTimeoutError::Disconnected => WireError::PeerGone(peer),
                 })?,
                 None => self.rx.recv().map_err(|_| WireError::PeerGone(peer))?,
-            }
-            .into();
+            };
+            self.dec.push_owned(image);
         }
+        self.dec.next_frame().map(Option::unwrap_or_default)
     }
+}
+
+/// Send one control frame on its own.
+fn send_ctrl(link: &mut impl Link, msg: &CtrlMsg, peer: u32) -> Result<(), WireError> {
+    let mut image = Vec::new();
+    write_frame(&mut image, &msg.to_bytes());
+    link.send(&image, peer)
 }
 
 fn recv_ctrl(link: &mut impl Link, peer: u32) -> Result<CtrlMsg, WireError> {
     let frame = link.recv(peer)?;
-    CtrlMsg::from_bytes(&frame).map_err(|e| WireError::BadReply {
+    CtrlMsg::from_bytes(frame).map_err(|e| WireError::BadReply {
         node: peer,
         what: format!("bad control frame: {e}"),
     })
@@ -193,15 +208,17 @@ pub enum NodeFault {
 
 /// The worker loop. Introduce ourselves, learn the geometry, then serve
 /// batches until `Bye` (or until the coordinator disappears, which ends
-/// the loop quietly). Each envelope is scattered into the node's mirror
-/// of the segment and its payload re-gathered *from the mirror* before it
-/// is echoed — what the coordinator gets back is what this node's memory
-/// now holds, not the bytes it sent. The mirror is exactly the `HelloAck`
-/// segment and never grows: a frame the decoder rejects, or one naming
-/// memory outside the segment, is answered with `CtrlMsg::Err` and ends
-/// the loop with that error. With `metrics` the node keeps per-class
-/// `recv` (frame in hand → decoded), `apply` and `reencode` histograms
-/// and ships them home in `ByeStats`, next to its double-entry counters.
+/// the loop quietly). Each frame is received into the one reply batch,
+/// scattered from its bytes into the node's mirror of the segment, and
+/// its payload re-gathered *from the mirror* into those same bytes
+/// before the batch is echoed — what the coordinator gets back is what
+/// this node's memory now holds, not the bytes it sent. The mirror is
+/// exactly the `HelloAck` segment and never grows: a frame the decoder
+/// rejects, or one naming memory outside the segment, is answered with
+/// `CtrlMsg::Err` and ends the loop with that error. With `metrics` the
+/// node keeps per-class `recv` (frame in hand → parsed), `apply` and
+/// `reencode` (the re-gather in place) histograms and ships them home in
+/// `ByeStats`, next to its double-entry counters.
 pub fn serve(
     mut link: impl Link,
     node: u32,
@@ -212,7 +229,7 @@ pub fn serve(
         node,
         version: WIRE_VERSION,
     };
-    link.send(vec![hello.to_bytes()], node)?;
+    send_ctrl(&mut link, &hello, node)?;
     let (wpb, seg_words) = match recv_ctrl(&mut link, node)? {
         CtrlMsg::HelloAck { wpb, seg_words, .. } => (wpb as usize, seg_words as usize),
         other => return reject(&mut link, node, unexpected(node, "HelloAck", &other)),
@@ -220,10 +237,12 @@ pub fn serve(
     let mut mirror = vec![0u64; seg_words];
     let (mut frames, mut payload_bytes, mut batches) = (0u64, 0u64, 0u32);
     let mut table = metrics.then(Box::<Telemetry>::default);
+    // The echo, batch after batch: its marker and frames, rewritten in place.
+    let mut reply = FrameBatch::new();
     // A link error below means the coordinator is gone (or idle past the
     // link's deadline): we are the orphan backstop, not the reporter.
     while let Ok(ctrl) = link.recv(node) {
-        let n = match CtrlMsg::from_bytes(&ctrl) {
+        let n = match CtrlMsg::from_bytes(ctrl) {
             Ok(CtrlMsg::Batch { n }) => n,
             Ok(CtrlMsg::Bye) => {
                 let stats = CtrlMsg::ByeStats {
@@ -231,7 +250,7 @@ pub fn serve(
                     payload_bytes,
                     metrics: table.map(|t| t.to_bytes()).unwrap_or_default(),
                 };
-                let _ = link.send(vec![stats.to_bytes()], node);
+                let _ = send_ctrl(&mut link, &stats, node);
                 return Ok(());
             }
             Ok(other) => return reject(&mut link, node, unexpected(node, "Batch or Bye", &other)),
@@ -246,33 +265,31 @@ pub fn serve(
             }
             _ => {}
         }
-        // The reply opens with the same `Batch{n}` marker.
-        let mut reply = vec![ctrl];
-        for _ in 0..n {
-            let mut frame = match link.recv(node) {
-                Ok(f) => f,
+        reply.clear();
+        for i in 0..n as usize {
+            match link.recv(node) {
+                Ok(frame) => reply.push(frame),
                 Err(e @ WireError::FrameTooBig(_)) => return reject(&mut link, node, e),
                 Err(_) => return Ok(()),
-            };
-            match apply_frame(&mut frame, &mut mirror, wpb, table.as_deref_mut()) {
+            }
+            match apply_frame(reply.frame_mut(i), &mut mirror, wpb, table.as_deref_mut()) {
                 Ok(payload) => payload_bytes += payload,
                 Err(e) => return reject(&mut link, node, e),
             }
             frames += 1;
-            reply.push(frame);
         }
-        if link.send(reply, node).is_err() {
+        if link.send(reply.image(), node).is_err() {
             break;
         }
     }
     Ok(())
 }
 
-/// One envelope through the node: decode `frame`, scatter it into the
-/// mirror, gather it back and re-encode it in place. Returns its payload
-/// bytes. The worker side's only `WireMsg::from_bytes`.
+/// One frame through the node, in place: parse it, scatter its payload
+/// into the mirror, and gather the mirror's words back over the payload
+/// bytes. Returns its payload bytes. The worker side's only decode.
 fn apply_frame(
-    frame: &mut Vec<u8>,
+    frame: &mut [u8],
     mirror: &mut [u64],
     wpb: usize,
     mut table: Option<&mut Telemetry>,
@@ -284,18 +301,18 @@ fn apply_frame(
             *t0 = Instant::now();
         }
     };
-    let mut msg = WireMsg::from_bytes(frame)?;
-    let kind = msg.kind();
+    let view = WireView::parse(frame)?;
+    let (kind, payload, at) = (view.kind(), view.payload_bytes(), view.words_at(frame));
     lap(Stage::Recv, kind);
-    msg.scatter(mirror, wpb)?;
+    let runs = view.runs(wpb, mirror.len())?;
+    view.scatter(mirror, wpb)?;
     lap(Stage::Apply, kind);
-    msg.gather(mirror, wpb)?;
-    msg.encode(frame);
+    crate::wire::gather_into(&mut frame[at..], runs, mirror);
     lap(Stage::Reencode, kind);
     if let Some(table) = table {
-        table.count(kind, msg.payload_bytes());
+        table.count(kind, payload);
     }
-    Ok(msg.payload_bytes())
+    Ok(payload)
 }
 
 fn unexpected(node: u32, want: &str, got: &CtrlMsg) -> WireError {
@@ -308,7 +325,7 @@ fn unexpected(node: u32, want: &str, got: &CtrlMsg) -> WireError {
 /// Tell the coordinator why this node is giving up, then give up.
 fn reject(link: &mut impl Link, node: u32, e: WireError) -> Result<(), WireError> {
     let detail = format!("node {node}: {e}");
-    let _ = link.send(vec![CtrlMsg::Err { detail }.to_bytes()], node);
+    let _ = send_ctrl(link, &CtrlMsg::Err { detail }, node);
     Err(e)
 }
 
@@ -319,18 +336,29 @@ fn reject(link: &mut impl Link, node: u32, e: WireError) -> Result<(), WireError
 /// A node's queue is written out once it holds this many bytes: a few
 /// hundred block-sized frames per write, yet far below a socket buffer.
 /// A constant, not a knob — no caller has ever wanted another value.
-const FLUSH_WINDOW_BYTES: usize = 64 * 1024;
+pub const FLUSH_WINDOW_BYTES: usize = 64 * 1024;
 
-/// One admitted node: its link and the two stages its frames pass
-/// through on the way to being verified.
+/// Up to this size a peer's two batch buffers grow by doubling — a
+/// window's frames with room for their prefixes. Past it a buffer grows
+/// to exactly what its batch needs: a batch is flushed as soon as its
+/// frames reach the window, so neither buffer ever holds more than this
+/// or one window plus the frame that crossed it (and their prefixes),
+/// and a node whose batches stay small holds no more than they need.
+const BATCH_DOUBLING_BYTES: usize = FLUSH_WINDOW_BYTES + FLUSH_WINDOW_BYTES / 8;
+
+/// One admitted node: its link and the two batch buffers its frames
+/// pass through on the way to being verified. The buffers swap roles at
+/// every flush; neither is reallocated once it has grown to a batch.
 struct Peer<L> {
     link: L,
     /// Posted, not yet written.
-    queue: Vec<Vec<u8>>,
-    queue_bytes: usize,
-    /// The one batch in flight: the frames its echo must equal, and its
-    /// span — until the echo is in, `dur_ns` is the time the write took.
-    in_flight: Option<(Vec<Vec<u8>>, WireSpan)>,
+    queue: FrameBatch,
+    /// The one batch in flight, exactly as written — the bytes its echo
+    /// must equal — kept untouched until `collect` has compared them.
+    in_flight: FrameBatch,
+    /// The in-flight batch's span (`None`: nothing in flight) — until the
+    /// echo is in, `dur_ns` is the time the write took.
+    span: Option<WireSpan>,
 }
 
 /// When the coordinator started, and the batches verified since the
@@ -341,6 +369,16 @@ struct BatchLog {
 }
 
 impl<L: Link> Peer<L> {
+    /// Queue one frame; a queue past [`FLUSH_WINDOW_BYTES`] flushes.
+    fn post(&mut self, frame: &[u8], node: u32, log: &mut BatchLog) -> Result<(), WireError> {
+        self.queue.reserve_frame(frame.len(), BATCH_DOUBLING_BYTES);
+        self.queue.push(frame);
+        if self.queue.frame_bytes() < FLUSH_WINDOW_BYTES {
+            return Ok(());
+        }
+        self.flush(node, log)
+    }
+
     /// Write the queue as one `Batch{n}` — after collecting the previous
     /// batch's echo, so only one side of the link writes at a time.
     fn flush(&mut self, node: u32, log: &mut BatchLog) -> Result<(), WireError> {
@@ -349,42 +387,42 @@ impl<L: Link> Peer<L> {
         }
         self.collect(node, log)?;
         let t0 = Instant::now();
-        let frames = std::mem::take(&mut self.queue);
-        let n = frames.len() as u32;
-        let mut batch = Vec::with_capacity(frames.len() + 1);
-        batch.push(CtrlMsg::Batch { n }.to_bytes());
-        batch.extend(frames.iter().cloned());
-        self.link.send(batch, node)?;
+        self.link.send(self.queue.image(), node)?;
         let span = WireSpan {
             dst: node,
             start_ns: t0.duration_since(log.epoch).as_nanos() as u64,
             dur_ns: t0.elapsed().as_nanos() as u64,
-            frames: n,
-            bytes: std::mem::take(&mut self.queue_bytes) as u64,
+            frames: self.queue.len() as u32,
+            bytes: self.queue.frame_bytes() as u64,
         };
-        self.in_flight = Some((frames, span));
+        // The verified, cleared buffer becomes the next queue.
+        std::mem::swap(&mut self.queue, &mut self.in_flight);
+        self.span = Some(span);
         Ok(())
     }
 
-    /// Read the echo of the batch in flight and compare it byte for byte
-    /// with what was sent. Returns the frames, now verified (none when
-    /// nothing was in flight).
-    fn collect(&mut self, node: u32, log: &mut BatchLog) -> Result<Vec<Vec<u8>>, WireError> {
-        let Some((sent, mut span)) = self.in_flight.take() else {
-            return Ok(Vec::new());
+    /// Read the echo of the batch in flight and compare it, frame by
+    /// frame and byte for byte, with the buffer that was written; once
+    /// verified, the buffer is cleared for reuse. Nothing in flight:
+    /// nothing to do.
+    fn collect(&mut self, node: u32, log: &mut BatchLog) -> Result<(), WireError> {
+        let Some(mut span) = self.span.take() else {
+            return Ok(());
         };
         let t0 = Instant::now();
+        let sent = &self.in_flight;
         let what = match recv_ctrl(&mut self.link, node)? {
             CtrlMsg::Batch { n } if n as usize == sent.len() => {
-                for (i, frame) in sent.iter().enumerate() {
-                    if self.link.recv(node)? != *frame {
+                for (i, frame) in sent.frames().enumerate() {
+                    if self.link.recv(node)? != frame {
                         let what = format!("echo of frame {i} of {n} is not the frame sent");
                         return Err(WireError::BadReply { node, what });
                     }
                 }
                 span.dur_ns += t0.elapsed().as_nanos() as u64;
                 log.verified.push(span);
-                return Ok(sent);
+                self.in_flight.clear();
+                return Ok(());
             }
             CtrlMsg::Err { detail } => return Err(WireError::Rejected { node, detail }),
             CtrlMsg::Batch { n } => format!("returned {n} frames for a batch of {}", sent.len()),
@@ -434,12 +472,12 @@ impl<L: Link> Coordinator<L> {
             wpb: self.geom.wpb,
             seg_words: self.geom.seg_words,
         };
-        link.send(vec![ack.to_bytes()], node)?;
+        send_ctrl(&mut link, &ack, node)?;
         *slot = Some(Peer {
             link,
-            queue: Vec::new(),
-            queue_bytes: 0,
-            in_flight: None,
+            queue: FrameBatch::new(),
+            in_flight: FrameBatch::new(),
+            span: None,
         });
         Ok(node)
     }
@@ -447,6 +485,16 @@ impl<L: Link> Coordinator<L> {
     /// Has `node` completed its handshake (and not failed since)?
     pub fn is_connected(&self, node: usize) -> bool {
         self.peers.get(node).is_some_and(Option::is_some)
+    }
+
+    /// Heap bytes `node`'s two batch buffers hold (0 once it is gone):
+    /// one batch filling and one in flight, each about a window
+    /// (`BATCH_DOUBLING_BYTES`) whatever the traffic.
+    pub fn held_bytes(&self, node: usize) -> usize {
+        match self.peers.get(node) {
+            Some(Some(p)) => p.queue.capacity() + p.in_flight.capacity(),
+            _ => 0,
+        }
     }
 
     /// Run one step of `dst`'s conversation. Any failure hangs up on the
@@ -467,16 +515,12 @@ impl<L: Link> Coordinator<L> {
         done
     }
 
-    /// Queue `frames` for `dst`, keeping them until their echo has been
-    /// verified. A queue past [`FLUSH_WINDOW_BYTES`] flushes itself.
-    pub fn post(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+    /// Queue the frames of `batch` for `dst`, keeping a copy of each
+    /// until its echo has been verified; the queue flushes itself each
+    /// time it passes [`FLUSH_WINDOW_BYTES`].
+    pub fn post(&mut self, dst: usize, batch: &FrameBatch) -> Result<(), WireError> {
         self.with_peer(dst, |peer, node, log| {
-            peer.queue_bytes += frames.iter().map(Vec::len).sum::<usize>();
-            peer.queue.extend(frames);
-            if peer.queue_bytes < FLUSH_WINDOW_BYTES {
-                return Ok(());
-            }
-            peer.flush(node, log)
+            batch.frames().try_for_each(|f| peer.post(f, node, log))
         })
     }
 
@@ -486,9 +530,8 @@ impl<L: Link> Coordinator<L> {
         self.with_peer(dst, Peer::flush)
     }
 
-    /// Read and verify the echo of `dst`'s batch in flight; returns its
-    /// frames (none when nothing was in flight).
-    pub(crate) fn collect(&mut self, dst: usize) -> Result<Vec<Vec<u8>>, WireError> {
+    /// Read and verify the echo of `dst`'s batch in flight (if any).
+    pub(crate) fn collect(&mut self, dst: usize) -> Result<(), WireError> {
         self.with_peer(dst, Peer::collect)
     }
 
@@ -513,15 +556,15 @@ impl<L: Link> Coordinator<L> {
     /// The blocking round trip, built from the split-phase steps: post,
     /// flush, collect — returning `frames` once their echo is verified.
     pub fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        let n = frames.len();
-        if n == 0 {
+        if frames.is_empty() {
             return Ok(frames);
         }
-        self.post(dst, frames)?;
+        let mut batch = FrameBatch::new();
+        frames.iter().for_each(|f| batch.push(f));
+        self.post(dst, &batch)?;
         self.flush(dst)?;
-        // The batch may open with frames posted earlier.
-        let mut batch = self.collect(dst)?;
-        Ok(batch.split_off(batch.len() - n))
+        self.collect(dst)?;
+        Ok(frames)
     }
 
     /// Orderly teardown: `Bye` to every live node, collect its `ByeStats`,
@@ -533,7 +576,7 @@ impl<L: Link> Coordinator<L> {
                 continue;
             };
             let node = node as u32;
-            if link.send(vec![CtrlMsg::Bye.to_bytes()], node).is_err() {
+            if send_ctrl(&mut link, &CtrlMsg::Bye, node).is_err() {
                 continue;
             }
             if let Ok(CtrlMsg::ByeStats {
@@ -560,7 +603,7 @@ impl<L: Link> Coordinator<L> {
 
 /// The `chan` backend's transport: one thread per node running [`serve`]
 /// over a [`MemLink`]. Workers share *no* shard memory — each owns its
-/// mirror and sees only owned byte buffers.
+/// mirror and sees only the batch images copied onto its channel.
 pub struct ChanTransport {
     nodes: Coordinator<MemLink>,
     workers: Vec<JoinHandle<()>>,
@@ -622,8 +665,8 @@ impl WireTransport for ChanTransport {
     fn name(&self) -> &'static str {
         "chan"
     }
-    fn send(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<(), WireError> {
-        self.nodes.post(dst, frames)
+    fn send(&mut self, dst: usize, batch: &FrameBatch) -> Result<(), WireError> {
+        self.nodes.post(dst, batch)
     }
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
         self.nodes.sync()
@@ -649,7 +692,7 @@ impl Drop for ChanTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireHeader;
+    use crate::wire::{WireHeader, WireMsg};
 
     fn copy_frame(start_word: u64, words: Vec<u64>) -> Vec<u8> {
         WireMsg::Copy {
@@ -660,12 +703,36 @@ mod tests {
         .to_bytes()
     }
 
+    fn batch_of(frames: &[Vec<u8>]) -> FrameBatch {
+        let mut batch = FrameBatch::new();
+        frames.iter().for_each(|f| batch.push(f));
+        batch
+    }
+
+    /// `records` length-prefixed into one link image, as written.
+    fn image(records: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        records.iter().for_each(|r| write_frame(&mut out, r));
+        out
+    }
+
+    /// The records of a link image, in order (a batch's marker first).
+    fn records(image: &[u8]) -> Vec<Vec<u8>> {
+        let mut dec = FrameDecoder::new();
+        dec.push(image);
+        let mut out = Vec::new();
+        while let Some(f) = dec.next_frame().unwrap() {
+            out.push(f.to_vec());
+        }
+        out
+    }
+
     #[test]
     fn chan_transport_round_trips_rejects_and_keeps_books() {
         let mut t = ChanTransport::new(2);
         let frames = vec![copy_frame(5, vec![1, 2, 3]), copy_frame(0, vec![9])];
         let back = t.route(1, frames.clone()).unwrap();
-        assert_eq!(back, frames, "scatter + gather + re-encode is the identity");
+        assert_eq!(back, frames, "scatter + gather in place is the identity");
         assert!(t.route(0, Vec::new()).unwrap().is_empty());
         // A frame the worker's decoder refuses is a typed rejection naming
         // the node, and the coordinator hangs up on it.
@@ -698,7 +765,7 @@ mod tests {
             node: 0,
             version: WIRE_VERSION,
         };
-        peer.send(vec![hello.to_bytes()], 0).unwrap();
+        send_ctrl(&mut peer, &hello, 0).unwrap();
         let mut coord = Coordinator::new(geom);
         assert_eq!(coord.admit(ours), Ok(0));
         assert!(matches!(
@@ -739,10 +806,10 @@ mod tests {
         ];
         for (what, lie, want) in cases {
             let (mut coord, mut peer) = admitted_pair();
-            coord.post(0, frames.clone()).unwrap();
+            coord.post(0, &batch_of(&frames)).unwrap();
             coord.flush(0).unwrap();
             let mut echo: Vec<Vec<u8>> = (0..=frames.len())
-                .map(|_| peer.recv(0).expect("the batch as written"))
+                .map(|_| peer.recv(0).expect("the batch as written").to_vec())
                 .collect();
             assert_eq!(
                 echo[1..],
@@ -750,7 +817,7 @@ mod tests {
                 "{what}: sent in order, after the marker"
             );
             lie(&mut echo);
-            peer.send(echo, 0).unwrap();
+            peer.send(&image(&echo), 0).unwrap();
             let synced = coord.sync();
             if what == "honest" {
                 let spans = synced.expect("an honest echo verifies");
@@ -765,8 +832,59 @@ mod tests {
                 (other, _) => panic!("{what}: got {other:?}"),
             }
             assert!(!coord.is_connected(0), "{what}: must hang up");
-            assert_eq!(coord.post(0, frames.clone()), Err(WireError::PeerGone(0)));
+            assert_eq!(
+                coord.post(0, &batch_of(&frames)),
+                Err(WireError::PeerGone(0))
+            );
             assert_eq!(peer.recv(0), Err(WireError::PeerGone(0)), "{what}");
+        }
+    }
+
+    /// The echo is checked against the buffer that was written, and that
+    /// buffer is left alone until it has been: a full window's batch goes
+    /// out, more frames are queued behind it, and only then does its echo
+    /// arrive. Honest, it verifies; with one byte of the window's *last*
+    /// frame changed, it is a `BadReply` naming that frame.
+    #[test]
+    fn a_lie_in_the_last_frame_of_a_full_window_is_caught() {
+        for lie in [false, true] {
+            let (mut coord, peer) = admitted_pair();
+            // Distinct frames, so a buffer reused too early shows.
+            let mut next = 0u64;
+            let mut frame = || {
+                next += 1;
+                copy_frame(next % 48, vec![next; 16])
+            };
+            let written = loop {
+                coord.post(0, &batch_of(&[frame()])).unwrap();
+                if let Ok(image) = peer.rx.try_recv() {
+                    break records(&image);
+                }
+            };
+            let n = written.len() - 1;
+            assert!(
+                written[1..].iter().map(Vec::len).sum::<usize>() >= FLUSH_WINDOW_BYTES,
+                "a full window's batch"
+            );
+            for _ in 0..16 {
+                coord.post(0, &batch_of(&[frame()])).unwrap();
+            }
+            let mut echo = written;
+            if lie {
+                let last = echo.last_mut().unwrap();
+                let at = last.len() - 3;
+                last[at] ^= 0x10;
+            }
+            let mut peer = peer;
+            peer.send(&image(&echo), 0).unwrap();
+            match (coord.collect(0), lie) {
+                (Ok(()), false) => assert!(coord.is_connected(0)),
+                (Err(WireError::BadReply { node: 0, what }), true) => {
+                    assert!(what.contains(&format!("frame {} of {n}", n - 1)), "{what}");
+                    assert!(!coord.is_connected(0), "must hang up");
+                }
+                (other, _) => panic!("lie {lie}: got {other:?}"),
+            }
         }
     }
 
@@ -777,10 +895,10 @@ mod tests {
     #[test]
     fn queues_flush_past_the_window_with_one_batch_in_flight() {
         let (mut coord, peer) = admitted_pair();
-        let frame = copy_frame(0, vec![7; 16]);
-        let per_window = FLUSH_WINDOW_BYTES.div_ceil(frame.len());
+        let frame = batch_of(&[copy_frame(0, vec![7; 16])]);
+        let per_window = FLUSH_WINDOW_BYTES.div_ceil(frame.frame_bytes());
         for _ in 0..per_window - 1 {
-            coord.post(0, vec![frame.clone()]).unwrap();
+            coord.post(0, &frame).unwrap();
         }
         assert!(
             matches!(
@@ -789,22 +907,125 @@ mod tests {
             ),
             "below the window nothing is written"
         );
-        coord.post(0, vec![frame.clone()]).unwrap();
+        coord.post(0, &frame).unwrap();
         let batch = peer
             .rx
             .try_recv()
             .expect("the window's worth, as one batch");
-        assert_eq!(batch.len(), 1 + per_window);
+        assert_eq!(records(&batch).len(), 1 + per_window);
         // A second window's worth must wait for the first echo: with none
         // coming, the flush gives up at the deadline instead of writing.
         for _ in 0..per_window - 1 {
-            coord.post(0, vec![frame.clone()]).unwrap();
+            coord.post(0, &frame).unwrap();
         }
-        assert_eq!(
-            coord.post(0, vec![frame.clone()]),
-            Err(WireError::Timeout(0))
-        );
+        assert_eq!(coord.post(0, &frame), Err(WireError::Timeout(0)));
         assert!(peer.rx.try_recv().is_err(), "no second batch was written");
+    }
+
+    /// The worker against hostile batches, written by hand over a memory
+    /// link after a well-formed frame: a lying payload length or block
+    /// count, a length prefix past the cap, a truncated frame, an address
+    /// outside the segment, a wrong kind byte or magic. Each one ends
+    /// with the worker's `CtrlMsg::Err` naming the fault and the typed
+    /// error out of `serve` — never a panic, never a grown mirror.
+    #[test]
+    fn hostile_batches_into_the_worker_end_in_a_typed_rejection() {
+        let good = copy_frame(8, vec![1, 2, 3]);
+        // A one-block `Copy`: block list at 29, `start_word` at 33, the
+        // payload length at 41.
+        let with = |at: usize, bytes: &[u8]| {
+            let mut f = good.clone();
+            f[at..at + bytes.len()].copy_from_slice(bytes);
+            f
+        };
+        let frame_then = |bad: Vec<u8>| image(&[good.clone(), bad]);
+        let cases: [(&str, Vec<u8>, WireError); 7] = [
+            (
+                "lying payload length",
+                frame_then(with(41, &4u64.to_le_bytes())),
+                WireError::Truncated,
+            ),
+            (
+                "lying block count",
+                frame_then(with(25, &1000u32.to_le_bytes())),
+                WireError::Truncated,
+            ),
+            (
+                "truncated",
+                frame_then(good[..good.len() - 1].to_vec()),
+                WireError::Truncated,
+            ),
+            (
+                "outside the segment",
+                frame_then(copy_frame(62, vec![1, 2, 3])),
+                WireError::OutOfSegment("last run ends past the segment"),
+            ),
+            (
+                "wrong kind",
+                frame_then(with(4, &[9])),
+                WireError::BadKind(9),
+            ),
+            (
+                "bad magic",
+                frame_then(with(0, &[0, 0])),
+                WireError::BadMagic(0),
+            ),
+            (
+                "length prefix past the cap",
+                {
+                    let mut img = image(&[good.clone()]);
+                    img.extend_from_slice(&u32::MAX.to_le_bytes());
+                    img
+                },
+                WireError::FrameTooBig(u32::MAX as u64),
+            ),
+        ];
+        for (what, frames, want) in cases {
+            let (mut ours, theirs) = mem_pair(Duration::from_secs(5));
+            let worker = std::thread::spawn(move || serve(theirs, 0, true, None));
+            assert!(matches!(recv_ctrl(&mut ours, 0), Ok(CtrlMsg::Hello { .. })));
+            let ack = CtrlMsg::HelloAck {
+                nprocs: 1,
+                wpb: 4,
+                seg_words: 64,
+            };
+            send_ctrl(&mut ours, &ack, 0).unwrap();
+            let mut batch = image(&[CtrlMsg::Batch { n: 2 }.to_bytes()]);
+            batch.extend_from_slice(&frames);
+            ours.send(&batch, 0).unwrap();
+            match recv_ctrl(&mut ours, 0) {
+                Ok(CtrlMsg::Err { detail }) => {
+                    assert!(detail.contains(&want.to_string()), "{what}: {detail}")
+                }
+                other => panic!("{what}: want the worker's Err reply, got {other:?}"),
+            }
+            let served = worker
+                .join()
+                .unwrap_or_else(|_| panic!("{what}: serve panicked"));
+            assert_eq!(served, Err(want), "{what}");
+        }
+        // Through a coordinator the same rejection is a typed error out of
+        // `collect`, and the coordinator hangs up on the node.
+        let geom = Geometry {
+            nprocs: 1,
+            wpb: 4,
+            seg_words: 64,
+        };
+        let mut t = ChanTransport::spawn(geom, Duration::from_secs(5), false, None);
+        t.send(0, &batch_of(&[good.clone(), with(4, &[9])]))
+            .unwrap();
+        match t
+            .nodes
+            .collect(0)
+            .and_then(|()| t.nodes.flush(0))
+            .and_then(|()| t.nodes.collect(0))
+        {
+            Err(WireError::Rejected { node: 0, detail }) => {
+                assert!(detail.contains("unknown kind byte 9"), "{detail}")
+            }
+            other => panic!("want node 0's typed rejection, got {other:?}"),
+        }
+        assert!(!t.nodes.is_connected(0));
     }
 
     /// The handshake every carrier shares, against misbehaving peers over
@@ -830,7 +1051,7 @@ mod tests {
         ];
         let mut coord = Coordinator::new(geom);
         let (ours, mut first) = mem_pair(Duration::from_secs(5));
-        first.send(vec![hello(1, WIRE_VERSION)], 0).unwrap();
+        first.send(&image(&[hello(1, WIRE_VERSION)]), 0).unwrap();
         assert_eq!(coord.admit(ours), Ok(1));
         assert!(matches!(
             recv_ctrl(&mut first, 0),
@@ -838,7 +1059,7 @@ mod tests {
         ));
         for (opening, names) in cases {
             let (ours, mut peer) = mem_pair(Duration::from_secs(5));
-            peer.send(vec![opening.clone()], 0).unwrap();
+            peer.send(&image(&[opening.clone()]), 0).unwrap();
             match (coord.admit(ours), names) {
                 (Err(WireError::BadReply { node, .. }), Some(n)) if node == n => {}
                 (Err(WireError::BadVersion(v)), None) if v == WIRE_VERSION + 1 => {}

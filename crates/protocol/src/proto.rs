@@ -14,11 +14,10 @@ use crate::dir::DirState;
 use crate::eager::EagerInvalidate;
 use crate::node::WireTransport;
 use crate::update::WriteUpdate;
-use crate::wire::{reconcile_stats, WireError, WireHeader, WireMsg};
+use crate::wire::{encode_gathered, reconcile_stats, FrameBatch, Head, Shape, WireError, WireView};
 use fgdsm_tempest::metrics::{MetricsRegistry, Stage, Telemetry, WireSpan};
 use fgdsm_tempest::{Access, BlockMap, BlockSet, Cluster, DirtySet, NodeId, NO_ARRAY};
-use std::collections::btree_map::Entry;
-use std::collections::{hash_map, BTreeMap, VecDeque};
+use std::collections::{hash_map, VecDeque};
 
 /// Which built-in default coherence protocol the DSM runs.
 ///
@@ -137,8 +136,9 @@ pub struct Dsm {
     /// implicitly writable at a node (§4.3's "first time around" test).
     pub(crate) iw_memo: std::collections::BTreeSet<(NodeId, usize, usize)>,
     /// Strict wire mode: when present, every inter-node data movement is
-    /// encoded into a [`WireMsg`] envelope, carried by the transport, and
-    /// applied from the decoded payload (`None` = zero-copy fast path).
+    /// encoded into a [`crate::wire::WireMsg`] frame, carried by the
+    /// transport, and applied from the frame's bytes (`None` = zero-copy
+    /// fast path).
     pub(crate) wire: Option<WireState>,
     /// Active contract mutations (fuzzer teeth; all off by default).
     injection: Injection,
@@ -160,25 +160,22 @@ impl CtlBlocks {
     }
 }
 
-/// Everything strict wire mode needs: the per-node inboxes staging
-/// encoded frames, the transport that carries them, the encode side's
-/// payload buffer, and frame/byte counters for reconciliation against
-/// `NodeStats`.
+/// Everything strict wire mode needs: the batch buffer frames are
+/// encoded into, the transport that carries them, and frame/byte
+/// counters for reconciliation against `NodeStats`.
 pub(crate) struct WireState {
-    /// Encoded frames posted to each destination node and not yet
-    /// delivered, in posting order. The frames are opaque here; a
-    /// delivered frame belongs to the transport, which keeps it until its
-    /// arrival is verified.
-    pub inboxes: Vec<Vec<Vec<u8>>>,
+    /// The frames of one delivery — a plan's payloads, or one fault-path
+    /// message — posted toward `staged_dst` and not yet delivered, in
+    /// posting order, each encoded in place straight from its source
+    /// shard. Delivery applies them from these bytes and hands them to
+    /// the transport, which keeps its own copy until their arrival is
+    /// verified; the buffer is then cleared and reused.
+    pub staged: FrameBatch,
+    pub staged_dst: usize,
     pub transport: Box<dyn WireTransport>,
-    /// The encode side's one payload buffer: [`Dsm::wire_words`] lends it
-    /// to the envelope being built and [`WireState::post`] takes it back
-    /// once the frame is encoded. (A decoded payload is dropped after its
-    /// apply.)
-    pub payload_buf: Vec<u64>,
     /// Envelopes routed so far.
     pub frames: u64,
-    /// Total on-wire payload bytes ([`WireMsg::payload_bytes`]).
+    /// Total on-wire payload bytes ([`crate::wire::WireMsg::payload_bytes`]).
     pub payload_bytes: u64,
     /// Host wall-clock the transport spent blocked on its links — writing
     /// each batch, then waiting for and verifying its echo — in ns: the
@@ -211,12 +208,26 @@ pub(crate) struct WireMetrics {
     pub spans: Vec<WireSpan>,
 }
 
+/// Start an encode/decode/apply stopwatch — `None` (no clock read at
+/// all) when telemetry is off.
+fn stopwatch(metrics: &Option<WireMetrics>) -> Option<std::time::Instant> {
+    metrics.as_ref().map(|_| std::time::Instant::now())
+}
+
+/// Record a `stage` sample for a frame of `kind` against a started
+/// stopwatch (nothing when it is `None`).
+fn lap(metrics: &mut Option<WireMetrics>, stage: Stage, kind: u8, t0: Option<std::time::Instant>) {
+    if let (Some(m), Some(t0)) = (metrics.as_mut(), t0) {
+        m.table.record(stage, kind, t0.elapsed().as_nanos() as u64);
+    }
+}
+
 impl WireState {
     fn new(nprocs: usize, transport: Box<dyn WireTransport>) -> Self {
         WireState {
-            inboxes: vec![Vec::new(); nprocs],
+            staged: FrameBatch::new(),
+            staged_dst: 0,
             transport,
-            payload_buf: Vec::new(),
             frames: 0,
             payload_bytes: 0,
             route_ns: 0,
@@ -251,75 +262,76 @@ impl WireState {
         }
     }
 
-    /// Stage one envelope: fill its payload from the source shard's
-    /// memory, encode it into a frame of its own (the transport keeps it
-    /// until its echo is verified), book it, post the frame to the
-    /// destination's inbox and keep the payload buffer for the next
-    /// envelope. From here on the transfer no longer needs the source
-    /// shard alive.
-    fn post(&mut self, mut msg: WireMsg, src_mem: &[f64], wpb: usize, undercount: bool) {
-        if let Err(e) = msg.gather(src_mem, wpb) {
-            panic!("wire: cannot fill a kind-{} envelope: {e}", msg.kind());
-        }
-        let dst = msg.hdr().dst as usize;
-        let t_enc = self.stopwatch();
-        let buf = msg.to_bytes();
+    /// Stage one envelope: encode `head` + `shape` onto the end of the
+    /// batch buffer, its `nwords` payload words gathered straight from
+    /// the source shard's memory, and book it. From here on the transfer
+    /// no longer needs the source shard alive. Every frame of a delivery
+    /// goes to one destination.
+    fn post(
+        &mut self,
+        head: Head,
+        shape: Shape,
+        nwords: usize,
+        src_mem: &[f64],
+        wpb: usize,
+        undercount: bool,
+    ) {
+        let runs = shape
+            .runs(nwords, wpb, src_mem.len())
+            .unwrap_or_else(|e| panic!("wire: cannot fill a kind-{} envelope: {e}", shape.kind()));
+        let dst = head.dst as usize;
+        assert!(
+            self.staged.is_empty() || self.staged_dst == dst,
+            "wire: a delivery has one destination"
+        );
+        self.staged_dst = dst;
+        let t_enc = stopwatch(&self.metrics);
+        self.staged
+            .encode(|out| encode_gathered(out, &head, &shape, (runs, nwords), src_mem));
         let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.note_encoded(msg.kind(), dst, msg.payload_bytes(), encode_ns, undercount);
-        self.payload_buf = msg.into_words();
-        self.inboxes[dst].push(buf);
+        self.note_encoded(
+            shape.kind(),
+            dst,
+            shape.payload_bytes(nwords),
+            encode_ns,
+            undercount,
+        );
     }
 
-    /// Deliver everything posted to `dst`: drain its inbox, decode the
-    /// frames back into envelopes in posting order — the apply stage works
-    /// from this decode of the very bytes that travel, on every transport
-    /// — and hand the frames to the transport, which verifies their
-    /// arrival by the next [`WireState::sync`]. `corrupt` is the armed
-    /// `corrupt_envelope` injection token (damages the first frame). A
-    /// frame the decoder rejects, or a transport failure (peer gone,
+    /// Deliver everything staged into `mem`, the destination's shard:
+    /// parse each frame of the batch buffer and apply it from its bytes,
+    /// in posting order — the apply works from the very bytes that travel,
+    /// on every transport — then hand the batch to the transport, which
+    /// verifies its arrival by the next [`WireState::sync`], and clear
+    /// the buffer for reuse. `corrupt` is the armed `corrupt_envelope`
+    /// injection token (damages the first frame). A frame the decoder or
+    /// the shard's geometry rejects, or a transport failure (peer gone,
     /// timeout, rejection, bad echo), unwinds with the typed
     /// [`crate::wire::WireError`] itself as the panic payload, so
     /// executors can `catch_unwind` + downcast it back into a typed
     /// result instead of scraping a message string.
-    fn deliver(&mut self, dst: usize, corrupt: bool) -> Vec<WireMsg> {
-        let mut frames = std::mem::take(&mut self.inboxes[dst]);
-        if corrupt {
-            if let Some(f) = frames.first_mut() {
-                corrupt_frame(f);
+    fn deliver(&mut self, mem: &mut [f64], wpb: usize, corrupt: bool) {
+        let (staged, dst) = (&mut self.staged, self.staged_dst);
+        if corrupt && !staged.is_empty() {
+            corrupt_frame(staged.frame_mut(0));
+        }
+        for frame in staged.frames() {
+            let t_dec = stopwatch(&self.metrics);
+            let view = WireView::parse(frame).unwrap_or_else(|e| std::panic::panic_any(e));
+            lap(&mut self.metrics, Stage::Decode, view.kind(), t_dec);
+            let t_apply = stopwatch(&self.metrics);
+            if let Err(e) = view.scatter(mem, wpb) {
+                std::panic::panic_any(e);
+            }
+            lap(&mut self.metrics, Stage::Apply, view.kind(), t_apply);
+            if let Some(m) = self.metrics.as_mut() {
+                m.unverified[dst].push_back(view.kind());
             }
         }
-        let mut msgs = Vec::with_capacity(frames.len());
-        for frame in &frames {
-            let t_dec = self.stopwatch();
-            match WireMsg::from_bytes(frame) {
-                Ok(m) => {
-                    self.lap(Stage::Decode, m.kind(), t_dec);
-                    msgs.push(m);
-                }
-                Err(e) => std::panic::panic_any(e),
-            }
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.unverified[dst].extend(msgs.iter().map(WireMsg::kind));
-        }
-        if let Err(e) = self.transport.send(dst, frames) {
+        if let Err(e) = self.transport.send(dst, staged) {
             std::panic::panic_any(e);
         }
-        msgs
-    }
-
-    /// Start an encode/decode stopwatch — `None` (no clock read at all)
-    /// when telemetry is off.
-    fn stopwatch(&self) -> Option<std::time::Instant> {
-        self.metrics.as_ref().map(|_| std::time::Instant::now())
-    }
-
-    /// Record a `stage` sample for a frame of `kind` against a started
-    /// stopwatch (nothing when it is `None`).
-    fn lap(&mut self, stage: Stage, kind: u8, t0: Option<std::time::Instant>) {
-        if let (Some(m), Some(t0)) = (self.metrics.as_mut(), t0) {
-            m.table.record(stage, kind, t0.elapsed().as_nanos() as u64);
-        }
+        staged.clear();
     }
 
     /// Wait until the transport has verified everything delivered so far
@@ -380,7 +392,7 @@ pub struct Injection {
     /// a copy that was never flushed home.
     pub stale_owner_push: bool,
     /// Flip a byte inside the first envelope routed in strict wire mode:
-    /// `WireMsg::from_bytes` must reject the frame and fail the run
+    /// the one decoder (`WireView::parse`) must reject the frame and fail the run
     /// loudly, proving decode validation has teeth (a vacuous decoder
     /// would apply the payload anyway and diverge from nothing).
     pub corrupt_envelope: bool,
@@ -446,7 +458,7 @@ impl Dsm {
     }
 
     /// Switch on strict wire mode: from here on, every inter-node data
-    /// movement round-trips through an encoded [`WireMsg`] carried by
+    /// movement round-trips through an encoded [`crate::wire::WireMsg`] carried by
     /// `transport`. Observable behavior (clocks, stats, traces, data)
     /// is byte-identical to the fast path — only the data path changes.
     pub fn set_wire(&mut self, transport: Box<dyn WireTransport>) {
@@ -552,106 +564,63 @@ impl Dsm {
     /// Header for an envelope `src → dst` covering blocks
     /// `[first, first + n)`, attributed to the source's current
     /// (superstep, loop) trace context.
-    pub(crate) fn wire_hdr(
+    pub(crate) fn wire_head(
         &self,
         src: NodeId,
         dst: NodeId,
         array: u32,
         first: usize,
         n: usize,
-    ) -> WireHeader {
-        let ctx = self.cluster.node_trace(src).context();
-        WireHeader::for_blocks(src, dst, ctx, array, first, n)
+    ) -> Head {
+        Head {
+            src: src as u32,
+            dst: dst as u32,
+            ctx: self.cluster.node_trace(src).context(),
+            array,
+            first: first as u32,
+            n: n as u32,
+        }
     }
 
-    /// The payload buffer, `len` words long, for an envelope about to be
-    /// posted ([`Dsm::wire_post`] fills it from the source shard and
-    /// takes it back).
-    pub(crate) fn wire_words(&mut self, len: usize) -> Vec<u64> {
-        let w = self.wire.as_mut().expect("wire_words: strict mode off");
-        let mut words = std::mem::take(&mut w.payload_buf);
-        words.resize(len, 0);
-        words
-    }
-
-    /// Post `msg` toward its destination: payload copied out of the
-    /// source shard, encoded, staged in its inbox ([`WireState::post`]).
-    pub(crate) fn wire_post(&mut self, msg: WireMsg) {
+    /// Post an envelope toward its destination: `head` + `shape` with
+    /// `nwords` payload words, encoded straight from the source shard
+    /// into the batch buffer ([`WireState::post`]). [`Dsm::wire_deliver`]
+    /// sends it off with the rest of its delivery.
+    pub(crate) fn wire_post(&mut self, head: Head, shape: Shape, nwords: usize) {
         // One-shot: the first posted envelope, when telemetry is recording.
         let metered = self.wire.as_ref().is_some_and(|w| w.metrics.is_some());
         let undercount = metered && std::mem::take(&mut self.injection.undercount_metrics);
         let wpb = self.cluster.words_per_block();
-        let src_mem = self.cluster.node_mem(msg.hdr().src as usize);
+        let src_mem = self.cluster.node_mem(head.src as usize);
         let w = self.wire.as_mut().expect("wire_post: strict mode off");
-        w.post(msg, src_mem, wpb, undercount);
+        w.post(head, shape, nwords, src_mem, wpb, undercount);
     }
 
-    /// Decode and send off everything posted to `dst`
-    /// ([`WireState::deliver`]), in posting order.
-    fn wire_deliver(&mut self, dst: NodeId) -> Vec<WireMsg> {
+    /// Apply the posted frames at their destination and send them off
+    /// ([`WireState::deliver`]), in posting order. Every delivery — a
+    /// plan's payloads, or one fault-path message — lands before the next
+    /// is posted, in the order the fast path copies its data.
+    pub(crate) fn wire_deliver(&mut self) {
         // One-shot: the first delivered batch of the run.
         let corrupt = std::mem::take(&mut self.injection.corrupt_envelope);
-        let w = self.wire.as_mut().expect("wire_deliver: strict mode off");
-        w.deliver(dst, corrupt)
-    }
-
-    /// Strict wire mode's delivery stage for a plan batch: one delivered
-    /// batch per destination (in first-appearance order), decoded back
-    /// into one envelope list per plan. `plans` yields each plan's
-    /// `(dst, frames posted)` in plan order; per-destination FIFO order
-    /// matches posting order, so the split is positional. Returns `None`
-    /// on the fast path.
-    pub(crate) fn wire_deliver_plans(
-        &mut self,
-        plans: impl Iterator<Item = (NodeId, usize)> + Clone,
-    ) -> Option<Vec<Vec<WireMsg>>> {
-        self.wire.as_ref()?;
-        let mut routed: BTreeMap<NodeId, VecDeque<WireMsg>> = BTreeMap::new();
-        for (dst, _) in plans.clone() {
-            if let Entry::Vacant(slot) = routed.entry(dst) {
-                slot.insert(self.wire_deliver(dst).into());
-            }
-        }
-        let decoded = plans
-            .map(|(dst, n)| {
-                let q = routed.get_mut(&dst).expect("routed batch per dst");
-                assert!(q.len() >= n, "wire: fewer frames posted than planned");
-                q.drain(..n).collect()
-            })
-            .collect();
-        debug_assert!(routed.values().all(|q| q.is_empty()));
-        debug_assert!(
-            self.wire
-                .as_ref()
-                .is_some_and(|w| w.inboxes.iter().all(Vec::is_empty)),
-            "an undelivered frame is a lost transfer"
-        );
-        Some(decoded)
-    }
-
-    /// The single-message path: post `msg`, deliver it, and store the
-    /// decoded payload at the destination. A frame the decoder or the
-    /// destination's geometry rejects unwinds with the typed error.
-    pub(crate) fn wire_route_one(&mut self, msg: WireMsg) {
-        let dst = msg.hdr().dst as usize;
-        self.wire_post(msg);
-        let msg = self
-            .wire_deliver(dst)
-            .pop()
-            .expect("the inbox holds the frame just posted");
         let wpb = self.cluster.words_per_block();
-        let w = self.wire.as_mut().expect("wire state present when strict");
-        let t_apply = w.stopwatch();
-        if let Err(e) = msg.scatter(self.cluster.node_mem_mut(dst), wpb) {
-            std::panic::panic_any(e);
-        }
-        w.lap(Stage::Apply, msg.kind(), t_apply);
+        let w = self.wire.as_mut().expect("wire_deliver: strict mode off");
+        w.deliver(self.cluster.node_mem_mut(w.staged_dst), wpb, corrupt);
+    }
+
+    /// The single-message path: post the envelope and deliver it, which
+    /// stores its payload at the destination from the frame's bytes. A
+    /// frame the decoder or the destination's geometry rejects unwinds
+    /// with the typed error.
+    pub(crate) fn wire_route(&mut self, head: Head, shape: Shape, nwords: usize) {
+        self.wire_post(head, shape, nwords);
+        self.wire_deliver();
     }
 
     /// Move `len` words `src → dst` starting at word `start`. Fast path:
     /// a direct shard-to-shard copy. Strict wire mode: the words travel
-    /// as an encoded [`WireMsg::Copy`] through the transport and land
-    /// from the decoded payload — behaviorally identical, bit for bit.
+    /// as an encoded `Copy` envelope through the transport and land
+    /// from the frame's bytes — behaviorally identical, bit for bit.
     /// Charges and message accounting stay at the call sites.
     pub(crate) fn wire_copy(&mut self, src: NodeId, dst: NodeId, start: usize, len: usize) {
         if src == dst || len == 0 {
@@ -663,19 +632,18 @@ impl Dsm {
         }
         let b0 = self.cluster.block_of(start);
         let b1 = self.cluster.block_of(start + len - 1);
-        let msg = WireMsg::Copy {
-            hdr: self.wire_hdr(src, dst, NO_ARRAY, b0, b1 - b0 + 1),
+        let head = self.wire_head(src, dst, NO_ARRAY, b0, b1 - b0 + 1);
+        let shape = Shape::Copy {
             start_word: start as u64,
-            words: self.wire_words(len),
         };
-        self.wire_route_one(msg);
+        self.wire_route(head, shape, len);
     }
 
     /// The single home of (array, block) diff attribution: account the
     /// word-diff message `src → dst` for block `b` (the mask word plus
     /// one word per dirty bit, [`crate::wire::diff_bytes`]) and move the
-    /// masked words — enveloped as [`WireMsg::Diff`] in strict wire
-    /// mode. Returns the on-wire bytes for the caller's latency charge.
+    /// masked words — enveloped as a `Diff` in strict wire mode. Returns
+    /// the on-wire bytes for the caller's latency charge.
     pub(crate) fn wire_diff(&mut self, src: NodeId, dst: NodeId, b: usize, mask: u64) -> usize {
         let bytes = crate::wire::diff_bytes(mask);
         self.cluster.note_msg_at(src, dst, bytes, b);
@@ -683,13 +651,12 @@ impl Dsm {
             self.cluster.merge_block_words(src, dst, b, mask);
             return bytes;
         }
-        let msg = WireMsg::Diff {
-            hdr: self.wire_hdr(src, dst, NO_ARRAY, b, 1),
+        let head = self.wire_head(src, dst, NO_ARRAY, b, 1);
+        let shape = Shape::Diff {
             block: b as u64,
             mask,
-            words: self.wire_words(mask.count_ones() as usize),
         };
-        self.wire_route_one(msg);
+        self.wire_route(head, shape, mask.count_ones() as usize);
         bytes
     }
 
@@ -1055,7 +1022,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "garbage-blob"
             }
-            fn send(&mut self, _dst: usize, _frames: Vec<Vec<u8>>) -> Result<(), WireError> {
+            fn send(&mut self, _dst: usize, _batch: &FrameBatch) -> Result<(), WireError> {
                 Ok(())
             }
             fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
@@ -1463,13 +1430,13 @@ mod tests {
         assert_eq!(d.cluster.tag(1, 0), Access::Invalid);
     }
 
-    /// Strict wire mode retains one payload buffer however many
-    /// envelopes travel: after 200 strict `wire_copy`s and a bulk plan
-    /// batch nothing is shelved per frame — the encode buffer is as large
-    /// as the largest payload it carried, and the decoded payloads died
-    /// with their apply.
+    /// Strict wire mode keeps one batch buffer however many envelopes
+    /// travel: after 200 strict `wire_copy`s and a bulk plan the buffer
+    /// is empty again and about as large as the largest delivery it held
+    /// — the plan's two frames of the bulk cap — not the sum of
+    /// everything that went through it.
     #[test]
-    fn strict_mode_retains_one_payload_buffer() {
+    fn strict_mode_retains_one_batch_buffer() {
         let mut d = dsm(2, CostModel::paper_dual_cpu());
         d.set_wire(Box::new(crate::Loopback));
         let wpb = d.cluster.words_per_block();
@@ -1482,11 +1449,15 @@ mod tests {
         d.send_range(0, &[1], 0, 2 * largest / wpb, true);
         let w = d.wire.as_ref().expect("strict mode on");
         assert_eq!(w.frames, 200 + 2, "every transfer was enveloped");
-        assert!(w.inboxes.iter().all(Vec::is_empty));
-        let kept = w.payload_buf.capacity();
+        assert!(w.staged.is_empty());
+        // Two frames of `largest` words, each behind its header, block
+        // list and length prefix, after the batch marker.
+        let frame = 4 + 45 + 4 * (largest / wpb) + 8 * largest;
+        let batch = 13 + 2 * frame;
+        let kept = w.staged.capacity();
         assert!(
-            (largest..=2 * largest).contains(&kept),
-            "{kept} words retained for payloads of at most {largest}"
+            (batch..=2 * batch + 64).contains(&kept),
+            "{kept} bytes retained for deliveries of at most {batch}"
         );
     }
 }

@@ -11,6 +11,13 @@
 //! the source shard, so a routed envelope no longer needs the source
 //! alive — the property a cross-process transport needs.
 //!
+//! There is one writer ([`write_head`]) and one parser
+//! ([`WireView::parse`]). The strict-wire path never builds a
+//! [`WireMsg`]: a posted frame is encoded straight from the source shard
+//! into a [`FrameBatch`] (`encode_gathered`), and both ends apply it from
+//! its bytes through a borrowed [`WireView`]; `WireMsg::to_bytes` /
+//! `from_bytes` are thin shims over the same writer and parser.
+//!
 //! ## v1 binary layout (all fields little-endian)
 //!
 //! | offset | field | type |
@@ -260,13 +267,7 @@ impl From<Truncated> for WireError {
 
 impl WireMsg {
     pub fn kind(&self) -> u8 {
-        match self {
-            WireMsg::Push { .. } => KIND_PUSH,
-            WireMsg::Flush { .. } => KIND_FLUSH,
-            WireMsg::Copy { .. } => KIND_COPY,
-            WireMsg::Diff { .. } => KIND_DIFF,
-            WireMsg::Strided { .. } => KIND_STRIDED,
-        }
+        self.shape().kind()
     }
 
     pub(crate) fn hdr(&self) -> &WireHeader {
@@ -290,14 +291,39 @@ impl WireMsg {
         }
     }
 
-    /// Consume the envelope, handing back its payload buffer.
-    pub(crate) fn into_words(self) -> Vec<u64> {
-        match self {
-            WireMsg::Push { words, .. }
-            | WireMsg::Flush { words, .. }
-            | WireMsg::Copy { words, .. }
-            | WireMsg::Diff { words, .. }
-            | WireMsg::Strided { words, .. } => words,
+    /// The envelope's kind and variant fields.
+    fn shape(&self) -> Shape {
+        match *self {
+            WireMsg::Push {
+                start_block,
+                n_blocks,
+                ..
+            } => Shape::Push {
+                start_block,
+                n_blocks,
+            },
+            WireMsg::Flush {
+                start_block,
+                n_blocks,
+                ..
+            } => Shape::Flush {
+                start_block,
+                n_blocks,
+            },
+            WireMsg::Copy { start_word, .. } => Shape::Copy { start_word },
+            WireMsg::Diff { block, mask, .. } => Shape::Diff { block, mask },
+            WireMsg::Strided {
+                base,
+                run_len,
+                stride,
+                count,
+                ..
+            } => Shape::Strided {
+                base,
+                run_len,
+                stride,
+                count,
+            },
         }
     }
 
@@ -307,66 +333,28 @@ impl WireMsg {
     /// `NodeStats` (a Diff counts its 8-byte mask, exactly like the
     /// `diff_bytes` charge).
     pub fn payload_bytes(&self) -> u64 {
-        let extra = match self {
-            WireMsg::Diff { .. } => 8,
-            _ => 0,
-        };
-        extra + 8 * self.words().len() as u64
+        self.shape().payload_bytes(self.words().len())
     }
 
     /// Append the v1 encoding of `self` to `out` (which is cleared
-    /// first, so pooled buffers can be passed straight in).
+    /// first, so pooled buffers can be passed straight in) through the
+    /// one writer ([`write_head`]).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
-        out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-        out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        out.push(self.kind());
         let hdr = self.hdr();
-        for f in [hdr.src, hdr.dst, hdr.superstep, hdr.loop_id, hdr.array] {
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        out.extend_from_slice(&(hdr.blocks.len() as u32).to_le_bytes());
-        for b in &hdr.blocks {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        match self {
-            WireMsg::Push {
-                start_block,
-                n_blocks,
-                ..
-            }
-            | WireMsg::Flush {
-                start_block,
-                n_blocks,
-                ..
-            } => {
-                out.extend_from_slice(&start_block.to_le_bytes());
-                out.extend_from_slice(&n_blocks.to_le_bytes());
-            }
-            WireMsg::Copy { start_word, .. } => {
-                out.extend_from_slice(&start_word.to_le_bytes());
-            }
-            WireMsg::Diff { block, mask, .. } => {
-                out.extend_from_slice(&block.to_le_bytes());
-                out.extend_from_slice(&mask.to_le_bytes());
-            }
-            WireMsg::Strided {
-                base,
-                run_len,
-                stride,
-                count,
-                ..
-            } => {
-                out.extend_from_slice(&base.to_le_bytes());
-                out.extend_from_slice(&run_len.to_le_bytes());
-                out.extend_from_slice(&stride.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-            }
-        }
         let words = self.words();
-        out.extend_from_slice(&(words.len() as u64).to_le_bytes());
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
+        let fields = [hdr.src, hdr.dst, hdr.superstep, hdr.loop_id, hdr.array];
+        write_head(
+            out,
+            fields,
+            hdr.blocks.iter().copied(),
+            &self.shape(),
+            words.len(),
+        );
+        let at = out.len();
+        out.resize(at + 8 * words.len(), 0);
+        for (b, w) in out[at..].chunks_exact_mut(8).zip(words) {
+            b.copy_from_slice(&w.to_le_bytes());
         }
     }
 
@@ -380,12 +368,201 @@ impl WireMsg {
         out
     }
 
-    /// Decode and validate a v1 frame. Rejects wrong magic/version,
-    /// unknown kinds, truncation, count/payload disagreements and
-    /// trailing bytes — a frame either reconstructs the exact envelope
-    /// that was encoded or it is an error, never a partial apply.
+    /// Decode and validate a v1 frame through the one decoder
+    /// ([`WireView::parse`]) and copy it out into an owned envelope — a
+    /// frame either reconstructs the exact envelope that was encoded or
+    /// it is an error, never a partial apply.
     pub fn from_bytes(bytes: &[u8]) -> Result<WireMsg, WireError> {
-        let mut c = Cursor::new(bytes);
+        WireView::parse(bytes).map(|v| v.to_msg())
+    }
+
+    /// Store the payload into the words of `mem` the envelope names
+    /// ([`Shape::runs`]). Nothing is written unless every run lies inside
+    /// `mem`. [`WireView::scatter`] is the same apply straight from a
+    /// frame's bytes.
+    pub fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
+        let words = self.words();
+        let runs = self.shape().runs(words.len(), wpb, mem.len())?;
+        let mut rest = words;
+        for (start, len) in runs {
+            let (run, tail) = rest.split_at(len);
+            for (m, w) in mem[start..start + len].iter_mut().zip(run) {
+                *m = W::from_bits(*w);
+            }
+            rest = tail;
+        }
+        Ok(())
+    }
+}
+
+/// An envelope's kind and variant fields: everything but its header and
+/// payload words. [`write_head`] writes it, [`WireView::parse`] reads it
+/// back, and [`Shape::runs`] is the one place its geometry is read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Shape {
+    Push {
+        start_block: u32,
+        n_blocks: u32,
+    },
+    Flush {
+        start_block: u32,
+        n_blocks: u32,
+    },
+    Copy {
+        start_word: u64,
+    },
+    Diff {
+        block: u64,
+        mask: u64,
+    },
+    Strided {
+        base: u64,
+        run_len: u32,
+        stride: u64,
+        count: u32,
+    },
+}
+
+impl Shape {
+    pub(crate) fn kind(&self) -> u8 {
+        match self {
+            Shape::Push { .. } => KIND_PUSH,
+            Shape::Flush { .. } => KIND_FLUSH,
+            Shape::Copy { .. } => KIND_COPY,
+            Shape::Diff { .. } => KIND_DIFF,
+            Shape::Strided { .. } => KIND_STRIDED,
+        }
+    }
+
+    /// [`WireMsg::payload_bytes`] of an envelope of this shape carrying
+    /// `nwords` payload words.
+    pub(crate) fn payload_bytes(&self, nwords: usize) -> u64 {
+        let mask = match self {
+            Shape::Diff { .. } => 8,
+            _ => 0,
+        };
+        mask + 8 * nwords as u64
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        match *self {
+            Shape::Push {
+                start_block,
+                n_blocks,
+            }
+            | Shape::Flush {
+                start_block,
+                n_blocks,
+            } => {
+                out.extend_from_slice(&start_block.to_le_bytes());
+                out.extend_from_slice(&n_blocks.to_le_bytes());
+            }
+            Shape::Copy { start_word } => out.extend_from_slice(&start_word.to_le_bytes()),
+            Shape::Diff { block, mask } => {
+                out.extend_from_slice(&block.to_le_bytes());
+                out.extend_from_slice(&mask.to_le_bytes());
+            }
+            Shape::Strided {
+                base,
+                run_len,
+                stride,
+                count,
+            } => {
+                out.extend_from_slice(&base.to_le_bytes());
+                out.extend_from_slice(&run_len.to_le_bytes());
+                out.extend_from_slice(&stride.to_le_bytes());
+                out.extend_from_slice(&count.to_le_bytes());
+            }
+        }
+    }
+}
+
+/// The one writer: append the v1 encoding of an envelope up to its
+/// payload — magic, version, kind, header `fields` (src, dst, superstep,
+/// loop, array), the block list, the variant fields and the payload
+/// length `nwords` — to `out`, with room reserved for the `8 * nwords`
+/// payload bytes that follow.
+fn write_head(
+    out: &mut Vec<u8>,
+    fields: [u32; 5],
+    blocks: impl ExactSizeIterator<Item = u32>,
+    shape: &Shape,
+    nwords: usize,
+) {
+    // The fixed part, up to the block list: 29 bytes.
+    let mut fixed = [0u8; 29];
+    fixed[..2].copy_from_slice(&WIRE_MAGIC.to_le_bytes());
+    fixed[2..4].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+    fixed[4] = shape.kind();
+    for (at, f) in fixed[5..25].chunks_exact_mut(4).zip(fields) {
+        at.copy_from_slice(&f.to_le_bytes());
+    }
+    fixed[25..].copy_from_slice(&(blocks.len() as u32).to_le_bytes());
+    // The widest variant's fields and the payload length: 32 bytes.
+    out.reserve(fixed.len() + 4 * blocks.len() + 32 + 8 * nwords);
+    out.extend_from_slice(&fixed);
+    for b in blocks {
+        out.extend_from_slice(&b.to_le_bytes());
+    }
+    shape.write(out);
+    out.extend_from_slice(&(nwords as u64).to_le_bytes());
+}
+
+/// The header of an envelope about to be posted: endpoints, the
+/// (superstep, loop) and array it is attributed to, and the block range
+/// `[first, first + n)` its block list names — written as a range, never
+/// collected into a list.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Head {
+    pub src: u32,
+    pub dst: u32,
+    pub ctx: (u32, u32),
+    pub array: u32,
+    pub first: u32,
+    pub n: u32,
+}
+
+/// Encode the envelope `head` + `shape` onto the end of `out`, its
+/// `nwords` payload words gathered straight from `mem` along `runs` (the
+/// shape's geometry in `mem`, already checked): the send side's frame,
+/// built where it will travel from.
+pub(crate) fn encode_gathered<W: Word>(
+    out: &mut Vec<u8>,
+    head: &Head,
+    shape: &Shape,
+    (runs, nwords): (Runs, usize),
+    mem: &[W],
+) {
+    let fields = [head.src, head.dst, head.ctx.0, head.ctx.1, head.array];
+    write_head(out, fields, head.first..head.first + head.n, shape, nwords);
+    let at = out.len();
+    out.resize(at + 8 * nwords, 0);
+    gather_into(&mut out[at..], runs, mem);
+}
+
+/// A frame read in place. [`WireView::parse`] is the one decoder: it
+/// rejects wrong magic/version, unknown kinds, truncation, count/payload
+/// disagreements and trailing bytes, copies nothing, and the view
+/// applies the payload straight from the frame's bytes
+/// ([`WireView::scatter`]). [`WireMsg::from_bytes`] is this parse plus a
+/// copy into an owned envelope.
+#[derive(Clone, Copy, Debug)]
+pub struct WireView<'a> {
+    /// src, dst, superstep, loop, array.
+    fields: [u32; 5],
+    /// The block list, `4 * n` bytes.
+    blocks: &'a [u8],
+    shape: Shape,
+    /// The payload, `8 * nwords` bytes, at the end of the frame.
+    words: &'a [u8],
+}
+
+impl<'a> WireView<'a> {
+    /// Validate a v1 frame and view it. Total: every field is read
+    /// through a bounds-checked cursor, and a declared length is checked
+    /// against what is left before anything trusts it.
+    pub fn parse(frame: &'a [u8]) -> Result<WireView<'a>, WireError> {
+        let mut c = Cursor::new(frame);
         let magic = c.u16()?;
         if magic != WIRE_MAGIC {
             return Err(WireError::BadMagic(magic));
@@ -395,108 +572,169 @@ impl WireMsg {
             return Err(WireError::BadVersion(version));
         }
         let kind = c.u8()?;
-        let (src, dst, superstep, loop_id, array) =
-            (c.u32()?, c.u32()?, c.u32()?, c.u32()?, c.u32()?);
+        let fields = [c.u32()?, c.u32()?, c.u32()?, c.u32()?, c.u32()?];
         let nblocks = c.u32()? as usize;
-        let mut blocks = Vec::with_capacity(nblocks.min(bytes.len() / 4));
-        for _ in 0..nblocks {
-            blocks.push(c.u32()?);
+        let blocks = c.take(nblocks.checked_mul(4).ok_or(WireError::Truncated)?)?;
+        let shape = match kind {
+            KIND_PUSH | KIND_FLUSH => {
+                let (start_block, n_blocks) = (c.u32()?, c.u32()?);
+                if n_blocks as usize != nblocks {
+                    return Err(WireError::CountMismatch("n_blocks vs header block list"));
+                }
+                if kind == KIND_PUSH {
+                    Shape::Push {
+                        start_block,
+                        n_blocks,
+                    }
+                } else {
+                    Shape::Flush {
+                        start_block,
+                        n_blocks,
+                    }
+                }
+            }
+            KIND_COPY => Shape::Copy {
+                start_word: c.u64()?,
+            },
+            KIND_DIFF => Shape::Diff {
+                block: c.u64()?,
+                mask: c.u64()?,
+            },
+            KIND_STRIDED => Shape::Strided {
+                base: c.u64()?,
+                run_len: c.u32()?,
+                stride: c.u64()?,
+                count: c.u32()?,
+            },
+            k => return Err(WireError::BadKind(k)),
+        };
+        // A lying payload length fails here, before anything is sized by it.
+        let nwords = usize::try_from(c.u64()?).map_err(|_| WireError::Truncated)?;
+        let words = c.take(nwords.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        match shape {
+            Shape::Diff { mask, .. } if nwords != mask.count_ones() as usize => {
+                return Err(WireError::CountMismatch("diff mask popcount vs payload"));
+            }
+            Shape::Strided { run_len, count, .. }
+                if nwords != run_len as usize * count as usize =>
+            {
+                return Err(WireError::CountMismatch("run_len*count vs payload"));
+            }
+            _ => {}
         }
+        if c.remaining() != 0 {
+            return Err(WireError::TrailingBytes(c.remaining()));
+        }
+        Ok(WireView {
+            fields,
+            blocks,
+            shape,
+            words,
+        })
+    }
+
+    pub(crate) fn kind(&self) -> u8 {
+        self.shape.kind()
+    }
+
+    /// [`WireMsg::payload_bytes`] of the frame.
+    pub(crate) fn payload_bytes(&self) -> u64 {
+        self.shape.payload_bytes(self.nwords())
+    }
+
+    fn nwords(&self) -> usize {
+        self.words.len() / 8
+    }
+
+    /// The word runs the frame's payload covers in a segment of
+    /// `seg_words` words ([`Shape::runs`]).
+    pub(crate) fn runs(&self, wpb: usize, seg_words: usize) -> Result<Runs, WireError> {
+        self.shape.runs(self.nwords(), wpb, seg_words)
+    }
+
+    /// Where the payload starts in the frame parsed: the worker
+    /// re-gathers its mirror into the bytes from here on.
+    pub(crate) fn words_at(&self, frame: &[u8]) -> usize {
+        frame.len() - self.words.len()
+    }
+
+    /// Store the payload, straight from the frame's bytes, into the words
+    /// of `mem` the frame names — the apply side, for shard memory and
+    /// the worker mirror alike. Nothing is written unless every run lies
+    /// inside `mem`.
+    pub fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
+        let mut rest = self.words;
+        for (start, len) in self.runs(wpb, mem.len())? {
+            let (run, tail) = rest.split_at(8 * len);
+            for (m, w) in mem[start..start + len].iter_mut().zip(run.chunks_exact(8)) {
+                *m = W::from_bits(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+            }
+            rest = tail;
+        }
+        Ok(())
+    }
+
+    /// The owned envelope the frame encodes.
+    fn to_msg(self) -> WireMsg {
+        let [src, dst, superstep, loop_id, array] = self.fields;
         let hdr = WireHeader {
             src,
             dst,
             superstep,
             loop_id,
             array,
-            blocks,
+            blocks: (self.blocks.chunks_exact(4))
+                .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+                .collect(),
         };
-        let msg = match kind {
-            KIND_PUSH | KIND_FLUSH => {
-                let start_block = c.u32()?;
-                let n_blocks = c.u32()?;
-                if n_blocks as usize != hdr.blocks.len() {
-                    return Err(WireError::CountMismatch("n_blocks vs header block list"));
-                }
-                let words = decode_words(&mut c)?;
-                if kind == KIND_PUSH {
-                    WireMsg::Push {
-                        hdr,
-                        start_block,
-                        n_blocks,
-                        words,
-                    }
-                } else {
-                    WireMsg::Flush {
-                        hdr,
-                        start_block,
-                        n_blocks,
-                        words,
-                    }
-                }
-            }
-            KIND_COPY => {
-                let start_word = c.u64()?;
-                let words = decode_words(&mut c)?;
-                WireMsg::Copy {
-                    hdr,
-                    start_word,
-                    words,
-                }
-            }
-            KIND_DIFF => {
-                let block = c.u64()?;
-                let mask = c.u64()?;
-                let words = decode_words(&mut c)?;
-                if words.len() != mask.count_ones() as usize {
-                    return Err(WireError::CountMismatch("diff mask popcount vs payload"));
-                }
-                WireMsg::Diff {
-                    hdr,
-                    block,
-                    mask,
-                    words,
-                }
-            }
-            KIND_STRIDED => {
-                let base = c.u64()?;
-                let run_len = c.u32()?;
-                let stride = c.u64()?;
-                let count = c.u32()?;
-                let words = decode_words(&mut c)?;
-                if words.len() != run_len as usize * count as usize {
-                    return Err(WireError::CountMismatch("run_len*count vs payload"));
-                }
-                WireMsg::Strided {
-                    hdr,
-                    base,
-                    run_len,
-                    stride,
-                    count,
-                    words,
-                }
-            }
-            k => return Err(WireError::BadKind(k)),
-        };
-        if c.remaining() != 0 {
-            return Err(WireError::TrailingBytes(c.remaining()));
+        let words = (self.words.chunks_exact(8))
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect();
+        match self.shape {
+            Shape::Push {
+                start_block,
+                n_blocks,
+            } => WireMsg::Push {
+                hdr,
+                start_block,
+                n_blocks,
+                words,
+            },
+            Shape::Flush {
+                start_block,
+                n_blocks,
+            } => WireMsg::Flush {
+                hdr,
+                start_block,
+                n_blocks,
+                words,
+            },
+            Shape::Copy { start_word } => WireMsg::Copy {
+                hdr,
+                start_word,
+                words,
+            },
+            Shape::Diff { block, mask } => WireMsg::Diff {
+                hdr,
+                block,
+                mask,
+                words,
+            },
+            Shape::Strided {
+                base,
+                run_len,
+                stride,
+                count,
+            } => WireMsg::Strided {
+                hdr,
+                base,
+                run_len,
+                stride,
+                count,
+                words,
+            },
         }
-        Ok(msg)
     }
-}
-
-fn decode_words(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
-    let n = c.u64()? as usize;
-    // Guard the allocation against lying length prefixes before
-    // touching the heap: the remaining frame must actually hold n words.
-    match n.checked_mul(8) {
-        Some(need) if c.remaining() >= need => {}
-        _ => return Err(WireError::Truncated),
-    }
-    let mut words = Vec::with_capacity(n);
-    for _ in 0..n {
-        words.push(c.u64()?);
-    }
-    Ok(words)
 }
 
 // ----------------------------------------------------------------------
@@ -506,7 +744,7 @@ fn decode_words(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
 /// A memory word an envelope payload can be copied to and from: the
 /// shards' `f64` data (bit-exact through `to_bits`/`from_bits`) and the
 /// node worker's raw `u64` mirror ([`crate::node::serve`]).
-pub(crate) trait Word: Copy {
+pub trait Word: Copy {
     fn to_bits(self) -> u64;
     fn from_bits(bits: u64) -> Self;
 }
@@ -530,7 +768,7 @@ impl Word for u64 {
 }
 
 /// The `(start word, length)` runs an envelope covers, in payload order
-/// (see [`WireMsg::runs`]). Every run is non-empty and already checked
+/// (see [`Shape::runs`]). Every run is non-empty and already checked
 /// to lie inside the segment.
 #[derive(Clone, Debug)]
 pub(crate) struct Runs(RunsKind);
@@ -582,55 +820,44 @@ impl Iterator for Runs {
     }
 }
 
-impl WireMsg {
-    /// The word runs this envelope reads ([`WireMsg::gather`]) and
-    /// writes ([`WireMsg::scatter`]) in a segment of `seg_words` words
-    /// with `wpb` words per block, in payload order. This is the one
-    /// place an envelope's geometry is interpreted; all address
-    /// arithmetic is checked, so a frame naming memory outside the
-    /// segment is a typed error before anything is touched or allocated.
-    /// The runs always cover exactly `words().len()` words: the payload
-    /// sets the length of the contiguous kinds and must match the
-    /// declared shape of the others.
-    pub(crate) fn runs(&self, wpb: usize, seg_words: usize) -> Result<Runs, WireError> {
+impl Shape {
+    /// The word runs an envelope of this shape with `nwords` payload
+    /// words reads (the send side's gather) and writes (the apply) in a
+    /// segment of `seg_words` words with `wpb` words per block, in
+    /// payload order. This is the one place an envelope's geometry is
+    /// interpreted; all address arithmetic is checked, so a frame naming
+    /// memory outside the segment is a typed error before anything is
+    /// touched or allocated. The runs always cover exactly `nwords`
+    /// words: the payload sets the length of the contiguous kinds and
+    /// must match the declared shape of the others.
+    pub(crate) fn runs(
+        &self,
+        nwords: usize,
+        wpb: usize,
+        seg_words: usize,
+    ) -> Result<Runs, WireError> {
         use WireError::OutOfSegment;
         let word = |w: u64, what| usize::try_from(w).map_err(|_| OutOfSegment(what));
         let block = |b: usize, what| b.checked_mul(wpb).ok_or(OutOfSegment(what));
-        let (base, run_len, stride, count) = match self {
+        let (base, run_len, stride, count) = match *self {
             // `n_blocks` is attribution; the payload sets the length.
-            WireMsg::Push {
-                start_block, words, ..
+            Shape::Push { start_block, .. } | Shape::Flush { start_block, .. } => {
+                (block(start_block as usize, "start_block")?, nwords, 0, 1)
             }
-            | WireMsg::Flush {
-                start_block, words, ..
-            } => (
-                block(*start_block as usize, "start_block")?,
-                words.len(),
-                0,
-                1,
-            ),
-            WireMsg::Copy {
-                start_word, words, ..
-            } => (word(*start_word, "start_word")?, words.len(), 0, 1),
-            WireMsg::Strided {
+            Shape::Copy { start_word } => (word(start_word, "start_word")?, nwords, 0, 1),
+            Shape::Strided {
                 base,
                 run_len,
                 stride,
                 count,
-                ..
             } => (
-                word(*base, "strided base")?,
-                *run_len as usize,
-                word(*stride, "strided stride")?,
-                *count as usize,
+                word(base, "strided base")?,
+                run_len as usize,
+                word(stride, "strided stride")?,
+                count as usize,
             ),
-            WireMsg::Diff {
-                block: b,
-                mask,
-                words,
-                ..
-            } => {
-                let base = block(word(*b, "diff block")?, "diff block")?;
+            Shape::Diff { block: b, mask } => {
+                let base = block(word(b, "diff block")?, "diff block")?;
                 let span = 64 - mask.leading_zeros() as usize;
                 if span > wpb {
                     return Err(OutOfSegment("diff mask bit past the block"));
@@ -638,16 +865,16 @@ impl WireMsg {
                 if base.checked_add(span).is_none_or(|end| end > seg_words) {
                     return Err(OutOfSegment("diff block past the segment"));
                 }
-                if words.len() != mask.count_ones() as usize {
+                if nwords != mask.count_ones() as usize {
                     return Err(WireError::CountMismatch("diff mask popcount vs payload"));
                 }
-                return Ok(Runs(RunsKind::Masked { base, mask: *mask }));
+                return Ok(Runs(RunsKind::Masked { base, mask }));
             }
         };
         let covered = count
             .checked_mul(run_len)
             .ok_or(OutOfSegment("count * run_len"))?;
-        if covered != self.words().len() {
+        if covered != nwords {
             return Err(WireError::CountMismatch("payload vs geometry"));
         }
         if covered > 0 {
@@ -664,46 +891,20 @@ impl WireMsg {
             left: if covered > 0 { count } else { 0 },
         }))
     }
+}
 
-    /// Fill the payload, in place, from the words of `mem` the envelope
-    /// names — the encode side's copy-out of the source shard, and the
-    /// worker's read-back from its mirror. `words()` keeps its length.
-    pub(crate) fn gather<W: Word>(&mut self, mem: &[W], wpb: usize) -> Result<(), WireError> {
-        let runs = self.runs(wpb, mem.len())?;
-        let mut rest = self.words_mut();
-        for (start, len) in runs {
-            let (run, tail) = rest.split_at_mut(len);
-            for (w, m) in run.iter_mut().zip(&mem[start..start + len]) {
-                *w = m.to_bits();
-            }
-            rest = tail;
+/// Write the words of `mem` that `runs` name, in payload order, into
+/// `out` as little-endian `u64`s — the send side's copy-out of the source
+/// shard and the worker's read-back from its mirror, both straight into
+/// frame bytes. `out` is exactly the runs' words long.
+pub(crate) fn gather_into<W: Word>(out: &mut [u8], runs: Runs, mem: &[W]) {
+    let mut rest = out;
+    for (start, len) in runs {
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(8 * len);
+        for (b, m) in run.chunks_exact_mut(8).zip(&mem[start..start + len]) {
+            b.copy_from_slice(&m.to_bits().to_le_bytes());
         }
-        Ok(())
-    }
-
-    /// Store the payload into the words of `mem` the envelope names —
-    /// the apply side, for shard memory and the worker mirror alike.
-    /// Nothing is written unless every run lies inside `mem`.
-    pub(crate) fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
-        let mut rest = self.words();
-        for (start, len) in self.runs(wpb, mem.len())? {
-            let (run, tail) = rest.split_at(len);
-            for (m, w) in mem[start..start + len].iter_mut().zip(run) {
-                *m = W::from_bits(*w);
-            }
-            rest = tail;
-        }
-        Ok(())
-    }
-
-    fn words_mut(&mut self) -> &mut [u64] {
-        match self {
-            WireMsg::Push { words, .. }
-            | WireMsg::Flush { words, .. }
-            | WireMsg::Copy { words, .. }
-            | WireMsg::Diff { words, .. }
-            | WireMsg::Strided { words, .. } => words,
-        }
+        rest = tail;
     }
 }
 
@@ -726,11 +927,138 @@ pub fn write_frame(out: &mut Vec<u8>, frame: &[u8]) {
     out.extend_from_slice(frame);
 }
 
+/// Bytes of a batch's `CtrlMsg::Batch { n }` marker with its length
+/// prefix, and where its `n` sits.
+const MARKER_LEN: usize = 4 + 9;
+const MARKER_N: usize = 4 + 5;
+
+/// A batch of frames in one buffer: the `Batch{n}` marker, then each
+/// frame behind its length prefix ([`write_frame`]) — exactly the bytes a
+/// link writes for the batch — plus where each frame starts. Frames are
+/// appended in place (an encoder writes straight into the buffer) and
+/// the marker's `n` is kept current, so [`FrameBatch::image`] is always
+/// a whole batch. `clear` keeps the capacity: one buffer serves batch
+/// after batch.
+#[derive(Debug)]
+pub struct FrameBatch {
+    bytes: Vec<u8>,
+    starts: Vec<usize>,
+}
+
+impl Default for FrameBatch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FrameBatch {
+    pub fn new() -> Self {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &CtrlMsg::Batch { n: 0 }.to_bytes());
+        debug_assert_eq!(bytes.len(), MARKER_LEN);
+        FrameBatch {
+            bytes,
+            starts: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let end = self.starts.get(i + 1).map_or(self.bytes.len(), |s| s - 4);
+        self.starts[i]..end
+    }
+
+    /// Frame `i`, in push order.
+    pub(crate) fn frame(&self, i: usize) -> &[u8] {
+        &self.bytes[self.span(i)]
+    }
+
+    pub(crate) fn frame_mut(&mut self, i: usize) -> &mut [u8] {
+        let span = self.span(i);
+        &mut self.bytes[span]
+    }
+
+    pub(crate) fn frames(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.frame(i))
+    }
+
+    /// The batch as a link writes it: marker, then every frame behind
+    /// its length prefix.
+    pub(crate) fn image(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Bytes of the frames themselves, prefixes and marker excluded.
+    pub(crate) fn frame_bytes(&self) -> usize {
+        self.bytes.len() - MARKER_LEN - 4 * self.len()
+    }
+
+    /// Append a copy of `frame`.
+    pub fn push(&mut self, frame: &[u8]) {
+        self.encode(|out| out.extend_from_slice(frame));
+    }
+
+    /// Append the frame `write` encodes onto the end of the buffer it is
+    /// handed. Panics past [`MAX_FRAME_BYTES`], like [`write_frame`].
+    pub(crate) fn encode(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; 4]);
+        write(&mut self.bytes);
+        let len = self.bytes.len() - at - 4;
+        assert!(
+            len as u64 <= MAX_FRAME_BYTES,
+            "frame of {len} bytes exceeds MAX_FRAME_BYTES"
+        );
+        self.bytes[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.starts.push(at + 4);
+        self.set_n();
+    }
+
+    fn set_n(&mut self) {
+        let n = self.starts.len() as u32;
+        self.bytes[MARKER_N..MARKER_LEN].copy_from_slice(&n.to_le_bytes());
+    }
+
+    /// Drop every frame, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.truncate(MARKER_LEN);
+        self.starts.clear();
+        self.set_n();
+    }
+
+    /// Make room for one more frame of `len` bytes: the buffer doubles
+    /// up to `ceiling` bytes, and past it grows to exactly what its
+    /// frames need — never to twice a batch, as an ordinary push could.
+    pub(crate) fn reserve_frame(&mut self, len: usize, ceiling: usize) {
+        let (need, cap) = (self.bytes.len() + 4 + len, self.bytes.capacity());
+        if need > cap {
+            let grown = if need <= ceiling {
+                need.max((2 * cap).min(ceiling))
+            } else {
+                need
+            };
+            self.bytes.reserve_exact(grown - self.bytes.len());
+        }
+    }
+
+    /// Heap bytes held: the buffer's capacity plus its offset table's.
+    pub(crate) fn capacity(&self) -> usize {
+        self.bytes.capacity() + std::mem::size_of::<usize>() * self.starts.capacity()
+    }
+}
+
 /// Incremental decoder for length-prefixed frames arriving in arbitrary
 /// chunks (partial reads, 1-byte reads, boundaries straddling reads).
-/// Feed bytes with [`FrameDecoder::push`], drain complete frames with
-/// [`FrameDecoder::next_frame`]. Pure — no I/O — so the framing logic is
-/// testable without sockets.
+/// Feed bytes with [`FrameDecoder::push`], take complete frames with
+/// [`FrameDecoder::next_frame`], borrowed from the decoder's buffer. Pure
+/// — no I/O — so the framing logic is testable without sockets.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -753,10 +1081,22 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pop the next complete frame, `Ok(None)` if more bytes are needed.
-    /// A length prefix above [`MAX_FRAME_BYTES`] is rejected immediately
-    /// — before waiting for (or allocating) the declared bytes.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+    /// Feed a received buffer, taking it over as is when nothing is left
+    /// of the previous ones — a memory link's batch image is then read in
+    /// place, neither copied nor kept past the next.
+    pub(crate) fn push_owned(&mut self, bytes: Vec<u8>) {
+        if self.pos >= self.buf.len() {
+            (self.buf, self.pos) = (bytes, 0);
+        } else {
+            self.push(&bytes);
+        }
+    }
+
+    /// The length of the next frame once it is buffered whole, `Ok(None)`
+    /// while more bytes are needed. A length prefix above
+    /// [`MAX_FRAME_BYTES`] is rejected immediately — before waiting for
+    /// (or allocating) the declared bytes.
+    pub fn ready(&self) -> Result<Option<usize>, WireError> {
         let avail = self.buf.len() - self.pos;
         if avail < 4 {
             return Ok(None);
@@ -766,12 +1106,18 @@ impl FrameDecoder {
             return Err(WireError::FrameTooBig(len as u64));
         }
         let len = len as usize;
-        if avail < 4 + len {
+        Ok((avail >= 4 + len).then_some(len))
+    }
+
+    /// Take the next complete frame, `Ok(None)` if more bytes are needed
+    /// (rejecting an oversized prefix as [`FrameDecoder::ready`] does).
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let Some(len) = self.ready()? else {
             return Ok(None);
-        }
-        let frame = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(frame))
+        };
+        let start = self.pos + 4;
+        self.pos = start + len;
+        Ok(Some(&self.buf[start..start + len]))
     }
 }
 
@@ -1175,17 +1521,19 @@ mod tests {
     }
 
     /// The one pipeline, end to end, per kind and per memory type, over
-    /// a 16-words-per-block, 256-word segment: `gather` from a seeded
-    /// memory → `to_bytes` → `from_bytes` → `scatter` into a zeroed
-    /// memory reproduces exactly the words `runs` names, in payload
-    /// order, and touches no other word.
+    /// a 16-words-per-block, 256-word segment: a frame encoded straight
+    /// from a seeded memory (`encode_gathered`) is byte for byte the
+    /// owned envelope's encoding, carries exactly the words `runs` names
+    /// in payload order, and its view's `scatter` into a zeroed memory
+    /// writes those words and no other; re-gathering that memory over the
+    /// frame's payload in place (the worker's echo) leaves it unchanged.
     fn pipeline_round_trip<W: Word + std::fmt::Debug>() {
         let (wpb, seg) = (16, 256);
         // Distinct non-zero bit patterns (NaNs included for f64).
         let src: Vec<W> = (0..seg as u64)
             .map(|i| W::from_bits((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
             .collect();
-        for mut msg in [
+        for msg in [
             blocks(false, 3, 2, 32),
             blocks(true, 15, 1, 16),
             copy(250, 6),
@@ -1194,19 +1542,35 @@ mod tests {
             strided(7, 4, 0, 1),
         ] {
             let kind = msg.kind();
-            let named: Vec<usize> = msg
-                .runs(wpb, seg)
-                .unwrap()
-                .flat_map(|(s, len)| s..s + len)
-                .collect();
+            let (shape, nwords) = (msg.shape(), msg.words().len());
+            let runs = shape.runs(nwords, wpb, seg).unwrap();
+            let named: Vec<usize> = runs.clone().flat_map(|(s, len)| s..s + len).collect();
             assert!(!named.is_empty(), "kind {kind}");
-            msg.gather(&src, wpb).unwrap();
+            let hdr = msg.hdr();
+            let head = Head {
+                src: hdr.src,
+                dst: hdr.dst,
+                ctx: (hdr.superstep, hdr.loop_id),
+                array: hdr.array,
+                first: hdr.blocks[0],
+                n: hdr.blocks.len() as u32,
+            };
+            let mut frame = Vec::new();
+            encode_gathered(&mut frame, &head, &shape, (runs.clone(), nwords), &src);
+            let back = WireMsg::from_bytes(&frame).unwrap();
             let in_order: Vec<u64> = named.iter().map(|&a| src[a].to_bits()).collect();
-            assert_eq!(msg.words(), in_order, "kind {kind}: payload order");
-            let back = WireMsg::from_bytes(&msg.to_bytes()).unwrap();
-            assert_eq!(back, msg, "kind {kind}");
+            assert_eq!(back.words(), in_order, "kind {kind}: payload order");
+            let mut owned = msg.clone();
+            let (WireMsg::Push { words, .. }
+            | WireMsg::Flush { words, .. }
+            | WireMsg::Copy { words, .. }
+            | WireMsg::Diff { words, .. }
+            | WireMsg::Strided { words, .. }) = &mut owned;
+            *words = in_order;
+            assert_eq!(frame, owned.to_bytes(), "kind {kind}: one writer");
             let mut dst: Vec<W> = vec![W::from_bits(0); seg];
-            back.scatter(&mut dst, wpb).unwrap();
+            let view = WireView::parse(&frame).unwrap();
+            view.scatter(&mut dst, wpb).unwrap();
             for a in 0..seg {
                 let want = if named.contains(&a) {
                     src[a].to_bits()
@@ -1215,6 +1579,10 @@ mod tests {
                 };
                 assert_eq!(dst[a].to_bits(), want, "kind {kind}: word {a}");
             }
+            let at = view.words_at(&frame);
+            let sent = frame.clone();
+            gather_into(&mut frame[at..], runs, &dst);
+            assert_eq!(frame, sent, "kind {kind}: the echo is the frame");
         }
     }
 
@@ -1241,7 +1609,8 @@ mod tests {
             diff(3, 1 << 16),               // a mask bit past its block
         ] {
             // Each one survives the codec: the lie is in the addresses.
-            assert_eq!(WireMsg::from_bytes(&msg.to_bytes()).as_ref(), Ok(&msg));
+            let bytes = msg.to_bytes();
+            assert_eq!(WireMsg::from_bytes(&bytes).as_ref(), Ok(&msg));
             let mut mirror = vec![0u64; seg];
             assert!(
                 matches!(
@@ -1249,6 +1618,11 @@ mod tests {
                     Err(WireError::OutOfSegment(_))
                 ),
                 "{msg:?}"
+            );
+            let view = WireView::parse(&bytes).unwrap();
+            assert_eq!(
+                view.scatter(&mut mirror, wpb),
+                msg.scatter(&mut mirror, wpb)
             );
             assert_eq!(mirror, vec![0u64; seg], "rejected frame wrote memory");
         }
@@ -1279,7 +1653,7 @@ mod tests {
         for b in &stream {
             dec.push(std::slice::from_ref(b));
             while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
+                got.push(f.to_vec());
             }
         }
         assert_eq!(got, frames);

@@ -349,6 +349,184 @@ fn wire_decode_rejects_mutations_random() {
     });
 }
 
+/// Segment geometry of the decoder differential: 16 words per block,
+/// 16 blocks.
+const DIFF_WPB: usize = 16;
+const DIFF_SEG: usize = 256;
+
+/// A golden frame of a random kind whose geometry lands inside the
+/// differential's segment — often flush against its end — or, when the
+/// second value is true, one word (or one mask bit) past it.
+fn frame_near_the_segment(rng: &mut Rng) -> (WireMsg, bool) {
+    let hdr = |first: usize, n: usize| WireHeader::for_blocks(0, 1, (2, 3), 4, first, n);
+    // An edge case lands exactly on the boundary, or one past it.
+    let edge = |rng: &mut Rng| match rng.below(4) {
+        0 => Some(0),
+        1 => Some(1),
+        _ => None,
+    };
+    let blocks = DIFF_SEG / DIFF_WPB;
+    match rng.below(5) {
+        0 | 1 => {
+            let n = rng.range(1, 4);
+            let at = edge(rng);
+            let start = at.map_or_else(|| rng.range(0, blocks - n), |_| blocks - n);
+            let nw = n * DIFF_WPB + at.unwrap_or(0);
+            let (start_block, n_blocks) = (start as u32, n as u32);
+            let words = random_words(rng, nw);
+            let msg = if rng.flag() {
+                WireMsg::Push {
+                    hdr: hdr(start, n),
+                    start_block,
+                    n_blocks,
+                    words,
+                }
+            } else {
+                WireMsg::Flush {
+                    hdr: hdr(start, n),
+                    start_block,
+                    n_blocks,
+                    words,
+                }
+            };
+            (msg, at == Some(1))
+        }
+        2 => {
+            let nw = rng.range(1, 40);
+            let at = edge(rng);
+            let start = at.map_or_else(|| rng.range(0, DIFF_SEG - nw), |p| DIFF_SEG - nw + p);
+            let msg = WireMsg::Copy {
+                hdr: hdr(start / DIFF_WPB, 1),
+                start_word: start as u64,
+                words: random_words(rng, nw),
+            };
+            (msg, at == Some(1))
+        }
+        3 => {
+            // The mask's top bit at the block's last word or one past it,
+            // and the block the segment's last or one past it.
+            let (top_at, block_at) = (edge(rng), edge(rng));
+            let top = top_at.map_or_else(|| rng.range(0, DIFF_WPB), |p| DIFF_WPB - 1 + p);
+            let mask = (rng.next_u64() & ((1u64 << top) - 1)) | 1 << top;
+            let block = block_at.map_or_else(|| rng.range(0, blocks), |p| blocks - 1 + p);
+            let msg = WireMsg::Diff {
+                hdr: hdr(block, 1),
+                block: block as u64,
+                mask,
+                words: random_words(rng, mask.count_ones() as usize),
+            };
+            (msg, top_at == Some(1) || block_at == Some(1))
+        }
+        _ => {
+            let (run_len, count) = (rng.range(1, 6), rng.range(1, 6));
+            let stride = rng.range(0, 30);
+            let reach = (count - 1) * stride + run_len;
+            let at = edge(rng);
+            let base = at.map_or_else(|| rng.range(0, DIFF_SEG - reach), |p| DIFF_SEG - reach + p);
+            let msg = WireMsg::Strided {
+                hdr: hdr(base / DIFF_WPB, 1),
+                base: base as u64,
+                run_len: run_len as u32,
+                stride: stride as u64,
+                count: count as u32,
+                words: random_words(rng, run_len * count),
+            };
+            (msg, at == Some(1))
+        }
+    }
+}
+
+/// Mutate an encoded frame the ways a hostile or broken peer would: a
+/// bit flip, truncation, a lying block count, payload length or
+/// `n_blocks`, another kind byte, a trailing byte — or leave it golden.
+fn mutate_frame(rng: &mut Rng, msg: &WireMsg, bytes: &mut Vec<u8>) -> &'static str {
+    let u32_at =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    // Header: magic, version, kind, five u32 fields, then the block count
+    // at 25 and the blocks; the payload length sits before the payload.
+    let n_blocks_at = 29 + 4 * u32_at(bytes, 25) as usize + 4;
+    let nwords_at = bytes.len() - 8 * msg.words().len() - 8;
+    let lie = |rng: &mut Rng, v: u64| match rng.below(3) {
+        0 => v.wrapping_add(1),
+        1 => v.wrapping_sub(1),
+        _ => rng.next_u64(),
+    };
+    match rng.below(8) {
+        0 => "golden",
+        1 => {
+            let at = rng.range(0, bytes.len());
+            bytes[at] ^= 1 << rng.below(8);
+            "bit flip"
+        }
+        2 => {
+            bytes.truncate(rng.range(0, bytes.len()));
+            "truncated"
+        }
+        3 => {
+            let n = lie(rng, u32_at(bytes, 25) as u64) as u32;
+            bytes[25..29].copy_from_slice(&n.to_le_bytes());
+            "lying nblocks"
+        }
+        4 => {
+            let n = lie(rng, msg.words().len() as u64);
+            bytes[nwords_at..nwords_at + 8].copy_from_slice(&n.to_le_bytes());
+            "lying nwords"
+        }
+        5 if msg.kind() <= 1 => {
+            let n = lie(rng, u32_at(bytes, n_blocks_at) as u64) as u32;
+            bytes[n_blocks_at..n_blocks_at + 4].copy_from_slice(&n.to_le_bytes());
+            "lying n_blocks"
+        }
+        6 => {
+            bytes[4] = rng.below(8) as u8;
+            "kind byte"
+        }
+        _ => {
+            bytes.push(rng.below(256) as u8);
+            "trailing byte"
+        }
+    }
+}
+
+/// One decoder, tested differentially: over golden frames of every kind
+/// near the segment's edge and their mutations, parsing in place and
+/// applying from the frame's bytes (`WireView`) accepts exactly the
+/// frames that decoding into an owned envelope and scattering it
+/// (`WireMsg::from_bytes` + `scatter`) accepts, rejects the rest with the
+/// same `WireError`, and leaves the same memory. A golden run ending
+/// exactly at the segment's end applies; one word past it does not.
+#[test]
+fn wire_view_apply_matches_decode_and_scatter() {
+    use fgdsm_protocol::{WireError, WireView};
+    check_cases(2048, |rng| {
+        let (msg, past_the_edge) = frame_near_the_segment(rng);
+        let mut bytes = msg.to_bytes();
+        let how = mutate_frame(rng, &msg, &mut bytes);
+        let mem: Vec<u64> = random_words(rng, DIFF_SEG);
+        let (mut by_view, mut by_msg) = (mem.clone(), mem.clone());
+        let viewed = WireView::parse(&bytes).and_then(|v| v.scatter(&mut by_view, DIFF_WPB));
+        let owned = WireMsg::from_bytes(&bytes).and_then(|m| m.scatter(&mut by_msg, DIFF_WPB));
+        assert_eq!(viewed, owned, "{how}: {msg:?}");
+        assert!(
+            by_view == by_msg,
+            "{how}: the two applies wrote different memory"
+        );
+        if viewed.is_err() {
+            assert!(by_view == mem, "{how}: a rejected frame wrote memory");
+        }
+        if how == "golden" {
+            if past_the_edge {
+                assert!(
+                    matches!(viewed, Err(WireError::OutOfSegment(_))),
+                    "one past the edge must be rejected: {msg:?} -> {viewed:?}"
+                );
+            } else {
+                assert_eq!(viewed, Ok(()), "inside the segment: {msg:?}");
+            }
+        }
+    });
+}
+
 #[test]
 fn ctl_contract_random_ranges() {
     check_cases(64, |rng| {
@@ -419,7 +597,7 @@ fn framing_round_trips_over_arbitrary_stream_splits() {
             dec.push(&stream[pos..pos + n]);
             pos += n;
             while let Some(f) = dec.next_frame().expect("well-formed stream") {
-                got.push(f);
+                got.push(f.to_vec());
             }
         }
         assert_eq!(got, frames, "reassembly must be split-invariant");
@@ -428,7 +606,7 @@ fn framing_round_trips_over_arbitrary_stream_splits() {
         let mut next = Vec::new();
         write_frame(&mut next, &[7, 7]);
         dec.push(&next);
-        assert_eq!(dec.next_frame(), Ok(Some(vec![7, 7])));
+        assert_eq!(dec.next_frame(), Ok(Some(&[7u8, 7][..])));
         assert_eq!(dec.next_frame(), Ok(None));
 
         // Truncate the stream inside the last record: every earlier
@@ -448,7 +626,7 @@ fn framing_round_trips_over_arbitrary_stream_splits() {
         dec.push(&stream[cut..]);
         assert_eq!(
             dec.next_frame(),
-            Ok(frames.last().cloned()),
+            Ok(frames.last().map(Vec::as_slice)),
             "the truncated trailing frame must stay buffered"
         );
     });

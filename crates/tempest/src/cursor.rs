@@ -13,12 +13,14 @@ pub struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    #[inline]
     pub fn new(b: &'a [u8]) -> Self {
         Cursor { b, pos: 0 }
     }
 
     /// The next `n` bytes, or [`Truncated`] (a hostile `n` cannot
     /// overflow the offset arithmetic).
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
         let end = self
             .pos
@@ -30,24 +32,30 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
         Ok(self.take(N)?.try_into().expect("take(N) is N bytes"))
     }
 
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, Truncated> {
         Ok(self.array::<1>()?[0])
     }
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, Truncated> {
         Ok(u16::from_le_bytes(self.array()?))
     }
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, Truncated> {
         Ok(u32::from_le_bytes(self.array()?))
     }
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, Truncated> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Bytes not yet consumed (a total decoder requires 0 at the end).
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.b.len() - self.pos
     }
