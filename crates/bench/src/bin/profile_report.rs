@@ -78,7 +78,7 @@ json_row! {
 
 /// Calibration: join the Table-1 cost model's predicted round-trip time
 /// against the coordinator's measured wall-clock route histograms of a
-/// metered `tcp` run, one row per exercised `WireMsg` class. Predicted
+/// metered `tcp` run, one row per exercised frame kind. Predicted
 /// is the simulated network's round-trip for this class's *mean* frame
 /// payload; measured is the *amortised streaming cost* per frame — each
 /// link-level batch's blocked time (its write plus the wait for its
@@ -119,7 +119,7 @@ fn calibration_rows(app: &'static str, run: &RunResult) -> Vec<CalRow> {
     }
     assert!(
         !rows.is_empty(),
-        "{app}/tcp: no WireMsg class was exercised — calibration would be empty"
+        "{app}/tcp: no frame kind was exercised — calibration would be empty"
     );
     rows
 }

@@ -3,9 +3,10 @@
 //! sandbox allows them.
 //!
 //! The `chan` backend is the proof of the wire seam: every inter-node
-//! transfer is encoded into an owned `WireMsg` byte frame, carried over
-//! a memory link to a worker thread running the node runtime, and
-//! decoded on the far side — no shared-memory shortcut exists. These
+//! transfer is encoded straight from its source shard into a frame,
+//! carried over a memory link to a worker thread running the node
+//! runtime, and parsed on the far side — no shared-memory shortcut
+//! exists. These
 //! tests pin down what that buys us across the whole Table 2 suite:
 //!
 //! * the frame and payload counters are live (`wire_frames > 0` whenever
@@ -198,9 +199,6 @@ impl WireTransport for Retransmit {
     }
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
         self.0.sync()
-    }
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        self.0.route(dst, frames)
     }
     fn finish(&mut self) -> Vec<RemoteReport> {
         self.0.finish()

@@ -14,8 +14,9 @@
 
 use fgdsm_hpf::tcp_available;
 use fgdsm_net::{NetGeometry, NetKind, SocketOpts, SocketTransport};
-use fgdsm_protocol::wire::WireHeader;
-use fgdsm_protocol::{FrameBatch, WireError, WireMsg, WireTransport, FLUSH_WINDOW_BYTES};
+use fgdsm_protocol::{
+    FrameBatch, WireError, WireHeader, WireMsg, WireTransport, FLUSH_WINDOW_BYTES,
+};
 
 /// Double-entry bookkeeping across address spaces: drive a transport
 /// directly, count what the coordinator routes, and check the workers'
@@ -55,7 +56,8 @@ fn assert_bye_stats_reconcile(opts: SocketOpts) {
             let msgs = msgs_for(dst);
             let frames: Vec<Vec<u8>> = msgs.iter().map(|m| m.to_bytes()).collect();
             sent_frames += frames.len() as u64;
-            sent_payload += msgs.iter().map(|m| m.payload_bytes()).sum::<u64>();
+            // The Push's 4 words, the Diff's 3 words and its mask.
+            sent_payload += 8 * 4 + 8 * (3 + 1);
             let back = t.route(dst, frames.clone()).expect("clean route");
             assert_eq!(back, frames, "apply + re-encode must be the identity");
         }

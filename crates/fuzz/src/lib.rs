@@ -15,7 +15,7 @@
 //!   final array contents and scalars. Protocol consistency and trace
 //!   invariants (balanced message/byte counters, monotone per-node
 //!   clocks) are asserted inside the engine on every run.
-//! * [`shrink`] — on divergence, a greedy minimizer that drops
+//! * [`shrink`](mod@shrink) — on divergence, a greedy minimizer that drops
 //!   statements, reads and arrays and shrinks extents / time counts /
 //!   node counts while the divergence persists, then renders a
 //!   standalone Rust reproducer ([`FuzzSpec::to_rust`]).

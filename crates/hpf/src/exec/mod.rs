@@ -23,15 +23,15 @@
 //!
 //! A *carrier* is a transport, not a backend: [`Backend::Chan`] and
 //! [`Backend::Tcp`] run `sm_opt` at the full optimization level with
-//! every inter-node transfer encoded into a [`fgdsm_protocol::WireMsg`]
-//! envelope and carried to one node runtime
+//! every inter-node transfer encoded into a frame of the host wire
+//! ([`fgdsm_protocol::wire`]) and carried to one node runtime
 //! ([`fgdsm_protocol::node::serve`]) hosted on per-node worker threads
 //! or in spawned `fgdsm-node` processes (`engine::make_transport` picks
 //! the [`fgdsm_protocol::WireTransport`]) — the seam a real distributed
 //! port would use, byte-identical to `sm_opt` (determinism suite + fuzz
 //! oracle). [`WireMode::Strict`] ([`ExecConfig::strict`]) forces the same
-//! envelope round-trip, over an in-process loopback, under the sm_* and
-//! mp backends for differential testing.
+//! frame round-trip, over an in-process loopback, under the sm_* and mp
+//! backends for differential testing.
 //!
 //! Execution is BSP, and every superstep is split into two explicit
 //! phases. The **resolve phase** services every cross-node transfer the
@@ -89,12 +89,13 @@ pub enum Backend {
     Mp,
     /// `sm_opt` at the full optimization level over the channel carrier
     /// ([`fgdsm_protocol::ChanTransport`]): every inter-node transfer
-    /// round-trips through encoded [`fgdsm_protocol::WireMsg`] bytes to a
-    /// per-node worker *thread* that shares no shard memory: it owns a
-    /// mirror of the shard words, decodes each envelope with the paranoid
-    /// wire decoder, scatters it, and re-gathers the reply from its own
-    /// memory. Byte-identical to `sm_opt` (pinned by the determinism
-    /// suite and the fuzz oracle). Peer death, recv deadlines and
+    /// travels as an encoded frame to a per-node worker *thread* that
+    /// shares no shard memory: it owns a mirror of the shard words,
+    /// parses each frame with the one total decoder
+    /// ([`fgdsm_protocol::WireView::parse`]), scatters it from its bytes,
+    /// and re-gathers the echo from its own memory over those bytes.
+    /// Byte-identical to `sm_opt` (pinned by the determinism suite and
+    /// the fuzz oracle). Peer death, recv deadlines and
     /// rejected frames surface as typed [`fgdsm_protocol::WireError`]s
     /// through [`try_execute`].
     Chan,
@@ -106,7 +107,7 @@ pub enum Backend {
 }
 
 /// Whether inter-node data movement must round-trip through encoded
-/// [`fgdsm_protocol::WireMsg`] envelopes. The strict path exists for
+/// frames ([`fgdsm_protocol::wire`]). The strict path exists for
 /// differential testing: it is behaviorally identical to the zero-copy
 /// fast path — same charges, same counters, bit-identical data — and the
 /// determinism suite holds it to that.
@@ -117,7 +118,7 @@ pub enum WireMode {
     Auto,
     /// Zero-copy fast path (shard-to-shard copies).
     Fast,
-    /// Envelope every transfer: encode → transport → decode → apply.
+    /// Frame every transfer: encode → transport → decode → apply.
     Strict,
 }
 
@@ -129,8 +130,8 @@ impl WireMode {
 }
 
 /// Whether wall-clock telemetry (the [`fgdsm_tempest::metrics`]
-/// tables: per-`WireMsg`-class encode/route/decode/apply histograms on
-/// the coordinator, recv/apply/re-encode histograms in the workers) is
+/// tables: per-frame-kind encode/route/decode/apply histograms on the
+/// coordinator, recv/apply/re-encode histograms in the workers) is
 /// recorded for a run. Purely a side-channel knob: canonical reports,
 /// traces, and profiles are byte-identical with metrics on or off — the
 /// guard suite holds it to that. Zero-cost when off: no clocks are read.
@@ -181,18 +182,6 @@ impl ParallelMode {
     }
 }
 
-/// How worker threads are provisioned for a parallel compute phase: one
-/// long-lived [`fgdsm_tempest::WorkerPool`] per `execute`. There is no
-/// other strategy and both variants mean "the pool"; the enum and the
-/// [`ExecConfig::pool`] field are read by nothing and survive only
-/// because `benchmark/src/workloads.rs` names them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PoolMode {
-    #[default]
-    Auto,
-    Persistent,
-}
-
 /// A full execution configuration.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
@@ -207,13 +196,12 @@ pub struct ExecConfig {
     /// Host-thread scheduling of the compute phase (wall-clock only;
     /// never affects results).
     pub parallel: ParallelMode,
-    /// Vestigial, read by nothing: the resolve phase runs on the driver
-    /// thread. Survives only because `benchmark/src/workloads.rs` names
-    /// it.
+    /// Frozen surface ([`crate::compat`]), read by nothing: the resolve
+    /// phase runs on the driver thread.
     pub resolve_parallel: Option<ParallelMode>,
-    /// Vestigial (see [`PoolMode`]): a parallel compute phase always runs
-    /// on the run's worker pool.
-    pub pool: PoolMode,
+    /// Frozen surface ([`crate::compat`]), read by nothing: a parallel
+    /// compute phase always runs on the run's worker pool.
+    pub pool: crate::compat::PoolMode,
     /// Wire discipline for inter-node data movement: zero-copy fast path
     /// or strict envelope round-tripping. The `chan` and `tcp` carriers
     /// are always strict regardless of this setting.
@@ -264,10 +252,11 @@ pub struct InjectConfig {
     /// home copy whenever the home is a third party — the §4.3 stale
     /// owner-memo hazard.
     pub stale_owner_push: bool,
-    /// Must-catch: flip a byte inside the first envelope routed in strict
-    /// wire mode — `WireMsg::from_bytes` must reject the frame and fail
-    /// the run loudly, proving decode validation has teeth (needs an
-    /// envelope path: a carrier or [`WireMode::Strict`]).
+    /// Must-catch: flip a byte inside the first frame delivered in strict
+    /// wire mode — the one decoder ([`fgdsm_protocol::WireView::parse`])
+    /// must reject the frame and fail the run loudly, proving decode
+    /// validation has teeth (needs a frame path: a carrier or
+    /// [`WireMode::Strict`]).
     pub corrupt_envelope: bool,
     /// Must-catch: overwrite the length prefix of the first data frame
     /// the coordinator sends with an oversized value — the node's
@@ -319,7 +308,7 @@ impl ExecConfig {
             base_env: Env::new(),
             parallel: ParallelMode::Auto,
             resolve_parallel: None,
-            pool: PoolMode::Auto,
+            pool: crate::compat::PoolMode::Auto,
             wire: WireMode::Auto,
             metrics: MetricsMode::Auto,
             recv_timeout: fgdsm_protocol::DEFAULT_RECV_TIMEOUT,

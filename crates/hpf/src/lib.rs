@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
+pub mod compat;
 pub mod contract;
 pub mod dist;
 pub mod exec;
@@ -42,12 +43,13 @@ pub mod redundancy;
 pub mod report;
 
 pub use analysis::{analyze, LoopAccess, Transfer};
+pub use compat::PoolMode;
 pub use contract::{ContractTracker, CtlOp};
 pub use dist::{ArrayDecl, ArrayId, Dist};
 pub use exec::{
     execute, execute_profiled, execute_reference, execute_traced, execute_with, tcp_available,
     try_execute, Backend, ExecConfig, ExecError, InjectConfig, InspectorRow, MetricsMode,
-    ParallelMode, PlannedXfer, PoolMode, ReferenceResult, RunResult, WireMode,
+    ParallelMode, PlannedXfer, ReferenceResult, RunResult, WireMode,
 };
 pub use ir::{
     ARef, ArrayHandle, ArrayView, CompDist, Kernel, KernelCtx, ParLoop, Program, ProgramBuilder,

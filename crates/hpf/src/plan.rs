@@ -743,7 +743,7 @@ pub(crate) fn schedule_into(
 
 /// Schedule the §4.2 contract of one lowered loop instance under the
 /// run's constants: `cluster`'s geometry (block and bulk sizes, homes),
-/// the armed contract mutations ([`plan_sends`] applies them),
+/// the armed contract mutations ([`fgdsm_protocol::plan_sends`] applies them),
 /// [`OptLevel::bulk`], and the tolerated `force_boundary` perturbation —
 /// retreat each ctl range by one block per end, forcing the dropped
 /// boundary blocks onto the default-protocol path (which runs after the

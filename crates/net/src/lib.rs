@@ -445,10 +445,6 @@ impl WireTransport for SocketTransport {
         self.nodes.sync()
     }
 
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        self.nodes.route(dst, frames)
-    }
-
     /// Orderly teardown: `Bye` to every live node, collect `ByeStats`,
     /// close the links, then give the children [`CHILD_EXIT_DEADLINE`] to
     /// exit on their own before killing the rest — a wedged node must

@@ -20,7 +20,7 @@
 //!   `implicit_invalidate`, `flush_range`, plus bulk-transfer payload
 //!   grouping and the first-time memoization used by run-time overhead
 //!   elimination (§4.3). Data movement is an inspector/executor pair:
-//!   the pure [`plan_sends`] / [`plan_flushes`] schedule call sites into
+//!   the pure [`plan_sends`] / [`plan_flushes_into`] schedule call sites into
 //!   [`TransferPlan`]s, [`Dsm::exec_sends`] / [`Dsm::exec_flushes`]
 //!   execute them borrowed.
 //! * [`MpRuntime`] — the message-passing backend: raw Tempest messages
@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod compat;
 pub mod ctl;
 pub mod dir;
 pub mod eager;
@@ -39,6 +40,7 @@ pub mod trans;
 pub mod update;
 pub mod wire;
 
+pub use compat::{WireHeader, WireMsg};
 pub use ctl::{
     plan_flushes_into, plan_sends, plan_sends_into, CtlStats, FlushEntry, Payload, PlanOp,
     SendEntry, TransferPlan,
@@ -51,6 +53,6 @@ pub use proto::{Dsm, Injection, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{
-    write_frame, FrameBatch, FrameDecoder, RemoteReport, WireError, WireHeader, WireMsg, WireView,
-    Word, DEFAULT_RECV_TIMEOUT, MAX_FRAME_BYTES,
+    write_frame, FrameBatch, FrameDecoder, RemoteReport, WireError, WireView, Word,
+    DEFAULT_RECV_TIMEOUT, MAX_FRAME_BYTES,
 };

@@ -60,9 +60,19 @@ pub trait WireTransport {
     /// verified. Returns one [`WireSpan`] per link-level batch verified
     /// since the previous `sync` (none for a transport without links).
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError>;
-    /// The blocking round trip: send `frames` to `dst`, wait, and return
-    /// them as delivered (same order).
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError>;
+    /// The blocking round trip of the frozen surface (`crate::compat`),
+    /// which no run takes: send `frames` to `dst` as one batch, `sync`,
+    /// and hand them back as delivered. An empty list touches nothing.
+    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
+        if frames.is_empty() {
+            return Ok(frames);
+        }
+        let mut batch = FrameBatch::new();
+        frames.iter().for_each(|f| batch.push(f));
+        self.send(dst, &batch)?;
+        self.sync()?;
+        Ok(frames)
+    }
     /// Orderly end-of-run: tear down remote peers and collect their
     /// final accounting ([`RemoteReport`]). `sync` first — teardown does
     /// not wait for echoes. A transport with no peers has no remote
@@ -73,8 +83,9 @@ pub trait WireTransport {
 }
 
 /// In-process delivery: frames arrive exactly as posted. This is the
-/// strict-mode transport for the sm_* backends — the bytes are still
-/// encoded, parsed and applied from, only the carry is a no-op.
+/// strict-mode transport of every backend without a carrier (`sm_*` and
+/// `mp`) — the bytes are still encoded, parsed and applied from, only the
+/// carry is a no-op.
 pub struct Loopback;
 
 impl WireTransport for Loopback {
@@ -86,9 +97,6 @@ impl WireTransport for Loopback {
     }
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
         Ok(Vec::new())
-    }
-    fn route(&mut self, _dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        Ok(frames)
     }
 }
 
@@ -294,11 +302,14 @@ fn apply_frame(
     wpb: usize,
     mut table: Option<&mut Telemetry>,
 ) -> Result<u64, WireError> {
-    let mut t0 = table.as_ref().map(|_| Instant::now());
+    // One clock read per stage boundary: a stage ends where the next
+    // begins, so the three samples tile the frame's time.
+    let mut t = table.as_ref().map(|_| Instant::now());
     let mut lap = |stage: Stage, kind: u8| {
-        if let (Some(table), Some(t0)) = (table.as_deref_mut(), t0.as_mut()) {
-            table.record(stage, kind, t0.elapsed().as_nanos() as u64);
-            *t0 = Instant::now();
+        if let (Some(table), Some(t)) = (table.as_deref_mut(), t.as_mut()) {
+            let now = Instant::now();
+            table.record(stage, kind, now.duration_since(*t).as_nanos() as u64);
+            *t = now;
         }
     };
     let view = WireView::parse(frame)?;
@@ -553,20 +564,6 @@ impl<L: Link> Coordinator<L> {
         Ok(std::mem::take(&mut self.log.verified))
     }
 
-    /// The blocking round trip, built from the split-phase steps: post,
-    /// flush, collect — returning `frames` once their echo is verified.
-    pub fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        if frames.is_empty() {
-            return Ok(frames);
-        }
-        let mut batch = FrameBatch::new();
-        frames.iter().for_each(|f| batch.push(f));
-        self.post(dst, &batch)?;
-        self.flush(dst)?;
-        self.collect(dst)?;
-        Ok(frames)
-    }
-
     /// Orderly teardown: `Bye` to every live node, collect its `ByeStats`,
     /// hang up. A node that does not answer is skipped. Idempotent.
     pub fn finish(&mut self) -> Vec<RemoteReport> {
@@ -671,9 +668,6 @@ impl WireTransport for ChanTransport {
     fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
         self.nodes.sync()
     }
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        self.nodes.route(dst, frames)
-    }
     fn finish(&mut self) -> Vec<RemoteReport> {
         let reports = self.nodes.finish();
         for w in self.workers.drain(..) {
@@ -692,7 +686,7 @@ impl Drop for ChanTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{WireHeader, WireMsg};
+    use crate::compat::{WireHeader, WireMsg};
 
     fn copy_frame(start_word: u64, words: Vec<u64>) -> Vec<u8> {
         WireMsg::Copy {
@@ -750,6 +744,41 @@ mod tests {
         assert!(r.metrics.is_empty(), "telemetry was off");
         assert!(t.finish().is_empty(), "finish is idempotent");
         assert!(Loopback.finish().is_empty());
+    }
+
+    /// The provided `route`, over a transport that has nothing but `name`,
+    /// `send` and `sync`: the frames go out as one batch, `sync` follows,
+    /// and the frames come back after it; a failing `sync` is that error;
+    /// an empty list neither sends nor syncs.
+    #[test]
+    fn the_provided_route_is_one_send_then_a_sync() {
+        /// Logs `send`, the frames sent and `sync`; `sync` fails once
+        /// with the error it holds.
+        struct Probe(Vec<Vec<u8>>, Option<WireError>);
+        impl WireTransport for Probe {
+            fn name(&self) -> &'static str {
+                "probe"
+            }
+            fn send(&mut self, _dst: usize, batch: &FrameBatch) -> Result<(), WireError> {
+                self.0.push(b"send".to_vec());
+                self.0.extend(batch.frames().map(<[u8]>::to_vec));
+                Ok(())
+            }
+            fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+                self.0.push(b"sync".to_vec());
+                self.1.take().map_or(Ok(Vec::new()), Err)
+            }
+        }
+        let frames = vec![copy_frame(0, vec![1, 2]), copy_frame(8, vec![3])];
+        let mut t = Probe(Vec::new(), None);
+        assert_eq!(t.route(1, frames.clone()), Ok(frames.clone()));
+        let log = [&[b"send".to_vec()], &frames[..], &[b"sync".to_vec()]].concat();
+        assert_eq!(t.0, log, "one batch, then a sync");
+        let mut t = Probe(Vec::new(), Some(WireError::Timeout(1)));
+        assert_eq!(t.route(1, frames), Err(WireError::Timeout(1)));
+        t.0.clear();
+        assert_eq!(t.route(1, Vec::new()), Ok(Vec::new()));
+        assert!(t.0.is_empty(), "an empty list touches nothing");
     }
 
     /// A coordinator and the raw far end of node 0's admitted link, for a

@@ -18,6 +18,7 @@ use crate::wire::{encode_gathered, reconcile_stats, FrameBatch, Head, Shape, Wir
 use fgdsm_tempest::metrics::{MetricsRegistry, Stage, Telemetry, WireSpan};
 use fgdsm_tempest::{Access, BlockMap, BlockSet, Cluster, DirtySet, NodeId, NO_ARRAY};
 use std::collections::{hash_map, VecDeque};
+use std::time::Instant;
 
 /// Which built-in default coherence protocol the DSM runs.
 ///
@@ -136,9 +137,8 @@ pub struct Dsm {
     /// implicitly writable at a node (§4.3's "first time around" test).
     pub(crate) iw_memo: std::collections::BTreeSet<(NodeId, usize, usize)>,
     /// Strict wire mode: when present, every inter-node data movement is
-    /// encoded into a [`crate::wire::WireMsg`] frame, carried by the
-    /// transport, and applied from the frame's bytes (`None` = zero-copy
-    /// fast path).
+    /// encoded into a frame (`crate::wire`), carried by the transport, and
+    /// applied from the frame's bytes (`None` = zero-copy fast path).
     pub(crate) wire: Option<WireState>,
     /// Active contract mutations (fuzzer teeth; all off by default).
     injection: Injection,
@@ -175,7 +175,7 @@ pub(crate) struct WireState {
     pub transport: Box<dyn WireTransport>,
     /// Envelopes routed so far.
     pub frames: u64,
-    /// Total on-wire payload bytes ([`crate::wire::WireMsg::payload_bytes`]).
+    /// Total on-wire payload bytes (`Shape::payload_bytes` of each frame).
     pub payload_bytes: u64,
     /// Host wall-clock the transport spent blocked on its links — writing
     /// each batch, then waiting for and verifying its echo — in ns: the
@@ -210,16 +210,18 @@ pub(crate) struct WireMetrics {
 
 /// Start an encode/decode/apply stopwatch — `None` (no clock read at
 /// all) when telemetry is off.
-fn stopwatch(metrics: &Option<WireMetrics>) -> Option<std::time::Instant> {
-    metrics.as_ref().map(|_| std::time::Instant::now())
+fn stopwatch(metrics: &Option<WireMetrics>) -> Option<Instant> {
+    metrics.as_ref().map(|_| Instant::now())
 }
 
-/// Record a `stage` sample for a frame of `kind` against a started
-/// stopwatch (nothing when it is `None`).
-fn lap(metrics: &mut Option<WireMetrics>, stage: Stage, kind: u8, t0: Option<std::time::Instant>) {
-    if let (Some(m), Some(t0)) = (metrics.as_mut(), t0) {
-        m.table.record(stage, kind, t0.elapsed().as_nanos() as u64);
-    }
+/// Record a `stage` sample for a frame of `kind` from a started
+/// stopwatch to now, and return now: where the next stage starts, so
+/// each stage boundary costs one clock read (nothing when `None`).
+fn lap(m: &mut Option<WireMetrics>, stage: Stage, kind: u8, t: Option<Instant>) -> Option<Instant> {
+    let (m, now) = (m.as_mut()?, Instant::now());
+    let ns = now.duration_since(t?).as_nanos() as u64;
+    m.table.record(stage, kind, ns);
+    Some(now)
 }
 
 impl WireState {
@@ -318,8 +320,7 @@ impl WireState {
         for frame in staged.frames() {
             let t_dec = stopwatch(&self.metrics);
             let view = WireView::parse(frame).unwrap_or_else(|e| std::panic::panic_any(e));
-            lap(&mut self.metrics, Stage::Decode, view.kind(), t_dec);
-            let t_apply = stopwatch(&self.metrics);
+            let t_apply = lap(&mut self.metrics, Stage::Decode, view.kind(), t_dec);
             if let Err(e) = view.scatter(mem, wpb) {
                 std::panic::panic_any(e);
             }
@@ -458,7 +459,7 @@ impl Dsm {
     }
 
     /// Switch on strict wire mode: from here on, every inter-node data
-    /// movement round-trips through an encoded [`crate::wire::WireMsg`] carried by
+    /// movement round-trips through an encoded frame carried by
     /// `transport`. Observable behavior (clocks, stats, traces, data)
     /// is byte-identical to the fast path — only the data path changes.
     pub fn set_wire(&mut self, transport: Box<dyn WireTransport>) {
@@ -1027,9 +1028,6 @@ mod tests {
             }
             fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
                 Ok(Vec::new())
-            }
-            fn route(&mut self, _dst: usize, f: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-                Ok(f)
             }
             fn finish(&mut self) -> Vec<crate::wire::RemoteReport> {
                 vec![crate::wire::RemoteReport {

@@ -1,22 +1,15 @@
-//! Serializable message envelopes: the wire format under every
-//! inter-node transfer.
-//!
-//! PR 4's plan/apply seam moved data with in-process structs that
-//! borrow shard memory (`TransferPlan` ranges, `MpSendPlan` sections,
-//! per-block fault copies). This module gives all of them one
-//! self-contained representation: a [`WireMsg`] envelope carrying an
-//! attributed header plus an explicit payload buffer, with a versioned,
-//! deterministic binary encoding (`to_bytes`/`from_bytes`, no external
-//! serialization dependency). Planning fills payloads by copying out of
-//! the source shard, so a routed envelope no longer needs the source
-//! alive — the property a cross-process transport needs.
+//! The host wire format: every strict-wire transfer travels as a
+//! self-contained frame — an attributed header, the fields of its kind
+//! and an explicit payload — under a versioned, deterministic binary
+//! encoding with no external serialization dependency.
 //!
 //! There is one writer ([`write_head`]) and one parser
-//! ([`WireView::parse`]). The strict-wire path never builds a
-//! [`WireMsg`]: a posted frame is encoded straight from the source shard
-//! into a [`FrameBatch`] (`encode_gathered`), and both ends apply it from
-//! its bytes through a borrowed [`WireView`]; `WireMsg::to_bytes` /
-//! `from_bytes` are thin shims over the same writer and parser.
+//! ([`WireView::parse`]). A posted frame is encoded straight from its
+//! source shard into a [`FrameBatch`] (`encode_gathered`), so it no
+//! longer needs the source alive — the property a cross-process
+//! transport needs — and both ends apply it from its bytes through a
+//! borrowed [`WireView`]. The owned envelope of the frozen surface
+//! ([`crate::compat`]) is a shim over the same writer and parser.
 //!
 //! ## v1 binary layout (all fields little-endian)
 //!
@@ -32,7 +25,10 @@
 //! | 21 | array | u32 |
 //! | 25 | block-list length `n` | u32 |
 //! | 29 | attributed blocks | n × u32 |
-//! | … | variant fields (see [`WireMsg`]) | — |
+//! | … | Push, Flush: `start_block`, `n_blocks` | u32, u32 |
+//! | … | Copy: `start_word` | u64 |
+//! | … | Diff: `block`, `mask` | u64, u64 |
+//! | … | Strided: `base`, `run_len`, `stride`, `count` | u64, u32, u64, u32 |
 //! | … | payload length `w` | u64 |
 //! | … | payload words (`f64::to_bits`) | w × u64 |
 //!
@@ -73,7 +69,7 @@ pub(crate) fn diff_bytes(mask: u64) -> usize {
 
 /// The dirty mask of a block against its twin: bit `i` is set when word
 /// `i` differs bit-for-bit (so a NaN that did not change is clean) — the
-/// words a [`WireMsg::Diff`] of the block carries.
+/// words a `Diff` frame of the block carries.
 pub(crate) fn diff_mask(cur: &[f64], twin: &[f64]) -> u64 {
     let mut mask = 0u64;
     for (i, (c, t)) in cur.iter().zip(twin).enumerate() {
@@ -82,93 +78,6 @@ pub(crate) fn diff_mask(cur: &[f64], twin: &[f64]) -> u64 {
         }
     }
     mask
-}
-
-/// Everything a receiver needs to account a transfer without looking at
-/// the sender's state: endpoints, the superstep/loop the transfer is
-/// attributed to (filled at encode time, exactly once), the array it
-/// belongs to (`NO_ARRAY` for protocol-level fault traffic), and the
-/// blocks it touches.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireHeader {
-    pub src: u32,
-    pub dst: u32,
-    pub superstep: u32,
-    pub loop_id: u32,
-    pub array: u32,
-    pub blocks: Vec<u32>,
-}
-
-impl WireHeader {
-    /// Header for a transfer covering the block range `[first, first+n)`.
-    pub fn for_blocks(
-        src: usize,
-        dst: usize,
-        ctx: (u32, u32),
-        array: u32,
-        first: usize,
-        n: usize,
-    ) -> Self {
-        WireHeader {
-            src: src as u32,
-            dst: dst as u32,
-            superstep: ctx.0,
-            loop_id: ctx.1,
-            array,
-            blocks: (first..first + n).map(|b| b as u32).collect(),
-        }
-    }
-}
-
-/// A self-contained transfer: header plus explicit payload words
-/// (`f64::to_bits` of the shard data, so bit-exactness survives NaNs).
-///
-/// The variants unify the three transfer shapes the backends produce:
-/// `Push`/`Flush` are the §4.2 ctl plan payloads (`TransferPlan`,
-/// recorded as `CtlSend` events), `Copy` and `Diff` are the default
-/// protocol's fault-path block fetches and multiple-writer diff merges,
-/// and `Strided` is a message-passing section (`MpSendPlan`).
-#[derive(Clone, Debug, PartialEq)]
-pub enum WireMsg {
-    /// Compiler-directed send: contiguous blocks, owner → reader.
-    Push {
-        hdr: WireHeader,
-        start_block: u32,
-        n_blocks: u32,
-        words: Vec<u64>,
-    },
-    /// Non-owner-write flush: contiguous blocks, writer → owner.
-    Flush {
-        hdr: WireHeader,
-        start_block: u32,
-        n_blocks: u32,
-        words: Vec<u64>,
-    },
-    /// Fault-path word-range fetch (block data to a faulting node).
-    Copy {
-        hdr: WireHeader,
-        start_word: u64,
-        words: Vec<u64>,
-    },
-    /// Word diff of one block: `words[i]` is the value for the `i`-th
-    /// set bit of `mask` (LSB first).
-    Diff {
-        hdr: WireHeader,
-        block: u64,
-        mask: u64,
-        words: Vec<u64>,
-    },
-    /// Message-passing section: `count` runs of `run_len` words,
-    /// starting at `base`, `stride` words apart; payload concatenates
-    /// the runs in order.
-    Strided {
-        hdr: WireHeader,
-        base: u64,
-        run_len: u32,
-        stride: u64,
-        count: u32,
-        words: Vec<u64>,
-    },
 }
 
 const KIND_PUSH: u8 = 0;
@@ -193,9 +102,9 @@ pub enum WireError {
     CountMismatch(&'static str),
     /// Bytes left over after the payload — the frame lies about itself.
     TrailingBytes(usize),
-    /// The envelope's addresses overflow or leave the segment it is being
-    /// applied to ([`WireMsg::runs`]): a well-formed frame naming memory
-    /// the receiver does not have.
+    /// The frame's addresses overflow or leave the segment it is being
+    /// applied to (`Shape::runs`): a well-formed frame naming memory the
+    /// receiver does not have.
     OutOfSegment(&'static str),
     /// The peer node is gone: its channel hung up, its process exited, or
     /// the connection was closed (EOF) mid-conversation.
@@ -265,139 +174,12 @@ impl From<Truncated> for WireError {
     }
 }
 
-impl WireMsg {
-    pub fn kind(&self) -> u8 {
-        self.shape().kind()
-    }
-
-    pub(crate) fn hdr(&self) -> &WireHeader {
-        match self {
-            WireMsg::Push { hdr, .. }
-            | WireMsg::Flush { hdr, .. }
-            | WireMsg::Copy { hdr, .. }
-            | WireMsg::Diff { hdr, .. }
-            | WireMsg::Strided { hdr, .. } => hdr,
-        }
-    }
-
-    /// The payload words.
-    pub fn words(&self) -> &[u64] {
-        match self {
-            WireMsg::Push { words, .. }
-            | WireMsg::Flush { words, .. }
-            | WireMsg::Copy { words, .. }
-            | WireMsg::Diff { words, .. }
-            | WireMsg::Strided { words, .. } => words,
-        }
-    }
-
-    /// The envelope's kind and variant fields.
-    fn shape(&self) -> Shape {
-        match *self {
-            WireMsg::Push {
-                start_block,
-                n_blocks,
-                ..
-            } => Shape::Push {
-                start_block,
-                n_blocks,
-            },
-            WireMsg::Flush {
-                start_block,
-                n_blocks,
-                ..
-            } => Shape::Flush {
-                start_block,
-                n_blocks,
-            },
-            WireMsg::Copy { start_word, .. } => Shape::Copy { start_word },
-            WireMsg::Diff { block, mask, .. } => Shape::Diff { block, mask },
-            WireMsg::Strided {
-                base,
-                run_len,
-                stride,
-                count,
-                ..
-            } => Shape::Strided {
-                base,
-                run_len,
-                stride,
-                count,
-            },
-        }
-    }
-
-    /// On-wire data bytes of this transfer: what the simulated network
-    /// carries beyond fixed headers. Matches the byte counts the
-    /// protocols feed `note_msg_at`, so wire accounting reconciles with
-    /// `NodeStats` (a Diff counts its 8-byte mask, exactly like the
-    /// `diff_bytes` charge).
-    pub fn payload_bytes(&self) -> u64 {
-        self.shape().payload_bytes(self.words().len())
-    }
-
-    /// Append the v1 encoding of `self` to `out` (which is cleared
-    /// first, so pooled buffers can be passed straight in) through the
-    /// one writer ([`write_head`]).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.clear();
-        let hdr = self.hdr();
-        let words = self.words();
-        let fields = [hdr.src, hdr.dst, hdr.superstep, hdr.loop_id, hdr.array];
-        write_head(
-            out,
-            fields,
-            hdr.blocks.iter().copied(),
-            &self.shape(),
-            words.len(),
-        );
-        let at = out.len();
-        out.resize(at + 8 * words.len(), 0);
-        for (b, w) in out[at..].chunks_exact_mut(8).zip(words) {
-            b.copy_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// The v1 encoding as a fresh buffer, allocated once: 61 bytes bound
-    /// the fixed header, the widest variant's fields and the payload
-    /// length.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let (blocks, words) = (self.hdr().blocks.len(), self.words().len());
-        let mut out = Vec::with_capacity(61 + 4 * blocks + 8 * words);
-        self.encode(&mut out);
-        out
-    }
-
-    /// Decode and validate a v1 frame through the one decoder
-    /// ([`WireView::parse`]) and copy it out into an owned envelope — a
-    /// frame either reconstructs the exact envelope that was encoded or
-    /// it is an error, never a partial apply.
-    pub fn from_bytes(bytes: &[u8]) -> Result<WireMsg, WireError> {
-        WireView::parse(bytes).map(|v| v.to_msg())
-    }
-
-    /// Store the payload into the words of `mem` the envelope names
-    /// ([`Shape::runs`]). Nothing is written unless every run lies inside
-    /// `mem`. [`WireView::scatter`] is the same apply straight from a
-    /// frame's bytes.
-    pub fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
-        let words = self.words();
-        let runs = self.shape().runs(words.len(), wpb, mem.len())?;
-        let mut rest = words;
-        for (start, len) in runs {
-            let (run, tail) = rest.split_at(len);
-            for (m, w) in mem[start..start + len].iter_mut().zip(run) {
-                *m = W::from_bits(*w);
-            }
-            rest = tail;
-        }
-        Ok(())
-    }
-}
-
 /// An envelope's kind and variant fields: everything but its header and
 /// payload words. [`write_head`] writes it, [`WireView::parse`] reads it
-/// back, and [`Shape::runs`] is the one place its geometry is read.
+/// back, and [`Shape::runs`] is the one place its geometry is read. The
+/// kinds are the transfer shapes the backends produce: `Push`/`Flush`
+/// the §4.2 plan payloads, `Copy`/`Diff` the default protocol's fault
+/// fetches and diff merges, `Strided` a message-passing section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Shape {
     Push {
@@ -434,8 +216,11 @@ impl Shape {
         }
     }
 
-    /// [`WireMsg::payload_bytes`] of an envelope of this shape carrying
-    /// `nwords` payload words.
+    /// On-wire data bytes of a frame of this shape carrying `nwords`
+    /// payload words: what the simulated network carries beyond fixed
+    /// headers, matching the byte counts the protocols feed `note_msg_at`
+    /// (a Diff counts its 8-byte mask, exactly like the `diff_bytes`
+    /// charge), so wire accounting reconciles with `NodeStats`.
     pub(crate) fn payload_bytes(&self, nwords: usize) -> u64 {
         let mask = match self {
             Shape::Diff { .. } => 8,
@@ -482,7 +267,7 @@ impl Shape {
 /// loop, array), the block list, the variant fields and the payload
 /// length `nwords` — to `out`, with room reserved for the `8 * nwords`
 /// payload bytes that follow.
-fn write_head(
+pub(crate) fn write_head(
     out: &mut Vec<u8>,
     fields: [u32; 5],
     blocks: impl ExactSizeIterator<Item = u32>,
@@ -544,17 +329,17 @@ pub(crate) fn encode_gathered<W: Word>(
 /// rejects wrong magic/version, unknown kinds, truncation, count/payload
 /// disagreements and trailing bytes, copies nothing, and the view
 /// applies the payload straight from the frame's bytes
-/// ([`WireView::scatter`]). [`WireMsg::from_bytes`] is this parse plus a
-/// copy into an owned envelope.
+/// ([`WireView::scatter`]). The frozen owned envelope's `from_bytes`
+/// ([`crate::compat`]) is this parse plus a copy.
 #[derive(Clone, Copy, Debug)]
 pub struct WireView<'a> {
     /// src, dst, superstep, loop, array.
-    fields: [u32; 5],
+    pub(crate) fields: [u32; 5],
     /// The block list, `4 * n` bytes.
-    blocks: &'a [u8],
-    shape: Shape,
+    pub(crate) blocks: &'a [u8],
+    pub(crate) shape: Shape,
     /// The payload, `8 * nwords` bytes, at the end of the frame.
-    words: &'a [u8],
+    pub(crate) words: &'a [u8],
 }
 
 impl<'a> WireView<'a> {
@@ -637,7 +422,7 @@ impl<'a> WireView<'a> {
         self.shape.kind()
     }
 
-    /// [`WireMsg::payload_bytes`] of the frame.
+    /// [`Shape::payload_bytes`] of the frame.
     pub(crate) fn payload_bytes(&self) -> u64 {
         self.shape.payload_bytes(self.nwords())
     }
@@ -672,68 +457,6 @@ impl<'a> WireView<'a> {
             rest = tail;
         }
         Ok(())
-    }
-
-    /// The owned envelope the frame encodes.
-    fn to_msg(self) -> WireMsg {
-        let [src, dst, superstep, loop_id, array] = self.fields;
-        let hdr = WireHeader {
-            src,
-            dst,
-            superstep,
-            loop_id,
-            array,
-            blocks: (self.blocks.chunks_exact(4))
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
-                .collect(),
-        };
-        let words = (self.words.chunks_exact(8))
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-            .collect();
-        match self.shape {
-            Shape::Push {
-                start_block,
-                n_blocks,
-            } => WireMsg::Push {
-                hdr,
-                start_block,
-                n_blocks,
-                words,
-            },
-            Shape::Flush {
-                start_block,
-                n_blocks,
-            } => WireMsg::Flush {
-                hdr,
-                start_block,
-                n_blocks,
-                words,
-            },
-            Shape::Copy { start_word } => WireMsg::Copy {
-                hdr,
-                start_word,
-                words,
-            },
-            Shape::Diff { block, mask } => WireMsg::Diff {
-                hdr,
-                block,
-                mask,
-                words,
-            },
-            Shape::Strided {
-                base,
-                run_len,
-                stride,
-                count,
-            } => WireMsg::Strided {
-                hdr,
-                base,
-                run_len,
-                stride,
-                count,
-                words,
-            },
-        }
     }
 }
 
@@ -1139,7 +862,7 @@ const CTRL_MAX_METRICS: usize = fgdsm_tempest::metrics::METRICS_BLOB_MAX;
 
 /// Control frames framing the conversation between the coordinator and
 /// a node ([`crate::node`]), over either link. Same encoding discipline as
-/// [`WireMsg`] — [`CTRL_MAGIC`] + version + kind + fields, total decode,
+/// a data frame — [`CTRL_MAGIC`] + version + kind + fields, total decode,
 /// trailing bytes rejected — under a distinct magic so a data frame can
 /// never be mistaken for control traffic.
 ///
@@ -1148,8 +871,9 @@ const CTRL_MAX_METRICS: usize = fgdsm_tempest::metrics::METRICS_BLOB_MAX;
 /// ```text
 /// node → coord   Hello { node, version }
 /// coord → node   HelloAck { nprocs, wpb, seg_words }   (shard geometry)
-/// coord → node   Batch { n } + n data frames           (per route call)
-/// node → coord   Batch { n } + n re-encoded frames     (or Err { detail })
+/// coord → node   Batch { n } + n data frames           (per flush)
+/// node → coord   Batch { n } + the n frames, re-gathered from its mirror
+///                                                      (or Err { detail })
 /// coord → node   Bye
 /// node → coord   ByeStats { frames, payload_bytes, metrics }
 /// ```
@@ -1247,7 +971,7 @@ impl CtrlMsg {
     }
 
     /// Decode and validate a control frame — same paranoia as
-    /// [`WireMsg::from_bytes`].
+    /// [`WireView::parse`].
     pub(crate) fn from_bytes(bytes: &[u8]) -> Result<CtrlMsg, WireError> {
         let mut c = Cursor::new(bytes);
         let magic = c.u16()?;
@@ -1348,6 +1072,7 @@ pub(crate) fn reconcile_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compat::{WireHeader, WireMsg};
 
     fn push_msg() -> WireMsg {
         WireMsg::Push {
@@ -1422,9 +1147,11 @@ mod tests {
         ];
         for m in msgs {
             let bytes = m.to_bytes();
-            assert_eq!(WireMsg::from_bytes(&bytes).unwrap(), m, "kind {}", m.kind());
-            let bound = 61 + 4 * m.hdr().blocks.len() + 8 * m.words().len();
-            assert!(bytes.len() <= bound, "kind {}: to_bytes regrew", m.kind());
+            let kind = bytes[4];
+            assert_eq!(WireMsg::from_bytes(&bytes).unwrap(), m, "kind {kind}");
+            let view = WireView::parse(&bytes).unwrap();
+            let bound = 61 + view.blocks.len() + 8 * m.words().len();
+            assert!(bytes.len() <= bound, "kind {kind}: to_bytes regrew");
         }
     }
 
@@ -1541,19 +1268,20 @@ mod tests {
             strided(5, 3, 40, 6),
             strided(7, 4, 0, 1),
         ] {
-            let kind = msg.kind();
-            let (shape, nwords) = (msg.shape(), msg.words().len());
+            let blank = msg.to_bytes();
+            let blank = WireView::parse(&blank).unwrap();
+            let (kind, shape, nwords) = (blank.kind(), blank.shape, blank.nwords());
             let runs = shape.runs(nwords, wpb, seg).unwrap();
             let named: Vec<usize> = runs.clone().flat_map(|(s, len)| s..s + len).collect();
             assert!(!named.is_empty(), "kind {kind}");
-            let hdr = msg.hdr();
+            let f = blank.fields;
             let head = Head {
-                src: hdr.src,
-                dst: hdr.dst,
-                ctx: (hdr.superstep, hdr.loop_id),
-                array: hdr.array,
-                first: hdr.blocks[0],
-                n: hdr.blocks.len() as u32,
+                src: f[0],
+                dst: f[1],
+                ctx: (f[2], f[3]),
+                array: f[4],
+                first: u32::from_le_bytes(blank.blocks[..4].try_into().unwrap()),
+                n: blank.blocks.len() as u32 / 4,
             };
             let mut frame = Vec::new();
             encode_gathered(&mut frame, &head, &shape, (runs.clone(), nwords), &src);
@@ -1612,17 +1340,13 @@ mod tests {
             let bytes = msg.to_bytes();
             assert_eq!(WireMsg::from_bytes(&bytes).as_ref(), Ok(&msg));
             let mut mirror = vec![0u64; seg];
+            let view = WireView::parse(&bytes).unwrap();
             assert!(
                 matches!(
-                    msg.scatter(&mut mirror, wpb),
+                    view.scatter(&mut mirror, wpb),
                     Err(WireError::OutOfSegment(_))
                 ),
                 "{msg:?}"
-            );
-            let view = WireView::parse(&bytes).unwrap();
-            assert_eq!(
-                view.scatter(&mut mirror, wpb),
-                msg.scatter(&mut mirror, wpb)
             );
             assert_eq!(mirror, vec![0u64; seg], "rejected frame wrote memory");
         }
@@ -1630,14 +1354,15 @@ mod tests {
 
     #[test]
     fn payload_bytes_match_note_msg_accounting() {
-        assert_eq!(push_msg().payload_bytes(), 16);
+        let payload = |m: &WireMsg| WireView::parse(&m.to_bytes()).unwrap().payload_bytes();
+        assert_eq!(payload(&push_msg()), 16);
         let diff = WireMsg::Diff {
             hdr: WireHeader::for_blocks(0, 1, (0, 0), 0, 0, 1),
             block: 0,
             mask: 0b1101,
             words: vec![1, 2, 3],
         };
-        assert_eq!(diff.payload_bytes() as usize, diff_bytes(0b1101));
+        assert_eq!(payload(&diff) as usize, diff_bytes(0b1101));
     }
 
     #[test]

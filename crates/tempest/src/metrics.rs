@@ -5,7 +5,7 @@
 //! functions of *virtual* time and must stay byte-identical run-over-run;
 //! host nanoseconds may only ever appear in clearly wall-clock side
 //! channels (`wall_ns`, `wire_route_ns`). This module is that
-//! side channel grown into a real instrument: per-`WireMsg`-class latency
+//! side channel grown into a real instrument: per-frame-kind latency
 //! histograms recorded on both sides of a socket (deterministic in
 //! *shape* — key order, field order — while the recorded nanoseconds are
 //! of course wall-clock measurements).
@@ -30,8 +30,8 @@ pub(crate) const HIST_BUCKETS: usize = 65;
 /// same build, so a layout change bumps it and nothing reads the old one.
 pub(crate) const METRICS_BLOB_VERSION: u16 = 2;
 
-/// The `WireMsg` classes a table keeps apart: the five kinds of
-/// [`class_name`] plus `unknown`, where every kind byte above 4 lands.
+/// The frame kinds a table keeps apart: the five of [`class_name`] plus
+/// `unknown`, where every kind byte above 4 lands.
 const CLASSES: usize = 6;
 
 /// The stages a table times, one histogram row each.
@@ -43,8 +43,8 @@ const STAGES: usize = 6;
 pub const METRICS_BLOB_MAX: usize =
     2 + 2 * CLASSES * 8 + STAGES * CLASSES * (33 + HIST_BUCKETS * 9);
 
-/// The five `WireMsg` payload classes by `kind()` byte, as they appear in
-/// metric keys (`coord.route.push`, `node2.apply.diff`, …).
+/// The five frame kinds by kind byte (the wire's v1 layout), as they
+/// appear in metric keys (`coord.route.push`, `node2.apply.diff`, …).
 pub fn class_name(kind: u8) -> &'static str {
     match kind {
         0 => "push",

@@ -32,7 +32,8 @@ use std::fmt::Write;
 pub struct StepInterval {
     /// Superstep index ([`NO_STEP`] for the post-run tail).
     pub step: u32,
-    /// IR loop that ran this superstep ([`NO_LOOP`] for the tail).
+    /// IR loop that ran this superstep ([`crate::trace::NO_LOOP`] for the
+    /// tail).
     pub loop_id: u32,
     /// Per-node stats delta, indexed by node id.
     pub nodes: Vec<NodeStats>,
@@ -89,7 +90,8 @@ impl ProfileState {
 /// summed over supersteps and nodes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoopRow {
-    /// IR loop id ([`NO_LOOP`] for the catch-all outside-loops row).
+    /// IR loop id ([`crate::trace::NO_LOOP`] for the catch-all
+    /// outside-loops row).
     pub loop_id: u32,
     /// How many supersteps executed this loop.
     pub supersteps: u64,
@@ -260,7 +262,7 @@ impl ClusterReport {
 
     /// Fold the intervals into one row per IR loop (cluster-summed),
     /// ascending by loop id with the outside-loops catch-all
-    /// ([`NO_LOOP`]) last. By invariant 1 of
+    /// ([`crate::trace::NO_LOOP`]) last. By invariant 1 of
     /// [`ClusterReport::check_profile_invariants`], summing every row
     /// field reproduces the cluster-summed whole-run counters.
     pub fn loop_table(&self) -> Vec<LoopRow> {
