@@ -77,7 +77,11 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # and src/ outside crates/*/src/compat.rs, comments included; the
 # crate-root `pub use compat::` re-exports, `ExecConfig`'s `pool` and
 # `resolve_parallel` fields and their initialisers, and the signature of
-# the one provided `WireTransport::route` excepted).
+# the one provided `WireTransport::route` excepted), and fault fields
+# outside the `Fault` enum (a must-catch fault's snake_case name as a
+# `pub` field or a `.` field access in the non-test part of
+# crates/*/src and src/), beside the number of faults `Fault::ALL`
+# holds.
 # The `pub` count has no threshold: an item no other crate, example,
 # bench, integration test or benchmark/ names is `pub(crate)`, and the
 # clippy step above (`-D warnings`, so rustc's dead_code lint fails it)
@@ -105,7 +109,11 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # surface benchmark/ names but no run takes — the owned envelope, the
 # blocking route, the pool mode — is a shim built on the production API
 # in one `compat` module per crate (DESIGN 5e), so a production path
-# must not grow back into it: a compat name outside compat fails.
+# must not grow back into it: a compat name outside compat fails. A
+# seeded must-catch fault is one `Fault` variant carried as one `Faults`
+# set from the config to every check site (DESIGN 8), so a fault written
+# again as a field of its own — a bool per fault in a config, an
+# injection struct, a copy between them — fails.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
 pubs=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /^[ \t]*pub ((unsafe|const) )*(fn|struct|enum|const|static|trait|type) /{n++} END{print n}' {} +)
@@ -124,8 +132,10 @@ blockmaps=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /BTreeMap<u32, Block
 strkeys=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /ClassKeys|merge_tagged|BTreeMap<String/{n++} END{print n+0}' $(find crates/*/src -name '*.rs'))
 framebufs=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /Vec<Vec<u8>>/ && !/fn route\(/{n++} END{print n+0}' $(find crates/protocol/src crates/net/src -name '*.rs'))
 compat=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /(^|[^A-Za-z0-9_])(WireMsg|WireHeader|PoolMode)([^A-Za-z0-9_]|$)|resolve_parallel|fn route\(/ && !(FILENAME ~ /\/lib\.rs$/ && /^pub use compat::/) && !(FILENAME ~ /exec\/mod\.rs$/ && /^ *(pub )?(pool|resolve_parallel): /) && !(FILENAME ~ /node\.rs$/ && /^    fn route\(&mut self, dst: usize, frames: Vec<Vec<u8>>\)/){n++} END{print n+0}' $(find crates/*/src src -name '*.rs' ! -name compat.rs))
+faultfields=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /(pub |\.)(skew_send_range|skip_flush_range|stale_owner_push|corrupt_envelope|corrupt_frame_len|undercount_metrics|stale_resolve_schedule|lost_home_skipped|run_crosses_home)([^A-Za-z0-9_]|$)/{n++} END{print n+0}' $(find crates/*/src src -name '*.rs'))
+nfaults=$(grep -oE 'ALL: \[Fault; [0-9]+\]' crates/protocol/src/fault.rs | grep -oE '[0-9]+')
 fresh=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /vec!\[0\.0/{n++} END{print n+0}' crates/tempest/src/shard.rs crates/hpf/src/exec/engine.rs crates/hpf/src/exec/mp.rs)
-echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations, $blockmaps block-keyed ordered maps and per-twin boxes, $strkeys string-keyed metric sites, $framebufs per-frame buffer sites, $compat compat names outside compat"
+echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations, $blockmaps block-keyed ordered maps and per-twin boxes, $strkeys string-keyed metric sites, $framebufs per-frame buffer sites, $compat compat names outside compat, $faultfields fault fields outside the enum, $nfaults must-catch faults"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1
@@ -160,5 +170,9 @@ if [ "$framebufs" -ne 0 ]; then
 fi
 if [ "$compat" -ne 0 ]; then
     echo "ci.sh: a compat name is used outside the compat modules ($compat)" >&2
+    exit 1
+fi
+if [ "$faultfields" -ne 0 ]; then
+    echo "ci.sh: a must-catch fault is a field outside the Fault enum again ($faultfields)" >&2
     exit 1
 fi

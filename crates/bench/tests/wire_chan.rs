@@ -28,8 +28,8 @@ use fgdsm_apps::{suite, Scale};
 use fgdsm_bench::NPROCS;
 use fgdsm_hpf::{execute, tcp_available, ExecConfig};
 use fgdsm_protocol::{
-    plan_sends, ChanTransport, Dsm, FrameBatch, Geometry, RemoteReport, SendEntry, WireError,
-    WireTransport, DEFAULT_RECV_TIMEOUT,
+    plan_sends, ChanTransport, Dsm, Faults, FrameBatch, Geometry, RemoteReport, SendEntry,
+    WireError, WireTransport, DEFAULT_RECV_TIMEOUT,
 };
 use fgdsm_tempest::{Cluster, CostModel, HomePolicy, NodeStats, SegmentLayout, WireSpan, NO_ARRAY};
 
@@ -218,7 +218,7 @@ fn chan_books_reconcile_and_a_skewed_book_is_a_typed_mismatch() {
         layout.alloc(8192);
         let mut d = Dsm::new(Cluster::new(2, cost, &layout, HomePolicy::RoundRobin));
         let geom = Geometry::of(&d.cluster);
-        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None);
+        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None, Faults::default());
         d.set_wire(Box::new(Retransmit(chan, retransmit)));
         d.mk_writable(1, 0, 2);
         let sends = [SendEntry {
@@ -228,7 +228,7 @@ fn chan_books_reconcile_and_a_skewed_book_is_a_typed_mismatch() {
             end: 2,
             array: NO_ARRAY,
         }];
-        let plans = plan_sends(&d.cluster, d.injection(), &sends, true);
+        let plans = plan_sends(&d.cluster, d.faults, &sends, true);
         d.exec_sends(&sends, &plans);
         assert!(d.wire_stats().0 > 0, "the push must have been enveloped");
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.wire_finish())).map(|_| ())

@@ -30,6 +30,7 @@ use fgdsm_hpf::{
     ARef, ArrayId, CompDist, Dist, InjectConfig, Kernel, KernelCtx, ParLoop, Program, ReduceSpec,
     Stmt, Subscript,
 };
+use fgdsm_protocol::Fault;
 use fgdsm_section::{Affine, SymRange, Var};
 use fgdsm_tempest::{CostModel, ReduceOp};
 use fgdsm_testkit::Rng;
@@ -450,27 +451,13 @@ impl FuzzSpec {
         let _ = writeln!(s, "        ],");
         let _ = writeln!(s, "        time: {:?},", self.time);
         let i = &self.inject;
+        let armed = Fault::ALL.into_iter().filter(|&f| i.faults.has(f));
+        let faults: String = armed.map(|f| format!(".with(Fault::{f:?})")).collect();
         let _ = writeln!(s, "        inject: InjectConfig {{");
         let _ = writeln!(s, "            shuffle_resolve: {:?},", i.shuffle_resolve);
         let _ = writeln!(s, "            clear_iw_memo: {},", i.clear_iw_memo);
         let _ = writeln!(s, "            force_boundary: {},", i.force_boundary);
-        let _ = writeln!(s, "            skew_send_range: {},", i.skew_send_range);
-        let _ = writeln!(s, "            skip_flush_range: {},", i.skip_flush_range);
-        let _ = writeln!(s, "            stale_owner_push: {},", i.stale_owner_push);
-        let _ = writeln!(s, "            corrupt_envelope: {},", i.corrupt_envelope);
-        let _ = writeln!(s, "            corrupt_frame_len: {},", i.corrupt_frame_len);
-        let _ = writeln!(
-            s,
-            "            stale_resolve_schedule: {},",
-            i.stale_resolve_schedule
-        );
-        let _ = writeln!(
-            s,
-            "            undercount_metrics: {},",
-            i.undercount_metrics
-        );
-        let _ = writeln!(s, "            lost_home_skipped: {},", i.lost_home_skipped);
-        let _ = writeln!(s, "            run_crosses_home: {},", i.run_crosses_home);
+        let _ = writeln!(s, "            faults: Faults::default(){faults},");
         let _ = writeln!(s, "            node_fault: {:?},", i.node_fault);
         let _ = writeln!(s, "        }},");
         let _ = writeln!(s, "    }};");

@@ -23,9 +23,10 @@
 //! Fault injection rides on [`fgdsm_hpf::InjectConfig`]: *tolerated*
 //! perturbations (randomized resolve order, cleared `implicit_writable`
 //! memo, boundary blocks forced onto the default path) must produce
-//! identical results; *must-catch* protocol mutations (off-by-one
-//! `send_range`, skipped `flush_range`) must make the oracle report a
-//! divergence.
+//! identical results; each armed must-catch [`Fault`] (off-by-one
+//! `send_range`, skipped `flush_range`, …) must make the oracle report a
+//! divergence or a loud failure ([`detected_by`] says which harness
+//! catches it).
 
 #![forbid(unsafe_code)]
 
@@ -34,11 +35,12 @@ pub mod oracle;
 pub mod shrink;
 pub mod taxonomy;
 
+pub use fgdsm_protocol::{Fault, Faults};
 pub use gen::{gen_spec, gen_spec_paged, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
 use oracle::check_spec_strict;
 pub use oracle::{check_spec, check_spec_tcp, Divergence};
 pub use shrink::shrink;
-pub use taxonomy::{Detector, Fault};
+pub use taxonomy::{detected_by, Detector};
 
 /// Golden stride between corpus seeds (the SplitMix64 increment, so
 /// corpus seeds match `fgdsm_testkit::check_cases` numbering).

@@ -4,14 +4,22 @@
 //! case must shrink to a smaller spec that still diverges.
 
 use fgdsm_fuzz::{
-    case_seed, check_spec, check_spec_tcp, gen_spec, shrink, ArraySpec, Detector, FStmt, Fault,
-    FuzzSpec, LoopSpec, ReadSpec,
+    case_seed, check_spec, check_spec_tcp, detected_by, gen_spec, shrink, ArraySpec, Detector,
+    FStmt, Fault, Faults, FuzzSpec, LoopSpec, ReadSpec,
 };
 use fgdsm_hpf::{try_execute, ExecConfig, ExecError, InjectConfig};
 use fgdsm_protocol::WireError;
 use fgdsm_testkit::Rng;
 
 const TOLERATED_SEEDS: u64 = 25;
+
+/// An injection configuration with `fault` armed, and nothing else.
+fn armed(fault: Fault) -> InjectConfig {
+    InjectConfig {
+        faults: Faults::default().with(fault),
+        ..InjectConfig::default()
+    }
+}
 
 /// Tolerated perturbations — randomized resolve order, a cleared
 /// `implicit_writable` memo, and boundary blocks forced onto the default
@@ -26,15 +34,7 @@ fn tolerated_perturbations_are_invisible() {
             shuffle_resolve: Some(seed.rotate_left(17)),
             clear_iw_memo: true,
             force_boundary: true,
-            skew_send_range: false,
-            skip_flush_range: false,
-            stale_owner_push: false,
-            corrupt_envelope: false,
-            corrupt_frame_len: false,
-            stale_resolve_schedule: false,
-            undercount_metrics: false,
-            lost_home_skipped: false,
-            run_crosses_home: false,
+            faults: Faults::default(),
             node_fault: None,
         };
         if let Err(d) = check_spec(&spec) {
@@ -80,10 +80,7 @@ fn skew_victim() -> FuzzSpec {
             sweep_t: false,
         })],
         time: None,
-        inject: InjectConfig {
-            skew_send_range: true,
-            ..InjectConfig::default()
-        },
+        inject: armed(Fault::SkewSendRange),
     }
 }
 
@@ -110,10 +107,7 @@ fn must_catch_skewed_send_range() {
 #[test]
 fn must_catch_corrupt_envelope() {
     let mut spec = skew_victim();
-    spec.inject = InjectConfig {
-        corrupt_envelope: true,
-        ..InjectConfig::default()
-    };
+    spec.inject = armed(Fault::CorruptEnvelope);
     let d = check_spec(&spec).expect_err("corrupt envelope must be detected");
     assert!(
         d.config.contains("wire-strict") || d.config.starts_with("chan"),
@@ -140,36 +134,38 @@ fn must_catch_corrupt_envelope() {
     }
 }
 
-/// The same traffic-heavy program as [`skew_victim`], but the `tcp`
+/// The same traffic-heavy program as [`skew_victim`], but the carrier's
 /// coordinator overwrites the length prefix of the first data frame it
-/// sends with an oversized value: the node's framing layer must reject
+/// writes with an oversized value: the node's framing layer must reject
 /// it against the frame cap *before allocating*, reply with a decode
-/// error, and fail the run loudly. Skipped (with a notice) when the
-/// sandbox forbids sockets.
+/// error, and fail the run loudly. Both carriers reassemble frames with
+/// the same decoder and cap, so it is caught on `chan` everywhere and on
+/// `tcp` too where the sandbox allows sockets.
 #[test]
 fn must_catch_corrupt_frame_len() {
-    if !fgdsm_hpf::tcp_available() {
-        eprintln!("notice: sandbox forbids sockets; skipping must_catch_corrupt_frame_len");
-        return;
-    }
     let mut spec = skew_victim();
-    spec.inject = InjectConfig {
-        corrupt_frame_len: true,
-        ..InjectConfig::default()
-    };
-    let d = check_spec_tcp(&spec).expect_err("corrupt frame length must be detected");
-    assert!(
-        d.config.starts_with("tcp"),
-        "only the socket path frames messages, diverged at {d}"
-    );
-    assert!(
-        d.detail.contains("panic"),
-        "a corrupt frame must fail the run loudly, not diverge quietly: {d}"
-    );
-    assert!(
-        d.detail.contains("exceeds cap"),
-        "failure must come from the framing cap: {d}"
-    );
+    spec.inject = armed(Fault::CorruptFrameLen);
+    let mut oracles: Vec<(&str, fn(&FuzzSpec) -> _)> = vec![("chan", check_spec)];
+    if fgdsm_hpf::tcp_available() {
+        oracles.push(("tcp", check_spec_tcp));
+    } else {
+        eprintln!("notice: sandbox forbids sockets; corrupt_frame_len checked on chan only");
+    }
+    for (carrier, oracle) in oracles {
+        let d = oracle(&spec).expect_err("corrupt frame length must be detected");
+        assert!(
+            d.config.starts_with(carrier),
+            "only the {carrier} carrier frames messages here, diverged at {d}"
+        );
+        assert!(
+            d.detail.contains("panic"),
+            "a corrupt frame must fail the run loudly, not diverge quietly: {d}"
+        );
+        assert!(
+            d.detail.contains("exceeds cap"),
+            "failure must come from the framing cap: {d}"
+        );
+    }
 }
 
 /// The same traffic-heavy program as [`skew_victim`], but the
@@ -181,10 +177,7 @@ fn must_catch_corrupt_frame_len() {
 #[test]
 fn must_catch_undercounted_metrics() {
     let mut spec = skew_victim();
-    spec.inject = InjectConfig {
-        undercount_metrics: true,
-        ..InjectConfig::default()
-    };
+    spec.inject = armed(Fault::UndercountMetrics);
     let d = check_spec(&spec).expect_err("undercounted telemetry must be detected");
     assert!(
         d.config.contains("wire-strict") || d.config.starts_with("chan"),
@@ -229,10 +222,7 @@ fn flush_victim() -> FuzzSpec {
             sweep_t: false,
         })],
         time: None,
-        inject: InjectConfig {
-            skip_flush_range: true,
-            ..InjectConfig::default()
-        },
+        inject: armed(Fault::SkipFlushRange),
     }
 }
 
@@ -278,10 +268,7 @@ fn sweep_victim() -> FuzzSpec {
             sweep_t: true,
         })],
         time: Some((0, 1, 3)),
-        inject: InjectConfig {
-            stale_resolve_schedule: true,
-            ..InjectConfig::default()
-        },
+        inject: armed(Fault::StaleResolveSchedule),
     }
 }
 
@@ -336,10 +323,7 @@ fn lost_home_victim() -> FuzzSpec {
         arrays: vec![a2(false), a2(true)],
         body: vec![write_a0(Some(1), false), write_a0(None, true)],
         time: None,
-        inject: InjectConfig {
-            lost_home_skipped: true,
-            ..InjectConfig::default()
-        },
+        inject: armed(Fault::LostHomeSkipped),
     }
 }
 
@@ -394,10 +378,7 @@ fn run_crosses_home_victim() -> FuzzSpec {
         arrays: vec![a2(false), a2(true)],
         body: vec![looped(0, Some(1), vec![]), looped(1, None, vec![read_a0])],
         time: None,
-        inject: InjectConfig {
-            run_crosses_home: true,
-            ..InjectConfig::default()
-        },
+        inject: armed(Fault::RunCrossesHome),
     }
 }
 
@@ -417,16 +398,16 @@ fn must_catch_run_crosses_home() {
     check_spec(&spec).expect("the victim itself must pass the oracle");
 }
 
-/// The taxonomy sweep: every engine-detectable fault in the shared
-/// [`Fault`] taxonomy, armed through [`Fault::arm`] on its canonical
-/// victim program, must make the oracle report a divergence. Faults the
-/// taxonomy routes to the model checker (whose symptom needs states the
-/// engine's layouts never reach) are must-catch over in `fgdsm-model`'s
-/// mutation sweep instead — this test pins that nothing falls through.
+/// The taxonomy sweep: every engine-detectable [`Fault`], armed alone on
+/// its canonical victim program, must make the oracle report a
+/// divergence. Faults the taxonomy routes to the model checker (whose
+/// symptom needs states the engine's layouts never reach) are must-catch
+/// over in `fgdsm-model`'s mutation sweep instead — this test pins that
+/// nothing falls through.
 #[test]
 fn must_catch_every_engine_fault_in_taxonomy() {
     for f in Fault::ALL {
-        match f.detected_by() {
+        match detected_by(f) {
             Detector::Engine | Detector::Both => {
                 let mut spec = match f {
                     Fault::SkewSendRange
@@ -439,25 +420,7 @@ fn must_catch_every_engine_fault_in_taxonomy() {
                     Fault::RunCrossesHome => run_crosses_home_victim(),
                     Fault::StaleOwnerPush => unreachable!("model-level fault"),
                 };
-                spec.inject = Default::default();
-                f.arm(&mut spec.inject);
-                if f == Fault::CorruptFrameLen {
-                    // Transport-level: only the socket path frames
-                    // messages, so this fault is must-catch through the
-                    // tcp oracle (skipped when the sandbox forbids
-                    // sockets — `must_catch_corrupt_frame_len` carries
-                    // the full assertions).
-                    if fgdsm_hpf::tcp_available() {
-                        check_spec_tcp(&spec)
-                            .expect_err(&format!("taxonomy fault {} must be caught", f.name()));
-                    } else {
-                        eprintln!(
-                            "notice: sandbox forbids sockets; corrupt_frame_len covered by \
-                             must_catch_corrupt_frame_len when they are available"
-                        );
-                    }
-                    continue;
-                }
+                spec.inject = armed(f);
                 check_spec(&spec)
                     .expect_err(&format!("taxonomy fault {} must be caught", f.name()));
             }
@@ -471,10 +434,13 @@ fn must_catch_every_engine_fault_in_taxonomy() {
 
 /// Pad a diverging spec with junk (an unused array, an extra harmless
 /// loop, a time wrap) and check the shrinker strips it back down while
-/// preserving the divergence, then renders a reproducer.
+/// preserving the divergence, then renders a reproducer that arms every
+/// fault of the spec — here a second one, which the engine's layouts
+/// never trip (`stale_owner_push` needs a third-party home).
 #[test]
 fn shrinker_minimizes_divergent_cases() {
     let mut spec = skew_victim();
+    spec.inject.faults = spec.inject.faults.with(Fault::StaleOwnerPush);
     spec.arrays.push(ArraySpec {
         rank2: false,
         cyclic: true,
@@ -526,8 +492,10 @@ fn shrinker_minimizes_divergent_cases() {
         "missing oracle call:\n{repro}"
     );
     assert!(
-        repro.contains("skew_send_range: true"),
-        "missing injection knob:\n{repro}"
+        repro.contains(
+            "faults: Faults::default().with(Fault::SkewSendRange).with(Fault::StaleOwnerPush),"
+        ),
+        "missing armed faults:\n{repro}"
     );
     println!("shrunk divergence: {d}\n{repro}");
 }

@@ -40,7 +40,7 @@ use crate::ir::{
     par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt, Subscript,
 };
 use crate::plan::{self, ArrayMeta, LoopPlan, Reach, ResolveSchedule};
-use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Loopback, WireTransport};
+use fgdsm_protocol::{ChanTransport, Dsm, Fault, Geometry, Loopback, WireTransport};
 use fgdsm_section::{Env, Range};
 use fgdsm_tempest::{
     CacheAligned, CacheModel, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job,
@@ -192,16 +192,16 @@ fn foreign_pages(
 fn make_transport(cfg: &ExecConfig, cluster: &Cluster) -> Option<Box<dyn WireTransport>> {
     let geom = Geometry::of(cluster);
     let (timeout, metrics) = (cfg.recv_timeout, cfg.metrics.enabled());
-    let node_fault = cfg.inject.node_fault;
+    let (node_fault, faults) = (cfg.inject.node_fault, cfg.inject.faults);
     match cfg.backend {
         Backend::Chan => Some(Box::new(ChanTransport::spawn(
-            geom, timeout, metrics, node_fault,
+            geom, timeout, metrics, node_fault, faults,
         ))),
         Backend::Tcp => {
             let opts = fgdsm_net::SocketOpts {
                 kind: None,
                 timeout,
-                corrupt_frame_len: cfg.inject.corrupt_frame_len,
+                faults,
                 node_fault,
                 metrics,
             };
@@ -250,14 +250,7 @@ impl<'p> EngineCore<'p> {
             cluster.set_ring_capacity(cap);
         }
         let mut dsm = Dsm::with_protocol(cluster, cfg.protocol);
-        dsm.set_injection(fgdsm_protocol::Injection {
-            skew_send_range: cfg.inject.skew_send_range,
-            skip_flush_range: cfg.inject.skip_flush_range,
-            stale_owner_push: cfg.inject.stale_owner_push,
-            corrupt_envelope: cfg.inject.corrupt_envelope,
-            undercount_metrics: cfg.inject.undercount_metrics,
-            run_crosses_home: cfg.inject.run_crosses_home,
-        });
+        dsm.faults = cfg.inject.faults;
         if let Some(transport) = make_transport(cfg, &dsm.cluster) {
             dsm.set_wire(transport);
         }
@@ -358,9 +351,8 @@ impl<'p> EngineCore<'p> {
             Subscript::Indirect(idx, _) => self.writes[idx.0],
             _ => 0,
         });
-        // Must-catch `stale_resolve_schedule`: one key for the whole run,
-        // so the slot keeps its first build.
-        let key = match self.cfg.inject.stale_resolve_schedule {
+        // One key for the whole run: the slot keeps its first build.
+        let key = match self.cfg.inject.faults.has(Fault::StaleResolveSchedule) {
             true => (0, 0),
             false => (plan.version, index_writes.sum()),
         };
@@ -470,9 +462,8 @@ impl<'p> EngineCore<'p> {
             lost.clear();
             match whole {
                 true => lost.push((first, end)),
-                // Must-catch `lost_home_skipped`: homes never win back
-                // what they lost.
-                false if self.cfg.inject.lost_home_skipped => {}
+                // Homes never win back what they lost.
+                false if self.cfg.inject.faults.has(Fault::LostHomeSkipped) => {}
                 false => self
                     .dsm
                     .lost_homed(p, first, end, write, |s, t| lost.push((s, t))),

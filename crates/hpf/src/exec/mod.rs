@@ -66,7 +66,7 @@ pub use reference::{execute_reference, ReferenceResult};
 use crate::ir::Program;
 use crate::plan::{ArrayMeta, OptLevel};
 use backend::CommBackend;
-use fgdsm_protocol::{CtlStats, ProtocolKind};
+use fgdsm_protocol::{CtlStats, Faults, ProtocolKind};
 use fgdsm_section::Env;
 use fgdsm_tempest::{ClusterReport, CostModel, MetricsRegistry, WireSpan};
 use std::collections::BTreeMap;
@@ -225,12 +225,11 @@ pub struct ExecConfig {
 }
 
 /// Injection configuration: *tolerated* perturbations the §4.2
-/// contract must survive without changing results, plus *must-catch*
-/// protocol mutations (forwarded to
-/// [`fgdsm_protocol::Dsm::set_injection`]) whose incoherence the
-/// differential oracle has to detect. Everything defaults to off and the
-/// tolerated knobs are honest config — they only reorder or de-optimize
-/// work the contract already claims is order-independent.
+/// contract must survive without changing results, the *must-catch*
+/// faults the harnesses have to detect, and a node fault for the
+/// fault-tolerance tests. Everything defaults to off and the tolerated
+/// knobs are honest config — they only reorder or de-optimize work the
+/// contract already claims is order-independent.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InjectConfig {
     /// Shuffle the node service order of the default-protocol resolve
@@ -244,57 +243,16 @@ pub struct InjectConfig {
     /// Shrink every compiler-controlled block range by one block at each
     /// end, forcing those boundary blocks onto the default-protocol path.
     pub force_boundary: bool,
-    /// Must-catch: off-by-one `send_range` bounds.
-    pub skew_send_range: bool,
-    /// Must-catch: skip `flush_range` entirely.
-    pub skip_flush_range: bool,
-    /// Must-catch: redirect `send_range` pushes to the (possibly stale)
-    /// home copy whenever the home is a third party — the §4.3 stale
-    /// owner-memo hazard.
-    pub stale_owner_push: bool,
-    /// Must-catch: flip a byte inside the first frame delivered in strict
-    /// wire mode — the one decoder ([`fgdsm_protocol::WireView::parse`])
-    /// must reject the frame and fail the run loudly, proving decode
-    /// validation has teeth (needs a frame path: a carrier or
-    /// [`WireMode::Strict`]).
-    pub corrupt_envelope: bool,
-    /// Must-catch: overwrite the length prefix of the first data frame
-    /// the coordinator sends with an oversized value — the node's
-    /// framing layer must reject it against [`fgdsm_protocol::MAX_FRAME_BYTES`]
-    /// before allocating, and the run must fail loudly. Only the socket
-    /// link has length prefixes, so it only has an effect on the `tcp`
-    /// backend.
-    pub corrupt_frame_len: bool,
-    /// Fault-tolerance harness knob: arm node `n` of a carrier (`chan`
-    /// or `tcp`) with a [`fgdsm_protocol::NodeFault`] (exit or wedge
-    /// after a batch count). The coordinator must surface a typed
+    /// The armed must-catch faults ([`fgdsm_protocol::Fault`] documents
+    /// each), handed as they are to the protocol, the engine and the
+    /// carrier's coordinator.
+    pub faults: Faults,
+    /// Arm node `n` of a carrier (`chan` or `tcp`) with a
+    /// [`fgdsm_protocol::NodeFault`] (exit or wedge after a batch count).
+    /// The coordinator must surface a typed
     /// [`fgdsm_protocol::WireError`] within the configured deadline —
     /// no hang, no partial artifact. No effect without a carrier.
     pub node_fault: Option<(u32, fgdsm_protocol::NodeFault)>,
-    /// Must-catch: the default-protocol schedule's slot ignores its key
-    /// after its first build, so every later instance walks the first
-    /// one's covers — of a symbolic loop whose sections moved, of an
-    /// indirect loop whose index array was rewritten — and blocks only
-    /// the new ones reach are never made accessible.
-    pub stale_resolve_schedule: bool,
-    /// Must-catch: skip the coordinator's per-class `payload_bytes.*`
-    /// metrics counter for the first envelope encoded — the run itself
-    /// and the double-entry books stay correct, so only the telemetry
-    /// conservation invariant ([`RunResult::check_metrics_conservation`])
-    /// can catch the undercount (needs metrics on and an envelope
-    /// path).
-    pub undercount_metrics: bool,
-    /// Must-catch: the default walk visits only a schedule's kept ranges
-    /// and never scans for the blocks a node lost of the pages homed at
-    /// it — a home that a non-owner's write or a reader's downgrade took
-    /// a block from neither fetches it back nor regains it before its
-    /// kernel writes or reads it.
-    pub lost_home_skipped: bool,
-    /// Must-catch: a like-run of faults ignores its home bound — a
-    /// reader's run that spans two homes' adjacent pages services the
-    /// second home's blocks as if the first held them (see
-    /// [`fgdsm_protocol::Injection::run_crosses_home`]).
-    pub run_crosses_home: bool,
 }
 
 impl ExecConfig {

@@ -48,8 +48,8 @@ impl SmOpt {
             let still_valid = |user, array, first, end| {
                 self.opt.pre && self.pre.is_valid(user, array, first, end, core.wpb)
             };
-            let (cluster, inject) = (&dsm.cluster, dsm.injection());
-            plan::ctl_schedule_into(plan, cluster, inject, bulk, edge, still_valid, sched)
+            let (cluster, faults) = (&dsm.cluster, dsm.faults);
+            plan::ctl_schedule_into(plan, cluster, faults, bulk, edge, still_valid, sched)
         })
     }
 

@@ -26,7 +26,7 @@ use crate::analysis::{LoopAccess, Transfer};
 use crate::dist::{ArrayId, Dist};
 use crate::ir::{ParLoop, RefMode};
 use fgdsm_protocol::{
-    plan_flushes_into, plan_sends_into, FlushEntry, Injection, MpSendPlan, SendEntry, TransferPlan,
+    plan_flushes_into, plan_sends_into, Faults, FlushEntry, MpSendPlan, SendEntry, TransferPlan,
 };
 use fgdsm_section::{block_subset, ColumnMajor, LinearRanges, Section, StridedRange, Var};
 use fgdsm_tempest::{Cluster, NodeId};
@@ -743,7 +743,7 @@ pub(crate) fn schedule_into(
 
 /// Schedule the §4.2 contract of one lowered loop instance under the
 /// run's constants: `cluster`'s geometry (block and bulk sizes, homes),
-/// the armed contract mutations ([`fgdsm_protocol::plan_sends`] applies them),
+/// the armed faults ([`fgdsm_protocol::plan_sends`] applies them),
 /// [`OptLevel::bulk`], and the tolerated `force_boundary` perturbation —
 /// retreat each ctl range by one block per end, forcing the dropped
 /// boundary blocks onto the default-protocol path (which runs after the
@@ -766,7 +766,7 @@ pub(crate) fn schedule_into(
 pub fn ctl_schedule_into(
     plan: &LoopPlan,
     cluster: &Cluster,
-    injection: Injection,
+    faults: Faults,
     bulk: bool,
     force_boundary: bool,
     mut still_valid: impl FnMut(NodeId, usize, usize, usize) -> bool,
@@ -865,7 +865,7 @@ pub fn ctl_schedule_into(
     sends.truncate(n);
     acquire.sort_unstable();
     acquire.dedup();
-    plan_sends_into(cluster, injection, sends, bulk, send_plans);
+    plan_sends_into(cluster, faults, sends, bulk, send_plans);
     plan_flushes_into(cluster, flushes, bulk, flush_plans);
 }
 

@@ -13,10 +13,10 @@
 
 use crate::absmodel::{AbsState, Mutation, Op, Proto, WORDS};
 use crate::checker::ModelConfig;
-use fgdsm_protocol::{ChanTransport, Dsm, Geometry, Injection, ProtocolKind, DEFAULT_RECV_TIMEOUT};
+use fgdsm_protocol::{ChanTransport, Dsm, Faults, Geometry, ProtocolKind, DEFAULT_RECV_TIMEOUT};
 use fgdsm_tempest::{Access, Cluster, CostModel, HomePolicy, SegmentLayout};
 
-fn build_dsm(cfg: &ModelConfig, wire: bool, inject: Option<Injection>) -> Dsm {
+fn build_dsm(cfg: &ModelConfig, wire: bool, faults: Faults) -> Dsm {
     let cost = CostModel::paper_dual_cpu();
     let mut layout = SegmentLayout::new(cost.words_per_page());
     // One page per model block, plus one spare page of headroom.
@@ -31,12 +31,10 @@ fn build_dsm(cfg: &ModelConfig, wire: bool, inject: Option<Injection>) -> Dsm {
     );
     if wire {
         let geom = Geometry::of(&d.cluster);
-        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None);
+        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None, faults);
         d.set_wire(Box::new(chan));
     }
-    if let Some(inj) = inject {
-        d.set_injection(inj);
-    }
+    d.faults = faults;
     d
 }
 
@@ -48,17 +46,17 @@ fn real_block(d: &Dsm, b: usize) -> usize {
 
 /// Replay `ops` on the abstract model and on a fresh real [`Dsm`]
 /// side by side, then compare final directory, tags, and memory.
-/// `wire` selects the channel-backed strict wire path; `inject` arms
-/// real-engine fault injections (the model always runs clean, so an
-/// armed injection is expected to *diverge* — callers assert `Err`).
+/// `wire` selects the channel-backed strict wire path; `faults` arms
+/// real-engine faults (the model always runs clean, so an armed fault is
+/// expected to *diverge* — callers assert `Err`).
 pub fn replay_on_dsm(
     cfg: &ModelConfig,
     ops: &[Op],
     wire: bool,
-    inject: Option<Injection>,
+    faults: Faults,
 ) -> Result<usize, String> {
     let mut st = AbsState::initial(cfg.nodes, cfg.blocks);
-    let mut d = build_dsm(cfg, wire, inject);
+    let mut d = build_dsm(cfg, wire, faults);
 
     for (i, &op) in ops.iter().enumerate() {
         let pre = st.clone();

@@ -5,7 +5,7 @@
 //! replays must *diverge* (the injections are bugs the model catches).
 
 use fgdsm_model::{enumerate_sequences, replay_on_dsm, ModelConfig, Op, Proto};
-use fgdsm_protocol::Injection;
+use fgdsm_protocol::{Fault, Faults};
 
 /// Stride-sample `want` sequences out of an enumeration.
 fn sample(seqs: &[Vec<Op>], want: usize) -> Vec<&Vec<Op>> {
@@ -20,7 +20,7 @@ fn eager_sequences_conform_on_the_fast_path() {
     let picked = sample(&seqs, 100);
     assert!(picked.len() >= 100, "enumeration too small: {}", seqs.len());
     for seq in picked {
-        replay_on_dsm(&cfg, seq, false, None).unwrap_or_else(|e| {
+        replay_on_dsm(&cfg, seq, false, Faults::default()).unwrap_or_else(|e| {
             panic!(
                 "fast-path divergence on {:?}: {e}",
                 seq.iter().map(Op::to_string).collect::<Vec<_>>()
@@ -36,7 +36,7 @@ fn eager_sequences_conform_on_the_chan_wire_path() {
     let picked = sample(&seqs, 100);
     assert!(picked.len() >= 100, "enumeration too small: {}", seqs.len());
     for seq in picked {
-        replay_on_dsm(&cfg, seq, true, None).unwrap_or_else(|e| {
+        replay_on_dsm(&cfg, seq, true, Faults::default()).unwrap_or_else(|e| {
             panic!(
                 "wire-path divergence on {:?}: {e}",
                 seq.iter().map(Op::to_string).collect::<Vec<_>>()
@@ -50,7 +50,7 @@ fn three_node_sequences_conform() {
     let cfg = ModelConfig::small(Proto::Eager).with_nodes(3).with_depth(3);
     let seqs = enumerate_sequences(&cfg, 3, true, 50_000);
     for seq in sample(&seqs, 60) {
-        replay_on_dsm(&cfg, seq, false, None)
+        replay_on_dsm(&cfg, seq, false, Faults::default())
             .unwrap_or_else(|e| panic!("3-node divergence on {seq:?}: {e}"));
     }
 }
@@ -60,7 +60,7 @@ fn update_sequences_conform() {
     let cfg = ModelConfig::small(Proto::Update).with_depth(4);
     let seqs = enumerate_sequences(&cfg, 4, false, 50_000);
     for seq in sample(&seqs, 60) {
-        replay_on_dsm(&cfg, seq, false, None)
+        replay_on_dsm(&cfg, seq, false, Faults::default())
             .unwrap_or_else(|e| panic!("update divergence on {seq:?}: {e}"));
     }
 }
@@ -80,12 +80,9 @@ fn engine_injections_diverge_from_the_clean_model() {
     .iter()
     .map(|s| s.parse().unwrap())
     .collect();
-    replay_on_dsm(&cfg, &skew_seq, false, None).expect("clean replay must conform");
-    let inj = Injection {
-        skew_send_range: true,
-        ..Default::default()
-    };
-    replay_on_dsm(&cfg, &skew_seq, false, Some(inj))
+    replay_on_dsm(&cfg, &skew_seq, false, Faults::default()).expect("clean replay must conform");
+    let inj = Faults::default().with(Fault::SkewSendRange);
+    replay_on_dsm(&cfg, &skew_seq, false, inj)
         .expect_err("skew_send_range must diverge from the clean model");
 
     // skip_flush_range: the writer's window copy never reaches the
@@ -98,12 +95,9 @@ fn engine_injections_diverge_from_the_clean_model() {
     .iter()
     .map(|s| s.parse().unwrap())
     .collect();
-    replay_on_dsm(&cfg, &flush_seq, false, None).expect("clean replay must conform");
-    let inj = Injection {
-        skip_flush_range: true,
-        ..Default::default()
-    };
-    replay_on_dsm(&cfg, &flush_seq, false, Some(inj))
+    replay_on_dsm(&cfg, &flush_seq, false, Faults::default()).expect("clean replay must conform");
+    let inj = Faults::default().with(Fault::SkipFlushRange);
+    replay_on_dsm(&cfg, &flush_seq, false, inj)
         .expect_err("skip_flush_range must diverge from the clean model");
 
     // stale_owner_push: needs a third-party home — the owner steals the
@@ -118,11 +112,8 @@ fn engine_injections_diverge_from_the_clean_model() {
     .iter()
     .map(|s| s.parse().unwrap())
     .collect();
-    replay_on_dsm(&cfg3, &stale_seq, false, None).expect("clean replay must conform");
-    let inj = Injection {
-        stale_owner_push: true,
-        ..Default::default()
-    };
-    replay_on_dsm(&cfg3, &stale_seq, false, Some(inj))
+    replay_on_dsm(&cfg3, &stale_seq, false, Faults::default()).expect("clean replay must conform");
+    let inj = Faults::default().with(Fault::StaleOwnerPush);
+    replay_on_dsm(&cfg3, &stale_seq, false, inj)
         .expect_err("stale_owner_push must diverge from the clean model");
 }

@@ -3,6 +3,7 @@
 //! printed reproducer must round-trip (parse back and replay to the
 //! same violation).
 
+use fgdsm_fuzz::{detected_by, Detector, Fault};
 use fgdsm_model::{check, replay, ModelConfig, Mutation, Op, Proto};
 
 /// The checker configuration each mutation needs (some hazards only
@@ -26,6 +27,23 @@ fn arena(m: Mutation) -> (ModelConfig, usize) {
         // open, send, recv.
         Mutation::StaleOwnerPush => (base.with_nodes(3), 4),
         Mutation::None => unreachable!(),
+    }
+}
+
+/// The fuzz crate's taxonomy and this sweep agree: a fault routed to the
+/// model (alone or with the engine) is a seeded mutation of the same
+/// name, and a mutation named like a fault is one routed to the model.
+#[test]
+fn faults_routed_to_the_model_are_its_mutations() {
+    for f in Fault::ALL {
+        let routed = matches!(detected_by(f), Detector::Model | Detector::Both);
+        let seeded = Mutation::ALL.iter().any(|m| m.name() == f.name());
+        assert_eq!(
+            seeded,
+            routed,
+            "{}: a model mutation {seeded}, routed to the model {routed}",
+            f.name()
+        );
     }
 }
 

@@ -38,6 +38,7 @@ pub use fgdsm_protocol::node::{Geometry as NetGeometry, NodeFault};
 use fgdsm_protocol::wire::{
     FrameBatch, FrameDecoder, RemoteReport, WireError, DEFAULT_RECV_TIMEOUT,
 };
+use fgdsm_protocol::Faults;
 use fgdsm_tempest::metrics::WireSpan;
 
 /// Bounded retry budget for transient (`EINTR`) I/O errors.
@@ -213,43 +214,21 @@ struct SocketLink {
     /// Where `read` lands before the decoder takes it: allocated once per
     /// link, not zeroed once per `recv`.
     chunk: Vec<u8>,
-    /// Fault injection ([`SocketOpts::corrupt_frame_len`]), one shot:
-    /// overwrite the length prefix of the first data frame sent with an
-    /// oversized value. The node's framing cap must reject it before
-    /// allocating; the run fails loudly via the node's `Err` reply.
-    corrupt_next_len: bool,
 }
 
 impl SocketLink {
-    fn new(stream: Stream, corrupt_next_len: bool) -> Self {
+    fn new(stream: Stream) -> Self {
         SocketLink {
             stream,
             dec: FrameDecoder::new(),
             chunk: vec![0; READ_CHUNK_BYTES],
-            corrupt_next_len,
         }
     }
-}
-
-/// Where the second record of a length-prefixed image starts — the
-/// first data frame's prefix, behind a batch's marker — if it has one.
-fn second_record(image: &[u8]) -> Option<usize> {
-    let first = u32::from_le_bytes(image.get(..4)?.try_into().ok()?) as usize;
-    let at = 4 + first;
-    (image.len() > at).then_some(at)
 }
 
 impl Link for SocketLink {
     /// One `write` of the whole image.
     fn send(&mut self, image: &[u8], peer: u32) -> Result<(), WireError> {
-        if self.corrupt_next_len {
-            if let Some(at) = second_record(image) {
-                self.corrupt_next_len = false;
-                let mut bad = image.to_vec();
-                bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-                return self.stream.write_all(&bad).map_err(|e| map_io(peer, &e));
-            }
-        }
         self.stream.write_all(image).map_err(|e| map_io(peer, &e))
     }
 
@@ -289,10 +268,9 @@ pub struct SocketOpts {
     pub kind: Option<NetKind>,
     /// Per-recv deadline (default [`DEFAULT_RECV_TIMEOUT`]).
     pub timeout: Duration,
-    /// Fault injection: corrupt the length prefix of the first routed
-    /// data frame to an oversized value — the node must reject it via
-    /// the framing cap, never allocate for it.
-    pub corrupt_frame_len: bool,
+    /// Faults armed on the coordinator's side of the links
+    /// ([`fgdsm_protocol::Fault::CorruptFrameLen`]).
+    pub faults: Faults,
     /// Fault injection: arm one node with a [`NodeFault`].
     pub node_fault: Option<(u32, NodeFault)>,
     /// Enable wall-clock telemetry in the workers: a metrics-enabled
@@ -305,7 +283,7 @@ impl Default for SocketOpts {
         SocketOpts {
             kind: None,
             timeout: DEFAULT_RECV_TIMEOUT,
-            corrupt_frame_len: false,
+            faults: Faults::default(),
             node_fault: None,
             metrics: false,
         }
@@ -362,7 +340,7 @@ impl SocketTransport {
         // Owned from before the first child starts: any early return
         // below drops these, reaping every child and closing every link.
         let mut children = Children(Vec::with_capacity(geom.nprocs));
-        let mut nodes = Coordinator::new(geom);
+        let mut nodes = Coordinator::new(geom, opts.faults);
         for node in 0..geom.nprocs as u32 {
             let args = NodeArgs {
                 node,
@@ -408,7 +386,7 @@ impl SocketTransport {
             };
             stream.configure(Some(opts.timeout))?;
             nodes
-                .admit(SocketLink::new(stream, opts.corrupt_frame_len))
+                .admit(SocketLink::new(stream))
                 .map_err(|e| io::Error::other(format!("handshake: {e}")))?;
             connected += 1;
         }
@@ -585,7 +563,7 @@ pub fn serve_from_args(argv: &[String]) -> Result<(), String> {
     stream
         .configure(Some(idle))
         .map_err(|e| format!("configure socket: {e}"))?;
-    let link = SocketLink::new(stream, false);
+    let link = SocketLink::new(stream);
     serve(link, args.node, args.metrics, args.fault).map_err(|e| e.to_string())
 }
 

@@ -35,7 +35,7 @@
 //!
 //! * **schedule** ([`plan_sends`] / [`plan_flushes`]) — pure functions
 //!   of the call sites, the cluster's geometry (block and bulk sizes,
-//!   homes) and the armed [`Injection`]: payload grouping, and one
+//!   homes) and the armed [`Faults`]: payload grouping, and one
 //!   [`TransferPlan`] per (source, destination) pair in `(src, dst)`
 //!   order. A caller whose call sites repeat keeps the result;
 //! * **execute** ([`Dsm::exec_sends`] / [`Dsm::exec_flushes`]) — borrows
@@ -46,7 +46,8 @@
 //!   directory, third-party home tags).
 
 use crate::dir::DirState;
-use crate::proto::{Dsm, Injection};
+use crate::fault::{Fault, Faults};
+use crate::proto::Dsm;
 use crate::trans;
 use crate::wire::Shape;
 use fgdsm_tempest::{
@@ -137,17 +138,17 @@ fn merge_sites(
 /// Schedule a batch of compiler-directed pushes: payload grouping, and
 /// the entries merged into one [`TransferPlan`] per (source, reader) pair
 /// in stable (source, reader) order. Pure: `cluster` is read for its
-/// geometry only (block and bulk sizes, homes), and the armed `injection`
-/// is part of the schedule, so the direct [`Dsm::send_range`] and a kept
+/// geometry only (block and bulk sizes, homes), and the armed `faults`
+/// are part of the schedule, so the direct [`Dsm::send_range`] and a kept
 /// schedule misbehave alike.
 pub fn plan_sends(
     cluster: &Cluster,
-    injection: Injection,
+    faults: Faults,
     entries: &[SendEntry],
     bulk: bool,
 ) -> Vec<TransferPlan> {
     let mut plans = Vec::new();
-    plan_sends_into(cluster, injection, entries, bulk, &mut plans);
+    plan_sends_into(cluster, faults, entries, bulk, &mut plans);
     plans
 }
 
@@ -155,15 +156,14 @@ pub fn plan_sends(
 /// place.
 pub fn plan_sends_into(
     cluster: &Cluster,
-    injection: Injection,
+    faults: Faults,
     entries: &[SendEntry],
     bulk: bool,
     plans: &mut Vec<TransferPlan>,
 ) {
-    // Fault injection (must-catch): an off-by-one section bound — the
-    // send delivers one block fewer than `implicit_writable` promised, so
-    // the readers' last block is writable over stale data.
-    let skew = |en: &SendEntry| usize::from(injection.skew_send_range && en.end > en.first);
+    let skewed = faults.has(Fault::SkewSendRange);
+    let skew = |en: &SendEntry| usize::from(skewed && en.end > en.first);
+    let stale_owner = faults.has(Fault::StaleOwnerPush);
     let nonempty = { entries.iter() }
         .map(|en| (en, en.end - skew(en)))
         .filter(|&(en, end)| end > en.first);
@@ -171,10 +171,7 @@ pub fn plan_sends_into(
         let home = cluster.home_of_block(en.first);
         en.readers.iter().map(move |&r| {
             debug_assert_ne!(r, en.owner);
-            // Fault injection (must-catch): a stale owner memo pushes the
-            // *home's* copy — which the real owner never flushed —
-            // whenever the home is a third party (§4.3 RTOE hazard).
-            let src = trans::push_source(en.owner, r, home, injection.stale_owner_push);
+            let src = trans::push_source(en.owner, r, home, stale_owner);
             (src, r, en.first, end, en.array)
         })
     });
@@ -523,7 +520,7 @@ impl Dsm {
             end,
             array: NO_ARRAY,
         }];
-        let plans = plan_sends(&self.cluster, self.injection(), &entries, bulk);
+        let plans = plan_sends(&self.cluster, self.faults, &entries, bulk);
         self.exec_sends(&entries, &plans);
     }
 
@@ -542,10 +539,7 @@ impl Dsm {
     /// base charge of every call site at its writer, then the
     /// [`plan_flushes`] plans.
     pub fn exec_flushes(&mut self, entries: &[FlushEntry], plans: &[TransferPlan]) {
-        // Fault injection (must-catch): drop the flushes on the floor. The
-        // writers' modifications never reach the owners, whose copies go
-        // stale — later owner-side sends then push wrong values.
-        if self.injection().skip_flush_range {
+        if self.faults.has(Fault::SkipFlushRange) {
             return;
         }
         for en in entries {
@@ -882,9 +876,9 @@ mod tests {
         assert!(d.cluster.stats(0).stall_ns > 0);
     }
 
-    /// [`plan_sends`] under `d`'s geometry and armed injection.
+    /// [`plan_sends`] under `d`'s geometry and armed faults.
     fn sends(d: &Dsm, entries: &[SendEntry], bulk: bool) -> Vec<TransferPlan> {
-        plan_sends(&d.cluster, d.injection(), entries, bulk)
+        plan_sends(&d.cluster, d.faults, entries, bulk)
     }
 
     /// Expand a plan's payloads into the flat block list they deliver.

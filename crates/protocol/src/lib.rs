@@ -33,6 +33,7 @@ pub mod compat;
 pub mod ctl;
 pub mod dir;
 pub mod eager;
+pub mod fault;
 pub mod mp;
 pub mod node;
 pub mod proto;
@@ -47,9 +48,10 @@ pub use ctl::{
 };
 pub use dir::DirState;
 pub use eager::EagerInvalidate;
+pub use fault::{Fault, Faults};
 pub use mp::{MpRuntime, MpSendPlan};
 pub use node::{ChanTransport, Geometry, Loopback, NodeFault, WireTransport, FLUSH_WINDOW_BYTES};
-pub use proto::{Dsm, Injection, Protocol, ProtocolKind};
+pub use proto::{Dsm, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{

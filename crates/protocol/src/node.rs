@@ -32,9 +32,10 @@
 //! [`WireError::Timeout`] for a frame that never comes), and the
 //! coordinator hangs up on that node (`tests` below).
 
+use crate::fault::{Fault, Faults};
 use crate::wire::{
     write_frame, CtrlMsg, FrameBatch, FrameDecoder, RemoteReport, WireError, WireView,
-    DEFAULT_RECV_TIMEOUT, WIRE_VERSION,
+    DEFAULT_RECV_TIMEOUT, MARKER_LEN, WIRE_VERSION,
 };
 use fgdsm_tempest::metrics::{Stage, Telemetry, WireSpan};
 use fgdsm_tempest::{Cluster, CostModel};
@@ -372,11 +373,12 @@ struct Peer<L> {
     span: Option<WireSpan>,
 }
 
-/// When the coordinator started, and the batches verified since the
-/// last [`Coordinator::sync`].
+/// When the coordinator started, the batches verified since the last
+/// [`Coordinator::sync`], and the faults armed on the coordinator.
 struct BatchLog {
     epoch: Instant,
     verified: Vec<WireSpan>,
+    faults: Faults,
 }
 
 impl<L: Link> Peer<L> {
@@ -398,7 +400,16 @@ impl<L: Link> Peer<L> {
         }
         self.collect(node, log)?;
         let t0 = Instant::now();
-        self.link.send(self.queue.image(), node)?;
+        let image = self.queue.image();
+        if log.faults.take(Fault::CorruptFrameLen) {
+            // A copy, its first data frame's length prefix oversized: the
+            // buffer in flight stays the bytes the echo must equal.
+            let mut bad = image.to_vec();
+            bad[MARKER_LEN..][..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            self.link.send(&bad, node)?;
+        } else {
+            self.link.send(image, node)?;
+        }
         let span = WireSpan {
             dst: node,
             start_ns: t0.duration_since(log.epoch).as_nanos() as u64,
@@ -451,14 +462,16 @@ pub struct Coordinator<L> {
 }
 
 impl<L: Link> Coordinator<L> {
-    /// No node admitted yet.
-    pub fn new(geom: Geometry) -> Self {
+    /// No node admitted yet; `faults` armed on the coordinator's side of
+    /// the links ([`Fault::CorruptFrameLen`]).
+    pub fn new(geom: Geometry, faults: Faults) -> Self {
         Coordinator {
             geom,
             peers: (0..geom.nprocs).map(|_| None).collect(),
             log: BatchLog {
                 epoch: Instant::now(),
                 verified: Vec::new(),
+                faults,
             },
         }
     }
@@ -616,17 +629,18 @@ impl ChanTransport {
             wpb: cost.words_per_block() as u32,
             seg_words: cost.words_per_page() as u64,
         };
-        Self::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None)
+        Self::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None, Faults::default())
     }
 
     /// One worker per node of `geom`; the coordinator's recvs give up
-    /// after `timeout`, workers keep telemetry when `metrics`, and
-    /// `fault` arms one node with a [`NodeFault`].
+    /// after `timeout`, workers keep telemetry when `metrics`, `fault`
+    /// arms one node with a [`NodeFault`] and `faults` the coordinator.
     pub fn spawn(
         geom: Geometry,
         timeout: Duration,
         metrics: bool,
         fault: Option<(u32, NodeFault)>,
+        faults: Faults,
     ) -> Self {
         // Start every worker before the first (blocking) handshake.
         let (mut links, mut workers) = (Vec::new(), Vec::new());
@@ -641,7 +655,7 @@ impl ChanTransport {
                 .expect("spawn chan worker");
             workers.push(worker);
         }
-        let mut nodes = Coordinator::new(geom);
+        let mut nodes = Coordinator::new(geom, faults);
         for link in links {
             nodes.admit(link).expect("chan worker handshake");
         }
@@ -795,7 +809,7 @@ mod tests {
             version: WIRE_VERSION,
         };
         send_ctrl(&mut peer, &hello, 0).unwrap();
-        let mut coord = Coordinator::new(geom);
+        let mut coord = Coordinator::new(geom, Faults::default());
         assert_eq!(coord.admit(ours), Ok(0));
         assert!(matches!(
             recv_ctrl(&mut peer, 0),
@@ -1040,7 +1054,8 @@ mod tests {
             wpb: 4,
             seg_words: 64,
         };
-        let mut t = ChanTransport::spawn(geom, Duration::from_secs(5), false, None);
+        let mut t =
+            ChanTransport::spawn(geom, Duration::from_secs(5), false, None, Faults::default());
         t.send(0, &batch_of(&[good.clone(), with(4, &[9])]))
             .unwrap();
         match t
@@ -1055,6 +1070,21 @@ mod tests {
             other => panic!("want node 0's typed rejection, got {other:?}"),
         }
         assert!(!t.nodes.is_connected(0));
+        // An oversized length prefix (`CorruptFrameLen`, patched into a
+        // copy of the first batch written) meets the memory link's framing
+        // cap before any allocation; it fires once, so node 1 is served.
+        let geom = Geometry { nprocs: 2, ..geom };
+        let faults = Faults::default().with(Fault::CorruptFrameLen);
+        let mut t = ChanTransport::spawn(geom, Duration::from_secs(5), false, None, faults);
+        t.send(0, &batch_of(std::slice::from_ref(&good))).unwrap();
+        match t.sync() {
+            Err(WireError::Rejected { node: 0, detail }) => {
+                assert!(detail.contains("exceeds cap"), "{detail}")
+            }
+            other => panic!("want the framing cap's rejection, got {other:?}"),
+        }
+        t.send(1, &batch_of(std::slice::from_ref(&good))).unwrap();
+        assert!(t.sync().is_ok(), "a one-shot fault fires once");
     }
 
     /// The handshake every carrier shares, against misbehaving peers over
@@ -1078,7 +1108,7 @@ mod tests {
             (hello(2, WIRE_VERSION), Some(2)),              // id out of range
             (hello(1, WIRE_VERSION), Some(1)),              // duplicate id
         ];
-        let mut coord = Coordinator::new(geom);
+        let mut coord = Coordinator::new(geom, Faults::default());
         let (ours, mut first) = mem_pair(Duration::from_secs(5));
         first.send(&image(&[hello(1, WIRE_VERSION)]), 0).unwrap();
         assert_eq!(coord.admit(ours), Ok(1));

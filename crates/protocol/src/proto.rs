@@ -12,6 +12,7 @@
 
 use crate::dir::DirState;
 use crate::eager::EagerInvalidate;
+use crate::fault::{Fault, Faults};
 use crate::node::WireTransport;
 use crate::update::WriteUpdate;
 use crate::wire::{encode_gathered, reconcile_stats, FrameBatch, Head, Shape, WireError, WireView};
@@ -140,8 +141,8 @@ pub struct Dsm {
     /// encoded into a frame (`crate::wire`), carried by the transport, and
     /// applied from the frame's bytes (`None` = zero-copy fast path).
     pub(crate) wire: Option<WireState>,
-    /// Active contract mutations (fuzzer teeth; all off by default).
-    injection: Injection,
+    /// The armed must-catch faults (none by default).
+    pub faults: Faults,
     /// The active protocol; taken out during dispatch to avoid a double
     /// borrow, always put back (`None` only mid-call).
     proto: Option<Box<dyn Protocol>>,
@@ -243,9 +244,8 @@ impl WireState {
 
     /// Book one staged envelope: the global and per-destination counters
     /// (always), plus the per-class counters and encode histogram when
-    /// telemetry is on. `undercount` is the armed `undercount_metrics`
-    /// injection token — it skips the per-class payload counter exactly
-    /// once, which the fuzz oracle's conservation invariant must catch.
+    /// telemetry is on. `undercount` is [`Fault::UndercountMetrics`]
+    /// firing: the per-class payload counter is skipped.
     fn note_encoded(
         &mut self,
         kind: u8,
@@ -305,8 +305,8 @@ impl WireState {
     /// in posting order — the apply works from the very bytes that travel,
     /// on every transport — then hand the batch to the transport, which
     /// verifies its arrival by the next [`WireState::sync`], and clear
-    /// the buffer for reuse. `corrupt` is the armed `corrupt_envelope`
-    /// injection token (damages the first frame). A frame the decoder or
+    /// the buffer for reuse. `corrupt` is [`Fault::CorruptEnvelope`]
+    /// firing (damages the first frame). A frame the decoder or
     /// the shard's geometry rejects, or a transport failure (peer gone,
     /// timeout, rejection, bad echo), unwinds with the typed
     /// [`crate::wire::WireError`] itself as the panic payload, so
@@ -365,49 +365,13 @@ impl WireState {
     }
 }
 
-/// Deliberately damage an encoded frame for the `corrupt_envelope`
-/// must-catch injection: flipping a version bit leaves the payload
-/// intact, so only a decoder that actually validates will notice.
+/// Deliberately damage an encoded frame for [`Fault::CorruptEnvelope`]:
+/// flipping a version bit leaves the payload intact, so only a decoder
+/// that actually validates will notice.
 fn corrupt_frame(buf: &mut [u8]) {
     if buf.len() > 2 {
         buf[2] ^= 0x40;
     }
-}
-
-/// Deliberate contract violations for the differential fuzzer's
-/// *must-catch* suite: each knob silently corrupts one §4.2 primitive so
-/// the harness can assert the cross-backend oracle actually detects the
-/// resulting incoherence. All off unless [`Dsm::set_injection`] arms one.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct Injection {
-    /// Off-by-one section bound: `send_range` delivers one block fewer
-    /// than the contract promised, leaving the readers' last block tagged
-    /// ReadWrite over stale data — the §3 a(513,1)/a(1,2) failure mode.
-    pub skew_send_range: bool,
-    /// Skip `flush_range` entirely: a non-owner writer's modifications
-    /// never reach the owner, so later owner-side sends push stale data.
-    pub skip_flush_range: bool,
-    /// Redirect every `send_range` push to read from the range's *home*
-    /// node instead of the recorded exclusive owner whenever the home is
-    /// a third party: the §4.3 RTOE hazard — a stale owner memo pushing
-    /// a copy that was never flushed home.
-    pub stale_owner_push: bool,
-    /// Flip a byte inside the first envelope routed in strict wire mode:
-    /// the one decoder (`WireView::parse`) must reject the frame and fail the run
-    /// loudly, proving decode validation has teeth (a vacuous decoder
-    /// would apply the payload anyway and diverge from nothing).
-    pub corrupt_envelope: bool,
-    /// Skip the telemetry table's per-class `payload_bytes` counter
-    /// for the first staged envelope (the double-entry counters and the
-    /// run itself stay correct): the fuzz oracle's metrics-conservation
-    /// invariant — Σ per-class payload counters == `wire_payload_bytes`
-    /// — must catch the shortfall, proving the invariant has teeth.
-    pub undercount_metrics: bool,
-    /// A like-run of faults ignores its home bound: the eager protocol
-    /// services blocks homed elsewhere as if the run's first block's
-    /// home held them, so their directory names the wrong home and their
-    /// home never receives the owner's flush.
-    pub run_crosses_home: bool,
 }
 
 impl Dsm {
@@ -453,7 +417,7 @@ impl Dsm {
             inbox_blocks: vec![0; nprocs],
             iw_memo: std::collections::BTreeSet::new(),
             wire: None,
-            injection: Injection::default(),
+            faults: Faults::default(),
             proto: Some(proto),
         }
     }
@@ -548,16 +512,6 @@ impl Dsm {
         self.wire.as_ref().map_or((0, 0), |w| (w.batches, w.syncs))
     }
 
-    /// Arm (or disarm) the must-catch contract mutations.
-    pub fn set_injection(&mut self, injection: Injection) {
-        self.injection = injection;
-    }
-
-    /// The armed contract mutations.
-    pub fn injection(&self) -> Injection {
-        self.injection
-    }
-
     // ------------------------------------------------------------------
     // Strict wire mode: envelope encode / route / decode / apply
     // ------------------------------------------------------------------
@@ -590,7 +544,7 @@ impl Dsm {
     pub(crate) fn wire_post(&mut self, head: Head, shape: Shape, nwords: usize) {
         // One-shot: the first posted envelope, when telemetry is recording.
         let metered = self.wire.as_ref().is_some_and(|w| w.metrics.is_some());
-        let undercount = metered && std::mem::take(&mut self.injection.undercount_metrics);
+        let undercount = metered && self.faults.take(Fault::UndercountMetrics);
         let wpb = self.cluster.words_per_block();
         let src_mem = self.cluster.node_mem(head.src as usize);
         let w = self.wire.as_mut().expect("wire_post: strict mode off");
@@ -603,7 +557,7 @@ impl Dsm {
     /// is posted, in the order the fast path copies its data.
     pub(crate) fn wire_deliver(&mut self) {
         // One-shot: the first delivered batch of the run.
-        let corrupt = std::mem::take(&mut self.injection.corrupt_envelope);
+        let corrupt = self.faults.take(Fault::CorruptEnvelope);
         let wpb = self.cluster.words_per_block();
         let w = self.wire.as_mut().expect("wire_deliver: strict mode off");
         w.deliver(self.cluster.node_mem_mut(w.staged_dst), wpb, corrupt);
@@ -736,7 +690,7 @@ impl Dsm {
         }
         let (shard, tag) = (self.cluster.shard(p), self.cluster.tag(p, b));
         let h = self.cluster.home_of_block(b);
-        let crosses = self.injection.run_crosses_home;
+        let crosses = self.faults.has(Fault::RunCrossesHome);
         let bpp = self.cluster.words_per_page() / self.cluster.words_per_block();
         let mut e = b + 1;
         while e < end && self.dir[e] == cur && self.cluster.tag(p, e) == tag {

@@ -652,7 +652,7 @@ pub fn write_frame(out: &mut Vec<u8>, frame: &[u8]) {
 
 /// Bytes of a batch's `CtrlMsg::Batch { n }` marker with its length
 /// prefix, and where its `n` sits.
-const MARKER_LEN: usize = 4 + 9;
+pub(crate) const MARKER_LEN: usize = 4 + 9;
 const MARKER_N: usize = 4 + 5;
 
 /// A batch of frames in one buffer: the `Batch{n}` marker, then each

@@ -10,7 +10,7 @@ use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
 use fgdsm_protocol::{
-    ChanTransport, Dsm, Geometry, NodeFault, WireError, WireTransport, DEFAULT_RECV_TIMEOUT,
+    ChanTransport, Dsm, Faults, Geometry, NodeFault, WireError, WireTransport, DEFAULT_RECV_TIMEOUT,
 };
 use fgdsm_tempest::{Cluster, CostModel, HomePolicy, SegmentLayout};
 
@@ -105,7 +105,8 @@ fn dead_or_wedged_workers_are_typed_errors_and_drop_still_joins() {
                 seg_words: 64,
             };
             let timeout = Duration::from_millis(200);
-            let mut t = ChanTransport::spawn(geom, timeout, false, Some((2, fault)));
+            let mut t =
+                ChanTransport::spawn(geom, timeout, false, Some((2, fault)), Faults::default());
             assert_eq!(t.route(2, frame()), Ok(frame()), "served before the fault");
             let start = std::time::Instant::now();
             assert_eq!(t.route(2, frame()), Err(want.clone()));
@@ -132,7 +133,8 @@ fn panicking_strict_run_does_not_deadlock_workers() {
         let r = catch_unwind(AssertUnwindSafe(|| {
             let mut d = dsm(2);
             let geom = Geometry::of(&d.cluster);
-            let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None);
+            let chan =
+                ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None, Faults::default());
             d.set_wire(Box::new(chan));
             // Real traffic through the workers first, so they are warm.
             d.mk_writable(1, 0, 2);
@@ -143,7 +145,7 @@ fn panicking_strict_run_does_not_deadlock_workers() {
                 end: 2,
                 array: fgdsm_tempest::NO_ARRAY,
             }];
-            let plans = fgdsm_protocol::plan_sends(&d.cluster, d.injection(), &sends, true);
+            let plans = fgdsm_protocol::plan_sends(&d.cluster, d.faults, &sends, true);
             d.exec_sends(&sends, &plans);
             panic!("superstep failed mid-run");
         }));

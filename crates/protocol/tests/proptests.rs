@@ -188,7 +188,7 @@ fn plans_partition_direct_path_blocks_random() {
         let entries = random_entries(rng, nprocs, BIG);
         let bulk = rng.flag();
         let d = fresh_big(nprocs, BIG);
-        let plans = plan_sends(&d.cluster, d.injection(), &entries, bulk);
+        let plans = plan_sends(&d.cluster, d.faults, &entries, bulk);
         let mut expect: std::collections::BTreeMap<(usize, usize), Vec<usize>> = Default::default();
         for en in &entries {
             for &r in &en.readers {

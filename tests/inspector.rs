@@ -25,7 +25,9 @@ use fgdsm::hpf::{
 };
 use fgdsm::section::{Affine, LinearRanges, StridedRange, SymRange, Var};
 use fgdsm::tempest::ReduceOp;
-use fgdsm_fuzz::{case_seed, gen_spec, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
+use fgdsm_fuzz::{
+    case_seed, gen_spec, ArraySpec, FStmt, Fault, Faults, FuzzSpec, LoopSpec, ReadSpec,
+};
 use fgdsm_testkit::{Rng, BASE_SEED};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
@@ -374,9 +376,8 @@ impl CommBackend for Probe {
             // filter only the backend knows.)
             if opt.ctl && !opt.pre {
                 let about = sm.schedule(core, plan);
-                let (cluster, inject) = (&core.dsm.cluster, &core.cfg.inject);
-                let armed = core.dsm.injection();
-                let edge = inject.force_boundary;
+                let (cluster, armed) = (&core.dsm.cluster, core.dsm.faults);
+                let edge = core.cfg.inject.force_boundary;
                 let never = |_, _, _, _| false;
                 let mut built = CtlSchedule::default();
                 ctl_schedule_into(&fresh, cluster, armed, opt.bulk, edge, never, &mut built);
@@ -1046,7 +1047,7 @@ fn must_catch_a_stale_indirect_schedule() {
     let want = execute_reference(&prog, &cfg).data;
     assert_eq!(execute(&prog, &cfg).data, want, "the victim itself");
     let armed = cfg.with_inject(InjectConfig {
-        stale_resolve_schedule: true,
+        faults: Faults::default().with(Fault::StaleResolveSchedule),
         ..InjectConfig::default()
     });
     assert_ne!(execute(&prog, &armed).data, want, "a stale gather schedule");
