@@ -81,7 +81,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # outside the `Fault` enum (a must-catch fault's snake_case name as a
 # `pub` field or a `.` field access in the non-test part of
 # crates/*/src and src/), beside the number of faults `Fault::ALL`
-# holds.
+# holds, and typed unwinds (`panic_any`, or a `downcast` to `WireError`,
+# in the non-test part of crates/*/src and src/).
 # The `pub` count has no threshold: an item no other crate, example,
 # bench, integration test or benchmark/ names is `pub(crate)`, and the
 # clippy step above (`-D warnings`, so rustc's dead_code lint fails it)
@@ -113,7 +114,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # seeded must-catch fault is one `Fault` variant carried as one `Faults`
 # set from the config to every check site (DESIGN 8), so a fault written
 # again as a field of its own — a bool per fault in a config, an
-# injection struct, a copy between them — fails.
+# injection struct, a copy between them — fails. A wire failure is a
+# value: the first one is kept and returned from `Dsm::wire_finish` and
+# `engine::run` (DESIGN 5e), and a panic means a bug, so a typed error
+# thrown as a panic payload, or caught and downcast back, fails.
 set +x
 lines=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' {} +)
 pubs=$(find crates/*/src src -name '*.rs' -exec awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /^[ \t]*pub ((unsafe|const) )*(fn|struct|enum|const|static|trait|type) /{n++} END{print n}' {} +)
@@ -133,9 +137,10 @@ strkeys=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /ClassKeys|merge_tagge
 framebufs=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /Vec<Vec<u8>>/ && !/fn route\(/{n++} END{print n+0}' $(find crates/protocol/src crates/net/src -name '*.rs'))
 compat=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /(^|[^A-Za-z0-9_])(WireMsg|WireHeader|PoolMode)([^A-Za-z0-9_]|$)|resolve_parallel|fn route\(/ && !(FILENAME ~ /\/lib\.rs$/ && /^pub use compat::/) && !(FILENAME ~ /exec\/mod\.rs$/ && /^ *(pub )?(pool|resolve_parallel): /) && !(FILENAME ~ /node\.rs$/ && /^    fn route\(&mut self, dst: usize, frames: Vec<Vec<u8>>\)/){n++} END{print n+0}' $(find crates/*/src src -name '*.rs' ! -name compat.rs))
 faultfields=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /(pub |\.)(skew_send_range|skip_flush_range|stale_owner_push|corrupt_envelope|corrupt_frame_len|undercount_metrics|stale_resolve_schedule|lost_home_skipped|run_crosses_home)([^A-Za-z0-9_]|$)/{n++} END{print n+0}' $(find crates/*/src src -name '*.rs'))
+unwinds=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /panic_any|downcast(_ref|_mut)?::<[^>]*WireError/{n++} END{print n+0}' $(find crates/*/src src -name '*.rs'))
 nfaults=$(grep -oE 'ALL: \[Fault; [0-9]+\]' crates/protocol/src/fault.rs | grep -oE '[0-9]+')
 fresh=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /vec!\[0\.0/{n++} END{print n+0}' crates/tempest/src/shard.rs crates/hpf/src/exec/engine.rs crates/hpf/src/exec/mp.rs)
-echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations, $blockmaps block-keyed ordered maps and per-twin boxes, $strkeys string-keyed metric sites, $framebufs per-frame buffer sites, $compat compat names outside compat, $faultfields fault fields outside the enum, $nfaults must-catch faults"
+echo "tree-size: $lines non-test .rs lines, $pubs pub items, $tests #[test], $knobs FGDSM_* knobs, $unsafes unsafe sites, $addrs address-keyed caches under exec/, $points per-point kernel sites, $pools free lists, $owned instance-owned schedules, $maps ordered containers in exec/{sm_opt,mp}.rs, $heapdims heap-dim Sections, $enums enumerating fallbacks in range.rs, $tagarrays tag arrays, $fresh fresh segment allocations, $blockmaps block-keyed ordered maps and per-twin boxes, $strkeys string-keyed metric sites, $framebufs per-frame buffer sites, $compat compat names outside compat, $faultfields fault fields outside the enum, $unwinds typed unwinds, $nfaults must-catch faults"
 if grep -rn 'as \*const ParLoop' crates/hpf/src/exec; then
     echo "ci.sh: a per-loop cache keyed by a loop address is back under crates/hpf/src/exec/" >&2
     exit 1
@@ -174,5 +179,9 @@ if [ "$compat" -ne 0 ]; then
 fi
 if [ "$faultfields" -ne 0 ]; then
     echo "ci.sh: a must-catch fault is a field outside the Fault enum again ($faultfields)" >&2
+    exit 1
+fi
+if [ "$unwinds" -ne 0 ]; then
+    echo "ci.sh: a wire error travels as a panic payload again ($unwinds)" >&2
     exit 1
 fi

@@ -231,17 +231,17 @@ fn chan_books_reconcile_and_a_skewed_book_is_a_typed_mismatch() {
         let plans = plan_sends(&d.cluster, d.faults, &sends, true);
         d.exec_sends(&sends, &plans);
         assert!(d.wire_stats().0 > 0, "the push must have been enveloped");
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.wire_finish())).map(|_| ())
+        d.wire_finish().map(|_| ())
     };
     assert!(push_over_chan(false).is_ok(), "honest books must reconcile");
     let err = push_over_chan(true).expect_err("a twice-served batch must not reconcile");
-    match err.downcast_ref::<WireError>() {
-        Some(&WireError::StatsMismatch {
+    match err {
+        WireError::StatsMismatch {
             node,
             counter: "frames",
             local,
             remote,
-        }) => assert!(
+        } => assert!(
             node < 2 && remote > local,
             "node {node}: {local} vs {remote}"
         ),

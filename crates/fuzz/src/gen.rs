@@ -453,12 +453,16 @@ impl FuzzSpec {
         let i = &self.inject;
         let armed = Fault::ALL.into_iter().filter(|&f| i.faults.has(f));
         let faults: String = armed.map(|f| format!(".with(Fault::{f:?})")).collect();
+        let node = match i.node_fault {
+            Some((n, f)) => format!("Some(({n}, NodeFault::{f:?}))"),
+            None => "None".into(),
+        };
         let _ = writeln!(s, "        inject: InjectConfig {{");
         let _ = writeln!(s, "            shuffle_resolve: {:?},", i.shuffle_resolve);
         let _ = writeln!(s, "            clear_iw_memo: {},", i.clear_iw_memo);
         let _ = writeln!(s, "            force_boundary: {},", i.force_boundary);
         let _ = writeln!(s, "            faults: Faults::default(){faults},");
-        let _ = writeln!(s, "            node_fault: {:?},", i.node_fault);
+        let _ = writeln!(s, "            node_fault: {node},");
         let _ = writeln!(s, "        }},");
         let _ = writeln!(s, "    }};");
         let _ = writeln!(s, "    check_spec(&spec).unwrap();");
@@ -617,5 +621,36 @@ pub fn gen_spec(rng: &mut Rng, seed: u64) -> FuzzSpec {
         body,
         time,
         inject: InjectConfig::default(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgdsm_protocol::NodeFault;
+
+    /// A reproducer names a node fault by its path, which the
+    /// reproducer's `use fgdsm_fuzz::*;` brings in, so it compiles.
+    #[test]
+    fn reproducer_renders_each_node_fault_by_its_path() {
+        let cases = [
+            (
+                NodeFault::ExitAfterBatches(3),
+                "Some((1, NodeFault::ExitAfterBatches(3)))",
+            ),
+            (
+                NodeFault::WedgeAfterBatches(0),
+                "Some((1, NodeFault::WedgeAfterBatches(0)))",
+            ),
+        ];
+        for (fault, want) in cases {
+            let mut spec = gen_spec(&mut Rng::new(7), 7);
+            spec.inject.node_fault = Some((1, fault));
+            let line = format!("            node_fault: {want},\n");
+            let repro = spec.to_rust();
+            assert!(repro.contains(&line), "want {line:?} in:\n{repro}");
+        }
+        let repro = gen_spec(&mut Rng::new(7), 7).to_rust();
+        assert!(repro.contains("            node_fault: None,\n"), "{repro}");
     }
 }

@@ -35,7 +35,7 @@ pub mod oracle;
 pub mod shrink;
 pub mod taxonomy;
 
-pub use fgdsm_protocol::{Fault, Faults};
+pub use fgdsm_protocol::{Fault, Faults, NodeFault};
 pub use gen::{gen_spec, gen_spec_paged, ArraySpec, FStmt, FuzzSpec, LoopSpec, ReadSpec};
 use oracle::check_spec_strict;
 pub use oracle::{check_spec, check_spec_tcp, Divergence};

@@ -116,13 +116,6 @@ fn panic_msg(p: &Box<dyn std::any::Any + Send>) -> String {
     p.downcast_ref::<String>()
         .cloned()
         .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-        .or_else(|| {
-            // Transport failures unwind with a typed payload (see
-            // `fgdsm_protocol::WireError`); render it so a divergence
-            // report names the peer and failure kind.
-            p.downcast_ref::<fgdsm_protocol::WireError>()
-                .map(|e| e.to_string())
-        })
         .unwrap_or_else(|| "non-string panic".into())
 }
 

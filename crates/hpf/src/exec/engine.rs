@@ -40,7 +40,7 @@ use crate::ir::{
     par_loops_of, ARef, ArrayHandle, KernelCtx, ParLoop, Program, RefMode, Stmt, Subscript,
 };
 use crate::plan::{self, ArrayMeta, LoopPlan, Reach, ResolveSchedule};
-use fgdsm_protocol::{ChanTransport, Dsm, Fault, Geometry, Loopback, WireTransport};
+use fgdsm_protocol::{ChanTransport, Dsm, Fault, Geometry, Loopback, WireError, WireTransport};
 use fgdsm_section::{Env, Range};
 use fgdsm_tempest::{
     CacheAligned, CacheModel, ChargeKind, Cluster, ClusterReport, HomePolicy, HostPhases, Job,
@@ -548,14 +548,16 @@ impl<'p> EngineCore<'p> {
 
 /// Run `prog` under `cfg` with the given communication backend. When
 /// `want_trace` / `want_chrome` are set, the structured event-trace JSON
-/// and the Chrome timeline are also rendered and returned.
+/// and the Chrome timeline are also rendered and returned. The run's
+/// first wire failure is returned instead, read at each phase boundary
+/// ([`Dsm::wire_ok`]), with no partial artifact; a panic is a bug.
 pub(super) fn run(
     prog: &Program,
     cfg: &ExecConfig,
     mut backend: Box<dyn CommBackend>,
     want_trace: bool,
     want_chrome: bool,
-) -> (RunResult, Option<String>, Option<String>) {
+) -> Result<(RunResult, Option<String>, Option<String>), WireError> {
     let wall_start = std::time::Instant::now();
     let mut core = EngineCore::new(prog, cfg);
     // Only the trace documents read the ring; the report reads the folds.
@@ -564,10 +566,11 @@ pub(super) fn run(
     }
     backend.validate(&core);
     core.phases.setup_ns = wall_start.elapsed().as_nanos() as u64;
-    exec_stmts(&mut core, backend.as_mut(), &prog.body, 0);
+    exec_stmts(&mut core, backend.as_mut(), &prog.body, 0)?;
     let t_finish = Instant::now();
     // Final synchronization so the report reflects a completed program.
     backend.finish(&mut core);
+    core.dsm.wire_ok()?;
     let data = backend.gather(&mut core);
     let (pre_skipped, pre_performed) = backend.pre_stats();
     let trace = want_trace.then(|| core.dsm.cluster.trace_json());
@@ -579,7 +582,7 @@ pub(super) fn run(
     let t_recycle = Instant::now();
     core.phases.post_run_ns = (t_recycle - t_verify).as_nanos() as u64;
     // A run that got this far hands its segments to the arena for the
-    // next execute of its shape; one that panicked before drops them.
+    // next execute of its shape; one that failed before drops them.
     core.dsm.cluster.recycle();
     core.phases.finish_ns += t_recycle.elapsed().as_nanos() as u64;
     // Host time, stamped outside the deterministic virtual-time state
@@ -591,11 +594,11 @@ pub(super) fn run(
     // Orderly wire teardown: settle the last frames in flight (their
     // wait is part of the route time read right after), collect the
     // peers' `ByeStats`, reconcile their double-entry books against ours
-    // (divergence is a loud, typed panic), and bring every worker's
-    // telemetry table home beside ours. Runs with metrics on or
-    // off — reconciliation is free and should always happen on an
+    // (divergence fails the run with a typed `StatsMismatch`), and bring
+    // every worker's telemetry table home beside ours. Runs with metrics
+    // on or off — reconciliation is free and should always happen on an
     // orderly shutdown.
-    let (metrics, wire_spans) = core.dsm.wire_finish();
+    let (metrics, wire_spans) = core.dsm.wire_finish()?;
     report.wire_route_ns = core.dsm.wire_route_ns();
     let (wire_batches, wire_syncs) = core.dsm.wire_batches();
     let result = RunResult {
@@ -616,7 +619,7 @@ pub(super) fn run(
         metrics,
         wire_spans,
     };
-    (result, trace, chrome)
+    Ok((result, trace, chrome))
 }
 
 /// Post-run invariants: the protocol left a consistent directory and the
@@ -655,18 +658,23 @@ fn verify_post_run(dsm: &Dsm, report: &ClusterReport) {
 /// count loops in program order (the order `Program::par_loops` yields,
 /// so report consumers can map them back to names), and a loop inside a
 /// `Stmt::Time` keeps its id on every iteration.
-fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stmt], mut id: u32) {
+fn exec_stmts(
+    core: &mut EngineCore,
+    backend: &mut dyn CommBackend,
+    stmts: &[Stmt],
+    mut id: u32,
+) -> Result<(), WireError> {
     for s in stmts {
         match s {
             Stmt::Par(l) => {
-                exec_par(core, backend, l, id);
+                exec_par(core, backend, l, id)?;
                 id += 1;
             }
             Stmt::Time { var, count, body } => {
                 let saved = core.env.get(*var);
                 for t in 0..*count {
                     core.env.set(*var, t);
-                    exec_stmts(core, backend, body, id);
+                    exec_stmts(core, backend, body, id)?;
                 }
                 if let Some(v) = saved {
                     core.env.set(*var, v);
@@ -682,14 +690,21 @@ fn exec_stmts(core: &mut EngineCore, backend: &mut dyn CommBackend, stmts: &[Stm
             }
         }
     }
+    Ok(())
 }
 
 /// One superstep, in two explicit phases: the **resolve phase** (backend
 /// communication against the previous superstep's state, on the driver
 /// thread), then the **compute phase** (kernels on their own shards,
 /// possibly threaded), then write observation, reduction, backend
-/// cleanup and the superstep boundary.
-fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, loop_id: u32) {
+/// cleanup and the superstep boundary. A wire failure kept in either
+/// communication phase ends the superstep there.
+fn exec_par(
+    core: &mut EngineCore,
+    backend: &mut dyn CommBackend,
+    l: &ParLoop,
+    loop_id: u32,
+) -> Result<(), WireError> {
     let nprocs = core.cfg.nprocs;
     let t_start = Instant::now();
     let lower_before = core.phases.inspect_ns;
@@ -720,6 +735,8 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, l
     core.phases.analyze_ns += ((t_resolve - t_start).as_nanos() as u64).saturating_sub(lower_ns);
     let default_before = core.phases.inspect_ns + core.phases.walk_ns;
     backend.resolve(core, l, plan);
+    // No kernel runs on a half-resolved superstep.
+    core.dsm.wire_ok()?;
     let t_compute = Instant::now();
     let default_ns = core.phases.inspect_ns + core.phases.walk_ns - default_before;
     core.phases.ctl_ns += ((t_compute - t_resolve).as_nanos() as u64).saturating_sub(default_ns);
@@ -756,12 +773,14 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop, l
     // profiler interval (stamps the superstep boundary into the event
     // trace, snapshots per-node stats, and runs the false-sharing scan).
     backend.post_loop(core, l, plan);
+    core.dsm.wire_ok()?;
     core.dsm.cluster.end_superstep(step, loop_id);
     core.cur_step = NO_STEP;
     core.cur_loop = NO_LOOP;
     // The instance lets go of its plan: the next one may re-evaluate it.
     drop(plan_rc);
     core.phases.post_loop_ns += t_post.elapsed().as_nanos() as u64;
+    Ok(())
 }
 
 /// The compute phase of one superstep: run each node's kernel against
@@ -878,5 +897,39 @@ mod tests {
         assert_eq!(pool_of(ExecConfig::sm_opt(2).threads(8)), Some(2));
         assert_eq!(pool_of(ExecConfig::sm_opt(8).threads(2)), Some(2));
         assert_eq!(pool_of(ExecConfig::sm_opt(8).serial()), None);
+    }
+
+    /// A frame the decoder refuses is the run's first error, which the
+    /// driver returns as a value: no unwind to catch, no kernel run on
+    /// the superstep it broke.
+    #[test]
+    fn a_refused_frame_is_returned_not_unwound() {
+        use crate::ir::{CompDist, Kernel};
+        use fgdsm_section::SymRange;
+        let mut b = Program::builder();
+        let a = b.array("a", &[8, 64], Dist::Block);
+        let c = b.array("c", &[8, 64], Dist::Block);
+        b.stmt(Stmt::Par(ParLoop {
+            name: "shift",
+            iter: vec![SymRange::new(0, 7), SymRange::new(1, 63)],
+            dist: CompDist::Owner(c),
+            refs: vec![
+                ARef::read(a, vec![Subscript::loop_var(0), Subscript::Loop(1, -1)]),
+                ARef::write(c, vec![Subscript::loop_var(0), Subscript::loop_var(1)]),
+            ],
+            kernel: Kernel::new(|_| panic!("a kernel ran after a refused frame")),
+            cost_per_iter_ns: 10,
+            reduction: None,
+        }));
+        let prog = b.build();
+        let inject = super::super::InjectConfig {
+            faults: fgdsm_protocol::Faults::default().with(Fault::CorruptEnvelope),
+            ..Default::default()
+        };
+        let cfg = ExecConfig::sm_unopt(2).strict().with_inject(inject);
+        match run(&prog, &cfg, super::super::make_backend(&cfg), false, false).err() {
+            Some(WireError::BadVersion(_)) => {}
+            other => panic!("want the decoder's BadVersion, got {other:?}"),
+        }
     }
 }

@@ -541,9 +541,11 @@ fn make_backend(cfg: &ExecConfig) -> Box<dyn CommBackend> {
     Box::new(sm_opt::SmOpt::new(opt))
 }
 
-/// Execute `prog` under `cfg`.
+/// Execute `prog` under `cfg`. A wire failure panics with its
+/// [`ExecError`]'s message ("wire transport failed: …");
+/// [`try_execute`] returns it instead.
 pub fn execute(prog: &Program, cfg: &ExecConfig) -> RunResult {
-    engine::run(prog, cfg, make_backend(cfg), false, false).0
+    run_or_panic(prog, cfg, make_backend(cfg), false, false).0
 }
 
 /// Execute `prog` under `cfg` with a caller-supplied communication
@@ -552,26 +554,37 @@ pub fn execute(prog: &Program, cfg: &ExecConfig) -> RunResult {
 /// [`CommBackend`]s and for test backends that wrap a built-in one to
 /// observe the engine between its hooks.
 pub fn execute_with(prog: &Program, cfg: &ExecConfig, backend: Box<dyn CommBackend>) -> RunResult {
-    engine::run(prog, cfg, backend, false, false).0
+    run_or_panic(prog, cfg, backend, false, false).0
 }
 
-/// How an execution failed. The engine reports failures by panicking —
-/// typed [`fgdsm_protocol::WireError`] payloads for everything the wire
-/// layer reports (an envelope its own decoder refuses, peer death, recv
-/// deadline, a frame the peer rejected, a wrong echo or otherwise broken
-/// conversation, diverging books), strings for everything else
-/// (invariant violations). Delivery is split-phase, so a transport
-/// failure surfaces no later than the next barrier. [`try_execute`] catches both
-/// and hands them back as values.
+/// [`engine::run`], a wire failure panicking with its [`ExecError`]'s
+/// message.
+fn run_or_panic(
+    prog: &Program,
+    cfg: &ExecConfig,
+    backend: Box<dyn CommBackend>,
+    want_trace: bool,
+    want_chrome: bool,
+) -> (RunResult, Option<String>, Option<String>) {
+    engine::run(prog, cfg, backend, want_trace, want_chrome)
+        .unwrap_or_else(|e| panic!("{}", ExecError::Wire(e)))
+}
+
+/// How an execution failed: the wire layer reported a failure, which
+/// the engine returns as a value — delivery is split-phase, so a
+/// transport failure surfaces no later than the next barrier — or the
+/// engine panicked, which is a bug (an invariant violation).
 #[derive(Clone, Debug)]
 pub enum ExecError {
     /// The wire layer failed: an envelope did not decode (`BadVersion`,
     /// `Truncated`, …), a peer died
     /// ([`fgdsm_protocol::WireError::PeerGone`]), a recv deadline fired
     /// (`Timeout`), the peer refused a frame (`Rejected`) or echoed a
-    /// different one (`BadReply`).
+    /// different one (`BadReply`), or the books diverged
+    /// (`StatsMismatch`).
     Wire(fgdsm_protocol::WireError),
-    /// Any other engine panic, stringified.
+    /// The engine panicked — a bug, not a failure a run can expect —
+    /// with this message.
     Panic(String),
 }
 
@@ -586,28 +599,23 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Execute `prog` under `cfg`, catching engine failures as typed values
-/// instead of unwinding. This is the fault-tolerant entry point for the
-/// carriers: a killed node (thread or `fgdsm-node` process) surfaces as
-/// `Err(ExecError::Wire(WireError::PeerGone(n)))`, a wedged one as
+/// Execute `prog` under `cfg`, returning a failure as a value instead of
+/// panicking. This is the fault-tolerant entry point for the carriers: a
+/// killed node (thread or `fgdsm-node` process) is
+/// `Err(ExecError::Wire(WireError::PeerGone(n)))`, a wedged one
 /// `Err(ExecError::Wire(WireError::Timeout(n)))` — within the configured
-/// recv deadline, with no partial artifacts. Successful runs are
-/// indistinguishable from [`execute`].
+/// recv deadline, with no partial artifacts. A panic — a bug — is caught
+/// too, as [`ExecError::Panic`], so a caller measuring many executes
+/// counts it instead of crashing. Successful runs are indistinguishable
+/// from [`execute`].
 pub fn try_execute(prog: &Program, cfg: &ExecConfig) -> Result<RunResult, ExecError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(prog, cfg))) {
-        Ok(r) => Ok(r),
-        Err(payload) => {
-            let payload = match payload.downcast::<fgdsm_protocol::WireError>() {
-                Ok(we) => return Err(ExecError::Wire(*we)),
-                Err(p) => p,
-            };
-            let msg = match payload.downcast::<String>() {
-                Ok(s) => *s,
-                Err(p) => match p.downcast::<&'static str>() {
-                    Ok(s) => (*s).to_string(),
-                    Err(_) => "non-string panic payload".to_string(),
-                },
-            };
+    let run = || engine::run(prog, cfg, make_backend(cfg), false, false);
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+        Ok(r) => r.map(|(r, ..)| r).map_err(ExecError::Wire),
+        Err(p) => {
+            let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
+            let msg = msg.or_else(|| p.downcast_ref::<String>().cloned());
+            let msg = msg.unwrap_or_else(|| "non-string panic payload".into());
             Err(ExecError::Panic(msg))
         }
     }
@@ -616,7 +624,7 @@ pub fn try_execute(prog: &Program, cfg: &ExecConfig) -> Result<RunResult, ExecEr
 /// Execute `prog` under `cfg` and also return the structured event-trace
 /// JSON.
 pub fn execute_traced(prog: &Program, cfg: &ExecConfig) -> (RunResult, String) {
-    let (result, trace, _) = engine::run(prog, cfg, make_backend(cfg), true, false);
+    let (result, trace, _) = run_or_panic(prog, cfg, make_backend(cfg), true, false);
     (result, trace.expect("trace requested"))
 }
 
@@ -625,7 +633,7 @@ pub fn execute_traced(prog: &Program, cfg: &ExecConfig) -> (RunResult, String) {
 /// Both are pure functions of virtual-time state — byte-identical across
 /// serial and threaded runs.
 pub fn execute_profiled(prog: &Program, cfg: &ExecConfig) -> (RunResult, String, String) {
-    let (result, trace, chrome) = engine::run(prog, cfg, make_backend(cfg), true, true);
+    let (result, trace, chrome) = run_or_panic(prog, cfg, make_backend(cfg), true, true);
     (
         result,
         trace.expect("trace requested"),

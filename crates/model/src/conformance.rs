@@ -13,10 +13,17 @@
 
 use crate::absmodel::{AbsState, Mutation, Op, Proto, WORDS};
 use crate::checker::ModelConfig;
-use fgdsm_protocol::{ChanTransport, Dsm, Faults, Geometry, ProtocolKind, DEFAULT_RECV_TIMEOUT};
+use fgdsm_protocol::{
+    ChanTransport, Dsm, Faults, Geometry, NodeFault, ProtocolKind, DEFAULT_RECV_TIMEOUT,
+};
 use fgdsm_tempest::{Access, Cluster, CostModel, HomePolicy, SegmentLayout};
 
-fn build_dsm(cfg: &ModelConfig, wire: bool, faults: Faults) -> Dsm {
+fn build_dsm(
+    cfg: &ModelConfig,
+    wire: bool,
+    faults: Faults,
+    node_fault: Option<(u32, NodeFault)>,
+) -> Dsm {
     let cost = CostModel::paper_dual_cpu();
     let mut layout = SegmentLayout::new(cost.words_per_page());
     // One page per model block, plus one spare page of headroom.
@@ -31,7 +38,7 @@ fn build_dsm(cfg: &ModelConfig, wire: bool, faults: Faults) -> Dsm {
     );
     if wire {
         let geom = Geometry::of(&d.cluster);
-        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, None, faults);
+        let chan = ChanTransport::spawn(geom, DEFAULT_RECV_TIMEOUT, false, node_fault, faults);
         d.set_wire(Box::new(chan));
     }
     d.faults = faults;
@@ -48,15 +55,20 @@ fn real_block(d: &Dsm, b: usize) -> usize {
 /// side by side, then compare final directory, tags, and memory.
 /// `wire` selects the channel-backed strict wire path; `faults` arms
 /// real-engine faults (the model always runs clean, so an armed fault is
-/// expected to *diverge* — callers assert `Err`).
+/// expected to *diverge* — callers assert `Err`). A failure the wire
+/// path keeps ([`Dsm::wire_finish`]) is a divergence too.
 pub fn replay_on_dsm(
     cfg: &ModelConfig,
     ops: &[Op],
     wire: bool,
     faults: Faults,
 ) -> Result<usize, String> {
+    replay(cfg, ops, build_dsm(cfg, wire, faults, None))
+}
+
+/// [`replay_on_dsm`] on a given real [`Dsm`].
+fn replay(cfg: &ModelConfig, ops: &[Op], mut d: Dsm) -> Result<usize, String> {
     let mut st = AbsState::initial(cfg.nodes, cfg.blocks);
-    let mut d = build_dsm(cfg, wire, faults);
 
     for (i, &op) in ops.iter().enumerate() {
         let pre = st.clone();
@@ -77,6 +89,11 @@ pub fn replay_on_dsm(
         };
         drive(&mut d, &pre, &st, op);
     }
+    // A wire failure is kept, not thrown: the data was already scattered
+    // from the frame's bytes, so only the transport's verdict (and the
+    // nodes' books) can say a frame never arrived intact.
+    d.wire_finish()
+        .map_err(|e| format!("wire failure during replay: {e}"))?;
     compare(&d, &st, cfg)
 }
 
@@ -185,4 +202,27 @@ fn compare(d: &Dsm, st: &AbsState, cfg: &ModelConfig) -> Result<usize, String> {
             .map_err(|e| format!("check_consistency after replay: {e}"))?;
     }
     Ok(compared)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A node that dies mid-replay fails the replay, though every frame
+    /// was scattered locally before it was sent and the final state
+    /// matches the model.
+    #[test]
+    fn a_dead_node_on_the_wire_path_is_a_divergence() {
+        let cfg = ModelConfig::small(Proto::Eager);
+        let ops: Vec<Op> = ["read p=1 b=0", "release", "write p=1 b=0 w=0 multi=false"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let clean = build_dsm(&cfg, true, Faults::default(), None);
+        replay(&cfg, &ops, clean).expect("clean wire replay must conform");
+        let dead = Some((1, NodeFault::ExitAfterBatches(0)));
+        let d = build_dsm(&cfg, true, Faults::default(), dead);
+        let err = replay(&cfg, &ops, d).expect_err("a dead node must fail the replay");
+        assert!(err.starts_with("wire failure during replay"), "{err}");
+    }
 }

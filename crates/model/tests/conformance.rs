@@ -65,6 +65,22 @@ fn update_sequences_conform() {
     }
 }
 
+/// A frame the worker refuses fails the replay, although the
+/// coordinator scattered its bytes before sending it: on the wire path
+/// the transport's verdict is part of the comparison.
+#[test]
+fn a_frame_the_worker_refuses_diverges_on_the_wire_path() {
+    let cfg = ModelConfig::small(Proto::Eager);
+    let seq: Vec<Op> = ["read p=1 b=0", "release"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    replay_on_dsm(&cfg, &seq, true, Faults::default()).expect("clean replay must conform");
+    let inj = Faults::default().with(Fault::CorruptFrameLen);
+    let err = replay_on_dsm(&cfg, &seq, true, inj).expect_err("a refused frame must diverge");
+    assert!(err.contains("exceeds cap"), "{err}");
+}
+
 /// Armed engine injections must make the real run diverge from the
 /// clean model — each fault, at least one witnessing sequence.
 #[test]

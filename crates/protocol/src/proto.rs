@@ -197,6 +197,9 @@ pub(crate) struct WireState {
     /// Wall-clock telemetry, present only when enabled — `None` costs
     /// nothing on the hot path and keeps canonical artifacts untouched.
     pub metrics: Option<WireMetrics>,
+    /// The run's first failure ([`Dsm::wire_ok`]): once it is set,
+    /// nothing more reaches the transport.
+    pub err: Option<WireError>,
 }
 
 /// The coordinator's wall-clock telemetry state: its table of per-class
@@ -239,6 +242,7 @@ impl WireState {
             dst_frames: vec![0; nprocs],
             dst_payload: vec![0; nprocs],
             metrics: None,
+            err: None,
         }
     }
 
@@ -306,46 +310,54 @@ impl WireState {
     /// on every transport — then hand the batch to the transport, which
     /// verifies its arrival by the next [`WireState::sync`], and clear
     /// the buffer for reuse. `corrupt` is [`Fault::CorruptEnvelope`]
-    /// firing (damages the first frame). A frame the decoder or
-    /// the shard's geometry rejects, or a transport failure (peer gone,
-    /// timeout, rejection, bad echo), unwinds with the typed
-    /// [`crate::wire::WireError`] itself as the panic payload, so
-    /// executors can `catch_unwind` + downcast it back into a typed
-    /// result instead of scraping a message string.
+    /// firing (damages the first frame). A frame the decoder or the
+    /// shard's geometry rejects, or a send the transport fails (peer
+    /// gone, …), becomes the run's error if it is the first; once one
+    /// is kept, a delivery only clears the buffer.
     fn deliver(&mut self, mem: &mut [f64], wpb: usize, corrupt: bool) {
+        if self.err.is_none() {
+            self.err = self.apply(mem, wpb, corrupt).err();
+        }
+        self.staged.clear();
+    }
+
+    /// [`WireState::deliver`] up to its first failure.
+    fn apply(&mut self, mem: &mut [f64], wpb: usize, corrupt: bool) -> Result<(), WireError> {
         let (staged, dst) = (&mut self.staged, self.staged_dst);
         if corrupt && !staged.is_empty() {
             corrupt_frame(staged.frame_mut(0));
         }
         for frame in staged.frames() {
             let t_dec = stopwatch(&self.metrics);
-            let view = WireView::parse(frame).unwrap_or_else(|e| std::panic::panic_any(e));
+            let view = WireView::parse(frame)?;
             let t_apply = lap(&mut self.metrics, Stage::Decode, view.kind(), t_dec);
-            if let Err(e) = view.scatter(mem, wpb) {
-                std::panic::panic_any(e);
-            }
+            view.scatter(mem, wpb)?;
             lap(&mut self.metrics, Stage::Apply, view.kind(), t_apply);
             if let Some(m) = self.metrics.as_mut() {
                 m.unverified[dst].push_back(view.kind());
             }
         }
-        if let Err(e) = self.transport.send(dst, staged) {
-            std::panic::panic_any(e);
-        }
-        staged.clear();
+        self.transport.send(dst, staged)
     }
 
     /// Wait until the transport has verified everything delivered so far
-    /// (a typed unwind, like [`WireState::deliver`]'s, if it cannot), and
-    /// book the batches it reports: their blocked time into `route_ns`,
-    /// and with telemetry on into the route histograms exactly once — an
-    /// equal share per frame of the batch, the remainder to the first —
-    /// so their sums add up to `route_ns` with one sample per frame.
+    /// (its failure becomes the run's error if it is the first; with one
+    /// kept there is nothing to wait for), and book the batches it
+    /// reports: their blocked time into `route_ns`, and with telemetry on
+    /// into the route histograms exactly once — an equal share per frame
+    /// of the batch, the remainder to the first — so their sums add up to
+    /// `route_ns` with one sample per frame.
     fn sync(&mut self) {
+        if self.err.is_some() {
+            return;
+        }
         self.syncs += 1;
         let spans = match self.transport.sync() {
             Ok(spans) => spans,
-            Err(e) => std::panic::panic_any(e),
+            Err(e) => {
+                self.err = Some(e);
+                return;
+            }
         };
         self.batches += spans.len() as u64;
         self.route_ns += spans.iter().map(|s| s.dur_ns).sum::<u64>();
@@ -426,6 +438,8 @@ impl Dsm {
     /// movement round-trips through an encoded frame carried by
     /// `transport`. Observable behavior (clocks, stats, traces, data)
     /// is byte-identical to the fast path — only the data path changes.
+    /// A transfer that fails is kept, not thrown: the caller reads it
+    /// with [`Dsm::wire_ok`] or [`Dsm::wire_finish`].
     pub fn set_wire(&mut self, transport: Box<dyn WireTransport>) {
         let nprocs = self.cluster.nprocs();
         self.wire = Some(WireState::new(nprocs, transport));
@@ -451,39 +465,47 @@ impl Dsm {
     }
 
     /// End-of-run telemetry harvest: settle the last frames in flight,
-    /// tear down the transport's remote
-    /// peers, reconcile each node's `ByeStats` book against the
-    /// coordinator's per-destination counters (panicking with a typed
-    /// [`crate::wire::WireError::StatsMismatch`] naming the diverging
-    /// counter), then decode every worker's table beside the
-    /// coordinator's (a blob that does not decode is a typed
-    /// [`crate::wire::WireError::BadReply`]). Returns the registry (None
-    /// when telemetry was off) and the recorded socket-batch spans.
-    pub fn wire_finish(&mut self) -> (Option<MetricsRegistry>, Vec<WireSpan>) {
+    /// tear down the transport's remote peers, reconcile each node's
+    /// `ByeStats` book against the coordinator's per-destination counters
+    /// (a diverging counter is a [`WireError::StatsMismatch`] naming
+    /// it), then decode every worker's table beside the coordinator's (a
+    /// blob that does not decode is a [`WireError::BadReply`]). Returns
+    /// the registry (None when telemetry was off) and the recorded
+    /// socket-batch spans, or the first error: the one the run kept
+    /// ([`Dsm::wire_ok`]), else the first teardown meets.
+    pub fn wire_finish(&mut self) -> Result<(Option<MetricsRegistry>, Vec<WireSpan>), WireError> {
         let Some(w) = self.wire.as_mut() else {
-            return (None, Vec::new());
+            return Ok((None, Vec::new()));
         };
         w.sync();
+        w.err.clone().map_or(Ok(()), Err)?;
         let mut nodes = Vec::new();
         for r in w.transport.finish() {
             let node = r.node as usize;
             let local_frames = w.dst_frames.get(node).copied().unwrap_or(0);
             let local_payload = w.dst_payload.get(node).copied().unwrap_or(0);
-            if let Err(e) = reconcile_stats(r.node, local_frames, local_payload, &r) {
-                std::panic::panic_any(e);
-            }
+            reconcile_stats(r.node, local_frames, local_payload, &r)?;
             if !r.metrics.is_empty() {
-                let t = Telemetry::from_bytes(&r.metrics).unwrap_or_else(|what| {
-                    let what = format!("bad metrics blob: {what}");
-                    std::panic::panic_any(WireError::BadReply { node: r.node, what })
-                });
+                let t = Telemetry::from_bytes(&r.metrics).map_err(|what| WireError::BadReply {
+                    node: r.node,
+                    what: format!("bad metrics blob: {what}"),
+                })?;
                 nodes.push((r.node, t));
             }
         }
         let Some(m) = w.metrics.take() else {
-            return (None, Vec::new());
+            return Ok((None, Vec::new()));
         };
-        (Some(MetricsRegistry::new(m.table, nodes)), m.spans)
+        Ok((Some(MetricsRegistry::new(m.table, nodes)), m.spans))
+    }
+
+    /// `Err` with the run's first wire failure — a frame refused at
+    /// delivery, a transport that could not send or settle — once one is
+    /// kept (it stays; nothing more is sent), `Ok` until then and always
+    /// on the fast path.
+    pub fn wire_ok(&self) -> Result<(), WireError> {
+        let err = self.wire.as_ref().and_then(|w| w.err.clone());
+        err.map_or(Ok(()), Err)
     }
 
     /// `(frames routed, payload bytes)` so far; `(0, 0)` on the fast
@@ -565,8 +587,8 @@ impl Dsm {
 
     /// The single-message path: post the envelope and deliver it, which
     /// stores its payload at the destination from the frame's bytes. A
-    /// frame the decoder or the destination's geometry rejects unwinds
-    /// with the typed error.
+    /// frame the decoder or the destination's geometry rejects is kept
+    /// as the run's error ([`Dsm::wire_ok`]).
     pub(crate) fn wire_route(&mut self, head: Head, shape: Shape, nwords: usize) {
         self.wire_post(head, shape, nwords);
         self.wire_deliver();
@@ -932,9 +954,9 @@ impl Dsm {
     /// Release point: let the protocol propagate interval writes, settle
     /// strict wire mode, then execute the global barrier. Settling means
     /// every frame delivered since the last barrier has reached its node
-    /// and come back byte for byte, or the run unwinds with the
-    /// transport's typed error — a dead, wedged or lying node is caught
-    /// here at the latest.
+    /// and come back byte for byte, or the transport's error is kept as
+    /// the run's ([`Dsm::wire_ok`]) — a dead, wedged or lying node is
+    /// caught here at the latest.
     pub fn release_barrier(&mut self) {
         self.with_proto(|proto, d| proto.release(d));
         debug_assert!(
@@ -995,14 +1017,69 @@ mod tests {
         let mut d = dsm(2, CostModel::paper_dual_cpu());
         d.set_wire(Box::new(GarbageBlob));
         d.enable_wire_metrics();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.wire_finish()))
-            .expect_err("a blob that does not decode fails the run");
-        match payload.downcast::<WireError>().map(|e| *e) {
-            Ok(WireError::BadReply { node: 1, what }) => {
+        match d.wire_finish() {
+            Err(WireError::BadReply { node: 1, what }) => {
                 assert!(what.contains("bad metrics blob"), "{what}")
             }
             other => panic!("expected BadReply from node 1, got {other:?}"),
         }
+    }
+
+    /// A transport whose first `send` fails with `PeerGone(1)`, counting
+    /// every call it gets.
+    struct DeadPeer(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl WireTransport for DeadPeer {
+        fn name(&self) -> &'static str {
+            "dead-peer"
+        }
+        fn send(&mut self, _dst: usize, _batch: &FrameBatch) -> Result<(), WireError> {
+            self.0.set(self.0.get() + 1);
+            Err(WireError::PeerGone(1))
+        }
+        fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
+            self.0.set(self.0.get() + 1);
+            Err(WireError::Timeout(1))
+        }
+        fn finish(&mut self) -> Vec<crate::wire::RemoteReport> {
+            self.0.set(self.0.get() + 1);
+            Vec::new()
+        }
+    }
+
+    /// A failed send is the run's first error and its last call to the
+    /// transport: the rest of the superstep's deliveries still apply
+    /// nothing and send nothing, the barrier waits on nothing, and
+    /// `wire_finish` returns that first error, not a later one.
+    #[test]
+    fn the_first_wire_error_is_kept_and_nothing_more_is_sent() {
+        let calls = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut d = dsm(2, CostModel::paper_dual_cpu());
+        d.set_wire(Box::new(DeadPeer(calls.clone())));
+        let wpb = d.cluster.words_per_block();
+        assert_eq!(d.wire_ok(), Ok(()));
+        for i in 0..4 {
+            d.cluster.node_mem_mut(0)[wpb * i] = 7.0;
+            d.wire_copy(0, 1, wpb * i, wpb);
+        }
+        assert_eq!(
+            calls.get(),
+            1,
+            "only the first delivery reached the transport"
+        );
+        assert_eq!(d.wire_ok(), Err(WireError::PeerGone(1)));
+        assert_eq!(
+            d.cluster.node_mem(1)[wpb * 3],
+            0.0,
+            "a later delivery applied"
+        );
+        d.release_barrier();
+        assert_eq!(d.wire_finish().err(), Some(WireError::PeerGone(1)));
+        assert_eq!(
+            calls.get(),
+            1,
+            "the barrier or teardown waited on a dead link"
+        );
     }
 
     #[test]

@@ -84,6 +84,19 @@ fn wedged_node_yields_typed_timeout_within_deadline() {
     }
 }
 
+/// `execute` has no error to return: a killed node panics with the
+/// failure's message, so the caller sees what failed.
+#[test]
+#[should_panic(expected = "wire transport failed")]
+fn execute_on_a_killed_node_panics_with_the_failure() {
+    let mut cfg = ExecConfig::chan(NPROCS).serial();
+    cfg.inject = InjectConfig {
+        node_fault: Some((1, NodeFault::ExitAfterBatches(0))),
+        ..InjectConfig::default()
+    };
+    execute(&comm_heavy_program(), &cfg);
+}
+
 /// The same worker-spawning path with no fault armed must succeed and
 /// match the in-process `sm_opt` backend bit for bit — the positive
 /// control for the two failure tests above.
