@@ -104,7 +104,7 @@ fn replay(seed: u64, path: &str, oracle: fn(&FuzzSpec) -> Result<(), Divergence>
     }
 }
 
-/// Replay one corpus case through [`check_spec_strict`]: strict wire
+/// Replay one corpus case through `check_spec_strict`: strict wire
 /// mode at every optimization level the main matrix runs fast-path only.
 pub fn check_case_strict(seed: u64) {
     replay(seed, "strict-wire", check_spec_strict);

@@ -311,7 +311,7 @@ fn check_matrix(
 /// check of [`check_spec`] and reproduce `sm_opt[full]`'s serial report,
 /// trace and profile artifacts byte for byte, exactly as `chan` does.
 ///
-/// Kept out of [`backend_configs`], and serial only: one tcp run spawns a
+/// Kept out of `backend_configs`, and serial only: one tcp run spawns a
 /// whole process fleet, so the corpus replays a smaller slice through
 /// this oracle. Callers must gate on [`fgdsm_hpf::tcp_available`] —
 /// sandboxes may forbid sockets.

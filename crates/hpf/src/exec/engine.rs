@@ -14,7 +14,7 @@
 //!   holds ([`crate::plan`]): default-protocol faults and the ctl tag
 //!   transitions in node order, the bulk data movement one
 //!   [`fgdsm_protocol::TransferPlan`] per (source, destination) pair.
-//! * **Compute phase** ([`compute_phase`]): each node's kernel runs
+//! * **Compute phase** (`compute_phase`): each node's kernel runs
 //!   against its own [`NodeShard`] with zero cross-node access, so the
 //!   driver may dispatch the shards across the run's [`WorkerPool`]
 //!   workers. Every charge, event and memory write in this phase is
@@ -26,7 +26,7 @@
 //! `post_loop`, and the driver stamps a superstep boundary into the event
 //! trace. Nothing in this module inspects which backend is running.
 //!
-//! The default-protocol part of a resolve ([`EngineCore::resolve_default`])
+//! The default-protocol part of a resolve (`EngineCore::resolve_default`)
 //! walks the plan's [`ResolveSchedule`] range by range through
 //! [`Dsm::write_access_range`] / [`Dsm::read_access_range`]: per node,
 //! its kept ranges merged with the blocks homed at it that it has lost
@@ -103,7 +103,7 @@ pub struct EngineCore<'p> {
     /// Loop id of the in-flight superstep ([`NO_LOOP`] between loops).
     pub cur_loop: u32,
     /// Contract-planned transfer volumes, recorded by the backends via
-    /// [`EngineCore::note_planned`] — the "predicted" side of the
+    /// `EngineCore::note_planned` — the "predicted" side of the
     /// profiler's predicted-vs-observed comparison.
     pub planned: Vec<super::PlannedXfer>,
     /// Recycled compute-phase reduction slots, one padded cache line per
@@ -341,7 +341,7 @@ impl<'p> EngineCore<'p> {
         Rc::clone(kept)
     }
 
-    /// The schedule [`EngineCore::resolve_default`] walks for this
+    /// The schedule `EngineCore::resolve_default` walks for this
     /// instance, from the plan's slot. The blocks an indirect reference
     /// gathers join the kept read ranges (and the false-sharing test) as
     /// the index arrays name them at the build, so the slot's input

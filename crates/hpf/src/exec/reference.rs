@@ -9,7 +9,7 @@
 //! reduction partials from idle nodes) are preserved bit-for-bit:
 //!
 //! * Arrays land at the same page-aligned word addresses as in the
-//!   engine ([`super::engine::layout_arrays`] is shared), so kernels and
+//!   engine (`super::engine::layout_arrays` is shared), so kernels and
 //!   [`ReferenceResult::array`] use the same absolute offsets.
 //! * Reductions combine the per-node partials with the identical fold
 //!   `Cluster::allreduce` / `MpRuntime::allreduce` apply, so floating-

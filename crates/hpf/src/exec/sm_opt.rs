@@ -16,7 +16,7 @@ use std::time::Instant;
 /// contract (`mk_writable` / barrier / `implicit_writable` / barrier /
 /// `send` + `ready_to_recv` / loop / `implicit_invalidate` / barrier)
 /// moves the data. Boundary blocks and cold misses still take the default
-/// path ([`EngineCore::resolve_default`] runs after the contract). With
+/// path (`EngineCore::resolve_default` runs after the contract). With
 /// [`OptLevel::unopt`] there is no contract and every remote access goes
 /// through the default protocol — faults, invalidations, 4-hop forwards —
 /// exactly what the authors' unoptimized shared-memory compiler emits.

@@ -7,15 +7,17 @@
 //! conversation, fault model) over a socket [`Link`] — so data genuinely
 //! round-trips through another process's memory, byte-identically. This
 //! crate holds only what is socket- or process-specific: the link,
-//! spawn/reap, the worker's command line and [`node_command`].
+//! spawn/reap, the worker's command line and `node_command`.
 //!
 //! Transport choice: [`SocketOpts::kind`] names a family; unset means TCP
 //! over loopback, falling back to Unix-domain sockets when TCP binds are
-//! forbidden. Frames travel length-prefixed
-//! (`write_frame`/[`FrameDecoder`]), one `write` per flushed batch,
-//! straight from the coordinator's batch buffer; a TCP
-//! link runs with `TCP_NODELAY`, so the tail segment of a flush never
-//! waits out Nagle against the peer's delayed ACK.
+//! forbidden. A link carries messages — a batch is one — of
+//! length-prefixed frames: one `write` per flushed batch, straight from
+//! the coordinator's batch buffer; reads straight into one [`MessageBuf`]
+//! per link end until the message is whole; and the worker's echo is one
+//! `write` of that buffer as its apply left it. A TCP link runs with
+//! `TCP_NODELAY`, so the tail segment of a flush never waits out Nagle
+//! against the peer's delayed ACK.
 //!
 //! Failure semantics: every recv carries a deadline
 //! ([`SocketOpts::timeout`]); a closed connection is a typed
@@ -35,9 +37,7 @@ use std::time::{Duration, Instant};
 
 use fgdsm_protocol::node::{serve, Coordinator, Link, WireTransport};
 pub use fgdsm_protocol::node::{Geometry as NetGeometry, NodeFault};
-use fgdsm_protocol::wire::{
-    FrameBatch, FrameDecoder, RemoteReport, WireError, DEFAULT_RECV_TIMEOUT,
-};
+use fgdsm_protocol::wire::{FrameBatch, MessageBuf, RemoteReport, WireError, DEFAULT_RECV_TIMEOUT};
 use fgdsm_protocol::Faults;
 use fgdsm_tempest::metrics::WireSpan;
 
@@ -200,28 +200,21 @@ fn map_io(peer: u32, e: &io::Error) -> WireError {
     }
 }
 
-/// Bytes asked of the socket per `read`.
-const READ_CHUNK_BYTES: usize = 64 * 1024;
-
 /// One framed connection: the stream (whose read/write timeouts are the
-/// link's deadline), its incremental reassembly state and the read
-/// buffer every transfer reuses. A batch is written straight from the
-/// coordinator's [`FrameBatch`], never copied. Dropping it closes the
-/// socket.
+/// link's deadline) and the message buffer every read lands in. A batch
+/// is written straight from the coordinator's [`FrameBatch`], an echo
+/// straight from the buffer it arrived in; neither is copied. Dropping it
+/// closes the socket.
 struct SocketLink {
     stream: Stream,
-    dec: FrameDecoder,
-    /// Where `read` lands before the decoder takes it: allocated once per
-    /// link, not zeroed once per `recv`.
-    chunk: Vec<u8>,
+    inbox: MessageBuf,
 }
 
 impl SocketLink {
     fn new(stream: Stream) -> Self {
         SocketLink {
             stream,
-            dec: FrameDecoder::new(),
-            chunk: vec![0; READ_CHUNK_BYTES],
+            inbox: MessageBuf::default(),
         }
     }
 }
@@ -232,17 +225,17 @@ impl Link for SocketLink {
         self.stream.write_all(image).map_err(|e| map_io(peer, &e))
     }
 
-    /// Read until the next frame is whole and lend it out of the
-    /// decoder's buffer. A 0-byte read (EOF) is [`WireError::PeerGone`];
-    /// a recv deadline hit is [`WireError::Timeout`]; an oversized length
-    /// prefix surfaces as [`WireError::FrameTooBig`] before any
-    /// allocation.
-    fn recv(&mut self, peer: u32) -> Result<&[u8], WireError> {
-        let mut retries = 0u32;
-        while self.dec.ready()?.is_none() {
-            match self.stream.read(&mut self.chunk) {
+    /// Read until the next message is whole and lend it out of the
+    /// buffer. A 0-byte read (EOF) is [`WireError::PeerGone`]; a recv
+    /// deadline hit is [`WireError::Timeout`]; a length prefix past the
+    /// cap surfaces as [`WireError::FrameTooBig`] before its bytes are
+    /// read.
+    fn recv(&mut self, peer: u32) -> Result<&mut [u8], WireError> {
+        let (stream, mut retries) = (&mut self.stream, 0u32);
+        self.inbox.read(peer, |room| loop {
+            match stream.read(room) {
                 Ok(0) => return Err(WireError::PeerGone(peer)),
-                Ok(n) => self.dec.push(&self.chunk[..n]),
+                Ok(n) => return Ok(n),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
                     retries += 1;
                     if retries > MAX_TRANSIENT_RETRIES {
@@ -251,8 +244,13 @@ impl Link for SocketLink {
                 }
                 Err(e) => return Err(map_io(peer, &e)),
             }
-        }
-        self.dec.next_frame().map(Option::unwrap_or_default)
+        })
+    }
+
+    /// One `write` of the message received last, as it now stands.
+    fn echo(&mut self, peer: u32) -> Result<(), WireError> {
+        let message = self.inbox.message();
+        self.stream.write_all(message).map_err(|e| map_io(peer, &e))
     }
 }
 
@@ -424,7 +422,7 @@ impl WireTransport for SocketTransport {
     }
 
     /// Orderly teardown: `Bye` to every live node, collect `ByeStats`,
-    /// close the links, then give the children [`CHILD_EXIT_DEADLINE`] to
+    /// close the links, then give the children `CHILD_EXIT_DEADLINE` to
     /// exit on their own before killing the rest — a wedged node must
     /// not leak. Idempotent; also runs on `Drop`, including during a
     /// panic unwind.

@@ -26,14 +26,14 @@
 //! Run-time overhead elimination (§4.3) drops steps 1, 2, 7 and 8 under
 //! whole-program owner-computes assumptions and memoizes step 3 so only
 //! the first execution pays the tag changes; the memo test is
-//! [`MEMO_TEST_NS`].
+//! `MEMO_TEST_NS`.
 //!
 //! ## Schedule → execute
 //!
 //! The data-movement primitives (`send_range`, `flush_range`) are an
 //! inspector/executor pair:
 //!
-//! * **schedule** ([`plan_sends`] / [`plan_flushes`]) — pure functions
+//! * **schedule** ([`plan_sends`] / `plan_flushes`) — pure functions
 //!   of the call sites, the cluster's geometry (block and bulk sizes,
 //!   homes) and the armed [`Faults`]: payload grouping, and one
 //!   [`TransferPlan`] per (source, destination) pair in `(src, dst)`
@@ -190,7 +190,7 @@ pub(crate) fn plan_flushes(
     plans
 }
 
-/// [`plan_flushes`] into the plans of an earlier schedule, refilled in
+/// `plan_flushes` into the plans of an earlier schedule, refilled in
 /// place.
 pub fn plan_flushes_into(
     cluster: &Cluster,
@@ -227,7 +227,7 @@ pub struct TransferPlan {
     /// overlap; the resulting duplicate push is faithful to the direct
     /// path, which also re-sent the overlap.
     pub ranges: Vec<(usize, usize)>,
-    /// Payload groupings ([`group_payloads`] per range, concatenated in
+    /// Payload groupings (`group_payloads` per range, concatenated in
     /// range order).
     pub payloads: Vec<Payload>,
 }
@@ -537,7 +537,7 @@ impl Dsm {
 
     /// Execute the pending non-owner-write flushes: the ctl event and
     /// base charge of every call site at its writer, then the
-    /// [`plan_flushes`] plans.
+    /// `plan_flushes` plans.
     pub fn exec_flushes(&mut self, entries: &[FlushEntry], plans: &[TransferPlan]) {
         if self.faults.has(Fault::SkipFlushRange) {
             return;
@@ -680,7 +680,7 @@ impl Dsm {
     /// A non-owner writer flushes its modifications of `[first, end)` back
     /// to the owner and invalidates itself (§4.2, non-owner writes). The
     /// owner ends with the only, current, writable copy and the directory
-    /// reflects it. One call site scheduled ([`plan_flushes`]) and
+    /// reflects it. One call site scheduled (`plan_flushes`) and
     /// executed on the spot.
     pub fn flush_range(
         &mut self,

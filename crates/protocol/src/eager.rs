@@ -359,8 +359,8 @@ impl Protocol for EagerInvalidate {
     /// fault; the scan finds each in turn, 64 blocks a word, without
     /// entering the fault path for the rest (servicing block `b` changes
     /// no later block's state at `p`, so the scan resumes after it). A
-    /// like-run of faults ([`Dsm::like_run`]) is one transaction
-    /// ([`EagerInvalidate::write_run`]).
+    /// like-run of faults (`Dsm::like_run`) is one transaction
+    /// (`EagerInvalidate::write_run`).
     fn write_access_range(&mut self, d: &mut Dsm, p: NodeId, first: usize, end: usize) {
         let mut from = first;
         while let Some(b) = d.first_not_exclusive(p, from, end) {

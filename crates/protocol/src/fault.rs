@@ -55,7 +55,7 @@ faults! {
     /// One shot: the coordinator overwrites the length prefix of the
     /// first data frame it writes to a node with an oversized value, on
     /// either carrier (`chan` or `tcp`). The node's framing layer must
-    /// reject it against [`crate::MAX_FRAME_BYTES`] before allocating,
+    /// reject it against [`crate::MAX_MESSAGE_BYTES`] before allocating,
     /// and the run must fail loudly.
     CorruptFrameLen => "corrupt_frame_len",
     /// `send_range` pushes the *home's* copy instead of the recorded

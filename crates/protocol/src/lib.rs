@@ -55,6 +55,6 @@ pub use proto::{Dsm, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{
-    write_frame, FrameBatch, FrameDecoder, RemoteReport, WireError, WireView, Word,
-    DEFAULT_RECV_TIMEOUT, MAX_FRAME_BYTES,
+    write_frame, FrameBatch, MessageBuf, RemoteReport, WireError, WireView, DEFAULT_RECV_TIMEOUT,
+    MAX_FRAME_BYTES, MAX_MESSAGE_BYTES,
 };

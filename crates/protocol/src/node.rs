@@ -1,19 +1,19 @@
 //! The node runtime, written once: a worker loop ([`serve`]), the
 //! coordinator's side of the conversation ([`Coordinator`]) and the fault
-//! model ([`NodeFault`]), all over a narrow byte [`Link`].
+//! model ([`NodeFault`]), all over a narrow [`Link`] of messages.
 //!
 //! A carrier is only a link plus a way to start workers: [`ChanTransport`]
-//! is N threads running [`serve`] over in-memory [`MemLink`]s;
+//! is N threads running [`serve`] over in-memory `MemLink`s;
 //! `fgdsm_net::SocketTransport` is N `fgdsm-node` processes running the
 //! same [`serve`] over socket links. Handshake, batches, rejection,
 //! double-entry books, worker telemetry, faults and teardown therefore
-//! behave identically on both (conversation shape: [`CtrlMsg`]).
+//! behave identically on both (conversation shape: `CtrlMsg`).
 //!
 //! Delivery is **split-phase**. [`Coordinator::post`] copies frames into
-//! a node's queue, one [`FrameBatch`] buffer; [`Coordinator::flush`]
+//! a node's queue, one [`FrameBatch`] buffer; `Coordinator::flush`
 //! writes that buffer as it stands — the `Batch{n}` marker and the
 //! frames, one `write` per flush on a socket — and keeps it untouched;
-//! [`Coordinator::collect`] reads that batch's echo and compares it byte
+//! `Coordinator::collect` reads that batch's echo and compares it byte
 //! for byte with the kept buffer, then clears it for reuse;
 //! [`Coordinator::sync`] flushes and collects every node. The sender
 //! applies from the very bytes it encoded and goes on — the echo is the
@@ -29,12 +29,12 @@
 //! (`crates/model`) explores the protocol under that assumption only. A
 //! link that flips a bit, drops, duplicates or reorders a frame is a
 //! typed error out of `collect`/`sync` ([`WireError::BadReply`], or
-//! [`WireError::Timeout`] for a frame that never comes), and the
-//! coordinator hangs up on that node (`tests` below).
+//! [`WireError::Timeout`] for a message that never becomes whole), and
+//! the coordinator hangs up on that node (`tests` below).
 
 use crate::fault::{Fault, Faults};
 use crate::wire::{
-    write_frame, CtrlMsg, FrameBatch, FrameDecoder, RemoteReport, WireError, WireView,
+    write_frame, CtrlMsg, FrameBatch, MessageBuf, Records, RemoteReport, WireError, WireView,
     DEFAULT_RECV_TIMEOUT, MARKER_LEN, WIRE_VERSION,
 };
 use fgdsm_tempest::metrics::{Stage, Telemetry, WireSpan};
@@ -105,25 +105,27 @@ impl WireTransport for Loopback {
 // Links
 // ----------------------------------------------------------------------
 
-/// One end of a framed, ordered byte link. `peer` names the far end in
-/// the errors: a closed link is [`WireError::PeerGone`], a recv past the
-/// link's deadline [`WireError::Timeout`]. Dropping the link hangs up.
+/// One end of an ordered link carrying whole messages ([`MessageBuf`]).
+/// `peer` names the far end in the errors: a closed link is
+/// [`WireError::PeerGone`], a recv past the link's deadline
+/// [`WireError::Timeout`]. Dropping the link hangs up.
 pub trait Link {
-    /// Write `image` — whole length-prefixed frames ([`write_frame`]),
-    /// such as a [`FrameBatch`]'s marker and frames — with one flush.
+    /// Write `image` — one message, such as a [`FrameBatch`] — with one
+    /// flush.
     fn send(&mut self, image: &[u8], peer: u32) -> Result<(), WireError>;
-    /// The next frame, in order, borrowed from the link's receive buffer
-    /// until the next call.
-    fn recv(&mut self, peer: u32) -> Result<&[u8], WireError>;
+    /// The next message, whole, lent mutably until the next call.
+    fn recv(&mut self, peer: u32) -> Result<&mut [u8], WireError>;
+    /// Write the message received last back, as it now stands.
+    fn echo(&mut self, peer: u32) -> Result<(), WireError>;
 }
 
-/// The in-memory link: an `mpsc` pair moving batch images, reassembled
-/// into frames by the same [`FrameDecoder`] a socket link uses — so a
-/// lying length prefix meets the same cap.
+/// The in-memory link: an `mpsc` pair moving message images, checked by
+/// the [`MessageBuf`] a socket link reads with. A received image is read
+/// and echoed in place; a write is a copy into the last one's buffer.
 pub(crate) struct MemLink {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-    dec: FrameDecoder,
+    inbox: MessageBuf,
     deadline: Option<Duration>,
 }
 
@@ -135,7 +137,7 @@ pub(crate) fn mem_pair(timeout: Duration) -> (MemLink, MemLink) {
     let end = |tx, rx, deadline| MemLink {
         tx,
         rx,
-        dec: FrameDecoder::new(),
+        inbox: MessageBuf::default(),
         deadline,
     };
     (end(tx_a, rx_a, Some(timeout)), end(tx_b, rx_b, None))
@@ -143,23 +145,27 @@ pub(crate) fn mem_pair(timeout: Duration) -> (MemLink, MemLink) {
 
 impl Link for MemLink {
     fn send(&mut self, image: &[u8], peer: u32) -> Result<(), WireError> {
-        self.tx
-            .send(image.to_vec())
-            .map_err(|_| WireError::PeerGone(peer))
+        let mut bytes = self.inbox.take_message();
+        bytes.clear();
+        bytes.extend_from_slice(image);
+        self.tx.send(bytes).map_err(|_| WireError::PeerGone(peer))
     }
 
-    fn recv(&mut self, peer: u32) -> Result<&[u8], WireError> {
-        while self.dec.ready()?.is_none() {
-            let image = match self.deadline {
-                Some(d) => self.rx.recv_timeout(d).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => WireError::Timeout(peer),
-                    RecvTimeoutError::Disconnected => WireError::PeerGone(peer),
-                })?,
-                None => self.rx.recv().map_err(|_| WireError::PeerGone(peer))?,
-            };
-            self.dec.push_owned(image);
-        }
-        self.dec.next_frame().map(Option::unwrap_or_default)
+    fn recv(&mut self, peer: u32) -> Result<&mut [u8], WireError> {
+        let image = match self.deadline {
+            Some(d) => self.rx.recv_timeout(d).map_err(|e| match e {
+                RecvTimeoutError::Timeout => WireError::Timeout(peer),
+                RecvTimeoutError::Disconnected => WireError::PeerGone(peer),
+            })?,
+            None => self.rx.recv().map_err(|_| WireError::PeerGone(peer))?,
+        };
+        self.inbox.adopt(image, peer)
+    }
+
+    fn echo(&mut self, peer: u32) -> Result<(), WireError> {
+        self.tx
+            .send(self.inbox.take_message())
+            .map_err(|_| WireError::PeerGone(peer))
     }
 }
 
@@ -171,7 +177,7 @@ fn send_ctrl(link: &mut impl Link, msg: &CtrlMsg, peer: u32) -> Result<(), WireE
 }
 
 fn recv_ctrl(link: &mut impl Link, peer: u32) -> Result<CtrlMsg, WireError> {
-    let frame = link.recv(peer)?;
+    let frame = Records(link.recv(peer)?).next().unwrap_or_default();
     CtrlMsg::from_bytes(frame).map_err(|e| WireError::BadReply {
         node: peer,
         what: format!("bad control frame: {e}"),
@@ -217,17 +223,17 @@ pub enum NodeFault {
 
 /// The worker loop. Introduce ourselves, learn the geometry, then serve
 /// batches until `Bye` (or until the coordinator disappears, which ends
-/// the loop quietly). Each frame is received into the one reply batch,
+/// the loop quietly). Each frame of a batch is parsed where it arrived,
 /// scattered from its bytes into the node's mirror of the segment, and
-/// its payload re-gathered *from the mirror* into those same bytes
-/// before the batch is echoed — what the coordinator gets back is what
-/// this node's memory now holds, not the bytes it sent. The mirror is
-/// exactly the `HelloAck` segment and never grows: a frame the decoder
-/// rejects, or one naming memory outside the segment, is answered with
-/// `CtrlMsg::Err` and ends the loop with that error. With `metrics` the
-/// node keeps per-class `recv` (frame in hand → parsed), `apply` and
-/// `reencode` (the re-gather in place) histograms and ships them home in
-/// `ByeStats`, next to its double-entry counters.
+/// its payload re-gathered *from the mirror* into those same bytes; then
+/// the batch is echoed as it now stands — what the coordinator gets back
+/// is what this node's memory now holds, not the bytes it sent. The
+/// mirror is exactly the `HelloAck` segment and never grows: a message
+/// the link refuses, a frame the decoder rejects or one naming memory
+/// outside the segment is answered with `CtrlMsg::Err` and ends the loop
+/// with that error. With `metrics` the node keeps per-class `recv`
+/// (frame in hand → parsed), `apply` and `reencode` (the re-gather in
+/// place) histograms and ships them home in `ByeStats`.
 pub fn serve(
     mut link: impl Link,
     node: u32,
@@ -243,16 +249,20 @@ pub fn serve(
         CtrlMsg::HelloAck { wpb, seg_words, .. } => (wpb as usize, seg_words as usize),
         other => return reject(&mut link, node, unexpected(node, "HelloAck", &other)),
     };
-    let mut mirror = vec![0u64; seg_words];
+    let mut mirror = vec![0.0; seg_words];
     let (mut frames, mut payload_bytes, mut batches) = (0u64, 0u64, 0u32);
     let mut table = metrics.then(Box::<Telemetry>::default);
-    // The echo, batch after batch: its marker and frames, rewritten in place.
-    let mut reply = FrameBatch::new();
-    // A link error below means the coordinator is gone (or idle past the
-    // link's deadline): we are the orphan backstop, not the reporter.
-    while let Ok(ctrl) = link.recv(node) {
-        let n = match CtrlMsg::from_bytes(ctrl) {
-            Ok(CtrlMsg::Batch { n }) => n,
+    loop {
+        let msg = match link.recv(node) {
+            Ok(msg) => msg,
+            // The coordinator is gone (or idle past the link's deadline):
+            // we are the orphan backstop, not the reporter.
+            Err(WireError::PeerGone(_) | WireError::Timeout(_)) => return Ok(()),
+            Err(e) => return reject(&mut link, node, e),
+        };
+        let mut records = Records(msg);
+        match CtrlMsg::from_bytes(records.next().unwrap_or_default()) {
+            Ok(CtrlMsg::Batch { .. }) => {}
             Ok(CtrlMsg::Bye) => {
                 let stats = CtrlMsg::ByeStats {
                     frames,
@@ -274,24 +284,17 @@ pub fn serve(
             }
             _ => {}
         }
-        reply.clear();
-        for i in 0..n as usize {
-            match link.recv(node) {
-                Ok(frame) => reply.push(frame),
-                Err(e @ WireError::FrameTooBig(_)) => return reject(&mut link, node, e),
-                Err(_) => return Ok(()),
-            }
-            match apply_frame(reply.frame_mut(i), &mut mirror, wpb, table.as_deref_mut()) {
+        for frame in records {
+            match apply_frame(frame, &mut mirror, wpb, table.as_deref_mut()) {
                 Ok(payload) => payload_bytes += payload,
                 Err(e) => return reject(&mut link, node, e),
             }
             frames += 1;
         }
-        if link.send(reply.image(), node).is_err() {
-            break;
+        if link.echo(node).is_err() {
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 /// One frame through the node, in place: parse it, scatter its payload
@@ -299,7 +302,7 @@ pub fn serve(
 /// bytes. Returns its payload bytes. The worker side's only decode.
 fn apply_frame(
     frame: &mut [u8],
-    mirror: &mut [u64],
+    mirror: &mut [f64],
     wpb: usize,
     mut table: Option<&mut Telemetry>,
 ) -> Result<u64, WireError> {
@@ -423,32 +426,38 @@ impl<L: Link> Peer<L> {
         Ok(())
     }
 
-    /// Read the echo of the batch in flight and compare it, frame by
-    /// frame and byte for byte, with the buffer that was written; once
-    /// verified, the buffer is cleared for reuse. Nothing in flight:
-    /// nothing to do.
+    /// Read the echo of the batch in flight and compare it byte for byte
+    /// with the buffer that was written (a mismatch names the first frame
+    /// that differs); once verified, the buffer is cleared for reuse.
+    /// Nothing in flight: nothing to do.
     fn collect(&mut self, node: u32, log: &mut BatchLog) -> Result<(), WireError> {
         let Some(mut span) = self.span.take() else {
             return Ok(());
         };
         let t0 = Instant::now();
         let sent = &self.in_flight;
-        let what = match recv_ctrl(&mut self.link, node)? {
-            CtrlMsg::Batch { n } if n as usize == sent.len() => {
-                for (i, frame) in sent.frames().enumerate() {
-                    if self.link.recv(node)? != frame {
-                        let what = format!("echo of frame {i} of {n} is not the frame sent");
-                        return Err(WireError::BadReply { node, what });
-                    }
-                }
-                span.dur_ns += t0.elapsed().as_nanos() as u64;
-                log.verified.push(span);
-                self.in_flight.clear();
-                return Ok(());
+        let echo = self.link.recv(node)?;
+        if *echo == *sent.image() {
+            span.dur_ns += t0.elapsed().as_nanos() as u64;
+            log.verified.push(span);
+            self.in_flight.clear();
+            return Ok(());
+        }
+        let mut records = Records(echo);
+        let what = match CtrlMsg::from_bytes(records.next().unwrap_or_default()) {
+            Ok(CtrlMsg::Batch { n }) if n as usize == sent.len() => {
+                let i = records.zip(sent.frames()).position(|(e, s)| e != s);
+                format!(
+                    "echo of frame {} of {n} is not the frame sent",
+                    i.unwrap_or(0)
+                )
             }
-            CtrlMsg::Err { detail } => return Err(WireError::Rejected { node, detail }),
-            CtrlMsg::Batch { n } => format!("returned {n} frames for a batch of {}", sent.len()),
-            other => format!("unexpected control reply {other:?}"),
+            Ok(CtrlMsg::Err { detail }) => return Err(WireError::Rejected { node, detail }),
+            Ok(CtrlMsg::Batch { n }) => {
+                format!("returned {n} frames for a batch of {}", sent.len())
+            }
+            Ok(other) => format!("unexpected control reply {other:?}"),
+            Err(e) => format!("bad control frame: {e}"),
         };
         Err(WireError::BadReply { node, what })
     }
@@ -548,30 +557,16 @@ impl<L: Link> Coordinator<L> {
         })
     }
 
-    /// Write `dst`'s queue as one `Batch{n}`, once the echo of its
-    /// previous batch has been collected.
-    pub(crate) fn flush(&mut self, dst: usize) -> Result<(), WireError> {
-        self.with_peer(dst, Peer::flush)
-    }
-
-    /// Read and verify the echo of `dst`'s batch in flight (if any).
-    pub(crate) fn collect(&mut self, dst: usize) -> Result<(), WireError> {
-        self.with_peer(dst, Peer::collect)
-    }
-
     /// Flush every node, then collect every node: on return each frame
     /// posted so far has been echoed back byte for byte. Returns the
     /// batches verified since the previous `sync`.
     pub fn sync(&mut self) -> Result<Vec<WireSpan>, WireError> {
-        // A node that failed earlier has reported its error and is skipped.
-        for dst in 0..self.peers.len() {
-            if self.is_connected(dst) {
-                self.flush(dst)?;
-            }
-        }
-        for dst in 0..self.peers.len() {
-            if self.is_connected(dst) {
-                self.collect(dst)?;
+        for step in [Peer::flush, Peer::collect] {
+            // A node that failed earlier has reported its error: skipped.
+            for dst in 0..self.peers.len() {
+                if self.is_connected(dst) {
+                    self.with_peer(dst, step)?;
+                }
             }
         }
         Ok(std::mem::take(&mut self.log.verified))
@@ -612,8 +607,8 @@ impl<L: Link> Coordinator<L> {
 // ----------------------------------------------------------------------
 
 /// The `chan` backend's transport: one thread per node running [`serve`]
-/// over a [`MemLink`]. Workers share *no* shard memory — each owns its
-/// mirror and sees only the batch images copied onto its channel.
+/// over an in-memory link. Workers share *no* shard memory — each owns
+/// its mirror and sees only the batch images copied onto its channel.
 pub struct ChanTransport {
     nodes: Coordinator<MemLink>,
     workers: Vec<JoinHandle<()>>,
@@ -701,6 +696,9 @@ impl Drop for ChanTransport {
 mod tests {
     use super::*;
     use crate::compat::{WireHeader, WireMsg};
+    use crate::wire::MAX_MESSAGE_BYTES;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn copy_frame(start_word: u64, words: Vec<u64>) -> Vec<u8> {
         WireMsg::Copy {
@@ -726,13 +724,7 @@ mod tests {
 
     /// The records of a link image, in order (a batch's marker first).
     fn records(image: &[u8]) -> Vec<Vec<u8>> {
-        let mut dec = FrameDecoder::new();
-        dec.push(image);
-        let mut out = Vec::new();
-        while let Some(f) = dec.next_frame().unwrap() {
-            out.push(f.to_vec());
-        }
-        out
+        Records(image).map(<[u8]>::to_vec).collect()
     }
 
     #[test]
@@ -829,31 +821,36 @@ mod tests {
         type Lie = fn(&mut Vec<Vec<u8>>);
         // Index 0 of the echo is the `Batch{n}` marker.
         // `None`: a `BadReply` naming node 0.
-        let cases: [(&str, Lie, Option<WireError>); 6] = [
+        let cases: [(&str, Lie, Option<WireError>); 7] = [
             ("honest", |_| {}, None),
             (
                 "bit flipped",
                 |echo| *echo[2].last_mut().unwrap() ^= 1,
                 None,
             ),
-            // The frames behind a gap arrive one place early...
+            // A message short of the frames its marker names: a memory
+            // link's image is one whole write, so it is short at once (a
+            // socket would wait out its deadline for the rest)...
             ("dropped", |echo| drop(echo.remove(2)), None),
-            // ... and behind the last frame there is only silence.
+            ("last dropped", |echo| drop(echo.pop()), None),
+            // ... and so is one whose marker owns up to the count.
             (
-                "last dropped",
-                |echo| drop(echo.pop()),
-                Some(WireError::Timeout(0)),
+                "dropped and recounted",
+                |echo| {
+                    echo.remove(2);
+                    echo[0] = CtrlMsg::Batch { n: 3 }.to_bytes();
+                },
+                None,
             ),
+            // A frame more than the marker names is bytes past the message.
             ("duplicated", |echo| echo.insert(2, echo[1].clone()), None),
             ("swapped", |echo| echo.swap(2, 3), None),
         ];
         for (what, lie, want) in cases {
             let (mut coord, mut peer) = admitted_pair();
             coord.post(0, &batch_of(&frames)).unwrap();
-            coord.flush(0).unwrap();
-            let mut echo: Vec<Vec<u8>> = (0..=frames.len())
-                .map(|_| peer.recv(0).expect("the batch as written").to_vec())
-                .collect();
+            coord.with_peer(0, Peer::flush).unwrap();
+            let mut echo = records(peer.recv(0).expect("the batch as written"));
             assert_eq!(
                 echo[1..],
                 frames[..],
@@ -920,7 +917,7 @@ mod tests {
             }
             let mut peer = peer;
             peer.send(&image(&echo), 0).unwrap();
-            match (coord.collect(0), lie) {
+            match (coord.with_peer(0, Peer::collect), lie) {
                 (Ok(()), false) => assert!(coord.is_connected(0)),
                 (Err(WireError::BadReply { node: 0, what }), true) => {
                     assert!(what.contains(&format!("frame {} of {n}", n - 1)), "{what}");
@@ -965,12 +962,65 @@ mod tests {
         assert!(peer.rx.try_recv().is_err(), "no second batch was written");
     }
 
+    /// A worker's end that reads like a socket: the far end's images come
+    /// in as one byte stream, through the reader a socket link uses, and
+    /// `held` keeps the largest buffer a read has been lent.
+    struct Streamed {
+        link: MemLink,
+        inbox: MessageBuf,
+        pending: (Vec<u8>, usize),
+        held: Arc<AtomicUsize>,
+    }
+
+    impl Link for Streamed {
+        fn send(&mut self, image: &[u8], peer: u32) -> Result<(), WireError> {
+            self.link.send(image, peer)
+        }
+        fn recv(&mut self, peer: u32) -> Result<&mut [u8], WireError> {
+            let (rx, (bytes, at), held) = (&self.link.rx, &mut self.pending, &self.held);
+            let mut read = 0;
+            self.inbox.read(peer, |room| {
+                if *at == bytes.len() {
+                    (*bytes, *at) = (rx.recv().map_err(|_| WireError::PeerGone(peer))?, 0);
+                }
+                held.fetch_max(read + room.len(), Ordering::Relaxed);
+                let n = room.len().min(bytes.len() - *at);
+                room[..n].copy_from_slice(&bytes[*at..*at + n]);
+                (*at, read) = (*at + n, read + n);
+                Ok(n)
+            })
+        }
+        fn echo(&mut self, peer: u32) -> Result<(), WireError> {
+            let message = self.inbox.message().to_vec();
+            self.link.send(&message, peer)
+        }
+    }
+
+    /// A coordinator's end after the handshake with a worker running
+    /// [`serve`] (telemetry on) over `theirs`.
+    fn serving(
+        theirs: impl Link + Send + 'static,
+        mut ours: MemLink,
+    ) -> (MemLink, JoinHandle<Result<(), WireError>>) {
+        let worker = std::thread::spawn(move || serve(theirs, 0, true, None));
+        assert!(matches!(recv_ctrl(&mut ours, 0), Ok(CtrlMsg::Hello { .. })));
+        let ack = CtrlMsg::HelloAck {
+            nprocs: 1,
+            wpb: 4,
+            seg_words: 64,
+        };
+        send_ctrl(&mut ours, &ack, 0).unwrap();
+        (ours, worker)
+    }
+
     /// The worker against hostile batches, written by hand over a memory
     /// link after a well-formed frame: a lying payload length or block
     /// count, a length prefix past the cap, a truncated frame, an address
-    /// outside the segment, a wrong kind byte or magic. Each one ends
-    /// with the worker's `CtrlMsg::Err` naming the fault and the typed
-    /// error out of `serve` — never a panic, never a grown mirror.
+    /// outside the segment, a wrong kind byte or magic — and a marker
+    /// claiming `u32::MAX` frames, streamed past the message cap. Each one
+    /// ends with the worker's `CtrlMsg::Err` naming the fault and the
+    /// typed error out of `serve` — never a panic, never a grown mirror,
+    /// never a buffer past the cap.
     #[test]
     fn hostile_batches_into_the_worker_end_in_a_typed_rejection() {
         let good = copy_frame(8, vec![1, 2, 3]);
@@ -1020,19 +1070,12 @@ mod tests {
                     img.extend_from_slice(&u32::MAX.to_le_bytes());
                     img
                 },
-                WireError::FrameTooBig(u32::MAX as u64),
+                WireError::FrameTooBig((MARKER_LEN + 8 + good.len()) as u64 + u32::MAX as u64),
             ),
         ];
         for (what, frames, want) in cases {
-            let (mut ours, theirs) = mem_pair(Duration::from_secs(5));
-            let worker = std::thread::spawn(move || serve(theirs, 0, true, None));
-            assert!(matches!(recv_ctrl(&mut ours, 0), Ok(CtrlMsg::Hello { .. })));
-            let ack = CtrlMsg::HelloAck {
-                nprocs: 1,
-                wpb: 4,
-                seg_words: 64,
-            };
-            send_ctrl(&mut ours, &ack, 0).unwrap();
+            let (ours, theirs) = mem_pair(Duration::from_secs(5));
+            let (mut ours, worker) = serving(theirs, ours);
             let mut batch = image(&[CtrlMsg::Batch { n: 2 }.to_bytes()]);
             batch.extend_from_slice(&frames);
             ours.send(&batch, 0).unwrap();
@@ -1047,6 +1090,39 @@ mod tests {
                 .unwrap_or_else(|_| panic!("{what}: serve panicked"));
             assert_eq!(served, Err(want), "{what}");
         }
+        // A marker claiming `u32::MAX` frames, then well-formed 1 MiB
+        // records streamed until the worker hangs up: the message cap
+        // stops it.
+        let (ours, link) = mem_pair(Duration::from_secs(30));
+        let held = Arc::default();
+        let theirs = Streamed {
+            link,
+            inbox: MessageBuf::default(),
+            pending: (Vec::new(), 0),
+            held: Arc::clone(&held),
+        };
+        let (mut ours, worker) = serving(theirs, ours);
+        ours.send(&image(&[CtrlMsg::Batch { n: u32::MAX }.to_bytes()]), 0)
+            .unwrap();
+        let record = image(&[vec![0; 1 << 20]]);
+        let mut streamed = 0;
+        while streamed <= MAX_MESSAGE_BYTES + record.len() && ours.send(&record, 0).is_ok() {
+            streamed += record.len();
+        }
+        match recv_ctrl(&mut ours, 0) {
+            Ok(CtrlMsg::Err { detail }) => assert!(detail.contains("exceeds cap"), "{detail}"),
+            other => panic!("want the worker's Err reply, got {other:?}"),
+        }
+        let served = worker.join().expect("serve must not panic");
+        assert!(
+            matches!(served, Err(WireError::FrameTooBig(_))),
+            "{served:?}"
+        );
+        let held = held.load(Ordering::Relaxed);
+        assert!(
+            held > MAX_MESSAGE_BYTES / 2 && held <= MAX_MESSAGE_BYTES,
+            "the worker held {held} bytes against a cap of {MAX_MESSAGE_BYTES}"
+        );
         // Through a coordinator the same rejection is a typed error out of
         // `collect`, and the coordinator hangs up on the node.
         let geom = Geometry {
@@ -1060,9 +1136,9 @@ mod tests {
             .unwrap();
         match t
             .nodes
-            .collect(0)
-            .and_then(|()| t.nodes.flush(0))
-            .and_then(|()| t.nodes.collect(0))
+            .with_peer(0, Peer::collect)
+            .and_then(|()| t.nodes.with_peer(0, Peer::flush))
+            .and_then(|()| t.nodes.with_peer(0, Peer::collect))
         {
             Err(WireError::Rejected { node: 0, detail }) => {
                 assert!(detail.contains("unknown kind byte 9"), "{detail}")
@@ -1085,6 +1161,29 @@ mod tests {
         }
         t.send(1, &batch_of(std::slice::from_ref(&good))).unwrap();
         assert!(t.sync().is_ok(), "a one-shot fault fires once");
+    }
+
+    /// An echo whose marker claims `u32::MAX` frames, then a length prefix
+    /// that takes it past the message cap: `collect` refuses it before the
+    /// declared bytes are read, and hangs up on the node.
+    #[test]
+    fn a_lying_echo_past_the_cap_is_refused_by_collect() {
+        let (mut coord, mut peer) = admitted_pair();
+        let frame = copy_frame(0, vec![1, 2]);
+        coord
+            .post(0, &batch_of(std::slice::from_ref(&frame)))
+            .unwrap();
+        coord.with_peer(0, Peer::flush).unwrap();
+        peer.recv(0).expect("the batch as written");
+        let mut echo = image(&[CtrlMsg::Batch { n: u32::MAX }.to_bytes(), frame.clone()]);
+        let at = echo.len() + 4;
+        echo.extend_from_slice(&((MAX_MESSAGE_BYTES - at + 1) as u32).to_le_bytes());
+        peer.send(&echo, 0).unwrap();
+        assert_eq!(
+            coord.with_peer(0, Peer::collect),
+            Err(WireError::FrameTooBig(MAX_MESSAGE_BYTES as u64 + 1))
+        );
+        assert!(!coord.is_connected(0), "must hang up");
     }
 
     /// The handshake every carrier shares, against misbehaving peers over

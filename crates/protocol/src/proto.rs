@@ -324,8 +324,8 @@ impl WireState {
     /// [`WireState::deliver`] up to its first failure.
     fn apply(&mut self, mem: &mut [f64], wpb: usize, corrupt: bool) -> Result<(), WireError> {
         let (staged, dst) = (&mut self.staged, self.staged_dst);
-        if corrupt && !staged.is_empty() {
-            corrupt_frame(staged.frame_mut(0));
+        if let Some(frame) = staged.frames_mut().next().filter(|_| corrupt) {
+            corrupt_frame(frame);
         }
         for frame in staged.frames() {
             let t_dec = stopwatch(&self.metrics);

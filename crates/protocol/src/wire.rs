@@ -3,7 +3,7 @@
 //! and an explicit payload — under a versioned, deterministic binary
 //! encoding with no external serialization dependency.
 //!
-//! There is one writer ([`write_head`]) and one parser
+//! There is one writer (`write_head`) and one parser
 //! ([`WireView::parse`]). A posted frame is encoded straight from its
 //! source shard into a [`FrameBatch`] (`encode_gathered`), so it no
 //! longer needs the source alive — the property a cross-process
@@ -37,6 +37,7 @@
 //! were not built for (no silent best-effort parsing). The golden-bytes
 //! test below pins the v1 layout against accidental breaks.
 
+use crate::node::FLUSH_WINDOW_BYTES;
 use fgdsm_tempest::cursor::{Cursor, Truncated};
 use std::time::Duration;
 
@@ -47,10 +48,9 @@ pub(crate) const WIRE_VERSION: u16 = 1;
 /// First two bytes of every control (non-data) frame: handshake,
 /// batch markers and teardown between a coordinator and a node.
 pub(crate) const CTRL_MAGIC: u16 = 0xFD58;
-/// Upper bound on a single length-prefixed frame. A prefix above this is
-/// a protocol violation ([`WireError::FrameTooBig`]), rejected *before*
-/// any allocation — the framing layer's analogue of `decode_words`'
-/// lying-length guard.
+/// Upper bound on a single length-prefixed frame a writer may produce
+/// ([`write_frame`] panics past it); a reader bounds whole messages
+/// ([`MAX_MESSAGE_BYTES`]).
 pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 
 /// Default per-recv deadline of the coordinator's links (`chan` and
@@ -92,7 +92,7 @@ const KIND_STRIDED: u8 = 4;
 pub enum WireError {
     /// Frame ended before a declared field.
     Truncated,
-    /// First two bytes are not [`WIRE_MAGIC`].
+    /// First two bytes are not `WIRE_MAGIC`.
     BadMagic(u16),
     /// Version this decoder was not built for.
     BadVersion(u16),
@@ -111,11 +111,12 @@ pub enum WireError {
     PeerGone(u32),
     /// The peer stayed silent past the configured recv deadline.
     Timeout(u32),
-    /// A length prefix above [`MAX_FRAME_BYTES`] — rejected before any
-    /// allocation or read.
+    /// A length prefix that would take its message past
+    /// [`MAX_MESSAGE_BYTES`] — rejected before the bytes it declares are
+    /// read or buffered. Carries the length the message would reach.
     FrameTooBig(u64),
     /// Double-entry reconciliation failure at teardown: a node's
-    /// [`CtrlMsg::ByeStats`] accounting disagrees with the coordinator's
+    /// `CtrlMsg::ByeStats` accounting disagrees with the coordinator's
     /// book for that node. Reports *which* counter diverged and both
     /// sides' values, so a lost or double-applied frame is attributable
     /// from the error alone.
@@ -125,7 +126,7 @@ pub enum WireError {
         local: u64,
         remote: u64,
     },
-    /// The peer answered a batch with [`CtrlMsg::Err`]: it refused a frame
+    /// The peer answered a batch with `CtrlMsg::Err`: it refused a frame
     /// (decode failure, oversized length prefix, addresses outside its
     /// segment). `detail` is the peer's own account.
     Rejected { node: u32, detail: String },
@@ -147,7 +148,7 @@ impl std::fmt::Display for WireError {
             WireError::PeerGone(p) => write!(f, "peer node {p} gone (disconnected or exited)"),
             WireError::Timeout(p) => write!(f, "recv from node {p} timed out"),
             WireError::FrameTooBig(n) => {
-                write!(f, "frame length {n} exceeds cap {MAX_FRAME_BYTES}")
+                write!(f, "message of {n} bytes exceeds cap {MAX_MESSAGE_BYTES}")
             }
             WireError::StatsMismatch {
                 node,
@@ -311,12 +312,12 @@ pub(crate) struct Head {
 /// `nwords` payload words gathered straight from `mem` along `runs` (the
 /// shape's geometry in `mem`, already checked): the send side's frame,
 /// built where it will travel from.
-pub(crate) fn encode_gathered<W: Word>(
+pub(crate) fn encode_gathered(
     out: &mut Vec<u8>,
     head: &Head,
     shape: &Shape,
     (runs, nwords): (Runs, usize),
-    mem: &[W],
+    mem: &[f64],
 ) {
     let fields = [head.src, head.dst, head.ctx.0, head.ctx.1, head.array];
     write_head(out, fields, head.first..head.first + head.n, shape, nwords);
@@ -447,12 +448,12 @@ impl<'a> WireView<'a> {
     /// of `mem` the frame names — the apply side, for shard memory and
     /// the worker mirror alike. Nothing is written unless every run lies
     /// inside `mem`.
-    pub fn scatter<W: Word>(&self, mem: &mut [W], wpb: usize) -> Result<(), WireError> {
+    pub fn scatter(&self, mem: &mut [f64], wpb: usize) -> Result<(), WireError> {
         let mut rest = self.words;
         for (start, len) in self.runs(wpb, mem.len())? {
             let (run, tail) = rest.split_at(8 * len);
             for (m, w) in mem[start..start + len].iter_mut().zip(run.chunks_exact(8)) {
-                *m = W::from_bits(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+                *m = f64::from_bits(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
             }
             rest = tail;
         }
@@ -463,32 +464,6 @@ impl<'a> WireView<'a> {
 // ----------------------------------------------------------------------
 // Geometry: which memory words an envelope reads and writes
 // ----------------------------------------------------------------------
-
-/// A memory word an envelope payload can be copied to and from: the
-/// shards' `f64` data (bit-exact through `to_bits`/`from_bits`) and the
-/// node worker's raw `u64` mirror ([`crate::node::serve`]).
-pub trait Word: Copy {
-    fn to_bits(self) -> u64;
-    fn from_bits(bits: u64) -> Self;
-}
-
-impl Word for f64 {
-    fn to_bits(self) -> u64 {
-        f64::to_bits(self)
-    }
-    fn from_bits(bits: u64) -> Self {
-        f64::from_bits(bits)
-    }
-}
-
-impl Word for u64 {
-    fn to_bits(self) -> u64 {
-        self
-    }
-    fn from_bits(bits: u64) -> Self {
-        bits
-    }
-}
 
 /// The `(start word, length)` runs an envelope covers, in payload order
 /// (see [`Shape::runs`]). Every run is non-empty and already checked
@@ -620,7 +595,7 @@ impl Shape {
 /// `out` as little-endian `u64`s — the send side's copy-out of the source
 /// shard and the worker's read-back from its mirror, both straight into
 /// frame bytes. `out` is exactly the runs' words long.
-pub(crate) fn gather_into<W: Word>(out: &mut [u8], runs: Runs, mem: &[W]) {
+pub(crate) fn gather_into(out: &mut [u8], runs: Runs, mem: &[f64]) {
     let mut rest = out;
     for (start, len) in runs {
         let (run, tail) = std::mem::take(&mut rest).split_at_mut(8 * len);
@@ -636,7 +611,7 @@ pub(crate) fn gather_into<W: Word>(out: &mut [u8], runs: Runs, mem: &[W]) {
 // ----------------------------------------------------------------------
 
 /// Append `frame` to `out` as a length-prefixed record: a `u32` LE byte
-/// count followed by the frame bytes. The inverse of [`FrameDecoder`].
+/// count followed by the frame bytes; [`MessageBuf`] reads them back.
 ///
 /// Panics if the frame exceeds [`MAX_FRAME_BYTES`] — a frame that large
 /// is a caller bug, not traffic.
@@ -657,15 +632,13 @@ const MARKER_N: usize = 4 + 5;
 
 /// A batch of frames in one buffer: the `Batch{n}` marker, then each
 /// frame behind its length prefix ([`write_frame`]) — exactly the bytes a
-/// link writes for the batch — plus where each frame starts. Frames are
-/// appended in place (an encoder writes straight into the buffer) and
-/// the marker's `n` is kept current, so [`FrameBatch::image`] is always
-/// a whole batch. `clear` keeps the capacity: one buffer serves batch
-/// after batch.
+/// link writes for the batch. Frames are appended in place (an encoder
+/// writes straight into the buffer) and the marker's `n` is kept current,
+/// so the buffer is always one whole message. `clear` keeps the capacity:
+/// one buffer serves batch after batch.
 #[derive(Debug)]
 pub struct FrameBatch {
     bytes: Vec<u8>,
-    starts: Vec<usize>,
 }
 
 impl Default for FrameBatch {
@@ -679,37 +652,26 @@ impl FrameBatch {
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &CtrlMsg::Batch { n: 0 }.to_bytes());
         debug_assert_eq!(bytes.len(), MARKER_LEN);
-        FrameBatch {
-            bytes,
-            starts: Vec::new(),
-        }
+        FrameBatch { bytes }
     }
 
+    /// The marker's `n`.
     pub(crate) fn len(&self) -> usize {
-        self.starts.len()
+        let n = &self.bytes[MARKER_N..MARKER_LEN];
+        u32::from_le_bytes(n.try_into().expect("the marker's 4-byte n")) as usize
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.starts.is_empty()
+        self.bytes.len() == MARKER_LEN
     }
 
-    fn span(&self, i: usize) -> std::ops::Range<usize> {
-        let end = self.starts.get(i + 1).map_or(self.bytes.len(), |s| s - 4);
-        self.starts[i]..end
+    /// The frames, in push order.
+    pub(crate) fn frames(&self) -> Records<&[u8]> {
+        Records(&self.bytes[MARKER_LEN..])
     }
 
-    /// Frame `i`, in push order.
-    pub(crate) fn frame(&self, i: usize) -> &[u8] {
-        &self.bytes[self.span(i)]
-    }
-
-    pub(crate) fn frame_mut(&mut self, i: usize) -> &mut [u8] {
-        let span = self.span(i);
-        &mut self.bytes[span]
-    }
-
-    pub(crate) fn frames(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        (0..self.len()).map(|i| self.frame(i))
+    pub(crate) fn frames_mut(&mut self) -> Records<&mut [u8]> {
+        Records(&mut self.bytes[MARKER_LEN..])
     }
 
     /// The batch as a link writes it: marker, then every frame behind
@@ -740,20 +702,17 @@ impl FrameBatch {
             "frame of {len} bytes exceeds MAX_FRAME_BYTES"
         );
         self.bytes[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        self.starts.push(at + 4);
-        self.set_n();
+        self.set_n(self.len() + 1);
     }
 
-    fn set_n(&mut self) {
-        let n = self.starts.len() as u32;
-        self.bytes[MARKER_N..MARKER_LEN].copy_from_slice(&n.to_le_bytes());
+    fn set_n(&mut self, n: usize) {
+        self.bytes[MARKER_N..MARKER_LEN].copy_from_slice(&(n as u32).to_le_bytes());
     }
 
     /// Drop every frame, keeping the capacity.
     pub(crate) fn clear(&mut self) {
         self.bytes.truncate(MARKER_LEN);
-        self.starts.clear();
-        self.set_n();
+        self.set_n(0);
     }
 
     /// Make room for one more frame of `len` bytes: the buffer doubles
@@ -771,76 +730,169 @@ impl FrameBatch {
         }
     }
 
-    /// Heap bytes held: the buffer's capacity plus its offset table's.
+    /// Heap bytes held.
     pub(crate) fn capacity(&self) -> usize {
-        self.bytes.capacity() + std::mem::size_of::<usize>() * self.starts.capacity()
+        self.bytes.capacity()
     }
 }
 
-/// Incremental decoder for length-prefixed frames arriving in arbitrary
-/// chunks (partial reads, 1-byte reads, boundaries straddling reads).
-/// Feed bytes with [`FrameDecoder::push`], take complete frames with
-/// [`FrameDecoder::next_frame`], borrowed from the decoder's buffer. Pure
-/// — no I/O — so the framing logic is testable without sockets.
+/// The largest message a link reads. A batch is written once its frames
+/// reach [`FLUSH_WINDOW_BYTES`]: less than a window, the frame that
+/// crossed it (at most [`MAX_FRAME_BYTES`]), and prefixes under an eighth
+/// of a window (a frame a worker accepts is at least 45 bytes).
+pub const MAX_MESSAGE_BYTES: usize = MAX_FRAME_BYTES as usize + 2 * FLUSH_WINDOW_BYTES;
+
+/// One message off a link — a lone control frame, or a `Batch{n}` marker
+/// and its `n` frames — in one buffer reused message after message, and
+/// lent out mutably: the worker applies a batch in these bytes and echoes
+/// them back. Every length prefix is checked against [`MAX_MESSAGE_BYTES`]
+/// before the bytes it declares are asked for. A link is half-duplex (one
+/// batch in flight, its echo read before the next write), so a byte that
+/// arrives past a batch is a [`WireError::BadReply`].
 #[derive(Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
+pub struct MessageBuf {
+    /// `bytes[..filled]` came off the link; the rest is room for reads.
+    bytes: Vec<u8>,
+    filled: usize,
+    /// The first record not yet whole starts at `next`, and the message
+    /// owes `owed` records from there: `None` until its first record is
+    /// whole (a `Batch{n}` marker owes `n`, a control frame nothing).
+    next: usize,
+    owed: Option<u32>,
 }
 
-impl FrameDecoder {
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Feed a chunk of received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact consumed space before growing, so a long-lived decoder
-        // does not retain every byte it ever saw.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos >= 4096) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+impl MessageBuf {
+    /// Read the next message from `peer`, whole: `read` fills the front of
+    /// the room it is lent and returns how many bytes it wrote.
+    pub fn read(
+        &mut self,
+        peer: u32,
+        mut read: impl FnMut(&mut [u8]) -> Result<usize, WireError>,
+    ) -> Result<&mut [u8], WireError> {
+        self.clear();
+        loop {
+            let missing = self.missing(peer)?;
+            if missing == 0 {
+                return Ok(self.message());
+            }
+            let room = self.room(missing);
+            let n = read(room)?.min(room.len());
+            self.filled += n;
         }
-        self.buf.extend_from_slice(bytes);
     }
 
-    /// Feed a received buffer, taking it over as is when nothing is left
-    /// of the previous ones — a memory link's batch image is then read in
-    /// place, neither copied nor kept past the next.
-    pub(crate) fn push_owned(&mut self, bytes: Vec<u8>) {
-        if self.pos >= self.buf.len() {
-            (self.buf, self.pos) = (bytes, 0);
+    /// The message read last, as it now stands.
+    pub fn message(&mut self) -> &mut [u8] {
+        &mut self.bytes[..self.filled]
+    }
+
+    fn clear(&mut self) {
+        (self.filled, self.next, self.owed) = (0, 0, None);
+    }
+
+    /// Bytes the message lacks at least (0: whole), walking the records
+    /// that became whole since the last call.
+    fn missing(&mut self, peer: u32) -> Result<usize, WireError> {
+        while self.owed != Some(0) {
+            let head = self.next + 4;
+            let len = match self.bytes[..self.filled].get(self.next..head) {
+                Some(prefix) => u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")),
+                None => 0,
+            };
+            let end = head as u64 + len as u64;
+            if end > MAX_MESSAGE_BYTES as u64 {
+                return Err(WireError::FrameTooBig(end));
+            }
+            let end = end as usize;
+            if end > self.filled {
+                return Ok(end - self.filled);
+            }
+            self.owed = Some(match self.owed {
+                Some(owed) => owed - 1,
+                None => match CtrlMsg::from_bytes(&self.bytes[head..end]) {
+                    Ok(CtrlMsg::Batch { n }) => n,
+                    _ => 0,
+                },
+            });
+            self.next = end;
+        }
+        match self.filled - self.next {
+            0 => Ok(0),
+            past => Err(WireError::BadReply {
+                node: peer,
+                what: format!("{past} bytes past the end of a message"),
+            }),
+        }
+    }
+
+    /// Room for `missing` more bytes, the buffer doubling up to the cap
+    /// from two windows, which hold a batch of small frames whole. A first
+    /// record is read exactly: it may be a control frame the coordinator
+    /// follows at once (`HelloAck`, then the first batch). Behind a
+    /// batch's marker the rest is read ahead.
+    fn room(&mut self, missing: usize) -> &mut [u8] {
+        let need = self.filled + missing;
+        if self.bytes.len() < need {
+            let grown = (2 * self.bytes.len())
+                .clamp(2 * FLUSH_WINDOW_BYTES, MAX_MESSAGE_BYTES)
+                .max(need);
+            self.bytes.reserve_exact(grown - self.bytes.len());
+            self.bytes.resize(grown, 0);
+        }
+        let end = if self.owed.is_some() {
+            self.bytes.len()
         } else {
-            self.push(&bytes);
-        }
-    }
-
-    /// The length of the next frame once it is buffered whole, `Ok(None)`
-    /// while more bytes are needed. A length prefix above
-    /// [`MAX_FRAME_BYTES`] is rejected immediately — before waiting for
-    /// (or allocating) the declared bytes.
-    pub fn ready(&self) -> Result<Option<usize>, WireError> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap());
-        if len as u64 > MAX_FRAME_BYTES {
-            return Err(WireError::FrameTooBig(len as u64));
-        }
-        let len = len as usize;
-        Ok((avail >= 4 + len).then_some(len))
-    }
-
-    /// Take the next complete frame, `Ok(None)` if more bytes are needed
-    /// (rejecting an oversized prefix as [`FrameDecoder::ready`] does).
-    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        let Some(len) = self.ready()? else {
-            return Ok(None);
+            need
         };
-        let start = self.pos + 4;
-        self.pos = start + len;
-        Ok(Some(&self.buf[start..start + len]))
+        &mut self.bytes[self.filled..end]
+    }
+
+    /// Take `image`, a memory link's message, as the buffer itself — read
+    /// in place, never copied — and check it is exactly one message.
+    pub(crate) fn adopt(&mut self, image: Vec<u8>, peer: u32) -> Result<&mut [u8], WireError> {
+        self.clear();
+        (self.filled, self.bytes) = (image.len(), image);
+        match self.missing(peer)? {
+            0 => Ok(self.message()),
+            short => Err(WireError::BadReply {
+                node: peer,
+                what: format!("a message {short} bytes short"),
+            }),
+        }
+    }
+
+    /// The buffer, cut to the message read last; the reader starts empty.
+    pub(crate) fn take_message(&mut self) -> Vec<u8> {
+        let mut bytes = std::mem::take(&mut self.bytes);
+        bytes.truncate(self.filled);
+        self.clear();
+        bytes
+    }
+}
+
+/// The length-prefixed records of a message, in order.
+pub(crate) struct Records<B>(pub(crate) B);
+
+impl<'a> Iterator for Records<&'a [u8]> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let len = u32::from_le_bytes(self.0.get(..4)?.try_into().ok()?) as usize;
+        let (record, rest) = self.0[4..].split_at(len.min(self.0.len() - 4));
+        self.0 = rest;
+        Some(record)
+    }
+}
+
+impl<'a> Iterator for Records<&'a mut [u8]> {
+    type Item = &'a mut [u8];
+
+    fn next(&mut self) -> Option<&'a mut [u8]> {
+        let len = u32::from_le_bytes(self.0.get(..4)?.try_into().ok()?) as usize;
+        let body = &mut std::mem::take(&mut self.0)[4..];
+        let (record, rest) = body.split_at_mut(len.min(body.len()));
+        self.0 = rest;
+        Some(record)
     }
 }
 
@@ -1029,7 +1081,7 @@ impl CtrlMsg {
 }
 
 /// One remote process's end-of-run accounting, as delivered in its
-/// [`CtrlMsg::ByeStats`]: the counters to reconcile against the
+/// `CtrlMsg::ByeStats`: the counters to reconcile against the
 /// coordinator's book plus the node's serialized telemetry table
 /// (empty when telemetry is off).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1254,11 +1306,11 @@ mod tests {
     /// in payload order, and its view's `scatter` into a zeroed memory
     /// writes those words and no other; re-gathering that memory over the
     /// frame's payload in place (the worker's echo) leaves it unchanged.
-    fn pipeline_round_trip<W: Word + std::fmt::Debug>() {
+    fn pipeline_round_trip() {
         let (wpb, seg) = (16, 256);
         // Distinct non-zero bit patterns (NaNs included for f64).
-        let src: Vec<W> = (0..seg as u64)
-            .map(|i| W::from_bits((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
+        let src: Vec<f64> = (0..seg as u64)
+            .map(|i| f64::from_bits((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
             .collect();
         for msg in [
             blocks(false, 3, 2, 32),
@@ -1296,7 +1348,7 @@ mod tests {
             | WireMsg::Strided { words, .. }) = &mut owned;
             *words = in_order;
             assert_eq!(frame, owned.to_bytes(), "kind {kind}: one writer");
-            let mut dst: Vec<W> = vec![W::from_bits(0); seg];
+            let mut dst = vec![0.0; seg];
             let view = WireView::parse(&frame).unwrap();
             view.scatter(&mut dst, wpb).unwrap();
             for a in 0..seg {
@@ -1316,8 +1368,7 @@ mod tests {
 
     #[test]
     fn gather_encode_decode_scatter_is_exact_for_shard_and_mirror_memory() {
-        pipeline_round_trip::<f64>();
-        pipeline_round_trip::<u64>();
+        pipeline_round_trip();
     }
 
     /// The worker mirror must not trust the peer's addresses: frames that
@@ -1339,7 +1390,7 @@ mod tests {
             // Each one survives the codec: the lie is in the addresses.
             let bytes = msg.to_bytes();
             assert_eq!(WireMsg::from_bytes(&bytes).as_ref(), Ok(&msg));
-            let mut mirror = vec![0u64; seg];
+            let mut mirror = vec![0.0; seg];
             let view = WireView::parse(&bytes).unwrap();
             assert!(
                 matches!(
@@ -1348,7 +1399,7 @@ mod tests {
                 ),
                 "{msg:?}"
             );
-            assert_eq!(mirror, vec![0u64; seg], "rejected frame wrote memory");
+            assert_eq!(mirror, vec![0.0; seg], "rejected frame wrote memory");
         }
     }
 
@@ -1365,45 +1416,68 @@ mod tests {
         assert_eq!(payload(&diff) as usize, diff_bytes(0b1101));
     }
 
-    #[test]
-    fn frame_decoder_reassembles_across_arbitrary_splits() {
-        let frames: Vec<Vec<u8>> = vec![vec![], vec![0xAB], (0u8..=255).collect()];
-        let mut stream = Vec::new();
-        for f in &frames {
-            write_frame(&mut stream, f);
-        }
-        // Worst case: the stream arrives one byte at a time.
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for b in &stream {
-            dec.push(std::slice::from_ref(b));
-            while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f.to_vec());
+    /// Read one message out of `stream`, `chunk` bytes a read at most; the
+    /// end of the stream is a hang-up. Returns the message and the bytes
+    /// the reader took.
+    fn read_chunked(stream: &[u8], chunk: usize) -> (Result<Vec<u8>, WireError>, usize) {
+        let (mut buf, mut at) = (MessageBuf::default(), 0);
+        let got = buf.read(0, |room| {
+            let n = chunk.min(room.len()).min(stream.len() - at);
+            room[..n].copy_from_slice(&stream[at..at + n]);
+            at += n;
+            if n == 0 {
+                return Err(WireError::PeerGone(0));
             }
-        }
-        assert_eq!(got, frames);
-        assert_eq!(dec.pos, dec.buf.len(), "no bytes left over");
+            Ok(n)
+        });
+        (got.map(|m| m.to_vec()), at)
     }
 
     #[test]
-    fn frame_decoder_rejects_oversized_and_flags_truncated() {
-        // A length prefix above the cap fails before any payload arrives.
-        let mut dec = FrameDecoder::new();
-        dec.push(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
-        assert_eq!(
-            dec.next_frame(),
-            Err(WireError::FrameTooBig(MAX_FRAME_BYTES + 1))
-        );
+    fn message_buf_reads_a_message_whole_across_arbitrary_splits() {
+        let frames: Vec<Vec<u8>> = vec![vec![], vec![0xAB], (0u8..=255).collect()];
+        let mut batch = FrameBatch::new();
+        frames.iter().for_each(|f| batch.push(f));
+        let mut lone = Vec::new();
+        write_frame(&mut lone, &CtrlMsg::Bye.to_bytes());
+        for image in [batch.image(), &lone] {
+            // Worst case: the stream arrives one byte at a time.
+            for chunk in [1, 5, image.len()] {
+                let (got, taken) = read_chunked(image, chunk);
+                assert_eq!(got.as_deref(), Ok(image), "chunk {chunk}");
+                assert_eq!(taken, image.len());
+            }
+        }
+        let records: Vec<&[u8]> = batch.frames().collect();
+        assert_eq!(records, frames, "the marker, then the frames in order");
+    }
 
-        // A truncated trailing frame is visible as a partial at EOF.
-        let mut stream = Vec::new();
-        write_frame(&mut stream, &[1, 2, 3, 4]);
-        let mut dec = FrameDecoder::new();
-        dec.push(&stream[..stream.len() - 1]);
-        assert_eq!(dec.next_frame(), Ok(None));
+    #[test]
+    fn message_buf_rejects_oversized_truncated_and_trailing_bytes() {
+        // A prefix past the cap fails before the bytes it declares are
+        // asked for.
+        let mut stream = (MAX_MESSAGE_BYTES as u32 - 3).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0; 64]);
+        let (got, taken) = read_chunked(&stream, 4);
+        assert_eq!(
+            got,
+            Err(WireError::FrameTooBig(MAX_MESSAGE_BYTES as u64 + 1))
+        );
+        assert_eq!(taken, 4, "nothing read past the prefix");
+        // A batch whose last frame never arrives waits for it: here the
+        // link hangs up.
+        let mut batch = FrameBatch::new();
+        batch.push(&[1, 2, 3, 4]);
+        let image = batch.image();
+        let (got, _) = read_chunked(&image[..image.len() - 1], 3);
+        assert_eq!(got, Err(WireError::PeerGone(0)));
+        // A byte past the message in the same read is the peer out of step.
+        let mut long = image.to_vec();
+        long.push(0);
+        let (got, _) = read_chunked(&long, long.len());
         assert!(
-            dec.pos < dec.buf.len(),
-            "truncated trailing frame must stay buffered"
+            matches!(got, Err(WireError::BadReply { node: 0, .. })),
+            "{got:?}"
         );
     }
 

@@ -556,8 +556,10 @@ fn wire_view_apply_matches_decode_and_scatter() {
         let mut bytes = msg.to_bytes();
         let how = mutate_frame(rng, &msg, &mut bytes);
         let mem: Vec<u64> = random_words(rng, DIFF_SEG);
-        let (mut by_view, mut by_msg) = (mem.clone(), mem.clone());
+        let mut by_view: Vec<f64> = mem.iter().map(|&w| f64::from_bits(w)).collect();
         let viewed = WireView::parse(&bytes).and_then(|v| v.scatter(&mut by_view, DIFF_WPB));
+        let by_view: Vec<u64> = by_view.iter().map(|w| w.to_bits()).collect();
+        let mut by_msg = mem.clone();
         let owned =
             WireMsg::from_bytes(&bytes).and_then(|m| reference_scatter(&m, &mut by_msg, DIFF_WPB));
         assert_eq!(viewed, owned, "{how}: {msg:?}");
@@ -624,64 +626,122 @@ fn ctl_contract_random_ranges() {
     });
 }
 
-/// The framing layer must reassemble any sequence of length-prefixed
-/// frames from any split of the byte stream — 1-byte reads, short
-/// writes, frame boundaries straddling read boundaries — and flag a
-/// truncated trailing frame at EOF.
+/// Read one message from `stream` through a fresh `MessageBuf`, the way
+/// a socket hands bytes back: reads of 1 to 7 bytes, except that a read
+/// which would leave `tail` bytes or fewer behind takes them all. Returns
+/// the message, and whether the reader asked for more once `stream` up to
+/// `watch` had been delivered. The end of `stream` is a hang-up.
+fn read_split(
+    rng: &mut Rng,
+    stream: &[u8],
+    tail: usize,
+    watch: usize,
+) -> (Result<Vec<u8>, WireError>, bool) {
+    let (mut buf, mut at, mut asked_past) = (fgdsm_protocol::MessageBuf::default(), 0, false);
+    let got = buf.read(0, |room| {
+        asked_past |= at >= watch;
+        let mut n = rng.range(1, 8).min(stream.len() - at);
+        if stream.len() - at - n <= tail {
+            n = stream.len() - at;
+        }
+        let n = n.min(room.len());
+        if n == 0 {
+            return Err(WireError::PeerGone(0));
+        }
+        room[..n].copy_from_slice(&stream[at..at + n]);
+        at += n;
+        Ok(n)
+    });
+    (got.map(|m| m.to_vec()), asked_past)
+}
+
+/// The framing layer reads a link one message at a time — a lone control
+/// frame, or a `Batch{n}` marker and its `n` frames (empty ones included)
+/// — from any split of the byte stream: 1-byte reads, short writes,
+/// record boundaries straddling reads. Each message comes out whole,
+/// exactly once and in order; a prefix that takes a message past the cap
+/// is `FrameTooBig` before its bytes are asked for; bytes past a batch
+/// are a typed error; a message cut short waits for the rest (here the
+/// link hangs up).
 #[test]
 fn framing_round_trips_over_arbitrary_stream_splits() {
-    use fgdsm_protocol::{write_frame, FrameDecoder};
+    use fgdsm_protocol::{write_frame, MAX_MESSAGE_BYTES};
     check_cases(256, |rng| {
-        let nframes = rng.range(1, 10);
-        let frames: Vec<Vec<u8>> = rng.vec(nframes, |rng| {
-            let len = rng.below(200) as usize;
-            rng.vec(len, |rng| rng.below(256) as u8)
-        });
-        let mut stream = Vec::new();
-        for f in &frames {
-            write_frame(&mut stream, f);
-        }
-        // Deliver the stream in random partial reads (often 1 byte), the
-        // way a socket hands bytes back.
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        let mut pos = 0;
-        while pos < stream.len() {
-            let n = rng.range(1, 8).min(stream.len() - pos);
-            dec.push(&stream[pos..pos + n]);
-            pos += n;
-            while let Some(f) = dec.next_frame().expect("well-formed stream") {
-                got.push(f.to_vec());
+        let bytes = |rng: &mut Rng, len: usize| rng.vec(len, |rng| rng.below(256) as u8);
+        let count = rng.range(1, 6);
+        let messages: Vec<Vec<u8>> = rng.vec(count, |rng| {
+            if rng.flag() {
+                // A lone frame: never 9 bytes, so never a batch marker.
+                let mut len = rng.below(200) as usize;
+                len += usize::from(len == 9);
+                let mut image = Vec::new();
+                write_frame(&mut image, &bytes(rng, len));
+                image
+            } else {
+                // The `Batch{n}` marker: control magic, version 1, kind 2, `n`.
+                let n = rng.below(6) as u32;
+                let mut image = Vec::new();
+                write_frame(
+                    &mut image,
+                    &[&[0x58, 0xFD, 1, 0, 2][..], &n.to_le_bytes()].concat(),
+                );
+                for _ in 0..n {
+                    let len = rng.below(120) as usize;
+                    write_frame(&mut image, &bytes(rng, len));
+                }
+                image
             }
+        });
+        // The peer writes a message only once the last one is answered,
+        // so a read never reaches into the next.
+        for m in &messages {
+            assert_eq!(read_split(rng, m, 0, usize::MAX).0, Ok(m.clone()));
         }
-        assert_eq!(got, frames, "reassembly must be split-invariant");
-        // A clean stream leaves no partial bytes: the next frame decodes
-        // on its own.
-        let mut next = Vec::new();
-        write_frame(&mut next, &[7, 7]);
-        dec.push(&next);
-        assert_eq!(dec.next_frame(), Ok(Some(&[7u8, 7][..])));
-        assert_eq!(dec.next_frame(), Ok(None));
 
-        // Truncate the stream inside the last record: every earlier
-        // frame still decodes, the last is lost, and the fragment stays
-        // buffered until the rest arrives.
-        let last_rec = 4 + frames.last().unwrap().len();
-        let start_last = stream.len() - last_rec;
-        let cut = start_last + 1 + rng.below(last_rec as u64 - 1) as usize;
-        let mut dec = FrameDecoder::new();
-        dec.push(&stream[..cut]);
-        let mut whole = 0usize;
-        while let Some(f) = dec.next_frame().expect("prefix stays well-formed") {
-            assert_eq!(f, frames[whole]);
-            whole += 1;
-        }
-        assert_eq!(whole, frames.len() - 1, "exactly the last frame is lost");
-        dec.push(&stream[cut..]);
+        let m = rng.pick(&messages).clone();
+        let prefixes: Vec<usize> = {
+            let mut at = 0;
+            std::iter::from_fn(|| {
+                let here = at;
+                let len = u32::from_le_bytes(m.get(at..at + 4)?.try_into().unwrap());
+                at += 4 + len as usize;
+                Some(here)
+            })
+            .collect()
+        };
+        // A prefix past the cap: refused before its bytes are asked for.
+        let at = *rng.pick(&prefixes);
+        let over = MAX_MESSAGE_BYTES - (at + 4) + 1;
+        let len = rng.range(over, u32::MAX as usize + 1) as u32;
+        let mut bad = m.clone();
+        bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        let (got, asked_past) = read_split(rng, &bad, 0, at + 4);
         assert_eq!(
-            dec.next_frame(),
-            Ok(frames.last().map(Vec::as_slice)),
-            "the truncated trailing frame must stay buffered"
+            got,
+            Err(WireError::FrameTooBig((at + 4) as u64 + len as u64))
         );
+        assert!(!asked_past, "a read past an oversized prefix");
+        // Bytes past a batch, arriving with its end, are the peer out of
+        // step. A message of one record is read exactly — the coordinator
+        // may write the next one at once (`HelloAck`, then the first
+        // batch) — so what follows it is left for the next read.
+        let extra = rng.range(1, 5);
+        let mut long = m.clone();
+        long.extend(bytes(rng, extra));
+        let (got, _) = read_split(rng, &long, extra, usize::MAX);
+        if prefixes.len() == 1 {
+            assert_eq!(got, Ok(m.clone()));
+        } else {
+            assert!(
+                matches!(got, Err(WireError::BadReply { node: 0, .. })),
+                "{got:?}"
+            );
+        }
+        // A message cut inside its last record waits for the rest.
+        let cut = prefixes.last().unwrap()
+            + 1
+            + rng.below((m.len() - prefixes.last().unwrap() - 1) as u64) as usize;
+        let (got, _) = read_split(rng, &m[..cut], 0, usize::MAX);
+        assert_eq!(got, Err(WireError::PeerGone(0)));
     });
 }

@@ -3,7 +3,7 @@
 //! A [`Cluster`] is a set of disjoint [`NodeShard`]s — each node's
 //! full-size private copy of the global shared segment, per-block access
 //! tags, virtual clock, pending-write count and event trace live in its
-//! shard — plus the shared immutable [`Geometry`] (segment shape, home
+//! shard — plus the shared immutable `Geometry` (segment shape, home
 //! map, cost model) and the run makespan. Coherence protocols (crate
 //! `fgdsm-protocol`) drive state by copying block data between shard
 //! pairs, flipping tags, and charging message and handler costs through
@@ -310,7 +310,7 @@ impl Cluster {
     /// Hand every node's segment copy back to the
     /// [arena](crate::arena) for the next cluster of this shape, each
     /// zeroed exactly where its node mapped a page
-    /// ([`NodeShard::take_zeroed_mem`]). Only a finished run recycles:
+    /// (`NodeShard::take_zeroed_mem`). Only a finished run recycles:
     /// the cluster keeps empty segments. A cluster whose nodes wrote a
     /// page they never mapped (as a test may, through
     /// [`Cluster::node_mem_mut`]) must not be recycled; debug builds
@@ -389,7 +389,7 @@ impl Cluster {
     /// every node, its template again for each of the next `reps`
     /// blocks, shifted by block — the events the same fault of each
     /// would have recorded, with the clocks advanced as they would have
-    /// advanced — in closed form ([`NodeShard::replay_run`]). Only for
+    /// advanced — in closed form (`NodeShard::replay_run`). Only for
     /// rings of capacity 0: a kept ring takes every fault block by block.
     /// The caller applies the run's tag, directory and data changes.
     pub fn replay_run(&mut self, reps: usize) {

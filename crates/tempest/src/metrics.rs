@@ -353,7 +353,7 @@ impl Telemetry {
 
     /// Total decode of [`to_bytes`](Self::to_bytes) — the blob arrives
     /// from a worker socket: every histogram is checked
-    /// ([`Histogram::decode`]), truncation and trailing bytes are
+    /// (`Histogram::decode`), truncation and trailing bytes are
     /// rejected.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
         let cut = |Truncated(at)| format!("metrics blob truncated at offset {at}");

@@ -14,7 +14,7 @@
 //! phase, which borrows one shard *pair* at a time
 //! ([`Cluster::shard_pair_mut`](crate::cluster::Cluster::shard_pair_mut)).
 //!
-//! Shards share one immutable [`Geometry`] (via `Arc`): segment shape,
+//! Shards share one immutable `Geometry` (via `Arc`): segment shape,
 //! block/page sizes, the home map and the cost model. Sharing it keeps a
 //! shard self-contained — it can map pages and charge costs without
 //! asking the coordinator — while guaranteeing no shard can observe
@@ -114,7 +114,7 @@ struct HotState {
 /// so `&mut NodeShard` is safe to move to a worker thread.
 ///
 /// Layout: the struct is cache-line aligned (via the embedded
-/// [`HotState`], which carries `#[repr(align(64))]`), so adjacent
+/// `HotState`, which carries `#[repr(align(64))]`), so adjacent
 /// shards in the cluster's `Vec<NodeShard>` never share a line. The
 /// write-hot scalars lead the struct on their own line; the read-mostly
 /// geometry handle and the buffer headers follow. `cluster.rs`'s
@@ -239,7 +239,7 @@ impl NodeShard {
         self.dirty.set(b, a != self.default_tag(b));
     }
 
-    /// [`NodeShard::set_tag`] for every block of `[first, end)`, a word
+    /// `NodeShard::set_tag` for every block of `[first, end)`, a word
     /// at a time: the dirty bits by home-page run, over which the initial
     /// tag is constant.
     pub fn set_tag_range(&mut self, first: usize, end: usize, a: Access) {
@@ -438,7 +438,7 @@ impl NodeShard {
     }
 
     /// Record a message of `payload_bytes` arriving at this node, the
-    /// receiver-side twin of [`NodeShard::note_msg`]. Keeping both sides
+    /// receiver-side twin of `NodeShard::note_msg`. Keeping both sides
     /// recorded lets the executors assert that cluster-wide send and
     /// receive counters balance at the end of every run.
     #[inline]

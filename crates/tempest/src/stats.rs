@@ -117,7 +117,7 @@ impl NodeStats {
     }
 
     /// Field-wise accumulate `other` into `self` — the inverse of
-    /// [`NodeStats::delta`]: summing every interval delta reproduces the
+    /// `NodeStats::delta`: summing every interval delta reproduces the
     /// whole-run snapshot exactly.
     pub fn accumulate(&mut self, other: &NodeStats) {
         self.accumulate_times(other, 1);

@@ -19,7 +19,7 @@
 //! Recent events are additionally kept in a bounded ring buffer for
 //! inspection and JSON export; when the ring wraps, only the raw entries
 //! are dropped — the folded aggregates remain exact, and
-//! [`NodeTrace::dropped`] reports how many entries fell off.
+//! `NodeTrace::dropped` reports how many entries fell off.
 
 use crate::cluster::ChargeKind;
 use crate::stats::NodeStats;
